@@ -356,6 +356,9 @@ fn run_queue(
         core_free.push(Reverse((0, c as u32)));
     }
     ready.clear();
+    // The ready set never exceeds the batch: size it once per batch size
+    // rather than whenever a release order builds a deeper backlog.
+    ready.reserve(n);
 
     let key = |i: usize| match select {
         SelectBy::Deadline => batch.deadline_ns[i],

@@ -84,7 +84,7 @@ pub struct TaskOutcome {
 }
 
 /// Aggregate outcome of one parallel run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ParallelOutcome {
     /// One record per task, sorted by id.
     pub tasks: Vec<TaskOutcome>,

@@ -4,17 +4,24 @@
 //! per-cell compute demand (`pran-phy`), the controller's placement and
 //! real-time scheduling decisions come from `pran-sched`, and this crate
 //! advances simulated time, injects server failures, and collects the
-//! metrics the evaluation reports:
+//! metrics the evaluation reports.
+//!
+//! One pool's behaviour is one state machine, [`PoolShard`], and
+//! everything that simulates pools is a driver of it:
 //!
 //! * [`engine`] — deterministic event queue and simulated clock;
 //! * [`metrics`] — counters and log-scale latency histograms, JSON-able;
+//! * [`pool`] — the pool configuration, the [`PoolShard`] state machine
+//!   (`place` / `execute` / `fail_server`) and its **batch** driver
+//!   [`PoolSimulator`]: an event loop over a materialized trace with
+//!   scheduled failure injection and failover measurement;
 //! * [`metro`] — metro-scale sharded runs: 10,000+ cells partitioned into
-//!   per-pool shards on worker threads, merged deterministically;
-//! * [`pool`] — the pool simulator: epoch-driven placement, sampled per-TTI
-//!   task execution, failure injection and failover measurement;
-//! * [`service`] — the resident metro: epochs stepped one at a time
-//!   against streamed traces, for long-lived soak services that publish
-//!   per-epoch metrics while the simulation keeps running;
+//!   per-pool shards, each a [`PoolSimulator`], on worker threads, merged
+//!   deterministically;
+//! * [`service`] — the **resident** driver: the same shards stepped one
+//!   epoch at a time against streamed traces, for long-lived soak
+//!   services that publish per-epoch metrics while the simulation keeps
+//!   running;
 //! * [`ue`] — microscopic load: UE sessions + link geometry → utilization,
 //!   traffic-weighted MCS and admission blocking (an alternative trace
 //!   source to `pran-traces`' macroscopic generator).
@@ -33,7 +40,7 @@ pub use engine::{Engine, SimTime};
 pub use metrics::{LogHistogram, PoolMetrics};
 pub use metro::{MetroConfig, MetroConfigError, MetroError, MetroReport, MetroSimulator};
 pub use pool::{
-    FailoverRecord, FailureSpec, LinkFault, PoolAccel, PoolConfig, PoolConfigError, PoolSimulator,
-    SimReport, SplitPlan,
+    FailoverRecord, FailureSpec, LinkFault, PoolAccel, PoolConfig, PoolConfigError, PoolShard,
+    PoolSimulator, SimReport, SplitPlan,
 };
 pub use service::{EpochRecord, EpochStatus, ResidentMetro};

@@ -43,9 +43,10 @@ pub struct PoolMetrics {
     pub outages: LogHistogram,
     /// Distribution of task response times.
     pub response_times: LogHistogram,
-    /// Distribution of positive deadline slack (parallel executor only):
-    /// how much budget remained when each on-time task finished. Missed
-    /// tasks are counted in `deadline_misses`, not here.
+    /// Distribution of positive deadline slack: how much budget remained
+    /// when each on-time task finished, under the analytic scheduler
+    /// model and the parallel executor alike. Missed tasks are counted in
+    /// `deadline_misses`, not here.
     pub deadline_slack: LogHistogram,
 }
 
@@ -109,24 +110,43 @@ impl PoolMetrics {
         serde_json::to_string_pretty(self).expect("metrics serialize")
     }
 
+    // `reset`, `merge` and `append_epoch` each destructure `PoolMetrics`
+    // without a rest pattern, so a new field fails to compile until every
+    // one of them says what it does with it.
+
     /// Reset every counter, series and histogram in place, keeping all
     /// allocations (histogram buckets, epoch-series capacity) — the
     /// resident service reuses one instance per epoch without touching
     /// the heap.
     pub fn reset(&mut self) {
-        self.tasks_total = 0;
-        self.deadline_misses = 0;
-        self.tasks_lost = 0;
-        self.reports_lost = 0;
-        self.migrations = 0;
-        self.steals = 0;
-        self.fronthaul_bytes = 0;
-        self.epochs = 0;
-        self.servers_used.clear();
-        self.demand_gops.clear();
-        self.outages.reset();
-        self.response_times.reset();
-        self.deadline_slack.reset();
+        let PoolMetrics {
+            tasks_total,
+            deadline_misses,
+            tasks_lost,
+            reports_lost,
+            migrations,
+            steals,
+            fronthaul_bytes,
+            epochs,
+            servers_used,
+            demand_gops,
+            outages,
+            response_times,
+            deadline_slack,
+        } = self;
+        *tasks_total = 0;
+        *deadline_misses = 0;
+        *tasks_lost = 0;
+        *reports_lost = 0;
+        *migrations = 0;
+        *steals = 0;
+        *fronthaul_bytes = 0;
+        *epochs = 0;
+        servers_used.clear();
+        demand_gops.clear();
+        outages.reset();
+        response_times.reset();
+        deadline_slack.reset();
     }
 
     /// Fold another pool's metrics into this one (the metro merge).
@@ -138,29 +158,80 @@ impl PoolMetrics {
     /// tail is kept as-is. The operation is commutative and associative,
     /// so the merged result is independent of merge order.
     pub fn merge(&mut self, other: &PoolMetrics) {
-        self.tasks_total += other.tasks_total;
-        self.deadline_misses += other.deadline_misses;
-        self.tasks_lost += other.tasks_lost;
-        self.reports_lost += other.reports_lost;
-        self.migrations += other.migrations;
-        self.steals += other.steals;
-        self.fronthaul_bytes += other.fronthaul_bytes;
-        self.epochs = self.epochs.max(other.epochs);
-        if self.servers_used.len() < other.servers_used.len() {
-            self.servers_used.resize(other.servers_used.len(), 0);
-        }
-        for (mine, theirs) in self.servers_used.iter_mut().zip(&other.servers_used) {
-            *mine += theirs;
-        }
-        if self.demand_gops.len() < other.demand_gops.len() {
-            self.demand_gops.resize(other.demand_gops.len(), 0.0);
-        }
-        for (mine, theirs) in self.demand_gops.iter_mut().zip(&other.demand_gops) {
-            *mine += theirs;
-        }
-        self.outages.merge(&other.outages);
-        self.response_times.merge(&other.response_times);
-        self.deadline_slack.merge(&other.deadline_slack);
+        let PoolMetrics {
+            tasks_total,
+            deadline_misses,
+            tasks_lost,
+            reports_lost,
+            migrations,
+            steals,
+            fronthaul_bytes,
+            epochs,
+            servers_used,
+            demand_gops,
+            outages,
+            response_times,
+            deadline_slack,
+        } = other;
+        self.tasks_total += tasks_total;
+        self.deadline_misses += deadline_misses;
+        self.tasks_lost += tasks_lost;
+        self.reports_lost += reports_lost;
+        self.migrations += migrations;
+        self.steals += steals;
+        self.fronthaul_bytes += fronthaul_bytes;
+        self.epochs = self.epochs.max(*epochs);
+        add_elementwise(&mut self.servers_used, servers_used);
+        add_elementwise(&mut self.demand_gops, demand_gops);
+        self.outages.merge(outages);
+        self.response_times.merge(response_times);
+        self.deadline_slack.merge(deadline_slack);
+    }
+
+    /// Append the metrics of the epochs that *follow* this one's (the
+    /// resident service's across-epochs fold): counters add and
+    /// histograms merge as in [`merge`](Self::merge), but `epochs` adds
+    /// and the per-epoch series concatenate, where the cross-pool merge
+    /// takes the maximum and adds element-wise.
+    pub fn append_epoch(&mut self, epoch: &PoolMetrics) {
+        let PoolMetrics {
+            tasks_total,
+            deadline_misses,
+            tasks_lost,
+            reports_lost,
+            migrations,
+            steals,
+            fronthaul_bytes,
+            epochs,
+            servers_used,
+            demand_gops,
+            outages,
+            response_times,
+            deadline_slack,
+        } = epoch;
+        self.tasks_total += tasks_total;
+        self.deadline_misses += deadline_misses;
+        self.tasks_lost += tasks_lost;
+        self.reports_lost += reports_lost;
+        self.migrations += migrations;
+        self.steals += steals;
+        self.fronthaul_bytes += fronthaul_bytes;
+        self.epochs += epochs;
+        self.servers_used.extend_from_slice(servers_used);
+        self.demand_gops.extend_from_slice(demand_gops);
+        self.outages.merge(outages);
+        self.response_times.merge(response_times);
+        self.deadline_slack.merge(deadline_slack);
+    }
+}
+
+/// `mine[e] += theirs[e]`, growing `mine` to cover `theirs`.
+fn add_elementwise<T: Copy + Default + std::ops::AddAssign>(mine: &mut Vec<T>, theirs: &[T]) {
+    if mine.len() < theirs.len() {
+        mine.resize(theirs.len(), T::default());
+    }
+    for (m, t) in mine.iter_mut().zip(theirs) {
+        *m += *t;
     }
 }
 

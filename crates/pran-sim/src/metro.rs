@@ -241,18 +241,7 @@ impl MetroSimulator {
         pool: PoolConfig,
         trace: TraceConfig,
     ) -> Result<Self, MetroError> {
-        config.validate().map_err(MetroError::Metro)?;
-        pool.validate().map_err(MetroError::Pool)?;
-        // A per-cell split plan is metro-global; each shard receives its
-        // slice (`run_shard`), so the plan must cover every metro cell.
-        if let SplitPlan::PerCell(plan) = &pool.split_plan {
-            if plan.len() != config.cells {
-                return Err(MetroError::Pool(PoolConfigError::SplitPlanLength {
-                    plan: plan.len(),
-                    cells: config.cells,
-                }));
-            }
-        }
+        validate(&config, &pool)?;
         Ok(MetroSimulator {
             config,
             pool,
@@ -343,25 +332,9 @@ impl MetroSimulator {
 
     /// Run one shard's pool simulation on the calling thread.
     fn run_shard(&self, shard: usize, reference: bool) -> ShardReport {
-        let cells = self.config.shard_cells(shard);
-        let seed = self.config.shard_seed(shard);
+        let (pool_cfg, trace_cfg) = shard_configs(&self.config, &self.pool, &self.trace, shard);
         pran_telemetry::trace::set_shard(Some(shard as u64));
-        let mut trace_cfg = self.trace.clone();
-        trace_cfg.num_cells = cells;
-        trace_cfg.seed = seed;
         let trace = generate(&trace_cfg);
-        let mut pool_cfg = self.pool.clone();
-        if let Some(lf) = pool_cfg.fronthaul.as_mut() {
-            // Per-shard fault streams: without this, cell c of every
-            // shard would replay the same loss sequence.
-            lf.seed ^= seed;
-        }
-        if let SplitPlan::PerCell(plan) = &self.pool.split_plan {
-            // Shards partition the metro's cells in shard-major order;
-            // hand each shard its slice of the global split plan.
-            let offset: usize = (0..shard).map(|s| self.config.shard_cells(s)).sum();
-            pool_cfg.split_plan = SplitPlan::PerCell(plan[offset..offset + cells].to_vec());
-        }
         let mut pool = PoolSimulator::new(trace, pool_cfg);
         let report = if reference {
             pool.run_reference()
@@ -371,11 +344,45 @@ impl MetroSimulator {
         pran_telemetry::trace::set_shard(None);
         ShardReport {
             shard,
-            cells,
-            seed,
+            cells: trace_cfg.num_cells,
+            seed: trace_cfg.seed,
             report,
         }
     }
+}
+
+/// The gate in front of every metro, batch or resident: a sound shape,
+/// and a pool template that can serve it. A per-cell split plan is
+/// metro-global (each shard gets its slice), so it must cover every cell.
+pub(crate) fn validate(config: &MetroConfig, pool: &PoolConfig) -> Result<(), MetroError> {
+    config.validate().map_err(MetroError::Metro)?;
+    pool.validate_for(config.cells).map_err(MetroError::Pool)
+}
+
+/// Shard `shard`'s pool and trace configuration, for either driver: the
+/// trace cut to the shard's cell count and seed, the fronthaul fault seed
+/// re-derived from it (else cell `c` of every shard replays one loss
+/// sequence), a per-cell split plan sliced to the shard's cells (shards
+/// partition the metro's cells in shard-major order).
+pub(crate) fn shard_configs(
+    config: &MetroConfig,
+    pool: &PoolConfig,
+    trace: &TraceConfig,
+    shard: usize,
+) -> (PoolConfig, TraceConfig) {
+    let mut trace_cfg = trace.clone();
+    trace_cfg.num_cells = config.shard_cells(shard);
+    trace_cfg.seed = config.shard_seed(shard);
+    let mut pool_cfg = pool.clone();
+    if let Some(lf) = pool_cfg.fronthaul.as_mut() {
+        lf.seed ^= trace_cfg.seed;
+    }
+    if let SplitPlan::PerCell(plan) = &pool.split_plan {
+        let offset: usize = (0..shard).map(|s| config.shard_cells(s)).sum();
+        pool_cfg.split_plan =
+            SplitPlan::PerCell(plan[offset..offset + trace_cfg.num_cells].to_vec());
+    }
+    (pool_cfg, trace_cfg)
 }
 
 /// Why a [`MetroSimulator`] could not be built.

@@ -1,0 +1,541 @@
+//! The pool-shard state machine: what persists across the epochs of one
+//! pool, and the three transitions the simulator has.
+//!
+//! A [`PoolShard`] owns a pool's configuration, placement and (optional)
+//! warm placer, server liveness, the per-cell fronthaul fault injectors
+//! and the scratch of the per-TTI hot loop. It moves only through
+//! [`PoolShard::place`], [`PoolShard::execute`] and
+//! [`PoolShard::fail_server`]; the batch
+//! [`PoolSimulator`](super::PoolSimulator) and the resident
+//! [`ResidentMetro`](crate::service::ResidentMetro) both call these and
+//! nothing else, so an epoch means the same thing under either.
+
+use std::time::Duration;
+
+use bytes::Bytes;
+use pran_fronthaul::fault::{FaultInjector, Outcome};
+use pran_phy::compute::{CellWorkload, ComputeModel, FunctionalSplit};
+use pran_phy::frame::{Direction, COMPUTE_DEADLINE, TTI};
+use pran_sched::placement::migration::incremental_repack;
+use pran_sched::placement::warm::WarmPlacer;
+use pran_sched::placement::{Allowed, CellDemand, Placement, PlacementInstance};
+use pran_sched::realtime::{
+    simulate_into, BatchOutcome, ParallelExecutor, ParallelOutcome, RtTask, SimScratch, TaskBatch,
+};
+
+use super::config::{PoolAccel, PoolConfig, PoolConfigError};
+use crate::metrics::PoolMetrics;
+
+/// Service seconds of one pooled cell-subframe on a server: every pooled
+/// GOP on general cores for plain servers, the turbo-decode share at
+/// `decode_speedup` on accelerated ones. With `accel == None` this is the
+/// exact pre-split expression (`gops × 1e-3 / core_gops`), which keeps
+/// homogeneous pools bit-identical.
+pub(super) fn service_seconds(
+    model: &ComputeModel,
+    w: &CellWorkload,
+    accel: Option<PoolAccel>,
+    core_gops: f64,
+) -> f64 {
+    match accel {
+        Some(a) => {
+            let pooled = model.pooled_gops(w);
+            let decode = model.pooled_decode_gops(w);
+            (pooled - decode) * 1e-3 / core_gops + decode * 1e-3 / (core_gops * a.decode_speedup)
+        }
+        None => model.pooled_gops(w) * 1e-3 / core_gops,
+    }
+}
+
+/// The uplink workload of a cell using `prbs_used` PRBs under `split`,
+/// on the pool's radio configuration.
+pub(super) fn uplink_workload(
+    cfg: &PoolConfig,
+    prbs_used: u32,
+    split: FunctionalSplit,
+) -> CellWorkload {
+    CellWorkload {
+        bandwidth: cfg.bandwidth,
+        antennas: cfg.antennas,
+        prbs_used,
+        mcs: cfg.mcs,
+        direction: Direction::Uplink,
+        split,
+    }
+}
+
+/// A table with one row per split (in [`FunctionalSplit::all`] order)
+/// and one entry per PRB count `0..=prbs`.
+fn by_split_and_prb<T>(cfg: &PoolConfig, f: impl Fn(FunctionalSplit, u32) -> T) -> Vec<Vec<T>> {
+    FunctionalSplit::all()
+        .iter()
+        .map(|&split| (0..=cfg.bandwidth.prbs()).map(|p| f(split, p)).collect())
+        .collect()
+}
+
+/// Reusable scratch of [`PoolShard::execute`].
+///
+/// One instance lives as long as its shard; every trace step reuses its
+/// buffers instead of reallocating per-server task vectors and scheduler
+/// state (the seed path's dominant cost at metro scale). Task times live
+/// as flat `u64` nanosecond columns ([`TaskBatch`]), so the per-task
+/// steady state performs zero heap allocations.
+struct HotBuffers {
+    /// Per-server SoA task queues, cleared (capacity kept) every step.
+    batches: Vec<TaskBatch>,
+    /// Analytic-scheduler scratch: admission order and dispatch heaps.
+    scratch: SimScratch,
+    /// Analytic-scheduler output columns.
+    outcome: BatchOutcome,
+    /// Parallel executor built once per shard (`parallel` configs only).
+    executor: Option<ParallelExecutor>,
+    /// Materialization buffer feeding [`ParallelExecutor::execute_into`].
+    par_tasks: Vec<RtTask>,
+    /// Reusable parallel outcome (records + busy columns).
+    par_out: ParallelOutcome,
+    /// Release offset of TTI `t` within a step, nanoseconds.
+    tti_release_ns: Vec<u64>,
+    /// Deadline offset of TTI `t` within a step, nanoseconds.
+    tti_deadline_ns: Vec<u64>,
+    /// Service time by (server class, split, PRB count), flattened as
+    /// `class × 3 + split` rows of `prbs + 1` entries. `cell_gops` depends
+    /// on utilization only through `round(prbs × util)`
+    /// ([`CellWorkload::at_utilization`]), so the whole compute-model walk
+    /// plus the `Duration` conversion collapses into one table lookup per
+    /// cell-step. Class 0 is a plain server (every pooled GOP runs on
+    /// general cores), class 1 — built only when the pool has accelerated
+    /// servers — runs the turbo-decode share at the accelerator's speedup.
+    /// The (plain, `Full`) row is built with the exact pre-split reference
+    /// expression, so default-config results stay bit-equal.
+    service_ns: Vec<Vec<u64>>,
+    /// Fronthaul payload bytes by (split, PRB count) — the
+    /// [`FunctionalSplit::fronthaul_bytes_per_tti`] mapping, tabled so the
+    /// faulty-fronthaul path stays allocation-free.
+    bytes_by_prb: Vec<Vec<usize>>,
+    /// Servers `0..accel_servers` use the accelerated service rows.
+    accel_servers: usize,
+    /// `f64::from(bandwidth.prbs())`, the `at_utilization` scale factor.
+    prbs_f: f64,
+}
+
+impl HotBuffers {
+    fn new(cfg: &PoolConfig, model: &ComputeModel) -> Self {
+        let core_gops = cfg.server_capacity_gops / cfg.cores_per_server as f64;
+        let accel_servers = cfg.accel_servers();
+        let classes = if accel_servers > 0 { 2 } else { 1 };
+        let mut service_ns = Vec::with_capacity(classes * 3);
+        for class in 0..classes {
+            let accel = (class == 1).then(|| cfg.accel.expect("class 1 implies accel"));
+            service_ns.extend(by_split_and_prb(cfg, |split, prbs_used| {
+                let w = uplink_workload(cfg, prbs_used, split);
+                let secs = service_seconds(model, &w, accel, core_gops);
+                Duration::from_secs_f64(secs).as_nanos() as u64
+            }));
+        }
+        HotBuffers {
+            batches: (0..cfg.servers).map(|_| TaskBatch::new()).collect(),
+            scratch: SimScratch::new(),
+            outcome: BatchOutcome::new(),
+            executor: cfg.parallel.map(ParallelExecutor::new),
+            par_tasks: Vec::new(),
+            par_out: ParallelOutcome::default(),
+            tti_release_ns: (0..cfg.ttis_per_step)
+                .map(|t| (TTI * t as u32).as_nanos() as u64)
+                .collect(),
+            tti_deadline_ns: (0..cfg.ttis_per_step)
+                .map(|t| (TTI * t as u32 + COMPUTE_DEADLINE).as_nanos() as u64)
+                .collect(),
+            service_ns,
+            bytes_by_prb: by_split_and_prb(cfg, |split, p| {
+                split.fronthaul_bytes_per_tti(p, cfg.bandwidth.prbs())
+            }),
+            accel_servers,
+            prbs_f: f64::from(cfg.bandwidth.prbs()),
+        }
+    }
+}
+
+/// Uplink subframe report one cell pushes per TTI over its fronthaul
+/// link. Splits ship a *prefix* of this static frame
+/// ([`FunctionalSplit::fronthaul_bytes_per_tti`] bytes), so building the
+/// per-TTI [`Bytes`] never allocates; under `Full` the prefix is the whole
+/// 32-byte frame — exactly the pre-split payload.
+pub(super) static UPLINK_FRAME: [u8; 32] = [0u8; 32];
+
+/// Predicted pooled uplink GOPS (and turbo-decode share) indexed by
+/// (split, PRB count). `pooled_gops` depends on utilization only through
+/// `round(prbs × util)`, so one compute-model walk per (split, PRB) pair
+/// serves every (epoch × cell) demand prediction. The `Full` row's
+/// entries are the exact f64s the pre-split `cell_gops` walk returned
+/// ([`ComputeModel::pooled_subframe_cost`] retains every stage in
+/// pipeline order under `Full`), so default-config demands are bit-equal
+/// to the pre-split simulator's.
+struct DemandTables {
+    /// Pooled GOPS by (split index, PRB count).
+    gops: Vec<Vec<f64>>,
+    /// Pooled turbo-decode GOPS by (split index, PRB count). All-zero
+    /// when the pool has no accelerators: decode is then ordinary general
+    /// compute, and a hard 0.0 keeps demands — and everything downstream
+    /// in the placement stack — bitwise identical to the
+    /// pre-accelerator simulator.
+    decode: Vec<Vec<f64>>,
+}
+
+impl DemandTables {
+    fn new(cfg: &PoolConfig, model: &ComputeModel) -> Self {
+        let gops_by = |gops_of: fn(&ComputeModel, &CellWorkload) -> f64| {
+            by_split_and_prb(cfg, |split, p| {
+                gops_of(model, &uplink_workload(cfg, p, split))
+            })
+        };
+        DemandTables {
+            gops: gops_by(ComputeModel::pooled_gops),
+            decode: match cfg.accel {
+                Some(_) => gops_by(ComputeModel::pooled_decode_gops),
+                None => gops_by(|_, _| 0.0),
+            },
+        }
+    }
+}
+
+/// One recorded failover.
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct FailoverRecord {
+    /// The failed server.
+    pub server: usize,
+    /// Cells displaced by the failure.
+    pub displaced: usize,
+    /// Cells successfully re-placed immediately.
+    pub replaced: usize,
+    /// Outage experienced by each re-placed cell.
+    pub outage: Duration,
+}
+
+/// What one [`PoolShard::place`] decided.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Placed {
+    /// Cells moved between servers by this re-placement.
+    pub migrations: usize,
+    /// Servers the new placement uses.
+    pub servers_used: usize,
+    /// Total predicted demand placed against, GOPS (headroom included).
+    pub demand_gops: f64,
+    /// Cells the placer re-considered (every cell on the cold path, only
+    /// band-crossing ones on the warm path).
+    pub dirty: usize,
+    /// Cells the new placement leaves without a server.
+    pub unplaced: usize,
+}
+
+/// The state of one pool across epochs (see the module docs).
+pub struct PoolShard {
+    // `pub(super)`: the reference oracle executes against the same state.
+    pub(super) cfg: PoolConfig,
+    hot: HotBuffers,
+    tables: DemandTables,
+    pub(super) placement: Placement,
+    /// `Some` when the config asks for warm-start placement.
+    warm: Option<WarmPlacer>,
+    pub(super) alive: Vec<bool>,
+    /// One injector per cell, seeded `seed + cell`; empty under an ideal
+    /// fronthaul.
+    pub(super) links: Vec<FaultInjector>,
+}
+
+impl PoolShard {
+    /// A pool of `cells` cells, every server alive and no cell placed.
+    /// Rejects what [`PoolSimulator::try_new`](super::PoolSimulator::try_new)
+    /// rejects: an invalid config, zero cells, or a per-cell split plan
+    /// that does not cover exactly `cells`.
+    pub fn try_new(cfg: PoolConfig, cells: usize) -> Result<Self, PoolConfigError> {
+        cfg.validate_for(cells)?;
+        let model = ComputeModel::calibrated();
+        Ok(PoolShard {
+            hot: HotBuffers::new(&cfg, &model),
+            tables: DemandTables::new(&cfg, &model),
+            placement: Placement::empty(cells),
+            warm: cfg.warm.map(WarmPlacer::new),
+            alive: vec![true; cfg.servers],
+            links: match &cfg.fronthaul {
+                Some(lf) => (0..cells)
+                    .map(|c| FaultInjector::new(lf.config, lf.seed.wrapping_add(c as u64)))
+                    .collect(),
+                None => Vec::new(),
+            },
+            cfg,
+        })
+    }
+
+    /// The pool's configuration.
+    pub fn config(&self) -> &PoolConfig {
+        &self.cfg
+    }
+
+    /// Current cell → server assignment (`None` = unplaced).
+    pub fn assignment(&self) -> &[Option<usize>] {
+        &self.placement.assignment
+    }
+
+    /// Liveness of every server, in id order.
+    pub fn alive(&self) -> &[bool] {
+        &self.alive
+    }
+
+    /// Liveness, writable: flipping a server here re-places nothing —
+    /// cells on a dead server lose their tasks until the next
+    /// [`place`](Self::place). [`fail_server`](Self::fail_server) is the
+    /// transition that also re-places.
+    pub fn alive_mut(&mut self) -> &mut [bool] {
+        &mut self.alive
+    }
+
+    /// Placement demands, headroom applied, when cell `c` runs at
+    /// utilization `util_of(c)`.
+    fn demands(&self, util_of: impl Fn(usize) -> f64) -> Vec<CellDemand> {
+        let (cfg, tables) = (&self.cfg, &self.tables);
+        (0..self.placement.assignment.len())
+            .map(|cell| {
+                let prb = (self.hot.prbs_f * util_of(cell).clamp(0.0, 1.0)).round() as usize;
+                let split = cfg.split_plan.split_for(cell).index();
+                CellDemand {
+                    id: cell,
+                    gops: tables.gops[split][prb] * cfg.headroom,
+                    decode_gops: tables.decode[split][prb] * cfg.headroom,
+                }
+            })
+            .collect()
+    }
+
+    /// Re-solve placement for `demands` over the live servers — the one
+    /// place the placement stack is invoked. Returns the solved instance
+    /// with the number of migrations and of cells re-considered.
+    fn solve(&mut self, demands: Vec<CellDemand>) -> (PlacementInstance, usize, usize) {
+        let instance = PlacementInstance {
+            cells: demands,
+            servers: self.cfg.server_specs(),
+            // One shared liveness mask — not a per-cell matrix of `alive`
+            // clones (O(cells × servers) churn).
+            allowed: Allowed::Uniform(self.alive.clone()),
+        };
+        let (placement, plan, dirty) = match self.warm.as_mut() {
+            Some(w) => {
+                let (p, plan, stats) = w.epoch(&instance);
+                (p, plan, stats.dirty)
+            }
+            None => {
+                let (p, plan) = incremental_repack(&instance, &self.placement);
+                // The cold path re-considers every cell.
+                (p, plan, instance.cells.len())
+            }
+        };
+        self.placement = placement;
+        (instance, plan.len(), dirty)
+    }
+
+    /// Epoch transition: predict each cell's demand as its peak
+    /// utilization over `rows` (the epoch's trace steps) with headroom —
+    /// an oracle-with-margin predictor; `pran-sched::predict` provides
+    /// online alternatives benched separately — and re-place every cell.
+    /// Counts the epoch, its migrations, servers used and demand into
+    /// `metrics`.
+    pub fn place(&mut self, rows: &[Vec<f64>], metrics: &mut PoolMetrics) -> Placed {
+        let demands = self.demands(|c| rows.iter().map(|r| r[c]).fold(0.0f64, f64::max));
+        let (instance, migrations, dirty) = self.solve(demands);
+        let placed = Placed {
+            migrations,
+            servers_used: instance.servers_used(&self.placement),
+            demand_gops: instance.total_gops(),
+            dirty,
+            unplaced: self.placement.assignment.len() - self.placement.placed(),
+        };
+        metrics.migrations += migrations as u64;
+        metrics.epochs += 1;
+        metrics.servers_used.push(placed.servers_used);
+        metrics.demand_gops.push(placed.demand_gops);
+        placed
+    }
+
+    /// Failure transition: mark `server` dead, displace its cells and
+    /// immediately re-place at the loads in `row` (the current trace
+    /// step). Each re-placed cell records the failover price (detection +
+    /// replan + one migration) as its outage; cells the repack could not
+    /// re-place stay dark until the next [`place`](Self::place), which
+    /// only the caller can time. `None` when the server was already dead.
+    pub fn fail_server(
+        &mut self,
+        server: usize,
+        row: &[f64],
+        metrics: &mut PoolMetrics,
+    ) -> Option<FailoverRecord> {
+        if !std::mem::replace(&mut self.alive[server], false) {
+            return None;
+        }
+        let displaced: Vec<usize> = (0..self.placement.assignment.len())
+            .filter(|&c| self.placement.assignment[c] == Some(server))
+            .collect();
+        for &c in &displaced {
+            self.placement.assignment[c] = None;
+        }
+        let (_, migrations, _) = self.solve(self.demands(|c| row[c]));
+        metrics.migrations += migrations as u64;
+        let replaced = displaced
+            .iter()
+            .filter(|&&c| self.placement.assignment[c].is_some())
+            .count();
+        let outage =
+            self.cfg.detection_delay + self.cfg.replan_overhead + self.cfg.migration_time_per_cell;
+        for _ in 0..replaced {
+            metrics.outages.record(outage);
+        }
+        Some(FailoverRecord {
+            server,
+            displaced: displaced.len(),
+            replaced,
+            outage,
+        })
+    }
+
+    /// Execute transition: simulate the sampled TTIs of `rows`
+    /// (consecutive trace steps from absolute index `first_step`,
+    /// `step_seconds` apart) under the current placement, accumulating
+    /// into `metrics`. Task queues, scheduler heaps and the parallel
+    /// executor are all reused, so the steady state allocates nothing
+    /// (`tests/tests/zero_alloc.rs`); arithmetic is `u64` nanoseconds,
+    /// isomorphic to the reference oracle's `Duration` math
+    /// (`tests/tests/pool_differential.rs`).
+    ///
+    /// Returns the peak per-server task backlog observed (the largest
+    /// single-server batch filled by any step) — the resident service's
+    /// flight recorder exposes it as `peak_queue_depth`.
+    pub fn execute(
+        &mut self,
+        rows: &[Vec<f64>],
+        first_step: usize,
+        step_seconds: f64,
+        metrics: &mut PoolMetrics,
+    ) -> u64 {
+        let (cfg, placement, alive) = (&self.cfg, &self.placement, &self.alive[..]);
+        let links = &mut self.links[..];
+        let ttis = cfg.ttis_per_step;
+        let HotBuffers {
+            batches,
+            scratch,
+            outcome,
+            executor,
+            par_tasks,
+            par_out,
+            tti_release_ns,
+            tti_deadline_ns,
+            service_ns,
+            bytes_by_prb,
+            accel_servers,
+            prbs_f,
+        } = &mut self.hot;
+        let prbs_f = *prbs_f;
+        let accel_servers = *accel_servers;
+        let mut peak_depth = 0u64;
+        for (offset, row) in rows.iter().enumerate() {
+            let step = first_step + offset;
+            for b in batches.iter_mut() {
+                b.clear();
+            }
+            metrics.tasks_total += (row.len() * ttis) as u64;
+            let step_start = Duration::from_secs_f64(step as f64 * step_seconds);
+            for (cell, &util) in row.iter().enumerate() {
+                let s = match placement.assignment[cell] {
+                    Some(s) if alive[s] => s,
+                    _ => {
+                        metrics.tasks_lost += ttis as u64;
+                        continue;
+                    }
+                };
+                // One table lookup replaces the compute-model walk.
+                let prb = (prbs_f * util.clamp(0.0, 1.0)).round() as usize;
+                let class = usize::from(s < accel_servers);
+                let split = cfg.split_plan.split_for(cell).index();
+                let service_ns = service_ns[class * 3 + split][prb];
+                let batch = &mut batches[s];
+                if links.is_empty() {
+                    // Ideal fronthaul: releases are the fixed TTI grid,
+                    // pushed as one run of four columns.
+                    batch.push_run(cell as u32, tti_release_ns, tti_deadline_ns, service_ns);
+                    continue;
+                }
+                // The subframe report crosses the cell's fronthaul link
+                // first; its bucket refills on absolute simulated time.
+                let frame_len = bytes_by_prb[split][prb];
+                let link = &mut links[cell];
+                for tti in 0..ttis {
+                    link.advance_to(step_start + TTI * tti as u32);
+                    metrics.fronthaul_bytes += frame_len as u64;
+                    match link.offer(Bytes::from_static(&UPLINK_FRAME[..frame_len])) {
+                        // Jitter delays arrival but the HARQ deadline
+                        // stays pinned to the TTI, so jitter eats
+                        // compute slack.
+                        Outcome::Delivered { extra_delay, .. } => batch.push(
+                            cell as u32,
+                            tti_release_ns[tti] + extra_delay.as_nanos() as u64,
+                            tti_deadline_ns[tti],
+                            service_ns,
+                        ),
+                        Outcome::Dropped | Outcome::RateLimited => {
+                            metrics.tasks_lost += 1;
+                            metrics.reports_lost += 1;
+                        }
+                    }
+                }
+            }
+            for (s, batch) in batches.iter().enumerate() {
+                peak_depth = peak_depth.max(batch.len() as u64);
+                if batch.is_empty() || !alive[s] {
+                    continue;
+                }
+                match executor.as_ref() {
+                    Some(ex) => {
+                        // The executor consumes array-of-structs tasks;
+                        // materialize into the run-scoped buffer.
+                        par_tasks.clear();
+                        for i in 0..batch.len() {
+                            par_tasks.push(RtTask {
+                                id: i,
+                                cell: batch.cell[i] as usize,
+                                release: Duration::from_nanos(batch.release_ns[i]),
+                                deadline: Duration::from_nanos(batch.deadline_ns[i]),
+                                service: Duration::from_nanos(batch.service_ns[i]),
+                            });
+                        }
+                        ex.execute_into(par_tasks, par_out);
+                        metrics.deadline_misses += par_out.misses() as u64;
+                        metrics.steals += par_out.steals;
+                        for r in &par_out.tasks {
+                            metrics
+                                .response_times
+                                .record(r.finish.saturating_sub(par_tasks[r.id].release));
+                            if r.slack_us >= 0 {
+                                metrics
+                                    .deadline_slack
+                                    .record(Duration::from_micros(r.slack_us as u64));
+                            }
+                        }
+                    }
+                    None => {
+                        simulate_into(batch, cfg.cores_per_server, cfg.scheduler, scratch, outcome);
+                        metrics.deadline_misses += outcome.misses() as u64;
+                        for i in 0..batch.len() {
+                            let finish_ns = outcome.finish_ns[i];
+                            metrics
+                                .response_times
+                                .record_us((finish_ns - batch.release_ns[i]) / 1_000);
+                            if !outcome.missed[i] {
+                                metrics
+                                    .deadline_slack
+                                    .record_us((batch.deadline_ns[i] - finish_ns) / 1_000);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        peak_depth
+    }
+}

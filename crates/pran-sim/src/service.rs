@@ -2,20 +2,20 @@
 //!
 //! The batch [`MetroSimulator`](crate::MetroSimulator) is run-to-completion:
 //! it materializes every shard's whole trace, runs all epochs, and returns
-//! one merged report. A *resident* deployment — ROADMAP item 1's live
-//! observability plane — needs the opposite shape: epochs processed one at
-//! a time against streamed trace generation, with per-epoch metrics
-//! published to scrapers while the simulation keeps running indefinitely.
+//! one merged report. A *resident* deployment needs the opposite shape:
+//! epochs processed one at a time against streamed trace generation, with
+//! per-epoch metrics published to scrapers while the simulation keeps
+//! running indefinitely.
 //!
-//! [`ResidentMetro`] provides that shape without forking the simulation
-//! itself: each shard holds a [`TraceStream`] (bit-exact with the batch
-//! generator), the placement loop reuses the exact epoch arm of
-//! `PoolSimulator::run` (same demand table, same warm placer, same
-//! `simulate_steps_hot` execution engine), and per-epoch metrics
-//! accumulate into a cumulative [`PoolMetrics`] that is **byte-identical**
-//! to what a batch [`MetroSimulator::run`](crate::MetroSimulator::run)
-//! over the same configuration produces — `tests/soak_service.rs` pins
-//! this differentially.
+//! [`ResidentMetro`] is the second driver of the [`PoolShard`] state
+//! machine the batch [`PoolSimulator`](crate::PoolSimulator) drives: each
+//! shard pairs one with a [`TraceStream`] (bit-exact with the batch
+//! generator), and an epoch is "stream `epoch_steps` rows, `place`,
+//! `execute`". Per-epoch metrics accumulate into a cumulative
+//! [`PoolMetrics`] that is **byte-identical** to what a batch
+//! [`MetroSimulator::run`](crate::MetroSimulator::run) over the same
+//! configuration produces — `tests/soak_service.rs` pins this, on the
+//! default metro and on uneven, faulted, split, cold-placed shards.
 //!
 //! Per epoch the caller gets an [`EpochStatus`]: a compact, fully
 //! deterministic [`EpochRecord`] (what the flight recorder rings), any SLO
@@ -24,19 +24,14 @@
 
 use std::time::{Duration, Instant};
 
-use pran_fronthaul::fault::FaultInjector;
 use pran_insight::live::{BurnAlert, BurnRateAlerter};
 use pran_insight::slo::{Alert, EpochSample, SloMetric, SloMonitor, SloPolicy};
-use pran_phy::compute::ComputeModel;
-use pran_sched::placement::migration::incremental_repack;
-use pran_sched::placement::warm::WarmPlacer;
-use pran_sched::placement::{Allowed, CellDemand, Placement, PlacementInstance};
 use pran_traces::{TraceConfig, TraceStream};
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::PoolMetrics;
-use crate::metro::{MetroConfig, MetroError};
-use crate::pool::{simulate_steps_hot, DemandTables, HotBuffers, PoolConfig};
+use crate::metro::{self, MetroConfig, MetroError};
+use crate::pool::{PoolConfig, PoolShard};
 
 /// One epoch's deterministic summary — the flight recorder's ring element.
 ///
@@ -128,24 +123,16 @@ struct ShardDelta {
     execute_ns: u64,
 }
 
-/// One shard of the resident metro: a streamed trace plus the pool epoch
-/// state (`PoolSimulator::run`'s locals, lifted into fields so epochs can
-/// be stepped one at a time).
+/// One shard of the resident metro: a pool, the trace stream feeding it,
+/// and this epoch's rows, metrics and phase stamps.
 struct ResidentShard {
     /// Metro-wide shard index: telemetry shard context, and the live
     /// sink ring this shard's events land in.
     shard_id: u64,
-    cfg: PoolConfig,
+    pool: PoolShard,
     stream: TraceStream,
     /// The current epoch's rows (`epoch_steps` buffers, reused).
     rows: Vec<Vec<f64>>,
-    hot: HotBuffers,
-    tables: DemandTables,
-    prbs_f: f64,
-    placement: Placement,
-    warm: Option<WarmPlacer>,
-    alive: Vec<bool>,
-    links: Vec<FaultInjector>,
     /// Epoch-local metrics, reset at the top of every step.
     scratch: PoolMetrics,
     delta: ShardDelta,
@@ -153,120 +140,49 @@ struct ResidentShard {
 
 impl ResidentShard {
     fn new(shard_id: u64, cfg: PoolConfig, trace_cfg: &TraceConfig) -> Self {
-        let model = ComputeModel::calibrated();
         let stream = TraceStream::new(trace_cfg);
         let num_cells = stream.num_cells();
-        let rows = (0..cfg.epoch_steps)
-            .map(|_| Vec::with_capacity(num_cells))
-            .collect();
-        let links = match &cfg.fronthaul {
-            Some(lf) => (0..num_cells)
-                .map(|c| FaultInjector::new(lf.config, lf.seed.wrapping_add(c as u64)))
-                .collect(),
-            None => Vec::new(),
-        };
-        let hot = HotBuffers::new(&cfg, &model);
-        let tables = DemandTables::new(&cfg, &model);
-        let prbs_f = f64::from(cfg.bandwidth.prbs());
         ResidentShard {
             shard_id,
+            rows: (0..cfg.epoch_steps)
+                .map(|_| Vec::with_capacity(num_cells))
+                .collect(),
+            pool: PoolShard::try_new(cfg, num_cells).expect("validated by ResidentMetro"),
             stream,
-            rows,
-            hot,
-            tables,
-            prbs_f,
-            placement: Placement::empty(num_cells),
-            warm: cfg.warm.map(WarmPlacer::new),
-            alive: vec![true; cfg.servers],
-            links,
             scratch: PoolMetrics::default(),
             delta: ShardDelta::default(),
-            cfg,
         }
     }
 
     /// Step one epoch: stream `epoch_steps` rows, (re)place, execute.
-    /// Mirrors `PoolSimulator::run`'s `EpochStart` arm exactly — same
-    /// demand table, same warm/cold placement, same hot execution engine.
     /// Runs under this shard's telemetry context (as the batch metro's
     /// `run_shard` does), so both the buffered trace and the live sink
     /// see shard-stamped, shard-routed events.
     fn step_epoch(&mut self) {
         pran_telemetry::trace::set_shard(Some(self.shard_id));
-        self.step_epoch_inner();
-        pran_telemetry::trace::set_shard(None);
-    }
-
-    fn step_epoch_inner(&mut self) {
         self.scratch.reset();
-        let cfg = &self.cfg;
-        let num_cells = self.stream.num_cells();
 
-        // Ingest: stream this epoch's utilization rows.
         let t0 = Instant::now();
         let first_step = self.stream.step_index();
         for row in self.rows.iter_mut() {
             self.stream.next_step_into(row);
         }
         let t1 = Instant::now();
-
-        // Dispatch: epoch-peak demand prediction with headroom, then the
-        // warm (or cold incremental) placement — as in the batch path.
-        let demands: Vec<CellDemand> = (0..num_cells)
-            .map(|c| {
-                let peak = self.rows.iter().map(|r| r[c]).fold(0.0f64, f64::max);
-                self.tables.demand(
-                    cfg,
-                    c,
-                    (self.prbs_f * peak.clamp(0.0, 1.0)).round() as usize,
-                )
-            })
-            .collect();
-        let instance = PlacementInstance {
-            cells: demands,
-            servers: cfg.server_specs(),
-            allowed: Allowed::Uniform(self.alive.clone()),
-        };
-        let (new_placement, plan) = match self.warm.as_mut() {
-            Some(w) => {
-                let (p, plan, _stats) = w.epoch(&instance);
-                (p, plan)
-            }
-            None => incremental_repack(&instance, &self.placement),
-        };
-        self.scratch.migrations += plan.len() as u64;
-        self.scratch.epochs = 1;
-        self.scratch
-            .servers_used
-            .push(instance.servers_used(&new_placement));
-        self.scratch.demand_gops.push(instance.total_gops());
-        self.placement = new_placement;
-        self.delta.unplaced = self
-            .placement
-            .assignment
-            .iter()
-            .filter(|a| a.is_none())
-            .count() as u64;
+        let placed = self.pool.place(&self.rows, &mut self.scratch);
         let t2 = Instant::now();
-
-        // Execute: the shared hot step engine, accumulating into the
-        // epoch-local scratch.
-        self.delta.peak_queue_depth = simulate_steps_hot(
-            cfg,
+        self.delta.peak_queue_depth = self.pool.execute(
             &self.rows,
             first_step,
             self.stream.step_seconds(),
-            &self.placement,
-            &self.alive,
-            &mut self.links,
             &mut self.scratch,
-            &mut self.hot,
         );
         let t3 = Instant::now();
 
+        self.delta.unplaced = placed.unplaced as u64;
         self.delta.ingest_ns = (t1 - t0).as_nanos() as u64;
         self.delta.dispatch_ns = (t2 - t1).as_nanos() as u64;
         self.delta.execute_ns = (t3 - t2).as_nanos() as u64;
+        pran_telemetry::trace::set_shard(None);
     }
 }
 
@@ -305,49 +221,20 @@ impl ResidentMetro {
     }
 
     /// Build over an explicit per-shard pool configuration and trace
-    /// template, mirroring
-    /// [`MetroSimulator::with_pool`](crate::MetroSimulator::with_pool):
-    /// the template's `num_cells` and `seed` are overridden per shard
-    /// ([`MetroConfig::shard_cells`] / [`MetroConfig::shard_seed`]) and
-    /// `fronthaul.seed` is re-derived per shard.
+    /// template, validated and cut per shard exactly as
+    /// [`MetroSimulator::with_pool`](crate::MetroSimulator::with_pool)
+    /// does.
     pub fn with_pool(
         config: MetroConfig,
         pool: PoolConfig,
         trace: TraceConfig,
     ) -> Result<Self, MetroError> {
-        config.validate().map_err(MetroError::Metro)?;
-        pool.validate().map_err(MetroError::Pool)?;
-        if let crate::pool::SplitPlan::PerCell(plan) = &pool.split_plan {
-            if plan.len() != config.cells {
-                return Err(MetroError::Pool(
-                    crate::pool::PoolConfigError::SplitPlanLength {
-                        plan: plan.len(),
-                        cells: config.cells,
-                    },
-                ));
-            }
-        }
+        metro::validate(&config, &pool)?;
         let monitor = pool.slo.map(SloMonitor::new);
         let policy = pool.slo.unwrap_or_else(SloPolicy::default_eval);
-        let mut cell_offset = 0;
         let shards = (0..config.shards)
             .map(|s| {
-                let mut trace_cfg = trace.clone();
-                trace_cfg.num_cells = config.shard_cells(s);
-                trace_cfg.seed = config.shard_seed(s);
-                let mut pool_cfg = pool.clone();
-                if let Some(lf) = pool_cfg.fronthaul.as_mut() {
-                    // Per-shard fault streams, as in the batch metro.
-                    lf.seed ^= trace_cfg.seed;
-                }
-                if let crate::pool::SplitPlan::PerCell(plan) = &pool.split_plan {
-                    // Each shard gets its slice of the metro-global plan,
-                    // as in the batch metro's `run_shard`.
-                    pool_cfg.split_plan = crate::pool::SplitPlan::PerCell(
-                        plan[cell_offset..cell_offset + trace_cfg.num_cells].to_vec(),
-                    );
-                }
-                cell_offset += trace_cfg.num_cells;
+                let (pool_cfg, trace_cfg) = metro::shard_configs(&config, &pool, &trace, s);
                 ResidentShard::new(s as u64, pool_cfg, &trace_cfg)
             })
             .collect();
@@ -404,7 +291,7 @@ impl ResidentMetro {
 
     /// Servers across the whole metro.
     pub fn total_servers(&self) -> usize {
-        self.shards.iter().map(|sh| sh.cfg.servers).sum()
+        self.shards.iter().map(|sh| sh.pool.config().servers).sum()
     }
 
     /// `(cell_offset, server_offset)` of one shard in the metro-global
@@ -414,14 +301,14 @@ impl ResidentMetro {
         let mut servers = 0;
         for sh in &self.shards[..shard] {
             cells += sh.stream.num_cells();
-            servers += sh.cfg.servers;
+            servers += sh.pool.config().servers;
         }
         (cells, servers)
     }
 
     /// One shard's current cell → local-server placement.
     pub fn shard_assignment(&self, shard: usize) -> &[Option<usize>] {
-        &self.shards[shard].placement.assignment
+        self.shards[shard].pool.assignment()
     }
 
     /// Kill the first `n` currently-alive servers of `shard` (a forced
@@ -430,25 +317,17 @@ impl ResidentMetro {
     /// fits turns into lost tasks and unplaced cells). Returns how many
     /// servers were actually killed.
     pub fn kill_servers(&mut self, shard: usize, n: usize) -> usize {
-        let mut killed = 0;
-        if let Some(sh) = self.shards.get_mut(shard) {
-            for a in sh.alive.iter_mut() {
-                if killed == n {
-                    break;
-                }
-                if *a {
-                    *a = false;
-                    killed += 1;
-                }
-            }
-        }
-        killed
+        let Some(sh) = self.shards.get_mut(shard) else {
+            return 0;
+        };
+        let doomed = sh.pool.alive_mut().iter_mut().filter(|a| **a).take(n);
+        doomed.map(|a| *a = false).count()
     }
 
     /// Revive every server in every shard.
     pub fn revive_all(&mut self) {
         for sh in self.shards.iter_mut() {
-            sh.alive.fill(true);
+            sh.pool.alive_mut().fill(true);
         }
     }
 
@@ -469,16 +348,19 @@ impl ResidentMetro {
                         for sh in batch {
                             sh.step_epoch();
                         }
+                        // As the batch metro's workers do: `thread::scope`
+                        // waits for closures, not thread-local destructors,
+                        // and an exit-time flush could land after the
+                        // caller's per-epoch `trace::drain()`.
+                        pran_telemetry::trace::flush();
                     });
                 }
             });
         }
 
-        // Merge phase: fold shard scratches in shard-index order (exactly
-        // the batch metro's merge discipline), then accumulate the
-        // cumulative state manually — `PoolMetrics::merge` treats `epochs`
-        // as max and the per-epoch series element-wise, which is the
-        // cross-shard semantic, not the across-epochs one.
+        // Merge phase: fold shard scratches in shard-index order (the
+        // batch metro's merge discipline), then append the merged epoch
+        // to the cumulative state.
         let m0 = Instant::now();
         self.em.reset();
         let mut ingest_ns = 0u64;
@@ -496,7 +378,7 @@ impl ResidentMetro {
             execute_ns += sh.delta.execute_ns;
             peak_queue_depth = peak_queue_depth.max(sh.delta.peak_queue_depth);
             unplaced += sh.delta.unplaced;
-            for &a in &sh.alive {
+            for &a in sh.pool.alive() {
                 if a {
                     alive_servers += 1;
                     if mask_bit < 64 {
@@ -506,24 +388,8 @@ impl ResidentMetro {
                 mask_bit = mask_bit.saturating_add(1);
             }
         }
+        self.cum.append_epoch(&self.em);
         let em = &self.em;
-        self.cum.tasks_total += em.tasks_total;
-        self.cum.deadline_misses += em.deadline_misses;
-        self.cum.tasks_lost += em.tasks_lost;
-        self.cum.reports_lost += em.reports_lost;
-        self.cum.migrations += em.migrations;
-        self.cum.steals += em.steals;
-        self.cum.fronthaul_bytes += em.fronthaul_bytes;
-        self.cum.epochs += 1;
-        self.cum
-            .servers_used
-            .push(em.servers_used.first().copied().unwrap_or(0));
-        self.cum
-            .demand_gops
-            .push(em.demand_gops.first().copied().unwrap_or(0.0));
-        self.cum.outages.merge(&em.outages);
-        self.cum.response_times.merge(&em.response_times);
-        self.cum.deadline_slack.merge(&em.deadline_slack);
 
         let epoch = self.epoch;
         self.epoch += 1;
@@ -534,7 +400,7 @@ impl ResidentMetro {
         let alive_capacity = self
             .shards
             .first()
-            .map(|sh| sh.cfg.server_capacity_gops)
+            .map(|sh| sh.pool.config().server_capacity_gops)
             .unwrap_or(0.0)
             * alive_servers as f64;
         let utilization = if alive_capacity > 0.0 {
@@ -672,7 +538,7 @@ mod tests {
         let healthy = m.step_epoch();
         assert!(!healthy.record.violation);
         assert_eq!(healthy.record.lost, 0);
-        let servers = m.shards[0].cfg.servers;
+        let servers = m.shards[0].pool.config().servers;
         assert_eq!(m.kill_servers(0, servers), servers);
         let degraded = m.step_epoch();
         assert!(degraded.record.lost > 0, "dead shard must lose tasks");
@@ -701,7 +567,7 @@ mod tests {
         for _ in 0..3 {
             assert!(m.step_epoch().burn_alert.is_none());
         }
-        let servers = m.shards[0].cfg.servers;
+        let servers = m.shards[0].pool.config().servers;
         m.kill_servers(0, servers);
         m.kill_servers(1, servers);
         let mut severities = Vec::new();
@@ -734,7 +600,7 @@ mod tests {
         for s in 0..3 {
             assert_eq!(m.shard_offsets(s), (cells, servers));
             cells += m.shard_cells(s);
-            servers += m.shards[s].cfg.servers;
+            servers += m.shards[s].pool.config().servers;
             assert_eq!(m.shard_assignment(s).len(), m.shard_cells(s));
         }
         assert_eq!(cells, m.total_cells());

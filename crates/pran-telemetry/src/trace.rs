@@ -208,10 +208,11 @@ struct ThreadSlot {
 
 impl Drop for ThreadSlot {
     fn drop(&mut self) {
-        let mut events = std::mem::take(&mut *self.buffer.lock());
-        if !events.is_empty() {
-            sink().lock().append(&mut events);
-        }
+        // Move under the sink lock: a concurrent [`drain`] sweeps sink
+        // and buffers under it, so the events are never in between.
+        let mut sink_guard = sink().lock();
+        sink_guard.append(&mut self.buffer.lock());
+        drop(sink_guard);
         buffers().lock().retain(|b| !Arc::ptr_eq(b, &self.buffer));
     }
 }
@@ -441,7 +442,11 @@ pub fn flush() {
 /// Take every event collected so far: the shared sink plus the contents
 /// of every live thread buffer (so worker threads need not have exited).
 pub fn drain() -> Vec<TraceEvent> {
-    let mut out = std::mem::take(&mut *sink().lock());
+    // Hold the sink lock across the sweep: `thread::scope` returns before
+    // its workers' thread-local destructors run, and an exit-time flush
+    // landing between the two steps would be left for the next drain.
+    let mut sink_guard = sink().lock();
+    let mut out = std::mem::take(&mut *sink_guard);
     for buffer in buffers().lock().iter() {
         out.append(&mut buffer.lock());
     }

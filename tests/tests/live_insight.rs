@@ -120,10 +120,17 @@ fn fold_state_is_worker_count_invariant() {
     // compute identical epochs in different interleavings, and the
     // per-shard rings + shard-order drain + exact sketch merges must
     // erase the difference entirely.
-    let serialized: Vec<String> = [1usize, 2, 8]
+    //
+    // The buffered tracer is on as well: each epoch's drain must hold
+    // exactly that epoch's events of every shard, whichever worker ran
+    // it — a worker that left its thread buffer to its exit-time flush
+    // could land events in the next epoch's drain, or in none.
+    pran_telemetry::configure(pran_telemetry::TelemetryConfig::sim());
+    let runs: Vec<(String, Vec<Vec<usize>>)> = [1usize, 2, 8]
         .into_iter()
         .map(|workers| {
             let metro = jittery_metro(20, 4, workers);
+            let shards = metro.shard_count();
             let mut runner = SoakRunner::new(
                 metro,
                 SoakConfig {
@@ -131,20 +138,34 @@ fn fold_state_is_worker_count_invariant() {
                     ..SoakConfig::default()
                 },
             );
-            for _ in 0..3 {
-                runner.run_epoch();
-            }
+            let drained_per_epoch: Vec<Vec<usize>> = (0..3)
+                .map(|_| {
+                    runner.run_epoch();
+                    let mut per_shard = vec![0usize; shards];
+                    for e in pran_telemetry::trace::drain() {
+                        if let Some(shard) = e.field_u64("shard") {
+                            per_shard[shard as usize] += 1;
+                        }
+                    }
+                    per_shard
+                })
+                .collect();
             let fold = runner.live_fold().expect("live insight armed");
             assert!(fold.tasks() > 0);
-            serde_json::to_string(fold).expect("fold serializes")
+            assert!(drained_per_epoch.iter().flatten().all(|&n| n > 0));
+            (
+                serde_json::to_string(fold).expect("fold serializes"),
+                drained_per_epoch,
+            )
         })
         .collect();
+    pran_telemetry::disable();
     assert_eq!(
-        serialized[0], serialized[1],
-        "1-worker and 2-worker folds must be byte-identical"
+        runs[0], runs[1],
+        "1-worker and 2-worker folds and per-epoch drains must be identical"
     );
     assert_eq!(
-        serialized[0], serialized[2],
-        "1-worker and 8-worker folds must be byte-identical"
+        runs[0], runs[2],
+        "1-worker and 8-worker folds and per-epoch drains must be identical"
     );
 }

@@ -3,10 +3,16 @@
 //! scrape endpoint — all checked against the batch simulator as the
 //! source of truth.
 
+use std::time::Duration;
+
+use pran_fronthaul::fault::FaultConfig;
 use pran_insight::SloPolicy;
 use pran_obs::{http_get, validate_dump, SoakConfig, SoakRunner};
+use pran_phy::FunctionalSplit;
 use pran_sched::placement::WarmConfig;
-use pran_sim::{MetroConfig, MetroSimulator, PoolConfig, ResidentMetro};
+use pran_sim::{
+    LinkFault, MetroConfig, MetroSimulator, PoolAccel, PoolConfig, ResidentMetro, SplitPlan,
+};
 use pran_traces::TraceConfig;
 
 const CELLS: usize = 24;
@@ -34,27 +40,54 @@ fn runner(workers: usize, capacity: usize) -> SoakRunner {
 
 /// Resident cumulative metrics over N epochs must equal a batch
 /// `MetroSimulator::run` over the identical workload, byte for byte —
-/// same streams, same placement decisions, same hot execution engine.
-#[test]
-fn resident_cumulative_equals_batch_metro() {
+/// same streams, same placement decisions, same execution.
+fn assert_resident_equals_batch(config: MetroConfig, pool: PoolConfig, mut trace: TraceConfig) {
     let epochs = 6u64;
-    let mut service = resident(1);
+    let mut service =
+        ResidentMetro::with_pool(config, pool.clone(), trace.clone()).expect("resident validates");
     for _ in 0..epochs {
         service.step_epoch();
     }
 
-    let mut config = MetroConfig::default_eval(CELLS, SHARDS);
-    config.seed = SEED;
-    let mut pool = PoolConfig::default_eval(config.servers_per_shard.max(1));
-    pool.warm = Some(WarmConfig::default_eval());
-    pool.slo = Some(SloPolicy::default_eval());
-    let mut trace = TraceConfig::default_day(CELLS, SEED);
     trace.duration_seconds = epochs as f64 * pool.epoch_steps as f64 * trace.step_seconds;
     let batch = MetroSimulator::with_pool(config, pool, trace).expect("batch validates");
     let report = batch.run();
 
     assert_eq!(service.cumulative(), &report.metrics);
     assert!(report.metrics.tasks_total > 0);
+}
+
+#[test]
+fn resident_cumulative_equals_batch_metro() {
+    // The evaluation defaults (what `ResidentMetro::try_new` builds).
+    let mut config = MetroConfig::default_eval(CELLS, SHARDS);
+    config.seed = SEED;
+    let mut pool = PoolConfig::default_eval(config.servers_per_shard);
+    pool.warm = Some(WarmConfig::default_eval());
+    pool.slo = Some(SloPolicy::default_eval());
+    assert_resident_equals_batch(config, pool, TraceConfig::default_day(CELLS, SEED));
+
+    // The hard input: uneven shards, lossy jittery links, per-cell splits,
+    // accelerated servers and cold placement — where per-shard seed and
+    // plan-slice derivation and the cold repack (which, unlike the warm
+    // placer, reads the previous epoch's placement) could diverge.
+    let cells = 25;
+    let mut config = MetroConfig::default_eval(cells, 3);
+    config.seed = SEED;
+    let mut pool = PoolConfig::default_eval(config.servers_per_shard);
+    pool.fronthaul = Some(LinkFault {
+        config: FaultConfig {
+            drop_prob: 0.01,
+            max_jitter: Duration::from_micros(800),
+            ..FaultConfig::clean()
+        },
+        seed: 5,
+    });
+    pool.split_plan =
+        SplitPlan::PerCell((0..cells).map(|c| FunctionalSplit::all()[c % 3]).collect());
+    pool.accel = Some(PoolAccel::default_eval());
+    assert_eq!(pool.warm, None, "the cold path is the one under test");
+    assert_resident_equals_batch(config, pool, TraceConfig::default_day(cells, SEED));
 }
 
 /// Capacity K fed K+7 epochs dumps exactly the last K, in epoch order.

@@ -1,34 +1,32 @@
-//! Proof that the epoch hot kernel is allocation-free at steady state
-//! (ISSUE 6 tentpole), re-armed with the heterogeneous tables ISSUE 10
-//! adds: per-cell functional splits and a two-class server pool.
+//! Proof that the shipped epoch hot loop — [`PoolShard::execute`] — is
+//! allocation-free at steady state.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; after
-//! one warm-up pass grows every reusable buffer to capacity, repeating
-//! the per-step kernel — clear + SoA batch fill, `simulate_into`
-//! scheduling, histogram recording — must perform *zero* further heap
-//! allocations. The batch fill mirrors the pool hot path's heterogeneous
-//! shape: service times come from per-(server class, split) lookup
-//! tables built the way `HotBuffers` builds them (the real compute-model
-//! walk, accelerated class carving turbo decode onto a speedup), cells
-//! carry a round-robin split plan, and every pushed task also meters its
-//! split's live [`FunctionalSplit::fronthaul_bytes_per_tti`] frame — all
-//! inside the counting window. The live insight tap is armed for the
-//! whole run (ISSUE 9): every step's `subframe` events flow through the
-//! per-shard ring and are drained + folded into the streaming
-//! attribution state, all inside the zero-allocation contract. The whole
-//! file is one `#[test]` because the counter is process-global and
-//! sibling tests in the same binary would race it.
+//! A counting `#[global_allocator]` wraps the system allocator; after a
+//! warm-up grows every reusable buffer to capacity, repeating the real
+//! `execute` transition must perform *zero* further heap allocations.
+//! The shard is the heterogeneous, degraded shape: a round-robin
+//! per-cell split plan, a half-accelerated pool, and lossy, jittery
+//! fronthaul links — so the per-(server class, split) service tables,
+//! the fault injectors, the live fronthaul byte meter and the heap
+//! dispatch (jitter breaks the uniform deadline offset the FIFO fast
+//! path needs) all run inside the counting window. So do the planes a
+//! soak attaches per epoch: the live insight tap is armed and every
+//! step's `subframe` events are drained and folded into the streaming
+//! attribution state, and the flight recorder rings a record per step.
+//! The whole file is one `#[test]` because the counter is process-global
+//! and sibling tests in the same binary would race it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use std::time::Duration;
+
+use pran_fronthaul::fault::FaultConfig;
 use pran_insight::live::LiveFold;
 use pran_obs::FlightRecorder;
-use pran_phy::{CellWorkload, ComputeModel, Direction, FunctionalSplit};
-use pran_sched::realtime::{simulate_into, BatchOutcome, Policy, SimScratch, TaskBatch};
-use pran_sim::EpochRecord;
-use pran_telemetry::metrics::LogHistogram;
+use pran_phy::FunctionalSplit;
+use pran_sim::{EpochRecord, LinkFault, PoolAccel, PoolConfig, PoolMetrics, PoolShard, SplitPlan};
 use pran_telemetry::trace::TraceEvent;
 
 struct CountingAlloc;
@@ -72,137 +70,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-const TTI_NS: u64 = 1_000_000;
-const DEADLINE_NS: u64 = 2_000_000;
-/// GOPS of one general-purpose core in the service tables below.
-const CORE_GOPS: f64 = 40.0;
-/// Turbo-decode speedup of the accelerated server class.
-const DECODE_SPEEDUP: f64 = 4.0;
-
-/// Split index of a cell's split in the `FunctionalSplit::all()` order —
-/// the row stride the hot path's `service_ns` tables use.
-fn split_idx(split: FunctionalSplit) -> usize {
-    match split {
-        FunctionalSplit::Full => 0,
-        FunctionalSplit::SplitII => 1,
-        FunctionalSplit::SplitIII => 2,
-    }
-}
-
-/// Per-(server class, split) service tables, built exactly the way
-/// `HotBuffers::new` builds them: one `prbs + 1`-entry row per
-/// `class × 3 + split`, class 0 running every pooled GOP on general
-/// cores, class 1 carving the turbo-decode share onto an accelerator at
-/// [`DECODE_SPEEDUP`]. Built once at setup (allocation allowed); the
-/// steady loop only indexes.
-fn service_tables(model: &ComputeModel, max_prbs: u32) -> Vec<Vec<u64>> {
-    let mut tables = Vec::with_capacity(2 * 3);
-    for class in 0..2usize {
-        for split in FunctionalSplit::all() {
-            tables.push(
-                (0..=max_prbs)
-                    .map(|prbs_used| {
-                        let mut w = CellWorkload::full_load(Direction::Uplink).with_split(split);
-                        w.prbs_used = prbs_used;
-                        let pooled = model.pooled_gops(&w);
-                        let secs = if class == 1 {
-                            let decode = model.pooled_decode_gops(&w);
-                            (pooled - decode) * 1e-3 / CORE_GOPS
-                                + decode * 1e-3 / (CORE_GOPS * DECODE_SPEEDUP)
-                        } else {
-                            pooled * 1e-3 / CORE_GOPS
-                        };
-                        std::time::Duration::from_secs_f64(secs).as_nanos() as u64
-                    })
-                    .collect(),
-            );
-        }
-    }
-    tables
-}
-
-/// One simulated trace step for one server: refill the batch from a
-/// cheap deterministic pattern, schedule it, record the outcomes, drain
-/// the armed live tap into the streaming attribution fold, and ring the
-/// armed flight recorder (the soak service does all of this every epoch
-/// — the whole loop must stay allocation-free). The fill is
-/// heterogeneous: each cell's split comes from a round-robin plan, odd
-/// cells land on the accelerated server class, and every task meters its
-/// split's fronthaul frame bytes live.
-#[allow(clippy::too_many_arguments)]
-fn step(
-    round: u64,
-    batch: &mut TaskBatch,
-    scratch: &mut SimScratch,
-    out: &mut BatchOutcome,
-    response: &mut LogHistogram,
-    slack: &mut LogHistogram,
-    recorder: &mut FlightRecorder<EpochRecord>,
-    fold: &mut LiveFold,
-    events: &mut Vec<TraceEvent>,
-    assignment: &[Option<usize>],
-    tables: &[Vec<u64>],
-    max_prbs: u32,
-    fh_bytes: &mut u64,
-) {
-    batch.clear();
-    for cell in 0..40u32 {
-        let split = FunctionalSplit::all()[cell as usize % 3];
-        let class = cell as usize % 2;
-        let row = &tables[class * 3 + split_idx(split)];
-        for tti in 0..4u64 {
-            let release = TTI_NS * tti;
-            // Vary PRB usage with the round so the heaps see fresh
-            // orderings each iteration, not one memoized shape, and so
-            // every table row gets walked end to end over the run.
-            let prbs_used =
-                ((round * 7 + cell as u64 * 13 + tti * 29) % (max_prbs as u64 + 1)) as u32;
-            let service = row[prbs_used as usize].max(1_000);
-            *fh_bytes += split.fronthaul_bytes_per_tti(prbs_used, max_prbs) as u64;
-            batch.push(cell, release, release + DEADLINE_NS, service);
-        }
-    }
-    simulate_into(batch, 4, Policy::GlobalEdf, scratch, out);
-    let mut misses = 0u64;
-    for i in 0..batch.len() {
-        let finish = out.finish_ns[i];
-        response.record_us((finish - batch.release_ns[i]) / 1_000);
-        if !out.missed[i] {
-            slack.record_us((batch.deadline_ns[i] - finish) / 1_000);
-        } else {
-            misses += 1;
-        }
-    }
-    let tasks = batch.len() as u64;
-    recorder.push(EpochRecord {
-        epoch: round,
-        at_us: round * 1_000,
-        tasks,
-        misses,
-        lost: 0,
-        reports_lost: 0,
-        miss_ratio: misses as f64 / tasks as f64,
-        cum_miss_ratio: 0.0,
-        slack_p99_us: slack.quantile(0.99).as_micros() as u64,
-        peak_queue_depth: 4,
-        servers_used: 1,
-        alive_servers: 1,
-        alive_mask: 1,
-        utilization: 0.5,
-        unplaced: 0,
-        alert_mask: 0,
-        violation: false,
-        burn_fast: 0.0,
-        burn_slow: 0.0,
-        burn_severity: 0,
-    });
-    // Live insight: drain this step's tapped subframe events and fold
-    // them into the streaming attribution state (ring 0 — no shard
-    // context on this thread), exactly as the soak loop does per epoch.
-    events.clear();
-    pran_telemetry::live::drain_shard_into(0, events);
-    fold.fold_shard(events, 0, 0, assignment);
-}
+const CELLS: usize = 40;
+const SERVERS: usize = 24;
 
 #[test]
 fn hot_kernel_allocates_nothing_at_steady_state() {
@@ -211,65 +80,88 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
         "the buffered tracer must stay off: the live tap must not need it"
     );
     // Arm the live tap: sink storage allocates once here, never on the
-    // record path. 40 cells × 4 TTIs = 160 events per step.
+    // record path. 40 cells × 4 TTIs = at most 160 events per step.
     pran_telemetry::live::arm(1, 1024);
-    let mut batch = TaskBatch::default();
-    let mut scratch = SimScratch::default();
-    let mut out = BatchOutcome::default();
-    let mut response = LogHistogram::default();
-    let mut slack = LogHistogram::default();
+
+    let mut cfg = PoolConfig::default_eval(SERVERS);
+    cfg.split_plan =
+        SplitPlan::PerCell((0..CELLS).map(|c| FunctionalSplit::all()[c % 3]).collect());
+    cfg.accel = Some(PoolAccel::default_eval());
+    cfg.fronthaul = Some(LinkFault {
+        config: FaultConfig {
+            drop_prob: 0.01,
+            max_jitter: Duration::from_micros(800),
+            ..FaultConfig::clean()
+        },
+        seed: 9,
+    });
+    let mut shard = PoolShard::try_new(cfg, CELLS).expect("config validates");
+    let mut rows = vec![vec![1.0; CELLS]];
+    let mut metrics = PoolMetrics::default();
+    // Place once against full load (allocation allowed): every later,
+    // lighter row fits the same placement.
+    let placed = shard.place(&rows, &mut metrics);
+    assert_eq!(placed.unplaced, 0, "the pool must host every cell");
+    let assignment = shard.assignment().iter().flatten();
+    let on_accelerated = assignment.filter(|&&s| s < SERVERS / 2).count();
+    assert!(
+        0 < on_accelerated && on_accelerated < CELLS,
+        "both server classes must host cells"
+    );
+
     // Armed flight recorder: the 247 steady rounds below span its fill
     // phase AND several wraparounds — both must stay allocation-free.
     let mut recorder = FlightRecorder::new(64);
-    let mut fold = LiveFold::new(40, 1, 2_000);
+    let mut fold = LiveFold::new(CELLS, SERVERS, 2_000);
     let mut events: Vec<TraceEvent> = Vec::with_capacity(1024);
-    let assignment: Vec<Option<usize>> = vec![Some(0); 40];
-    // Heterogeneous tables (ISSUE 10): the real compute-model walk,
-    // tabled per (server class, split) at setup — like `HotBuffers`.
-    let max_prbs = CellWorkload::full_load(Direction::Uplink).bandwidth.prbs();
-    let tables = service_tables(&ComputeModel::calibrated(), max_prbs);
-    let mut fh_bytes = 0u64;
+    let mut epoch = PoolMetrics::default();
+
+    // One trace step, as the soak service runs an epoch: a fresh
+    // utilization row (varied with the round so the dispatch heaps see new
+    // orderings and every service-table row gets walked), the real
+    // `execute` into reset epoch metrics, the cumulative fold, a flight
+    // recorder push, and the live tap drained into the attribution state.
+    let mut step = |round: u64| {
+        for (cell, util) in rows[0].iter_mut().enumerate() {
+            *util = ((round * 7 + cell as u64 * 13) % 101) as f64 / 100.0;
+        }
+        epoch.reset();
+        let peak_queue_depth = shard.execute(&rows, round as usize, 60.0, &mut epoch);
+        metrics.append_epoch(&epoch);
+        recorder.push(EpochRecord {
+            epoch: round,
+            at_us: round * 1_000,
+            tasks: epoch.tasks_total,
+            misses: epoch.deadline_misses,
+            lost: epoch.tasks_lost,
+            reports_lost: epoch.reports_lost,
+            miss_ratio: epoch.miss_ratio(),
+            cum_miss_ratio: metrics.miss_ratio(),
+            slack_p99_us: epoch.deadline_slack.quantile(0.99).as_micros() as u64,
+            peak_queue_depth,
+            servers_used: 1,
+            alive_servers: SERVERS as u64,
+            alive_mask: 1,
+            utilization: 0.5,
+            unplaced: 0,
+            alert_mask: 0,
+            violation: false,
+            burn_fast: 0.0,
+            burn_slow: 0.0,
+            burn_severity: 0,
+        });
+        // Ring 0: no shard context on this thread.
+        events.clear();
+        pran_telemetry::live::drain_shard_into(0, &mut events);
+        fold.fold_shard(&events, 0, 0, shard.assignment());
+    };
 
     // Warm-up: grows every Vec/heap to its steady-state capacity.
-    for round in 0..3 {
-        step(
-            round,
-            &mut batch,
-            &mut scratch,
-            &mut out,
-            &mut response,
-            &mut slack,
-            &mut recorder,
-            &mut fold,
-            &mut events,
-            &assignment,
-            &tables,
-            max_prbs,
-            &mut fh_bytes,
-        );
-    }
-    assert!(response.count() > 0, "warm-up executed no tasks");
-    assert!(fold.tasks() > 0, "warm-up tapped no subframes");
+    (0..3).for_each(&mut step);
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     COUNTING.with(|c| c.set(true));
-    for round in 3..250 {
-        step(
-            round,
-            &mut batch,
-            &mut scratch,
-            &mut out,
-            &mut response,
-            &mut slack,
-            &mut recorder,
-            &mut fold,
-            &mut events,
-            &assignment,
-            &tables,
-            max_prbs,
-            &mut fh_bytes,
-        );
-    }
+    (3..250).for_each(&mut step);
     COUNTING.with(|c| c.set(false));
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
@@ -280,12 +172,24 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
     );
     assert_eq!(recorder.len(), 64, "the ring must have filled");
     assert_eq!(recorder.total_pushed(), 250, "every step must have rung");
-    assert_eq!(fold.tasks(), 250 * 160, "every subframe must have folded");
+    assert_eq!(metrics.tasks_total, 250 * 160);
+    assert!(
+        metrics.reports_lost > 0,
+        "1 % loss over 40k frames drops some"
+    );
+    assert_eq!(
+        fold.tasks(),
+        metrics.tasks_total - metrics.tasks_lost,
+        "every executed subframe must have folded"
+    );
     assert_eq!(
         pran_telemetry::live::dropped(),
         0,
         "a per-step drain must never fill the ring"
     );
-    assert!(fh_bytes > 0, "the live fronthaul byte meter saw no frames");
+    assert!(
+        metrics.fronthaul_bytes > 0,
+        "the live fronthaul byte meter saw no frames"
+    );
     pran_telemetry::live::disarm();
 }
