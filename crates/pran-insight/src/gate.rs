@@ -76,6 +76,9 @@ pub enum MetricClass {
     /// Self-measured overhead percentages (`telemetry_overhead_pct`):
     /// higher is worse, gated on absolute percentage-point drift.
     Overhead,
+    /// Counts a seeded run repeats to the last unit (`steals`): any
+    /// change, up or down, is a regression.
+    Exact,
     /// Everything else: reported but never a regression.
     Info,
 }
@@ -88,6 +91,7 @@ impl MetricClass {
             MetricClass::Latency => "latency",
             MetricClass::Throughput => "throughput",
             MetricClass::Overhead => "overhead",
+            MetricClass::Exact => "exact",
             MetricClass::Info => "info",
         }
     }
@@ -124,6 +128,11 @@ pub fn classify(path: &str) -> MetricClass {
     const THROUGHPUT_KEYS: [&str; 2] = ["tasks_per_sec", "throughput"];
     if THROUGHPUT_KEYS.iter().any(|k| lower.contains(k)) {
         return MetricClass::Throughput;
+    }
+    // The parallel executor schedules in virtual time, so its steal
+    // count is a function of the task set.
+    if lower.ends_with("steals") {
+        return MetricClass::Exact;
     }
     MetricClass::Info
 }
@@ -371,12 +380,15 @@ pub fn compare_envelopes(
             }
             MetricClass::Throughput => config.throughput_rel * baseline_value.abs(),
             MetricClass::Overhead => config.overhead_abs_pts,
+            MetricClass::Exact => 0.0,
             MetricClass::Info => f64::INFINITY,
         };
         // Throughput is the one lower-is-worse class: a drop past the
-        // tolerance regresses, a gain improves.
+        // tolerance regresses, a gain improves. An exact count has no
+        // better direction.
         let (worse, better) = match class {
             MetricClass::Throughput => (-delta, delta),
+            MetricClass::Exact => (delta.abs(), 0.0),
             _ => (delta, -delta),
         };
         let verdict = if worse > tolerance {
@@ -439,6 +451,7 @@ mod tests {
         assert_eq!(classify("shard.throughput"), MetricClass::Throughput);
         assert_eq!(classify("headline.ns_per_task"), MetricClass::Info);
         assert_eq!(classify("servers_used"), MetricClass::Info);
+        assert_eq!(classify("executors[1].steals"), MetricClass::Exact);
         // Overhead percentages get their own absolute-drift class.
         assert_eq!(
             classify("overhead.telemetry_overhead_pct"),
@@ -449,6 +462,24 @@ mod tests {
         assert_eq!(classify("phases.execute_wall_p99_us"), MetricClass::Info);
         assert_eq!(classify("scrape.latency_mean_us"), MetricClass::Info);
         assert_eq!(classify("sustained.wall_ms"), MetricClass::Info);
+    }
+
+    #[test]
+    fn exact_counts_regress_on_any_change() {
+        let steals = |v: u64| {
+            envelope(
+                "e8",
+                serde_json::from_str(&format!("{{\"executors\":[{{\"steals\":{v}}}]}}")).unwrap(),
+            )
+        };
+        let gate = |candidate: u64| {
+            let report =
+                compare_envelopes(&steals(1_000), &steals(candidate), &GateConfig::default());
+            report.unwrap().diffs[0].verdict
+        };
+        assert_eq!(gate(1_000), Verdict::Within);
+        assert_eq!(gate(1_001), Verdict::Regressed);
+        assert_eq!(gate(999), Verdict::Regressed);
     }
 
     #[test]

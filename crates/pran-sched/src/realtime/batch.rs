@@ -99,7 +99,13 @@ impl TaskBatch {
     /// # Panics
     /// Panics when ids are not dense or a time does not fit `u64` ns.
     pub fn from_tasks(tasks: &[RtTask]) -> Self {
-        let mut batch = TaskBatch::new();
+        let n = tasks.len();
+        let mut batch = TaskBatch {
+            cell: Vec::with_capacity(n),
+            release_ns: Vec::with_capacity(n),
+            deadline_ns: Vec::with_capacity(n),
+            service_ns: Vec::with_capacity(n),
+        };
         for (i, t) in tasks.iter().enumerate() {
             assert_eq!(t.id, i, "task ids must be dense row indices");
             batch.push(

@@ -14,7 +14,7 @@ pub mod parallel;
 pub mod workload;
 
 pub use batch::{simulate_into, BatchOutcome, SimScratch, TaskBatch};
-pub use parallel::{ParallelConfig, ParallelExecutor, ParallelOutcome};
+pub use parallel::{ParallelConfig, ParallelExecutor, ParallelOutcome, ParallelScratch};
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;

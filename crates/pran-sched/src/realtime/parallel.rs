@@ -1,4 +1,4 @@
-//! Work-stealing parallel subframe executor: the pool-server compute model.
+//! Virtual-time parallel subframe executor: the pool-server compute model.
 //!
 //! The simulator in the parent module scores scheduling *policies*; this
 //! executor models (and optionally really runs) the execution *mechanism*
@@ -8,29 +8,27 @@
 //! loaded ones so per-cell load skew cannot strand compute — the property
 //! that separates a pooled BBU from a fixed per-cell appliance.
 //!
-//! Worker threads pull batches from [`crossbeam::deque`] work-stealing
-//! queues. Execution is gated on per-core *virtual clocks*: a worker may
-//! grab its next batch only while its simulated-core clock is minimal
-//! among live cores, so the recorded timeline is a greedy non-preemptive
-//! N-core schedule even when the host machine has fewer physical cores
-//! than the pool server being modeled. Real per-task payloads (e.g.
-//! actual turbo decodes) still execute concurrently on whatever hardware
-//! parallelism exists, because the clock is advanced *before* the payload
-//! runs.
+//! The timeline is a pure function of the task set (payload wall time
+//! never feeds the simulated clocks), so it is computed by a
+//! deterministic scheduler on the calling thread: the live simulated
+//! core with the smallest clock — ties to the lowest index — grabs next,
+//! which makes the recorded timeline a greedy non-preemptive N-core
+//! schedule whatever the host machine looks like, and makes `steal: true`
+//! exactly as repeatable as `steal: false`. Host threads appear only in
+//! the optional payload stage: [`ParallelExecutor::execute_with`] first
+//! schedules, then runs each simulated core's tasks (e.g. actual turbo
+//! decodes) on one scoped thread per core, in schedule order.
 //!
 //! Per task the executor records finish time, signed deadline slack and a
 //! miss flag; per run it reports per-core busy time, makespan and steal
 //! count — the inputs to E6's miss-fraction-vs-cores curves.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cmp::Reverse;
 use std::time::Duration;
 
-use crossbeam::deque::{Stealer, Worker};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use super::RtTask;
+use super::{RtTask, TaskBatch};
 
 /// Knobs of the parallel subframe executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,11 +64,14 @@ impl ParallelConfig {
 }
 
 /// Per-task outcome of a parallel run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TaskOutcome {
     /// The task's id.
     pub id: usize,
-    /// Finish time on the simulated-core timeline.
+    /// Finish time on the simulated-core timeline, a whole number of
+    /// microseconds (see [`ParallelExecutor`]): it can precede the
+    /// task's nanosecond-exact release by under 1 µs when the service
+    /// time truncates to zero.
     pub finish: Duration,
     /// Signed deadline slack in microseconds (`deadline − finish`;
     /// negative = missed by that much).
@@ -141,15 +142,67 @@ impl ParallelOutcome {
 }
 
 /// A batch of same-cell tasks: the unit of dispatch and stealing.
+#[derive(Debug, Clone, Copy)]
 struct Batch {
     home: usize,
-    tasks: Vec<RtTask>,
+    /// Release (nanosecond-exact) and id of the first task: the key that
+    /// orders batches within a queue.
+    release_ns: u64,
+    id: usize,
+    /// The batch's tasks are `rows[start..start + len]`.
+    start: usize,
+    len: usize,
 }
 
-/// Clock sentinel for a worker that has drained all reachable work.
-const RETIRED: u64 = u64::MAX;
+/// One simulated core: its queue (a run of the sorted batch list, only
+/// ever consumed from the front), clock and busy time in whole µs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Core {
+    head: usize,
+    end: usize,
+    clock: u64,
+    busy: u64,
+    retired: bool,
+}
+
+impl Core {
+    fn queued(&self) -> usize {
+        self.end - self.head
+    }
+
+    /// Take the front (most urgent) batch of this core's queue.
+    fn pop(&mut self) -> Option<usize> {
+        (self.head < self.end).then(|| {
+            self.head += 1;
+            self.head - 1
+        })
+    }
+}
+
+/// Reusable scheduler state of [`ParallelExecutor::execute_batch_into`]:
+/// one per hot loop, so repeated calls allocate only when a task set is
+/// larger than any before.
+#[derive(Debug, Default)]
+pub struct ParallelScratch {
+    /// Task ids (batch rows) grouped by cell, input order kept within a
+    /// cell.
+    rows: Vec<usize>,
+    /// Batches sorted by (home core, first release, first id): each
+    /// core's queue is one contiguous run, most urgent batch first.
+    batches: Vec<Batch>,
+    cores: Vec<Core>,
+}
 
 /// The executor. Cheap to construct; all state lives per run.
+///
+/// Time on the simulated cores is whole microseconds: release, service
+/// and deadline are each truncated (as `Duration::as_micros()` does)
+/// before any arithmetic, so a 1,999 ns service occupies its core for 1 µs and a
+/// task released at 1,000,500 ns may start at 1,000 µs. The analytic
+/// scheduler ([`simulate`](super::simulate)) is nanosecond-exact; the two
+/// are different machine models and their miss counts are not comparable
+/// to the last task. Only the order of batches within a queue reads the
+/// untruncated release.
 #[derive(Debug, Clone)]
 pub struct ParallelExecutor {
     config: ParallelConfig,
@@ -170,41 +223,54 @@ impl ParallelExecutor {
         &self.config
     }
 
-    /// Execute a task set on the simulated cores (no real payload).
+    /// Execute a task set on the simulated cores (no real payload, no
+    /// host threads).
     ///
     /// # Panics
-    /// Panics if any task id is out of `0..tasks.len()`.
+    /// Panics unless task ids are dense (`tasks[i].id == i`).
     pub fn execute(&self, tasks: &[RtTask]) -> ParallelOutcome {
-        self.execute_with(tasks, |_| {})
+        let mut out = ParallelOutcome::default();
+        self.execute_into(tasks, &mut out);
+        out
     }
 
     /// Execute into a caller-owned outcome, reusing its record and
-    /// busy-time buffers — the repeated-call entry point for hot loops
-    /// (one executor per run, one outcome reused per server per step).
+    /// busy-time buffers.
     ///
     /// # Panics
-    /// Panics if any task id is out of `0..tasks.len()`.
+    /// Panics unless task ids are dense (`tasks[i].id == i`).
     pub fn execute_into(&self, tasks: &[RtTask], out: &mut ParallelOutcome) {
-        self.execute_into_with(tasks, out, |_| {});
+        let batch = TaskBatch::from_tasks(tasks);
+        self.execute_batch_into(&batch, &mut ParallelScratch::default(), out);
+    }
+
+    /// Execute a [`TaskBatch`] (task id = row index) straight from its
+    /// nanosecond columns, with every buffer caller-owned — the
+    /// repeated-call entry point for hot loops (one executor and one
+    /// scratch per run, one outcome reused per server per step).
+    pub fn execute_batch_into(
+        &self,
+        batch: &TaskBatch,
+        scratch: &mut ParallelScratch,
+        out: &mut ParallelOutcome,
+    ) {
+        self.schedule(batch, scratch, out, |_, _| {});
     }
 
     /// Execute a task set, additionally running `payload` once per task
-    /// (e.g. a real turbo decode). Payloads run concurrently on the host's
-    /// physical cores; deadline accounting stays on the simulated-core
-    /// timeline.
+    /// (e.g. a real turbo decode). The schedule is computed first; then
+    /// each simulated core's tasks run, in schedule order, on a host
+    /// thread of their own, so payloads of different cores run
+    /// concurrently on the host's physical cores while deadline
+    /// accounting stays on the simulated-core timeline.
     ///
     /// # Panics
-    /// Panics if any task id is out of `0..tasks.len()`.
+    /// Panics unless task ids are dense (`tasks[i].id == i`).
     pub fn execute_with<F>(&self, tasks: &[RtTask], payload: F) -> ParallelOutcome
     where
         F: Fn(&RtTask) + Sync,
     {
-        let mut out = ParallelOutcome {
-            tasks: Vec::new(),
-            core_busy: Vec::new(),
-            makespan: Duration::ZERO,
-            steals: 0,
-        };
+        let mut out = ParallelOutcome::default();
         self.execute_into_with(tasks, &mut out, payload);
         out
     }
@@ -213,248 +279,189 @@ impl ParallelExecutor {
     /// outcome (see [`ParallelExecutor::execute_into`]).
     ///
     /// # Panics
-    /// Panics if any task id is out of `0..tasks.len()`.
+    /// Panics unless task ids are dense (`tasks[i].id == i`).
     pub fn execute_into_with<F>(&self, tasks: &[RtTask], out: &mut ParallelOutcome, payload: F)
     where
         F: Fn(&RtTask) + Sync,
     {
-        let cfg = self.config;
-        let n = tasks.len();
-        for t in tasks {
-            assert!(t.id < n, "task id {} out of range", t.id);
-        }
-        out.core_busy.clear();
-        out.core_busy.resize(cfg.cores, Duration::ZERO);
-        out.makespan = Duration::ZERO;
-        out.steals = 0;
-        if n == 0 {
-            out.tasks.clear();
-            return;
-        }
-
-        // Batch per cell, then queue each batch on its cell's home core in
-        // release order. Owners and thieves both consume from the front
-        // (FIFO), so a steal always takes the victim's most urgent
-        // pending batch — stealing from the far end would parallelize the
-        // *future* while early deadlines serialize on the home core.
-        let queues: Vec<Worker<Batch>> = (0..cfg.cores).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Batch>> = queues.iter().map(Worker::stealer).collect();
-        for batch in make_batches(tasks, cfg.batch, cfg.cores) {
-            queues[batch.home].push(batch);
-        }
-
-        let clocks: Vec<AtomicU64> = (0..cfg.cores).map(|_| AtomicU64::new(0)).collect();
-        let busy_us: Vec<AtomicU64> = (0..cfg.cores).map(|_| AtomicU64::new(0)).collect();
-        let steals = AtomicU64::new(0);
-        // Reuse the caller's record buffer as the collection sink.
-        let mut record_buf = std::mem::take(&mut out.tasks);
-        record_buf.clear();
-        record_buf.reserve(n);
-        let records: Mutex<Vec<TaskOutcome>> = Mutex::new(record_buf);
-
-        crossbeam::scope(|scope| {
-            for core in 0..cfg.cores {
-                let clocks = &clocks;
-                let busy_us = &busy_us;
-                let steals = &steals;
-                let records = &records;
-                let stealers = &stealers;
-                let payload = &payload;
-                scope.spawn(move |_| {
-                    run_worker(
-                        core, stealers, clocks, busy_us, steals, records, &cfg, payload,
-                    )
-                });
+        let batch = TaskBatch::from_tasks(tasks);
+        let mut ran: Vec<Vec<usize>> = vec![Vec::new(); self.config.cores];
+        let record = |core: usize, id: usize| ran[core].push(id);
+        self.schedule(&batch, &mut ParallelScratch::default(), out, record);
+        let payload = &payload;
+        std::thread::scope(|scope| {
+            for ids in ran.iter().filter(|ids| !ids.is_empty()) {
+                scope.spawn(move || ids.iter().for_each(|&id| payload(&tasks[id])));
             }
-        })
-        .expect("worker panicked");
-
-        let mut tasks = records.into_inner();
-        tasks.sort_by_key(|t| t.id);
-        out.makespan = tasks
-            .iter()
-            .map(|t| t.finish)
-            .max()
-            .unwrap_or(Duration::ZERO);
-        for (slot, b) in out.core_busy.iter_mut().zip(&busy_us) {
-            *slot = Duration::from_micros(b.load(Ordering::Relaxed));
-        }
-        out.steals = steals.load(Ordering::Relaxed);
-        out.tasks = tasks;
+        });
     }
-}
 
-/// Group tasks into per-cell batches of at most `batch` tasks, preserving
-/// input order within a cell, homed on `cell % cores`.
-fn make_batches(tasks: &[RtTask], batch: usize, cores: usize) -> Vec<Batch> {
-    let mut by_cell: BTreeMap<usize, Vec<RtTask>> = BTreeMap::new();
-    for t in tasks {
-        by_cell.entry(t.cell).or_default().push(*t);
-    }
-    let mut batches = Vec::new();
-    for (cell, ts) in by_cell {
-        for chunk in ts.chunks(batch) {
+    /// The scheduler. `ran(core, id)` is told, in schedule order, which
+    /// simulated core ran each task.
+    fn schedule(
+        &self,
+        tasks: &TaskBatch,
+        scratch: &mut ParallelScratch,
+        out: &mut ParallelOutcome,
+        mut ran: impl FnMut(usize, usize),
+    ) {
+        let n = tasks.len();
+        let cfg = self.config;
+        let ParallelScratch {
+            rows,
+            batches,
+            cores,
+        } = scratch;
+
+        // Batch per cell (input order kept within a cell, at most
+        // `batch` tasks each), homed on `cell % cores`.
+        rows.clear();
+        rows.extend(0..n);
+        rows.sort_unstable_by_key(|&id| (tasks.cell[id], id));
+        batches.clear();
+        let mut start = 0;
+        while start < n {
+            let first = rows[start];
+            let len = rows[start..]
+                .iter()
+                .take(cfg.batch)
+                .take_while(|&&id| tasks.cell[id] == tasks.cell[first])
+                .count();
             batches.push(Batch {
-                home: cell % cores,
-                tasks: chunk.to_vec(),
+                home: tasks.cell[first] as usize % cfg.cores,
+                release_ns: tasks.release_ns[first],
+                id: first,
+                start,
+                len,
             });
+            start += len;
         }
-    }
-    // Earliest work at the front of each queue.
-    batches.sort_by_key(|b| (b.tasks[0].release, b.tasks[0].id));
-    batches
-}
-
-/// One worker's run loop. Grabs are gated on holding the minimal virtual
-/// clock among live cores, which makes the recorded timeline a greedy
-/// N-core schedule independent of host threading.
-#[allow(clippy::too_many_arguments)] // bundle of per-run shared state
-fn run_worker<F>(
-    core: usize,
-    stealers: &[Stealer<Batch>],
-    clocks: &[AtomicU64],
-    busy_us: &[AtomicU64],
-    steals: &AtomicU64,
-    records: &Mutex<Vec<TaskOutcome>>,
-    cfg: &ParallelConfig,
-    payload: &F,
-) where
-    F: Fn(&RtTask) + Sync,
-{
-    // Hoisted once per worker: when no consumer (buffered tracer or live
-    // sink) wants events, the loop below must not even build event field
-    // arrays.
-    let telemetry_on = pran_telemetry::emitting();
-    let mut clock = 0u64;
-    let mut busy = 0u64;
-    loop {
-        let min = clocks
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(0);
-        if clock > min {
-            // A virtually-earlier core must pick first; let it run.
-            std::thread::yield_now();
-            continue;
+        // Queue each batch on its home core in release order. Owners and
+        // thieves both consume from the front, so a steal always takes
+        // the victim's most urgent pending batch — stealing from the far
+        // end would parallelize the *future* while early deadlines
+        // serialize on the home core.
+        batches.sort_unstable_by_key(|b| (b.home, b.release_ns, b.id));
+        cores.clear();
+        cores.resize(cfg.cores, Core::default());
+        let mut next = 0;
+        for (home, core) in cores.iter_mut().enumerate() {
+            core.head = next;
+            next += batches[next..]
+                .iter()
+                .take_while(|b| b.home == home)
+                .count();
+            core.end = next;
         }
 
-        // Consume the home queue through its stealer handle: the vendored
-        // deque's owner-side `pop` is LIFO, and release order must be
-        // preserved (true `new_fifo` semantics share the front end).
-        //
-        // Work conservation is the point of stealing, so the trigger is
-        // "my next batch has not been released yet", not "my queue is
-        // empty" — with queues filled upfront, the latter only fires at
-        // the tail of the run while a backlogged peer's ready work
-        // serializes. A grabbed own batch cannot be requeued (deques
-        // only push at the back), so when a steal lands both batches run
-        // here in release order; the own batch would have idled this
-        // core until its release anyway.
-        let mut grabbed: Vec<Batch> = Vec::new();
-        match stealers[core].steal().success() {
-            Some(own) => {
-                let own_release = own.tasks[0].release.as_micros() as u64;
-                if cfg.steal && own_release > clock {
-                    // Only raid a peer with strictly more queued work:
-                    // between balanced queues a "steal" would just swap
-                    // future batches around and shred cell affinity.
-                    let own_len = stealers[core].len();
-                    if let Some(stolen) = steal_from_peers(core, stealers, own_len) {
-                        grabbed.push(stolen);
+        out.tasks.clear();
+        out.tasks.resize(n, TaskOutcome::default());
+        out.steals = 0;
+        // Hoisted once per call: when no consumer (buffered tracer or
+        // live sink) wants events, the loop below must not even build
+        // event field arrays.
+        let telemetry_on = pran_telemetry::emitting();
+
+        // The live core with the smallest clock grabs next; `min_by_key`
+        // keeps the first minimum, so ties go to the lowest core index.
+        while let Some(c) = (0..cfg.cores)
+            .filter(|&c| !cores[c].retired)
+            .min_by_key(|&c| cores[c].clock)
+        {
+            // Work conservation is the point of stealing, so the trigger
+            // is "my next batch has not been released yet", not "my
+            // queue is empty" — with queues filled upfront, the latter
+            // only fires at the tail of the run while a backlogged
+            // peer's ready work serializes. When a steal lands beside an
+            // own batch both run here in release order; the own batch
+            // would have idled this core until its release anyway.
+            let own = cores[c].pop();
+            let idle = own.is_none_or(|b| batches[b].release_ns / 1_000 > cores[c].clock);
+            let stolen = if cfg.steal && idle {
+                // Only raid a peer with strictly more queued work:
+                // between balanced queues a "steal" would just swap
+                // future batches around and shred cell affinity.
+                let queued = cores[c].queued();
+                steal_from_peers(cores, c, queued)
+            } else {
+                None
+            };
+            let mut grabbed = [own, stolen];
+            if grabbed == [None, None] {
+                // No reachable work left: retire this core.
+                cores[c].retired = true;
+                continue;
+            }
+            grabbed.sort_unstable_by_key(|b| b.map(|b| (batches[b].release_ns, batches[b].id)));
+
+            let core = &mut cores[c];
+            for batch in grabbed.into_iter().flatten().map(|b| batches[b]) {
+                let stolen = batch.home != c;
+                if stolen {
+                    out.steals += 1;
+                    if telemetry_on {
+                        pran_telemetry::trace::sim_event(
+                            "rt.steal",
+                            core.clock,
+                            &[
+                                ("thief", c.into()),
+                                ("home", batch.home.into()),
+                                ("tasks", batch.len.into()),
+                            ],
+                        );
                     }
                 }
-                grabbed.push(own);
-                grabbed.sort_by_key(|b| (b.tasks[0].release, b.tasks[0].id));
-            }
-            None if cfg.steal => {
-                if let Some(stolen) = steal_from_peers(core, stealers, 0) {
-                    grabbed.push(stolen);
+                for &id in &rows[batch.start..batch.start + batch.len] {
+                    let release = tasks.release_ns[id] / 1_000;
+                    let service = tasks.service_ns[id] / 1_000;
+                    let deadline = tasks.deadline_ns[id] / 1_000;
+                    let start = core.clock.max(release);
+                    let finish = start + service;
+                    core.busy += service;
+                    core.clock = finish;
+                    if telemetry_on {
+                        pran_telemetry::trace::sim_event(
+                            "subframe",
+                            finish,
+                            &[
+                                ("cell", (tasks.cell[id] as usize).into()),
+                                ("release_us", release.into()),
+                                ("start_us", start.into()),
+                                ("finish_us", finish.into()),
+                                ("deadline_us", deadline.into()),
+                                ("core", c.into()),
+                                ("stolen", stolen.into()),
+                            ],
+                        );
+                    }
+                    out.tasks[id] = TaskOutcome {
+                        id,
+                        finish: Duration::from_micros(finish),
+                        slack_us: deadline as i64 - finish as i64,
+                        missed: finish > deadline,
+                        core: c,
+                        stolen,
+                    };
+                    ran(c, id);
                 }
             }
-            None => {}
-        }
-        if grabbed.is_empty() {
-            // No reachable work left: retire this core.
-            busy_us[core].store(busy, Ordering::Release);
-            clocks[core].store(RETIRED, Ordering::Release);
-            return;
         }
 
-        for batch in &grabbed {
-            let stolen = batch.home != core;
-            if stolen {
-                steals.fetch_add(1, Ordering::Relaxed);
-                if telemetry_on {
-                    pran_telemetry::trace::sim_event(
-                        "rt.steal",
-                        clock,
-                        &[
-                            ("thief", core.into()),
-                            ("home", batch.home.into()),
-                            ("tasks", batch.tasks.len().into()),
-                        ],
-                    );
-                }
-            }
-
-            // Account the whole batch on the virtual timeline *before*
-            // running payloads, so other workers can proceed concurrently.
-            let mut outcomes = Vec::with_capacity(batch.tasks.len());
-            for t in &batch.tasks {
-                let release = t.release.as_micros() as u64;
-                let service = t.service.as_micros() as u64;
-                let start = clock.max(release);
-                let finish = start + service;
-                busy += service;
-                clock = finish;
-                let deadline = t.deadline.as_micros() as u64;
-                if telemetry_on {
-                    pran_telemetry::trace::sim_event(
-                        "subframe",
-                        finish,
-                        &[
-                            ("cell", t.cell.into()),
-                            ("release_us", release.into()),
-                            ("start_us", start.into()),
-                            ("finish_us", finish.into()),
-                            ("deadline_us", deadline.into()),
-                            ("core", core.into()),
-                            ("stolen", stolen.into()),
-                        ],
-                    );
-                }
-                outcomes.push(TaskOutcome {
-                    id: t.id,
-                    finish: Duration::from_micros(finish),
-                    slack_us: deadline as i64 - finish as i64,
-                    missed: finish > deadline,
-                    core,
-                    stolen,
-                });
-            }
-            clocks[core].store(clock, Ordering::Release);
-            records.lock().extend(outcomes);
-            for t in &batch.tasks {
-                payload(t);
-            }
-        }
+        // Clocks only move forward, so a core's last finish is its clock.
+        out.makespan = Duration::from_micros(cores.iter().map(|c| c.clock).max().unwrap_or(0));
+        out.core_busy.clear();
+        out.core_busy
+            .extend(cores.iter().map(|c| Duration::from_micros(c.busy)));
     }
 }
 
-/// Steal one batch from the most backlogged peer holding strictly more
-/// than `min_len` queued batches. Queues only drain after setup, so an
-/// empty victim stays empty — no retry loop needed.
-fn steal_from_peers(core: usize, stealers: &[Stealer<Batch>], min_len: usize) -> Option<Batch> {
-    let mut victims: Vec<(usize, usize)> = (0..stealers.len())
-        .filter(|&v| v != core)
-        .map(|v| (v, stealers[v].len()))
-        .filter(|&(_, len)| len > min_len)
-        .collect();
-    victims.sort_by_key(|&(_, len)| std::cmp::Reverse(len));
-    victims
-        .into_iter()
-        .find_map(|(v, _)| stealers[v].steal().success())
+/// Take the front batch of the most backlogged peer holding strictly
+/// more than `min_queued` batches (ties to the lowest core index).
+fn steal_from_peers(cores: &mut [Core], thief: usize, min_queued: usize) -> Option<usize> {
+    let victim = (0..cores.len())
+        .filter(|&v| v != thief && cores[v].queued() > min_queued)
+        .min_by_key(|&v| Reverse(cores[v].queued()))?;
+    cores[victim].pop()
 }
 
 #[cfg(test)]
@@ -572,7 +579,7 @@ mod tests {
 
     #[test]
     fn payload_runs_once_per_task() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let tasks = burst(12, 3, 50, 1_000_000);
         let calls = AtomicUsize::new(0);
         let out = exec(3, 2, true).execute_with(&tasks, |_| {
@@ -580,6 +587,137 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::Relaxed), 12);
         assert_eq!(out.tasks.len(), 12);
+    }
+
+    /// The pinned executor, written the obvious way: partition by
+    /// `cell % cores`, chunk per cell by `batch`, order chunks by
+    /// `(release, id)`, fold each core sequentially in whole µs.
+    fn pinned_oracle(tasks: &[RtTask], cores: usize, batch: usize) -> ParallelOutcome {
+        let mut by_cell = tasks.to_vec();
+        by_cell.sort_by_key(|t| t.cell); // stable: input order kept within a cell
+        let mut chunks: Vec<&[RtTask]> = by_cell
+            .chunk_by(|a, b| a.cell == b.cell)
+            .flat_map(|cell| cell.chunks(batch))
+            .collect();
+        chunks.sort_by_key(|c| (c[0].release, c[0].id));
+        let mut out = ParallelOutcome::default();
+        for core in 0..cores {
+            let (mut clock, mut busy) = (0u64, 0u64);
+            let mine = chunks.iter().filter(|c| c[0].cell % cores == core);
+            for t in mine.copied().flatten() {
+                let service = t.service.as_micros() as u64;
+                let deadline = t.deadline.as_micros() as u64;
+                clock = clock.max(t.release.as_micros() as u64) + service;
+                busy += service;
+                out.tasks.push(TaskOutcome {
+                    id: t.id,
+                    finish: Duration::from_micros(clock),
+                    slack_us: deadline as i64 - clock as i64,
+                    missed: clock > deadline,
+                    core,
+                    stolen: false,
+                });
+            }
+            out.core_busy.push(Duration::from_micros(busy));
+            out.makespan = out.makespan.max(Duration::from_micros(clock));
+        }
+        out.tasks.sort_by_key(|t| t.id);
+        out
+    }
+
+    /// Deterministic xorshift so the sweeps need no RNG dependency.
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % bound
+        }
+    }
+
+    /// Up to 60 tasks on a TTI grid with jittered (odd-nanosecond)
+    /// releases, as a faulted fronthaul produces them.
+    fn jittered_tasks(rng: &mut Rng) -> Vec<RtTask> {
+        let cells = 1 + rng.below(12) as usize;
+        (0..rng.below(61) as usize)
+            .map(|id| {
+                let tti = Duration::from_millis(rng.below(5));
+                RtTask {
+                    id,
+                    cell: rng.below(cells as u64) as usize,
+                    release: tti + Duration::from_nanos(rng.below(800_000)),
+                    deadline: tti + Duration::from_micros(2_000),
+                    service: Duration::from_nanos(rng.below(900_000)),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pinned_schedule_matches_oracle_on_random_task_sets() {
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        for round in 0..300 {
+            let tasks = jittered_tasks(&mut rng);
+            let (cores, batch) = (1 + rng.below(8) as usize, 1 + rng.below(8) as usize);
+            let got = exec(cores, batch, false).execute(&tasks);
+            let want = pinned_oracle(&tasks, cores, batch);
+            assert_eq!(
+                got.tasks, want.tasks,
+                "round {round}: {cores} cores, batch {batch}"
+            );
+            assert_eq!(got.core_busy, want.core_busy, "round {round}");
+            assert_eq!(got.makespan, want.makespan, "round {round}");
+            assert_eq!(got.steals, 0);
+        }
+    }
+
+    #[test]
+    fn stealing_repeats_exactly_and_reused_buffers_carry_nothing_over() {
+        // A fresh scratch and outcome per call against one of each reused
+        // across every round: one timeline, steals included.
+        let mut rng = Rng(0xD1B5_4A32_D192_ED03);
+        let mut scratch = ParallelScratch::default();
+        let mut reused = ParallelOutcome::default();
+        let mut total_steals = 0;
+        for round in 0..300 {
+            let tasks = jittered_tasks(&mut rng);
+            let ex = exec(1 + rng.below(8) as usize, 1 + rng.below(8) as usize, true);
+            let fresh = ex.execute(&tasks);
+            ex.execute_batch_into(&TaskBatch::from_tasks(&tasks), &mut scratch, &mut reused);
+            assert_eq!(fresh.tasks, reused.tasks, "round {round}");
+            assert_eq!(fresh.core_busy, reused.core_busy, "round {round}");
+            assert_eq!(fresh.makespan, reused.makespan, "round {round}");
+            assert_eq!(fresh.steals, reused.steals, "round {round}");
+            let busy: Duration = fresh.core_busy.iter().sum();
+            let total: u64 = tasks.iter().map(|t| t.service.as_micros() as u64).sum();
+            assert_eq!(busy, Duration::from_micros(total), "work lost or invented");
+            total_steals += fresh.steals;
+        }
+        assert!(total_steals > 0, "sweep never exercised a steal");
+    }
+
+    #[test]
+    fn time_is_truncated_to_whole_microseconds() {
+        // Pinned, not fixed: moving to nanosecond-exact accounting would
+        // move every deadline-miss count recorded with this executor.
+        let task = |id, release_ns, service_ns| RtTask {
+            id,
+            cell: 0,
+            release: Duration::from_nanos(release_ns),
+            deadline: Duration::from_nanos(release_ns + 2_000_999),
+            service: Duration::from_nanos(service_ns),
+        };
+        let out = exec(1, 1, false).execute(&[task(0, 0, 1_999), task(1, 1_000_500, 999)]);
+        // 1,999 ns of service runs as 1 µs.
+        assert_eq!(out.tasks[0].finish, Duration::from_micros(1));
+        assert_eq!(out.core_busy[0], Duration::from_micros(1));
+        // Released at 1,000,500 ns, started at 1,000 µs, 0 µs of service:
+        // done before its nanosecond-exact release.
+        assert_eq!(out.tasks[1].finish, Duration::from_micros(1_000));
+        assert!(out.tasks[1].finish < Duration::from_nanos(1_000_500));
+        // The deadline truncates too: 3,001,499 ns reads as 3,001 µs.
+        assert_eq!(out.tasks[1].slack_us, 3_001 - 1_000);
     }
 
     #[test]

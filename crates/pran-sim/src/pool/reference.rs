@@ -2,9 +2,8 @@
 //!
 //! The seed's per-step-allocating, `Duration`-typed execution of an
 //! epoch's sampled TTIs, kept so `tests/tests/pool_differential.rs` has
-//! something independent to compare the hot loop against: wherever the
-//! executor is deterministic (everything except `steal: true`) the two
-//! must produce byte-identical reports. Placement and failover are not
+//! something independent to compare the hot loop against: the two must
+//! produce byte-identical reports. Placement and failover are not
 //! duplicated — the oracle runs against the same [`PoolShard`] state.
 
 use std::time::Duration;
@@ -110,9 +109,12 @@ impl PoolShard {
                         metrics.deadline_misses += out.misses() as u64;
                         metrics.steals += out.steals;
                         for r in &out.tasks {
+                            // The executor reads releases truncated to
+                            // whole µs; so does the response time.
+                            let release_us = tasks[r.id].release.as_micros() as u64;
                             metrics
                                 .response_times
-                                .record(r.finish.saturating_sub(tasks[r.id].release));
+                                .record(r.finish - Duration::from_micros(release_us));
                             if r.slack_us >= 0 {
                                 metrics
                                     .deadline_slack

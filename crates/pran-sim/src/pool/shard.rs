@@ -20,7 +20,8 @@ use pran_sched::placement::migration::incremental_repack;
 use pran_sched::placement::warm::WarmPlacer;
 use pran_sched::placement::{Allowed, CellDemand, Placement, PlacementInstance};
 use pran_sched::realtime::{
-    simulate_into, BatchOutcome, ParallelExecutor, ParallelOutcome, RtTask, SimScratch, TaskBatch,
+    simulate_into, BatchOutcome, ParallelExecutor, ParallelOutcome, ParallelScratch, SimScratch,
+    TaskBatch,
 };
 
 use super::config::{PoolAccel, PoolConfig, PoolConfigError};
@@ -89,8 +90,8 @@ struct HotBuffers {
     outcome: BatchOutcome,
     /// Parallel executor built once per shard (`parallel` configs only).
     executor: Option<ParallelExecutor>,
-    /// Materialization buffer feeding [`ParallelExecutor::execute_into`].
-    par_tasks: Vec<RtTask>,
+    /// Parallel-executor scratch: batch queues and simulated cores.
+    par_scratch: ParallelScratch,
     /// Reusable parallel outcome (records + busy columns).
     par_out: ParallelOutcome,
     /// Release offset of TTI `t` within a step, nanoseconds.
@@ -137,7 +138,7 @@ impl HotBuffers {
             scratch: SimScratch::new(),
             outcome: BatchOutcome::new(),
             executor: cfg.parallel.map(ParallelExecutor::new),
-            par_tasks: Vec::new(),
+            par_scratch: ParallelScratch::default(),
             par_out: ParallelOutcome::default(),
             tti_release_ns: (0..cfg.ttis_per_step)
                 .map(|t| (TTI * t as u32).as_nanos() as u64)
@@ -422,7 +423,7 @@ impl PoolShard {
             scratch,
             outcome,
             executor,
-            par_tasks,
+            par_scratch,
             par_out,
             tti_release_ns,
             tti_deadline_ns,
@@ -492,29 +493,18 @@ impl PoolShard {
                 }
                 match executor.as_ref() {
                     Some(ex) => {
-                        // The executor consumes array-of-structs tasks;
-                        // materialize into the run-scoped buffer.
-                        par_tasks.clear();
-                        for i in 0..batch.len() {
-                            par_tasks.push(RtTask {
-                                id: i,
-                                cell: batch.cell[i] as usize,
-                                release: Duration::from_nanos(batch.release_ns[i]),
-                                deadline: Duration::from_nanos(batch.deadline_ns[i]),
-                                service: Duration::from_nanos(batch.service_ns[i]),
-                            });
-                        }
-                        ex.execute_into(par_tasks, par_out);
+                        ex.execute_batch_into(batch, par_scratch, par_out);
                         metrics.deadline_misses += par_out.misses() as u64;
                         metrics.steals += par_out.steals;
-                        for r in &par_out.tasks {
+                        for (r, &release_ns) in par_out.tasks.iter().zip(&batch.release_ns) {
+                            // Both ends in the executor's whole-µs
+                            // domain, where a task never finishes before
+                            // its (truncated) release.
                             metrics
                                 .response_times
-                                .record(r.finish.saturating_sub(par_tasks[r.id].release));
+                                .record_us(r.finish.as_micros() as u64 - release_ns / 1_000);
                             if r.slack_us >= 0 {
-                                metrics
-                                    .deadline_slack
-                                    .record(Duration::from_micros(r.slack_us as u64));
+                                metrics.deadline_slack.record_us(r.slack_us as u64);
                             }
                         }
                     }

@@ -32,21 +32,17 @@ fn committed_e6_envelope() -> Value {
     serde_json::from_str(&text).expect("committed envelope parses")
 }
 
-#[test]
-fn critical_path_attribution_is_exact_for_the_seeded_e6_run() {
+/// Trace the workload of `e6_deadlines --sample` (same generator, same
+/// seed) through `executor`, check every missed subframe's critical path
+/// partitions its measured latency exactly, and return the per-stage
+/// totals in `STAGE_NAMES` order.
+fn exact_attribution_totals(executor: ParallelConfig) -> [(&'static str, u64); 4] {
     let _guard = TRACER.lock().unwrap();
-    // The exact workload of `e6_deadlines --sample`: same generator, same
-    // seed, non-stealing executor, so the traced misses are deterministic.
     pran_telemetry::configure(TelemetryConfig::sim());
     let mut cfg = TaskSetConfig::default_eval(8, 100, 4, 0.9);
     cfg.seed = 0xE6;
     let set = generate(&cfg);
-    let exec = ParallelExecutor::new(ParallelConfig {
-        cores: 4,
-        batch: 1,
-        steal: false,
-    });
-    let out = exec.execute(&set.tasks);
+    let out = ParallelExecutor::new(executor).execute(&set.tasks);
     let events = pran_telemetry::trace::drain();
     pran_telemetry::disable();
     assert!(out.miss_ratio() > 0.0, "the seeded run must miss deadlines");
@@ -95,6 +91,26 @@ fn critical_path_attribution_is_exact_for_the_seeded_e6_run() {
     let total_attributed: u64 = totals.iter().map(|(_, us)| us).sum();
     let total_latency: u64 = paths.iter().map(|p| p.latency_us).sum();
     assert_eq!(total_attributed, total_latency);
+    totals
+}
+
+#[test]
+fn critical_path_attribution_is_exact_for_the_seeded_e6_run() {
+    let totals = exact_attribution_totals(ParallelConfig {
+        cores: 4,
+        batch: 1,
+        steal: false,
+    });
+    assert_eq!(totals[2], ("steal", 0), "a pinned run steals nothing");
+}
+
+#[test]
+fn critical_path_attribution_is_exact_with_stealing_on() {
+    // Tasks behind the first of a stolen 4-task batch wait out their
+    // predecessors on the thief: that wait is the steal stage.
+    let totals = exact_attribution_totals(ParallelConfig::default_eval());
+    assert_eq!(totals[2].0, "steal");
+    assert!(totals[2].1 > 0, "no missed task sat in a stolen batch");
 }
 
 #[test]

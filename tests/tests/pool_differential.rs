@@ -7,12 +7,15 @@
 //! every finish time, histogram bucket, failover record and alert — for
 //! every feature that reaches the per-step loop: analytic scheduling,
 //! every policy, warm placement, fronthaul faults, server failures and
-//! the pinned (steal-free) parallel executor.
+//! the parallel executor, pinned or stealing.
 //!
-//! Work stealing is intentionally absent: a stealing executor races
-//! cores against each other and is not deterministic, so it is outside
-//! the byte-identity contract (both paths share the same executor there
-//! anyway).
+//! The parallel executor schedules its simulated cores in virtual time
+//! on the calling thread, so work stealing is as repeatable as the
+//! static partition and inside the byte-identity contract. The two paths
+//! reach it through different entry points — `TaskBatch` columns with a
+//! reused scratch on the hot path, freshly built `RtTask`s in the
+//! reference — and its own scheduling is pinned against a test-only
+//! oracle in `pran-sched` (`realtime::parallel` unit tests).
 
 use std::time::Duration;
 
@@ -126,6 +129,69 @@ fn pinned_parallel_executor_is_identical() {
         steal: false,
     });
     assert_paths_identical("pinned parallel", 12, cfg, &[]);
+}
+
+#[test]
+fn stealing_parallel_executor_is_identical() {
+    let failure = FailureSpec {
+        server: 1,
+        at: Duration::from_secs(1800),
+        recover_after: Some(Duration::from_secs(1200)),
+    };
+    for batch in [1, 4] {
+        let mut cfg = PoolConfig::default_eval(5);
+        cfg.epoch_steps = 10;
+        cfg.parallel = Some(ParallelConfig {
+            cores: cfg.cores_per_server,
+            batch,
+            steal: true,
+        });
+        for failures in [&[][..], &[failure][..]] {
+            let label = format!("stealing, batch {batch}, {} failures", failures.len());
+            assert_paths_identical(&label, 12, cfg.clone(), failures);
+            let run = || {
+                let mut sim = PoolSimulator::new(trace(12, 42), cfg.clone());
+                failures.iter().for_each(|&f| sim.inject_failure(f));
+                sim.run()
+            };
+            let (first, second) = (run(), run());
+            assert!(first.metrics.steals > 0, "{label}: nothing was stolen");
+            assert_eq!(
+                serde_json::to_string(&first).unwrap(),
+                serde_json::to_string(&second).unwrap(),
+                "{label}: two runs differ"
+            );
+        }
+
+        // Jittered releases carry odd nanoseconds into the executor's
+        // whole-µs timeline; response times must agree there too.
+        let mut jittered = cfg.clone();
+        jittered.fronthaul = Some(LinkFault {
+            config: pran_fronthaul::fault::FaultConfig {
+                max_jitter: Duration::from_micros(400),
+                ..pran_fronthaul::fault::FaultConfig::clean()
+            },
+            seed: 7,
+        });
+        assert_paths_identical(
+            &format!("stealing + jitter, batch {batch}"),
+            12,
+            jittered,
+            &[],
+        );
+
+        let mut pool = PoolConfig::default_eval(4);
+        pool.parallel = cfg.parallel;
+        let reference =
+            serde_json::to_string_pretty(&metro(1, pool.clone()).run_reference()).unwrap();
+        for workers in [1usize, 2, 8] {
+            let hot = serde_json::to_string_pretty(&metro(workers, pool.clone()).run()).unwrap();
+            assert_eq!(
+                hot, reference,
+                "stealing metro, batch {batch}, {workers} workers diverged from reference"
+            );
+        }
+    }
 }
 
 #[test]
@@ -250,24 +316,29 @@ fn splits_with_warm_placement_and_failures_are_identical() {
     );
 }
 
+/// A 48-cell, 6-shard, two-hour metro over `pool` on `workers` threads.
+fn metro(workers: usize, pool: PoolConfig) -> MetroSimulator {
+    let config = MetroConfig {
+        cells: 48,
+        shards: 6,
+        workers,
+        servers_per_shard: 4,
+        seed: 2026,
+    };
+    let mut tc = TraceConfig::default_day(config.cells, config.seed);
+    tc.duration_seconds = 2.0 * 3600.0;
+    tc.step_seconds = 120.0;
+    MetroSimulator::with_pool(config, pool, tc).unwrap()
+}
+
 /// Metro layer: the sharded driver must inherit byte-identity, and the
 /// hot path must stay independent of the worker crew size.
 #[test]
 fn metro_hot_path_matches_reference_across_worker_counts() {
     let build = |workers: usize| {
-        let config = MetroConfig {
-            cells: 48,
-            shards: 6,
-            workers,
-            servers_per_shard: 4,
-            seed: 2026,
-        };
-        let mut pool = PoolConfig::default_eval(config.servers_per_shard);
+        let mut pool = PoolConfig::default_eval(4);
         pool.warm = Some(WarmConfig::default_eval());
-        let mut tc = TraceConfig::default_day(config.cells, config.seed);
-        tc.duration_seconds = 2.0 * 3600.0;
-        tc.step_seconds = 120.0;
-        MetroSimulator::with_pool(config, pool, tc).unwrap()
+        metro(workers, pool)
     };
     let reference = serde_json::to_string_pretty(&build(1).run_reference()).unwrap();
     for workers in [1usize, 2, 8] {
@@ -285,20 +356,9 @@ fn metro_hot_path_matches_reference_across_worker_counts() {
 #[test]
 fn metro_split_plan_matches_reference_across_worker_counts() {
     let build = |workers: usize| {
-        let config = MetroConfig {
-            cells: 48,
-            shards: 6,
-            workers,
-            servers_per_shard: 4,
-            seed: 2026,
-        };
-        let mut pool = PoolConfig::default_eval(config.servers_per_shard);
+        let mut pool = PoolConfig::default_eval(4);
         pool.warm = Some(WarmConfig::default_eval());
-        pool = heterogeneous(pool, config.cells);
-        let mut tc = TraceConfig::default_day(config.cells, config.seed);
-        tc.duration_seconds = 2.0 * 3600.0;
-        tc.step_seconds = 120.0;
-        MetroSimulator::with_pool(config, pool, tc).unwrap()
+        metro(workers, heterogeneous(pool, 48))
     };
     let reference = serde_json::to_string_pretty(&build(1).run_reference()).unwrap();
     for workers in [1usize, 2, 8] {

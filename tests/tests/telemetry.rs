@@ -15,9 +15,10 @@ use pran_traces::{generate, TraceConfig};
 static TRACER: Mutex<()> = Mutex::new(());
 
 /// Run a small pooled simulation with sim-clock tracing on and return the
-/// captured events. `steal: false` keeps the parallel executor
-/// deterministic, so same-seed runs must trace identically.
-fn traced_pool_run() -> Vec<TraceEvent> {
+/// captured events. The parallel executor emits its `rt.steal` and
+/// `subframe` events in schedule order from the calling thread, so
+/// same-seed runs must trace identically, stealing or not.
+fn traced_pool_run(steal: bool) -> Vec<TraceEvent> {
     pran_telemetry::configure(TelemetryConfig::sim());
     let mut tcfg = TraceConfig::default_day(10, 77);
     tcfg.duration_seconds = 2.0 * 3600.0;
@@ -28,7 +29,7 @@ fn traced_pool_run() -> Vec<TraceEvent> {
     cfg.parallel = Some(ParallelConfig {
         cores: 4,
         batch: 1,
-        steal: false,
+        steal,
     });
     let mut sim = PoolSimulator::new(trace, cfg);
     let report = sim.run();
@@ -39,17 +40,20 @@ fn traced_pool_run() -> Vec<TraceEvent> {
 #[test]
 fn identical_runs_export_byte_identical_traces() {
     let _guard = TRACER.lock().unwrap();
-    let a = export::to_jsonl(&traced_pool_run());
-    let b = export::to_jsonl(&traced_pool_run());
+    for steal in [false, true] {
+        let a = export::to_jsonl(&traced_pool_run(steal));
+        let b = export::to_jsonl(&traced_pool_run(steal));
+        assert!(!a.is_empty(), "trace must capture events");
+        assert_eq!(a.contains("rt.steal"), steal, "steal events iff stealing");
+        assert_eq!(a, b, "same-seed runs must trace byte-identically");
+    }
     pran_telemetry::disable();
-    assert!(!a.is_empty(), "trace must capture events");
-    assert_eq!(a, b, "same-seed runs must trace byte-identically");
 }
 
 #[test]
 fn trace_round_trips_through_jsonl_and_reconstructs_breakdown() {
     let _guard = TRACER.lock().unwrap();
-    let events = traced_pool_run();
+    let events = traced_pool_run(false);
     pran_telemetry::disable();
     let jsonl = export::to_jsonl(&events);
     let lines = export::validate_jsonl(&jsonl).expect("exported trace must validate");

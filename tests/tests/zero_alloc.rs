@@ -13,6 +13,11 @@
 //! soak attaches per epoch: the live insight tap is armed and every
 //! step's `subframe` events are drained and folded into the streaming
 //! attribution state, and the flight recorder rings a record per step.
+//! A second shard of the same shape runs its servers on the stealing
+//! [`ParallelExecutor`](pran_sched::realtime::ParallelExecutor) inside
+//! the same window: its batch queues and simulated cores live in a
+//! scratch that, like every other buffer here, may grow only when a step
+//! builds a deeper backlog than any before.
 //! The whole file is one `#[test]` because the counter is process-global
 //! and sibling tests in the same binary would race it.
 
@@ -26,6 +31,7 @@ use pran_fronthaul::fault::FaultConfig;
 use pran_insight::live::LiveFold;
 use pran_obs::FlightRecorder;
 use pran_phy::FunctionalSplit;
+use pran_sched::realtime::ParallelConfig;
 use pran_sim::{EpochRecord, LinkFault, PoolAccel, PoolConfig, PoolMetrics, PoolShard, SplitPlan};
 use pran_telemetry::trace::TraceEvent;
 
@@ -73,62 +79,53 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const CELLS: usize = 40;
 const SERVERS: usize = 24;
 
-#[test]
-fn hot_kernel_allocates_nothing_at_steady_state() {
-    assert!(
-        !pran_telemetry::enabled(),
-        "the buffered tracer must stay off: the live tap must not need it"
-    );
-    // Arm the live tap: sink storage allocates once here, never on the
-    // record path. 40 cells × 4 TTIs = at most 160 events per step.
-    pran_telemetry::live::arm(1, 1024);
+/// One shard with the planes a soak attaches to it.
+struct Soaked {
+    shard: PoolShard,
+    metrics: PoolMetrics,
+    /// Armed flight recorder: the 247 steady rounds span its fill phase
+    /// AND several wraparounds — both must stay allocation-free.
+    recorder: FlightRecorder<EpochRecord>,
+    fold: LiveFold,
+}
 
-    let mut cfg = PoolConfig::default_eval(SERVERS);
-    cfg.split_plan =
-        SplitPlan::PerCell((0..CELLS).map(|c| FunctionalSplit::all()[c % 3]).collect());
-    cfg.accel = Some(PoolAccel::default_eval());
-    cfg.fronthaul = Some(LinkFault {
-        config: FaultConfig {
-            drop_prob: 0.01,
-            max_jitter: Duration::from_micros(800),
-            ..FaultConfig::clean()
-        },
-        seed: 9,
-    });
-    let mut shard = PoolShard::try_new(cfg, CELLS).expect("config validates");
-    let mut rows = vec![vec![1.0; CELLS]];
-    let mut metrics = PoolMetrics::default();
-    // Place once against full load (allocation allowed): every later,
-    // lighter row fits the same placement.
-    let placed = shard.place(&rows, &mut metrics);
-    assert_eq!(placed.unplaced, 0, "the pool must host every cell");
-    let assignment = shard.assignment().iter().flatten();
-    let on_accelerated = assignment.filter(|&&s| s < SERVERS / 2).count();
-    assert!(
-        0 < on_accelerated && on_accelerated < CELLS,
-        "both server classes must host cells"
-    );
-
-    // Armed flight recorder: the 247 steady rounds below span its fill
-    // phase AND several wraparounds — both must stay allocation-free.
-    let mut recorder = FlightRecorder::new(64);
-    let mut fold = LiveFold::new(CELLS, SERVERS, 2_000);
-    let mut events: Vec<TraceEvent> = Vec::with_capacity(1024);
-    let mut epoch = PoolMetrics::default();
-
-    // One trace step, as the soak service runs an epoch: a fresh
-    // utilization row (varied with the round so the dispatch heaps see new
-    // orderings and every service-table row gets walked), the real
-    // `execute` into reset epoch metrics, the cumulative fold, a flight
-    // recorder push, and the live tap drained into the attribution state.
-    let mut step = |round: u64| {
-        for (cell, util) in rows[0].iter_mut().enumerate() {
-            *util = ((round * 7 + cell as u64 * 13) % 101) as f64 / 100.0;
+impl Soaked {
+    fn new(cfg: PoolConfig) -> Self {
+        let mut shard = PoolShard::try_new(cfg, CELLS).expect("config validates");
+        let mut metrics = PoolMetrics::default();
+        // Place once against full load (allocation allowed): every
+        // later, lighter row fits the same placement.
+        let placed = shard.place(&[vec![1.0; CELLS]], &mut metrics);
+        assert_eq!(placed.unplaced, 0, "the pool must host every cell");
+        let assignment = shard.assignment().iter().flatten();
+        let on_accelerated = assignment.filter(|&&s| s < SERVERS / 2).count();
+        assert!(
+            0 < on_accelerated && on_accelerated < CELLS,
+            "both server classes must host cells"
+        );
+        Soaked {
+            shard,
+            metrics,
+            recorder: FlightRecorder::new(64),
+            fold: LiveFold::new(CELLS, SERVERS, 2_000),
         }
+    }
+
+    /// One trace step, as the soak service runs an epoch: the real
+    /// `execute` into reset epoch metrics, the cumulative fold, a flight
+    /// recorder push, and the live tap drained into the attribution
+    /// state.
+    fn step(
+        &mut self,
+        round: u64,
+        rows: &[Vec<f64>],
+        epoch: &mut PoolMetrics,
+        events: &mut Vec<TraceEvent>,
+    ) {
         epoch.reset();
-        let peak_queue_depth = shard.execute(&rows, round as usize, 60.0, &mut epoch);
-        metrics.append_epoch(&epoch);
-        recorder.push(EpochRecord {
+        let peak_queue_depth = self.shard.execute(rows, round as usize, 60.0, epoch);
+        self.metrics.append_epoch(epoch);
+        self.recorder.push(EpochRecord {
             epoch: round,
             at_us: round * 1_000,
             tasks: epoch.tasks_total,
@@ -136,7 +133,7 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
             lost: epoch.tasks_lost,
             reports_lost: epoch.reports_lost,
             miss_ratio: epoch.miss_ratio(),
-            cum_miss_ratio: metrics.miss_ratio(),
+            cum_miss_ratio: self.metrics.miss_ratio(),
             slack_p99_us: epoch.deadline_slack.quantile(0.99).as_micros() as u64,
             peak_queue_depth,
             servers_used: 1,
@@ -152,8 +149,55 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
         });
         // Ring 0: no shard context on this thread.
         events.clear();
-        pran_telemetry::live::drain_shard_into(0, &mut events);
-        fold.fold_shard(&events, 0, 0, shard.assignment());
+        pran_telemetry::live::drain_shard_into(0, events);
+        self.fold.fold_shard(events, 0, 0, self.shard.assignment());
+    }
+}
+
+#[test]
+fn hot_kernel_allocates_nothing_at_steady_state() {
+    assert!(
+        !pran_telemetry::enabled(),
+        "the buffered tracer must stay off: the live tap must not need it"
+    );
+    // Arm the live tap: sink storage allocates once here, never on the
+    // record path. 40 cells × 4 TTIs = at most 160 `subframe` events per
+    // shard-step, plus at most one `rt.steal` per stolen batch.
+    pran_telemetry::live::arm(1, 1024);
+
+    let mut cfg = PoolConfig::default_eval(SERVERS);
+    cfg.split_plan =
+        SplitPlan::PerCell((0..CELLS).map(|c| FunctionalSplit::all()[c % 3]).collect());
+    cfg.accel = Some(PoolAccel::default_eval());
+    cfg.fronthaul = Some(LinkFault {
+        config: FaultConfig {
+            drop_prob: 0.01,
+            max_jitter: Duration::from_micros(800),
+            ..FaultConfig::clean()
+        },
+        seed: 9,
+    });
+    let mut stealing = cfg.clone();
+    stealing.parallel = Some(ParallelConfig {
+        cores: 4,
+        batch: 4,
+        steal: true,
+    });
+    let mut soaked = [Soaked::new(cfg), Soaked::new(stealing)];
+    let mut rows = vec![vec![1.0; CELLS]];
+    let mut events: Vec<TraceEvent> = Vec::with_capacity(1024);
+    let mut epoch = PoolMetrics::default();
+
+    // A fresh utilization row per round (varied so the dispatch heaps and
+    // batch queues see new orderings and every service-table row gets
+    // walked), stepped through both shards.
+    let mut step = |round: u64| {
+        for (cell, util) in rows[0].iter_mut().enumerate() {
+            *util = ((round * 7 + cell as u64 * 13) % 101) as f64 / 100.0;
+        }
+        for s in &mut soaked {
+            s.step(round, &rows, &mut epoch, &mut events);
+        }
     };
 
     // Warm-up: grows every Vec/heap to its steady-state capacity.
@@ -170,26 +214,39 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
         "steady-state hot kernel allocated {} times over 247 steps",
         after - before
     );
-    assert_eq!(recorder.len(), 64, "the ring must have filled");
-    assert_eq!(recorder.total_pushed(), 250, "every step must have rung");
-    assert_eq!(metrics.tasks_total, 250 * 160);
+    for Soaked {
+        metrics,
+        recorder,
+        fold,
+        ..
+    } in &soaked
+    {
+        assert_eq!(recorder.len(), 64, "the ring must have filled");
+        assert_eq!(recorder.total_pushed(), 250, "every step must have rung");
+        assert_eq!(metrics.tasks_total, 250 * 160);
+        assert!(
+            metrics.reports_lost > 0,
+            "1 % loss over 40k frames drops some"
+        );
+        assert_eq!(
+            fold.tasks(),
+            metrics.tasks_total - metrics.tasks_lost,
+            "every executed subframe must have folded"
+        );
+        assert!(
+            metrics.fronthaul_bytes > 0,
+            "the live fronthaul byte meter saw no frames"
+        );
+    }
+    assert_eq!(soaked[0].metrics.steals, 0);
     assert!(
-        metrics.reports_lost > 0,
-        "1 % loss over 40k frames drops some"
-    );
-    assert_eq!(
-        fold.tasks(),
-        metrics.tasks_total - metrics.tasks_lost,
-        "every executed subframe must have folded"
+        soaked[1].metrics.steals > 0,
+        "the stealing shard never stole"
     );
     assert_eq!(
         pran_telemetry::live::dropped(),
         0,
         "a per-step drain must never fill the ring"
-    );
-    assert!(
-        metrics.fronthaul_bytes > 0,
-        "the live fronthaul byte meter saw no frames"
     );
     pran_telemetry::live::disarm();
 }
