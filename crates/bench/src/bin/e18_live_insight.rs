@@ -15,11 +15,13 @@
 //!    a blip can never fire) and recall must clear the floor — blips
 //!    are the *designed* false negatives, the price of page-worthiness.
 //! 2. **Differential** — a fronthaul-jittered soak runs with both the
-//!    buffered tracer and the live tap on; per shard, the live critical
-//!    paths and fold totals must equal `spans::critical_paths` /
-//!    `attribution_totals` run post-hoc over the same events, and the
-//!    fold state must serialize byte-identically across 1 vs 8 worker
-//!    crews. The buffered trace is flushed to
+//!    buffered tracer and the live tap on; per shard, the buffered
+//!    events are exported to JSONL, parsed back and run through the
+//!    post-hoc reference (`spans::critical_paths`), and the production
+//!    `LiveFold`'s per-cell blame, per-cell misses, stage totals and
+//!    miss count must equal the sums over those paths; the fold state
+//!    must also serialize byte-identically across 1 vs 8 worker crews.
+//!    The buffered trace is flushed to
 //!    `results/e18_live_insight.trace.jsonl` and schema-validated.
 //! 3. **Overhead** — the identical soak workload three ways: tap off,
 //!    tap armed, and the post-hoc round trip the live plane replaces
@@ -38,10 +40,10 @@ use std::time::{Duration, Instant};
 
 use bench::{Report, Table};
 use pran_fronthaul::fault::FaultConfig;
-use pran_insight::live::critical_paths_live;
-use pran_insight::spans::{self, DEFAULT_BUDGET_US};
+use pran_insight::spans::{self, DEFAULT_BUDGET_US, STAGE_NAMES};
 use pran_obs::{SoakConfig, SoakRunner};
 use pran_sim::{LinkFault, MetroConfig, PoolConfig, ResidentMetro};
+use pran_telemetry::export::{events_from_trace, parse_jsonl, to_jsonl};
 use pran_telemetry::trace::TraceEvent;
 use pran_traces::TraceConfig;
 
@@ -111,14 +113,6 @@ fn jittery(cells: usize, shards: usize, workers: usize, seed: u64) -> ResidentMe
     });
     let trace = TraceConfig::default_day(mc.cells, mc.seed);
     ResidentMetro::with_pool(mc, pool, trace).expect("jittered metro validates")
-}
-
-/// Canonicalize a path list: the Debug form carries every field, and
-/// sorting removes tie-order sensitivity.
-fn canonical(paths: &[spans::CriticalPath]) -> Vec<String> {
-    let mut out: Vec<String> = paths.iter().map(|p| format!("{p:?}")).collect();
-    out.sort();
-    out
 }
 
 fn main() -> ExitCode {
@@ -249,7 +243,8 @@ fn main() -> ExitCode {
     pran_telemetry::configure(applied);
 
     let fold = runner.live_fold().expect("live insight armed");
-    let mut paths_equal = true;
+    let mut cell_blame = vec![[0u64; 4]; fold.cell_count()];
+    let mut cell_misses = vec![0u64; fold.cell_count()];
     let mut paths_compared = 0usize;
     let mut posthoc_totals = [0u64; 4];
     for shard in 0..shards {
@@ -258,10 +253,18 @@ fn main() -> ExitCode {
             .filter(|e| e.field_u64("shard").unwrap_or(0) == shard as u64)
             .copied()
             .collect();
-        let owned = spans::events_from_trace(&shard_events);
-        let posthoc = spans::critical_paths(&owned, DEFAULT_BUDGET_US);
-        let live = critical_paths_live(&shard_events, DEFAULT_BUDGET_US);
-        paths_equal &= canonical(&posthoc) == canonical(&live);
+        // Through the wire format: the reference sees what an operator
+        // reading the exported artifact would.
+        let parsed = parse_jsonl(&to_jsonl(&shard_events)).expect("exported trace parses back");
+        let posthoc = spans::critical_paths(&parsed, DEFAULT_BUDGET_US);
+        let (cell_offset, _) = runner.metro().shard_offsets(shard);
+        for path in &posthoc {
+            let cell = cell_offset + path.cell as usize;
+            for (slot, stage) in cell_blame[cell].iter_mut().zip(STAGE_NAMES) {
+                *slot += path.stage_us(stage);
+            }
+            cell_misses[cell] += 1;
+        }
         paths_compared += posthoc.len();
         for (slot, (_, us)) in posthoc_totals
             .iter_mut()
@@ -270,16 +273,19 @@ fn main() -> ExitCode {
             *slot += us;
         }
     }
+    let cells_equal = (0..fold.cell_count()).all(|cell| {
+        fold.cell_blame(cell) == cell_blame[cell] && fold.cell_misses(cell) == cell_misses[cell]
+    }) && fold.misses() == paths_compared as u64;
     let totals_equal = fold
         .totals()
         .iter()
         .zip(posthoc_totals.iter())
         .all(|((_, live_us), posthoc_us)| live_us == posthoc_us);
-    let live_posthoc_equal = paths_equal && totals_equal && paths_compared > 0 && fold.misses() > 0;
+    let live_posthoc_equal = cells_equal && totals_equal && paths_compared > 0 && fold.misses() > 0;
     println!(
         "{} tapped event(s), {} task(s), {} miss(es); {paths_compared} critical \
-         path(s) compared across {shards} shard(s): paths equal {paths_equal}, \
-         stage totals equal {totals_equal}",
+         path(s) compared across {shards} shard(s) after a JSONL round trip: \
+         per-cell blame and misses equal {cells_equal}, stage totals equal {totals_equal}",
         fold.events(),
         fold.tasks(),
         fold.misses(),
@@ -372,7 +378,7 @@ fn main() -> ExitCode {
                         .filter(|e| e.field_u64("shard").unwrap_or(0) == shard as u64)
                         .copied()
                         .collect();
-                    let owned = spans::events_from_trace(&shard_events);
+                    let owned = events_from_trace(&shard_events);
                     let paths = spans::critical_paths(&owned, DEFAULT_BUDGET_US);
                     std::hint::black_box(spans::attribution_totals(&paths));
                 }

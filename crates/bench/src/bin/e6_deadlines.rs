@@ -17,7 +17,7 @@ use pran_sched::realtime::{simulate, ParallelConfig, ParallelExecutor, Policy};
 /// normal sample flow so the committed artifacts stay byte-identical.
 fn critical_path_report(trace_path: &str) {
     let text = std::fs::read_to_string(trace_path).expect("sample trace must exist");
-    let events = pran_insight::spans::parse_jsonl(&text).expect("sample trace must parse");
+    let events = pran_telemetry::export::parse_jsonl(&text).expect("sample trace must parse");
     let paths = pran_insight::critical_paths(&events, pran_insight::DEFAULT_BUDGET_US);
     if paths.is_empty() {
         println!("\n(no deadline misses in this trace)");

@@ -3,12 +3,13 @@
 //! `pran-telemetry` records what happened; this crate explains it and
 //! guards it:
 //!
-//! - [`spans`] — parse exported JSONL back into events, rebuild span
-//!   trees for both clock domains, and attribute every missed subframe
-//!   deadline's 2 ms budget to fronthaul vs queue vs steal vs compute,
-//!   exactly.
-//! - [`live`] — the streaming twin of [`spans`]: fold raw in-process
-//!   trace events into mergeable quantile sketches and per-cell
+//! - [`spans`] — the post-hoc reference: attribute every missed
+//!   subframe deadline's 2 ms budget to fronthaul vs queue vs steal vs
+//!   compute, exactly, from raw events or from exported JSONL parsed
+//!   back by `pran_telemetry::export::parse_jsonl`.
+//! - [`live`] — the streaming counterpart of [`spans`]: fold raw
+//!   in-process trace events into mergeable quantile sketches
+//!   (`pran-telemetry`'s one histogram at 8 sub-buckets) and per-cell
 //!   critical-path blame each epoch (no JSONL round trip, zero
 //!   allocation in steady state), plus multi-window multi-burn-rate
 //!   SLO alerting over the error budget.
@@ -32,10 +33,6 @@ pub mod slo;
 pub mod spans;
 
 pub use gate::{compare_envelopes, GateConfig, GateReport};
-pub use live::{
-    critical_paths_live, BurnAlert, BurnRateAlerter, BurnSeverity, BurnState, LiveFold, LogSketch,
-};
+pub use live::{BurnAlert, BurnRateAlerter, BurnSeverity, BurnState, LiveFold, LogSketch};
 pub use slo::{Alert, EpochSample, SloMetric, SloMonitor, SloPolicy};
-pub use spans::{
-    build_span_forest, critical_paths, CriticalPath, OwnedEvent, SpanNode, DEFAULT_BUDGET_US,
-};
+pub use spans::{critical_paths, CriticalPath, DEFAULT_BUDGET_US};

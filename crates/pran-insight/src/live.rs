@@ -2,20 +2,22 @@
 //! and multi-window burn-rate alerting.
 //!
 //! [`spans`](crate::spans) answers "where did the budget go" *after* a
-//! run, by re-parsing exported JSONL. This module answers it *during*
-//! one: a [`LiveFold`] consumes raw [`TraceEvent`]s straight off
-//! `pran-telemetry::live`'s bounded per-shard rings (no JSONL round
-//! trip, no allocation in steady state) and folds them into
+//! run. This module answers it *during* one: a [`LiveFold`] consumes raw
+//! [`TraceEvent`]s straight off `pran-telemetry::live`'s bounded
+//! per-shard rings (no JSONL round trip, no allocation in steady state),
+//! reads each `subframe` record through the same [`Subframe::decode`]
+//! every other reader uses, and folds them into
 //!
-//! - per-cell and per-server [`LogSketch`]es — log-bucketed mergeable
-//!   quantile sketches with bounded (≤ 1/[`SKETCH_SUBS`]) relative
-//!   error and *exact* element-wise [`LogSketch::merge`], so merged
-//!   results are invariant to how work was split across workers;
+//! - per-cell and per-server [`LogSketch`]es — the workspace's one
+//!   log-bucket histogram at 8 sub-buckets per power of two, so quantile
+//!   error is bounded by 1/[`LogSketch::SUBS`] and merges are *exact*:
+//!   merged results are invariant to how work was split across workers;
 //! - per-cell critical-path blame: the same
 //!   fronthaul / queue / steal / compute attribution as
 //!   [`critical_paths`](crate::spans::critical_paths), computed
-//!   incrementally per epoch ([`critical_paths_live`] exposes the full
-//!   path list for differential proofs against the post-hoc pipeline).
+//!   incrementally per epoch with its own arithmetic —
+//!   `tests/live_insight.rs` holds the two equal, cell by cell, over
+//!   resident soaks exported to JSONL and parsed back.
 //!
 //! On top of the per-epoch miss ratio, a [`BurnRateAlerter`] replaces
 //! single-window EWMA alerting with SRE-style multi-window,
@@ -27,317 +29,41 @@
 //! least one epoch breached the objective — burn alerts are
 //! structurally precise against per-epoch violation ground truth.
 
-use pran_telemetry::trace::{FieldValue, TraceEvent};
+use pran_telemetry::metrics::LogBuckets;
+use pran_telemetry::trace::TraceEvent;
+use pran_telemetry::Subframe;
 use serde::{Deserialize, Serialize};
 
 use crate::slo::SloPolicy;
-use crate::spans::{CriticalPath, Stage, STAGE_NAMES};
+use crate::spans::STAGE_NAMES;
 
-// ---------------------------------------------------------------------
-// LogSketch: a mergeable log-bucketed quantile sketch
-// ---------------------------------------------------------------------
+/// The mergeable quantile sketch behind the live per-cell and per-server
+/// latencies: [`LogBuckets`] at 8 sub-buckets per power of two (12.5 %
+/// worst-case relative error for values ≥ 8 µs).
+pub type LogSketch = LogBuckets<3>;
 
-/// Sub-buckets per base-2 bucket: bounds the sketch's relative error at
-/// `1 / SKETCH_SUBS` (12.5 %) for values ≥ `SKETCH_SUBS` µs.
-pub const SKETCH_SUBS: usize = 8;
-/// Base-2 buckets (same reach as `LogHistogram`: ~12.7 days in µs).
-const SKETCH_EXPS: usize = 40;
-/// log2 of [`SKETCH_SUBS`].
-const SUB_SHIFT: usize = 3;
-
-/// A mergeable quantile sketch over microsecond values.
-///
-/// Each base-2 bucket `[2^e, 2^(e+1))` is split into [`SKETCH_SUBS`]
-/// equal-width sub-buckets (for `e ≥ 3`; narrower buckets stay whole),
-/// so the quantile estimate's relative error is bounded by
-/// `1/SKETCH_SUBS` and the observed min/max tighten the edge buckets
-/// exactly as [`pran_telemetry::LogHistogram`] does. Crucially,
-/// [`LogSketch::merge`] is an element-wise sum — commutative and
-/// associative — so cross-shard merges are *exact*: the merged sketch
-/// is byte-identical to one built from the concatenated samples, for
-/// any worker count or merge order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LogSketch {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_us: u64,
-    min_us: u64,
-    max_us: u64,
-}
-
-impl LogSketch {
-    /// Empty sketch (one upfront allocation; recording never grows it).
-    pub fn new() -> Self {
-        LogSketch {
-            buckets: vec![0; SKETCH_EXPS * SKETCH_SUBS],
-            count: 0,
-            sum_us: 0,
-            min_us: 0,
-            max_us: 0,
-        }
-    }
-
-    fn index(us: u64) -> usize {
-        if us == 0 {
-            return 0;
-        }
-        let exp = (63 - us.leading_zeros() as usize).min(SKETCH_EXPS - 1);
-        let sub = if exp >= SUB_SHIFT {
-            (((us - (1u64 << exp)) >> (exp - SUB_SHIFT)) as usize).min(SKETCH_SUBS - 1)
-        } else {
-            0
-        };
-        exp * SKETCH_SUBS + sub
-    }
-
-    fn lo_edge(idx: usize) -> u64 {
-        let (exp, sub) = (idx / SKETCH_SUBS, idx % SKETCH_SUBS);
-        if exp == 0 {
-            // Bucket 0 absorbs sub-microsecond samples too.
-            return if sub == 0 { 0 } else { 1 };
-        }
-        let base = 1u64 << exp;
-        if exp >= SUB_SHIFT {
-            base + ((sub as u64) << (exp - SUB_SHIFT))
-        } else {
-            base
-        }
-    }
-
-    fn hi_edge(&self, idx: usize) -> u64 {
-        if idx + 1 >= SKETCH_EXPS * SKETCH_SUBS {
-            return self.max_us.saturating_add(1);
-        }
-        let lo = Self::lo_edge(idx);
-        let mut next = idx + 1;
-        // Skip degenerate sub-buckets (exp < SUB_SHIFT shares edges).
-        while next + 1 < SKETCH_EXPS * SKETCH_SUBS && Self::lo_edge(next) <= lo {
-            next += 1;
-        }
-        Self::lo_edge(next).max(lo + 1)
-    }
-
-    /// Record one value (whole microseconds), allocation-free.
-    #[inline]
-    pub fn record_us(&mut self, us: u64) {
-        self.buckets[Self::index(us)] += 1;
-        self.min_us = if self.count == 0 {
-            us
-        } else {
-            self.min_us.min(us)
-        };
-        self.count += 1;
-        self.sum_us += us;
-        self.max_us = self.max_us.max(us);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples in microseconds.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max_us(&self) -> u64 {
-        self.max_us
-    }
-
-    /// Smallest sample (0 when empty).
-    pub fn min_us(&self) -> u64 {
-        self.min_us
-    }
-
-    /// Reset to empty, keeping the bucket allocation.
-    pub fn reset(&mut self) {
-        self.buckets.fill(0);
-        self.count = 0;
-        self.sum_us = 0;
-        self.min_us = 0;
-        self.max_us = 0;
-    }
-
-    /// Exact element-wise merge: the result is identical to a sketch
-    /// built from the union of both sample streams.
-    pub fn merge(&mut self, other: &LogSketch) {
-        if other.count == 0 {
-            return;
-        }
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.min_us = if self.count == 0 {
-            other.min_us
-        } else {
-            self.min_us.min(other.min_us)
-        };
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        self.max_us = self.max_us.max(other.max_us);
-    }
-
-    /// Quantile estimate in microseconds, or `None` when empty. Uses
-    /// the same rank convention as `LogHistogram::try_quantile` (ceil
-    /// rank, 0-based in-bucket interpolation, min/max tightening), so
-    /// the two agree wherever both are exact.
-    pub fn try_quantile_us(&self, q: f64) -> Option<u64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.count == 0 {
-            return None;
-        }
-        if self.count == 1 {
-            return Some(self.min_us);
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        // Mirror `LogHistogram`: rank 1 / rank `count` are exactly the
-        // observed extrema.
-        if target <= 1 {
-            return Some(self.min_us);
-        }
-        if target >= self.count {
-            return Some(self.max_us);
-        }
-        let mut seen = 0u64;
-        for (idx, &b) in self.buckets.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            if seen + b >= target {
-                // Tighten the bucket edges with the observed extrema;
-                // `lo` first so the degenerate 0-vs-1µs collision in
-                // bucket 0 can't drag the estimate below the minimum.
-                let lo = Self::lo_edge(idx).max(self.min_us);
-                let hi = self
-                    .hi_edge(idx)
-                    .min(self.max_us.saturating_add(1))
-                    .max(lo + 1);
-                let frac = (target - seen - 1) as f64 / b as f64;
-                let v = lo as f64 + frac * (hi - lo) as f64;
-                return Some((v.round() as u64).clamp(lo, hi - 1));
-            }
-            seen += b;
-        }
-        Some(self.max_us)
-    }
-}
-
-impl Default for LogSketch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Field access on raw trace events
-// ---------------------------------------------------------------------
-
-fn field_bool(event: &TraceEvent, key: &str) -> Option<bool> {
-    match event.field(key)? {
-        FieldValue::Bool(b) => Some(b),
-        _ => None,
-    }
-}
-
-/// The exact stage boundaries `spans::critical_paths` derives for one
-/// missed subframe: `(arrival, queue_end, start, finish)`, partitioning
-/// `[arrival, finish]` into fronthaul / queue / steal / compute.
+/// The stage boundaries of one missed subframe — `(arrival, queue_end,
+/// start)`, partitioning `[arrival, finish]` into fronthaul / queue /
+/// steal / compute the way `spans::critical_paths` does.
 #[inline]
-#[allow(clippy::too_many_arguments)] // one timestamp per subframe field
-fn stage_bounds(
-    release: u64,
-    start: u64,
-    finish: u64,
-    deadline: u64,
-    core: Option<u64>,
-    stolen: bool,
-    steals: &[(u64, u64)],
-    budget_us: u64,
-) -> (u64, u64, u64) {
-    let arrival = deadline.saturating_sub(budget_us).min(release);
-    let start = start.max(release).min(finish);
-    let steal_at = if stolen {
+fn stage_bounds(task: &Subframe, steals: &[(u64, u64)], budget_us: u64) -> (u64, u64, u64) {
+    let arrival = task
+        .deadline_us
+        .saturating_sub(budget_us)
+        .min(task.release_us);
+    let start = task.start_us.max(task.release_us).min(task.finish_us);
+    let steal_at = if task.stolen {
         steals
             .iter()
-            .filter(|(thief, ts)| Some(*thief) == core && *ts >= release && *ts <= start)
+            .filter(|(thief, ts)| {
+                Some(*thief) == task.core && *ts >= task.release_us && *ts <= start
+            })
             .map(|(_, ts)| *ts)
             .max()
     } else {
         None
     };
     (arrival, steal_at.unwrap_or(start), start)
-}
-
-/// Reconstruct every missed subframe's critical path directly from raw
-/// in-process [`TraceEvent`]s — the live twin of
-/// [`critical_paths`](crate::spans::critical_paths), which consumes
-/// JSONL-round-tripped owned events. `tests/live_insight.rs` proves the
-/// two byte-identical over resident soaks.
-pub fn critical_paths_live(events: &[TraceEvent], budget_us: u64) -> Vec<CriticalPath> {
-    let steals: Vec<(u64, u64)> = events
-        .iter()
-        .filter(|e| e.name == "rt.steal")
-        .filter_map(|e| Some((e.field_u64("thief")?, e.ts_us)))
-        .collect();
-    let mut paths = Vec::new();
-    for event in events.iter().filter(|e| e.name == "subframe") {
-        let (Some(cell), Some(release), Some(start), Some(finish), Some(deadline)) = (
-            event.field_u64("cell"),
-            event.field_u64("release_us"),
-            event.field_u64("start_us"),
-            event.field_u64("finish_us"),
-            event.field_u64("deadline_us"),
-        ) else {
-            continue;
-        };
-        if finish <= deadline {
-            continue;
-        }
-        let core = event.field_u64("core");
-        let stolen = field_bool(event, "stolen").unwrap_or(false);
-        let (arrival, queue_end, start) = stage_bounds(
-            release, start, finish, deadline, core, stolen, &steals, budget_us,
-        );
-        let stages = vec![
-            Stage {
-                name: "fronthaul",
-                from_us: arrival,
-                to_us: release,
-            },
-            Stage {
-                name: "queue",
-                from_us: release,
-                to_us: queue_end,
-            },
-            Stage {
-                name: "steal",
-                from_us: queue_end,
-                to_us: start,
-            },
-            Stage {
-                name: "compute",
-                from_us: start,
-                to_us: finish,
-            },
-        ];
-        paths.push(CriticalPath {
-            cell,
-            arrival_us: arrival,
-            release_us: release,
-            start_us: start,
-            finish_us: finish,
-            deadline_us: deadline,
-            core,
-            stolen,
-            stages,
-            latency_us: finish - arrival,
-            overshoot_us: finish - deadline,
-        });
-    }
-    paths.sort_by_key(|p| (std::cmp::Reverse(p.overshoot_us), p.deadline_us, p.cell));
-    paths
 }
 
 // ---------------------------------------------------------------------
@@ -442,52 +168,35 @@ impl LiveFold {
         }
         for event in events {
             self.events += 1;
-            if event.name != "subframe" {
-                continue;
-            }
-            let (Some(cell), Some(release), Some(start), Some(finish), Some(deadline)) = (
-                event.field_u64("cell"),
-                event.field_u64("release_us"),
-                event.field_u64("start_us"),
-                event.field_u64("finish_us"),
-                event.field_u64("deadline_us"),
-            ) else {
+            // Undecodable records are `validate_jsonl`'s to report.
+            let Some(Ok(task)) = Subframe::decode(event) else {
                 continue;
             };
             self.tasks += 1;
-            let sojourn = finish.saturating_sub(release);
-            let global_cell = cell_offset + cell as usize;
+            let sojourn = task.finish_us - task.release_us;
+            let local_cell = task.cell as usize;
+            let global_cell = cell_offset + local_cell;
             if let Some(sketch) = self.cell_latency.get_mut(global_cell) {
                 sketch.record_us(sojourn);
             }
-            if let Some(server) = assignment.get(cell as usize).copied().flatten() {
+            if let Some(server) = assignment.get(local_cell).copied().flatten() {
                 let global_server = server_offset + server;
                 if let Some(sketch) = self.server_latency.get_mut(global_server) {
                     sketch.record_us(sojourn);
                     self.server_tasks[global_server] += 1;
                 }
             }
-            if finish <= deadline {
+            if !task.missed() {
                 continue;
             }
             self.misses += 1;
-            let core = event.field_u64("core");
-            let stolen = field_bool(event, "stolen").unwrap_or(false);
-            let (arrival, queue_end, start) = stage_bounds(
-                release,
-                start,
-                finish,
-                deadline,
-                core,
-                stolen,
-                &self.steals_scratch,
-                self.budget_us,
-            );
+            let (arrival, queue_end, start) =
+                stage_bounds(&task, &self.steals_scratch, self.budget_us);
             let stage_us = [
-                release - arrival,
-                queue_end - release,
+                task.release_us - arrival,
+                queue_end - task.release_us,
                 start - queue_end,
-                finish - start,
+                task.finish_us - start,
             ];
             for (slot, us) in self.totals.iter_mut().zip(stage_us) {
                 *slot += us;
@@ -626,7 +335,7 @@ impl LiveFold {
             .iter()
             .enumerate()
             .filter_map(|(server, sketch)| {
-                let p99 = sketch.try_quantile_us(0.99)?;
+                let p99 = sketch.try_quantile(0.99)?.as_micros() as u64;
                 Some((server, p99, self.server_tasks[server]))
             })
             .collect();
@@ -861,109 +570,57 @@ impl BurnRateAlerter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spans::{attribution_totals, critical_paths, DEFAULT_BUDGET_US};
+    use pran_telemetry::export::{parse_jsonl, to_jsonl};
     use pran_telemetry::trace::Domain;
-    use pran_telemetry::LogHistogram;
-    use std::time::Duration;
 
-    fn subframe(
-        ts: u64,
-        cell: u64,
-        release: u64,
-        start: u64,
-        finish: u64,
-        deadline: u64,
-    ) -> TraceEvent {
-        TraceEvent::new(
-            ts,
-            Domain::Sim,
-            "subframe",
-            &[
-                ("cell", cell.into()),
-                ("release_us", release.into()),
-                ("start_us", start.into()),
-                ("finish_us", finish.into()),
-                ("deadline_us", deadline.into()),
-            ],
-        )
-    }
-
-    #[test]
-    fn sketch_merge_is_exact() {
-        let mut whole = LogSketch::new();
-        let mut left = LogSketch::new();
-        let mut right = LogSketch::new();
-        for v in [0u64, 1, 7, 8, 100, 512, 513, 1023, 1024, 99_999, 1 << 45] {
-            whole.record_us(v);
-            left.record_us(v);
-        }
-        for v in [3u64, 64, 700, 5000, 1 << 20] {
-            whole.record_us(v);
-            right.record_us(v);
-        }
-        left.merge(&right);
-        assert_eq!(left, whole, "merge must equal the union sketch exactly");
-        let json_merged = serde_json::to_string(&left).unwrap();
-        let json_whole = serde_json::to_string(&whole).unwrap();
-        assert_eq!(json_merged, json_whole, "byte-identical serialization");
-    }
-
-    #[test]
-    fn sketch_quantiles_agree_with_histogram_on_boundary_samples() {
-        // Samples on power-of-two boundaries are exact in both
-        // structures, so the (fixed) histogram and the sketch must
-        // report identical p50/p95/p99.
-        let mut h = LogHistogram::new();
-        let mut s = LogSketch::new();
-        for v in [512u64, 1024] {
-            h.record(Duration::from_micros(v));
-            s.record_us(v);
-        }
-        for q in [0.5, 0.95, 0.99] {
-            assert_eq!(
-                h.try_quantile(q).map(|d| d.as_micros() as u64),
-                s.try_quantile_us(q),
-                "q={q}"
-            );
-        }
-        // Constant and single-sample cases are exact in both.
-        let mut hc = LogHistogram::new();
-        let mut sc = LogSketch::new();
-        for _ in 0..9 {
-            hc.record(Duration::from_micros(300));
-            sc.record_us(300);
-        }
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(
-                hc.try_quantile(q).map(|d| d.as_micros() as u64),
-                sc.try_quantile_us(q),
-                "q={q}"
-            );
+    fn task(cell: u64, release: u64, start: u64, finish: u64, deadline: u64) -> Subframe {
+        Subframe {
+            cell,
+            release_us: release,
+            start_us: start,
+            finish_us: finish,
+            deadline_us: deadline,
+            core: None,
+            stolen: false,
         }
     }
 
-    #[test]
-    fn sketch_relative_error_is_bounded() {
-        let mut s = LogSketch::new();
-        for v in 1..=10_000u64 {
-            s.record_us(v);
+    fn subframe(cell: u64, release: u64, start: u64, finish: u64, deadline: u64) -> TraceEvent {
+        task(cell, release, start, finish, deadline).to_event(None)
+    }
+
+    /// The live == post-hoc differential, through the wire format: a
+    /// one-shard fold over `events` must equal the sums over the
+    /// reference's critical paths of the same events exported to JSONL
+    /// and parsed back.
+    fn assert_fold_equals_reference(fold: &LiveFold, events: &[TraceEvent]) {
+        let parsed = parse_jsonl(&to_jsonl(events)).unwrap();
+        let paths = critical_paths(&parsed, fold.budget_us);
+        let mut blame = vec![[0u64; 4]; fold.cell_count()];
+        let mut misses = vec![0u64; fold.cell_count()];
+        for path in &paths {
+            let cell = path.cell as usize;
+            for (slot, stage) in blame[cell].iter_mut().zip(STAGE_NAMES) {
+                *slot += path.stage_us(stage);
+            }
+            misses[cell] += 1;
         }
-        for (q, truth) in [(0.5, 5000.0), (0.95, 9500.0), (0.99, 9900.0)] {
-            let est = s.try_quantile_us(q).unwrap() as f64;
-            let rel = (est - truth).abs() / truth;
-            assert!(rel <= 1.0 / SKETCH_SUBS as f64 + 0.01, "q={q} rel={rel}");
+        for cell in 0..fold.cell_count() {
+            assert_eq!(fold.cell_blame(cell), blame[cell], "cell {cell} blame");
+            assert_eq!(fold.cell_misses(cell), misses[cell], "cell {cell} misses");
         }
-        assert_eq!(s.try_quantile_us(0.0), Some(1));
-        assert_eq!(s.try_quantile_us(1.0), Some(10_000));
-        assert_eq!(LogSketch::new().try_quantile_us(0.5), None);
+        assert_eq!(fold.totals(), attribution_totals(&paths));
+        assert_eq!(fold.misses(), paths.len() as u64);
     }
 
     #[test]
     fn fold_attributes_misses_like_spans() {
         let events = vec![
-            subframe(900, 0, 100, 150, 900, 2000),     // on time
-            subframe(3120, 1, 1120, 1920, 3120, 3000), // missed
+            subframe(0, 100, 150, 900, 2000),    // on time
+            subframe(1, 1120, 1920, 3120, 3000), // missed
         ];
-        let mut fold = LiveFold::new(4, 2, crate::spans::DEFAULT_BUDGET_US);
+        let mut fold = LiveFold::new(4, 2, DEFAULT_BUDGET_US);
         let assignment = [Some(1), Some(0), None, None];
         fold.fold_shard(&events, 0, 0, &assignment);
         assert_eq!(fold.tasks(), 2);
@@ -981,20 +638,31 @@ mod tests {
         assert_eq!(top, vec![(1, 2120, 1)]);
         let by_link = fold.top_cells(8, Some(0));
         assert_eq!(by_link, vec![(1, 120, 1)]);
+        assert_eq!(fold.top_servers(8), vec![(0, 2000, 1), (1, 800, 1)]);
+        assert_fold_equals_reference(&fold, &events);
+    }
 
-        // The allocating twin agrees with the post-hoc oracle exactly.
-        let live = critical_paths_live(&events, crate::spans::DEFAULT_BUDGET_US);
-        let owned = crate::spans::events_from_trace(&events);
-        let posthoc = crate::spans::critical_paths(&owned, crate::spans::DEFAULT_BUDGET_US);
-        assert_eq!(live, posthoc);
-        let totals = crate::spans::attribution_totals(&posthoc);
-        assert_eq!(fold.totals(), totals);
+    #[test]
+    fn fold_skips_undecodable_subframes() {
+        let events = vec![
+            // Finishes before its release; stage arithmetic must not run.
+            subframe(0, 100, 50, 60, 10),
+            TraceEvent::new(70, Domain::Sim, "subframe", &[("cell", 1u64.into())]),
+            subframe(1, 1120, 1920, 3120, 3000),
+        ];
+        let mut fold = LiveFold::new(2, 1, DEFAULT_BUDGET_US);
+        fold.fold_shard(&events, 0, 0, &[Some(0), Some(0)]);
+        assert_eq!(fold.events(), 3);
+        assert_eq!(fold.tasks(), 1);
+        assert_eq!(fold.misses(), 1);
+        assert_eq!(fold.cell_latency(0).unwrap().count(), 0);
+        assert_fold_equals_reference(&fold, &events);
     }
 
     #[test]
     fn fold_merge_equals_single_fold() {
         let all: Vec<TraceEvent> = (0..20u64)
-            .map(|i| subframe(3000 + i, i % 4, 100 + i, 1500, 3000 + i * 10, 2100 + i))
+            .map(|i| subframe(i % 4, 100 + i, 1500, 3000 + i * 10, 2100 + i))
             .collect();
         let assignment = [Some(0), Some(1), Some(0), None];
         let mut whole = LiveFold::new(4, 2, 2000);
@@ -1024,29 +692,17 @@ mod tests {
                     ("tasks", 1u64.into()),
                 ],
             ),
-            TraceEvent::new(
-                4400,
-                Domain::Sim,
-                "subframe",
-                &[
-                    ("cell", 2u64.into()),
-                    ("release_us", 2100u64.into()),
-                    ("start_us", 2600u64.into()),
-                    ("finish_us", 4400u64.into()),
-                    ("deadline_us", 4000u64.into()),
-                    ("core", 3u64.into()),
-                    ("stolen", true.into()),
-                ],
-            ),
+            Subframe {
+                core: Some(3),
+                stolen: true,
+                ..task(2, 2100, 2600, 4400, 4000)
+            }
+            .to_event(None),
         ];
-        let live = critical_paths_live(&events, 2000);
-        let owned = crate::spans::events_from_trace(&events);
-        let posthoc = crate::spans::critical_paths(&owned, 2000);
-        assert_eq!(live, posthoc);
-        assert_eq!(live[0].stage_us("steal"), 100);
         let mut fold = LiveFold::new(4, 1, 2000);
         fold.fold_shard(&events, 0, 0, &[None, None, Some(0), None]);
         assert_eq!(fold.cell_blame(2), [100, 400, 100, 1800]);
+        assert_fold_equals_reference(&fold, &events);
     }
 
     #[test]

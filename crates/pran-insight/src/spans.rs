@@ -1,315 +1,23 @@
-//! Span-tree reconstruction and missed-deadline critical paths.
+//! Missed-deadline critical paths: the post-hoc reference.
 //!
-//! The telemetry exporter flattens every span into a single event (sim
-//! spans carry `start_us`/`finish_us` fields, wall-clock spans carry a
-//! `dur_us` field at their start timestamp), so the tree structure has
-//! to be rebuilt from interval containment. This module parses exported
-//! JSONL back into owned events, nests them into per-domain span
-//! forests, and — the question PRAN actually cares about — attributes
-//! every missed subframe deadline's latency to fronthaul delay, queue
-//! wait, steal overhead and kernel compute, exactly.
+//! The question PRAN actually cares about: for every subframe that
+//! missed its HARQ deadline, where did the budget go? [`critical_paths`]
+//! attributes each miss's latency to fronthaul delay, queue wait, steal
+//! overhead and kernel compute, exactly (the stages partition the task's
+//! life). It reads events only through [`EventView`], so the same
+//! function runs on raw in-process `TraceEvent`s and on
+//! `pran_telemetry::export::OwnedEvent`s parsed back from exported
+//! JSONL. Its arithmetic is deliberately independent of the streaming
+//! [`LiveFold`](crate::live::LiveFold): it is the reference the live
+//! fold is differentially tested against.
 
 use std::fmt::Write as _;
 
-use pran_telemetry::trace::{Domain, FieldValue, TraceEvent};
-use serde_json::Value;
+use pran_telemetry::{EventView, Subframe};
 
 /// The PRAN HARQ compute budget in microseconds: a subframe's deadline
 /// is its pool-arrival instant plus this budget.
 pub const DEFAULT_BUDGET_US: u64 = 2000;
-
-/// An owned scalar field value — the parsed form of
-/// [`pran_telemetry::trace::FieldValue`].
-///
-/// Values are kept in JSON-normal form: a non-negative signed integer
-/// becomes [`Scalar::U64`], matching what a JSONL round-trip produces.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Scalar {
-    /// Unsigned integer.
-    U64(u64),
-    /// Negative signed integer.
-    I64(i64),
-    /// Floating point.
-    F64(f64),
-    /// Boolean flag.
-    Bool(bool),
-    /// String label.
-    Str(String),
-}
-
-impl From<FieldValue> for Scalar {
-    fn from(v: FieldValue) -> Self {
-        match v {
-            FieldValue::U64(x) => Scalar::U64(x),
-            // JSON has one integer syntax; a non-negative i64 serializes
-            // to the same digits as a u64 and parses back as one.
-            FieldValue::I64(x) if x >= 0 => Scalar::U64(x as u64),
-            FieldValue::I64(x) => Scalar::I64(x),
-            FieldValue::F64(x) => Scalar::F64(x),
-            FieldValue::Bool(x) => Scalar::Bool(x),
-            FieldValue::Str(x) => Scalar::Str(x.to_string()),
-        }
-    }
-}
-
-/// An owned trace event: what [`pran_telemetry::trace::TraceEvent`]
-/// carries, detached from `&'static str` lifetimes so it can be parsed
-/// back out of an exported JSONL artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OwnedEvent {
-    /// Event timestamp in its domain's microseconds.
-    pub ts_us: u64,
-    /// Clock domain that stamped the event.
-    pub domain: Domain,
-    /// Event name.
-    pub name: String,
-    /// Field key/value pairs, first-occurrence order, duplicate keys
-    /// collapsed last-value-wins (mirroring the JSON object the exporter
-    /// writes).
-    pub fields: Vec<(String, Scalar)>,
-}
-
-impl OwnedEvent {
-    /// Convert a live [`TraceEvent`], normalizing fields the same way a
-    /// JSONL round-trip would.
-    pub fn from_trace(event: &TraceEvent) -> Self {
-        let mut fields: Vec<(String, Scalar)> = Vec::with_capacity(event.fields().len());
-        for (k, v) in event.fields() {
-            let scalar = Scalar::from(*v);
-            match fields.iter_mut().find(|(key, _)| key == k) {
-                Some((_, slot)) => *slot = scalar,
-                None => fields.push(((*k).to_string(), scalar)),
-            }
-        }
-        OwnedEvent {
-            ts_us: event.ts_us,
-            domain: event.domain,
-            name: event.name.to_string(),
-            fields,
-        }
-    }
-
-    /// Look up a field by key.
-    pub fn field(&self, key: &str) -> Option<&Scalar> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Field as `u64` (accepts a non-negative signed value).
-    pub fn field_u64(&self, key: &str) -> Option<u64> {
-        match self.field(key)? {
-            Scalar::U64(x) => Some(*x),
-            Scalar::I64(x) if *x >= 0 => Some(*x as u64),
-            _ => None,
-        }
-    }
-
-    /// Field as `f64` (accepts any numeric value).
-    pub fn field_f64(&self, key: &str) -> Option<f64> {
-        match self.field(key)? {
-            Scalar::U64(x) => Some(*x as f64),
-            Scalar::I64(x) => Some(*x as f64),
-            Scalar::F64(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// Field as string.
-    pub fn field_str(&self, key: &str) -> Option<&str> {
-        match self.field(key)? {
-            Scalar::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Field as bool.
-    pub fn field_bool(&self, key: &str) -> Option<bool> {
-        match self.field(key)? {
-            Scalar::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Convert a drained event buffer into owned events.
-pub fn events_from_trace(events: &[TraceEvent]) -> Vec<OwnedEvent> {
-    events.iter().map(OwnedEvent::from_trace).collect()
-}
-
-/// Parse canonical JSONL text (as written by
-/// [`pran_telemetry::export::write_jsonl`]) back into owned events.
-pub fn parse_jsonl(text: &str) -> Result<Vec<OwnedEvent>, String> {
-    let mut events = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let line_no = idx + 1;
-        let value: Value = serde_json::from_str(line)
-            .map_err(|e| format!("line {line_no}: not valid JSON: {e:?}"))?;
-        let ts_us = value
-            .get("ts_us")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("line {line_no}: missing unsigned `ts_us`"))?;
-        let domain = match value.get("domain").and_then(Value::as_str) {
-            Some("sim") => Domain::Sim,
-            Some("mono") => Domain::Mono,
-            other => return Err(format!("line {line_no}: bad domain {other:?}")),
-        };
-        let name = value
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {line_no}: missing string `name`"))?
-            .to_string();
-        let field_map = value
-            .get("fields")
-            .and_then(Value::as_object)
-            .ok_or_else(|| format!("line {line_no}: missing object `fields`"))?;
-        let mut fields = Vec::new();
-        for (key, field) in field_map.iter() {
-            let scalar = match field {
-                Value::Number(_) => {
-                    if let Some(u) = field.as_u64() {
-                        Scalar::U64(u)
-                    } else if let Some(i) = field.as_i64() {
-                        Scalar::I64(i)
-                    } else if let Some(f) = field.as_f64() {
-                        Scalar::F64(f)
-                    } else {
-                        return Err(format!("line {line_no}: field {key:?} bad number"));
-                    }
-                }
-                Value::Bool(b) => Scalar::Bool(*b),
-                Value::String(s) => Scalar::Str(s.clone()),
-                _ => return Err(format!("line {line_no}: field {key:?} is not scalar")),
-            };
-            fields.push((key.clone(), scalar));
-        }
-        events.push(OwnedEvent {
-            ts_us,
-            domain,
-            name,
-            fields,
-        });
-    }
-    Ok(events)
-}
-
-// ---------------------------------------------------------------------
-// Span forest
-// ---------------------------------------------------------------------
-
-/// One reconstructed span: an event re-read as a time interval, with
-/// the events it strictly contains nested beneath it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanNode {
-    /// Event name.
-    pub name: String,
-    /// Clock domain (children always share their parent's domain).
-    pub domain: Domain,
-    /// Interval start in domain microseconds.
-    pub start_us: u64,
-    /// Interval end in domain microseconds (equal to `start_us` for
-    /// instantaneous events).
-    pub end_us: u64,
-    /// The originating event's fields.
-    pub fields: Vec<(String, Scalar)>,
-    /// Spans nested inside this one, in start order.
-    pub children: Vec<SpanNode>,
-}
-
-impl SpanNode {
-    /// Interval length in microseconds.
-    pub fn duration_us(&self) -> u64 {
-        self.end_us - self.start_us
-    }
-
-    /// Total node count of this subtree, including self.
-    pub fn span_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(SpanNode::span_count)
-            .sum::<usize>()
-    }
-}
-
-/// The interval an event covers, per the exporter's span encodings:
-/// `start_us`/`finish_us` fields (sim spans, e.g. `subframe`), a
-/// `dur_us` field starting at the event timestamp (wall-clock spans),
-/// or an instant at the timestamp otherwise.
-fn interval(event: &OwnedEvent) -> (u64, u64) {
-    if let (Some(start), Some(finish)) = (event.field_u64("start_us"), event.field_u64("finish_us"))
-    {
-        return (start, finish.max(start));
-    }
-    if let Some(dur) = event.field_u64("dur_us") {
-        return (event.ts_us, event.ts_us.saturating_add(dur));
-    }
-    (event.ts_us, event.ts_us)
-}
-
-/// Reconstruct the span forest of an event stream.
-///
-/// Events are grouped by clock domain (intervals in different domains
-/// are incomparable), then nested by interval containment: an event
-/// becomes a child of the tightest earlier-starting interval that fully
-/// contains it. Roots come out ordered sim-domain first, then by start
-/// time.
-pub fn build_span_forest(events: &[OwnedEvent]) -> Vec<SpanNode> {
-    let mut nodes: Vec<SpanNode> = events
-        .iter()
-        .map(|e| {
-            let (start_us, end_us) = interval(e);
-            SpanNode {
-                name: e.name.clone(),
-                domain: e.domain,
-                start_us,
-                end_us,
-                fields: e.fields.clone(),
-                children: Vec::new(),
-            }
-        })
-        .collect();
-    // Wider intervals first at equal start so a parent precedes the
-    // children it contains; name breaks exact ties deterministically.
-    nodes.sort_by(|a, b| {
-        (a.domain, a.start_us, std::cmp::Reverse(a.end_us), &a.name).cmp(&(
-            b.domain,
-            b.start_us,
-            std::cmp::Reverse(b.end_us),
-            &b.name,
-        ))
-    });
-
-    let mut roots: Vec<SpanNode> = Vec::new();
-    let mut stack: Vec<SpanNode> = Vec::new();
-    let close_until =
-        |stack: &mut Vec<SpanNode>, roots: &mut Vec<SpanNode>, node: Option<&SpanNode>| {
-            while let Some(top) = stack.last() {
-                let contains = node.is_some_and(|n| {
-                    n.domain == top.domain && n.start_us >= top.start_us && n.end_us <= top.end_us
-                });
-                if contains {
-                    break;
-                }
-                let closed = stack.pop().expect("stack non-empty");
-                match stack.last_mut() {
-                    Some(parent) => parent.children.push(closed),
-                    None => roots.push(closed),
-                }
-            }
-        };
-    for node in nodes {
-        close_until(&mut stack, &mut roots, Some(&node));
-        stack.push(node);
-    }
-    close_until(&mut stack, &mut roots, None);
-    roots
-}
-
-// ---------------------------------------------------------------------
-// Missed-deadline critical paths
-// ---------------------------------------------------------------------
 
 /// One stage of a missed subframe's critical path: a contiguous
 /// `[from_us, to_us]` slice of the task's life.
@@ -407,30 +115,30 @@ pub const STAGE_NAMES: [&str; 4] = ["fronthaul", "queue", "steal", "compute"];
 /// - **steal** — steal instant → start, for tasks a `rt.steal` event
 ///   shows were grabbed by another core;
 /// - **compute** — start → finish: kernel execution.
-pub fn critical_paths(events: &[OwnedEvent], budget_us: u64) -> Vec<CriticalPath> {
+pub fn critical_paths<E: EventView>(events: &[E], budget_us: u64) -> Vec<CriticalPath> {
     // (thief core, steal timestamp) pairs, for matching stolen tasks.
     let steals: Vec<(u64, u64)> = events
         .iter()
-        .filter(|e| e.name == "rt.steal")
-        .filter_map(|e| Some((e.field_u64("thief")?, e.ts_us)))
+        .filter(|e| e.name() == "rt.steal")
+        .filter_map(|e| Some((e.field_u64("thief")?, e.ts_us())))
         .collect();
 
     let mut paths = Vec::new();
-    for event in events.iter().filter(|e| e.name == "subframe") {
-        let (Some(cell), Some(release), Some(start), Some(finish), Some(deadline)) = (
-            event.field_u64("cell"),
-            event.field_u64("release_us"),
-            event.field_u64("start_us"),
-            event.field_u64("finish_us"),
-            event.field_u64("deadline_us"),
-        ) else {
-            continue;
-        };
-        if finish <= deadline {
+    // Records that do not decode (see `Subframe::decode`) are skipped:
+    // `validate_jsonl` is where they get reported.
+    for task in events.iter().filter_map(|e| Subframe::decode(e)?.ok()) {
+        if !task.missed() {
             continue;
         }
-        let core = event.field_u64("core");
-        let stolen = event.field_bool("stolen").unwrap_or(false);
+        let Subframe {
+            cell,
+            release_us: release,
+            start_us: start,
+            finish_us: finish,
+            deadline_us: deadline,
+            core,
+            stolen,
+        } = task;
         // Workloads with fronthaul-tightened deadlines can put
         // `deadline − budget` past the release; clamp so the fronthaul
         // stage never runs backwards.
@@ -567,171 +275,46 @@ pub fn attribution_table(paths: &[CriticalPath]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pran_telemetry::trace::{Domain, TraceEvent};
 
-    fn sim(name: &'static str, ts: u64, fields: &[(&'static str, FieldValue)]) -> OwnedEvent {
-        OwnedEvent::from_trace(&TraceEvent::new(ts, Domain::Sim, name, fields))
-    }
-
-    #[test]
-    fn scalar_normalizes_nonnegative_i64() {
-        assert_eq!(Scalar::from(FieldValue::I64(5)), Scalar::U64(5));
-        assert_eq!(Scalar::from(FieldValue::I64(-5)), Scalar::I64(-5));
-        assert_eq!(Scalar::from(FieldValue::U64(7)), Scalar::U64(7));
-    }
-
-    #[test]
-    fn parse_jsonl_roundtrips_events() {
-        let events = vec![
-            TraceEvent::new(
-                10,
-                Domain::Sim,
-                "subframe",
-                &[
-                    ("cell", 3u64.into()),
-                    ("release_us", 10u64.into()),
-                    ("start_us", 12u64.into()),
-                    ("finish_us", 40u64.into()),
-                    ("deadline_us", 2010u64.into()),
-                ],
-            ),
-            TraceEvent::new(
-                5,
-                Domain::Mono,
-                "ctrl.predict",
-                &[("dur_us", 30u64.into()), ("ok", true.into())],
-            ),
-        ];
-        let text = pran_telemetry::export::to_jsonl(&events);
-        let parsed = parse_jsonl(&text).unwrap();
-        // to_jsonl sorts by (ts, text); our events sort mono-5 first.
-        assert_eq!(parsed.len(), 2);
-        let owned = events_from_trace(&events);
-        for event in owned {
-            assert!(parsed.contains(&event), "{event:?} lost in round-trip");
+    fn task(cell: u64, release: u64, start: u64, finish: u64, deadline: u64) -> Subframe {
+        Subframe {
+            cell,
+            release_us: release,
+            start_us: start,
+            finish_us: finish,
+            deadline_us: deadline,
+            core: None,
+            stolen: false,
         }
-        assert!(parse_jsonl("not json\n").is_err());
-    }
-
-    #[test]
-    fn forest_nests_by_containment() {
-        let events = vec![
-            sim(
-                "epoch",
-                0,
-                &[("start_us", 0u64.into()), ("finish_us", 100u64.into())],
-            ),
-            sim(
-                "solve",
-                0,
-                &[("start_us", 10u64.into()), ("finish_us", 50u64.into())],
-            ),
-            sim(
-                "kernel",
-                0,
-                &[("start_us", 20u64.into()), ("finish_us", 30u64.into())],
-            ),
-            sim(
-                "apply",
-                0,
-                &[("start_us", 60u64.into()), ("finish_us", 90u64.into())],
-            ),
-            sim("tick", 95, &[]),
-            sim(
-                "later",
-                0,
-                &[("start_us", 200u64.into()), ("finish_us", 250u64.into())],
-            ),
-        ];
-        let forest = build_span_forest(&events);
-        assert_eq!(forest.len(), 2);
-        let epoch = &forest[0];
-        assert_eq!(epoch.name, "epoch");
-        assert_eq!(epoch.span_count(), 5);
-        let names: Vec<&str> = epoch.children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, ["solve", "apply", "tick"]);
-        assert_eq!(epoch.children[0].children[0].name, "kernel");
-        assert_eq!(forest[1].name, "later");
-    }
-
-    #[test]
-    fn forest_keeps_domains_apart() {
-        let events = vec![
-            sim(
-                "big",
-                0,
-                &[("start_us", 0u64.into()), ("finish_us", 100u64.into())],
-            ),
-            OwnedEvent::from_trace(&TraceEvent::new(
-                10,
-                Domain::Mono,
-                "wall",
-                &[("dur_us", 20u64.into())],
-            )),
-        ];
-        let forest = build_span_forest(&events);
-        // The mono span is inside [0,100] numerically but must not nest
-        // under a sim-domain parent.
-        assert_eq!(forest.len(), 2);
-        assert_eq!(forest[0].domain, Domain::Sim);
-        assert_eq!(forest[1].domain, Domain::Mono);
-        assert_eq!(forest[1].start_us, 10);
-        assert_eq!(forest[1].end_us, 30);
     }
 
     #[test]
     fn critical_path_attribution_is_exact() {
         let budget = DEFAULT_BUDGET_US;
+        let on_core = |core, stolen, task| Subframe {
+            core: Some(core),
+            stolen,
+            ..task
+        };
         let events = vec![
             // On time: not reported.
-            sim(
-                "subframe",
-                900,
-                &[
-                    ("cell", 0u64.into()),
-                    ("release_us", 100u64.into()),
-                    ("start_us", 150u64.into()),
-                    ("finish_us", 900u64.into()),
-                    ("deadline_us", 2000u64.into()),
-                ],
-            ),
+            task(0, 100, 150, 900, 2000).to_event(None),
             // Missed, not stolen: arrival 1000, fronthaul 120, queue
             // 800, compute 1200 ⇒ finish 3120 > deadline 3000.
-            sim(
-                "subframe",
-                3120,
-                &[
-                    ("cell", 1u64.into()),
-                    ("release_us", 1120u64.into()),
-                    ("start_us", 1920u64.into()),
-                    ("finish_us", 3120u64.into()),
-                    ("deadline_us", 3000u64.into()),
-                    ("core", 2u64.into()),
-                    ("stolen", false.into()),
-                ],
-            ),
+            on_core(2, false, task(1, 1120, 1920, 3120, 3000)).to_event(None),
             // Missed and stolen by core 3 at t=2500.
-            sim(
-                "rt.steal",
+            TraceEvent::new(
                 2500,
+                Domain::Sim,
+                "rt.steal",
                 &[
                     ("thief", 3u64.into()),
                     ("home", 0u64.into()),
                     ("tasks", 1u64.into()),
                 ],
             ),
-            sim(
-                "subframe",
-                4400,
-                &[
-                    ("cell", 2u64.into()),
-                    ("release_us", 2100u64.into()),
-                    ("start_us", 2600u64.into()),
-                    ("finish_us", 4400u64.into()),
-                    ("deadline_us", 4000u64.into()),
-                    ("core", 3u64.into()),
-                    ("stolen", true.into()),
-                ],
-            ),
+            on_core(3, true, task(2, 2100, 2600, 4400, 4000)).to_event(None),
         ];
         let paths = critical_paths(&events, budget);
         assert_eq!(paths.len(), 2);
@@ -769,17 +352,7 @@ mod tests {
         // deadline − budget (2100) would land past release (2050):
         // arrival clamps to release, fronthaul reads zero, and the
         // attribution identity still holds.
-        let events = vec![sim(
-            "subframe",
-            4200,
-            &[
-                ("cell", 0u64.into()),
-                ("release_us", 2050u64.into()),
-                ("start_us", 2050u64.into()),
-                ("finish_us", 4200u64.into()),
-                ("deadline_us", 4100u64.into()),
-            ],
-        )];
+        let events = [task(0, 2050, 2050, 4200, 4100).to_event(None)];
         let paths = critical_paths(&events, DEFAULT_BUDGET_US);
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].arrival_us, 2050);

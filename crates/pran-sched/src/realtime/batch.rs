@@ -270,18 +270,16 @@ pub fn simulate_into(
         for i in 0..n {
             let finish = out.finish_ns[i] / 1_000;
             let service = batch.service_ns[i] / 1_000;
-            pran_telemetry::trace::sim_event(
-                "subframe",
-                finish,
-                &[
-                    ("cell", (batch.cell[i] as usize).into()),
-                    ("release_us", (batch.release_ns[i] / 1_000).into()),
-                    ("start_us", finish.saturating_sub(service).into()),
-                    ("finish_us", finish.into()),
-                    ("deadline_us", (batch.deadline_ns[i] / 1_000).into()),
-                    ("policy", policy.label().into()),
-                ],
-            );
+            pran_telemetry::Subframe {
+                cell: u64::from(batch.cell[i]),
+                release_us: batch.release_ns[i] / 1_000,
+                start_us: finish.saturating_sub(service),
+                finish_us: finish,
+                deadline_us: batch.deadline_ns[i] / 1_000,
+                core: None,
+                stolen: false,
+            }
+            .emit(Some(policy.label()));
         }
     }
 }

@@ -183,18 +183,16 @@ pub fn simulate(tasks: &[RtTask], cores: usize, policy: Policy) -> SimOutcome {
         for t in tasks {
             let finish = out.finish[t.id].as_micros() as u64;
             let service = t.service.as_micros() as u64;
-            pran_telemetry::trace::sim_event(
-                "subframe",
-                finish,
-                &[
-                    ("cell", t.cell.into()),
-                    ("release_us", (t.release.as_micros() as u64).into()),
-                    ("start_us", finish.saturating_sub(service).into()),
-                    ("finish_us", finish.into()),
-                    ("deadline_us", (t.deadline.as_micros() as u64).into()),
-                    ("policy", policy.label().into()),
-                ],
-            );
+            pran_telemetry::Subframe {
+                cell: t.cell as u64,
+                release_us: t.release.as_micros() as u64,
+                start_us: finish.saturating_sub(service),
+                finish_us: finish,
+                deadline_us: t.deadline.as_micros() as u64,
+                core: None,
+                stolen: false,
+            }
+            .emit(Some(policy.label()));
         }
     }
     out

@@ -420,19 +420,16 @@ impl ParallelExecutor {
                     core.busy += service;
                     core.clock = finish;
                     if telemetry_on {
-                        pran_telemetry::trace::sim_event(
-                            "subframe",
-                            finish,
-                            &[
-                                ("cell", (tasks.cell[id] as usize).into()),
-                                ("release_us", release.into()),
-                                ("start_us", start.into()),
-                                ("finish_us", finish.into()),
-                                ("deadline_us", deadline.into()),
-                                ("core", c.into()),
-                                ("stolen", stolen.into()),
-                            ],
-                        );
+                        pran_telemetry::Subframe {
+                            cell: u64::from(tasks.cell[id]),
+                            release_us: release,
+                            start_us: start,
+                            finish_us: finish,
+                            deadline_us: deadline,
+                            core: Some(c as u64),
+                            stolen,
+                        }
+                        .emit(None);
                     }
                     out.tasks[id] = TaskOutcome {
                         id,

@@ -1,10 +1,18 @@
-//! Exporters: JSON-lines trace dumps, schema validation, the
-//! per-subframe latency breakdown and human-readable summary tables.
+//! The JSONL trace format, both ways, plus the per-subframe latency
+//! breakdown and human-readable summary tables.
 //!
-//! The JSONL export is canonical: events are serialized with a fixed key
-//! order and sorted by `(timestamp, serialized text)`, so the byte output
-//! is independent of which thread drained which buffer first. Two
-//! deterministic simulated runs therefore produce byte-identical files.
+//! **Writing.** The export is canonical: events are serialized with a
+//! fixed key order and sorted by `(timestamp, serialized text)`, so the
+//! byte output is independent of which thread drained which buffer
+//! first. Two deterministic simulated runs therefore produce
+//! byte-identical files.
+//!
+//! **Reading.** One line parser turns exported text back into
+//! [`OwnedEvent`]s; [`parse_jsonl`], [`validate_jsonl`] and
+//! [`breakdown_from_jsonl`] are that parser plus, respectively, nothing,
+//! the per-event-name rules, and [`Subframe::decode`]. Owned and raw
+//! events answer the same [`EventView`] questions, so analyses run
+//! unchanged on either side of the round trip.
 
 use std::fmt::Write as _;
 use std::io;
@@ -14,7 +22,8 @@ use std::time::Duration;
 use serde_json::{Map, Number, Value};
 
 use crate::metrics::{InstrumentValue, LogHistogram, RegistrySnapshot};
-use crate::trace::{FieldValue, TraceEvent};
+use crate::subframe::Subframe;
+use crate::trace::{Domain, EventView, FieldValue, TraceEvent};
 
 /// Serialize one event as a JSON object with fixed key order
 /// (`ts_us`, `domain`, `name`, `fields`).
@@ -63,49 +72,212 @@ pub fn write_jsonl(path: impl AsRef<Path>, events: &[TraceEvent]) -> io::Result<
     Ok(events.len())
 }
 
-fn check_line(line_no: usize, line: &str) -> Result<(), String> {
-    let value: Value =
-        serde_json::from_str(line).map_err(|e| format!("line {line_no}: not valid JSON: {e:?}"))?;
-    let obj = value
-        .as_object()
-        .ok_or_else(|| format!("line {line_no}: not a JSON object"))?;
-    obj.get("ts_us")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("line {line_no}: missing unsigned `ts_us`"))?;
-    let domain = obj
-        .get("domain")
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("line {line_no}: missing string `domain`"))?;
-    if domain != "sim" && domain != "mono" {
-        return Err(format!("line {line_no}: bad domain {domain:?}"));
+// ---------------------------------------------------------------------
+// Reading JSONL back
+// ---------------------------------------------------------------------
+
+/// An owned scalar field value — the parsed form of [`FieldValue`].
+///
+/// Values are kept in JSON-normal form: a non-negative signed integer
+/// becomes [`Scalar::U64`], matching what a JSONL round-trip produces.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar {
+    /// Unsigned integer.
+    U64(u64),
+    /// Negative signed integer.
+    I64(i64),
+    /// Floating point.
+    F64(f64),
+    /// Boolean flag.
+    Bool(bool),
+    /// String label.
+    Str(String),
+}
+
+impl From<FieldValue> for Scalar {
+    fn from(v: FieldValue) -> Self {
+        match v {
+            FieldValue::U64(x) => Scalar::U64(x),
+            // JSON has one integer syntax; a non-negative i64 serializes
+            // to the same digits as a u64 and parses back as one.
+            FieldValue::I64(x) if x >= 0 => Scalar::U64(x as u64),
+            FieldValue::I64(x) => Scalar::I64(x),
+            FieldValue::F64(x) => Scalar::F64(x),
+            FieldValue::Bool(x) => Scalar::Bool(x),
+            FieldValue::Str(x) => Scalar::Str(x.to_string()),
+        }
     }
+}
+
+/// An owned trace event: what a [`TraceEvent`] carries, detached from
+/// `&'static str` lifetimes so it can be parsed back out of an exported
+/// JSONL artifact.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OwnedEvent {
+    /// Event timestamp in its domain's microseconds.
+    pub ts_us: u64,
+    /// Clock domain that stamped the event.
+    pub domain: Domain,
+    /// Event name.
+    pub name: String,
+    /// Field key/value pairs, first-occurrence order, duplicate keys
+    /// collapsed last-value-wins (mirroring the JSON object the exporter
+    /// writes).
+    pub fields: Vec<(String, Scalar)>,
+}
+
+impl OwnedEvent {
+    /// Convert a live [`TraceEvent`], normalizing fields the same way a
+    /// JSONL round-trip would.
+    pub fn from_trace(event: &TraceEvent) -> Self {
+        let mut fields: Vec<(String, Scalar)> = Vec::with_capacity(event.fields().len());
+        for (k, v) in event.fields() {
+            let scalar = Scalar::from(*v);
+            match fields.iter_mut().find(|(key, _)| key == k) {
+                Some((_, slot)) => *slot = scalar,
+                None => fields.push(((*k).to_string(), scalar)),
+            }
+        }
+        OwnedEvent {
+            ts_us: event.ts_us,
+            domain: event.domain,
+            name: event.name.to_string(),
+            fields,
+        }
+    }
+
+    /// Look up a field by key.
+    pub fn field(&self, key: &str) -> Option<&Scalar> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Field as `f64` (accepts any numeric value).
+    pub fn field_f64(&self, key: &str) -> Option<f64> {
+        match self.field(key)? {
+            Scalar::U64(x) => Some(*x as f64),
+            Scalar::I64(x) => Some(*x as f64),
+            Scalar::F64(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// Field as string.
+    pub fn field_str(&self, key: &str) -> Option<&str> {
+        match self.field(key)? {
+            Scalar::Str(s) => Some(s.as_str()),
+            _ => None,
+        }
+    }
+}
+
+impl EventView for OwnedEvent {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn ts_us(&self) -> u64 {
+        self.ts_us
+    }
+    fn field_u64(&self, key: &str) -> Option<u64> {
+        match self.field(key)? {
+            Scalar::U64(x) => Some(*x),
+            Scalar::I64(x) => u64::try_from(*x).ok(),
+            _ => None,
+        }
+    }
+    fn field_bool(&self, key: &str) -> Option<bool> {
+        match self.field(key)? {
+            Scalar::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// Convert a drained event buffer into owned events.
+pub fn events_from_trace(events: &[TraceEvent]) -> Vec<OwnedEvent> {
+    events.iter().map(OwnedEvent::from_trace).collect()
+}
+
+/// Parse one JSONL line against the event schema — the only place
+/// exported text is turned back into JSON.
+fn parse_line(line: &str) -> Result<OwnedEvent, String> {
+    let value: Value = serde_json::from_str(line).map_err(|e| format!("not valid JSON: {e:?}"))?;
+    let obj = value.as_object().ok_or("not a JSON object")?;
+    let ts_us = obj
+        .get("ts_us")
+        .and_then(Value::as_u64)
+        .ok_or("missing unsigned `ts_us`")?;
+    let domain = match obj.get("domain").and_then(Value::as_str) {
+        Some("sim") => Domain::Sim,
+        Some("mono") => Domain::Mono,
+        Some(other) => return Err(format!("bad domain {other:?}")),
+        None => return Err("missing string `domain`".to_string()),
+    };
     let name = obj
         .get("name")
         .and_then(Value::as_str)
-        .ok_or_else(|| format!("line {line_no}: missing string `name`"))?;
+        .ok_or("missing string `name`")?;
     if name.is_empty() {
-        return Err(format!("line {line_no}: empty event name"));
+        return Err("empty event name".to_string());
     }
-    let fields = obj
+    let field_map = obj
         .get("fields")
         .and_then(Value::as_object)
-        .ok_or_else(|| format!("line {line_no}: missing object `fields`"))?;
-    for (key, field) in fields.iter() {
-        let ok = matches!(field, Value::Number(_) | Value::Bool(_) | Value::String(_));
-        if !ok {
-            return Err(format!("line {line_no}: field {key:?} is not scalar"));
+        .ok_or("missing object `fields`")?;
+    let mut fields = Vec::with_capacity(field_map.len());
+    for (key, field) in field_map.iter() {
+        let scalar = match field {
+            Value::Number(Number::U64(u)) => Scalar::U64(*u),
+            // Mirror `Scalar::from(FieldValue)`: JSON-normal integers.
+            Value::Number(Number::I64(i)) => u64::try_from(*i).map_or(Scalar::I64(*i), Scalar::U64),
+            Value::Number(Number::F64(f)) => Scalar::F64(*f),
+            Value::Bool(b) => Scalar::Bool(*b),
+            Value::String(s) => Scalar::Str(s.clone()),
+            _ => return Err(format!("field {key:?} is not scalar")),
+        };
+        fields.push((key.clone(), scalar));
+    }
+    Ok(OwnedEvent {
+        ts_us,
+        domain,
+        name: name.to_string(),
+        fields,
+    })
+}
+
+/// Parse every non-blank line of `text` and hand the event to `rule`;
+/// the first error, from either, comes back naming its 1-based line.
+fn for_each_event(
+    text: &str,
+    mut rule: impl FnMut(OwnedEvent) -> Result<(), String>,
+) -> Result<(), String> {
+    for (idx, line) in text.lines().enumerate() {
+        if !line.trim().is_empty() {
+            parse_line(line)
+                .and_then(&mut rule)
+                .map_err(|e| format!("line {}: {e}", idx + 1))?;
         }
     }
-    if name == "subframe" {
-        for required in ["cell", "release_us", "start_us", "finish_us", "deadline_us"] {
-            if fields.get(required).and_then(Value::as_u64).is_none() {
-                return Err(format!(
-                    "line {line_no}: subframe event missing numeric {required:?}"
-                ));
-            }
-        }
+    Ok(())
+}
+
+/// Parse canonical JSONL text (as written by [`write_jsonl`]) back into
+/// owned events. Checks the line schema only; what a given event name
+/// must carry is [`validate_jsonl`]'s business.
+pub fn parse_jsonl(text: &str) -> Result<Vec<OwnedEvent>, String> {
+    let mut events = Vec::new();
+    for_each_event(text, |event| {
+        events.push(event);
+        Ok(())
+    })?;
+    Ok(events)
+}
+
+/// The per-event-name rules on top of the line schema.
+fn check_event(event: &OwnedEvent) -> Result<(), String> {
+    if let Some(subframe) = Subframe::decode(event) {
+        subframe.map_err(|e| e.to_string())?;
     }
-    if name == "chaos.violation" {
+    if event.name == "chaos.violation" {
         const KINDS: [&str; 5] = [
             "placement_valid",
             "capacity_bound",
@@ -113,27 +285,20 @@ fn check_line(line_no: usize, line: &str) -> Result<(), String> {
             "miss_ratio_exceeded",
             "restore_fidelity",
         ];
-        let kind = fields
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {line_no}: chaos.violation missing string `kind`"))?;
+        let kind = event
+            .field_str("kind")
+            .ok_or("chaos.violation missing string `kind`")?;
         if !KINDS.contains(&kind) {
-            return Err(format!(
-                "line {line_no}: chaos.violation has unknown kind {kind:?}"
-            ));
+            return Err(format!("chaos.violation has unknown kind {kind:?}"));
         }
     }
-    if name == "insight.alert" {
-        if fields.get("metric").and_then(Value::as_str).is_none() {
-            return Err(format!(
-                "line {line_no}: insight.alert missing string `metric`"
-            ));
+    if event.name == "insight.alert" {
+        if event.field_str("metric").is_none() {
+            return Err("insight.alert missing string `metric`".to_string());
         }
         for required in ["value", "threshold"] {
-            if fields.get(required).and_then(Value::as_f64).is_none() {
-                return Err(format!(
-                    "line {line_no}: insight.alert missing numeric {required:?}"
-                ));
+            if event.field_f64(required).is_none() {
+                return Err(format!("insight.alert missing numeric {required:?}"));
             }
         }
     }
@@ -145,20 +310,18 @@ fn check_line(line_no: usize, line: &str) -> Result<(), String> {
 ///
 /// Schema: every line is an object with unsigned `ts_us`, `domain` of
 /// `"sim"`/`"mono"`, non-empty string `name` and an object `fields` of
-/// scalar values; `subframe` events additionally carry numeric `cell`,
-/// `release_us`, `start_us`, `finish_us` and `deadline_us`;
+/// scalar values; `subframe` events additionally decode as a
+/// [`Subframe`] (numeric `cell`, `release_us`, `start_us`, `finish_us`
+/// and `deadline_us`, finishing no earlier than their release);
 /// `chaos.violation` events carry a string `kind` naming one of the five
 /// chaos invariants; `insight.alert` events carry a string `metric` plus
 /// numeric `value` and `threshold`.
 pub fn validate_jsonl(text: &str) -> Result<usize, String> {
     let mut count = 0usize;
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        check_line(idx + 1, line)?;
+    for_each_event(text, |event| {
         count += 1;
-    }
+        check_event(&event)
+    })?;
     Ok(count)
 }
 
@@ -178,76 +341,41 @@ pub struct LatencyBreakdown {
     pub slack: LogHistogram,
 }
 
-fn accumulate(
-    breakdown: &mut LatencyBreakdown,
-    release: u64,
-    start: u64,
-    finish: u64,
-    deadline: u64,
-) {
-    breakdown.tasks += 1;
-    breakdown
-        .queue
-        .record(Duration::from_micros(start.saturating_sub(release)));
-    breakdown
-        .service
-        .record(Duration::from_micros(finish.saturating_sub(start)));
-    if finish > deadline {
-        breakdown.misses += 1;
-    } else {
-        breakdown
-            .slack
-            .record(Duration::from_micros(deadline - finish));
+impl LatencyBreakdown {
+    fn accumulate(&mut self, task: &Subframe) {
+        self.tasks += 1;
+        self.queue
+            .record_us(task.start_us.saturating_sub(task.release_us));
+        self.service
+            .record_us(task.finish_us.saturating_sub(task.start_us));
+        if task.missed() {
+            self.misses += 1;
+        } else {
+            self.slack.record_us(task.deadline_us - task.finish_us);
+        }
     }
 }
 
-/// Build the latency breakdown from in-memory `subframe` events.
+/// Build the latency breakdown from in-memory `subframe` events
+/// (records that do not decode are skipped).
 pub fn subframe_breakdown(events: &[TraceEvent]) -> LatencyBreakdown {
     let mut breakdown = LatencyBreakdown::default();
-    for event in events.iter().filter(|e| e.name == "subframe") {
-        let (Some(release), Some(start), Some(finish), Some(deadline)) = (
-            event.field_u64("release_us"),
-            event.field_u64("start_us"),
-            event.field_u64("finish_us"),
-            event.field_u64("deadline_us"),
-        ) else {
-            continue;
-        };
-        accumulate(&mut breakdown, release, start, finish, deadline);
+    for task in events.iter().filter_map(|e| Subframe::decode(e)?.ok()) {
+        breakdown.accumulate(&task);
     }
     breakdown
 }
 
-/// Build the latency breakdown back from exported JSONL text.
+/// Build the latency breakdown back from exported JSONL text; a
+/// `subframe` line that does not decode is an error.
 pub fn breakdown_from_jsonl(text: &str) -> Result<LatencyBreakdown, String> {
     let mut breakdown = LatencyBreakdown::default();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    for_each_event(text, |event| {
+        if let Some(task) = Subframe::decode(&event) {
+            breakdown.accumulate(&task.map_err(|e| e.to_string())?);
         }
-        let value: Value = serde_json::from_str(line)
-            .map_err(|e| format!("line {}: not valid JSON: {e:?}", idx + 1))?;
-        if value.get("name").and_then(Value::as_str) != Some("subframe") {
-            continue;
-        }
-        let fields = value
-            .get("fields")
-            .and_then(Value::as_object)
-            .ok_or_else(|| format!("line {}: subframe without fields", idx + 1))?;
-        let num = |key: &str| {
-            fields
-                .get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("line {}: subframe missing {key:?}", idx + 1))
-        };
-        accumulate(
-            &mut breakdown,
-            num("release_us")?,
-            num("start_us")?,
-            num("finish_us")?,
-            num("deadline_us")?,
-        );
-    }
+        Ok(())
+    })?;
     Ok(breakdown)
 }
 
@@ -345,29 +473,61 @@ pub fn breakdown_table(breakdown: &LatencyBreakdown) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Domain;
     use crate::Registry;
 
-    fn subframe(ts: u64, cell: u64, release: u64, start: u64, finish: u64, dl: u64) -> TraceEvent {
-        TraceEvent::new(
-            ts,
-            Domain::Sim,
-            "subframe",
-            &[
-                ("cell", cell.into()),
-                ("release_us", release.into()),
-                ("start_us", start.into()),
-                ("finish_us", finish.into()),
-                ("deadline_us", dl.into()),
-            ],
-        )
+    fn subframe(cell: u64, release: u64, start: u64, finish: u64, dl: u64) -> TraceEvent {
+        Subframe {
+            cell,
+            release_us: release,
+            start_us: start,
+            finish_us: finish,
+            deadline_us: dl,
+            core: None,
+            stolen: false,
+        }
+        .to_event(None)
+    }
+
+    #[test]
+    fn scalar_normalizes_nonnegative_i64() {
+        assert_eq!(Scalar::from(FieldValue::I64(5)), Scalar::U64(5));
+        assert_eq!(Scalar::from(FieldValue::I64(-5)), Scalar::I64(-5));
+        assert_eq!(Scalar::from(FieldValue::U64(7)), Scalar::U64(7));
+    }
+
+    #[test]
+    fn parse_jsonl_roundtrips_events() {
+        let events = vec![
+            subframe(3, 10, 12, 40, 2010),
+            TraceEvent::new(
+                5,
+                Domain::Mono,
+                "ctrl.predict",
+                &[
+                    ("dur_us", 30u64.into()),
+                    ("ok", true.into()),
+                    ("slack", (-4i64).into()),
+                    ("gain", 0.5f64.into()),
+                    ("kind", "warm".into()),
+                ],
+            ),
+        ];
+        let parsed = parse_jsonl(&to_jsonl(&events)).unwrap();
+        // to_jsonl sorts by (ts, text): the mono event at 5 comes first.
+        let mut owned = events_from_trace(&events);
+        owned.reverse();
+        assert_eq!(parsed, owned);
+        assert_eq!(parsed[0].field_bool("ok"), Some(true));
+        assert_eq!(parsed[0].field_u64("slack"), None);
+        assert_eq!(parsed[0].field_f64("slack"), Some(-4.0));
+        assert!(parse_jsonl("not json\n").is_err());
     }
 
     #[test]
     fn jsonl_is_sorted_and_valid() {
         let events = vec![
-            subframe(500, 1, 400, 450, 500, 2400),
-            subframe(100, 0, 0, 20, 100, 2000),
+            subframe(1, 400, 450, 500, 2400),
+            subframe(0, 0, 20, 100, 2000),
             TraceEvent::new(100, Domain::Sim, "pool.epoch", &[("epoch", 1u64.into())]),
         ];
         let text = to_jsonl(&events);
@@ -430,9 +590,9 @@ mod tests {
     fn breakdown_reconstructs_from_jsonl() {
         let events = vec![
             // queue 50, service 150, slack 1800
-            subframe(200, 0, 0, 50, 200, 2000),
+            subframe(0, 0, 50, 200, 2000),
             // queue 100, service 400, miss (finish 2500 > deadline 2400)
-            subframe(2500, 1, 2000, 2100, 2500, 2400),
+            subframe(1, 2000, 2100, 2500, 2400),
         ];
         let direct = subframe_breakdown(&events);
         let text = to_jsonl(&events);

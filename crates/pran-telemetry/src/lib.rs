@@ -10,10 +10,16 @@
 //!   disabled). Events carry either *simulated* timestamps supplied by the
 //!   caller (deterministic under the virtual-clock executor) or *monotonic*
 //!   wall-clock timestamps for real execution;
-//! * [`metrics`] — a registry of named, labeled counters, gauges and
-//!   [`metrics::LogHistogram`]s (promoted here from `pran-sim`);
-//! * [`export`] — JSON-lines trace dumps, human-readable summary tables
-//!   and the per-subframe latency breakdown (queue wait → kernel compute →
+//! * [`subframe`] — the one definition of the `subframe` record every
+//!   scheduler emits and every analysis reads: [`Subframe::emit`] writes
+//!   it, [`Subframe::decode`] reads it from raw or parsed-back events;
+//! * [`metrics`] — the one log-bucket histogram ([`metrics::LogBuckets`],
+//!   instantiated as [`LogHistogram`] and as `pran-insight`'s finer
+//!   `LogSketch`) and a registry of named, labeled counters, gauges and
+//!   histograms;
+//! * [`export`] — the JSONL trace format both ways (canonical dump, one
+//!   line parser, schema validation), human-readable summary tables and
+//!   the per-subframe latency breakdown (queue wait → kernel compute →
 //!   HARQ deadline slack) reconstructed from a trace.
 //!
 //! The crate is dependency-free within the workspace (only the vendored
@@ -26,12 +32,14 @@
 pub mod export;
 pub mod live;
 pub mod metrics;
+pub mod subframe;
 pub mod trace;
 
 use serde::{Deserialize, Serialize};
 
 pub use metrics::{LogHistogram, Registry, RegistrySnapshot};
-pub use trace::{Domain, FieldValue, TraceClock, TraceEvent};
+pub use subframe::{Subframe, SubframeError};
+pub use trace::{Domain, EventView, FieldValue, TraceClock, TraceEvent};
 
 /// Telemetry knobs, wired through `pran::config` and the bench binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

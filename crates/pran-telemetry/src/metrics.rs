@@ -1,5 +1,6 @@
-//! Metrics: the log-scale histogram (promoted from `pran-sim`) and a
-//! registry of named, labeled instruments.
+//! Metrics: the one log-bucket histogram ([`LogBuckets`], at the two
+//! resolutions the workspace uses) and a registry of named, labeled
+//! instruments.
 //!
 //! The registry is a process-wide, lock-protected map from
 //! `(name, sorted labels)` to an instrument (counter, gauge or
@@ -14,17 +15,29 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-const BUCKETS: usize = 40;
+/// Base-2 buckets: 40 reach ~12.7 days in microseconds.
+const EXPS: usize = 40;
 
-/// A base-2 logarithmic histogram over microsecond values.
+/// A mergeable base-2 logarithmic histogram over microsecond values,
+/// each power-of-two bucket split into `2^SUB_SHIFT` equal sub-buckets.
 ///
-/// Bucket `i` counts samples in `[2^i, 2^(i+1))` µs; bucket 0 also absorbs
-/// sub-microsecond samples. 40 buckets reach ~12.7 days. Tracking the
-/// observed min/max lets [`LogHistogram::quantile`] interpolate inside the
-/// edge buckets, so single-valued histograms report the true value rather
-/// than a power-of-two edge.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LogHistogram {
+/// Bucket `e` covers `[2^e, 2^(e+1))` µs (bucket 0 also absorbs
+/// sub-microsecond samples, the top bucket everything past its edge);
+/// buckets narrower than the sub-bucket count stay whole. Quantiles
+/// interpolate inside the rank's sub-bucket, so their error is bounded
+/// by one sub-bucket width — a relative `2^-SUB_SHIFT` — and the tracked
+/// min/max tighten the edge buckets, so single-valued histograms report
+/// the true value rather than a bucket edge. [`LogBuckets::merge`] is an
+/// element-wise sum: the merged histogram is identical, serialized bytes
+/// included, to one built from the concatenated samples, for any split
+/// or merge order.
+///
+/// The workspace uses exactly two resolutions: [`LogHistogram`]
+/// (`SUB_SHIFT = 0`, 40 counters — metrics, registries, reports) and
+/// `pran_insight::live::LogSketch` (`SUB_SHIFT = 3`, 320 counters, 12.5 %
+/// — per-cell and per-server live quantiles).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogBuckets<const SUB_SHIFT: usize> {
     buckets: Vec<u64>,
     count: u64,
     /// Sum in microseconds (for the mean).
@@ -33,16 +46,54 @@ pub struct LogHistogram {
     min_us: u64,
 }
 
-impl LogHistogram {
-    /// Empty histogram.
+/// The workspace's standard histogram: one counter per power of two.
+pub type LogHistogram = LogBuckets<0>;
+
+impl<const SUB_SHIFT: usize> LogBuckets<SUB_SHIFT> {
+    /// Sub-buckets per power-of-two bucket; quantile estimates of values
+    /// ≥ `SUBS` µs carry at most `1 / SUBS` relative error.
+    pub const SUBS: usize = 1 << SUB_SHIFT;
+    const LEN: usize = EXPS << SUB_SHIFT;
+
+    /// Empty histogram (one upfront allocation; recording never grows it).
     pub fn new() -> Self {
-        LogHistogram {
-            buckets: vec![0; BUCKETS],
+        LogBuckets {
+            buckets: vec![0; Self::LEN],
             count: 0,
             sum_us: 0,
             max_us: 0,
             min_us: 0,
         }
+    }
+
+    #[inline]
+    fn index(us: u64) -> usize {
+        if us == 0 {
+            return 0;
+        }
+        let exp = (63 - us.leading_zeros() as usize).min(EXPS - 1);
+        let sub = if exp >= SUB_SHIFT {
+            (((us - (1u64 << exp)) >> (exp - SUB_SHIFT)) as usize).min(Self::SUBS - 1)
+        } else {
+            0
+        };
+        (exp << SUB_SHIFT) + sub
+    }
+
+    /// `[lo, hi)` of a populated bucket. The top bucket is open-ended.
+    fn edges(idx: usize) -> (u64, u64) {
+        let (exp, sub) = (idx >> SUB_SHIFT, (idx & (Self::SUBS - 1)) as u64);
+        let base = 1u64 << exp;
+        let (lo, hi) = if exp >= SUB_SHIFT {
+            let width = base >> SUB_SHIFT;
+            (base + sub * width, base + (sub + 1) * width)
+        } else {
+            (base, base << 1)
+        };
+        (
+            if idx == 0 { 0 } else { lo },
+            if idx == Self::LEN - 1 { u64::MAX } else { hi },
+        )
     }
 
     /// Record a duration.
@@ -54,15 +105,10 @@ impl LogHistogram {
     /// Record a value already truncated to whole microseconds — the
     /// zero-conversion entry point for hot paths that keep time as
     /// integer nanoseconds (`record_us(ns / 1000)` lands in exactly the
-    /// bucket `record(Duration::from_nanos(ns))` would).
+    /// bucket `record(Duration::from_nanos(ns))` would). Allocation-free.
     #[inline]
     pub fn record_us(&mut self, us: u64) {
-        let idx = if us == 0 {
-            0
-        } else {
-            (63 - us.leading_zeros() as usize).min(BUCKETS - 1)
-        };
-        self.buckets[idx] += 1;
+        self.buckets[Self::index(us)] += 1;
         self.min_us = if self.count == 0 {
             us
         } else {
@@ -103,7 +149,7 @@ impl LogHistogram {
 
     /// Approximate quantile with linear interpolation inside the bucket.
     ///
-    /// Convenience wrapper over [`LogHistogram::try_quantile`] that maps
+    /// Convenience wrapper over [`LogBuckets::try_quantile`] that maps
     /// the empty-histogram case to [`Duration::ZERO`]. Anything that
     /// *emits* quantiles (bench envelopes, insight tables) must use
     /// `try_quantile` and render the empty case as `null`/`-`: a masked
@@ -118,8 +164,8 @@ impl LogHistogram {
     /// The q-quantile sample's bucket is located by cumulative count, then
     /// the estimate interpolates between the bucket edges, tightened by
     /// the observed min/max so the extreme buckets don't overshoot.
-    /// Accurate to the bucket's base-2 resolution; exact (no
-    /// interpolation) for single-sample histograms.
+    /// Accurate to the sub-bucket's resolution; exact (no interpolation)
+    /// for single-sample histograms.
     pub fn try_quantile(&self, q: f64) -> Option<Duration> {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
         if self.count == 0 {
@@ -127,37 +173,32 @@ impl LogHistogram {
         }
         if self.count == 1 {
             // min == max == the one sample: return it exactly rather than
-            // interpolating against a power-of-two bucket edge.
+            // interpolating against a bucket edge.
             return Some(Duration::from_micros(self.min_us));
         }
-        Some(self.quantile_interpolated(q))
+        Some(Duration::from_micros(self.quantile_interpolated(q)))
     }
 
-    fn quantile_interpolated(&self, q: f64) -> Duration {
+    fn quantile_interpolated(&self, q: f64) -> u64 {
         let target = (q * self.count as f64).ceil().max(1.0) as u64;
         // Rank 1 is exactly the observed minimum and rank `count` is
         // exactly the observed maximum — no need to interpolate (and
         // interpolation can't recover them when they share a sparse
         // bucket with nothing else, e.g. q=1.0 of {0, 1h}).
         if target <= 1 {
-            return Duration::from_micros(self.min_us);
+            return self.min_us;
         }
         if target >= self.count {
-            return self.max();
+            return self.max_us;
         }
         let mut seen = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
+        for (idx, &b) in self.buckets.iter().enumerate() {
             if b == 0 {
                 continue;
             }
             if seen + b >= target {
-                let lo_edge = if i == 0 { 0 } else { 1u64 << i };
-                let hi_edge = if i == BUCKETS - 1 {
-                    self.max_us.saturating_add(1)
-                } else {
-                    1u64 << (i + 1)
-                };
-                let hi = hi_edge.min(self.max_us.saturating_add(1)).max(1);
+                let (lo_edge, hi_edge) = Self::edges(idx);
+                let hi = hi_edge.min(self.max_us.saturating_add(1));
                 let lo = lo_edge.max(self.min_us).min(hi - 1);
                 // `target - seen` is the 1-based rank of the quantile
                 // sample *within* this bucket (1..=b). Interpolating with
@@ -167,12 +208,11 @@ impl LogHistogram {
                 // boundary value instead of drifting toward the bucket top.
                 let frac = (target - seen - 1) as f64 / b as f64;
                 let v = lo as f64 + frac * (hi - lo) as f64;
-                let v = (v.round() as u64).clamp(lo, hi - 1);
-                return Duration::from_micros(v);
+                return (v.round() as u64).clamp(lo, hi - 1);
             }
             seen += b;
         }
-        self.max()
+        self.max_us
     }
 
     /// Reset to empty while keeping the bucket allocation, so epoch-scoped
@@ -186,8 +226,8 @@ impl LogHistogram {
         self.min_us = 0;
     }
 
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
+    /// Merge another histogram into this one (exact: see the type docs).
+    pub fn merge(&mut self, other: &Self) {
         if other.count == 0 {
             return;
         }
@@ -205,9 +245,45 @@ impl LogHistogram {
     }
 }
 
-impl Default for LogHistogram {
+impl<const SUB_SHIFT: usize> Default for LogBuckets<SUB_SHIFT> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+// Hand-written serde: the vendored derive does not take generics. Key
+// order is the wire form `PoolMetrics` and registry snapshots commit to.
+impl<const SUB_SHIFT: usize> Serialize for LogBuckets<SUB_SHIFT> {
+    fn to_json_value(&self) -> serde::Value {
+        let mut m = serde::Map::new();
+        m.insert("buckets".to_string(), self.buckets.to_json_value());
+        m.insert("count".to_string(), self.count.to_json_value());
+        m.insert("sum_us".to_string(), self.sum_us.to_json_value());
+        m.insert("max_us".to_string(), self.max_us.to_json_value());
+        m.insert("min_us".to_string(), self.min_us.to_json_value());
+        serde::Value::Object(m)
+    }
+}
+
+impl<const SUB_SHIFT: usize> Deserialize for LogBuckets<SUB_SHIFT> {
+    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let num = |key: &str| u64::from_json_value(v.field(key)?).map_err(|e| e.at(key));
+        let buckets =
+            Vec::<u64>::from_json_value(v.field("buckets")?).map_err(|e| e.at("buckets"))?;
+        if buckets.len() != Self::LEN {
+            return Err(serde::Error::new(format!(
+                "expected {} buckets, got {}",
+                Self::LEN,
+                buckets.len()
+            )));
+        }
+        Ok(LogBuckets {
+            buckets,
+            count: num("count")?,
+            sum_us: num("sum_us")?,
+            max_us: num("max_us")?,
+            min_us: num("min_us")?,
+        })
     }
 }
 
@@ -378,13 +454,42 @@ pub struct RegistrySnapshot {
 mod tests {
     use super::*;
 
+    /// The finer resolution, as `pran_insight::live::LogSketch` names it.
+    type LogSketch = LogBuckets<3>;
+
     fn us(x: u64) -> Duration {
         Duration::from_micros(x)
     }
 
-    #[test]
-    fn histogram_basic_stats() {
-        let mut h = LogHistogram::new();
+    /// Declare tests that run one resolution-generic check at both
+    /// resolutions the workspace instantiates.
+    macro_rules! at_both_resolutions {
+        ($($name:ident => $check:ident;)*) => {$(
+            #[test]
+            fn $name() {
+                $check::<0>();
+                $check::<3>();
+            }
+        )*};
+    }
+
+    at_both_resolutions! {
+        histogram_basic_stats => basic_stats;
+        empty_histogram_safe => empty_safe;
+        single_value_quantiles_are_exact => single_value_exact;
+        pinned_quantiles_uniform_distribution => pinned_uniform;
+        pinned_quantiles_bimodal_distribution => pinned_bimodal;
+        pinned_quantiles_constant_distribution => pinned_constant;
+        boundary_samples_do_not_drift_toward_bucket_top => boundary_samples;
+        saturated_bucket_quantile => saturated_bucket;
+        histogram_zero_and_huge => zero_and_huge;
+        histogram_merge_tracks_min_max => merge_tracks_min_max;
+        merge_is_exact => merge_exact;
+        quantiles_stay_within_one_bucket_of_truth => within_one_bucket;
+    }
+
+    fn basic_stats<const S: usize>() {
+        let mut h = LogBuckets::<S>::new();
         for &v in &[10u64, 20, 40, 80] {
             h.record(us(v));
         }
@@ -394,25 +499,8 @@ mod tests {
         assert_eq!(h.min(), us(10));
     }
 
-    #[test]
-    fn histogram_quantiles_monotone() {
-        let mut h = LogHistogram::new();
-        for i in 1..=1000u64 {
-            h.record(us(i));
-        }
-        let q50 = h.quantile(0.5);
-        let q99 = h.quantile(0.99);
-        assert!(q50 <= q99);
-        // Median of 1..=1000 ≈ 500 µs; interpolation should land close.
-        assert!(q50 >= us(256) && q50 <= us(1024), "q50 {q50:?}");
-        assert!(q50 >= us(450) && q50 <= us(550), "q50 {q50:?}");
-        // p99 of 1..=1000 ≈ 990 µs, inside bucket [512, 1024).
-        assert!(q99 >= us(900) && q99 <= us(1000), "q99 {q99:?}");
-    }
-
-    #[test]
-    fn empty_histogram_safe() {
-        let h = LogHistogram::new();
+    fn empty_safe<const S: usize>() {
+        let h = LogBuckets::<S>::new();
         assert_eq!(h.mean(), Duration::ZERO);
         assert_eq!(h.sum(), Duration::ZERO);
         assert_eq!(h.quantile(0.99), Duration::ZERO);
@@ -422,9 +510,8 @@ mod tests {
         assert_eq!(h.try_quantile(1.0), None);
     }
 
-    #[test]
-    fn single_value_quantiles_are_exact() {
-        let mut h = LogHistogram::new();
+    fn single_value_exact<const S: usize>() {
+        let mut h = LogBuckets::<S>::new();
         h.record(Duration::from_millis(50));
         for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
             assert_eq!(h.quantile(q), Duration::from_millis(50), "q={q}");
@@ -432,18 +519,17 @@ mod tests {
         }
         // A single sample sitting on no bucket boundary must come back
         // exactly, not as a bucket-edge interpolation.
-        let mut odd = LogHistogram::new();
+        let mut odd = LogBuckets::<S>::new();
         odd.record(us(777));
         assert_eq!(odd.try_quantile(0.5), Some(us(777)));
         assert_eq!(odd.try_quantile(0.99), Some(us(777)));
     }
 
-    #[test]
-    fn pinned_quantiles_uniform_distribution() {
+    fn pinned_uniform<const S: usize>() {
         // 1..=1000 µs uniform: exact p50 = 500, p95 = 950, p99 = 990.
-        // The log-histogram is accurate to base-2 bucket resolution with
-        // min/max tightening; pin each estimate to a window around truth.
-        let mut h = LogHistogram::new();
+        // The histogram is accurate to its bucket resolution with min/max
+        // tightening; pin each estimate to a window around truth.
+        let mut h = LogBuckets::<S>::new();
         for i in 1..=1000u64 {
             h.record(us(i));
         }
@@ -457,13 +543,12 @@ mod tests {
         assert_eq!(h.sum(), us(500_500));
     }
 
-    #[test]
-    fn pinned_quantiles_bimodal_distribution() {
+    fn pinned_bimodal<const S: usize>() {
         // 90 samples at 100 µs, 10 at 10 000 µs: p50 sits in the low
         // mode's bucket [64,128) clamped below by min=100; p95 and p99
         // interpolate inside the high mode's bucket [8192, 10001) capped
         // above by max=10 000.
-        let mut h = LogHistogram::new();
+        let mut h = LogBuckets::<S>::new();
         for _ in 0..90 {
             h.record(us(100));
         }
@@ -479,11 +564,10 @@ mod tests {
         assert!(p50 <= p95 && p95 <= p99);
     }
 
-    #[test]
-    fn pinned_quantiles_constant_distribution() {
+    fn pinned_constant<const S: usize>() {
         // Every sample identical: min == max forces all quantiles to the
         // constant regardless of bucket interpolation.
-        let mut h = LogHistogram::new();
+        let mut h = LogBuckets::<S>::new();
         for _ in 0..37 {
             h.record(us(300));
         }
@@ -492,12 +576,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn boundary_samples_do_not_drift_toward_bucket_top() {
+    fn boundary_samples<const S: usize>() {
         // Two samples on power-of-two boundaries: the median is the lower
         // sample itself. The old interpolation used the 1-based in-bucket
         // rank and reported p50 ≈ 1023 for {512, 1024}.
-        let mut h = LogHistogram::new();
+        let mut h = LogBuckets::<S>::new();
         h.record(us(512));
         h.record(us(1024));
         assert_eq!(h.try_quantile(0.50), Some(us(512)));
@@ -508,9 +591,9 @@ mod tests {
         // Merged histograms built from disjoint halves must agree with a
         // single histogram over the union — quantiles are a function of
         // the merged buckets alone.
-        let mut left = LogHistogram::new();
-        let mut right = LogHistogram::new();
-        let mut whole = LogHistogram::new();
+        let mut left = LogBuckets::<S>::new();
+        let mut right = LogBuckets::<S>::new();
+        let mut whole = LogBuckets::<S>::new();
         for v in [512u64, 513, 700, 1023] {
             left.record(us(v));
             whole.record(us(v));
@@ -529,20 +612,19 @@ mod tests {
         assert!(p50 >= us(512) && p50 < us(1024), "p50 {p50:?}");
     }
 
-    #[test]
-    fn saturated_bucket_quantile() {
-        let mut h = LogHistogram::new();
+    fn saturated_bucket<const S: usize>() {
+        let mut h = LogBuckets::<S>::new();
         // 2^45 µs lands past the last bucket edge and must saturate into
-        // bucket 39 without overshooting the observed max.
-        h.record(Duration::from_micros(1 << 45));
-        h.record(Duration::from_micros(1 << 45));
-        assert_eq!(h.quantile(0.5), Duration::from_micros(1 << 45));
-        assert_eq!(h.quantile(1.0), Duration::from_micros(1 << 45));
+        // the top bucket without overshooting the observed max.
+        for _ in 0..3 {
+            h.record(us(1 << 45));
+        }
+        assert_eq!(h.quantile(0.5), us(1 << 45));
+        assert_eq!(h.quantile(1.0), us(1 << 45));
     }
 
-    #[test]
-    fn histogram_zero_and_huge() {
-        let mut h = LogHistogram::new();
+    fn zero_and_huge<const S: usize>() {
+        let mut h = LogBuckets::<S>::new();
         h.record(Duration::ZERO);
         h.record(Duration::from_secs(3600));
         assert_eq!(h.count(), 2);
@@ -550,31 +632,161 @@ mod tests {
         assert!(h.quantile(1.0) >= Duration::from_secs(3600));
     }
 
-    #[test]
-    fn histogram_merge_tracks_min_max() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
+    fn merge_tracks_min_max<const S: usize>() {
+        let mut a = LogBuckets::<S>::new();
+        let mut b = LogBuckets::<S>::new();
         a.record(us(5));
         b.record(us(500));
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.max(), us(500));
         assert_eq!(a.min(), us(5));
-        let mut empty = LogHistogram::new();
+        let mut empty = LogBuckets::<S>::new();
         empty.merge(&a);
         assert_eq!(empty.min(), us(5));
-        a.merge(&LogHistogram::new());
+        a.merge(&LogBuckets::<S>::new());
         assert_eq!(a.count(), 2);
     }
 
+    fn merge_exact<const S: usize>() {
+        let mut whole = LogBuckets::<S>::new();
+        let mut left = LogBuckets::<S>::new();
+        let mut right = LogBuckets::<S>::new();
+        for v in [0u64, 1, 7, 8, 100, 512, 513, 1023, 1024, 99_999, 1 << 45] {
+            whole.record_us(v);
+            left.record_us(v);
+        }
+        for v in [3u64, 64, 700, 5000, 1 << 20] {
+            whole.record_us(v);
+            right.record_us(v);
+        }
+        left.merge(&right);
+        assert_eq!(left, whole, "merge must equal the union exactly");
+        assert_eq!(
+            serde_json::to_string(&left).unwrap(),
+            serde_json::to_string(&whole).unwrap(),
+            "byte-identical serialization"
+        );
+        let back: LogBuckets<S> =
+            serde_json::from_str(&serde_json::to_string(&whole).unwrap()).unwrap();
+        assert_eq!(back, whole);
+        left.reset();
+        assert_eq!(left, LogBuckets::<S>::new());
+    }
+
+    /// Width of the (sub-)bucket holding `v`, written out independently
+    /// of the implementation's `edges`.
+    fn bucket_width<const S: usize>(v: u64) -> u64 {
+        if v < 2 {
+            return 2; // bucket 0 is [0, 2)
+        }
+        let exp = 63 - v.leading_zeros() as usize;
+        1u64 << if exp >= S { exp - S } else { exp }
+    }
+
+    fn within_one_bucket<const S: usize>() {
+        // splitmix64: a fixed stream, so a failure names its round.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for round in 0..400 {
+            // Mixed magnitudes: sub-µs and tiny values, power-of-two
+            // edges, and a log-uniform spread up to ~2^39 µs.
+            let n = 1 + (next() % 200) as usize;
+            let mut samples: Vec<u64> = (0..n)
+                .map(|_| match next() % 4 {
+                    0 => next() % 10,
+                    1 => 1u64 << (next() % 40),
+                    2 => (1u64 << (next() % 40)) - 1,
+                    _ => next() >> (25 + next() % 39),
+                })
+                .collect();
+            let mut h = LogBuckets::<S>::new();
+            for &v in &samples {
+                h.record_us(v);
+            }
+            samples.sort_unstable();
+            let mut last = 0u64;
+            for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0] {
+                let rank = ((q * n as f64).ceil().max(1.0) as usize).min(n);
+                let exact = samples[rank - 1];
+                let est = h.try_quantile(q).unwrap().as_micros() as u64;
+                assert!(
+                    est.abs_diff(exact) < bucket_width::<S>(exact),
+                    "round {round} q={q}: estimate {est} vs exact {exact} (n={n})"
+                );
+                assert!(est >= last, "round {round}: quantiles must be monotone");
+                assert!(est >= samples[0] && est <= samples[n - 1]);
+                last = est;
+            }
+        }
+    }
+
     #[test]
-    fn histogram_serde_roundtrip() {
+    fn histogram_wire_form_is_pinned() {
+        // `PoolMetrics`, `EpochRecord` and registry snapshots embed this
+        // shape in committed results: 40 counters, this key order.
         let mut h = LogHistogram::new();
-        h.record(us(123));
-        h.record(us(456_789));
-        let json = serde_json::to_string(&h).unwrap();
-        let back: LogHistogram = serde_json::from_str(&json).unwrap();
+        for v in [0u64, 1, 3, 100, 1000, 1 << 45] {
+            h.record_us(v);
+        }
+        let mut buckets = [0u64; 40];
+        buckets[0] = 2; // 0 and 1
+        buckets[1] = 1; // 3
+        buckets[6] = 1; // 100
+        buckets[9] = 1; // 1000
+        buckets[39] = 1; // 2^45 saturates into the top bucket
+        let counters: Vec<String> = buckets.iter().map(u64::to_string).collect();
+        let literal = format!(
+            "{{\"buckets\":[{}],\"count\":6,\"sum_us\":35184372089936,\
+             \"max_us\":35184372088832,\"min_us\":0}}",
+            counters.join(",")
+        );
+        assert_eq!(serde_json::to_string(&h).unwrap(), literal);
+        let back: LogHistogram = serde_json::from_str(&literal).unwrap();
         assert_eq!(back, h);
+        // The two resolutions are different wire types: a 320-counter
+        // sketch does not deserialize as a histogram, nor the reverse.
+        let sketch = serde_json::to_string(&LogSketch::new()).unwrap();
+        assert!(serde_json::from_str::<LogHistogram>(&sketch).is_err());
+        assert!(serde_json::from_str::<LogSketch>(&literal).is_err());
+    }
+
+    #[test]
+    fn sketch_quantiles_agree_with_histogram_where_both_are_exact() {
+        // Samples on power-of-two boundaries are exact at either
+        // resolution, as are constant and single-sample sets.
+        for samples in [vec![512u64, 1024], vec![300; 9], vec![777]] {
+            let mut h = LogHistogram::new();
+            let mut s = LogSketch::new();
+            for &v in &samples {
+                h.record_us(v);
+                s.record_us(v);
+            }
+            for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+                assert_eq!(h.try_quantile(q), s.try_quantile(q), "{samples:?} q={q}");
+            }
+        }
+    }
+
+    #[test]
+    fn sketch_relative_error_is_bounded() {
+        let mut s = LogSketch::new();
+        for v in 1..=10_000u64 {
+            s.record_us(v);
+        }
+        for (q, truth) in [(0.5, 5000.0), (0.95, 9500.0), (0.99, 9900.0)] {
+            let est = s.try_quantile(q).unwrap().as_micros() as f64;
+            let rel = (est - truth).abs() / truth;
+            assert!(rel <= 1.0 / LogSketch::SUBS as f64, "q={q} rel={rel}");
+        }
+        assert_eq!(s.try_quantile(0.0), Some(us(1)));
+        assert_eq!(s.try_quantile(1.0), Some(us(10_000)));
     }
 
     #[test]

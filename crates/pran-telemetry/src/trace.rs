@@ -151,6 +151,7 @@ impl TraceEvent {
     }
 
     /// Look up a field by key.
+    #[inline]
     pub fn field(&self, key: &str) -> Option<FieldValue> {
         self.fields()
             .iter()
@@ -159,10 +160,50 @@ impl TraceEvent {
 
     /// Look up a numeric field as `u64` (accepts `U64` and non-negative
     /// `I64`).
+    #[inline]
     pub fn field_u64(&self, key: &str) -> Option<u64> {
         match self.field(key)? {
             FieldValue::U64(v) => Some(v),
             FieldValue::I64(v) => u64::try_from(v).ok(),
+            _ => None,
+        }
+    }
+}
+
+/// The read side of one trace event, whatever holds it: the raw `Copy`
+/// [`TraceEvent`] straight off a buffer or live ring, or an
+/// [`OwnedEvent`](crate::export::OwnedEvent) parsed back out of exported
+/// JSONL. Everything that *reads* records (`Subframe::decode`, the
+/// critical-path reference, the live fold) goes through these four
+/// methods, so an analysis written once runs on both sides of the wire.
+pub trait EventView {
+    /// Event name.
+    fn name(&self) -> &str;
+    /// Timestamp in the event's clock domain, microseconds.
+    fn ts_us(&self) -> u64;
+    /// Field as `u64` (a non-negative signed value counts).
+    fn field_u64(&self, key: &str) -> Option<u64>;
+    /// Field as `bool`.
+    fn field_bool(&self, key: &str) -> Option<bool>;
+}
+
+impl EventView for TraceEvent {
+    #[inline]
+    fn name(&self) -> &str {
+        self.name
+    }
+    #[inline]
+    fn ts_us(&self) -> u64 {
+        self.ts_us
+    }
+    #[inline]
+    fn field_u64(&self, key: &str) -> Option<u64> {
+        TraceEvent::field_u64(self, key)
+    }
+    #[inline]
+    fn field_bool(&self, key: &str) -> Option<bool> {
+        match self.field(key)? {
+            FieldValue::Bool(b) => Some(b),
             _ => None,
         }
     }

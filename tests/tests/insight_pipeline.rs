@@ -12,10 +12,11 @@ use std::time::Duration;
 
 use pran_insight::gate::{compare_envelopes, GateConfig, Verdict};
 use pran_insight::slo::SloMetric;
-use pran_insight::spans::{critical_paths, parse_jsonl, DEFAULT_BUDGET_US};
+use pran_insight::spans::{attribution_table, critical_paths, DEFAULT_BUDGET_US};
 use pran_sched::realtime::workload::{generate, TaskSetConfig};
 use pran_sched::realtime::{ParallelConfig, ParallelExecutor};
-use pran_telemetry::{export, TelemetryConfig};
+use pran_telemetry::export::{self, parse_jsonl};
+use pran_telemetry::{Subframe, TelemetryConfig};
 use serde_json::Value;
 
 /// The tracer is process-global; tests that reconfigure it must not
@@ -55,12 +56,8 @@ fn exact_attribution_totals(executor: ParallelConfig) -> [(&'static str, u64); 4
     // Every missed subframe in the trace gets a critical path.
     let misses = parsed
         .iter()
-        .filter(|e| e.name == "subframe")
-        .filter(|e| {
-            let finish = e.field_u64("finish_us").unwrap();
-            let deadline = e.field_u64("deadline_us").unwrap();
-            finish > deadline
-        })
+        .filter_map(|e| Subframe::decode(e)?.ok())
+        .filter(Subframe::missed)
         .count();
     assert!(misses > 0);
     assert_eq!(paths.len(), misses);
@@ -111,6 +108,22 @@ fn critical_path_attribution_is_exact_with_stealing_on() {
     let totals = exact_attribution_totals(ParallelConfig::default_eval());
     assert_eq!(totals[2].0, "steal");
     assert!(totals[2].1 > 0, "no missed task sat in a stolen batch");
+}
+
+/// The record the read-side copies used to disagree on (it finishes
+/// before its release): it passed validation, then overflowed the queue
+/// stage — a debug-build panic, an 18-quintillion-µs stage in release.
+/// CI runs `telemetry_check` on the same fixture expecting a failure.
+#[test]
+fn hostile_subframe_is_rejected_and_never_attributed() {
+    let text = include_str!("../fixtures/hostile_subframe.jsonl");
+    let err = export::validate_jsonl(text).expect_err("the hostile line must not validate");
+    assert!(err.starts_with("line 1:"), "{err}");
+    assert!(export::breakdown_from_jsonl(text).is_err());
+    let parsed = parse_jsonl(text).expect("the line itself is well-formed");
+    let paths = critical_paths(&parsed, DEFAULT_BUDGET_US);
+    assert!(paths.is_empty());
+    assert!(attribution_table(&paths).contains("no deadline misses"));
 }
 
 #[test]

@@ -2,24 +2,28 @@
 //!
 //! The streaming attribution plane must be *exactly* the post-hoc
 //! pipeline, computed as events arrive: over real resident-metro soak
-//! traffic, (a) [`critical_paths_live`] must equal
-//! [`spans::critical_paths`] run after the fact on the same events, and
-//! the [`LiveFold`] totals must equal [`spans::attribution_totals`];
-//! (b) the fold must be worker-count invariant — 1, 2 and 8 workers over
-//! the same metro must serialize to byte-identical state, because shard
-//! rings are drained in shard order and sketch merges are exact.
+//! traffic, (a) the production [`LiveFold`]'s per-cell blame, per-cell
+//! misses, stage totals and miss count must equal the sums over
+//! [`spans::critical_paths`] run after the fact on the same events
+//! *exported to JSONL and parsed back* — the reference arithmetic on the
+//! far side of the wire format; (b) the fold must be worker-count
+//! invariant — 1, 2 and 8 workers over the same metro must serialize to
+//! byte-identical state, because shard rings are drained in shard order
+//! and sketch merges are exact.
 //!
 //! Both tests manipulate the process-global tracer/live sink, so they
 //! serialize on one lock.
+//!
+//! [`LiveFold`]: pran_insight::live::LiveFold
 
 use std::sync::Mutex;
 use std::time::Duration;
 
 use pran_fronthaul::fault::FaultConfig;
-use pran_insight::live::critical_paths_live;
-use pran_insight::spans::{self, DEFAULT_BUDGET_US};
+use pran_insight::spans::{self, DEFAULT_BUDGET_US, STAGE_NAMES};
 use pran_obs::soak::{SoakConfig, SoakRunner};
 use pran_sim::{LinkFault, MetroConfig, PoolConfig, ResidentMetro};
+use pran_telemetry::export::{parse_jsonl, to_jsonl};
 use pran_telemetry::trace::TraceEvent;
 use pran_traces::TraceConfig;
 
@@ -41,14 +45,6 @@ fn jittery_metro(cells: usize, shards: usize, workers: usize) -> ResidentMetro {
     });
     let trace = TraceConfig::default_day(mc.cells, mc.seed);
     ResidentMetro::with_pool(mc, pool, trace).unwrap()
-}
-
-/// Canonicalize a path list for comparison: the Debug form carries every
-/// field, and sorting removes any tie-order sensitivity.
-fn canonical(paths: &[spans::CriticalPath]) -> Vec<String> {
-    let mut out: Vec<String> = paths.iter().map(|p| format!("{p:?}")).collect();
-    out.sort();
-    out
 }
 
 #[test]
@@ -76,38 +72,43 @@ fn live_attribution_equals_posthoc_over_a_resident_soak() {
     let fold = runner.live_fold().expect("live insight armed");
     assert!(fold.misses() > 0, "jitter must produce executed-late tasks");
 
-    // Post-hoc, per shard (cell ids in events are shard-local): critical
-    // paths from the buffered trace must equal the live computation, and
-    // the summed stage totals must equal the streaming fold's.
-    let mut posthoc_totals = [0u64; 4];
-    let mut compared = 0usize;
+    // Post-hoc, per shard (cell ids in events are shard-local): export
+    // the buffered trace, parse it back, run the reference, and sum its
+    // paths into the fold's global cell space.
+    let mut blame = vec![[0u64; 4]; fold.cell_count()];
+    let mut misses = vec![0u64; fold.cell_count()];
+    let mut totals = [0u64; 4];
+    let mut compared = 0u64;
     for shard in 0..shards {
         let shard_events: Vec<TraceEvent> = buffered
             .iter()
             .filter(|e| e.field_u64("shard").unwrap_or(0) == shard as u64)
             .copied()
             .collect();
-        let owned = spans::events_from_trace(&shard_events);
-        let posthoc = spans::critical_paths(&owned, DEFAULT_BUDGET_US);
-        let live = critical_paths_live(&shard_events, DEFAULT_BUDGET_US);
-        assert_eq!(
-            canonical(&posthoc),
-            canonical(&live),
-            "shard {shard}: live critical paths must equal post-hoc"
-        );
-        compared += posthoc.len();
-        for (slot, (_, us)) in posthoc_totals
-            .iter_mut()
-            .zip(spans::attribution_totals(&posthoc))
-        {
+        let parsed = parse_jsonl(&to_jsonl(&shard_events)).expect("exported trace parses back");
+        let paths = spans::critical_paths(&parsed, DEFAULT_BUDGET_US);
+        let (cell_offset, _) = runner.metro().shard_offsets(shard);
+        for path in &paths {
+            let cell = cell_offset + path.cell as usize;
+            for (slot, stage) in blame[cell].iter_mut().zip(STAGE_NAMES) {
+                *slot += path.stage_us(stage);
+            }
+            misses[cell] += 1;
+        }
+        for (slot, (_, us)) in totals.iter_mut().zip(spans::attribution_totals(&paths)) {
             *slot += us;
         }
+        compared += paths.len() as u64;
     }
     assert!(compared > 0, "the differential must compare real misses");
-    let live_totals = fold.totals();
-    for (i, (name, us)) in live_totals.iter().enumerate() {
+    assert_eq!(fold.misses(), compared, "every miss has a post-hoc path");
+    for cell in 0..fold.cell_count() {
+        assert_eq!(fold.cell_blame(cell), blame[cell], "cell {cell} blame");
+        assert_eq!(fold.cell_misses(cell), misses[cell], "cell {cell} misses");
+    }
+    for ((name, live_us), posthoc_us) in fold.totals().iter().zip(totals) {
         assert_eq!(
-            *us, posthoc_totals[i],
+            *live_us, posthoc_us,
             "stage {name}: fold total must equal post-hoc total"
         );
     }
