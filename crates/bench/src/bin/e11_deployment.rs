@@ -17,7 +17,7 @@ use pran_ilp::BnbConfig;
 use pran_sched::placement::admission::{admit_greedy, AdmissionRequest};
 use pran_sched::placement::dimensioning::GopsConverter;
 use pran_sched::placement::heuristics::{place, Heuristic};
-use pran_sched::placement::{ilp, CellDemand, PlacementInstance, ServerSpec};
+use pran_sched::placement::{ilp, Allowed, CellDemand, PlacementInstance, ProductMask, ServerSpec};
 use pran_traces::{generate, TraceConfig};
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
         let topo = edge_regional(cells, 1000.0, 2, 12, 80.0, split);
         // Service time of a peak subframe on one core (100 GOPS).
         let service = Duration::from_micros(1600);
-        let allowed = topo.allowed_matrix(service);
+        let reach = topo.reachability(service);
         let specs = topo.server_specs();
         let instance = PlacementInstance {
             cells: demands
@@ -64,7 +64,11 @@ fn main() {
                 .enumerate()
                 .map(|(id, &(capacity_gops, cost))| ServerSpec::plain(id, capacity_gops, cost))
                 .collect(),
-            allowed: allowed.clone().into(),
+            allowed: Allowed::Product(Box::new(ProductMask {
+                cells: vec![true; cells],
+                servers: vec![true; specs.len()],
+                reach: Some(reach),
+            })),
         };
 
         // Cost-aware exact placement with a warm start; fall back to
@@ -115,7 +119,7 @@ fn main() {
             let inst = PlacementInstance {
                 cells: instance.cells.clone(),
                 servers: instance.servers[..edge_server_count].to_vec(),
-                allowed: pran_sched::placement::Allowed::All,
+                allowed: Allowed::All,
             };
             let r = place(&inst, Heuristic::FirstFitDecreasing);
             if r.complete() {

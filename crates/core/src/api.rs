@@ -32,6 +32,8 @@ pub struct ServerView {
     pub id: usize,
     /// Whether the server is responding.
     pub alive: bool,
+    /// Whether an operator or app has drained it (see [`Action::Drain`]).
+    pub drained: bool,
     /// Capacity in GOPS.
     pub capacity_gops: f64,
     /// Placed demand in GOPS.
@@ -41,6 +43,12 @@ pub struct ServerView {
 }
 
 impl ServerView {
+    /// Whether cells may be placed here: responding and not drained. A
+    /// `Migrate` onto any other server is rejected.
+    pub fn usable(&self) -> bool {
+        self.alive && !self.drained
+    }
+
     /// Load as a fraction of capacity.
     pub fn utilization(&self) -> f64 {
         if self.capacity_gops == 0.0 {
@@ -52,7 +60,7 @@ impl ServerView {
 }
 
 /// Read-only snapshot handed to control apps each epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct PoolView {
     /// Simulated/wall time of the snapshot.
     pub now: Duration,
@@ -78,9 +86,9 @@ impl PoolView {
         }
     }
 
-    /// The busiest live server, if any.
+    /// The busiest usable server, if any.
     pub fn hottest_server(&self) -> Option<&ServerView> {
-        self.servers.iter().filter(|s| s.alive).max_by(|a, b| {
+        self.servers.iter().filter(|s| s.usable()).max_by(|a, b| {
             a.utilization()
                 .partial_cmp(&b.utilization())
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -210,6 +218,7 @@ mod tests {
         ServerView {
             id,
             alive: true,
+            drained: false,
             capacity_gops: 100.0,
             load_gops: load,
             cells,
@@ -233,6 +242,7 @@ mod tests {
         let s = ServerView {
             id: 0,
             alive: true,
+            drained: false,
             capacity_gops: 0.0,
             load_gops: 0.0,
             cells: 0,

@@ -115,6 +115,7 @@ mod tests {
         ServerView {
             id,
             alive: true,
+            drained: false,
             capacity_gops: 100.0,
             load_gops: load,
             cells: 1,

@@ -22,12 +22,12 @@ impl FailoverApp {
     }
 
     fn replace_unplaced(view: &PoolView) -> Vec<Action> {
-        // Residual capacity per live server at predicted demand.
+        // Residual capacity per usable (alive, undrained) server at predicted demand.
         let mut residual: Vec<f64> = view
             .servers
             .iter()
             .map(|s| {
-                if s.alive {
+                if s.usable() {
                     s.capacity_gops - s.load_gops
                 } else {
                     f64::NEG_INFINITY
@@ -107,6 +107,7 @@ mod tests {
         ServerView {
             id,
             alive,
+            drained: false,
             capacity_gops: 100.0,
             load_gops: load,
             cells: 1,

@@ -53,12 +53,12 @@ impl ControlApp for LoadBalancerApp {
         let Some(victim) = victim else {
             return Vec::new();
         };
-        // Coldest live server with room.
+        // Coldest usable server with room (a drained one would reject the move).
         let target = view
             .servers
             .iter()
             .filter(|s| {
-                s.alive
+                s.usable()
                     && s.id != hottest.id
                     && s.capacity_gops - s.load_gops >= victim.predicted_gops
             })
@@ -100,6 +100,7 @@ mod tests {
         ServerView {
             id,
             alive: true,
+            drained: false,
             capacity_gops: 100.0,
             load_gops: load,
             cells,

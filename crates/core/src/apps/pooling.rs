@@ -147,6 +147,7 @@ mod tests {
         ServerView {
             id,
             alive: true,
+            drained: false,
             capacity_gops: 100.0,
             load_gops: load,
             cells,
@@ -184,6 +185,7 @@ mod tests {
         let small_full = ServerView {
             id: 0,
             alive: true,
+            drained: false,
             capacity_gops: 50.0,
             load_gops: 49.0,
             cells: 2,
@@ -191,6 +193,7 @@ mod tests {
         let huge_idle = ServerView {
             id: 1,
             alive: true,
+            drained: false,
             capacity_gops: 1000.0,
             load_gops: 10.0,
             cells: 1,

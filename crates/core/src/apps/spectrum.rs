@@ -93,6 +93,7 @@ mod tests {
             servers: vec![ServerView {
                 id: 0,
                 alive: true,
+                drained: false,
                 capacity_gops: 100.0,
                 load_gops: load,
                 cells: 1,

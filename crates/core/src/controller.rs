@@ -13,12 +13,13 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use pran_insight::slo::{Alert, EpochSample, SloMonitor};
-use pran_phy::compute::{CellWorkload, ComputeModel};
-use pran_phy::frame::Direction;
+use pran_phy::compute::ComputeModel;
 use pran_sched::placement::migration::incremental_repack;
-use pran_sched::placement::{CellDemand, Placement, PlacementInstance, ServerSpec, WarmPlacer};
+use pran_sched::placement::{
+    Allowed, CellDemand, Placement, PlacementInstance, ProductMask, ServerSpec, WarmPlacer,
+};
 
-use pran_fronthaul::topology::Topology;
+use pran_fronthaul::topology::{Reachability, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::api::{Action, ActionError, CellView, ControlApp, PoolEvent, PoolView, ServerView};
@@ -45,6 +46,13 @@ struct CellState {
 struct ServerState {
     alive: bool,
     drained: bool,
+}
+
+impl ServerState {
+    /// Whether placement may use the server.
+    fn usable(self) -> bool {
+        self.alive && !self.drained
+    }
 }
 
 /// Counters the controller maintains across its lifetime.
@@ -94,13 +102,54 @@ pub struct FailureReport {
     pub replaced: usize,
 }
 
-/// Reachability and per-server specs derived from a bound [`Topology`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Reachability and per-server specs derived from a bound [`Topology`],
+/// as a snapshot carries them.
+///
+/// On the wire `allowed` is one server row per topology cell, the form
+/// snapshots have always had; in memory identical rows are one class, so
+/// neither direction builds a cells × servers matrix.
+#[derive(Debug, Clone)]
 struct TopologyBinding {
-    /// `allowed[cell][server]` from fronthaul latency budgets.
-    allowed: Vec<Vec<bool>>,
+    reach: Reachability,
     /// `(capacity_gops, cost)` per server, in global order.
     specs: Vec<(f64, f64)>,
+}
+
+impl Serialize for TopologyBinding {
+    fn to_json_value(&self) -> serde::Value {
+        let rows: Vec<serde::Value> = self.reach.rows.iter().map(|r| r.to_json_value()).collect();
+        let allowed = self.reach.class_of.iter().map(|&k| rows[k].clone());
+        let mut map = serde::Map::new();
+        map.insert(
+            "allowed".to_string(),
+            serde::Value::Array(allowed.collect()),
+        );
+        map.insert("specs".to_string(), self.specs.to_json_value());
+        serde::Value::Object(map)
+    }
+}
+
+impl Deserialize for TopologyBinding {
+    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let rows = v
+            .field("allowed")?
+            .as_array()
+            .ok_or_else(|| serde::Error::new("expected array").at("allowed"))?;
+        let mut bad = None;
+        let reach = Reachability::from_rows(rows.iter().map_while(|row| {
+            Deserialize::from_json_value(row)
+                .map_err(|e: serde::Error| bad = Some(e.at("allowed")))
+                .ok()
+        }));
+        match bad {
+            Some(e) => Err(e),
+            None => Ok(TopologyBinding {
+                reach,
+                specs: Deserialize::from_json_value(v.field("specs")?)
+                    .map_err(|e| e.at("specs"))?,
+            }),
+        }
+    }
 }
 
 /// One audit-log entry: when, what happened, how many app actions were
@@ -130,10 +179,25 @@ pub struct Controller {
     apps: Vec<Box<dyn ControlApp>>,
     stats: ControllerStats,
     now: Duration,
-    topology: Option<TopologyBinding>,
     audit: VecDeque<AuditEntry>,
     slo_monitor: SloMonitor,
     warm: Option<WarmPlacer>,
+    /// The placement problem, kept across epochs instead of rebuilt each
+    /// one. `cells[c].gops` is cell `c`'s current prediction, refreshed
+    /// where a report, cap or (de)registration changes it; `servers` is
+    /// built once; `allowed` is always an [`Allowed::Product`] whose
+    /// factors follow `cells[c].active`, [`ServerState::usable`] and the
+    /// bound topology, one entry per state change.
+    instance: PlacementInstance,
+    /// UL+DL GOPS by PRB count, each entry computed when first asked for
+    /// (a load fraction rounds to a whole PRB grant, so no other demand
+    /// values exist). Empty until the first prediction.
+    gops_by_prbs: Vec<Option<f64>>,
+    /// Per cell, the maximum of its report window — what its prediction
+    /// was last computed from.
+    window_peak: Vec<f64>,
+    /// The view last shown to apps; refilled in place for the next.
+    view: PoolView,
 }
 
 impl Controller {
@@ -146,22 +210,64 @@ impl Controller {
             };
             config.pool.servers
         ];
+        Self::assemble(config, Vec::new(), servers, Placement::empty(0), None, None)
+    }
+
+    /// A controller over the given durable state, with everything derived
+    /// from it (instance, mask, predictions) rebuilt.
+    fn assemble(
+        config: SystemConfig,
+        cells: Vec<CellState>,
+        servers: Vec<ServerState>,
+        placement: Placement,
+        topology: Option<TopologyBinding>,
+        warm: Option<WarmPlacer>,
+    ) -> Self {
+        let spec = |(id, (capacity_gops, cost))| ServerSpec::plain(id, capacity_gops, cost);
+        let (reach, specs): (_, Vec<ServerSpec>) = match topology {
+            Some(t) => (
+                Some(t.reach),
+                t.specs.into_iter().enumerate().map(spec).collect(),
+            ),
+            None => {
+                let pool = (config.pool.capacity_gops, config.pool.server_cost);
+                let specs = std::iter::repeat_n(pool, servers.len());
+                (None, specs.enumerate().map(spec).collect())
+            }
+        };
+        let instance = PlacementInstance {
+            cells: (0..cells.len()).map(|c| CellDemand::flat(c, 0.0)).collect(),
+            servers: specs,
+            allowed: Allowed::Product(Box::new(ProductMask {
+                cells: cells.iter().map(|c| c.active).collect(),
+                servers: servers.iter().map(|s| s.usable()).collect(),
+                reach,
+            })),
+        };
         let slo_monitor = SloMonitor::new(config.slo);
-        let warm = config.warm.map(WarmPlacer::new);
-        Controller {
+        let warm = warm.or_else(|| config.warm.map(WarmPlacer::new));
+        let cells_len = cells.len();
+        let mut controller = Controller {
             config,
             model: ComputeModel::calibrated(),
-            cells: Vec::new(),
+            cells,
             servers,
-            placement: Placement::empty(0),
+            placement,
             apps: Vec::new(),
             stats: ControllerStats::default(),
             now: Duration::ZERO,
-            topology: None,
             audit: VecDeque::new(),
             slo_monitor,
             warm,
+            instance,
+            gops_by_prbs: Vec::new(),
+            window_peak: vec![0.0; cells_len],
+            view: PoolView::default(),
+        };
+        for cell in 0..controller.cells.len() {
+            controller.refresh_prediction(cell);
         }
+        controller
     }
 
     /// Bind a multi-site [`Topology`]: placement will honour fronthaul
@@ -179,35 +285,49 @@ impl Controller {
         if topology.total_servers() != self.config.pool.servers {
             return Err(ActionError::NoSuchServer(topology.total_servers()));
         }
-        self.topology = Some(TopologyBinding {
-            allowed: topology.allowed_matrix(service_time),
-            specs: topology.server_specs(),
-        });
+        for (spec, (capacity_gops, cost)) in self
+            .instance
+            .servers
+            .iter_mut()
+            .zip(topology.server_specs())
+        {
+            spec.capacity_gops = capacity_gops;
+            spec.cost = cost;
+        }
+        self.mask_mut().reach = Some(topology.reachability(service_time));
         Ok(())
+    }
+
+    /// The feasibility mask of the kept instance.
+    fn mask(&self) -> &ProductMask {
+        match &self.instance.allowed {
+            Allowed::Product(mask) => mask,
+            _ => unreachable!("the controller's instance always carries a product mask"),
+        }
+    }
+
+    fn mask_mut(&mut self) -> &mut ProductMask {
+        match &mut self.instance.allowed {
+            Allowed::Product(mask) => mask,
+            _ => unreachable!("the controller's instance always carries a product mask"),
+        }
+    }
+
+    /// Change one server's state and its entry in the mask with it.
+    fn set_server(&mut self, server: usize, change: impl FnOnce(&mut ServerState)) {
+        change(&mut self.servers[server]);
+        self.mask_mut().servers[server] = self.servers[server].usable();
     }
 
     /// Capacity of one server in GOPS (topology-aware).
     fn server_capacity(&self, server: usize) -> f64 {
-        self.topology
-            .as_ref()
-            .map(|t| t.specs[server].0)
-            .unwrap_or(self.config.pool.capacity_gops)
-    }
-
-    /// Cost weight of one server (topology-aware).
-    fn server_cost(&self, server: usize) -> f64 {
-        self.topology
-            .as_ref()
-            .map(|t| t.specs[server].1)
-            .unwrap_or(self.config.pool.server_cost)
+        self.instance.servers[server].capacity_gops
     }
 
     /// Fronthaul reachability of a (cell, server) pair.
     fn reachable(&self, cell: usize, server: usize) -> bool {
-        match &self.topology {
-            Some(t) => t.allowed.get(cell).map(|row| row[server]).unwrap_or(false),
-            None => true,
-        }
+        let reach = self.mask().reach.as_ref();
+        reach.is_none_or(|r| r.allows(cell, server))
     }
 
     /// Install a control application (runs in installation order).
@@ -225,6 +345,10 @@ impl Controller {
             prb_cap: None,
         });
         self.placement.assignment.push(None);
+        self.instance.cells.push(CellDemand::flat(id, 0.0));
+        self.mask_mut().cells.push(true);
+        self.window_peak.push(0.0);
+        self.refresh_prediction(id);
         self.dispatch_event(PoolEvent::CellRegistered(id));
         id
     }
@@ -236,6 +360,8 @@ impl Controller {
             .get_mut(cell)
             .ok_or(ActionError::NoSuchCell(cell))?;
         state.active = false;
+        self.mask_mut().cells[cell] = false;
+        self.refresh_prediction(cell);
         self.placement.assignment[cell] = None;
         self.dispatch_event(PoolEvent::CellDeregistered(cell));
         Ok(())
@@ -249,84 +375,67 @@ impl Controller {
             .ok_or(ActionError::NoSuchCell(cell))?;
         let u = utilization.clamp(0.0, 1.0);
         state.utilization = u;
-        if state.history.len() == PREDICT_WINDOW {
-            state.history.pop_front();
-        }
+        let evicted = if state.history.len() == PREDICT_WINDOW {
+            state.history.pop_front()
+        } else {
+            None
+        };
         state.history.push_back(u);
-        Ok(())
-    }
-
-    /// Effective utilization after the PRB cap.
-    fn capped_utilization(&self, cell: usize, u: f64) -> f64 {
-        match self.cells[cell].prb_cap {
-            Some(cap) => u.min(f64::from(cap) / f64::from(self.config.bandwidth.prbs())),
-            None => u,
+        // The window's maximum, and the prediction with it, can only move
+        // when the new report exceeds it or the report that held it just
+        // left. (A NaN fails both comparisons and takes the slow path.)
+        let peak = self.window_peak[cell];
+        if !(u <= peak && evicted.is_none_or(|e| e < peak)) {
+            self.refresh_prediction(cell);
         }
+        Ok(())
     }
 
     /// Predicted GOPS demand of a cell (sliding-window max × headroom).
     pub fn predicted_gops(&self, cell: usize) -> f64 {
+        self.instance.cells[cell].gops
+    }
+
+    /// Recompute a cell's prediction after its reports, cap or activity
+    /// changed.
+    fn refresh_prediction(&mut self, cell: usize) {
         let state = &self.cells[cell];
-        if !state.active {
-            return 0.0;
-        }
         let peak = state
             .history
             .iter()
             .copied()
             .fold(state.utilization, f64::max);
-        let u = self.capped_utilization(cell, peak);
-        self.cell_gops(u) * self.config.headroom
+        self.window_peak[cell] = peak;
+        self.instance.cells[cell].gops = if state.active {
+            let bandwidth = self.config.bandwidth;
+            let u = match state.prb_cap {
+                Some(cap) => peak.min(f64::from(cap) / f64::from(bandwidth.prbs())),
+                None => peak,
+            };
+            if self.gops_by_prbs.is_empty() {
+                self.gops_by_prbs = vec![None; bandwidth.prbs() as usize + 1];
+            }
+            // UL+DL GOPS depend on `u` only through the PRB grant it
+            // rounds to, so the first utilization seen for a grant stands
+            // for all of them.
+            let gops = *self.gops_by_prbs[bandwidth.prbs_at(u) as usize].get_or_insert_with(|| {
+                self.model.cell_gops_bidirectional(
+                    bandwidth,
+                    self.config.antennas,
+                    u,
+                    self.config.mcs,
+                )
+            });
+            gops * self.config.headroom
+        } else {
+            0.0
+        };
     }
 
-    /// UL+DL GOPS at a utilization under the configured radio parameters.
-    fn cell_gops(&self, utilization: f64) -> f64 {
-        Direction::both()
-            .iter()
-            .map(|&direction| {
-                let w = CellWorkload {
-                    bandwidth: self.config.bandwidth,
-                    antennas: self.config.antennas,
-                    prbs_used: 0,
-                    mcs: self.config.mcs,
-                    direction,
-                    split: pran_phy::FunctionalSplit::Full,
-                }
-                .at_utilization(utilization);
-                self.model.cell_gops(&w)
-            })
-            .sum()
-    }
-
-    fn placement_instance(&self) -> PlacementInstance {
-        let cells: Vec<CellDemand> = (0..self.cells.len())
-            .map(|c| CellDemand::flat(c, self.predicted_gops(c)))
-            .collect();
-        let servers: Vec<ServerSpec> = (0..self.servers.len())
-            .map(|id| ServerSpec {
-                id,
-                capacity_gops: self.server_capacity(id),
-                cost: self.server_cost(id),
-                accelerator: None,
-            })
-            .collect();
-        let allowed: Vec<Vec<bool>> = (0..self.cells.len())
-            .map(|c| {
-                (0..self.servers.len())
-                    .map(|s| {
-                        self.cells[c].active
-                            && self.servers[s].alive
-                            && !self.servers[s].drained
-                            && self.reachable(c, s)
-                    })
-                    .collect()
-            })
-            .collect();
-        PlacementInstance {
-            cells,
-            servers,
-            allowed: allowed.into(),
-        }
+    /// The placement problem the next epoch will solve: predicted demand
+    /// per cell, server specs, and the feasibility mask.
+    pub fn instance(&self) -> &PlacementInstance {
+        &self.instance
     }
 
     /// Current placement (cell → server).
@@ -341,46 +450,51 @@ impl Controller {
 
     /// Snapshot for apps and operators.
     pub fn view(&self) -> PoolView {
-        let instance_loads = {
-            let mut loads = vec![0.0f64; self.servers.len()];
-            let mut counts = vec![0usize; self.servers.len()];
-            for c in 0..self.cells.len() {
-                if let Some(s) = self.placement.assignment[c] {
-                    loads[s] += self.predicted_gops(c);
-                    counts[s] += 1;
-                }
+        let mut view = PoolView::default();
+        self.fill_view(&mut view);
+        view
+    }
+
+    /// Overwrite `view` with the current state, reusing its buffers.
+    /// Server loads are summed in cell order, so a given state always
+    /// yields the same bits.
+    fn fill_view(&self, view: &mut PoolView) {
+        view.now = self.now;
+        view.cells.clear();
+        view.cells
+            .extend(self.cells.iter().enumerate().map(|(c, state)| CellView {
+                id: c,
+                server: self.placement.assignment[c],
+                utilization: state.utilization,
+                predicted_gops: self.predicted_gops(c),
+                prb_cap: state.prb_cap,
+            }));
+        view.servers.clear();
+        view.servers
+            .extend(
+                self.servers
+                    .iter()
+                    .zip(&self.instance.servers)
+                    .map(|(state, spec)| ServerView {
+                        id: spec.id,
+                        alive: state.alive,
+                        drained: state.drained,
+                        capacity_gops: spec.capacity_gops,
+                        load_gops: 0.0,
+                        cells: 0,
+                    }),
+            );
+        for (cell, assigned) in self.placement.assignment.iter().enumerate() {
+            if let Some(s) = *assigned {
+                view.servers[s].load_gops += self.predicted_gops(cell);
+                view.servers[s].cells += 1;
             }
-            (loads, counts)
-        };
-        PoolView {
-            now: self.now,
-            cells: (0..self.cells.len())
-                .map(|c| CellView {
-                    id: c,
-                    server: self.placement.assignment[c],
-                    utilization: self.cells[c].utilization,
-                    predicted_gops: self.predicted_gops(c),
-                    prb_cap: self.cells[c].prb_cap,
-                })
-                .collect(),
-            servers: (0..self.servers.len())
-                .map(|s| ServerView {
-                    id: s,
-                    alive: self.servers[s].alive,
-                    capacity_gops: self.server_capacity(s),
-                    load_gops: instance_loads.0[s],
-                    cells: instance_loads.1[s],
-                })
-                .collect(),
         }
     }
 
     /// Execute one placement epoch at time `now`.
     pub fn run_epoch(&mut self, now: Duration) -> EpochReport {
         self.now = now;
-        let predict_span = pran_telemetry::trace::span("ctrl.predict");
-        let instance = self.placement_instance();
-        predict_span.finish_with(&[("cells", instance.cells.len().into())]);
         let repack_span = pran_telemetry::trace::span("ctrl.repack");
         let (new_placement, plan, dirty) = match self.warm.as_mut() {
             Some(w) => {
@@ -388,12 +502,12 @@ impl Controller {
                 // since the last epoch; the warm state must start from
                 // the placement they produced, not its own last output.
                 w.adopt(&self.placement);
-                let (p, plan, stats) = w.epoch(&instance);
+                let (p, plan, stats) = w.epoch(&self.instance);
                 (p, plan, stats.dirty)
             }
             None => {
-                let (p, plan) = incremental_repack(&instance, &self.placement);
-                (p, plan, instance.cells.len())
+                let (p, plan) = incremental_repack(&self.instance, &self.placement);
+                (p, plan, self.cells.len())
             }
         };
         repack_span.finish_with(&[("migrations", plan.len().into()), ("dirty", dirty.into())]);
@@ -403,11 +517,11 @@ impl Controller {
         let unplaced = (0..self.cells.len())
             .filter(|&c| self.cells[c].active && self.placement.assignment[c].is_none())
             .count();
-        let servers_used = instance.servers_used(&self.placement);
+        let servers_used = self.instance.servers_used(&self.placement);
 
         // Apps act on the post-placement view.
         let apps_span = pran_telemetry::trace::span("ctrl.apps");
-        let (applied, rejected) = self.run_apps_epoch();
+        let (applied, rejected) = self.run_apps(|app, view| app.on_epoch(view));
         apps_span.finish_with(&[("applied", applied.into()), ("rejected", rejected.into())]);
         let epoch = self.stats.epochs;
         if pran_telemetry::enabled() {
@@ -435,7 +549,7 @@ impl Controller {
             }
         }
         let capacity_gops: f64 = (0..self.servers.len())
-            .filter(|&s| self.servers[s].alive && !self.servers[s].drained)
+            .filter(|&s| self.servers[s].usable())
             .map(|s| self.server_capacity(s))
             .sum();
         self.slo_monitor.observe_epoch(&EpochSample {
@@ -462,28 +576,29 @@ impl Controller {
         }
     }
 
-    fn run_apps_epoch(&mut self) -> (usize, usize) {
-        let view = self.view();
+    /// Show every installed app the current view and apply what they ask
+    /// for. No apps, no view.
+    fn run_apps(
+        &mut self,
+        mut ask: impl FnMut(&mut dyn ControlApp, &PoolView) -> Vec<Action>,
+    ) -> (usize, usize) {
+        if self.apps.is_empty() {
+            return (0, 0);
+        }
+        // `fill_view` reads all of `self`, so the buffer steps outside it
+        // while it is written and shown.
+        let mut view = std::mem::take(&mut self.view);
+        self.fill_view(&mut view);
         let mut actions = Vec::new();
         for app in &mut self.apps {
-            actions.extend(app.on_epoch(&view));
+            actions.extend(ask(app.as_mut(), &view));
         }
+        self.view = view;
         self.apply_actions(&actions)
     }
 
     fn dispatch_event(&mut self, event: PoolEvent) {
-        let (applied, rejected) = if self.apps.is_empty() {
-            (0, 0)
-        } else {
-            let view = self.view();
-            let mut actions = Vec::new();
-            let mut apps = std::mem::take(&mut self.apps);
-            for app in &mut apps {
-                actions.extend(app.on_event(&event, &view));
-            }
-            self.apps = apps;
-            self.apply_actions(&actions)
-        };
+        let (applied, rejected) = self.run_apps(|app, view| app.on_event(&event, view));
         if self.audit.len() == AUDIT_CAPACITY {
             self.audit.pop_front();
         }
@@ -526,7 +641,7 @@ impl Controller {
                 if to >= self.servers.len() {
                     return Err(ActionError::NoSuchServer(to));
                 }
-                if !self.servers[to].alive || self.servers[to].drained {
+                if !self.servers[to].usable() {
                     return Err(ActionError::ServerDown(to));
                 }
                 if !self.reachable(cell, to) {
@@ -556,6 +671,7 @@ impl Controller {
                     return Err(ActionError::BadPrbCap { prbs });
                 }
                 self.cells[cell].prb_cap = Some(prbs);
+                self.refresh_prediction(cell);
                 Ok(())
             }
             Action::UncapPrbs { cell } => {
@@ -563,13 +679,14 @@ impl Controller {
                     return Err(ActionError::NoSuchCell(cell));
                 }
                 self.cells[cell].prb_cap = None;
+                self.refresh_prediction(cell);
                 Ok(())
             }
             Action::Drain { server } => {
                 if server >= self.servers.len() {
                     return Err(ActionError::NoSuchServer(server));
                 }
-                self.servers[server].drained = true;
+                self.set_server(server, |s| s.drained = true);
                 // Displace its cells; the next epoch (or an app) re-places.
                 for c in 0..self.cells.len() {
                     if self.placement.assignment[c] == Some(server) {
@@ -582,7 +699,7 @@ impl Controller {
                 if server >= self.servers.len() {
                     return Err(ActionError::NoSuchServer(server));
                 }
-                self.servers[server].drained = false;
+                self.set_server(server, |s| s.drained = false);
                 Ok(())
             }
         }
@@ -602,7 +719,7 @@ impl Controller {
             return Err(ActionError::NoSuchServer(server));
         }
         self.now = now;
-        self.servers[server].alive = false;
+        self.set_server(server, |s| s.alive = false);
         let displaced: Vec<usize> = (0..self.cells.len())
             .filter(|&c| self.placement.assignment[c] == Some(server))
             .collect();
@@ -628,7 +745,7 @@ impl Controller {
             return Err(ActionError::NoSuchServer(server));
         }
         self.now = now;
-        self.servers[server].alive = true;
+        self.set_server(server, |s| s.alive = true);
         self.dispatch_event(PoolEvent::ServerRecovered(server));
         Ok(())
     }
@@ -686,7 +803,15 @@ impl Controller {
             placement: self.placement.assignment.clone(),
             stats: self.stats,
             now: self.now,
-            topology: self.topology.clone(),
+            topology: self.mask().reach.as_ref().map(|reach| TopologyBinding {
+                reach: reach.clone(),
+                specs: self
+                    .instance
+                    .servers
+                    .iter()
+                    .map(|s| (s.capacity_gops, s.cost))
+                    .collect(),
+            }),
             warm: self.warm.clone(),
         }
     }
@@ -733,28 +858,36 @@ impl Controller {
                 }
             }
         }
-        let slo_monitor = SloMonitor::new(snapshot.config.slo);
-        // Older snapshots carry no warm state; re-seed from the config so
-        // warm-start placement resumes (with a cold first epoch).
-        let warm = snapshot
-            .warm
-            .or_else(|| snapshot.config.warm.map(WarmPlacer::new));
-        Ok(Controller {
-            config: snapshot.config,
-            model: ComputeModel::calibrated(),
-            cells: snapshot.cells,
-            servers: snapshot.servers,
-            placement: Placement {
+        if let Some(binding) = &snapshot.topology {
+            let servers = snapshot.servers.len();
+            if binding.specs.len() != servers {
+                return Err(SnapshotError::TopologySpecsMismatch {
+                    specs: binding.specs.len(),
+                    servers,
+                });
+            }
+            let reach = &binding.reach;
+            let rows = reach.class_of.iter().map(|&k| reach.rows[k].len());
+            if let Some((cell, row)) = rows.enumerate().find(|&(_, row)| row != servers) {
+                return Err(SnapshotError::TopologyRowMismatch { cell, row, servers });
+            }
+        }
+        // Older snapshots carry no warm state; `assemble` re-seeds it from
+        // the config so warm-start placement resumes (with a cold first
+        // epoch).
+        let mut controller = Self::assemble(
+            snapshot.config,
+            snapshot.cells,
+            snapshot.servers,
+            Placement {
                 assignment: snapshot.placement,
             },
-            apps: Vec::new(),
-            stats: snapshot.stats,
-            now: snapshot.now,
-            topology: snapshot.topology,
-            audit: VecDeque::new(),
-            slo_monitor,
-            warm,
-        })
+            snapshot.topology,
+            snapshot.warm,
+        );
+        controller.stats = snapshot.stats;
+        controller.now = snapshot.now;
+        Ok(controller)
     }
 }
 
@@ -784,6 +917,24 @@ pub enum SnapshotError {
         /// Servers actually in the snapshot.
         servers: usize,
     },
+    /// The bound topology's per-server specs disagree with the server
+    /// table.
+    TopologySpecsMismatch {
+        /// Spec entries in the snapshot's topology binding.
+        specs: usize,
+        /// Servers in the snapshot.
+        servers: usize,
+    },
+    /// A reachability row of the bound topology is not one entry per
+    /// server.
+    TopologyRowMismatch {
+        /// The first topology cell whose row is bad.
+        cell: usize,
+        /// Entries in that row.
+        row: usize,
+        /// Servers in the snapshot.
+        servers: usize,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -806,6 +957,15 @@ impl std::fmt::Display for SnapshotError {
             } => write!(
                 f,
                 "snapshot server index out of range: cell {cell} on server {server} of {servers}"
+            ),
+            SnapshotError::TopologySpecsMismatch { specs, servers } => write!(
+                f,
+                "snapshot topology mismatch: {specs} server specs for {servers} servers"
+            ),
+            SnapshotError::TopologyRowMismatch { cell, row, servers } => write!(
+                f,
+                "snapshot topology mismatch: cell {cell} has {row} reachability entries \
+                 for {servers} servers"
             ),
         }
     }
@@ -1009,6 +1169,40 @@ mod tests {
         );
         // Reactivation makes it eligible again.
         c.apply_action(Action::Activate { server: s }).unwrap();
+    }
+
+    #[test]
+    fn apps_never_target_a_drained_server() {
+        use crate::apps::{FailoverApp, LoadBalancerApp};
+        // Five cells at 0.45 pack three-and-two onto two of four servers,
+        // both above the 0.5 watermark, so every epoch the balancer sheds
+        // one cell to the coldest server with room: an empty one.
+        let mut c = controller(5, 4);
+        c.install_app(Box::new(FailoverApp::new()));
+        c.install_app(Box::new(LoadBalancerApp::new(0.5)));
+        for i in 0..5 {
+            c.report_load(i, 0.45).unwrap();
+        }
+        // Drain the server the balancer would pick: the first empty one.
+        let empty = c.view().servers.iter().position(|s| s.cells == 0).unwrap();
+        c.apply_action(Action::Drain { server: empty }).unwrap();
+        assert!(!c.view().servers[empty].usable());
+        assert!(c.view().servers[empty].alive, "drained, not dead");
+        for epoch in 1..=3 {
+            let r = c.run_epoch(Duration::from_secs(60 * epoch));
+            assert_eq!(r.actions_rejected, 0, "epoch {epoch}: {r:?}");
+            assert_eq!(r.unplaced, 0);
+            assert_eq!(c.view().servers[empty].cells, 0);
+        }
+        assert!(
+            c.stats().actions_applied > 0,
+            "balancing must go on around the drained server"
+        );
+        // Failover likewise: the displaced cells land on usable servers.
+        let victim = c.placement().assignment[0].unwrap();
+        let report = c.server_failed(victim, Duration::from_secs(500)).unwrap();
+        assert_eq!(report.replaced, report.displaced.len());
+        assert_eq!(c.stats().actions_rejected, 0);
     }
 
     #[test]

@@ -33,4 +33,4 @@ pub use packet::{
     fragment, Assembled, DecodeError, Frame, FrameKind, Reassembler, HEADER_LEN, MAGIC,
 };
 pub use split::FunctionalSplit;
-pub use topology::{edge_regional, FrontEnd, Site, Topology};
+pub use topology::{edge_regional, FrontEnd, Reachability, Site, Topology};

@@ -11,6 +11,7 @@
 use pran_phy::frame::{AntennaConfig, Bandwidth};
 use pran_phy::mcs::Mcs;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::budget::FronthaulPath;
@@ -63,6 +64,48 @@ pub struct Topology {
     pub link_rate_bps: f64,
     /// Switch hops per path.
     pub switch_hops: u32,
+}
+
+/// Fronthaul reachability of every (cell, server) pair, stored as what it
+/// is: a handful of distinct server rows shared by the cells that have
+/// them, not a cells × servers matrix.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct Reachability {
+    /// `class_of[cell]` indexes `rows`. Cells past the end reach nothing.
+    pub class_of: Vec<usize>,
+    /// `rows[class][server]`: whether a cell of that class reaches the
+    /// server.
+    pub rows: Vec<Vec<bool>>,
+}
+
+impl Reachability {
+    /// Group identical per-cell rows into classes, numbered in the order
+    /// first seen.
+    pub fn from_rows(cell_rows: impl IntoIterator<Item = Vec<bool>>) -> Self {
+        let mut ids: BTreeMap<Vec<bool>, usize> = BTreeMap::new();
+        let mut reach = Reachability::default();
+        for row in cell_rows {
+            let next = reach.rows.len();
+            let class = *ids.entry(row).or_insert_with_key(|row| {
+                reach.rows.push(row.clone());
+                next
+            });
+            reach.class_of.push(class);
+        }
+        reach
+    }
+
+    /// The server row of `cell`, `None` for a cell the topology does not
+    /// know.
+    pub fn row(&self, cell: usize) -> Option<&[bool]> {
+        self.class_of.get(cell).map(|&k| self.rows[k].as_slice())
+    }
+
+    /// Whether `cell` reaches `server`.
+    #[inline]
+    pub fn allows(&self, cell: usize, server: usize) -> bool {
+        self.row(cell).is_some_and(|row| row[server])
+    }
 }
 
 impl Topology {
@@ -126,24 +169,38 @@ impl Topology {
             && path.one_way(bytes) <= self.split.max_one_way_latency()
     }
 
-    /// The `allowed[cell][server]` matrix the placement layer consumes.
-    pub fn allowed_matrix(&self, service_time: Duration) -> Vec<Vec<bool>> {
-        let matrix: Vec<Vec<bool>> = (0..self.front_ends.len())
-            .map(|cell| {
-                self.sites
-                    .iter()
-                    .flat_map(|site| {
-                        let ok = self.feasible(cell, site, service_time);
-                        std::iter::repeat_n(ok, site.servers)
-                    })
-                    .collect()
-            })
-            .collect();
+    /// Which servers each cell can reach, as the placement layer consumes
+    /// it. Every server of a site shares the site's latency, so a cell's
+    /// row is fixed by one verdict per site: cells are grouped by that
+    /// verdict and each class is expanded to a server row once.
+    pub fn reachability(&self, service_time: Duration) -> Reachability {
+        let by_site = Reachability::from_rows((0..self.front_ends.len()).map(|cell| {
+            self.sites
+                .iter()
+                .map(|site| self.feasible(cell, site, service_time))
+                .collect()
+        }));
+        let reach = Reachability {
+            rows: by_site
+                .rows
+                .iter()
+                .map(|verdicts| {
+                    verdicts
+                        .iter()
+                        .zip(&self.sites)
+                        .flat_map(|(&ok, site)| std::iter::repeat_n(ok, site.servers))
+                        .collect()
+                })
+                .collect(),
+            class_of: by_site.class_of,
+        };
         if pran_telemetry::enabled() {
-            let feasible_pairs: usize = matrix
+            let per_class: Vec<usize> = reach
+                .rows
                 .iter()
                 .map(|row| row.iter().filter(|&&ok| ok).count())
-                .sum();
+                .collect();
+            let feasible_pairs: usize = reach.class_of.iter().map(|&k| per_class[k]).sum();
             pran_telemetry::trace::mono_event(
                 "fronthaul.allowed",
                 &[
@@ -154,7 +211,7 @@ impl Topology {
                 ],
             );
         }
-        matrix
+        reach
     }
 
     /// Per-server `(capacity_gops, cost)` pairs in global server order.
@@ -226,8 +283,14 @@ mod tests {
             (FunctionalSplit::TransportBlocks, true), // 6 ms tolerance
         ] {
             let topo = edge_regional(4, 1000.0, 2, 8, 80.0, split);
-            let allowed = topo.allowed_matrix(service());
-            for (cell, row) in allowed.iter().enumerate() {
+            let reach = topo.reachability(service());
+            assert_eq!(
+                reach.rows.len(),
+                1,
+                "{split}: every cell sees the same sites"
+            );
+            for cell in 0..4 {
+                let row = reach.row(cell).unwrap();
                 // First 2 columns = edge servers, rest regional.
                 assert!(row[0] && row[1], "{split}: cell {cell} must reach the edge");
                 for &r in &row[2..] {
@@ -275,12 +338,16 @@ mod tests {
         // With almost the whole HARQ budget spent on compute, even the
         // transport-block split cannot reach the regional site.
         let topo = edge_regional(2, 500.0, 1, 4, 80.0, FunctionalSplit::TransportBlocks);
-        let relaxed = topo.allowed_matrix(Duration::from_micros(500));
-        let tight = topo.allowed_matrix(Duration::from_micros(2_800));
-        assert!(relaxed[0][1], "regional reachable with slack");
+        let relaxed = topo.reachability(Duration::from_micros(500));
+        let tight = topo.reachability(Duration::from_micros(2_800));
+        assert!(relaxed.allows(0, 1), "regional reachable with slack");
         assert!(
-            !tight[0][1],
+            !tight.allows(0, 1),
             "regional out of reach when compute eats the budget"
+        );
+        assert!(
+            !relaxed.allows(2, 0),
+            "a cell without a front-end reaches nothing"
         );
     }
 }

@@ -7,8 +7,8 @@
 //! (`incremental_repack` for epochs, [`FailoverApp`] for crash response)
 //! or mirrors the implementation line for line (the `Migrate` validation
 //! in [`Model::mirror_migrate`]). Demands are precomputed through the
-//! identical `CellWorkload` → `ComputeModel::calibrated()` path the
-//! controller uses, so every `f64` the model compares is *bitwise* equal
+//! `ComputeModel::cell_gops_bidirectional` call the controller's
+//! prediction makes, so every `f64` the model compares is *bitwise* equal
 //! to the controller's and the conformance layer can use exact equality.
 //!
 //! The compression that makes exhaustive search feasible: a cell's report
@@ -22,10 +22,11 @@ use std::time::Duration;
 
 use pran::apps::FailoverApp;
 use pran::{Action, CellView, ControlApp, PoolEvent, PoolView, ServerView, SystemConfig};
-use pran_phy::compute::{CellWorkload, ComputeModel};
-use pran_phy::frame::Direction;
+use pran_phy::compute::ComputeModel;
 use pran_sched::placement::migration::incremental_repack;
-use pran_sched::placement::{CellDemand, Placement, PlacementInstance, ServerSpec};
+use pran_sched::placement::{
+    Allowed, CellDemand, Placement, PlacementInstance, ProductMask, ServerSpec,
+};
 
 use crate::conformance::Conformance;
 use crate::view::{OpMix, ViewSemantics};
@@ -244,28 +245,6 @@ pub struct Model {
     capacity: f64,
 }
 
-/// UL+DL GOPS at a utilization — the exact expression
-/// `Controller::cell_gops` evaluates, reproduced here so the model's
-/// demand table is bitwise identical to the controller's predictions.
-fn cell_gops(sys: &SystemConfig, utilization: f64) -> f64 {
-    let model = ComputeModel::calibrated();
-    Direction::both()
-        .iter()
-        .map(|&direction| {
-            let w = CellWorkload {
-                bandwidth: sys.bandwidth,
-                antennas: sys.antennas,
-                prbs_used: 0,
-                mcs: sys.mcs,
-                direction,
-                split: pran_phy::FunctionalSplit::Full,
-            }
-            .at_utilization(utilization);
-            model.cell_gops(&w)
-        })
-        .sum()
-}
-
 impl Model {
     /// Build the transition system for a configuration.
     ///
@@ -311,12 +290,19 @@ impl Model {
         for &l in &cfg.levels {
             assert!((0.0..=1.0).contains(&l), "levels must be in [0, 1]");
         }
-        let demand: Vec<f64> = cfg
-            .levels
-            .iter()
-            .map(|&u| cell_gops(&cfg.sys, u) * cfg.sys.headroom)
-            .collect();
-        let demand_unreported = cell_gops(&cfg.sys, 0.0) * cfg.sys.headroom;
+        // The expression the controller's prediction evaluates, so the
+        // table is bitwise identical to it (a test below holds it there).
+        let predicted = |u: f64| {
+            let sys = &cfg.sys;
+            ComputeModel::calibrated().cell_gops_bidirectional(
+                sys.bandwidth,
+                sys.antennas,
+                u,
+                sys.mcs,
+            ) * sys.headroom
+        };
+        let demand: Vec<f64> = cfg.levels.iter().map(|&u| predicted(u)).collect();
+        let demand_unreported = predicted(0.0);
         let capacity = cfg.sys.pool.capacity_gops;
         Model {
             cfg,
@@ -406,6 +392,7 @@ impl Model {
                 .map(|s| ServerView {
                     id: s,
                     alive: state.believed[s],
+                    drained: false,
                     capacity_gops: self.capacity,
                     load_gops: loads[s],
                     cells: counts[s],
@@ -414,9 +401,9 @@ impl Model {
         }
     }
 
-    /// The placement instance `Controller::placement_instance` would
-    /// build from this state (allowed = active cell × believed-alive
-    /// server; the model has no drains or fronthaul topology).
+    /// The placement instance the controller holds in this state
+    /// (allowed = active cell ∧ believed-alive server; the model has no
+    /// drains or fronthaul topology).
     pub fn placement_instance(&self, state: &StateView) -> PlacementInstance {
         let cells: Vec<CellDemand> = (0..state.cells.len())
             .map(|c| CellDemand::flat(c, self.predicted(state, c)))
@@ -424,17 +411,14 @@ impl Model {
         let servers: Vec<ServerSpec> = (0..state.believed.len())
             .map(|id| ServerSpec::plain(id, self.capacity, self.cfg.sys.pool.server_cost))
             .collect();
-        let allowed: Vec<Vec<bool>> = (0..state.cells.len())
-            .map(|c| {
-                (0..state.believed.len())
-                    .map(|s| state.cells[c].active && state.believed[s])
-                    .collect()
-            })
-            .collect();
         PlacementInstance {
             cells,
             servers,
-            allowed: allowed.into(),
+            allowed: Allowed::Product(Box::new(ProductMask {
+                cells: state.cells.iter().map(|c| c.active).collect(),
+                servers: state.believed.clone(),
+                reach: None,
+            })),
         }
     }
 

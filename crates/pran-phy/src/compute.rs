@@ -273,8 +273,7 @@ impl CellWorkload {
 
     /// Same workload scaled to a PRB utilization in `[0, 1]`.
     pub fn at_utilization(mut self, util: f64) -> Self {
-        let util = util.clamp(0.0, 1.0);
-        self.prbs_used = ((f64::from(self.bandwidth.prbs())) * util).round() as u32;
+        self.prbs_used = self.bandwidth.prbs_at(util);
         self
     }
 

@@ -66,6 +66,13 @@ impl Bandwidth {
         }
     }
 
+    /// PRBs in use at a utilization in `[0, 1]` (clamped), rounded to the
+    /// nearest whole PRB — the one place a load fraction becomes a grant.
+    #[inline]
+    pub fn prbs_at(self, utilization: f64) -> u32 {
+        (f64::from(self.prbs()) * utilization.clamp(0.0, 1.0)).round() as u32
+    }
+
     /// Nominal channel bandwidth in Hz.
     pub fn hz(self) -> f64 {
         match self {

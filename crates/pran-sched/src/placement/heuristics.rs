@@ -108,6 +108,7 @@ pub fn place(instance: &PlacementInstance, heuristic: Heuristic) -> HeuristicRes
     for &cell in &order {
         let demand = instance.cells[cell];
         let prefer_accel = has_accel && demand.decode_gops > 0.0;
+        let row = instance.allowed.row(cell);
         // Same tolerance as `validate`/`incremental_repack`: a heuristic
         // must never admit a cell that validation would reject. On plain
         // servers `load_of` puts the whole demand on the general cores,
@@ -115,7 +116,7 @@ pub fn place(instance: &PlacementInstance, heuristic: Heuristic) -> HeuristicRes
         let fits = |s: usize, residual: &[f64], decode_used: &[f64]| {
             let spec = &instance.servers[s];
             let l = spec.load_of(&demand);
-            instance.is_allowed(cell, s)
+            row.allows(s)
                 && spec.fits(spec.capacity_gops - residual[s] + l.general)
                 && spec.fits_decode(decode_used[s] + l.decode)
         };

@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::{Placement, PlacementInstance, ServerLoad};
+use super::{Allowed, CellDemand, Placement, PlacementInstance, ServerLoad, ServerSpec};
 
 /// One cell move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,25 +78,42 @@ pub fn incremental_repack(
     instance: &PlacementInstance,
     current: &Placement,
 ) -> (Placement, MigrationPlan) {
+    repack(
+        &instance.cells,
+        &instance.servers,
+        &instance.allowed,
+        current,
+    )
+}
+
+/// [`incremental_repack`] over an instance's parts, so the warm placer can
+/// pair its booked demands with the caller's servers and mask without
+/// copying either.
+pub(super) fn repack(
+    cells: &[CellDemand],
+    servers: &[ServerSpec],
+    allowed: &Allowed,
+    current: &Placement,
+) -> (Placement, MigrationPlan) {
     assert_eq!(
         current.assignment.len(),
-        instance.cells.len(),
+        cells.len(),
         "placement size mismatch"
     );
     let mut assignment = current.assignment.clone();
     // Clear assignments that are no longer allowed (topology changed).
     for (cell, slot) in assignment.iter_mut().enumerate() {
         if let Some(s) = *slot {
-            if s >= instance.servers.len() || !instance.is_allowed(cell, s) {
+            if s >= servers.len() || !allowed.is_allowed(cell, s) {
                 *slot = None;
             }
         }
     }
 
-    let mut load = vec![ServerLoad::default(); instance.servers.len()];
+    let mut load = vec![ServerLoad::default(); servers.len()];
     for (cell, slot) in assignment.iter().enumerate() {
         if let Some(s) = slot {
-            let l = instance.servers[*s].load_of(&instance.cells[cell]);
+            let l = servers[*s].load_of(&cells[cell]);
             load[*s].general += l.general;
             load[*s].decode += l.decode;
         }
@@ -115,8 +132,8 @@ pub fn incremental_repack(
     // Overload is judged by the same tolerance `validate` uses: a
     // placement that validates must never be churned here.
     #[allow(clippy::needless_range_loop)] // `s` indexes both load and servers
-    for s in 0..instance.servers.len() {
-        if instance.servers[s].fits_load(load[s]) {
+    for s in 0..servers.len() {
+        if servers[s].fits_load(load[s]) {
             continue;
         }
         let mut resident: Vec<usize> = assignment
@@ -125,17 +142,17 @@ pub fn incremental_repack(
             .filter_map(|(c, a)| (*a == Some(s)).then_some(c))
             .collect();
         resident.sort_by(|&a, &b| {
-            instance.cells[a]
+            cells[a]
                 .gops
-                .partial_cmp(&instance.cells[b].gops)
+                .partial_cmp(&cells[b].gops)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
         for cell in resident {
-            if instance.servers[s].fits_load(load[s]) {
+            if servers[s].fits_load(load[s]) {
                 break;
             }
-            let l = instance.servers[s].load_of(&instance.cells[cell]);
+            let l = servers[s].load_of(&cells[cell]);
             load[s].general -= l.general;
             load[s].decode -= l.decode;
             assignment[cell] = None;
@@ -147,33 +164,34 @@ pub fn incremental_repack(
     // Cells with a decode share first try accelerated servers (affinity,
     // matching `heuristics::place`), then the whole pool.
     to_place.sort_by(|&a, &b| {
-        instance.cells[b]
+        cells[b]
             .gops
-            .partial_cmp(&instance.cells[a].gops)
+            .partial_cmp(&cells[a].gops)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let has_accel = instance.has_accelerators();
+    let has_accel = servers.iter().any(|s| s.accelerator.is_some());
     for cell in to_place {
-        let demand = instance.cells[cell];
+        let demand = cells[cell];
+        let row = allowed.row(cell);
         let best_fit = |accel_only: bool, load: &[ServerLoad]| {
-            (0..instance.servers.len())
+            (0..servers.len())
                 .filter(|&s| {
-                    let spec = &instance.servers[s];
+                    let spec = &servers[s];
                     let l = spec.load_of(&demand);
                     (!accel_only || spec.accelerator.is_some())
-                        && instance.is_allowed(cell, s)
+                        && row.allows(s)
                         && spec.fits_load(ServerLoad {
                             general: load[s].general + l.general,
                             decode: load[s].decode + l.decode,
                         })
                 })
                 .min_by(|&a, &b| {
-                    let ra = instance.servers[a].capacity_gops
+                    let ra = servers[a].capacity_gops
                         - load[a].general
-                        - instance.servers[a].load_of(&demand).general;
-                    let rb = instance.servers[b].capacity_gops
+                        - servers[a].load_of(&demand).general;
+                    let rb = servers[b].capacity_gops
                         - load[b].general
-                        - instance.servers[b].load_of(&demand).general;
+                        - servers[b].load_of(&demand).general;
                     ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
                 })
         };
@@ -183,7 +201,7 @@ pub fn incremental_repack(
             best_fit(false, &load)
         };
         if let Some(s) = target {
-            let l = instance.servers[s].load_of(&demand);
+            let l = servers[s].load_of(&demand);
             load[s].general += l.general;
             load[s].decode += l.decode;
             assignment[cell] = Some(s);

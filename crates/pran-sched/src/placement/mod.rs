@@ -17,6 +17,7 @@ pub mod warm;
 
 pub use warm::{WarmConfig, WarmConfigError, WarmPlacer, WarmStats, WARM_GAP_FACTOR};
 
+use pran_fronthaul::Reachability;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -181,8 +182,9 @@ impl ServerSpec {
 /// The common cases — "no restriction" and "one liveness mask shared by
 /// every cell" — used to be encoded as a dense `Vec<Vec<bool>>`, which
 /// cost O(cells × servers) heap churn per repack just to say "only live
-/// servers". The enum keeps those cases O(1)/O(servers) while the full
-/// per-cell matrix remains available for real topology constraints.
+/// servers". The enum keeps those cases O(1)/O(servers), gives a control
+/// plane the factored form its constraints really have, and leaves the
+/// full per-cell matrix available for arbitrary ones.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub enum Allowed {
     /// Every cell may run on every server.
@@ -192,6 +194,27 @@ pub enum Allowed {
     Uniform(Vec<bool>),
     /// Full `matrix[cell][server]` feasibility.
     PerCell(Vec<Vec<bool>>),
+    /// Cell mask ∧ server mask ∧ fronthaul reach. Boxed: held inline it
+    /// makes the enum 104 bytes with a niche-encoded tag, and every test
+    /// of the older variants pays for decoding it (`heuristics::place`
+    /// under a `Uniform` mask ran 17 % slower).
+    Product(Box<ProductMask>),
+}
+
+/// Feasibility as a product of independent factors: a pair is allowed
+/// when the cell is active, the server is usable and the cell's site
+/// reaches the server's. Its owner keeps it across epochs and flips one
+/// entry when one cell or server changes state; nothing here is ever
+/// cells × servers big.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct ProductMask {
+    /// Per cell: registered and not deregistered.
+    pub cells: Vec<bool>,
+    /// Per server: usable, i.e. alive and not drained.
+    pub servers: Vec<bool>,
+    /// Fronthaul reach by cell class; `None` when every site reaches
+    /// every server.
+    pub reach: Option<Reachability>,
 }
 
 impl Allowed {
@@ -202,12 +225,59 @@ impl Allowed {
             Allowed::All => true,
             Allowed::Uniform(mask) => mask[server],
             Allowed::PerCell(m) => m[cell][server],
+            Allowed::Product(_) => self.row(cell).allows(server),
         }
     }
 
     /// Whether the mask imposes no restriction at all.
     pub fn is_all(&self) -> bool {
         matches!(self, Allowed::All)
+    }
+
+    /// The servers `cell` may run on, resolved once so a scan over
+    /// servers tests slices it already holds instead of walking the enum
+    /// (and, for a product, its box and three vectors) per server.
+    #[inline]
+    pub fn row(&self, cell: usize) -> AllowedRow<'_> {
+        let (open, first, second) = match self {
+            Allowed::All => (true, None, None),
+            Allowed::Uniform(mask) => (true, Some(mask.as_slice()), None),
+            Allowed::PerCell(m) => (true, Some(m[cell].as_slice()), None),
+            Allowed::Product(p) => match &p.reach {
+                None => (p.cells[cell], Some(p.servers.as_slice()), None),
+                Some(reach) => {
+                    let row = reach.row(cell);
+                    (
+                        p.cells[cell] && row.is_some(),
+                        Some(p.servers.as_slice()),
+                        row,
+                    )
+                }
+            },
+        };
+        AllowedRow {
+            open,
+            first,
+            second,
+        }
+    }
+}
+
+/// One cell's row of an [`Allowed`]: see [`Allowed::row`].
+#[derive(Debug, Clone, Copy)]
+pub struct AllowedRow<'a> {
+    /// False when the cell may run nowhere.
+    open: bool,
+    /// Server masks that must both hold; `None` holds everywhere.
+    first: Option<&'a [bool]>,
+    second: Option<&'a [bool]>,
+}
+
+impl AllowedRow<'_> {
+    /// Whether the row's cell may run on `server`.
+    #[inline]
+    pub fn allows(&self, server: usize) -> bool {
+        self.open && self.first.is_none_or(|m| m[server]) && self.second.is_none_or(|m| m[server])
     }
 }
 
@@ -492,6 +562,51 @@ mod tests {
             inst.validate(&p),
             Err(PlacementError::NotAllowed { cell: 0, server: 2 })
         );
+    }
+
+    #[test]
+    fn row_agrees_with_is_allowed_for_every_variant() {
+        let reach = Reachability {
+            class_of: vec![0, 1, 0],
+            rows: vec![vec![true, true, false], vec![false, false, true]],
+        };
+        let product = |reach| {
+            Allowed::Product(Box::new(ProductMask {
+                cells: vec![true, true, false, true],
+                servers: vec![true, false, true],
+                reach,
+            }))
+        };
+        let masks = [
+            Allowed::All,
+            Allowed::Uniform(vec![true, false, true]),
+            vec![
+                vec![true, false, false],
+                vec![false, true, true],
+                vec![false; 3],
+                vec![true; 3],
+            ]
+            .into(),
+            product(None),
+            // Cell 2 is inactive; cell 3 has no class: neither runs anywhere.
+            product(Some(reach)),
+        ];
+        for mask in &masks {
+            for cell in 0..4 {
+                let row = mask.row(cell);
+                for server in 0..3 {
+                    assert_eq!(
+                        row.allows(server),
+                        mask.is_allowed(cell, server),
+                        "{mask:?}: cell {cell} × server {server}"
+                    );
+                }
+            }
+        }
+        let bound = &masks[4];
+        assert!(bound.is_allowed(0, 0) && !bound.is_allowed(0, 1) && !bound.is_allowed(0, 2));
+        assert!(bound.is_allowed(1, 2) && !bound.is_allowed(1, 0));
+        assert!((0..3).all(|s| !bound.is_allowed(2, s) && !bound.is_allowed(3, s)));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! dirty and re-packed; the per-epoch repack work is therefore proportional
 //! to the number of *dirty* cells, not the total cell count, while the
 //! booked instance is repaired with the same deterministic
-//! [`incremental_repack`] the cold path uses.
+//! [`incremental_repack`](super::migration::incremental_repack) the cold
+//! path uses.
 //!
 //! # Feasibility and the documented gap
 //!
@@ -45,7 +46,7 @@
 use serde::{Deserialize, Serialize};
 
 use super::heuristics::{place, Heuristic};
-use super::migration::{diff, incremental_repack, MigrationPlan};
+use super::migration::{diff, repack, MigrationPlan};
 use super::{Placement, PlacementInstance};
 
 /// Multiplicative server-count gap the warm placer is documented (and
@@ -212,7 +213,7 @@ impl WarmPlacer {
     /// and return the new placement with churn accounting.
     ///
     /// Cells that fit nowhere remain unplaced, exactly as under
-    /// [`incremental_repack`].
+    /// [`incremental_repack`](super::migration::incremental_repack).
     pub fn epoch(&mut self, instance: &PlacementInstance) -> (Placement, MigrationPlan, WarmStats) {
         let n = instance.cells.len();
         // Cell set growth: new cells start unbooked and unplaced. Shrink
@@ -265,12 +266,12 @@ impl WarmPlacer {
             }
         }
 
-        let booked_instance = PlacementInstance {
-            cells: booked_cells,
-            servers: instance.servers.clone(),
-            allowed: instance.allowed.clone(),
-        };
-        let (mut new_placement, mut plan) = incremental_repack(&booked_instance, &self.placement);
+        let (mut new_placement, mut plan) = repack(
+            &booked_cells,
+            &instance.servers,
+            &instance.allowed,
+            &self.placement,
+        );
 
         // Consolidation backstop (see module docs): the cheap floor
         // `⌈Σ actual / max capacity⌉` bounds any cold solve from below,

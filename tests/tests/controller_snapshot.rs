@@ -1,0 +1,141 @@
+//! The controller snapshot's wire form, held by committed files.
+//!
+//! `fixtures/controller_snapshot_v1.json` was written by the controller
+//! as it stood before its feasibility mask, predictions and placement
+//! instance became kept state: warm placement on, a four-class topology
+//! bound (eight front-ends, ten cells — two with no front-end), a capped
+//! cell, a deregistered cell, a failed and a drained server. None of the
+//! kept state is on the wire, so the file must restore today, place the
+//! next epoch exactly as its author did, and serialize back to the same
+//! bytes. The hostile variants must come back as typed errors.
+
+use std::time::Duration;
+
+use pran::{Controller, ControllerStats, EpochReport, Snapshot, SnapshotError};
+
+const V1: &str = include_str!("../fixtures/controller_snapshot_v1.json");
+const RAGGED: &str = include_str!("../fixtures/hostile_controller_snapshot_ragged.json");
+
+fn restore(text: &str) -> Result<Controller, SnapshotError> {
+    let snapshot: Snapshot = serde_json::from_str(text).expect("the fixture parses");
+    Controller::try_restore(snapshot)
+}
+
+#[test]
+fn v1_fixture_restores_and_places_as_its_author_did() {
+    let mut ctl = restore(V1).expect("a parent-format snapshot restores");
+    let at_capture = [
+        Some(0),
+        Some(1),
+        Some(0),
+        Some(0),
+        Some(2),
+        Some(2),
+        None,
+        None,
+        None,
+        None,
+    ];
+    assert_eq!(ctl.placement().assignment, at_capture);
+    assert_eq!(
+        serde_json::to_string(&ctl.snapshot()).unwrap(),
+        V1.trim_end(),
+        "restore → snapshot must reproduce the wire form byte for byte"
+    );
+
+    // The day its author ran next: new loads everywhere but on the
+    // deregistered cell 6, then one epoch. Server 3 is dead and 5
+    // drained; cell 7 reaches no site and cells 8, 9 have no front-end.
+    for cell in (0..10).filter(|&c| c != 6) {
+        ctl.report_load(cell, 0.9 - 0.06 * cell as f64).unwrap();
+    }
+    let report = ctl.run_epoch(Duration::from_secs(180));
+    assert_eq!(
+        ctl.placement().assignment,
+        [
+            Some(0),
+            Some(1),
+            Some(0),
+            Some(4),
+            Some(2),
+            Some(2),
+            None,
+            None,
+            None,
+            None
+        ]
+    );
+    assert_eq!(
+        report,
+        EpochReport {
+            epoch: 3,
+            migrations: 1,
+            servers_used: 4,
+            unplaced: 3,
+            dirty: 8,
+            actions_applied: 0,
+            actions_rejected: 0,
+        }
+    );
+    assert_eq!(
+        ctl.stats(),
+        ControllerStats {
+            epochs: 3,
+            migrations: 11,
+            actions_applied: 0,
+            actions_rejected: 0,
+            failovers: 1,
+        }
+    );
+    let predicted: Vec<u64> = (0..10).map(|c| ctl.predicted_gops(c).to_bits()).collect();
+    assert_eq!(
+        predicted,
+        [
+            4641695071629782710,
+            4641293709873976529,
+            4635986472729449300,
+            4640490986362364171,
+            4640089624606557992,
+            4639688301863183584,
+            0,
+            4640290324990676968,
+            4640758560866234957,
+            4641226835754224720
+        ]
+    );
+}
+
+#[test]
+fn ragged_reachability_row_is_rejected_not_indexed() {
+    // Cell 4's row has three entries for eight servers. Restoring it used
+    // to succeed and the first epoch then indexed past the row's end.
+    assert_eq!(
+        restore(RAGGED).err(),
+        Some(SnapshotError::TopologyRowMismatch {
+            cell: 4,
+            row: 3,
+            servers: 8
+        })
+    );
+}
+
+#[test]
+fn short_server_specs_are_rejected() {
+    let short = V1.replacen("\"specs\":[[400.0,3.0],", "\"specs\":[", 1);
+    assert_ne!(short, V1, "the fixture's specs moved; fix the needle");
+    assert_eq!(
+        restore(&short).err(),
+        Some(SnapshotError::TopologySpecsMismatch {
+            specs: 7,
+            servers: 8
+        })
+    );
+}
+
+#[test]
+fn mistyped_reachability_entry_is_a_parse_error() {
+    let mistyped = V1.replacen("\"allowed\":[[true,", "\"allowed\":[[7,", 1);
+    assert_ne!(mistyped, V1, "the fixture's topology moved; fix the needle");
+    let err = serde_json::from_str::<Snapshot>(&mistyped).unwrap_err();
+    assert!(err.to_string().contains("allowed"), "{err}");
+}

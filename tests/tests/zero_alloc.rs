@@ -18,63 +18,119 @@
 //! the same window: its batch queues and simulated cores live in a
 //! scratch that, like every other buffer here, may grow only when a step
 //! builds a deeper backlog than any before.
-//! The whole file is one `#[test]` because the counter is process-global
-//! and sibling tests in the same binary would race it.
+//!
+//! Beside it, two proofs about the control plane's epoch, which does
+//! allocate but must not allocate per (cell, server) pair: the bytes one
+//! steady-state `Controller::run_epoch` asks for grow with cells +
+//! servers, and a 30,000-cell / 15,000-server controller lives, epochs
+//! and fails over under a ceiling the cells × servers mask alone would
+//! break.
+//!
+//! Every counter is thread-local, so the tests of this file can run side
+//! by side: each sees only what its own thread allocated while armed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use std::time::Duration;
 
+use pran::apps::{FailoverApp, LoadBalancerApp};
+use pran::{Controller, SystemConfig};
 use pran_fronthaul::fault::FaultConfig;
 use pran_insight::live::LiveFold;
 use pran_obs::FlightRecorder;
 use pran_phy::FunctionalSplit;
+use pran_sched::placement::WarmConfig;
 use pran_sched::realtime::ParallelConfig;
 use pran_sim::{EpochRecord, LinkFault, PoolAccel, PoolConfig, PoolMetrics, PoolShard, SplitPlan};
 use pran_telemetry::trace::TraceEvent;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Armed on the kernel thread only, for the steady window only: the
-    /// contract is about the hot loop's own thread, and other threads in
-    /// the process allocate at times we don't control (libtest's harness
-    /// thread lazily initializes its channel-receive context *during*
-    /// the test, which used to trip this counter once in a while).
-    /// Const-init keeps the thread-local itself allocation-free.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+/// What the calling thread has allocated while armed.
+#[derive(Clone, Copy)]
+struct Tally {
+    armed: bool,
+    /// Calls to `alloc` and `realloc`.
+    allocations: u64,
+    /// Bytes those calls asked for.
+    bytes: u64,
+    /// Bytes asked for and not yet freed, and the most that ever was.
+    live: i64,
+    peak: i64,
 }
 
-/// Whether the calling thread is inside the armed window. `try_with`:
+thread_local! {
+    /// Armed on the measuring thread only, for the measured window only:
+    /// the contracts are about that thread, and other threads in the
+    /// process allocate at times we don't control (libtest's harness
+    /// thread lazily initializes its channel-receive context *during*
+    /// the test, which used to trip a process-wide counter once in a
+    /// while). Const-init keeps the thread-local itself allocation-free.
+    static TALLY: Cell<Tally> = const {
+        Cell::new(Tally { armed: false, allocations: 0, bytes: 0, live: 0, peak: 0 })
+    };
+}
+
+/// Apply `f` to the calling thread's tally if it is armed. `try_with`:
 /// allocations during thread teardown must not panic on destroyed TLS.
-fn counting() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
+fn tally(f: impl FnOnce(&mut Tally)) {
+    let _ = TALLY.try_with(|cell| {
+        let mut t = cell.get();
+        if t.armed {
+            f(&mut t);
+            cell.set(t);
+        }
+    });
+}
+
+fn grew(t: &mut Tally, bytes: usize) {
+    t.allocations += 1;
+    t.bytes += bytes as u64;
+    t.live += bytes as i64;
+    t.peak = t.peak.max(t.live);
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        tally(|t| grew(t, layout.size()));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        tally(|t| t.live -= layout.size() as i64);
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        tally(|t| {
+            t.live -= layout.size() as i64;
+            grew(t, new_size);
+        });
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Run `f` with this thread's tally armed from zero; what it counted.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, Tally) {
+    let zero = Tally {
+        armed: true,
+        allocations: 0,
+        bytes: 0,
+        live: 0,
+        peak: 0,
+    };
+    TALLY.with(|c| c.set(zero));
+    let out = f();
+    let t = TALLY.with(|c| {
+        c.replace(Tally {
+            armed: false,
+            ..zero
+        })
+    });
+    (out, t)
+}
 
 const CELLS: usize = 40;
 const SERVERS: usize = 24;
@@ -203,16 +259,11 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
     // Warm-up: grows every Vec/heap to its steady-state capacity.
     (0..3).for_each(&mut step);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    (3..250).for_each(&mut step);
-    COUNTING.with(|c| c.set(false));
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let ((), steady) = counted(|| (3..250).for_each(&mut step));
     assert_eq!(
-        after - before,
-        0,
+        steady.allocations, 0,
         "steady-state hot kernel allocated {} times over 247 steps",
-        after - before
+        steady.allocations
     );
     for Soaked {
         metrics,
@@ -249,4 +300,85 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
         "a per-step drain must never fill the ring"
     );
     pran_telemetry::live::disarm();
+}
+
+/// A warm-placing controller with the failover and load-balancer apps,
+/// its cells reporting a spread of loads, run until its buffers are
+/// grown. `load(round, cell)` is what `cell` reports before epoch `round`.
+fn steady_controller(cells: usize, servers: usize) -> (Controller, impl Fn(u64, usize) -> f64) {
+    let mut cfg = SystemConfig::default_eval(servers);
+    cfg.warm = Some(WarmConfig::default_eval());
+    let mut ctl = Controller::new(cfg);
+    for _ in 0..cells {
+        ctl.register_cell();
+    }
+    ctl.install_app(Box::new(FailoverApp::new()));
+    ctl.install_app(Box::new(LoadBalancerApp::new(0.85)));
+    let load = |round: u64, cell: usize| (20 + (round * 3 + cell as u64 * 13) % 50) as f64 / 100.0;
+    for round in 0..4 {
+        for cell in 0..cells {
+            ctl.report_load(cell, load(round, cell)).unwrap();
+        }
+        let report = ctl.run_epoch(Duration::from_secs(60 * (round + 1)));
+        assert_eq!(report.unplaced, 0, "the pool must host every cell");
+    }
+    (ctl, load)
+}
+
+/// Bytes one more steady-state epoch (reports included) asks for.
+fn steady_epoch_bytes(cells: usize, servers: usize) -> u64 {
+    let (mut ctl, load) = steady_controller(cells, servers);
+    let ((), epoch) = counted(|| {
+        for cell in 0..cells {
+            ctl.report_load(cell, load(4, cell)).unwrap();
+        }
+        ctl.run_epoch(Duration::from_secs(300));
+    });
+    assert!(
+        epoch.bytes > 0,
+        "an epoch copies its placement at the least"
+    );
+    epoch.bytes
+}
+
+#[test]
+fn epoch_allocation_grows_with_cells_plus_servers() {
+    let small = steady_epoch_bytes(1_000, 500);
+    let large = steady_epoch_bytes(2_000, 1_000);
+    assert!(
+        large as f64 <= 2.2 * small as f64,
+        "doubling cells and servers took an epoch from {small} to {large} bytes: \
+         something is sized cells × servers"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "30,000 cells / 15,000 servers: release lane only"
+)]
+fn metro_scale_controller_fits_under_256_mb() {
+    const CELLS: usize = 30_000;
+    const SERVERS: usize = 15_000;
+    let ((), whole) = counted(|| {
+        let (mut ctl, load) = steady_controller(CELLS, SERVERS);
+        for round in 4..10 {
+            for cell in 0..CELLS {
+                ctl.report_load(cell, load(round, cell)).unwrap();
+            }
+            let report = ctl.run_epoch(Duration::from_secs(60 * (round + 1)));
+            assert_eq!(report.unplaced, 0);
+        }
+        let victim = ctl.placement().assignment[0].expect("every cell is placed");
+        let failure = ctl
+            .server_failed(victim, Duration::from_secs(601))
+            .expect("the server exists");
+        assert!(!failure.displaced.is_empty());
+        assert_eq!(failure.replaced, failure.displaced.len());
+    });
+    assert!(
+        whole.peak < 256 << 20,
+        "ten epochs and a failover at {CELLS} cells / {SERVERS} servers peaked at {} MB live",
+        whole.peak >> 20
+    );
 }
