@@ -1,7 +1,7 @@
 //! E18 — the live insight plane end to end: multi-window burn-rate
 //! alerting scored against chaos ground truth, the streaming
 //! attribution fold proven equal to the post-hoc pipeline, and the
-//! measured cost of keeping the tap armed.
+//! measured cost of keeping the plane armed.
 //!
 //! Three phases:
 //!
@@ -15,25 +15,25 @@
 //!    a blip can never fire) and recall must clear the floor — blips
 //!    are the *designed* false negatives, the price of page-worthiness.
 //! 2. **Differential** — a fronthaul-jittered soak runs with both the
-//!    buffered tracer and the live tap on; per shard, the buffered
+//!    buffered tracer and the live plane on; per shard, the buffered
 //!    events are exported to JSONL, parsed back and run through the
-//!    post-hoc reference (`spans::critical_paths`), and the production
-//!    `LiveFold`'s per-cell blame, per-cell misses, stage totals and
-//!    miss count must equal the sums over those paths; the fold state
-//!    must also serialize byte-identically across 1 vs 8 worker crews.
-//!    The buffered trace is flushed to
+//!    post-hoc reference (`spans::critical_paths`), and the per-cell
+//!    blame, per-cell misses, stage totals and miss count of the
+//!    shards' own folds (`MetroFold`) must equal the sums over those
+//!    paths; the fold state must also serialize byte-identically across
+//!    1 vs 8 worker crews. The buffered trace is flushed to
 //!    `results/e18_live_insight.trace.jsonl` and schema-validated.
-//! 3. **Overhead** — the identical soak workload three ways: tap off,
-//!    tap armed, and the post-hoc round trip the live plane replaces
+//! 3. **Overhead** — the identical soak workload three ways: live
+//!    plane off, armed, and the post-hoc round trip it replaces
 //!    (buffered sim tracer drained and `spans`-analyzed each epoch).
-//!    The measured `telemetry_overhead_pct` rides the existing
-//!    bench-gate drift machinery; the exit gate is the amortized
-//!    per-task attribution cost plus armed ≤ post-hoc.
+//!    The cost is measured against *off*: `telemetry_overhead_pct`
+//!    (armed vs off, signed) rides the bench-gate drift machinery, and
+//!    the exit gate is the amortized per-task attribution cost.
 //!
 //! Exit status is non-zero if precision dips below 1, recall misses the
 //! floor, any live-vs-post-hoc comparison diverges, the trace fails
-//! validation, or the armed tap costs more than the gate allows — CI
-//! runs this binary in the `bench-gate` job.
+//! validation, or the armed plane costs more per task than the gate
+//! allows — CI runs this binary in the `bench-gate` job.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -53,11 +53,12 @@ use pran_traces::TraceConfig;
 /// page, blips are deliberately ignored.
 const RECALL_FLOOR: f64 = 0.765;
 
-/// Gate on the armed live tap's amortized cost per subframe task. The
-/// hot kernel itself runs at ~100 ns/task, so whole-run percentages
-/// overstate what the tap would cost a real pool; the per-task figure
-/// is the transferable number.
-const ATTRIBUTION_NS_PER_TASK_MAX: f64 = 2_000.0;
+/// Gate on the armed live plane's amortized cost per subframe task,
+/// against the same soak with it off: two sketch increments and a
+/// deadline compare in the shard's metrics loop measure ≈ 10 ns beside
+/// a ≈ 100 ns/task jittered kernel; the ceiling leaves room for host
+/// noise on a 0.1 s wall, not for an event per task (≈ 250 ns).
+const ATTRIBUTION_NS_PER_TASK_MAX: f64 = 60.0;
 
 /// Epoch the fault lands in (blip + sustained classes).
 const FAIL_EPOCH: u64 = 6;
@@ -283,7 +284,7 @@ fn main() -> ExitCode {
         .all(|((_, live_us), posthoc_us)| live_us == posthoc_us);
     let live_posthoc_equal = cells_equal && totals_equal && paths_compared > 0 && fold.misses() > 0;
     println!(
-        "{} tapped event(s), {} task(s), {} miss(es); {paths_compared} critical \
+        "{} folded record(s), {} task(s), {} miss(es); {paths_compared} critical \
          path(s) compared across {shards} shard(s) after a JSONL round trip: \
          per-cell blame and misses equal {cells_equal}, stage totals equal {totals_equal}",
         fold.events(),
@@ -321,14 +322,14 @@ fn main() -> ExitCode {
             for _ in 0..3 {
                 r.run_epoch();
             }
-            serde_json::to_string(r.live_fold().expect("live insight armed"))
+            serde_json::to_string(&r.live_fold().expect("live insight armed"))
                 .expect("fold serializes")
         })
         .collect();
     let worker_invariant = fold_states[0] == fold_states[1];
     println!("fold state 1-worker == 8-worker: {worker_invariant}");
 
-    // The tapped trace doubles as a schema-conformance artifact.
+    // The buffered trace doubles as a schema-conformance artifact.
     std::fs::create_dir_all("results").expect("create results dir");
     let trace_path = "results/e18_live_insight.trace.jsonl";
     let trace_lines =
@@ -346,15 +347,15 @@ fn main() -> ExitCode {
         }
     };
 
-    // --- phase 3: measured cost of the armed tap ---
-    println!("\n== overhead: tap off vs armed vs the post-hoc round trip ==");
+    // --- phase 3: measured cost of the armed live plane ---
+    println!("\n== overhead: live plane off vs armed vs the post-hoc round trip ==");
     let (o_cells, o_shards, o_epochs) = (2_000usize, 4usize, 16u64);
     let mut o_tasks = 0u64;
-    // One wall sample per mode: `live` arms the tap (events constructed,
-    // rung, folded); `posthoc` instead runs the pipeline the live plane
-    // replaces — buffered sim tracer, drained each epoch and analyzed
-    // per shard with the batch `spans` code (generous to post-hoc: a
-    // real deployment also pays the JSONL round trip).
+    // One wall sample per mode: `live` arms the plane (every shard folds
+    // what it executes); `posthoc` instead runs the pipeline the live
+    // plane replaces — buffered sim tracer, drained each epoch and
+    // analyzed per shard with the batch `spans` code (generous to
+    // post-hoc: a real deployment also pays the JSONL round trip).
     let mut soak_wall = |live: bool, posthoc: bool| -> f64 {
         if posthoc {
             pran_telemetry::configure(pran_telemetry::TelemetryConfig::sim());
@@ -391,42 +392,41 @@ fn main() -> ExitCode {
         o_tasks = r.metro().cumulative().tasks_total;
         wall
     };
-    let _ = soak_wall(false, false); // warm-up: page in the workload once
-                                     // Min-of-3 per mode: wall ratios on shared runners are noisy, and
-                                     // the minimum is the stable estimator of the true cost.
-    let mut min_wall = |live: bool, posthoc: bool| -> f64 {
-        (0..3)
-            .map(|_| soak_wall(live, posthoc))
-            .fold(f64::INFINITY, f64::min)
-    };
-    let wall_off = min_wall(false, false);
-    let wall_live = min_wall(true, false);
-    let wall_posthoc = min_wall(false, true);
-    // The gated attribution-overhead metric is the armed tap's cost
-    // *relative to the post-hoc pipeline it replaces* (negative =
-    // cheaper). Both walls pay the same event-construction cost, so the
-    // ratio is stable run to run — unlike tap-vs-off, whose ~3× factor
-    // against a ~100 ns/task kernel swings tens of points with host
-    // noise (reported below under a name the gate leaves informational).
-    let telemetry_overhead_pct = 100.0 * (wall_live - wall_posthoc) / wall_posthoc.max(1e-9);
-    let tap_vs_off_pct = 100.0 * (wall_live - wall_off).max(0.0) / wall_off.max(1e-9);
-    let posthoc_vs_off_pct = 100.0 * (wall_posthoc - wall_off).max(0.0) / wall_off.max(1e-9);
-    let attribution_ns_per_task = (wall_live - wall_off).max(0.0) * 1e9 / o_tasks.max(1) as f64;
+    // Warm-up: page in the workload once.
+    let _ = soak_wall(false, false);
+    // Minimum over rounds, the modes alternating inside a round: wall
+    // ratios on shared runners are noisy, the minimum is the stable
+    // estimator of the true cost, and a slow stretch of the host then
+    // falls on every mode alike. Off and armed differ by a few
+    // milliseconds, so they get nine rounds; the post-hoc round trip is
+    // twenty times either and is only reported, so three.
+    let mut walls = [f64::INFINITY; 3];
+    for round in 0..9 {
+        let modes = [(false, false), (true, false), (false, true)];
+        for (wall, (live, posthoc)) in walls.iter_mut().zip(modes) {
+            if !posthoc || round < 3 {
+                *wall = wall.min(soak_wall(live, posthoc));
+            }
+        }
+    }
+    let [wall_off, wall_live, wall_posthoc] = walls;
+    // Everything is measured against *off* and signed: the gated
+    // `telemetry_overhead_pct` is what arming the live plane adds to the
+    // soak, `attribution_ns_per_task` the same difference per task
+    // (the transferable number: the percentage depends on how heavy the
+    // kernel beside it is). The post-hoc pipeline the plane replaces is
+    // reported beside them, not gated against.
+    let telemetry_overhead_pct = 100.0 * (wall_live - wall_off) / wall_off.max(1e-9);
+    let posthoc_vs_off_pct = 100.0 * (wall_posthoc - wall_off) / wall_off.max(1e-9);
+    let attribution_ns_per_task = (wall_live - wall_off) * 1e9 / o_tasks.max(1) as f64;
     let live_vs_posthoc = wall_live / wall_posthoc.max(1e-9);
-    // Two exit gates: the armed tap must cost a bounded number of
-    // nanoseconds per task, and must not exceed the post-hoc pipeline
-    // it replaces (plus slack for wall noise). `telemetry_overhead_pct`
-    // is additionally drift-gated by `bench-gate` against the committed
-    // baseline.
-    let overhead_ok =
-        attribution_ns_per_task <= ATTRIBUTION_NS_PER_TASK_MAX && live_vs_posthoc <= 1.10;
+    let overhead_ok = attribution_ns_per_task <= ATTRIBUTION_NS_PER_TASK_MAX;
     println!(
-        "{o_cells} cells / {o_shards} shards / {o_epochs} epochs ({o_tasks} tasks), min of 3:\n\
-         tap off {:.0} ms, armed {:.0} ms (+{tap_vs_off_pct:.1}%, \
-         {attribution_ns_per_task:.0} ns/task), post-hoc round trip {:.0} ms \
-         (+{posthoc_vs_off_pct:.1}%)\n\
-         armed vs post-hoc: {telemetry_overhead_pct:.1}% (ratio {live_vs_posthoc:.3}) \
-         -> gates (≤ {ATTRIBUTION_NS_PER_TASK_MAX} ns/task, ratio ≤ 1.10): {overhead_ok}",
+        "{o_cells} cells / {o_shards} shards / {o_epochs} epochs ({o_tasks} tasks), min of 9 / 9 / 3:\n\
+         off {:.0} ms, armed {:.0} ms ({telemetry_overhead_pct:+.1}%, \
+         {attribution_ns_per_task:.1} ns/task), post-hoc round trip {:.0} ms \
+         ({posthoc_vs_off_pct:+.1}%, armed/post-hoc {live_vs_posthoc:.3})\n\
+         -> gate (≤ {ATTRIBUTION_NS_PER_TASK_MAX} ns/task over off): {overhead_ok}",
         wall_off * 1e3,
         wall_live * 1e3,
         wall_posthoc * 1e3
@@ -481,11 +481,9 @@ fn main() -> ExitCode {
                 "tap_off_wall_ms": wall_off * 1e3,
                 "tap_armed_wall_ms": wall_live * 1e3,
                 "posthoc_wall_ms": wall_posthoc * 1e3,
-                // Armed vs the replaced post-hoc pipeline (negative =
-                // cheaper); drift-gated by bench-gate in absolute points
-                // vs the committed baseline.
+                // Armed vs off, signed; drift-gated by bench-gate in
+                // absolute points vs the committed baseline.
                 "telemetry_overhead_pct": telemetry_overhead_pct,
-                "tap_vs_off_pct": tap_vs_off_pct,
                 "posthoc_vs_off_pct": posthoc_vs_off_pct,
                 "attribution_ns_per_task": attribution_ns_per_task,
                 "attribution_ns_per_task_max": ATTRIBUTION_NS_PER_TASK_MAX,

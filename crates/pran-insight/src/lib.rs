@@ -7,12 +7,12 @@
 //!   subframe deadline's 2 ms budget to fronthaul vs queue vs steal vs
 //!   compute, exactly, from raw events or from exported JSONL parsed
 //!   back by `pran_telemetry::export::parse_jsonl`.
-//! - [`live`] — the streaming counterpart of [`spans`]: fold raw
-//!   in-process trace events into mergeable quantile sketches
-//!   (`pran-telemetry`'s one histogram at 8 sub-buckets) and per-cell
-//!   critical-path blame each epoch (no JSONL round trip, zero
-//!   allocation in steady state), plus multi-window multi-burn-rate
-//!   SLO alerting over the error budget.
+//! - [`live`] — the streaming counterpart of [`spans`]: fold executed
+//!   subframes — where a pool shard finishes them, or decoded from
+//!   events — into mergeable quantile sketches (`pran-telemetry`'s one
+//!   histogram at 8 sub-buckets) and per-cell critical-path blame (no
+//!   JSONL round trip, zero allocation in steady state), plus
+//!   multi-window multi-burn-rate SLO alerting over the error budget.
 //! - [`slo`] — an online SLO monitor the pool simulator and controller
 //!   feed per epoch: EWMA tracking and edge-triggered threshold alerts
 //!   on miss ratio, utilization, outage, lost reports and unplaced
@@ -33,6 +33,8 @@ pub mod slo;
 pub mod spans;
 
 pub use gate::{compare_envelopes, GateConfig, GateReport};
-pub use live::{BurnAlert, BurnRateAlerter, BurnSeverity, BurnState, LiveFold, LogSketch};
+pub use live::{
+    BurnAlert, BurnRateAlerter, BurnSeverity, BurnState, LiveFold, LogSketch, MetroFold,
+};
 pub use slo::{Alert, EpochSample, SloMetric, SloMonitor, SloPolicy};
 pub use spans::{critical_paths, CriticalPath, DEFAULT_BUDGET_US};

@@ -23,9 +23,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use pran_insight::live::LiveFold;
+use pran_insight::live::MetroFold;
 use pran_insight::slo::SloPolicy;
-use pran_insight::spans::DEFAULT_BUDGET_US;
 use pran_sim::service::{EpochRecord, EpochStatus, ResidentMetro};
 use pran_telemetry::trace::TraceEvent;
 use pran_telemetry::Registry;
@@ -45,15 +44,17 @@ pub struct SoakConfig {
     pub dump_dir: Option<PathBuf>,
     /// Dump filename prefix: `{prefix}_recorder_e{epoch}.json`.
     pub dump_prefix: String,
-    /// Arm the in-process live insight plane: a bounded per-shard event
-    /// tap ([`pran_telemetry::live`]) drained each epoch into a
-    /// streaming attribution fold ([`LiveFold`]), feeding the `/topk`
-    /// endpoint and live gauges. The tap is process-global, so only one
-    /// live-insight runner should exist at a time (the soak binary and
-    /// E18 each run exactly one).
+    /// Arm the in-process live insight plane ([`pran_telemetry::live`]):
+    /// every shard folds the subframes it executes into its own
+    /// streaming attribution state, and the shards' folds side by side
+    /// ([`MetroFold`]) feed the `/topk` endpoint and live gauges. The
+    /// switch is process-global, so only one live-insight runner should
+    /// exist at a time (the soak binary and E18 each run exactly one).
     pub live_insight: bool,
-    /// Per-shard live ring capacity in events — bounds sink memory; a
-    /// shard emitting more than this per epoch counts drops instead.
+    /// Per-shard live ring capacity in events. Subframes never enter
+    /// the ring; it carries the few control-plane events an epoch
+    /// records (alerts, violations), drained every epoch, and counts a
+    /// drop for each one past this bound.
     pub live_ring_capacity: usize,
     /// How many worst cells / links / servers `/topk` reports.
     pub topk: usize,
@@ -81,12 +82,12 @@ pub struct SoakEpoch {
     pub dumped: Option<PathBuf>,
 }
 
-/// The armed live insight plane: the streaming attribution fold plus
-/// its preallocated drain scratch (both sized once — the per-epoch
-/// drain + fold is allocation-free).
-struct LiveInsight {
-    fold: LiveFold,
+/// The runner's side of the armed live insight plane: the drain
+/// scratch of the event rings (sized once, so the per-epoch drain is
+/// allocation-free) and how many events have come through them.
+struct LiveRings {
     scratch: Vec<TraceEvent>,
+    events: u64,
 }
 
 /// A resident metro plus its observability plane.
@@ -97,7 +98,7 @@ pub struct SoakRunner {
     profiler: PhaseProfiler,
     registry: Registry,
     server: Option<ObsServer>,
-    live: Option<LiveInsight>,
+    live: Option<LiveRings>,
     prev_violation: bool,
     prev_telemetry_ns: u64,
     /// The most recent triggered dump (document + path, path `None` when
@@ -109,18 +110,14 @@ pub struct SoakRunner {
 impl SoakRunner {
     /// Wrap a resident metro in the observability plane. When
     /// [`SoakConfig::live_insight`] is set this arms the process-global
-    /// live sink (disarmed again on drop).
+    /// live plane (disarmed again on drop).
     pub fn new(metro: ResidentMetro, cfg: SoakConfig) -> Self {
         let recorder = FlightRecorder::new(cfg.recorder_capacity);
         let live = cfg.live_insight.then(|| {
             pran_telemetry::live::arm(metro.shard_count(), cfg.live_ring_capacity);
-            LiveInsight {
-                fold: LiveFold::new(
-                    metro.total_cells(),
-                    metro.total_servers(),
-                    DEFAULT_BUDGET_US,
-                ),
+            LiveRings {
                 scratch: Vec::with_capacity(cfg.live_ring_capacity),
+                events: 0,
             }
         });
         SoakRunner {
@@ -182,10 +179,10 @@ impl SoakRunner {
         self.dumps_written
     }
 
-    /// The live attribution fold, when [`SoakConfig::live_insight`] is
-    /// armed.
-    pub fn live_fold(&self) -> Option<&LiveFold> {
-        self.live.as_ref().map(|l| &l.fold)
+    /// The metro-wide live attribution view, when
+    /// [`SoakConfig::live_insight`] is armed and an epoch has run.
+    pub fn live_fold(&self) -> Option<MetroFold<'_>> {
+        self.live.as_ref().and_then(|_| self.metro.live_fold())
     }
 
     /// Step one epoch through the full observability pipeline.
@@ -197,24 +194,20 @@ impl SoakRunner {
         // Flight recorder: allocation-free ring push.
         self.recorder.push(rec);
 
-        // Live insight: drain each shard's event ring (the workers have
-        // joined, so the rings are quiescent) and fold it into the
-        // streaming attribution state. Shard-index order + exact sketch
-        // merges keep the fold worker-count invariant; drain + fold are
-        // allocation-free against the preallocated scratch.
+        // Live insight: the shards folded their subframes as they
+        // executed them, so nothing is left to do per task. Empty the
+        // event rings (the workers have joined, so they are quiescent)
+        // to keep their drop counter honest.
         if let Some(live) = self.live.as_mut() {
             for s in 0..self.metro.shard_count() {
                 live.scratch.clear();
-                pran_telemetry::live::drain_shard_into(s, &mut live.scratch);
-                let (cell_off, server_off) = self.metro.shard_offsets(s);
-                live.fold.fold_shard(
-                    &live.scratch,
-                    cell_off,
-                    server_off,
-                    self.metro.shard_assignment(s),
-                );
+                live.events += pran_telemetry::live::drain_shard_into(s, &mut live.scratch) as u64;
             }
         }
+        let live = self.live.as_ref().and_then(|rings| {
+            let fold = self.metro.live_fold()?;
+            Some((fold, rings.events))
+        });
 
         // Phase profile: the service timed its own four phases; the
         // telemetry phase is timed around this whole block.
@@ -246,9 +239,13 @@ impl SoakRunner {
         if status.burn_alert.is_some() {
             r.inc("soak.burn_alerts", &[], 1);
         }
-        if let Some(live) = self.live.as_ref() {
-            r.gauge("soak.live_events", &[], live.fold.events() as f64);
-            r.gauge("soak.live_misses", &[], live.fold.misses() as f64);
+        if let Some((fold, ring_events)) = &live {
+            r.gauge(
+                "soak.live_events",
+                &[],
+                (fold.events() + ring_events) as f64,
+            );
+            r.gauge("soak.live_misses", &[], fold.misses() as f64);
             r.gauge(
                 "soak.live_dropped",
                 &[],
@@ -308,8 +305,10 @@ impl SoakRunner {
 
         // Publish: immutable snapshot swap; scrapers render off-thread.
         if let Some(server) = &self.server {
-            let topk = match &self.live {
-                Some(live) => Arc::new(build_topk_doc(&live.fold, rec.epoch, self.cfg.topk)),
+            let topk = match &live {
+                Some((fold, ring_events)) => {
+                    Arc::new(build_topk_doc(fold, *ring_events, rec.epoch, self.cfg.topk))
+                }
                 // Live insight off: serve the valid empty document (epoch
                 // 0, empty rankings) rather than dropping the route.
                 None => Arc::clone(&Published::empty().topk),
@@ -333,9 +332,8 @@ impl SoakRunner {
 
 impl Drop for SoakRunner {
     fn drop(&mut self) {
-        // The live sink is process-global: disarm it when the runner
-        // that armed it goes away so late stray emissions stop paying
-        // the tap cost.
+        // The live switch is process-global: disarm it when the runner
+        // that armed it goes away, so shards stepped later stop folding.
         if self.live.is_some() {
             pran_telemetry::live::disarm();
         }
@@ -393,8 +391,16 @@ fn build_slo_doc(rec: &EpochRecord, policy: &SloPolicy) -> serde::Value {
 
 /// Render the `/topk` document (`pran-topk/1`): worst-K cells by total
 /// attributed blame, worst fronthaul links (fronthaul-stage blame per
-/// cell), and slowest servers by sojourn p99, from the streaming fold.
-fn build_topk_doc(fold: &LiveFold, epoch: u64, k: usize) -> serde::Value {
+/// cell), and slowest servers by sojourn p99, from the shards' folds.
+///
+/// `tasks` is every subframe a shard executed (the registry's
+/// `soak.tasks − soak.lost`: the fold sits in the execute loop, so it
+/// cannot miss one). `events` is every record the live plane consumed:
+/// those tasks, the steals noted beside them, and the `ring_events`
+/// drained from the control-plane event rings. `dropped` counts ring
+/// overflows only — events past `live_ring_capacity` in one epoch;
+/// subframes never enter a ring and cannot be dropped.
+fn build_topk_doc(fold: &MetroFold<'_>, ring_events: u64, epoch: u64, k: usize) -> serde::Value {
     let entry = |keys: [&str; 3], t: (usize, u64, u64)| -> serde::Value {
         let mut m = serde::Map::new();
         m.insert(keys[0].to_string(), (t.0 as u64).to_json_value());
@@ -427,7 +433,10 @@ fn build_topk_doc(fold: &LiveFold, epoch: u64, k: usize) -> serde::Value {
     m.insert("k".to_string(), (k as u64).to_json_value());
     m.insert("tasks".to_string(), fold.tasks().to_json_value());
     m.insert("misses".to_string(), fold.misses().to_json_value());
-    m.insert("events".to_string(), fold.events().to_json_value());
+    m.insert(
+        "events".to_string(),
+        (fold.events() + ring_events).to_json_value(),
+    );
     m.insert(
         "dropped".to_string(),
         pran_telemetry::live::dropped().to_json_value(),
@@ -581,9 +590,9 @@ mod tests {
 
     #[test]
     fn live_insight_feeds_the_topk_endpoint() {
-        // Arms the process-global live sink; concurrent tests in this
-        // binary may leak events into the rings, so every assertion here
-        // is a lower bound or a schema check.
+        // Arms the process-global live switch; another test's runner
+        // dropping mid-way would disarm it, so every assertion here is a
+        // lower bound or a schema check.
         //
         // Deadline misses need *executed-late* tasks (a dead server's
         // demand is lost, not late): 2 ms of fronthaul jitter against the

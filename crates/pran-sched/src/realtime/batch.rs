@@ -162,6 +162,24 @@ impl BatchOutcome {
     pub fn misses(&self) -> usize {
         self.missed.iter().filter(|&&m| m).count()
     }
+
+    /// Task `i` of `batch` as the `subframe` record [`simulate_into`]
+    /// emits for it: the µs-truncated columns the reference scheduler
+    /// reports, start reconstructed as finish − service on the µs grid
+    /// (non-preemptive dispatch runs each task contiguously).
+    #[inline]
+    pub fn subframe(&self, batch: &TaskBatch, i: usize) -> pran_telemetry::Subframe {
+        let finish = self.finish_ns[i] / 1_000;
+        pran_telemetry::Subframe {
+            cell: u64::from(batch.cell[i]),
+            release_us: batch.release_ns[i] / 1_000,
+            start_us: finish.saturating_sub(batch.service_ns[i] / 1_000),
+            finish_us: finish,
+            deadline_us: batch.deadline_ns[i] / 1_000,
+            core: None,
+            stolen: false,
+        }
+    }
 }
 
 /// Ready-queue ordering key (mirrors the reference scheduler's).
@@ -264,22 +282,9 @@ pub fn simulate_into(
         }
     }
 
-    if pran_telemetry::emitting() {
-        // Same events the reference scheduler emits (µs-truncated, start
-        // reconstructed as finish − service on the µs grid).
+    if pran_telemetry::enabled() {
         for i in 0..n {
-            let finish = out.finish_ns[i] / 1_000;
-            let service = batch.service_ns[i] / 1_000;
-            pran_telemetry::Subframe {
-                cell: u64::from(batch.cell[i]),
-                release_us: batch.release_ns[i] / 1_000,
-                start_us: finish.saturating_sub(service),
-                finish_us: finish,
-                deadline_us: batch.deadline_ns[i] / 1_000,
-                core: None,
-                stolen: false,
-            }
-            .emit(Some(policy.label()));
+            out.subframe(batch, i).emit(Some(policy.label()));
         }
     }
 }

@@ -177,7 +177,7 @@ pub fn simulate(tasks: &[RtTask], cores: usize, policy: Policy) -> SimOutcome {
             cores,
         ),
     };
-    if pran_telemetry::emitting() {
+    if pran_telemetry::enabled() {
         // Non-preemptive dispatch: each task runs contiguously, so its
         // start on the simulated timeline is finish − service.
         for t in tasks {

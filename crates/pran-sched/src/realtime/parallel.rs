@@ -131,6 +131,24 @@ impl ParallelOutcome {
         }
     }
 
+    /// Task `id` of `batch` as the `subframe` record the executor emits
+    /// for it, in its whole-µs domain: `start = max(clock, release)` is
+    /// `finish − service` there.
+    #[inline]
+    pub fn subframe(&self, batch: &TaskBatch, id: usize) -> pran_telemetry::Subframe {
+        let t = &self.tasks[id];
+        let finish = t.finish.as_micros() as u64;
+        pran_telemetry::Subframe {
+            cell: u64::from(batch.cell[id]),
+            release_us: batch.release_ns[id] / 1_000,
+            start_us: finish - batch.service_ns[id] / 1_000,
+            finish_us: finish,
+            deadline_us: batch.deadline_ns[id] / 1_000,
+            core: Some(t.core as u64),
+            stolen: t.stolen,
+        }
+    }
+
     /// Aggregate core utilization over the makespan.
     pub fn utilization(&self) -> f64 {
         if self.makespan.is_zero() || self.core_busy.is_empty() {
@@ -191,6 +209,16 @@ pub struct ParallelScratch {
     /// core's queue is one contiguous run, most urgent batch first.
     batches: Vec<Batch>,
     cores: Vec<Core>,
+    /// `(thief core, grab instant µs)` of every steal of the last call.
+    steals: Vec<(u64, u64)>,
+}
+
+impl ParallelScratch {
+    /// `(thief core, grab instant µs)` of every batch stolen in the last
+    /// call, in schedule order — what its `rt.steal` events carry.
+    pub fn steals(&self) -> &[(u64, u64)] {
+        &self.steals
+    }
 }
 
 /// The executor. Cheap to construct; all state lives per run.
@@ -311,7 +339,9 @@ impl ParallelExecutor {
             rows,
             batches,
             cores,
+            steals,
         } = scratch;
+        steals.clear();
 
         // Batch per cell (input order kept within a cell, at most
         // `batch` tasks each), homed on `cell % cores`.
@@ -357,10 +387,9 @@ impl ParallelExecutor {
         out.tasks.clear();
         out.tasks.resize(n, TaskOutcome::default());
         out.steals = 0;
-        // Hoisted once per call: when no consumer (buffered tracer or
-        // live sink) wants events, the loop below must not even build
-        // event field arrays.
-        let telemetry_on = pran_telemetry::emitting();
+        // Hoisted once per call: with the tracer off, the loop below
+        // must not even build event field arrays.
+        let telemetry_on = pran_telemetry::enabled();
 
         // The live core with the smallest clock grabs next; `min_by_key`
         // keeps the first minimum, so ties go to the lowest core index.
@@ -399,8 +428,9 @@ impl ParallelExecutor {
                 let stolen = batch.home != c;
                 if stolen {
                     out.steals += 1;
+                    steals.push((c as u64, core.clock));
                     if telemetry_on {
-                        pran_telemetry::trace::sim_event(
+                        pran_telemetry::trace::sim_event_buffered(
                             "rt.steal",
                             core.clock,
                             &[
@@ -419,18 +449,6 @@ impl ParallelExecutor {
                     let finish = start + service;
                     core.busy += service;
                     core.clock = finish;
-                    if telemetry_on {
-                        pran_telemetry::Subframe {
-                            cell: u64::from(tasks.cell[id]),
-                            release_us: release,
-                            start_us: start,
-                            finish_us: finish,
-                            deadline_us: deadline,
-                            core: Some(c as u64),
-                            stolen,
-                        }
-                        .emit(None);
-                    }
                     out.tasks[id] = TaskOutcome {
                         id,
                         finish: Duration::from_micros(finish),
@@ -439,6 +457,9 @@ impl ParallelExecutor {
                         core: c,
                         stolen,
                     };
+                    if telemetry_on {
+                        out.subframe(tasks, id).emit(None);
+                    }
                     ran(c, id);
                 }
             }

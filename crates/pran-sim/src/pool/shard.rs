@@ -2,8 +2,9 @@
 //! pool, and the three transitions the simulator has.
 //!
 //! A [`PoolShard`] owns a pool's configuration, placement and (optional)
-//! warm placer, server liveness, the per-cell fronthaul fault injectors
-//! and the scratch of the per-TTI hot loop. It moves only through
+//! warm placer, server liveness, the per-cell fronthaul fault injectors,
+//! the scratch of the per-TTI hot loop and — once the live insight plane
+//! has been armed — its part of that plane's fold. It moves only through
 //! [`PoolShard::place`], [`PoolShard::execute`] and
 //! [`PoolShard::fail_server`]; the batch
 //! [`PoolSimulator`](super::PoolSimulator) and the resident
@@ -14,6 +15,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use pran_fronthaul::fault::{FaultInjector, Outcome};
+use pran_insight::live::LiveFold;
 use pran_phy::compute::{CellWorkload, ComputeModel, FunctionalSplit};
 use pran_phy::frame::{Direction, COMPUTE_DEADLINE, TTI};
 use pran_sched::placement::migration::incremental_repack;
@@ -241,6 +243,10 @@ pub struct PoolShard {
     /// One injector per cell, seeded `seed + cell`; empty under an ideal
     /// fronthaul.
     pub(super) links: Vec<FaultInjector>,
+    /// This shard's part of the live insight plane, over its own cell
+    /// and server ids: built by the first [`execute`](Self::execute) that
+    /// finds `pran_telemetry::live` armed, fed by every armed one since.
+    live: Option<Box<LiveFold>>,
 }
 
 impl PoolShard {
@@ -263,6 +269,7 @@ impl PoolShard {
                     .collect(),
                 None => Vec::new(),
             },
+            live: None,
             cfg,
         })
     }
@@ -280,6 +287,14 @@ impl PoolShard {
     /// Liveness of every server, in id order.
     pub fn alive(&self) -> &[bool] {
         &self.alive
+    }
+
+    /// What the live insight plane has folded of this shard's executed
+    /// subframes, in its local cell and server ids; `None` until an
+    /// [`execute`](Self::execute) has run with `pran_telemetry::live`
+    /// armed.
+    pub fn live_fold(&self) -> Option<&LiveFold> {
+        self.live.as_deref()
     }
 
     /// Liveness, writable: flipping a server here re-places nothing —
@@ -405,6 +420,11 @@ impl PoolShard {
     /// isomorphic to the reference oracle's `Duration` math
     /// (`tests/tests/pool_differential.rs`).
     ///
+    /// While `pran_telemetry::live` is armed, every executed task is also
+    /// recorded into [`live_fold`](Self::live_fold) — cell, server and
+    /// the µs record the schedulers' `subframe` event carries, straight
+    /// from the outcome columns (one branch per server-step when not).
+    ///
     /// Returns the peak per-server task backlog observed (the largest
     /// single-server batch filled by any step) — the resident service's
     /// flight recorder exposes it as `peak_queue_depth`.
@@ -434,6 +454,15 @@ impl PoolShard {
         } = &mut self.hot;
         let prbs_f = *prbs_f;
         let accel_servers = *accel_servers;
+        let mut live = if pran_telemetry::live::armed() {
+            Some(&mut **self.live.get_or_insert_with(|| {
+                let budget_us = COMPUTE_DEADLINE.as_micros() as u64;
+                let cells = placement.assignment.len();
+                Box::new(LiveFold::new(cells, cfg.servers, budget_us))
+            }))
+        } else {
+            None
+        };
         let mut peak_depth = 0u64;
         for (offset, row) in rows.iter().enumerate() {
             let step = first_step + offset;
@@ -507,6 +536,15 @@ impl PoolShard {
                                 metrics.deadline_slack.record_us(r.slack_us as u64);
                             }
                         }
+                        if let Some(fold) = live.as_deref_mut() {
+                            for &(thief, at_us) in par_scratch.steals() {
+                                fold.steal(thief, at_us);
+                            }
+                            for id in 0..batch.len() {
+                                let task = par_out.subframe(batch, id);
+                                fold.record(batch.cell[id] as usize, Some(s), &task);
+                            }
+                        }
                     }
                     None => {
                         simulate_into(batch, cfg.cores_per_server, cfg.scheduler, scratch, outcome);
@@ -522,9 +560,19 @@ impl PoolShard {
                                     .record_us((batch.deadline_ns[i] - finish_ns) / 1_000);
                             }
                         }
+                        if let Some(fold) = live.as_deref_mut() {
+                            for i in 0..batch.len() {
+                                let task = outcome.subframe(batch, i);
+                                fold.record(batch.cell[i] as usize, Some(s), &task);
+                            }
+                        }
                     }
                 }
             }
+        }
+        if let Some(fold) = live {
+            // One `execute` is one shard-epoch of records.
+            fold.settle();
         }
         peak_depth
     }

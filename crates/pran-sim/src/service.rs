@@ -24,7 +24,7 @@
 
 use std::time::{Duration, Instant};
 
-use pran_insight::live::{BurnAlert, BurnRateAlerter};
+use pran_insight::live::{BurnAlert, BurnRateAlerter, MetroFold};
 use pran_insight::slo::{Alert, EpochSample, SloMetric, SloMonitor, SloPolicy};
 use pran_traces::{TraceConfig, TraceStream};
 use serde::{Deserialize, Serialize};
@@ -126,8 +126,8 @@ struct ShardDelta {
 /// One shard of the resident metro: a pool, the trace stream feeding it,
 /// and this epoch's rows, metrics and phase stamps.
 struct ResidentShard {
-    /// Metro-wide shard index: telemetry shard context, and the live
-    /// sink ring this shard's events land in.
+    /// Metro-wide shard index: telemetry shard context (the stamp on
+    /// this shard's events, and the live ring they are routed to).
     shard_id: u64,
     pool: PoolShard,
     stream: TraceStream,
@@ -156,7 +156,7 @@ impl ResidentShard {
 
     /// Step one epoch: stream `epoch_steps` rows, (re)place, execute.
     /// Runs under this shard's telemetry context (as the batch metro's
-    /// `run_shard` does), so both the buffered trace and the live sink
+    /// `run_shard` does), so both the buffered trace and the live ring
     /// see shard-stamped, shard-routed events.
     fn step_epoch(&mut self) {
         pran_telemetry::trace::set_shard(Some(self.shard_id));
@@ -309,6 +309,15 @@ impl ResidentMetro {
     /// One shard's current cell → local-server placement.
     pub fn shard_assignment(&self, shard: usize) -> &[Option<usize>] {
         self.shards[shard].pool.assignment()
+    }
+
+    /// The metro-wide live insight view: each shard's own fold of the
+    /// subframes it executed, side by side in shard order (global ids as
+    /// in [`shard_offsets`](Self::shard_offsets)). `None` until every
+    /// shard has stepped an epoch with `pran_telemetry::live` armed.
+    pub fn live_fold(&self) -> Option<MetroFold<'_>> {
+        let parts = self.shards.iter().map(|sh| sh.pool.live_fold());
+        parts.collect::<Option<Vec<_>>>().map(MetroFold::new)
     }
 
     /// Kill the first `n` currently-alive servers of `shard` (a forced

@@ -51,7 +51,8 @@ pub struct TelemetryConfig {
     /// events; [`TraceClock::Full`] records both domains.
     pub clock: TraceClock,
     /// Per-thread buffer length (events) before spilling to the shared
-    /// sink. Larger buffers lock less; each buffered event is ~128 bytes.
+    /// sink. Larger buffers lock less; each buffered event is 512 bytes
+    /// (`size_of::<TraceEvent>()`), so the default 8192 is 4 MiB a thread.
     pub buffer_events: usize,
 }
 
@@ -110,16 +111,6 @@ pub fn disable() {
 #[inline]
 pub fn enabled() -> bool {
     trace::enabled()
-}
-
-/// Whether *any* consumer wants simulated-clock events: the buffered
-/// export path ([`enabled`]) or the armed in-process live sink
-/// ([`live::armed`]). Emission sites that build per-task field arrays
-/// should hoist this (two relaxed atomic loads) the way they hoist
-/// [`enabled`].
-#[inline]
-pub fn emitting() -> bool {
-    trace::enabled() || live::armed()
 }
 
 #[cfg(test)]

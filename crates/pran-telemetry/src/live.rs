@@ -1,19 +1,25 @@
-//! The live sink: a bounded, per-shard, in-process tap on the tracer.
+//! The live switch and its event ring: a bounded, per-shard, in-process
+//! tap on the tracer.
 //!
-//! The JSONL exporter answers questions *after* a run; the live sink
-//! answers them *during* one. When armed, every simulated-clock event is
-//! also copied — allocation-free — into a preallocated per-shard ring,
-//! which a resident consumer (the `pran-insight` live attribution engine
-//! riding inside `pran-obs`'s soak loop) drains once per epoch. The tap
-//! is independent of the buffered tracer: arming it does not require
+//! The JSONL exporter answers questions *after* a run; the live plane
+//! answers them *during* one. [`arm`] is its one switch, and it turns on
+//! two things. The per-task records never become events: while
+//! [`armed`], `PoolShard::execute` folds each executed subframe straight
+//! into a shard-owned `pran_insight::live::LiveFold` from the integers
+//! it already holds. Everything else [`sim_event`](trace::sim_event)
+//! records — a handful of control-plane events per epoch (`pool.epoch`,
+//! SLO and burn alerts, chaos violations) — is also copied,
+//! allocation-free, into a preallocated per-shard ring, which a resident
+//! consumer (`pran-obs`'s soak loop) drains once per epoch. Both are
+//! independent of the buffered tracer: arming does not require
 //! `enabled()`, so a soak can fold live attribution without paying for
-//! (or allocating in) the export path, and the zero-alloc harness can run
-//! with the sink armed.
+//! (or allocating in) the export path.
 //!
 //! Capacity is a hard bound: when a shard's ring is full, further events
 //! are counted as dropped rather than buffered, so a stalled consumer
 //! costs bounded memory and an honest counter instead of an unbounded
-//! queue.
+//! queue. A ring slot is one [`TraceEvent`], 512 bytes; the rings are
+//! reserved at [`arm`] and their pages are touched only as events land.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,7 +55,7 @@ thread_local! {
     static CACHED: RefCell<Option<(u64, Option<Arc<Inner>>)>> = const { RefCell::new(None) };
 }
 
-/// Arm the live sink with `shards` rings of `capacity` events each.
+/// Arm the live plane, with `shards` rings of `capacity` events each.
 ///
 /// Replaces any previously armed sink (its undrained events are
 /// discarded). Ring storage is allocated here, once — the record path

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use crate::trace::{sim_event, Domain, EventView, FieldValue, TraceEvent};
+use crate::trace::{sim_event_buffered, Domain, EventView, FieldValue, TraceEvent};
 
 /// One executed subframe task on the simulated timeline (all times in
 /// sim-clock microseconds).
@@ -93,13 +93,15 @@ impl Subframe {
         (fields, len)
     }
 
-    /// Record the task as a sim-clock event stamped at `finish_us`.
+    /// Record the task as a sim-clock event stamped at `finish_us`, on
+    /// the buffered export path only (see
+    /// [`sim_event_buffered`]).
     /// Allocation-free; callers keep it behind their hoisted
-    /// [`emitting`](crate::emitting) guard.
+    /// [`enabled`](crate::enabled) guard.
     #[inline]
     pub fn emit(&self, policy: Option<&'static str>) {
         let (fields, len) = self.fields(policy);
-        sim_event(Self::NAME, self.finish_us, &fields[..len]);
+        sim_event_buffered(Self::NAME, self.finish_us, &fields[..len]);
     }
 
     /// The event [`Subframe::emit`] records (before the tracer's shard

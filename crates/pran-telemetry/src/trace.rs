@@ -111,7 +111,9 @@ impl From<&'static str> for FieldValue {
 }
 
 /// One trace record: timestamp, clock domain, static name and up to
-/// [`MAX_FIELDS`] key/value fields. `Copy`, 100-odd bytes, no heap.
+/// [`MAX_FIELDS`] key/value fields. `Copy`, no heap — and 512 bytes
+/// (twelve 40-byte key/value slots plus the header), whatever the event
+/// carries, which is why per-task records stay off the live ring.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Timestamp in microseconds within the event's clock domain.
@@ -124,6 +126,11 @@ pub struct TraceEvent {
     fields: [(&'static str, FieldValue); MAX_FIELDS],
     len: u8,
 }
+
+// Buffer and ring sizing (`TelemetryConfig::buffer_events`,
+// `live::arm`) is documented in these bytes.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 512);
 
 impl TraceEvent {
     /// Build an event, truncating fields beyond [`MAX_FIELDS`].
@@ -379,9 +386,7 @@ fn push_stamped(event: TraceEvent) {
 ///
 /// The event reaches every armed consumer: the buffered export path when
 /// [`enabled`], and the bounded in-process tap when [`crate::live::armed`]
-/// — both see the identical shard-stamped record, which is what lets the
-/// live attribution engine be proven byte-equal to post-hoc trace
-/// analysis.
+/// — both see the identical shard-stamped record.
 #[inline]
 pub fn sim_event(name: &'static str, ts_us: u64, fields: &[(&'static str, FieldValue)]) {
     let buffered = enabled();
@@ -396,6 +401,18 @@ pub fn sim_event(name: &'static str, ts_us: u64, fields: &[(&'static str, FieldV
     }
     if buffered {
         push_stamped(event);
+    }
+}
+
+/// Record a simulated-clock event on the buffered export path only.
+///
+/// For the per-task records (`subframe`, `rt.steal`): the live plane
+/// folds those where they are produced (`PoolShard::execute`) instead of
+/// copying one [`TraceEvent`] per task through the tap.
+#[inline]
+pub fn sim_event_buffered(name: &'static str, ts_us: u64, fields: &[(&'static str, FieldValue)]) {
+    if enabled() {
+        push(TraceEvent::new(ts_us, Domain::Sim, name, fields));
     }
 }
 

@@ -10,10 +10,10 @@
 //! the fault injectors, the live fronthaul byte meter and the heap
 //! dispatch (jitter breaks the uniform deadline offset the FIFO fast
 //! path needs) all run inside the counting window. So do the planes a
-//! soak attaches per epoch: the live insight tap is armed and every
-//! step's `subframe` events are drained and folded into the streaming
-//! attribution state, and the flight recorder rings a record per step.
-//! A second shard of the same shape runs its servers on the stealing
+//! soak attaches per epoch: the live insight plane is armed, so
+//! `execute` itself folds every subframe it finishes into the shard's
+//! streaming attribution state, and the flight recorder rings a record
+//! per step. A second shard of the same shape runs its servers on the stealing
 //! [`ParallelExecutor`](pran_sched::realtime::ParallelExecutor) inside
 //! the same window: its batch queues and simulated cores live in a
 //! scratch that, like every other buffer here, may grow only when a step
@@ -37,13 +37,11 @@ use std::time::Duration;
 use pran::apps::{FailoverApp, LoadBalancerApp};
 use pran::{Controller, SystemConfig};
 use pran_fronthaul::fault::FaultConfig;
-use pran_insight::live::LiveFold;
 use pran_obs::FlightRecorder;
 use pran_phy::FunctionalSplit;
 use pran_sched::placement::WarmConfig;
 use pran_sched::realtime::ParallelConfig;
 use pran_sim::{EpochRecord, LinkFault, PoolAccel, PoolConfig, PoolMetrics, PoolShard, SplitPlan};
-use pran_telemetry::trace::TraceEvent;
 
 struct CountingAlloc;
 
@@ -142,7 +140,6 @@ struct Soaked {
     /// Armed flight recorder: the 247 steady rounds span its fill phase
     /// AND several wraparounds — both must stay allocation-free.
     recorder: FlightRecorder<EpochRecord>,
-    fold: LiveFold,
 }
 
 impl Soaked {
@@ -163,21 +160,13 @@ impl Soaked {
             shard,
             metrics,
             recorder: FlightRecorder::new(64),
-            fold: LiveFold::new(CELLS, SERVERS, 2_000),
         }
     }
 
     /// One trace step, as the soak service runs an epoch: the real
-    /// `execute` into reset epoch metrics, the cumulative fold, a flight
-    /// recorder push, and the live tap drained into the attribution
-    /// state.
-    fn step(
-        &mut self,
-        round: u64,
-        rows: &[Vec<f64>],
-        epoch: &mut PoolMetrics,
-        events: &mut Vec<TraceEvent>,
-    ) {
+    /// `execute` (live fold included) into reset epoch metrics, the
+    /// cumulative fold and a flight recorder push.
+    fn step(&mut self, round: u64, rows: &[Vec<f64>], epoch: &mut PoolMetrics) {
         epoch.reset();
         let peak_queue_depth = self.shard.execute(rows, round as usize, 60.0, epoch);
         self.metrics.append_epoch(epoch);
@@ -203,10 +192,6 @@ impl Soaked {
             burn_slow: 0.0,
             burn_severity: 0,
         });
-        // Ring 0: no shard context on this thread.
-        events.clear();
-        pran_telemetry::live::drain_shard_into(0, events);
-        self.fold.fold_shard(events, 0, 0, self.shard.assignment());
     }
 }
 
@@ -216,9 +201,8 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
         !pran_telemetry::enabled(),
         "the buffered tracer must stay off: the live tap must not need it"
     );
-    // Arm the live tap: sink storage allocates once here, never on the
-    // record path. 40 cells × 4 TTIs = at most 160 `subframe` events per
-    // shard-step, plus at most one `rt.steal` per stolen batch.
+    // Arm the live plane: each shard builds its fold in its first
+    // `execute` (the warm-up), never after.
     pran_telemetry::live::arm(1, 1024);
 
     let mut cfg = PoolConfig::default_eval(SERVERS);
@@ -241,7 +225,6 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
     });
     let mut soaked = [Soaked::new(cfg), Soaked::new(stealing)];
     let mut rows = vec![vec![1.0; CELLS]];
-    let mut events: Vec<TraceEvent> = Vec::with_capacity(1024);
     let mut epoch = PoolMetrics::default();
 
     // A fresh utilization row per round (varied so the dispatch heaps and
@@ -252,7 +235,7 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
             *util = ((round * 7 + cell as u64 * 13) % 101) as f64 / 100.0;
         }
         for s in &mut soaked {
-            s.step(round, &rows, &mut epoch, &mut events);
+            s.step(round, &rows, &mut epoch);
         }
     };
 
@@ -266,12 +249,12 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
         steady.allocations
     );
     for Soaked {
+        shard,
         metrics,
         recorder,
-        fold,
-        ..
     } in &soaked
     {
+        let fold = shard.live_fold().expect("armed executes build the fold");
         assert_eq!(recorder.len(), 64, "the ring must have filled");
         assert_eq!(recorder.total_pushed(), 250, "every step must have rung");
         assert_eq!(metrics.tasks_total, 250 * 160);
@@ -295,9 +278,9 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
         "the stealing shard never stole"
     );
     assert_eq!(
-        pran_telemetry::live::dropped(),
-        0,
-        "a per-step drain must never fill the ring"
+        soaked[1].shard.live_fold().map(|f| f.events() - f.tasks()),
+        Some(soaked[1].metrics.steals),
+        "every steal must have been noted beside the tasks"
     );
     pran_telemetry::live::disarm();
 }
