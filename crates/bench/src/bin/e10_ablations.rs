@@ -38,7 +38,8 @@ fn main() {
     let inst = instance(10, 4242, 20);
     let cfg = BnbConfig {
         max_nodes: 10_000,
-        time_limit: Duration::from_secs(10),
+        // Far beyond any arm here: the node cap is the only cut.
+        time_limit: Duration::from_secs(3600),
         ..BnbConfig::default()
     };
     let mut t = Table::new(&[
@@ -50,6 +51,7 @@ fn main() {
         "proved optimal",
     ]);
     let mut rows = Vec::new();
+    let mut host_rows = Vec::new();
     for &(sym, warm) in &[(true, true), (true, false), (false, true), (false, false)] {
         let r = solve_with(
             &inst,
@@ -74,8 +76,11 @@ fn main() {
         ]);
         rows.push(serde_json::json!({
             "symmetry": sym, "warm_start": warm, "nodes": r.nodes,
-            "time_us": r.elapsed.as_micros() as u64,
             "servers": servers, "optimal": r.optimal,
+        }));
+        host_rows.push(serde_json::json!({
+            "symmetry": sym, "warm_start": warm,
+            "time_us": r.elapsed.as_micros() as u64,
         }));
     }
     t.print();
@@ -183,5 +188,7 @@ fn main() {
     for (key, value) in json.iter() {
         report = report.section(key, value.clone());
     }
-    report.save();
+    report
+        .host("ilp_accelerations", serde_json::json!(host_rows))
+        .save();
 }

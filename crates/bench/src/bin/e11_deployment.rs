@@ -77,7 +77,8 @@ fn main() {
             &instance,
             &BnbConfig {
                 max_nodes: 20_000,
-                time_limit: Duration::from_secs(10),
+                // Far beyond any split here: the node cap is the only cut.
+                time_limit: Duration::from_secs(3600),
                 ..BnbConfig::default()
             },
         );

@@ -8,11 +8,10 @@
 //! hold — zero violations. Phase 2 demonstrates the tooling: with the
 //! outage bound tightened to zero every crash is a violation, so the
 //! explorer finds a failing schedule, ddmin shrinks it to a minimal
-//! reproducer, and the reproducer's JSON artifact replays bit-for-bit
-//! (the CI determinism gate).
+//! reproducer, and the reproducer's JSON artifact replays bit-for-bit.
 //!
 //! Exit status is non-zero on any phase-1 violation, failed shrink, or
-//! replay mismatch — this binary doubles as the `chaos-smoke` CI job.
+//! replay mismatch.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -26,29 +25,8 @@ use pran_chaos::{
 fn main() -> ExitCode {
     bench::telemetry::init_from_env();
 
-    let mut schedules = 50usize;
-    let mut seed = 42u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--schedules" => {
-                schedules = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--schedules needs a positive integer");
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            other => {
-                eprintln!("unknown argument: {other} (known: --schedules N, --seed S)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let schedules = 50usize;
+    let seed = 42u64;
 
     println!("E13: chaos exploration and failing-schedule shrinking\n");
     let cfg = ExploreConfig::default_eval(schedules, seed);

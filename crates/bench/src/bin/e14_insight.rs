@@ -26,7 +26,7 @@
 //!   schema) and the metrics registry renders in OpenMetrics text.
 //!
 //! Exit status is non-zero on phase-1 violations, a stressed phase with
-//! no true positives, or an invalid trace — CI runs this binary.
+//! no true positives, or an invalid trace.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -37,29 +37,8 @@ use pran_chaos::{run_scenario, sample_scenario, ExploreConfig, InvariantKind};
 use pran_insight::SloMetric;
 
 fn main() -> ExitCode {
-    let mut scenarios = 24usize;
-    let mut seed = 0xE14u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scenarios" => {
-                scenarios = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scenarios needs a positive integer");
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            other => {
-                eprintln!("unknown argument: {other} (known: --scenarios N, --seed S)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let scenarios = 24usize;
+    let seed = 0xE14u64;
 
     println!("E14: online SLO alerts vs chaos ground truth ({scenarios} scenarios)\n");
     let cfg = ExploreConfig::default_eval(scenarios, seed);

@@ -9,8 +9,7 @@
 //!    against streamed traces; a batch [`MetroSimulator`] run over the
 //!    *identical* workload provides both the throughput reference and a
 //!    hard differential check: the resident cumulative metrics must equal
-//!    the batch metrics exactly. `tasks_per_sec` is the gated headline;
-//!    wall-clock fields are informational.
+//!    the batch metrics exactly.
 //! 2. **Scrape** — `GET /metrics` latency over the populated registry
 //!    (served from the immutable published snapshot), plus `# EOF`
 //!    conformance.
@@ -20,15 +19,19 @@
 //! 4. **Overhead** — the same resident workload with the observability
 //!    plane attached vs bare metro stepping; the measured
 //!    `telemetry_overhead_pct` (signed, minimum of nine alternating
-//!    rounds) is gated (absolute points). Also walls by `PRAN_TELEMETRY`
-//!    level (off/sim/full), informational.
+//!    rounds) must stay under [`TELEMETRY_OVERHEAD_PCT_MAX`]. Also walls
+//!    by `PRAN_TELEMETRY` level (off/sim/full).
 //! 5. **Alert** — servers of shard 0 are killed mid-soak; the SLO alert
 //!    must cut a `pran-recorder/1` dump whose last record matches the
 //!    scraped registry gauges exactly.
 //!
+//! Every wall-clock reading (throughput, scrape latency and payload,
+//! phase timers, the overhead arm) goes to `results/e16_soak.host.json`;
+//! `results/e16_soak.json` keeps what the seeded run repeats.
+//!
 //! Exit status is non-zero if the differential check fails, the scrape
-//! is not `# EOF`-terminated, no alert/dump fires, or the dump disagrees
-//! with the registry — CI runs this binary in the `bench-gate` job.
+//! is not `# EOF`-terminated, no alert/dump fires, the dump disagrees
+//! with the registry, or the plane costs more than the ceiling.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -37,6 +40,12 @@ use bench::{Report, Table};
 use pran_obs::{http_get, validate_dump, Phase, SoakConfig, SoakRunner};
 use pran_sim::{MetroConfig, MetroSimulator, ResidentMetro};
 use pran_traces::TraceConfig;
+
+/// Ceiling on the plane-attached soak's wall over the bare one, in
+/// percent. Across runs on one host the signed reading sits in −4…+9;
+/// the ceiling leaves ten points over the committed +4.0, so it trips
+/// when the plane starts taxing the hot path, not on host noise.
+const TELEMETRY_OVERHEAD_PCT_MAX: f64 = 14.0;
 
 fn resident(cells: usize, shards: usize, seed: u64) -> ResidentMetro {
     let mut config = MetroConfig::default_eval(cells, shards);
@@ -65,31 +74,10 @@ fn bare_wall(
 fn main() -> ExitCode {
     let applied = bench::telemetry::init_from_env();
 
-    let mut cells = 10_000usize;
-    let mut shards = 8usize;
-    let mut epochs = 40u64;
-    let mut seed = 2026u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut num = |name: &str| {
-            args.next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or_else(|| panic!("{name} needs a positive integer"))
-        };
-        match a.as_str() {
-            "--cells" => cells = num("--cells") as usize,
-            "--shards" => shards = num("--shards") as usize,
-            "--epochs" => epochs = num("--epochs").max(2),
-            "--seed" => seed = num("--seed"),
-            other => {
-                eprintln!(
-                    "unknown argument: {other} \
-                     (known: --cells N, --shards N, --epochs N, --seed S)"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let cells = 10_000usize;
+    let shards = 8usize;
+    let epochs = 40u64;
+    let seed = 2026u64;
 
     println!("E16: live observability plane ({cells} cells / {shards} shards, {epochs} epochs)\n");
 
@@ -240,13 +228,15 @@ fn main() -> ExitCode {
         wall_obs = wall_obs.min(obs_wall());
     }
     let telemetry_overhead_pct = 100.0 * (wall_obs - wall_bare) / wall_bare.max(1e-9);
+    let overhead_ok = telemetry_overhead_pct <= TELEMETRY_OVERHEAD_PCT_MAX;
     println!(
         "{o_cells} cells / {o_shards} shards / {o_epochs} epochs: \
-         bare {:.0} ms, with obs {:.0} ms -> overhead {telemetry_overhead_pct:.2}%",
+         bare {:.0} ms, with obs {:.0} ms -> overhead {telemetry_overhead_pct:.2}% \
+         (ceiling {TELEMETRY_OVERHEAD_PCT_MAX}%: {overhead_ok})",
         wall_bare * 1e3,
         wall_obs * 1e3
     );
-    // Trace-level overhead by PRAN_TELEMETRY setting (informational).
+    // Trace-level overhead by PRAN_TELEMETRY setting.
     // Each epoch's events are drained, as an exporter of a resident
     // trace must: left in the sink, the arm's two million 512-byte
     // records grow it to 1 GB, and whichever level ran first paid to
@@ -365,13 +355,6 @@ fn main() -> ExitCode {
                 "epochs": cum.epochs,
                 "tasks_total": cum.tasks_total,
                 "miss_ratio": cum.miss_ratio(),
-                "wall_s": soak_wall,
-                "batch_wall_s": batch_wall,
-                // Gated throughput floor (ratchets against the committed
-                // baseline like E15's headline).
-                "tasks_per_sec": tasks_per_sec,
-                "batch_wall_tasks_per_sec": batch_tasks_per_sec,
-                "resident_vs_batch_wall_ratio": resident_vs_batch,
                 "differential_ok": differential_ok,
             }),
         )
@@ -379,21 +362,7 @@ fn main() -> ExitCode {
             "scrape",
             serde_json::json!({
                 "scrapes": scrapes,
-                "scrape_latency_mean_us": scrape_mean_us,
-                "scrape_latency_max_us": scrape_max_us,
-                "scrape_payload_bytes": metrics_bytes,
                 "eof_ok": eof_ok,
-            }),
-        )
-        .section("phases", serde_json::Value::Array(phase_rows))
-        .section(
-            "overhead",
-            serde_json::json!({
-                "bare_wall_ms": wall_bare * 1e3,
-                "obs_wall_ms": wall_obs * 1e3,
-                // Gated with an absolute tolerance in points.
-                "telemetry_overhead_pct": telemetry_overhead_pct,
-                "by_level": level_rows,
             }),
         )
         .section(
@@ -406,15 +375,47 @@ fn main() -> ExitCode {
                 "dump_matches_registry": dump_matches_registry,
             }),
         )
+        .host(
+            "sustained",
+            serde_json::json!({
+                "wall_s": soak_wall,
+                "batch_wall_s": batch_wall,
+                "tasks_per_sec": tasks_per_sec,
+                "batch_wall_tasks_per_sec": batch_tasks_per_sec,
+                "resident_vs_batch_wall_ratio": resident_vs_batch,
+            }),
+        )
+        .host(
+            "scrape",
+            serde_json::json!({
+                "scrape_latency_mean_us": scrape_mean_us,
+                "scrape_latency_max_us": scrape_max_us,
+                // Varies with the digits of the phase timers it renders.
+                "scrape_payload_bytes": metrics_bytes,
+            }),
+        )
+        .host("phases", serde_json::Value::Array(phase_rows))
+        .host(
+            "overhead",
+            serde_json::json!({
+                "bare_wall_ms": wall_bare * 1e3,
+                "obs_wall_ms": wall_obs * 1e3,
+                "telemetry_overhead_pct": telemetry_overhead_pct,
+                "telemetry_overhead_pct_max": TELEMETRY_OVERHEAD_PCT_MAX,
+                "overhead_ok": overhead_ok,
+                "by_level": level_rows,
+            }),
+        )
         .save();
 
-    let ok = differential_ok && eof_ok && dump_ok && dump_matches_registry;
+    let ok = differential_ok && eof_ok && dump_ok && dump_matches_registry && overhead_ok;
     if ok {
         ExitCode::SUCCESS
     } else {
         eprintln!(
             "E16 FAILED: differential_ok={differential_ok} eof_ok={eof_ok} \
-             dump_ok={dump_ok} dump_matches_registry={dump_matches_registry}"
+             dump_ok={dump_ok} dump_matches_registry={dump_matches_registry} \
+             overhead_ok={overhead_ok}"
         );
         ExitCode::FAILURE
     }

@@ -25,8 +25,7 @@
 //! Exit status is non-zero on any linearizable/churn violation, any
 //! model↔controller conformance divergence, a stale exploration that
 //! finds nothing (the hazard *must* exist), or a counterexample that
-//! fails to reproduce concretely — this binary doubles as the
-//! `mc-smoke` CI job.
+//! fails to reproduce concretely.
 
 use std::process::ExitCode;
 
@@ -76,31 +75,10 @@ fn print_report(label: &str, report: &McReport) {
 fn main() -> ExitCode {
     bench::telemetry::init_from_env();
 
-    let mut depth = 6usize;
-    let mut cells = 4usize;
-    let mut servers = 3usize;
-    let mut stale_k = 2u32;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut parse = |name: &str| {
-            args.next()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| panic!("{name} needs a positive integer"))
-        };
-        match a.as_str() {
-            "--depth" => depth = parse("--depth"),
-            "--cells" => cells = parse("--cells"),
-            "--servers" => servers = parse("--servers"),
-            "--stale-k" => stale_k = parse("--stale-k") as u32,
-            other => {
-                eprintln!(
-                    "unknown argument: {other} \
-                     (known: --depth N, --cells N, --servers N, --stale-k K)"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let depth = 6usize;
+    let cells = 4usize;
+    let servers = 3usize;
+    let stale_k = 2u32;
 
     println!("E17: exhaustive model checking under linearizable vs stale views\n");
     let base = McConfig {

@@ -10,7 +10,7 @@
 //!    revives) and sustained (the shard stays dead). Ground truth per
 //!    scenario is the chaos-aligned safety envelope — did any epoch
 //!    record a `violation`? The prediction is whether a multi-window
-//!    burn-rate alert fired. The confusion matrix is gated: precision
+//!    burn-rate alert fired. The confusion matrix is held: precision
 //!    must be exactly 1.000 (both windows must agree before paging, so
 //!    a blip can never fire) and recall must clear the floor — blips
 //!    are the *designed* false negatives, the price of page-worthiness.
@@ -26,14 +26,14 @@
 //! 3. **Overhead** — the identical soak workload three ways: live
 //!    plane off, armed, and the post-hoc round trip it replaces
 //!    (buffered sim tracer drained and `spans`-analyzed each epoch).
-//!    The cost is measured against *off*: `telemetry_overhead_pct`
-//!    (armed vs off, signed) rides the bench-gate drift machinery, and
-//!    the exit gate is the amortized per-task attribution cost.
+//!    The cost is measured against *off*, and both readings have a
+//!    constant ceiling: `telemetry_overhead_pct` (armed vs off, signed)
+//!    and the amortized per-task attribution cost. The whole section is
+//!    wall-clock and goes to `results/e18_live_insight.host.json`.
 //!
 //! Exit status is non-zero if precision dips below 1, recall misses the
 //! floor, any live-vs-post-hoc comparison diverges, the trace fails
-//! validation, or the armed plane costs more per task than the gate
-//! allows — CI runs this binary in the `bench-gate` job.
+//! validation, or the armed plane costs more than either ceiling.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -59,6 +59,12 @@ const RECALL_FLOOR: f64 = 0.765;
 /// a ≈ 100 ns/task jittered kernel; the ceiling leaves room for host
 /// noise on a 0.1 s wall, not for an event per task (≈ 250 ns).
 const ATTRIBUTION_NS_PER_TASK_MAX: f64 = 60.0;
+
+/// Ceiling on the armed soak's wall over the off one, in percent. The
+/// percentage depends on how heavy the kernel beside the fold is (+13…+23
+/// across runs on one host); the ceiling leaves ten points over the
+/// committed +17.9.
+const TELEMETRY_OVERHEAD_PCT_MAX: f64 = 27.9;
 
 /// Epoch the fault lands in (blip + sustained classes).
 const FAIL_EPOCH: u64 = 6;
@@ -119,24 +125,8 @@ fn jittery(cells: usize, shards: usize, workers: usize, seed: u64) -> ResidentMe
 fn main() -> ExitCode {
     let applied = bench::telemetry::init_from_env();
 
-    let mut scenarios = 40usize;
-    let mut seed = 2026u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut num = |name: &str| {
-            args.next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or_else(|| panic!("{name} needs a positive integer"))
-        };
-        match a.as_str() {
-            "--scenarios" => scenarios = num("--scenarios").max(1) as usize,
-            "--seed" => seed = num("--seed"),
-            other => {
-                eprintln!("unknown argument: {other} (known: --scenarios N, --seed S)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let scenarios = 40usize;
+    let seed = 2026u64;
 
     println!("E18: live insight plane ({scenarios} alerting scenarios, seed {seed})\n");
 
@@ -410,23 +400,25 @@ fn main() -> ExitCode {
         }
     }
     let [wall_off, wall_live, wall_posthoc] = walls;
-    // Everything is measured against *off* and signed: the gated
+    // Everything is measured against *off* and signed:
     // `telemetry_overhead_pct` is what arming the live plane adds to the
     // soak, `attribution_ns_per_task` the same difference per task
     // (the transferable number: the percentage depends on how heavy the
     // kernel beside it is). The post-hoc pipeline the plane replaces is
-    // reported beside them, not gated against.
+    // reported beside them, not held to a ceiling.
     let telemetry_overhead_pct = 100.0 * (wall_live - wall_off) / wall_off.max(1e-9);
     let posthoc_vs_off_pct = 100.0 * (wall_posthoc - wall_off) / wall_off.max(1e-9);
     let attribution_ns_per_task = (wall_live - wall_off) * 1e9 / o_tasks.max(1) as f64;
     let live_vs_posthoc = wall_live / wall_posthoc.max(1e-9);
-    let overhead_ok = attribution_ns_per_task <= ATTRIBUTION_NS_PER_TASK_MAX;
+    let overhead_ok = attribution_ns_per_task <= ATTRIBUTION_NS_PER_TASK_MAX
+        && telemetry_overhead_pct <= TELEMETRY_OVERHEAD_PCT_MAX;
     println!(
         "{o_cells} cells / {o_shards} shards / {o_epochs} epochs ({o_tasks} tasks), min of 9 / 9 / 3:\n\
          off {:.0} ms, armed {:.0} ms ({telemetry_overhead_pct:+.1}%, \
          {attribution_ns_per_task:.1} ns/task), post-hoc round trip {:.0} ms \
          ({posthoc_vs_off_pct:+.1}%, armed/post-hoc {live_vs_posthoc:.3})\n\
-         -> gate (≤ {ATTRIBUTION_NS_PER_TASK_MAX} ns/task over off): {overhead_ok}",
+         -> ceilings (≤ {ATTRIBUTION_NS_PER_TASK_MAX} ns/task and \
+         ≤ {TELEMETRY_OVERHEAD_PCT_MAX}% over off): {overhead_ok}",
         wall_off * 1e3,
         wall_live * 1e3,
         wall_posthoc * 1e3
@@ -478,12 +470,16 @@ fn main() -> ExitCode {
                 "shards": o_shards,
                 "epochs": o_epochs,
                 "tasks": o_tasks,
+            }),
+        )
+        .host(
+            "overhead",
+            serde_json::json!({
                 "tap_off_wall_ms": wall_off * 1e3,
                 "tap_armed_wall_ms": wall_live * 1e3,
                 "posthoc_wall_ms": wall_posthoc * 1e3,
-                // Armed vs off, signed; drift-gated by bench-gate in
-                // absolute points vs the committed baseline.
                 "telemetry_overhead_pct": telemetry_overhead_pct,
+                "telemetry_overhead_pct_max": TELEMETRY_OVERHEAD_PCT_MAX,
                 "posthoc_vs_off_pct": posthoc_vs_off_pct,
                 "attribution_ns_per_task": attribution_ns_per_task,
                 "attribution_ns_per_task_max": ATTRIBUTION_NS_PER_TASK_MAX,

@@ -81,26 +81,9 @@ fn run_metro(
 fn main() -> ExitCode {
     bench::telemetry::init_from_env();
 
-    let mut cells = 256usize;
-    let mut shards = 4usize;
-    let mut seed = 2026u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut num = |name: &str| {
-            args.next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or_else(|| panic!("{name} needs a positive integer"))
-        };
-        match a.as_str() {
-            "--cells" => cells = num("--cells") as usize,
-            "--shards" => shards = num("--shards") as usize,
-            "--seed" => seed = num("--seed"),
-            other => {
-                eprintln!("unknown argument: {other} (known: --cells N, --shards N, --seed S)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let cells = 256usize;
+    let shards = 4usize;
+    let seed = 2026u64;
 
     println!("E19: functional splits × accelerated servers ({cells} cells, {shards} shards, seed {seed})\n");
 

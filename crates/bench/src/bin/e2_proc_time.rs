@@ -7,7 +7,10 @@
 //!
 //! Absolute numbers are this machine's (unoptimized reference kernels, one
 //! core); the paper's testbed numbers differ by a constant factor — see
-//! DESIGN.md's substitution table.
+//! DESIGN.md's substitution table. They are the kernel-timing record and
+//! go to `results/e2_proc_time.host.json`, as does the parallel-decode
+//! table (its modeled schedule is built from a measured service time);
+//! `results/e2_proc_time.json` keeps the sweep grid and the CRC outcomes.
 
 use bench::{fmt_duration, Report, Table};
 use pran_phy::compute::Stage;
@@ -49,6 +52,7 @@ fn main() {
         "ok",
     ]);
     let mut json_prbs = Vec::new();
+    let mut host_prbs = Vec::new();
     for prbs in [10u32, 25, 50, 75, 100] {
         let mut total = std::time::Duration::ZERO;
         let mut per_stage = std::collections::HashMap::new();
@@ -87,10 +91,13 @@ fn main() {
         ]);
         json_prbs.push(serde_json::json!({
             "prbs": prbs,
+            "crc_ok": ok,
+        }));
+        host_prbs.push(serde_json::json!({
+            "prbs": prbs,
             "total_us": total.as_micros() as u64,
             "decode_us": avg("decode").as_micros() as u64,
             "decode_share": decode_share,
-            "crc_ok": ok,
         }));
     }
     t.print();
@@ -107,6 +114,7 @@ fn main() {
         "ok",
     ]);
     let mut json_mcs = Vec::new();
+    let mut host_mcs = Vec::new();
     for idx in [4u8, 10, 16, 22, 28] {
         let mut total = std::time::Duration::ZERO;
         let mut decode = std::time::Duration::ZERO;
@@ -133,16 +141,19 @@ fn main() {
         json_mcs.push(serde_json::json!({
             "mcs": idx,
             "info_bits": info,
+            "crc_ok": ok,
+        }));
+        host_mcs.push(serde_json::json!({
+            "mcs": idx,
             "total_us": total.as_micros() as u64,
             "decode_us": decode.as_micros() as u64,
-            "crc_ok": ok,
         }));
     }
     t.print();
 
     // Linearity check (the paper's modeling assumption).
-    let t10 = json_prbs[0]["total_us"].as_u64().unwrap() as f64;
-    let t100 = json_prbs[4]["total_us"].as_u64().unwrap() as f64;
+    let t10 = host_prbs[0]["total_us"].as_u64().unwrap() as f64;
+    let t100 = host_prbs[4]["total_us"].as_u64().unwrap() as f64;
     println!(
         "\nlinearity: 10→100 PRB scales total by {:.1}× (model predicts ≈10× for \
          bit-dominated pipelines; FFT's full-band floor keeps it below 10×)",
@@ -241,6 +252,8 @@ fn main() {
         .meta("reps", serde_json::json!(reps))
         .section("vs_prbs", serde_json::json!(json_prbs))
         .section("vs_mcs", serde_json::json!(json_mcs))
-        .section("parallel_decode", serde_json::json!(json_par))
+        .host("vs_prbs", serde_json::json!(host_prbs))
+        .host("vs_mcs", serde_json::json!(host_mcs))
+        .host("parallel_decode", serde_json::json!(json_par))
         .save();
 }

@@ -45,7 +45,7 @@ fn critical_path_report(trace_path: &str) {
 /// path end to end — simulated-clock tracing on, one analytic and one
 /// (non-stealing, hence deterministic) parallel-executor pass, trace
 /// written to `results/e6_deadlines_sample.trace.jsonl` and validated
-/// against the exporter schema. CI's smoke job runs this. Add
+/// against the exporter schema. `run_experiments.sh` runs this. Add
 /// `--critical-path` to also analyze the written trace with
 /// `pran-insight` and print missed-deadline attribution.
 fn sample(critical_path: bool) {

@@ -173,7 +173,7 @@ fn main() {
             "executor": label,
             "miss_ratio": m.miss_ratio(),
             // `null` when no slack samples exist — an absent quantile must
-            // not gate as a perfect p50 of zero.
+            // not read as a perfect p50 of zero.
             "slack_p50_us": m.deadline_slack.try_quantile(0.5).map(|d| d.as_micros() as u64),
             "steals": m.steals,
             "replaced": f.replaced,

@@ -6,7 +6,7 @@
 
 use std::fmt::Display;
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
 /// A simple aligned text table.
 pub struct Table {
@@ -56,34 +56,39 @@ impl Table {
     }
 }
 
-/// Write a JSON result document under `results/<name>.json` (created
-/// relative to the workspace root when run via `cargo run -p bench`).
-pub fn save_json(name: &str, value: &serde_json::Value) {
-    let dir = PathBuf::from("results");
-    fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
+/// Write `value` pretty-printed to `<dir>/<file>`.
+fn write_results(dir: &Path, file: &str, value: &serde_json::Value) {
+    fs::create_dir_all(dir).expect("create results dir");
+    let path = dir.join(file);
     fs::write(
         &path,
         serde_json::to_string_pretty(value).expect("serialize"),
     )
     .expect("write results file");
-    println!("\n[results written to {}]", path.display());
+    println!("[results written to {}]", path.display());
 }
 
 /// Version stamp of the result-document layout written by [`Report`].
 pub const REPORT_SCHEMA: &str = "pran-bench/1";
 
-/// Builder for an experiment's machine-readable result document.
+/// Builder for an experiment's machine-readable result documents.
 ///
 /// Every `e*` binary emits the same envelope — experiment name, schema
-/// version, workload/config metadata, then named result sections — so
-/// downstream tooling (EXPERIMENTS.md citation checks, plots) can consume
-/// any experiment uniformly:
+/// version, workload/config metadata, then named result sections:
 ///
 /// ```json
 /// { "experiment": "e6_deadlines", "schema": "pran-bench/1",
 ///   "meta": { "cells": 12, ... }, "results": { "sweep": [...], ... } }
 /// ```
+///
+/// The results are split by what they are. [`Report::section`] takes
+/// what a seeded run repeats — counts, ratios, simulated-clock times —
+/// and goes to `results/<name>.json`, which must regenerate to the
+/// committed bytes (`git diff --exit-code -- results` after a sweep is
+/// the whole check). [`Report::host`] takes what this host's clock read
+/// — walls, ns/task, tasks/s, solve times, anything derived from them —
+/// and goes to `results/<name>.host.json` in the same envelope; that
+/// file changes run to run and is excluded from the diff.
 ///
 /// [`Report::save`] also drains any telemetry captured during the run into
 /// `results/<name>.trace.jsonl` (see [`telemetry::flush_artifacts`]).
@@ -91,6 +96,7 @@ pub struct Report {
     name: String,
     meta: serde_json::Map,
     results: serde_json::Map,
+    host: serde_json::Map,
 }
 
 impl Report {
@@ -100,6 +106,7 @@ impl Report {
             name: name.to_string(),
             meta: serde_json::Map::new(),
             results: serde_json::Map::new(),
+            host: serde_json::Map::new(),
         }
     }
 
@@ -109,14 +116,21 @@ impl Report {
         self
     }
 
-    /// Add a named result section.
+    /// Add a named result section that a seeded run repeats exactly.
     pub fn section(mut self, key: &str, value: serde_json::Value) -> Self {
         self.results.insert(key.to_string(), value);
         self
     }
 
-    /// Write `results/<name>.json` and flush telemetry artifacts.
-    pub fn save(self) {
+    /// Add a named section of wall-clock readings (or values derived
+    /// from them); it is written to `results/<name>.host.json` only.
+    pub fn host(mut self, key: &str, value: serde_json::Value) -> Self {
+        self.host.insert(key.to_string(), value);
+        self
+    }
+
+    /// The `pran-bench/1` envelope around one of the two result maps.
+    fn envelope(&self, results: &serde_json::Map) -> serde_json::Value {
         let mut doc = serde_json::Map::new();
         doc.insert(
             "experiment".to_string(),
@@ -126,13 +140,34 @@ impl Report {
             "schema".to_string(),
             serde_json::Value::String(REPORT_SCHEMA.to_string()),
         );
-        doc.insert("meta".to_string(), serde_json::Value::Object(self.meta));
+        doc.insert(
+            "meta".to_string(),
+            serde_json::Value::Object(self.meta.clone()),
+        );
         doc.insert(
             "results".to_string(),
-            serde_json::Value::Object(self.results),
+            serde_json::Value::Object(results.clone()),
         );
-        save_json(&self.name, &serde_json::Value::Object(doc));
+        serde_json::Value::Object(doc)
+    }
+
+    /// Write `results/<name>.json`, `results/<name>.host.json` when any
+    /// [`Report::host`] section was added, and flush telemetry artifacts
+    /// (`results/` is relative to the workspace root when run via
+    /// `cargo run -p bench`).
+    pub fn save(self) {
+        println!();
+        self.write_to(Path::new("results"));
         telemetry::flush_artifacts(&self.name);
+    }
+
+    fn write_to(&self, dir: &Path) {
+        let seeded = self.envelope(&self.results);
+        write_results(dir, &format!("{}.json", self.name), &seeded);
+        if !self.host.is_empty() {
+            let host = self.envelope(&self.host);
+            write_results(dir, &format!("{}.host.json", self.name), &host);
+        }
     }
 }
 
@@ -196,5 +231,44 @@ pub fn fmt_duration(d: std::time::Duration) -> String {
         format!("{:.2}ms", s * 1e3)
     } else {
         format!("{:.1}µs", s * 1e6)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn seeded_and_host_sections_save_to_disjoint_byte_stable_envelopes() {
+        let dir = std::env::temp_dir().join(format!("pran_bench_report_{}", std::process::id()));
+        let report = Report::new("unit")
+            .meta("seed", serde_json::json!(7))
+            .section(
+                "counts",
+                serde_json::json!({"tasks_total": 12, "miss_ratio": 0.25}),
+            )
+            .host("timing", serde_json::json!({"wall_ms": 3.5}));
+        let read = |file: &str| fs::read_to_string(dir.join(file)).expect("document written");
+
+        report.write_to(&dir);
+        let (seeded, host) = (read("unit.json"), read("unit.host.json"));
+        report.write_to(&dir);
+        assert_eq!(seeded, read("unit.json"), "saving twice is byte-stable");
+        assert_eq!(host, read("unit.host.json"), "saving twice is byte-stable");
+        fs::remove_dir_all(&dir).expect("remove scratch dir");
+
+        let parse = |text: &str| serde_json::from_str::<serde_json::Value>(text).expect("parses");
+        let (seeded, host) = (parse(&seeded), parse(&host));
+        for doc in [&seeded, &host] {
+            assert_eq!(doc["experiment"].as_str(), Some("unit"));
+            assert_eq!(doc["schema"].as_str(), Some(REPORT_SCHEMA));
+            assert_eq!(doc["meta"]["seed"].as_u64(), Some(7));
+        }
+        let keys = |doc: &serde_json::Value| -> Vec<String> {
+            let results = doc["results"].as_object().expect("results object");
+            results.keys().cloned().collect()
+        };
+        assert_eq!(keys(&seeded), ["counts"]);
+        assert_eq!(keys(&host), ["timing"]);
     }
 }

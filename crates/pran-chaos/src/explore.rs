@@ -268,7 +268,7 @@ fn fails_with(scenario: &Scenario, sys: &SystemConfig, kind: InvariantKind) -> b
 ///
 /// Classic ddmin over the event list: repeatedly drop chunks of
 /// decreasing size, keeping any reduction that still reproduces a
-/// violation of `kind` (the "same failure" criterion). The result is
+/// violation of `kind` (the "same failure" test). The result is
 /// 1-minimal — removing any single remaining event loses the violation —
 /// and, like every scenario, replays deterministically.
 pub fn shrink(scenario: &Scenario, sys: &SystemConfig, kind: InvariantKind) -> Scenario {

@@ -1,7 +1,6 @@
 //! `pran-insight`: turning recorded PRAN telemetry into answers.
 //!
-//! `pran-telemetry` records what happened; this crate explains it and
-//! guards it:
+//! `pran-telemetry` records what happened; this crate explains it:
 //!
 //! - [`spans`] — the post-hoc reference: attribute every missed
 //!   subframe deadline's 2 ms budget to fronthaul vs queue vs steal vs
@@ -19,20 +18,15 @@
 //!   cells, emitted as `insight.alert` telemetry events.
 //! - [`openmetrics`] — render any metrics registry snapshot in
 //!   OpenMetrics text exposition format for external scrapers.
-//! - [`gate`] — a bench regression comparator over `pran-bench/1`
-//!   envelopes with per-metric-class tolerances, powering the
-//!   `bench-gate` binary and CI job.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gate;
 pub mod live;
 pub mod openmetrics;
 pub mod slo;
 pub mod spans;
 
-pub use gate::{compare_envelopes, GateConfig, GateReport};
 pub use live::{
     BurnAlert, BurnRateAlerter, BurnSeverity, BurnState, LiveFold, LogSketch, MetroFold,
 };
