@@ -58,8 +58,8 @@ fn main() {
         let greedy_time = t0.elapsed().max(Duration::from_nanos(100));
 
         let t0 = Instant::now();
-        // A budget no row reaches: `admit_exact`'s own node cap cuts the
-        // solve, so the incumbent repeats on any host.
+        // A budget no row reaches (each is proven at the root), so the
+        // outcome repeats on any host.
         let exact = admit_exact(&requests, servers, capacity, Duration::from_secs(3600));
         let exact_time = t0.elapsed();
 

@@ -30,9 +30,7 @@ fn instance(cells: usize, seed: u64, hour: f64) -> PlacementInstance {
     PlacementInstance::uniform(&demands, cells, 400.0)
 }
 
-/// Node budget of every exact solve. The three largest instances
-/// exhaust it (≈ 1,000–1,800 nodes/s here), which keeps the sweep near
-/// one minute.
+/// Node budget of every exact solve; no row comes near it.
 const BNB_MAX_NODES: usize = 20_000;
 
 fn main() {
@@ -60,6 +58,9 @@ fn main() {
         (14, 12.0, "midday"),
         (14, 20.0, "peak"),
         (18, 20.0, "peak"),
+        (22, 20.0, "peak"),
+        (26, 20.0, "peak"),
+        (30, 20.0, "peak"),
     ] {
         let inst = instance(cells, 1000 + cells as u64, hour);
 

@@ -3,18 +3,19 @@
 //!
 //! Best-bound-first search; branching on the most fractional integral
 //! variable; nodes are pruned against the incumbent with a relative gap
-//! tolerance. Each node re-solves its LP relaxation from scratch with the
-//! node's tightened variable bounds: at PRAN placement sizes (≤ a few
-//! thousand binaries) this is far below the time the *heuristics vs exact*
-//! experiment cares about, and it keeps the solver state-free and easy to
-//! audit.
+//! tolerance. When the objective can only take integer values on integer
+//! points, every LP bound is rounded to the next integer first, so an
+//! incumbent of 4 servers is proven by a relaxation worth 3.2. One
+//! [`Simplex`] lives through the search: a node is its bound changes
+//! applied to the tableau the previous node ended on, re-optimised by
+//! dual pivots from that basis.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use crate::model::{Model, Sense, Solution, VarId};
-use crate::simplex::{solve_lp, LpStatus};
+use crate::simplex::{LpStatus, Simplex};
 
 /// Tunables for [`solve_ilp`]. The defaults suit PRAN-scale instances.
 #[derive(Debug, Clone)]
@@ -76,6 +77,10 @@ pub struct BnbStats {
     pub best_bound: f64,
     /// Incumbent objective, if any.
     pub incumbent: Option<f64>,
+    /// Whether [`BnbConfig::initial`] was given and seeded the incumbent
+    /// (a start that fails the feasibility or integrality check is
+    /// dropped, and this is where that shows).
+    pub warm_start_accepted: bool,
     /// What presolve accomplished before the search started.
     pub presolve: crate::presolve::PresolveStats,
 }
@@ -157,6 +162,7 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
                     elapsed: start.elapsed(),
                     best_bound: f64::NAN,
                     incumbent: None,
+                    warm_start_accepted: false,
                     presolve: crate::presolve::PresolveStats::default(),
                 },
             }
@@ -179,6 +185,7 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
         elapsed: Duration::ZERO,
         best_bound: f64::NEG_INFINITY,
         incumbent: None,
+        warm_start_accepted: false,
         presolve: presolve_stats,
     };
 
@@ -195,6 +202,7 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
                 let objective = model.eval_objective(values);
                 incumbent_norm = sign * objective;
                 stats.incumbent = Some(objective);
+                stats.warm_start_accepted = true;
                 incumbent = Some(Solution {
                     values: values.clone(),
                     objective,
@@ -202,6 +210,16 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
             }
         }
     }
+    // An objective that is an integer on every integer point lets each LP
+    // bound move up to the next integer before it is compared or queued.
+    let integral_objective = objective_is_integral(model);
+    let tighten = |norm: f64| {
+        if integral_objective {
+            (norm - config.int_tol).ceil()
+        } else {
+            norm
+        }
+    };
     let mut open = BinaryHeap::new();
     open.push(Prioritized(Node {
         bounds: Vec::new(),
@@ -209,11 +227,14 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
         depth: 0,
     }));
 
-    let mut scratch = model.clone();
+    let mut lp = Simplex::new(model);
+    let integral = model.integral_vars();
     let mut root_status: Option<IlpStatus> = None;
-    // The best bound is the min over open nodes and pruned frontiers; we
-    // track it as the minimum bound among nodes still open when we stop.
+    // The search is a proof only if every node was resolved: a node the
+    // limits or the LP's iteration cap left open keeps its parent's bound
+    // in the final `best_bound`.
     let mut exhausted = true;
+    let mut unresolved_bound = f64::INFINITY;
 
     while let Some(Prioritized(node)) = open.pop() {
         if stats.nodes >= config.max_nodes || start.elapsed() > config.time_limit {
@@ -227,24 +248,25 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
         if node.bound >= incumbent_norm - config.gap_tol * incumbent_norm.abs().max(1.0) {
             continue;
         }
-
-        // Apply node bounds onto the scratch model.
-        restore_bounds(&mut scratch, model);
-        for &(v, lo, hi) in &node.bounds {
-            if lo > hi {
-                continue; // empty domain: infeasible branch
-            }
-            scratch.set_bounds(v, lo, hi);
-        }
         if node.bounds.iter().any(|&(_, lo, hi)| lo > hi) {
-            continue;
+            continue; // empty domain: infeasible branch
         }
 
-        let lp = solve_lp(&scratch);
-        stats.nodes += 1;
-        stats.lp_iterations += lp.iterations;
+        // Swap the previous node's bound overrides (branching only ever
+        // moves integral variables) for this node's.
+        for &v in &integral {
+            let var = model.var(v);
+            lp.set_bounds(v, var.lower, var.upper);
+        }
+        for &(v, lo, hi) in &node.bounds {
+            lp.set_bounds(v, lo, hi);
+        }
 
-        match lp.status {
+        let solved = lp.solve();
+        stats.nodes += 1;
+        stats.lp_iterations += solved.iterations;
+
+        match solved.status {
             LpStatus::Infeasible => {
                 if stats.nodes == 1 {
                     root_status = Some(IlpStatus::Infeasible);
@@ -257,45 +279,34 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
                 }
                 continue;
             }
-            LpStatus::IterationLimit => continue,
+            LpStatus::IterationLimit => {
+                exhausted = false;
+                unresolved_bound = unresolved_bound.min(node.bound);
+                continue;
+            }
             LpStatus::Optimal => {}
         }
-        let sol = lp.solution.expect("optimal LP carries a solution");
-        let node_norm = sign * sol.objective;
+        let sol = solved.solution.expect("optimal LP carries a solution");
+        let node_norm = tighten(sign * sol.objective);
         if node_norm >= incumbent_norm - config.gap_tol * incumbent_norm.abs().max(1.0) {
             continue; // bound no better than incumbent
         }
 
-        // Find the most fractional integral variable.
-        let mut branch_var: Option<(VarId, f64)> = None;
-        let mut best_frac_dist = config.int_tol;
-        for v in scratch.integral_vars() {
-            let x = sol.values[v.index()];
-            let frac = (x - x.round()).abs();
-            if frac > best_frac_dist {
-                let dist_to_half = (0.5 - (x - x.floor())).abs();
-                match branch_var {
-                    None => {
-                        branch_var = Some((v, x));
-                        best_frac_dist = config.int_tol; // keep threshold; compare on half-dist below
-                        let _ = dist_to_half;
-                    }
-                    Some((_, bx)) => {
-                        let b_half = (0.5 - (bx - bx.floor())).abs();
-                        if dist_to_half < b_half {
-                            branch_var = Some((v, x));
-                        }
-                    }
-                }
-            }
-        }
+        // The integral variable closest to half-way between integers
+        // (the first of them on a tie).
+        let half_dist = |x: f64| (0.5 - (x - x.floor())).abs();
+        let branch_var = integral
+            .iter()
+            .map(|&v| (v, sol.values[v.index()]))
+            .filter(|&(_, x)| (x - x.round()).abs() > config.int_tol)
+            .min_by(|a, b| half_dist(a.1).total_cmp(&half_dist(b.1)));
 
         match branch_var {
             None => {
                 // Integral: new incumbent.
                 let mut values = sol.values.clone();
                 // Snap integral variables exactly.
-                for v in scratch.integral_vars() {
+                for &v in &integral {
                     values[v.index()] = values[v.index()].round();
                 }
                 let objective = model.eval_objective(&values);
@@ -344,7 +355,8 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
     stats.elapsed = start.elapsed();
 
     // Final bound: if search exhausted, bound equals incumbent (proof of
-    // optimality); otherwise the minimum over remaining open nodes.
+    // optimality); otherwise the minimum over the nodes left open or
+    // unresolved.
     let open_best = open
         .into_iter()
         .map(|p| p.0.bound)
@@ -352,7 +364,7 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
     let bound_norm = if exhausted {
         incumbent_norm
     } else {
-        open_best.min(incumbent_norm)
+        open_best.min(unresolved_bound).min(incumbent_norm)
     };
     stats.best_bound = if bound_norm.is_finite() {
         sign * bound_norm
@@ -386,11 +398,15 @@ pub fn solve_ilp_default(model: &Model) -> IlpResult {
     solve_ilp(model, &BnbConfig::default())
 }
 
-fn restore_bounds(scratch: &mut Model, original: &Model) {
-    for i in 0..original.num_vars() {
-        let v = original.var(VarId(i));
-        scratch.set_bounds(VarId(i), v.lower, v.upper);
-    }
+/// Whether the objective is an integer at every integer-feasible point:
+/// integer coefficients on integral variables only, integer constant.
+fn objective_is_integral(model: &Model) -> bool {
+    let objective = model.objective();
+    objective.constant().fract() == 0.0
+        && objective
+            .terms()
+            .iter()
+            .all(|&(v, c)| c == 0.0 || (c.fract() == 0.0 && model.var(v).kind.is_integral()))
 }
 
 fn effective_bounds(model: &Model, overrides: &[(VarId, f64, f64)], v: VarId) -> (f64, f64) {
@@ -546,6 +562,44 @@ mod tests {
         if limited.status == IlpStatus::Feasible {
             assert!(limited.stats.gap().unwrap() > 0.0);
         }
+    }
+
+    #[test]
+    fn a_node_the_lp_gave_up_on_is_not_a_proof() {
+        // max 10x + y1 + y2, 2y1 + 2y2 − 2x ≤ 1.2, x integer in [0, 1.5].
+        // The root sits on its bounds (x = 1.5, no pivot); the x ≤ 1
+        // child needs one, and x ≥ 2 is empty. Optimum: x = 1, one y: 11.
+        let mut m = Model::new("t");
+        let x = m.integer("x", 0.0, 1.5);
+        let y1 = m.binary("y1");
+        let y2 = m.binary("y2");
+        m.add_constraint(
+            "c",
+            LinExpr::weighted_sum([(y1, 2.0), (y2, 2.0), (x, -2.0)]),
+            Cmp::Le,
+            1.2,
+        );
+        m.set_objective(
+            Sense::Maximize,
+            LinExpr::weighted_sum([(x, 10.0), (y1, 1.0), (y2, 1.0)]),
+        );
+        let start = BnbConfig {
+            initial: Some(vec![0.0; 3]),
+            ..cfg()
+        };
+        let full = solve_ilp(&m, &start);
+        assert_eq!(full.status, IlpStatus::Optimal);
+        assert_eq!(full.solution.unwrap().objective, 11.0);
+
+        // No pivots allowed: the child is left unresolved, so the all-zero
+        // start is an incumbent, not an optimum, and the child's parent
+        // bound is what is proven.
+        let capped = crate::simplex::with_iteration_cap(0, || solve_ilp(&m, &start));
+        assert_eq!(capped.stats.nodes, 2);
+        assert_eq!(capped.status, IlpStatus::Feasible);
+        assert_eq!(capped.stats.incumbent, Some(0.0));
+        assert_eq!(capped.stats.best_bound, 17.0);
+        assert_eq!(capped.stats.gap(), Some(17.0));
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! offline Rust ecosystem, so this crate implements the full stack in-repo:
 //!
 //! * [`model`] — index-based MILP modeling layer ([`Model`], [`LinExpr`]);
-//! * [`simplex`] — dense two-phase primal simplex for LP relaxations;
-//! * [`branch_bound`] — best-bound branch & bound for the integer problem;
+//! * [`simplex`] — dense bounded-variable simplex (dual and primal) for LP
+//!   relaxations, re-solvable from its last basis;
+//! * [`branch_bound`] — best-bound branch & bound for the integer problem,
+//!   one warm simplex through the search;
 //! * [`linearize`] — Fortet / big-M reformulation of bilinear terms;
 //! * [`mod@presolve`] — singleton-row folding, bound tightening, fixed-var
 //!   detection (fixed-point, optimum-preserving);
@@ -47,4 +49,4 @@ pub use model::{
     Violation,
 };
 pub use presolve::{presolve, PresolveStats, Presolved};
-pub use simplex::{solve_lp, LpResult, LpStatus};
+pub use simplex::{solve_lp, LpResult, LpStatus, Simplex};

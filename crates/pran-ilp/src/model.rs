@@ -533,7 +533,7 @@ impl Model {
             .collect()
     }
 
-    /// Tighten a variable's bounds in place (used by branch & bound).
+    /// Replace a variable's bounds in place (presolve tightens them so).
     ///
     /// # Panics
     /// Panics if the new interval is empty.

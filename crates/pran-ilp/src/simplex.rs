@@ -1,17 +1,23 @@
-//! Dense two-phase primal simplex for the LP relaxation of a [`Model`].
+//! Dense bounded-variable simplex for the LP relaxation of a [`Model`].
 //!
-//! The implementation favours robustness over speed, in the spirit of the
-//! instance sizes PRAN's placement problems produce (tens of cells × tens of
-//! servers): a dense tableau, Dantzig pricing with a Bland's-rule fallback to
-//! guarantee termination under degeneracy, and explicit artificial-variable
-//! phase 1. General variable bounds are handled by substitution:
+//! Every model variable is one column with its own `[lower, upper]`
+//! (either end may be infinite) and every constraint row gets one logical
+//! column: `a·x + s = b` with `s ≥ 0` for `≤`, `s ≤ 0` for `≥` and `s = 0`
+//! for `=`. A nonbasic column sits at its lower *or* its upper bound (a
+//! free one at 0), so a bound is never a row: the tableau of a placement
+//! model is as tall as its assignment, capacity and symmetry rows.
 //!
-//! * `l ≤ x ≤ u` with finite `l` → column `x' = x − l ≥ 0` plus an upper-bound
-//!   row when `u` is finite;
-//! * `x ≤ u` with `l = −∞` → negated column `x' = u − x ≥ 0`;
-//! * free `x` → split `x = x⁺ − x⁻`.
+//! [`Simplex`] keeps its tableau and basis between solves. After
+//! [`Simplex::set_bounds`] the old basis still prices out dual feasible
+//! whenever the moved columns are boxed (branch and bound's binaries
+//! are), so [`Simplex::solve`] re-optimises a branch with a few dual
+//! pivots. The same `solve` run on the slack basis is the cold solve
+//! behind [`solve_lp`]: dual simplex when the slack basis is dual
+//! feasible, otherwise a dual pass with the costs ignored to reach a
+//! feasible basis and primal simplex from there. Pricing is Dantzig /
+//! largest infeasibility with a Bland's-rule fallback against cycling.
 
-use crate::model::{Cmp, Model, Sense, Solution};
+use crate::model::{Cmp, LinExpr, Model, Sense, Solution, VarId};
 
 /// Termination status of an LP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,459 +33,467 @@ pub enum LpStatus {
     IterationLimit,
 }
 
-/// Result of [`solve_lp`].
+/// Result of [`solve_lp`] or one [`Simplex::solve`].
 #[derive(Debug, Clone)]
 pub struct LpResult {
     /// Terminal status.
     pub status: LpStatus,
     /// Present iff `status == Optimal`.
     pub solution: Option<Solution>,
-    /// Simplex pivots performed across both phases.
+    /// Simplex pivots (and bound flips) this solve performed.
     pub iterations: usize,
-}
-
-impl LpResult {
-    fn terminal(status: LpStatus, iterations: usize) -> Self {
-        LpResult {
-            status,
-            solution: None,
-            iterations,
-        }
-    }
-}
-
-/// How an original model variable maps onto tableau columns.
-#[derive(Debug, Clone, Copy)]
-enum ColMap {
-    /// `x = offset + col`, `col ≥ 0`.
-    Shifted { col: usize, offset: f64 },
-    /// `x = offset − col`, `col ≥ 0` (used when only an upper bound exists).
-    Negated { col: usize, offset: f64 },
-    /// `x = pos − neg`, both ≥ 0 (free variable).
-    Free { pos: usize, neg: usize },
 }
 
 const PIVOT_EPS: f64 = 1e-9;
 const FEAS_TOL: f64 = 1e-7;
 
-/// A row of the standard-form system `A·x = b`, `b ≥ 0`.
-struct Row {
-    coeffs: Vec<f64>,
-    rhs: f64,
-    cmp: Cmp,
+/// Pivots after which the next solve rebuilds the tableau from the model
+/// and starts cold, so rounding error cannot pile up over a long search.
+const REFRESH_PIVOTS: usize = 2_000;
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only override of the per-solve iteration cap.
+    static ITERATION_CAP: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
 
-struct Tableau {
-    /// `rows × (total_cols + 1)`; last column is the RHS.
-    a: Vec<Vec<f64>>,
-    /// Basic column per row.
-    basis: Vec<usize>,
-    /// Columns `[0, num_structural)` are structural.
-    num_structural: usize,
-    /// Columns `[num_structural, artificial_start)` are slacks/surplus.
-    artificial_start: usize,
-    total_cols: usize,
+/// Run `f` with every solve on this thread capped at `cap` iterations.
+#[cfg(test)]
+pub(crate) fn with_iteration_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
+    ITERATION_CAP.with(|c| c.set(Some(cap)));
+    let out = f();
+    ITERATION_CAP.with(|c| c.set(None));
+    out
 }
 
-impl Tableau {
-    fn rhs(&self, row: usize) -> f64 {
-        self.a[row][self.total_cols]
-    }
-
-    fn pivot(&mut self, row: usize, col: usize) {
-        let piv = self.a[row][col];
-        debug_assert!(piv.abs() > PIVOT_EPS, "pivot on a (near-)zero element");
-        let inv = 1.0 / piv;
-        for v in self.a[row].iter_mut() {
-            *v *= inv;
-        }
-        let pivot_row = self.a[row].clone();
-        for (r, arow) in self.a.iter_mut().enumerate() {
-            if r == row {
-                continue;
-            }
-            let factor = arow[col];
-            if factor.abs() <= PIVOT_EPS {
-                arow[col] = 0.0;
-                continue;
-            }
-            for (v, pv) in arow.iter_mut().zip(pivot_row.iter()) {
-                *v -= factor * pv;
-            }
-            arow[col] = 0.0;
-        }
-        self.basis[row] = col;
-    }
+/// Where a column currently is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seat {
+    Basic,
+    /// Nonbasic at its lower bound.
+    Lower,
+    /// Nonbasic at its upper bound.
+    Upper,
+    /// Nonbasic at 0, with neither bound finite.
+    Free,
 }
 
 /// Solve the LP relaxation of `model` (integrality is ignored).
 pub fn solve_lp(model: &Model) -> LpResult {
-    Simplex::build(model).map_or_else(|status| LpResult::terminal(status, 0), |mut s| s.run())
+    Simplex::new(model).solve()
 }
 
-struct Simplex<'m> {
-    model: &'m Model,
-    col_map: Vec<ColMap>,
-    tab: Tableau,
-    /// Objective coefficients over structural columns (minimization form).
-    /// (The constant picked up by bound substitutions is not tracked: the
-    /// final objective is re-evaluated on the original model.)
-    obj: Vec<f64>,
+/// The LP relaxation of one model, re-solvable under changing variable
+/// bounds from the basis the previous solve ended on.
+#[derive(Debug)]
+pub struct Simplex {
+    rows: usize,
+    /// Model variables; columns `[structural, cols)` are the logicals.
+    structural: usize,
+    cols: usize,
+    /// `[A | I | b]` as the model states it, row-major with `cols + 1`
+    /// entries a row; what a refresh starts again from.
+    origin: Vec<f64>,
+    /// `B⁻¹·[A | I | b]` for the current basis, same layout.
+    tab: Vec<f64>,
+    /// Cost per column in minimization form (logicals cost nothing).
+    cost: Vec<f64>,
+    /// Reduced cost per column for the current basis.
+    reduced: Vec<f64>,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    /// Basic column of each row.
+    basis: Vec<usize>,
+    seat: Vec<Seat>,
+    /// Value of each row's basic column.
+    beta: Vec<f64>,
+    /// The model's objective, for reporting in its own sense.
+    objective: LinExpr,
+    pivots_since_refresh: usize,
+    /// Iterations of the solve in progress.
     iterations: usize,
+    pivot_row: Vec<f64>,
 }
 
-impl<'m> Simplex<'m> {
-    /// Translate the model into a standard-form tableau.
-    ///
-    /// Returns `Err(Infeasible)` for trivially empty variable domains.
-    fn build(model: &'m Model) -> Result<Self, LpStatus> {
-        let mut col_map = Vec::with_capacity(model.num_vars());
-        let mut num_structural = 0usize;
-        // Upper-bound rows to add for doubly-bounded variables.
-        let mut bound_rows: Vec<(usize, f64)> = Vec::new();
-
-        for v in model.vars() {
-            if v.lower > v.upper {
-                return Err(LpStatus::Infeasible);
-            }
-            let map = if v.lower.is_finite() {
-                let col = num_structural;
-                num_structural += 1;
-                if v.upper.is_finite() {
-                    bound_rows.push((col, v.upper - v.lower));
-                }
-                ColMap::Shifted {
-                    col,
-                    offset: v.lower,
-                }
-            } else if v.upper.is_finite() {
-                let col = num_structural;
-                num_structural += 1;
-                ColMap::Negated {
-                    col,
-                    offset: v.upper,
-                }
-            } else {
-                let pos = num_structural;
-                let neg = num_structural + 1;
-                num_structural += 2;
-                ColMap::Free { pos, neg }
-            };
-            col_map.push(map);
-        }
-
-        // Transform constraints into rows over structural columns.
-        let mut rows: Vec<Row> = Vec::with_capacity(model.num_constraints() + bound_rows.len());
-        for c in model.constraints() {
-            let mut coeffs = vec![0.0; num_structural];
-            let mut rhs = c.rhs;
+impl Simplex {
+    /// Set up the relaxation of `model` on its slack basis.
+    pub fn new(model: &Model) -> Self {
+        let structural = model.num_vars();
+        let rows = model.num_constraints();
+        let cols = structural + rows;
+        let stride = cols + 1;
+        let mut origin = vec![0.0; rows * stride];
+        let mut lower: Vec<f64> = model.vars().iter().map(|v| v.lower).collect();
+        let mut upper: Vec<f64> = model.vars().iter().map(|v| v.upper).collect();
+        for (i, c) in model.constraints().iter().enumerate() {
+            let row = &mut origin[i * stride..(i + 1) * stride];
             for &(var, a) in c.expr.terms() {
-                match col_map[var.index()] {
-                    ColMap::Shifted { col, offset } => {
-                        coeffs[col] += a;
-                        rhs -= a * offset;
-                    }
-                    ColMap::Negated { col, offset } => {
-                        coeffs[col] -= a;
-                        rhs -= a * offset;
-                    }
-                    ColMap::Free { pos, neg } => {
-                        coeffs[pos] += a;
-                        coeffs[neg] -= a;
-                    }
-                }
+                row[var.index()] += a;
             }
-            rows.push(Row {
-                coeffs,
-                rhs,
-                cmp: c.cmp,
-            });
+            row[structural + i] = 1.0;
+            row[cols] = c.rhs;
+            let (lo, hi) = match c.cmp {
+                Cmp::Le => (0.0, f64::INFINITY),
+                Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+                Cmp::Eq => (0.0, 0.0),
+            };
+            lower.push(lo);
+            upper.push(hi);
         }
-        for (col, ub) in bound_rows {
-            let mut coeffs = vec![0.0; num_structural];
-            coeffs[col] = 1.0;
-            rows.push(Row {
-                coeffs,
-                rhs: ub,
-                cmp: Cmp::Le,
-            });
-        }
-
-        // Normalize to rhs ≥ 0.
-        for row in &mut rows {
-            if row.rhs < 0.0 {
-                for v in &mut row.coeffs {
-                    *v = -*v;
-                }
-                row.rhs = -row.rhs;
-                row.cmp = match row.cmp {
-                    Cmp::Le => Cmp::Ge,
-                    Cmp::Ge => Cmp::Le,
-                    Cmp::Eq => Cmp::Eq,
-                };
-            }
-        }
-
-        // Count auxiliary columns.
-        let num_slack = rows.iter().filter(|r| r.cmp != Cmp::Eq).count();
-        let num_artificial = rows.iter().filter(|r| r.cmp != Cmp::Le).count();
-        let artificial_start = num_structural + num_slack;
-        let total_cols = artificial_start + num_artificial;
-
-        let m = rows.len();
-        let mut a = vec![vec![0.0; total_cols + 1]; m];
-        let mut basis = vec![usize::MAX; m];
-        let mut next_slack = num_structural;
-        let mut next_art = artificial_start;
-        for (i, row) in rows.iter().enumerate() {
-            a[i][..num_structural].copy_from_slice(&row.coeffs);
-            a[i][total_cols] = row.rhs;
-            match row.cmp {
-                Cmp::Le => {
-                    a[i][next_slack] = 1.0;
-                    basis[i] = next_slack;
-                    next_slack += 1;
-                }
-                Cmp::Ge => {
-                    a[i][next_slack] = -1.0;
-                    next_slack += 1;
-                    a[i][next_art] = 1.0;
-                    basis[i] = next_art;
-                    next_art += 1;
-                }
-                Cmp::Eq => {
-                    a[i][next_art] = 1.0;
-                    basis[i] = next_art;
-                    next_art += 1;
-                }
-            }
-        }
-
-        // Minimization objective over structural columns.
-        let (sign, objective) = match model.sense() {
-            Sense::Minimize => (1.0, model.objective().clone()),
-            Sense::Maximize => (-1.0, model.objective().clone()),
+        let sign = match model.sense() {
+            Sense::Minimize => 1.0,
+            Sense::Maximize => -1.0,
         };
-        let mut obj = vec![0.0; num_structural];
-        // Constant objective terms (including those picked up by the bound
-        // substitutions) are ignored here: the reported objective is
-        // re-evaluated on the original model after extraction.
-        for &(var, c) in objective.terms() {
-            let c = sign * c;
-            match col_map[var.index()] {
-                ColMap::Shifted { col, .. } => obj[col] += c,
-                ColMap::Negated { col, .. } => obj[col] -= c,
-                ColMap::Free { pos, neg } => {
-                    obj[pos] += c;
-                    obj[neg] -= c;
-                }
-            }
+        let mut cost = vec![0.0; cols];
+        for &(var, c) in model.objective().terms() {
+            cost[var.index()] += sign * c;
         }
-
-        Ok(Simplex {
-            model,
-            col_map,
-            tab: Tableau {
-                a,
-                basis,
-                num_structural,
-                artificial_start,
-                total_cols,
-            },
-            obj,
+        let mut simplex = Simplex {
+            rows,
+            structural,
+            cols,
+            tab: Vec::new(),
+            origin,
+            reduced: Vec::new(),
+            cost,
+            lower,
+            upper,
+            basis: Vec::new(),
+            seat: Vec::new(),
+            beta: vec![0.0; rows],
+            objective: model.objective().clone(),
+            pivots_since_refresh: 0,
             iterations: 0,
-        })
+            pivot_row: vec![0.0; stride],
+        };
+        simplex.refresh();
+        simplex
     }
 
-    fn run(&mut self) -> LpResult {
-        // Phase 1: minimize the sum of artificials, if any exist.
-        if self.tab.artificial_start < self.tab.total_cols {
-            let mut cost = vec![0.0; self.tab.total_cols + 1];
-            cost[self.tab.artificial_start..self.tab.total_cols].fill(1.0);
-            self.price_out(&mut cost);
-            match self.iterate(&mut cost, /*allow_artificials=*/ true) {
-                IterOutcome::Done => {}
-                IterOutcome::Unbounded => {
-                    // Phase-1 objective is bounded below by 0; an "unbounded"
-                    // report here means numerical trouble. Treat as limit.
-                    return LpResult::terminal(LpStatus::IterationLimit, self.iterations);
-                }
-                IterOutcome::Limit => {
-                    return LpResult::terminal(LpStatus::IterationLimit, self.iterations)
-                }
-            }
-            // cost[total_cols] holds -objective after pricing out.
-            let phase1_obj = -cost[self.tab.total_cols];
-            if phase1_obj > FEAS_TOL {
-                return LpResult::terminal(LpStatus::Infeasible, self.iterations);
-            }
-            self.evict_artificials();
-        }
+    /// Replace one model variable's bounds; the next [`Simplex::solve`]
+    /// re-optimises from the current basis.
+    pub fn set_bounds(&mut self, var: VarId, lower: f64, upper: f64) {
+        self.lower[var.index()] = lower;
+        self.upper[var.index()] = upper;
+    }
 
-        // Phase 2: original objective.
-        let mut cost = vec![0.0; self.tab.total_cols + 1];
-        cost[..self.tab.num_structural].copy_from_slice(&self.obj);
-        self.price_out(&mut cost);
-        match self.iterate(&mut cost, /*allow_artificials=*/ false) {
-            IterOutcome::Done => {}
-            IterOutcome::Unbounded => {
-                return LpResult::terminal(LpStatus::Unbounded, self.iterations)
-            }
-            IterOutcome::Limit => {
-                return LpResult::terminal(LpStatus::IterationLimit, self.iterations)
-            }
-        }
+    /// Back to the slack basis on the tableau as the model states it.
+    fn refresh(&mut self) {
+        self.tab.clone_from(&self.origin);
+        self.reduced.clone_from(&self.cost);
+        self.basis = (self.structural..self.cols).collect();
+        self.seat = vec![Seat::Lower; self.cols];
+        self.seat[self.structural..].fill(Seat::Basic);
+        self.pivots_since_refresh = 0;
+    }
 
-        // Extract structural values and map back to model variables.
-        let mut structural = vec![0.0; self.tab.num_structural];
-        for (row, &b) in self.tab.basis.iter().enumerate() {
-            if b < self.tab.num_structural {
-                structural[b] = self.tab.rhs(row);
-            }
+    /// Optimise under the current bounds.
+    pub fn solve(&mut self) -> LpResult {
+        self.iterations = 0;
+        if self.lower.iter().zip(&self.upper).any(|(lo, hi)| lo > hi) {
+            return self.terminal(LpStatus::Infeasible);
         }
-        let mut values = vec![0.0; self.model.num_vars()];
-        for (i, map) in self.col_map.iter().enumerate() {
-            values[i] = match *map {
-                ColMap::Shifted { col, offset } => offset + structural[col],
-                ColMap::Negated { col, offset } => offset - structural[col],
-                ColMap::Free { pos, neg } => structural[pos] - structural[neg],
+        if self.pivots_since_refresh > REFRESH_PIVOTS {
+            self.refresh();
+        }
+        // Seat every nonbasic column on a bound it has: a boxed one on
+        // the bound its reduced cost asks for, where it is if that is
+        // either.
+        let mut dual_feasible = true;
+        for j in 0..self.cols {
+            if self.seat[j] == Seat::Basic {
+                continue;
+            }
+            let d = self.reduced[j];
+            self.seat[j] = match (self.lower[j].is_finite(), self.upper[j].is_finite()) {
+                (true, true) if d < -FEAS_TOL => Seat::Upper,
+                (true, true) if d > FEAS_TOL || self.seat[j] != Seat::Upper => Seat::Lower,
+                (true, true) | (false, true) => Seat::Upper,
+                (true, false) => Seat::Lower,
+                (false, false) => Seat::Free,
             };
+            dual_feasible &= self.lower[j] == self.upper[j]
+                || match self.seat[j] {
+                    Seat::Lower => d >= -FEAS_TOL,
+                    Seat::Upper => d <= FEAS_TOL,
+                    _ => d.abs() <= FEAS_TOL,
+                };
         }
-        let objective = self.model.eval_objective(&values);
+        self.recompute_beta();
+
+        let status = if dual_feasible {
+            self.dual(true)
+        } else {
+            match self.dual(false) {
+                LpStatus::Optimal => self.primal(),
+                other => other,
+            }
+        };
+        if status != LpStatus::Optimal {
+            return self.terminal(status);
+        }
+        let mut values: Vec<f64> = (0..self.structural).map(|j| self.value(j)).collect();
+        for (row, &b) in self.basis.iter().enumerate() {
+            if b < self.structural {
+                values[b] = self.beta[row];
+            }
+        }
+        let objective = self.objective.eval(&values);
         LpResult {
-            status: LpStatus::Optimal,
+            status,
             solution: Some(Solution { values, objective }),
             iterations: self.iterations,
         }
     }
 
-    /// Subtract basic rows from the cost row so reduced costs of basic
-    /// columns become zero ("pricing out").
-    fn price_out(&self, cost: &mut [f64]) {
-        for (row, &b) in self.tab.basis.iter().enumerate() {
-            let cb = cost[b];
-            if cb.abs() <= PIVOT_EPS {
-                continue;
-            }
-            for (cv, av) in cost.iter_mut().zip(self.tab.a[row].iter()) {
-                *cv -= cb * av;
-            }
-            cost[b] = 0.0;
+    fn terminal(&self, status: LpStatus) -> LpResult {
+        LpResult {
+            status,
+            solution: None,
+            iterations: self.iterations,
         }
     }
 
-    /// Run simplex pivots until optimality/unboundedness on the given cost
-    /// row. Switches from Dantzig to Bland pricing after a pivot budget to
-    /// guarantee termination under degeneracy.
-    #[allow(clippy::needless_range_loop)] // cost-row scans over column ranges
-    fn iterate(&mut self, cost: &mut [f64], allow_artificials: bool) -> IterOutcome {
-        let n_cols = if allow_artificials {
-            self.tab.total_cols
-        } else {
-            self.tab.artificial_start
-        };
-        let dantzig_budget = 2_000 + 40 * (self.tab.a.len() + n_cols);
-        let hard_limit = 10 * dantzig_budget + 100_000;
-        let mut local_iters = 0usize;
+    /// The value a nonbasic column sits at.
+    fn value(&self, col: usize) -> f64 {
+        match self.seat[col] {
+            Seat::Lower => self.lower[col],
+            Seat::Upper => self.upper[col],
+            Seat::Basic | Seat::Free => 0.0,
+        }
+    }
+
+    fn at(&self, row: usize, col: usize) -> f64 {
+        self.tab[row * (self.cols + 1) + col]
+    }
+
+    /// `beta = B⁻¹b − Σ_nonbasic B⁻¹a_j · value_j`.
+    fn recompute_beta(&mut self) {
+        let stride = self.cols + 1;
+        for row in 0..self.rows {
+            let tab_row = &self.tab[row * stride..(row + 1) * stride];
+            let moved: f64 = (0..self.cols)
+                .filter(|&col| self.seat[col] != Seat::Basic)
+                .map(|col| tab_row[col] * self.value(col))
+                .sum();
+            self.beta[row] = tab_row[self.cols] - moved;
+        }
+    }
+
+    /// Whether a nonbasic column may move up / down from where it sits.
+    fn movable(&self, col: usize) -> (bool, bool) {
+        let fixed = self.lower[col] == self.upper[col];
+        match self.seat[col] {
+            Seat::Basic => (false, false),
+            Seat::Lower => (!fixed, false),
+            Seat::Upper => (false, !fixed),
+            Seat::Free => (true, true),
+        }
+    }
+
+    /// Iterations one phase may take before Bland's rule, and before
+    /// giving up.
+    fn budgets(&self) -> (usize, usize) {
+        let dantzig = 2_000 + 40 * (self.rows + self.cols);
+        let hard = 10 * dantzig + 100_000;
+        #[cfg(test)]
+        let hard = ITERATION_CAP.with(|c| c.get()).unwrap_or(hard);
+        (dantzig, hard)
+    }
+
+    /// Dual simplex: pivot primal infeasibilities away while the reduced
+    /// costs stay dual feasible. With `priced` off the costs are ignored
+    /// (every basis is dual feasible for a zero objective), which makes
+    /// this the search for a first feasible basis. `Optimal` means primal
+    /// feasible.
+    fn dual(&mut self, priced: bool) -> LpStatus {
+        let (dantzig, hard) = self.budgets();
+        let start = self.iterations;
         loop {
-            let bland = local_iters > dantzig_budget;
-            if local_iters > hard_limit {
-                return IterOutcome::Limit;
-            }
+            // Every pass that does not return is one `advance`.
+            let local = self.iterations - start;
+            let bland = local > dantzig;
 
-            // Entering column.
-            let mut entering = None;
-            if bland {
-                for col in 0..n_cols {
-                    if cost[col] < -FEAS_TOL {
-                        entering = Some(col);
-                        break;
-                    }
-                }
-            } else {
-                let mut best = -FEAS_TOL;
-                for col in 0..n_cols {
-                    if cost[col] < best {
-                        best = cost[col];
-                        entering = Some(col);
-                    }
-                }
-            }
-            let Some(col) = entering else {
-                return IterOutcome::Done;
-            };
-
-            // Ratio test; ties resolved toward the smallest basic column
-            // index (lexicographic flavour, helps against cycling).
+            // Leaving row: the largest bound violation (Bland: the
+            // violated basic column of smallest index).
             let mut leave: Option<(usize, f64)> = None;
-            for row in 0..self.tab.a.len() {
-                let a = self.tab.a[row][col];
-                if a > PIVOT_EPS {
-                    let ratio = self.tab.rhs(row) / a;
-                    match leave {
-                        None => leave = Some((row, ratio)),
-                        Some((lrow, lratio)) => {
-                            if ratio < lratio - PIVOT_EPS
-                                || ((ratio - lratio).abs() <= PIVOT_EPS
-                                    && self.tab.basis[row] < self.tab.basis[lrow])
-                            {
-                                leave = Some((row, ratio));
-                            }
+            for (row, &b) in self.basis.iter().enumerate() {
+                let gap = (self.lower[b] - self.beta[row]).max(self.beta[row] - self.upper[b]);
+                if gap > FEAS_TOL
+                    && leave.is_none_or(|(lrow, lgap)| {
+                        if bland {
+                            b < self.basis[lrow]
+                        } else {
+                            gap > lgap
                         }
-                    }
+                    })
+                {
+                    leave = Some((row, gap));
                 }
             }
             let Some((row, _)) = leave else {
-                return IterOutcome::Unbounded;
+                return LpStatus::Optimal;
+            };
+            if local >= hard {
+                return LpStatus::IterationLimit;
+            }
+            let leaving = self.basis[row];
+            let below = self.beta[row] < self.lower[leaving];
+
+            // Entering column: among those that move the row toward its
+            // bound, the smallest |d_j / a_rj|; ties to the larger pivot
+            // (Bland: to the smallest index).
+            let mut enter: Option<(usize, f64, f64)> = None;
+            for col in 0..self.cols {
+                let (up, down) = self.movable(col);
+                let a = self.at(row, col);
+                let toward = if below { -a } else { a };
+                if !((up && toward > PIVOT_EPS) || (down && toward < -PIVOT_EPS)) {
+                    continue;
+                }
+                let ratio = if priced {
+                    self.reduced[col].abs() / a.abs()
+                } else {
+                    0.0
+                };
+                let better = enter.is_none_or(|(_, best, best_a)| {
+                    ratio < best - PIVOT_EPS
+                        || (!bland && ratio <= best + PIVOT_EPS && a.abs() > best_a)
+                });
+                if better {
+                    enter = Some((col, ratio, a.abs()));
+                }
+            }
+            let Some((col, _, _)) = enter else {
+                return LpStatus::Infeasible;
             };
 
-            // Pivot, updating the cost row alongside the tableau.
-            let piv = self.tab.a[row][col];
-            let factor = cost[col] / piv;
-            if factor.abs() > 0.0 {
-                let arow = self.tab.a[row].clone();
-                for (cv, av) in cost.iter_mut().zip(arow.iter()) {
-                    *cv -= factor * av;
-                }
-                cost[col] = 0.0;
-            }
-            self.tab.pivot(row, col);
-            self.iterations += 1;
-            local_iters += 1;
+            let target = if below {
+                self.lower[leaving]
+            } else {
+                self.upper[leaving]
+            };
+            let step = (self.beta[row] - target) / self.at(row, col);
+            self.advance(col, step, Some(row));
+            self.seat[leaving] = if below { Seat::Lower } else { Seat::Upper };
         }
     }
 
-    /// After phase 1, force remaining (degenerate, value-0) artificial
-    /// variables out of the basis; rows where that is impossible are
-    /// redundant and get dropped.
-    fn evict_artificials(&mut self) {
-        let mut row = 0;
-        while row < self.tab.a.len() {
-            if self.tab.basis[row] >= self.tab.artificial_start {
-                let pivot_col =
-                    (0..self.tab.artificial_start).find(|&c| self.tab.a[row][c].abs() > 1e-7);
-                match pivot_col {
-                    Some(col) => {
-                        self.tab.pivot(row, col);
-                        self.iterations += 1;
-                    }
-                    None => {
-                        // Redundant constraint: every real column is zero.
-                        self.tab.a.swap_remove(row);
-                        self.tab.basis.swap_remove(row);
-                        continue; // re-examine the row swapped into place
-                    }
+    /// Primal simplex from a primal feasible basis.
+    fn primal(&mut self) -> LpStatus {
+        let (dantzig, hard) = self.budgets();
+        let start = self.iterations;
+        loop {
+            // Every pass that does not return is one `advance`.
+            let local = self.iterations - start;
+            let bland = local > dantzig;
+
+            // Entering column: the largest reduced cost it can act on
+            // (Bland: the first).
+            let mut enter: Option<(usize, f64)> = None;
+            for col in 0..self.cols {
+                let (up, down) = self.movable(col);
+                let d = self.reduced[col];
+                if ((up && d < -FEAS_TOL) || (down && d > FEAS_TOL))
+                    && enter.is_none_or(|(_, best)| !bland && d.abs() > best)
+                {
+                    enter = Some((col, d.abs()));
                 }
             }
-            row += 1;
+            let Some((col, _)) = enter else {
+                return LpStatus::Optimal;
+            };
+            if local >= hard {
+                return LpStatus::IterationLimit;
+            }
+            let dir = if self.reduced[col] < 0.0 { 1.0 } else { -1.0 };
+
+            // Ratio test: the entering column's own range, then every
+            // basic column's bound in the direction it moves; ties to the
+            // smallest basic index.
+            let mut theta = self.upper[col] - self.lower[col];
+            let mut leave: Option<(usize, Seat)> = None;
+            for (row, &b) in self.basis.iter().enumerate() {
+                let a = self.at(row, col) * dir;
+                let (room, seat) = if a > PIVOT_EPS {
+                    ((self.beta[row] - self.lower[b]) / a, Seat::Lower)
+                } else if a < -PIVOT_EPS {
+                    ((self.upper[b] - self.beta[row]) / -a, Seat::Upper)
+                } else {
+                    continue;
+                };
+                let room = room.max(0.0);
+                if room < theta - PIVOT_EPS
+                    || (room <= theta + PIVOT_EPS
+                        && leave.is_some_and(|(lrow, _)| b < self.basis[lrow]))
+                {
+                    theta = room;
+                    leave = Some((row, seat));
+                }
+            }
+            if theta.is_infinite() {
+                return LpStatus::Unbounded;
+            }
+            match leave {
+                Some((row, seat)) => {
+                    let leaving = self.basis[row];
+                    self.advance(col, dir * theta, Some(row));
+                    self.seat[leaving] = seat;
+                }
+                None => {
+                    // The entering column reaches its own other bound.
+                    self.advance(col, dir * theta, None);
+                    self.seat[col] = if dir > 0.0 { Seat::Upper } else { Seat::Lower };
+                }
+            }
         }
     }
-}
 
-enum IterOutcome {
-    Done,
-    Unbounded,
-    Limit,
+    /// Move nonbasic `col` by `step`, carrying the basic values along,
+    /// and pivot it into `row` if one is given (the caller seats the
+    /// column that leaves).
+    fn advance(&mut self, col: usize, step: f64, row: Option<usize>) {
+        let stride = self.cols + 1;
+        for (r, beta) in self.beta.iter_mut().enumerate() {
+            *beta -= self.tab[r * stride + col] * step;
+        }
+        self.iterations += 1;
+        let Some(row) = row else {
+            return;
+        };
+        self.beta[row] = self.value(col) + step;
+
+        let inv = 1.0 / self.tab[row * stride + col];
+        debug_assert!(inv.is_finite(), "pivot on a zero element");
+        self.pivot_row
+            .copy_from_slice(&self.tab[row * stride..(row + 1) * stride]);
+        for v in &mut self.pivot_row {
+            *v *= inv;
+        }
+        for (r, tab_row) in self.tab.chunks_exact_mut(stride).enumerate() {
+            if r == row {
+                tab_row.copy_from_slice(&self.pivot_row);
+                continue;
+            }
+            let factor = tab_row[col];
+            if factor != 0.0 {
+                for (v, p) in tab_row.iter_mut().zip(&self.pivot_row) {
+                    *v -= factor * p;
+                }
+                tab_row[col] = 0.0;
+            }
+        }
+        let factor = self.reduced[col];
+        if factor != 0.0 {
+            for (d, p) in self.reduced.iter_mut().zip(&self.pivot_row) {
+                *d -= factor * p;
+            }
+            self.reduced[col] = 0.0;
+        }
+        self.basis[row] = col;
+        self.seat[col] = Seat::Basic;
+        self.pivots_since_refresh += 1;
+    }
 }
 
 #[cfg(test)]
@@ -696,5 +710,88 @@ mod tests {
         m.set_objective(Sense::Maximize, LinExpr::from(x) + 100.0);
         let r = solve_lp(&m);
         assert_close(r.solution.unwrap().objective, 102.0);
+    }
+
+    /// max 5a + 4b + 3c over the unit box, 2a + 3b + c ≤ 3.5, a + b ≥ 0.5.
+    fn boxed() -> (Model, [crate::model::VarId; 3]) {
+        let mut m = Model::new("t");
+        let a = m.continuous("a", 0.0, 1.0);
+        let b = m.continuous("b", 0.0, 1.0);
+        let c = m.continuous("c", 0.0, 1.0);
+        m.add_constraint(
+            "cap",
+            LinExpr::weighted_sum([(a, 2.0), (b, 3.0), (c, 1.0)]),
+            Cmp::Le,
+            3.5,
+        );
+        m.add_constraint("floor", LinExpr::from(a) + b, Cmp::Ge, 0.5);
+        m.set_objective(
+            Sense::Maximize,
+            LinExpr::weighted_sum([(a, 5.0), (b, 4.0), (c, 3.0)]),
+        );
+        (m, [a, b, c])
+    }
+
+    #[test]
+    fn finite_bounds_are_not_rows() {
+        let (m, _) = boxed();
+        let s = Simplex::new(&m);
+        assert_eq!((s.rows, s.cols), (2, 5));
+    }
+
+    #[test]
+    fn a_bound_change_reoptimises_to_the_cold_answer() {
+        let (mut m, vars) = boxed();
+        let mut warm = Simplex::new(&m);
+        assert_close(warm.solve().solution.unwrap().objective, 8.0 + 4.0 / 6.0);
+        // Walk through fixings, a relaxation back and an empty row set.
+        let steps = [
+            (0, 0.0, 0.0),
+            (1, 1.0, 1.0),
+            (2, 0.0, 0.25),
+            (0, 0.0, 1.0),
+            (1, 0.0, 0.0),
+            (0, 0.0, 0.2),
+        ];
+        for (i, lo, hi) in steps {
+            m.set_bounds(vars[i], lo, hi);
+            warm.set_bounds(vars[i], lo, hi);
+            let (w, c) = (warm.solve(), solve_lp(&m));
+            assert_eq!(w.status, c.status, "after {i} in [{lo}, {hi}]");
+            if let (Some(w), Some(c)) = (w.solution, c.solution) {
+                assert_close(w.objective, c.objective);
+                assert!(m.is_feasible(&w.values, 1e-6));
+            }
+        }
+        // a ≤ 0.2 with b = 0 breaks a + b ≥ 0.5.
+        assert_eq!(warm.solve().status, LpStatus::Infeasible);
+    }
+
+    #[test]
+    fn a_long_run_refreshes_and_stays_exact() {
+        let (mut m, vars) = boxed();
+        let mut warm = Simplex::new(&m);
+        let mut refreshed = false;
+        for k in 0..4 * REFRESH_PIVOTS {
+            let (i, hi) = (k % 3, if (k / 3) % 2 == 0 { 0.0 } else { 1.0 });
+            m.set_bounds(vars[i], 0.0, hi);
+            warm.set_bounds(vars[i], 0.0, hi);
+            let before = warm.pivots_since_refresh;
+            let (w, c) = (warm.solve(), solve_lp(&m));
+            refreshed |= warm.pivots_since_refresh < before;
+            assert_eq!(w.status, c.status, "step {k}");
+            if let (Some(w), Some(c)) = (w.solution, c.solution) {
+                assert_close(w.objective, c.objective);
+            }
+        }
+        assert!(refreshed, "the run must outlast one refresh");
+    }
+
+    #[test]
+    fn iteration_cap_reports_the_limit() {
+        let (m, _) = boxed();
+        let capped = with_iteration_cap(0, || solve_lp(&m));
+        assert_eq!(capped.status, LpStatus::IterationLimit);
+        assert!(capped.solution.is_none());
     }
 }

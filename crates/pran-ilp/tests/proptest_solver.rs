@@ -9,7 +9,10 @@
 use proptest::prelude::*;
 
 use pran_ilp::knapsack::{knapsack_exact, Item};
-use pran_ilp::{solve_ilp, solve_lp, BnbConfig, Cmp, IlpStatus, LinExpr, LpStatus, Model, Sense};
+use pran_ilp::{
+    presolve, solve_ilp, solve_lp, BnbConfig, Cmp, IlpStatus, LinExpr, LpStatus, Model, Presolved,
+    Sense,
+};
 
 /// A random ≤-constrained LP over box-bounded variables is always feasible
 /// (the lower-bound corner satisfies Σaᵢxᵢ ≤ b when b is chosen above the
@@ -271,5 +274,111 @@ proptest! {
         let co = cold.solution.unwrap().objective;
         let wo = warm.solution.unwrap().objective;
         prop_assert!((co - wo).abs() < 1e-9, "cold {co} vs warm {wo}");
+    }
+}
+
+/// A knapsack (`Maximize`, `≤`) or a cover (`Minimize`, `≥`) over binaries
+/// with the given objective coefficients, plus an optional continuous
+/// `z ∈ [0, 0.7]` entering the objective with coefficient `1`.
+fn packing(sense: Sense, weights: &[f64], costs: &[f64], continuous: bool) -> Model {
+    let mut m = Model::new("prop-round");
+    let vars: Vec<_> = (0..weights.len())
+        .map(|i| m.binary(format!("b{i}")))
+        .collect();
+    let total: f64 = weights.iter().sum();
+    m.add_constraint(
+        "w",
+        LinExpr::weighted_sum(vars.iter().copied().zip(weights.iter().copied())),
+        if sense == Sense::Maximize {
+            Cmp::Le
+        } else {
+            Cmp::Ge
+        },
+        total * 0.45,
+    );
+    let mut objective = LinExpr::weighted_sum(vars.iter().copied().zip(costs.iter().copied()));
+    if continuous {
+        let z = m.continuous("z", 0.0, 0.7);
+        // Worth having in either sense: z = 0.7 when maximizing, and a
+        // cover must pay 0.7 − z for it when minimizing.
+        objective = if sense == Sense::Maximize {
+            objective + z
+        } else {
+            objective - z + 0.7
+        };
+    }
+    m.set_objective(sense, objective);
+    m
+}
+
+/// Value of the relaxation branch and bound starts from: the presolved
+/// model's (presolve may fix an item that cannot fit).
+fn root_lp(m: &Model) -> f64 {
+    let Presolved::Reduced { model, .. } = presolve(m) else {
+        panic!("feasible by construction");
+    };
+    solve_lp(&model).solution.unwrap().objective
+}
+
+/// The bound branch and bound holds after the root alone, or `None` when
+/// the root closed the search.
+fn root_bound(m: &Model) -> Option<f64> {
+    let r = solve_ilp(
+        m,
+        &BnbConfig {
+            max_nodes: 1,
+            ..BnbConfig::default()
+        },
+    );
+    (r.stats.nodes == 1 && r.status != IlpStatus::Optimal).then_some(r.stats.best_bound)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// With integer costs on binaries the root bound is the LP value
+    /// rounded toward the feasible side: down for `Maximize`, up for
+    /// `Minimize`, and never past the integer optimum.
+    #[test]
+    fn integral_objective_rounds_the_root_bound(
+        weights in proptest::collection::vec(1.0f64..9.0, 3..8),
+        costs in proptest::collection::vec(1u32..12, 8),
+        maximize in any::<bool>(),
+    ) {
+        let sense = if maximize { Sense::Maximize } else { Sense::Minimize };
+        let costs: Vec<f64> = costs[..weights.len()].iter().map(|&c| f64::from(c)).collect();
+        let m = packing(sense, &weights, &costs, false);
+        let lp = root_lp(&m);
+        let optimum = solve_ilp(&m, &BnbConfig::default()).solution.unwrap().objective;
+        if let Some(bound) = root_bound(&m) {
+            if maximize {
+                prop_assert_eq!(bound, (lp + 1e-6).floor());
+                prop_assert!(bound >= optimum);
+            } else {
+                prop_assert_eq!(bound, (lp - 1e-6).ceil());
+                prop_assert!(bound <= optimum);
+            }
+        }
+    }
+
+    /// One fractional coefficient, or one continuous variable in the
+    /// objective, and the root bound is the LP value as it is.
+    #[test]
+    fn rounding_never_fires_on_a_fractional_objective(
+        weights in proptest::collection::vec(1.0f64..9.0, 3..8),
+        costs in proptest::collection::vec(1u32..12, 8),
+        maximize in any::<bool>(),
+        continuous in any::<bool>(),
+    ) {
+        let sense = if maximize { Sense::Maximize } else { Sense::Minimize };
+        let mut costs: Vec<f64> = costs[..weights.len()].iter().map(|&c| f64::from(c)).collect();
+        if !continuous {
+            costs[0] += 0.5;
+        }
+        let m = packing(sense, &weights, &costs, continuous);
+        let lp = root_lp(&m);
+        if let Some(bound) = root_bound(&m) {
+            prop_assert!((bound - lp).abs() < 1e-9, "bound {bound}, LP {lp}");
+        }
     }
 }

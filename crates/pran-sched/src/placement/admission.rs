@@ -81,14 +81,10 @@ pub fn admit_exact(
         );
         m.add_constraint(format!("cap{s}"), expr, Cmp::Le, capacity_gops);
     }
-    // Symmetry breaking on identical servers: each cell index may only use
-    // server s if some lower-indexed structure uses s-1... cheap variant:
-    // weight ties broken by preferring low server indices via a tiny
-    // objective epsilon. Keeps the tree manageable at experiment sizes.
     let mut obj = LinExpr::new();
     for (c, row) in x.iter().enumerate() {
-        for (s, &v) in row.iter().enumerate() {
-            obj.add_term(v, requests[c].weight - 1e-6 * s as f64);
+        for &v in row {
+            obj.add_term(v, requests[c].weight);
         }
     }
     m.set_objective(Sense::Maximize, obj);

@@ -55,6 +55,20 @@ impl HeuristicResult {
     }
 }
 
+/// Cell indices by decreasing demand, equal demands in index order: the
+/// order every heuristic here considers cells in, and the one the exact
+/// model's symmetry restriction ranks them by (`ilp::build_model`).
+pub(crate) fn decreasing_order(instance: &PlacementInstance) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..instance.cells.len()).collect();
+    order.sort_by(|&a, &b| {
+        instance.cells[b]
+            .gops
+            .partial_cmp(&instance.cells[a].gops)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    order
+}
+
 /// Pack cells onto servers with the chosen heuristic.
 ///
 /// Cells are considered in decreasing demand order. Servers are preferred
@@ -73,13 +87,7 @@ impl HeuristicResult {
 /// bit-for-bit by construction.
 pub fn place(instance: &PlacementInstance, heuristic: Heuristic) -> HeuristicResult {
     let solve_span = pran_telemetry::trace::span("sched.place");
-    let mut order: Vec<usize> = (0..instance.cells.len()).collect();
-    order.sort_by(|&a, &b| {
-        instance.cells[b]
-            .gops
-            .partial_cmp(&instance.cells[a].gops)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    let order = decreasing_order(instance);
 
     let mut residual: Vec<f64> = instance.servers.iter().map(|s| s.capacity_gops).collect();
     // Decode load accrued per server (only accelerated servers ever

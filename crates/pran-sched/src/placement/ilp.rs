@@ -17,6 +17,7 @@ use std::time::Duration;
 
 use pran_ilp::{solve_ilp, BnbConfig, Cmp, IlpStatus, LinExpr, Model, PresolveStats, Sense, VarId};
 
+use super::heuristics::decreasing_order;
 use super::{Placement, PlacementInstance};
 
 /// Outcome of an exact placement solve.
@@ -40,7 +41,8 @@ pub struct IlpPlacement {
 /// effect of each acceleration (both default to on).
 #[derive(Debug, Clone, Copy)]
 pub struct SolveOptions {
-    /// Add `y_s ≥ y_{s+1}` rows within identical server groups.
+    /// Within each run of interchangeable servers, add `y_s ≥ y_{s+1}`
+    /// rows and drop the symmetric copies of `x` (see [`build_model`]).
     pub symmetry_breaking: bool,
     /// Seed the incumbent from a first-fit-decreasing placement.
     pub warm_start: bool,
@@ -56,9 +58,32 @@ impl Default for SolveOptions {
 }
 
 /// Build the ILP model for an instance. Returns the model plus the
-/// variable grids `x[cell][server]` (None where disallowed) and `y[server]`.
+/// variable grids `x[cell][server]` and `y[server]`.
+///
+/// `x[c][s]` is `None` where the pair is disallowed and, under symmetry
+/// breaking, for the symmetric copies the model drops: within a run of
+/// interchangeable servers the cell of rank `r` — its position, among the
+/// cells allowed on the run, in the heuristics' decreasing-demand order —
+/// gets a variable on the run's first `r + 1` servers only. Any packing
+/// relabels a run's servers by first appearance along that order into
+/// this form, so the optimum is unchanged, and first-fit decreasing opens
+/// a run's servers in index order, so its placement is always
+/// expressible. A caller-supplied [`BnbConfig::initial`] must be
+/// canonical in the same sense: a cell sitting on a `None` has no
+/// variable to set and the start is rejected as infeasible.
 pub fn build_model(instance: &PlacementInstance) -> (Model, Vec<Vec<Option<VarId>>>, Vec<VarId>) {
     build_model_with(instance, SolveOptions::default())
+}
+
+/// Whether servers `a` and `b` can be swapped in any placement: same
+/// capacity, cost and accelerator profile (a plain and an accelerated
+/// server never are), and every cell allowed on both or on neither.
+fn interchangeable(instance: &PlacementInstance, a: usize, b: usize) -> bool {
+    let (sa, sb) = (&instance.servers[a], &instance.servers[b]);
+    sa.capacity_gops == sb.capacity_gops
+        && sa.cost == sb.cost
+        && sa.accelerator == sb.accelerator
+        && (0..instance.cells.len()).all(|c| instance.is_allowed(c, a) == instance.is_allowed(c, b))
 }
 
 /// [`build_model`] with explicit options.
@@ -67,26 +92,39 @@ pub fn build_model_with(
     options: SolveOptions,
 ) -> (Model, Vec<Vec<Option<VarId>>>, Vec<VarId>) {
     let mut m = Model::new("placement");
+    let servers = instance.servers.len();
     let y: Vec<VarId> = instance
         .servers
         .iter()
         .map(|s| m.binary(format!("y{}", s.id)))
         .collect();
-    let x: Vec<Vec<Option<VarId>>> = instance
-        .cells
-        .iter()
-        .map(|c| {
-            instance
-                .servers
-                .iter()
-                .map(|s| {
-                    instance
-                        .is_allowed(c.id, s.id)
-                        .then(|| m.binary(format!("x{}_{}", c.id, s.id)))
-                })
-                .collect()
-        })
-        .collect();
+
+    // `run_start[s]`: first server of the run of interchangeable servers
+    // `s` belongs to (itself when symmetry breaking is off).
+    let mut run_start: Vec<usize> = (0..servers).collect();
+    for s in (1..servers).take_while(|_| options.symmetry_breaking) {
+        if interchangeable(instance, s - 1, s) {
+            run_start[s] = run_start[s - 1];
+        }
+    }
+    // Cells take their variables in decreasing-demand order; `ranked[g]`
+    // counts the cells allowed on the run starting at `g`, up to and
+    // including the one at hand.
+    let mut x: Vec<Vec<Option<VarId>>> = vec![vec![None; servers]; instance.cells.len()];
+    let mut ranked = vec![0usize; servers];
+    for c in decreasing_order(instance) {
+        let row = instance.allowed.row(c);
+        for s in (0..servers).filter(|&s| row.allows(s)) {
+            let g = run_start[s];
+            if s == g {
+                ranked[g] += 1;
+            }
+            if s - g < ranked[g] {
+                let name = format!("x{}_{}", instance.cells[c].id, instance.servers[s].id);
+                x[c][s] = Some(m.binary(name));
+            }
+        }
+    }
 
     // Each cell on exactly one (allowed) server.
     for (c, row) in x.iter().enumerate() {
@@ -133,26 +171,16 @@ pub fn build_model_with(
         }
     }
 
-    // Symmetry breaking: identical consecutive servers are interchangeable,
-    // so force y_s ≥ y_{s+1} within each identical group. Any solution can
-    // be permuted into this form, so optimality is preserved — and the
-    // branch-and-bound tree shrinks dramatically on uniform pools.
-    // "Identical" includes the accelerator profile: a plain and an
-    // accelerated server are never interchangeable.
-    for s in (1..instance.servers.len()).take_while(|_| options.symmetry_breaking) {
-        let prev = &instance.servers[s - 1];
-        let cur = &instance.servers[s];
-        if prev.capacity_gops == cur.capacity_gops
-            && prev.cost == cur.cost
-            && prev.accelerator == cur.accelerator
-        {
-            m.add_constraint(
-                format!("sym{s}"),
-                LinExpr::from(y[s]) - y[s - 1],
-                Cmp::Le,
-                0.0,
-            );
-        }
+    // Within a run, servers open in index order: y_s ≥ y_{s+1}. The
+    // first-appearance relabelling above leaves a run's unused servers at
+    // its end, so the rows hold beside the dropped variables.
+    for s in (0..servers).filter(|&s| run_start[s] != s) {
+        m.add_constraint(
+            format!("sym{s}"),
+            LinExpr::from(y[s]) - y[s - 1],
+            Cmp::Le,
+            0.0,
+        );
     }
 
     // Objective: weighted server count.
@@ -235,11 +263,24 @@ pub fn solve_with(
             result.stats.lp_iterations as u64,
         );
         registry.observe("sched.ilp.solve_time", &[], result.stats.elapsed);
-        solve_span.finish_with(&[
+        // Bound and gap exist only beside an incumbent (the bound is NaN
+        // without one); the gauges then keep the last solve that had one.
+        let gap = result.stats.gap();
+        let root_proved = result.status == IlpStatus::Optimal && result.stats.nodes == 1;
+        let warm_start_accepted = result.stats.warm_start_accepted;
+        registry.inc("sched.ilp.root_proved", &[], u64::from(root_proved));
+        registry.inc(
+            "sched.ilp.warm_start_accepted",
+            &[],
+            u64::from(warm_start_accepted),
+        );
+        let mut fields = vec![
             ("cells", instance.cells.len().into()),
             ("nodes", result.stats.nodes.into()),
             ("lp_iterations", result.stats.lp_iterations.into()),
             ("optimal", (result.status == IlpStatus::Optimal).into()),
+            ("root_proved", root_proved.into()),
+            ("warm_start_accepted", warm_start_accepted.into()),
             (
                 "presolve_rows_removed",
                 result.stats.presolve.rows_removed.into(),
@@ -252,7 +293,14 @@ pub fn solve_with(
                 "presolve_vars_fixed",
                 result.stats.presolve.vars_fixed.into(),
             ),
-        ]);
+        ];
+        if let Some(gap) = gap {
+            registry.gauge("sched.ilp.best_bound", &[], result.stats.best_bound);
+            registry.gauge("sched.ilp.gap", &[], gap);
+            fields.push(("best_bound", result.stats.best_bound.into()));
+            fields.push(("gap", gap.into()));
+        }
+        solve_span.finish_with(&fields);
     }
     IlpPlacement {
         placement,
@@ -301,6 +349,9 @@ mod tests {
         let p = r.placement.unwrap();
         assert_eq!(p.assignment[0], Some(1));
         assert!(inst.validate(&p).is_ok());
+        // Both cells share server 1: the servers differ in who may use
+        // them, so no y₁ ≤ y₀ row may force server 0 open beside it.
+        assert_eq!(r.cost, Some(1.0));
     }
 
     #[test]
