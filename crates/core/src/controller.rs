@@ -116,16 +116,17 @@ struct TopologyBinding {
 }
 
 impl Serialize for TopologyBinding {
-    fn to_json_value(&self) -> serde::Value {
-        let rows: Vec<serde::Value> = self.reach.rows.iter().map(|r| r.to_json_value()).collect();
-        let allowed = self.reach.class_of.iter().map(|&k| rows[k].clone());
-        let mut map = serde::Map::new();
-        map.insert(
-            "allowed".to_string(),
-            serde::Value::Array(allowed.collect()),
-        );
-        map.insert("specs".to_string(), self.specs.to_json_value());
-        serde::Value::Object(map)
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
+        sink.begin_object(2);
+        sink.key("allowed");
+        sink.begin_array(self.reach.class_of.len());
+        for &class in &self.reach.class_of {
+            sink.element();
+            self.reach.rows[class].serialize(sink);
+        }
+        sink.end_array();
+        sink.field("specs", &self.specs);
+        sink.end_object();
     }
 }
 

@@ -93,28 +93,19 @@ pub struct LiveFold {
 // Manual impl: the two settle buffers are working state, not aggregate
 // state (both are empty between epochs).
 impl Serialize for LiveFold {
-    fn to_json_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("budget_us".to_string(), self.budget_us.to_json_value());
-        m.insert("cell_blame".to_string(), self.cell_blame.to_json_value());
-        m.insert("cell_misses".to_string(), self.cell_misses.to_json_value());
-        m.insert(
-            "cell_latency".to_string(),
-            self.cell_latency.to_json_value(),
-        );
-        m.insert(
-            "server_latency".to_string(),
-            self.server_latency.to_json_value(),
-        );
-        m.insert(
-            "server_tasks".to_string(),
-            self.server_tasks.to_json_value(),
-        );
-        m.insert("totals".to_string(), self.totals.to_json_value());
-        m.insert("tasks".to_string(), self.tasks.to_json_value());
-        m.insert("misses".to_string(), self.misses.to_json_value());
-        m.insert("events".to_string(), self.events.to_json_value());
-        serde::Value::Object(m)
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
+        sink.begin_object(10);
+        sink.field("budget_us", &self.budget_us);
+        sink.field("cell_blame", &self.cell_blame);
+        sink.field("cell_misses", &self.cell_misses);
+        sink.field("cell_latency", &self.cell_latency);
+        sink.field("server_latency", &self.server_latency);
+        sink.field("server_tasks", &self.server_tasks);
+        sink.field("totals", &self.totals);
+        sink.field("tasks", &self.tasks);
+        sink.field("misses", &self.misses);
+        sink.field("events", &self.events);
+        sink.end_object();
     }
 }
 
@@ -410,8 +401,8 @@ pub struct MetroFold<'a> {
 // The parts in shard order: byte-identical for any worker count because
 // each part is.
 impl Serialize for MetroFold<'_> {
-    fn to_json_value(&self) -> serde::Value {
-        serde::Value::Array(self.parts.iter().map(|p| p.to_json_value()).collect())
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
+        self.parts.serialize(sink);
     }
 }
 

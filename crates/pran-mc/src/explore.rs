@@ -275,13 +275,14 @@ pub fn explore(model: &Model) -> McReport {
     seen.insert(encode(&initial, &identity));
     orbits.insert(orbit_key(&initial, &perms));
     let mut queue: VecDeque<(StateView, Vec<Operation>)> = VecDeque::new();
-    queue.push_back((initial, Vec::new()));
+    if cfg.depth > 0 {
+        queue.push_back((initial, Vec::new()));
+    }
     let mut discovered = 0usize;
 
+    // Every queued state is expanded: one found at the depth bound is
+    // counted and replayed, never queued.
     while let Some((state, path)) = queue.pop_front() {
-        if path.len() >= cfg.depth {
-            continue;
-        }
         for op in model.enabled_ops(&state) {
             let outcome = model.apply(&state, op);
             report.transitions += 1;
@@ -324,7 +325,9 @@ pub fn explore(model: &Model) -> McReport {
                     report.conformance_failures.push(divergence);
                 }
             }
-            queue.push_back((outcome.next, npath));
+            if npath.len() < cfg.depth {
+                queue.push_back((outcome.next, npath));
+            }
         }
     }
     report.states = seen.len();

@@ -65,10 +65,10 @@ impl SplitPlan {
 // pre-split default so configs written before splits existed still
 // parse. Unknown tags are rejected by `FunctionalSplit`'s own decoder.
 impl Serialize for SplitPlan {
-    fn to_json_value(&self) -> serde::Value {
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
         match self {
-            SplitPlan::Uniform(s) => s.to_json_value(),
-            SplitPlan::PerCell(v) => v.to_json_value(),
+            SplitPlan::Uniform(s) => s.serialize(sink),
+            SplitPlan::PerCell(v) => v.serialize(sink),
         }
     }
 }

@@ -254,14 +254,14 @@ impl<const SUB_SHIFT: usize> Default for LogBuckets<SUB_SHIFT> {
 // Hand-written serde: the vendored derive does not take generics. Key
 // order is the wire form `PoolMetrics` and registry snapshots commit to.
 impl<const SUB_SHIFT: usize> Serialize for LogBuckets<SUB_SHIFT> {
-    fn to_json_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("buckets".to_string(), self.buckets.to_json_value());
-        m.insert("count".to_string(), self.count.to_json_value());
-        m.insert("sum_us".to_string(), self.sum_us.to_json_value());
-        m.insert("max_us".to_string(), self.max_us.to_json_value());
-        m.insert("min_us".to_string(), self.min_us.to_json_value());
-        serde::Value::Object(m)
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
+        sink.begin_object(5);
+        sink.field("buckets", &self.buckets);
+        sink.field("count", &self.count);
+        sink.field("sum_us", &self.sum_us);
+        sink.field("max_us", &self.max_us);
+        sink.field("min_us", &self.min_us);
+        sink.end_object();
     }
 }
 

@@ -11,10 +11,12 @@
 
 use std::time::Duration;
 
-use pran::{Controller, ControllerStats, EpochReport, Snapshot, SnapshotError};
+use pran::{Controller, ControllerStats, EpochReport, Snapshot, SnapshotError, SystemConfig};
 
 const V1: &str = include_str!("../fixtures/controller_snapshot_v1.json");
 const RAGGED: &str = include_str!("../fixtures/hostile_controller_snapshot_ragged.json");
+/// V1's config with `"capacity_gops":1e999`.
+const INF_CONFIG: &str = include_str!("../fixtures/hostile_system_config_inf.json");
 
 fn restore(text: &str) -> Result<Controller, SnapshotError> {
     let snapshot: Snapshot = serde_json::from_str(text).expect("the fixture parses");
@@ -138,4 +140,32 @@ fn mistyped_reachability_entry_is_a_parse_error() {
     assert_ne!(mistyped, V1, "the fixture's topology moved; fix the needle");
     let err = serde_json::from_str::<Snapshot>(&mistyped).unwrap_err();
     assert!(err.to_string().contains("allowed"), "{err}");
+}
+
+#[test]
+fn v1_fixture_parsed_and_written_back_is_the_committed_bytes() {
+    // Through the tree alone: no type of the controller's in between, so
+    // key order, `400.0` keeping its `.0` and every integer are the
+    // parser's and the writer's own doing.
+    let tree: serde_json::Value = serde_json::from_str(V1).expect("the fixture parses");
+    assert_eq!(serde_json::to_string(&tree).unwrap(), V1);
+    let pretty = serde_json::to_string_pretty(&tree).unwrap();
+    assert_eq!(
+        serde_json::from_str::<serde_json::Value>(&pretty).unwrap(),
+        tree
+    );
+}
+
+#[test]
+fn infinite_capacity_is_refused_by_config_and_restore() {
+    // `1e999` used to parse to +inf: a pool every cell fits on.
+    let err = serde_json::from_str::<SystemConfig>(INF_CONFIG).unwrap_err();
+    assert!(err.to_string().contains("number out of range"), "{err}");
+
+    let cells = V1.find(",\"cells\":").expect("the fixture has cells");
+    let snapshot = format!("{{\"config\":{}{}", INF_CONFIG.trim_end(), &V1[cells..]);
+    let finite = snapshot.replacen("1e999", "400.0", 1);
+    assert_eq!(finite, V1, "the hostile config is V1's but for one number");
+    let err = serde_json::from_str::<Snapshot>(&snapshot).unwrap_err();
+    assert!(err.to_string().contains("number out of range"), "{err}");
 }

@@ -24,7 +24,9 @@
 //! steady-state `Controller::run_epoch` asks for grow with cells +
 //! servers, and a 30,000-cell / 15,000-server controller lives, epochs
 //! and fails over under a ceiling the cells × servers mask alone would
-//! break.
+//! break. And one about the JSON writer: a 3,000-cell snapshot becomes
+//! text in as many allocations as its output `String` grows by, because
+//! no `Value` tree is built on the way.
 //!
 //! Every counter is thread-local, so the tests of this file can run side
 //! by side: each sees only what its own thread allocated while armed.
@@ -364,4 +366,29 @@ fn metro_scale_controller_fits_under_256_mb() {
         "ten epochs and a failover at {CELLS} cells / {SERVERS} servers peaked at {} MB live",
         whole.peak >> 20
     );
+}
+
+#[test]
+fn a_snapshot_is_written_as_text_without_a_tree() {
+    let (ctl, _) = steady_controller(3_000, 1_500);
+    let snapshot = ctl.snapshot();
+    let (text, writing) =
+        counted(|| serde_json::to_string(&snapshot).expect("a snapshot serializes"));
+    // The output `String` starts at 128 bytes and doubles; a `Value`
+    // tree of the same snapshot is tens of thousands of nodes and keys.
+    let growth_steps = 1 + u64::from((text.capacity() / 128).ilog2());
+    assert!(
+        writing.allocations <= growth_steps + 4,
+        "writing {} bytes of snapshot took {} allocations; the text alone grows in {growth_steps}",
+        text.len(),
+        writing.allocations
+    );
+    let (tree, building) = counted(|| serde_json::to_value(&snapshot).expect("and as a tree"));
+    assert!(
+        building.allocations > 1_000 * writing.allocations,
+        "{} allocations for the tree, {} for the text",
+        building.allocations,
+        writing.allocations
+    );
+    assert_eq!(serde_json::to_string(&tree).unwrap(), text);
 }
