@@ -314,9 +314,9 @@ fn main() -> ExitCode {
                     _ => None,
                 })
             };
-            if let Ok(serde_json::Value::Array(records)) = doc.field("records") {
+            if let serde_json::Value::Array(records) = &doc["records"] {
                 if let Some(last) = records.last() {
-                    let f = |name: &str| last.field(name).ok().and_then(|v| v.as_f64());
+                    let f = |name: &str| last[name].as_f64();
                     dump_matches_registry = [
                         ("epoch", "soak.epoch"),
                         ("miss_ratio", "soak.miss_ratio"),

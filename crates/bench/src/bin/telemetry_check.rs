@@ -27,26 +27,19 @@ use pran_telemetry::export::{breakdown_from_jsonl, breakdown_table, validate_jso
 fn validate_json_doc(path: &str, text: &str) -> Result<String, String> {
     let doc: serde_json::Value =
         serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let schema = doc
-        .field("schema")
-        .ok()
-        .and_then(|s| s.as_str())
-        .ok_or("no `schema` tag")?
-        .to_string();
+    let schema = doc["schema"].as_str().ok_or("no `schema` tag")?.to_string();
     match schema.as_str() {
         "pran-recorder/1" => {
             let n = pran_obs::validate_dump(&doc)?;
             Ok(format!("flight-recorder dump, {n} record(s)"))
         }
         "pran-bench/1" => {
-            let experiment = doc
-                .field("experiment")
-                .ok()
-                .and_then(|e| e.as_str())
+            let experiment = doc["experiment"]
+                .as_str()
                 .ok_or("pran-bench/1 document without `experiment`")?
                 .to_string();
-            match doc.field("results") {
-                Ok(serde_json::Value::Object(_)) => Ok(format!("bench envelope ({experiment})")),
+            match &doc["results"] {
+                serde_json::Value::Object(_) => Ok(format!("bench envelope ({experiment})")),
                 _ => Err("pran-bench/1 document without a `results` object".to_string()),
             }
         }

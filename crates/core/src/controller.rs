@@ -131,26 +131,44 @@ impl Serialize for TopologyBinding {
 }
 
 impl Deserialize for TopologyBinding {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let rows = v
-            .field("allowed")?
-            .as_array()
-            .ok_or_else(|| serde::Error::new("expected array").at("allowed"))?;
-        let mut bad = None;
-        let reach = Reachability::from_rows(rows.iter().map_while(|row| {
-            Deserialize::from_json_value(row)
-                .map_err(|e: serde::Error| bad = Some(e.at("allowed")))
-                .ok()
-        }));
-        match bad {
-            Some(e) => Err(e),
-            None => Ok(TopologyBinding {
-                reach,
-                specs: Deserialize::from_json_value(v.field("specs")?)
-                    .map_err(|e| e.at("specs"))?,
-            }),
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        r.begin_object("object with field `allowed`")?;
+        let (mut reach, mut specs) = (None, None);
+        while let Some(key) = r.key()? {
+            match &*key {
+                "allowed" => reach = Some(read_reachability(r).map_err(|e| e.at("allowed"))?),
+                "specs" => specs = Some(Deserialize::read(r).map_err(|e| e.at("specs"))?),
+                _ => r.skip()?,
+            }
         }
+        Ok(TopologyBinding {
+            reach: match reach {
+                Some(reach) => reach,
+                None => return Err(serde::Error::new("expected array, got null").at("allowed")),
+            },
+            specs: match specs {
+                Some(specs) => specs,
+                None => serde::absent("specs")?,
+            },
+        })
     }
+}
+
+/// An array of server rows, each handed to [`Reachability::from_rows`]
+/// as it is read: identical rows become one class on the way, and no
+/// cells × servers matrix exists at any point.
+fn read_reachability(r: &mut serde::Reader<'_>) -> Result<Reachability, serde::Error> {
+    r.begin_array("array")?;
+    let mut bad = None;
+    let reach = Reachability::from_rows(std::iter::from_fn(|| {
+        let row = match r.element() {
+            Ok(true) => Deserialize::read(r),
+            Ok(false) => return None,
+            Err(e) => Err(e),
+        };
+        row.map_err(|e| bad = Some(e)).ok()
+    }));
+    bad.map_or(Ok(reach), Err)
 }
 
 /// One audit-log entry: when, what happened, how many app actions were

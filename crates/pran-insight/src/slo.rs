@@ -151,48 +151,44 @@ impl Default for SloPolicy {
     }
 }
 
-// Hand-written so configs serialized before the hysteresis ratios (or
-// the burn-rate windows) existed still parse (the vendored derive has no
-// `#[serde(default)]`): absent fields decode to their defaults.
+/// [`SloPolicy`] as it is read: configs serialized before the
+/// hysteresis ratios (or the burn-rate windows) existed still parse,
+/// absent fields being their [`SloPolicy::default_eval`] values.
+#[derive(Deserialize)]
+struct SloPolicyWire {
+    miss_ratio_max: f64,
+    utilization_max: f64,
+    outage_p99_max: Duration,
+    reports_lost_max: u64,
+    unplaced_max: u64,
+    ewma_alpha: f64,
+    trigger_ratio: Option<f64>,
+    clear_ratio: Option<f64>,
+    burn_fast_epochs: Option<u64>,
+    burn_slow_epochs: Option<u64>,
+    burn_page_factor: Option<f64>,
+    burn_ticket_factor: Option<f64>,
+}
+
 impl Deserialize for SloPolicy {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let ratio = |name: &str| -> Result<f64, serde::Error> {
-            match v.field(name)? {
-                serde::Value::Null => Ok(1.0),
-                other => Deserialize::from_json_value(other).map_err(|e| e.at(name)),
-            }
-        };
-        let burn_f64 = |name: &str, default: f64| -> Result<f64, serde::Error> {
-            match v.field(name)? {
-                serde::Value::Null => Ok(default),
-                other => Deserialize::from_json_value(other).map_err(|e| e.at(name)),
-            }
-        };
-        let burn_u64 = |name: &str, default: u64| -> Result<u64, serde::Error> {
-            match v.field(name)? {
-                serde::Value::Null => Ok(default),
-                other => Deserialize::from_json_value(other).map_err(|e| e.at(name)),
-            }
-        };
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let wire = SloPolicyWire::read(r)?;
+        let default = SloPolicy::default_eval();
         Ok(SloPolicy {
-            miss_ratio_max: Deserialize::from_json_value(v.field("miss_ratio_max")?)
-                .map_err(|e| e.at("miss_ratio_max"))?,
-            utilization_max: Deserialize::from_json_value(v.field("utilization_max")?)
-                .map_err(|e| e.at("utilization_max"))?,
-            outage_p99_max: Deserialize::from_json_value(v.field("outage_p99_max")?)
-                .map_err(|e| e.at("outage_p99_max"))?,
-            reports_lost_max: Deserialize::from_json_value(v.field("reports_lost_max")?)
-                .map_err(|e| e.at("reports_lost_max"))?,
-            unplaced_max: Deserialize::from_json_value(v.field("unplaced_max")?)
-                .map_err(|e| e.at("unplaced_max"))?,
-            ewma_alpha: Deserialize::from_json_value(v.field("ewma_alpha")?)
-                .map_err(|e| e.at("ewma_alpha"))?,
-            trigger_ratio: ratio("trigger_ratio")?,
-            clear_ratio: ratio("clear_ratio")?,
-            burn_fast_epochs: burn_u64("burn_fast_epochs", 5)?,
-            burn_slow_epochs: burn_u64("burn_slow_epochs", 60)?,
-            burn_page_factor: burn_f64("burn_page_factor", 10.0)?,
-            burn_ticket_factor: burn_f64("burn_ticket_factor", 2.0)?,
+            miss_ratio_max: wire.miss_ratio_max,
+            utilization_max: wire.utilization_max,
+            outage_p99_max: wire.outage_p99_max,
+            reports_lost_max: wire.reports_lost_max,
+            unplaced_max: wire.unplaced_max,
+            ewma_alpha: wire.ewma_alpha,
+            trigger_ratio: wire.trigger_ratio.unwrap_or(default.trigger_ratio),
+            clear_ratio: wire.clear_ratio.unwrap_or(default.clear_ratio),
+            burn_fast_epochs: wire.burn_fast_epochs.unwrap_or(default.burn_fast_epochs),
+            burn_slow_epochs: wire.burn_slow_epochs.unwrap_or(default.burn_slow_epochs),
+            burn_page_factor: wire.burn_page_factor.unwrap_or(default.burn_page_factor),
+            burn_ticket_factor: wire
+                .burn_ticket_factor
+                .unwrap_or(default.burn_ticket_factor),
         })
     }
 }

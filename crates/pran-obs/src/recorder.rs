@@ -144,10 +144,9 @@ impl<T: Copy + Serialize> FlightRecorder<T> {
 /// fields (when present) strictly increase. Returns the record count.
 pub fn validate_dump(v: &serde::Value) -> Result<usize, String> {
     let field = |name: &str| -> Result<&serde::Value, String> {
-        match v.field(name) {
-            Ok(serde::Value::Null) => Err(format!("missing field `{name}`")),
-            Ok(val) => Ok(val),
-            Err(e) => Err(e.to_string()),
+        match v.get(name) {
+            None | Some(serde::Value::Null) => Err(format!("missing field `{name}`")),
+            Some(val) => Ok(val),
         }
     };
     match field("schema")? {
@@ -176,7 +175,7 @@ pub fn validate_dump(v: &serde::Value) -> Result<usize, String> {
         let serde::Value::Object(_) = r else {
             return Err(format!("records[{i}] is not an object"));
         };
-        if let Some(e) = r.field("epoch").ok().and_then(|f| f.as_f64()) {
+        if let Some(e) = r["epoch"].as_f64() {
             if let Some(prev) = last_epoch {
                 if e <= prev {
                     return Err(format!(
@@ -252,7 +251,7 @@ mod tests {
         let text = r.dump_json("slo-alert", 4);
         let back: serde::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(validate_dump(&back), Ok(3));
-        assert_eq!(back.field("reason").unwrap().as_str(), Some("slo-alert"));
+        assert_eq!(back["reason"].as_str(), Some("slo-alert"));
     }
 
     #[test]

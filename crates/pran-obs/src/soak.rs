@@ -506,7 +506,7 @@ mod tests {
         let n = validate_dump(doc).unwrap();
         assert!(n >= 2);
         // The dump's last record is the epoch the registry currently shows.
-        let records = match doc.field("records").unwrap() {
+        let records = match &doc["records"] {
             serde::Value::Array(a) => a,
             _ => panic!("records array"),
         };
@@ -524,15 +524,12 @@ mod tests {
                 .unwrap_or_else(|| panic!("gauge {name} missing"))
         };
         assert_eq!(
-            last.field("miss_ratio").unwrap().as_f64().unwrap(),
+            last["miss_ratio"].as_f64().unwrap(),
             gauge("soak.miss_ratio")
         );
+        assert_eq!(last["epoch"].as_u64().unwrap() as f64, gauge("soak.epoch"));
         assert_eq!(
-            last.field("epoch").unwrap().as_u64().unwrap() as f64,
-            gauge("soak.epoch")
-        );
-        assert_eq!(
-            last.field("alive_servers").unwrap().as_f64().unwrap(),
+            last["alive_servers"].as_f64().unwrap(),
             gauge("soak.alive_servers")
         );
     }
@@ -546,12 +543,12 @@ mod tests {
         let (code, body) = http_get(addr, "/slo").unwrap();
         assert_eq!(code, 200);
         let doc: serde::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc.field("schema").unwrap().as_str(), Some("pran-slo/1"));
-        assert_eq!(doc.field("objective").unwrap().as_f64(), Some(0.01));
-        let windows = doc.field("windows").unwrap();
-        assert_eq!(windows.field("fast_epochs").unwrap().as_u64(), Some(5));
-        assert_eq!(windows.field("slow_epochs").unwrap().as_u64(), Some(60));
-        assert_eq!(doc.field("severity").unwrap().as_str(), Some("none"));
+        assert_eq!(doc["schema"].as_str(), Some("pran-slo/1"));
+        assert_eq!(doc["objective"].as_f64(), Some(0.01));
+        let windows = &doc["windows"];
+        assert_eq!(windows["fast_epochs"].as_u64(), Some(5));
+        assert_eq!(windows["slow_epochs"].as_u64(), Some(60));
+        assert_eq!(doc["severity"].as_str(), Some("none"));
 
         // Kill everything: the burn rate climbs and severity escalates.
         let servers = runner.metro().config().servers_per_shard;
@@ -564,9 +561,9 @@ mod tests {
             runner.run_epoch();
             let (_, body) = http_get(addr, "/slo").unwrap();
             let doc: serde::Value = serde_json::from_str(&body).unwrap();
-            severity = doc.field("severity").unwrap().as_str().unwrap().to_string();
+            severity = doc["severity"].as_str().unwrap().to_string();
             if severity != "none" {
-                assert!(doc.field("burn_fast").unwrap().as_f64().unwrap() >= 2.0);
+                assert!(doc["burn_fast"].as_f64().unwrap() >= 2.0);
                 break;
             }
         }
@@ -578,14 +575,14 @@ mod tests {
         // The triggered dump's records carry the burn state fields, so a
         // post-incident read of the flight recorder sees the burn ramp.
         let (doc, _) = runner.last_dump().expect("outage must have dumped");
-        let records = match doc.field("records").unwrap() {
+        let records = match &doc["records"] {
             serde::Value::Array(a) => a,
             _ => panic!("records array"),
         };
         let last = records.last().unwrap();
-        assert!(last.field("burn_fast").unwrap().as_f64().is_some());
-        assert!(last.field("burn_slow").unwrap().as_f64().is_some());
-        assert!(last.field("burn_severity").unwrap().as_u64().is_some());
+        assert!(last["burn_fast"].as_f64().is_some());
+        assert!(last["burn_slow"].as_f64().is_some());
+        assert!(last["burn_severity"].as_u64().is_some());
     }
 
     #[test]
@@ -630,28 +627,28 @@ mod tests {
         let (code, body) = http_get(addr, "/topk").unwrap();
         assert_eq!(code, 200);
         let doc: serde::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc.field("schema").unwrap().as_str(), Some("pran-topk/1"));
-        assert!(doc.field("tasks").unwrap().as_u64().unwrap() > 0);
-        assert!(doc.field("misses").unwrap().as_u64().unwrap() > 0);
-        let cells = match doc.field("cells").unwrap() {
+        assert_eq!(doc["schema"].as_str(), Some("pran-topk/1"));
+        assert!(doc["tasks"].as_u64().unwrap() > 0);
+        assert!(doc["misses"].as_u64().unwrap() > 0);
+        let cells = match &doc["cells"] {
             serde::Value::Array(a) => a,
             _ => panic!("cells array"),
         };
         assert!(!cells.is_empty(), "missed deadlines must rank cells");
         let worst = &cells[0];
-        assert!(worst.field("blame_us").unwrap().as_u64().unwrap() > 0);
-        assert!(worst.field("misses").unwrap().as_u64().unwrap() > 0);
+        assert!(worst["blame_us"].as_u64().unwrap() > 0);
+        assert!(worst["misses"].as_u64().unwrap() > 0);
         // Servers rank by sojourn p99 over *all* tasks, so the healthy
         // shard alone guarantees entries.
-        let srv = match doc.field("servers").unwrap() {
+        let srv = match &doc["servers"] {
             serde::Value::Array(a) => a,
             _ => panic!("servers array"),
         };
         assert!(!srv.is_empty(), "folded tasks must rank servers");
         // Totals carry all four stages by name.
-        let totals = doc.field("totals").unwrap();
+        let totals = &doc["totals"];
         for stage in ["fronthaul", "queue", "steal", "compute"] {
-            assert!(totals.field(stage).unwrap().as_u64().is_some(), "{stage}");
+            assert!(totals[stage].as_u64().is_some(), "{stage}");
         }
     }
 

@@ -228,26 +228,29 @@ pub struct CellWorkload {
     pub split: FunctionalSplit,
 }
 
-// Hand-written so workloads serialized before functional splits existed
-// still parse (the vendored derive has no `#[serde(default)]`): a missing
-// `split` decodes to `Full`, the pre-split behavior.
+/// [`CellWorkload`] as it is read: workloads serialized before
+/// functional splits existed still parse, a missing `split` being
+/// `Full`, the pre-split behavior.
+#[derive(Deserialize)]
+struct CellWorkloadWire {
+    bandwidth: Bandwidth,
+    antennas: AntennaConfig,
+    prbs_used: u32,
+    mcs: Mcs,
+    direction: Direction,
+    split: Option<FunctionalSplit>,
+}
+
 impl Deserialize for CellWorkload {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| -> Result<&serde::Value, serde::Error> { v.field(name) };
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let wire = CellWorkloadWire::read(r)?;
         Ok(CellWorkload {
-            bandwidth: Deserialize::from_json_value(field("bandwidth")?)
-                .map_err(|e| e.at("bandwidth"))?,
-            antennas: Deserialize::from_json_value(field("antennas")?)
-                .map_err(|e| e.at("antennas"))?,
-            prbs_used: Deserialize::from_json_value(field("prbs_used")?)
-                .map_err(|e| e.at("prbs_used"))?,
-            mcs: Deserialize::from_json_value(field("mcs")?).map_err(|e| e.at("mcs"))?,
-            direction: Deserialize::from_json_value(field("direction")?)
-                .map_err(|e| e.at("direction"))?,
-            split: match field("split")? {
-                serde::Value::Null => FunctionalSplit::default(),
-                other => Deserialize::from_json_value(other).map_err(|e| e.at("split"))?,
-            },
+            bandwidth: wire.bandwidth,
+            antennas: wire.antennas,
+            prbs_used: wire.prbs_used,
+            mcs: wire.mcs,
+            direction: wire.direction,
+            split: wire.split.unwrap_or_default(),
         })
     }
 }

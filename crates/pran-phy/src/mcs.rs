@@ -63,8 +63,33 @@ const CODE_RATE_X1024: [u32; 29] = [
 ];
 
 /// A modulation-and-coding-scheme index, `0..=28`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Mcs(u8);
+
+/// A `u8` read from untrusted text, refused unless it lies in `range`:
+/// both index types below look their tables up unchecked.
+fn read_index(
+    r: &mut serde::Reader<'_>,
+    what: &str,
+    range: std::ops::RangeInclusive<u8>,
+) -> Result<u8, serde::Error> {
+    let index = u8::read(r)?;
+    if range.contains(&index) {
+        Ok(index)
+    } else {
+        Err(serde::Error::new(format!(
+            "{what} {index} out of range {}..={}",
+            range.start(),
+            range.end()
+        )))
+    }
+}
+
+impl Deserialize for Mcs {
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        read_index(r, "MCS index", 0..=Self::MAX_INDEX).map(Mcs)
+    }
+}
 
 impl Mcs {
     /// Highest defined index.
@@ -152,8 +177,14 @@ impl fmt::Display for Mcs {
 }
 
 /// Channel quality indicator, `1..=15`, as reported by UEs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Cqi(u8);
+
+impl Deserialize for Cqi {
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        read_index(r, "CQI", 1..=15).map(Cqi)
+    }
+}
 
 /// Spectral efficiency targets per CQI (3GPP 36.213 Table 7.2.3-1 values).
 const CQI_EFFICIENCY: [f64; 15] = [

@@ -46,18 +46,23 @@ impl CellDemand {
     }
 }
 
-// Hand-written so demands serialized before accelerator offload existed
-// still parse (the vendored derive has no `#[serde(default)]`): a missing
-// `decode_gops` decodes to 0.0 — nothing to offload.
+/// [`CellDemand`] as it is read: demands serialized before accelerator
+/// offload existed still parse, a missing `decode_gops` being 0.0 —
+/// nothing to offload.
+#[derive(Deserialize)]
+struct CellDemandWire {
+    id: usize,
+    gops: f64,
+    decode_gops: Option<f64>,
+}
+
 impl Deserialize for CellDemand {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let wire = CellDemandWire::read(r)?;
         Ok(CellDemand {
-            id: Deserialize::from_json_value(v.field("id")?).map_err(|e| e.at("id"))?,
-            gops: Deserialize::from_json_value(v.field("gops")?).map_err(|e| e.at("gops"))?,
-            decode_gops: match v.field("decode_gops")? {
-                serde::Value::Null => 0.0,
-                other => Deserialize::from_json_value(other).map_err(|e| e.at("decode_gops"))?,
-            },
+            id: wire.id,
+            gops: wire.gops,
+            decode_gops: wire.decode_gops.unwrap_or(0.0),
         })
     }
 }

@@ -131,23 +131,27 @@ pub struct WarmPlacer {
     placement: Placement,
 }
 
-// Hand-written so placers serialized before accelerator offload existed
-// still parse (the vendored derive has no `#[serde(default)]`): a missing
-// `booked_decode` decodes to all-zero bookings of `booked`'s length.
+/// [`WarmPlacer`] as it is read: placers serialized before accelerator
+/// offload existed still parse, a missing `booked_decode` being all-zero
+/// bookings of `booked`'s length.
+#[derive(Deserialize)]
+struct WarmPlacerWire {
+    config: WarmConfig,
+    booked: Vec<f64>,
+    booked_decode: Option<Vec<f64>>,
+    placement: Placement,
+}
+
 impl Deserialize for WarmPlacer {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let booked: Vec<f64> =
-            Deserialize::from_json_value(v.field("booked")?).map_err(|e| e.at("booked"))?;
-        let booked_decode = match v.field("booked_decode")? {
-            serde::Value::Null => vec![0.0; booked.len()],
-            other => Deserialize::from_json_value(other).map_err(|e| e.at("booked_decode"))?,
-        };
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let wire = WarmPlacerWire::read(r)?;
         Ok(WarmPlacer {
-            config: Deserialize::from_json_value(v.field("config")?).map_err(|e| e.at("config"))?,
-            booked,
-            booked_decode,
-            placement: Deserialize::from_json_value(v.field("placement")?)
-                .map_err(|e| e.at("placement"))?,
+            config: wire.config,
+            booked_decode: wire
+                .booked_decode
+                .unwrap_or_else(|| vec![0.0; wire.booked.len()]),
+            booked: wire.booked,
+            placement: wire.placement,
         })
     }
 }

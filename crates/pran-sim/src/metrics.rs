@@ -50,33 +50,43 @@ pub struct PoolMetrics {
     pub deadline_slack: LogHistogram,
 }
 
-// Hand-written so reports serialized before the fronthaul byte counter
-// existed still parse (the vendored derive has no `#[serde(default)]`): a
-// missing `fronthaul_bytes` decodes to 0.
+/// [`PoolMetrics`] as it is read: reports serialized before the
+/// fronthaul byte counter existed still parse, a missing
+/// `fronthaul_bytes` being 0.
+#[derive(Deserialize)]
+struct PoolMetricsWire {
+    tasks_total: u64,
+    deadline_misses: u64,
+    tasks_lost: u64,
+    reports_lost: u64,
+    migrations: u64,
+    steals: u64,
+    fronthaul_bytes: Option<u64>,
+    epochs: u64,
+    servers_used: Vec<usize>,
+    demand_gops: Vec<f64>,
+    outages: LogHistogram,
+    response_times: LogHistogram,
+    deadline_slack: LogHistogram,
+}
+
 impl Deserialize for PoolMetrics {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn req<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            Deserialize::from_json_value(v.field(name)?).map_err(|e| e.at(name))
-        }
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let wire = PoolMetricsWire::read(r)?;
         Ok(PoolMetrics {
-            tasks_total: req(v, "tasks_total")?,
-            deadline_misses: req(v, "deadline_misses")?,
-            tasks_lost: req(v, "tasks_lost")?,
-            reports_lost: req(v, "reports_lost")?,
-            migrations: req(v, "migrations")?,
-            steals: req(v, "steals")?,
-            fronthaul_bytes: match v.field("fronthaul_bytes")? {
-                serde::Value::Null => 0,
-                other => {
-                    Deserialize::from_json_value(other).map_err(|e| e.at("fronthaul_bytes"))?
-                }
-            },
-            epochs: req(v, "epochs")?,
-            servers_used: req(v, "servers_used")?,
-            demand_gops: req(v, "demand_gops")?,
-            outages: req(v, "outages")?,
-            response_times: req(v, "response_times")?,
-            deadline_slack: req(v, "deadline_slack")?,
+            tasks_total: wire.tasks_total,
+            deadline_misses: wire.deadline_misses,
+            tasks_lost: wire.tasks_lost,
+            reports_lost: wire.reports_lost,
+            migrations: wire.migrations,
+            steals: wire.steals,
+            fronthaul_bytes: wire.fronthaul_bytes.unwrap_or(0),
+            epochs: wire.epochs,
+            servers_used: wire.servers_used,
+            demand_gops: wire.demand_gops,
+            outages: wire.outages,
+            response_times: wire.response_times,
+            deadline_slack: wire.deadline_slack,
         })
     }
 }

@@ -74,15 +74,12 @@ impl Serialize for SplitPlan {
 }
 
 impl Deserialize for SplitPlan {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Null => Ok(SplitPlan::default()),
-            serde::Value::String(_) => Deserialize::from_json_value(v).map(SplitPlan::Uniform),
-            serde::Value::Array(_) => Deserialize::from_json_value(v).map(SplitPlan::PerCell),
-            other => Err(serde::Error::new(format!(
-                "expected a split tag or an array of split tags, got {}",
-                other.kind()
-            ))),
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        match r.kind()? {
+            "null" => r.null().map(|_| SplitPlan::default()),
+            "string" => Deserialize::read(r).map(SplitPlan::Uniform),
+            "array" => Deserialize::read(r).map(SplitPlan::PerCell),
+            _ => Err(r.expected("a split tag or an array of split tags")),
         }
     }
 }

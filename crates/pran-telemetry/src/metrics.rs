@@ -265,24 +265,33 @@ impl<const SUB_SHIFT: usize> Serialize for LogBuckets<SUB_SHIFT> {
     }
 }
 
+/// [`LogBuckets`] of any resolution as it is read; which one the
+/// buckets are for shows in their number alone.
+#[derive(Deserialize)]
+struct LogBucketsWire {
+    buckets: Vec<u64>,
+    count: u64,
+    sum_us: u64,
+    max_us: u64,
+    min_us: u64,
+}
+
 impl<const SUB_SHIFT: usize> Deserialize for LogBuckets<SUB_SHIFT> {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let num = |key: &str| u64::from_json_value(v.field(key)?).map_err(|e| e.at(key));
-        let buckets =
-            Vec::<u64>::from_json_value(v.field("buckets")?).map_err(|e| e.at("buckets"))?;
-        if buckets.len() != Self::LEN {
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let wire = LogBucketsWire::read(r)?;
+        if wire.buckets.len() != Self::LEN {
             return Err(serde::Error::new(format!(
                 "expected {} buckets, got {}",
                 Self::LEN,
-                buckets.len()
+                wire.buckets.len()
             )));
         }
         Ok(LogBuckets {
-            buckets,
-            count: num("count")?,
-            sum_us: num("sum_us")?,
-            max_us: num("max_us")?,
-            min_us: num("min_us")?,
+            buckets: wire.buckets,
+            count: wire.count,
+            sum_us: wire.sum_us,
+            max_us: wire.max_us,
+            min_us: wire.min_us,
         })
     }
 }

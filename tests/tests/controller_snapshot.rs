@@ -17,6 +17,8 @@ const V1: &str = include_str!("../fixtures/controller_snapshot_v1.json");
 const RAGGED: &str = include_str!("../fixtures/hostile_controller_snapshot_ragged.json");
 /// V1's config with `"capacity_gops":1e999`.
 const INF_CONFIG: &str = include_str!("../fixtures/hostile_system_config_inf.json");
+/// V1 with `"mcs":200` in its config.
+const BAD_MCS: &str = include_str!("../fixtures/hostile_controller_snapshot_mcs.json");
 
 fn restore(text: &str) -> Result<Controller, SnapshotError> {
     let snapshot: Snapshot = serde_json::from_str(text).expect("the fixture parses");
@@ -168,4 +170,61 @@ fn infinite_capacity_is_refused_by_config_and_restore() {
     assert_eq!(finite, V1, "the hostile config is V1's but for one number");
     let err = serde_json::from_str::<Snapshot>(&snapshot).unwrap_err();
     assert!(err.to_string().contains("number out of range"), "{err}");
+}
+
+#[test]
+fn mcs_past_the_table_is_refused_not_indexed() {
+    // `Mcs` was a bare `u8` on the wire: 200 parsed, and restoring then
+    // indexed the 29-entry code-rate table with it.
+    assert_eq!(BAD_MCS.replacen("\"mcs\":200", "\"mcs\":20", 1), V1);
+    let err = serde_json::from_str::<Snapshot>(BAD_MCS).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "at config.mcs: MCS index 200 out of range 0..=28"
+    );
+    let config = &BAD_MCS["{\"config\":".len()..BAD_MCS.find(",\"cells\":").unwrap()];
+    let err = serde_json::from_str::<SystemConfig>(config).unwrap_err();
+    assert_eq!(err.to_string(), "at mcs: MCS index 200 out of range 0..=28");
+    let ok = config.replacen("\"mcs\":200", "\"mcs\":28", 1);
+    assert!(serde_json::from_str::<SystemConfig>(&ok).is_ok());
+    assert!(serde_json::from_str::<pran_phy::Cqi>("15").is_ok());
+    for cqi in ["0", "16"] {
+        let err = serde_json::from_str::<pran_phy::Cqi>(cqi).unwrap_err();
+        assert_eq!(err.to_string(), format!("CQI {cqi} out of range 1..=15"));
+    }
+}
+
+#[test]
+fn a_clock_past_the_end_of_time_is_a_parse_error() {
+    // `Duration::new` panics when the nanoseconds' carry overflows the
+    // seconds; the text is untrusted.
+    let now = "\"now\":{\"secs\":120,\"nanos\":0}";
+    let late = V1.replacen(
+        now,
+        "\"now\":{\"secs\":18446744073709551615,\"nanos\":1000000000}",
+        1,
+    );
+    assert_ne!(late, V1, "the fixture's clock moved; fix the needle");
+    let err = serde_json::from_str::<Snapshot>(&late).unwrap_err();
+    assert_eq!(err.to_string(), "at now: Duration out of range");
+    // A carry that fits is a second, as it always was.
+    let carried = V1.replacen(now, "\"now\":{\"secs\":119,\"nanos\":1000000000}", 1);
+    assert_eq!(
+        serde_json::to_string(&serde_json::from_str::<Snapshot>(&carried).unwrap()).unwrap(),
+        V1
+    );
+}
+
+#[test]
+fn an_unknown_field_a_million_brackets_deep_is_an_error_not_a_stack_overflow() {
+    // No tree is built for a field the snapshot does not have, but its
+    // nesting is counted all the same.
+    let hostile = format!("{{\"junk\":{},{}", "[".repeat(1_000_000), &V1[1..]);
+    let err = serde_json::from_str::<Snapshot>(&hostile).unwrap_err();
+    assert_eq!(err.to_string(), "recursion limit exceeded at byte 135");
+    let ignored = format!("{{\"junk\":[[{{\"deep\":[1e3,\"]\"]}}]],{}", &V1[1..]);
+    assert_eq!(
+        serde_json::to_string(&serde_json::from_str::<Snapshot>(&ignored).unwrap()).unwrap(),
+        V1
+    );
 }

@@ -101,12 +101,12 @@ fn recorder_wraparound_keeps_exactly_last_k() {
     }
     let doc = r.recorder().dump("test", total - 1);
     assert_eq!(validate_dump(&doc), Ok(k));
-    let serde_json::Value::Array(records) = doc.field("records").unwrap() else {
+    let serde_json::Value::Array(records) = &doc["records"] else {
         panic!("records must be an array");
     };
     let epochs: Vec<u64> = records
         .iter()
-        .map(|rec| rec.field("epoch").unwrap().as_u64().unwrap())
+        .map(|rec| rec["epoch"].as_u64().unwrap())
         .collect();
     let want: Vec<u64> = (total - k as u64..total).collect();
     assert_eq!(epochs, want, "dump must hold exactly the last {k} epochs");
@@ -176,7 +176,7 @@ fn forced_alert_dump_file_matches_registry() {
     let text = std::fs::read_to_string(&path).expect("dump file exists");
     let doc: serde_json::Value = serde_json::from_str(&text).expect("dump parses");
     assert!(validate_dump(&doc).is_ok());
-    let serde_json::Value::Array(records) = doc.field("records").unwrap() else {
+    let serde_json::Value::Array(records) = &doc["records"] else {
         panic!("records must be an array");
     };
     let last = records.last().expect("dump holds records");
@@ -199,7 +199,7 @@ fn forced_alert_dump_file_matches_registry() {
         ("unplaced", "soak.unplaced"),
     ] {
         assert_eq!(
-            last.field(field).unwrap().as_f64().unwrap(),
+            last[field].as_f64().unwrap(),
             gauge(metric),
             "dump field {field} must match registry gauge {metric}"
         );

@@ -24,9 +24,11 @@
 //! steady-state `Controller::run_epoch` asks for grow with cells +
 //! servers, and a 30,000-cell / 15,000-server controller lives, epochs
 //! and fails over under a ceiling the cells × servers mask alone would
-//! break. And one about the JSON writer: a 3,000-cell snapshot becomes
-//! text in as many allocations as its output `String` grows by, because
-//! no `Value` tree is built on the way.
+//! break. And two about JSON: a 3,000-cell snapshot becomes text in as
+//! many allocations as its output `String` grows by, and is read back
+//! from it in as many as the snapshot itself owns plus its vectors'
+//! growth, because no `Value` tree is built on the way in either
+//! direction.
 //!
 //! Every counter is thread-local, so the tests of this file can run side
 //! by side: each sees only what its own thread allocated while armed.
@@ -37,7 +39,7 @@ use std::cell::Cell;
 use std::time::Duration;
 
 use pran::apps::{FailoverApp, LoadBalancerApp};
-use pran::{Controller, SystemConfig};
+use pran::{Controller, Snapshot, SystemConfig};
 use pran_fronthaul::fault::FaultConfig;
 use pran_obs::FlightRecorder;
 use pran_phy::FunctionalSplit;
@@ -390,5 +392,36 @@ fn a_snapshot_is_written_as_text_without_a_tree() {
         building.allocations,
         writing.allocations
     );
+    assert_eq!(serde_json::to_string(&tree).unwrap(), text);
+}
+
+#[test]
+fn a_snapshot_is_read_from_text_without_a_tree() {
+    let (ctl, _) = steady_controller(3_000, 1_500);
+    let text = serde_json::to_string(&ctl.snapshot()).expect("a snapshot serializes");
+    let (snapshot, reading) =
+        counted(|| serde_json::from_str::<Snapshot>(&text).expect("and parses back"));
+    // What the snapshot itself owns: a clone allocates each of its
+    // buffers once, at its final size. Reading grows the half-dozen
+    // cells- or servers-long vectors by doubling, a dozen steps each, and
+    // that is all it may add: a `Value` tree of the same text is a node
+    // per number and a `String` per key.
+    let (copy, owned) = counted(|| snapshot.clone());
+    assert!(
+        reading.allocations <= owned.allocations + 128,
+        "reading {} bytes of snapshot took {} allocations; the snapshot owns {}",
+        text.len(),
+        reading.allocations,
+        owned.allocations
+    );
+    let (tree, building) =
+        counted(|| serde_json::from_str::<serde_json::Value>(&text).expect("and as a tree"));
+    assert!(
+        building.allocations > 5 * reading.allocations,
+        "{} allocations for the tree, {} for the snapshot",
+        building.allocations,
+        reading.allocations
+    );
+    assert_eq!(serde_json::to_string(&copy).unwrap(), text);
     assert_eq!(serde_json::to_string(&tree).unwrap(), text);
 }
