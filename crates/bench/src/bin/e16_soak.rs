@@ -37,7 +37,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use bench::{Report, Table};
-use pran_obs::{http_get, validate_dump, Phase, SoakConfig, SoakRunner};
+use pran_obs::{http_get, Phase, RecorderDump, SoakConfig, SoakRunner};
 use pran_sim::{MetroConfig, MetroSimulator, ResidentMetro};
 use pran_traces::TraceConfig;
 
@@ -295,10 +295,10 @@ fn main() -> ExitCode {
     match &dump_path {
         Some(path) => {
             let text = std::fs::read_to_string(path).expect("read dump");
-            let doc: serde_json::Value = serde_json::from_str(&text).expect("dump parses");
-            match validate_dump(&doc) {
-                Ok(n) => {
-                    dump_records = n;
+            let doc: RecorderDump = serde_json::from_str(&text).expect("dump reads");
+            match doc.check() {
+                Ok(()) => {
+                    dump_records = doc.records.len();
                     dump_ok = true;
                 }
                 Err(e) => eprintln!("dump schema invalid: {e}"),
@@ -314,24 +314,17 @@ fn main() -> ExitCode {
                     _ => None,
                 })
             };
-            if let serde_json::Value::Array(records) = &doc["records"] {
-                if let Some(last) = records.last() {
-                    let f = |name: &str| last[name].as_f64();
-                    dump_matches_registry = [
-                        ("epoch", "soak.epoch"),
-                        ("miss_ratio", "soak.miss_ratio"),
-                        ("cum_miss_ratio", "soak.cum_miss_ratio"),
-                        ("utilization", "soak.utilization"),
-                        ("alive_servers", "soak.alive_servers"),
-                        ("unplaced", "soak.unplaced"),
-                    ]
-                    .iter()
-                    .all(|(rec_field, gauge_name)| {
-                        let a = f(rec_field);
-                        let b = gauge(gauge_name);
-                        a.is_some() && a == b
-                    });
-                }
+            if let Some(last) = doc.records.last() {
+                dump_matches_registry = [
+                    (last.epoch as f64, "soak.epoch"),
+                    (last.miss_ratio, "soak.miss_ratio"),
+                    (last.cum_miss_ratio, "soak.cum_miss_ratio"),
+                    (last.utilization, "soak.utilization"),
+                    (last.alive_servers as f64, "soak.alive_servers"),
+                    (last.unplaced as f64, "soak.unplaced"),
+                ]
+                .iter()
+                .all(|&(value, gauge_name)| gauge(gauge_name) == Some(value));
             }
             println!(
                 "dump {} -> {} record(s), schema ok: {dump_ok}, matches registry: {dump_matches_registry}",

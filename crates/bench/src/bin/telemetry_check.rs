@@ -10,41 +10,52 @@
 //!   schema (all kinds, including `chaos.violation` and `insight.alert`);
 //!   with `--require-subframes`, at least one validated trace must carry
 //!   `subframe` events to reconstruct a latency breakdown from.
-//! * `*.json` — structured documents, dispatched by their `schema` tag:
-//!   `pran-recorder/1` flight-recorder dumps (ring shape, capacity bound,
-//!   strictly increasing record epochs) and `pran-bench/1` envelopes
-//!   (an `experiment` name and a `results` object; what a document
-//!   claims is held by the exit code of the binary that wrote it).
+//! * `*.json` — structured documents: a first read of the `schema` tag
+//!   alone picks the type, then the whole document is read through it
+//!   and its `check` — the types the emitters write:
+//!   - `pran-recorder/1` — `pran_obs::RecorderDump` (records within
+//!     capacity, strictly increasing epochs);
+//!   - `pran-slo/1` — `pran_obs::SloDoc`;
+//!   - `pran-topk/1` — `pran_obs::TopkDoc`;
+//!   - `pran-bench/1` — `bench::Envelope` (what its sections claim is
+//!     held by the exit code of the binary that wrote it).
+//!
+//!   A field of the wrong type or missing fails with its path.
 //!
 //! Exits non-zero when any file is missing or violates its schema. CI's
-//! `results` job runs this over the three committed traces, the E16
-//! recorder dump and the hostile fixture (which must fail).
+//! `results` job runs this over the three committed traces and the E16
+//! recorder dump, and the three hostile fixtures (which must fail); the
+//! `soak-smoke` job over a live `/slo`, `/topk` and triggered dump.
 
+use bench::{Envelope, REPORT_SCHEMA};
+use pran_obs::{RecorderDump, SloDoc, TopkDoc, RECORDER_SCHEMA, SLO_SCHEMA, TOPK_SCHEMA};
 use pran_telemetry::export::{breakdown_from_jsonl, breakdown_table, validate_jsonl};
+use serde::Deserialize;
 
-/// Validate a structured `.json` artifact by its `schema` tag. Returns a
-/// one-line summary.
-fn validate_json_doc(path: &str, text: &str) -> Result<String, String> {
-    let doc: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let schema = doc["schema"].as_str().ok_or("no `schema` tag")?.to_string();
-    match schema.as_str() {
-        "pran-recorder/1" => {
-            let n = pran_obs::validate_dump(&doc)?;
-            Ok(format!("flight-recorder dump, {n} record(s)"))
-        }
-        "pran-bench/1" => {
-            let experiment = doc["experiment"]
-                .as_str()
-                .ok_or("pran-bench/1 document without `experiment`")?
-                .to_string();
-            match &doc["results"] {
-                serde_json::Value::Object(_) => Ok(format!("bench envelope ({experiment})")),
-                _ => Err("pran-bench/1 document without a `results` object".to_string()),
-            }
-        }
-        other => Err(format!("unknown schema tag {other:?} in {path}")),
-    }
+/// The one field every structured document has: read first, to pick the
+/// type the whole document is read as.
+#[derive(Deserialize)]
+struct Tagged {
+    schema: String,
+}
+
+/// `text` read as a `T` and held to its `check`.
+fn read<T: Deserialize>(text: &str, check: fn(&T) -> Result<(), String>) -> Result<(), String> {
+    check(&serde_json::from_str(text).map_err(|e| e.to_string())?)
+}
+
+/// Validate a structured `.json` artifact through the type its `schema`
+/// tag names. Returns a one-line summary.
+fn validate_json_doc(text: &str) -> Result<String, String> {
+    let Tagged { schema } = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    let what = match schema.as_str() {
+        RECORDER_SCHEMA => read(text, RecorderDump::check).map(|()| "flight-recorder dump"),
+        SLO_SCHEMA => read(text, SloDoc::check).map(|()| "SLO burn state"),
+        TOPK_SCHEMA => read(text, TopkDoc::check).map(|()| "top-k attribution"),
+        REPORT_SCHEMA => read(text, Envelope::check).map(|()| "bench envelope"),
+        other => Err(format!("unknown schema tag {other:?}")),
+    }?;
+    Ok(format!("{what} ({schema})"))
 }
 
 fn main() {
@@ -67,7 +78,7 @@ fn main() {
         };
 
         if path.ends_with(".json") {
-            match validate_json_doc(path, &text) {
+            match validate_json_doc(&text) {
                 Ok(summary) => {
                     println!("{path}: {summary}");
                     continue;

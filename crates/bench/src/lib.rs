@@ -8,6 +8,10 @@ use std::fmt::Display;
 use std::fs;
 use std::path::Path;
 
+mod envelope;
+
+pub use envelope::{Envelope, REPORT_SCHEMA};
+
 /// A simple aligned text table.
 pub struct Table {
     headers: Vec<String>,
@@ -57,7 +61,7 @@ impl Table {
 }
 
 /// Write `value` pretty-printed to `<dir>/<file>`.
-fn write_results(dir: &Path, file: &str, value: &serde_json::Value) {
+fn write_results(dir: &Path, file: &str, value: &Envelope) {
     fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(file);
     fs::write(
@@ -68,18 +72,8 @@ fn write_results(dir: &Path, file: &str, value: &serde_json::Value) {
     println!("[results written to {}]", path.display());
 }
 
-/// Version stamp of the result-document layout written by [`Report`].
-pub const REPORT_SCHEMA: &str = "pran-bench/1";
-
-/// Builder for an experiment's machine-readable result documents.
-///
-/// Every `e*` binary emits the same envelope — experiment name, schema
-/// version, workload/config metadata, then named result sections:
-///
-/// ```json
-/// { "experiment": "e6_deadlines", "schema": "pran-bench/1",
-///   "meta": { "cells": 12, ... }, "results": { "sweep": [...], ... } }
-/// ```
+/// Builder for an experiment's machine-readable result documents, each
+/// an [`Envelope`].
 ///
 /// The results are split by what they are. [`Report::section`] takes
 /// what a seeded run repeats — counts, ratios, simulated-clock times —
@@ -129,26 +123,14 @@ impl Report {
         self
     }
 
-    /// The `pran-bench/1` envelope around one of the two result maps.
-    fn envelope(&self, results: &serde_json::Map) -> serde_json::Value {
-        let mut doc = serde_json::Map::new();
-        doc.insert(
-            "experiment".to_string(),
-            serde_json::Value::String(self.name.clone()),
-        );
-        doc.insert(
-            "schema".to_string(),
-            serde_json::Value::String(REPORT_SCHEMA.to_string()),
-        );
-        doc.insert(
-            "meta".to_string(),
-            serde_json::Value::Object(self.meta.clone()),
-        );
-        doc.insert(
-            "results".to_string(),
-            serde_json::Value::Object(results.clone()),
-        );
-        serde_json::Value::Object(doc)
+    /// The envelope around one of the two result maps.
+    fn envelope(&self, results: &serde_json::Map) -> Envelope {
+        Envelope {
+            experiment: self.name.clone(),
+            schema: REPORT_SCHEMA.to_string(),
+            meta: self.meta.clone(),
+            results: results.clone(),
+        }
     }
 
     /// Write `results/<name>.json`, `results/<name>.host.json` when any
@@ -257,17 +239,14 @@ mod tests {
         assert_eq!(host, read("unit.host.json"), "saving twice is byte-stable");
         fs::remove_dir_all(&dir).expect("remove scratch dir");
 
-        let parse = |text: &str| serde_json::from_str::<serde_json::Value>(text).expect("parses");
+        let parse = |text: &str| serde_json::from_str::<Envelope>(text).expect("parses");
         let (seeded, host) = (parse(&seeded), parse(&host));
         for doc in [&seeded, &host] {
-            assert_eq!(doc["experiment"].as_str(), Some("unit"));
-            assert_eq!(doc["schema"].as_str(), Some(REPORT_SCHEMA));
-            assert_eq!(doc["meta"]["seed"].as_u64(), Some(7));
+            assert_eq!(doc.check(), Ok(()));
+            assert_eq!(doc.experiment, "unit");
+            assert_eq!(doc.meta.get("seed").and_then(|v| v.as_u64()), Some(7));
         }
-        let keys = |doc: &serde_json::Value| -> Vec<String> {
-            let results = doc["results"].as_object().expect("results object");
-            results.keys().cloned().collect()
-        };
+        let keys = |doc: &Envelope| -> Vec<String> { doc.results.keys().cloned().collect() };
         assert_eq!(keys(&seeded), ["counts"]);
         assert_eq!(keys(&host), ["timing"]);
     }

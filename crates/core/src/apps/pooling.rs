@@ -39,9 +39,10 @@ impl ConsolidationApp {
     }
 
     /// Create with watermarks and the servers' subframe-execution model
-    /// (normally `SystemConfig::parallel`): consolidation then refuses
-    /// drains that would push survivors past what the executor can
-    /// schedule within deadlines, not just past raw GOPS capacity.
+    /// (what `pran_sim::PoolConfig::parallel` runs them with):
+    /// consolidation then refuses drains that would push survivors past
+    /// what the executor can schedule within deadlines, not just past raw
+    /// GOPS capacity.
     pub fn with_parallel(
         low_watermark: f64,
         high_watermark: f64,

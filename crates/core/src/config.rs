@@ -6,9 +6,7 @@ use pran_insight::SloPolicy;
 use pran_phy::frame::{AntennaConfig, Bandwidth};
 use pran_phy::mcs::Mcs;
 use pran_sched::placement::WarmConfig;
-use pran_sched::realtime::{ParallelConfig, Policy};
-use pran_sim::{MetroConfig, PoolAccel, SplitPlan};
-use pran_telemetry::TelemetryConfig;
+use pran_sim::{PoolAccel, SplitPlan};
 use serde::{Deserialize, Serialize};
 
 /// Shape of the server pool.
@@ -18,17 +16,8 @@ pub struct PoolSpec {
     pub servers: usize,
     /// Capacity per server in GOPS.
     pub capacity_gops: f64,
-    /// Cores per server.
-    pub cores: usize,
     /// Relative cost of powering one server.
     pub server_cost: f64,
-}
-
-impl PoolSpec {
-    /// Core capacity in GOPS.
-    pub fn core_gops(&self) -> f64 {
-        self.capacity_gops / self.cores as f64
-    }
 }
 
 /// Bounds and failover timing the chaos subsystem checks every epoch
@@ -80,20 +69,10 @@ pub struct SystemConfig {
     pub mcs: Mcs,
     /// The server pool.
     pub pool: PoolSpec,
-    /// Real-time scheduling policy within servers.
-    pub scheduler: Policy,
-    /// Subframe execution mechanism within servers (cores, batching,
-    /// work stealing). `parallel.cores` should match `pool.cores` so
-    /// placement and realtime feasibility reason about the same machine.
-    pub parallel: ParallelConfig,
     /// Placement epoch length.
     pub epoch: Duration,
     /// Demand headroom multiplier used when placing.
     pub headroom: f64,
-    /// Telemetry capture settings (tracing + metrics). Off by default so
-    /// the hot path stays branch-predictable; call
-    /// [`pran_telemetry::configure`] with this to activate it.
-    pub telemetry: TelemetryConfig,
     /// Safety bounds and failover timing checked by the chaos subsystem.
     pub chaos: ChaosConfig,
     /// Service-level objectives the online `pran-insight` monitor
@@ -106,9 +85,6 @@ pub struct SystemConfig {
     /// repack work scales with demand churn, not cell count (see
     /// `pran_sched::placement::warm`).
     pub warm: Option<WarmConfig>,
-    /// Metro-scale sharding shape for `pran_sim::MetroSimulator` runs
-    /// driven from this config. `None` means single-pool simulation.
-    pub metro: Option<MetroConfig>,
     /// Functional split each cell runs (ROADMAP item 4). Serializes as a
     /// bare split tag (`"Full"`) or an array of per-cell tags; configs
     /// written before splits existed decode to the pre-split
@@ -121,8 +97,8 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Evaluation defaults: 20 MHz / 4×2 cells, 400-GOPS 8-core servers,
-    /// global EDF, 1-minute epochs, 10 % headroom.
+    /// Evaluation defaults: 20 MHz / 4×2 cells, 400-GOPS servers,
+    /// 1-minute epochs, 10 % headroom.
     pub fn default_eval(servers: usize) -> Self {
         SystemConfig {
             bandwidth: Bandwidth::Mhz20,
@@ -131,35 +107,16 @@ impl SystemConfig {
             pool: PoolSpec {
                 servers,
                 capacity_gops: 400.0,
-                cores: 8,
                 server_cost: 1.0,
-            },
-            scheduler: Policy::GlobalEdf,
-            parallel: ParallelConfig {
-                cores: 8,
-                batch: 4,
-                steal: true,
             },
             epoch: Duration::from_secs(60),
             headroom: 1.1,
-            telemetry: TelemetryConfig::disabled(),
             chaos: ChaosConfig::default_eval(),
             slo: SloPolicy::default_eval(),
             warm: None,
-            metro: None,
             split: SplitPlan::default(),
             accel: None,
         }
-    }
-
-    /// Metro-scale evaluation defaults: the single-pool defaults plus
-    /// warm-start placement and a sharding shape for `cells` cells in
-    /// `shards` per-pool shards.
-    pub fn default_metro(cells: usize, shards: usize) -> Self {
-        let mut c = Self::default_eval(8);
-        c.warm = Some(WarmConfig::default_eval());
-        c.metro = Some(MetroConfig::default_eval(cells, shards));
-        c
     }
 }
 
@@ -171,11 +128,7 @@ mod tests {
     fn defaults_are_consistent() {
         let c = SystemConfig::default_eval(8);
         assert_eq!(c.pool.servers, 8);
-        assert!((c.pool.core_gops() - 50.0).abs() < 1e-12);
         assert!(c.headroom >= 1.0);
-        // Placement and realtime feasibility must model the same machine.
-        assert_eq!(c.parallel.cores, c.pool.cores);
-        c.parallel.validate();
         assert!(c.chaos.outage_bound >= c.chaos.failover_outage());
         assert_eq!(c.chaos.failover_outage(), Duration::from_millis(50));
         // The online SLO monitor and the chaos invariants must agree on

@@ -780,21 +780,6 @@ impl Controller {
         self.now
     }
 
-    /// Whether the controller currently believes `server` is alive.
-    /// `None` if the server does not exist. This is the controller's
-    /// *belief*, which under delayed failure notification can differ from
-    /// physical liveness — exactly the gap `pran-mc`'s conformance layer
-    /// audits.
-    pub fn server_alive(&self, server: usize) -> Option<bool> {
-        self.servers.get(server).map(|s| s.alive)
-    }
-
-    /// Whether `cell` is registered and active. `None` if it was never
-    /// registered.
-    pub fn cell_active(&self, cell: usize) -> Option<bool> {
-        self.cells.get(cell).map(|c| c.active)
-    }
-
     /// SLO alerts the per-epoch monitor has raised so far (see
     /// [`SystemConfig`]'s `slo` policy). Alerts are edge-triggered: one
     /// entry per incident, not per epoch in breach.

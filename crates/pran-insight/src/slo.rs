@@ -1,17 +1,15 @@
 //! Online SLO monitoring over the per-epoch metrics stream.
 //!
 //! A [`SloMonitor`] consumes one [`EpochSample`] per placement epoch —
-//! fed directly by `pran-sim::pool` and the controller, or read out of
-//! a metrics [`RegistrySnapshot`] — tracks an EWMA per metric, and
-//! raises edge-triggered [`Alert`]s when an instantaneous value crosses
-//! its [`SloPolicy`] threshold. Every alert is also emitted as a
+//! fed directly by `pran-sim::pool` and the controller — tracks an EWMA
+//! per metric, and raises edge-triggered [`Alert`]s when an
+//! instantaneous value crosses its [`SloPolicy`] threshold. Every alert is also emitted as a
 //! structured `insight.alert` telemetry event, so SLO breaches flow
 //! through the same substrate as `chaos.violation` invariants and land
 //! in the same JSONL artifacts.
 
 use std::time::Duration;
 
-use pran_telemetry::metrics::{InstrumentValue, RegistrySnapshot};
 use pran_telemetry::trace;
 use serde::{Deserialize, Serialize};
 
@@ -360,60 +358,11 @@ impl SloMonitor {
         }
         self.breached[slot] = breach;
     }
-
-    /// Fold in an epoch read from a metrics registry snapshot, using
-    /// the gauges the pool and controller publish per epoch
-    /// (`pool.miss_ratio`, `pool.utilization`, `pool.outage_p99_us`,
-    /// `pool.reports_lost`, `ctrl.unplaced`); a `pool.outage` histogram
-    /// serves as p99 fallback. Returns how many new alerts were raised.
-    pub fn observe_registry(
-        &mut self,
-        epoch: u64,
-        at_us: u64,
-        snapshot: &RegistrySnapshot,
-    ) -> usize {
-        let gauge = |name: &str| {
-            snapshot.instruments.iter().find_map(|i| {
-                if i.name != name {
-                    return None;
-                }
-                match &i.value {
-                    InstrumentValue::Gauge(g) => Some(*g),
-                    InstrumentValue::Counter(c) => Some(*c as f64),
-                    InstrumentValue::Histogram(_) => None,
-                }
-            })
-        };
-        let outage_p99 = gauge("pool.outage_p99_us")
-            .map(|us| Duration::from_micros(us.max(0.0) as u64))
-            .or_else(|| {
-                snapshot.instruments.iter().find_map(|i| {
-                    if i.name != "pool.outage" {
-                        return None;
-                    }
-                    match &i.value {
-                        InstrumentValue::Histogram(h) => h.try_quantile(0.99),
-                        _ => None,
-                    }
-                })
-            });
-        let sample = EpochSample {
-            epoch,
-            at_us,
-            miss_ratio: gauge("pool.miss_ratio"),
-            utilization: gauge("pool.utilization"),
-            outage_p99,
-            reports_lost: gauge("pool.reports_lost").map(|v| v.max(0.0) as u64),
-            unplaced: gauge("ctrl.unplaced").map(|v| v.max(0.0) as u64),
-        };
-        self.observe_epoch(&sample)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pran_telemetry::Registry;
 
     fn quiet(epoch: u64) -> EpochSample {
         EpochSample {
@@ -520,25 +469,6 @@ mod tests {
         assert!((outage.threshold - 200_000.0).abs() < 1e-9);
         assert_eq!(m.take_alerts().len(), 3);
         assert!(m.alerts().is_empty());
-    }
-
-    #[test]
-    fn registry_snapshot_feeds_the_monitor() {
-        let r = Registry::new();
-        r.gauge("pool.miss_ratio", &[], 0.2);
-        r.gauge("pool.utilization", &[], 0.4);
-        r.gauge("pool.reports_lost", &[], 0.0);
-        r.observe("pool.outage", &[], Duration::from_millis(300));
-        let mut m = SloMonitor::new(SloPolicy::default_eval());
-        let raised = m.observe_registry(7, 7000, &r.snapshot());
-        // miss_ratio 0.2 > 0.01 and outage p99 300 ms > 200 ms.
-        assert_eq!(raised, 2);
-        assert_eq!(m.alerts()[0].epoch, 7);
-        // The explicit p99 gauge takes precedence over the histogram.
-        r.gauge("pool.outage_p99_us", &[], 1000.0);
-        let mut fresh = SloMonitor::new(SloPolicy::default_eval());
-        assert_eq!(fresh.observe_registry(0, 0, &r.snapshot()), 1);
-        assert!(!fresh.in_breach(SloMetric::OutageP99));
     }
 
     #[test]

@@ -8,15 +8,17 @@
 //! * `GET /metrics`  — the registry snapshot in OpenMetrics text
 //!   exposition format (rendered on the HTTP thread, `# EOF` terminated);
 //! * `GET /healthz`  — liveness plus the current epoch counter;
-//! * `GET /recorder` — the flight recorder's current ring as a
-//!   `pran-recorder/1` JSON document (an on-demand snapshot — it answers
-//!   even when no triggered dump was ever cut, and before the first
-//!   epoch it serves a valid empty document, never a bare `null`);
-//! * `GET /slo`      — error-budget burn state (`pran-slo/1`): fast and
+//! * `GET /recorder` — the flight recorder's current ring, a
+//!   [`RecorderDump`] (an on-demand snapshot — it answers even when no
+//!   triggered dump was ever cut);
+//! * `GET /slo`      — error-budget burn state, an [`SloDoc`]: fast and
 //!   slow window burn rates, firing severities, policy knobs;
 //! * `GET /topk`     — worst-K cells / links / servers by live
-//!   critical-path blame (`pran-topk/1`), from the in-process
+//!   critical-path blame, a [`TopkDoc`], from the in-process
 //!   attribution fold.
+//!
+//! Before the first epoch each JSON route serves its type's empty
+//! value: every key, zeroed.
 //!
 //! Everything speaks blocking HTTP/1.0-style request/response with
 //! `Connection: close` — exactly enough for `curl` and a Prometheus
@@ -32,52 +34,25 @@ use pran_insight::openmetrics;
 use pran_telemetry::RegistrySnapshot;
 use serde::Serialize;
 
-/// What the simulation thread publishes once per epoch.
-#[derive(Debug, Clone)]
+use crate::docs::{SloDoc, TopkDoc};
+use crate::recorder::RecorderDump;
+
+/// What the simulation thread publishes once per epoch. `Default` is
+/// the pre-first-epoch snapshot: an empty registry and every document's
+/// empty value, so a scraper that races the first epoch sees each
+/// route's full shape, never a bare `null`.
+#[derive(Debug, Clone, Default)]
 pub struct Published {
     /// Epochs completed when this snapshot was cut.
     pub epoch: u64,
     /// Metrics registry snapshot (rendered to OpenMetrics per scrape).
     pub snapshot: Arc<RegistrySnapshot>,
-    /// Flight-recorder dump document (`pran-recorder/1`).
-    pub recorder: Arc<serde::Value>,
-    /// Burn-rate SLO state document (`pran-slo/1`).
-    pub slo: Arc<serde::Value>,
-    /// Worst-K attribution document (`pran-topk/1`).
-    pub topk: Arc<serde::Value>,
-}
-
-impl Published {
-    /// The pre-first-epoch snapshot: an empty registry plus valid empty
-    /// JSON documents for every route (a scraper that races the first
-    /// epoch still sees each endpoint's schema, never a bare `null`).
-    pub fn empty() -> Self {
-        let mut recorder = serde::Map::new();
-        recorder.insert("schema".to_string(), "pran-recorder/1".to_json_value());
-        recorder.insert("reason".to_string(), "empty".to_json_value());
-        recorder.insert("epoch".to_string(), 0u64.to_json_value());
-        recorder.insert("capacity".to_string(), 0u64.to_json_value());
-        recorder.insert("records".to_string(), serde::Value::Array(Vec::new()));
-        let mut slo = serde::Map::new();
-        slo.insert("schema".to_string(), "pran-slo/1".to_json_value());
-        slo.insert("epoch".to_string(), 0u64.to_json_value());
-        slo.insert("severity".to_string(), "none".to_json_value());
-        let mut topk = serde::Map::new();
-        topk.insert("schema".to_string(), "pran-topk/1".to_json_value());
-        topk.insert("epoch".to_string(), 0u64.to_json_value());
-        topk.insert("cells".to_string(), serde::Value::Array(Vec::new()));
-        topk.insert("links".to_string(), serde::Value::Array(Vec::new()));
-        topk.insert("servers".to_string(), serde::Value::Array(Vec::new()));
-        Published {
-            epoch: 0,
-            snapshot: Arc::new(RegistrySnapshot {
-                instruments: Vec::new(),
-            }),
-            recorder: Arc::new(serde::Value::Object(recorder)),
-            slo: Arc::new(serde::Value::Object(slo)),
-            topk: Arc::new(serde::Value::Object(topk)),
-        }
-    }
+    /// The flight recorder's ring (`/recorder`).
+    pub recorder: Arc<RecorderDump>,
+    /// Burn-rate SLO state (`/slo`).
+    pub slo: Arc<SloDoc>,
+    /// Worst-K attribution (`/topk`).
+    pub topk: Arc<TopkDoc>,
 }
 
 struct Shared {
@@ -99,7 +74,7 @@ impl ObsServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            published: Mutex::new(Arc::new(Published::empty())),
+            published: Mutex::new(Arc::new(Published::default())),
             stop: AtomicBool::new(false),
         });
         let worker = Arc::clone(&shared);
@@ -174,21 +149,9 @@ fn serve_one(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
             "text/plain; charset=utf-8",
             format!("ok\nepoch {}\n", published.epoch),
         ),
-        "/recorder" => (
-            "200 OK",
-            "application/json; charset=utf-8",
-            published.recorder.to_json_string_pretty(),
-        ),
-        "/slo" => (
-            "200 OK",
-            "application/json; charset=utf-8",
-            published.slo.to_json_string_pretty(),
-        ),
-        "/topk" => (
-            "200 OK",
-            "application/json; charset=utf-8",
-            published.topk.to_json_string_pretty(),
-        ),
+        "/recorder" => json(&*published.recorder),
+        "/slo" => json(&*published.slo),
+        "/topk" => json(&*published.topk),
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",
@@ -202,6 +165,15 @@ fn serve_one(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     stream.write_all(header.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
+}
+
+/// A `200` JSON response carrying `doc`, written here on the HTTP thread.
+fn json(doc: &impl Serialize) -> (&'static str, &'static str, String) {
+    (
+        "200 OK",
+        "application/json; charset=utf-8",
+        serde_json::to_string_pretty(doc).expect("documents serialize"),
+    )
 }
 
 /// Read the request head and return the path of a `GET` request
@@ -268,11 +240,16 @@ mod tests {
         let r = Registry::new();
         r.inc("soak.epochs", &[], 3);
         r.gauge("soak.miss_ratio", &[], 0.25);
+        let recorder = RecorderDump {
+            reason: "scrape".to_string(),
+            epoch: 2,
+            ..RecorderDump::default()
+        };
         server.publish(Published {
             epoch: 3,
             snapshot: Arc::new(r.snapshot()),
-            recorder: Arc::new(serde::Value::Array(Vec::new())),
-            ..Published::empty()
+            recorder: Arc::new(recorder.clone()),
+            ..Published::default()
         });
 
         let (code, metrics) = http_get(server.addr(), "/metrics").unwrap();
@@ -287,7 +264,10 @@ mod tests {
 
         let (code, rec) = http_get(server.addr(), "/recorder").unwrap();
         assert_eq!(code, 200);
-        assert_eq!(rec.trim(), "[]");
+        assert_eq!(
+            serde_json::from_str::<RecorderDump>(&rec).unwrap(),
+            recorder
+        );
 
         let (code, body) = http_get(server.addr(), "/nope").unwrap();
         assert_eq!(code, 404);
@@ -298,18 +278,22 @@ mod tests {
     #[test]
     fn empty_snapshot_serves_valid_documents_on_every_json_route() {
         // Before the first publish, /recorder, /slo and /topk must serve
-        // schema-tagged documents — never a bare `null` body.
+        // their types' empty values — never a bare `null` body.
         let server = ObsServer::bind("127.0.0.1:0").unwrap();
-        let (code, rec) = http_get(server.addr(), "/recorder").unwrap();
-        assert_eq!(code, 200);
-        let doc: serde::Value = serde_json::from_str(&rec).unwrap();
-        assert_eq!(crate::recorder::validate_dump(&doc), Ok(0));
-        for (path, schema) in [("/slo", "pran-slo/1"), ("/topk", "pran-topk/1")] {
+        let get = |path: &str| {
             let (code, body) = http_get(server.addr(), path).unwrap();
             assert_eq!(code, 200, "{path}");
-            let doc: serde::Value = serde_json::from_str(&body).unwrap();
-            assert_eq!(doc["schema"].as_str(), Some(schema));
-        }
+            body
+        };
+        let recorder: RecorderDump = serde_json::from_str(&get("/recorder")).unwrap();
+        assert_eq!(recorder.check(), Ok(()));
+        assert_eq!(recorder, RecorderDump::default());
+        let slo: SloDoc = serde_json::from_str(&get("/slo")).unwrap();
+        assert_eq!(slo.check(), Ok(()));
+        assert_eq!(slo, SloDoc::default());
+        let topk: TopkDoc = serde_json::from_str(&get("/topk")).unwrap();
+        assert_eq!(topk.check(), Ok(()));
+        assert_eq!(topk, TopkDoc::default());
         server.shutdown();
     }
 
@@ -370,17 +354,21 @@ mod tests {
                         let path = paths[(i + n) % paths.len()];
                         let (code, body) = http_get(addr, path).expect("scrape mid-swap");
                         assert_eq!(code, 200, "{path}");
-                        match path {
-                            "/metrics" => assert!(body.ends_with("# EOF\n"), "{path}"),
-                            "/healthz" => assert!(body.starts_with("ok\n"), "{path}"),
-                            _ => {
-                                // Every JSON body must parse whole: a swap
-                                // mid-scrape must never tear a document.
-                                let doc: serde::Value = serde_json::from_str(&body)
-                                    .unwrap_or_else(|e| panic!("{path} body tore mid-swap: {e}"));
-                                assert!(doc.as_object().is_some());
+                        // Every JSON body must read whole as its type: a
+                        // swap mid-scrape must never tear a document.
+                        let whole = match path {
+                            "/metrics" => Ok(body.ends_with("# EOF\n")),
+                            "/healthz" => Ok(body.starts_with("ok\n")),
+                            "/recorder" => {
+                                serde_json::from_str::<RecorderDump>(&body).map(|_| true)
                             }
-                        }
+                            "/slo" => serde_json::from_str::<SloDoc>(&body).map(|_| true),
+                            _ => serde_json::from_str::<TopkDoc>(&body).map(|_| true),
+                        };
+                        assert!(
+                            whole.unwrap_or_else(|e| panic!("{path} tore: {e}")),
+                            "{path}"
+                        );
                         n += 1;
                         served.fetch_add(1, Ordering::Release);
                     }
@@ -399,7 +387,7 @@ mod tests {
             server.publish(Published {
                 epoch,
                 snapshot: Arc::new(r.snapshot()),
-                ..Published::empty()
+                ..Published::default()
             });
         }
         stop.store(true, Ordering::Release);
@@ -418,7 +406,7 @@ mod tests {
         for epoch in 1..=3u64 {
             server.publish(Published {
                 epoch,
-                ..Published::empty()
+                ..Published::default()
             });
         }
         let (_, health) = http_get(server.addr(), "/healthz").unwrap();

@@ -1,30 +1,17 @@
-//! Flight recorder: a fixed-capacity ring of per-epoch records.
+//! Flight recorder: a fixed-capacity ring of per-epoch records, and
+//! the [`RecorderDump`] it is cut into.
 //!
 //! A resident soak runs for hours; nobody wants (or can afford) a full
 //! log of every epoch. The flight recorder keeps the **last K** epoch
 //! records in a preallocated ring — pushes are allocation-free in steady
-//! state (overwrite-on-wrap, pinned by `tests/zero_alloc.rs`) — and dumps
-//! them as a JSON document when something goes wrong (an SLO alert or a
-//! chaos-invariant violation), so the operator gets the immediate history
-//! leading up to the incident without paying for continuous logging.
-//!
-//! The dump schema is `pran-recorder/1`:
-//!
-//! ```json
-//! {
-//!   "schema": "pran-recorder/1",
-//!   "reason": "slo-alert",
-//!   "epoch": 1234,
-//!   "capacity": 256,
-//!   "records": [ { "epoch": 979, ... }, ..., { "epoch": 1234, ... } ]
-//! }
-//! ```
-//!
-//! `records` is ordered oldest → newest and holds at most `capacity`
-//! entries. [`validate_dump`] checks the shape (used by the
-//! `telemetry_check` CI binary on committed dump artifacts).
+//! state (overwrite-on-wrap, pinned by `tests/zero_alloc.rs`) — and the
+//! soak runner dumps them as a `pran-recorder/1` document when something
+//! goes wrong (an SLO alert or a chaos-invariant violation), so the
+//! operator gets the immediate history leading up to the incident
+//! without paying for continuous logging.
 
-use serde::Serialize;
+use pran_sim::service::EpochRecord;
+use serde::{Deserialize, Serialize};
 
 /// Fixed-capacity ring buffer of [`Copy`] records.
 ///
@@ -111,82 +98,96 @@ impl<T: Copy> FlightRecorder<T> {
     }
 }
 
-impl<T: Copy + Serialize> FlightRecorder<T> {
-    /// Serialize the ring as a `pran-recorder/1` dump document.
-    ///
-    /// `reason` says why the dump was cut (e.g. `"slo-alert"`,
-    /// `"violation"`, `"scrape"`); `epoch` is the epoch at which it was
-    /// cut. Records appear oldest → newest.
-    pub fn dump(&self, reason: &str, epoch: u64) -> serde::Value {
-        let mut doc = serde::Map::new();
-        doc.insert(
-            "schema".to_string(),
-            serde::Value::String("pran-recorder/1".to_string()),
-        );
-        doc.insert(
-            "reason".to_string(),
-            serde::Value::String(reason.to_string()),
-        );
-        doc.insert("epoch".to_string(), epoch.to_json_value());
-        doc.insert("capacity".to_string(), self.cap.to_json_value());
-        doc.insert("records".to_string(), self.snapshot().to_json_value());
-        serde::Value::Object(doc)
+/// The `schema` tag of a [`RecorderDump`].
+pub const RECORDER_SCHEMA: &str = "pran-recorder/1";
+
+/// A flight-recorder dump, schema `pran-recorder/1`:
+///
+/// ```json
+/// {
+///   "schema": "pran-recorder/1",
+///   "reason": "slo-alert",
+///   "epoch": 1234,
+///   "capacity": 256,
+///   "records": [ { "epoch": 979, ... }, ..., { "epoch": 1234, ... } ]
+/// }
+/// ```
+///
+/// `records` is ordered oldest → newest and holds at most `capacity`
+/// entries; [`RecorderDump::check`] holds a document read back to that.
+/// The empty value (`Default`) is what `/recorder` serves before the
+/// first epoch.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RecorderDump {
+    /// [`RECORDER_SCHEMA`].
+    pub schema: String,
+    /// Why the dump was cut: `"slo-alert"`, `"violation"`, `"scrape"`,
+    /// or `"empty"` before the first epoch.
+    pub reason: String,
+    /// The epoch it was cut at.
+    pub epoch: u64,
+    /// The ring's capacity.
+    pub capacity: usize,
+    /// The held records, oldest first.
+    pub records: Vec<EpochRecord>,
+}
+
+impl RecorderDump {
+    /// The records `ring` holds, cut at `epoch` for `reason`.
+    pub fn new(ring: &FlightRecorder<EpochRecord>, reason: &str, epoch: u64) -> Self {
+        RecorderDump {
+            schema: RECORDER_SCHEMA.to_string(),
+            reason: reason.to_string(),
+            epoch,
+            capacity: ring.capacity(),
+            records: ring.snapshot(),
+        }
     }
 
-    /// [`FlightRecorder::dump`] rendered as pretty JSON.
-    pub fn dump_json(&self, reason: &str, epoch: u64) -> String {
-        self.dump(reason, epoch).to_json_string_pretty()
+    /// What the fields' types cannot say: the schema tag, at most
+    /// `capacity` records, and strictly increasing record epochs.
+    pub fn check(&self) -> Result<(), String> {
+        check_tag(&self.schema, RECORDER_SCHEMA)?;
+        if self.records.len() > self.capacity {
+            return Err(format!(
+                "{} records exceed capacity {}",
+                self.records.len(),
+                self.capacity
+            ));
+        }
+        for (i, pair) in self.records.windows(2).enumerate() {
+            if pair[1].epoch <= pair[0].epoch {
+                return Err(format!(
+                    "records[{}].epoch {} does not increase past {}",
+                    i + 1,
+                    pair[1].epoch,
+                    pair[0].epoch
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
-/// Validate a `pran-recorder/1` dump document: schema tag, required
-/// fields, `records` an array of at most `capacity` objects whose `epoch`
-/// fields (when present) strictly increase. Returns the record count.
-pub fn validate_dump(v: &serde::Value) -> Result<usize, String> {
-    let field = |name: &str| -> Result<&serde::Value, String> {
-        match v.get(name) {
-            None | Some(serde::Value::Null) => Err(format!("missing field `{name}`")),
-            Some(val) => Ok(val),
-        }
-    };
-    match field("schema")? {
-        serde::Value::String(s) if s == "pran-recorder/1" => {}
-        other => return Err(format!("bad schema tag: {other:?}")),
-    }
-    if !matches!(field("reason")?, serde::Value::String(_)) {
-        return Err("`reason` must be a string".to_string());
-    }
-    let capacity = field("capacity")?
-        .as_u64()
-        .ok_or_else(|| "`capacity` must be a non-negative integer".to_string())?
-        as usize;
-    let records = match field("records")? {
-        serde::Value::Array(a) => a,
-        _ => return Err("`records` must be an array".to_string()),
-    };
-    if records.len() > capacity {
-        return Err(format!(
-            "{} records exceed capacity {capacity}",
-            records.len()
-        ));
-    }
-    let mut last_epoch: Option<f64> = None;
-    for (i, r) in records.iter().enumerate() {
-        let serde::Value::Object(_) = r else {
-            return Err(format!("records[{i}] is not an object"));
-        };
-        if let Some(e) = r["epoch"].as_f64() {
-            if let Some(prev) = last_epoch {
-                if e <= prev {
-                    return Err(format!(
-                        "records[{i}].epoch {e} does not increase past {prev}"
-                    ));
-                }
-            }
-            last_epoch = Some(e);
+impl Default for RecorderDump {
+    fn default() -> Self {
+        RecorderDump {
+            schema: RECORDER_SCHEMA.to_string(),
+            reason: "empty".to_string(),
+            epoch: 0,
+            capacity: 0,
+            records: Vec::new(),
         }
     }
-    Ok(records.len())
+}
+
+/// `Err` naming both tags unless a document's `schema` is `want`.
+pub(crate) fn check_tag(schema: &str, want: &str) -> Result<(), String> {
+    if schema == want {
+        Ok(())
+    } else {
+        Err(format!("schema tag {schema:?}, expected {want:?}"))
+    }
 }
 
 #[cfg(test)]
@@ -235,39 +236,47 @@ mod tests {
         assert_eq!(out.last(), Some(&39));
     }
 
-    #[derive(Debug, Clone, Copy, Serialize)]
-    struct Rec {
-        epoch: u64,
+    fn ring(capacity: usize, epochs: std::ops::Range<u64>) -> FlightRecorder<EpochRecord> {
+        let mut r = FlightRecorder::new(capacity);
+        for epoch in epochs {
+            r.push(crate::docs::tests::record(epoch));
+        }
+        r
     }
 
     #[test]
     fn dump_roundtrips_and_validates() {
-        let mut r = FlightRecorder::new(3);
-        for epoch in 0..5u64 {
-            r.push(Rec { epoch });
-        }
-        let doc = r.dump("slo-alert", 4);
-        assert_eq!(validate_dump(&doc), Ok(3));
-        let text = r.dump_json("slo-alert", 4);
-        let back: serde::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(validate_dump(&back), Ok(3));
-        assert_eq!(back["reason"].as_str(), Some("slo-alert"));
+        let dump = RecorderDump::new(&ring(3, 0..5), "slo-alert", 4);
+        assert_eq!(dump.check(), Ok(()));
+        assert_eq!(dump.records.len(), 3);
+        let text = serde_json::to_string_pretty(&dump).unwrap();
+        let back: RecorderDump = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, dump);
+        assert_eq!(RecorderDump::default().check(), Ok(()));
     }
 
     #[test]
     fn validate_rejects_malformed_dumps() {
-        let mut r = FlightRecorder::new(2);
-        r.push(Rec { epoch: 1 });
-        let good = r.dump("x", 0);
-        let mut bad = serde::Map::new();
-        bad.insert("schema".into(), serde::Value::String("nope/9".into()));
-        assert!(validate_dump(&serde::Value::Object(bad)).is_err());
-        assert!(validate_dump(&serde::Value::Null).is_err());
-        // Tamper: records beyond capacity.
-        let serde::Value::Object(mut doc) = good else {
-            panic!()
+        let good = RecorderDump::new(&ring(2, 0..2), "x", 1);
+        let tagged = RecorderDump {
+            schema: "nope/9".into(),
+            ..good.clone()
         };
-        doc.insert("records".into(), vec![1u64, 2, 3].to_json_value());
-        assert!(validate_dump(&serde::Value::Object(doc)).is_err());
+        assert!(tagged.check().unwrap_err().contains("nope/9"));
+        let over = RecorderDump {
+            capacity: 1,
+            ..good.clone()
+        };
+        assert!(over.check().unwrap_err().contains("exceed capacity"));
+        let mut back = good;
+        back.records[1].epoch = 0;
+        assert!(back.check().unwrap_err().contains("records[1].epoch"));
+        // Text the type does not describe is refused at its path.
+        assert!(serde_json::from_str::<RecorderDump>("null").is_err());
+        let err = serde_json::from_str::<RecorderDump>(
+            r#"{"schema":"pran-recorder/1","reason":"x","epoch":0,"capacity":1,"records":[{}]}"#,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("records.[0].epoch"), "{err}");
     }
 }

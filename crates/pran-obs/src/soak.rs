@@ -13,8 +13,9 @@
 //!    histograms) and publishes an immutable snapshot to the scrape
 //!    endpoint;
 //! 4. when the SLO monitor raised an alert — or a chaos-style safety
-//!    violation rose — dumps the recorder ring to a JSON file so the
-//!    incident's immediate history survives the soak.
+//!    violation rose — cuts a [`RecorderDump`] of the recorder ring and
+//!    writes it to a JSON file so the incident's immediate history
+//!    survives the soak.
 //!
 //! The whole step-3/4 block is timed as the *telemetry* phase, which is
 //! what E16's `telemetry_overhead_pct` gate measures.
@@ -24,15 +25,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pran_insight::live::MetroFold;
-use pran_insight::slo::SloPolicy;
 use pran_sim::service::{EpochRecord, EpochStatus, ResidentMetro};
 use pran_telemetry::trace::TraceEvent;
 use pran_telemetry::Registry;
-use serde::Serialize;
 
+use crate::docs::{SloDoc, TopkDoc};
 use crate::http::{ObsServer, Published};
 use crate::phases::{Phase, PhaseProfiler};
-use crate::recorder::FlightRecorder;
+use crate::recorder::{FlightRecorder, RecorderDump};
 
 /// Soak-specific knobs (the metro shape lives in the [`ResidentMetro`]).
 #[derive(Debug, Clone)]
@@ -103,7 +103,7 @@ pub struct SoakRunner {
     prev_telemetry_ns: u64,
     /// The most recent triggered dump (document + path, path `None` when
     /// `dump_dir` is unset).
-    last_dump: Option<(serde::Value, Option<PathBuf>)>,
+    last_dump: Option<(RecorderDump, Option<PathBuf>)>,
     dumps_written: u64,
 }
 
@@ -170,7 +170,7 @@ impl SoakRunner {
 
     /// The most recent triggered dump document (and its file path when
     /// `dump_dir` was configured).
-    pub fn last_dump(&self) -> Option<&(serde::Value, Option<PathBuf>)> {
+    pub fn last_dump(&self) -> Option<&(RecorderDump, Option<PathBuf>)> {
         self.last_dump.as_ref()
     }
 
@@ -281,7 +281,7 @@ impl SoakRunner {
         self.prev_violation = rec.violation;
         let mut dumped = None;
         if let Some(reason) = reason {
-            let doc = self.recorder.dump(reason, rec.epoch);
+            let doc = RecorderDump::new(&self.recorder, reason, rec.epoch);
             let path = self.cfg.dump_dir.as_ref().map(|dir| {
                 dir.join(format!(
                     "{}_recorder_e{}.json",
@@ -292,7 +292,8 @@ impl SoakRunner {
                 if let Some(parent) = p.parent() {
                     let _ = std::fs::create_dir_all(parent);
                 }
-                if std::fs::write(p, doc.to_json_string_pretty()).is_ok() {
+                let text = serde_json::to_string_pretty(&doc).expect("dump serializes");
+                if std::fs::write(p, text).is_ok() {
                     self.dumps_written += 1;
                     dumped = Some(p.clone());
                 }
@@ -306,19 +307,23 @@ impl SoakRunner {
         // Publish: immutable snapshot swap; scrapers render off-thread.
         if let Some(server) = &self.server {
             let topk = match &live {
-                Some((fold, ring_events)) => {
-                    Arc::new(build_topk_doc(fold, *ring_events, rec.epoch, self.cfg.topk))
-                }
-                // Live insight off: serve the valid empty document (epoch
-                // 0, empty rankings) rather than dropping the route.
-                None => Arc::clone(&Published::empty().topk),
+                Some((fold, ring_events)) => TopkDoc::new(
+                    fold,
+                    *ring_events,
+                    pran_telemetry::live::dropped(),
+                    rec.epoch,
+                    self.cfg.topk,
+                ),
+                // Live insight off: serve the empty document rather than
+                // dropping the route.
+                None => TopkDoc::default(),
             };
             server.publish(Published {
                 epoch: rec.epoch + 1,
                 snapshot: Arc::new(r.snapshot()),
-                recorder: Arc::new(self.recorder.dump("scrape", rec.epoch)),
-                slo: Arc::new(build_slo_doc(&rec, self.metro.policy())),
-                topk,
+                recorder: Arc::new(RecorderDump::new(&self.recorder, "scrape", rec.epoch)),
+                slo: Arc::new(SloDoc::new(&rec, self.metro.policy())),
+                topk: Arc::new(topk),
             });
         }
 
@@ -340,119 +345,10 @@ impl Drop for SoakRunner {
     }
 }
 
-/// Render the `/slo` document (`pran-slo/1`): the most recent epoch's
-/// burn-rate state next to the policy knobs it was judged against.
-fn build_slo_doc(rec: &EpochRecord, policy: &SloPolicy) -> serde::Value {
-    let severity = match rec.burn_severity {
-        2 => "page",
-        1 => "ticket",
-        _ => "none",
-    };
-    let mut windows = serde::Map::new();
-    windows.insert(
-        "fast_epochs".to_string(),
-        policy.burn_fast_epochs.to_json_value(),
-    );
-    windows.insert(
-        "slow_epochs".to_string(),
-        policy.burn_slow_epochs.to_json_value(),
-    );
-    let mut factors = serde::Map::new();
-    factors.insert("page".to_string(), policy.burn_page_factor.to_json_value());
-    factors.insert(
-        "ticket".to_string(),
-        policy.burn_ticket_factor.to_json_value(),
-    );
-    let mut m = serde::Map::new();
-    m.insert("schema".to_string(), "pran-slo/1".to_json_value());
-    m.insert("epoch".to_string(), rec.epoch.to_json_value());
-    m.insert(
-        "objective".to_string(),
-        policy.miss_ratio_max.to_json_value(),
-    );
-    m.insert("windows".to_string(), serde::Value::Object(windows));
-    m.insert("factors".to_string(), serde::Value::Object(factors));
-    m.insert("burn_fast".to_string(), rec.burn_fast.to_json_value());
-    m.insert("burn_slow".to_string(), rec.burn_slow.to_json_value());
-    m.insert("severity".to_string(), severity.to_json_value());
-    m.insert("page".to_string(), (rec.burn_severity == 2).to_json_value());
-    m.insert(
-        "ticket".to_string(),
-        (rec.burn_severity >= 1).to_json_value(),
-    );
-    m.insert("miss_ratio".to_string(), rec.miss_ratio.to_json_value());
-    m.insert(
-        "cum_miss_ratio".to_string(),
-        rec.cum_miss_ratio.to_json_value(),
-    );
-    m.insert("violation".to_string(), rec.violation.to_json_value());
-    serde::Value::Object(m)
-}
-
-/// Render the `/topk` document (`pran-topk/1`): worst-K cells by total
-/// attributed blame, worst fronthaul links (fronthaul-stage blame per
-/// cell), and slowest servers by sojourn p99, from the shards' folds.
-///
-/// `tasks` is every subframe a shard executed (the registry's
-/// `soak.tasks − soak.lost`: the fold sits in the execute loop, so it
-/// cannot miss one). `events` is every record the live plane consumed:
-/// those tasks, the steals noted beside them, and the `ring_events`
-/// drained from the control-plane event rings. `dropped` counts ring
-/// overflows only — events past `live_ring_capacity` in one epoch;
-/// subframes never enter a ring and cannot be dropped.
-fn build_topk_doc(fold: &MetroFold<'_>, ring_events: u64, epoch: u64, k: usize) -> serde::Value {
-    let entry = |keys: [&str; 3], t: (usize, u64, u64)| -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert(keys[0].to_string(), (t.0 as u64).to_json_value());
-        m.insert(keys[1].to_string(), t.1.to_json_value());
-        m.insert(keys[2].to_string(), t.2.to_json_value());
-        serde::Value::Object(m)
-    };
-    let cells = fold
-        .top_cells(k, None)
-        .into_iter()
-        .map(|t| entry(["cell", "blame_us", "misses"], t))
-        .collect();
-    let links = fold
-        .top_cells(k, Some(0))
-        .into_iter()
-        .map(|t| entry(["cell", "fronthaul_us", "misses"], t))
-        .collect();
-    let servers = fold
-        .top_servers(k)
-        .into_iter()
-        .map(|t| entry(["server", "p99_us", "tasks"], t))
-        .collect();
-    let mut totals = serde::Map::new();
-    for (name, us) in fold.totals() {
-        totals.insert(name.to_string(), us.to_json_value());
-    }
-    let mut m = serde::Map::new();
-    m.insert("schema".to_string(), "pran-topk/1".to_json_value());
-    m.insert("epoch".to_string(), epoch.to_json_value());
-    m.insert("k".to_string(), (k as u64).to_json_value());
-    m.insert("tasks".to_string(), fold.tasks().to_json_value());
-    m.insert("misses".to_string(), fold.misses().to_json_value());
-    m.insert(
-        "events".to_string(),
-        (fold.events() + ring_events).to_json_value(),
-    );
-    m.insert(
-        "dropped".to_string(),
-        pran_telemetry::live::dropped().to_json_value(),
-    );
-    m.insert("totals".to_string(), serde::Value::Object(totals));
-    m.insert("cells".to_string(), serde::Value::Array(cells));
-    m.insert("links".to_string(), serde::Value::Array(links));
-    m.insert("servers".to_string(), serde::Value::Array(servers));
-    serde::Value::Object(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::http::http_get;
-    use crate::recorder::validate_dump;
     use pran_sim::{MetroConfig, ResidentMetro};
 
     fn small_runner() -> SoakRunner {
@@ -482,8 +378,9 @@ mod tests {
         assert!(metrics.contains("soak_phase_wall"), "{metrics}");
         assert!(metrics.ends_with("# EOF\n"));
         let (_, rec) = http_get(addr, "/recorder").unwrap();
-        let doc: serde::Value = serde_json::from_str(&rec).unwrap();
-        assert_eq!(validate_dump(&doc), Ok(3));
+        let doc: RecorderDump = serde_json::from_str(&rec).unwrap();
+        assert_eq!(doc.check(), Ok(()));
+        assert_eq!(doc.records.len(), 3);
     }
 
     #[test]
@@ -503,14 +400,10 @@ mod tests {
         );
         let (doc, path) = runner.last_dump().expect("a dump must be cut");
         assert!(path.is_none(), "no dump_dir configured");
-        let n = validate_dump(doc).unwrap();
-        assert!(n >= 2);
+        assert_eq!(doc.check(), Ok(()));
+        assert!(doc.records.len() >= 2);
         // The dump's last record is the epoch the registry currently shows.
-        let records = match &doc["records"] {
-            serde::Value::Array(a) => a,
-            _ => panic!("records array"),
-        };
-        let last = records.last().unwrap();
+        let last = doc.records.last().unwrap();
         let snap = runner.registry().snapshot();
         let gauge = |name: &str| -> f64 {
             snap.instruments
@@ -523,15 +416,9 @@ mod tests {
                 })
                 .unwrap_or_else(|| panic!("gauge {name} missing"))
         };
-        assert_eq!(
-            last["miss_ratio"].as_f64().unwrap(),
-            gauge("soak.miss_ratio")
-        );
-        assert_eq!(last["epoch"].as_u64().unwrap() as f64, gauge("soak.epoch"));
-        assert_eq!(
-            last["alive_servers"].as_f64().unwrap(),
-            gauge("soak.alive_servers")
-        );
+        assert_eq!(last.miss_ratio, gauge("soak.miss_ratio"));
+        assert_eq!(last.epoch as f64, gauge("soak.epoch"));
+        assert_eq!(last.alive_servers as f64, gauge("soak.alive_servers"));
     }
 
     #[test]
@@ -542,13 +429,12 @@ mod tests {
         // Healthy epoch: /slo serves the policy knobs and a quiet state.
         let (code, body) = http_get(addr, "/slo").unwrap();
         assert_eq!(code, 200);
-        let doc: serde::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc["schema"].as_str(), Some("pran-slo/1"));
-        assert_eq!(doc["objective"].as_f64(), Some(0.01));
-        let windows = &doc["windows"];
-        assert_eq!(windows["fast_epochs"].as_u64(), Some(5));
-        assert_eq!(windows["slow_epochs"].as_u64(), Some(60));
-        assert_eq!(doc["severity"].as_str(), Some("none"));
+        let doc: SloDoc = serde_json::from_str(&body).unwrap();
+        assert_eq!(doc.check(), Ok(()));
+        assert_eq!(doc.objective, 0.01);
+        assert_eq!(doc.windows.fast_epochs, 5);
+        assert_eq!(doc.windows.slow_epochs, 60);
+        assert_eq!(doc.severity, "none");
 
         // Kill everything: the burn rate climbs and severity escalates.
         let servers = runner.metro().config().servers_per_shard;
@@ -560,10 +446,10 @@ mod tests {
         for _ in 0..30 {
             runner.run_epoch();
             let (_, body) = http_get(addr, "/slo").unwrap();
-            let doc: serde::Value = serde_json::from_str(&body).unwrap();
-            severity = doc["severity"].as_str().unwrap().to_string();
+            let doc: SloDoc = serde_json::from_str(&body).unwrap();
+            severity = doc.severity;
             if severity != "none" {
-                assert!(doc["burn_fast"].as_f64().unwrap() >= 2.0);
+                assert!(doc.burn_fast >= 2.0);
                 break;
             }
         }
@@ -572,17 +458,11 @@ mod tests {
             "sustained outage must raise burn severity"
         );
 
-        // The triggered dump's records carry the burn state fields, so a
+        // The triggered dump's records carry the burn state, so a
         // post-incident read of the flight recorder sees the burn ramp.
         let (doc, _) = runner.last_dump().expect("outage must have dumped");
-        let records = match &doc["records"] {
-            serde::Value::Array(a) => a,
-            _ => panic!("records array"),
-        };
-        let last = records.last().unwrap();
-        assert!(last["burn_fast"].as_f64().is_some());
-        assert!(last["burn_slow"].as_f64().is_some());
-        assert!(last["burn_severity"].as_u64().is_some());
+        let last = doc.records.last().unwrap();
+        assert!(last.burn_fast > 0.0);
     }
 
     #[test]
@@ -626,30 +506,18 @@ mod tests {
 
         let (code, body) = http_get(addr, "/topk").unwrap();
         assert_eq!(code, 200);
-        let doc: serde::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(doc["schema"].as_str(), Some("pran-topk/1"));
-        assert!(doc["tasks"].as_u64().unwrap() > 0);
-        assert!(doc["misses"].as_u64().unwrap() > 0);
-        let cells = match &doc["cells"] {
-            serde::Value::Array(a) => a,
-            _ => panic!("cells array"),
-        };
-        assert!(!cells.is_empty(), "missed deadlines must rank cells");
-        let worst = &cells[0];
-        assert!(worst["blame_us"].as_u64().unwrap() > 0);
-        assert!(worst["misses"].as_u64().unwrap() > 0);
+        let doc: TopkDoc = serde_json::from_str(&body).unwrap();
+        assert_eq!(doc.check(), Ok(()));
+        assert!(doc.tasks > 0);
+        assert!(doc.misses > 0);
+        let worst = doc.cells.first().expect("missed deadlines must rank cells");
+        assert!(worst.blame_us > 0);
+        assert!(worst.misses > 0);
         // Servers rank by sojourn p99 over *all* tasks, so the healthy
         // shard alone guarantees entries.
-        let srv = match &doc["servers"] {
-            serde::Value::Array(a) => a,
-            _ => panic!("servers array"),
-        };
-        assert!(!srv.is_empty(), "folded tasks must rank servers");
-        // Totals carry all four stages by name.
-        let totals = &doc["totals"];
-        for stage in ["fronthaul", "queue", "steal", "compute"] {
-            assert!(totals[stage].as_u64().is_some(), "{stage}");
-        }
+        assert!(!doc.servers.is_empty(), "folded tasks must rank servers");
+        // Jitter is fronthaul-stage blame.
+        assert!(doc.totals.fronthaul > 0);
     }
 
     #[test]

@@ -234,11 +234,6 @@ impl Allowed {
         }
     }
 
-    /// Whether the mask imposes no restriction at all.
-    pub fn is_all(&self) -> bool {
-        matches!(self, Allowed::All)
-    }
-
     /// The servers `cell` may run on, resolved once so a scan over
     /// servers tests slices it already holds instead of walking the enum
     /// (and, for a product, its box and three vectors) per server.

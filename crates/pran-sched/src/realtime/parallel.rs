@@ -122,15 +122,6 @@ impl ParallelOutcome {
             .unwrap_or(i64::MAX)
     }
 
-    /// Mean slack across tasks in microseconds.
-    pub fn mean_slack_us(&self) -> f64 {
-        if self.tasks.is_empty() {
-            0.0
-        } else {
-            self.tasks.iter().map(|t| t.slack_us as f64).sum::<f64>() / self.tasks.len() as f64
-        }
-    }
-
     /// Task `id` of `batch` as the `subframe` record the executor emits
     /// for it, in its whole-µs domain: `start = max(clock, release)` is
     /// `finish − service` there.

@@ -41,7 +41,8 @@ pub use metrics::{LogHistogram, Registry, RegistrySnapshot};
 pub use subframe::{Subframe, SubframeError};
 pub use trace::{Domain, EventView, FieldValue, TraceClock, TraceEvent};
 
-/// Telemetry knobs, wired through `pran::config` and the bench binaries.
+/// Telemetry knobs: what [`configure`] applies — the bench binaries pick
+/// one from `PRAN_TELEMETRY`, tests set it directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
     /// Master switch. Off, every record call is one relaxed atomic load.

@@ -453,7 +453,7 @@ pub struct InstrumentSnapshot {
 }
 
 /// A point-in-time capture of a whole [`Registry`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RegistrySnapshot {
     /// Instruments sorted by name, then labels.
     pub instruments: Vec<InstrumentSnapshot>,

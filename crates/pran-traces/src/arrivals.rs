@@ -78,11 +78,6 @@ impl Mmpp2 {
         }
     }
 
-    /// Whether the process is currently bursting.
-    pub fn is_bursting(&self) -> bool {
-        self.state == 1
-    }
-
     /// Advance one step: maybe switch state, then emit an arrival count.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
         let flip: f64 = rng.gen();

@@ -7,11 +7,14 @@
 //! cell, a deregistered cell, a failed and a drained server. None of the
 //! kept state is on the wire, so the file must restore today, place the
 //! next epoch exactly as its author did, and serialize back to the same
-//! bytes. The hostile variants must come back as typed errors.
+//! bytes — less the five config sections `SystemConfig` has since shed
+//! ([`v1_snapshot_written_back`]). The hostile variants must come back as
+//! typed errors.
 
 use std::time::Duration;
 
 use pran::{Controller, ControllerStats, EpochReport, Snapshot, SnapshotError, SystemConfig};
+use pran_integration_tests::v1_snapshot_written_back;
 
 const V1: &str = include_str!("../fixtures/controller_snapshot_v1.json");
 const RAGGED: &str = include_str!("../fixtures/hostile_controller_snapshot_ragged.json");
@@ -43,7 +46,7 @@ fn v1_fixture_restores_and_places_as_its_author_did() {
     assert_eq!(ctl.placement().assignment, at_capture);
     assert_eq!(
         serde_json::to_string(&ctl.snapshot()).unwrap(),
-        V1.trim_end(),
+        v1_snapshot_written_back(),
         "restore → snapshot must reproduce the wire form byte for byte"
     );
 
@@ -211,7 +214,7 @@ fn a_clock_past_the_end_of_time_is_a_parse_error() {
     let carried = V1.replacen(now, "\"now\":{\"secs\":119,\"nanos\":1000000000}", 1);
     assert_eq!(
         serde_json::to_string(&serde_json::from_str::<Snapshot>(&carried).unwrap()).unwrap(),
-        V1
+        v1_snapshot_written_back()
     );
 }
 
@@ -225,6 +228,6 @@ fn an_unknown_field_a_million_brackets_deep_is_an_error_not_a_stack_overflow() {
     let ignored = format!("{{\"junk\":[[{{\"deep\":[1e3,\"]\"]}}]],{}", &V1[1..]);
     assert_eq!(
         serde_json::to_string(&serde_json::from_str::<Snapshot>(&ignored).unwrap()).unwrap(),
-        V1
+        v1_snapshot_written_back()
     );
 }

@@ -135,7 +135,10 @@ fn topology_binding() {
     let tree = three_sinks_agree(&snapshot);
     assert_eq!(tree["topology"]["allowed"].as_array().unwrap().len(), 8);
     assert_eq!(tree["topology"]["specs"][0][0].as_f64(), Some(400.0));
-    assert_eq!(tree.to_json_string(), text);
+    assert_eq!(
+        tree.to_json_string(),
+        pran_integration_tests::v1_snapshot_written_back()
+    );
     let restored = Controller::try_restore(snapshot).unwrap();
     three_sinks_agree(&restored.snapshot());
 }

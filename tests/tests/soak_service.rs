@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use pran_fronthaul::fault::FaultConfig;
 use pran_insight::SloPolicy;
-use pran_obs::{http_get, validate_dump, SoakConfig, SoakRunner};
+use pran_obs::{http_get, RecorderDump, SloDoc, SoakConfig, SoakRunner, TopkDoc};
 use pran_phy::FunctionalSplit;
 use pran_sched::placement::WarmConfig;
 use pran_sim::{
@@ -99,15 +99,9 @@ fn recorder_wraparound_keeps_exactly_last_k() {
     for _ in 0..total {
         r.run_epoch();
     }
-    let doc = r.recorder().dump("test", total - 1);
-    assert_eq!(validate_dump(&doc), Ok(k));
-    let serde_json::Value::Array(records) = &doc["records"] else {
-        panic!("records must be an array");
-    };
-    let epochs: Vec<u64> = records
-        .iter()
-        .map(|rec| rec["epoch"].as_u64().unwrap())
-        .collect();
+    let doc = RecorderDump::new(r.recorder(), "test", total - 1);
+    assert_eq!(doc.check(), Ok(()));
+    let epochs: Vec<u64> = doc.records.iter().map(|rec| rec.epoch).collect();
     let want: Vec<u64> = (total - k as u64..total).collect();
     assert_eq!(epochs, want, "dump must hold exactly the last {k} epochs");
 }
@@ -122,8 +116,10 @@ fn recorder_dumps_are_byte_identical_across_worker_counts() {
         one.run_epoch();
         eight.run_epoch();
     }
-    let a = one.recorder().dump_json("workers", 11);
-    let b = eight.recorder().dump_json("workers", 11);
+    let dump = |r: &SoakRunner| {
+        serde_json::to_string_pretty(&RecorderDump::new(r.recorder(), "workers", 11)).unwrap()
+    };
+    let (a, b) = (dump(&one), dump(&eight));
     assert_eq!(a, b, "dumps must not depend on the worker count");
 }
 
@@ -147,6 +143,70 @@ fn scrape_endpoint_serves_openmetrics_with_advancing_epochs() {
     let (code, health) = http_get(addr, "/healthz").expect("healthz");
     assert_eq!(code, 200);
     assert!(health.contains("epoch 3"), "{health}");
+}
+
+/// Every key path of a JSON document, through nested objects.
+fn key_paths(doc: &serde_json::Value, prefix: &str, out: &mut Vec<String>) {
+    if let Some(map) = doc.as_object() {
+        for (key, child) in map.iter() {
+            let path = format!("{prefix}.{key}");
+            key_paths(child, &path, out);
+            out.push(path);
+        }
+    }
+    out.sort();
+}
+
+/// `GET path` as the key paths of its JSON body, which must read back as
+/// the route's type and pass its check.
+fn served_keys(addr: std::net::SocketAddr, path: &str) -> Vec<String> {
+    let (code, body) = http_get(addr, path).expect("scrape");
+    assert_eq!(code, 200, "{path}");
+    let checked = match path {
+        "/recorder" => serde_json::from_str::<RecorderDump>(&body).map(|d| d.check()),
+        "/slo" => serde_json::from_str::<SloDoc>(&body).map(|d| d.check()),
+        _ => serde_json::from_str::<TopkDoc>(&body).map(|d| d.check()),
+    };
+    assert_eq!(checked.expect("reads as its type"), Ok(()), "{path}");
+    let doc: serde_json::Value = serde_json::from_str(&body).expect("JSON body");
+    let mut keys = Vec::new();
+    key_paths(&doc, "", &mut keys);
+    keys
+}
+
+/// A route serves one shape: what a scraper that races the first epoch
+/// gets is its type, with every key of what it gets after one, and
+/// `/topk` is the same with live insight off.
+#[test]
+fn placeholders_have_the_published_documents_keys() {
+    let mut live = SoakRunner::new(
+        resident(1),
+        SoakConfig {
+            live_insight: true,
+            ..SoakConfig::default()
+        },
+    );
+    let mut quiet = runner(1, 4);
+    let live_addr = live.serve("127.0.0.1:0").expect("bind");
+    let quiet_addr = quiet.serve("127.0.0.1:0").expect("bind");
+    let routes = ["/recorder", "/slo", "/topk"];
+    let before: Vec<_> = routes.iter().map(|p| served_keys(live_addr, p)).collect();
+    let quiet_before = served_keys(quiet_addr, "/topk");
+    live.run_epoch();
+    quiet.run_epoch();
+    for (path, before) in routes.iter().zip(before) {
+        assert_eq!(before, served_keys(live_addr, path), "{path}");
+    }
+    let topk = served_keys(live_addr, "/topk");
+    assert_eq!(
+        quiet_before, topk,
+        "/topk before an epoch, live insight off"
+    );
+    assert_eq!(
+        served_keys(quiet_addr, "/topk"),
+        topk,
+        "/topk, live insight off"
+    );
 }
 
 /// A forced SLO alert cuts a dump file whose last record matches the
@@ -174,12 +234,9 @@ fn forced_alert_dump_file_matches_registry() {
     );
 
     let text = std::fs::read_to_string(&path).expect("dump file exists");
-    let doc: serde_json::Value = serde_json::from_str(&text).expect("dump parses");
-    assert!(validate_dump(&doc).is_ok());
-    let serde_json::Value::Array(records) = &doc["records"] else {
-        panic!("records must be an array");
-    };
-    let last = records.last().expect("dump holds records");
+    let doc: RecorderDump = serde_json::from_str(&text).expect("dump reads");
+    assert_eq!(doc.check(), Ok(()));
+    let last = doc.records.last().expect("dump holds records");
 
     let snap = r.registry().snapshot();
     let gauge = |name: &str| -> f64 {
@@ -191,15 +248,19 @@ fn forced_alert_dump_file_matches_registry() {
             })
             .unwrap_or_else(|| panic!("gauge {name} missing"))
     };
-    for (field, metric) in [
-        ("epoch", "soak.epoch"),
-        ("miss_ratio", "soak.miss_ratio"),
-        ("utilization", "soak.utilization"),
-        ("alive_servers", "soak.alive_servers"),
-        ("unplaced", "soak.unplaced"),
+    for (field, value, metric) in [
+        ("epoch", last.epoch as f64, "soak.epoch"),
+        ("miss_ratio", last.miss_ratio, "soak.miss_ratio"),
+        ("utilization", last.utilization, "soak.utilization"),
+        (
+            "alive_servers",
+            last.alive_servers as f64,
+            "soak.alive_servers",
+        ),
+        ("unplaced", last.unplaced as f64, "soak.unplaced"),
     ] {
         assert_eq!(
-            last[field].as_f64().unwrap(),
+            value,
             gauge(metric),
             "dump field {field} must match registry gauge {metric}"
         );
@@ -212,8 +273,9 @@ fn forced_alert_dump_file_matches_registry() {
     r.run_epoch();
     let (code, body) = http_get(addr, "/recorder").expect("recorder route");
     assert_eq!(code, 200);
-    let live: serde_json::Value = serde_json::from_str(&body).expect("recorder json");
-    assert!(validate_dump(&live).is_ok());
+    let live: RecorderDump = serde_json::from_str(&body).expect("recorder json");
+    assert_eq!(live.check(), Ok(()));
+    assert_eq!(live.records[..doc.records.len()], doc.records);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
