@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use bench::{fmt_duration, Report, Table};
+use bench::Report;
 use pran_ilp::BnbConfig;
 use pran_sched::placement::dimensioning::GopsConverter;
 use pran_sched::placement::heuristics::{place, Heuristic};
@@ -31,10 +31,10 @@ fn instance(cells: usize, seed: u64, step: usize) -> PlacementInstance {
 
 fn main() {
     bench::telemetry::init_from_env();
-    println!("E10: ablations\n");
-    let mut json = serde_json::Map::new();
+    println!("E10: ablations");
+    let mut report = Report::new("e10_ablations");
 
-    // ---- 1+2: ILP accelerations ----
+    // ---- 1+2: ILP accelerations (10-cell peak instances, 10k-node cap) ----
     // Two ten-cell peak instances: a typical one, where the FFD start is
     // proven at the root and the switches only show without it, and the
     // tight one of the benchmark library (Σg/G = 2.994 against FFD's 4),
@@ -45,21 +45,11 @@ fn main() {
         time_limit: Duration::from_secs(3600),
         ..BnbConfig::default()
     };
-    let mut host = serde_json::Map::new();
-    for (key, label, seed) in [
-        ("ilp_accelerations", "typical", 4242),
-        ("ilp_accelerations_tight", "tight", 2_026_013),
+    for (key, seed) in [
+        ("ilp_accelerations", 4242),
+        ("ilp_accelerations_tight", 2_026_013),
     ] {
-        println!("== ILP accelerations ({label} 10-cell peak instance, 10k-node cap) ==");
         let inst = instance(10, seed, 20);
-        let mut t = Table::new(&[
-            "symmetry",
-            "warm start",
-            "nodes",
-            "time",
-            "servers",
-            "proved optimal",
-        ]);
         let mut rows = Vec::new();
         let mut host_rows = Vec::new();
         for &(sym, warm) in &[(true, true), (true, false), (false, true), (false, false)] {
@@ -76,14 +66,6 @@ fn main() {
                 .as_ref()
                 .map(|p| inst.servers_used(p).to_string())
                 .unwrap_or_else(|| "-".into());
-            t.row(&[
-                sym.to_string(),
-                warm.to_string(),
-                r.nodes.to_string(),
-                fmt_duration(r.elapsed),
-                servers.clone(),
-                r.optimal.to_string(),
-            ]);
             rows.push(serde_json::json!({
                 "symmetry": sym, "warm_start": warm, "nodes": r.nodes,
                 "servers": servers, "optimal": r.optimal,
@@ -93,21 +75,14 @@ fn main() {
                 "time_us": r.elapsed.as_micros() as u64,
             }));
         }
-        t.print();
-        println!();
-        json.insert(key.into(), serde_json::json!(rows));
-        host.insert(key.into(), serde_json::json!(host_rows));
+        report = report
+            .section(key, serde_json::json!(rows))
+            .host(key, serde_json::json!(host_rows));
     }
 
-    // ---- 3: fronthaul spread vs scheduler separation ----
-    println!("== fronthaul spread (per-cell deadline heterogeneity) ==");
-    let mut t = Table::new(&[
-        "spread",
-        "util",
-        "EDF misses",
-        "FIFO misses",
-        "FIFO-EDF gap",
-    ]);
+    // ---- 3: fronthaul spread (per-cell deadline heterogeneity) ----
+    // With zero spread every task shares one relative deadline, so EDF
+    // degenerates to FIFO — heterogeneous fronthaul is what EDF exploits.
     let mut rows = Vec::new();
     for &spread_us in &[0u64, 300] {
         for &util in &[0.95f64, 1.0] {
@@ -117,25 +92,14 @@ fn main() {
             let set = gen_tasks(&cfg);
             let edf = simulate(&set.tasks, 4, Policy::GlobalEdf).miss_ratio();
             let fifo = simulate(&set.tasks, 4, Policy::GlobalFifo).miss_ratio();
-            t.row(&[
-                format!("{spread_us}µs"),
-                format!("{util:.2}"),
-                format!("{:.2}%", edf * 100.0),
-                format!("{:.2}%", fifo * 100.0),
-                format!("{:+.2}pp", (fifo - edf) * 100.0),
-            ]);
             rows.push(serde_json::json!({
                 "spread_us": spread_us, "util": util, "edf": edf, "fifo": fifo,
             }));
         }
     }
-    t.print();
-    println!("(with zero spread every task shares one relative deadline, so EDF");
-    println!(" degenerates to FIFO — heterogeneous fronthaul is what EDF exploits)");
-    json.insert("fronthaul_spread".into(), serde_json::json!(rows));
+    report = report.section("fronthaul_spread", serde_json::json!(rows));
 
-    // ---- 4: incremental repack vs full re-solve ----
-    println!("\n== placement churn: incremental repack vs full FFD re-solve ==");
+    // ---- 4: incremental repack vs full FFD re-solve ----
     let mut cfg = TraceConfig::default_day(20, 77);
     cfg.step_seconds = 900.0;
     let trace = generate(&cfg);
@@ -166,43 +130,24 @@ fn main() {
         full_servers += inst.servers_used(&full);
         full_prev = full;
     }
-    let mut t = Table::new(&["strategy", "moves/epoch", "mean servers"]);
     let inc_rate = inc_moves as f64 / (steps - 1) as f64;
     let full_rate = full_moves as f64 / (steps - 1) as f64;
-    t.row(&[
-        "incremental repack".to_string(),
-        format!("{inc_rate:.2}"),
-        format!("{:.2}", inc_servers as f64 / (steps - 1) as f64),
-    ]);
-    t.row(&[
-        "full FFD re-solve".to_string(),
-        format!("{full_rate:.2}"),
-        format!("{:.2}", full_servers as f64 / (steps - 1) as f64),
-    ]);
-    t.print();
     println!(
-        "(re-solving churns {:.0}× more cells; the incremental path pays ~{:.1}\n\
-         extra servers of fragmentation for that stability — headroom the\n\
-         consolidation app reclaims when it matters)",
+        "repack vs re-solve: re-solving churns {:.0}× more cells; the incremental path\n\
+         pays ~{:.1} extra servers of fragmentation for that stability — headroom the\n\
+         consolidation app reclaims when it matters",
         full_rate / inc_rate.max(1e-9),
         (inc_servers as f64 - full_servers as f64) / (steps - 1) as f64
     );
-    json.insert(
-        "repack_vs_resolve".into(),
-        serde_json::json!({
-            "incremental_moves_per_epoch": inc_rate,
-            "full_moves_per_epoch": full_rate,
-            "incremental_mean_servers": inc_servers as f64 / (steps - 1) as f64,
-            "full_mean_servers": full_servers as f64 / (steps - 1) as f64,
-        }),
-    );
-
-    let mut report = Report::new("e10_ablations");
-    for (key, value) in json.iter() {
-        report = report.section(key, value.clone());
-    }
-    for (key, value) in host {
-        report = report.host(&key, value);
-    }
-    report.save();
+    report
+        .section(
+            "repack_vs_resolve",
+            serde_json::json!({
+                "incremental_moves_per_epoch": inc_rate,
+                "full_moves_per_epoch": full_rate,
+                "incremental_mean_servers": inc_servers as f64 / (steps - 1) as f64,
+                "full_mean_servers": full_servers as f64 / (steps - 1) as f64,
+            }),
+        )
+        .save();
 }

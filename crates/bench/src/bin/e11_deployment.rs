@@ -11,12 +11,11 @@
 
 use std::time::Duration;
 
-use bench::{Report, Table};
+use bench::Report;
 use pran_fronthaul::{edge_regional, FunctionalSplit};
 use pran_ilp::BnbConfig;
 use pran_sched::placement::admission::{admit_greedy, AdmissionRequest};
 use pran_sched::placement::dimensioning::GopsConverter;
-use pran_sched::placement::heuristics::{place, Heuristic};
 use pran_sched::placement::{ilp, Allowed, CellDemand, PlacementInstance, ProductMask, ServerSpec};
 use pran_traces::{generate, TraceConfig};
 
@@ -33,20 +32,10 @@ fn main() {
 
     println!(
         "E11: two-tier deployment (edge: 2 servers @ cost 3; regional 80 km: 12 @ cost 1)\n\
-         {cells} cells, {total:.0} GOPS aggregate demand at the evening peak\n"
+         {cells} cells, {total:.0} GOPS aggregate demand at the evening peak"
     );
 
-    let mut t = Table::new(&[
-        "split",
-        "admitted",
-        "on edge",
-        "on regional",
-        "cost",
-        "vs all-edge",
-    ]);
     let mut json_rows = Vec::new();
-
-    // Reference cost: everything on edge servers if it fit.
     for split in FunctionalSplit::all() {
         let topo = edge_regional(cells, 1000.0, 2, 12, 80.0, split);
         // Service time of a peak subframe on one core (100 GOPS).
@@ -114,42 +103,17 @@ fn main() {
                 on_regional += 1;
             }
         }
-        let cost = instance.cost(&placement);
-        // All-edge reference: FFD onto edge servers only.
-        let edge_only = {
-            let inst = PlacementInstance {
-                cells: instance.cells.clone(),
-                servers: instance.servers[..edge_server_count].to_vec(),
-                allowed: Allowed::All,
-            };
-            let r = place(&inst, Heuristic::FirstFitDecreasing);
-            if r.complete() {
-                format!("{:.0}%", cost / inst.cost(&r.placement) * 100.0)
-            } else {
-                "edge can't fit all".to_string()
-            }
-        };
-
-        t.row(&[
-            split.label().to_string(),
-            format!("{admitted}/{cells}"),
-            on_edge.to_string(),
-            on_regional.to_string(),
-            format!("{cost:.0}"),
-            edge_only.clone(),
-        ]);
         json_rows.push(serde_json::json!({
             "split": split.label(),
             "admitted": admitted,
             "on_edge": on_edge,
             "on_regional": on_regional,
-            "cost": cost,
+            "cost": instance.cost(&placement),
         }));
     }
-    t.print();
 
     println!(
-        "\nshape check: latency-tolerant splits shift cells to the cheap regional\n\
+        "shape check: latency-tolerant splits shift cells to the cheap regional\n\
          site (cost drops several-fold); latency-bound splits are stuck at the\n\
          edge and, when the edge tier is too small, shed cells via admission."
     );

@@ -10,7 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use bench::{fmt_duration, Report, Table};
+use bench::Report;
 use pran_sched::placement::admission::{admit_exact, admit_greedy, AdmissionRequest};
 use pran_sched::placement::dimensioning::GopsConverter;
 use pran_traces::{generate, TraceConfig};
@@ -19,22 +19,12 @@ fn main() {
     bench::telemetry::init_from_env();
     let servers = 4;
     let capacity = 400.0;
-    println!("E12: admission under overload ({servers} × {capacity} GOPS pool)\n");
+    println!("E12: admission under overload ({servers} × {capacity} GOPS pool; 1.1×–2.5× offered)");
 
-    let mut t = Table::new(&[
-        "overload",
-        "cells",
-        "exact wt",
-        "greedy wt",
-        "gap",
-        "exact time",
-        "greedy time",
-        "time cut",
-    ]);
     let mut json_rows = Vec::new();
     let mut host_rows = Vec::new();
 
-    for &(cells, label) in &[(14usize, "1.1×"), (18, "1.4×"), (24, "1.9×"), (32, "2.5×")] {
+    for cells in [14usize, 18, 24, 32] {
         // Demands from the trace generator's evening peak; weights mix two
         // priority classes (the eMBB/mMTC flavour: some cells carry
         // premium traffic).
@@ -64,21 +54,6 @@ fn main() {
         let exact_time = t0.elapsed();
 
         let gap = (exact.weight - greedy.weight) / exact.weight.max(1e-9);
-        let cut = 1.0 - greedy_time.as_secs_f64() / exact_time.as_secs_f64();
-        t.row(&[
-            format!("{label} ({:.0} GOPS)", offered),
-            format!("{}/{cells} vs {}/{cells}", exact.count(), greedy.count()),
-            format!(
-                "{:.1}{}",
-                exact.weight,
-                if exact.optimal { "" } else { "*" }
-            ),
-            format!("{:.1}", greedy.weight),
-            format!("{:.1}%", gap * 100.0),
-            fmt_duration(exact_time),
-            fmt_duration(greedy_time),
-            format!("{:.2}%", cut * 100.0),
-        ]);
         json_rows.push(serde_json::json!({
             "cells": cells,
             "offered_gops": offered,
@@ -93,15 +68,13 @@ fn main() {
             "greedy_time_us": greedy_time.as_micros() as u64,
         }));
     }
-    t.print();
-    println!("(* = limits hit; best incumbent reported)");
 
     let worst = json_rows
         .iter()
         .map(|r| r["gap"].as_f64().unwrap())
         .fold(0.0f64, f64::max);
     println!(
-        "\nshape check: worst greedy gap {:.1}% (calibration band analog: ≤ ~6%);\n\
+        "shape check: worst greedy gap {:.1}% (calibration band analog: ≤ ~6%);\n\
          greedy runs orders of magnitude faster — the two-timescale trade again.",
         worst * 100.0
     );

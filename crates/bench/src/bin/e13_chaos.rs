@@ -16,7 +16,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use bench::{Report, Table};
+use bench::Report;
 use pran::SystemConfig;
 use pran_chaos::{
     explore, replay, run_scenario, sample_scenario, shrink, ExploreConfig, InvariantKind,
@@ -38,11 +38,6 @@ fn main() -> ExitCode {
         cfg.schedules, cfg.cells, cfg.servers, cfg.horizon
     );
     let sweep = explore(&cfg, &sys).expect("sampled schedules validate");
-    let mut t = Table::new(&["invariant", "violations"]);
-    for (label, count) in sweep.violations_by_kind() {
-        t.row(&[label.to_string(), count.to_string()]);
-    }
-    t.print();
     println!(
         "{} runs, {} failing schedules",
         sweep.runs,

@@ -31,7 +31,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use bench::{Report, Table};
+use bench::Report;
 use pran::SystemConfig;
 use pran_chaos::{run_scenario, sample_scenario, ExploreConfig, InvariantKind};
 use pran_insight::SloMetric;
@@ -73,11 +73,6 @@ fn main() -> ExitCode {
         "{scenarios} scenarios: {clean_violations} invariant violations, \
          {clean_alert_scenarios} scenarios raised SLO alerts"
     );
-    let mut t = Table::new(&["slo metric", "alerts"]);
-    for (i, m) in SloMetric::all().into_iter().enumerate() {
-        t.row(&[m.label().to_string(), clean_alerts_by_metric[i].to_string()]);
-    }
-    t.print();
 
     // --- phase 2: 10 ms outage tolerance on both sides ---
     // Below the 50 ms failover price, so any crash that displaces a cell
@@ -123,18 +118,8 @@ fn main() -> ExitCode {
     }
     let precision = (tp + fp > 0).then(|| tp as f64 / (tp + fp) as f64);
     let recall = (tp + fneg > 0).then(|| tp as f64 / (tp + fneg) as f64);
-    let mut t = Table::new(&["", "violated", "held"]);
-    t.row(&["alerted".to_string(), tp.to_string(), fp.to_string()]);
-    t.row(&["quiet".to_string(), fneg.to_string(), tn.to_string()]);
-    t.print();
-    let fmt_rate = |r: Option<f64>| match r {
-        Some(v) => format!("{:.3}", v),
-        None => "n/a".to_string(),
-    };
     println!(
-        "alert precision {} recall {}",
-        fmt_rate(precision),
-        fmt_rate(recall)
+        "{scenarios} scenarios: {tp} alerted and violated, {fp} alerted only, {fneg} violated only"
     );
     let phase2_ok = tp > 0;
 
@@ -154,7 +139,6 @@ fn main() -> ExitCode {
     println!("\n== sensitivity sweep: ewma_alpha x trigger/clear ratios ==");
     let mut sweep_rows = Vec::new();
     let mut best_recall = 0.0f64;
-    let mut t = Table::new(&["alpha", "trigger", "clear", "tp", "fp", "fn", "recall"]);
     for (alpha, trigger_ratio, clear_ratio) in [
         (0.3, 1.0, 1.0),  // stock (the phase-2 confusion matrix above)
         (1.0, 1.0, 1.0),  // no smoothing: react to the raw epoch value
@@ -197,15 +181,6 @@ fn main() -> ExitCode {
             0.0
         };
         best_recall = best_recall.max(s_recall);
-        t.row(&[
-            format!("{alpha:.1}"),
-            format!("{trigger_ratio:.2}"),
-            format!("{clear_ratio:.2}"),
-            s_tp.to_string(),
-            s_fp.to_string(),
-            s_fn.to_string(),
-            format!("{s_recall:.3}"),
-        ]);
         sweep_rows.push(serde_json::json!({
             "ewma_alpha": alpha,
             "trigger_ratio": trigger_ratio,
@@ -216,7 +191,6 @@ fn main() -> ExitCode {
             "recall": s_recall,
         }));
     }
-    t.print();
     println!(
         "best sweep recall {best_recall:.3} vs {BASELINE_RECALL:.3} stock baseline \
          (improved: {})",

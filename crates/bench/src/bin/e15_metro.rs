@@ -22,7 +22,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bench::{Report, Table};
+use bench::Report;
 use pran_sim::{MetroConfig, MetroReport, MetroSimulator};
 
 struct Run {
@@ -54,30 +54,12 @@ fn main() -> ExitCode {
     println!("E15: metro-scale sharded simulation ({cells} cells, seed {seed})\n");
 
     // --- curve 1: cells vs wall-clock at the headline shard count ---
-    println!("== scaling: cells vs wall-clock at {headline_shards} shards ==");
     let mut scaling = Vec::new();
     let mut scaling_host = Vec::new();
-    let mut t = Table::new(&[
-        "cells",
-        "shards",
-        "wall_ms",
-        "cells/s",
-        "ns/task",
-        "miss_ratio",
-    ]);
     for div in [8usize, 4, 2, 1] {
         let n = (cells / div).max(headline_shards);
         let run = run_metro(n, headline_shards, seed);
         let m = &run.report.metrics;
-        let ns_per_task = run.wall_ms * 1e6 / m.tasks_total.max(1) as f64;
-        t.row(&[
-            n.to_string(),
-            headline_shards.to_string(),
-            format!("{:.0}", run.wall_ms),
-            format!("{:.0}", n as f64 / (run.wall_ms / 1e3)),
-            format!("{ns_per_task:.0}"),
-            format!("{:.6}", m.miss_ratio()),
-        ]);
         scaling.push(serde_json::json!({
             "cells": n,
             "shards": headline_shards,
@@ -88,27 +70,18 @@ fn main() -> ExitCode {
         scaling_host.push(serde_json::json!({
             "cells": n,
             "wall_ms": run.wall_ms,
-            "ns_per_task": ns_per_task,
+            "ns_per_task": run.wall_ms * 1e6 / m.tasks_total.max(1) as f64,
         }));
     }
-    t.print();
 
-    // --- curve 2: pooling gain vs shard count ---
+    // --- curve 2: pooling gain vs shard count (1..=16) ---
     let gain_cells = (cells / 5).max(16);
-    println!("\n== pooling gain: {gain_cells} cells, 1..=16 shards ==");
     let mut gain_curve = Vec::new();
     let mut gains_ok = true;
-    let mut t = Table::new(&["shards", "sum_shard_peaks", "pooled_peak", "gain"]);
     for shards in [1usize, 2, 4, 8, 16] {
         let run = run_metro(gain_cells, shards, seed);
         let gain = run.report.sharding_gain();
         gains_ok &= gain >= 1.0 - 1e-9;
-        t.row(&[
-            shards.to_string(),
-            format!("{:.1}", run.report.sum_of_shard_peaks()),
-            format!("{:.1}", run.report.peak_of_total()),
-            format!("{gain:.4}"),
-        ]);
         gain_curve.push(serde_json::json!({
             "shards": shards,
             "sum_of_shard_peaks_gops": run.report.sum_of_shard_peaks(),
@@ -116,10 +89,9 @@ fn main() -> ExitCode {
             "gain": gain,
         }));
     }
-    t.print();
 
     // --- headline run: the full metro, once, with structural checks ---
-    println!("\n== headline: {cells} cells / {headline_shards} shards ==");
+    println!("== headline: {cells} cells / {headline_shards} shards ==");
     let head = run_metro(cells, headline_shards, seed);
     let m = &head.report.metrics;
     let cells_covered: usize = head.report.shards.iter().map(|s| s.cells).sum();

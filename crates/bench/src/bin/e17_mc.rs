@@ -29,7 +29,7 @@
 
 use std::process::ExitCode;
 
-use bench::{Report, Table};
+use bench::Report;
 use pran_mc::{emit_reproducing, explore, McConfig, McReport, Model, ViewSemantics};
 
 fn section_for(report: &McReport) -> serde_json::Value {
@@ -55,18 +55,14 @@ fn section_for(report: &McReport) -> serde_json::Value {
 fn print_report(label: &str, report: &McReport) {
     println!(
         "== {label}: {} states, {} transitions, dedup ratio {:.3}, \
-         {} orbits, {} conformance replays ==",
+         {} orbits, {} conformance replays, {} violations ==",
         report.states,
         report.transitions,
         report.dedup_ratio(),
         report.orbit_states,
-        report.conformance_checked
+        report.conformance_checked,
+        report.total_violations()
     );
-    let mut t = Table::new(&["invariant", "violations"]);
-    for (kind, count) in &report.violation_counts {
-        t.row(&[kind.to_string(), count.to_string()]);
-    }
-    t.print();
     for failure in &report.conformance_failures {
         eprintln!("CONFORMANCE DIVERGENCE: {failure}");
     }

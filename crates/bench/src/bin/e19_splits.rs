@@ -28,7 +28,7 @@
 
 use std::process::ExitCode;
 
-use bench::{Report, Table};
+use bench::Report;
 use pran_fronthaul::fault::FaultConfig;
 use pran_phy::FunctionalSplit;
 use pran_sim::{
@@ -94,16 +94,6 @@ fn main() -> ExitCode {
     // accelerators bind *does* shed cells at peak — the placement unit
     // tests cover that regime; here the frontier stays loss-free).
     let fractions = [0.0f64, 0.25, 0.5];
-    let mut t = Table::new(&[
-        "mix",
-        "accel",
-        "fh_bytes",
-        "B/task",
-        "pooled_peak",
-        "sum_shard_peaks",
-        "gain",
-        "miss_ratio",
-    ]);
     let mut frontier = Vec::new();
     // bytes[mix][fraction], peaks[mix][fraction] for the structural checks.
     let mut bytes = vec![vec![0u64; fractions.len()]; MIXES.len()];
@@ -121,22 +111,11 @@ fn main() -> ExitCode {
             gains_ok &= gain >= 1.0 - 1e-9;
             bytes[mi][fi] = m.fronthaul_bytes;
             peaks[mi][fi] = report.peak_of_total();
-            let per_task = m.fronthaul_bytes as f64 / m.tasks_total.max(1) as f64;
-            t.row(&[
-                mix.to_string(),
-                format!("{fraction:.2}"),
-                m.fronthaul_bytes.to_string(),
-                format!("{per_task:.1}"),
-                format!("{:.1}", report.peak_of_total()),
-                format!("{:.1}", report.sum_of_shard_peaks()),
-                format!("{gain:.4}"),
-                format!("{:.6}", m.miss_ratio()),
-            ]);
             frontier.push(serde_json::json!({
                 "mix": mix,
                 "accel_fraction": fraction,
                 "fronthaul_bytes": m.fronthaul_bytes,
-                "bytes_per_task": per_task,
+                "bytes_per_task": m.fronthaul_bytes as f64 / m.tasks_total.max(1) as f64,
                 "peak_of_total_gops": report.peak_of_total(),
                 "sum_of_shard_peaks_gops": report.sum_of_shard_peaks(),
                 "sharding_gain": gain,
@@ -146,7 +125,6 @@ fn main() -> ExitCode {
             }));
         }
     }
-    t.print();
 
     // --- structural checks over the sweep ---
     // Fronthaul bytes shrink strictly as the split moves up, at every

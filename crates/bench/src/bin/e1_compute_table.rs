@@ -6,7 +6,7 @@
 //! while the sample-domain stages stay flat. The headline shape: **turbo
 //! decoding dominates uplink** (≈half the budget at full load).
 
-use bench::{Report, Table};
+use bench::Report;
 use pran_phy::compute::{CellWorkload, ComputeModel, Stage};
 use pran_phy::frame::Direction;
 use pran_phy::mcs::Mcs;
@@ -15,20 +15,13 @@ fn main() {
     bench::telemetry::init_from_env();
     let model = ComputeModel::calibrated();
 
-    println!("E1: per-subframe compute budget (GOPS), 20 MHz / 4 ant / 2 layers, full load\n");
+    println!("E1: per-subframe compute budget (GOPS), 20 MHz / 4 ant / 2 layers, full load");
 
     let mut json_stages = Vec::new();
     for direction in Direction::both() {
-        let w = CellWorkload::full_load(direction);
-        let cost = model.subframe_cost(&w);
-        println!("== {direction} (total {:.1} GOPS) ==", cost.total_gops());
-        let mut t = Table::new(&["stage", "GOPS", "share"]);
+        let cost = model.subframe_cost(&CellWorkload::full_load(direction));
+        println!("{direction}: total {:.1} GOPS", cost.total_gops());
         for s in &cost.stages {
-            t.row(&[
-                s.stage.label().to_string(),
-                format!("{:.1}", s.gops),
-                format!("{:.1}%", cost.stage_share(s.stage) * 100.0),
-            ]);
             json_stages.push(serde_json::json!({
                 "direction": direction.to_string(),
                 "stage": s.stage.label(),
@@ -36,20 +29,9 @@ fn main() {
                 "share": cost.stage_share(s.stage),
             }));
         }
-        t.print();
-        println!();
     }
 
-    // MCS sweep: decode scales, FFT does not.
-    println!("== uplink total vs MCS (100 PRB) ==");
-    let mut t = Table::new(&[
-        "MCS",
-        "modulation",
-        "total GOPS",
-        "decode GOPS",
-        "fft GOPS",
-        "decode share",
-    ]);
+    // MCS sweep (uplink, 100 PRB): decode scales, FFT does not.
     let mut json_sweep = Vec::new();
     for idx in [0u8, 5, 10, 15, 20, 24, 28] {
         let w = CellWorkload {
@@ -57,14 +39,6 @@ fn main() {
             ..CellWorkload::full_load(Direction::Uplink)
         };
         let cost = model.subframe_cost(&w);
-        t.row(&[
-            idx.to_string(),
-            w.mcs.modulation().to_string(),
-            format!("{:.1}", cost.total_gops()),
-            format!("{:.1}", cost.stage_gops(Stage::TurboDecode)),
-            format!("{:.1}", cost.stage_gops(Stage::Fft)),
-            format!("{:.0}%", cost.stage_share(Stage::TurboDecode) * 100.0),
-        ]);
         json_sweep.push(serde_json::json!({
             "mcs": idx,
             "total_gops": cost.total_gops(),
@@ -72,13 +46,12 @@ fn main() {
             "decode_share": cost.stage_share(Stage::TurboDecode),
         }));
     }
-    t.print();
 
     // Cross-check against the closed-form aggregate from the literature.
     let lit = ComputeModel::literature_aggregate_gops(4.0, 6.0, 0.95, 2.0, 100.0);
     let ours = model.cell_gops(&CellWorkload::full_load(Direction::Uplink));
     println!(
-        "\ncross-check: literature aggregate formula gives {lit:.0} GOPS; \
+        "cross-check: literature aggregate formula gives {lit:.0} GOPS; \
          this model's UL total is {ours:.0} GOPS (same order, finer structure)"
     );
 

@@ -12,7 +12,7 @@
 //! table (its modeled schedule is built from a measured service time);
 //! `results/e2_proc_time.json` keeps the sweep grid and the CRC outcomes.
 
-use bench::{fmt_duration, Report, Table};
+use bench::Report;
 use pran_phy::compute::Stage;
 use pran_phy::frame::Bandwidth;
 use pran_phy::kernels::turbo::{turbo_decode, turbo_encode, QppInterleaver, SoftCodeword};
@@ -35,60 +35,22 @@ fn main() {
     let mut rng = SmallRng::seed_from_u64(2);
     let reps = 3;
 
-    println!("E2: measured uplink subframe processing time (this machine)\n");
+    println!("E2: measured uplink subframe processing time (this machine)");
 
     // --- sweep PRBs at fixed MCS 16 ---
-    println!("== time vs PRBs (MCS 16) ==");
-    let mut t = Table::new(&[
-        "PRBs",
-        "total",
-        "fft",
-        "chest",
-        "equalize",
-        "demod",
-        "decode",
-        "crc",
-        "decode share",
-        "ok",
-    ]);
     let mut json_prbs = Vec::new();
     let mut host_prbs = Vec::new();
     for prbs in [10u32, 25, 50, 75, 100] {
-        let mut total = std::time::Duration::ZERO;
-        let mut per_stage = std::collections::HashMap::new();
+        let mut total = Duration::ZERO;
+        let mut decode = Duration::ZERO;
         let mut ok = true;
         for _ in 0..reps {
             let run = run_uplink_subframe(prbs, Mcs::new(16), &cfg, &mut rng);
             ok &= run.crc_ok;
             total += run.total();
-            for s in [
-                Stage::Fft,
-                Stage::ChannelEstimation,
-                Stage::Equalization,
-                Stage::Demodulation,
-                Stage::TurboDecode,
-                Stage::CrcCheck,
-            ] {
-                *per_stage
-                    .entry(s.label())
-                    .or_insert(std::time::Duration::ZERO) += run.stage(s);
-            }
+            decode += run.stage(Stage::TurboDecode);
         }
-        let total = total / reps;
-        let avg = |l: &str| per_stage[l] / reps;
-        let decode_share = avg("decode").as_secs_f64() / total.as_secs_f64();
-        t.row(&[
-            prbs.to_string(),
-            fmt_duration(total),
-            fmt_duration(avg("fft")),
-            fmt_duration(avg("chest")),
-            fmt_duration(avg("equalize")),
-            fmt_duration(avg("demod")),
-            fmt_duration(avg("decode")),
-            fmt_duration(avg("crc")),
-            format!("{:.0}%", decode_share * 100.0),
-            ok.to_string(),
-        ]);
+        let (total, decode) = (total / reps, decode / reps);
         json_prbs.push(serde_json::json!({
             "prbs": prbs,
             "crc_ok": ok,
@@ -96,28 +58,17 @@ fn main() {
         host_prbs.push(serde_json::json!({
             "prbs": prbs,
             "total_us": total.as_micros() as u64,
-            "decode_us": avg("decode").as_micros() as u64,
-            "decode_share": decode_share,
+            "decode_us": decode.as_micros() as u64,
+            "decode_share": decode.as_secs_f64() / total.as_secs_f64(),
         }));
     }
-    t.print();
 
     // --- sweep MCS at fixed 50 PRBs ---
-    println!("\n== time vs MCS (50 PRB) ==");
-    let mut t = Table::new(&[
-        "MCS",
-        "modulation",
-        "info bits",
-        "total",
-        "decode",
-        "decode share",
-        "ok",
-    ]);
     let mut json_mcs = Vec::new();
     let mut host_mcs = Vec::new();
     for idx in [4u8, 10, 16, 22, 28] {
-        let mut total = std::time::Duration::ZERO;
-        let mut decode = std::time::Duration::ZERO;
+        let mut total = Duration::ZERO;
+        let mut decode = Duration::ZERO;
         let mut info = 0usize;
         let mut ok = true;
         for _ in 0..reps {
@@ -127,17 +78,6 @@ fn main() {
             decode += run.stage(Stage::TurboDecode);
             info = run.info_bits;
         }
-        let total = total / reps;
-        let decode = decode / reps;
-        t.row(&[
-            idx.to_string(),
-            Mcs::new(idx).modulation().to_string(),
-            info.to_string(),
-            fmt_duration(total),
-            fmt_duration(decode),
-            format!("{:.0}%", decode.as_secs_f64() / total.as_secs_f64() * 100.0),
-            ok.to_string(),
-        ]);
         json_mcs.push(serde_json::json!({
             "mcs": idx,
             "info_bits": info,
@@ -145,17 +85,16 @@ fn main() {
         }));
         host_mcs.push(serde_json::json!({
             "mcs": idx,
-            "total_us": total.as_micros() as u64,
-            "decode_us": decode.as_micros() as u64,
+            "total_us": (total / reps).as_micros() as u64,
+            "decode_us": (decode / reps).as_micros() as u64,
         }));
     }
-    t.print();
 
     // Linearity check (the paper's modeling assumption).
     let t10 = host_prbs[0]["total_us"].as_u64().unwrap() as f64;
     let t100 = host_prbs[4]["total_us"].as_u64().unwrap() as f64;
     println!(
-        "\nlinearity: 10→100 PRB scales total by {:.1}× (model predicts ≈10× for \
+        "linearity: 10→100 PRB scales total by {:.1}× (model predicts ≈10× for \
          bit-dominated pipelines; FFT's full-band floor keeps it below 10×)",
         t100 / t10
     );
@@ -168,7 +107,6 @@ fn main() {
     // N simulated cores regardless of how many physical cores this host
     // has, while the payloads really decode — so wall-clock is reported as
     // context, and the scaling claim is on the modeled schedule.
-    println!("\n== batched turbo decode on the parallel executor ==");
     let k = 1024usize;
     let msg: Vec<u8> = (0..k).map(|i| ((i * 31) % 2) as u8).collect();
     let cw = turbo_encode(&msg);
@@ -197,14 +135,6 @@ fn main() {
             }
         })
         .collect();
-    let mut t = Table::new(&[
-        "cores",
-        "modeled makespan",
-        "speedup",
-        "wall",
-        "steals",
-        "misses",
-    ]);
     let mut json_par = Vec::new();
     let mut base = Duration::ZERO;
     for &cores in &[1usize, 2, 4] {
@@ -221,29 +151,18 @@ fn main() {
         if cores == 1 {
             base = out.makespan;
         }
-        let speedup = base.as_secs_f64() / out.makespan.as_secs_f64();
-        t.row(&[
-            cores.to_string(),
-            fmt_duration(out.makespan),
-            format!("{speedup:.2}x"),
-            fmt_duration(wall),
-            out.steals.to_string(),
-            out.misses().to_string(),
-        ]);
         json_par.push(serde_json::json!({
             "cores": cores,
             "modeled_makespan_us": out.makespan.as_micros() as u64,
-            "modeled_speedup": speedup,
+            "modeled_speedup": base.as_secs_f64() / out.makespan.as_secs_f64(),
             "wall_us": wall.as_micros() as u64,
             "steals": out.steals,
             "misses": out.misses(),
         }));
     }
-    t.print();
     println!(
-        "({blocks} K={k} blocks, {cells} cells, service {} each; modeled speedup\n\
-         tracks simulated cores — wall-clock tracks this host's physical cores)",
-        fmt_duration(service)
+        "parallel decode: {blocks} K={k} blocks, {cells} cells, service {service:?} each; \
+         modeled speedup tracks simulated cores — wall-clock tracks this host's physical cores"
     );
 
     Report::new("e2_proc_time")

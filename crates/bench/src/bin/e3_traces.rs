@@ -6,25 +6,17 @@
 //! traces; this regenerates the same *statistics* from the synthetic
 //! generator — see DESIGN.md's substitution table.)
 
-use bench::{Report, Table};
+use bench::Report;
 use pran_traces::{generate, pearson, CellClass, DiurnalProfile, TraceConfig};
 
 fn main() {
     bench::telemetry::init_from_env();
-    println!("E3: per-cell load over a day (synthetic operator traces)\n");
+    println!("E3: per-cell load over a day (synthetic operator traces; a city of 60 cells, 24 h, 1-min steps)");
 
     // Per-class profile characteristics.
-    println!("== class profiles ==");
-    let mut t = Table::new(&["class", "peak hour", "daily mean", "peak-to-mean"]);
     let mut json_classes = Vec::new();
     for class in CellClass::all() {
         let p = DiurnalProfile::for_class(class);
-        t.row(&[
-            class.to_string(),
-            format!("{:.1}h", p.peak_hour()),
-            format!("{:.2}", p.daily_mean()),
-            format!("{:.2}", p.peak_to_mean()),
-        ]);
         json_classes.push(serde_json::json!({
             "class": class.to_string(),
             "peak_hour": p.peak_hour(),
@@ -32,36 +24,9 @@ fn main() {
             "peak_to_mean": p.peak_to_mean(),
         }));
     }
-    t.print();
 
-    // A generated city: aggregate statistics.
     let trace = generate(&TraceConfig::default_day(60, 2014));
-    println!("\n== generated city: 60 cells, 24 h, 1-min steps ==");
-    let mut t = Table::new(&["metric", "value"]);
     let agg = trace.aggregate_series();
-    let agg_peak = agg.iter().cloned().fold(0.0f64, f64::max);
-    let agg_mean = agg.iter().sum::<f64>() / agg.len() as f64;
-    t.row(&[
-        "sum of per-cell peaks".to_string(),
-        format!("{:.1}", trace.sum_of_peaks()),
-    ]);
-    t.row(&[
-        "peak of aggregate".to_string(),
-        format!("{:.1}", trace.peak_of_sum()),
-    ]);
-    t.row(&[
-        "multiplexing gain".to_string(),
-        format!("{:.2}×", trace.multiplexing_gain()),
-    ]);
-    t.row(&[
-        "pooling saving".to_string(),
-        format!("{:.0}%", trace.pooling_saving() * 100.0),
-    ]);
-    t.row(&[
-        "aggregate peak-to-mean".to_string(),
-        format!("{:.2}", agg_peak / agg_mean),
-    ]);
-    t.print();
 
     // Correlation structure: same-class vs cross-class.
     let mut same = Vec::new();
@@ -77,43 +42,22 @@ fn main() {
         }
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    println!("\n== inter-cell correlation ==");
-    let mut t = Table::new(&["pair type", "pairs", "mean Pearson r"]);
-    t.row(&[
-        "same class".to_string(),
-        same.len().to_string(),
-        format!("{:.2}", mean(&same)),
-    ]);
-    t.row(&[
-        "cross class".to_string(),
-        cross.len().to_string(),
-        format!("{:.2}", mean(&cross)),
-    ]);
-    t.print();
     println!(
-        "\nshape check: same-class cells move together (r≈{:.2}) while cross-class \
+        "shape check: same-class cells move together (r≈{:.2}) while cross-class \
          cells decorrelate (r≈{:.2}) — the imperfect correlation pooling exploits",
         mean(&same),
         mean(&cross)
     );
 
     // Hourly aggregate profile (the figure's x-axis).
-    println!("\n== aggregate utilization by hour ==");
     let steps_per_hour = (3600.0 / trace.step_seconds) as usize;
-    let mut hourly = Vec::new();
-    let mut t = Table::new(&["hour", "mean aggregate util", "bar"]);
-    for h in 0..24 {
-        let lo = h * steps_per_hour;
-        let hi = ((h + 1) * steps_per_hour).min(agg.len());
-        let m = agg[lo..hi].iter().sum::<f64>() / (hi - lo) as f64 / trace.num_cells() as f64;
-        hourly.push(m);
-        t.row(&[
-            format!("{h:02}:00"),
-            format!("{m:.3}"),
-            "#".repeat((m * 80.0) as usize),
-        ]);
-    }
-    t.print();
+    let hourly: Vec<f64> = (0..24)
+        .map(|h| {
+            let lo = h * steps_per_hour;
+            let hi = ((h + 1) * steps_per_hour).min(agg.len());
+            agg[lo..hi].iter().sum::<f64>() / (hi - lo) as f64 / trace.num_cells() as f64
+        })
+        .collect();
 
     // Sanity against the smoothed `pearson` helper.
     let self_r = pearson(&agg, &agg);

@@ -6,7 +6,7 @@
 //! binary sweeps deployment sizes, dimensions both strategies over 24-hour
 //! traces, and reports savings (expected band: ~30–60 % at city scale).
 
-use bench::{Report, Table};
+use bench::Report;
 use pran_sched::placement::dimensioning::{
     dedicated_servers, pooled_servers, pooling_saving, GopsConverter,
 };
@@ -18,18 +18,7 @@ fn main() {
     let capacity = 400.0;
     let seeds = [11u64, 22, 33];
 
-    println!(
-        "E4: pooled vs dedicated provisioning ({} GOPS servers, 24 h traces)\n",
-        capacity
-    );
-    let mut t = Table::new(&[
-        "cells",
-        "dedicated",
-        "pooled",
-        "saving",
-        "mux gain",
-        "peak agg GOPS",
-    ]);
+    println!("E4: pooled vs dedicated provisioning ({capacity} GOPS servers, 24 h traces)");
     let mut json_rows = Vec::new();
 
     for &cells in &[10usize, 20, 50, 100, 200] {
@@ -37,54 +26,39 @@ fn main() {
         let mut ded_sum = 0usize;
         let mut pool_sum = 0usize;
         let mut gain_sum = 0.0;
-        let mut peak_sum = 0.0;
         for &seed in &seeds {
             let mut cfg = TraceConfig::default_day(cells, seed);
             cfg.step_seconds = 300.0; // 5-min steps keep the sweep fast
             let trace = generate(&cfg);
-            let ded = dedicated_servers(&trace, &conv, capacity);
-            let pool = pooled_servers(&trace, &conv, capacity);
-            ded_sum += ded.servers;
-            pool_sum += pool.servers;
+            ded_sum += dedicated_servers(&trace, &conv, capacity).servers;
+            pool_sum += pooled_servers(&trace, &conv, capacity).servers;
             gain_sum += trace.multiplexing_gain();
-            peak_sum += pool.peak_gops;
         }
         let n = seeds.len() as f64;
         let ded = ded_sum as f64 / n;
         let pool = pool_sum as f64 / n;
-        let saving = 1.0 - pool / ded;
-        t.row(&[
-            cells.to_string(),
-            format!("{ded:.1}"),
-            format!("{pool:.1}"),
-            format!("{:.0}%", saving * 100.0),
-            format!("{:.2}×", gain_sum / n),
-            format!("{:.0}", peak_sum / n),
-        ]);
         json_rows.push(serde_json::json!({
             "cells": cells,
             "dedicated_servers": ded,
             "pooled_servers": pool,
-            "saving": saving,
+            "saving": 1.0 - pool / ded,
             "mux_gain": gain_sum / n,
         }));
     }
-    t.print();
 
     // Shape assertions mirrored in EXPERIMENTS.md.
     let first = &json_rows[0];
     let last = &json_rows[json_rows.len() - 1];
     println!(
-        "\nshape check: saving grows with scale ({:.0}% at {} cells → {:.0}% at {} cells)",
+        "shape check: saving grows with scale ({:.0}% at {} cells → {:.0}% at {} cells)",
         first["saving"].as_f64().unwrap() * 100.0,
         first["cells"],
         last["saving"].as_f64().unwrap() * 100.0,
         last["cells"],
     );
 
-    // Sensitivity: how the saving depends on inter-cell correlation.
-    println!("\n== sensitivity to the shared regional factor (50 cells) ==");
-    let mut t = Table::new(&["regional sigma", "saving", "mux gain"]);
+    // Sensitivity (50 cells): stronger shared regional shocks → more
+    // correlated peaks → smaller pooling gain.
     let mut json_sens = Vec::new();
     for &sigma in &[0.0f64, 0.08, 0.2, 0.4] {
         let mut cfg = TraceConfig::default_day(50, 99);
@@ -94,15 +68,8 @@ fn main() {
         let ded = dedicated_servers(&trace, &conv, capacity);
         let pool = pooled_servers(&trace, &conv, capacity);
         let saving = pooling_saving(&ded, &pool);
-        t.row(&[
-            format!("{sigma:.2}"),
-            format!("{:.0}%", saving * 100.0),
-            format!("{:.2}×", trace.multiplexing_gain()),
-        ]);
         json_sens.push(serde_json::json!({ "regional_sigma": sigma, "saving": saving }));
     }
-    t.print();
-    println!("(stronger shared shocks → more correlated peaks → smaller pooling gain)");
 
     Report::new("e4_multiplexing")
         .meta("server_capacity_gops", serde_json::json!(capacity))

@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use bench::{fmt_duration, Report, Table};
+use bench::Report;
 use pran_ilp::BnbConfig;
 use pran_sched::placement::dimensioning::GopsConverter;
 use pran_sched::placement::heuristics::{place, Heuristic};
@@ -35,7 +35,7 @@ const BNB_MAX_NODES: usize = 20_000;
 
 fn main() {
     bench::telemetry::init_from_env();
-    println!("E5: exact (branch & bound) vs heuristic placement\n");
+    println!("E5: exact (branch & bound) vs heuristic placement");
     let bnb = BnbConfig {
         max_nodes: BNB_MAX_NODES,
         // Far beyond any instance here: the node budget is the only cut.
@@ -43,10 +43,6 @@ fn main() {
         ..BnbConfig::default()
     };
 
-    let mut t = Table::new(&[
-        "cells", "regime", "ILP srv", "FFD srv", "BFD srv", "gap", "ILP time", "FFD time",
-        "time cut",
-    ]);
     let mut json_rows = Vec::new();
     let mut host_rows = Vec::new();
 
@@ -67,9 +63,7 @@ fn main() {
         let t0 = Instant::now();
         let ffd = place(&inst, Heuristic::FirstFitDecreasing);
         let ffd_time = t0.elapsed().max(Duration::from_nanos(100));
-        let t0 = Instant::now();
         let bfd = place(&inst, Heuristic::BestFitDecreasing);
-        let _bfd_time = t0.elapsed();
 
         let exact = ilp::solve(&inst, &bnb);
         let (ilp_srv, ilp_time, optimal) = match &exact.placement {
@@ -83,18 +77,6 @@ fn main() {
         let bfd_srv = inst.servers_used(&bfd.placement);
         let gap = (ffd_srv.min(bfd_srv) as f64 - ilp_srv as f64) / ilp_srv as f64;
         let cut = 1.0 - ffd_time.as_secs_f64() / ilp_time.as_secs_f64();
-
-        t.row(&[
-            cells.to_string(),
-            regime.to_string(),
-            format!("{ilp_srv}{}", if optimal { "" } else { "*" }),
-            ffd_srv.to_string(),
-            bfd_srv.to_string(),
-            format!("{:.0}%", gap * 100.0),
-            fmt_duration(ilp_time),
-            fmt_duration(ffd_time),
-            format!("{:.2}%", cut * 100.0),
-        ]);
         json_rows.push(serde_json::json!({
             "cells": cells,
             "regime": regime,
@@ -114,8 +96,6 @@ fn main() {
             "time_cut": cut,
         }));
     }
-    t.print();
-    println!("(* = limits hit before proof of optimality; incumbent reported)");
 
     let worst_gap = json_rows
         .iter()
@@ -126,7 +106,7 @@ fn main() {
         .map(|r| r["time_cut"].as_f64().unwrap())
         .fold(1.0f64, f64::min);
     println!(
-        "\nshape check: worst heuristic gap {:.0}% (paper band: ≤ ~6%); \
+        "shape check: worst heuristic gap {:.0}% (paper band: ≤ ~6%); \
          minimum solve-time cut {:.2}% (paper: up to 98%)",
         worst_gap * 100.0,
         min_cut * 100.0

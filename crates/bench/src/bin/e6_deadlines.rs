@@ -7,7 +7,7 @@
 //! distributed-RAN stand-in) fall off far sooner because per-cell skew
 //! cannot be absorbed.
 
-use bench::{Report, Table};
+use bench::Report;
 use pran_sched::realtime::workload::{generate, TaskSetConfig};
 use pran_sched::realtime::{simulate, ParallelConfig, ParallelExecutor, Policy};
 
@@ -51,7 +51,7 @@ fn critical_path_report(trace_path: &str) {
 fn sample(critical_path: bool) {
     pran_telemetry::configure(pran_telemetry::TelemetryConfig::sim());
     pran_telemetry::metrics::global().clear();
-    println!("E6 (sample mode): deterministic telemetry smoke run\n");
+    println!("E6 (sample mode): deterministic telemetry smoke run (analytic EDF, parallel pinned)");
 
     let (cells, ttis, cores, util) = (8, 100, 4, 0.9);
     let mut cfg = TaskSetConfig::default_eval(cells, ttis, cores, util);
@@ -64,11 +64,6 @@ fn sample(critical_path: bool) {
         steal: false,
     });
     let parallel = exec.execute(&set.tasks);
-    println!(
-        "analytic EDF miss ratio {:.2}%, parallel (pinned) {:.2}%",
-        analytic.miss_ratio() * 100.0,
-        parallel.miss_ratio() * 100.0
-    );
 
     Report::new("e6_deadlines_sample")
         .meta("mode", serde_json::json!("sample"))
@@ -118,55 +113,40 @@ fn main() {
     let ttis = 400;
     let cores = 4;
     println!(
-        "E6: deadline misses vs utilization ({cells} cells, {cores} cores, {ttis} TTIs, 2 ms budget)\n"
+        "E6: deadline misses vs utilization ({cells} cells, {cores} cores, {ttis} TTIs, 2 ms budget)"
     );
 
-    let mut headers = vec!["target util".to_string(), "achieved".to_string()];
-    headers.extend(Policy::all().iter().map(|p| p.label().to_string()));
-    let mut t = Table::new(&headers);
     let mut json_rows = Vec::new();
     for &util in &[0.5f64, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 1.0, 1.05] {
         let mut cfg = TaskSetConfig::default_eval(cells, ttis, cores, util);
         cfg.seed = 0xE6 + (util * 100.0) as u64;
         let set = generate(&cfg);
-        let mut row = vec![format!("{util:.2}"), format!("{:.2}", set.utilization)];
         let mut misses = serde_json::Map::new();
         for policy in Policy::all() {
             let out = simulate(&set.tasks, cores, policy);
-            row.push(format!("{:.2}%", out.miss_ratio() * 100.0));
             misses.insert(
                 policy.label().to_string(),
                 serde_json::json!(out.miss_ratio()),
             );
         }
-        t.row(&row);
         json_rows.push(serde_json::json!({
             "target_utilization": util,
             "achieved_utilization": set.utilization,
             "miss_ratio": misses,
         }));
     }
-    t.print();
 
-    // Where does each policy first exceed 1 % misses?
-    println!("\n== 1% miss-ratio knee ==");
+    // Where does each policy first exceed 1 % misses? (`null`: never.)
     let mut knees = serde_json::Map::new();
     for policy in Policy::all() {
         let knee = json_rows.iter().find_map(|r| {
             let m = r["miss_ratio"][policy.label()].as_f64().unwrap();
             (m > 0.01).then(|| r["target_utilization"].as_f64().unwrap())
         });
-        match knee {
-            Some(u) => println!(
-                "  {:>12}: misses >1% from utilization {u:.2}",
-                policy.label()
-            ),
-            None => println!("  {:>12}: never exceeds 1% in this sweep", policy.label()),
-        }
         knees.insert(policy.label().to_string(), serde_json::json!(knee));
     }
     println!(
-        "\nshape check: EDF knee ≥ FIFO knee > partitioned knee — pooling the\n\
+        "shape check: EDF knee ≥ FIFO knee > partitioned knee — pooling the\n\
          cores (global scheduling) is what lets the pool run hot safely."
     );
 
@@ -182,19 +162,10 @@ fn main() {
     // the miss knee toward full utilization; pinned (`steal = false`)
     // cores strand capacity exactly like statically partitioned
     // servers.
-    println!("\n== parallel executor: miss ratio vs cores per server (3 cells/core) ==");
-    let core_counts = [1usize, 2, 4, 8];
-    let mut headers = vec!["target util".to_string()];
-    for &c in &core_counts {
-        headers.push(format!("{c}c steal"));
-        headers.push(format!("{c}c pinned"));
-    }
-    let mut t = Table::new(&headers);
     let mut parallel_rows = Vec::new();
     for &util in &[0.5f64, 0.7, 0.8, 0.9, 0.95, 1.0] {
-        let mut row = vec![format!("{util:.2}")];
         let mut by_cores = Vec::new();
-        for &c in &core_counts {
+        for c in [1usize, 2, 4, 8] {
             let mut cfg = TaskSetConfig::default_eval(3 * c, ttis, c, util);
             cfg.seed = 0x6E + (util * 100.0) as u64;
             let set = generate(&cfg);
@@ -207,7 +178,6 @@ fn main() {
                     steal,
                 });
                 let out = exec.execute(&set.tasks);
-                row.push(format!("{:.2}%", out.miss_ratio() * 100.0));
                 let key = if steal { "steal" } else { "pinned" };
                 entry.insert(
                     key.into(),
@@ -221,15 +191,13 @@ fn main() {
             }
             by_cores.push(serde_json::Value::Object(entry));
         }
-        t.row(&row);
         parallel_rows.push(serde_json::json!({
             "target_utilization": util,
             "cores": by_cores,
         }));
     }
-    t.print();
     println!(
-        "\nshape check: at fixed load, stealing columns stay near 0% while the\n\
+        "shape check: at fixed load, stealing miss ratios stay near 0 while the\n\
          pinned ones climb — and more cores only help when they can steal."
     );
 
@@ -237,8 +205,6 @@ fn main() {
     // and steal unit, so batching consecutive 1 ms-spaced TTIs of one
     // cell serializes them on one core and manufactures misses even
     // with idle cores — the latency cost of amortizing dispatch.
-    println!("\n== batch granularity (4 cores, stealing, util 0.90) ==");
-    let mut t = Table::new(&["batch", "miss ratio", "steals", "min slack µs"]);
     let mut batch_rows = Vec::new();
     let mut cfg = TaskSetConfig::default_eval(cells, ttis, 4, 0.9);
     cfg.seed = 0xBA7C;
@@ -250,12 +216,6 @@ fn main() {
             steal: true,
         });
         let out = exec.execute(&set.tasks);
-        t.row(&[
-            batch.to_string(),
-            format!("{:.2}%", out.miss_ratio() * 100.0),
-            out.steals.to_string(),
-            out.min_slack_us().to_string(),
-        ]);
         batch_rows.push(serde_json::json!({
             "batch": batch,
             "miss_ratio": out.miss_ratio(),
@@ -263,7 +223,6 @@ fn main() {
             "min_slack_us": out.min_slack_us(),
         }));
     }
-    t.print();
 
     Report::new("e6_deadlines")
         .meta("cells", serde_json::json!(cells))

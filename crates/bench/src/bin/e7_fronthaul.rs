@@ -6,7 +6,7 @@
 //! becomes load-proportional, and higher splits trade poolable compute for
 //! further reduction.
 
-use bench::{Report, Table};
+use bench::Report;
 use pran_fronthaul::{CpriConfig, FunctionalSplit};
 use pran_phy::frame::{AntennaConfig, Bandwidth};
 use pran_phy::mcs::Mcs;
@@ -16,20 +16,11 @@ fn main() {
     let bw = Bandwidth::Mhz20;
     let mcs = Mcs::new(20);
     println!(
-        "E7: fronthaul bandwidth per functional split ({bw}, MCS {})\n",
+        "E7: fronthaul bandwidth per functional split ({bw}, MCS {})",
         mcs.index()
     );
 
     // Antenna sweep at full load.
-    println!("== Gb/s per cell at full load ==");
-    let mut t = Table::new(&[
-        "antennas",
-        "IQ/CPRI",
-        "freq-domain",
-        "soft-bits",
-        "transport-blocks",
-        "IQ/FD ratio",
-    ]);
     let mut json_ant = Vec::new();
     for antennas in [1u32, 2, 4, 8] {
         let ant = AntennaConfig::new(antennas, antennas.min(2));
@@ -37,14 +28,6 @@ fn main() {
             .iter()
             .map(|s| s.bandwidth_bps(bw, ant, 1.0, mcs))
             .collect();
-        t.row(&[
-            antennas.to_string(),
-            format!("{:.3}", rates[0] / 1e9),
-            format!("{:.3}", rates[1] / 1e9),
-            format!("{:.3}", rates[2] / 1e9),
-            format!("{:.3}", rates[3] / 1e9),
-            format!("{:.1}×", rates[0] / rates[1]),
-        ]);
         json_ant.push(serde_json::json!({
             "antennas": antennas,
             "iq_bps": rates[0],
@@ -53,69 +36,37 @@ fn main() {
             "transport_blocks_bps": rates[3],
         }));
     }
-    t.print();
 
     // Load sweep at 4 antennas — the load-proportionality figure.
-    println!("\n== Gb/s per cell vs load (4 antennas) ==");
     let ant = AntennaConfig::pran_default();
-    let mut t = Table::new(&[
-        "load",
-        "IQ/CPRI",
-        "freq-domain",
-        "soft-bits",
-        "transport-blocks",
-    ]);
     let mut json_load = Vec::new();
     for &load in &[0.05f64, 0.1, 0.25, 0.5, 0.75, 1.0] {
         let rates: Vec<f64> = FunctionalSplit::all()
             .iter()
             .map(|s| s.bandwidth_bps(bw, ant, load, mcs))
             .collect();
-        t.row(&[
-            format!("{:.0}%", load * 100.0),
-            format!("{:.3}", rates[0] / 1e9),
-            format!("{:.3}", rates[1] / 1e9),
-            format!("{:.3}", rates[2] / 1e9),
-            format!("{:.3}", rates[3] / 1e9),
-        ]);
         json_load.push(serde_json::json!({
             "load": load,
             "rates_bps": rates,
         }));
     }
-    t.print();
 
-    // Pool-level aggregate at a daily-mean load of ~35 %.
+    // Pool-level aggregate: 50 cells at a daily-mean load of ~35 %.
     let cells = 50;
     let mean_load = 0.35;
-    println!(
-        "\n== 50-cell pool aggregate at {:.0}% mean load ==",
-        mean_load * 100.0
-    );
-    let mut t = Table::new(&["split", "aggregate Gb/s", "vs CPRI", "pooled compute"]);
     let mut json_pool = Vec::new();
-    let cpri_agg =
-        FunctionalSplit::TimeDomainIq.bandwidth_bps(bw, ant, mean_load, mcs) * cells as f64;
     for split in FunctionalSplit::all() {
-        let agg = split.bandwidth_bps(bw, ant, mean_load, mcs) * cells as f64;
-        t.row(&[
-            split.label().to_string(),
-            format!("{:.1}", agg / 1e9),
-            format!("{:.1}%", agg / cpri_agg * 100.0),
-            format!("{:.0}%", split.pooled_compute_fraction() * 100.0),
-        ]);
         json_pool.push(serde_json::json!({
             "split": split.label(),
-            "aggregate_bps": agg,
+            "aggregate_bps": split.bandwidth_bps(bw, ant, mean_load, mcs) * cells as f64,
             "pooled_compute_fraction": split.pooled_compute_fraction(),
         }));
     }
-    t.print();
 
     // CPRI option requirement per antenna count (context row).
     let cpri = CpriConfig::standard();
     println!(
-        "\ncontext: 4-antenna CPRI needs {:?}; the frequency-domain split fits the\n\
+        "context: 4-antenna CPRI needs {:?}; the frequency-domain split fits the\n\
          same cell into ~1/4 of a 10 GbE at full load and scales down with load.",
         cpri.required_option(bw, 4).expect("within options")
     );

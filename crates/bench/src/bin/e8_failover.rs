@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use bench::{fmt_duration, Report, Table};
+use bench::Report;
 use pran_sched::realtime::ParallelConfig;
 use pran_sim::{FailureSpec, PoolConfig, PoolSimulator};
 use pran_traces::{generate, TraceConfig};
@@ -23,23 +23,15 @@ fn day_trace(cells: usize, seed: u64) -> pran_traces::Trace {
 
 fn main() {
     bench::telemetry::init_from_env();
-    println!("E8: failover outage and adaptation churn\n");
+    println!("E8: failover outage and adaptation churn");
 
-    // --- detection-delay sweep ---
-    println!("== per-cell outage vs detection timeout (ample pool) ==");
-    let mut t = Table::new(&[
-        "detection",
-        "replan",
-        "migration",
-        "outage/cell",
-        "replaced",
-    ]);
+    // --- detection-delay sweep (ample pool) ---
     let mut json_detect = Vec::new();
     for &detect_ms in &[5u64, 20, 50, 100, 200] {
         let mut cfg = PoolConfig::default_eval(12);
         cfg.detection_delay = Duration::from_millis(detect_ms);
         cfg.epoch_steps = 10;
-        let mut sim = PoolSimulator::new(day_trace(20, 8), cfg.clone());
+        let mut sim = PoolSimulator::new(day_trace(20, 8), cfg);
         sim.inject_failure(FailureSpec {
             server: 1,
             at: Duration::from_secs(4 * 3600),
@@ -47,13 +39,6 @@ fn main() {
         });
         let report = sim.run();
         let f = report.failovers.first().expect("failure handled");
-        t.row(&[
-            format!("{detect_ms}ms"),
-            fmt_duration(cfg.replan_overhead),
-            fmt_duration(cfg.migration_time_per_cell),
-            fmt_duration(f.outage),
-            format!("{}/{}", f.replaced, f.displaced),
-        ]);
         json_detect.push(serde_json::json!({
             "detection_ms": detect_ms,
             "outage_ms": f.outage.as_millis() as u64,
@@ -61,17 +46,9 @@ fn main() {
             "replaced": f.replaced,
         }));
     }
-    t.print();
-    println!("(outage = detection + replan + migration; detection dominates)");
 
-    // --- spare-capacity sweep ---
-    println!("\n== failover quality vs pool spare capacity ==");
-    let mut t = Table::new(&[
-        "pool size",
-        "replaced/displaced",
-        "tasks lost",
-        "miss ratio",
-    ]);
+    // --- spare-capacity sweep: a thin pool turns failover into partial
+    // admission loss ---
     let mut json_spare = Vec::new();
     for &servers in &[3usize, 4, 5, 8] {
         let mut cfg = PoolConfig::default_eval(servers);
@@ -85,12 +62,6 @@ fn main() {
         });
         let report = sim.run();
         let f = report.failovers.first().expect("failure handled");
-        t.row(&[
-            servers.to_string(),
-            format!("{}/{}", f.replaced, f.displaced),
-            report.metrics.tasks_lost.to_string(),
-            format!("{:.3}%", report.metrics.miss_ratio() * 100.0),
-        ]);
         json_spare.push(serde_json::json!({
             "servers": servers,
             "displaced": f.displaced,
@@ -99,12 +70,8 @@ fn main() {
             "miss_ratio": report.metrics.miss_ratio(),
         }));
     }
-    t.print();
-    println!("(a thin pool turns failover into partial admission loss)");
 
     // --- adaptation churn under normal drift (no failures) ---
-    println!("\n== adaptation: migration churn over a normal day ==");
-    let mut t = Table::new(&["epoch len", "epochs", "migrations", "churn/epoch/cell"]);
     let mut json_churn = Vec::new();
     for &epoch_steps in &[5usize, 10, 30] {
         let mut cfg = PoolConfig::default_eval(12);
@@ -112,31 +79,23 @@ fn main() {
         let mut sim = PoolSimulator::new(day_trace(20, 9), cfg);
         let report = sim.run();
         let m = &report.metrics;
-        let churn = m.migrations as f64 / m.epochs as f64 / 20.0;
-        t.row(&[
-            format!("{} min", epoch_steps * 2),
-            m.epochs.to_string(),
-            m.migrations.to_string(),
-            format!("{churn:.3}"),
-        ]);
         json_churn.push(serde_json::json!({
             "epoch_minutes": epoch_steps * 2,
             "epochs": m.epochs,
             "migrations": m.migrations,
-            "churn_per_epoch_per_cell": churn,
+            "churn_per_epoch_per_cell": m.migrations as f64 / m.epochs as f64 / 20.0,
         }));
     }
-    t.print();
 
     // --- executor model under failover: analytic vs parallel pool ---
     //
-    // Same mid-ramp failure, but subframes run through the work-stealing
-    // multicore executor instead of the closed-form scheduler model. The
-    // surviving servers absorb the displaced cells, so the interesting
-    // question is whether their executors still meet deadlines at the
-    // higher post-failover load — and how much stealing that takes.
-    println!("\n== subframe execution model under failover (4 servers) ==");
-    let mut t = Table::new(&["executor", "miss ratio", "slack p50", "steals", "replaced"]);
+    // Same mid-ramp failure on 4 servers, but subframes run through the
+    // work-stealing multicore executor instead of the closed-form
+    // scheduler model. The surviving servers absorb the displaced cells,
+    // so the interesting question is whether their executors still meet
+    // deadlines at the higher post-failover load — and how much stealing
+    // that takes. The analytic model reports no slack or steals: those
+    // are executor-model metrics.
     let mut json_exec = Vec::new();
     for (label, parallel) in [
         ("analytic", None),
@@ -159,16 +118,6 @@ fn main() {
         let report = sim.run();
         let m = &report.metrics;
         let f = report.failovers.first().expect("failure handled");
-        t.row(&[
-            label.to_string(),
-            format!("{:.3}%", m.miss_ratio() * 100.0),
-            match m.deadline_slack.try_quantile(0.5) {
-                Some(d) => fmt_duration(d),
-                None => "-".to_string(),
-            },
-            m.steals.to_string(),
-            format!("{}/{}", f.replaced, f.displaced),
-        ]);
         json_exec.push(serde_json::json!({
             "executor": label,
             "miss_ratio": m.miss_ratio(),
@@ -180,11 +129,9 @@ fn main() {
             "displaced": f.displaced,
         }));
     }
-    t.print();
-    println!("(analytic reports no slack/steals — those are executor-model metrics)");
 
     println!(
-        "\nshape check: outage is tens of ms and linear in the detection timeout;\n\
+        "shape check: outage is tens of ms and linear in the detection timeout;\n\
          re-placement succeeds fully while spare capacity exists; steady-state\n\
          churn stays ≪ 1 move/cell/epoch (incremental repack, not re-solve)."
     );

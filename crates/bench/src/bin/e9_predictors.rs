@@ -7,7 +7,7 @@
 //! provisioned GOPS headroom vs the fraction of steps where actual demand
 //! exceeded the provisioned level.
 
-use bench::{Report, Table};
+use bench::Report;
 use pran_sched::placement::dimensioning::GopsConverter;
 use pran_sched::predict::{evaluate, Ewma, HoltLinear, Predictor, SlidingMax};
 use pran_traces::{generate, TraceConfig};
@@ -19,11 +19,12 @@ fn main() {
     let trace = generate(&cfg);
     let conv = GopsConverter::default_eval();
 
-    println!("E9: one-step-ahead load prediction over 30 cells × 24 h (5-min steps)\n");
+    println!("E9: one-step-ahead load prediction over 30 cells × 24 h (5-min steps)");
 
-    // Score each predictor averaged over all cells.
-    println!("== per-cell prediction scores (GOPS series) ==");
-    let mut t = Table::new(&["predictor", "MAE (GOPS)", "under-rate", "over-margin"]);
+    // Score each predictor on per-cell GOPS series, averaged over all
+    // cells. Under-rate = steps where the prediction fell short (each one
+    // risks a deadline-miss burst); over-margin = wasted headroom on safe
+    // steps.
     let mut json_scores = Vec::new();
     type Mk = Box<dyn Fn() -> Box<dyn Predictor>>;
     let makers: Vec<(&str, Mk)> = vec![
@@ -52,12 +53,6 @@ fn main() {
             over += score.over_margin;
         }
         let n = trace.num_cells() as f64;
-        t.row(&[
-            name.to_string(),
-            format!("{:.1}", mae / n),
-            format!("{:.1}%", under / n * 100.0),
-            format!("{:.1}%", over / n * 100.0),
-        ]);
         json_scores.push(serde_json::json!({
             "predictor": name,
             "mae_gops": mae / n,
@@ -65,13 +60,9 @@ fn main() {
             "over_margin": over / n,
         }));
     }
-    t.print();
-    println!("(under-rate = steps where prediction fell short — each one risks a");
-    println!(" deadline-miss burst; over-margin = wasted headroom on safe steps)");
 
-    // Downstream: provisioning with predictor × headroom.
-    println!("\n== provisioned-GOPS vs shortfall (aggregate, sliding-max(6)) ==");
-    let mut t = Table::new(&["headroom", "mean provisioned/actual", "shortfall steps"]);
+    // Downstream: provisioned GOPS vs shortfall, aggregate demand under
+    // sliding-max(6) × headroom.
     let mut json_headroom = Vec::new();
     let agg: Vec<f64> = trace
         .samples
@@ -94,20 +85,14 @@ fn main() {
             }
             p.observe(actual);
         }
-        t.row(&[
-            format!("{headroom:.2}"),
-            format!("{:.3}", provisioned_sum / actual_sum),
-            format!("{}/{}", shortfalls, agg.len() - 1),
-        ]);
         json_headroom.push(serde_json::json!({
             "headroom": headroom,
             "provision_ratio": provisioned_sum / actual_sum,
             "shortfall_steps": shortfalls,
         }));
     }
-    t.print();
     println!(
-        "\nshape check: the envelope predictor + ~10% headroom eliminates nearly\n\
+        "shape check: the envelope predictor + ~10% headroom eliminates nearly\n\
          all shortfalls at ~15-25% over-provisioning — the operating point the\n\
          controller's default configuration encodes."
     );

@@ -1,64 +1,19 @@
-//! Shared experiment-harness utilities: aligned table printing and
-//! machine-readable result emission.
+//! Shared experiment-harness utilities: machine-readable result emission
+//! and its one printed form.
 //!
-//! Every `e*` binary prints a human-readable table **and** writes the same
-//! data as JSON under `results/` so EXPERIMENTS.md can cite exact numbers.
+//! Every `e*` binary writes its results as JSON under `results/` so
+//! EXPERIMENTS.md can cite exact numbers, and prints those same sections
+//! (see [`Report::save`]): what a run shows is what it saved.
 
-use std::fmt::Display;
+use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
+
+use serde_json::{Map, Value};
 
 mod envelope;
 
 pub use envelope::{Envelope, REPORT_SCHEMA};
-
-/// A simple aligned text table.
-pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Create with column headers.
-    pub fn new<S: Display>(headers: &[S]) -> Self {
-        Table {
-            headers: headers.iter().map(|h| h.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Append a row (must match the header count).
-    pub fn row<S: Display>(&mut self, cells: &[S]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells);
-        self
-    }
-
-    /// Render to stdout.
-    pub fn print(&self) {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (w, c) in widths.iter_mut().zip(row) {
-                *w = (*w).max(c.len());
-            }
-        }
-        let line = |cells: &[String]| {
-            let joined: Vec<String> = cells
-                .iter()
-                .zip(&widths)
-                .map(|(c, w)| format!("{c:>w$}", w = w))
-                .collect();
-            println!("| {} |", joined.join(" | "));
-        };
-        line(&self.headers);
-        let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-        println!("|-{}-|", sep.join("-|-"));
-        for row in &self.rows {
-            line(row);
-        }
-    }
-}
 
 /// Write `value` pretty-printed to `<dir>/<file>`.
 fn write_results(dir: &Path, file: &str, value: &Envelope) {
@@ -88,9 +43,9 @@ fn write_results(dir: &Path, file: &str, value: &Envelope) {
 /// `results/<name>.trace.jsonl` (see [`telemetry::flush_artifacts`]).
 pub struct Report {
     name: String,
-    meta: serde_json::Map,
-    results: serde_json::Map,
-    host: serde_json::Map,
+    meta: Map,
+    results: Map,
+    host: Map,
 }
 
 impl Report {
@@ -98,33 +53,33 @@ impl Report {
     pub fn new(name: &str) -> Self {
         Report {
             name: name.to_string(),
-            meta: serde_json::Map::new(),
-            results: serde_json::Map::new(),
-            host: serde_json::Map::new(),
+            meta: Map::new(),
+            results: Map::new(),
+            host: Map::new(),
         }
     }
 
     /// Stamp one workload/config metadata entry (cells, seeds, cores, …).
-    pub fn meta(mut self, key: &str, value: serde_json::Value) -> Self {
+    pub fn meta(mut self, key: &str, value: Value) -> Self {
         self.meta.insert(key.to_string(), value);
         self
     }
 
     /// Add a named result section that a seeded run repeats exactly.
-    pub fn section(mut self, key: &str, value: serde_json::Value) -> Self {
+    pub fn section(mut self, key: &str, value: Value) -> Self {
         self.results.insert(key.to_string(), value);
         self
     }
 
     /// Add a named section of wall-clock readings (or values derived
     /// from them); it is written to `results/<name>.host.json` only.
-    pub fn host(mut self, key: &str, value: serde_json::Value) -> Self {
+    pub fn host(mut self, key: &str, value: Value) -> Self {
         self.host.insert(key.to_string(), value);
         self
     }
 
     /// The envelope around one of the two result maps.
-    fn envelope(&self, results: &serde_json::Map) -> Envelope {
+    fn envelope(&self, results: &Map) -> Envelope {
         Envelope {
             experiment: self.name.clone(),
             schema: REPORT_SCHEMA.to_string(),
@@ -133,14 +88,33 @@ impl Report {
         }
     }
 
-    /// Write `results/<name>.json`, `results/<name>.host.json` when any
-    /// [`Report::host`] section was added, and flush telemetry artifacts
+    /// Print every section, seeded ones first and host ones after; write
+    /// `results/<name>.json`, `results/<name>.host.json` when any
+    /// [`Report::host`] section was added; and flush telemetry artifacts
     /// (`results/` is relative to the workspace root when run via
     /// `cargo run -p bench`).
+    ///
+    /// The printout is rendered from the saved values themselves, so it
+    /// shows exactly what the documents hold: an array of objects is one
+    /// table (keys as columns, in document order), an object is
+    /// `key: value` lines, anything else is one line; every cell is the
+    /// value's compact JSON text, strings unquoted.
     pub fn save(self) {
-        println!();
+        println!("\n{}", self.render());
         self.write_to(Path::new("results"));
         telemetry::flush_artifacts(&self.name);
+    }
+
+    /// What [`Report::save`] prints: one block per section, blank-line
+    /// separated.
+    fn render(&self) -> String {
+        let mut out = String::new();
+        for (sections, suffix) in [(&self.results, ""), (&self.host, " (host)")] {
+            for (key, value) in sections.iter() {
+                render_section(&mut out, &format!("{key}{suffix}"), value);
+            }
+        }
+        out
     }
 
     fn write_to(&self, dir: &Path) {
@@ -150,6 +124,67 @@ impl Report {
             let host = self.envelope(&self.host);
             write_results(dir, &format!("{}.host.json", self.name), &host);
         }
+    }
+}
+
+/// One printed cell: the value's compact JSON text, strings unquoted.
+fn cell(value: &Value) -> String {
+    match value {
+        Value::String(s) => s.clone(),
+        other => other.to_json_string(),
+    }
+}
+
+/// Append section `label` to `out` in the shape [`Report::save`] documents.
+fn render_section(out: &mut String, label: &str, value: &Value) {
+    if !out.is_empty() {
+        out.push('\n');
+    }
+    let rows: Option<Vec<&Map>> = match value.as_array() {
+        Some(items) if !items.is_empty() => items.iter().map(Value::as_object).collect(),
+        _ => None,
+    };
+    if let Some(rows) = rows {
+        let mut columns: Vec<&str> = Vec::new();
+        for key in rows.iter().flat_map(|row| row.keys()) {
+            if !columns.contains(&key.as_str()) {
+                columns.push(key);
+            }
+        }
+        let mut lines = vec![columns.iter().map(|c| c.to_string()).collect::<Vec<_>>()];
+        lines.extend(rows.iter().map(|row| {
+            let at = |c: &&str| row.get(c).map_or_else(String::new, cell);
+            columns.iter().map(at).collect()
+        }));
+        let widths: Vec<usize> = (0..columns.len())
+            .map(|i| {
+                lines
+                    .iter()
+                    .map(|l| l[i].chars().count())
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        let _ = writeln!(out, "== {label} ==");
+        for (i, line) in lines.iter().enumerate() {
+            let padded: Vec<String> = line
+                .iter()
+                .zip(&widths)
+                .map(|(c, &w)| format!("{c:>w$}"))
+                .collect();
+            let _ = writeln!(out, "| {} |", padded.join(" | "));
+            if i == 0 {
+                let rule: Vec<String> = widths.iter().map(|&w| "-".repeat(w)).collect();
+                let _ = writeln!(out, "|-{}-|", rule.join("-|-"));
+            }
+        }
+    } else if let Some(fields) = value.as_object() {
+        let _ = writeln!(out, "== {label} ==");
+        for (key, field) in fields.iter() {
+            let _ = writeln!(out, "{key}: {}", cell(field));
+        }
+    } else {
+        let _ = writeln!(out, "{label}: {}", cell(value));
     }
 }
 
@@ -204,21 +239,43 @@ pub mod telemetry {
     }
 }
 
-/// Format a `std::time::Duration` in engineering style.
-pub fn fmt_duration(d: std::time::Duration) -> String {
-    let s = d.as_secs_f64();
-    if s >= 1.0 {
-        format!("{s:.2}s")
-    } else if s >= 1e-3 {
-        format!("{:.2}ms", s * 1e3)
-    } else {
-        format!("{:.1}µs", s * 1e6)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn save_prints_each_saved_section_in_its_shape() {
+        let report = Report::new("unit")
+            .section(
+                "rows",
+                serde_json::json!([
+                    {"cell": "a", "load": {"ul": 1, "dl": 0.5}, "ok": true},
+                    {"cell": "bb", "ok": false}
+                ]),
+            )
+            .section("counts", serde_json::json!({"tasks": 12, "label": "x"}))
+            .section("gain", serde_json::json!(1.25))
+            .host("timing", serde_json::json!({"wall_ms": 3.5}));
+        let printed = report.render();
+        assert_eq!(printed, report.render(), "printing twice is byte-stable");
+        assert_eq!(
+            printed,
+            "== rows ==\n\
+             | cell |              load |    ok |\n\
+             |------|-------------------|-------|\n\
+             |    a | {\"ul\":1,\"dl\":0.5} |  true |\n\
+             |   bb |                   | false |\n\
+             \n\
+             == counts ==\n\
+             tasks: 12\n\
+             label: x\n\
+             \n\
+             gain: 1.25\n\
+             \n\
+             == timing (host) ==\n\
+             wall_ms: 3.5\n"
+        );
+    }
 
     #[test]
     fn seeded_and_host_sections_save_to_disjoint_byte_stable_envelopes() {

@@ -12,7 +12,8 @@
 //!   Demand forecasts feeding all of this come from [`predict`].
 //! * **Fine (per-TTI)** — [`realtime`]: scheduling subframe tasks with HARQ
 //!   deadlines on pool cores (global EDF vs FIFO vs partitioned), as a
-//!   discrete-event simulation plus a real threaded executor.
+//!   discrete-event simulation plus the pool server's N-core executor
+//!   ([`realtime::parallel`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

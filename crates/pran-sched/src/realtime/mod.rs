@@ -9,7 +9,6 @@
 //! deadline misses, the metric experiment E6 sweeps against utilization.
 
 pub mod batch;
-pub mod executor;
 pub mod parallel;
 pub mod workload;
 

@@ -4,17 +4,17 @@
 //! controller's centralized state makes re-placement a pure control-plane
 //! operation, and the per-cell outage is detection + replan + migration —
 //! tens of milliseconds, not the minutes a hardware RMA would take. The
-//! example also runs *real* deadline-scheduled turbo decodes on a worker
-//! pool shrunk by one "server" to show the compute-side effect.
+//! example also runs *real* turbo decodes through the parallel subframe
+//! executor on a pool shrunk by one core to show the compute-side effect.
 //!
 //! ```sh
 //! cargo run --release --example failover
 //! ```
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pran::phy::kernels::{turbo_decode, turbo_encode, QppInterleaver, SoftCodeword};
-use pran::sched::realtime::executor::{DeadlineExecutor, Job};
+use pran::sched::realtime::{ParallelConfig, ParallelExecutor, RtTask};
 use pran::sim::{FailureSpec, PoolConfig, PoolSimulator};
 use pran::traces::{generate, TraceConfig};
 
@@ -65,72 +65,60 @@ fn main() {
         );
     }
 
-    // ---- Part 2: real decode jobs on a shrinking worker pool ----
-    println!("\n== real turbo decodes under worker loss ==");
+    // ---- Part 2: real decode jobs on a shrinking pool of cores ----
+    println!("\n== real turbo decodes under core loss ==");
     let k = 2048;
     let n_jobs = 64usize;
     let interleaver = QppInterleaver::for_block_size(k).expect("supported size");
     let message: Vec<u8> = (0..k).map(|i| ((i * 37) % 2) as u8).collect();
-    let codeword = turbo_encode(&message);
+    let soft = SoftCodeword::from_codeword(&turbo_encode(&message), 3.0);
 
     // Calibrate one decode on this machine (the kernels are unoptimized
     // reference implementations — see DESIGN.md scale note — so deadlines
     // are set relative to measured speed, not LTE wall-clock).
-    let calibrate = {
-        let soft = SoftCodeword::from_codeword(&codeword, 3.0);
-        let start = std::time::Instant::now();
+    let service = {
+        let start = Instant::now();
         let out = turbo_decode(&soft, &interleaver, 5);
         assert_eq!(out.bits, message);
         start.elapsed()
     };
-    // Worker counts scale to this machine; on a single-core box the
-    // comparison degenerates (time-slicing), which the output calls out.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let (full, degraded) = if cores >= 2 {
-        (cores, cores - 1)
-    } else {
-        (2, 1)
-    };
-    // Deadline sits between the full and degraded batch completion times,
-    // so losing a worker turns a clean batch into misses (given real
-    // hardware parallelism).
-    let deadline = calibrate.mul_f64(n_jobs as f64 / (degraded as f64 + 0.5));
-    println!(
-        "  single decode (K={k}): {calibrate:?}; batch deadline {deadline:?}; {cores} hw cores"
-    );
-    if cores < 2 {
-        println!("  (single-core machine: worker counts time-slice, so the");
-        println!("   full vs degraded comparison below is illustrative only)");
-    }
+    // The executor schedules on simulated cores, so the comparison holds
+    // whatever this host's core count: the deadline sits between the full
+    // and degraded batch completion times, and losing a core turns a clean
+    // batch into misses.
+    let (full, degraded) = (4usize, 3usize);
+    let deadline = service.mul_f64(n_jobs as f64 / (degraded as f64 + 0.5));
+    println!("  single decode (K={k}): {service:?}; batch deadline {deadline:?}");
 
-    for workers in [full, degraded] {
-        let jobs: Vec<Job> = (0..n_jobs)
-            .map(|id| {
-                let soft = SoftCodeword::from_codeword(&codeword, 3.0);
-                let il = QppInterleaver::for_block_size(k).expect("supported size");
-                let expect = message.clone();
-                Job {
-                    id,
-                    deadline,
-                    work: Box::new(move || {
-                        let out = turbo_decode(&soft, &il, 5);
-                        assert_eq!(out.bits, expect, "decode corrupted");
-                    }),
-                }
-            })
-            .collect();
-        let out = DeadlineExecutor::new(workers).run(jobs);
+    let tasks: Vec<RtTask> = (0..n_jobs)
+        .map(|id| RtTask {
+            id,
+            cell: id,
+            release: Duration::ZERO,
+            deadline,
+            service,
+        })
+        .collect();
+    for cores in [full, degraded] {
+        let exec = ParallelExecutor::new(ParallelConfig {
+            cores,
+            batch: 1,
+            steal: true,
+        });
+        let start = Instant::now();
+        let out = exec.execute_with(&tasks, |_| {
+            let decoded = turbo_decode(&soft, &interleaver, 5);
+            assert_eq!(decoded.bits, message, "decode corrupted");
+        });
         println!(
-            "  {} workers: {} decodes in {:?}, {} deadline misses",
-            workers,
-            n_jobs,
-            out.elapsed,
+            "  {cores} cores: {n_jobs} decodes, modeled makespan {:?} (wall {:?}), \
+             {} deadline misses",
+            out.makespan,
+            start.elapsed(),
             out.misses()
         );
     }
-    println!("\n(losing a worker stretches the batch past the deadline —");
+    println!("\n(losing a core stretches the batch past the deadline —");
     println!(" exactly the capacity the placement layer must restore by");
     println!(" re-placing the failed server's cells)");
 }
