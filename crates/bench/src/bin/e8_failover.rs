@@ -105,7 +105,7 @@ fn main() {
         let mut cfg = PoolConfig::default_eval(4);
         cfg.epoch_steps = 10;
         cfg.parallel = parallel.map(|steal| ParallelConfig {
-            cores: cfg.cores_per_server,
+            cores: cfg.server_cores(),
             batch: 1,
             steal,
         });

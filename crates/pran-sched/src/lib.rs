@@ -11,9 +11,9 @@
 //!   the multiplexing experiment lives in [`placement::dimensioning`].
 //!   Demand forecasts feeding all of this come from [`predict`].
 //! * **Fine (per-TTI)** — [`realtime`]: scheduling subframe tasks with HARQ
-//!   deadlines on pool cores (global EDF vs FIFO vs partitioned), as a
-//!   discrete-event simulation plus the pool server's N-core executor
-//!   ([`realtime::parallel`]).
+//!   deadlines on pool cores (global EDF vs FIFO vs partitioned), with one
+//!   greedy dispatcher ([`realtime::simulate_into`]) plus the pool
+//!   server's N-core executor ([`realtime::parallel`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,4 +25,4 @@ pub mod realtime;
 pub use placement::heuristics::{place, Heuristic, HeuristicResult};
 pub use placement::{CellDemand, Placement, PlacementError, PlacementInstance, ServerSpec};
 pub use predict::{evaluate, Ewma, HoltLinear, Predictor, SlidingMax};
-pub use realtime::{simulate, Policy, RtTask, SimOutcome};
+pub use realtime::{simulate, Policy, RtTask};

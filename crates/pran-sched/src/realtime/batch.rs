@@ -1,10 +1,7 @@
-//! Struct-of-arrays batched variant of the analytic scheduler.
+//! The greedy non-preemptive dispatcher, on struct-of-arrays task sets.
 //!
-//! [`simulate`](super::simulate) allocates six vectors and heaps per call
-//! and carries tasks as an array-of-structs of `Duration`s. That is fine
-//! for scoring one policy on one task set; it is the dominant cost when a
-//! metro run calls it once per server per trace step (millions of calls
-//! of ~10 tasks each). This module is the zero-allocation twin:
+//! A metro run dispatches once per server per trace step (millions of
+//! calls of ~10 tasks each), so nothing here allocates in steady state:
 //!
 //! * [`TaskBatch`] keeps release/deadline/service as flat `u64`
 //!   nanosecond columns (task id = row index), so batched cost
@@ -14,13 +11,13 @@
 //! * [`simulate_into`] writes finish/missed columns into a caller-owned
 //!   [`BatchOutcome`].
 //!
-//! The algorithm is the *same* greedy non-preemptive dispatch as
-//! [`simulate`](super::simulate), bit-for-bit: all simulator-generated
-//! times are exact nanosecond quantities, `u64` nanosecond arithmetic is
-//! isomorphic to `Duration` arithmetic at this range (hours ≪ 2⁶⁴ ns),
-//! and ordering keys compare identically. `tests` below pin the
-//! equivalence against the reference on randomized task sets for every
-//! policy.
+//! Dispatch has two paths. The general one keeps a ready heap keyed by
+//! the policy and a heap of core free times. When the ready heap would
+//! pop in admission order anyway — global FIFO, one partitioned core, or
+//! EDF with one `deadline − release` budget for every task (the subframe
+//! shape) — a heap-free path dispatches straight down the sorted order.
+//! `tests` below hold the two equal on randomized batches, and
+//! `realtime`'s hand-worked cases pin the dispatcher's answers.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -93,7 +90,7 @@ impl TaskBatch {
         self.cell.is_empty()
     }
 
-    /// Build a batch from reference tasks. Requires dense ids
+    /// Build a batch from [`RtTask`]s. Requires dense ids
     /// (`tasks[i].id == i`), the layout the pool generates.
     ///
     /// # Panics
@@ -163,10 +160,19 @@ impl BatchOutcome {
         self.missed.iter().filter(|&&m| m).count()
     }
 
+    /// Fraction of tasks missing their deadline.
+    pub fn miss_ratio(&self) -> f64 {
+        if self.missed.is_empty() {
+            0.0
+        } else {
+            self.misses() as f64 / self.missed.len() as f64
+        }
+    }
+
     /// Task `i` of `batch` as the `subframe` record [`simulate_into`]
-    /// emits for it: the µs-truncated columns the reference scheduler
-    /// reports, start reconstructed as finish − service on the µs grid
-    /// (non-preemptive dispatch runs each task contiguously).
+    /// emits for it: every column truncated to whole µs, start
+    /// reconstructed as finish − service on the µs grid (non-preemptive
+    /// dispatch runs each task contiguously).
     #[inline]
     pub fn subframe(&self, batch: &TaskBatch, i: usize) -> pran_telemetry::Subframe {
         let finish = self.finish_ns[i] / 1_000;
@@ -182,18 +188,20 @@ impl BatchOutcome {
     }
 }
 
-/// Ready-queue ordering key (mirrors the reference scheduler's).
+/// Ready-queue ordering key of the heap dispatch path.
 #[derive(Clone, Copy)]
 enum SelectBy {
     Deadline,
     Release,
+    /// `deadline − service` (static laxity).
     Slack,
 }
 
 /// Simulate a batch on `cores` identical cores under `policy`, writing
-/// results into `out` — the zero-allocation twin of
-/// [`simulate`](super::simulate). Emits the same per-task `subframe`
-/// trace events when telemetry is on.
+/// results into `out`. Non-preemptive and work-conserving: whenever a
+/// core is free and tasks are ready, the policy's best ready task starts
+/// immediately. Emits one `subframe` trace event per task, in row order,
+/// when telemetry is on.
 ///
 /// # Panics
 /// Panics if `cores == 0`.
@@ -289,8 +297,7 @@ pub fn simulate_into(
     }
 }
 
-/// Sort task indices by (release, index) — the reference admission order
-/// (ids there are dense, so index order is id order).
+/// Sort task indices by (release, index) — the admission order.
 fn sort_order(batch: &TaskBatch, order: &mut [u32]) {
     order.sort_unstable_by_key(|&i| (batch.release_ns[i as usize], i));
 }
@@ -307,7 +314,7 @@ fn uniform_deadline_offset(batch: &TaskBatch) -> bool {
     (1..n).all(|i| batch.deadline_ns[i].wrapping_sub(batch.release_ns[i]) == off)
 }
 
-/// Heap-free twin of [`run_queue`] for policies whose ready queue pops in
+/// [`run_queue`] without heaps, for policies whose ready queue pops in
 /// admission order: tasks dispatch strictly in `order`, each to the core
 /// with the least `(free_at, core)` — the exact task→core→begin mapping
 /// the heap version produces, without its per-task heap traffic.
@@ -413,9 +420,7 @@ fn run_queue(
 
 #[cfg(test)]
 mod tests {
-    use super::super::simulate;
     use super::*;
-    use std::time::Duration;
 
     /// Deterministic xorshift so the differential sweep needs no RNG dep.
     struct Rng(u64);
@@ -430,28 +435,79 @@ mod tests {
         }
     }
 
-    fn random_tasks(rng: &mut Rng, n: usize, cells: usize) -> Vec<RtTask> {
-        (0..n)
-            .map(|id| {
-                let release = Duration::from_nanos(rng.next() % 4_000_000);
-                // Mix exact-µs and odd-ns values so truncation paths and
-                // tie-breaking both get exercised.
-                let service = Duration::from_nanos(100_000 + rng.next() % 2_000_003);
-                let deadline = release + Duration::from_nanos(rng.next() % 3_000_001);
-                RtTask {
-                    id,
-                    cell: (rng.next() % cells as u64) as usize,
-                    release,
-                    deadline,
-                    service,
-                }
-            })
-            .collect()
+    fn random_batch(rng: &mut Rng, n: usize, cells: u64) -> TaskBatch {
+        let mut batch = TaskBatch::new();
+        for _ in 0..n {
+            let release = rng.next() % 4_000_000;
+            // Mix exact-µs and odd-ns values so truncation paths and
+            // tie-breaking both get exercised.
+            let service = 100_000 + rng.next() % 2_000_003;
+            let deadline = release + rng.next() % 3_000_001;
+            batch.push((rng.next() % cells) as u32, release, deadline, service);
+        }
+        batch
+    }
+
+    /// [`simulate_into`] with every dispatch forced through the heap
+    /// [`run_queue`], on fresh buffers: what the heap-free path must equal.
+    fn heap_only(batch: &TaskBatch, cores: usize, policy: Policy) -> BatchOutcome {
+        let n = batch.len();
+        let mut out = BatchOutcome {
+            finish_ns: vec![0; n],
+            missed: vec![false; n],
+            core_busy_ns: vec![0; cores],
+            makespan_ns: 0,
+        };
+        let select = match policy {
+            Policy::GlobalEdf => SelectBy::Deadline,
+            Policy::GlobalLlf => SelectBy::Slack,
+            Policy::GlobalFifo | Policy::Partitioned => SelectBy::Release,
+        };
+        // One dispatch run per (tasks, the cores they may use).
+        let runs: Vec<(Vec<u32>, std::ops::Range<usize>)> = match policy {
+            Policy::Partitioned => (0..cores)
+                .map(|c| {
+                    let mine =
+                        (0..n as u32).filter(|&i| batch.cell[i as usize] as usize % cores == c);
+                    (mine.collect(), c..c + 1)
+                })
+                .collect(),
+            _ => vec![((0..n as u32).collect(), 0..cores)],
+        };
+        for (mut order, slots) in runs {
+            sort_order(batch, &mut order);
+            let makespan = run_queue(
+                batch,
+                &order,
+                slots.len(),
+                select,
+                &mut BinaryHeap::new(),
+                &mut BinaryHeap::new(),
+                &mut out.finish_ns,
+                &mut out.missed,
+                &mut out.core_busy_ns[slots],
+            );
+            out.makespan_ns = out.makespan_ns.max(makespan);
+        }
+        out
+    }
+
+    /// [`simulate_into`] on a fresh scratch and outcome.
+    fn fresh(batch: &TaskBatch, cores: usize, policy: Policy) -> BatchOutcome {
+        let mut out = BatchOutcome::new();
+        simulate_into(batch, cores, policy, &mut SimScratch::new(), &mut out);
+        out
+    }
+
+    /// Every column of an outcome, for whole-outcome comparisons.
+    fn columns(out: &BatchOutcome) -> (Vec<u64>, Vec<bool>, Vec<u64>, u64) {
+        let (finish, missed) = (out.finish_ns.clone(), out.missed.clone());
+        (finish, missed, out.core_busy_ns.clone(), out.makespan_ns)
     }
 
     /// The EDF fast path (constant `deadline − release`, heap-free
-    /// dispatch) must match the reference scheduler exactly — this is the
-    /// shape every subframe batch has, so it is the path e15 lives on.
+    /// dispatch) must match heap dispatch exactly — this is the shape
+    /// every subframe batch has, so it is the path the pool lives on.
     #[test]
     fn edf_fast_path_matches_reference_on_uniform_offset() {
         let mut rng = Rng(0xDEADBEEFCAFEF00D);
@@ -459,43 +515,29 @@ mod tests {
         let mut out = BatchOutcome::new();
         for round in 0..40 {
             let n = 1 + (round % 23);
-            let offset = Duration::from_nanos(1_500_000 + rng.next() % 1_000_000);
-            let tasks: Vec<RtTask> = (0..n)
-                .map(|id| {
-                    let release = Duration::from_nanos((rng.next() % 4) * 1_000_000);
-                    RtTask {
-                        id,
-                        cell: (rng.next() % 7) as usize,
-                        release,
-                        deadline: release + offset,
-                        service: Duration::from_nanos(100_000 + rng.next() % 2_000_003),
-                    }
-                })
-                .collect();
-            let batch = TaskBatch::from_tasks(&tasks);
+            let offset = 1_500_000 + rng.next() % 1_000_000;
+            let mut batch = TaskBatch::new();
+            for _ in 0..n {
+                let release = (rng.next() % 4) * 1_000_000;
+                let cell = (rng.next() % 7) as u32;
+                let service = 100_000 + rng.next() % 2_000_003;
+                batch.push(cell, release, release + offset, service);
+            }
             assert!(uniform_deadline_offset(&batch), "test shape broken");
             for cores in [1, 2, 4] {
-                let reference = simulate(&tasks, cores, Policy::GlobalEdf);
                 simulate_into(&batch, cores, Policy::GlobalEdf, &mut scratch, &mut out);
-                for i in 0..n {
-                    assert_eq!(
-                        out.finish_ns[i],
-                        reference.finish[i].as_nanos() as u64,
-                        "finish mismatch task {i} cores {cores}"
-                    );
-                    assert_eq!(out.missed[i], reference.missed[i]);
-                }
-                assert_eq!(out.makespan_ns, reference.makespan.as_nanos() as u64);
-                let busy: Vec<u64> = reference
-                    .core_busy
-                    .iter()
-                    .map(|d| d.as_nanos() as u64)
-                    .collect();
-                assert_eq!(out.core_busy_ns, busy, "cores {cores}");
+                let heap = heap_only(&batch, cores, Policy::GlobalEdf);
+                assert_eq!(
+                    columns(&out),
+                    columns(&heap),
+                    "round {round}, cores {cores}"
+                );
             }
         }
     }
 
+    /// FIFO and partitioned dispatch take the heap-free path on any
+    /// batch; reused buffers must give what fresh ones give.
     #[test]
     fn matches_reference_on_random_sets() {
         let mut rng = Rng(0x9E3779B97F4A7C15);
@@ -503,28 +545,15 @@ mod tests {
         let mut out = BatchOutcome::new();
         for round in 0..40 {
             let n = 1 + (round % 17);
-            let tasks = random_tasks(&mut rng, n, 5);
-            let batch = TaskBatch::from_tasks(&tasks);
+            let batch = random_batch(&mut rng, n, 5);
             for cores in [1, 2, 4] {
-                for policy in Policy::all() {
-                    let reference = simulate(&tasks, cores, policy);
+                for policy in [Policy::GlobalFifo, Policy::Partitioned] {
                     simulate_into(&batch, cores, policy, &mut scratch, &mut out);
-                    for i in 0..n {
-                        assert_eq!(
-                            out.finish_ns[i],
-                            reference.finish[i].as_nanos() as u64,
-                            "finish mismatch task {i} {policy:?} cores {cores}"
-                        );
-                        assert_eq!(out.missed[i], reference.missed[i]);
-                    }
-                    assert_eq!(out.misses(), reference.misses());
-                    assert_eq!(out.makespan_ns, reference.makespan.as_nanos() as u64);
-                    let busy: Vec<u64> = reference
-                        .core_busy
-                        .iter()
-                        .map(|d| d.as_nanos() as u64)
-                        .collect();
-                    assert_eq!(out.core_busy_ns, busy, "{policy:?} cores {cores}");
+                    let label = format!("round {round}, {policy:?}, cores {cores}");
+                    let heap = heap_only(&batch, cores, policy);
+                    assert_eq!(columns(&out), columns(&heap), "{label}");
+                    let fresh = fresh(&batch, cores, policy);
+                    assert_eq!(columns(&out), columns(&fresh), "{label}");
                 }
             }
         }
@@ -535,15 +564,15 @@ mod tests {
         let mut rng = Rng(42);
         let mut scratch = SimScratch::new();
         let mut out = BatchOutcome::new();
-        // Shrinking sizes must not leave stale rows behind.
+        // Shrinking sizes must not leave stale rows behind, on any path.
         for n in [13usize, 4, 9, 1] {
-            let tasks = random_tasks(&mut rng, n, 3);
-            let batch = TaskBatch::from_tasks(&tasks);
-            simulate_into(&batch, 2, Policy::GlobalEdf, &mut scratch, &mut out);
-            assert_eq!(out.finish_ns.len(), n);
-            assert_eq!(out.missed.len(), n);
-            let reference = simulate(&tasks, 2, Policy::GlobalEdf);
-            assert_eq!(out.misses(), reference.misses());
+            let batch = random_batch(&mut rng, n, 3);
+            for policy in Policy::all() {
+                simulate_into(&batch, 2, policy, &mut scratch, &mut out);
+                assert_eq!(out.finish_ns.len(), n);
+                let fresh = fresh(&batch, 2, policy);
+                assert_eq!(columns(&out), columns(&fresh), "{policy:?}, {n} tasks");
+            }
         }
     }
 

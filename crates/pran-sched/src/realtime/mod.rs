@@ -2,11 +2,16 @@
 //!
 //! Every TTI, every active cell emits a processing task with a hard
 //! deadline (the HARQ compute budget). The pool must finish them on a
-//! shared set of cores. This module simulates non-preemptive,
-//! work-conserving multicore scheduling under three policies — global EDF
-//! (PRAN's choice), global FIFO, and statically partitioned cores (the
-//! distributed-RAN baseline, one cell bound to one core) — and reports
+//! shared set of cores. One dispatcher, [`simulate_into`] (`batch.rs`),
+//! simulates non-preemptive, work-conserving multicore scheduling under
+//! four policies — global EDF (PRAN's choice), global LLF, global FIFO,
+//! and statically partitioned cores (the distributed-RAN baseline, one
+//! cell bound to one core) — and reports per-task finish times and
 //! deadline misses, the metric experiment E6 sweeps against utilization.
+//! [`simulate`] runs it once on a slice of [`RtTask`]s; the pool calls it
+//! per server per step on reused buffers. [`parallel`] is the pool
+//! server's executor, a different machine model (batched, cell-affine,
+//! work-stealing, whole-µs clocks).
 
 pub mod batch;
 pub mod parallel;
@@ -16,8 +21,6 @@ pub use batch::{simulate_into, BatchOutcome, SimScratch, TaskBatch};
 pub use parallel::{ParallelConfig, ParallelExecutor, ParallelOutcome, ParallelScratch};
 
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Duration;
 
 /// One subframe-processing task.
@@ -72,234 +75,29 @@ impl Policy {
     }
 }
 
-/// Result of simulating a task set under a policy.
-#[derive(Debug, Clone)]
-pub struct SimOutcome {
-    /// Finish time per task id.
-    pub finish: Vec<Duration>,
-    /// Deadline-miss flag per task id.
-    pub missed: Vec<bool>,
-    /// Busy time accumulated per core.
-    pub core_busy: Vec<Duration>,
-    /// Time the last task finished.
-    pub makespan: Duration,
-}
-
-impl SimOutcome {
-    /// Number of missed deadlines.
-    pub fn misses(&self) -> usize {
-        self.missed.iter().filter(|&&m| m).count()
-    }
-
-    /// Fraction of tasks missing their deadline.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.missed.is_empty() {
-            0.0
-        } else {
-            self.misses() as f64 / self.missed.len() as f64
-        }
-    }
-
-    /// Worst lateness (finish − deadline) across tasks; zero when all met.
-    pub fn max_lateness(&self, tasks: &[RtTask]) -> Duration {
-        tasks
-            .iter()
-            .map(|t| self.finish[t.id].saturating_sub(t.deadline))
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-
-    /// Aggregate core utilization over the makespan.
-    pub fn utilization(&self) -> f64 {
-        if self.makespan.is_zero() || self.core_busy.is_empty() {
-            return 0.0;
-        }
-        let busy: f64 = self.core_busy.iter().map(Duration::as_secs_f64).sum();
-        busy / (self.makespan.as_secs_f64() * self.core_busy.len() as f64)
-    }
-}
-
-/// Simulate a task set on `cores` identical cores under `policy`.
-///
-/// Non-preemptive and work-conserving: whenever a core is free and tasks
-/// are ready, the policy's best ready task starts immediately.
+/// Simulate a task set on `cores` identical cores under `policy`:
+/// [`TaskBatch::from_tasks`] then [`simulate_into`] on fresh buffers.
 ///
 /// # Panics
-/// Panics if `cores == 0` or any task id is out of range.
-pub fn simulate(tasks: &[RtTask], cores: usize, policy: Policy) -> SimOutcome {
-    assert!(cores >= 1, "need at least one core");
-    let n = tasks.len();
-    for t in tasks {
-        assert!(t.id < n, "task id {} out of range", t.id);
-    }
-
-    let out = match policy {
-        Policy::Partitioned => {
-            // Split by cell % cores and run each partition on one core.
-            let mut finish = vec![Duration::ZERO; n];
-            let mut missed = vec![false; n];
-            let mut core_busy = vec![Duration::ZERO; cores];
-            let mut makespan = Duration::ZERO;
-            #[allow(clippy::needless_range_loop)] // `core` indexes core_busy too
-            for core in 0..cores {
-                let part: Vec<RtTask> = tasks
-                    .iter()
-                    .copied()
-                    .filter(|t| t.cell % cores == core)
-                    .collect();
-                let out = simulate_global(&part, 1, SelectBy::Release);
-                for (local, t) in part.iter().enumerate() {
-                    finish[t.id] = out.finish_local[local];
-                    missed[t.id] = out.missed_local[local];
-                }
-                core_busy[core] = out.core_busy[0];
-                makespan = makespan.max(out.makespan);
-            }
-            SimOutcome {
-                finish,
-                missed,
-                core_busy,
-                makespan,
-            }
-        }
-        Policy::GlobalEdf => from_global(
-            tasks,
-            simulate_global(tasks, cores, SelectBy::Deadline),
-            cores,
-        ),
-        Policy::GlobalLlf => {
-            from_global(tasks, simulate_global(tasks, cores, SelectBy::Slack), cores)
-        }
-        Policy::GlobalFifo => from_global(
-            tasks,
-            simulate_global(tasks, cores, SelectBy::Release),
-            cores,
-        ),
-    };
-    if pran_telemetry::enabled() {
-        // Non-preemptive dispatch: each task runs contiguously, so its
-        // start on the simulated timeline is finish − service.
-        for t in tasks {
-            let finish = out.finish[t.id].as_micros() as u64;
-            let service = t.service.as_micros() as u64;
-            pran_telemetry::Subframe {
-                cell: t.cell as u64,
-                release_us: t.release.as_micros() as u64,
-                start_us: finish.saturating_sub(service),
-                finish_us: finish,
-                deadline_us: t.deadline.as_micros() as u64,
-                core: None,
-                stolen: false,
-            }
-            .emit(Some(policy.label()));
-        }
-    }
+/// Panics if `cores == 0` or task ids are not dense (`tasks[i].id == i`).
+pub fn simulate(tasks: &[RtTask], cores: usize, policy: Policy) -> BatchOutcome {
+    let mut out = BatchOutcome::new();
+    let batch = TaskBatch::from_tasks(tasks);
+    simulate_into(&batch, cores, policy, &mut SimScratch::new(), &mut out);
     out
-}
-
-fn from_global(tasks: &[RtTask], g: GlobalOutcome, _cores: usize) -> SimOutcome {
-    let n = tasks.len();
-    let mut finish = vec![Duration::ZERO; n];
-    let mut missed = vec![false; n];
-    for (local, t) in tasks.iter().enumerate() {
-        finish[t.id] = g.finish_local[local];
-        missed[t.id] = g.missed_local[local];
-    }
-    SimOutcome {
-        finish,
-        missed,
-        core_busy: g.core_busy,
-        makespan: g.makespan,
-    }
-}
-
-/// Ready-queue ordering key.
-enum SelectBy {
-    Deadline,
-    Release,
-    /// `deadline − service` (static laxity).
-    Slack,
-}
-
-struct GlobalOutcome {
-    finish_local: Vec<Duration>,
-    missed_local: Vec<bool>,
-    core_busy: Vec<Duration>,
-    makespan: Duration,
-}
-
-fn simulate_global(tasks: &[RtTask], cores: usize, select: SelectBy) -> GlobalOutcome {
-    let n = tasks.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (tasks[i].release, tasks[i].id));
-
-    // Min-heap of (free_at, core_index).
-    let mut core_free: BinaryHeap<Reverse<(Duration, usize)>> =
-        (0..cores).map(|c| Reverse((Duration::ZERO, c))).collect();
-    // Min-heap of (key, local_index).
-    let mut ready: BinaryHeap<Reverse<(Duration, usize)>> = BinaryHeap::new();
-
-    let mut finish_local = vec![Duration::ZERO; n];
-    let mut missed_local = vec![false; n];
-    let mut core_busy = vec![Duration::ZERO; cores];
-    let mut makespan = Duration::ZERO;
-
-    let key = |i: usize| match select {
-        SelectBy::Deadline => tasks[i].deadline,
-        SelectBy::Release => tasks[i].release,
-        SelectBy::Slack => tasks[i].deadline.saturating_sub(tasks[i].service),
-    };
-
-    let mut next = 0usize; // index into `order`
-    while next < n || !ready.is_empty() {
-        let Reverse((free_at, core)) = *core_free.peek().expect("cores exist");
-        if ready.is_empty() {
-            // Jump to the next release.
-            let t = tasks[order[next]].release.max(free_at);
-            while next < n && tasks[order[next]].release <= t {
-                let i = order[next];
-                ready.push(Reverse((key(i), i)));
-                next += 1;
-            }
-            continue;
-        }
-        // Start time is when the earliest core frees up; admit everything
-        // released by then so the policy chooses among all ready tasks.
-        let start = free_at;
-        while next < n && tasks[order[next]].release <= start {
-            let i = order[next];
-            ready.push(Reverse((key(i), i)));
-            next += 1;
-        }
-        let Reverse((_, i)) = ready.pop().expect("ready non-empty");
-        let begin = start.max(tasks[i].release);
-        let end = begin + tasks[i].service;
-        finish_local[i] = end;
-        missed_local[i] = end > tasks[i].deadline;
-        core_busy[core] += tasks[i].service;
-        makespan = makespan.max(end);
-        core_free.pop();
-        core_free.push(Reverse((end, core)));
-    }
-
-    GlobalOutcome {
-        finish_local,
-        missed_local,
-        core_busy,
-        makespan,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ms(x: u64) -> Duration {
-        Duration::from_millis(x)
-    }
-
     fn us(x: u64) -> Duration {
         Duration::from_micros(x)
+    }
+
+    /// `x` µs in the outcome's nanosecond columns.
+    fn ns(x: u64) -> u64 {
+        x * 1_000
     }
 
     fn task(id: usize, release_us: u64, deadline_us: u64, service_us: u64) -> RtTask {
@@ -316,9 +114,9 @@ mod tests {
     fn single_task_meets_deadline() {
         let tasks = [task(0, 0, 2000, 500)];
         let out = simulate(&tasks, 1, Policy::GlobalEdf);
-        assert_eq!(out.finish[0], us(500));
+        assert_eq!(out.finish_ns[0], ns(500));
         assert_eq!(out.misses(), 0);
-        assert_eq!(out.makespan, us(500));
+        assert_eq!(out.makespan_ns, ns(500));
     }
 
     #[test]
@@ -340,19 +138,20 @@ mod tests {
 
     #[test]
     fn work_conserving_across_cores() {
-        // Two simultaneous tasks, two cores: both finish at their service.
+        // Two simultaneous tasks, two cores: both finish at their service,
+        // and both cores are busy for the whole makespan.
         let tasks = [task(0, 0, 5000, 1000), task(1, 0, 5000, 1000)];
         let out = simulate(&tasks, 2, Policy::GlobalEdf);
-        assert_eq!(out.finish[0], us(1000));
-        assert_eq!(out.finish[1], us(1000));
-        assert!((out.utilization() - 1.0).abs() < 1e-9);
+        assert_eq!(out.finish_ns[0], ns(1000));
+        assert_eq!(out.finish_ns[1], ns(1000));
+        assert_eq!(out.core_busy_ns, vec![out.makespan_ns; 2]);
     }
 
     #[test]
     fn idle_gap_advances_clock() {
         let tasks = [task(0, 0, 2000, 100), task(1, 10_000, 12_000, 100)];
         let out = simulate(&tasks, 1, Policy::GlobalFifo);
-        assert_eq!(out.finish[1], us(10_100));
+        assert_eq!(out.finish_ns[1], ns(10_100));
         assert_eq!(out.misses(), 0);
     }
 
@@ -362,7 +161,8 @@ mod tests {
         let tasks: Vec<RtTask> = (0..4).map(|i| task(i, 0, 2000, 1000)).collect();
         let out = simulate(&tasks, 1, Policy::GlobalEdf);
         assert_eq!(out.misses(), 2);
-        assert!(out.max_lateness(&tasks) >= ms(1));
+        let max_lateness = out.finish_ns.iter().map(|&f| f.saturating_sub(ns(2000)));
+        assert!(max_lateness.max().unwrap() >= ns(1000));
     }
 
     #[test]
@@ -397,7 +197,7 @@ mod tests {
             .collect();
         let part = simulate(&tasks, 2, Policy::Partitioned);
         assert_eq!(part.misses(), 0);
-        assert_eq!(part.makespan, us(2000));
+        assert_eq!(part.makespan_ns, ns(2000));
     }
 
     #[test]
@@ -405,7 +205,7 @@ mod tests {
         let tasks: Vec<RtTask> = (0..6).map(|i| task(i, 0, 10_000, 500)).collect();
         let a = simulate(&tasks, 2, Policy::GlobalEdf);
         let b = simulate(&tasks, 2, Policy::GlobalEdf);
-        assert_eq!(a.finish, b.finish);
+        assert_eq!(a.finish_ns, b.finish_ns);
     }
 
     #[test]
@@ -415,8 +215,8 @@ mod tests {
             .collect();
         for policy in Policy::all() {
             let out = simulate(&tasks, 2, policy);
-            let busy: Duration = out.core_busy.iter().sum();
-            assert_eq!(busy, us(1500), "{}", policy.label());
+            let busy: u64 = out.core_busy_ns.iter().sum();
+            assert_eq!(busy, ns(1500), "{}", policy.label());
         }
     }
 
@@ -444,7 +244,7 @@ mod tests {
         ];
         let edf = simulate(&tasks, 1, Policy::GlobalEdf);
         assert!(
-            edf.finish[0] < edf.finish[1],
+            edf.finish_ns[0] < edf.finish_ns[1],
             "EDF runs the early deadline first"
         );
         assert_eq!(edf.misses(), 1, "the long job pays under EDF");
@@ -452,7 +252,7 @@ mod tests {
 
         let llf = simulate(&tasks, 1, Policy::GlobalLlf);
         assert!(
-            llf.finish[1] < llf.finish[0],
+            llf.finish_ns[1] < llf.finish_ns[0],
             "LLF runs the tight-slack job first"
         );
         assert_eq!(llf.misses(), 1, "the short job pays under LLF");
@@ -469,6 +269,6 @@ mod tests {
     fn empty_task_set() {
         let out = simulate(&[], 4, Policy::GlobalEdf);
         assert_eq!(out.miss_ratio(), 0.0);
-        assert_eq!(out.makespan, Duration::ZERO);
+        assert_eq!(out.makespan_ns, 0);
     }
 }

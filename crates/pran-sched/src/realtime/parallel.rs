@@ -217,11 +217,12 @@ impl ParallelScratch {
 /// Time on the simulated cores is whole microseconds: release, service
 /// and deadline are each truncated (as `Duration::as_micros()` does)
 /// before any arithmetic, so a 1,999 ns service occupies its core for 1 µs and a
-/// task released at 1,000,500 ns may start at 1,000 µs. The analytic
-/// scheduler ([`simulate`](super::simulate)) is nanosecond-exact; the two
-/// are different machine models and their miss counts are not comparable
-/// to the last task. Only the order of batches within a queue reads the
-/// untruncated release.
+/// task released at 1,000,500 ns may start at 1,000 µs. Only the order
+/// of batches within a queue reads the untruncated release. The
+/// dispatcher of the parent module ([`simulate_into`](super::simulate_into))
+/// schedules single tasks, not cell batches, on exact nanoseconds: its
+/// miss counts are a different machine's and do not match this one's to
+/// the last task.
 #[derive(Debug, Clone)]
 pub struct ParallelExecutor {
     config: ParallelConfig,
@@ -290,29 +291,17 @@ impl ParallelExecutor {
         F: Fn(&RtTask) + Sync,
     {
         let mut out = ParallelOutcome::default();
-        self.execute_into_with(tasks, &mut out, payload);
-        out
-    }
-
-    /// [`ParallelExecutor::execute_with`] writing into a caller-owned
-    /// outcome (see [`ParallelExecutor::execute_into`]).
-    ///
-    /// # Panics
-    /// Panics unless task ids are dense (`tasks[i].id == i`).
-    pub fn execute_into_with<F>(&self, tasks: &[RtTask], out: &mut ParallelOutcome, payload: F)
-    where
-        F: Fn(&RtTask) + Sync,
-    {
         let batch = TaskBatch::from_tasks(tasks);
         let mut ran: Vec<Vec<usize>> = vec![Vec::new(); self.config.cores];
         let record = |core: usize, id: usize| ran[core].push(id);
-        self.schedule(&batch, &mut ParallelScratch::default(), out, record);
+        self.schedule(&batch, &mut ParallelScratch::default(), &mut out, record);
         let payload = &payload;
         std::thread::scope(|scope| {
             for ids in ran.iter().filter(|ids| !ids.is_empty()) {
                 scope.spawn(move || ids.iter().for_each(|&id| payload(&tasks[id])));
             }
         });
+        out
     }
 
     /// The scheduler. `ran(core, id)` is told, in schedule order, which

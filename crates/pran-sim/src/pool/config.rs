@@ -12,7 +12,7 @@ use pran_phy::frame::{AntennaConfig, Bandwidth};
 use pran_phy::mcs::Mcs;
 use pran_sched::placement::warm::WarmConfig;
 use pran_sched::placement::{Accelerator, ServerSpec};
-use pran_sched::realtime::{ParallelConfig, Policy};
+use pran_sched::realtime::ParallelConfig;
 use serde::{Deserialize, Serialize};
 
 #[cfg(doc)]
@@ -22,8 +22,14 @@ use {
     pran_insight::slo::SloMonitor,
     pran_phy::compute::ComputeModel,
     pran_sched::placement::{migration::incremental_repack, warm::WarmPlacer},
-    pran_sched::realtime::{simulate, ParallelExecutor},
+    pran_sched::realtime::{simulate_into, ParallelExecutor},
 };
+
+/// Cores per server when no executor is configured. 4 × 100 GOPS on the
+/// default 400-GOPS server: a cell-subframe task is atomic in this model,
+/// so one core must clear a full-load uplink subframe (~160 GOPS·ms)
+/// within the 2 ms budget — cores must be ≥ 80 GOPS.
+const ANALYTIC_CORES: usize = 4;
 
 /// Which functional split each cell of a pool runs (ROADMAP item 4).
 ///
@@ -118,16 +124,13 @@ impl PoolAccel {
 pub struct PoolConfig {
     /// Number of servers in the pool.
     pub servers: usize,
-    /// Capacity of each server in GOPS.
+    /// Capacity of each server in GOPS, split evenly over its
+    /// [`server_cores`](Self::server_cores).
     pub server_capacity_gops: f64,
-    /// Cores per server (core capacity = server capacity / cores).
-    pub cores_per_server: usize,
-    /// Real-time scheduling policy within each server.
-    pub scheduler: Policy,
     /// When set, subframe execution per server runs through the
-    /// work-stealing [`ParallelExecutor`] (its `cores` override
-    /// `cores_per_server`) and slack/steal metrics are recorded; when
-    /// `None`, the analytic [`simulate`] model scores the policy instead.
+    /// work-stealing [`ParallelExecutor`] on `cores` cores and steal
+    /// metrics are recorded; when `None`, every server dispatches its
+    /// tasks by global EDF ([`simulate_into`]) on four cores.
     pub parallel: Option<ParallelConfig>,
     /// Trace steps per placement epoch.
     pub epoch_steps: usize,
@@ -194,11 +197,6 @@ impl PoolConfig {
         PoolConfig {
             servers,
             server_capacity_gops: 400.0,
-            // 4 × 100 GOPS: a cell-subframe task is atomic in this model,
-            // so one core must clear a full-load uplink subframe (~160
-            // GOPS·ms) within the 2 ms budget — cores must be ≥ 80 GOPS.
-            cores_per_server: 4,
-            scheduler: Policy::GlobalEdf,
             parallel: None,
             epoch_steps: 10,
             ttis_per_step: 4,
@@ -215,6 +213,13 @@ impl PoolConfig {
             split_plan: SplitPlan::default(),
             accel: None,
         }
+    }
+
+    /// Cores per server in force: the executor's `parallel.cores` when it
+    /// is configured, else 4. Per-core GOPS (server capacity / cores) and
+    /// the dispatcher both read this one count.
+    pub fn server_cores(&self) -> usize {
+        self.parallel.map_or(ANALYTIC_CORES, |p| p.cores)
     }
 
     /// How many servers carry an accelerator (ids `0..accel_servers()`).
@@ -260,9 +265,6 @@ impl PoolConfig {
         if self.servers == 0 {
             return Err(PoolConfigError::NoServers);
         }
-        if self.cores_per_server == 0 {
-            return Err(PoolConfigError::NoCores);
-        }
         if !self.server_capacity_gops.is_finite() || self.server_capacity_gops <= 0.0 {
             return Err(PoolConfigError::BadCapacity(self.server_capacity_gops));
         }
@@ -277,7 +279,7 @@ impl PoolConfig {
         }
         if let Some(p) = &self.parallel {
             if p.cores == 0 {
-                return Err(PoolConfigError::ParallelNoCores);
+                return Err(PoolConfigError::ParallelZeroCores);
             }
             if p.batch == 0 {
                 return Err(PoolConfigError::ParallelNoBatch);
@@ -331,8 +333,6 @@ pub enum PoolConfigError {
     NoServers,
     /// The trace has no cells, so the run would produce empty histograms.
     NoCells,
-    /// `cores_per_server == 0`: per-core GOPS would divide by zero.
-    NoCores,
     /// Server capacity is non-finite or not positive.
     BadCapacity(f64),
     /// `epoch_steps == 0`: the epoch grid is undefined.
@@ -341,8 +341,9 @@ pub enum PoolConfigError {
     NoTtisPerStep,
     /// Headroom multiplier is non-finite or not positive.
     BadHeadroom(f64),
-    /// Parallel executor configured with zero cores.
-    ParallelNoCores,
+    /// Parallel executor configured with zero cores: per-core GOPS would
+    /// divide by zero.
+    ParallelZeroCores,
     /// Parallel executor configured with a zero batch size.
     ParallelNoBatch,
     /// Warm-start hysteresis band is negative, NaN or infinite.
@@ -367,7 +368,6 @@ impl std::fmt::Display for PoolConfigError {
         match self {
             PoolConfigError::NoServers => write!(f, "pool needs at least one server"),
             PoolConfigError::NoCells => write!(f, "trace has no cells"),
-            PoolConfigError::NoCores => write!(f, "servers need at least one core"),
             PoolConfigError::BadCapacity(c) => {
                 write!(f, "server capacity {c} GOPS must be finite and positive")
             }
@@ -378,7 +378,7 @@ impl std::fmt::Display for PoolConfigError {
             }
             // Phrasing matches `ParallelConfig::validate`'s panics, which
             // existing tests match on.
-            PoolConfigError::ParallelNoCores => write!(f, "need at least one core"),
+            PoolConfigError::ParallelZeroCores => write!(f, "need at least one core"),
             PoolConfigError::ParallelNoBatch => write!(f, "batch must be at least 1"),
             PoolConfigError::BadWarmBand(b) => {
                 write!(f, "warm-start hysteresis band {b} must be finite and ≥ 0")

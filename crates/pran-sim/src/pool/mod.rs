@@ -4,9 +4,9 @@
 //! each placement epoch it (re)packs cells onto live servers (warm-start
 //! or incremental repack — bounded churn), then samples TTIs from every
 //! trace step, generates per-cell uplink tasks from the PHY compute model
-//! and runs the configured real-time scheduler per server; a server
-//! failure displaces cells and failover is measured as the per-cell
-//! outage between failure and re-placement. `config.rs` says what a pool
+//! and runs each server's tasks by global EDF, or through the configured
+//! parallel executor; a server failure displaces cells and failover is
+//! measured as the per-cell outage between failure and re-placement. `config.rs` says what a pool
 //! is made of; `reference.rs` keeps the seed's allocating executor as the
 //! differential oracle.
 //!
@@ -518,21 +518,26 @@ mod tests {
 
     #[test]
     fn parallel_cores_override_core_capacity() {
-        // With the same pool, an 8-core executor model halves per-core
-        // GOPS vs a 4-core one; more cores still schedule fine at this
-        // load, and stealing keeps the miss ratio healthy.
-        let mut cfg = PoolConfig::default_eval(10);
-        cfg.parallel = Some(ParallelConfig {
-            cores: 8,
-            batch: 4,
-            steal: true,
-        });
-        let mut s = PoolSimulator::new(small_trace(12, 2), cfg);
-        let report = s.run();
+        // On the same 400-GOPS servers an 8-core executor model halves
+        // per-core GOPS against a 4-core one, so every subframe runs
+        // twice as long. Four cells never release more subframes in one
+        // TTI than there are cores, and stealing spreads a cell's
+        // back-to-back subframes, so a task rarely queues and the median
+        // response — about one service time — doubles too.
+        let p50 = |cores| {
+            let mut cfg = PoolConfig::default_eval(10);
+            cfg.parallel = Some(ParallelConfig {
+                cores,
+                batch: 1,
+                steal: true,
+            });
+            let report = PoolSimulator::new(small_trace(4, 2), cfg).run();
+            report.metrics.response_times.quantile(0.5).as_secs_f64()
+        };
+        let ratio = p50(8) / p50(4);
         assert!(
-            report.metrics.miss_ratio() < 0.05,
-            "{}",
-            report.metrics.miss_ratio()
+            (1.8..=2.2).contains(&ratio),
+            "8-core p50 response is {ratio}× the 4-core one"
         );
     }
 
@@ -735,8 +740,14 @@ mod tests {
         type Case = (Box<dyn Fn(&mut PoolConfig)>, PoolConfigError);
         let cases: Vec<Case> = vec![
             (
-                Box::new(|c: &mut PoolConfig| c.cores_per_server = 0),
-                PoolConfigError::NoCores,
+                Box::new(|c: &mut PoolConfig| {
+                    c.parallel = Some(ParallelConfig {
+                        cores: 0,
+                        batch: 1,
+                        steal: false,
+                    })
+                }),
+                PoolConfigError::ParallelZeroCores,
             ),
             (
                 Box::new(|c: &mut PoolConfig| c.epoch_steps = 0),

@@ -3,8 +3,12 @@
 //! The seed's per-step-allocating, `Duration`-typed execution of an
 //! epoch's sampled TTIs, kept so `tests/tests/pool_differential.rs` has
 //! something independent to compare the hot loop against: the two must
-//! produce byte-identical reports. Placement and failover are not
-//! duplicated — the oracle runs against the same [`PoolShard`] state.
+//! produce byte-identical reports. What it keeps independent is the task
+//! building — service times, fronthaul offers, per-server grouping and
+//! the response and slack arithmetic; dispatch goes through the same
+//! schedulers as the hot loop, on fresh buffers. Placement and failover
+//! are not duplicated — the oracle runs against the same [`PoolShard`]
+//! state.
 
 use std::time::Duration;
 
@@ -12,7 +16,7 @@ use bytes::Bytes;
 use pran_fronthaul::fault::Outcome;
 use pran_phy::compute::ComputeModel;
 use pran_phy::frame::{COMPUTE_DEADLINE, TTI};
-use pran_sched::realtime::{simulate, ParallelExecutor, RtTask};
+use pran_sched::realtime::{simulate, ParallelExecutor, Policy, RtTask};
 
 use super::shard::{service_seconds, uplink_workload, PoolShard, UPLINK_FRAME};
 use crate::metrics::PoolMetrics;
@@ -30,9 +34,7 @@ impl PoolShard {
     ) {
         let cfg = &self.cfg;
         let model = ComputeModel::calibrated();
-        // The executor model's core count wins when both are configured:
-        // service times must reflect the machine that actually runs them.
-        let cores = cfg.parallel.map_or(cfg.cores_per_server, |p| p.cores);
+        let cores = cfg.server_cores();
         let core_gops = cfg.server_capacity_gops / cores as f64;
         for (offset, row) in rows.iter().enumerate() {
             let step_start = Duration::from_secs_f64((first_step + offset) as f64 * step_seconds);
@@ -123,18 +125,19 @@ impl PoolShard {
                         }
                     }
                     None => {
-                        let out = simulate(tasks, cfg.cores_per_server, cfg.scheduler);
+                        let out = simulate(tasks, cores, Policy::GlobalEdf);
                         metrics.deadline_misses += out.misses() as u64;
                         for t in tasks {
+                            let finish = Duration::from_nanos(out.finish_ns[t.id]);
                             metrics
                                 .response_times
-                                .record(out.finish[t.id].saturating_sub(t.release));
+                                .record(finish.saturating_sub(t.release));
                             // On-time tasks contribute their remaining
                             // budget — previously only the parallel branch
                             // recorded slack, leaving the histogram
                             // silently empty under the analytic model.
                             if !out.missed[t.id] {
-                                metrics.deadline_slack.record(t.deadline - out.finish[t.id]);
+                                metrics.deadline_slack.record(t.deadline - finish);
                             }
                         }
                     }

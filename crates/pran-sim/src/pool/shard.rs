@@ -22,8 +22,8 @@ use pran_sched::placement::migration::incremental_repack;
 use pran_sched::placement::warm::WarmPlacer;
 use pran_sched::placement::{Allowed, CellDemand, Placement, PlacementInstance};
 use pran_sched::realtime::{
-    simulate_into, BatchOutcome, ParallelExecutor, ParallelOutcome, ParallelScratch, SimScratch,
-    TaskBatch,
+    simulate_into, BatchOutcome, ParallelExecutor, ParallelOutcome, ParallelScratch, Policy,
+    SimScratch, TaskBatch,
 };
 
 use super::config::{PoolAccel, PoolConfig, PoolConfigError};
@@ -123,7 +123,7 @@ struct HotBuffers {
 
 impl HotBuffers {
     fn new(cfg: &PoolConfig, model: &ComputeModel) -> Self {
-        let core_gops = cfg.server_capacity_gops / cfg.cores_per_server as f64;
+        let core_gops = cfg.server_capacity_gops / cfg.server_cores() as f64;
         let accel_servers = cfg.accel_servers();
         let classes = if accel_servers > 0 { 2 } else { 1 };
         let mut service_ns = Vec::with_capacity(classes * 3);
@@ -547,7 +547,8 @@ impl PoolShard {
                         }
                     }
                     None => {
-                        simulate_into(batch, cfg.cores_per_server, cfg.scheduler, scratch, outcome);
+                        let cores = cfg.server_cores();
+                        simulate_into(batch, cores, Policy::GlobalEdf, scratch, outcome);
                         metrics.deadline_misses += outcome.misses() as u64;
                         for i in 0..batch.len() {
                             let finish_ns = outcome.finish_ns[i];

@@ -5,9 +5,11 @@
 //! `execute_into`); `run_reference` keeps the original allocate-per-step
 //! path. The two must be *byte-identical* after serde serialization —
 //! every finish time, histogram bucket, failover record and alert — for
-//! every feature that reaches the per-step loop: analytic scheduling,
-//! every policy, warm placement, fronthaul faults, server failures and
-//! the parallel executor, pinned or stealing.
+//! every feature that reaches the per-step loop: global-EDF dispatch,
+//! warm placement, fronthaul faults, server failures and the parallel
+//! executor, pinned or stealing, on the default four cores or more.
+//! (The pool dispatches by EDF only; `pran-sched`'s own tests and
+//! `proptest_cross` cover the other policies.)
 //!
 //! The parallel executor schedules its simulated cores in virtual time
 //! on the calling thread, so work stealing is as repeatable as the
@@ -21,7 +23,7 @@ use std::time::Duration;
 
 use pran_phy::FunctionalSplit;
 use pran_sched::placement::WarmConfig;
-use pran_sched::realtime::{ParallelConfig, Policy};
+use pran_sched::realtime::ParallelConfig;
 use pran_sim::{
     FailureSpec, LinkFault, MetroConfig, MetroSimulator, PoolAccel, PoolConfig, PoolSimulator,
     SplitPlan,
@@ -58,16 +60,6 @@ fn analytic_default_is_identical() {
     let mut cfg = PoolConfig::default_eval(6);
     cfg.epoch_steps = 10;
     assert_paths_identical("analytic default", 16, cfg, &[]);
-}
-
-#[test]
-fn every_policy_is_identical() {
-    for policy in Policy::all() {
-        let mut cfg = PoolConfig::default_eval(5);
-        cfg.epoch_steps = 10;
-        cfg.scheduler = policy;
-        assert_paths_identical(&format!("policy {policy:?}"), 12, cfg, &[]);
-    }
 }
 
 #[test]
@@ -124,11 +116,25 @@ fn pinned_parallel_executor_is_identical() {
     let mut cfg = PoolConfig::default_eval(5);
     cfg.epoch_steps = 10;
     cfg.parallel = Some(ParallelConfig {
-        cores: cfg.cores_per_server,
+        cores: 4,
         batch: 1,
         steal: false,
     });
     assert_paths_identical("pinned parallel", 12, cfg, &[]);
+}
+
+#[test]
+fn eight_core_executor_is_identical() {
+    // The executor's core count sizes per-core GOPS on both paths: eight
+    // cores on the default 400-GOPS server are 50 GOPS each.
+    let mut cfg = PoolConfig::default_eval(5);
+    cfg.epoch_steps = 10;
+    cfg.parallel = Some(ParallelConfig {
+        cores: 8,
+        batch: 1,
+        steal: false,
+    });
+    assert_paths_identical("eight-core parallel", 12, cfg, &[]);
 }
 
 #[test]
@@ -142,7 +148,7 @@ fn stealing_parallel_executor_is_identical() {
         let mut cfg = PoolConfig::default_eval(5);
         cfg.epoch_steps = 10;
         cfg.parallel = Some(ParallelConfig {
-            cores: cfg.cores_per_server,
+            cores: 4,
             batch,
             steal: true,
         });
@@ -238,37 +244,20 @@ fn explicit_full_homogeneous_matches_default() {
     let mut explicit = default_cfg.clone();
     explicit.split_plan = SplitPlan::Uniform(FunctionalSplit::Full);
     explicit.accel = None;
-    for policy in Policy::all() {
-        default_cfg.scheduler = policy;
-        explicit.scheduler = policy;
-        let d = serde_json::to_string_pretty(
-            &PoolSimulator::new(trace(16, 42), default_cfg.clone()).run(),
-        )
-        .unwrap();
-        let e = serde_json::to_string_pretty(
-            &PoolSimulator::new(trace(16, 42), explicit.clone()).run(),
-        )
-        .unwrap();
-        assert_eq!(
-            d, e,
-            "policy {policy:?}: explicit Full diverged from default"
-        );
-    }
+    let d = serde_json::to_string_pretty(&PoolSimulator::new(trace(16, 42), default_cfg).run());
+    let e = serde_json::to_string_pretty(&PoolSimulator::new(trace(16, 42), explicit).run());
+    assert_eq!(
+        d.unwrap(),
+        e.unwrap(),
+        "explicit Full diverged from default"
+    );
 }
 
 #[test]
-fn splits_and_accel_are_identical_for_every_policy() {
-    for policy in Policy::all() {
-        let mut cfg = PoolConfig::default_eval(5);
-        cfg.epoch_steps = 10;
-        cfg.scheduler = policy;
-        assert_paths_identical(
-            &format!("splits+accel policy {policy:?}"),
-            12,
-            heterogeneous(cfg, 12),
-            &[],
-        );
-    }
+fn splits_and_accel_are_identical() {
+    let mut cfg = PoolConfig::default_eval(5);
+    cfg.epoch_steps = 10;
+    assert_paths_identical("splits+accel", 12, heterogeneous(cfg, 12), &[]);
 }
 
 #[test]

@@ -97,18 +97,19 @@ proptest! {
             })
             .collect();
         let out = simulate(&tasks, cores, policy);
-        let busy: Duration = out.core_busy.iter().sum();
-        let total: Duration = tasks.iter().map(|t| t.service).sum();
+        let ns = |d: Duration| d.as_nanos() as u64;
+        let busy: u64 = out.core_busy_ns.iter().sum();
+        let total: u64 = tasks.iter().map(|t| ns(t.service)).sum();
         prop_assert_eq!(busy, total, "work lost or invented");
         // Finish times are consistent: ≥ release + service.
         for t in &tasks {
-            prop_assert!(out.finish[t.id] >= t.release + t.service);
+            prop_assert!(out.finish_ns[t.id] >= ns(t.release + t.service));
         }
         // Makespan bounds: at least critical path, at most serialized.
-        let longest = tasks.iter().map(|t| t.service).max().unwrap();
-        prop_assert!(out.makespan >= longest);
-        let last_release = tasks.iter().map(|t| t.release).max().unwrap();
-        prop_assert!(out.makespan <= last_release + total);
+        let longest = tasks.iter().map(|t| ns(t.service)).max().unwrap();
+        prop_assert!(out.makespan_ns >= longest);
+        let last_release = tasks.iter().map(|t| ns(t.release)).max().unwrap();
+        prop_assert!(out.makespan_ns <= last_release + total);
     }
 
     /// Controller invariant: after any epoch, no server exceeds capacity
