@@ -193,7 +193,10 @@ impl std::error::Error for ActionError {}
 /// [`ControlApp::on_epoch`] once per placement epoch with a fresh
 /// [`PoolView`] and [`ControlApp::on_event`] for every [`PoolEvent`]; both
 /// return the actions the app wants executed.
-pub trait ControlApp {
+///
+/// Every app is `Clone` (through [`CloneApp`]'s blanket impl), so a
+/// [`Controller`](crate::Controller) forks with its apps' hidden state.
+pub trait ControlApp: CloneApp {
     /// Stable app name (diagnostics, ordering is registration order).
     fn name(&self) -> &'static str;
 
@@ -207,6 +210,25 @@ pub trait ControlApp {
     fn on_event(&mut self, event: &PoolEvent, view: &PoolView) -> Vec<Action> {
         let _ = (event, view);
         Vec::new()
+    }
+}
+
+/// The boxed clone behind `Box<dyn ControlApp>: Clone`; implemented for
+/// every `ControlApp + Clone` type, never by hand.
+pub trait CloneApp {
+    /// A boxed copy of this app, hidden state included.
+    fn clone_app(&self) -> Box<dyn ControlApp>;
+}
+
+impl<T: ControlApp + Clone + 'static> CloneApp for T {
+    fn clone_app(&self) -> Box<dyn ControlApp> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn ControlApp> {
+    fn clone(&self) -> Self {
+        self.clone_app()
     }
 }
 

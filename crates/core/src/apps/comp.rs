@@ -11,7 +11,7 @@
 use crate::api::{Action, ControlApp, PoolView};
 
 /// Keep declared coordination sets co-located on one server.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CompApp {
     /// Coordination sets (each a group of cell ids that must share a
     /// server for joint processing to be possible).

@@ -9,7 +9,7 @@
 use crate::api::{Action, ControlApp, PoolEvent, PoolView};
 
 /// Best-fit immediate re-placement of displaced cells.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct FailoverApp {
     /// Failovers handled so far.
     pub handled: u64,

@@ -9,7 +9,7 @@ use crate::api::{Action, ControlApp, PoolView};
 
 /// Migrate one cell per epoch from the hottest server when it exceeds the
 /// watermark.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LoadBalancerApp {
     /// Utilization above which the hottest server sheds load.
     pub high_watermark: f64,

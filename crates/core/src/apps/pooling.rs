@@ -10,7 +10,7 @@ use crate::api::{Action, ControlApp, PoolView};
 use pran_sched::realtime::ParallelConfig;
 
 /// Drain/reactivate servers based on pool-wide utilization.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ConsolidationApp {
     /// Mean used-server utilization below which one server drains.
     pub low_watermark: f64,

@@ -10,7 +10,7 @@
 use crate::api::{Action, ControlApp, PoolView};
 
 /// Cap unplaceable cells' PRBs; uncap when the pool relaxes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SpectrumApp {
     /// PRB cap applied to unplaceable cells.
     pub cap_prbs: u32,

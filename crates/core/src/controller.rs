@@ -189,6 +189,10 @@ pub struct AuditEntry {
 const AUDIT_CAPACITY: usize = 1024;
 
 /// The logically centralized PRAN control plane.
+///
+/// `clone` forks it: the copy shares nothing with the original, and each
+/// installed app is cloned with its hidden state.
+#[derive(Clone)]
 pub struct Controller {
     config: SystemConfig,
     model: ComputeModel,

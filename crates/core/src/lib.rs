@@ -56,7 +56,9 @@ pub mod apps;
 pub mod config;
 pub mod controller;
 
-pub use api::{Action, ActionError, CellView, ControlApp, PoolEvent, PoolView, ServerView};
+pub use api::{
+    Action, ActionError, CellView, CloneApp, ControlApp, PoolEvent, PoolView, ServerView,
+};
 pub use config::{ChaosConfig, PoolSpec, SystemConfig};
 pub use controller::{
     AuditEntry, Controller, ControllerStats, EpochReport, FailureReport, Snapshot, SnapshotError,

@@ -1,53 +1,50 @@
-//! Conformance: replaying abstract paths against the concrete
-//! [`pran::Controller`] and asserting exact agreement.
+//! Conformance: driving a concrete [`pran::Controller`] to every
+//! discovered state and asserting exact agreement with the model.
 //!
 //! The model was built to be a bitwise-faithful projection of the
 //! controller; this module is where that claim is *checked* rather than
-//! assumed. For each replayed path it drives a real controller (with the
-//! real [`FailoverApp`] installed) through the same operations, then
-//! compares the concrete `view()` against the view reconstructed from
-//! abstract state — cells and servers, with `==` on every `f64`, no
-//! tolerance. It also performs the concrete half of every
-//! [`Operation::Drill`]: snapshot → JSON → `try_restore` → view
-//! equality, which is the restore-fidelity invariant exercised at every
-//! replayed state rather than at sampled instants.
+//! assumed. A real controller (with the real [`FailoverApp`] installed)
+//! is driven through the same operations as the model, one step per
+//! operation, and at each checked state the concrete `view()` is
+//! compared against the view reconstructed from abstract state — cells
+//! and servers, with `==` on every `f64`, no tolerance. Each checked
+//! state also gets the concrete half of an [`Operation::Drill`]:
+//! snapshot → JSON → `try_restore` → view equality, which is the
+//! restore-fidelity invariant exercised at every state rather than at
+//! sampled instants.
+//!
+//! [`explore`](crate::explore()) carries the controller down the
+//! discovery tree rather than replaying each state from the root: every
+//! prefix of a discovered path is itself discovered, so a child's
+//! controller is its parent's, forked with `clone`, plus one step. The
+//! subtrees below depth 2 go to scoped worker threads, and the
+//! verdicts merge in discovery order. [`replay_path`] is the same step
+//! folded over one path from a fresh controller — the one-path oracle
+//! the walk is tested against.
 
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::thread;
 use std::time::Duration;
 
 use pran::apps::FailoverApp;
 use pran::{Action, Controller};
 
-use crate::model::{Model, Operation};
+use crate::explore::Tree;
+use crate::model::{Model, Operation, StateView};
 use crate::view::ViewSemantics;
 
-/// How much of the discovered state space gets a concrete replay.
+/// Whether the discovered states get a concrete check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Conformance {
-    /// No replays (exploration only).
+    /// No checks (exploration only).
     Off,
-    /// Replay every `stride`-th newly discovered state.
-    Sample {
-        /// Replay when `discovered_index % stride == 0`.
-        stride: usize,
-    },
-    /// Replay the path to every newly discovered state.
+    /// Check every newly discovered state.
     Every,
 }
 
-impl Conformance {
-    /// Whether the `index`-th discovered state should be replayed.
-    pub fn should_check(&self, index: usize) -> bool {
-        match *self {
-            Conformance::Off => false,
-            Conformance::Sample { stride } => stride != 0 && index.is_multiple_of(stride),
-            Conformance::Every => true,
-        }
-    }
-}
-
-/// Replay `path` from the initial state on a concrete controller and
-/// check agreement with the model at every step where the two can be
-/// compared. Returns a description of the first divergence, if any.
+/// Check `path` from the initial state on a fresh concrete controller:
+/// one step per operation, then the state-level checks.
+/// Returns a description of the first divergence, if any.
 ///
 /// Step-level checks:
 /// * `Migrate` — accept/reject verdicts must match
@@ -60,12 +57,20 @@ impl Conformance {
 ///   events the controller has not heard about, so nothing is driven
 ///   into it until the matching `Deliver`.
 ///
-/// Path-level check: after the last operation, the concrete `view()`
+/// State-level check: after the last operation, the concrete `view()`
 /// must equal the abstract view field-for-field (cells and servers;
-/// `now` is excluded — the model does not track time).
+/// `now` is excluded — the model does not track time), and a restore
+/// drill must reproduce it.
 pub fn replay_path(model: &Model, path: &[Operation]) -> Result<(), String> {
+    let (ctl, state) = reach(model, path)?;
+    check(model, &ctl, &state, path)
+}
+
+/// [`step`] a fresh controller — the model's config, the real
+/// [`FailoverApp`], its cells registered — through `path` from the
+/// initial state.
+fn reach(model: &Model, path: &[Operation]) -> Result<(Controller, StateView), String> {
     let cfg = model.config();
-    let stale = matches!(cfg.semantics, ViewSemantics::Stale { .. });
     let mut ctl = Controller::new(cfg.sys.clone());
     ctl.install_app(Box::new(FailoverApp::new()));
     for _ in 0..cfg.cells {
@@ -73,70 +78,96 @@ pub fn replay_path(model: &Model, path: &[Operation]) -> Result<(), String> {
     }
     let mut state = model.initial_state();
     for (i, &op) in path.iter().enumerate() {
-        // Synthetic monotone clock: the controller never branches on
-        // time, it only stamps it.
-        let now = Duration::from_secs(i as u64 + 1);
-        match op {
-            Operation::Report { cell, level } => {
-                ctl.report_load(cell, cfg.levels[level])
-                    .map_err(|e| format!("step {i} report({cell}): {e}"))?;
-            }
-            Operation::Epoch => {
-                ctl.run_epoch(now);
-            }
-            Operation::Fail { server } => {
-                if !stale {
-                    ctl.server_failed(server, now)
-                        .map_err(|e| format!("step {i} fail({server}): {e}"))?;
-                }
-            }
-            Operation::Recover { server } => {
-                if !stale {
-                    ctl.server_recovered(server, now)
-                        .map_err(|e| format!("step {i} recover({server}): {e}"))?;
-                }
-            }
-            Operation::Deliver => {
-                let notice = *state
-                    .pending
-                    .front()
-                    .ok_or_else(|| format!("step {i}: Deliver with empty backlog"))?;
-                if notice.up {
-                    ctl.server_recovered(notice.server, now)
-                        .map_err(|e| format!("step {i} deliver-recover: {e}"))?;
-                } else {
-                    ctl.server_failed(notice.server, now)
-                        .map_err(|e| format!("step {i} deliver-fail: {e}"))?;
-                }
-            }
-            Operation::Migrate { cell, to } => {
-                let concrete = ctl.apply_action(Action::Migrate { cell, to }).is_ok();
-                let abstract_ok = {
-                    let mut probe = state.clone();
-                    model.mirror_migrate(&mut probe, cell, to)
-                };
-                if concrete != abstract_ok {
-                    return Err(format!(
-                        "step {i} migrate(c{cell}→s{to}): controller said {concrete}, \
-                         model said {abstract_ok}"
-                    ));
-                }
-            }
-            Operation::Drill => {
-                ctl = drill(ctl, i)?;
-            }
-            Operation::Register => {
-                ctl.register_cell();
-            }
-            Operation::Deregister { cell } => {
-                ctl.deregister_cell(cell)
-                    .map_err(|e| format!("step {i} deregister({cell}): {e}"))?;
+        state = step(model, &mut ctl, &state, i, op)?;
+    }
+    Ok((ctl, state))
+}
+
+/// Drive operation `i` of a path, `op`, into `ctl` and return the
+/// model's successor of `state`, or the step-level divergence (see
+/// [`replay_path`]).
+fn step(
+    model: &Model,
+    ctl: &mut Controller,
+    state: &StateView,
+    i: usize,
+    op: Operation,
+) -> Result<StateView, String> {
+    let cfg = model.config();
+    let stale = matches!(cfg.semantics, ViewSemantics::Stale { .. });
+    // Synthetic monotone clock: the controller never branches on time,
+    // it only stamps it.
+    let now = Duration::from_secs(i as u64 + 1);
+    match op {
+        Operation::Report { cell, level } => {
+            ctl.report_load(cell, cfg.levels[level])
+                .map_err(|e| format!("step {i} report({cell}): {e}"))?;
+        }
+        Operation::Epoch => {
+            ctl.run_epoch(now);
+        }
+        Operation::Fail { server } => {
+            if !stale {
+                ctl.server_failed(server, now)
+                    .map_err(|e| format!("step {i} fail({server}): {e}"))?;
             }
         }
-        state = model.apply(&state, op).next;
+        Operation::Recover { server } => {
+            if !stale {
+                ctl.server_recovered(server, now)
+                    .map_err(|e| format!("step {i} recover({server}): {e}"))?;
+            }
+        }
+        Operation::Deliver => {
+            let notice = *state
+                .pending
+                .front()
+                .ok_or_else(|| format!("step {i}: Deliver with empty backlog"))?;
+            if notice.up {
+                ctl.server_recovered(notice.server, now)
+                    .map_err(|e| format!("step {i} deliver-recover: {e}"))?;
+            } else {
+                ctl.server_failed(notice.server, now)
+                    .map_err(|e| format!("step {i} deliver-fail: {e}"))?;
+            }
+        }
+        Operation::Migrate { cell, to } => {
+            let concrete = ctl.apply_action(Action::Migrate { cell, to }).is_ok();
+            let abstract_ok = {
+                let mut probe = state.clone();
+                model.mirror_migrate(&mut probe, cell, to)
+            };
+            if concrete != abstract_ok {
+                return Err(format!(
+                    "step {i} migrate(c{cell}→s{to}): controller said {concrete}, \
+                     model said {abstract_ok}"
+                ));
+            }
+        }
+        Operation::Drill => {
+            *ctl = drill(ctl, i)?;
+        }
+        Operation::Register => {
+            ctl.register_cell();
+        }
+        Operation::Deregister { cell } => {
+            ctl.deregister_cell(cell)
+                .map_err(|e| format!("step {i} deregister({cell}): {e}"))?;
+        }
     }
+    Ok(model.apply(state, op).next)
+}
+
+/// The state-level checks at `state`, reached by `path`: view equality,
+/// then a restore drill of `ctl` (whose restored copy is dropped).
+fn check(
+    model: &Model,
+    ctl: &Controller,
+    state: &StateView,
+    path: &[Operation],
+) -> Result<(), String> {
     let concrete = ctl.view();
-    let abstracted = model.view(&state);
+    let abstracted = model.view(state);
     if concrete.cells != abstracted.cells {
         return Err(format!(
             "cell views diverge after {path:?}: concrete {:?} vs model {:?}",
@@ -149,15 +180,13 @@ pub fn replay_path(model: &Model, path: &[Operation]) -> Result<(), String> {
             concrete.servers, abstracted.servers
         ));
     }
-    // Every replayed state doubles as a restore-fidelity probe.
-    drill(ctl, path.len())?;
-    Ok(())
+    drill(ctl, path.len()).map(drop)
 }
 
 /// The concrete half of a drill: snapshot, serialize, restore, compare,
-/// and hand back the *restored* controller (apps reinstalled) so the
-/// replay continues on it.
-fn drill(ctl: Controller, step: usize) -> Result<Controller, String> {
+/// and hand back the *restored* controller (apps reinstalled) so a
+/// replay can continue on it.
+fn drill(ctl: &Controller, step: usize) -> Result<Controller, String> {
     let before = ctl.view();
     let snapshot = ctl.snapshot();
     let json = serde_json::to_string(&snapshot)
@@ -175,6 +204,106 @@ fn drill(ctl: Controller, step: usize) -> Result<Controller, String> {
     Ok(restored)
 }
 
+/// Depth at which the tree is cut into work items. Every node down to
+/// this depth is one item, reached by [`reach`] from a fresh controller;
+/// an item *at* this depth also walks its whole subtree.
+const CUT: usize = 2;
+
+/// Check every discovered state of `tree` on `workers` threads and
+/// return the divergences in discovery order — element for element what
+/// [`replay_path`] on each state's path would return.
+///
+/// A step-level divergence poisons the subtree below it: every
+/// descendant reports the same message, as its own replay would stop at
+/// the same step. A state-level one (view or drill) does not.
+pub(crate) fn check_tree(model: &Model, tree: &Tree, workers: usize) -> Vec<String> {
+    // BFS numbers the states level by level, so the nodes at depth ≤ CUT
+    // are the ids below `items`, and those at CUT start at `subtrees`.
+    let (mut subtrees, mut items) = (1, 1);
+    for _ in 0..CUT {
+        subtrees = items;
+        items = tree.children(items - 1).end;
+    }
+    let cursor = AtomicU32::new(1);
+    let work = || {
+        let mut walk = Walk {
+            model,
+            tree,
+            failures: Vec::new(),
+        };
+        loop {
+            let id = cursor.fetch_add(1, Ordering::Relaxed);
+            if id >= items {
+                return walk.failures;
+            }
+            walk.item(id, id >= subtrees);
+        }
+    };
+    let mut failures: Vec<(u32, String)> = thread::scope(|s| {
+        let handles: Vec<_> = (0..workers.max(1)).map(|_| s.spawn(work)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("conformance worker panicked"))
+            .collect()
+    });
+    failures.sort_by_key(|&(id, _)| id);
+    failures.into_iter().map(|(_, e)| e).collect()
+}
+
+/// One worker's share of [`check_tree`]: the divergences it found, by
+/// state id.
+struct Walk<'a> {
+    model: &'a Model,
+    tree: &'a Tree,
+    failures: Vec<(u32, String)>,
+}
+
+impl Walk<'_> {
+    /// Check work item `id`, and its subtree when `descend`.
+    fn item(&mut self, id: u32, descend: bool) {
+        let mut path = self.tree.path(id);
+        match reach(self.model, &path) {
+            Err(e) if descend => self.poison(id, &e),
+            Err(e) => self.failures.push((id, e)),
+            Ok((ctl, state)) if descend => self.visit(id, ctl, state, &mut path),
+            Ok((ctl, state)) => self.verdict(id, &ctl, &state, &path),
+        }
+    }
+
+    /// Check state `id`, then each child on a fork of `ctl` advanced by
+    /// the child's operation, depth first.
+    fn visit(&mut self, id: u32, ctl: Controller, state: StateView, path: &mut Vec<Operation>) {
+        self.verdict(id, &ctl, &state, path);
+        for kid in self.tree.children(id) {
+            let op = self.tree.op(kid);
+            let mut fork = ctl.clone();
+            match step(self.model, &mut fork, &state, path.len(), op) {
+                Ok(next) => {
+                    path.push(op);
+                    self.visit(kid, fork, next, path);
+                    path.pop();
+                }
+                Err(e) => self.poison(kid, &e),
+            }
+        }
+    }
+
+    /// Record the state-level verdict for `id`.
+    fn verdict(&mut self, id: u32, ctl: &Controller, state: &StateView, path: &[Operation]) {
+        if let Err(e) = check(self.model, ctl, state, path) {
+            self.failures.push((id, e));
+        }
+    }
+
+    /// Report `e` for `id` and every state below it.
+    fn poison(&mut self, id: u32, e: &str) {
+        self.failures.push((id, e.to_string()));
+        for kid in self.tree.children(id) {
+            self.poison(kid, e);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,13 +311,14 @@ mod tests {
 
     #[test]
     fn sampling_policies() {
-        assert!(!Conformance::Off.should_check(0));
-        assert!(Conformance::Every.should_check(7));
-        let s = Conformance::Sample { stride: 4 };
-        assert!(s.should_check(0));
-        assert!(!s.should_check(3));
-        assert!(s.should_check(8));
-        assert!(!Conformance::Sample { stride: 0 }.should_check(0));
+        let mut cfg = McConfig::headline();
+        cfg.depth = 3;
+        let every = crate::explore(&Model::new(cfg.clone()));
+        assert_eq!(every.conformance_checked, every.states - 1);
+        cfg.conformance = Conformance::Off;
+        let off = crate::explore(&Model::new(cfg));
+        assert_eq!(off.conformance_checked, 0);
+        assert!(off.conformance_failures.is_empty());
     }
 
     #[test]

@@ -24,13 +24,26 @@
 //! reported as [`McReport::orbit_states`] — a measure of how much
 //! smaller the space *looks* modulo relabelling, and of how much of the
 //! state count is tie-breaking echo.
+//!
+//! ## The discovery tree
+//!
+//! Each discovered state is recorded once, as the state it was first
+//! reached from plus one operation; a state's path is rebuilt from them
+//! only where a report needs one. Under [`Conformance::Every`] the
+//! concrete controller is carried down that tree on the host's cores,
+//! rather than replayed from the root for each state, and the verdicts
+//! merge in discovery order, so the report does not depend on the core
+//! count.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::thread;
 
 use pran_chaos::InvariantKind;
 use pran_sched::placement::ServerSpec;
 
-use crate::conformance::replay_path;
+use crate::conformance::{check_tree, Conformance};
 use crate::model::{Model, Operation, StateView};
 
 /// Cap on fully-recorded violations (counts are always complete).
@@ -105,6 +118,52 @@ impl McReport {
     /// No violations and no conformance divergence.
     pub fn ok(&self) -> bool {
         self.total_violations() == 0 && self.conformance_failures.is_empty()
+    }
+}
+
+/// The discovery tree: every state [`explore`] discovered, as the state
+/// it was first reached from and the operation that reached it. Ids are
+/// discovery order: 0 is the initial state, and state `id > 0` is entry
+/// `id - 1`. BFS appends each state's children together and expands
+/// states in id order, so parents never decrease along the entries and
+/// each state's children are one contiguous run of ids.
+#[derive(Debug, Default)]
+pub(crate) struct Tree(Vec<(u32, Operation)>);
+
+impl Tree {
+    /// Record a state reached from `parent` by `op`; returns its id.
+    fn push(&mut self, parent: u32, op: Operation) -> u32 {
+        self.0.push((parent, op));
+        u32::try_from(self.0.len()).expect("fewer than 2^32 states")
+    }
+
+    /// Discovered states, the initial one excluded.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The operation that first reached state `id > 0`.
+    pub(crate) fn op(&self, id: u32) -> Operation {
+        self.0[id as usize - 1].1
+    }
+
+    /// The ids of `id`'s children.
+    pub(crate) fn children(&self, id: u32) -> Range<u32> {
+        let start = self.0.partition_point(|&(parent, _)| parent < id);
+        let end = self.0.partition_point(|&(parent, _)| parent <= id);
+        start as u32 + 1..end as u32 + 1
+    }
+
+    /// The operations from the initial state to state `id`.
+    pub(crate) fn path(&self, mut id: u32) -> Vec<Operation> {
+        let mut path = Vec::new();
+        while id > 0 {
+            let (parent, op) = self.0[id as usize - 1];
+            path.push(op);
+            id = parent;
+        }
+        path.reverse();
+        path
     }
 }
 
@@ -247,9 +306,31 @@ fn check_transition(
 }
 
 /// Breadth-first exhaustive exploration of `model` up to its configured
-/// depth, with invariant checks on every transition and conformance
-/// replays per the configured policy.
+/// depth, with invariant checks on every transition and, under
+/// [`Conformance::Every`], every discovered state checked against a
+/// concrete controller carried down the discovery tree on the host's
+/// cores.
 pub fn explore(model: &Model) -> McReport {
+    explore_on(
+        model,
+        thread::available_parallelism().map_or(1, NonZeroUsize::get),
+    )
+}
+
+/// [`explore`] with the conformance walk on `workers` threads; the
+/// report does not depend on `workers`.
+fn explore_on(model: &Model, workers: usize) -> McReport {
+    let (mut report, tree) = explore_tree(model);
+    if model.config().conformance == Conformance::Every {
+        report.conformance_checked = tree.len();
+        report.conformance_failures = check_tree(model, &tree, workers);
+    }
+    report
+}
+
+/// The exploration without its conformance checks, and the discovery
+/// tree they walk.
+fn explore_tree(model: &Model) -> (McReport, Tree) {
     let cfg = model.config();
     let perms = permutations(cfg.servers);
     let mut report = McReport {
@@ -274,15 +355,16 @@ pub fn explore(model: &Model) -> McReport {
     let identity: Vec<usize> = (0..cfg.servers).collect();
     seen.insert(encode(&initial, &identity));
     orbits.insert(orbit_key(&initial, &perms));
-    let mut queue: VecDeque<(StateView, Vec<Operation>)> = VecDeque::new();
+    let mut tree = Tree::default();
+    // (state, its id in `tree`, its depth)
+    let mut queue: VecDeque<(StateView, u32, usize)> = VecDeque::new();
     if cfg.depth > 0 {
-        queue.push_back((initial, Vec::new()));
+        queue.push_back((initial, 0, 0));
     }
-    let mut discovered = 0usize;
 
     // Every queued state is expanded: one found at the depth bound is
-    // counted and replayed, never queued.
-    while let Some((state, path)) = queue.pop_front() {
+    // counted and checked, never queued.
+    while let Some((state, node, depth)) = queue.pop_front() {
         for op in model.enabled_ops(&state) {
             let outcome = model.apply(&state, op);
             report.transitions += 1;
@@ -301,13 +383,9 @@ pub fn explore(model: &Model) -> McReport {
             for (kind, detail) in violated {
                 *report.violation_counts.entry(kind.label()).or_insert(0) += 1;
                 if report.violations.len() < MAX_RECORDED {
-                    let mut vpath = path.clone();
-                    vpath.push(op);
-                    report.violations.push(McViolation {
-                        kind,
-                        path: vpath,
-                        detail,
-                    });
+                    let mut path = tree.path(node);
+                    path.push(op);
+                    report.violations.push(McViolation { kind, path, detail });
                 }
             }
             let key = encode(&outcome.next, &identity);
@@ -316,29 +394,21 @@ pub fn explore(model: &Model) -> McReport {
                 continue;
             }
             orbits.insert(orbit_key(&outcome.next, &perms));
-            let mut npath = path.clone();
-            npath.push(op);
-            discovered += 1;
-            if cfg.conformance.should_check(discovered) {
-                report.conformance_checked += 1;
-                if let Err(divergence) = replay_path(model, &npath) {
-                    report.conformance_failures.push(divergence);
-                }
-            }
-            if npath.len() < cfg.depth {
-                queue.push_back((outcome.next, npath));
+            let child = tree.push(node, op);
+            if depth + 1 < cfg.depth {
+                queue.push_back((outcome.next, child, depth + 1));
             }
         }
     }
     report.states = seen.len();
     report.orbit_states = orbits.len();
-    report
+    (report, tree)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conformance::Conformance;
+    use crate::conformance::replay_path;
     use crate::model::{McCell, McConfig};
     use crate::view::{OpMix, ViewSemantics};
     use pran::SystemConfig;
@@ -439,6 +509,68 @@ mod tests {
              identical-looking server wins the id tie-break, and the cell \
              it now shares a server with differs"
         );
+    }
+
+    /// The tree walk's verdict on every discovered state is
+    /// [`replay_path`]'s on that state's path from the root.
+    #[test]
+    fn the_tree_walk_agrees_with_per_path_replay() {
+        let mut headline = McConfig::headline();
+        headline.depth = 5;
+        let mut stale = McConfig::headline_stale(2);
+        stale.depth = 5;
+        for cfg in [headline, stale, McConfig::churn()] {
+            let model = Model::new(cfg);
+            let (_, tree) = explore_tree(&model);
+            assert!(tree.len() > 100);
+            let replayed: Vec<String> = (1..=tree.len() as u32)
+                .filter_map(|id| replay_path(&model, &tree.path(id)).err())
+                .collect();
+            assert_eq!(check_tree(&model, &tree, 2), replayed);
+        }
+    }
+
+    /// A step-level divergence poisons its subtree with the message each
+    /// descendant's own replay stops at; the walk and the per-path replay
+    /// agree element for element, whether the step fails inside a work
+    /// item's prefix or below the cut.
+    #[test]
+    fn a_failed_step_poisons_its_subtree_as_replay_would() {
+        let model = Model::new(McConfig::headline());
+        let report = Operation::Report { cell: 0, level: 1 };
+        // `Deliver` has no backlog to deliver under linearizable views.
+        let mut tree = Tree::default();
+        for (parent, op) in [
+            (0, report),                                  // 1
+            (0, Operation::Deliver),                      // 2: fails at step 0
+            (1, Operation::Epoch),                        // 3
+            (2, Operation::Epoch),                        // 4
+            (2, Operation::Report { cell: 1, level: 0 }), // 5
+            (3, Operation::Deliver),                      // 6: fails at step 2
+            (3, Operation::Epoch),                        // 7
+            (4, Operation::Epoch),                        // 8
+            (6, Operation::Epoch),                        // 9
+        ] {
+            tree.push(parent, op);
+        }
+        let expected: Vec<String> = (1..=tree.len() as u32)
+            .filter_map(|id| replay_path(&model, &tree.path(id)).err())
+            .collect();
+        assert_eq!(expected.len(), 6, "{expected:?}");
+        for workers in [1, 2, 5] {
+            assert_eq!(check_tree(&model, &tree, workers), expected);
+        }
+    }
+
+    #[test]
+    fn the_report_does_not_depend_on_the_worker_count() {
+        let mut cfg = McConfig::headline_stale(2);
+        cfg.depth = 5;
+        let model = Model::new(cfg);
+        let one = format!("{:?}", explore_on(&model, 1));
+        for workers in [2, 3, 7] {
+            assert_eq!(format!("{:?}", explore_on(&model, workers)), one);
+        }
     }
 
     #[test]

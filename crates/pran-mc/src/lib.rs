@@ -24,8 +24,8 @@
 //!   crash delivery runs the real [`pran::apps::FailoverApp`], and the
 //!   demand table is computed through the controller's own
 //!   compute-model path. The [`conformance`] layer *checks* this by
-//!   replaying abstract paths on a concrete controller and comparing
-//!   views with `==` on every field.
+//!   carrying a concrete controller down the discovery tree and
+//!   comparing views with `==` on every field at every state.
 //! * **Soundness** — deduplication hashes exact canonical state
 //!   encodings. Symmetry reduction over identical servers is reported
 //!   as a diagnostic orbit count but deliberately not used for pruning:

@@ -178,7 +178,7 @@ pub struct McConfig {
     /// Extra cells `Register` may add beyond the initial `cells` (churn
     /// configurations only).
     pub churn_extra: usize,
-    /// How much of the state space the conformance layer replays.
+    /// Whether the conformance layer checks the discovered states.
     pub conformance: Conformance,
 }
 

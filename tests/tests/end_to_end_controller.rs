@@ -184,8 +184,86 @@ fn load_balancer_keeps_hotspots_in_check() {
     assert!(hottest <= 1.0, "hotspot never exceeds capacity: {hottest}");
 }
 
+/// Counts the failures it hears of and caps cell 0 at one PRB more than
+/// that count each epoch, so its hidden state shows in the snapshot.
+#[derive(Clone, Default)]
+struct FailureTally {
+    failures: u32,
+}
+
+impl pran::ControlApp for FailureTally {
+    fn name(&self) -> &'static str {
+        "tally"
+    }
+    fn on_epoch(&mut self, _view: &pran::PoolView) -> Vec<pran::Action> {
+        vec![pran::Action::CapPrbs {
+            cell: 0,
+            prbs: 1 + self.failures,
+        }]
+    }
+    fn on_event(&mut self, event: &pran::PoolEvent, _view: &pran::PoolView) -> Vec<pran::Action> {
+        if matches!(event, pran::PoolEvent::ServerFailed(_)) {
+            self.failures += 1;
+        }
+        Vec::new()
+    }
+}
+
+fn snapshot_json(ctl: &Controller) -> String {
+    serde_json::to_string(&ctl.snapshot()).expect("snapshot serializes")
+}
+
+/// Reports, an epoch, a failure, an epoch and a recovery at step `t`.
+fn busy_step(ctl: &mut Controller, t: u64, down: usize) {
+    for c in 0..6 {
+        ctl.report_load(c, 0.2 + 0.05 * ((c as u64 + t) % 5) as f64)
+            .unwrap();
+    }
+    ctl.run_epoch(Duration::from_secs(60 * t));
+    ctl.server_failed(down, Duration::from_secs(60 * t + 1))
+        .unwrap();
+    ctl.run_epoch(Duration::from_secs(60 * t + 2));
+    ctl.server_recovered(down, Duration::from_secs(60 * t + 3))
+        .unwrap();
+}
+
+#[test]
+fn a_cloned_controller_is_a_deep_fork() {
+    let mut original = Controller::new(SystemConfig::default_eval(4));
+    original.install_app(Box::new(FailoverApp::new()));
+    original.install_app(Box::new(FailureTally::default()));
+    for _ in 0..6 {
+        original.register_cell();
+    }
+    busy_step(&mut original, 1, 0);
+
+    // Driven alike, the fork and the original stay byte-equal.
+    let mut fork = original.clone();
+    for t in 2..5 {
+        busy_step(&mut original, t, t as usize % 4);
+        busy_step(&mut fork, t, t as usize % 4);
+        assert_eq!(snapshot_json(&fork), snapshot_json(&original), "step {t}");
+    }
+
+    // Driven alone, the fork moves and the original does not: its
+    // controller state, its counters and its apps' hidden state (the
+    // tally's cap on cell 0) are its own.
+    let frozen = snapshot_json(&original);
+    let stats = original.stats();
+    busy_step(&mut fork, 5, 1);
+    assert_ne!(snapshot_json(&fork), frozen);
+    assert_eq!(fork.stats().failovers, stats.failovers + 1);
+    assert_eq!(original.stats(), stats);
+    assert_eq!(snapshot_json(&original), frozen);
+    original.run_epoch(Duration::from_secs(60 * 5));
+    fork.run_epoch(Duration::from_secs(60 * 5 + 4));
+    assert_eq!(original.view().cells[0].prb_cap, Some(1 + 4));
+    assert_eq!(fork.view().cells[0].prb_cap, Some(1 + 5));
+}
+
 #[test]
 fn actions_are_validated_not_trusted() {
+    #[derive(Clone)]
     struct RogueApp;
     impl pran::ControlApp for RogueApp {
         fn name(&self) -> &'static str {
