@@ -3,7 +3,7 @@
 //!
 //! Where E13 *samples* fault schedules, E17 *enumerates* them: a compact
 //! abstract model of the controller (bitwise-conformant to the real one;
-//! `pran-mc` replays every discovered state against a concrete
+//! `pran-mc` checks every discovered state against a concrete
 //! `Controller` and compares views exactly) is explored breadth-first
 //! over every operation interleaving up to a depth bound, with all five
 //! chaos invariants checked on every transition.
@@ -52,17 +52,7 @@ fn section_for(report: &McReport) -> serde_json::Value {
     })
 }
 
-fn print_report(label: &str, report: &McReport) {
-    println!(
-        "== {label}: {} states, {} transitions, dedup ratio {:.3}, \
-         {} orbits, {} conformance replays, {} violations ==",
-        report.states,
-        report.transitions,
-        report.dedup_ratio(),
-        report.orbit_states,
-        report.conformance_checked,
-        report.total_violations()
-    );
+fn print_divergences(report: &McReport) {
     for failure in &report.conformance_failures {
         eprintln!("CONFORMANCE DIVERGENCE: {failure}");
     }
@@ -76,7 +66,7 @@ fn main() -> ExitCode {
     let servers = 3usize;
     let stale_k = 2u32;
 
-    println!("E17: exhaustive model checking under linearizable vs stale views\n");
+    println!("E17: exhaustive model checking under linearizable vs stale views");
     let base = McConfig {
         cells,
         servers,
@@ -88,7 +78,7 @@ fn main() -> ExitCode {
     // --- phase 1: linearizable views — the envelope holds everywhere ---
     let lin_model = Model::new(base.clone());
     let lin = explore(&lin_model);
-    print_report("phase 1: linearizable", &lin);
+    print_divergences(&lin);
     let phase1_ok = lin.ok() && lin.dedup_hits > 0;
     if !phase1_ok {
         for v in &lin.violations {
@@ -102,7 +92,7 @@ fn main() -> ExitCode {
         ..base.clone()
     });
     let stale = explore(&stale_model);
-    print_report(&format!("phase 2: stale(k={stale_k})"), &stale);
+    print_divergences(&stale);
     let mut counterexample_section = serde_json::json!(null);
     let mut phase2_ok = stale.conformance_failures.is_empty();
     match stale.violations.first() {
@@ -150,7 +140,7 @@ fn main() -> ExitCode {
     // --- phase 3: churn joins the mix on a smaller instance ---
     let churn_model = Model::new(McConfig::churn());
     let churn = explore(&churn_model);
-    print_report("phase 3: churn (linearizable)", &churn);
+    print_divergences(&churn);
     let phase3_ok = churn.ok();
 
     println!(

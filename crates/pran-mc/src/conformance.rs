@@ -16,12 +16,18 @@
 //! [`explore`](crate::explore()) carries the controller down the
 //! discovery tree rather than replaying each state from the root: every
 //! prefix of a discovered path is itself discovered, so a child's
-//! controller is its parent's, forked with `clone`, plus one step. The
-//! subtrees below depth 2 go to scoped worker threads, and the
-//! verdicts merge in discovery order. [`replay_path`] is the same step
-//! folded over one path from a fresh controller — the one-path oracle
-//! the walk is tested against.
+//! controller is its parent's, forked with `clone`, plus one step. An
+//! operation that drives nothing into the controller — a stale view's
+//! `Fail` or `Recover`, which the controller has not heard about — forks
+//! nothing: the child's controller *is* its parent's, so it shares the
+//! parent's drill verdict too, and each controller object is drilled at
+//! most once. Every state still gets its own view comparison. The
+//! subtrees below depth 2 go to scoped worker threads, and the verdicts
+//! merge in discovery order. [`replay_path`] is the same step folded
+//! over one path from a fresh controller — the one-path oracle the walk
+//! is tested against.
 
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::thread;
 use std::time::Duration;
@@ -63,7 +69,18 @@ pub enum Conformance {
 /// drill must reproduce it.
 pub fn replay_path(model: &Model, path: &[Operation]) -> Result<(), String> {
     let (ctl, state) = reach(model, path)?;
-    check(model, &ctl, &state, path)
+    compare_views(model, &ctl, &state, path)?;
+    round_trip(&ctl)
+        .map(drop)
+        .map_err(|e| drill_failed(path.len(), &e))
+}
+
+/// Whether `op` drives anything into the concrete controller. Under
+/// [`ViewSemantics::Stale`], `Fail` and `Recover` are physical-only: the
+/// controller hears of them at the matching `Deliver`.
+fn drives(model: &Model, op: Operation) -> bool {
+    let stale = matches!(model.config().semantics, ViewSemantics::Stale { .. });
+    !(stale && matches!(op, Operation::Fail { .. } | Operation::Recover { .. }))
 }
 
 /// [`step`] a fresh controller — the model's config, the real
@@ -93,8 +110,10 @@ fn step(
     i: usize,
     op: Operation,
 ) -> Result<StateView, String> {
+    if !drives(model, op) {
+        return Ok(model.apply(state, op).next);
+    }
     let cfg = model.config();
-    let stale = matches!(cfg.semantics, ViewSemantics::Stale { .. });
     // Synthetic monotone clock: the controller never branches on time,
     // it only stamps it.
     let now = Duration::from_secs(i as u64 + 1);
@@ -107,16 +126,12 @@ fn step(
             ctl.run_epoch(now);
         }
         Operation::Fail { server } => {
-            if !stale {
-                ctl.server_failed(server, now)
-                    .map_err(|e| format!("step {i} fail({server}): {e}"))?;
-            }
+            ctl.server_failed(server, now)
+                .map_err(|e| format!("step {i} fail({server}): {e}"))?;
         }
         Operation::Recover { server } => {
-            if !stale {
-                ctl.server_recovered(server, now)
-                    .map_err(|e| format!("step {i} recover({server}): {e}"))?;
-            }
+            ctl.server_recovered(server, now)
+                .map_err(|e| format!("step {i} recover({server}): {e}"))?;
         }
         Operation::Deliver => {
             let notice = *state
@@ -145,7 +160,7 @@ fn step(
             }
         }
         Operation::Drill => {
-            *ctl = drill(ctl, i)?;
+            *ctl = round_trip(ctl).map_err(|e| drill_failed(i, &e))?;
         }
         Operation::Register => {
             ctl.register_cell();
@@ -158,9 +173,10 @@ fn step(
     Ok(model.apply(state, op).next)
 }
 
-/// The state-level checks at `state`, reached by `path`: view equality,
-/// then a restore drill of `ctl` (whose restored copy is dropped).
-fn check(
+/// The first state-level check at `state`, reached by `path`: the
+/// concrete view must equal the abstract one. The second is a restore
+/// drill of `ctl` ([`round_trip`]).
+fn compare_views(
     model: &Model,
     ctl: &Controller,
     state: &StateView,
@@ -180,28 +196,32 @@ fn check(
             concrete.servers, abstracted.servers
         ));
     }
-    drill(ctl, path.len()).map(drop)
+    Ok(())
 }
 
 /// The concrete half of a drill: snapshot, serialize, restore, compare,
 /// and hand back the *restored* controller (apps reinstalled) so a
-/// replay can continue on it.
-fn drill(ctl: &Controller, step: usize) -> Result<Controller, String> {
+/// replay can continue on it. A pure function of `ctl`; its error is
+/// the message that [`drill_failed`] stamps with a step.
+fn round_trip(ctl: &Controller) -> Result<Controller, String> {
     let before = ctl.view();
     let snapshot = ctl.snapshot();
     let json = serde_json::to_string(&snapshot)
-        .map_err(|e| format!("step {step} drill: snapshot failed to serialize: {e}"))?;
-    let parsed = serde_json::from_str(&json)
-        .map_err(|e| format!("step {step} drill: snapshot failed to re-parse: {e}"))?;
-    let mut restored = Controller::try_restore(parsed)
-        .map_err(|e| format!("step {step} drill: intact snapshot rejected: {e}"))?;
+        .map_err(|e| format!("snapshot failed to serialize: {e}"))?;
+    let parsed =
+        serde_json::from_str(&json).map_err(|e| format!("snapshot failed to re-parse: {e}"))?;
+    let mut restored =
+        Controller::try_restore(parsed).map_err(|e| format!("intact snapshot rejected: {e}"))?;
     if restored.view() != before {
-        return Err(format!(
-            "step {step} drill: restored view diverges from pre-snapshot view"
-        ));
+        return Err("restored view diverges from pre-snapshot view".to_string());
     }
     restored.install_app(Box::new(FailoverApp::new()));
     Ok(restored)
+}
+
+/// A [`round_trip`] error, as the drill at step `step` reports it.
+fn drill_failed(step: usize, e: &str) -> String {
+    format!("step {step} drill: {e}")
 }
 
 /// Depth at which the tree is cut into work items. Every node down to
@@ -211,12 +231,13 @@ const CUT: usize = 2;
 
 /// Check every discovered state of `tree` on `workers` threads and
 /// return the divergences in discovery order — element for element what
-/// [`replay_path`] on each state's path would return.
+/// [`replay_path`] on each state's path would return — and how many
+/// restore round trips that took.
 ///
 /// A step-level divergence poisons the subtree below it: every
 /// descendant reports the same message, as its own replay would stop at
 /// the same step. A state-level one (view or drill) does not.
-pub(crate) fn check_tree(model: &Model, tree: &Tree, workers: usize) -> Vec<String> {
+pub(crate) fn check_tree(model: &Model, tree: &Tree, workers: usize) -> (Vec<String>, usize) {
     // BFS numbers the states level by level, so the nodes at depth ≤ CUT
     // are the ids below `items`, and those at CUT start at `subtrees`.
     let (mut subtrees, mut items) = (1, 1);
@@ -230,32 +251,40 @@ pub(crate) fn check_tree(model: &Model, tree: &Tree, workers: usize) -> Vec<Stri
             model,
             tree,
             failures: Vec::new(),
+            round_trips: 0,
         };
         loop {
             let id = cursor.fetch_add(1, Ordering::Relaxed);
             if id >= items {
-                return walk.failures;
+                return walk;
             }
             walk.item(id, id >= subtrees);
         }
     };
-    let mut failures: Vec<(u32, String)> = thread::scope(|s| {
+    let walks: Vec<Walk> = thread::scope(|s| {
         let handles: Vec<_> = (0..workers.max(1)).map(|_| s.spawn(work)).collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("conformance worker panicked"))
+            .map(|h| h.join().expect("conformance worker panicked"))
             .collect()
     });
+    let round_trips = walks.iter().map(|w| w.round_trips).sum();
+    let mut failures: Vec<(u32, String)> = walks.into_iter().flat_map(|w| w.failures).collect();
     failures.sort_by_key(|&(id, _)| id);
-    failures.into_iter().map(|(_, e)| e).collect()
+    (failures.into_iter().map(|(_, e)| e).collect(), round_trips)
 }
 
+/// One controller object's [`round_trip`] verdict, run on first demand.
+/// Every state that shares the controller shares it.
+type Drilled = OnceCell<Result<(), String>>;
+
 /// One worker's share of [`check_tree`]: the divergences it found, by
-/// state id.
+/// state id, and the round trips it ran.
 struct Walk<'a> {
     model: &'a Model,
     tree: &'a Tree,
     failures: Vec<(u32, String)>,
+    round_trips: usize,
 }
 
 impl Walk<'_> {
@@ -265,33 +294,66 @@ impl Walk<'_> {
         match reach(self.model, &path) {
             Err(e) if descend => self.poison(id, &e),
             Err(e) => self.failures.push((id, e)),
-            Ok((ctl, state)) if descend => self.visit(id, ctl, state, &mut path),
-            Ok((ctl, state)) => self.verdict(id, &ctl, &state, &path),
+            Ok((ctl, state)) if descend => {
+                self.visit(id, &ctl, &Drilled::new(), state, &mut path);
+            }
+            Ok((ctl, state)) => self.verdict(id, &ctl, &Drilled::new(), &state, &path),
         }
     }
 
-    /// Check state `id`, then each child on a fork of `ctl` advanced by
-    /// the child's operation, depth first.
-    fn visit(&mut self, id: u32, ctl: Controller, state: StateView, path: &mut Vec<Operation>) {
-        self.verdict(id, &ctl, &state, path);
+    /// Check state `id`, whose controller is `ctl` with verdict
+    /// `drilled`, then each child, depth first. A child whose operation
+    /// drives the controller gets a fork of `ctl` advanced by it; any
+    /// other child's controller *is* `ctl`, so it shares `ctl` and
+    /// `drilled` as they are.
+    fn visit(
+        &mut self,
+        id: u32,
+        ctl: &Controller,
+        drilled: &Drilled,
+        state: StateView,
+        path: &mut Vec<Operation>,
+    ) {
+        self.verdict(id, ctl, drilled, &state, path);
         for kid in self.tree.children(id) {
             let op = self.tree.op(kid);
-            let mut fork = ctl.clone();
-            match step(self.model, &mut fork, &state, path.len(), op) {
-                Ok(next) => {
-                    path.push(op);
-                    self.visit(kid, fork, next, path);
-                    path.pop();
+            let i = path.len();
+            path.push(op);
+            if drives(self.model, op) {
+                let mut fork = ctl.clone();
+                match step(self.model, &mut fork, &state, i, op) {
+                    Ok(next) => self.visit(kid, &fork, &Drilled::new(), next, path),
+                    Err(e) => self.poison(kid, &e),
                 }
-                Err(e) => self.poison(kid, &e),
+            } else {
+                let next = self.model.apply(&state, op).next;
+                self.visit(kid, ctl, drilled, next, path);
             }
+            path.pop();
         }
     }
 
-    /// Record the state-level verdict for `id`.
-    fn verdict(&mut self, id: u32, ctl: &Controller, state: &StateView, path: &[Operation]) {
-        if let Err(e) = check(self.model, ctl, state, path) {
+    /// Record the state-level verdict for `id`: its own view comparison,
+    /// then `ctl`'s round trip, run here only if no state sharing `ctl`
+    /// has run it yet, and stamped with this state's step.
+    fn verdict(
+        &mut self,
+        id: u32,
+        ctl: &Controller,
+        drilled: &Drilled,
+        state: &StateView,
+        path: &[Operation],
+    ) {
+        if let Err(e) = compare_views(self.model, ctl, state, path) {
             self.failures.push((id, e));
+            return;
+        }
+        let trip = drilled.get_or_init(|| {
+            self.round_trips += 1;
+            round_trip(ctl).map(drop)
+        });
+        if let Err(e) = trip {
+            self.failures.push((id, drill_failed(path.len(), e)));
         }
     }
 

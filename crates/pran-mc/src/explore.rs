@@ -23,7 +23,9 @@
 //! orbit count under server permutations is computed on the side and
 //! reported as [`McReport::orbit_states`] — a measure of how much
 //! smaller the space *looks* modulo relabelling, and of how much of the
-//! state count is tie-breaking echo.
+//! state count is tie-breaking echo. Both keys are encoded into reused
+//! buffers, so a transition allocates a key only when it discovers a
+//! state.
 //!
 //! ## The discovery tree
 //!
@@ -31,9 +33,11 @@
 //! reached from plus one operation; a state's path is rebuilt from them
 //! only where a report needs one. Under [`Conformance::Every`] the
 //! concrete controller is carried down that tree on the host's cores,
-//! rather than replayed from the root for each state, and the verdicts
-//! merge in discovery order, so the report does not depend on the core
-//! count.
+//! rather than replayed from the root for each state: a state reached by
+//! an operation the controller never hears of shares its parent's
+//! controller and drill verdict, and each other state forks its parent's.
+//! The verdicts merge in discovery order, so the report does not depend
+//! on the core count.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::num::NonZeroUsize;
@@ -93,7 +97,8 @@ pub struct McReport {
     pub violation_counts: BTreeMap<&'static str, usize>,
     /// Recorded violations (first `MAX_RECORDED`; minimal-depth first).
     pub violations: Vec<McViolation>,
-    /// Paths replayed against the concrete controller.
+    /// Discovered states checked against the concrete controller, the
+    /// initial one excluded.
     pub conformance_checked: usize,
     /// Divergences between model and controller (must be empty).
     pub conformance_failures: Vec<String>,
@@ -168,11 +173,12 @@ impl Tree {
 }
 
 /// Exact canonical byte encoding of a state under a server relabelling
-/// `perm` (`perm[old_id] = new_id`). The identity permutation gives the
-/// dedup key; minimising over all permutations gives the orbit key.
-fn encode(state: &StateView, perm: &[usize]) -> Vec<u8> {
+/// `perm` (`perm[old_id] = new_id`), written over `buf`. The identity
+/// permutation gives the dedup key; minimising over all permutations
+/// gives the orbit key ([`orbit_key_into`]).
+fn encode_into(state: &StateView, perm: &[usize], buf: &mut Vec<u8>) {
     let n = perm.len();
-    let mut buf = Vec::with_capacity(state.cells.len() * 4 + n * 2 + state.pending.len() * 3 + 4);
+    buf.clear();
     for c in &state.cells {
         buf.push(u8::from(c.active));
         buf.push(c.last.map_or(0, |l| l + 1));
@@ -181,14 +187,14 @@ fn encode(state: &StateView, perm: &[usize]) -> Vec<u8> {
     for p in &state.placement {
         buf.push(p.map_or(0, |s| perm[s] as u8 + 1));
     }
-    let mut believed = vec![0u8; n];
-    let mut truth = vec![0u8; n];
-    for s in 0..n {
-        believed[perm[s]] = u8::from(state.believed[s]);
-        truth[perm[s]] = u8::from(state.truth[s]);
+    // `believed`, then `truth`, each indexed by relabelled server id.
+    let believed = buf.len();
+    let truth = believed + n;
+    buf.resize(truth + n, 0);
+    for (s, &to) in perm.iter().enumerate() {
+        buf[believed + to] = u8::from(state.believed[s]);
+        buf[truth + to] = u8::from(state.truth[s]);
     }
-    buf.extend_from_slice(&believed);
-    buf.extend_from_slice(&truth);
     for notice in &state.pending {
         buf.push(perm[notice.server] as u8);
         buf.push(u8::from(notice.up));
@@ -196,7 +202,6 @@ fn encode(state: &StateView, perm: &[usize]) -> Vec<u8> {
         // at age k), which McConfig validation keeps under 255.
         buf.push(notice.age.min(u32::from(u8::MAX)) as u8);
     }
-    buf
 }
 
 /// All permutations of `0..n` (n ≤ 5 enforced by `Model::new`).
@@ -222,13 +227,24 @@ fn heap_permute(items: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
     }
 }
 
-/// Lexicographically minimal encoding over all server relabellings.
-fn orbit_key(state: &StateView, perms: &[Vec<usize>]) -> Vec<u8> {
-    perms
-        .iter()
-        .map(|perm| encode(state, perm))
-        .min()
-        .expect("at least the identity permutation")
+/// Lexicographically minimal encoding over all server relabellings,
+/// written over `best`; `probe` is scratch.
+fn orbit_key_into(
+    state: &StateView,
+    perms: &[Vec<usize>],
+    best: &mut Vec<u8>,
+    probe: &mut Vec<u8>,
+) {
+    let (first, rest) = perms
+        .split_first()
+        .expect("at least the identity permutation");
+    encode_into(state, first, best);
+    for perm in rest {
+        encode_into(state, perm, probe);
+        if probe < best {
+            std::mem::swap(best, probe);
+        }
+    }
 }
 
 /// Invariant checks on one transition's outcome, judged against
@@ -323,7 +339,7 @@ fn explore_on(model: &Model, workers: usize) -> McReport {
     let (mut report, tree) = explore_tree(model);
     if model.config().conformance == Conformance::Every {
         report.conformance_checked = tree.len();
-        report.conformance_failures = check_tree(model, &tree, workers);
+        report.conformance_failures = check_tree(model, &tree, workers).0;
     }
     report
 }
@@ -349,12 +365,26 @@ fn explore_tree(model: &Model) -> (McReport, Tree) {
         report.violation_counts.insert(kind.label(), 0);
     }
 
-    let initial = model.initial_state();
     let mut seen: HashSet<Vec<u8>> = HashSet::new();
     let mut orbits: HashSet<Vec<u8>> = HashSet::new();
     let identity: Vec<usize> = (0..cfg.servers).collect();
-    seen.insert(encode(&initial, &identity));
-    orbits.insert(orbit_key(&initial, &perms));
+    let (mut key, mut orbit, mut probe) = (Vec::new(), Vec::new(), Vec::new());
+    // Record `state` and its orbit; false if it was seen before. The keys
+    // are encoded into reused buffers, so only a new key allocates.
+    let mut discover = |state: &StateView| {
+        encode_into(state, &identity, &mut key);
+        if seen.contains(key.as_slice()) {
+            return false;
+        }
+        seen.insert(key.clone());
+        orbit_key_into(state, &perms, &mut orbit, &mut probe);
+        if !orbits.contains(orbit.as_slice()) {
+            orbits.insert(orbit.clone());
+        }
+        true
+    };
+    let initial = model.initial_state();
+    discover(&initial);
     let mut tree = Tree::default();
     // (state, its id in `tree`, its depth)
     let mut queue: VecDeque<(StateView, u32, usize)> = VecDeque::new();
@@ -388,12 +418,10 @@ fn explore_tree(model: &Model) -> (McReport, Tree) {
                     report.violations.push(McViolation { kind, path, detail });
                 }
             }
-            let key = encode(&outcome.next, &identity);
-            if !seen.insert(key) {
+            if !discover(&outcome.next) {
                 report.dedup_hits += 1;
                 continue;
             }
-            orbits.insert(orbit_key(&outcome.next, &perms));
             let child = tree.push(node, op);
             if depth + 1 < cfg.depth {
                 queue.push_back((outcome.next, child, depth + 1));
@@ -413,6 +441,40 @@ mod tests {
     use crate::view::{OpMix, ViewSemantics};
     use pran::SystemConfig;
     use std::time::Duration;
+
+    /// The key oracle: `state`'s encoding under `perm`, into a fresh
+    /// buffer through two temporary liveness vectors.
+    fn encode(state: &StateView, perm: &[usize]) -> Vec<u8> {
+        let n = perm.len();
+        let mut buf = Vec::new();
+        for c in &state.cells {
+            buf.push(u8::from(c.active));
+            buf.push(c.last.map_or(0, |l| l + 1));
+            buf.push(c.peak.map_or(0, |p| p + 1));
+        }
+        for p in &state.placement {
+            buf.push(p.map_or(0, |s| perm[s] as u8 + 1));
+        }
+        let mut believed = vec![0u8; n];
+        let mut truth = vec![0u8; n];
+        for s in 0..n {
+            believed[perm[s]] = u8::from(state.believed[s]);
+            truth[perm[s]] = u8::from(state.truth[s]);
+        }
+        buf.extend_from_slice(&believed);
+        buf.extend_from_slice(&truth);
+        for notice in &state.pending {
+            buf.push(perm[notice.server] as u8);
+            buf.push(u8::from(notice.up));
+            buf.push(notice.age.min(u32::from(u8::MAX)) as u8);
+        }
+        buf
+    }
+
+    /// The orbit-key oracle: the minimal fresh encoding.
+    fn orbit_key(s: &StateView, perms: &[Vec<usize>]) -> Vec<u8> {
+        perms.iter().map(|p| encode(s, p)).min().unwrap()
+    }
 
     fn tiny(semantics: ViewSemantics, depth: usize) -> Model {
         Model::new(McConfig {
@@ -511,22 +573,89 @@ mod tests {
         );
     }
 
+    /// The buffered keys are byte for byte the fresh encodings, so the
+    /// dedup and orbit counts cannot move.
+    #[test]
+    fn buffered_keys_match_fresh_encodings() {
+        let model = Model::new(McConfig {
+            depth: 6,
+            ..McConfig::headline_stale(2)
+        });
+        let (_, tree) = explore_tree(&model);
+        let mut states = vec![model.initial_state()];
+        for &(parent, op) in &tree.0 {
+            states.push(model.apply(&states[parent as usize], op).next);
+        }
+        let perms = permutations(model.config().servers);
+        let (mut key, mut orbit, mut probe) = (Vec::new(), Vec::new(), Vec::new());
+        for s in states {
+            for perm in &perms {
+                encode_into(&s, perm, &mut key);
+                assert_eq!(key, encode(&s, perm), "{s:?} under {perm:?}");
+            }
+            orbit_key_into(&s, &perms, &mut orbit, &mut probe);
+            assert_eq!(orbit, orbit_key(&s, &perms), "{s:?}");
+        }
+    }
+
     /// The tree walk's verdict on every discovered state is
-    /// [`replay_path`]'s on that state's path from the root.
+    /// [`replay_path`]'s on that state's path from the root. The stale
+    /// instances hold the states that share a parent's controller and
+    /// drill verdict to it.
     #[test]
     fn the_tree_walk_agrees_with_per_path_replay() {
-        let mut headline = McConfig::headline();
-        headline.depth = 5;
-        let mut stale = McConfig::headline_stale(2);
-        stale.depth = 5;
-        for cfg in [headline, stale, McConfig::churn()] {
+        let at_depth_5 = |cfg: McConfig| McConfig { depth: 5, ..cfg };
+        let stale_churn = McConfig {
+            semantics: ViewSemantics::Stale { k: 2 },
+            ..McConfig::churn()
+        };
+        for cfg in [
+            at_depth_5(McConfig::headline()),
+            at_depth_5(McConfig::headline_stale(1)),
+            at_depth_5(McConfig::headline_stale(2)),
+            at_depth_5(McConfig::headline_stale(3)),
+            McConfig::churn(),
+            stale_churn,
+        ] {
             let model = Model::new(cfg);
             let (_, tree) = explore_tree(&model);
             assert!(tree.len() > 100);
             let replayed: Vec<String> = (1..=tree.len() as u32)
                 .filter_map(|id| replay_path(&model, &tree.path(id)).err())
                 .collect();
-            assert_eq!(check_tree(&model, &tree, 2), replayed);
+            assert_eq!(check_tree(&model, &tree, 2).0, replayed);
+        }
+    }
+
+    /// Each controller object is round-tripped once. Under stale views a
+    /// state reached by `Fail` or `Recover` shares its parent's
+    /// controller, unless it is a work item (depth ≤ 2), which is reached
+    /// fresh; under linearizable views every state has its own.
+    #[test]
+    fn each_controller_is_round_tripped_once() {
+        for (cfg, pinned) in [
+            // Every state checked.
+            (McConfig::headline(), 6_037),
+            // 16,993 states reached by a driven operation, 33 work items
+            // reached by a physical-only one; 18,889 share a controller.
+            (McConfig::headline_stale(2), 17_026),
+        ] {
+            let stale = cfg.semantics != ViewSemantics::Linearizable;
+            let model = Model::new(McConfig { depth: 8, ..cfg });
+            let (_, tree) = explore_tree(&model);
+            let own = (1..=tree.len() as u32)
+                .filter(|&id| {
+                    let physical = matches!(
+                        tree.op(id),
+                        Operation::Fail { .. } | Operation::Recover { .. }
+                    );
+                    !(stale && physical) || tree.path(id).len() <= 2
+                })
+                .count();
+            let (failures, round_trips) = check_tree(&model, &tree, 2);
+            assert!(failures.is_empty(), "{failures:?}");
+            assert_eq!(round_trips, own);
+            assert_eq!(round_trips, pinned);
         }
     }
 
@@ -558,7 +687,7 @@ mod tests {
             .collect();
         assert_eq!(expected.len(), 6, "{expected:?}");
         for workers in [1, 2, 5] {
-            assert_eq!(check_tree(&model, &tree, workers), expected);
+            assert_eq!(check_tree(&model, &tree, workers).0, expected);
         }
     }
 
