@@ -97,19 +97,6 @@ fn main() -> ExitCode {
     let cells_covered: usize = head.report.shards.iter().map(|s| s.cells).sum();
     let ns_per_task = head.wall_ms * 1e6 / m.tasks_total.max(1) as f64;
     let tasks_per_sec = m.tasks_total as f64 / (head.wall_ms / 1e3).max(1e-9);
-    println!(
-        "{} shards, {} cells, {} tasks, miss ratio {:.6}, \
-         peak servers {}, sharding gain {:.4}, {:.1} s wall \
-         ({ns_per_task:.0} ns/task, {:.2} Mtasks/s)",
-        head.report.shards.len(),
-        cells_covered,
-        m.tasks_total,
-        m.miss_ratio(),
-        m.peak_servers(),
-        head.report.sharding_gain(),
-        head.wall_ms / 1e3,
-        tasks_per_sec / 1e6,
-    );
     let structure_ok = head.report.shards.len() == headline_shards
         && cells_covered == cells
         && m.tasks_total > 0

@@ -27,7 +27,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use pran_insight::openmetrics;
@@ -58,6 +58,17 @@ pub struct Published {
 struct Shared {
     published: Mutex<Arc<Published>>,
     stop: AtomicBool,
+}
+
+impl Shared {
+    /// The published slot, recovered if a panicking holder poisoned it:
+    /// the guarded value is one `Arc`, only ever replaced whole, so it is
+    /// never half-written.
+    fn published(&self) -> MutexGuard<'_, Arc<Published>> {
+        self.published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The scrape endpoint: a bound listener plus its acceptor thread.
@@ -106,7 +117,7 @@ impl ObsServer {
     /// Swap in this epoch's snapshot. Cheap for the caller: one `Arc`
     /// allocation and a mutex-guarded pointer swap.
     pub fn publish(&self, p: Published) {
-        *self.shared.published.lock().expect("publish lock") = Arc::new(p);
+        *self.shared.published() = Arc::new(p);
     }
 
     /// Stop the acceptor thread and release the port.
@@ -137,7 +148,7 @@ fn serve_one(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
         Some(p) => p,
         None => return Ok(()),
     };
-    let published = Arc::clone(&shared.published.lock().expect("scrape lock"));
+    let published = Arc::clone(&shared.published());
     let (status, content_type, body) = match path.as_str() {
         "/metrics" => (
             "200 OK",
@@ -395,6 +406,26 @@ mod tests {
             h.join().unwrap();
         }
         assert!(epoch >= 1, "the publisher must have swapped snapshots");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_poisoned_slot_still_publishes_and_serves() {
+        let server = ObsServer::bind("127.0.0.1:0").unwrap();
+        let shared = Arc::clone(&server.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _held = shared.published.lock().unwrap();
+            panic!("a publisher dies holding the slot");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.shared.published.is_poisoned());
+        server.publish(Published {
+            epoch: 7,
+            ..Published::default()
+        });
+        let (code, health) = http_get(server.addr(), "/healthz").unwrap();
+        assert_eq!(code, 200);
+        assert!(health.contains("epoch 7"), "{health}");
         server.shutdown();
     }
 

@@ -12,16 +12,17 @@
 //! * [`engine`] — deterministic event queue and simulated clock;
 //! * [`metrics`] — counters and log-scale latency histograms, JSON-able;
 //! * [`pool`] — the pool configuration, the [`PoolShard`] state machine
-//!   (`place` / `execute` / `fail_server`) and its **batch** driver
+//!   (`place` / `execute` / `fail_server`) and its single-pool driver
 //!   [`PoolSimulator`]: an event loop over a materialized trace with
 //!   scheduled failure injection and failover measurement;
 //! * [`metro`] — metro-scale sharded runs: 10,000+ cells partitioned into
-//!   per-pool shards, each a [`PoolSimulator`], on worker threads, merged
-//!   deterministically;
-//! * [`service`] — the **resident** driver: the same shards stepped one
-//!   epoch at a time against streamed traces, for long-lived soak
-//!   services that publish per-epoch metrics while the simulation keeps
-//!   running;
+//!   per-pool shards and merged deterministically. There is one shard
+//!   driver — a [`PoolShard`] fed by a streamed trace, stepped one epoch
+//!   at a time on a shared worker crew — and a batch
+//!   [`MetroSimulator::run`] steps it to the trace horizon;
+//! * [`service`] — the **resident** metro: the same shards stepped one
+//!   epoch per call, for long-lived soak services that publish per-epoch
+//!   metrics while the simulation keeps running;
 //! * [`ue`] — microscopic load: UE sessions + link geometry → utilization,
 //!   traffic-weighted MCS and admission blocking (an alternative trace
 //!   source to `pran-traces`' macroscopic generator).

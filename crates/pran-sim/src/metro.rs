@@ -2,12 +2,17 @@
 //!
 //! PRAN's statistical-multiplexing argument only bites at scale — the gap
 //! between "peak of the sum" and "sum of the peaks" grows with the number
-//! of cells pooled — but one [`PoolSimulator`] runs a single pool over
-//! tens of cells. The [`MetroSimulator`] partitions a 10,000+ cell metro
-//! into per-pool *shards*, runs each shard's full pool simulation
-//! (placement epochs, per-TTI tasks, failures, fronthaul faults) on a
-//! small crew of OS worker threads, and merges the per-shard
-//! [`SimReport`]s into one [`MetroReport`].
+//! of cells pooled — but one pool runs tens of cells. The
+//! [`MetroSimulator`] partitions a 10,000+ cell metro into per-pool
+//! *shards* and merges their metrics into one [`MetroReport`].
+//!
+//! There is one shard driver, `ResidentShard`: a [`PoolShard`] fed by a
+//! [`TraceStream`], stepped one epoch at a time ("stream `epoch_steps`
+//! rows, `place`, `execute`"), so a shard holds one epoch of rows, never
+//! its whole day. A batch [`MetroSimulator::run`] steps each shard to the
+//! trace horizon; the resident [`ResidentMetro`](crate::ResidentMetro)
+//! steps every shard one epoch per call. Both hand shards to the same
+//! worker crew.
 //!
 //! # Determinism
 //!
@@ -15,26 +20,26 @@
 //!
 //! * every shard's trace seed is derived from the root seed with a
 //!   splitmix64 mix ([`MetroConfig::shard_seed`]) — stable regardless of
-//!   which worker runs the shard or in what order;
-//! * each shard's simulation is single-threaded and deterministic, so its
-//!   `SimReport` depends only on its seed and cell count;
-//! * merging folds shard reports in shard-index order after all workers
+//!   which worker runs the shard;
+//! * each shard is stepped on one thread at a time and is deterministic,
+//!   so its metrics depend only on its seed and cell count;
+//! * shard metrics are merged in shard-index order after all workers
 //!   join, never in completion order (and [`PoolMetrics::merge`] is
 //!   commutative anyway);
 //! * telemetry events are stamped with a per-shard label
 //!   ([`pran_telemetry::trace::set_shard`]) and canonicalized into
 //!   shard-sorted order after the join, so a drained trace export is
-//!   byte-identical across 1, 2 or 8 workers and any shard execution
-//!   order (`tests/tests/metro_determinism.rs` proves all of this).
+//!   byte-identical across worker counts (`tests/tests/metro_determinism.rs`
+//!   proves all of this).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
 
-use pran_traces::{generate, TraceConfig};
+use pran_traces::{TraceConfig, TraceStream};
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::PoolMetrics;
-use crate::pool::{PoolConfig, PoolConfigError, PoolSimulator, SimReport, SplitPlan};
+use crate::pool::{PoolConfig, PoolConfigError, PoolShard, SplitPlan};
 
 /// Shape of a metro-scale run: cell count, shard partition, worker crew
 /// and the root seed every shard seed is derived from.
@@ -159,8 +164,8 @@ pub struct ShardReport {
     pub cells: usize,
     /// Seed the shard ran with (for standalone reproduction).
     pub seed: u64,
-    /// The shard's full pool report.
-    pub report: SimReport,
+    /// The shard's metrics over the whole run.
+    pub metrics: PoolMetrics,
 }
 
 /// Merged output of a metro run.
@@ -180,14 +185,7 @@ impl MetroReport {
     pub fn sum_of_shard_peaks(&self) -> f64 {
         self.shards
             .iter()
-            .map(|s| {
-                s.report
-                    .metrics
-                    .demand_gops
-                    .iter()
-                    .copied()
-                    .fold(0.0f64, f64::max)
-            })
+            .map(|s| s.metrics.demand_gops.iter().copied().fold(0.0f64, f64::max))
             .sum()
     }
 
@@ -254,100 +252,183 @@ impl MetroSimulator {
         self.config
     }
 
-    /// Run every shard (in index order hand-out) and merge.
+    /// Step every shard through the whole trace and merge: each worker
+    /// claims a shard, builds it, steps it epoch by epoch to the horizon
+    /// (the last epoch takes whatever rows are left) and appends every
+    /// epoch into the shard's total.
     pub fn run(&self) -> MetroReport {
-        let order: Vec<usize> = (0..self.config.shards).collect();
-        self.run_ordered(&order)
+        let steps = self.trace.num_steps();
+        self.run_shards(|s, pool, trace| {
+            let mut shard = ResidentShard::new(s as u64, pool, &trace);
+            let mut total = PoolMetrics::default();
+            while shard.stream.step_index() < steps {
+                shard.step_epoch(steps - shard.stream.step_index());
+                total.append_epoch(&shard.scratch);
+            }
+            total
+        })
     }
 
-    /// Run every shard through [`PoolSimulator::run_reference`] — the
-    /// seed-faithful allocating epoch path — and merge. The differential
-    /// oracle for [`MetroSimulator::run`]: merged reports must be
-    /// byte-identical across the two paths and any worker count.
+    /// Run every shard through
+    /// [`PoolSimulator::run_reference`](crate::PoolSimulator::run_reference)
+    /// over a materialized trace — the seed-faithful allocating epoch path
+    /// — and merge. The differential oracle for [`MetroSimulator::run`]:
+    /// merged reports must be byte-identical across the two paths and any
+    /// worker count.
     pub fn run_reference(&self) -> MetroReport {
-        let order: Vec<usize> = (0..self.config.shards).collect();
-        self.run_ordered_impl(&order, true)
+        self.run_shards(|s, pool, trace| {
+            pran_telemetry::trace::set_shard(Some(s as u64));
+            let metrics = crate::PoolSimulator::new(pran_traces::generate(&trace), pool)
+                .run_reference()
+                .metrics;
+            pran_telemetry::trace::set_shard(None);
+            metrics
+        })
     }
 
-    /// Run with an explicit shard hand-out order — a determinism test
-    /// hook: any permutation of `0..shards` must produce the same merged
-    /// report and telemetry export.
-    ///
-    /// # Panics
-    /// Panics when `order` is not a permutation of `0..shards`.
-    pub fn run_ordered(&self, order: &[usize]) -> MetroReport {
-        self.run_ordered_impl(order, false)
-    }
-
-    fn run_ordered_impl(&self, order: &[usize], reference: bool) -> MetroReport {
-        let shards = self.config.shards;
-        {
-            let mut seen = vec![false; shards];
-            assert_eq!(order.len(), shards, "order must cover every shard");
-            for &s in order {
-                assert!(s < shards && !seen[s], "order must be a permutation");
-                seen[s] = true;
-            }
-        }
-
-        let slots: Vec<OnceLock<ShardReport>> = (0..shards).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.config.workers.min(shards);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    loop {
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        let Some(&shard) = order.get(i) else { break };
-                        let report = self.run_shard(shard, reference);
-                        slots[shard].set(report).expect("one worker per shard");
-                    }
-                    // Flush this thread's buffer *inside* the closure:
-                    // `thread::scope` waits for closures, not thread-local
-                    // destructors, so an exit-time flush could race the
-                    // post-run canonicalize and lose this worker's events.
-                    pran_telemetry::trace::flush();
-                });
-            }
+    /// Run `shard` (index, pool and trace configuration → metrics) for
+    /// every shard on the worker crew, then merge in shard-index order.
+    fn run_shards(
+        &self,
+        shard: impl Fn(usize, PoolConfig, TraceConfig) -> PoolMetrics + Sync,
+    ) -> MetroReport {
+        let config = &self.config;
+        let mut totals = vec![PoolMetrics::default(); config.shards];
+        for_each_shard(&mut totals, config.workers, |s, total| {
+            let (pool, trace) = shard_configs(config, &self.pool, &self.trace, s);
+            *total = shard(s, pool, trace);
         });
 
-        // One canonical event order regardless of worker count or
-        // hand-out order: sort (stably) by shard label.
+        // One canonical event order regardless of worker count: sort
+        // (stably) by shard label.
         if pran_telemetry::enabled() {
             pran_telemetry::trace::canonicalize_by_shard();
         }
 
         let mut metrics = PoolMetrics::default();
-        let mut reports = Vec::with_capacity(shards);
-        for slot in slots {
-            let shard_report = slot.into_inner().expect("every shard ran");
-            metrics.merge(&shard_report.report.metrics);
-            reports.push(shard_report);
+        let shards = totals
+            .into_iter()
+            .enumerate()
+            .map(|(shard, total)| {
+                metrics.merge(&total);
+                ShardReport {
+                    shard,
+                    cells: config.shard_cells(shard),
+                    seed: config.shard_seed(shard),
+                    metrics: total,
+                }
+            })
+            .collect();
+        MetroReport { metrics, shards }
+    }
+}
+
+/// The worker crew every metro driver runs on: `work(index, shard)` for
+/// each of `shards` on up to `workers` scoped threads, each taking the
+/// next unclaimed shard in index order (inline when one worker suffices).
+pub(crate) fn for_each_shard<S: Send>(
+    shards: &mut [S],
+    workers: usize,
+    work: impl Fn(usize, &mut S) + Sync,
+) {
+    let workers = workers.min(shards.len());
+    if workers <= 1 {
+        shards.iter_mut().enumerate().for_each(|(i, s)| work(i, s));
+        return;
+    }
+    let next = Mutex::new(shards.iter_mut().enumerate());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                loop {
+                    let claimed = next.lock().unwrap_or_else(PoisonError::into_inner).next();
+                    let Some((i, shard)) = claimed else { break };
+                    work(i, shard);
+                }
+                // Flush this thread's buffer *inside* the closure:
+                // `thread::scope` waits for closures, not thread-local
+                // destructors, so an exit-time flush could land after the
+                // caller canonicalizes or drains the trace.
+                pran_telemetry::trace::flush();
+            });
         }
-        MetroReport {
-            metrics,
-            shards: reports,
+    });
+}
+
+/// One epoch's deterministic outputs and phase stamps of a shard's step.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ShardDelta {
+    pub(crate) peak_queue_depth: u64,
+    pub(crate) unplaced: u64,
+    pub(crate) ingest_ns: u64,
+    pub(crate) dispatch_ns: u64,
+    pub(crate) execute_ns: u64,
+}
+
+/// One metro shard: a pool, the trace stream feeding it, and this
+/// epoch's rows, metrics and phase stamps.
+pub(crate) struct ResidentShard {
+    /// Metro-wide shard index: telemetry shard context (the stamp on
+    /// this shard's events, and the live ring they are routed to).
+    shard_id: u64,
+    pub(crate) pool: PoolShard,
+    pub(crate) stream: TraceStream,
+    /// The current epoch's rows (`epoch_steps` buffers, reused).
+    rows: Vec<Vec<f64>>,
+    /// Epoch-local metrics, reset at the top of every step.
+    pub(crate) scratch: PoolMetrics,
+    pub(crate) delta: ShardDelta,
+}
+
+impl ResidentShard {
+    /// Shard `shard_id` over its (already cut) pool and trace
+    /// configuration, which [`validate`] has passed.
+    pub(crate) fn new(shard_id: u64, cfg: PoolConfig, trace_cfg: &TraceConfig) -> Self {
+        let stream = TraceStream::new(trace_cfg);
+        let num_cells = stream.num_cells();
+        ResidentShard {
+            shard_id,
+            rows: (0..cfg.epoch_steps)
+                .map(|_| Vec::with_capacity(num_cells))
+                .collect(),
+            pool: PoolShard::try_new(cfg, num_cells).expect("validated by the metro gate"),
+            stream,
+            scratch: PoolMetrics::default(),
+            delta: ShardDelta::default(),
         }
     }
 
-    /// Run one shard's pool simulation on the calling thread.
-    fn run_shard(&self, shard: usize, reference: bool) -> ShardReport {
-        let (pool_cfg, trace_cfg) = shard_configs(&self.config, &self.pool, &self.trace, shard);
-        pran_telemetry::trace::set_shard(Some(shard as u64));
-        let trace = generate(&trace_cfg);
-        let mut pool = PoolSimulator::new(trace, pool_cfg);
-        let report = if reference {
-            pool.run_reference()
-        } else {
-            pool.run()
-        };
-        pran_telemetry::trace::set_shard(None);
-        ShardReport {
-            shard,
-            cells: trace_cfg.num_cells,
-            seed: trace_cfg.seed,
-            report,
+    /// Step one epoch of at most `max_steps` rows (`epoch_steps` unless
+    /// the horizon is nearer): stream them, (re)place, execute. Runs
+    /// under this shard's telemetry context, so both the buffered trace
+    /// and the live ring see shard-stamped, shard-routed events.
+    pub(crate) fn step_epoch(&mut self, max_steps: usize) {
+        pran_telemetry::trace::set_shard(Some(self.shard_id));
+        self.scratch.reset();
+        let steps = max_steps.min(self.rows.len());
+        let rows = &mut self.rows[..steps];
+
+        let t0 = Instant::now();
+        let first_step = self.stream.step_index();
+        for row in rows.iter_mut() {
+            self.stream.next_step_into(row);
         }
+        let t1 = Instant::now();
+        let placed = self.pool.place(rows, &mut self.scratch);
+        let t2 = Instant::now();
+        self.delta.peak_queue_depth = self.pool.execute(
+            rows,
+            first_step,
+            self.stream.step_seconds(),
+            &mut self.scratch,
+        );
+        let t3 = Instant::now();
+
+        self.delta.unplaced = placed.unplaced as u64;
+        self.delta.ingest_ns = (t1 - t0).as_nanos() as u64;
+        self.delta.dispatch_ns = (t2 - t1).as_nanos() as u64;
+        self.delta.execute_ns = (t3 - t2).as_nanos() as u64;
+        pran_telemetry::trace::set_shard(None);
     }
 }
 
@@ -359,7 +440,7 @@ pub(crate) fn validate(config: &MetroConfig, pool: &PoolConfig) -> Result<(), Me
     pool.validate_for(config.cells).map_err(MetroError::Pool)
 }
 
-/// Shard `shard`'s pool and trace configuration, for either driver: the
+/// Shard `shard`'s pool and trace configuration, for every driver: the
 /// trace cut to the shard's cell count and seed, the fronthaul fault seed
 /// re-derived from it (else cell `c` of every shard replays one loss
 /// sequence), a per-cell split plan sliced to the shard's cells (shards
@@ -467,11 +548,7 @@ mod tests {
         let sim = small_metro(60, 4);
         let report = sim.run();
         assert_eq!(report.shards.len(), 4);
-        let task_sum: u64 = report
-            .shards
-            .iter()
-            .map(|s| s.report.metrics.tasks_total)
-            .sum();
+        let task_sum: u64 = report.shards.iter().map(|s| s.metrics.tasks_total).sum();
         assert_eq!(report.metrics.tasks_total, task_sum);
         assert!(task_sum > 0);
         let cells: usize = report.shards.iter().map(|s| s.cells).sum();
@@ -480,7 +557,7 @@ mod tests {
         let used0: usize = report
             .shards
             .iter()
-            .map(|s| s.report.metrics.servers_used[0])
+            .map(|s| s.metrics.servers_used[0])
             .sum();
         assert_eq!(report.metrics.servers_used[0], used0);
     }
@@ -494,12 +571,5 @@ mod tests {
             report.sharding_gain()
         );
         assert!(report.peak_of_total() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn run_ordered_rejects_bad_orders() {
-        let sim = small_metro(20, 4);
-        sim.run_ordered(&[0, 1, 2, 2]);
     }
 }

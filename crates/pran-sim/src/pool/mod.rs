@@ -10,11 +10,13 @@
 //! is made of; `reference.rs` keeps the seed's allocating executor as the
 //! differential oracle.
 //!
-//! This module is the *batch* driver: [`PoolSimulator`] walks a
-//! materialized [`Trace`] on a discrete-event [`Engine`], turning epoch
-//! boundaries and scheduled [`FailureSpec`]s into shard transitions, and
-//! adds telemetry events, health gauges and the cumulative SLO monitor.
-//! The resident driver is [`crate::service`].
+//! [`PoolSimulator`] is the single-pool driver: it walks a materialized
+//! [`Trace`] on a discrete-event [`Engine`], turning epoch boundaries and
+//! scheduled [`FailureSpec`]s into shard transitions, and adds telemetry
+//! events, health gauges and the cumulative SLO monitor. Metro shards are
+//! driven by [`crate::metro`]'s one shard driver instead, which streams
+//! its rows; only the metro's reference oracle runs a [`PoolSimulator`]
+//! per shard.
 
 use std::time::Duration;
 

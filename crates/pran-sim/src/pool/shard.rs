@@ -6,10 +6,11 @@
 //! the scratch of the per-TTI hot loop and — once the live insight plane
 //! has been armed — its part of that plane's fold. It moves only through
 //! [`PoolShard::place`], [`PoolShard::execute`] and
-//! [`PoolShard::fail_server`]; the batch
-//! [`PoolSimulator`](super::PoolSimulator) and the resident
-//! [`ResidentMetro`](crate::service::ResidentMetro) both call these and
-//! nothing else, so an epoch means the same thing under either.
+//! [`PoolShard::fail_server`]; the single-pool
+//! [`PoolSimulator`](super::PoolSimulator) and the metro's one shard
+//! driver (`metro.rs`, under both [`MetroSimulator`](crate::MetroSimulator)
+//! and [`ResidentMetro`](crate::ResidentMetro)) call these and nothing
+//! else, so an epoch means the same thing under either.
 
 use std::time::Duration;
 

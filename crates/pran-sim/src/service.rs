@@ -1,21 +1,18 @@
 //! Resident (long-running) metro simulation for soak services.
 //!
-//! The batch [`MetroSimulator`](crate::MetroSimulator) is run-to-completion:
-//! it materializes every shard's whole trace, runs all epochs, and returns
-//! one merged report. A *resident* deployment needs the opposite shape:
-//! epochs processed one at a time against streamed trace generation, with
-//! per-epoch metrics published to scrapers while the simulation keeps
-//! running indefinitely.
+//! The batch [`MetroSimulator::run`](crate::MetroSimulator::run) steps
+//! every shard to the trace horizon and returns one merged report. A
+//! *resident* deployment steps the same shards — the metro's one shard
+//! driver, a [`PoolShard`](crate::PoolShard) fed by a
+//! [`TraceStream`](pran_traces::TraceStream) — one epoch per call, on the
+//! same worker crew, with per-epoch metrics published to scrapers while
+//! the simulation keeps running indefinitely.
 //!
-//! [`ResidentMetro`] is the second driver of the [`PoolShard`] state
-//! machine the batch [`PoolSimulator`](crate::PoolSimulator) drives: each
-//! shard pairs one with a [`TraceStream`] (bit-exact with the batch
-//! generator), and an epoch is "stream `epoch_steps` rows, `place`,
-//! `execute`". Per-epoch metrics accumulate into a cumulative
-//! [`PoolMetrics`] that is **byte-identical** to what a batch
-//! [`MetroSimulator::run`](crate::MetroSimulator::run) over the same
-//! configuration produces — `tests/soak_service.rs` pins this, on the
-//! default metro and on uneven, faulted, split, cold-placed shards.
+//! Per-epoch metrics are merged across shards and appended into a
+//! cumulative [`PoolMetrics`] that is **byte-identical** to what a batch
+//! run over the same configuration produces — `tests/soak_service.rs`
+//! pins this, on the default metro and on uneven, faulted, split,
+//! cold-placed shards.
 //!
 //! Per epoch the caller gets an [`EpochStatus`]: a compact, fully
 //! deterministic [`EpochRecord`] (what the flight recorder rings), any SLO
@@ -26,12 +23,12 @@ use std::time::{Duration, Instant};
 
 use pran_insight::live::{BurnAlert, BurnRateAlerter, MetroFold};
 use pran_insight::slo::{Alert, EpochSample, SloMetric, SloMonitor, SloPolicy};
-use pran_traces::{TraceConfig, TraceStream};
+use pran_traces::TraceConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::PoolMetrics;
-use crate::metro::{self, MetroConfig, MetroError};
-use crate::pool::{PoolConfig, PoolShard};
+use crate::metro::{self, MetroConfig, MetroError, ResidentShard};
+use crate::pool::PoolConfig;
 
 /// One epoch's deterministic summary — the flight recorder's ring element.
 ///
@@ -111,79 +108,6 @@ pub struct EpochStatus {
     /// Wall-clock nanoseconds merging shard metrics and folding the
     /// cumulative state.
     pub merge_ns: u64,
-}
-
-/// Per-epoch deterministic outputs of one shard's step.
-#[derive(Debug, Clone, Copy, Default)]
-struct ShardDelta {
-    peak_queue_depth: u64,
-    unplaced: u64,
-    ingest_ns: u64,
-    dispatch_ns: u64,
-    execute_ns: u64,
-}
-
-/// One shard of the resident metro: a pool, the trace stream feeding it,
-/// and this epoch's rows, metrics and phase stamps.
-struct ResidentShard {
-    /// Metro-wide shard index: telemetry shard context (the stamp on
-    /// this shard's events, and the live ring they are routed to).
-    shard_id: u64,
-    pool: PoolShard,
-    stream: TraceStream,
-    /// The current epoch's rows (`epoch_steps` buffers, reused).
-    rows: Vec<Vec<f64>>,
-    /// Epoch-local metrics, reset at the top of every step.
-    scratch: PoolMetrics,
-    delta: ShardDelta,
-}
-
-impl ResidentShard {
-    fn new(shard_id: u64, cfg: PoolConfig, trace_cfg: &TraceConfig) -> Self {
-        let stream = TraceStream::new(trace_cfg);
-        let num_cells = stream.num_cells();
-        ResidentShard {
-            shard_id,
-            rows: (0..cfg.epoch_steps)
-                .map(|_| Vec::with_capacity(num_cells))
-                .collect(),
-            pool: PoolShard::try_new(cfg, num_cells).expect("validated by ResidentMetro"),
-            stream,
-            scratch: PoolMetrics::default(),
-            delta: ShardDelta::default(),
-        }
-    }
-
-    /// Step one epoch: stream `epoch_steps` rows, (re)place, execute.
-    /// Runs under this shard's telemetry context (as the batch metro's
-    /// `run_shard` does), so both the buffered trace and the live ring
-    /// see shard-stamped, shard-routed events.
-    fn step_epoch(&mut self) {
-        pran_telemetry::trace::set_shard(Some(self.shard_id));
-        self.scratch.reset();
-
-        let t0 = Instant::now();
-        let first_step = self.stream.step_index();
-        for row in self.rows.iter_mut() {
-            self.stream.next_step_into(row);
-        }
-        let t1 = Instant::now();
-        let placed = self.pool.place(&self.rows, &mut self.scratch);
-        let t2 = Instant::now();
-        self.delta.peak_queue_depth = self.pool.execute(
-            &self.rows,
-            first_step,
-            self.stream.step_seconds(),
-            &mut self.scratch,
-        );
-        let t3 = Instant::now();
-
-        self.delta.unplaced = placed.unplaced as u64;
-        self.delta.ingest_ns = (t1 - t0).as_nanos() as u64;
-        self.delta.dispatch_ns = (t2 - t1).as_nanos() as u64;
-        self.delta.execute_ns = (t3 - t2).as_nanos() as u64;
-        pran_telemetry::trace::set_shard(None);
-    }
 }
 
 /// The resident metro simulator: every shard of a [`MetroConfig`] stepped
@@ -344,28 +268,10 @@ impl ResidentMetro {
     /// `config.workers` threads), merge in shard-index order, fold the
     /// cumulative state, and feed the SLO monitor.
     pub fn step_epoch(&mut self) -> EpochStatus {
-        let workers = self.config.workers.min(self.shards.len()).max(1);
-        if workers == 1 {
-            for sh in self.shards.iter_mut() {
-                sh.step_epoch();
-            }
-        } else {
-            let chunk = self.shards.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for batch in self.shards.chunks_mut(chunk) {
-                    scope.spawn(|| {
-                        for sh in batch {
-                            sh.step_epoch();
-                        }
-                        // As the batch metro's workers do: `thread::scope`
-                        // waits for closures, not thread-local destructors,
-                        // and an exit-time flush could land after the
-                        // caller's per-epoch `trace::drain()`.
-                        pran_telemetry::trace::flush();
-                    });
-                }
-            });
-        }
+        let epoch_steps = self.epoch_steps;
+        metro::for_each_shard(&mut self.shards, self.config.workers, |_, sh| {
+            sh.step_epoch(epoch_steps)
+        });
 
         // Merge phase: fold shard scratches in shard-index order (the
         // batch metro's merge discipline), then append the merged epoch

@@ -7,10 +7,10 @@
 //! [`armed`], `PoolShard::execute` folds each executed subframe straight
 //! into a shard-owned `pran_insight::live::LiveFold` from the integers
 //! it already holds. Everything else [`sim_event`](trace::sim_event)
-//! records — a handful of control-plane events per epoch (`pool.epoch`,
-//! SLO and burn alerts, chaos violations) — is also copied,
-//! allocation-free, into a preallocated per-shard ring, which a resident
-//! consumer (`pran-obs`'s soak loop) drains once per epoch. Both are
+//! records — a handful of control-plane events per epoch (SLO and burn
+//! alerts, chaos violations) — is also copied, allocation-free, into a
+//! preallocated per-shard ring, which a resident consumer (`pran-obs`'s
+//! soak loop) drains once per epoch. Both are
 //! independent of the buffered tracer: arming does not require
 //! `enabled()`, so a soak can fold live attribution without paying for
 //! (or allocating in) the export path.

@@ -138,6 +138,11 @@ impl TraceConfig {
             seed,
         }
     }
+
+    /// Rows a trace of this duration holds: `duration / step`, rounded.
+    pub fn num_steps(&self) -> usize {
+        (self.duration_seconds / self.step_seconds).round() as usize
+    }
 }
 
 /// Generate a trace from a configuration.
@@ -149,7 +154,7 @@ pub fn generate(cfg: &TraceConfig) -> Trace {
     let gen_span = pran_telemetry::trace::span("traces.generate");
     let mut stream = crate::stream::TraceStream::new(cfg);
 
-    let steps = (cfg.duration_seconds / cfg.step_seconds).round() as usize;
+    let steps = cfg.num_steps();
     let mut samples = Vec::with_capacity(steps);
     for _ in 0..steps {
         let mut row = Vec::with_capacity(cfg.num_cells);

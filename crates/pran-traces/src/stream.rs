@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn stream_runs_past_configured_duration() {
         let cfg = TraceConfig::default_day(4, 3);
-        let steps = (cfg.duration_seconds / cfg.step_seconds).round() as usize;
+        let steps = cfg.num_steps();
         let mut stream = TraceStream::new(&cfg);
         let mut row = Vec::new();
         for _ in 0..steps + 10 {

@@ -358,3 +358,26 @@ fn metro_split_plan_matches_reference_across_worker_counts() {
         );
     }
 }
+
+/// A horizon that is not a multiple of `epoch_steps`: 60 two-minute
+/// steps in epochs of 7, so the last epoch takes the 4 rows left. The
+/// streamed shard must stop where the oracle's materialized trace ends.
+#[test]
+fn metro_partial_last_epoch_matches_reference_across_worker_counts() {
+    let build = |workers: usize| {
+        let mut pool = PoolConfig::default_eval(4);
+        pool.warm = Some(WarmConfig::default_eval());
+        pool.epoch_steps = 7;
+        metro(workers, pool)
+    };
+    let reference = build(1).run_reference();
+    assert_eq!(reference.metrics.epochs, 60u64.div_ceil(7));
+    let reference = serde_json::to_string_pretty(&reference).unwrap();
+    for workers in [1usize, 2, 8] {
+        let hot = serde_json::to_string_pretty(&build(workers).run()).unwrap();
+        assert_eq!(
+            hot, reference,
+            "partial-epoch metro with {workers} workers diverged from reference"
+        );
+    }
+}
