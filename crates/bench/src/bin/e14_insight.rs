@@ -15,7 +15,7 @@
 //!   both sides (chaos invariant and SLO policy), well below the 50 ms
 //!   failover price, so every crash outage is simultaneously a violation
 //!   and an alertable breach — while the bound stays *nonzero* so the
-//!   monitor's ratio/EWMA knobs act on a real base in the sweep below.
+//!   monitor's trigger/clear ratios act on a real base in the sweep below.
 //!   Server capacity is also tightened so placement spreads across the
 //!   pool and crashes actually displace cells in the data plane.
 //!   Per-scenario agreement yields a confusion matrix and alert
@@ -77,7 +77,7 @@ fn main() -> ExitCode {
     // --- phase 2: 10 ms outage tolerance on both sides ---
     // Below the 50 ms failover price, so any crash that displaces a cell
     // both violates the invariant and breaches the SLO — but nonzero, so
-    // `trigger_ratio`/`ewma_alpha` scale a real threshold instead of
+    // `trigger_ratio`/`clear_ratio` scale a real threshold instead of
     // degenerating to "any sample at all" (a zero bound pinned the old
     // sweep: every knob combination saw the same alert set).
     const STRESS_BOUND: Duration = Duration::from_millis(10);
@@ -123,37 +123,36 @@ fn main() -> ExitCode {
     );
     let phase2_ok = tp > 0;
 
-    // --- sensitivity sweep: EWMA smoothing and hysteresis ratios ---
-    // EWMA smoothing delays the signal past a short run's end and the
-    // trigger ratio scales the effective threshold, so the sweep maps
-    // how sensitivity knobs trade recall against false alarms.
+    // --- sensitivity sweep: hysteresis ratios ---
+    // The monitor judges each epoch's raw value: the trigger ratio scales
+    // the threshold a value must pass to alert, and the clear ratio the
+    // level it must fall to before the metric re-arms, so the sweep maps
+    // how those two knobs trade recall against false alarms.
     //
     // 0.400 is the historical regression floor: stock recall back when
     // the stressed phase ran at 400 GOPS (all cells packed on one
     // server, so most crashes were invisible to the data plane), the
-    // outage bound was zero (ratio/EWMA knobs inert), and the pool
+    // outage bound was zero (ratio knobs inert), and the pool
     // simulator recorded no outage samples for stranded
     // (displaced-but-unreplaced) cells. The sweep records whether the
     // best combination still clears that floor.
     const BASELINE_RECALL: f64 = 0.400;
-    println!("\n== sensitivity sweep: ewma_alpha x trigger/clear ratios ==");
+    println!("\n== sensitivity sweep: trigger/clear ratios ==");
     let mut sweep_rows = Vec::new();
     let mut best_recall = 0.0f64;
-    for (alpha, trigger_ratio, clear_ratio) in [
-        (0.3, 1.0, 1.0),  // stock (the phase-2 confusion matrix above)
-        (1.0, 1.0, 1.0),  // no smoothing: react to the raw epoch value
-        (1.0, 0.5, 0.25), // no smoothing + hair trigger
-        (0.3, 2.0, 0.5),  // damping: threshold 20 ms, still < failover price
-        (1.0, 10.0, 0.5), // threshold 100 ms > the 50 ms failover price:
-                          // only stranded cells (outage runs to the next
-                          // epoch) can trip it. Zero recall here means the
-                          // repack re-placed every displaced cell in these
-                          // schedules — and proves the ratio knob actually
-                          // moves the operating point (it was inert when
-                          // the bound was zero).
+    for (trigger_ratio, clear_ratio) in [
+        (1.0, 1.0),  // stock (the phase-2 confusion matrix above)
+        (0.5, 0.25), // hair trigger
+        (2.0, 0.5),  // damping: threshold 20 ms, still < failover price
+        (10.0, 0.5), // threshold 100 ms > the 50 ms failover price:
+                     // only stranded cells (outage runs to the next
+                     // epoch) can trip it. Zero recall here means the
+                     // repack re-placed every displaced cell in these
+                     // schedules — and proves the ratio knob actually
+                     // moves the operating point (it was inert when
+                     // the bound was zero).
     ] {
         let mut swept = tight.clone();
-        swept.slo.ewma_alpha = alpha;
         swept.slo.trigger_ratio = trigger_ratio;
         swept.slo.clear_ratio = clear_ratio;
         let (mut s_tp, mut s_fp, mut s_fn) = (0usize, 0usize, 0usize);
@@ -182,7 +181,6 @@ fn main() -> ExitCode {
         };
         best_recall = best_recall.max(s_recall);
         sweep_rows.push(serde_json::json!({
-            "ewma_alpha": alpha,
             "trigger_ratio": trigger_ratio,
             "clear_ratio": clear_ratio,
             "true_positives": s_tp,

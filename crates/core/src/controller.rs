@@ -791,7 +791,7 @@ impl Controller {
         self.slo_monitor.alerts()
     }
 
-    /// The online SLO monitor (EWMA state and breach flags).
+    /// The online SLO monitor (alerts and breach flags).
     pub fn slo_monitor(&self) -> &SloMonitor {
         &self.slo_monitor
     }

@@ -1,14 +1,12 @@
 //! Injectors: driving scenario events into the running system.
 //!
-//! The [`FaultTarget`] trait is the small surface every injectable
-//! subsystem exposes; because the targets live in other crates
-//! (`pran::Controller`, `pran_sim::PoolSimulator`) the impls live here —
-//! local trait, foreign type — one per target crate. [`run_scenario`] is
-//! the harness that ties them together: it compiles a [`Scenario`] into a
+//! [`run_scenario`] is the harness: it compiles a [`Scenario`] into a
 //! seeded load trace, drives a control plane (controller + failover app +
-//! per-cell fronthaul links) and a data plane (`PoolSimulator`) from one
-//! `pran-sim` event clock, and evaluates the
-//! [`InvariantChecker`] every epoch.
+//! per-cell fronthaul links) from one `pran-sim` event clock, calling
+//! `Controller::server_failed` / `server_recovered` and degrading or
+//! restoring the links as each event's kind says, replays the trace and
+//! its crashes ([`failure_specs`]) through a data plane
+//! (`PoolSimulator`), and evaluates the [`InvariantChecker`] every epoch.
 
 use std::time::Duration;
 
@@ -16,7 +14,7 @@ use bytes::Bytes;
 
 use pran::apps::FailoverApp;
 use pran::{Controller, Snapshot, SystemConfig};
-use pran_fronthaul::fault::{FaultInjector, Outcome};
+use pran_fronthaul::fault::{FaultConfig, FaultInjector, Outcome};
 use pran_insight::slo::Alert;
 use pran_sim::engine::{Engine, SimTime};
 use pran_sim::pool::{FailureSpec, LinkFault, PoolConfig, PoolSimulator};
@@ -29,69 +27,6 @@ use crate::scenario::{ChaosEvent, Scenario, ScenarioError};
 
 /// Salt separating the fronthaul RNG stream from the trace stream.
 const LINK_SEED_SALT: u64 = 0x6c69_6e6b_7365_6564;
-
-/// What a target did with an injected event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Applied {
-    /// The event was meaningful to this target and took effect.
-    Applied,
-    /// The event does not concern this target (or was a no-op).
-    Ignored,
-}
-
-/// A subsystem that chaos events can be driven into.
-///
-/// Implemented here for each injectable crate's entry type:
-/// `pran::Controller` (crash/recovery on the control plane),
-/// `pran_sim::PoolSimulator` (crash scheduling on the data plane) and
-/// [`LinkBank`] (fronthaul degradation). A target ignores event kinds
-/// outside its domain, so the harness can broadcast one schedule to all
-/// targets.
-pub trait FaultTarget {
-    /// Apply one event at simulated time `at`.
-    fn apply_chaos(&mut self, at: Duration, event: &ChaosEvent) -> Applied;
-}
-
-impl FaultTarget for Controller {
-    fn apply_chaos(&mut self, at: Duration, event: &ChaosEvent) -> Applied {
-        match *event {
-            ChaosEvent::ServerCrash { server } | ChaosEvent::ServerNotifyCrash { server } => {
-                match self.server_failed(server, at) {
-                    Ok(_) => Applied::Applied,
-                    Err(_) => Applied::Ignored,
-                }
-            }
-            ChaosEvent::ServerRecover { server } | ChaosEvent::ServerNotifyRecover { server } => {
-                match self.server_recovered(server, at) {
-                    Ok(()) => Applied::Applied,
-                    Err(_) => Applied::Ignored,
-                }
-            }
-            // Silent events never reach the controller — that is the point.
-            _ => Applied::Ignored,
-        }
-    }
-}
-
-impl FaultTarget for PoolSimulator {
-    /// Crashes become one-shot [`FailureSpec`]s. Recovery pairing needs
-    /// the whole schedule (a `FailureSpec` carries `recover_after`), so
-    /// scenario-level seeding goes through [`failure_specs`]; a lone
-    /// `ServerRecover` is ignored here.
-    fn apply_chaos(&mut self, at: Duration, event: &ChaosEvent) -> Applied {
-        match *event {
-            ChaosEvent::ServerCrash { server } | ChaosEvent::ServerCrashSilent { server } => {
-                self.inject_failure(FailureSpec {
-                    server,
-                    at,
-                    recover_after: None,
-                });
-                Applied::Applied
-            }
-            _ => Applied::Ignored,
-        }
-    }
-}
 
 /// Compile a scenario's crash/recover pairs into data-plane
 /// [`FailureSpec`]s (each crash matched with the next recovery of the
@@ -133,7 +68,7 @@ pub fn failure_specs(scenario: &Scenario) -> Vec<FailureSpec> {
 /// [`FaultInjector::advance_to`] — the shared tick that keeps fronthaul
 /// queues in lockstep with engine-scheduled failures.
 #[derive(Debug)]
-pub struct LinkBank {
+struct LinkBank {
     cells: usize,
     seed: u64,
     links: Option<Vec<FaultInjector>>,
@@ -141,7 +76,7 @@ pub struct LinkBank {
 
 impl LinkBank {
     /// A bank of `cells` ideal links.
-    pub fn new(cells: usize, seed: u64) -> Self {
+    fn new(cells: usize, seed: u64) -> Self {
         LinkBank {
             cells,
             seed,
@@ -149,14 +84,24 @@ impl LinkBank {
         }
     }
 
-    /// Whether links are currently degraded.
-    pub fn degraded(&self) -> bool {
-        self.links.is_some()
+    /// Swap in one fresh seeded injector per cell running `config`.
+    fn degrade(&mut self, config: FaultConfig) {
+        let seed = self.seed;
+        self.links = Some(
+            (0..self.cells)
+                .map(|c| FaultInjector::new(config, seed.wrapping_add(c as u64)))
+                .collect(),
+        );
+    }
+
+    /// Return every cell to an ideal link.
+    fn restore(&mut self) {
+        self.links = None;
     }
 
     /// Pass one uplink report through cell `cell`'s link at simulated
     /// time `at`; returns whether it survived.
-    pub fn deliver_report(&mut self, cell: usize, at: Duration) -> bool {
+    fn deliver_report(&mut self, cell: usize, at: Duration) -> bool {
         match &mut self.links {
             None => true,
             Some(links) => {
@@ -167,27 +112,6 @@ impl LinkBank {
                     Outcome::Delivered { .. }
                 )
             }
-        }
-    }
-}
-
-impl FaultTarget for LinkBank {
-    fn apply_chaos(&mut self, _at: Duration, event: &ChaosEvent) -> Applied {
-        if let Some(config) = event.fault_config() {
-            let seed = self.seed;
-            self.links = Some(
-                (0..self.cells)
-                    .map(|c| FaultInjector::new(config, seed.wrapping_add(c as u64)))
-                    .collect(),
-            );
-            return Applied::Applied;
-        }
-        match event {
-            ChaosEvent::LinkRestore => {
-                self.links = None;
-                Applied::Applied
-            }
-            _ => Applied::Ignored,
         }
     }
 }
@@ -277,7 +201,7 @@ fn next_epoch_after(now: Duration, epoch: Duration, horizon: Duration) -> Durati
 /// Run one scenario end to end and return its verdict.
 ///
 /// Both planes consume the same seeded trace. The control plane drives a
-/// [`Controller`] (+ [`FailoverApp`]) and a [`LinkBank`] from a
+/// [`Controller`] (+ [`FailoverApp`]) and a bank of per-cell links from a
 /// `pran-sim` [`Engine`]: uplink reports cross the faulty links each
 /// epoch, crashes/recoveries hit the controller mid-epoch, snapshot
 /// drills capture/corrupt/restore, and the invariant checker scores
@@ -398,7 +322,7 @@ pub fn run_scenario(
                             .enumerate()
                             .filter_map(|(c, a)| (*a == Some(server)).then_some(c))
                             .collect();
-                        if ctl.apply_chaos(now, &te.event) == Applied::Applied {
+                        if ctl.server_failed(server, now).is_ok() {
                             failovers += 1;
                             displaced_cells += hosted.len() as u64;
                             // Cells the failover app re-placed pay the
@@ -424,17 +348,18 @@ pub fn run_scenario(
                     }
                     ChaosEvent::ServerRecover { server } => {
                         truth[server] = true;
-                        ctl.apply_chaos(now, &te.event);
+                        let _ = ctl.server_recovered(server, now);
                     }
                     ChaosEvent::ServerRecoverSilent { server } => {
                         truth[server] = true;
                     }
-                    ChaosEvent::ServerNotifyRecover { .. } => {
-                        ctl.apply_chaos(now, &te.event);
+                    ChaosEvent::ServerNotifyRecover { server } => {
+                        let _ = ctl.server_recovered(server, now);
                     }
-                    ChaosEvent::LinkDegrade { .. } | ChaosEvent::LinkRestore => {
-                        bank.apply_chaos(now, &te.event);
+                    ChaosEvent::LinkDegrade { .. } => {
+                        bank.degrade(te.event.fault_config().expect("a LinkDegrade event"));
                     }
+                    ChaosEvent::LinkRestore => bank.restore(),
                     // Flash crowds act through the trace itself.
                     ChaosEvent::FlashCrowd { .. } => {}
                     ChaosEvent::SnapshotRestore { corrupt } => {
@@ -728,25 +653,19 @@ mod tests {
     #[test]
     fn link_bank_degrades_and_restores() {
         let mut bank = LinkBank::new(4, 9);
-        assert!(!bank.degraded());
+        assert!(bank.links.is_none());
         assert!(bank.deliver_report(0, Duration::ZERO), "ideal link");
-        let degrade = ChaosEvent::LinkDegrade {
+        bank.degrade(FaultConfig {
             drop_prob: 1.0,
-            max_jitter: Duration::ZERO,
-            bucket_capacity: 0,
-            refill_per_interval: 0,
-            refill_interval: Duration::ZERO,
-        };
-        assert_eq!(bank.apply_chaos(Duration::ZERO, &degrade), Applied::Applied);
-        assert!(bank.degraded());
+            ..FaultConfig::clean()
+        });
+        assert!(bank.links.is_some());
         assert!(
             !bank.deliver_report(0, Duration::from_secs(1)),
             "100 % loss"
         );
-        assert_eq!(
-            bank.apply_chaos(Duration::from_secs(2), &ChaosEvent::LinkRestore),
-            Applied::Applied
-        );
+        bank.restore();
+        assert!(bank.links.is_none());
         assert!(bank.deliver_report(0, Duration::from_secs(3)));
     }
 }

@@ -7,10 +7,10 @@
 //!
 //! - [`scenario`] — a serde-loadable DSL describing a timed fault
 //!   schedule over a deployment ([`Scenario`], [`ChaosEvent`]);
-//! - [`inject`] — the [`FaultTarget`] trait and the [`run_scenario`]
-//!   harness that drives events through the control plane
-//!   (`pran::Controller`), the data plane (`pran_sim::PoolSimulator`)
-//!   and the fronthaul fault injectors on one shared simulated clock;
+//! - [`inject`] — the [`run_scenario`] harness that drives events
+//!   through the control plane (`pran::Controller`), the data plane
+//!   (`pran_sim::PoolSimulator`) and the fronthaul fault injectors on
+//!   one shared simulated clock;
 //! - [`invariants`] — the safety envelope ([`InvariantChecker`]),
 //!   evaluated every epoch: placement validity, capacity, outage and
 //!   deadline-miss bounds, snapshot/restore fidelity;
@@ -35,6 +35,6 @@ pub mod scenario;
 pub use explore::{
     explore, replay, sample_scenario, shrink, ExploreConfig, ExploreError, ExploreReport, Failure,
 };
-pub use inject::{failure_specs, run_scenario, Applied, FaultTarget, HarnessReport, LinkBank};
+pub use inject::{failure_specs, run_scenario, HarnessReport};
 pub use invariants::{InvariantChecker, InvariantKind, Violation};
 pub use scenario::{ChaosEvent, Scenario, ScenarioError, TimedEvent};

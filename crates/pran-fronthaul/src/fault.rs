@@ -8,7 +8,6 @@
 use bytes::{Bytes, BytesMut};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Fault-injection configuration. All probabilities in `[0, 1]`.
@@ -195,49 +194,6 @@ impl FaultInjector {
     /// Accumulated statistics.
     pub fn stats(&self) -> FaultStats {
         self.stats
-    }
-}
-
-/// A reorder buffer that releases frames in delay order — used with the
-/// injector's jitter to exercise out-of-order delivery.
-#[derive(Debug, Default)]
-pub struct JitterQueue {
-    queue: VecDeque<(Duration, Bytes)>,
-}
-
-impl JitterQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert a frame due at `due`.
-    pub fn push(&mut self, due: Duration, data: Bytes) {
-        let pos = self.queue.partition_point(|(d, _)| *d <= due);
-        self.queue.insert(pos, (due, data));
-    }
-
-    /// Pop every frame due at or before `now`.
-    pub fn release(&mut self, now: Duration) -> Vec<Bytes> {
-        let mut out = Vec::new();
-        while let Some((due, _)) = self.queue.front() {
-            if *due <= now {
-                out.push(self.queue.pop_front().expect("front exists").1);
-            } else {
-                break;
-            }
-        }
-        out
-    }
-
-    /// Frames still queued.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 }
 
@@ -430,24 +386,6 @@ mod tests {
             matches!(inj.offer(Bytes::from_static(b"x")), Outcome::RateLimited),
             "refill_interval ZERO means only manual tick() refills"
         );
-    }
-
-    #[test]
-    fn jitter_queue_orders_by_due_time() {
-        let mut q = JitterQueue::new();
-        q.push(Duration::from_micros(30), Bytes::from_static(b"c"));
-        q.push(Duration::from_micros(10), Bytes::from_static(b"a"));
-        q.push(Duration::from_micros(20), Bytes::from_static(b"b"));
-        assert_eq!(q.len(), 3);
-        let early = q.release(Duration::from_micros(20));
-        assert_eq!(
-            early,
-            vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")]
-        );
-        assert_eq!(q.len(), 1);
-        let late = q.release(Duration::from_millis(1));
-        assert_eq!(late, vec![Bytes::from_static(b"c")]);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //!   relaxations, re-solvable from its last basis;
 //! * [`branch_bound`] — best-bound branch & bound for the integer problem,
 //!   one warm simplex through the search;
-//! * [`linearize`] — Fortet / big-M reformulation of bilinear terms;
 //! * [`mod@presolve`] — singleton-row folding, bound tightening, fixed-var
 //!   detection (fixed-point, optimum-preserving);
 //! * [`knapsack`] — exact & greedy knapsack plus bin-packing lower bounds
@@ -38,7 +37,6 @@
 
 pub mod branch_bound;
 pub mod knapsack;
-pub mod linearize;
 pub mod model;
 pub mod presolve;
 pub mod simplex;

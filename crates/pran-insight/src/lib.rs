@@ -13,9 +13,9 @@
 //!   JSONL round trip, zero allocation in steady state), plus
 //!   multi-window multi-burn-rate SLO alerting over the error budget.
 //! - [`slo`] — an online SLO monitor the pool simulator and controller
-//!   feed per epoch: EWMA tracking and edge-triggered threshold alerts
-//!   on miss ratio, utilization, outage, lost reports and unplaced
-//!   cells, emitted as `insight.alert` telemetry events.
+//!   feed per epoch: edge-triggered threshold alerts on miss ratio,
+//!   utilization, outage, lost reports and unplaced cells, emitted as
+//!   `insight.alert` telemetry events.
 //! - [`openmetrics`] — render any metrics registry snapshot in
 //!   OpenMetrics text exposition format for external scrapers.
 

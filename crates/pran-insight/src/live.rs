@@ -25,10 +25,12 @@
 //! holds the view equal to the post-hoc reference, cell by cell, over
 //! resident soaks exported to JSONL and parsed back.
 //!
-//! On top of the per-epoch miss ratio, a [`BurnRateAlerter`] replaces
-//! single-window EWMA alerting with SRE-style multi-window,
-//! multi-burn-rate alerting over the error budget implied by
-//! `SloPolicy::miss_ratio_max`: a fast window confirms the budget is
+//! Two alerters run side by side and judge different things. The
+//! threshold monitor ([`SloMonitor`](crate::slo::SloMonitor)) judges
+//! every metric, one epoch's value at a time, against its threshold. A
+//! [`BurnRateAlerter`] judges only the miss-ratio error budget implied
+//! by `SloPolicy::miss_ratio_max`, SRE-style, over multiple windows and
+//! burn rates: a fast window confirms the budget is
 //! burning *now*, a slow window confirms the burn is sustained, and the
 //! two factors map to [`BurnSeverity::Page`] / [`BurnSeverity::Ticket`].
 //! Because both windows must exceed a factor > 1, any alert implies at

@@ -1,12 +1,12 @@
 //! Online SLO monitoring over the per-epoch metrics stream.
 //!
 //! A [`SloMonitor`] consumes one [`EpochSample`] per placement epoch —
-//! fed directly by `pran-sim::pool` and the controller — tracks an EWMA
-//! per metric, and raises edge-triggered [`Alert`]s when an
-//! instantaneous value crosses its [`SloPolicy`] threshold. Every alert is also emitted as a
-//! structured `insight.alert` telemetry event, so SLO breaches flow
-//! through the same substrate as `chaos.violation` invariants and land
-//! in the same JSONL artifacts.
+//! fed directly by `pran-sim::pool` and the controller — and raises
+//! edge-triggered [`Alert`]s when an observed value crosses its
+//! [`SloPolicy`] threshold. Every alert is also emitted as a structured
+//! `insight.alert` telemetry event, so SLO breaches flow through the same
+//! substrate as `chaos.violation` invariants and land in the same JSONL
+//! artifacts.
 
 use std::time::Duration;
 
@@ -62,7 +62,8 @@ impl SloMetric {
     }
 }
 
-/// Per-metric alert thresholds plus the EWMA smoothing factor.
+/// Per-metric alert thresholds, their hysteresis band, and the burn-rate
+/// windows.
 ///
 /// Mirrors the `ChaosConfig` safety envelope (1 % miss ratio, 200 ms
 /// outage) so the online monitor and the post-hoc chaos invariants
@@ -79,8 +80,6 @@ pub struct SloPolicy {
     pub reports_lost_max: u64,
     /// Maximum tolerated unplaced cells per epoch.
     pub unplaced_max: u64,
-    /// EWMA smoothing factor in `(0, 1]`; 1 disables smoothing.
-    pub ewma_alpha: f64,
     /// Trigger sensitivity: a metric enters breach when its value
     /// exceeds `threshold × trigger_ratio`. 1.0 (the default, and what
     /// older serialized configs decode to) keeps the pre-hysteresis
@@ -112,7 +111,7 @@ pub struct SloPolicy {
 impl SloPolicy {
     /// Evaluation defaults matching `ChaosConfig::default_eval`: 1 %
     /// miss ratio, 95 % utilization, 200 ms p99 outage, zero lost
-    /// reports, zero unplaced cells, EWMA α = 0.3.
+    /// reports, zero unplaced cells.
     pub fn default_eval() -> Self {
         SloPolicy {
             miss_ratio_max: 0.01,
@@ -120,7 +119,6 @@ impl SloPolicy {
             outage_p99_max: Duration::from_millis(200),
             reports_lost_max: 0,
             unplaced_max: 0,
-            ewma_alpha: 0.3,
             trigger_ratio: 1.0,
             clear_ratio: 1.0,
             burn_fast_epochs: 5,
@@ -151,7 +149,8 @@ impl Default for SloPolicy {
 
 /// [`SloPolicy`] as it is read: configs serialized before the
 /// hysteresis ratios (or the burn-rate windows) existed still parse,
-/// absent fields being their [`SloPolicy::default_eval`] values.
+/// absent fields being their [`SloPolicy::default_eval`] values, and the
+/// smoothing factor older versions wrote is skipped as an unknown key.
 #[derive(Deserialize)]
 struct SloPolicyWire {
     miss_ratio_max: f64,
@@ -159,7 +158,6 @@ struct SloPolicyWire {
     outage_p99_max: Duration,
     reports_lost_max: u64,
     unplaced_max: u64,
-    ewma_alpha: f64,
     trigger_ratio: Option<f64>,
     clear_ratio: Option<f64>,
     burn_fast_epochs: Option<u64>,
@@ -178,7 +176,6 @@ impl Deserialize for SloPolicy {
             outage_p99_max: wire.outage_p99_max,
             reports_lost_max: wire.reports_lost_max,
             unplaced_max: wire.unplaced_max,
-            ewma_alpha: wire.ewma_alpha,
             trigger_ratio: wire.trigger_ratio.unwrap_or(default.trigger_ratio),
             clear_ratio: wire.clear_ratio.unwrap_or(default.clear_ratio),
             burn_fast_epochs: wire.burn_fast_epochs.unwrap_or(default.burn_fast_epochs),
@@ -192,7 +189,7 @@ impl Deserialize for SloPolicy {
 }
 
 /// One epoch's worth of observations; `None` fields are skipped (their
-/// EWMA and breach state carry over unchanged).
+/// breach state carries over unchanged).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochSample {
     /// Epoch index.
@@ -221,16 +218,14 @@ pub struct Alert {
     pub epoch: u64,
     /// Sim-clock timestamp of the breaching observation.
     pub at_us: u64,
-    /// The instantaneous value that crossed the threshold.
+    /// The observed value that crossed the threshold.
     pub value: f64,
-    /// The EWMA after folding the breaching value in.
-    pub ewma: f64,
     /// The policy threshold it crossed.
     pub threshold: f64,
 }
 
-/// Online SLO monitor: EWMA tracking plus edge-triggered threshold
-/// alerts over [`EpochSample`] streams.
+/// Online SLO monitor: edge-triggered threshold alerts over
+/// [`EpochSample`] streams.
 ///
 /// Alerts are edge-triggered — one alert when a metric crosses its
 /// threshold, nothing while it stays in breach, and the trigger re-arms
@@ -239,7 +234,6 @@ pub struct Alert {
 #[derive(Debug, Clone)]
 pub struct SloMonitor {
     policy: SloPolicy,
-    ewma: [Option<f64>; 5],
     breached: [bool; 5],
     alerts: Vec<Alert>,
     epochs: u64,
@@ -250,7 +244,6 @@ impl SloMonitor {
     pub fn new(policy: SloPolicy) -> Self {
         SloMonitor {
             policy,
-            ewma: [None; 5],
             breached: [false; 5],
             alerts: Vec::new(),
             epochs: 0,
@@ -272,7 +265,7 @@ impl SloMonitor {
         &self.alerts
     }
 
-    /// Drain the alert list (breach state and EWMAs are kept).
+    /// Drain the alert list (breach state is kept).
     pub fn take_alerts(&mut self) -> Vec<Alert> {
         std::mem::take(&mut self.alerts)
     }
@@ -280,11 +273,6 @@ impl SloMonitor {
     /// Whether a metric is currently past its threshold.
     pub fn in_breach(&self, metric: SloMetric) -> bool {
         self.breached[metric.index()]
-    }
-
-    /// Current EWMA of a metric (`None` until first observed).
-    pub fn ewma(&self, metric: SloMetric) -> Option<f64> {
-        self.ewma[metric.index()]
     }
 
     /// Fold in one epoch of observations; returns how many new alerts
@@ -316,12 +304,6 @@ impl SloMonitor {
 
     fn observe_value(&mut self, metric: SloMetric, epoch: u64, at_us: u64, value: f64) {
         let slot = metric.index();
-        let alpha = self.policy.ewma_alpha.clamp(f64::EPSILON, 1.0);
-        let ewma = match self.ewma[slot] {
-            Some(prev) => prev + alpha * (value - prev),
-            None => value,
-        };
-        self.ewma[slot] = Some(ewma);
         let base = self.policy.threshold(metric);
         // Hysteresis band: breach past `base × trigger_ratio`, re-arm only
         // at or below `base × clear_ratio` (both 1.0 by default, which is
@@ -338,7 +320,6 @@ impl SloMonitor {
                 epoch,
                 at_us,
                 value,
-                ewma,
                 threshold,
             };
             self.alerts.push(alert);
@@ -350,7 +331,6 @@ impl SloMonitor {
                         ("metric", metric.label().into()),
                         ("epoch", epoch.into()),
                         ("value", value.into()),
-                        ("ewma", ewma.into()),
                         ("threshold", threshold.into()),
                     ],
                 );
@@ -384,7 +364,6 @@ mod tests {
         }
         assert!(m.alerts().is_empty());
         assert_eq!(m.epochs(), 20);
-        assert_eq!(m.ewma(SloMetric::PoolUtilization), Some(0.5));
         assert!(!m.in_breach(SloMetric::MissRatio));
     }
 
@@ -414,34 +393,26 @@ mod tests {
     }
 
     #[test]
-    fn ewma_tracks_toward_observations() {
-        let mut m = SloMonitor::new(SloPolicy {
-            ewma_alpha: 0.5,
-            ..SloPolicy::default_eval()
-        });
-        let mut s = quiet(0);
-        s.utilization = Some(0.0);
-        m.observe_epoch(&s);
-        s.utilization = Some(1.0);
-        s.epoch = 1;
-        m.observe_epoch(&s);
-        assert_eq!(m.ewma(SloMetric::PoolUtilization), Some(0.5));
-        s.epoch = 2;
-        m.observe_epoch(&s);
-        assert_eq!(m.ewma(SloMetric::PoolUtilization), Some(0.75));
-    }
-
-    #[test]
     fn absent_fields_are_skipped() {
         let mut m = SloMonitor::new(SloPolicy::default_eval());
-        let sample = EpochSample {
+        let breach = EpochSample {
             epoch: 0,
             at_us: 0,
+            miss_ratio: Some(0.05),
             ..EpochSample::default()
         };
-        assert_eq!(m.observe_epoch(&sample), 0);
-        assert_eq!(m.ewma(SloMetric::MissRatio), None);
-        assert_eq!(m.ewma(SloMetric::OutageP99), None);
+        assert_eq!(m.observe_epoch(&breach), 1);
+        let empty = EpochSample {
+            epoch: 1,
+            at_us: 1000,
+            ..EpochSample::default()
+        };
+        assert_eq!(m.observe_epoch(&empty), 0);
+        assert!(
+            m.in_breach(SloMetric::MissRatio),
+            "an absent value leaves its breach state alone"
+        );
+        assert!(!m.in_breach(SloMetric::OutageP99));
     }
 
     #[test]
@@ -482,7 +453,8 @@ mod tests {
     #[test]
     fn policy_without_hysteresis_fields_still_parses() {
         // Configs serialized before trigger/clear ratios existed must
-        // decode to the plain edge-triggered behavior (both 1.0).
+        // decode to the plain edge-triggered behavior (both 1.0); their
+        // smoothing factor is no longer read.
         let json = r#"{
             "miss_ratio_max": 0.02,
             "utilization_max": 0.9,

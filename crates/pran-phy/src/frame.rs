@@ -22,7 +22,7 @@ pub const SYMBOLS_PER_SUBFRAME: u32 = 14;
 pub const SUBCARRIERS_PER_PRB: u32 = 12;
 
 /// Subcarrier spacing in Hz (LTE numerology).
-pub const SUBCARRIER_SPACING_HZ: f64 = 15_000.0;
+const SUBCARRIER_SPACING_HZ: f64 = 15_000.0;
 
 /// Resource elements per PRB per subframe (before control/RS overhead).
 pub const RE_PER_PRB: u32 = SYMBOLS_PER_SUBFRAME * SUBCARRIERS_PER_PRB;

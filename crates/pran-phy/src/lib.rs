@@ -5,15 +5,13 @@
 //! know about the radio stack lives here:
 //!
 //! * [`frame`] — LTE numerology: TTIs, PRB grids, HARQ deadlines;
-//! * [`mcs`] — modulation-and-coding schemes, CQI mapping, transport-block
-//!   sizing;
-//! * [`link`] — path loss, SINR, Shannon-with-gap link adaptation;
+//! * [`mcs`] — modulation-and-coding schemes and transport-block sizing;
 //! * [`compute`] — the per-stage GOPS cost model (what a cell-subframe
 //!   *costs*, as a function of PRBs, MCS, antennas and layers);
 //! * [`kernels`] — real DSP implementations (turbo codec, FFT, QAM, CRC,
 //!   rate matching, scrambling) used by the processing-time benchmarks;
-//! * [`pipeline`] / [`pipeline_dl`] — executable uplink/downlink
-//!   subframes chaining the kernels end-to-end with per-stage timing;
+//! * [`pipeline`] — an executable uplink subframe chaining the kernels
+//!   end-to-end with per-stage timing;
 //! * [`harq`] — the retransmission protocol (redundancy versions, soft
 //!   combining) whose turnaround budget defines the real-time deadline.
 //!
@@ -28,15 +26,12 @@ pub mod compute;
 pub mod frame;
 pub mod harq;
 pub mod kernels;
-pub mod link;
 pub mod mcs;
 pub mod pipeline;
-pub mod pipeline_dl;
 
 pub use compute::{CellWorkload, ComputeModel, FunctionalSplit, Stage, StageCost, SubframeCost};
 pub use frame::{
     AntennaConfig, Bandwidth, Direction, PrbAllocation, Tti, COMPUTE_DEADLINE, HARQ_DEADLINE,
     TTI as TTI_DURATION,
 };
-pub use link::{LinkBudget, PathLossModel};
-pub use mcs::{Cqi, Mcs, Modulation};
+pub use mcs::{Mcs, Modulation};

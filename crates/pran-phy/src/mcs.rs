@@ -1,4 +1,4 @@
-//! Modulation-and-coding schemes, CQI mapping and transport-block sizing.
+//! Modulation-and-coding schemes and transport-block sizing.
 //!
 //! The tables are LTE-shaped approximations: 29 MCS indices spanning QPSK,
 //! 16-QAM and 64-QAM with monotonically increasing code rates, calibrated so
@@ -66,28 +66,19 @@ const CODE_RATE_X1024: [u32; 29] = [
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Mcs(u8);
 
-/// A `u8` read from untrusted text, refused unless it lies in `range`:
-/// both index types below look their tables up unchecked.
-fn read_index(
-    r: &mut serde::Reader<'_>,
-    what: &str,
-    range: std::ops::RangeInclusive<u8>,
-) -> Result<u8, serde::Error> {
-    let index = u8::read(r)?;
-    if range.contains(&index) {
-        Ok(index)
-    } else {
-        Err(serde::Error::new(format!(
-            "{what} {index} out of range {}..={}",
-            range.start(),
-            range.end()
-        )))
-    }
-}
-
+/// Refuses an index past the table from untrusted text: `Mcs` looks its
+/// table up unchecked.
 impl Deserialize for Mcs {
     fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        read_index(r, "MCS index", 0..=Self::MAX_INDEX).map(Mcs)
+        let index = u8::read(r)?;
+        if index <= Self::MAX_INDEX {
+            Ok(Mcs(index))
+        } else {
+            Err(serde::Error::new(format!(
+                "MCS index {index} out of range 0..={}",
+                Self::MAX_INDEX
+            )))
+        }
     }
 }
 
@@ -114,11 +105,6 @@ impl Mcs {
         self.0
     }
 
-    /// All MCS values, ascending.
-    pub fn all() -> impl Iterator<Item = Mcs> {
-        (0..=Self::MAX_INDEX).map(Mcs)
-    }
-
     /// Modulation format of this MCS.
     pub fn modulation(self) -> Modulation {
         match self.0 {
@@ -140,7 +126,7 @@ impl Mcs {
     }
 
     /// Information bits carried by one PRB in one TTI, per layer.
-    pub fn bits_per_prb(self) -> f64 {
+    fn bits_per_prb(self) -> f64 {
         self.efficiency() * f64::from(DATA_RE_PER_PRB)
     }
 
@@ -154,85 +140,11 @@ impl Mcs {
     pub fn rate_bps(self, prbs: u32, layers: u32) -> f64 {
         self.transport_block_bits(prbs, layers) as f64 * 1000.0
     }
-
-    /// The highest MCS whose efficiency does not exceed `target_eff`
-    /// (bits/RE per layer); `None` if even MCS 0 exceeds it.
-    pub fn from_efficiency(target_eff: f64) -> Option<Mcs> {
-        let mut best = None;
-        for m in Mcs::all() {
-            if m.efficiency() <= target_eff {
-                best = Some(m);
-            } else {
-                break;
-            }
-        }
-        best
-    }
 }
 
 impl fmt::Display for Mcs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "MCS{}({})", self.0, self.modulation())
-    }
-}
-
-/// Channel quality indicator, `1..=15`, as reported by UEs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
-pub struct Cqi(u8);
-
-impl Deserialize for Cqi {
-    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        read_index(r, "CQI", 1..=15).map(Cqi)
-    }
-}
-
-/// Spectral efficiency targets per CQI (3GPP 36.213 Table 7.2.3-1 values).
-const CQI_EFFICIENCY: [f64; 15] = [
-    0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766, 1.9141, 2.4063, 2.7305, 3.3223, 3.9023,
-    4.5234, 5.1152, 5.5547,
-];
-
-impl Cqi {
-    /// Construct from an index.
-    ///
-    /// # Panics
-    /// Panics unless `1 ≤ index ≤ 15`.
-    pub fn new(index: u8) -> Self {
-        assert!((1..=15).contains(&index), "CQI out of range: {index}");
-        Cqi(index)
-    }
-
-    /// The raw index.
-    pub fn index(self) -> u8 {
-        self.0
-    }
-
-    /// Spectral-efficiency target of this CQI (bits/RE).
-    pub fn efficiency(self) -> f64 {
-        CQI_EFFICIENCY[(self.0 - 1) as usize]
-    }
-
-    /// Map to the highest MCS not exceeding this CQI's efficiency.
-    pub fn to_mcs(self) -> Mcs {
-        Mcs::from_efficiency(self.efficiency()).unwrap_or(Mcs(0))
-    }
-
-    /// The highest CQI whose efficiency target is ≤ the given value;
-    /// CQI 1 if none qualifies (out-of-range reports clamp low).
-    pub fn from_efficiency(eff: f64) -> Cqi {
-        let mut best = 1;
-        for (i, &e) in CQI_EFFICIENCY.iter().enumerate() {
-            if e <= eff {
-                best = i as u8 + 1;
-            }
-        }
-        Cqi(best)
-    }
-}
-
-impl fmt::Display for Cqi {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CQI{}", self.0)
     }
 }
 
@@ -243,7 +155,7 @@ mod tests {
     #[test]
     fn efficiency_is_strictly_monotone() {
         let mut prev = 0.0;
-        for m in Mcs::all() {
+        for m in (0..=Mcs::MAX_INDEX).map(Mcs) {
             assert!(
                 m.efficiency() > prev,
                 "efficiency not monotone at {m}: {} <= {prev}",
@@ -293,33 +205,6 @@ mod tests {
     fn clamped_saturates() {
         assert_eq!(Mcs::clamped(100).index(), 28);
         assert_eq!(Mcs::clamped(3).index(), 3);
-    }
-
-    #[test]
-    fn cqi_roundtrip_through_efficiency() {
-        for i in 1..=15u8 {
-            let c = Cqi::new(i);
-            assert_eq!(Cqi::from_efficiency(c.efficiency()), c);
-        }
-    }
-
-    #[test]
-    fn cqi_to_mcs_never_exceeds_reported_quality() {
-        for i in 1..=15u8 {
-            let c = Cqi::new(i);
-            assert!(c.to_mcs().efficiency() <= c.efficiency() + 1e-12);
-        }
-    }
-
-    #[test]
-    fn cqi15_maps_to_high_mcs() {
-        assert!(Cqi::new(15).to_mcs().index() >= 26);
-    }
-
-    #[test]
-    fn from_efficiency_boundary() {
-        assert_eq!(Mcs::from_efficiency(0.0), None);
-        assert_eq!(Mcs::from_efficiency(100.0), Some(Mcs::new(28)));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::kernels::turbo::{turbo_decode, turbo_encode_with, QppInterleaver};
 use crate::mcs::Mcs;
 
 /// OFDM data symbols per subframe in this pipeline (13 data + 1 pilot).
-pub const DATA_SYMBOLS: usize = 13;
+const DATA_SYMBOLS: usize = 13;
 
 /// Configuration of one pipeline run.
 #[derive(Debug, Clone)]

@@ -9,9 +9,8 @@
 //!      x, y ∈ {0,1}
 //! ```
 //!
-//! The capacity row already couples `x` and `y` linearly, so no bilinear
-//! linearization is needed here (contrast with admission-style objectives,
-//! where [`pran_ilp::linearize`] earns its keep).
+//! The capacity row already couples `x` and `y` linearly, so the model has
+//! no bilinear term.
 
 use std::time::Duration;
 

@@ -22,10 +22,7 @@
 //!   [`MetroSimulator::run`] steps it to the trace horizon;
 //! * [`service`] — the **resident** metro: the same shards stepped one
 //!   epoch per call, for long-lived soak services that publish per-epoch
-//!   metrics while the simulation keeps running;
-//! * [`ue`] — microscopic load: UE sessions + link geometry → utilization,
-//!   traffic-weighted MCS and admission blocking (an alternative trace
-//!   source to `pran-traces`' macroscopic generator).
+//!   metrics while the simulation keeps running.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +32,6 @@ pub mod metrics;
 pub mod metro;
 pub mod pool;
 pub mod service;
-pub mod ue;
 
 pub use engine::{Engine, SimTime};
 pub use metrics::{LogHistogram, PoolMetrics};

@@ -127,7 +127,7 @@ pub struct ResidentMetro {
     /// Safety bounds for the `violation` flag (chaos-aligned).
     policy: SloPolicy,
     /// Multi-window burn-rate alerting over the epoch miss-ratio error
-    /// budget (ROADMAP item 5: replaces single-window EWMA paging).
+    /// budget, beside the per-metric threshold `monitor`.
     burn: BurnRateAlerter,
 }
 

@@ -574,7 +574,7 @@ mod tests {
     fn validation_knows_insight_alerts() {
         let good = "{\"ts_us\":9,\"domain\":\"sim\",\"name\":\"insight.alert\",\
                     \"fields\":{\"metric\":\"miss_ratio\",\"epoch\":3,\
-                    \"value\":0.04,\"ewma\":0.02,\"threshold\":0.01}}\n";
+                    \"value\":0.04,\"threshold\":0.01}}\n";
         assert_eq!(validate_jsonl(good).unwrap(), 1);
         let missing_metric = "{\"ts_us\":9,\"domain\":\"sim\",\"name\":\"insight.alert\",\
                               \"fields\":{\"value\":1.0,\"threshold\":0.5}}\n";

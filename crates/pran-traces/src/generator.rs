@@ -63,7 +63,7 @@ pub struct ClassMix {
 
 impl ClassMix {
     /// The default urban mix.
-    pub fn urban() -> Self {
+    fn urban() -> Self {
         ClassMix {
             residential: 0.4,
             office: 0.3,

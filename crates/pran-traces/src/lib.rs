@@ -9,25 +9,22 @@
 //!
 //! * [`diurnal`] — per-class 24 h envelopes (office vs residential vs
 //!   transport vs entertainment);
-//! * [`arrivals`] — Poisson / MMPP-2 arrival processes and an M/G/∞
-//!   session pool for second-scale burstiness;
 //! * [`trace`] — the [`Trace`] container plus the pooling statistics
 //!   (sum-of-peaks, peak-of-sum, multiplexing gain) and JSON/CSV I/O;
-//! * [`generator`] — composition of all of the above with reproducible
-//!   seeding and flash-crowd injection;
+//! * [`generator`] — the envelope scaled by a shared regional factor plus
+//!   AR(1) per-cell noise (the burstiness), with reproducible seeding and
+//!   flash-crowd injection;
 //! * [`stream`] — the incremental twin of [`generate`], yielding rows one
 //!   step at a time (bit-exact) for resident soak services.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arrivals;
 pub mod diurnal;
 pub mod generator;
 pub mod stream;
 pub mod trace;
 
-pub use arrivals::{exponential, poisson, standard_normal, Mmpp2, SessionPool};
 pub use diurnal::{CellClass, DiurnalProfile};
 pub use generator::{generate, ClassMix, FlashCrowd, TraceConfig};
 pub use stream::TraceStream;

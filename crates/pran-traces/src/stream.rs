@@ -14,7 +14,6 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::arrivals::standard_normal;
 use crate::diurnal::{CellClass, DiurnalProfile};
 use crate::generator::TraceConfig;
 use crate::trace::{CellMeta, Point};
@@ -25,6 +24,13 @@ const CLASSES: [CellClass; 4] = [
     CellClass::Transport,
     CellClass::Entertainment,
 ];
+
+/// One standard normal variate (Box–Muller).
+fn standard_normal(rng: &mut SmallRng) -> f64 {
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
 
 /// Streaming twin of [`generate`](crate::generate): yields utilization rows
 /// one step at a time, bit-exact with the batch generator.

@@ -2,7 +2,6 @@
 //!
 //! ```sh
 //! cargo run --example trace_tool -- generate 20 42 /tmp/city.json
-//! cargo run --example trace_tool -- micro 12 7 /tmp/micro.json
 //! cargo run --example trace_tool -- inspect /tmp/city.json
 //! cargo run --example trace_tool -- csv /tmp/city.json /tmp/city.csv
 //! ```
@@ -10,13 +9,11 @@
 use std::fs;
 use std::process::ExitCode;
 
-use pran::sim::ue::{synthesize_trace, UeModelConfig};
 use pran::traces::{generate, Trace, TraceConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  trace_tool generate <cells> <seed> <out.json>   macroscopic 24 h trace\n  \
-         trace_tool micro <cells> <seed> <out.json>      UE-session-driven trace\n  \
+        "usage:\n  trace_tool generate <cells> <seed> <out.json>   24 h trace\n  \
          trace_tool inspect <in.json>                    print statistics\n  \
          trace_tool csv <in.json> <out.csv>              convert to CSV"
     );
@@ -35,22 +32,6 @@ fn main() -> ExitCode {
             fs::write(&args[3], trace.to_json()).expect("write output");
             println!(
                 "wrote {} ({} cells × {} steps)",
-                args[3],
-                trace.num_cells(),
-                trace.num_steps()
-            );
-            ExitCode::SUCCESS
-        }
-        Some("micro") if args.len() == 4 => {
-            let (cells, seed) = match (args[1].parse(), args[2].parse()) {
-                (Ok(c), Ok(s)) => (c, s),
-                _ => return usage(),
-            };
-            let cfg = UeModelConfig::default_eval();
-            let trace = synthesize_trace(cells, &cfg, 24.0 * 3600.0, seed);
-            fs::write(&args[3], trace.to_json()).expect("write output");
-            println!(
-                "wrote {} (UE-driven, {} cells × {} steps)",
                 args[3],
                 trace.num_cells(),
                 trace.num_steps()

@@ -2,9 +2,10 @@
 
 /// `fixtures/controller_snapshot_v1.json` as the controller writes it
 /// back today: its config carries five sections `SystemConfig` no longer
-/// has (`pool.cores`, `scheduler`, `parallel`, `telemetry`, `metro` —
-/// read by nothing), which the reader steps over and the writer leaves
-/// out. Everything else is the fixture's bytes.
+/// has (`pool.cores`, `scheduler`, `parallel`, `telemetry`, `metro`) and
+/// one `SloPolicy` field (`slo.ewma_alpha`), all read by nothing, which
+/// the reader steps over and the writer leaves out. Everything else is
+/// the fixture's bytes.
 pub fn v1_snapshot_written_back() -> String {
     let mut text = include_str!("../fixtures/controller_snapshot_v1.json")
         .trim_end()
@@ -14,6 +15,7 @@ pub fn v1_snapshot_written_back() -> String {
         r#""scheduler":"GlobalEdf","parallel":{"cores":8,"batch":4,"steal":true},"#,
         r#""telemetry":{"enabled":false,"clock":"SimOnly","buffer_events":8192},"#,
         r#""metro":null,"#,
+        r#""ewma_alpha":0.3,"#,
     ] {
         assert!(text.contains(unread), "the fixture moved: {unread}");
         text = text.replacen(unread, "", 1);

@@ -190,11 +190,6 @@ fn mcs_past_the_table_is_refused_not_indexed() {
     assert_eq!(err.to_string(), "at mcs: MCS index 200 out of range 0..=28");
     let ok = config.replacen("\"mcs\":200", "\"mcs\":28", 1);
     assert!(serde_json::from_str::<SystemConfig>(&ok).is_ok());
-    assert!(serde_json::from_str::<pran_phy::Cqi>("15").is_ok());
-    for cqi in ["0", "16"] {
-        let err = serde_json::from_str::<pran_phy::Cqi>(cqi).unwrap_err();
-        assert_eq!(err.to_string(), format!("CQI {cqi} out of range 1..=15"));
-    }
 }
 
 #[test]

@@ -1,39 +1,13 @@
-//! PHY-chain integration: link budget → scheduling grant → real kernels →
-//! compute model, all agreeing with each other.
+//! PHY-chain integration: real kernels and the compute model agreeing with
+//! each other.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use pran_phy::compute::{CellWorkload, ComputeModel, Stage};
 use pran_phy::frame::{Bandwidth, Direction};
-use pran_phy::link::LinkBudget;
 use pran_phy::mcs::Mcs;
 use pran_phy::pipeline::{run_uplink_subframe, PipelineConfig};
-
-#[test]
-fn link_adaptation_to_pipeline_roundtrip() {
-    // A UE at 400 m: the link budget picks an MCS, the scheduler grants
-    // PRBs for 5 Mb/s, and the real pipeline decodes the transport block.
-    let lb = LinkBudget::macro_cell();
-    let sinr = lb.mean_sinr_db(400.0);
-    let mcs = lb.adapt_mcs(sinr).expect("UE in coverage");
-    let prbs = lb
-        .required_prbs(5e6, sinr)
-        .expect("rate grantable")
-        .clamp(1, 25);
-
-    let cfg = PipelineConfig {
-        bandwidth: Bandwidth::Mhz5,
-        code_block_bits: 256,
-        decoder_iterations: 6,
-        noise_sigma: 0.05,
-        c_init: 0xC0DE,
-    };
-    let mut rng = SmallRng::seed_from_u64(99);
-    let run = run_uplink_subframe(prbs, mcs, &cfg, &mut rng);
-    assert!(run.crc_ok, "pipeline failed at MCS {mcs}, {prbs} PRB");
-    assert!(run.payload_ok);
-}
 
 #[test]
 fn measured_decode_dominance_matches_model() {
@@ -106,31 +80,4 @@ fn cell_edge_users_cost_less_compute_per_subframe() {
         ..CellWorkload::full_load(Direction::Uplink)
     };
     assert!(model.cell_gops(&near) > 1.5 * model.cell_gops(&edge));
-}
-
-#[test]
-fn link_budget_mcs_distribution_is_sane() {
-    // Sampling UEs uniformly in a 1.5 km disc must produce a *mixture* of
-    // modulations — the compute model's MCS sensitivity only matters if
-    // real geometries exercise it.
-    let lb = LinkBudget::macro_cell();
-    let mut rng = SmallRng::seed_from_u64(2024);
-    let mut counts = [0usize; 3];
-    let n = 2000;
-    for i in 0..n {
-        // Deterministic radial sampling + random shadowing.
-        let r = 50.0 + 1450.0 * (i as f64 / n as f64);
-        let sinr = lb.sinr_db(r, &mut rng);
-        if let Some(mcs) = lb.adapt_mcs(sinr) {
-            counts[match mcs.modulation() {
-                pran_phy::mcs::Modulation::Qpsk => 0,
-                pran_phy::mcs::Modulation::Qam16 => 1,
-                pran_phy::mcs::Modulation::Qam64 => 2,
-            }] += 1;
-        }
-    }
-    assert!(
-        counts.iter().all(|&c| c > n / 20),
-        "modulation mix degenerate: {counts:?}"
-    );
 }

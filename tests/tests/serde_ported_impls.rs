@@ -253,8 +253,11 @@ fn slo_policy_reads() {
         old = from_str(&without(&old, newer)).unwrap();
         assert_eq!(from_str::<SloPolicy>(&to_string(&old).unwrap()).unwrap(), x);
     }
-    let err = from_str::<SloPolicy>(&without(&tree, "ewma_alpha")).unwrap_err();
-    assert_eq!(err.to_string(), "at ewma_alpha: expected number, got null");
+    let err = from_str::<SloPolicy>(&without(&tree, "unplaced_max")).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "at unplaced_max: expected unsigned integer, got null"
+    );
     let late = to_string(&tree)
         .unwrap()
         .replacen(r#""secs":0"#, r#""secs":"soon""#, 1);
