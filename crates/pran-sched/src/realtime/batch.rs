@@ -1,7 +1,7 @@
 //! The greedy non-preemptive dispatcher, on struct-of-arrays task sets.
 //!
-//! A metro run dispatches once per server per trace step (millions of
-//! calls of ~10 tasks each), so nothing here allocates in steady state:
+//! The pool dispatches once per server per trace step (millions of calls
+//! of a few cells each), so nothing here allocates in steady state:
 //!
 //! * [`TaskBatch`] keeps release/deadline/service as flat `u64`
 //!   nanosecond columns (task id = row index), so batched cost
@@ -9,15 +9,26 @@
 //! * [`SimScratch`] owns the sort order and the ready/core heaps, reused
 //!   across calls;
 //! * [`simulate_into`] writes finish/missed columns into a caller-owned
-//!   [`BatchOutcome`].
+//!   [`BatchOutcome`], [`dispatch_grid`] its responses into a
+//!   [`GridOutcome`].
 //!
-//! Dispatch has two paths. The general one keeps a ready heap keyed by
-//! the policy and a heap of core free times. When the ready heap would
-//! pop in admission order anyway — global FIFO, one partitioned core, or
-//! EDF with one `deadline − release` budget for every task (the subframe
-//! shape) — a heap-free path dispatches straight down the sorted order.
-//! `tests` below hold the two equal on randomized batches, and
-//! `realtime`'s hand-worked cases pin the dispatcher's answers.
+//! Dispatch has three paths:
+//!
+//! * **heap** — a ready heap keyed by the policy and a heap of core free
+//!   times, for any batch;
+//! * **FIFO** (`run_queue_fifo`) — when the ready heap would pop in
+//!   admission order anyway (global FIFO, one partitioned core, or EDF
+//!   with one `deadline − release` budget for every task, the subframe
+//!   shape), straight down the sorted order with no heap;
+//! * **grid** ([`dispatch_grid`]) — when every cell releases one task on
+//!   each TTI of one grid under one budget (an ideal fronthaul), that
+//!   sorted order is TTI-major with the cells ascending, so the FIFO
+//!   path's assignment is made TTI by TTI with no task rows, sort or
+//!   order at all, and a TTI that finds every core free replays TTI 0.
+//!
+//! `tests` below hold the FIFO and grid paths to the heap path on
+//! randomized batches, and `realtime`'s hand-worked cases pin the
+//! dispatcher's answers.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -170,21 +181,118 @@ impl BatchOutcome {
     }
 
     /// Task `i` of `batch` as the `subframe` record [`simulate_into`]
-    /// emits for it: every column truncated to whole µs, start
-    /// reconstructed as finish − service on the µs grid (non-preemptive
-    /// dispatch runs each task contiguously).
+    /// emits for it.
     #[inline]
     pub fn subframe(&self, batch: &TaskBatch, i: usize) -> pran_telemetry::Subframe {
-        let finish = self.finish_ns[i] / 1_000;
-        pran_telemetry::Subframe {
-            cell: u64::from(batch.cell[i]),
-            release_us: batch.release_ns[i] / 1_000,
-            start_us: finish.saturating_sub(batch.service_ns[i] / 1_000),
-            finish_us: finish,
-            deadline_us: batch.deadline_ns[i] / 1_000,
-            core: None,
-            stolen: false,
-        }
+        subframe_record(
+            batch.cell[i],
+            batch.release_ns[i],
+            batch.deadline_ns[i],
+            batch.service_ns[i],
+            self.finish_ns[i],
+        )
+    }
+}
+
+/// One dispatched task as its `subframe` record: every time truncated to
+/// whole µs, start reconstructed as finish − service on the µs grid
+/// (non-preemptive dispatch runs each task contiguously).
+#[inline]
+fn subframe_record(
+    cell: u32,
+    release_ns: u64,
+    deadline_ns: u64,
+    service_ns: u64,
+    finish_ns: u64,
+) -> pran_telemetry::Subframe {
+    let finish = finish_ns / 1_000;
+    pran_telemetry::Subframe {
+        cell: u64::from(cell),
+        release_us: release_ns / 1_000,
+        start_us: finish.saturating_sub(service_ns / 1_000),
+        finish_us: finish,
+        deadline_us: deadline_ns / 1_000,
+        core: None,
+        stolen: false,
+    }
+}
+
+/// Caller-owned output of [`dispatch_grid`]: the response
+/// (`finish − release`) of every (TTI, cell) task, stored once per
+/// distinct schedule — a TTI that replays TTI 0 shares TTI 0's block.
+#[derive(Debug, Clone, Default)]
+pub struct GridOutcome {
+    /// Cells per TTI (rows per block).
+    cells: usize,
+    /// The grid's one `deadline − release`, ns.
+    budget_ns: u64,
+    /// Release of each TTI, ns.
+    release_ns: Vec<u64>,
+    /// Per TTI, the block holding its responses: 0 for TTI 0 and every
+    /// TTI that replays it.
+    block: Vec<u32>,
+    /// TTIs that replayed TTI 0.
+    replays: usize,
+    /// Responses in ns: block `b` holds cell `c` at row `b × cells + c`.
+    response_ns: Vec<u64>,
+}
+
+impl GridOutcome {
+    /// Empty outcome.
+    pub fn new() -> Self {
+        GridOutcome::default()
+    }
+
+    /// The grid's one `deadline − release` budget, ns: a task misses its
+    /// deadline exactly when its response exceeds this.
+    pub fn budget_ns(&self) -> u64 {
+        self.budget_ns
+    }
+
+    /// Responses of TTI `t`'s tasks, ns, one per cell in cell order.
+    #[inline]
+    fn responses(&self, t: usize) -> &[u64] {
+        let first = self.block[t] as usize * self.cells;
+        &self.response_ns[first..first + self.cells]
+    }
+
+    /// Each distinct block of responses with the number of TTIs it stands
+    /// for: TTI 0's first, counting every TTI that replayed it, then one
+    /// per TTI dispatched on its own. Folding each block with its
+    /// multiplicity folds every task exactly once.
+    pub fn blocks(&self) -> impl Iterator<Item = (&[u64], u64)> + '_ {
+        let first_multiplicity = 1 + self.replays as u64;
+        (0..self.block.len() - self.replays).map(move |b| {
+            let block = &self.response_ns[b * self.cells..(b + 1) * self.cells];
+            (block, if b == 0 { first_multiplicity } else { 1 })
+        })
+    }
+
+    /// Finish time of cell `c`'s task of TTI `t`, ns.
+    #[inline]
+    fn finish_ns(&self, t: usize, c: usize) -> u64 {
+        self.release_ns[t] + self.responses(t)[c]
+    }
+
+    /// Cell `c`'s task of TTI `t` as the `subframe` record
+    /// [`simulate_into`] emits for the same task of the expanded batch;
+    /// `cell` and `service_ns` are that cell's id and service time.
+    #[inline]
+    pub fn subframe(
+        &self,
+        t: usize,
+        c: usize,
+        cell: u32,
+        service_ns: u64,
+    ) -> pran_telemetry::Subframe {
+        let release = self.release_ns[t];
+        subframe_record(
+            cell,
+            release,
+            release + self.budget_ns,
+            service_ns,
+            self.finish_ns(t, c),
+        )
     }
 }
 
@@ -349,6 +457,102 @@ fn run_queue_fifo(
         core_free[c] = end;
     }
     makespan
+}
+
+/// The core that frees first, ties to the lowest id as in
+/// `run_queue_fifo`. Selects rather than branches: across server-steps,
+/// which core wins is data the branch predictor cannot learn.
+#[inline]
+fn first_free(core_free: &[u64]) -> usize {
+    let (mut c, mut best) = (0usize, core_free[0]);
+    for (k, &free) in core_free.iter().enumerate().skip(1) {
+        let earlier = free < best;
+        c = if earlier { k } else { c };
+        best = if earlier { free } else { best };
+    }
+    c
+}
+
+/// Dispatch a TTI grid on `CORES` identical cores: each of the cells
+/// releases one task at every `release_ns[t]`, due at `deadline_ns[t]`,
+/// that needs `service_ns[cell]` on one core. Responses go to `out`.
+///
+/// This is [`simulate_into`] under `GlobalEdf` (or `GlobalFifo`) on the
+/// expanded batch — one row per (cell, TTI), cell-major, as
+/// [`TaskBatch::push_run`] writes it — without building it: sorted by
+/// `(release, row)` those rows are TTI-major with the cells ascending,
+/// and one budget makes EDF pop in that order, so the FIFO path's
+/// assignment is made here TTI by TTI, each TTI's cells in cell order
+/// onto the first core to free, the core clocks carried from TTI to TTI.
+/// The clocks are a `[u64; CORES]`, so they stay in registers.
+///
+/// A TTI whose release finds every core free starts from TTI 0's state
+/// shifted by its release, so each of its tasks finishes as long after
+/// its release as in TTI 0, and misses where it missed. Such a TTI costs
+/// one check and a shift of TTI 0's end state, and shares TTI 0's block
+/// in `out`. Which free core takes a task can then differ from
+/// [`simulate_into`]'s choice (and with it the per-core busy time, which
+/// `out` does not carry); no finish time can.
+///
+/// # Panics
+/// Panics if the grid is empty, its slices differ in length, its
+/// releases do not strictly increase or its `deadline − release` is not
+/// one non-negative value. `CORES == 0` does not compile.
+pub fn dispatch_grid<const CORES: usize>(
+    service_ns: &[u64],
+    release_ns: &[u64],
+    deadline_ns: &[u64],
+    out: &mut GridOutcome,
+) {
+    const { assert!(CORES >= 1, "need at least one core") };
+    assert_eq!(
+        release_ns.len(),
+        deadline_ns.len(),
+        "grid slices must match"
+    );
+    let first = *release_ns.first().expect("a grid has a TTI");
+    let budget = deadline_ns[0].wrapping_sub(first);
+    assert!(
+        release_ns.windows(2).all(|w| w[0] < w[1])
+            && (release_ns.iter().zip(deadline_ns))
+                .all(|(&r, &d)| d.checked_sub(r) == Some(budget)),
+        "a grid's releases strictly increase under one deadline budget"
+    );
+    let cells = service_ns.len();
+    out.cells = cells;
+    out.budget_ns = budget;
+    out.release_ns.clear();
+    out.release_ns.extend_from_slice(release_ns);
+    out.block.clear();
+    out.replays = 0;
+    out.response_ns.clear();
+    let mut core_free = [0u64; CORES];
+    let mut first_tti_end = core_free;
+    let mut blocks = 0u32;
+    for (t, &release) in release_ns.iter().enumerate() {
+        if t > 0 && core_free.iter().all(|&f| f <= release) {
+            let shift = release - first;
+            core_free = first_tti_end.map(|end| end + shift);
+            out.block.push(0);
+            out.replays += 1;
+            continue;
+        }
+        out.block.push(blocks);
+        blocks += 1;
+        for &service in service_ns {
+            let c = first_free(&core_free);
+            let end = core_free[c].max(release) + service;
+            // A select per core, not a store at `c`, keeps the clocks in
+            // registers.
+            for (k, free) in core_free.iter_mut().enumerate() {
+                *free = if k == c { end } else { *free };
+            }
+            out.response_ns.push(end - release);
+        }
+        if t == 0 {
+            first_tti_end = core_free;
+        }
+    }
 }
 
 /// Greedy non-preemptive dispatch of `order`'s tasks over `cores` cores,
@@ -574,6 +778,124 @@ mod tests {
                 assert_eq!(columns(&out), columns(&fresh), "{policy:?}, {n} tasks");
             }
         }
+    }
+
+    /// [`dispatch_grid`] into `out`, held to
+    /// [`simulate_into`]`(GlobalEdf)` on the expanded cell-major batch:
+    /// the same finish and missed values for every (cell, TTI).
+    fn assert_grid_is_edf<const CORES: usize>(
+        service: &[u64],
+        releases: &[u64],
+        deadlines: &[u64],
+        out: &mut GridOutcome,
+    ) {
+        dispatch_grid::<CORES>(service, releases, deadlines, out);
+        let mut batch = TaskBatch::new();
+        for (cell, &s) in service.iter().enumerate() {
+            batch.push_run(cell as u32, releases, deadlines, s);
+        }
+        let edf = fresh(&batch, CORES, Policy::GlobalEdf);
+        let ttis = releases.len();
+        for (cell, &s) in service.iter().enumerate() {
+            for (t, &deadline) in deadlines.iter().enumerate() {
+                let row = cell * ttis + t;
+                let finish = out.finish_ns(t, cell);
+                assert_eq!(
+                    (finish, finish > deadline),
+                    (edf.finish_ns[row], edf.missed[row]),
+                    "cell {cell}, TTI {t}, {CORES} cores, services {service:?}"
+                );
+                assert_eq!(
+                    out.subframe(t, cell, cell as u32, s),
+                    edf.subframe(&batch, row)
+                );
+            }
+        }
+        let folded: u64 = out.blocks().map(|(b, n)| b.len() as u64 * n).sum();
+        assert_eq!(folded, batch.len() as u64, "blocks fold every task once");
+    }
+
+    /// Random grids with a 2 ms budget and 0–3 ms services, so TTIs carry
+    /// over, replay TTI 0 and miss; the outcome is reused across
+    /// differently sized grids. Half the grids have the 1 ms period, half
+    /// 1–3 ms gaps, where a TTI can carry over from one that replayed.
+    #[test]
+    fn grid_dispatch_is_edf_on_the_expanded_batch() {
+        let mut rng = Rng(0x6B1D_5EED_0F0F_2026);
+        let mut out = GridOutcome::new();
+        let (mut carried, mut replayed, mut missed, mut after_replay) = (0, 0, 0, 0);
+        for round in 0..800 {
+            let ttis = 1 + (rng.next() % 10) as usize;
+            let cells = 1 + (rng.next() % 12) as usize;
+            let mut releases = vec![0u64];
+            for _ in 1..ttis {
+                let gap = match round / 4 % 2 {
+                    0 => 1_000_000,
+                    _ => 1_000_000 + rng.next() % 2_000_001,
+                };
+                releases.push(releases.last().unwrap() + gap);
+            }
+            let deadlines: Vec<u64> = releases.iter().map(|r| r + 2_000_000).collect();
+            let service: Vec<u64> = (0..cells).map(|_| rng.next() % 3_000_001).collect();
+            let (s, r, d) = (&service[..], &releases[..], &deadlines[..]);
+            match round % 4 {
+                0 => assert_grid_is_edf::<1>(s, r, d, &mut out),
+                1 => assert_grid_is_edf::<2>(s, r, d, &mut out),
+                2 => assert_grid_is_edf::<4>(s, r, d, &mut out),
+                _ => assert_grid_is_edf::<8>(s, r, d, &mut out),
+            }
+            replayed += out.block[1..].iter().filter(|&&b| b == 0).count();
+            carried += out.block[1..].iter().filter(|&&b| b != 0).count();
+            after_replay += out
+                .block
+                .windows(2)
+                .skip(1)
+                .filter(|w| w[0] == 0 && w[1] != 0)
+                .count();
+            missed += (0..ttis)
+                .flat_map(|t| out.responses(t))
+                .filter(|&&r| r > out.budget_ns())
+                .count();
+        }
+        assert!(
+            carried > 0 && replayed > 0 && missed > 0 && after_replay > 0,
+            "the sweep must carry ({carried}), replay ({replayed}), miss ({missed}) \
+             and carry over from a replay ({after_replay})"
+        );
+    }
+
+    /// Five 600 µs cells on four cores, released at 0, 1, 3 and 4 ms with
+    /// a 1 ms budget. TTI 0: cells 0–3 start at once, cell 4 waits for
+    /// core 0 and finishes at 1.2 ms, past its deadline and past TTI 1's
+    /// release. TTI 1 therefore carries over: cells 0–2 take the free
+    /// cores at 1 ms, cell 3 waits for core 0 (1.2 → 1.8 ms) and cell 4
+    /// for core 1 (1.6 → 2.2 ms). Every core is free again by 3 ms, so
+    /// TTI 2 replays TTI 0, its miss included, and leaves core 0 busy
+    /// until 4.2 ms: TTI 3 carries over from it exactly as TTI 1 did.
+    #[test]
+    fn hand_worked_grid_carries_then_replays() {
+        let us = 1_000u64;
+        let service = [600 * us; 5];
+        let releases = [0, 1_000 * us, 3_000 * us, 4_000 * us];
+        let deadlines = releases.map(|r| r + 1_000 * us);
+        let mut out = GridOutcome::new();
+        assert_grid_is_edf::<4>(&service, &releases, &deadlines, &mut out);
+        let tti0 = [600 * us, 600 * us, 600 * us, 600 * us, 1_200 * us];
+        let carried = [600 * us, 600 * us, 600 * us, 800 * us, 1_200 * us];
+        assert_eq!(out.responses(0), tti0);
+        assert_eq!(out.responses(1), carried);
+        assert_eq!(out.responses(2), tti0);
+        assert_eq!(out.responses(3), carried);
+        assert_eq!(out.block, [0, 1, 0, 2]);
+        let blocks: Vec<(&[u64], u64)> = out.blocks().collect();
+        assert_eq!(blocks, [(&tti0[..], 2), (&carried, 1), (&carried, 1)]);
+        assert_eq!(out.finish_ns(2, 4), 4_200 * us);
+    }
+
+    #[test]
+    #[should_panic(expected = "one deadline budget")]
+    fn grid_rejects_a_second_budget() {
+        dispatch_grid::<1>(&[1], &[0, 1_000], &[2_000, 2_500], &mut GridOutcome::new());
     }
 
     #[test]

@@ -9,15 +9,17 @@
 //! cell bound to one core) — and reports per-task finish times and
 //! deadline misses, the metric experiment E6 sweeps against utilization.
 //! [`simulate`] runs it once on a slice of [`RtTask`]s; the pool calls it
-//! per server per step on reused buffers. [`parallel`] is the pool
-//! server's executor, a different machine model (batched, cell-affine,
-//! work-stealing, whole-µs clocks).
+//! per server per step on reused buffers, or — when every release sits
+//! on the TTI grid — [`dispatch_grid`], the same EDF assignment made
+//! TTI by TTI without expanding the grid into tasks. [`parallel`] is the
+//! pool server's executor, a different machine model (batched,
+//! cell-affine, work-stealing, whole-µs clocks).
 
 pub mod batch;
 pub mod parallel;
 pub mod workload;
 
-pub use batch::{simulate_into, BatchOutcome, SimScratch, TaskBatch};
+pub use batch::{dispatch_grid, simulate_into, BatchOutcome, GridOutcome, SimScratch, TaskBatch};
 pub use parallel::{ParallelConfig, ParallelExecutor, ParallelOutcome, ParallelScratch};
 
 use serde::{Deserialize, Serialize};

@@ -29,7 +29,7 @@ use {
 /// default 400-GOPS server: a cell-subframe task is atomic in this model,
 /// so one core must clear a full-load uplink subframe (~160 GOPS·ms)
 /// within the 2 ms budget — cores must be ≥ 80 GOPS.
-const ANALYTIC_CORES: usize = 4;
+pub(super) const ANALYTIC_CORES: usize = 4;
 
 /// Which functional split each cell of a pool runs (ROADMAP item 4).
 ///

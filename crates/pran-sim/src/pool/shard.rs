@@ -23,11 +23,11 @@ use pran_sched::placement::migration::incremental_repack;
 use pran_sched::placement::warm::WarmPlacer;
 use pran_sched::placement::{Allowed, CellDemand, Placement, PlacementInstance};
 use pran_sched::realtime::{
-    simulate_into, BatchOutcome, ParallelExecutor, ParallelOutcome, ParallelScratch, Policy,
-    SimScratch, TaskBatch,
+    dispatch_grid, simulate_into, BatchOutcome, GridOutcome, ParallelExecutor, ParallelOutcome,
+    ParallelScratch, Policy, SimScratch, TaskBatch,
 };
 
-use super::config::{PoolAccel, PoolConfig, PoolConfigError};
+use super::config::{PoolAccel, PoolConfig, PoolConfigError, ANALYTIC_CORES};
 use crate::metrics::PoolMetrics;
 
 /// Service seconds of one pooled cell-subframe on a server: every pooled
@@ -85,12 +85,16 @@ fn by_split_and_prb<T>(cfg: &PoolConfig, f: impl Fn(FunctionalSplit, u32) -> T) 
 /// as flat `u64` nanosecond columns ([`TaskBatch`]), so the per-task
 /// steady state performs zero heap allocations.
 struct HotBuffers {
-    /// Per-server SoA task queues, cleared (capacity kept) every step.
+    /// Per-server SoA task queues, cleared (capacity kept) every step:
+    /// one row per task, or on the grid path one row per cell (its TTI-0
+    /// task).
     batches: Vec<TaskBatch>,
     /// Analytic-scheduler scratch: admission order and dispatch heaps.
     scratch: SimScratch,
     /// Analytic-scheduler output columns.
     outcome: BatchOutcome,
+    /// Grid-dispatch responses, one server at a time.
+    grid: GridOutcome,
     /// Parallel executor built once per shard (`parallel` configs only).
     executor: Option<ParallelExecutor>,
     /// Parallel-executor scratch: batch queues and simulated cores.
@@ -140,6 +144,7 @@ impl HotBuffers {
             batches: (0..cfg.servers).map(|_| TaskBatch::new()).collect(),
             scratch: SimScratch::new(),
             outcome: BatchOutcome::new(),
+            grid: GridOutcome::new(),
             executor: cfg.parallel.map(ParallelExecutor::new),
             par_scratch: ParallelScratch::default(),
             par_out: ParallelOutcome::default(),
@@ -421,14 +426,28 @@ impl PoolShard {
     /// isomorphic to the reference oracle's `Duration` math
     /// (`tests/tests/pool_differential.rs`).
     ///
+    /// Each server-step takes one of three paths, picked by the input:
+    ///
+    /// * **grid** — ideal fronthaul, analytic dispatch and the buffered
+    ///   tracer off: every release sits on the step's TTI grid, so each
+    ///   server's batch holds one row per cell and [`dispatch_grid`] makes
+    ///   EDF's assignment TTI by TTI; a TTI that replays TTI 0 is folded
+    ///   with TTI 0's records, once, with their multiplicity;
+    /// * **batch** — jittered or lossy links (releases leave the grid), or
+    ///   tracing on (the `subframe` events it writes keep row order): one
+    ///   row per delivered task through [`simulate_into`];
+    /// * **executor** — `parallel` set: the rows go through the shard's
+    ///   [`ParallelExecutor`].
+    ///
     /// While `pran_telemetry::live` is armed, every executed task is also
     /// recorded into [`live_fold`](Self::live_fold) — cell, server and
     /// the µs record the schedulers' `subframe` event carries, straight
     /// from the outcome columns (one branch per server-step when not).
+    /// The fold is order-independent, so arming it changes no path.
     ///
-    /// Returns the peak per-server task backlog observed (the largest
-    /// single-server batch filled by any step) — the resident service's
-    /// flight recorder exposes it as `peak_queue_depth`.
+    /// Returns the peak per-server task backlog observed (the most tasks
+    /// any step gave one server) — the resident service's flight recorder
+    /// exposes it as `peak_queue_depth`.
     pub fn execute(
         &mut self,
         rows: &[Vec<f64>],
@@ -443,6 +462,7 @@ impl PoolShard {
             batches,
             scratch,
             outcome,
+            grid,
             executor,
             par_scratch,
             par_out,
@@ -464,6 +484,9 @@ impl PoolShard {
         } else {
             None
         };
+        let on_grid = links.is_empty() && executor.is_none() && !pran_telemetry::enabled();
+        let tasks_per_row = if on_grid { ttis as u64 } else { 1 };
+        let cores = cfg.server_cores();
         let mut peak_depth = 0u64;
         for (offset, row) in rows.iter().enumerate() {
             let step = first_step + offset;
@@ -486,9 +509,21 @@ impl PoolShard {
                 let split = cfg.split_plan.split_for(cell).index();
                 let service_ns = service_ns[class * 3 + split][prb];
                 let batch = &mut batches[s];
+                if on_grid {
+                    // One row per cell, its TTI-0 task: `dispatch_grid`
+                    // walks the rest of the grid.
+                    batch.push(
+                        cell as u32,
+                        tti_release_ns[0],
+                        tti_deadline_ns[0],
+                        service_ns,
+                    );
+                    continue;
+                }
                 if links.is_empty() {
-                    // Ideal fronthaul: releases are the fixed TTI grid,
-                    // pushed as one run of four columns.
+                    // Ideal fronthaul under an executor or tracing:
+                    // releases are the fixed TTI grid, pushed as one run
+                    // of four columns.
                     batch.push_run(cell as u32, tti_release_ns, tti_deadline_ns, service_ns);
                     continue;
                 }
@@ -517,7 +552,7 @@ impl PoolShard {
                 }
             }
             for (s, batch) in batches.iter().enumerate() {
-                peak_depth = peak_depth.max(batch.len() as u64);
+                peak_depth = peak_depth.max(batch.len() as u64 * tasks_per_row);
                 if batch.is_empty() || !alive[s] {
                     continue;
                 }
@@ -547,8 +582,40 @@ impl PoolShard {
                             }
                         }
                     }
+                    None if on_grid => {
+                        // No executor, so the server has the analytic core
+                        // count.
+                        let service = &batch.service_ns;
+                        dispatch_grid::<ANALYTIC_CORES>(
+                            service,
+                            tti_release_ns,
+                            tti_deadline_ns,
+                            grid,
+                        );
+                        let budget = grid.budget_ns();
+                        for (responses, n) in grid.blocks() {
+                            for &response in responses {
+                                metrics.response_times.record_us_n(response / 1_000, n);
+                                if response > budget {
+                                    metrics.deadline_misses += n;
+                                } else {
+                                    let slack_us = (budget - response) / 1_000;
+                                    metrics.deadline_slack.record_us_n(slack_us, n);
+                                }
+                            }
+                        }
+                        if let Some(fold) = live.as_deref_mut() {
+                            for t in 0..ttis {
+                                for (c, (&cell, &service)) in
+                                    batch.cell.iter().zip(service).enumerate()
+                                {
+                                    let task = grid.subframe(t, c, cell, service);
+                                    fold.record(cell as usize, Some(s), &task);
+                                }
+                            }
+                        }
+                    }
                     None => {
-                        let cores = cfg.server_cores();
                         simulate_into(batch, cores, Policy::GlobalEdf, scratch, outcome);
                         metrics.deadline_misses += outcome.misses() as u64;
                         for i in 0..batch.len() {

@@ -108,14 +108,26 @@ impl<const SUB_SHIFT: usize> LogBuckets<SUB_SHIFT> {
     /// bucket `record(Duration::from_nanos(ns))` would). Allocation-free.
     #[inline]
     pub fn record_us(&mut self, us: u64) {
-        self.buckets[Self::index(us)] += 1;
+        self.record_us_n(us, 1);
+    }
+
+    /// Record `n` samples of the same whole-µs value at once: the state,
+    /// serialized bytes included, that `n` calls of
+    /// [`record_us`](Self::record_us) leave. `n == 0` records nothing and
+    /// touches neither bound. Allocation-free.
+    #[inline]
+    pub fn record_us_n(&mut self, us: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::index(us)] += n;
         self.min_us = if self.count == 0 {
             us
         } else {
             self.min_us.min(us)
         };
-        self.count += 1;
-        self.sum_us += us;
+        self.count += n;
+        self.sum_us += us * n;
         self.max_us = self.max_us.max(us);
     }
 
@@ -495,6 +507,45 @@ mod tests {
         histogram_merge_tracks_min_max => merge_tracks_min_max;
         merge_is_exact => merge_exact;
         quantiles_stay_within_one_bucket_of_truth => within_one_bucket;
+        multiplicity_record_is_n_records => record_n_is_n_records;
+        zero_multiplicity_records_nothing => record_zero_is_a_no_op;
+    }
+
+    fn record_n_is_n_records<const S: usize>() {
+        for base in [&[][..], &[3u64, 700, 1 << 20][..]] {
+            for us in [0u64, 1, 2, 5, 100, 1023, 1024, 99_999, 1 << 45] {
+                for n in 0..6u64 {
+                    let mut one_by_one = LogBuckets::<S>::new();
+                    for &v in base {
+                        one_by_one.record_us(v);
+                    }
+                    let mut at_once = one_by_one.clone();
+                    (0..n).for_each(|_| one_by_one.record_us(us));
+                    at_once.record_us_n(us, n);
+                    assert_eq!(
+                        serde_json::to_string(&at_once).unwrap(),
+                        serde_json::to_string(&one_by_one).unwrap(),
+                        "{n} × {us} µs onto {base:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn record_zero_is_a_no_op<const S: usize>() {
+        // On an empty histogram a zero-count record must not become the
+        // minimum, and on a populated one it must move neither bound:
+        // rank 1 and rank `count` report exactly `min_us` and `max_us`.
+        let mut h = LogBuckets::<S>::new();
+        h.record_us_n(5, 0);
+        assert_eq!(h, LogBuckets::<S>::new());
+        h.record_us(900);
+        h.record_us(1000);
+        h.record_us_n(5, 0);
+        h.record_us_n(1 << 30, 0);
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.try_quantile(0.0), Some(us(900)));
+        assert_eq!(h.try_quantile(1.0), Some(us(1000)));
     }
 
     fn basic_stats<const S: usize>() {

@@ -11,6 +11,14 @@
 //! (The pool dispatches by EDF only; `pran-sched`'s own tests and
 //! `proptest_cross` cover the other policies.)
 //!
+//! An ideal fronthaul with analytic dispatch takes the grid path
+//! (`realtime::dispatch_grid`: one row per cell, TTI by TTI, a TTI that
+//! finds every core free replaying TTI 0); the reference always expands
+//! every task and dispatches through `simulate`. Overloaded pools carry
+//! core clocks from TTI to TTI and miss deadlines, and a clean link —
+//! present, lossless, jitter-free — sends the identical input down the
+//! batch path instead: both must agree with the grid.
+//!
 //! The parallel executor schedules its simulated cores in virtual time
 //! on the calling thread, so work stealing is as repeatable as the
 //! static partition and inside the byte-identity contract. The two paths
@@ -21,12 +29,13 @@
 
 use std::time::Duration;
 
+use pran_fronthaul::fault::FaultConfig;
 use pran_phy::FunctionalSplit;
 use pran_sched::placement::WarmConfig;
 use pran_sched::realtime::ParallelConfig;
 use pran_sim::{
-    FailureSpec, LinkFault, MetroConfig, MetroSimulator, PoolAccel, PoolConfig, PoolSimulator,
-    SplitPlan,
+    FailureSpec, LinkFault, MetroConfig, MetroSimulator, PoolAccel, PoolConfig, PoolMetrics,
+    PoolShard, PoolSimulator, SimReport, SplitPlan,
 };
 use pran_traces::{generate, Trace, TraceConfig};
 
@@ -38,21 +47,28 @@ fn trace(cells: usize, seed: u64) -> Trace {
 }
 
 /// Serialize both paths for the same (trace, config, failures) and
-/// compare the exact bytes.
-fn assert_paths_identical(label: &str, cells: usize, cfg: PoolConfig, failures: &[FailureSpec]) {
+/// compare the exact bytes. Returns the hot path's report.
+fn assert_paths_identical(
+    label: &str,
+    cells: usize,
+    cfg: PoolConfig,
+    failures: &[FailureSpec],
+) -> SimReport {
     let mut hot = PoolSimulator::new(trace(cells, 42), cfg.clone());
     let mut reference = PoolSimulator::new(trace(cells, 42), cfg);
     for &f in failures {
         hot.inject_failure(f);
         reference.inject_failure(f);
     }
-    let hot_json = serde_json::to_string_pretty(&hot.run()).expect("hot report serializes");
+    let report = hot.run();
+    let hot_json = serde_json::to_string_pretty(&report).expect("hot report serializes");
     let ref_json =
         serde_json::to_string_pretty(&reference.run_reference()).expect("reference serializes");
     assert_eq!(
         hot_json, ref_json,
         "{label}: hot path diverged from reference"
     );
+    report
 }
 
 #[test]
@@ -60,6 +76,89 @@ fn analytic_default_is_identical() {
     let mut cfg = PoolConfig::default_eval(6);
     cfg.epoch_steps = 10;
     assert_paths_identical("analytic default", 16, cfg, &[]);
+}
+
+/// Placing against a fraction of the predicted demand packs more cells
+/// on a server than its cores clear in one TTI, so the grid path carries
+/// core clocks from TTI to TTI and misses. A TTI that replayed TTI 0
+/// would miss exactly where TTI 0 did; the miss ratio rising with the
+/// TTIs sampled per step is the backlog carried across them.
+#[test]
+fn overloaded_grid_is_identical() {
+    for headroom in [0.25, 0.3, 0.5, 0.7] {
+        let mut last_ratio = -1.0;
+        for ttis in [1, 4, 7, 10] {
+            let mut cfg = PoolConfig::default_eval(6);
+            cfg.epoch_steps = 10;
+            cfg.headroom = headroom;
+            cfg.ttis_per_step = ttis;
+            let label = format!("headroom {headroom}, {ttis} TTIs per step");
+            let ratio = assert_paths_identical(&label, 40, cfg, &[])
+                .metrics
+                .miss_ratio();
+            assert!(
+                ratio > last_ratio,
+                "{label}: miss ratio {ratio} did not rise"
+            );
+            last_ratio = ratio;
+        }
+    }
+}
+
+/// The metrics and the armed live fold of one shard executing `trace`
+/// epoch by epoch, as `PoolSimulator::run` drives it without failures.
+fn execute_shard(cfg: PoolConfig, trace: &Trace) -> (PoolMetrics, pran_insight::live::LiveFold) {
+    let epoch_steps = cfg.epoch_steps;
+    let mut shard = PoolShard::try_new(cfg, trace.num_cells()).expect("config validates");
+    let mut metrics = PoolMetrics::default();
+    for (epoch, rows) in trace.samples.chunks(epoch_steps).enumerate() {
+        shard.place(rows, &mut metrics);
+        shard.execute(rows, epoch * epoch_steps, trace.step_seconds, &mut metrics);
+    }
+    let fold = shard.live_fold().expect("armed executes build the fold");
+    (metrics, fold.clone())
+}
+
+/// A clean link delivers every report on the TTI grid, but a link at all
+/// sends the shard down the batch path: one row per task through
+/// `simulate_into`. Everything both paths report must agree but the bytes
+/// the link metered, the live fold included — on a loaded pool and on one
+/// whose TTIs carry over.
+#[test]
+fn clean_links_take_the_batch_path_to_the_grid_result() {
+    pran_telemetry::live::arm(1, 16);
+    for (headroom, ttis) in [(1.1, 4), (0.3, 7)] {
+        let mut on_grid = PoolConfig::default_eval(6);
+        on_grid.headroom = headroom;
+        on_grid.ttis_per_step = ttis;
+        let mut linked = on_grid.clone();
+        linked.fronthaul = Some(LinkFault {
+            config: FaultConfig::clean(),
+            seed: 7,
+        });
+        let label = format!("headroom {headroom}, {ttis} TTIs per step");
+        let trace = trace(40, 42);
+        let (grid, grid_fold) = execute_shard(on_grid, &trace);
+        let (mut batch, batch_fold) = execute_shard(linked, &trace);
+        assert!(
+            batch.fronthaul_bytes > 0,
+            "{label}: the link metered nothing"
+        );
+        assert_eq!(batch.reports_lost, 0, "{label}: a clean link lost a report");
+        batch.fronthaul_bytes = 0;
+        assert_eq!(
+            serde_json::to_string(&grid).unwrap(),
+            serde_json::to_string(&batch).unwrap(),
+            "{label}: grid and batch paths disagree"
+        );
+        assert!(
+            grid.deadline_misses > 0 || headroom > 1.0,
+            "{label}: no misses"
+        );
+        assert_eq!(grid_fold, batch_fold, "{label}: the live folds disagree");
+        assert_eq!(grid_fold.tasks(), grid.tasks_total - grid.tasks_lost);
+    }
+    pran_telemetry::live::disarm();
 }
 
 #[test]
