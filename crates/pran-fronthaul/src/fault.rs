@@ -76,6 +76,14 @@ pub enum Outcome {
     RateLimited,
 }
 
+/// How a frame that is not lost arrives.
+struct Delivery {
+    /// Additional queueing jitter to apply.
+    extra_delay: Duration,
+    /// The `(byte, bit)` flipped in a corrupted frame.
+    flip: Option<(usize, u8)>,
+}
+
 /// Statistics kept by the injector.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
@@ -154,41 +162,59 @@ impl FaultInjector {
 
     /// Pass one frame through the faulty link.
     pub fn offer(&mut self, data: Bytes) -> Outcome {
+        match self.draw(data.len()) {
+            Err(lost) => lost,
+            Ok(Delivery { extra_delay, flip }) => Outcome::Delivered {
+                data: match flip {
+                    Some((byte, bit)) => {
+                        let mut m = BytesMut::from(&data[..]);
+                        m[byte] ^= 1 << bit;
+                        m.freeze()
+                    }
+                    None => data,
+                },
+                extra_delay,
+                corrupted: flip.is_some(),
+            },
+        }
+    }
+
+    /// Pass one frame of `len` bytes through the faulty link without
+    /// building it: its extra delay if delivered, `None` if dropped or
+    /// rate-limited. Draws what [`offer`](Self::offer) draws, a corrupted
+    /// frame's byte and bit included, so a link fed either way takes the
+    /// same fates and keeps the same [`stats`](Self::stats) — for callers
+    /// that never read the payload, with no allocation.
+    pub fn deliver(&mut self, len: usize) -> Option<Duration> {
+        self.draw(len).ok().map(|d| d.extra_delay)
+    }
+
+    /// One frame of `len` bytes' fate: how it arrives, or the outcome of a
+    /// frame that does not.
+    fn draw(&mut self, len: usize) -> Result<Delivery, Outcome> {
         self.stats.offered += 1;
         if self.config.bucket_capacity > 0 {
             if self.tokens == 0 {
                 self.stats.rate_limited += 1;
-                return Outcome::RateLimited;
+                return Err(Outcome::RateLimited);
             }
             self.tokens -= 1;
         }
         if self.rng.gen::<f64>() < self.config.drop_prob {
             self.stats.dropped += 1;
-            return Outcome::Dropped;
+            return Err(Outcome::Dropped);
         }
-        let mut corrupted = false;
-        let data = if !data.is_empty() && self.rng.gen::<f64>() < self.config.corrupt_prob {
-            corrupted = true;
+        let flip = (len > 0 && self.rng.gen::<f64>() < self.config.corrupt_prob).then(|| {
             self.stats.corrupted += 1;
-            let mut m = BytesMut::from(&data[..]);
-            let byte = self.rng.gen_range(0..m.len());
-            let bit = self.rng.gen_range(0..8u8);
-            m[byte] ^= 1 << bit;
-            m.freeze()
-        } else {
-            data
-        };
+            (self.rng.gen_range(0..len), self.rng.gen_range(0..8u8))
+        });
         let extra_delay = if self.config.max_jitter > Duration::ZERO {
             self.config.max_jitter.mul_f64(self.rng.gen::<f64>())
         } else {
             Duration::ZERO
         };
         self.stats.delivered += 1;
-        Outcome::Delivered {
-            data,
-            extra_delay,
-            corrupted,
-        }
+        Ok(Delivery { extra_delay, flip })
     }
 
     /// Accumulated statistics.
@@ -271,6 +297,46 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    /// `deliver` takes `offer`'s draws: two links of one seed, one fed
+    /// frames and one their lengths (empty ones included, which draw no
+    /// corruption), deliver and lose the same frames with the same jitter
+    /// and end with the same stats — on the adverse link and on a
+    /// rate-limited, corrupting one.
+    #[test]
+    fn deliver_draws_what_offer_draws() {
+        let limited = FaultConfig {
+            drop_prob: 0.05,
+            corrupt_prob: 0.3,
+            max_jitter: Duration::from_micros(800),
+            bucket_capacity: 6,
+            refill_per_tick: 2,
+            refill_interval: Duration::ZERO,
+        };
+        static FRAME: [u8; 32] = [0u8; 32];
+        for cfg in [FaultConfig::adverse(), limited] {
+            for seed in 0..8 {
+                let mut offered = FaultInjector::new(cfg, seed);
+                let mut delivered = FaultInjector::new(cfg, seed);
+                for i in 0..2_000usize {
+                    if i % 5 == 0 {
+                        offered.tick();
+                        delivered.tick();
+                    }
+                    let len = i * 7 % 33;
+                    let jitter = match offered.offer(Bytes::from_static(&FRAME[..len])) {
+                        Outcome::Delivered { extra_delay, .. } => Some(extra_delay),
+                        Outcome::Dropped | Outcome::RateLimited => None,
+                    };
+                    assert_eq!(delivered.deliver(len), jitter, "{cfg:?}, seed {seed}");
+                }
+                let stats = offered.stats();
+                assert_eq!(delivered.stats(), stats, "{cfg:?}, seed {seed}");
+                assert!(stats.corrupted > 0 && stats.dropped > 0);
+                assert_eq!(stats.rate_limited > 0, cfg.bucket_capacity > 0);
+            }
+        }
     }
 
     #[test]

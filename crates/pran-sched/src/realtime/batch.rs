@@ -6,29 +6,40 @@
 //! * [`TaskBatch`] keeps release/deadline/service as flat `u64`
 //!   nanosecond columns (task id = row index), so batched cost
 //!   evaluation walks each column cache-linearly;
-//! * [`SimScratch`] owns the sort order and the ready/core heaps, reused
-//!   across calls;
+//! * [`SimScratch`] owns the admission order, the packed words and the
+//!   core clocks, reused across calls;
 //! * [`simulate_into`] writes finish/missed columns into a caller-owned
 //!   [`BatchOutcome`], [`dispatch_grid`] its responses into a
 //!   [`GridOutcome`].
 //!
-//! Dispatch has three paths:
+//! Every path puts each task on the first core to free (ties to the
+//! lowest id), read from one flat clock per core. Dispatch has three
+//! paths:
 //!
-//! * **heap** — a ready heap keyed by the policy and a heap of core free
-//!   times, for any batch;
-//! * **FIFO** (`run_queue_fifo`) — when the ready heap would pop in
+//! * **ready queue** (`run_queue`) — for any batch: a min-heap of the
+//!   released tasks, keyed by the policy;
+//! * **FIFO** (`run_queue_fifo`) — when the ready queue would pop in
 //!   admission order anyway (global FIFO, one partitioned core, or EDF
 //!   with one `deadline − release` budget for every task, the subframe
-//!   shape), straight down the sorted order with no heap;
+//!   shape), straight down the sorted order with no queue;
 //! * **grid** ([`dispatch_grid`]) — when every cell releases one task on
 //!   each TTI of one grid under one budget (an ideal fronthaul), that
 //!   sorted order is TTI-major with the cells ascending, so the FIFO
 //!   path's assignment is made TTI by TTI with no task rows, sort or
 //!   order at all, and a TTI that finds every core free replays TTI 0.
 //!
-//! `tests` below hold the FIFO and grid paths to the heap path on
-//! randomized batches, and `realtime`'s hand-worked cases pin the
-//! dispatcher's answers.
+//! The admission sort and the ready queue compare one packed word per
+//! row: the key (release, deadline or laxity, in ns) above the low `b`
+//! bits and the row in them, `b` the bit width of `n − 1` (at least 1).
+//! While every key is below `2^(64 − b)` a `u64` word orders exactly as
+//! the `(key, row)` pair; a batch with a release or deadline past that
+//! (absolute times of hours on very large batches) runs the same code on
+//! `u128` words.
+//!
+//! `tests` below hold every path to a dispatcher on `(key, row)` tuple
+//! heaps and a `(free_at, core)` core heap (`heap_only`) on randomized
+//! batches, and `realtime`'s hand-worked cases pin the dispatcher's
+//! answers.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -127,17 +138,18 @@ impl TaskBatch {
     }
 }
 
-/// Reusable scheduler scratch: sort order and dispatch heaps.
+/// Reusable scheduler scratch: admission order, packed words of both
+/// widths and per-core clocks.
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// Task indices in dispatch-admission order.
+    /// Task rows in admission order.
     order: Vec<u32>,
-    /// Min-heap of `(free_at_ns, core)`.
-    core_free: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Min-heap of `(policy key ns, task index)`.
-    ready: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Flat per-core free times for the heap-free FIFO dispatch path.
+    /// Per-core free times, ns.
     core_free_flat: Vec<u64>,
+    /// Words of batches whose keys pack into `u64`.
+    narrow: Words<u64>,
+    /// Words of the rest.
+    wide: Words<u128>,
 }
 
 impl SimScratch {
@@ -145,6 +157,60 @@ impl SimScratch {
     pub fn new() -> Self {
         SimScratch::default()
     }
+}
+
+/// A `(key, row)` pair packed into one integer: the key above the low
+/// `bits` bits, the row in them. Words order as their pairs while every
+/// key is below `2^(width − bits)`.
+trait Word: Copy + Ord {
+    fn pack(key: u64, row: u32, bits: u32) -> Self;
+    /// The row: the low `bits` bits.
+    fn row(self, bits: u32) -> u32;
+}
+
+impl Word for u64 {
+    #[inline]
+    fn pack(key: u64, row: u32, bits: u32) -> Self {
+        key << bits | u64::from(row)
+    }
+    #[inline]
+    fn row(self, bits: u32) -> u32 {
+        self as u32 & u32::MAX >> (32 - bits)
+    }
+}
+
+impl Word for u128 {
+    #[inline]
+    fn pack(key: u64, row: u32, bits: u32) -> Self {
+        u128::from(key) << bits | u128::from(row)
+    }
+    #[inline]
+    fn row(self, bits: u32) -> u32 {
+        self as u32 & u32::MAX >> (32 - bits)
+    }
+}
+
+/// Packed-word buffers of one width.
+#[derive(Debug, Default)]
+struct Words<W: Ord> {
+    /// Admission-sort words, `(release, row)`.
+    sort: Vec<W>,
+    /// Min-heap of the ready tasks' `(policy key, row)` words.
+    ready: BinaryHeap<Reverse<W>>,
+}
+
+/// Low bits a packed word gives its row in an `n`-row batch: the bit
+/// width of `n − 1`, at least 1.
+fn row_bits(n: usize) -> u32 {
+    (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1)
+}
+
+/// Whether every key of `batch` packs into a `u64` word beside a row of
+/// `bits` bits: every release and deadline below `2^(64 − bits)` (a
+/// laxity key, `deadline − service`, is no larger than its deadline).
+fn packs_in_u64(batch: &TaskBatch, bits: u32) -> bool {
+    let times = batch.release_ns.iter().chain(&batch.deadline_ns);
+    times.fold(0, |any, &t| any | t) >> (64 - bits) == 0
 }
 
 /// Caller-owned output columns of [`simulate_into`].
@@ -296,11 +362,10 @@ impl GridOutcome {
     }
 }
 
-/// Ready-queue ordering key of the heap dispatch path.
+/// Ready-queue ordering key of the `run_queue` path.
 #[derive(Clone, Copy)]
 enum SelectBy {
     Deadline,
-    Release,
     /// `deadline − service` (static laxity).
     Slack,
 }
@@ -330,72 +395,17 @@ pub fn simulate_into(
     out.core_busy_ns.resize(cores, 0);
     out.makespan_ns = 0;
 
-    match policy {
-        Policy::Partitioned => {
-            // Split by cell % cores; each partition runs FIFO on one core
-            // — single-core FIFO is always dispatch-order scheduling, so
-            // the heap-free path applies unconditionally.
-            for core in 0..cores {
-                scratch.order.clear();
-                scratch.order.extend(
-                    (0..n as u32).filter(|&i| batch.cell[i as usize] as usize % cores == core),
-                );
-                sort_order(batch, &mut scratch.order);
-                let makespan = run_queue_fifo(
-                    batch,
-                    &scratch.order,
-                    1,
-                    &mut scratch.core_free_flat,
-                    &mut out.finish_ns,
-                    &mut out.missed,
-                    &mut out.core_busy_ns[core..core + 1],
-                );
-                out.makespan_ns = out.makespan_ns.max(makespan);
-            }
-        }
-        Policy::GlobalEdf | Policy::GlobalLlf | Policy::GlobalFifo => {
-            scratch.order.clear();
-            scratch.order.extend(0..n as u32);
-            sort_order(batch, &mut scratch.order);
-            // FIFO pops the ready heap in exactly admission order, and so
-            // does EDF whenever `deadline − release` is one constant (the
-            // subframe case: every task gets the same compute budget) —
-            // then `(deadline, id)` and `(release, id)` order identically,
-            // so greedy dispatch never needs the heaps at all.
-            let fifo_equivalent = match policy {
-                Policy::GlobalFifo => true,
-                Policy::GlobalEdf => uniform_deadline_offset(batch),
-                _ => false,
-            };
-            out.makespan_ns = if fifo_equivalent {
-                run_queue_fifo(
-                    batch,
-                    &scratch.order,
-                    cores,
-                    &mut scratch.core_free_flat,
-                    &mut out.finish_ns,
-                    &mut out.missed,
-                    &mut out.core_busy_ns,
-                )
-            } else {
-                let select = match policy {
-                    Policy::GlobalEdf => SelectBy::Deadline,
-                    Policy::GlobalLlf => SelectBy::Slack,
-                    _ => SelectBy::Release,
-                };
-                run_queue(
-                    batch,
-                    &scratch.order,
-                    cores,
-                    select,
-                    &mut scratch.core_free,
-                    &mut scratch.ready,
-                    &mut out.finish_ns,
-                    &mut out.missed,
-                    &mut out.core_busy_ns,
-                )
-            };
-        }
+    let bits = row_bits(n);
+    let SimScratch {
+        order,
+        core_free_flat,
+        narrow,
+        wide,
+    } = scratch;
+    if packs_in_u64(batch, bits) {
+        dispatch(batch, policy, bits, order, core_free_flat, narrow, out);
+    } else {
+        dispatch(batch, policy, bits, order, core_free_flat, wide, out);
     }
 
     if pran_telemetry::enabled() {
@@ -405,9 +415,83 @@ pub fn simulate_into(
     }
 }
 
-/// Sort task indices by (release, index) — the admission order.
-fn sort_order(batch: &TaskBatch, order: &mut [u32]) {
-    order.sort_unstable_by_key(|&i| (batch.release_ns[i as usize], i));
+/// [`simulate_into`]'s dispatch on `W` words, `bits` of them the row,
+/// into `out`'s reset columns.
+fn dispatch<W: Word>(
+    batch: &TaskBatch,
+    policy: Policy,
+    bits: u32,
+    order: &mut Vec<u32>,
+    core_free: &mut Vec<u64>,
+    words: &mut Words<W>,
+    out: &mut BatchOutcome,
+) {
+    let n = batch.len() as u32;
+    let cores = out.core_busy_ns.len();
+    let select = match policy {
+        Policy::Partitioned => {
+            // Split by cell % cores; each partition runs FIFO on one core
+            // — single-core FIFO is always dispatch-order scheduling, so
+            // the queue-free path applies unconditionally.
+            for core in 0..cores {
+                let rows = (0..n).filter(|&i| batch.cell[i as usize] as usize % cores == core);
+                sort_order(batch, rows, bits, &mut words.sort, order);
+                let makespan = run_queue_fifo(
+                    batch,
+                    order,
+                    core_free,
+                    &mut out.finish_ns,
+                    &mut out.missed,
+                    &mut out.core_busy_ns[core..core + 1],
+                );
+                out.makespan_ns = out.makespan_ns.max(makespan);
+            }
+            return;
+        }
+        // FIFO pops the ready queue in exactly admission order, and so
+        // does EDF whenever `deadline − release` is one constant (the
+        // subframe case: every task gets the same compute budget) — then
+        // `(deadline, row)` and `(release, row)` order identically, so
+        // greedy dispatch never needs the queue at all.
+        Policy::GlobalFifo => None,
+        Policy::GlobalEdf if uniform_deadline_offset(batch) => None,
+        Policy::GlobalEdf => Some(SelectBy::Deadline),
+        Policy::GlobalLlf => Some(SelectBy::Slack),
+    };
+    sort_order(batch, 0..n, bits, &mut words.sort, order);
+    let (finish_ns, missed) = (&mut out.finish_ns[..], &mut out.missed[..]);
+    let core_busy_ns = &mut out.core_busy_ns[..];
+    out.makespan_ns = match select {
+        None => run_queue_fifo(batch, order, core_free, finish_ns, missed, core_busy_ns),
+        Some(select) => run_queue(
+            batch,
+            order,
+            select,
+            bits,
+            core_free,
+            &mut words.ready,
+            finish_ns,
+            missed,
+            core_busy_ns,
+        ),
+    };
+}
+
+/// Write `rows` into `order` in admission order, `(release, row)`: each
+/// row packed with its release into one word, the words sorted, the rows
+/// unpacked.
+fn sort_order<W: Word>(
+    batch: &TaskBatch,
+    rows: impl Iterator<Item = u32>,
+    bits: u32,
+    words: &mut Vec<W>,
+    order: &mut Vec<u32>,
+) {
+    words.clear();
+    words.extend(rows.map(|i| W::pack(batch.release_ns[i as usize], i, bits)));
+    words.sort_unstable();
+    order.clear();
+    order.extend(words.iter().map(|w| w.row(bits)));
 }
 
 /// Whether every task has the same `deadline − release` budget — the
@@ -422,32 +506,25 @@ fn uniform_deadline_offset(batch: &TaskBatch) -> bool {
     (1..n).all(|i| batch.deadline_ns[i].wrapping_sub(batch.release_ns[i]) == off)
 }
 
-/// [`run_queue`] without heaps, for policies whose ready queue pops in
-/// admission order: tasks dispatch strictly in `order`, each to the core
-/// with the least `(free_at, core)` — the exact task→core→begin mapping
-/// the heap version produces, without its per-task heap traffic.
+/// [`run_queue`] without a ready queue, for policies whose queue pops in
+/// admission order: tasks dispatch strictly in `order`, each to the
+/// [`first_free`] of the `core_busy_ns.len()` cores — the exact
+/// task→core→begin mapping `run_queue` produces, without its per-task
+/// queue traffic. Returns the makespan.
 fn run_queue_fifo(
     batch: &TaskBatch,
     order: &[u32],
-    cores: usize,
     core_free: &mut Vec<u64>,
     finish_ns: &mut [u64],
     missed: &mut [bool],
     core_busy_ns: &mut [u64],
 ) -> u64 {
     core_free.clear();
-    core_free.resize(cores, 0);
+    core_free.resize(core_busy_ns.len(), 0);
     let mut makespan = 0u64;
     for &i in order {
         let i = i as usize;
-        // First minimum wins: ties pick the lowest core id, matching the
-        // heap's `(free_at, core)` ordering.
-        let mut c = 0usize;
-        for k in 1..cores {
-            if core_free[k] < core_free[c] {
-                c = k;
-            }
-        }
+        let c = first_free(core_free);
         let begin = core_free[c].max(batch.release_ns[i]);
         let end = begin + batch.service_ns[i];
         finish_ns[i] = end;
@@ -459,9 +536,10 @@ fn run_queue_fifo(
     makespan
 }
 
-/// The core that frees first, ties to the lowest id as in
-/// `run_queue_fifo`. Selects rather than branches: across server-steps,
-/// which core wins is data the branch predictor cannot learn.
+/// The core that frees first, ties to the lowest id — the core a
+/// `(free_at, core)` min-heap would pop. Selects rather than branches:
+/// across server-steps, which core wins is data the branch predictor
+/// cannot learn.
 #[inline]
 fn first_free(core_free: &[u64]) -> usize {
     let (mut c, mut best) = (0usize, core_free[0]);
@@ -555,69 +633,64 @@ pub fn dispatch_grid<const CORES: usize>(
     }
 }
 
-/// Greedy non-preemptive dispatch of `order`'s tasks over `cores` cores,
-/// writing finish/missed at the tasks' global indices. `core_busy_ns`
-/// has one slot per core in this run. Returns the makespan.
+/// Greedy non-preemptive dispatch of `order`'s tasks by `select` over the
+/// `core_busy_ns.len()` cores, writing finish/missed at the tasks' rows.
+/// The ready queue holds `(key, row)` words with `bits` row bits. Returns
+/// the makespan.
 #[allow(clippy::too_many_arguments)] // split borrows of scratch and outcome
-fn run_queue(
+fn run_queue<W: Word>(
     batch: &TaskBatch,
     order: &[u32],
-    cores: usize,
     select: SelectBy,
-    core_free: &mut BinaryHeap<Reverse<(u64, u32)>>,
-    ready: &mut BinaryHeap<Reverse<(u64, u32)>>,
+    bits: u32,
+    core_free: &mut Vec<u64>,
+    ready: &mut BinaryHeap<Reverse<W>>,
     finish_ns: &mut [u64],
     missed: &mut [bool],
     core_busy_ns: &mut [u64],
 ) -> u64 {
     let n = order.len();
     core_free.clear();
-    for c in 0..cores {
-        core_free.push(Reverse((0, c as u32)));
-    }
+    core_free.resize(core_busy_ns.len(), 0);
     ready.clear();
     // The ready set never exceeds the batch: size it once per batch size
     // rather than whenever a release order builds a deeper backlog.
     ready.reserve(n);
-
-    let key = |i: usize| match select {
-        SelectBy::Deadline => batch.deadline_ns[i],
-        SelectBy::Release => batch.release_ns[i],
-        SelectBy::Slack => batch.deadline_ns[i].saturating_sub(batch.service_ns[i]),
+    let word = |i: u32| {
+        let r = i as usize;
+        let key = match select {
+            SelectBy::Deadline => batch.deadline_ns[r],
+            SelectBy::Slack => batch.deadline_ns[r].saturating_sub(batch.service_ns[r]),
+        };
+        Reverse(W::pack(key, i, bits))
     };
 
     let mut makespan = 0u64;
     let mut next = 0usize;
     while next < n || !ready.is_empty() {
-        let Reverse((free_at, core)) = *core_free.peek().expect("cores exist");
-        if ready.is_empty() {
-            // Jump to the next release.
-            let t = batch.release_ns[order[next] as usize].max(free_at);
-            while next < n && batch.release_ns[order[next] as usize] <= t {
-                let i = order[next];
-                ready.push(Reverse((key(i as usize), i)));
-                next += 1;
-            }
-            continue;
-        }
         // Start time is when the earliest core frees up; admit everything
-        // released by then so the policy chooses among all ready tasks.
-        let start = free_at;
-        while next < n && batch.release_ns[order[next] as usize] <= start {
-            let i = order[next];
-            ready.push(Reverse((key(i as usize), i)));
+        // released by then so the policy chooses among all ready tasks —
+        // or, with none ready, everything released by the next release.
+        let core = first_free(core_free);
+        let start = core_free[core];
+        let admit_by = if ready.is_empty() {
+            start.max(batch.release_ns[order[next] as usize])
+        } else {
+            start
+        };
+        while next < n && batch.release_ns[order[next] as usize] <= admit_by {
+            ready.push(word(order[next]));
             next += 1;
         }
-        let Reverse((_, i)) = ready.pop().expect("ready non-empty");
-        let i = i as usize;
+        let Reverse(w) = ready.pop().expect("a task is ready");
+        let i = w.row(bits) as usize;
         let begin = start.max(batch.release_ns[i]);
         let end = begin + batch.service_ns[i];
         finish_ns[i] = end;
         missed[i] = end > batch.deadline_ns[i];
-        core_busy_ns[core as usize] += batch.service_ns[i];
+        core_busy_ns[core] += batch.service_ns[i];
         makespan = makespan.max(end);
-        core_free.pop();
-        core_free.push(Reverse((end, core)));
+        core_free[core] = end;
     }
     makespan
 }
@@ -652,8 +725,10 @@ mod tests {
         batch
     }
 
-    /// [`simulate_into`] with every dispatch forced through the heap
-    /// [`run_queue`], on fresh buffers: what the heap-free path must equal.
+    /// The dispatcher on tuple heaps, on fresh buffers: rows admitted in
+    /// `(release, row)` order from a tuple sort into a `(policy key, row)`
+    /// ready min-heap, each popped onto the core a `(free_at, core)`
+    /// min-heap pops — what every path of [`simulate_into`] must equal.
     fn heap_only(batch: &TaskBatch, cores: usize, policy: Policy) -> BatchOutcome {
         let n = batch.len();
         let mut out = BatchOutcome {
@@ -662,10 +737,15 @@ mod tests {
             core_busy_ns: vec![0; cores],
             makespan_ns: 0,
         };
-        let select = match policy {
-            Policy::GlobalEdf => SelectBy::Deadline,
-            Policy::GlobalLlf => SelectBy::Slack,
-            Policy::GlobalFifo | Policy::Partitioned => SelectBy::Release,
+        let (release, deadline, service) =
+            (&batch.release_ns, &batch.deadline_ns, &batch.service_ns);
+        let key = |i: u32| {
+            let i = i as usize;
+            match policy {
+                Policy::GlobalEdf => deadline[i],
+                Policy::GlobalLlf => deadline[i].saturating_sub(service[i]),
+                Policy::GlobalFifo | Policy::Partitioned => release[i],
+            }
         };
         // One dispatch run per (tasks, the cores they may use).
         let runs: Vec<(Vec<u32>, std::ops::Range<usize>)> = match policy {
@@ -679,19 +759,37 @@ mod tests {
             _ => vec![((0..n as u32).collect(), 0..cores)],
         };
         for (mut order, slots) in runs {
-            sort_order(batch, &mut order);
-            let makespan = run_queue(
-                batch,
-                &order,
-                slots.len(),
-                select,
-                &mut BinaryHeap::new(),
-                &mut BinaryHeap::new(),
-                &mut out.finish_ns,
-                &mut out.missed,
-                &mut out.core_busy_ns[slots],
-            );
-            out.makespan_ns = out.makespan_ns.max(makespan);
+            order.sort_unstable_by_key(|&i| (release[i as usize], i));
+            let mut core_free: BinaryHeap<Reverse<(u64, u32)>> =
+                slots.map(|c| Reverse((0, c as u32))).collect();
+            let mut ready: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+            let mut next = 0usize;
+            while next < order.len() || !ready.is_empty() {
+                let Reverse((free_at, core)) = *core_free.peek().expect("cores exist");
+                if ready.is_empty() {
+                    // Jump to the next release.
+                    let t = release[order[next] as usize].max(free_at);
+                    while next < order.len() && release[order[next] as usize] <= t {
+                        ready.push(Reverse((key(order[next]), order[next])));
+                        next += 1;
+                    }
+                    continue;
+                }
+                let start = free_at;
+                while next < order.len() && release[order[next] as usize] <= start {
+                    ready.push(Reverse((key(order[next]), order[next])));
+                    next += 1;
+                }
+                let Reverse((_, i)) = ready.pop().expect("ready non-empty");
+                let i = i as usize;
+                let end = start.max(release[i]) + service[i];
+                out.finish_ns[i] = end;
+                out.missed[i] = end > deadline[i];
+                out.core_busy_ns[core as usize] += service[i];
+                out.makespan_ns = out.makespan_ns.max(end);
+                core_free.pop();
+                core_free.push(Reverse((end, core)));
+            }
         }
         out
     }
@@ -709,9 +807,9 @@ mod tests {
         (finish, missed, out.core_busy_ns.clone(), out.makespan_ns)
     }
 
-    /// The EDF fast path (constant `deadline − release`, heap-free
-    /// dispatch) must match heap dispatch exactly — this is the shape
-    /// every subframe batch has, so it is the path the pool lives on.
+    /// The EDF fast path (constant `deadline − release`, queue-free
+    /// dispatch) must match the tuple heaps exactly — this is the shape
+    /// of every subframe batch an ideal fronthaul delivers.
     #[test]
     fn edf_fast_path_matches_reference_on_uniform_offset() {
         let mut rng = Rng(0xDEADBEEFCAFEF00D);
@@ -740,7 +838,7 @@ mod tests {
         }
     }
 
-    /// FIFO and partitioned dispatch take the heap-free path on any
+    /// FIFO and partitioned dispatch take the queue-free path on any
     /// batch; reused buffers must give what fresh ones give.
     #[test]
     fn matches_reference_on_random_sets() {
@@ -759,6 +857,117 @@ mod tests {
                     let fresh = fresh(&batch, cores, policy);
                     assert_eq!(columns(&out), columns(&fresh), "{label}");
                 }
+            }
+        }
+    }
+
+    /// `n` rows of the pool's jittered shape: cells of 4 TTIs, cell-major,
+    /// 1 ms apart, each deadline pinned 2 ms after its TTI, one report in
+    /// ten dropped, and jitter in 100 µs steps up to 800 µs so that
+    /// releases often tie.
+    fn jittered_grid(rng: &mut Rng, n: usize) -> TaskBatch {
+        let mut batch = TaskBatch::new();
+        for cell in 0.. {
+            let service = 100_000 + rng.next() % 600_001;
+            for tti in 0..4 {
+                if batch.len() == n {
+                    return batch;
+                }
+                if rng.next().is_multiple_of(10) {
+                    continue;
+                }
+                let jitter = (rng.next() % 9) * 100_000;
+                let release = tti * 1_000_000;
+                batch.push(cell, release + jitter, release + 2_000_000, service);
+            }
+        }
+        unreachable!("cells never run out")
+    }
+
+    /// The packed dispatcher against the tuple heaps, every column, on
+    /// EDF, LLF and FIFO over 1/2/3/4/8 cores and 1–150 rows, one scratch
+    /// reused throughout: random batches, jittered grids (the pool's
+    /// non-uniform EDF path) and random batches moved to just under and
+    /// past the `u64` packing limit, so both word widths run.
+    #[test]
+    fn packed_dispatch_matches_the_tuple_heaps() {
+        let mut rng = Rng(0x5EED_2026_0F0F_0034);
+        let mut scratch = SimScratch::new();
+        let mut out = BatchOutcome::new();
+        let (mut wide, mut queued) = (0, 0);
+        let rounds = 1_200;
+        for round in 0..rounds {
+            let n = 1 + (rng.next() % 150) as usize;
+            let batch = match round % 3 {
+                0 => random_batch(&mut rng, n, 5),
+                1 => jittered_grid(&mut rng, n),
+                _ => {
+                    let mut batch = random_batch(&mut rng, n, 5);
+                    let base = (1u64 << (64 - row_bits(n))) - rng.next() % 3_000_000;
+                    let times = batch.release_ns.iter_mut().chain(&mut batch.deadline_ns);
+                    times.for_each(|t| *t += base);
+                    batch
+                }
+            };
+            wide += usize::from(!packs_in_u64(&batch, row_bits(n)));
+            queued += usize::from(!uniform_deadline_offset(&batch));
+            for policy in [Policy::GlobalEdf, Policy::GlobalLlf, Policy::GlobalFifo] {
+                for cores in [1, 2, 3, 4, 8] {
+                    simulate_into(&batch, cores, policy, &mut scratch, &mut out);
+                    assert_eq!(
+                        columns(&out),
+                        columns(&heap_only(&batch, cores, policy)),
+                        "round {round}, {policy:?}, {cores} cores, {n} rows"
+                    );
+                }
+            }
+        }
+        assert!(
+            wide > rounds / 6 && queued > rounds / 2,
+            "{wide} wide and {queued} queued batches of {rounds}"
+        );
+    }
+
+    /// The width switch at its edge, for `n = 2` (`b = 1`: keys below
+    /// `2^63`) and `n = 3` (`b = 2`: below `2^62`). Row 0's deadline is
+    /// the largest key, 1 ms past the releases: at the limit − 1 the batch
+    /// packs into `u64` words, one larger it runs on `u128`, and on one
+    /// EDF core both give the schedule worked out here. (A `u64` word of
+    /// the larger key would wrap below every other and run row 0 first.)
+    ///
+    /// * `n = 2`: row 1 (due at +5 µs) runs 0 → 4 µs, row 0 4 → 7 µs.
+    /// * `n = 3`: row 1 runs 0 → 4 µs; row 2, released at +1 µs and due
+    ///   at +6 µs, then 4 → 5 µs; row 0 last, 5 → 8 µs.
+    #[test]
+    fn width_switch_at_the_packing_limit() {
+        let us = 1_000u64;
+        assert_eq!((row_bits(1), row_bits(2), row_bits(3)), (1, 1, 2));
+        let cases = [
+            (2usize, 1u64 << 63, &[7u64, 4][..], 7u64),
+            (3, 1 << 62, &[8, 4, 5], 8),
+        ];
+        for (n, limit, finish_us, makespan_us) in cases {
+            assert_eq!(row_bits(n), 64 - limit.trailing_zeros());
+            let r = limit - 1_000 * us;
+            for top in [limit - 1, limit] {
+                let mut batch = TaskBatch::new();
+                batch.push(0, r, top, 3 * us);
+                batch.push(1, r, r + 5 * us, 4 * us);
+                if n == 3 {
+                    batch.push(2, r + us, r + 6 * us, us);
+                }
+                assert_eq!(packs_in_u64(&batch, row_bits(n)), top < limit);
+                let out = fresh(&batch, 1, Policy::GlobalEdf);
+                let finish: Vec<u64> = finish_us.iter().map(|f| r + f * us).collect();
+                let expected = (
+                    finish,
+                    vec![false; n],
+                    vec![makespan_us * us],
+                    r + makespan_us * us,
+                );
+                assert_eq!(columns(&out), expected, "{n} rows, top key {top}");
+                let heap = heap_only(&batch, 1, Policy::GlobalEdf);
+                assert_eq!(columns(&heap), expected, "{n} rows, top key {top}");
             }
         }
     }

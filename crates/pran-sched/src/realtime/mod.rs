@@ -8,6 +8,9 @@
 //! and statically partitioned cores (the distributed-RAN baseline, one
 //! cell bound to one core) — and reports per-task finish times and
 //! deadline misses, the metric experiment E6 sweeps against utilization.
+//! It orders tasks on packed keys — the admission sort and the ready
+//! queue compare one `(key, row)` integer per task — and puts each on
+//! the first core to free, read from one flat clock per core.
 //! [`simulate`] runs it once on a slice of [`RtTask`]s; the pool calls it
 //! per server per step on reused buffers, or — when every release sits
 //! on the TTI grid — [`dispatch_grid`], the same EDF assignment made

@@ -4,7 +4,9 @@
 //! epoch's sampled TTIs, kept so `tests/tests/pool_differential.rs` has
 //! something independent to compare the hot loop against: the two must
 //! produce byte-identical reports. What it keeps independent is the task
-//! building — service times, fronthaul offers, per-server grouping and
+//! building — service times, fronthaul offers (whole frames through
+//! `FaultInjector::offer`, where the hot loop draws their fates with
+//! `deliver`), per-server grouping and
 //! the response and slack arithmetic; dispatch goes through the same
 //! schedulers as the hot loop, on fresh buffers. Placement and failover
 //! are not duplicated — the oracle runs against the same [`PoolShard`]
@@ -18,8 +20,14 @@ use pran_phy::compute::ComputeModel;
 use pran_phy::frame::{COMPUTE_DEADLINE, TTI};
 use pran_sched::realtime::{simulate, ParallelExecutor, Policy, RtTask};
 
-use super::shard::{service_seconds, uplink_workload, PoolShard, UPLINK_FRAME};
+use super::shard::{service_seconds, uplink_workload, PoolShard};
 use crate::metrics::PoolMetrics;
+
+/// Uplink subframe report one cell pushes per TTI over its fronthaul
+/// link. Splits ship a *prefix* of this static frame
+/// (`FunctionalSplit::fronthaul_bytes_per_tti` bytes); under `Full` the
+/// prefix is the whole 32-byte frame — exactly the pre-split payload.
+static UPLINK_FRAME: [u8; 32] = [0u8; 32];
 
 impl PoolShard {
     /// [`execute`](PoolShard::execute), the seed-faithful way: same

@@ -14,8 +14,7 @@
 
 use std::time::Duration;
 
-use bytes::Bytes;
-use pran_fronthaul::fault::{FaultInjector, Outcome};
+use pran_fronthaul::fault::FaultInjector;
 use pran_insight::live::LiveFold;
 use pran_phy::compute::{CellWorkload, ComputeModel, FunctionalSplit};
 use pran_phy::frame::{Direction, COMPUTE_DEADLINE, TTI};
@@ -89,7 +88,8 @@ struct HotBuffers {
     /// one row per task, or on the grid path one row per cell (its TTI-0
     /// task).
     batches: Vec<TaskBatch>,
-    /// Analytic-scheduler scratch: admission order and dispatch heaps.
+    /// Analytic-scheduler scratch: admission order, packed dispatch words
+    /// and core clocks.
     scratch: SimScratch,
     /// Analytic-scheduler output columns.
     outcome: BatchOutcome,
@@ -163,13 +163,6 @@ impl HotBuffers {
         }
     }
 }
-
-/// Uplink subframe report one cell pushes per TTI over its fronthaul
-/// link. Splits ship a *prefix* of this static frame
-/// ([`FunctionalSplit::fronthaul_bytes_per_tti`] bytes), so building the
-/// per-TTI [`Bytes`] never allocates; under `Full` the prefix is the whole
-/// 32-byte frame — exactly the pre-split payload.
-pub(super) static UPLINK_FRAME: [u8; 32] = [0u8; 32];
 
 /// Predicted pooled uplink GOPS (and turbo-decode share) indexed by
 /// (split, PRB count). `pooled_gops` depends on utilization only through
@@ -420,8 +413,10 @@ impl PoolShard {
     /// Execute transition: simulate the sampled TTIs of `rows`
     /// (consecutive trace steps from absolute index `first_step`,
     /// `step_seconds` apart) under the current placement, accumulating
-    /// into `metrics`. Task queues, scheduler heaps and the parallel
-    /// executor are all reused, so the steady state allocates nothing
+    /// into `metrics`. Task queues, scheduler scratch and the parallel
+    /// executor are all reused, and a link's frames are drawn
+    /// ([`FaultInjector::deliver`]) rather than built, so the steady
+    /// state allocates nothing
     /// (`tests/tests/zero_alloc.rs`); arithmetic is `u64` nanoseconds,
     /// isomorphic to the reference oracle's `Duration` math
     /// (`tests/tests/pool_differential.rs`).
@@ -534,17 +529,17 @@ impl PoolShard {
                 for tti in 0..ttis {
                     link.advance_to(step_start + TTI * tti as u32);
                     metrics.fronthaul_bytes += frame_len as u64;
-                    match link.offer(Bytes::from_static(&UPLINK_FRAME[..frame_len])) {
+                    match link.deliver(frame_len) {
                         // Jitter delays arrival but the HARQ deadline
                         // stays pinned to the TTI, so jitter eats
                         // compute slack.
-                        Outcome::Delivered { extra_delay, .. } => batch.push(
+                        Some(extra_delay) => batch.push(
                             cell as u32,
                             tti_release_ns[tti] + extra_delay.as_nanos() as u64,
                             tti_deadline_ns[tti],
                             service_ns,
                         ),
-                        Outcome::Dropped | Outcome::RateLimited => {
+                        None => {
                             metrics.tasks_lost += 1;
                             metrics.reports_lost += 1;
                         }

@@ -5,11 +5,12 @@
 //! warm-up grows every reusable buffer to capacity, repeating the real
 //! `execute` transition must perform *zero* further heap allocations.
 //! The shard is the heterogeneous, degraded shape: a round-robin
-//! per-cell split plan, a half-accelerated pool, and lossy, jittery
-//! fronthaul links — so the per-(server class, split) service tables,
-//! the fault injectors, the live fronthaul byte meter and the heap
-//! dispatch (jitter breaks the uniform deadline offset the FIFO fast
-//! path needs) all run inside the counting window. So do the planes a
+//! per-cell split plan, a half-accelerated pool, and lossy, corrupting,
+//! jittery fronthaul links — so the per-(server class, split) service
+//! tables, the fault injectors (a corrupted frame included), the live
+//! fronthaul byte meter and the packed-key dispatch through the ready
+//! queue (jitter breaks the uniform deadline offset the FIFO fast path
+//! needs) all run inside the counting window. So do the planes a
 //! soak attaches per epoch: the live insight plane is armed, so
 //! `execute` itself folds every subframe it finishes into the shard's
 //! streaming attribution state, and the flight recorder rings a record
@@ -223,6 +224,7 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
     cfg.fronthaul = Some(LinkFault {
         config: FaultConfig {
             drop_prob: 0.01,
+            corrupt_prob: 0.05,
             max_jitter: Duration::from_micros(800),
             ..FaultConfig::clean()
         },
@@ -242,7 +244,7 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
     let mut rows = vec![vec![1.0; CELLS]];
     let mut epoch = PoolMetrics::default();
 
-    // A fresh utilization row per round (varied so the dispatch heaps and
+    // A fresh utilization row per round (varied so the ready queue and
     // batch queues see new orderings and every service-table row gets
     // walked), stepped through every shard.
     let mut step = |round: u64| {
