@@ -670,14 +670,15 @@ impl Controller {
                 if !self.reachable(cell, to) {
                     return Err(ActionError::ServerDown(to)); // out of fronthaul reach
                 }
-                // Capacity check at predicted demand.
+                // Capacity check at predicted demand, with the tolerance
+                // every placer and `validate` use.
                 let mut load = 0.0;
                 for c in 0..self.cells.len() {
                     if c != cell && self.placement.assignment[c] == Some(to) {
                         load += self.predicted_gops(c);
                     }
                 }
-                if load + self.predicted_gops(cell) > self.server_capacity(to) + 1e-9 {
+                if !self.instance.servers[to].fits(load + self.predicted_gops(cell)) {
                     return Err(ActionError::WouldOverload { server: to });
                 }
                 if self.placement.assignment[cell] != Some(to) {
@@ -1140,6 +1141,47 @@ mod tests {
             to: target,
         });
         assert_eq!(err, Err(ActionError::WouldOverload { server: target }));
+    }
+
+    /// A move is refused exactly when `validate` would reject the result:
+    /// two cells filling a server to `capacity·(1 + 5e-10)` are within
+    /// `ServerSpec::fits`' relative tolerance, though hundreds of GOPS
+    /// past an absolute `1e-9` slack.
+    #[test]
+    fn migrate_admits_what_validate_accepts() {
+        let mut probe = controller(2, 2);
+        probe.report_load(0, 0.7).unwrap();
+        probe.report_load(1, 0.4).unwrap();
+        let (a, b) = (probe.predicted_gops(0), probe.predicted_gops(1));
+
+        let mut cfg = SystemConfig::default_eval(2);
+        cfg.pool.capacity_gops = (a + b) / (1.0 + 5e-10);
+        let mut c = Controller::new(cfg);
+        for load in [0.7, 0.4] {
+            let cell = c.register_cell();
+            c.report_load(cell, load).unwrap();
+        }
+        assert!(a + b > c.instance().servers[0].capacity_gops + 1e-9);
+        c.apply_action(Action::Migrate { cell: 0, to: 0 }).unwrap();
+        c.apply_action(Action::Migrate { cell: 1, to: 1 }).unwrap();
+        assert_eq!(c.apply_action(Action::Migrate { cell: 1, to: 0 }), Ok(()));
+        assert_eq!(c.placement().assignment, vec![Some(0), Some(0)]);
+        assert!(c.instance().validate(c.placement()).is_ok());
+
+        // Past the tolerance, both refuse.
+        let mut cfg = SystemConfig::default_eval(2);
+        cfg.pool.capacity_gops = (a + b) / (1.0 + 2e-9);
+        let mut c = Controller::new(cfg);
+        for load in [0.7, 0.4] {
+            let cell = c.register_cell();
+            c.report_load(cell, load).unwrap();
+        }
+        c.apply_action(Action::Migrate { cell: 0, to: 0 }).unwrap();
+        c.apply_action(Action::Migrate { cell: 1, to: 1 }).unwrap();
+        assert_eq!(
+            c.apply_action(Action::Migrate { cell: 1, to: 0 }),
+            Err(ActionError::WouldOverload { server: 0 })
+        );
     }
 
     #[test]

@@ -7,7 +7,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::{Allowed, CellDemand, Placement, PlacementInstance, ServerLoad, ServerSpec};
+use super::{
+    Allowed, AllowedRow, CellDemand, Placement, PlacementInstance, ServerLoad, ServerSpec,
+};
 
 /// One cell move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,6 +73,25 @@ pub fn diff(old: &Placement, new: &Placement) -> MigrationPlan {
 /// keep every assignment that still fits, move the fewest/lightest cells
 /// off overloaded servers, and place any unplaced cells.
 ///
+/// The selection rule, which every caller's results depend on:
+/// - **Evictions.** Each overloaded server, in id order, sheds its cells
+///   lightest first, by `(gops, id)`, until it fits: the fewest and
+///   lightest evictions that resolve it.
+/// - **Order.** The unplaced cells (ascending id), then the evictees in
+///   eviction order, are placed by decreasing demand; the sort is stable,
+///   so equal demands keep that order.
+/// - **Target.** Among the allowed servers that fit, the one left with the
+///   minimum residual general capacity, `capacity − load − need`; equal
+///   residuals go to the lowest id. A cell with a decode share first tries
+///   the accelerated servers alone, then the whole pool.
+///
+/// Cost: O(cells + servers) to rebuild the loads and find the evictees,
+/// then, when any cell must be placed, O(servers log servers) to index the
+/// servers by load and O(log servers) per placed cell for each class of
+/// identical server specs. A per-cell mask ([`Allowed::PerCell`],
+/// [`Allowed::Product`]) is tested while walking the index, so a cell
+/// barred from most servers walks past them, as a scan would.
+///
 /// Returns the new placement and the plan. The result is guaranteed
 /// capacity-feasible when it validates; cells that fit nowhere remain
 /// unplaced (the admission layer above decides what to drop).
@@ -119,45 +140,17 @@ pub(super) fn repack(
         }
     }
 
-    // Evict the lightest cells from each overloaded server until it fits —
-    // lightest-first minimizes moved load while freeing capacity slowly,
-    // but guarantees progress; ties broken by id for determinism. Both
-    // resources count: a server whose accelerator is over-committed is
-    // overloaded even with general headroom to spare.
     let mut to_place: Vec<usize> = assignment
         .iter()
         .enumerate()
         .filter_map(|(c, a)| a.is_none().then_some(c))
         .collect();
-    // Overload is judged by the same tolerance `validate` uses: a
-    // placement that validates must never be churned here.
-    #[allow(clippy::needless_range_loop)] // `s` indexes both load and servers
-    for s in 0..servers.len() {
-        if servers[s].fits_load(load[s]) {
-            continue;
-        }
-        let mut resident: Vec<usize> = assignment
-            .iter()
-            .enumerate()
-            .filter_map(|(c, a)| (*a == Some(s)).then_some(c))
-            .collect();
-        resident.sort_by(|&a, &b| {
-            cells[a]
-                .gops
-                .partial_cmp(&cells[b].gops)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        for cell in resident {
-            if servers[s].fits_load(load[s]) {
-                break;
-            }
-            let l = servers[s].load_of(&cells[cell]);
-            load[s].general -= l.general;
-            load[s].decode -= l.decode;
-            assignment[cell] = None;
-            to_place.push(cell);
-        }
+    evict_overloads(cells, servers, &mut assignment, &mut load, &mut to_place);
+    if to_place.is_empty() {
+        return (
+            Placement { assignment },
+            MigrationPlan { moves: Vec::new() },
+        );
     }
 
     // Place evicted/unplaced cells best-fit-decreasing into residual room.
@@ -169,41 +162,23 @@ pub(super) fn repack(
             .partial_cmp(&cells[a].gops)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let has_accel = servers.iter().any(|s| s.accelerator.is_some());
+    let mut index = FitIndex::new(servers, allowed, &load);
     for cell in to_place {
         let demand = cells[cell];
         let row = allowed.row(cell);
-        let best_fit = |accel_only: bool, load: &[ServerLoad]| {
-            (0..servers.len())
-                .filter(|&s| {
-                    let spec = &servers[s];
-                    let l = spec.load_of(&demand);
-                    (!accel_only || spec.accelerator.is_some())
-                        && row.allows(s)
-                        && spec.fits_load(ServerLoad {
-                            general: load[s].general + l.general,
-                            decode: load[s].decode + l.decode,
-                        })
-                })
-                .min_by(|&a, &b| {
-                    let ra = servers[a].capacity_gops
-                        - load[a].general
-                        - servers[a].load_of(&demand).general;
-                    let rb = servers[b].capacity_gops
-                        - load[b].general
-                        - servers[b].load_of(&demand).general;
-                    ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
-                })
-        };
-        let target = if has_accel && demand.decode_gops > 0.0 {
-            best_fit(true, &load).or_else(|| best_fit(false, &load))
+        let target = if demand.decode_gops > 0.0 {
+            index
+                .best_fit(&demand, row, &load, true)
+                .or_else(|| index.best_fit(&demand, row, &load, false))
         } else {
-            best_fit(false, &load)
+            index.best_fit(&demand, row, &load, false)
         };
         if let Some(s) = target {
             let l = servers[s].load_of(&demand);
+            let before = load[s].general;
             load[s].general += l.general;
             load[s].decode += l.decode;
+            index.moved(s, before, load[s].general);
             assignment[cell] = Some(s);
         }
     }
@@ -213,10 +188,250 @@ pub(super) fn repack(
     (new, plan)
 }
 
+/// Evict the lightest cells from each overloaded server until it fits —
+/// lightest-first minimizes moved load while freeing capacity slowly,
+/// but guarantees progress; ties broken by id for determinism. Both
+/// resources count: a server whose accelerator is over-committed is
+/// overloaded even with general headroom to spare. Overload is judged by
+/// the same tolerance `validate` uses: a placement that validates must
+/// never be churned here.
+fn evict_overloads(
+    cells: &[CellDemand],
+    servers: &[ServerSpec],
+    assignment: &mut [Option<usize>],
+    load: &mut [ServerLoad],
+    to_place: &mut Vec<usize>,
+) {
+    // Residents by server, built on the first overload: one counting sort
+    // over the assignment, cells ascending within a server. Evicting from
+    // one server leaves every other server's list as it was.
+    let mut residents: Option<(Vec<usize>, Vec<usize>)> = None;
+    for (s, spec) in servers.iter().enumerate() {
+        if spec.fits_load(load[s]) {
+            continue;
+        }
+        let (start, cells_by_server) =
+            residents.get_or_insert_with(|| residents_by_server(assignment, servers.len()));
+        let resident = &mut cells_by_server[start[s]..start[s + 1]];
+        resident.sort_by(|&a, &b| {
+            cells[a]
+                .gops
+                .partial_cmp(&cells[b].gops)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        for &cell in resident.iter() {
+            if spec.fits_load(load[s]) {
+                break;
+            }
+            let l = spec.load_of(&cells[cell]);
+            load[s].general -= l.general;
+            load[s].decode -= l.decode;
+            assignment[cell] = None;
+            to_place.push(cell);
+        }
+    }
+}
+
+/// The placed cells grouped by server, ascending within each: server `s`
+/// holds `cells[start[s]..start[s + 1]]` of the returned `(start, cells)`.
+fn residents_by_server(assignment: &[Option<usize>], servers: usize) -> (Vec<usize>, Vec<usize>) {
+    let mut start = vec![0usize; servers + 1];
+    for &s in assignment.iter().flatten() {
+        start[s + 1] += 1;
+    }
+    for s in 0..servers {
+        start[s + 1] += start[s];
+    }
+    let mut next = start.clone();
+    let mut cells = vec![0usize; start[servers]];
+    for (cell, slot) in assignment.iter().enumerate() {
+        if let Some(s) = *slot {
+            cells[next[s]] = cell;
+            next[s] += 1;
+        }
+    }
+    (start, cells)
+}
+
+/// The servers a repack may place on, ordered by general load within each
+/// class of identical specs, so a best fit is a binary search and a short
+/// walk instead of a scan over every server.
+///
+/// Servers of one class share `load_of`, the `fits`/`fits_decode`
+/// thresholds and the residual arithmetic, and within a class both
+/// `fits(load + need)` and the residual `capacity − load − need` are
+/// monotone in the general load: the class's best fit is the feasible
+/// server with the greatest general load, and the lowest id among the
+/// servers whose residual rounds to the same bits.
+struct FitIndex {
+    classes: Vec<SpecClass>,
+    /// Per server, its class in `classes`; meaningful for indexed servers.
+    class_of: Vec<usize>,
+}
+
+struct SpecClass {
+    /// The first server of the class; every member has its capacity and
+    /// accelerator decode capacity.
+    spec: ServerSpec,
+    /// One [`entry`] per member, ascending: by general load, then by
+    /// descending id, so a walk down meets a load's lowest id first.
+    entries: Vec<u128>,
+}
+
+impl SpecClass {
+    fn holds(&self, spec: &ServerSpec) -> bool {
+        let decode = |s: &ServerSpec| s.accelerator.map(|a| a.decode_capacity_gops.to_bits());
+        self.spec.capacity_gops.to_bits() == spec.capacity_gops.to_bits()
+            && decode(&self.spec) == decode(spec)
+    }
+
+    /// Offer this class's best fit for `demand` against `best`, a
+    /// `(residual, server)` found so far: smaller residual wins, then the
+    /// lower id — what `min_by` over the servers in id order keeps.
+    fn best_fit(
+        &self,
+        demand: &CellDemand,
+        row: AllowedRow<'_>,
+        load: &[ServerLoad],
+        best: &mut Option<(f64, usize)>,
+    ) {
+        let spec = &self.spec;
+        let need = spec.load_of(demand);
+        let entries = &self.entries;
+        // `fits(load + need)` is monotone in the load (rounding is), so
+        // the entries below `i` are exactly those with general room.
+        let mut i = entries.partition_point(|&e| spec.fits(general(e) + need.general));
+        while i > 0 {
+            let e = entries[i - 1];
+            // Residuals only grow down the walk: stop past the best.
+            let residual = spec.capacity_gops - general(e) - need.general;
+            if best.is_some_and(|(r, _)| residual > r) {
+                return;
+            }
+            let s = server(e);
+            if !(spec.fits_decode(load[s].decode + need.decode) && row.allows(s)) {
+                i -= 1;
+                continue;
+            }
+            if best.is_none_or(|(r, b)| residual < r || (residual == r && s < b)) {
+                *best = Some((residual, s));
+            }
+            // The rest of this load's entries have higher ids.
+            i = entries[..i - 1].partition_point(|&f| f >> 64 < e >> 64);
+        }
+    }
+}
+
+impl FitIndex {
+    /// Index the servers `allowed` leaves open to some cell: a server
+    /// mask shared by every cell is applied here, a per-cell one during
+    /// the walk.
+    fn new(servers: &[ServerSpec], allowed: &Allowed, load: &[ServerLoad]) -> Self {
+        let usable = |s: usize| match allowed {
+            Allowed::Uniform(mask) => mask[s],
+            Allowed::Product(p) => p.servers[s],
+            Allowed::All | Allowed::PerCell(_) => true,
+        };
+        let mut classes: Vec<SpecClass> = Vec::new();
+        let mut class_of = vec![0; servers.len()];
+        for (s, spec) in servers.iter().enumerate() {
+            if !usable(s) {
+                continue;
+            }
+            let c = match classes.iter().position(|c| c.holds(spec)) {
+                Some(c) => c,
+                None => {
+                    classes.push(SpecClass {
+                        spec: *spec,
+                        entries: Vec::new(),
+                    });
+                    classes.len() - 1
+                }
+            };
+            class_of[s] = c;
+            classes[c].entries.push(entry(load[s].general, s));
+        }
+        for class in &mut classes {
+            class.entries.sort_unstable();
+        }
+        FitIndex { classes, class_of }
+    }
+
+    /// The server with the minimum residual for `demand`, ties to the
+    /// lowest id, among the accelerated classes only if `accel_only`.
+    fn best_fit(
+        &self,
+        demand: &CellDemand,
+        row: AllowedRow<'_>,
+        load: &[ServerLoad],
+        accel_only: bool,
+    ) -> Option<usize> {
+        let mut best = None;
+        for class in &self.classes {
+            if !accel_only || class.spec.accelerator.is_some() {
+                class.best_fit(demand, row, load, &mut best);
+            }
+        }
+        best.map(|(_, s)| s)
+    }
+
+    /// Move server `s` from general load `before` to `after`.
+    fn moved(&mut self, s: usize, before: f64, after: f64) {
+        let entries = &mut self.classes[self.class_of[s]].entries;
+        let from = entries
+            .binary_search(&entry(before, s))
+            .expect("a placed server is indexed");
+        let new = entry(after, s);
+        let to = entries.partition_point(|&e| e < new);
+        if to > from {
+            entries[from..to].rotate_left(1);
+            entries[to - 1] = new;
+        } else {
+            entries[to..=from].rotate_right(1);
+            entries[to] = new;
+        }
+    }
+}
+
+/// `x`'s rank in [`f64::total_cmp`]'s order as an unsigned integer, so
+/// the small negative loads evictions can leave sort below +0.0, in order.
+fn key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`key`].
+fn unkey(k: u64) -> f64 {
+    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
+}
+
+/// A [`SpecClass`] entry: the general load above, `u64::MAX − server`
+/// below.
+fn entry(general: f64, server: usize) -> u128 {
+    u128::from(key(general)) << 64 | u128::from(u64::MAX - server as u64)
+}
+
+fn general(entry: u128) -> f64 {
+    unkey((entry >> 64) as u64)
+}
+
+fn server(entry: u128) -> usize {
+    (u64::MAX - entry as u64) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::placement::heuristics::{place, Heuristic};
+    use crate::placement::{Accelerator, ProductMask};
+    use pran_fronthaul::Reachability;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn diff_finds_moves() {
@@ -388,5 +603,405 @@ mod tests {
         assert!(grown_inst.validate(&new).is_ok());
         // Churn should be a small fraction of cells.
         assert!(plan.len() <= 10, "churn {} too high", plan.len());
+    }
+
+    fn accelerated(id: usize, capacity: f64, decode: f64) -> ServerSpec {
+        ServerSpec {
+            accelerator: Some(Accelerator {
+                decode_capacity_gops: decode,
+                decode_speedup: 4.0,
+            }),
+            ..ServerSpec::plain(id, capacity, 1.0)
+        }
+    }
+
+    fn instance(gops: &[f64], servers: Vec<ServerSpec>) -> PlacementInstance {
+        PlacementInstance {
+            cells: gops
+                .iter()
+                .enumerate()
+                .map(|(id, &g)| CellDemand::flat(id, g))
+                .collect(),
+            servers,
+            allowed: Allowed::All,
+        }
+    }
+
+    /// Three servers at the same load leave the same residual: the lowest
+    /// id takes the cell, wherever the three sit among the others.
+    #[test]
+    fn equal_loads_go_to_the_lowest_id() {
+        // Server 0 is too full, server 1 empty, servers 4, 2 and 3 hold
+        // 40 each; the new 40-GOPS cell leaves 20 on each of those three.
+        let servers = (0..5).map(|s| ServerSpec::plain(s, 100.0, 1.0)).collect();
+        let inst = instance(&[70.0, 40.0, 40.0, 40.0, 40.0], servers);
+        let current = Placement {
+            assignment: vec![Some(0), Some(4), Some(2), Some(3), None],
+        };
+        let (new, plan) = incremental_repack(&inst, &current);
+        assert_eq!(new.assignment[4], Some(2));
+        assert_eq!(
+            plan.moves,
+            vec![Move {
+                cell: 4,
+                from: None,
+                to: 2
+            }]
+        );
+    }
+
+    /// Loads of 1.0 and 1.0 + ε differ, but `100 − load` rounds both to
+    /// 99.0, so the residuals are equal bits: the lower id wins, not the
+    /// heavier server.
+    #[test]
+    fn residuals_equal_after_rounding_go_to_the_lower_id() {
+        let heavier = 1.0 + f64::EPSILON;
+        assert_eq!(100.0 - 1.0 - 50.0, 100.0 - heavier - 50.0);
+        let servers = (0..2).map(|s| ServerSpec::plain(s, 100.0, 1.0)).collect();
+        let inst = instance(&[1.0, heavier, 50.0], servers);
+        let current = Placement {
+            assignment: vec![Some(0), Some(1), None],
+        };
+        let (new, _) = incremental_repack(&inst, &current);
+        assert_eq!(new.assignment[2], Some(0));
+
+        // Swapped ids: the heavier server is now the lower id and wins.
+        let current = Placement {
+            assignment: vec![Some(1), Some(0), None],
+        };
+        let (new, _) = incremental_repack(&inst, &current);
+        assert_eq!(new.assignment[2], Some(0));
+    }
+
+    /// A decode share no accelerator can hold sends the cell to the whole
+    /// pool, where it still fits no accelerated server (no spill): only a
+    /// plain server with room takes it.
+    #[test]
+    fn oversized_decode_share_falls_back_to_the_whole_pool() {
+        let servers = vec![
+            accelerated(0, 100.0, 40.0),
+            ServerSpec::plain(1, 100.0, 1.0),
+            accelerated(2, 100.0, 40.0),
+        ];
+        let mut inst = instance(&[60.0, 60.0, 50.0], servers);
+        inst.cells[0].decode_gops = 50.0;
+        inst.cells[1].decode_gops = 30.0;
+        let current = Placement {
+            assignment: vec![None, None, Some(1)],
+        };
+        // Cell 0 fits no accelerator and the plain server holds 50: it
+        // stays out. Cell 1's share fits: servers 0 and 2 leave the same
+        // 70, so server 0 takes it.
+        let (new, _) = incremental_repack(&inst, &current);
+        assert_eq!(new.assignment, vec![None, Some(0), Some(1)]);
+
+        // With 70 free on the plain server, cell 0 falls back to it.
+        inst.cells[2].gops = 30.0;
+        let (new, _) = incremental_repack(&inst, &current);
+        assert_eq!(new.assignment, vec![Some(1), Some(0), Some(1)]);
+    }
+
+    /// Equal demands keep their order through the decreasing-demand sort:
+    /// the unplaced cell first, then the evictees in server order, each
+    /// taking the tightest of three gaps in turn.
+    #[test]
+    fn equal_demand_evictees_are_placed_in_stable_order() {
+        // Servers 0 and 1 are overloaded (60 + 50 each) and each sheds
+        // its lighter cell (1, then 3); cell 4 was unplaced. The three
+        // 50s go, in the order [4, 1, 3], to the gaps of 50 (server 2),
+        // 55 (server 3) and 60 (server 4).
+        let servers = (0..5).map(|s| ServerSpec::plain(s, 100.0, 1.0)).collect();
+        let inst = instance(&[60.0, 50.0, 60.0, 50.0, 50.0, 50.0, 45.0, 40.0], servers);
+        let current = Placement {
+            assignment: vec![
+                Some(0),
+                Some(0),
+                Some(1),
+                Some(1),
+                None,
+                Some(2),
+                Some(3),
+                Some(4),
+            ],
+        };
+        let (new, plan) = incremental_repack(&inst, &current);
+        assert_eq!(
+            new.assignment,
+            vec![
+                Some(0),
+                Some(3),
+                Some(1),
+                Some(4),
+                Some(2),
+                Some(2),
+                Some(3),
+                Some(4)
+            ]
+        );
+        assert_eq!(plan.len(), 3);
+    }
+
+    #[test]
+    fn key_follows_total_order() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -1e-14,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            1e-14,
+            1.0,
+            1.0 + f64::EPSILON,
+            1e300,
+            f64::INFINITY,
+        ];
+        for pair in values.windows(2) {
+            assert!(key(pair[0]) < key(pair[1]), "{pair:?}");
+        }
+        for v in values {
+            assert_eq!(unkey(key(v)).to_bits(), v.to_bits());
+        }
+        for s in [0, 1, 7, 1 << 20] {
+            let e = entry(-1e-14, s);
+            assert_eq!((general(e), server(e)), (-1e-14, s));
+        }
+    }
+
+    /// `repack` as it was written before the index: every re-placed cell
+    /// scans every server, every overloaded server scans every cell. The
+    /// oracle the index is held to.
+    fn scan_repack(
+        cells: &[CellDemand],
+        servers: &[ServerSpec],
+        allowed: &Allowed,
+        current: &Placement,
+    ) -> (Placement, MigrationPlan) {
+        let mut assignment = current.assignment.clone();
+        for (cell, slot) in assignment.iter_mut().enumerate() {
+            if let Some(s) = *slot {
+                if s >= servers.len() || !allowed.is_allowed(cell, s) {
+                    *slot = None;
+                }
+            }
+        }
+        let mut load = vec![ServerLoad::default(); servers.len()];
+        for (cell, slot) in assignment.iter().enumerate() {
+            if let Some(s) = slot {
+                let l = servers[*s].load_of(&cells[cell]);
+                load[*s].general += l.general;
+                load[*s].decode += l.decode;
+            }
+        }
+        let mut to_place: Vec<usize> = assignment
+            .iter()
+            .enumerate()
+            .filter_map(|(c, a)| a.is_none().then_some(c))
+            .collect();
+        for s in 0..servers.len() {
+            if servers[s].fits_load(load[s]) {
+                continue;
+            }
+            let mut resident: Vec<usize> = assignment
+                .iter()
+                .enumerate()
+                .filter_map(|(c, a)| (*a == Some(s)).then_some(c))
+                .collect();
+            resident.sort_by(|&a, &b| {
+                cells[a]
+                    .gops
+                    .partial_cmp(&cells[b].gops)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+            for cell in resident {
+                if servers[s].fits_load(load[s]) {
+                    break;
+                }
+                let l = servers[s].load_of(&cells[cell]);
+                load[s].general -= l.general;
+                load[s].decode -= l.decode;
+                assignment[cell] = None;
+                to_place.push(cell);
+            }
+        }
+        to_place.sort_by(|&a, &b| {
+            cells[b]
+                .gops
+                .partial_cmp(&cells[a].gops)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let has_accel = servers.iter().any(|s| s.accelerator.is_some());
+        for cell in to_place {
+            let demand = cells[cell];
+            let row = allowed.row(cell);
+            let best_fit = |accel_only: bool, load: &[ServerLoad]| {
+                (0..servers.len())
+                    .filter(|&s| {
+                        let spec = &servers[s];
+                        let l = spec.load_of(&demand);
+                        (!accel_only || spec.accelerator.is_some())
+                            && row.allows(s)
+                            && spec.fits_load(ServerLoad {
+                                general: load[s].general + l.general,
+                                decode: load[s].decode + l.decode,
+                            })
+                    })
+                    .min_by(|&a, &b| {
+                        let ra = servers[a].capacity_gops
+                            - load[a].general
+                            - servers[a].load_of(&demand).general;
+                        let rb = servers[b].capacity_gops
+                            - load[b].general
+                            - servers[b].load_of(&demand).general;
+                        ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
+                    })
+            };
+            let target = if has_accel && demand.decode_gops > 0.0 {
+                best_fit(true, &load).or_else(|| best_fit(false, &load))
+            } else {
+                best_fit(false, &load)
+            };
+            if let Some(s) = target {
+                let l = servers[s].load_of(&demand);
+                load[s].general += l.general;
+                load[s].decode += l.decode;
+                assignment[cell] = Some(s);
+            }
+        }
+        let new = Placement { assignment };
+        let plan = diff(current, &new);
+        (new, plan)
+    }
+
+    /// One random repack input. Every case mixes two capacities, plain and
+    /// accelerated servers, and one of four mask shapes; its demands are
+    /// drawn one of four ways:
+    /// - quantized to 5 GOPS, so residuals tie exactly;
+    /// - continuous, with cells past capacity stacked on a few servers,
+    ///   whose eviction leaves float dust, negative as often as not;
+    /// - at the fit boundary: a cell's demand is `capacity·(1 + 1e-9) −
+    ///   load` of some server, give or take a few ulps;
+    /// - a handful of cells over many empty servers.
+    fn random_case(rng: &mut SmallRng) -> (PlacementInstance, Placement) {
+        let specs = [
+            ServerSpec::plain(0, 100.0, 1.0),
+            ServerSpec::plain(0, 160.0, 1.0),
+            accelerated(0, 100.0, 40.0),
+            accelerated(0, 160.0, 25.0),
+        ];
+        let shape = rng.gen_range(0..4u32);
+        let n_servers = if shape == 3 {
+            rng.gen_range(8..=40usize)
+        } else {
+            rng.gen_range(1..=12usize)
+        };
+        let n_cells = if shape == 3 {
+            rng.gen_range(1..=4usize)
+        } else {
+            rng.gen_range(0..=24usize)
+        };
+        let kinds = rng.gen_range(1..=specs.len());
+        let servers: Vec<ServerSpec> = (0..n_servers)
+            .map(|id| ServerSpec {
+                id,
+                ..specs[rng.gen_range(0..kinds)]
+            })
+            .collect();
+        let host = |rng: &mut SmallRng| rng.gen_range(0..n_servers.min(3));
+        let mut assignment = vec![None; n_cells];
+        let mut cells: Vec<CellDemand> = Vec::with_capacity(n_cells);
+        for (id, slot) in assignment.iter_mut().enumerate() {
+            let gops = match shape {
+                0 => 5.0 * rng.gen_range(1..=24u32) as f64,
+                1 if rng.gen_bool(0.15) => rng.gen_range(100.0..200.0),
+                _ => rng.gen_range(0.5..60.0),
+            };
+            let decode_gops = match rng.gen_range(0..4u32) {
+                0 => 0.0,
+                1 if shape == 0 => 5.0 * (gops / 5.0 * rng.gen_range(0.0..1.0f64)).floor(),
+                _ => gops * rng.gen_range(0.0..1.0),
+            };
+            *slot = match shape {
+                1 => rng.gen_bool(0.8).then(|| host(rng)),
+                2 => (id % 2 == 0 && id / 2 < n_servers).then_some(id / 2),
+                _ => rng.gen_bool(0.5).then(|| rng.gen_range(0..n_servers)),
+            };
+            cells.push(CellDemand {
+                id,
+                gops,
+                decode_gops,
+            });
+        }
+        if shape == 2 {
+            // Odd cells land just inside or outside some server's room.
+            for cell in (1..n_cells).step_by(2) {
+                let s = rng.gen_range(0..n_servers);
+                let spec = &servers[s];
+                let held: f64 = (0..n_cells)
+                    .filter(|&c| assignment[c] == Some(s))
+                    .map(|c| spec.load_of(&cells[c]).general)
+                    .sum();
+                let room = spec.capacity_gops * (1.0 + 1e-9) - held;
+                let mut gops = room.max(0.0);
+                for _ in 0..rng.gen_range(0..4u32) {
+                    gops = if rng.gen_bool(0.5) {
+                        f64::from_bits(gops.to_bits() + 1)
+                    } else {
+                        f64::from_bits(gops.to_bits().saturating_sub(1))
+                    };
+                }
+                cells[cell].gops = gops;
+                cells[cell].decode_gops = 0.0;
+            }
+        }
+        let allowed = match rng.gen_range(0..4u32) {
+            0 => Allowed::All,
+            1 => Allowed::Uniform((0..n_servers).map(|_| rng.gen_bool(0.8)).collect()),
+            2 => Allowed::PerCell(
+                (0..n_cells)
+                    .map(|_| (0..n_servers).map(|_| rng.gen_bool(0.7)).collect())
+                    .collect(),
+            ),
+            _ => Allowed::Product(Box::new(ProductMask {
+                cells: (0..n_cells).map(|_| rng.gen_bool(0.9)).collect(),
+                servers: (0..n_servers).map(|_| rng.gen_bool(0.85)).collect(),
+                reach: rng.gen_bool(0.5).then(|| {
+                    let rows: Vec<Vec<bool>> = (0..3)
+                        .map(|_| (0..n_servers).map(|_| rng.gen_bool(0.7)).collect())
+                        .collect();
+                    Reachability::from_rows(
+                        (0..n_cells).map(|_| rows[rng.gen_range(0..3usize)].clone()),
+                    )
+                }),
+            })),
+        };
+        (
+            PlacementInstance {
+                cells,
+                servers,
+                allowed,
+            },
+            Placement { assignment },
+        )
+    }
+
+    /// The index picks what the scan picks: the same placement and plan,
+    /// bit for bit, on 20,000 random inputs.
+    #[test]
+    fn index_matches_the_scan() {
+        let mut rng = SmallRng::seed_from_u64(35);
+        let mut moved = 0;
+        for case in 0..20_000 {
+            let (inst, current) = random_case(&mut rng);
+            let got = incremental_repack(&inst, &current);
+            let want = scan_repack(&inst.cells, &inst.servers, &inst.allowed, &current);
+            assert_eq!(got, want, "case {case}: {inst:?} from {current:?}");
+            moved += got.1.len();
+        }
+        assert!(moved > 50_000, "the cases barely move anything: {moved}");
     }
 }

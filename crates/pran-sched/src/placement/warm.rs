@@ -8,11 +8,13 @@
 //! untouched while its actual demand remains inside the hysteresis band
 //! `(booked / (1 + band)², booked]`. Only cells that cross the band (grew
 //! past their booking, or shrank enough to be worth reclaiming) are marked
-//! dirty and re-packed; the per-epoch repack work is therefore proportional
-//! to the number of *dirty* cells, not the total cell count, while the
-//! booked instance is repaired with the same deterministic
+//! dirty and re-packed: an epoch moves only the dirty cells and those
+//! evicted to make room for them. The booked instance is repaired with the
+//! same deterministic
 //! [`incremental_repack`](super::migration::incremental_repack) the cold
-//! path uses.
+//! path uses, at O(cells + (servers + moved) · log servers): a linear pass
+//! over bookings and loads, then a per-class index of server loads that
+//! each moved cell queries.
 //!
 //! # Feasibility and the documented gap
 //!
@@ -41,7 +43,7 @@
 //! as many cells), the placer adopts the cold placement wholesale and
 //! re-books at actual demand, restoring the bound by construction.
 //! Consolidations are rare (one per sustained decline), so per-epoch work
-//! stays proportional to the dirty-cell count plus an `O(n)` scan.
+//! stays that repack plus an `O(n)` scan.
 
 use serde::{Deserialize, Serialize};
 
