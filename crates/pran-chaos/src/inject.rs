@@ -10,11 +10,9 @@
 
 use std::time::Duration;
 
-use bytes::Bytes;
-
 use pran::apps::FailoverApp;
 use pran::{Controller, Snapshot, SystemConfig};
-use pran_fronthaul::fault::{FaultConfig, FaultInjector, Outcome};
+use pran_fronthaul::fault::{FaultConfig, FaultInjector};
 use pran_insight::slo::Alert;
 use pran_sim::engine::{Engine, SimTime};
 use pran_sim::pool::{FailureSpec, LinkFault, PoolConfig, PoolSimulator};
@@ -107,10 +105,8 @@ impl LinkBank {
             Some(links) => {
                 let link = &mut links[cell];
                 link.advance_to(at);
-                matches!(
-                    link.offer(Bytes::from_static(&[0u8; 16])),
-                    Outcome::Delivered { .. }
-                )
+                // A 16-byte report, drawn rather than built.
+                link.deliver(16).is_some()
             }
         }
     }

@@ -426,4 +426,28 @@ mod tests {
         ];
         replay_path(&model, &path).expect("churn replay must conform");
     }
+
+    /// Two top-level cells filling a server to `capacity·(1 + 5e-10)` are
+    /// within `ServerSpec::fits`' relative tolerance, which the
+    /// controller's `Migrate` admits by, though far past an absolute
+    /// `1e-9` slack: the model must admit the move back onto `s0` too.
+    #[test]
+    fn migrate_at_the_fit_boundary_conforms() {
+        let top = *Model::new(McConfig::headline())
+            .demand_table()
+            .last()
+            .unwrap();
+        let mut cfg = McConfig::headline();
+        cfg.sys.pool.capacity_gops = 2.0 * top / (1.0 + 5e-10);
+        assert!(2.0 * top > cfg.sys.pool.capacity_gops + 1e-9);
+        let model = Model::new(cfg);
+        let path = vec![
+            Operation::Report { cell: 0, level: 1 },
+            Operation::Report { cell: 1, level: 1 },
+            Operation::Epoch,
+            Operation::Migrate { cell: 1, to: 1 },
+            Operation::Migrate { cell: 1, to: 0 },
+        ];
+        replay_path(&model, &path).expect("the model must admit what the controller admits");
+    }
 }

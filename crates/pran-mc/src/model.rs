@@ -443,7 +443,8 @@ impl Model {
                 load += self.predicted(state, c);
             }
         }
-        if load + self.predicted(state, cell) > self.capacity + 1e-9 {
+        let server = ServerSpec::plain(to, self.capacity, self.cfg.sys.pool.server_cost);
+        if !server.fits(load + self.predicted(state, cell)) {
             return false;
         }
         if state.placement[cell] != Some(to) {

@@ -12,21 +12,18 @@
 //!   [`BatchOutcome`], [`dispatch_grid`] its responses into a
 //!   [`GridOutcome`].
 //!
-//! Every path puts each task on the first core to free (ties to the
-//! lowest id), read from one flat clock per core. Dispatch has three
-//! paths:
+//! Both paths put each task on the first core to free (ties to the
+//! lowest id), read from one flat clock per core:
 //!
-//! * **ready queue** (`run_queue`) — for any batch: a min-heap of the
-//!   released tasks, keyed by the policy;
-//! * **FIFO** (`run_queue_fifo`) — when the ready queue would pop in
-//!   admission order anyway (global FIFO, one partitioned core, or EDF
-//!   with one `deadline − release` budget for every task, the subframe
-//!   shape), straight down the sorted order with no queue;
-//! * **grid** ([`dispatch_grid`]) — when every cell releases one task on
-//!   each TTI of one grid under one budget (an ideal fronthaul), that
-//!   sorted order is TTI-major with the cells ascending, so the FIFO
-//!   path's assignment is made TTI by TTI with no task rows, sort or
-//!   order at all, and a TTI that finds every core free replays TTI 0.
+//! * **ready queue** (`run_queue`) — every policy on any batch: a
+//!   min-heap of the released tasks keyed by deadline (EDF), laxity
+//!   (LLF) or release (FIFO, and each partitioned core as a one-core
+//!   queue of its own cells);
+//! * **grid** ([`dispatch_grid`]) — EDF when every cell releases one
+//!   task on each TTI of one grid under one budget (an ideal fronthaul):
+//!   the queue then pops TTI-major with the cells ascending, so the
+//!   assignment is made TTI by TTI with no task rows, sort or queue at
+//!   all, and a TTI that finds every core free replays TTI 0.
 //!
 //! The admission sort and the ready queue compare one packed word per
 //! row: the key (release, deadline or laxity, in ns) above the low `b`
@@ -36,7 +33,7 @@
 //! (absolute times of hours on very large batches) runs the same code on
 //! `u128` words.
 //!
-//! `tests` below hold every path to a dispatcher on `(key, row)` tuple
+//! `tests` below hold both paths to a dispatcher on `(key, row)` tuple
 //! heaps and a `(free_at, core)` core heap (`heap_only`) on randomized
 //! batches, and `realtime`'s hand-worked cases pin the dispatcher's
 //! answers.
@@ -362,12 +359,14 @@ impl GridOutcome {
     }
 }
 
-/// Ready-queue ordering key of the `run_queue` path.
+/// Ready-queue ordering key of `run_queue`.
 #[derive(Clone, Copy)]
 enum SelectBy {
     Deadline,
     /// `deadline − service` (static laxity).
     Slack,
+    /// Admission order: the queue pops each task as it was released.
+    Release,
 }
 
 /// Simulate a batch on `cores` identical cores under `policy`, writing
@@ -429,52 +428,35 @@ fn dispatch<W: Word>(
     let n = batch.len() as u32;
     let cores = out.core_busy_ns.len();
     let select = match policy {
-        Policy::Partitioned => {
-            // Split by cell % cores; each partition runs FIFO on one core
-            // — single-core FIFO is always dispatch-order scheduling, so
-            // the queue-free path applies unconditionally.
-            for core in 0..cores {
-                let rows = (0..n).filter(|&i| batch.cell[i as usize] as usize % cores == core);
-                sort_order(batch, rows, bits, &mut words.sort, order);
-                let makespan = run_queue_fifo(
-                    batch,
-                    order,
-                    core_free,
-                    &mut out.finish_ns,
-                    &mut out.missed,
-                    &mut out.core_busy_ns[core..core + 1],
-                );
-                out.makespan_ns = out.makespan_ns.max(makespan);
-            }
-            return;
-        }
-        // FIFO pops the ready queue in exactly admission order, and so
-        // does EDF whenever `deadline − release` is one constant (the
-        // subframe case: every task gets the same compute budget) — then
-        // `(deadline, row)` and `(release, row)` order identically, so
-        // greedy dispatch never needs the queue at all.
-        Policy::GlobalFifo => None,
-        Policy::GlobalEdf if uniform_deadline_offset(batch) => None,
-        Policy::GlobalEdf => Some(SelectBy::Deadline),
-        Policy::GlobalLlf => Some(SelectBy::Slack),
+        Policy::GlobalEdf => SelectBy::Deadline,
+        Policy::GlobalLlf => SelectBy::Slack,
+        Policy::GlobalFifo | Policy::Partitioned => SelectBy::Release,
     };
-    sort_order(batch, 0..n, bits, &mut words.sort, order);
-    let (finish_ns, missed) = (&mut out.finish_ns[..], &mut out.missed[..]);
-    let core_busy_ns = &mut out.core_busy_ns[..];
-    out.makespan_ns = match select {
-        None => run_queue_fifo(batch, order, core_free, finish_ns, missed, core_busy_ns),
-        Some(select) => run_queue(
+    // Partitioned: cell % cores binds each row to one core, and each
+    // core's rows run as a one-core queue of their own.
+    let partitioned = policy == Policy::Partitioned;
+    for part in 0..if partitioned { cores } else { 1 } {
+        let slots = if partitioned {
+            part..part + 1
+        } else {
+            0..cores
+        };
+        let rows =
+            (0..n).filter(|&i| !partitioned || batch.cell[i as usize] as usize % cores == part);
+        sort_order(batch, rows, bits, &mut words.sort, order);
+        let makespan = run_queue(
             batch,
             order,
             select,
             bits,
             core_free,
             &mut words.ready,
-            finish_ns,
-            missed,
-            core_busy_ns,
-        ),
-    };
+            &mut out.finish_ns,
+            &mut out.missed,
+            &mut out.core_busy_ns[slots],
+        );
+        out.makespan_ns = out.makespan_ns.max(makespan);
+    }
 }
 
 /// Write `rows` into `order` in admission order, `(release, row)`: each
@@ -492,48 +474,6 @@ fn sort_order<W: Word>(
     words.sort_unstable();
     order.clear();
     order.extend(words.iter().map(|w| w.row(bits)));
-}
-
-/// Whether every task has the same `deadline − release` budget — the
-/// condition under which EDF's ready ordering coincides with admission
-/// order (see the fast-path comment in [`simulate_into`]).
-fn uniform_deadline_offset(batch: &TaskBatch) -> bool {
-    let n = batch.len();
-    if n == 0 {
-        return true;
-    }
-    let off = batch.deadline_ns[0].wrapping_sub(batch.release_ns[0]);
-    (1..n).all(|i| batch.deadline_ns[i].wrapping_sub(batch.release_ns[i]) == off)
-}
-
-/// [`run_queue`] without a ready queue, for policies whose queue pops in
-/// admission order: tasks dispatch strictly in `order`, each to the
-/// [`first_free`] of the `core_busy_ns.len()` cores — the exact
-/// task→core→begin mapping `run_queue` produces, without its per-task
-/// queue traffic. Returns the makespan.
-fn run_queue_fifo(
-    batch: &TaskBatch,
-    order: &[u32],
-    core_free: &mut Vec<u64>,
-    finish_ns: &mut [u64],
-    missed: &mut [bool],
-    core_busy_ns: &mut [u64],
-) -> u64 {
-    core_free.clear();
-    core_free.resize(core_busy_ns.len(), 0);
-    let mut makespan = 0u64;
-    for &i in order {
-        let i = i as usize;
-        let c = first_free(core_free);
-        let begin = core_free[c].max(batch.release_ns[i]);
-        let end = begin + batch.service_ns[i];
-        finish_ns[i] = end;
-        missed[i] = end > batch.deadline_ns[i];
-        core_busy_ns[c] += batch.service_ns[i];
-        makespan = makespan.max(end);
-        core_free[c] = end;
-    }
-    makespan
 }
 
 /// The core that frees first, ties to the lowest id — the core a
@@ -559,9 +499,10 @@ fn first_free(core_free: &[u64]) -> usize {
 /// expanded batch — one row per (cell, TTI), cell-major, as
 /// [`TaskBatch::push_run`] writes it — without building it: sorted by
 /// `(release, row)` those rows are TTI-major with the cells ascending,
-/// and one budget makes EDF pop in that order, so the FIFO path's
-/// assignment is made here TTI by TTI, each TTI's cells in cell order
-/// onto the first core to free, the core clocks carried from TTI to TTI.
+/// and one budget makes `(deadline, row)` order them the same way, so
+/// the ready queue pops them in that order. Here the assignment is made
+/// TTI by TTI, each TTI's cells in cell order onto the first core to
+/// free, the core clocks carried from TTI to TTI.
 /// The clocks are a `[u64; CORES]`, so they stay in registers.
 ///
 /// A TTI whose release finds every core free starts from TTI 0's state
@@ -661,6 +602,7 @@ fn run_queue<W: Word>(
         let key = match select {
             SelectBy::Deadline => batch.deadline_ns[r],
             SelectBy::Slack => batch.deadline_ns[r].saturating_sub(batch.service_ns[r]),
+            SelectBy::Release => batch.release_ns[r],
         };
         Reverse(W::pack(key, i, bits))
     };
@@ -807,11 +749,11 @@ mod tests {
         (finish, missed, out.core_busy_ns.clone(), out.makespan_ns)
     }
 
-    /// The EDF fast path (constant `deadline − release`, queue-free
-    /// dispatch) must match the tuple heaps exactly — this is the shape
-    /// of every subframe batch an ideal fronthaul delivers.
+    /// EDF on batches with one `deadline − release` budget, the shape of
+    /// every subframe batch an ideal fronthaul delivers, goes through the
+    /// ready queue like any other and must match the tuple heaps exactly.
     #[test]
-    fn edf_fast_path_matches_reference_on_uniform_offset() {
+    fn uniform_offset_edf_matches_reference() {
         let mut rng = Rng(0xDEADBEEFCAFEF00D);
         let mut scratch = SimScratch::new();
         let mut out = BatchOutcome::new();
@@ -825,7 +767,6 @@ mod tests {
                 let service = 100_000 + rng.next() % 2_000_003;
                 batch.push(cell, release, release + offset, service);
             }
-            assert!(uniform_deadline_offset(&batch), "test shape broken");
             for cores in [1, 2, 4] {
                 simulate_into(&batch, cores, Policy::GlobalEdf, &mut scratch, &mut out);
                 let heap = heap_only(&batch, cores, Policy::GlobalEdf);
@@ -838,8 +779,9 @@ mod tests {
         }
     }
 
-    /// FIFO and partitioned dispatch take the queue-free path on any
-    /// batch; reused buffers must give what fresh ones give.
+    /// FIFO and partitioned dispatch queue by release on any batch, the
+    /// partitioned one core at a time; both must match the tuple heaps,
+    /// and reused buffers must give what fresh ones give.
     #[test]
     fn matches_reference_on_random_sets() {
         let mut rng = Rng(0x9E3779B97F4A7C15);
@@ -910,7 +852,10 @@ mod tests {
                 }
             };
             wide += usize::from(!packs_in_u64(&batch, row_bits(n)));
-            queued += usize::from(!uniform_deadline_offset(&batch));
+            // EDF pops out of admission order only under more than one
+            // `deadline − release` budget.
+            let budget = |i: usize| batch.deadline_ns[i] - batch.release_ns[i];
+            queued += usize::from((1..n).any(|i| budget(i) != budget(0)));
             for policy in [Policy::GlobalEdf, Policy::GlobalLlf, Policy::GlobalFifo] {
                 for cores in [1, 2, 3, 4, 8] {
                     simulate_into(&batch, cores, policy, &mut scratch, &mut out);

@@ -8,13 +8,15 @@
 //! and statically partitioned cores (the distributed-RAN baseline, one
 //! cell bound to one core) — and reports per-task finish times and
 //! deadline misses, the metric experiment E6 sweeps against utilization.
-//! It orders tasks on packed keys — the admission sort and the ready
-//! queue compare one `(key, row)` integer per task — and puts each on
-//! the first core to free, read from one flat clock per core.
+//! Every policy runs through one ready queue on packed keys — the
+//! admission sort and the queue compare one `(key, row)` integer per
+//! task, the key a deadline, a laxity or a release — and each task goes
+//! to the first core to free, read from one flat clock per core.
 //! [`simulate`] runs it once on a slice of [`RtTask`]s; the pool calls it
 //! per server per step on reused buffers, or — when every release sits
-//! on the TTI grid — [`dispatch_grid`], the same EDF assignment made
-//! TTI by TTI without expanding the grid into tasks. [`parallel`] is the
+//! on the TTI grid — [`dispatch_grid`], EDF's only specialisation: the
+//! same assignment made TTI by TTI without expanding the grid into
+//! tasks. [`parallel`] is the
 //! pool server's executor, a different machine model (batched,
 //! cell-affine, work-stealing, whole-µs clocks).
 

@@ -421,16 +421,16 @@ impl PoolShard {
     /// isomorphic to the reference oracle's `Duration` math
     /// (`tests/tests/pool_differential.rs`).
     ///
-    /// Each server-step takes one of three paths, picked by the input:
+    /// Each server-step takes one of three paths, picked by the links and
+    /// the executor alone:
     ///
-    /// * **grid** — ideal fronthaul, analytic dispatch and the buffered
-    ///   tracer off: every release sits on the step's TTI grid, so each
-    ///   server's batch holds one row per cell and [`dispatch_grid`] makes
-    ///   EDF's assignment TTI by TTI; a TTI that replays TTI 0 is folded
-    ///   with TTI 0's records, once, with their multiplicity;
-    /// * **batch** — jittered or lossy links (releases leave the grid), or
-    ///   tracing on (the `subframe` events it writes keep row order): one
-    ///   row per delivered task through [`simulate_into`];
+    /// * **grid** — ideal fronthaul and no executor: every release sits on
+    ///   the step's TTI grid, so each server's batch holds one row per
+    ///   cell and [`dispatch_grid`] makes EDF's assignment TTI by TTI; a
+    ///   TTI that replays TTI 0 is folded with TTI 0's records, once, with
+    ///   their multiplicity;
+    /// * **batch** — jittered or lossy links (releases leave the grid):
+    ///   one row per delivered task through [`simulate_into`];
     /// * **executor** — `parallel` set: the rows go through the shard's
     ///   [`ParallelExecutor`].
     ///
@@ -438,7 +438,11 @@ impl PoolShard {
     /// recorded into [`live_fold`](Self::live_fold) — cell, server and
     /// the µs record the schedulers' `subframe` event carries, straight
     /// from the outcome columns (one branch per server-step when not).
-    /// The fold is order-independent, so arming it changes no path.
+    /// The fold is order-independent, so arming it changes no path. The
+    /// tracer picks no path either: with it on, the grid emits each task's
+    /// `subframe` event from the loop that feeds the fold, in the order
+    /// [`simulate_into`] emits the expanded batch's (cells in row order,
+    /// TTIs inner).
     ///
     /// Returns the peak per-server task backlog observed (the most tasks
     /// any step gave one server) — the resident service's flight recorder
@@ -479,7 +483,8 @@ impl PoolShard {
         } else {
             None
         };
-        let on_grid = links.is_empty() && executor.is_none() && !pran_telemetry::enabled();
+        let on_grid = links.is_empty() && executor.is_none();
+        let traced = pran_telemetry::enabled();
         let tasks_per_row = if on_grid { ttis as u64 } else { 1 };
         let cores = cfg.server_cores();
         let mut peak_depth = 0u64;
@@ -516,9 +521,8 @@ impl PoolShard {
                     continue;
                 }
                 if links.is_empty() {
-                    // Ideal fronthaul under an executor or tracing:
-                    // releases are the fixed TTI grid, pushed as one run
-                    // of four columns.
+                    // Ideal fronthaul under an executor: releases are the
+                    // fixed TTI grid, pushed as one run of four columns.
                     batch.push_run(cell as u32, tti_release_ns, tti_deadline_ns, service_ns);
                     continue;
                 }
@@ -599,13 +603,17 @@ impl PoolShard {
                                 }
                             }
                         }
-                        if let Some(fold) = live.as_deref_mut() {
-                            for t in 0..ttis {
-                                for (c, (&cell, &service)) in
-                                    batch.cell.iter().zip(service).enumerate()
-                                {
+                        if traced || live.is_some() {
+                            let cells = batch.cell.iter().zip(service);
+                            for (c, (&cell, &service)) in cells.enumerate() {
+                                for t in 0..ttis {
                                     let task = grid.subframe(t, c, cell, service);
-                                    fold.record(cell as usize, Some(s), &task);
+                                    if traced {
+                                        task.emit(Some(Policy::GlobalEdf.label()));
+                                    }
+                                    if let Some(fold) = live.as_deref_mut() {
+                                        fold.record(cell as usize, Some(s), &task);
+                                    }
                                 }
                             }
                         }

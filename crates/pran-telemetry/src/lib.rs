@@ -51,10 +51,6 @@ pub struct TelemetryConfig {
     /// traces byte-identical across same-seed runs by dropping wall-clock
     /// events; [`TraceClock::Full`] records both domains.
     pub clock: TraceClock,
-    /// Per-thread buffer length (events) before spilling to the shared
-    /// sink. Larger buffers lock less; each buffered event is 512 bytes
-    /// (`size_of::<TraceEvent>()`), so the default 8192 is 4 MiB a thread.
-    pub buffer_events: usize,
 }
 
 impl TelemetryConfig {
@@ -63,7 +59,6 @@ impl TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             clock: TraceClock::SimOnly,
-            buffer_events: 8192,
         }
     }
 
@@ -80,7 +75,6 @@ impl TelemetryConfig {
         TelemetryConfig {
             enabled: true,
             clock: TraceClock::Full,
-            ..Self::disabled()
         }
     }
 }
@@ -128,5 +122,9 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: TelemetryConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, c);
+        // The retired buffer-size key is stepped over.
+        let old = r#"{"enabled":true,"clock":"SimOnly","buffer_events":8192}"#;
+        let back: TelemetryConfig = serde_json::from_str(old).unwrap();
+        assert_eq!(back, TelemetryConfig::sim());
     }
 }

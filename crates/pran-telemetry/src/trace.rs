@@ -19,7 +19,7 @@
 //!   simulated runs export byte-identical traces.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -127,8 +127,8 @@ pub struct TraceEvent {
     len: u8,
 }
 
-// Buffer and ring sizing (`TelemetryConfig::buffer_events`,
-// `live::arm`) is documented in these bytes.
+// Buffer and ring sizing (`FLUSH_AT`, `live::arm`) is documented in
+// these bytes.
 #[cfg(target_pointer_width = "64")]
 const _: () = assert!(std::mem::size_of::<TraceEvent>() == 512);
 
@@ -222,7 +222,9 @@ impl EventView for TraceEvent {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static RECORD_MONO: AtomicBool = AtomicBool::new(false);
-static FLUSH_AT: AtomicUsize = AtomicUsize::new(8192);
+/// Per-thread buffer length (events) before spilling to the shared sink:
+/// at 512 bytes an event, 4 MiB a thread.
+const FLUSH_AT: usize = 8192;
 
 type SharedBuffer = Arc<Mutex<Vec<TraceEvent>>>;
 
@@ -324,7 +326,6 @@ pub fn configure(config: TelemetryConfig) {
         buffer.lock().clear();
     }
     sink().lock().clear();
-    FLUSH_AT.store(config.buffer_events.clamp(1, 1 << 20), Ordering::Relaxed);
     RECORD_MONO.store(matches!(config.clock, TraceClock::Full), Ordering::Relaxed);
     ENABLED.store(config.enabled, Ordering::Release);
 }
@@ -368,13 +369,12 @@ fn push_stamped(event: TraceEvent) {
             buffers().lock().push(Arc::clone(&buffer));
             ThreadSlot { buffer }
         });
-        let flush_at = FLUSH_AT.load(Ordering::Relaxed);
         let mut events = slot.buffer.lock();
         if events.capacity() == 0 {
-            events.reserve(flush_at);
+            events.reserve(FLUSH_AT);
         }
         events.push(event);
-        if events.len() >= flush_at {
+        if events.len() >= FLUSH_AT {
             let mut spilled = std::mem::take(&mut *events);
             drop(events);
             sink().lock().append(&mut spilled);
@@ -596,18 +596,17 @@ pub(crate) mod tests {
     #[test]
     fn buffer_spills_at_threshold() {
         let _g = lock_tracer();
-        let mut cfg = TelemetryConfig::sim();
-        cfg.buffer_events = 8;
-        configure(cfg);
-        for i in 0..20u64 {
+        configure(TelemetryConfig::sim());
+        let n = 2 * FLUSH_AT as u64 + 4;
+        for i in 0..n {
             sim_event("e", i, &[]);
         }
-        // 16 events spilled by threshold crossings; 4 still local until
-        // the explicit flush inside drain().
-        assert!(sink().lock().len() >= 16);
+        // 2 × FLUSH_AT events spilled by threshold crossings; 4 still
+        // local until the explicit flush inside drain().
+        assert!(sink().lock().len() >= 2 * FLUSH_AT);
         let events = drain();
         disable();
-        assert_eq!(events.len(), 20);
+        assert_eq!(events.len() as u64, n);
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //!
 //! An ideal fronthaul with analytic dispatch takes the grid path
 //! (`realtime::dispatch_grid`: one row per cell, TTI by TTI, a TTI that
-//! finds every core free replaying TTI 0); the reference always expands
-//! every task and dispatches through `simulate`. Overloaded pools carry
-//! core clocks from TTI to TTI and miss deadlines, and a clean link —
-//! present, lossless, jitter-free — sends the identical input down the
-//! batch path instead: both must agree with the grid.
+//! finds every core free replaying TTI 0), traced or not; the reference
+//! always expands every task and dispatches through `simulate`.
+//! Overloaded pools carry core clocks from TTI to TTI and miss deadlines,
+//! and a clean link — present, lossless, jitter-free — sends the
+//! identical input down the batch path instead: both must agree with the
+//! grid. `traced_grid.rs` holds the grid's `subframe` events to the
+//! reference's, in a binary of its own because the tracer is global.
 //!
 //! The parallel executor schedules its simulated cores in virtual time
 //! on the calling thread, so work stealing is as repeatable as the
