@@ -15,6 +15,9 @@ use std::time::Duration;
 pub struct CellView {
     /// Cell id.
     pub id: usize,
+    /// Registered and not since deregistered. An inactive cell is never
+    /// placed and predicts no demand; it keeps its id and its row.
+    pub active: bool,
     /// Server currently processing the cell, if placed.
     pub server: Option<usize>,
     /// Most recent reported PRB utilization.

@@ -104,6 +104,7 @@ mod tests {
     fn cell(id: usize, server: usize, gops: f64) -> CellView {
         CellView {
             id,
+            active: true,
             server: Some(server),
             utilization: 0.4,
             predicted_gops: gops,
@@ -184,6 +185,7 @@ mod tests {
     fn skips_sets_with_unplaced_members() {
         let unplaced = CellView {
             id: 1,
+            active: true,
             server: None,
             utilization: 0.4,
             predicted_gops: 10.0,

@@ -34,8 +34,13 @@ impl FailoverApp {
                 }
             })
             .collect();
-        // Displaced cells, heaviest first (harder to place).
-        let mut cells: Vec<_> = view.cells.iter().filter(|c| c.server.is_none()).collect();
+        // Displaced cells, heaviest first (harder to place). A deregistered
+        // cell is unplaced too, but it is gone, not displaced.
+        let mut cells: Vec<_> = view
+            .cells
+            .iter()
+            .filter(|c| c.active && c.server.is_none())
+            .collect();
         cells.sort_by(|a, b| {
             b.predicted_gops
                 .partial_cmp(&a.predicted_gops)
@@ -96,6 +101,7 @@ mod tests {
     fn cell(id: usize, server: Option<usize>, gops: f64) -> CellView {
         CellView {
             id,
+            active: true,
             server,
             utilization: 0.5,
             predicted_gops: gops,
@@ -147,6 +153,31 @@ mod tests {
         let mut app = FailoverApp::new();
         let actions = app.on_event(&PoolEvent::ServerFailed(0), &v);
         assert!(actions.is_empty(), "no live server has room: {actions:?}");
+    }
+
+    /// A deregistered cell is unplaced but not displaced: a `Migrate` for
+    /// it would only be rejected with `NoSuchCell`.
+    #[test]
+    fn leaves_deregistered_cells_alone() {
+        use crate::{Controller, SystemConfig};
+        let mut c = Controller::new(SystemConfig::default_eval(4));
+        c.install_app(Box::new(FailoverApp::new()));
+        for i in 0..3 {
+            c.register_cell();
+            c.report_load(i, 0.5).unwrap();
+        }
+        c.run_epoch(Duration::from_secs(60));
+        c.deregister_cell(2).unwrap();
+        let victim = c.placement().assignment[0].unwrap();
+        let report = c.server_failed(victim, Duration::from_secs(90)).unwrap();
+        assert!(!report.displaced.is_empty());
+        assert_eq!(report.replaced, report.displaced.len());
+        assert_eq!(c.stats().actions_rejected, 0);
+        let entry = c.audit_log().last().unwrap();
+        assert_eq!(entry.event, PoolEvent::ServerFailed(victim));
+        assert_eq!(entry.actions_applied, report.displaced.len());
+        assert_eq!(entry.actions_rejected, 0);
+        assert_eq!(c.placement().assignment[2], None);
     }
 
     #[test]

@@ -89,6 +89,7 @@ mod tests {
     fn cell(id: usize, server: usize, gops: f64) -> CellView {
         CellView {
             id,
+            active: true,
             server: Some(server),
             utilization: 0.5,
             predicted_gops: gops,

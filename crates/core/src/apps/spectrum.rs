@@ -79,6 +79,7 @@ mod tests {
     fn cell(id: usize, server: Option<usize>) -> CellView {
         CellView {
             id,
+            active: true,
             server,
             utilization: 0.9,
             predicted_gops: 50.0,

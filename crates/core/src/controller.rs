@@ -487,6 +487,7 @@ impl Controller {
         view.cells
             .extend(self.cells.iter().enumerate().map(|(c, state)| CellView {
                 id: c,
+                active: state.active,
                 server: self.placement.assignment[c],
                 utilization: state.utilization,
                 predicted_gops: self.predicted_gops(c),

@@ -6,7 +6,10 @@
 //! `Controller::server_failed` / `server_recovered` and degrading or
 //! restoring the links as each event's kind says, replays the trace and
 //! its crashes ([`failure_specs`]) through a data plane
-//! (`PoolSimulator`), and evaluates the [`InvariantChecker`] every epoch.
+//! (`PoolSimulator`), and evaluates the [`InvariantChecker`] every epoch
+//! against the physical server liveness it tracks beside the
+//! controller's belief. The checker and the intact snapshot drill
+//! ([`restore_drill`]) are the ones `pran-mc`'s explorer runs too.
 
 use std::time::Duration;
 
@@ -20,7 +23,7 @@ use pran_sim::PoolMetrics;
 use pran_traces::{generate, TraceConfig};
 use serde_json::{Number, Value};
 
-use crate::invariants::{InvariantChecker, InvariantKind, Violation};
+use crate::invariants::{restore_drill, InvariantChecker, InvariantKind, Violation};
 use crate::scenario::{ChaosEvent, Scenario, ScenarioError};
 
 /// Salt separating the fronthaul RNG stream from the trace stream.
@@ -200,8 +203,9 @@ fn next_epoch_after(now: Duration, epoch: Duration, horizon: Duration) -> Durati
 /// [`Controller`] (+ [`FailoverApp`]) and a bank of per-cell links from a
 /// `pran-sim` [`Engine`]: uplink reports cross the faulty links each
 /// epoch, crashes/recoveries hit the controller mid-epoch, snapshot
-/// drills capture/corrupt/restore, and the invariant checker scores
-/// every epoch boundary. The data plane replays the trace through
+/// drills capture/corrupt/restore ([`restore_drill`] for an intact
+/// one), and the invariant checker scores every epoch boundary. The
+/// data plane replays the trace through
 /// [`PoolSimulator`] (crash schedule from [`failure_specs`], fronthaul
 /// from the scenario's first `LinkDegrade` for the whole run) to measure
 /// the deadline-miss ratio under per-TTI execution.
@@ -210,7 +214,8 @@ fn next_epoch_after(now: Duration, epoch: Duration, horizon: Duration) -> Durati
 /// `ServerRecoverSilent` change *physical* liveness only, while the
 /// matching notify events deliver the (delayed) news to the controller.
 /// The harness tracks physical truth alongside the controller's belief
-/// and flags a `PlacementValid` violation whenever an epoch leaves a cell
+/// and hands both to [`InvariantChecker::check_view`], which flags a
+/// stale-view `PlacementValid` violation whenever an epoch leaves a cell
 /// on a server that is physically dead but still believed alive.
 pub fn run_scenario(
     scenario: &Scenario,
@@ -283,25 +288,7 @@ pub fn run_scenario(
                 }
                 ctl.run_epoch(now);
                 epochs += 1;
-                let view = ctl.view();
-                checker.check_view(now, &view);
-                // The stale-view hazard: the epoch left a cell on a server
-                // that is physically dead but still believed alive, so the
-                // believed-liveness check above cannot see it.
-                for cell in &view.cells {
-                    if let Some(s) = cell.server {
-                        if !truth[s] && view.servers[s].alive {
-                            checker.flag(
-                                InvariantKind::PlacementValid,
-                                now,
-                                format!(
-                                    "cell {} placed on silently-failed server {s} (stale view)",
-                                    cell.id
-                                ),
-                            );
-                        }
-                    }
-                }
+                checker.check_view(now, &ctl.view(), &truth);
             }
             HarnessEvent::Fault(i) => {
                 let te = &schedule[i];
@@ -358,8 +345,13 @@ pub fn run_scenario(
                     ChaosEvent::LinkRestore => bank.restore(),
                     // Flash crowds act through the trace itself.
                     ChaosEvent::FlashCrowd { .. } => {}
-                    ChaosEvent::SnapshotRestore { corrupt } => {
-                        snapshot_drill(&mut ctl, now, corrupt, &mut checker);
+                    // Continue the run on the restored control plane.
+                    ChaosEvent::SnapshotRestore { corrupt: false } => match restore_drill(&ctl) {
+                        Ok(restored) => ctl = restored,
+                        Err(e) => checker.flag(InvariantKind::RestoreFidelity, now, e),
+                    },
+                    ChaosEvent::SnapshotRestore { corrupt: true } => {
+                        corrupt_drill(&ctl, now, &mut checker);
                     }
                 }
             }
@@ -395,7 +387,7 @@ pub fn run_scenario(
     let sim_report = sim.run();
     checker.check_miss_ratio(horizon, &sim_report.metrics);
 
-    let violations = checker.into_violations();
+    let violations: Vec<Violation> = checker.take_violations().collect();
     span.finish_with(&[
         ("events", schedule.len().into()),
         ("violations", violations.len().into()),
@@ -412,37 +404,20 @@ pub fn run_scenario(
     })
 }
 
-fn snapshot_drill(
-    ctl: &mut Controller,
-    now: Duration,
-    corrupt: bool,
-    checker: &mut InvariantChecker,
-) {
-    let before = ctl.view();
+/// The corrupt half of a snapshot drill: a snapshot damaged in flight
+/// must be refused, at parse time or by `Controller::try_restore`. The
+/// run continues on `ctl` either way.
+fn corrupt_drill(ctl: &Controller, now: Duration, checker: &mut InvariantChecker) {
     let mut value = serde_json::to_value(ctl.snapshot()).expect("snapshot serializes");
-    if corrupt {
-        corrupt_snapshot_value(&mut value);
-    }
-    match serde_json::from_value::<Snapshot>(value) {
-        Ok(snap) => match Controller::try_restore(snap) {
-            Ok(mut restored) => {
-                checker.check_restore(now, corrupt, &before, Ok(&restored.view()));
-                if !corrupt {
-                    // Continue the run on the restored control plane:
-                    // apps are code, not state — reinstall.
-                    restored.install_app(Box::new(FailoverApp::new()));
-                    *ctl = restored;
-                }
-            }
-            Err(e) => checker.check_restore(now, corrupt, &before, Err(&e)),
-        },
-        // A corruption caught at parse time also honours the contract.
-        Err(_) if corrupt => {}
-        Err(e) => checker.flag(
+    corrupt_snapshot_value(&mut value);
+    let accepted = serde_json::from_value::<Snapshot>(value)
+        .is_ok_and(|snap| Controller::try_restore(snap).is_ok());
+    if accepted {
+        checker.flag(
             InvariantKind::RestoreFidelity,
             now,
-            format!("intact snapshot failed to re-parse: {e}"),
-        ),
+            "corrupt snapshot accepted by try_restore".into(),
+        );
     }
 }
 

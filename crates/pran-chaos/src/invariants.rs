@@ -1,13 +1,18 @@
-//! System-wide safety invariants, checked every epoch.
+//! System-wide safety invariants, and the one checker and restore drill
+//! that judge them.
 //!
-//! The checker owns the run's verdict: the harness feeds it controller
-//! views, failover outages and restore results as the scenario unfolds,
-//! and it records a [`Violation`] — plus a structured
-//! `chaos.violation` telemetry event — whenever a bound from
-//! [`ChaosConfig`] is exceeded. The five invariants are the paper's
-//! safety envelope:
+//! The checker owns a run's verdict: its caller feeds it controller
+//! views with the physical server liveness beside them, failover
+//! outages and restore results as a run unfolds, and it records a
+//! [`Violation`] — plus a structured `chaos.violation` telemetry event —
+//! whenever a bound from [`ChaosConfig`] is exceeded. Two tools share
+//! it: the chaos harness ([`run_scenario`](crate::run_scenario)) at each
+//! epoch boundary of a scenario, and `pran-mc`'s exhaustive explorer on
+//! each transition of its abstract model, so a violation reads the same
+//! in both. The five invariants are the paper's safety envelope:
 //!
-//! 1. **Placement validity** — every live cell sits on a live server;
+//! 1. **Placement validity** — every registered cell sits on a server
+//!    that is alive in the controller's view *and* in truth;
 //! 2. **Capacity** — no server is loaded beyond
 //!    [`ServerSpec::fits`]'s tolerance;
 //! 3. **Outage** — per-cell outage after a failure stays under
@@ -17,11 +22,13 @@
 //!    transport fault we injected on purpose and are accounted
 //!    separately in `PoolMetrics::reports_lost`);
 //! 5. **Restore fidelity** — restoring a snapshot reproduces the
-//!    pre-snapshot view exactly, and a corrupted snapshot is rejected.
+//!    pre-snapshot view exactly ([`restore_drill`]), and a corrupted
+//!    snapshot is rejected.
 
 use std::time::Duration;
 
-use pran::{ChaosConfig, PoolView, SnapshotError};
+use pran::apps::FailoverApp;
+use pran::{ChaosConfig, Controller, PoolView};
 use pran_sched::placement::ServerSpec;
 use pran_sim::PoolMetrics;
 
@@ -76,7 +83,7 @@ pub struct Violation {
     pub detail: String,
 }
 
-/// Evaluates the safety envelope over a scenario run.
+/// Evaluates the safety envelope over a run.
 #[derive(Debug)]
 pub struct InvariantChecker {
     bounds: ChaosConfig,
@@ -92,19 +99,10 @@ impl InvariantChecker {
         }
     }
 
-    /// The bounds in force.
-    pub fn bounds(&self) -> &ChaosConfig {
-        &self.bounds
-    }
-
-    /// Record a violation detected by the harness itself (conditions that
-    /// don't fit one of the structured check methods, e.g. a snapshot
-    /// that fails to re-parse).
+    /// Record a violation its caller detected itself (conditions that
+    /// don't fit one of the structured check methods, e.g. a failed
+    /// restore drill).
     pub fn flag(&mut self, kind: InvariantKind, at: Duration, detail: String) {
-        self.record(kind, at, detail);
-    }
-
-    fn record(&mut self, kind: InvariantKind, at: Duration, detail: String) {
         pran_telemetry::trace::sim_event(
             "chaos.violation",
             at.as_micros() as u64,
@@ -113,31 +111,31 @@ impl InvariantChecker {
         self.violations.push(Violation { kind, at, detail });
     }
 
-    /// Epoch check: placement validity and capacity on a controller view.
+    /// Epoch check: placement validity, every registered cell in cell
+    /// order, then capacity from the view's loads, server by server.
     ///
-    /// The harness contract is that every cell in the view is live (it
-    /// never deregisters cells), so an unplaced cell or a cell on a dead
-    /// server is a safety violation, not housekeeping.
-    pub fn check_view(&mut self, at: Duration, view: &PoolView) {
-        for cell in &view.cells {
-            match cell.server {
-                None => self.record(
-                    InvariantKind::PlacementValid,
-                    at,
-                    format!("cell {} unplaced at epoch check", cell.id),
-                ),
-                Some(s) if !view.servers[s].alive => self.record(
-                    InvariantKind::PlacementValid,
-                    at,
-                    format!("cell {} placed on dead server {s}", cell.id),
-                ),
-                Some(_) => {}
-            }
+    /// `truth[s]` is whether server `s` is physically up, which a stale
+    /// view may not yet know. A cell on a server the view believes dead
+    /// is plainly misplaced; one on a server only the view believes
+    /// alive is the stale-view hazard, and says so.
+    pub fn check_view(&mut self, at: Duration, view: &PoolView, truth: &[bool]) {
+        for cell in view.cells.iter().filter(|c| c.active) {
+            let detail = match cell.server {
+                None => format!("cell {} unplaced at epoch check", cell.id),
+                Some(s) if !view.servers[s].alive => {
+                    format!("cell {} placed on dead server {s}", cell.id)
+                }
+                Some(s) if !truth[s] => {
+                    format!("cell {} placed on dead server {s} (stale view)", cell.id)
+                }
+                Some(_) => continue,
+            };
+            self.flag(InvariantKind::PlacementValid, at, detail);
         }
         for server in &view.servers {
             let spec = ServerSpec::plain(server.id, server.capacity_gops, 1.0);
             if !spec.fits(server.load_gops) {
-                self.record(
+                self.flag(
                     InvariantKind::CapacityBound,
                     at,
                     format!(
@@ -152,7 +150,7 @@ impl InvariantChecker {
     /// Per-cell outage check after a failover.
     pub fn check_outage(&mut self, at: Duration, cell: usize, outage: Duration) {
         if outage > self.bounds.outage_bound {
-            self.record(
+            self.flag(
                 InvariantKind::OutageExceeded,
                 at,
                 format!(
@@ -171,7 +169,7 @@ impl InvariantChecker {
         }
         let ratio = metrics.deadline_misses as f64 / executed as f64;
         if ratio > self.bounds.miss_ratio_bound {
-            self.record(
+            self.flag(
                 InvariantKind::MissRatioExceeded,
                 at,
                 format!(
@@ -183,58 +181,42 @@ impl InvariantChecker {
         }
     }
 
-    /// Restore-fidelity check: `restored` is the outcome of
-    /// `Controller::try_restore` on a snapshot that was (`corrupt`) or
-    /// was not damaged in flight; `before` is the pre-snapshot view and
-    /// `after` the restored controller's view when restore succeeded.
-    pub fn check_restore(
-        &mut self,
-        at: Duration,
-        corrupt: bool,
-        before: &PoolView,
-        restored: Result<&PoolView, &SnapshotError>,
-    ) {
-        match (corrupt, restored) {
-            (false, Ok(after)) => {
-                if after != before {
-                    self.record(
-                        InvariantKind::RestoreFidelity,
-                        at,
-                        "restored view diverges from pre-snapshot view".into(),
-                    );
-                }
-            }
-            (false, Err(e)) => self.record(
-                InvariantKind::RestoreFidelity,
-                at,
-                format!("intact snapshot rejected: {e}"),
-            ),
-            (true, Ok(_)) => self.record(
-                InvariantKind::RestoreFidelity,
-                at,
-                "corrupt snapshot accepted by try_restore".into(),
-            ),
-            // Corrupt snapshot rejected: exactly the contract.
-            (true, Err(_)) => {}
-        }
-    }
-
     /// Violations recorded so far.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
 
-    /// Consume the checker, yielding all violations.
-    pub fn into_violations(self) -> Vec<Violation> {
-        self.violations
+    /// Drain the violations recorded so far, in detection order; the
+    /// checker keeps its buffer for the next check.
+    pub fn take_violations(&mut self) -> std::vec::Drain<'_, Violation> {
+        self.violations.drain(..)
     }
+}
+
+/// The restore drill: snapshot `ctl`, write the snapshot as JSON text,
+/// read it back, restore it with `Controller::try_restore`, and require
+/// the restored view to equal `ctl`'s. Hands back the restored
+/// controller with [`FailoverApp`] reinstalled (apps are code, not
+/// state), so a run can continue on it. The error names the step that
+/// broke restore fidelity.
+pub fn restore_drill(ctl: &Controller) -> Result<Controller, String> {
+    let json = serde_json::to_string(&ctl.snapshot())
+        .map_err(|e| format!("snapshot failed to serialize: {e}"))?;
+    let parsed =
+        serde_json::from_str(&json).map_err(|e| format!("snapshot failed to re-parse: {e}"))?;
+    let mut restored =
+        Controller::try_restore(parsed).map_err(|e| format!("intact snapshot rejected: {e}"))?;
+    if restored.view() != ctl.view() {
+        return Err("restored view diverges from pre-snapshot view".to_string());
+    }
+    restored.install_app(Box::new(FailoverApp::new()));
+    Ok(restored)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pran::apps::FailoverApp;
-    use pran::{Controller, SystemConfig};
+    use pran::SystemConfig;
 
     fn live_view(servers: usize) -> (Controller, PoolView) {
         let mut c = Controller::new(SystemConfig::default_eval(servers));
@@ -248,11 +230,22 @@ mod tests {
         (c, v)
     }
 
+    /// Check `view` against a truth that agrees with it.
+    fn check(view: &PoolView) -> InvariantChecker {
+        let truth: Vec<bool> = view.servers.iter().map(|s| s.alive).collect();
+        let mut chk = InvariantChecker::new(ChaosConfig::default_eval());
+        chk.check_view(Duration::from_secs(60), view, &truth);
+        chk
+    }
+
+    fn details(chk: &InvariantChecker) -> Vec<&str> {
+        chk.violations().iter().map(|v| v.detail.as_str()).collect()
+    }
+
     #[test]
     fn healthy_view_passes() {
         let (_c, view) = live_view(6);
-        let mut chk = InvariantChecker::new(ChaosConfig::default_eval());
-        chk.check_view(Duration::from_secs(60), &view);
+        let chk = check(&view);
         assert!(chk.violations().is_empty(), "{:?}", chk.violations());
     }
 
@@ -260,10 +253,53 @@ mod tests {
     fn unplaced_cell_is_flagged() {
         let (_c, mut view) = live_view(6);
         view.cells[0].server = None;
-        let mut chk = InvariantChecker::new(ChaosConfig::default_eval());
-        chk.check_view(Duration::from_secs(60), &view);
+        let chk = check(&view);
         assert_eq!(chk.violations().len(), 1);
         assert_eq!(chk.violations()[0].kind, InvariantKind::PlacementValid);
+    }
+
+    #[test]
+    fn a_deregistered_cell_is_not_unplaced() {
+        let (mut c, _) = live_view(6);
+        c.deregister_cell(1).unwrap();
+        let view = c.view();
+        assert!(!view.cells[1].active);
+        assert_eq!(view.cells[1].server, None);
+        let chk = check(&view);
+        assert!(chk.violations().is_empty(), "{:?}", chk.violations());
+    }
+
+    #[test]
+    fn a_truth_dead_believed_alive_server_is_a_stale_view() {
+        let (_c, view) = live_view(6);
+        let s = view.cells[0].server.unwrap();
+        let mut truth = vec![true; view.servers.len()];
+        truth[s] = false;
+        let mut chk = InvariantChecker::new(ChaosConfig::default_eval());
+        chk.check_view(Duration::from_secs(60), &view, &truth);
+        let hosted = view.cells.iter().filter(|c| c.server == Some(s));
+        let expected: Vec<String> = hosted
+            .map(|c| format!("cell {} placed on dead server {s} (stale view)", c.id))
+            .collect();
+        assert_eq!(details(&chk), expected);
+        assert!(chk
+            .violations()
+            .iter()
+            .all(|v| v.kind == InvariantKind::PlacementValid));
+    }
+
+    #[test]
+    fn a_believed_dead_server_gives_the_plain_string() {
+        let (_c, mut view) = live_view(6);
+        let s = view.cells[0].server.unwrap();
+        view.servers[s].alive = false;
+        // Dead in the view and in truth: the view is not stale.
+        let chk = check(&view);
+        let hosted = view.cells.iter().filter(|c| c.server == Some(s));
+        let expected: Vec<String> = hosted
+            .map(|c| format!("cell {} placed on dead server {s}", c.id))
+            .collect();
+        assert_eq!(details(&chk), expected);
     }
 
     #[test]
@@ -271,8 +307,7 @@ mod tests {
         let (_c, mut view) = live_view(6);
         let target = view.cells[0].server.unwrap();
         view.servers[target].load_gops = view.servers[target].capacity_gops * 1.5;
-        let mut chk = InvariantChecker::new(ChaosConfig::default_eval());
-        chk.check_view(Duration::from_secs(60), &view);
+        let chk = check(&view);
         assert!(chk
             .violations()
             .iter()
@@ -287,6 +322,9 @@ mod tests {
         let mut chk = InvariantChecker::new(bounds);
         chk.check_outage(Duration::from_secs(1), 3, outage);
         assert_eq!(chk.violations()[0].kind, InvariantKind::OutageExceeded);
+        // Draining empties the checker for the next check.
+        assert_eq!(chk.take_violations().count(), 1);
+        assert!(chk.violations().is_empty());
         // The default bound tolerates the standard failover.
         let mut chk = InvariantChecker::new(ChaosConfig::default_eval());
         chk.check_outage(Duration::from_secs(1), 3, outage);
@@ -312,29 +350,17 @@ mod tests {
     }
 
     #[test]
-    fn restore_contract_both_directions() {
-        let (c, view) = live_view(6);
-        let mut chk = InvariantChecker::new(ChaosConfig::default_eval());
-        // Faithful restore: fine.
-        let restored = Controller::try_restore(c.snapshot()).unwrap();
-        chk.check_restore(Duration::from_secs(1), false, &view, Ok(&restored.view()));
-        assert!(chk.violations().is_empty());
-        // Corrupt snapshot accepted: violation.
-        chk.check_restore(Duration::from_secs(2), true, &view, Ok(&restored.view()));
-        assert_eq!(chk.violations().len(), 1);
-        // Corrupt snapshot rejected: fine.
-        let err = SnapshotError::ServerCountMismatch {
-            snapshot: 6,
-            config: 99,
-        };
-        chk.check_restore(Duration::from_secs(3), true, &view, Err(&err));
-        assert_eq!(chk.violations().len(), 1);
-        // Intact snapshot rejected: violation.
-        chk.check_restore(Duration::from_secs(4), false, &view, Err(&err));
-        assert_eq!(chk.violations().len(), 2);
-        assert!(chk
-            .violations()
-            .iter()
-            .all(|v| v.kind == InvariantKind::RestoreFidelity));
+    fn restore_drill_hands_back_an_equal_controller() {
+        let (mut c, view) = live_view(6);
+        let mut restored = restore_drill(&c).unwrap();
+        assert_eq!(restored.view(), view);
+        // The failover app came back with it: both controllers answer a
+        // crash the same way.
+        let victim = view.cells[0].server.unwrap();
+        let now = Duration::from_secs(90);
+        let expected = c.server_failed(victim, now).unwrap();
+        assert_eq!(restored.server_failed(victim, now).unwrap(), expected);
+        assert!(expected.replaced > 0);
+        assert_eq!(restored.view(), c.view());
     }
 }

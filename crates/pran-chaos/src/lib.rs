@@ -12,8 +12,11 @@
 //!   (`pran_sim::PoolSimulator`) and the fronthaul fault injectors on
 //!   one shared simulated clock;
 //! - [`invariants`] — the safety envelope ([`InvariantChecker`]),
-//!   evaluated every epoch: placement validity, capacity, outage and
-//!   deadline-miss bounds, snapshot/restore fidelity;
+//!   evaluated every epoch: placement validity against a physical truth
+//!   the caller passes in, capacity, outage and deadline-miss bounds,
+//!   and snapshot/restore fidelity ([`restore_drill`]). `pran-mc`'s
+//!   exhaustive explorer runs the same checker and drill, so the two
+//!   tools judge one envelope and word each violation alike;
 //! - [`mod@explore`] — seeded schedule sampling plus ddmin
 //!   [`shrink`]ing of failing schedules to minimal,
 //!   JSON-round-trippable reproducers.
@@ -36,5 +39,5 @@ pub use explore::{
     explore, replay, sample_scenario, shrink, ExploreConfig, ExploreError, ExploreReport, Failure,
 };
 pub use inject::{failure_specs, run_scenario, HarnessReport};
-pub use invariants::{InvariantChecker, InvariantKind, Violation};
+pub use invariants::{restore_drill, InvariantChecker, InvariantKind, Violation};
 pub use scenario::{ChaosEvent, Scenario, ScenarioError, TimedEvent};

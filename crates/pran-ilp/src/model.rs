@@ -673,189 +673,3 @@ mod tests {
         assert_eq!(m.eval_objective(&[3.0]), 11.0);
     }
 }
-
-impl Model {
-    /// Render the model in (CPLEX-style) LP file format — handy for
-    /// eyeballing a formulation or cross-checking against an external
-    /// solver. Infinite bounds render as `-inf`/`+inf` comments per LP
-    /// convention (free / default bounds).
-    pub fn to_lp_string(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "\\ model: {}", self.name);
-        let _ = writeln!(
-            out,
-            "{}",
-            match self.sense {
-                Sense::Minimize => "Minimize",
-                Sense::Maximize => "Maximize",
-            }
-        );
-        let _ = writeln!(out, " obj: {}", self.render_expr(&self.objective));
-        let _ = writeln!(out, "Subject To");
-        for (i, c) in self.constraints.iter().enumerate() {
-            let op = match c.cmp {
-                Cmp::Le => "<=",
-                Cmp::Ge => ">=",
-                Cmp::Eq => "=",
-            };
-            let name = if c.name.is_empty() {
-                format!("c{i}")
-            } else {
-                c.name.clone()
-            };
-            let _ = writeln!(
-                out,
-                " {}: {} {} {}",
-                name,
-                self.render_expr(&c.expr),
-                op,
-                c.rhs
-            );
-        }
-        let _ = writeln!(out, "Bounds");
-        for (i, v) in self.vars.iter().enumerate() {
-            let name = self.var_name(VarId(i));
-            match (v.lower.is_finite(), v.upper.is_finite()) {
-                (true, true) => {
-                    let _ = writeln!(out, " {} <= {} <= {}", v.lower, name, v.upper);
-                }
-                (true, false) => {
-                    let _ = writeln!(out, " {} >= {}", name, v.lower);
-                }
-                (false, true) => {
-                    let _ = writeln!(out, " {} <= {}", name, v.upper);
-                }
-                (false, false) => {
-                    let _ = writeln!(out, " {} free", name);
-                }
-            }
-        }
-        let integrals: Vec<String> = self
-            .vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.kind == VarKind::Integer)
-            .map(|(i, _)| self.var_name(VarId(i)))
-            .collect();
-        if !integrals.is_empty() {
-            let _ = writeln!(out, "General\n {}", integrals.join(" "));
-        }
-        let binaries: Vec<String> = self
-            .vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.kind == VarKind::Binary)
-            .map(|(i, _)| self.var_name(VarId(i)))
-            .collect();
-        if !binaries.is_empty() {
-            let _ = writeln!(out, "Binary\n {}", binaries.join(" "));
-        }
-        out.push_str("End\n");
-        out
-    }
-
-    /// LP-safe variable name (falls back to `x<idx>` when the declared
-    /// name contains characters LP format rejects).
-    fn var_name(&self, id: VarId) -> String {
-        let name = &self.vars[id.0].name;
-        let ok = !name.is_empty()
-            && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-            && name
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphabetic() || c == '_');
-        if ok {
-            name.clone()
-        } else {
-            format!("x{}", id.0)
-        }
-    }
-
-    fn render_expr(&self, e: &LinExpr) -> String {
-        let compact = e.compact();
-        let mut parts = Vec::new();
-        for &(v, c) in compact.terms() {
-            let name = self.var_name(v);
-            if parts.is_empty() {
-                parts.push(format!("{c} {name}"));
-            } else if c >= 0.0 {
-                parts.push(format!("+ {c} {name}"));
-            } else {
-                parts.push(format!("- {} {name}", -c));
-            }
-        }
-        if compact.constant() != 0.0 {
-            let k = compact.constant();
-            if parts.is_empty() {
-                parts.push(format!("{k}"));
-            } else if k >= 0.0 {
-                parts.push(format!("+ {k}"));
-            } else {
-                parts.push(format!("- {}", -k));
-            }
-        }
-        if parts.is_empty() {
-            "0".into()
-        } else {
-            parts.join(" ")
-        }
-    }
-}
-
-#[cfg(test)]
-mod lp_export_tests {
-    use super::*;
-
-    #[test]
-    fn lp_string_has_all_sections() {
-        let mut m = Model::new("demo");
-        let x = m.continuous("x", 0.0, 10.0);
-        let b = m.binary("flag");
-        let n = m.integer("count", 0.0, 5.0);
-        let f = m.continuous("free_v", f64::NEG_INFINITY, f64::INFINITY);
-        m.add_constraint(
-            "cap",
-            LinExpr::from(x) + LinExpr::term(n, 2.0),
-            Cmp::Le,
-            8.0,
-        );
-        m.add_constraint(
-            "link",
-            LinExpr::from(x) - LinExpr::term(b, 10.0),
-            Cmp::Le,
-            0.0,
-        );
-        m.set_objective(Sense::Maximize, LinExpr::from(x) + b + f);
-        let lp = m.to_lp_string();
-        assert!(lp.contains("Maximize"));
-        assert!(lp.contains("Subject To"));
-        assert!(lp.contains("cap: "));
-        assert!(lp.contains("Bounds"));
-        assert!(lp.contains("free_v free"));
-        assert!(lp.contains("General\n count"));
-        assert!(lp.contains("Binary\n flag"));
-        assert!(lp.ends_with("End\n"));
-    }
-
-    #[test]
-    fn unsafe_names_fall_back_to_indices() {
-        let mut m = Model::new("demo");
-        let x = m.binary("x[0,1]"); // brackets are not LP-safe
-        m.set_objective(Sense::Minimize, LinExpr::from(x));
-        let lp = m.to_lp_string();
-        assert!(lp.contains("x0"), "{lp}");
-        assert!(!lp.contains("x[0,1]"));
-    }
-
-    #[test]
-    fn negative_coefficients_render_with_minus() {
-        let mut m = Model::new("demo");
-        let x = m.continuous("x", 0.0, 1.0);
-        let y = m.continuous("y", 0.0, 1.0);
-        m.add_constraint("c", LinExpr::from(x) - y, Cmp::Ge, -1.0);
-        m.set_objective(Sense::Minimize, LinExpr::from(x));
-        let lp = m.to_lp_string();
-        assert!(lp.contains("1 x - 1 y >= -1"), "{lp}");
-    }
-}

@@ -8,10 +8,10 @@
 //! operation, and at each checked state the concrete `view()` is
 //! compared against the view reconstructed from abstract state — cells
 //! and servers, with `==` on every `f64`, no tolerance. Each checked
-//! state also gets the concrete half of an [`Operation::Drill`]:
-//! snapshot → JSON → `try_restore` → view equality, which is the
-//! restore-fidelity invariant exercised at every state rather than at
-//! sampled instants.
+//! state also gets the concrete half of an [`Operation::Drill`], the
+//! chaos harness's own [`restore_drill`] (snapshot → JSON →
+//! `try_restore` → view equality): the restore-fidelity invariant
+//! exercised at every state rather than at sampled instants.
 //!
 //! [`explore`](crate::explore()) carries the controller down the
 //! discovery tree rather than replaying each state from the root: every
@@ -34,6 +34,7 @@ use std::time::Duration;
 
 use pran::apps::FailoverApp;
 use pran::{Action, Controller};
+use pran_chaos::restore_drill;
 
 use crate::explore::Tree;
 use crate::model::{Model, Operation, StateView};
@@ -55,10 +56,10 @@ pub enum Conformance {
 /// Step-level checks:
 /// * `Migrate` — accept/reject verdicts must match
 ///   ([`Model::mirror_migrate`] vs `Controller::apply_action`);
-/// * `Drill` — full snapshot/serialize/restore round-trip; the restored
-///   view must equal the pre-snapshot view, and the replay *continues on
-///   the restored controller* so any restore drift would surface in the
-///   final comparison too;
+/// * `Drill` — a [`restore_drill`]: the restored view must equal the
+///   pre-snapshot view, and the replay *continues on the restored
+///   controller* so any restore drift would surface in the final
+///   comparison too;
 /// * under [`ViewSemantics::Stale`], `Fail`/`Recover` are physical-only
 ///   events the controller has not heard about, so nothing is driven
 ///   into it until the matching `Deliver`.
@@ -70,7 +71,7 @@ pub enum Conformance {
 pub fn replay_path(model: &Model, path: &[Operation]) -> Result<(), String> {
     let (ctl, state) = reach(model, path)?;
     compare_views(model, &ctl, &state, path)?;
-    round_trip(&ctl)
+    restore_drill(&ctl)
         .map(drop)
         .map_err(|e| drill_failed(path.len(), &e))
 }
@@ -160,7 +161,7 @@ fn step(
             }
         }
         Operation::Drill => {
-            *ctl = round_trip(ctl).map_err(|e| drill_failed(i, &e))?;
+            *ctl = restore_drill(ctl).map_err(|e| drill_failed(i, &e))?;
         }
         Operation::Register => {
             ctl.register_cell();
@@ -175,7 +176,7 @@ fn step(
 
 /// The first state-level check at `state`, reached by `path`: the
 /// concrete view must equal the abstract one. The second is a restore
-/// drill of `ctl` ([`round_trip`]).
+/// drill of `ctl` ([`restore_drill`]).
 fn compare_views(
     model: &Model,
     ctl: &Controller,
@@ -199,27 +200,7 @@ fn compare_views(
     Ok(())
 }
 
-/// The concrete half of a drill: snapshot, serialize, restore, compare,
-/// and hand back the *restored* controller (apps reinstalled) so a
-/// replay can continue on it. A pure function of `ctl`; its error is
-/// the message that [`drill_failed`] stamps with a step.
-fn round_trip(ctl: &Controller) -> Result<Controller, String> {
-    let before = ctl.view();
-    let snapshot = ctl.snapshot();
-    let json = serde_json::to_string(&snapshot)
-        .map_err(|e| format!("snapshot failed to serialize: {e}"))?;
-    let parsed =
-        serde_json::from_str(&json).map_err(|e| format!("snapshot failed to re-parse: {e}"))?;
-    let mut restored =
-        Controller::try_restore(parsed).map_err(|e| format!("intact snapshot rejected: {e}"))?;
-    if restored.view() != before {
-        return Err("restored view diverges from pre-snapshot view".to_string());
-    }
-    restored.install_app(Box::new(FailoverApp::new()));
-    Ok(restored)
-}
-
-/// A [`round_trip`] error, as the drill at step `step` reports it.
+/// A [`restore_drill`] error, as the drill at step `step` reports it.
 fn drill_failed(step: usize, e: &str) -> String {
     format!("step {step} drill: {e}")
 }
@@ -274,7 +255,7 @@ pub(crate) fn check_tree(model: &Model, tree: &Tree, workers: usize) -> (Vec<Str
     (failures.into_iter().map(|(_, e)| e).collect(), round_trips)
 }
 
-/// One controller object's [`round_trip`] verdict, run on first demand.
+/// One controller object's [`restore_drill`] verdict, run on first demand.
 /// Every state that shares the controller shares it.
 type Drilled = OnceCell<Result<(), String>>;
 
@@ -350,7 +331,7 @@ impl Walk<'_> {
         }
         let trip = drilled.get_or_init(|| {
             self.round_trips += 1;
-            round_trip(ctl).map(drop)
+            restore_drill(ctl).map(drop)
         });
         if let Err(e) = trip {
             self.failures.push((id, drill_failed(path.len(), e)));

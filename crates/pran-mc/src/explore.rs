@@ -43,12 +43,13 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::thread;
+use std::time::Duration;
 
-use pran_chaos::InvariantKind;
-use pran_sched::placement::ServerSpec;
+use pran::PoolView;
+use pran_chaos::{InvariantChecker, InvariantKind, Violation};
 
 use crate::conformance::{check_tree, Conformance};
-use crate::model::{Model, Operation, StateView};
+use crate::model::{Model, Operation, StateView, StepOutcome};
 
 /// Cap on fully-recorded violations (counts are always complete).
 const MAX_RECORDED: usize = 32;
@@ -249,76 +250,53 @@ fn orbit_key_into(
 
 /// Invariant checks on one transition's outcome, judged against
 /// *physical truth* (not the controller's belief — that gap is the whole
-/// point of the stale-view experiment). Checks mirror the chaos
-/// harness's epoch-boundary checks so that any violation found here is
-/// reproducible through `pran_chaos::run_scenario`:
+/// point of the stale-view experiment). The checks are the chaos
+/// harness's own [`InvariantChecker`], so any violation found here
+/// reads as `pran_chaos::run_scenario` reports it:
 ///
-/// * after an `Epoch`: every active cell placed, no cell on a
-///   truth-dead server, per-server load within [`ServerSpec::fits`]'s
-///   tolerance, and the unserved-demand fraction (the model's proxy for
-///   the deadline-miss ratio) within `miss_ratio_bound`;
-/// * on any transition that displaced cells: each cell's outage within
-///   `outage_bound`.
+/// * after an `Epoch`: [`InvariantChecker::check_view`] on the model's
+///   view (refilled into `view`) and its truth, then the unserved-demand
+///   fraction of the active cells — the model's proxy for the
+///   deadline-miss ratio, as it has no data plane — within
+///   `miss_ratio_bound`;
+/// * on any transition that displaced cells: each cell's outage, by
+///   [`InvariantChecker::check_outage`].
+///
+/// The violations are left in `checker`; the model keeps no clock, so
+/// each is stamped at zero.
 fn check_transition(
     model: &Model,
     op: Operation,
-    next: &StateView,
-) -> Vec<(InvariantKind, String)> {
-    let mut found = Vec::new();
-    let bounds = &model.config().sys.chaos;
+    outcome: &StepOutcome,
+    checker: &mut InvariantChecker,
+    view: &mut PoolView,
+) {
+    let at = Duration::ZERO;
     if op == Operation::Epoch {
-        let mut loads = vec![0.0f64; next.truth.len()];
-        let mut total = 0.0f64;
-        let mut unserved = 0.0f64;
-        for (cell, c) in next.cells.iter().enumerate() {
-            if !c.active {
-                continue;
-            }
-            let demand = model.predicted(next, cell);
-            total += demand;
-            match next.placement[cell] {
-                None => {
-                    unserved += demand;
-                    found.push((
-                        InvariantKind::PlacementValid,
-                        format!("cell {cell} unplaced at epoch check"),
-                    ));
-                }
-                Some(s) => {
-                    loads[s] += demand;
-                    if !next.truth[s] {
-                        found.push((
-                            InvariantKind::PlacementValid,
-                            format!("cell {cell} placed on dead server {s} (stale view)"),
-                        ));
-                    }
-                }
+        model.view_into(&outcome.next, view);
+        checker.check_view(at, view, &outcome.next.truth);
+        let (mut total, mut unserved) = (0.0f64, 0.0f64);
+        for cell in view.cells.iter().filter(|c| c.active) {
+            total += cell.predicted_gops;
+            if cell.server.is_none() {
+                unserved += cell.predicted_gops;
             }
         }
-        for (s, &load) in loads.iter().enumerate() {
-            let spec = ServerSpec::plain(s, model.config().sys.pool.capacity_gops, 1.0);
-            if !spec.fits(load) {
-                found.push((
-                    InvariantKind::CapacityBound,
-                    format!(
-                        "server {s} loaded {load:.1} GOPS over {:.1} GOPS capacity",
-                        spec.capacity_gops
-                    ),
-                ));
-            }
-        }
-        if total > 0.0 && unserved / total > bounds.miss_ratio_bound {
-            found.push((
+        let bound = model.config().sys.chaos.miss_ratio_bound;
+        if total > 0.0 && unserved / total > bound {
+            checker.flag(
                 InvariantKind::MissRatioExceeded,
+                at,
                 format!(
-                    "unserved demand fraction {:.4} exceeds miss-ratio bound {:.4}",
-                    unserved / total,
-                    bounds.miss_ratio_bound
+                    "unserved demand fraction {:.4} exceeds miss-ratio bound {bound:.4}",
+                    unserved / total
                 ),
-            ));
+            );
         }
     }
-    found
+    for &(cell, outage) in &outcome.outages {
+        checker.check_outage(at, cell, outage);
+    }
 }
 
 /// Breadth-first exhaustive exploration of `model` up to its configured
@@ -386,6 +364,8 @@ fn explore_tree(model: &Model) -> (McReport, Tree) {
     let initial = model.initial_state();
     discover(&initial);
     let mut tree = Tree::default();
+    let mut checker = InvariantChecker::new(cfg.sys.chaos);
+    let mut view = PoolView::default();
     // (state, its id in `tree`, its depth)
     let mut queue: VecDeque<(StateView, u32, usize)> = VecDeque::new();
     if cfg.depth > 0 {
@@ -398,19 +378,8 @@ fn explore_tree(model: &Model) -> (McReport, Tree) {
         for op in model.enabled_ops(&state) {
             let outcome = model.apply(&state, op);
             report.transitions += 1;
-            let mut violated = check_transition(model, op, &outcome.next);
-            for &(cell, outage) in &outcome.outages {
-                if outage > cfg.sys.chaos.outage_bound {
-                    violated.push((
-                        InvariantKind::OutageExceeded,
-                        format!(
-                            "cell {cell} outage {outage:?} exceeds bound {:?}",
-                            cfg.sys.chaos.outage_bound
-                        ),
-                    ));
-                }
-            }
-            for (kind, detail) in violated {
+            check_transition(model, op, &outcome, &mut checker, &mut view);
+            for Violation { kind, detail, .. } in checker.take_violations() {
                 *report.violation_counts.entry(kind.label()).or_insert(0) += 1;
                 if report.violations.len() < MAX_RECORDED {
                     let mut path = tree.path(node);
@@ -440,7 +409,6 @@ mod tests {
     use crate::model::{McCell, McConfig};
     use crate::view::{OpMix, ViewSemantics};
     use pran::SystemConfig;
-    use std::time::Duration;
 
     /// The key oracle: `state`'s encoding under `perm`, into a fresh
     /// buffer through two temporary liveness vectors.

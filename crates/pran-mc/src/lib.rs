@@ -5,8 +5,11 @@
 //! controller — placement, liveness belief vs physical truth, and a
 //! `(last, peak)` summary of each cell's report window — is explored
 //! breadth-first over every interleaving of control-plane operations up
-//! to a depth bound, with all five chaos invariants checked on every
-//! transition.
+//! to a depth bound, with the chaos harness's own checks run on every
+//! transition: one `pran_chaos::InvariantChecker` judges each abstract
+//! view against physical truth, and each discovered state's controller
+//! goes through the harness's `pran_chaos::restore_drill`. A violation
+//! found here therefore reads word for word as the harness reports it.
 //!
 //! The experiment's independent variable is [`ViewSemantics`]: under
 //! `Linearizable` views the controller learns of every crash in the

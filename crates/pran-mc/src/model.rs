@@ -69,9 +69,9 @@ pub enum Operation {
         /// Destination server.
         to: usize,
     },
-    /// A snapshot/restore drill: abstractly the identity, concretely a
-    /// full `snapshot` → serialize → `try_restore` round-trip the
-    /// conformance layer verifies (the restore-fidelity invariant).
+    /// A snapshot/restore drill: abstractly the identity, concretely the
+    /// chaos harness's `pran_chaos::restore_drill`, which the conformance
+    /// layer runs (the restore-fidelity invariant).
     Drill,
     /// Register a new cell (`Controller::register_cell`).
     Register,
@@ -365,39 +365,44 @@ impl Model {
     /// floating-point results are bitwise identical. `now` is always
     /// zero — the model does not track time (compare everything else).
     pub fn view(&self, state: &StateView) -> PoolView {
-        let n = state.believed.len();
-        let mut loads = vec![0.0f64; n];
-        let mut counts = vec![0usize; n];
-        for c in 0..state.cells.len() {
-            if let Some(s) = state.placement[c] {
-                loads[s] += self.predicted(state, c);
-                counts[s] += 1;
-            }
-        }
-        PoolView {
-            now: Duration::ZERO,
-            cells: (0..state.cells.len())
-                .map(|c| CellView {
-                    id: c,
-                    server: state.placement[c],
-                    utilization: state.cells[c]
-                        .last
-                        .map(|l| self.cfg.levels[l as usize])
-                        .unwrap_or(0.0),
-                    predicted_gops: self.predicted(state, c),
-                    prb_cap: None,
-                })
-                .collect(),
-            servers: (0..n)
-                .map(|s| ServerView {
+        let mut view = PoolView::default();
+        self.view_into(state, &mut view);
+        view
+    }
+
+    /// [`Model::view`], written over `view`'s buffers.
+    pub fn view_into(&self, state: &StateView, view: &mut PoolView) {
+        view.now = Duration::ZERO;
+        view.cells.clear();
+        view.cells
+            .extend(state.cells.iter().enumerate().map(|(c, cell)| CellView {
+                id: c,
+                active: cell.active,
+                server: state.placement[c],
+                utilization: cell.last.map_or(0.0, |l| self.cfg.levels[l as usize]),
+                predicted_gops: self.predicted(state, c),
+                prb_cap: None,
+            }));
+        view.servers.clear();
+        view.servers.extend(
+            state
+                .believed
+                .iter()
+                .enumerate()
+                .map(|(s, &alive)| ServerView {
                     id: s,
-                    alive: state.believed[s],
+                    alive,
                     drained: false,
                     capacity_gops: self.capacity,
-                    load_gops: loads[s],
-                    cells: counts[s],
-                })
-                .collect(),
+                    load_gops: 0.0,
+                    cells: 0,
+                }),
+        );
+        for cell in &view.cells {
+            if let Some(s) = cell.server {
+                view.servers[s].load_gops += cell.predicted_gops;
+                view.servers[s].cells += 1;
+            }
         }
     }
 
