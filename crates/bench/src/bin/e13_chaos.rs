@@ -53,7 +53,7 @@ fn main() -> ExitCode {
     // --- phase 2: tighten a bound, find a failure, shrink, replay ---
     println!("\n== phase 2: outage bound 0 — every crash outage is a violation ==");
     let mut tight = sys.clone();
-    tight.chaos.outage_bound = Duration::ZERO;
+    tight.slo.outage_p99_max = Duration::ZERO;
     let kind = InvariantKind::OutageExceeded;
     let mut found = None;
     for index in 0..cfg.schedules.max(100) {

@@ -29,7 +29,7 @@ fn main() {
     let mut json_detect = Vec::new();
     for &detect_ms in &[5u64, 20, 50, 100, 200] {
         let mut cfg = PoolConfig::default_eval(12);
-        cfg.detection_delay = Duration::from_millis(detect_ms);
+        cfg.failover.detection_delay = Duration::from_millis(detect_ms);
         cfg.epoch_steps = 10;
         let mut sim = PoolSimulator::new(day_trace(20, 8), cfg);
         sim.inject_failure(FailureSpec {

@@ -6,7 +6,7 @@ use pran_insight::SloPolicy;
 use pran_phy::frame::{AntennaConfig, Bandwidth};
 use pran_phy::mcs::Mcs;
 use pran_sched::placement::WarmConfig;
-use pran_sim::{PoolAccel, SplitPlan};
+use pran_sim::{FailoverTiming, PoolAccel, SplitPlan};
 use serde::{Deserialize, Serialize};
 
 /// Shape of the server pool.
@@ -18,44 +18,6 @@ pub struct PoolSpec {
     pub capacity_gops: f64,
     /// Relative cost of powering one server.
     pub server_cost: f64,
-}
-
-/// Bounds and failover timing the chaos subsystem checks every epoch
-/// (see `pran-chaos`). Part of [`SystemConfig`] so a scenario's safety
-/// envelope travels with the system it applies to — and survives a
-/// controller snapshot/restore.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChaosConfig {
-    /// Maximum tolerated per-cell outage after a failure.
-    pub outage_bound: Duration,
-    /// Maximum tolerated deadline-miss ratio over a run.
-    pub miss_ratio_bound: f64,
-    /// Failure detection delay (heartbeat timeout) charged per failover.
-    pub detection_delay: Duration,
-    /// Controller replanning overhead charged per failover.
-    pub replan_overhead: Duration,
-    /// State-transfer time charged per migrated cell.
-    pub migration_time_per_cell: Duration,
-}
-
-impl ChaosConfig {
-    /// Evaluation defaults: the E8 failover timing model (20 ms detection
-    /// plus 5 ms replan plus 25 ms migration = 50 ms outage) with a
-    /// 200 ms outage bound and a 1 % miss-ratio bound.
-    pub fn default_eval() -> Self {
-        ChaosConfig {
-            outage_bound: Duration::from_millis(200),
-            miss_ratio_bound: 0.01,
-            detection_delay: Duration::from_millis(20),
-            replan_overhead: Duration::from_millis(5),
-            migration_time_per_cell: Duration::from_millis(25),
-        }
-    }
-
-    /// Outage charged when a failover re-places one displaced cell.
-    pub fn failover_outage(&self) -> Duration {
-        self.detection_delay + self.replan_overhead + self.migration_time_per_cell
-    }
 }
 
 /// Full system configuration.
@@ -73,11 +35,14 @@ pub struct SystemConfig {
     pub epoch: Duration,
     /// Demand headroom multiplier used when placing.
     pub headroom: f64,
-    /// Safety bounds and failover timing checked by the chaos subsystem.
-    pub chaos: ChaosConfig,
-    /// Service-level objectives the online `pran-insight` monitor
-    /// enforces per epoch (miss ratio, utilization, outage, lost
-    /// reports, unplaced cells).
+    /// The failover price a re-placed cell is charged. Its wire key is
+    /// `chaos`, where it once sat beside two bounds that are now `slo`'s;
+    /// configs that still carry them read, the two keys skipped.
+    pub chaos: FailoverTiming,
+    /// The safety envelope: the service-level objectives the online
+    /// `pran-insight` monitor enforces per epoch (miss ratio,
+    /// utilization, outage, lost reports, unplaced cells), and the
+    /// miss-ratio and outage bounds the chaos invariants judge.
     pub slo: SloPolicy,
     /// Warm-start placement with hysteresis. `None` (the default) keeps
     /// the cold incremental repack that re-decides every cell each epoch;
@@ -111,7 +76,7 @@ impl SystemConfig {
             },
             epoch: Duration::from_secs(60),
             headroom: 1.1,
-            chaos: ChaosConfig::default_eval(),
+            chaos: FailoverTiming::default_eval(),
             slo: SloPolicy::default_eval(),
             warm: None,
             split: SplitPlan::default(),
@@ -129,12 +94,8 @@ mod tests {
         let c = SystemConfig::default_eval(8);
         assert_eq!(c.pool.servers, 8);
         assert!(c.headroom >= 1.0);
-        assert!(c.chaos.outage_bound >= c.chaos.failover_outage());
-        assert_eq!(c.chaos.failover_outage(), Duration::from_millis(50));
-        // The online SLO monitor and the chaos invariants must agree on
-        // what "unhealthy" means.
-        assert!((c.slo.miss_ratio_max - c.chaos.miss_ratio_bound).abs() < 1e-12);
-        assert_eq!(c.slo.outage_p99_max, c.chaos.outage_bound);
+        assert_eq!(c.chaos.outage(), Duration::from_millis(50));
+        assert!(c.slo.outage_p99_max >= c.chaos.outage());
     }
 
     #[test]

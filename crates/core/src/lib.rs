@@ -59,7 +59,7 @@ pub mod controller;
 pub use api::{
     Action, ActionError, CellView, CloneApp, ControlApp, PoolEvent, PoolView, ServerView,
 };
-pub use config::{ChaosConfig, PoolSpec, SystemConfig};
+pub use config::{PoolSpec, SystemConfig};
 pub use controller::{
     AuditEntry, Controller, ControllerStats, EpochReport, FailureReport, Snapshot, SnapshotError,
     PREDICT_WINDOW,

@@ -407,7 +407,7 @@ mod tests {
             ],
         };
         let mut sys = SystemConfig::default_eval(8);
-        sys.chaos.outage_bound = Duration::ZERO;
+        sys.slo.outage_p99_max = Duration::ZERO;
         assert!(fails_with(&scenario, &sys, InvariantKind::OutageExceeded));
 
         let minimal = shrink(&scenario, &sys, InvariantKind::OutageExceeded);
@@ -460,7 +460,7 @@ mod tests {
             }],
         };
         let mut sys = SystemConfig::default_eval(8);
-        sys.chaos.outage_bound = Duration::ZERO;
+        sys.slo.outage_p99_max = Duration::ZERO;
         let minimal = shrink(&scenario, &sys, InvariantKind::OutageExceeded);
         assert_eq!(minimal.events.len(), 1);
     }

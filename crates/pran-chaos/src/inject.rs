@@ -197,7 +197,9 @@ fn next_epoch_after(now: Duration, epoch: Duration, horizon: Duration) -> Durati
     epoch.saturating_mul(k).min(horizon)
 }
 
-/// Run one scenario end to end and return its verdict.
+/// Run one scenario end to end and return its verdict, or the
+/// [`ScenarioError`] that makes it unrunnable: the scenario does not
+/// validate, or `sys.epoch` is zero.
 ///
 /// Both planes consume the same seeded trace. The control plane drives a
 /// [`Controller`] (+ [`FailoverApp`]) and a bank of per-cell links from a
@@ -222,6 +224,9 @@ pub fn run_scenario(
     sys: &SystemConfig,
 ) -> Result<HarnessReport, ScenarioError> {
     scenario.validate()?;
+    if sys.epoch.is_zero() {
+        return Err(ScenarioError::ZeroEpoch);
+    }
     let span = pran_telemetry::trace::span("chaos.scenario");
 
     // Shared substrate: the seeded trace with flash crowds compiled in.
@@ -237,7 +242,7 @@ pub fn run_scenario(
     // Control plane.
     let mut sys = sys.clone();
     sys.pool.servers = scenario.servers;
-    let bounds = sys.chaos;
+    let failover_price = sys.chaos.outage();
     let epoch_len = sys.epoch;
     let horizon = scenario.horizon;
     let mut ctl = Controller::new(sys.clone());
@@ -246,7 +251,7 @@ pub fn run_scenario(
         ctl.register_cell();
     }
     let mut bank = LinkBank::new(scenario.cells, scenario.seed ^ LINK_SEED_SALT);
-    let mut checker = InvariantChecker::new(bounds);
+    let mut checker = InvariantChecker::new(sys.slo);
 
     let schedule = scenario.sorted_events();
     let mut engine: Engine<HarnessEvent> = Engine::new();
@@ -314,9 +319,9 @@ pub fn run_scenario(
                             let repair_at = next_epoch_after(now, epoch_len, horizon);
                             for &cell in &hosted {
                                 let outage = if ctl.placement().assignment[cell].is_some() {
-                                    bounds.failover_outage()
+                                    failover_price
                                 } else {
-                                    bounds.failover_outage() + repair_at.saturating_sub(now)
+                                    failover_price + repair_at.saturating_sub(now)
                                 };
                                 max_outage = max_outage.max(outage);
                                 checker.check_outage(now, cell, outage);
@@ -362,9 +367,7 @@ pub fn run_scenario(
     let mut pool_cfg = PoolConfig::default_eval(scenario.servers);
     pool_cfg.server_capacity_gops = sys.pool.capacity_gops;
     pool_cfg.headroom = sys.headroom;
-    pool_cfg.detection_delay = bounds.detection_delay;
-    pool_cfg.replan_overhead = bounds.replan_overhead;
-    pool_cfg.migration_time_per_cell = bounds.migration_time_per_cell;
+    pool_cfg.failover = sys.chaos;
     pool_cfg.bandwidth = sys.bandwidth;
     pool_cfg.antennas = sys.antennas;
     pool_cfg.mcs = sys.mcs;
@@ -502,13 +505,22 @@ mod tests {
             event: ChaosEvent::ServerCrash { server: 0 },
         }];
         let mut sys = SystemConfig::default_eval(8);
-        sys.chaos.outage_bound = Duration::ZERO;
+        sys.slo.outage_p99_max = Duration::ZERO;
         let report = run_scenario(&s, &sys).unwrap();
         // Server 0 hosts at least one of 6 best-fit-placed cells.
         assert!(report
             .violations
             .iter()
             .any(|v| v.kind == InvariantKind::OutageExceeded));
+    }
+
+    #[test]
+    fn a_zero_epoch_is_refused_before_the_clock_starts() {
+        let mut sys = SystemConfig::default_eval(8);
+        sys.epoch = Duration::ZERO;
+        let err = run_scenario(&base_scenario(), &sys).unwrap_err();
+        assert_eq!(err, ScenarioError::ZeroEpoch);
+        assert_eq!(err.to_string(), "system placement epoch must be positive");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! views with the physical server liveness beside them, failover
 //! outages and restore results as a run unfolds, and it records a
 //! [`Violation`] — plus a structured `chaos.violation` telemetry event —
-//! whenever a bound from [`ChaosConfig`] is exceeded. Two tools share
+//! whenever a bound of the system's [`SloPolicy`] — the same values the
+//! online SLO monitor alerts on — is exceeded. Two tools share
 //! it: the chaos harness ([`run_scenario`](crate::run_scenario)) at each
 //! epoch boundary of a scenario, and `pran-mc`'s exhaustive explorer on
 //! each transition of its abstract model, so a violation reads the same
@@ -16,9 +17,9 @@
 //! 2. **Capacity** — no server is loaded beyond
 //!    [`ServerSpec::fits`]'s tolerance;
 //! 3. **Outage** — per-cell outage after a failure stays under
-//!    `ChaosConfig::outage_bound`;
+//!    [`SloPolicy::outage_p99_max`];
 //! 4. **Miss ratio** — deadline misses among *executed* tasks stay under
-//!    `ChaosConfig::miss_ratio_bound` (fronthaul-lost reports are a
+//!    [`SloPolicy::miss_ratio_max`] (fronthaul-lost reports are a
 //!    transport fault we injected on purpose and are accounted
 //!    separately in `PoolMetrics::reports_lost`);
 //! 5. **Restore fidelity** — restoring a snapshot reproduces the
@@ -28,7 +29,8 @@
 use std::time::Duration;
 
 use pran::apps::FailoverApp;
-use pran::{ChaosConfig, Controller, PoolView};
+use pran::{Controller, PoolView};
+use pran_insight::SloPolicy;
 use pran_sched::placement::ServerSpec;
 use pran_sim::PoolMetrics;
 
@@ -86,13 +88,13 @@ pub struct Violation {
 /// Evaluates the safety envelope over a run.
 #[derive(Debug)]
 pub struct InvariantChecker {
-    bounds: ChaosConfig,
+    bounds: SloPolicy,
     violations: Vec<Violation>,
 }
 
 impl InvariantChecker {
-    /// A checker enforcing the given bounds.
-    pub fn new(bounds: ChaosConfig) -> Self {
+    /// A checker enforcing `bounds`' outage and miss-ratio limits.
+    pub fn new(bounds: SloPolicy) -> Self {
         InvariantChecker {
             bounds,
             violations: Vec::new(),
@@ -149,13 +151,13 @@ impl InvariantChecker {
 
     /// Per-cell outage check after a failover.
     pub fn check_outage(&mut self, at: Duration, cell: usize, outage: Duration) {
-        if outage > self.bounds.outage_bound {
+        if outage > self.bounds.outage_p99_max {
             self.flag(
                 InvariantKind::OutageExceeded,
                 at,
                 format!(
                     "cell {cell} outage {:?} exceeds bound {:?}",
-                    outage, self.bounds.outage_bound
+                    outage, self.bounds.outage_p99_max
                 ),
             );
         }
@@ -168,14 +170,14 @@ impl InvariantChecker {
             return;
         }
         let ratio = metrics.deadline_misses as f64 / executed as f64;
-        if ratio > self.bounds.miss_ratio_bound {
+        if ratio > self.bounds.miss_ratio_max {
             self.flag(
                 InvariantKind::MissRatioExceeded,
                 at,
                 format!(
                     "executed-task miss ratio {ratio:.4} exceeds bound {:.4} \
                      ({} misses / {executed} executed)",
-                    self.bounds.miss_ratio_bound, metrics.deadline_misses
+                    self.bounds.miss_ratio_max, metrics.deadline_misses
                 ),
             );
         }
@@ -217,6 +219,7 @@ pub fn restore_drill(ctl: &Controller) -> Result<Controller, String> {
 mod tests {
     use super::*;
     use pran::SystemConfig;
+    use pran_sim::FailoverTiming;
 
     fn live_view(servers: usize) -> (Controller, PoolView) {
         let mut c = Controller::new(SystemConfig::default_eval(servers));
@@ -233,7 +236,7 @@ mod tests {
     /// Check `view` against a truth that agrees with it.
     fn check(view: &PoolView) -> InvariantChecker {
         let truth: Vec<bool> = view.servers.iter().map(|s| s.alive).collect();
-        let mut chk = InvariantChecker::new(ChaosConfig::default_eval());
+        let mut chk = InvariantChecker::new(SloPolicy::default_eval());
         chk.check_view(Duration::from_secs(60), view, &truth);
         chk
     }
@@ -275,7 +278,7 @@ mod tests {
         let s = view.cells[0].server.unwrap();
         let mut truth = vec![true; view.servers.len()];
         truth[s] = false;
-        let mut chk = InvariantChecker::new(ChaosConfig::default_eval());
+        let mut chk = InvariantChecker::new(SloPolicy::default_eval());
         chk.check_view(Duration::from_secs(60), &view, &truth);
         let hosted = view.cells.iter().filter(|c| c.server == Some(s));
         let expected: Vec<String> = hosted
@@ -316,9 +319,9 @@ mod tests {
 
     #[test]
     fn outage_bound_zero_flags_any_failover() {
-        let mut bounds = ChaosConfig::default_eval();
-        bounds.outage_bound = Duration::ZERO;
-        let outage = bounds.failover_outage();
+        let mut bounds = SloPolicy::default_eval();
+        bounds.outage_p99_max = Duration::ZERO;
+        let outage = FailoverTiming::default_eval().outage();
         let mut chk = InvariantChecker::new(bounds);
         chk.check_outage(Duration::from_secs(1), 3, outage);
         assert_eq!(chk.violations()[0].kind, InvariantKind::OutageExceeded);
@@ -326,7 +329,7 @@ mod tests {
         assert_eq!(chk.take_violations().count(), 1);
         assert!(chk.violations().is_empty());
         // The default bound tolerates the standard failover.
-        let mut chk = InvariantChecker::new(ChaosConfig::default_eval());
+        let mut chk = InvariantChecker::new(SloPolicy::default_eval());
         chk.check_outage(Duration::from_secs(1), 3, outage);
         assert!(chk.violations().is_empty());
     }
@@ -340,13 +343,33 @@ mod tests {
             deadline_misses: 4,
             ..Default::default()
         };
-        let mut chk = InvariantChecker::new(ChaosConfig::default_eval());
+        let mut chk = InvariantChecker::new(SloPolicy::default_eval());
         // 4 / 500 = 0.008 < 0.01: transport loss alone must not trip it.
         chk.check_miss_ratio(Duration::from_secs(600), &m);
         assert!(chk.violations().is_empty());
         m.deadline_misses = 6; // 6 / 500 = 0.012 > 0.01
         chk.check_miss_ratio(Duration::from_secs(600), &m);
         assert_eq!(chk.violations()[0].kind, InvariantKind::MissRatioExceeded);
+    }
+
+    #[test]
+    fn the_trace_validator_knows_every_invariant_kind() {
+        // `pran-telemetry` keeps its own list of the kinds a
+        // `chaos.violation` event may carry; a kind added here must be
+        // added there too, or traces that report it fail validation.
+        for kind in InvariantKind::all() {
+            let line = format!(
+                "{{\"ts_us\":0,\"domain\":\"sim\",\"name\":\"chaos.violation\",\
+                 \"fields\":{{\"kind\":\"{}\"}}}}\n",
+                kind.label()
+            );
+            assert_eq!(
+                pran_telemetry::export::validate_jsonl(&line),
+                Ok(1),
+                "{}",
+                kind.label()
+            );
+        }
     }
 
     #[test]

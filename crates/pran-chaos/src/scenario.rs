@@ -300,9 +300,10 @@ impl Scenario {
     }
 }
 
-/// Why a [`Scenario`] was rejected — by JSON parsing or by
-/// [`Scenario::validate`]. The `Display` phrasing matches the historical
-/// string errors, which replay artifacts and tests match on.
+/// Why a [`Scenario`] was rejected — by JSON parsing, by
+/// [`Scenario::validate`], or by [`run_scenario`](crate::run_scenario)
+/// for a system it cannot run on. The `Display` phrasing matches the
+/// historical string errors, which replay artifacts and tests match on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
     /// The JSON did not parse into a [`Scenario`].
@@ -313,6 +314,9 @@ pub enum ScenarioError {
     NoServers,
     /// The horizon is zero.
     ZeroHorizon,
+    /// The system's placement epoch is zero, so the harness's epoch
+    /// clock would never advance.
+    ZeroEpoch,
     /// An event fires after the scenario ends.
     EventPastHorizon {
         /// Position in the schedule.
@@ -358,6 +362,7 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::NoCells => write!(f, "scenario needs at least one cell"),
             ScenarioError::NoServers => write!(f, "scenario needs at least one server"),
             ScenarioError::ZeroHorizon => write!(f, "scenario horizon must be positive"),
+            ScenarioError::ZeroEpoch => write!(f, "system placement epoch must be positive"),
             ScenarioError::EventPastHorizon {
                 index,
                 label,

@@ -65,9 +65,11 @@ impl SloMetric {
 /// Per-metric alert thresholds, their hysteresis band, and the burn-rate
 /// windows.
 ///
-/// Mirrors the `ChaosConfig` safety envelope (1 % miss ratio, 200 ms
-/// outage) so the online monitor and the post-hoc chaos invariants
-/// agree about what "unhealthy" means.
+/// This is the one safety envelope: `pran-chaos`'s invariant checker
+/// judges its outage and miss-ratio bounds too (`outage_p99_max`,
+/// `miss_ratio_max`), so the online monitor and the post-hoc chaos
+/// invariants agree about what "unhealthy" means. A new bound belongs
+/// here.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SloPolicy {
     /// Maximum tolerated deadline-miss ratio.
@@ -109,8 +111,8 @@ pub struct SloPolicy {
 }
 
 impl SloPolicy {
-    /// Evaluation defaults matching `ChaosConfig::default_eval`: 1 %
-    /// miss ratio, 95 % utilization, 200 ms p99 outage, zero lost
+    /// Evaluation defaults: 1 % miss ratio, 95 % utilization, 200 ms p99
+    /// outage (four times the 50 ms default failover price), zero lost
     /// reports, zero unplaced cells.
     pub fn default_eval() -> Self {
         SloPolicy {

@@ -258,7 +258,7 @@ fn orbit_key_into(
 ///   view (refilled into `view`) and its truth, then the unserved-demand
 ///   fraction of the active cells — the model's proxy for the
 ///   deadline-miss ratio, as it has no data plane — within
-///   `miss_ratio_bound`;
+///   the system's `slo.miss_ratio_max`;
 /// * on any transition that displaced cells: each cell's outage, by
 ///   [`InvariantChecker::check_outage`].
 ///
@@ -282,7 +282,7 @@ fn check_transition(
                 unserved += cell.predicted_gops;
             }
         }
-        let bound = model.config().sys.chaos.miss_ratio_bound;
+        let bound = model.config().sys.slo.miss_ratio_max;
         if total > 0.0 && unserved / total > bound {
             checker.flag(
                 InvariantKind::MissRatioExceeded,
@@ -364,7 +364,7 @@ fn explore_tree(model: &Model) -> (McReport, Tree) {
     let initial = model.initial_state();
     discover(&initial);
     let mut tree = Tree::default();
-    let mut checker = InvariantChecker::new(cfg.sys.chaos);
+    let mut checker = InvariantChecker::new(cfg.sys.slo);
     let mut view = PoolView::default();
     // (state, its id in `tree`, its depth)
     let mut queue: VecDeque<(StateView, u32, usize)> = VecDeque::new();
@@ -686,7 +686,7 @@ mod tests {
             churn_extra: 0,
             conformance: Conformance::Off,
         };
-        model_cfg.sys.chaos.outage_bound = Duration::ZERO;
+        model_cfg.sys.slo.outage_p99_max = Duration::ZERO;
         let report = explore(&Model::new(model_cfg));
         assert!(report.violation_counts[InvariantKind::OutageExceeded.label()] > 0);
     }

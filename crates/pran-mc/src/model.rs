@@ -479,14 +479,14 @@ impl Model {
                 self.mirror_migrate(state, cell, to);
             }
         }
-        let bounds = &self.cfg.sys.chaos;
+        let price = self.cfg.sys.chaos.outage();
         displaced
             .iter()
             .map(|&c| {
                 let outage = if state.placement[c].is_some() {
-                    bounds.failover_outage()
+                    price
                 } else {
-                    bounds.failover_outage() + self.cfg.sys.epoch
+                    price + self.cfg.sys.epoch
                 };
                 (c, outage)
             })
@@ -637,11 +637,10 @@ mod tests {
         assert!(!out.outages.is_empty(), "victim hosted cells");
         // Headline levels guarantee room on the survivors: every
         // displaced cell is re-placed at the failover price.
-        let bounds = &model.config().sys.chaos;
+        let price = model.config().sys.chaos.outage();
         for (c, outage) in &out.outages {
             assert_eq!(
-                *outage,
-                bounds.failover_outage(),
+                *outage, price,
                 "cell {c} should have been re-placed immediately"
             );
             assert!(out.next.placement[*c].is_some());

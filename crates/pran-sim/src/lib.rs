@@ -37,7 +37,7 @@ pub use engine::{Engine, SimTime};
 pub use metrics::{LogHistogram, PoolMetrics};
 pub use metro::{MetroConfig, MetroConfigError, MetroError, MetroReport, MetroSimulator};
 pub use pool::{
-    FailoverRecord, FailureSpec, LinkFault, PoolAccel, PoolConfig, PoolConfigError, PoolShard,
-    PoolSimulator, SimReport, SplitPlan,
+    FailoverRecord, FailoverTiming, FailureSpec, LinkFault, PoolAccel, PoolConfig, PoolConfigError,
+    PoolShard, PoolSimulator, SimReport, SplitPlan,
 };
 pub use service::{EpochRecord, EpochStatus, ResidentMetro};

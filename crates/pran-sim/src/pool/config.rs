@@ -1,7 +1,7 @@
 //! Pool configuration: what a pool is made of ([`PoolConfig`], its
-//! [`SplitPlan`], [`PoolAccel`] and [`LinkFault`] parts) and the typed
-//! reasons a configuration cannot drive a simulation
-//! ([`PoolConfigError`]).
+//! [`SplitPlan`], [`PoolAccel`], [`LinkFault`] and [`FailoverTiming`]
+//! parts) and the typed reasons a configuration cannot drive a
+//! simulation ([`PoolConfigError`]).
 
 use std::time::Duration;
 
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 #[cfg(doc)]
 use {
-    super::{PoolSimulator, SimReport},
+    super::{PoolShard, PoolSimulator, SimReport},
     pran_fronthaul::fault::FaultInjector,
     pran_insight::slo::SloMonitor,
     pran_phy::compute::ComputeModel,
@@ -119,6 +119,38 @@ impl PoolAccel {
     }
 }
 
+/// The price of a failover: what each displaced cell a repack re-places
+/// is charged as its outage. The pool ([`PoolShard::fail_server`]), the
+/// chaos harness's control plane and `pran-mc`'s model all charge
+/// [`outage`](Self::outage).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct FailoverTiming {
+    /// Failure detection delay (heartbeat timeout).
+    pub detection_delay: Duration,
+    /// Controller replanning overhead per failover.
+    pub replan_overhead: Duration,
+    /// State-transfer time per migrated cell.
+    pub migration_time_per_cell: Duration,
+}
+
+impl FailoverTiming {
+    /// Evaluation defaults, the E8 timing model: 20 ms detection plus
+    /// 5 ms replan plus 25 ms migration.
+    pub fn default_eval() -> Self {
+        FailoverTiming {
+            detection_delay: Duration::from_millis(20),
+            replan_overhead: Duration::from_millis(5),
+            migration_time_per_cell: Duration::from_millis(25),
+        }
+    }
+
+    /// Outage charged to one displaced cell the failover re-places:
+    /// detection + replan + one migration.
+    pub fn outage(&self) -> Duration {
+        self.detection_delay + self.replan_overhead + self.migration_time_per_cell
+    }
+}
+
 /// Static configuration of a pool simulation.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
@@ -138,12 +170,8 @@ pub struct PoolConfig {
     pub ttis_per_step: usize,
     /// Headroom multiplier applied to predicted demand when placing.
     pub headroom: f64,
-    /// Failure detection delay (heartbeat timeout).
-    pub detection_delay: Duration,
-    /// Controller replanning overhead per failover.
-    pub replan_overhead: Duration,
-    /// State-transfer time per migrated cell.
-    pub migration_time_per_cell: Duration,
+    /// The failover price each re-placed cell is charged.
+    pub failover: FailoverTiming,
     /// Radio configuration used to convert utilization into compute.
     pub bandwidth: Bandwidth,
     /// Antenna configuration of all cells.
@@ -201,9 +229,7 @@ impl PoolConfig {
             epoch_steps: 10,
             ttis_per_step: 4,
             headroom: 1.1,
-            detection_delay: Duration::from_millis(20),
-            replan_overhead: Duration::from_millis(5),
-            migration_time_per_cell: Duration::from_millis(25),
+            failover: FailoverTiming::default_eval(),
             bandwidth: Bandwidth::Mhz20,
             antennas: AntennaConfig::pran_default(),
             mcs: Mcs::new(20),
@@ -354,6 +380,10 @@ pub enum PoolConfigError {
     BadAccelCapacity(f64),
     /// Accelerator decode speedup is non-finite or below 1.
     BadAccelSpeedup(f64),
+    /// The trace's `step_seconds` is zero, negative, NaN or infinite, or
+    /// too small or too large for an epoch to span a nonzero
+    /// [`Duration`] and the run to fit in one.
+    BadStepSeconds(f64),
     /// A per-cell split plan does not cover exactly the trace's cells.
     SplitPlanLength {
         /// Cells the plan covers.
@@ -394,6 +424,9 @@ impl std::fmt::Display for PoolConfigError {
             }
             PoolConfigError::BadAccelSpeedup(s) => {
                 write!(f, "accelerator decode speedup {s} must be finite and ≥ 1")
+            }
+            PoolConfigError::BadStepSeconds(s) => {
+                write!(f, "trace step {s} s must be finite and positive")
             }
             PoolConfigError::SplitPlanLength { plan, cells } => {
                 write!(

@@ -30,7 +30,7 @@ mod config;
 mod reference;
 mod shard;
 
-pub use config::{LinkFault, PoolAccel, PoolConfig, PoolConfigError, SplitPlan};
+pub use config::{FailoverTiming, LinkFault, PoolAccel, PoolConfig, PoolConfigError, SplitPlan};
 pub use shard::{FailoverRecord, Placed, PoolShard};
 
 /// A scheduled server failure (and optional recovery).
@@ -74,10 +74,21 @@ pub struct SimReport {
 impl PoolSimulator {
     /// Build a simulator over a trace, rejecting configurations that
     /// would otherwise panic mid-run (zero servers/cells/cores, zero
-    /// epoch or TTI counts, non-positive capacity or headroom) with a
-    /// typed [`PoolConfigError`].
+    /// epoch or TTI counts, non-positive capacity or headroom, a trace
+    /// step that is not a positive number of seconds) with a typed
+    /// [`PoolConfigError`].
     pub fn try_new(trace: Trace, config: PoolConfig) -> Result<Self, PoolConfigError> {
         config.validate_for(trace.num_cells())?;
+        // The event clock runs on `Duration`s: an epoch must span a
+        // nonzero one (a failure divides by it), and every epoch start
+        // must convert (negative, NaN and infinite steps do not).
+        let step = trace.step_seconds;
+        let epochs = trace.num_steps().div_ceil(config.epoch_steps);
+        let epoch = Duration::try_from_secs_f64(config.epoch_steps as f64 * step);
+        let run = Duration::try_from_secs_f64((epochs * config.epoch_steps) as f64 * step);
+        if !epoch.is_ok_and(|e| !e.is_zero()) || run.is_err() {
+            return Err(PoolConfigError::BadStepSeconds(step));
+        }
         Ok(PoolSimulator {
             trace,
             config,
@@ -799,6 +810,24 @@ mod tests {
                 "mutation must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn try_new_rejects_a_step_that_is_not_a_positive_duration() {
+        for step in [0.0, -120.0, f64::NAN, f64::INFINITY] {
+            let mut trace = small_trace(4, 1);
+            trace.step_seconds = step;
+            let got = PoolSimulator::try_new(trace, PoolConfig::default_eval(2)).err();
+            assert!(
+                matches!(got, Some(PoolConfigError::BadStepSeconds(s)) if s.to_bits() == step.to_bits()),
+                "step {step}: {got:?}"
+            );
+        }
+        let err = PoolConfigError::BadStepSeconds(0.0);
+        assert_eq!(
+            err.to_string(),
+            "trace step 0 s must be finite and positive"
+        );
     }
 
     #[test]

@@ -372,8 +372,9 @@ impl PoolShard {
 
     /// Failure transition: mark `server` dead, displace its cells and
     /// immediately re-place at the loads in `row` (the current trace
-    /// step). Each re-placed cell records the failover price (detection +
-    /// replan + one migration) as its outage; cells the repack could not
+    /// step). Each re-placed cell records the failover price
+    /// ([`FailoverTiming::outage`](super::FailoverTiming::outage)) as its
+    /// outage; cells the repack could not
     /// re-place stay dark until the next [`place`](Self::place), which
     /// only the caller can time. `None` when the server was already dead.
     pub fn fail_server(
@@ -397,8 +398,7 @@ impl PoolShard {
             .iter()
             .filter(|&&c| self.placement.assignment[c].is_some())
             .count();
-        let outage =
-            self.cfg.detection_delay + self.cfg.replan_overhead + self.cfg.migration_time_per_cell;
+        let outage = self.cfg.failover.outage();
         for _ in 0..replaced {
             metrics.outages.record(outage);
         }

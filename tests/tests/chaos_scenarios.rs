@@ -68,7 +68,7 @@ fn composed_faults_stay_inside_the_envelope() {
         "the lossy window reached the data plane"
     );
     assert!(
-        report.max_outage <= sys().chaos.outage_bound,
+        report.max_outage <= sys().slo.outage_p99_max,
         "failover outage {:?} within bound",
         report.max_outage
     );

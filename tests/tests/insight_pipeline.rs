@@ -115,13 +115,12 @@ fn hostile_subframe_is_rejected_and_never_attributed() {
 fn chaos_harness_surfaces_slo_alerts_alongside_violations() {
     let _guard = TRACER.lock().unwrap();
     pran_telemetry::disable();
-    // One stressed scenario: zero outage tolerance on both the chaos
-    // invariant and the SLO policy, so a crash that charges any outage
-    // is a violation the online monitor must also alert on.
+    // One stressed scenario: zero outage tolerance, the one bound the
+    // chaos invariant and the SLO monitor both read, so a crash that
+    // charges any outage is a violation the monitor must also alert on.
     let cfg = pran_chaos::ExploreConfig::default_eval(24, 0xE14);
     let mut sys = pran::SystemConfig::default_eval(cfg.servers);
     sys.slo.reports_lost_max = u64::MAX;
-    sys.chaos.outage_bound = Duration::ZERO;
     sys.slo.outage_p99_max = Duration::ZERO;
     let reports: Vec<_> = (0..cfg.schedules)
         .map(|i| pran_chaos::run_scenario(&pran_chaos::sample_scenario(&cfg, i), &sys).unwrap())
