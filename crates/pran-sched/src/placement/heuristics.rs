@@ -1,11 +1,16 @@
 //! Fast placement heuristics: the per-epoch production path.
 //!
-//! Classic decreasing-order packing with fronthaul filtering. These run in
-//! microseconds where the ILP takes seconds — the trade PRAN's control
-//! plane makes at the fast timescale — at the cost of occasionally opening
-//! an extra server (E5 measures how often).
+//! Classic decreasing-order packing with fronthaul filtering. Best fit
+//! finds each cell's server through an index of the open servers,
+//! O(cells log cells + servers log servers + cells · log servers) for a
+//! whole solve on a shared mask; first and worst fit scan,
+//! O(cells × servers). Either way a solve is polynomial where the ILP is
+//! exponential — the trade PRAN's control plane makes at the fast
+//! timescale — at the cost of occasionally opening an extra server (E5
+//! measures how often).
 
-use super::{Placement, PlacementInstance};
+use super::migration::FitIndex;
+use super::{CellDemand, Placement, PlacementInstance, ServerLoad};
 
 /// Which packing rule to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,20 +90,79 @@ pub(crate) fn decreasing_order(instance: &PlacementInstance) -> Vec<usize> {
 /// share — and every cell in a homogeneous pool — go through the exact
 /// unrestricted selection, so the pre-accelerator behavior is preserved
 /// bit-for-bit by construction.
+///
+/// # Cost
+///
+/// Best fit finds each cell's server through an index of the open
+/// servers by residual room per class of identical specs
+/// (`migration::FitIndex`): O(cells log cells + servers log servers) to
+/// sort, then O(log servers) per cell and class, plus the walk past
+/// servers a per-cell mask or a decode share rules out. First and worst
+/// fit scan every server for every cell, O(cells × servers).
 pub fn place(instance: &PlacementInstance, heuristic: Heuristic) -> HeuristicResult {
-    let solve_span = pran_telemetry::trace::span("sched.place");
-    let order = decreasing_order(instance);
+    let span = pran_telemetry::trace::span("sched.place");
+    let (result, _) = match heuristic {
+        Heuristic::BestFitDecreasing => best_fit_decreasing(instance, usize::MAX),
+        _ => (scan(instance, heuristic), false),
+    };
+    record(span, instance, heuristic, &result, false);
+    result
+}
 
-    let mut residual: Vec<f64> = instance.servers.iter().map(|s| s.capacity_gops).collect();
-    // Decode load accrued per server (only accelerated servers ever
-    // accrue any; see `ServerSpec::load_of`).
-    let mut decode_used: Vec<f64> = vec![0.0; instance.servers.len()];
-    let mut used = vec![false; instance.servers.len()];
-    let mut assignment = vec![None; instance.cells.len()];
-    let mut unplaced = Vec::new();
-    let has_accel = instance.has_accelerators();
+/// [`place`]'s best fit, unless it puts load on at least `servers`
+/// servers: `None` then, as soon as the `servers`-th is loaded. A server
+/// best fit has loaded stays loaded, so the rest of the solve could only
+/// add more; the warm placer's consolidation backstop needs no more than
+/// that answer (`warm.rs`).
+pub(crate) fn place_bfd_below(
+    instance: &PlacementInstance,
+    servers: usize,
+) -> Option<HeuristicResult> {
+    let span = pran_telemetry::trace::span("sched.place");
+    let (result, stopped) = best_fit_decreasing(instance, servers);
+    record(
+        span,
+        instance,
+        Heuristic::BestFitDecreasing,
+        &result,
+        stopped,
+    );
+    (!stopped).then_some(result)
+}
 
-    // Server opening order: cheapest, then largest.
+/// Count a solve in the metrics registry and finish its span; a stopped
+/// solve counts the cells it had found no room for.
+fn record(
+    span: pran_telemetry::trace::Span,
+    instance: &PlacementInstance,
+    heuristic: Heuristic,
+    result: &HeuristicResult,
+    stopped: bool,
+) {
+    if pran_telemetry::enabled() {
+        let registry = pran_telemetry::metrics::global();
+        let labels = [("heuristic", heuristic.label())];
+        registry.inc("sched.place.solves", &labels, 1);
+        registry.inc(
+            "sched.place.unplaced",
+            &labels,
+            result.unplaced.len() as u64,
+        );
+        span.finish_with(&[
+            ("heuristic", heuristic.label().into()),
+            ("cells", instance.cells.len().into()),
+            (
+                "servers_used",
+                instance.servers_used(&result.placement).into(),
+            ),
+            ("unplaced", result.unplaced.len().into()),
+            ("stopped", stopped.into()),
+        ]);
+    }
+}
+
+/// Server opening order: cheapest, then largest; equal servers by id.
+fn open_order(instance: &PlacementInstance) -> Vec<usize> {
     let mut open_order: Vec<usize> = (0..instance.servers.len()).collect();
     open_order.sort_by(|&a, &b| {
         let sa = &instance.servers[a];
@@ -112,6 +176,111 @@ pub fn place(instance: &PlacementInstance, heuristic: Heuristic) -> HeuristicRes
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
     });
+    open_order
+}
+
+/// Best-fit decreasing through a [`FitIndex`] tagged by rank in
+/// [`open_order`], so that equal rooms go to the first server in that
+/// order, as [`scan`]'s `min_by` sends them. A server enters its class's
+/// index when its first cell lands there; until then its class offers
+/// it, lowest rank first, as the next server to open.
+///
+/// Stops once `stop_at` servers carry load, returning the partial
+/// placement and `true`. Only a placement that adds load to a server
+/// makes the count grow, so it bounds the finished count from below —
+/// unless some cell puts a negative share on some server (or a NaN),
+/// and then the solve runs to the end.
+fn best_fit_decreasing(instance: &PlacementInstance, stop_at: usize) -> (HeuristicResult, bool) {
+    let servers = &instance.servers;
+    let has_accel = instance.has_accelerators();
+    let loads_grow = |c: &CellDemand| {
+        c.gops >= 0.0 && (!has_accel || (c.decode_gops >= 0.0 && c.gops - c.decode_gops >= 0.0))
+    };
+    let stop_at = if stop_at == usize::MAX || instance.cells.iter().all(loads_grow) {
+        stop_at
+    } else {
+        usize::MAX
+    };
+    let open_order = open_order(instance);
+    let mut index = FitIndex::closed(servers, &instance.allowed, &open_order);
+    let mut residual: Vec<f64> = servers.iter().map(|s| s.capacity_gops).collect();
+    let mut decode_used: Vec<f64> = vec![0.0; servers.len()];
+    let mut used = vec![false; servers.len()];
+    let mut loaded = vec![false; servers.len()];
+    let mut carrying = 0;
+    let mut assignment = vec![None; instance.cells.len()];
+    let mut unplaced = Vec::new();
+    let mut stopped = stop_at == 0;
+
+    for cell in decreasing_order(instance) {
+        if stopped {
+            break;
+        }
+        let demand = instance.cells[cell];
+        let row = instance.allowed.row(cell);
+        let admits = |rank: usize, need: ServerLoad| {
+            let s = open_order[rank];
+            row.allows(s) && servers[s].fits_decode(decode_used[s] + need.decode)
+        };
+        // Affinity pass (accelerated candidates only), then the
+        // unrestricted pass.
+        let target = if has_accel && demand.decode_gops > 0.0 {
+            index
+                .best_fit(&demand, true, admits)
+                .or_else(|| index.first_closed(&demand, true, admits))
+                .or_else(|| index.best_fit(&demand, false, admits))
+                .or_else(|| index.first_closed(&demand, false, admits))
+        } else {
+            index
+                .best_fit(&demand, false, admits)
+                .or_else(|| index.first_closed(&demand, false, admits))
+        };
+        let Some(rank) = target else {
+            unplaced.push(cell);
+            continue;
+        };
+        let s = open_order[rank];
+        let l = servers[s].load_of(&demand);
+        let before = residual[s];
+        residual[s] -= l.general;
+        decode_used[s] += l.decode;
+        if used[s] {
+            index.moved(rank, before, residual[s]);
+        } else {
+            used[s] = true;
+            index.open(rank, residual[s]);
+        }
+        assignment[cell] = Some(s);
+        if !loaded[s] && (l.general > 0.0 || l.decode > 0.0) {
+            loaded[s] = true;
+            carrying += 1;
+            stopped = carrying >= stop_at;
+        }
+    }
+
+    let result = HeuristicResult {
+        placement: Placement { assignment },
+        unplaced,
+    };
+    (result, stopped)
+}
+
+/// First, best or worst fit by scanning every server in [`open_order`]
+/// for every cell. Production best fit goes through
+/// [`best_fit_decreasing`]; this scan's best fit is the oracle its tests
+/// hold it to.
+fn scan(instance: &PlacementInstance, heuristic: Heuristic) -> HeuristicResult {
+    let order = decreasing_order(instance);
+
+    let mut residual: Vec<f64> = instance.servers.iter().map(|s| s.capacity_gops).collect();
+    // Decode load accrued per server (only accelerated servers ever
+    // accrue any; see `ServerSpec::load_of`).
+    let mut decode_used: Vec<f64> = vec![0.0; instance.servers.len()];
+    let mut used = vec![false; instance.servers.len()];
+    let mut assignment = vec![None; instance.cells.len()];
+    let mut unplaced = Vec::new();
+    let has_accel = instance.has_accelerators();
+    let open_order = open_order(instance);
 
     for &cell in &order {
         let demand = instance.cells[cell];
@@ -196,21 +365,8 @@ pub fn place(instance: &PlacementInstance, heuristic: Heuristic) -> HeuristicRes
         }
     }
 
-    let placement = Placement { assignment };
-    if pran_telemetry::enabled() {
-        let registry = pran_telemetry::metrics::global();
-        let labels = [("heuristic", heuristic.label())];
-        registry.inc("sched.place.solves", &labels, 1);
-        registry.inc("sched.place.unplaced", &labels, unplaced.len() as u64);
-        solve_span.finish_with(&[
-            ("heuristic", heuristic.label().into()),
-            ("cells", instance.cells.len().into()),
-            ("servers_used", instance.servers_used(&placement).into()),
-            ("unplaced", unplaced.len().into()),
-        ]);
-    }
     HeuristicResult {
-        placement,
+        placement: Placement { assignment },
         unplaced,
     }
 }
@@ -218,6 +374,10 @@ pub fn place(instance: &PlacementInstance, heuristic: Heuristic) -> HeuristicRes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::{Accelerator, Allowed, ProductMask, ServerSpec};
+    use pran_fronthaul::Reachability;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn ffd_packs_classic_example() {
@@ -375,7 +535,6 @@ mod tests {
 
     #[test]
     fn decode_cells_prefer_accelerated_servers() {
-        use crate::placement::Accelerator;
         // Server 1 is accelerated; the decode-heavy cell must land there
         // under every heuristic even though server 0 opens first.
         let mut inst = PlacementInstance::uniform(&[60.0, 60.0], 2, 100.0);
@@ -399,7 +558,6 @@ mod tests {
 
     #[test]
     fn decode_cells_fall_back_to_plain_servers() {
-        use crate::placement::Accelerator;
         // Server 1's accelerator is too small for either cell's decode
         // share (decode on an accelerated server always runs on the
         // accelerator — no spill to general cores), so both cells must
@@ -428,7 +586,6 @@ mod tests {
 
     #[test]
     fn accelerator_capacity_not_exceeded_by_packing() {
-        use crate::placement::Accelerator;
         // Three decode-heavy cells, one accelerator with room for two:
         // the third must fall back, never overload the accelerator.
         let mut inst = PlacementInstance::uniform(&[30.0, 30.0, 30.0], 3, 100.0);
@@ -473,5 +630,135 @@ mod tests {
                 h.label()
             );
         }
+    }
+
+    /// One random best-fit input. Servers mix two capacities, three costs
+    /// and plain and accelerated specs, so opening order is rarely id
+    /// order and equal servers tie in it; masks take every shape. Demands
+    /// are drawn one of four ways:
+    /// - quantized to 5 GOPS, so rooms tie exactly;
+    /// - continuous, some of them zero;
+    /// - all equal;
+    /// - a few values and their next ulps, so that distinct residuals
+    ///   leave rooms that round to the same bits.
+    fn random_case(rng: &mut SmallRng) -> PlacementInstance {
+        let accelerated = |capacity: f64, decode: f64| ServerSpec {
+            accelerator: Some(Accelerator {
+                decode_capacity_gops: decode,
+                decode_speedup: 4.0,
+            }),
+            ..ServerSpec::plain(0, capacity, 1.0)
+        };
+        let specs = [
+            ServerSpec::plain(0, 100.0, 1.0),
+            ServerSpec::plain(0, 160.0, 1.0),
+            accelerated(100.0, 40.0),
+            accelerated(160.0, 25.0),
+        ];
+        let costs = [1.0, 1.0, 0.5, 2.0];
+        let n_servers = rng.gen_range(1..=16usize);
+        let n_cells = rng.gen_range(0..=30usize);
+        let kinds = rng.gen_range(1..=specs.len());
+        let pricing = rng.gen_range(1..=costs.len());
+        let servers: Vec<ServerSpec> = (0..n_servers)
+            .map(|id| ServerSpec {
+                id,
+                cost: costs[rng.gen_range(0..pricing)],
+                ..specs[rng.gen_range(0..kinds)]
+            })
+            .collect();
+        let shape = rng.gen_range(0..4u32);
+        let equal = rng.gen_range(1.0..60.0);
+        let bases: Vec<f64> = (0..3).map(|_| rng.gen_range(1.0..60.0)).collect();
+        let cells: Vec<CellDemand> = (0..n_cells)
+            .map(|id| {
+                let gops = match shape {
+                    0 => 5.0 * rng.gen_range(0..=24u32) as f64,
+                    1 if rng.gen_bool(0.1) => 0.0,
+                    1 => rng.gen_range(0.5..90.0),
+                    2 => equal,
+                    _ => {
+                        let base: f64 = bases[rng.gen_range(0..bases.len())];
+                        f64::from_bits(base.to_bits() + rng.gen_range(0..3u64))
+                    }
+                };
+                let decode_gops = match rng.gen_range(0..4u32) {
+                    0 => 0.0,
+                    1 => 5.0 * (gops / 5.0 * rng.gen_range(0.0..1.0f64)).floor(),
+                    2 => gops * 0.5,
+                    _ => gops * rng.gen_range(0.0..1.0),
+                };
+                CellDemand {
+                    id,
+                    gops,
+                    decode_gops,
+                }
+            })
+            .collect();
+        let allowed = match rng.gen_range(0..4u32) {
+            0 => Allowed::All,
+            1 => Allowed::Uniform((0..n_servers).map(|_| rng.gen_bool(0.8)).collect()),
+            2 => Allowed::PerCell(
+                (0..n_cells)
+                    .map(|_| (0..n_servers).map(|_| rng.gen_bool(0.7)).collect())
+                    .collect(),
+            ),
+            _ => Allowed::Product(Box::new(ProductMask {
+                cells: (0..n_cells).map(|_| rng.gen_bool(0.9)).collect(),
+                servers: (0..n_servers).map(|_| rng.gen_bool(0.85)).collect(),
+                reach: rng.gen_bool(0.5).then(|| {
+                    let rows: Vec<Vec<bool>> = (0..3)
+                        .map(|_| (0..n_servers).map(|_| rng.gen_bool(0.7)).collect())
+                        .collect();
+                    Reachability::from_rows(
+                        (0..n_cells).map(|_| rows[rng.gen_range(0..3usize)].clone()),
+                    )
+                }),
+            })),
+        };
+        PlacementInstance {
+            cells,
+            servers,
+            allowed,
+        }
+    }
+
+    /// The index picks what the scan picks, bit for bit, on 20,000 random
+    /// inputs; and a bounded solve gives up exactly when the finished one
+    /// loads its bound's worth of servers, else returns it unchanged.
+    ///
+    /// Mutants it kills: equal rooms to the lowest server id instead of
+    /// the first in opening order; no affinity pass; every server indexed
+    /// open from the start; the next server to open taken from the first
+    /// class that fits rather than the lowest rank over all classes.
+    #[test]
+    fn bfd_index_matches_the_scan() {
+        let mut rng = SmallRng::seed_from_u64(39);
+        let (mut placed, mut stopped) = (0, 0);
+        for case in 0..20_000 {
+            let inst = random_case(&mut rng);
+            let got = place(&inst, Heuristic::BestFitDecreasing);
+            let want = scan(&inst, Heuristic::BestFitDecreasing);
+            assert_eq!(got, want, "case {case}: {inst:?}");
+            placed += got.placement.placed();
+
+            let used = inst.servers_used(&got.placement);
+            let bound = rng.gen_range(0..=used + 1);
+            match place_bfd_below(&inst, bound) {
+                Some(r) => {
+                    assert!(used < bound, "case {case}: {used} servers, bound {bound}");
+                    assert_eq!(r, got, "case {case}");
+                }
+                None => {
+                    assert!(used >= bound, "case {case}: {used} servers, bound {bound}");
+                    stopped += 1;
+                }
+            }
+        }
+        assert!(
+            placed > 150_000,
+            "the cases barely place anything: {placed}"
+        );
+        assert!(stopped > 10_000, "the bound barely stops: {stopped}");
     }
 }

@@ -7,9 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::{
-    Allowed, AllowedRow, CellDemand, Placement, PlacementInstance, ServerLoad, ServerSpec,
-};
+use super::{Allowed, CellDemand, Placement, PlacementInstance, ServerLoad, ServerSpec};
 
 /// One cell move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -166,12 +164,15 @@ pub(super) fn repack(
     for cell in to_place {
         let demand = cells[cell];
         let row = allowed.row(cell);
+        let admits = |s: usize, need: ServerLoad| {
+            servers[s].fits_decode(load[s].decode + need.decode) && row.allows(s)
+        };
         let target = if demand.decode_gops > 0.0 {
             index
-                .best_fit(&demand, row, &load, true)
-                .or_else(|| index.best_fit(&demand, row, &load, false))
+                .best_fit(&demand, true, admits)
+                .or_else(|| index.best_fit(&demand, false, admits))
         } else {
-            index.best_fit(&demand, row, &load, false)
+            index.best_fit(&demand, false, admits)
         };
         if let Some(s) = target {
             let l = servers[s].load_of(&demand);
@@ -254,29 +255,90 @@ fn residents_by_server(assignment: &[Option<usize>], servers: usize) -> (Vec<usi
     (start, cells)
 }
 
-/// The servers a repack may place on, ordered by general load within each
-/// class of identical specs, so a best fit is a binary search and a short
-/// walk instead of a scan over every server.
+/// The servers a best fit may choose among, ordered by fullness within
+/// each class of identical specs, so a best fit is a binary search and a
+/// short walk instead of a scan over every server.
 ///
 /// Servers of one class share `load_of`, the `fits`/`fits_decode`
-/// thresholds and the residual arithmetic, and within a class both
-/// `fits(load + need)` and the residual `capacity − load − need` are
-/// monotone in the general load: the class's best fit is the feasible
-/// server with the greatest general load, and the lowest id among the
-/// servers whose residual rounds to the same bits.
-struct FitIndex {
+/// thresholds and the room arithmetic of [`Fill`], and within a class
+/// both the fit test and the room a cell leaves are monotone in the
+/// fullness: the class's best fit is the fullest member that fits, and
+/// the lowest tag among the members whose room left rounds to the same
+/// bits.
+///
+/// A member is named by its tag, the order equal rooms resolve in: a
+/// repack tags each server with its id, the cold best fit
+/// (`heuristics::place`) with its rank in opening order. A member is
+/// *closed* until it opens: a repack's servers are all open, while the
+/// cold best fit opens a server when its first cell lands there and asks
+/// each class for its lowest closed tag.
+pub(super) struct FitIndex {
+    fill: Fill,
     classes: Vec<SpecClass>,
-    /// Per server, its class in `classes`; meaningful for indexed servers.
+    /// Per tag, its class in `classes`; meaningful for indexed tags.
     class_of: Vec<usize>,
 }
 
+/// What a [`FitIndex`] entry holds, with the fit test and the room left
+/// written as its user's scan writes them, so that a rounding tie
+/// resolves as that scan resolves it.
+#[derive(Clone, Copy)]
+enum Fill {
+    /// The general load: `need` fits when `load + need` does and leaves
+    /// `capacity − load − need` (a repack).
+    Load,
+    /// The residual general room: `need` fits when `capacity − residual +
+    /// need` does and leaves `residual − need` (the cold best fit). Held
+    /// negated, so that a fuller server sorts higher either way.
+    Residual,
+}
+
+impl Fill {
+    /// The entry value of `x`, the load or the residual: larger is fuller.
+    fn value(self, x: f64) -> f64 {
+        match self {
+            Fill::Load => x,
+            Fill::Residual => -x,
+        }
+    }
+
+    /// Whether `need` more general GOPS fit a member at entry value `v`.
+    fn fits(self, spec: &ServerSpec, v: f64, need: f64) -> bool {
+        match self {
+            Fill::Load => spec.fits(v + need),
+            Fill::Residual => {
+                let residual = -v;
+                spec.fits(spec.capacity_gops - residual + need)
+            }
+        }
+    }
+
+    /// The general room `need` leaves on a member at entry value `v`.
+    fn left(self, spec: &ServerSpec, v: f64, need: f64) -> f64 {
+        match self {
+            Fill::Load => spec.capacity_gops - v - need,
+            Fill::Residual => -v - need,
+        }
+    }
+
+    /// The entry value of a member no cell has landed on.
+    fn empty(self, spec: &ServerSpec) -> f64 {
+        match self {
+            Fill::Load => 0.0,
+            Fill::Residual => self.value(spec.capacity_gops),
+        }
+    }
+}
+
 struct SpecClass {
-    /// The first server of the class; every member has its capacity and
+    /// The first member of the class; every member has its capacity and
     /// accelerator decode capacity.
     spec: ServerSpec,
-    /// One [`entry`] per member, ascending: by general load, then by
-    /// descending id, so a walk down meets a load's lowest id first.
+    /// One [`entry`] per open member, ascending: by fullness, then by
+    /// descending tag, so a walk down meets a value's lowest tag first.
     entries: Vec<u128>,
+    /// The closed members' tags, descending: the lowest is last.
+    closed: Vec<usize>,
 }
 
 impl SpecClass {
@@ -286,103 +348,177 @@ impl SpecClass {
             && decode(&self.spec) == decode(spec)
     }
 
-    /// Offer this class's best fit for `demand` against `best`, a
-    /// `(residual, server)` found so far: smaller residual wins, then the
-    /// lower id — what `min_by` over the servers in id order keeps.
+    /// Offer this class's best open fit for `demand` against `best`, a
+    /// `(room left, tag)` found so far: less room wins, then the lower
+    /// tag — what `min_by` over the members in tag order keeps.
+    /// `admits(tag, need)` tests what the index does not order by: the
+    /// cell's mask and the decode share.
     fn best_fit(
         &self,
+        fill: Fill,
         demand: &CellDemand,
-        row: AllowedRow<'_>,
-        load: &[ServerLoad],
+        admits: &impl Fn(usize, ServerLoad) -> bool,
         best: &mut Option<(f64, usize)>,
     ) {
         let spec = &self.spec;
         let need = spec.load_of(demand);
         let entries = &self.entries;
-        // `fits(load + need)` is monotone in the load (rounding is), so
-        // the entries below `i` are exactly those with general room.
-        let mut i = entries.partition_point(|&e| spec.fits(general(e) + need.general));
+        // The fit test is monotone in the value (rounding is), so the
+        // entries below `i` are exactly those with general room.
+        let mut i = entries.partition_point(|&e| fill.fits(spec, value(e), need.general));
         while i > 0 {
             let e = entries[i - 1];
-            // Residuals only grow down the walk: stop past the best.
-            let residual = spec.capacity_gops - general(e) - need.general;
-            if best.is_some_and(|(r, _)| residual > r) {
+            // The room left only grows down the walk: stop past the best.
+            let left = fill.left(spec, value(e), need.general);
+            if best.is_some_and(|(r, _)| left > r) {
                 return;
             }
-            let s = server(e);
-            if !(spec.fits_decode(load[s].decode + need.decode) && row.allows(s)) {
+            let t = tag(e);
+            if !admits(t, need) {
                 i -= 1;
                 continue;
             }
-            if best.is_none_or(|(r, b)| residual < r || (residual == r && s < b)) {
-                *best = Some((residual, s));
+            if best.is_none_or(|(r, b)| left < r || (left == r && t < b)) {
+                *best = Some((left, t));
             }
-            // The rest of this load's entries have higher ids.
+            // The rest of this value's entries have higher tags.
             i = entries[..i - 1].partition_point(|&f| f >> 64 < e >> 64);
         }
     }
 }
 
+/// Whether `allowed` leaves server `s` open to some cell: a server mask
+/// shared by every cell is applied when indexing, a per-cell one during
+/// the walk.
+fn usable(allowed: &Allowed, s: usize) -> bool {
+    match allowed {
+        Allowed::Uniform(mask) => mask[s],
+        Allowed::Product(p) => p.servers[s],
+        Allowed::All | Allowed::PerCell(_) => true,
+    }
+}
+
 impl FitIndex {
-    /// Index the servers `allowed` leaves open to some cell: a server
-    /// mask shared by every cell is applied here, a per-cell one during
-    /// the walk.
+    /// A repack's index: every usable server open at its general load,
+    /// tagged with its id.
     fn new(servers: &[ServerSpec], allowed: &Allowed, load: &[ServerLoad]) -> Self {
-        let usable = |s: usize| match allowed {
-            Allowed::Uniform(mask) => mask[s],
-            Allowed::Product(p) => p.servers[s],
-            Allowed::All | Allowed::PerCell(_) => true,
-        };
-        let mut classes: Vec<SpecClass> = Vec::new();
-        let mut class_of = vec![0; servers.len()];
+        let mut index = FitIndex::empty(Fill::Load, servers.len());
         for (s, spec) in servers.iter().enumerate() {
-            if !usable(s) {
-                continue;
+            if usable(allowed, s) {
+                let c = index.join(s, spec);
+                index.classes[c].entries.push(entry(load[s].general, s));
             }
-            let c = match classes.iter().position(|c| c.holds(spec)) {
-                Some(c) => c,
-                None => {
-                    classes.push(SpecClass {
-                        spec: *spec,
-                        entries: Vec::new(),
-                    });
-                    classes.len() - 1
-                }
-            };
-            class_of[s] = c;
-            classes[c].entries.push(entry(load[s].general, s));
         }
-        for class in &mut classes {
+        for class in &mut index.classes {
             class.entries.sort_unstable();
         }
-        FitIndex { classes, class_of }
+        index
     }
 
-    /// The server with the minimum residual for `demand`, ties to the
-    /// lowest id, among the accelerated classes only if `accel_only`.
-    fn best_fit(
+    /// The cold best fit's index: every usable server closed, tagged with
+    /// its rank in `open_order`.
+    pub(super) fn closed(servers: &[ServerSpec], allowed: &Allowed, open_order: &[usize]) -> Self {
+        let mut index = FitIndex::empty(Fill::Residual, open_order.len());
+        for (rank, &s) in open_order.iter().enumerate().rev() {
+            if usable(allowed, s) {
+                let c = index.join(rank, &servers[s]);
+                index.classes[c].closed.push(rank);
+            }
+        }
+        index
+    }
+
+    fn empty(fill: Fill, tags: usize) -> Self {
+        FitIndex {
+            fill,
+            classes: Vec::new(),
+            class_of: vec![0; tags],
+        }
+    }
+
+    /// Record `tag`'s class, founding it for `spec` if it is new.
+    fn join(&mut self, tag: usize, spec: &ServerSpec) -> usize {
+        let c = match self.classes.iter().position(|c| c.holds(spec)) {
+            Some(c) => c,
+            None => {
+                self.classes.push(SpecClass {
+                    spec: *spec,
+                    entries: Vec::new(),
+                    closed: Vec::new(),
+                });
+                self.classes.len() - 1
+            }
+        };
+        self.class_of[tag] = c;
+        c
+    }
+
+    /// The open member with the least room left for `demand`, ties to the
+    /// lowest tag, among the accelerated classes only if `accel_only`.
+    pub(super) fn best_fit(
         &self,
         demand: &CellDemand,
-        row: AllowedRow<'_>,
-        load: &[ServerLoad],
         accel_only: bool,
+        admits: impl Fn(usize, ServerLoad) -> bool,
     ) -> Option<usize> {
         let mut best = None;
         for class in &self.classes {
             if !accel_only || class.spec.accelerator.is_some() {
-                class.best_fit(demand, row, load, &mut best);
+                class.best_fit(self.fill, demand, &admits, &mut best);
             }
         }
-        best.map(|(_, s)| s)
+        best.map(|(_, t)| t)
     }
 
-    /// Move server `s` from general load `before` to `after`.
-    fn moved(&mut self, s: usize, before: f64, after: f64) {
-        let entries = &mut self.classes[self.class_of[s]].entries;
+    /// The lowest closed tag `demand` fits and `admits`, among the
+    /// accelerated classes only if `accel_only`.
+    pub(super) fn first_closed(
+        &self,
+        demand: &CellDemand,
+        accel_only: bool,
+        admits: impl Fn(usize, ServerLoad) -> bool,
+    ) -> Option<usize> {
+        let mut first: Option<usize> = None;
+        for class in &self.classes {
+            let spec = &class.spec;
+            let need = spec.load_of(demand);
+            if (accel_only && spec.accelerator.is_none())
+                || !self.fill.fits(spec, self.fill.empty(spec), need.general)
+                || !spec.fits_decode(need.decode)
+            {
+                continue;
+            }
+            if let Some(&t) = class.closed.iter().rev().find(|&&t| admits(t, need)) {
+                if first.is_none_or(|f| t < f) {
+                    first = Some(t);
+                }
+            }
+        }
+        first
+    }
+
+    /// Open closed member `tag` at `x`, its load or residual.
+    pub(super) fn open(&mut self, tag: usize, x: f64) {
+        let class = &mut self.classes[self.class_of[tag]];
+        let at = class
+            .closed
+            .iter()
+            .rposition(|&t| t == tag)
+            .expect("a member opens once");
+        class.closed.remove(at);
+        let new = entry(self.fill.value(x), tag);
+        let to = class.entries.partition_point(|&e| e < new);
+        class.entries.insert(to, new);
+    }
+
+    /// Move open member `tag` from `before` to `after`, its load or
+    /// residual.
+    pub(super) fn moved(&mut self, tag: usize, before: f64, after: f64) {
+        let entries = &mut self.classes[self.class_of[tag]].entries;
         let from = entries
-            .binary_search(&entry(before, s))
-            .expect("a placed server is indexed");
-        let new = entry(after, s);
+            .binary_search(&entry(self.fill.value(before), tag))
+            .expect("an open member is indexed");
+        let new = entry(self.fill.value(after), tag);
         let to = entries.partition_point(|&e| e < new);
         if to > from {
             entries[from..to].rotate_left(1);
@@ -410,17 +546,16 @@ fn unkey(k: u64) -> f64 {
     f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
 }
 
-/// A [`SpecClass`] entry: the general load above, `u64::MAX − server`
-/// below.
-fn entry(general: f64, server: usize) -> u128 {
-    u128::from(key(general)) << 64 | u128::from(u64::MAX - server as u64)
+/// A [`SpecClass`] entry: the value above, `u64::MAX − tag` below.
+fn entry(value: f64, tag: usize) -> u128 {
+    u128::from(key(value)) << 64 | u128::from(u64::MAX - tag as u64)
 }
 
-fn general(entry: u128) -> f64 {
+fn value(entry: u128) -> f64 {
     unkey((entry >> 64) as u64)
 }
 
-fn server(entry: u128) -> usize {
+fn tag(entry: u128) -> usize {
     (u64::MAX - entry as u64) as usize
 }
 
@@ -767,7 +902,7 @@ mod tests {
         }
         for s in [0, 1, 7, 1 << 20] {
             let e = entry(-1e-14, s);
-            assert_eq!((general(e), server(e)), (-1e-14, s));
+            assert_eq!((value(e), tag(e)), (-1e-14, s));
         }
     }
 

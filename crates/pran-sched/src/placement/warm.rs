@@ -36,18 +36,33 @@
 //! drift unboundedly under a long demand decline (clean cells are never
 //! re-optimized, so the placement stays at its historical spread while a
 //! cold solve of today's demands keeps shrinking). Each epoch ends with a
-//! consolidation backstop — an `O(n)` demand-sum lower bound on any cold
-//! solve pre-filters cheaply, and only when the warm count breaks the
-//! documented bound against that floor is a true cold BFD solve computed;
-//! if the bound is genuinely broken (and the cold solve places at least
-//! as many cells), the placer adopts the cold placement wholesale and
-//! re-books at actual demand, restoring the bound by construction.
-//! Consolidations are rare (one per sustained decline), so per-epoch work
-//! stays that repack plus an `O(n)` scan.
+//! consolidation backstop. An `O(n)` floor, `⌈Σ general load / max
+//! capacity⌉` with each cell at the least general load any server takes
+//! from it (less its decode share once a server is accelerated), bounds
+//! every cold solve from below; a warm count within the bound of the floor
+//! is within the bound of the cold solve, and the epoch ends there. Past
+//! it, a cold BFD solve runs, and if the warm count breaks the bound
+//! against it (and it places at least as many cells) the placer adopts
+//! the cold placement wholesale and re-books at actual demand, restoring
+//! the bound by construction.
+//!
+//! On an accelerated pool the floor counts every decode share as
+//! offloaded, though an accelerator holds only a few, so it sits far
+//! below the cold count and the cold solve starts in most epochs; it is
+//! stopped as soon as its answer is known. BFD never unloads a server
+//! it has loaded, so once it loads `k` servers with `gap_bound(k)` ≥ the
+//! warm count, the cold count can only be at least `k` and the decision
+//! is "keep": the solve stops there (`heuristics::place_bfd_below`) and
+//! no epoch changes (`bounded_backstop_changes_no_epoch` holds a bounded
+//! placer to one that solves to the end). What a started solve costs is
+//! its two sorts, O(cells log cells + servers log servers), plus
+//! O(log servers) per cell placed before it stops; an adopted solve
+//! places every cell. On a plain pool the floor is close to the cold
+//! count, and the backstop runs only in a sustained decline.
 
 use serde::{Deserialize, Serialize};
 
-use super::heuristics::{place, Heuristic};
+use super::heuristics::{place, place_bfd_below, Heuristic};
 use super::migration::{diff, repack, MigrationPlan};
 use super::{Placement, PlacementInstance};
 
@@ -221,6 +236,17 @@ impl WarmPlacer {
     /// Cells that fit nowhere remain unplaced, exactly as under
     /// [`incremental_repack`](super::migration::incremental_repack).
     pub fn epoch(&mut self, instance: &PlacementInstance) -> (Placement, MigrationPlan, WarmStats) {
+        self.advance(instance, true)
+    }
+
+    /// [`WarmPlacer::epoch`], its backstop's cold solve stopped once its
+    /// decision is known if `bounded`, else run to the end — the same
+    /// epoch either way, which a test holds it to.
+    fn advance(
+        &mut self,
+        instance: &PlacementInstance,
+        bounded: bool,
+    ) -> (Placement, MigrationPlan, WarmStats) {
         let n = instance.cells.len();
         // Cell set growth: new cells start unbooked and unplaced. Shrink
         // resets history (ids are dense, so a shrink renumbers cells).
@@ -279,34 +305,29 @@ impl WarmPlacer {
             &self.placement,
         );
 
-        // Consolidation backstop (see module docs): the cheap floor
-        // `⌈Σ actual / max capacity⌉` bounds any cold solve from below,
-        // so a warm count inside `gap_bound(floor)` is inside
-        // `gap_bound(cold)` too and the epoch stays O(n). Only a floor
-        // breach pays for a real cold solve, and only a genuine breach
-        // of the documented bound triggers adoption.
+        // Consolidation backstop (see module docs). The floor bounds any
+        // cold solve from below, so a warm count inside `gap_bound(floor)`
+        // is inside `gap_bound(cold)` too and the epoch stays O(n). Past
+        // it, the cold solve runs only until it loads `keep_at` servers,
+        // the fewest whose bound already holds the warm count.
         let used = instance.servers_used(&new_placement);
-        let max_capacity = instance
-            .servers
-            .iter()
-            .map(|s| s.capacity_gops)
-            .fold(0.0f64, f64::max);
-        let total_actual: f64 = instance.cells.iter().map(|c| c.gops).sum();
-        let cold_floor = if max_capacity > 0.0 {
-            (total_actual / max_capacity).ceil() as usize
-        } else {
-            0
-        };
-        if used > Self::gap_bound(cold_floor) {
-            let cold = place(instance, Heuristic::BestFitDecreasing);
-            let cold_used = instance.servers_used(&cold.placement);
-            if used > Self::gap_bound(cold_used)
-                && cold.placement.placed() >= new_placement.placed()
-            {
+        if used > Self::gap_bound(cold_floor(instance)) {
+            let keep_at = (0..=used)
+                .find(|&k| Self::gap_bound(k) >= used)
+                .expect("gap_bound(used) ≥ used");
+            let cold = if bounded {
+                place_bfd_below(instance, keep_at)
+            } else {
+                Some(place(instance, Heuristic::BestFitDecreasing))
+            };
+            if let Some(cold) = cold.filter(|cold| {
+                used > Self::gap_bound(instance.servers_used(&cold.placement))
+                    && cold.placement.placed() >= new_placement.placed()
+            }) {
                 // Adopt the cold solve wholesale and re-book at actual
                 // demand (zero headroom — it re-accrues as cells next
-                // cross the band). The count is now exactly `cold_used`,
-                // inside the bound by construction.
+                // cross the band). The count is now exactly the cold
+                // count, inside the bound by construction.
                 for (cell, demand) in instance.cells.iter().enumerate() {
                     self.booked[cell] = demand.gops;
                     self.booked_decode[cell] = demand.decode_gops;
@@ -324,6 +345,36 @@ impl WarmPlacer {
             moves: plan.len(),
         };
         (new_placement, plan, stats)
+    }
+}
+
+/// A lower bound on the servers any placement of `instance` loads,
+/// `⌈Σ general load / max capacity⌉`, each cell counted at the least
+/// general load a server of the pool takes from it: its whole demand on
+/// a plain pool, its demand less its decode share once any server is
+/// accelerated.
+fn cold_floor(instance: &PlacementInstance) -> usize {
+    let max_capacity = instance
+        .servers
+        .iter()
+        .map(|s| s.capacity_gops)
+        .fold(0.0f64, f64::max);
+    let has_accel = instance.has_accelerators();
+    let total_general: f64 = instance
+        .cells
+        .iter()
+        .map(|c| {
+            if has_accel {
+                c.gops - c.decode_gops
+            } else {
+                c.gops
+            }
+        })
+        .sum();
+    if max_capacity > 0.0 {
+        (total_general / max_capacity).ceil() as usize
+    } else {
+        0
     }
 }
 
@@ -505,5 +556,110 @@ mod tests {
         assert_eq!(stats.dirty, 24, "consolidation re-books every cell");
         assert!(!plan.is_empty(), "consolidation moves cells");
         assert!(inst.validate(&p).is_ok());
+    }
+
+    /// The floor counts each cell at its general load, not its whole
+    /// demand: ten cells of 60 GOPS whose 50-GOPS decode shares go to
+    /// accelerators fit one server, and a four-server spread breaks the
+    /// bound `gap_bound(1) = 3`. Counted whole, the cells gave a floor of
+    /// 6, and 4 ≤ `gap_bound(6)` let the spread stand in every epoch.
+    #[test]
+    fn backstop_floor_takes_the_decode_share_off() {
+        use crate::placement::{Accelerator, Placement};
+        let mut inst = uniform(&[60.0; 10], 10, 100.0);
+        for server in inst.servers.iter_mut() {
+            server.accelerator = Some(Accelerator {
+                decode_capacity_gops: 1_000.0,
+                decode_speedup: 4.0,
+            });
+        }
+        for cell in inst.cells.iter_mut() {
+            cell.decode_gops = 50.0;
+        }
+        let cold = inst.servers_used(&place(&inst, Heuristic::BestFitDecreasing).placement);
+        assert_eq!(cold, 1);
+        let spread = Placement {
+            assignment: (0..10).map(|c| Some(c % 4)).collect(),
+        };
+        assert!(inst.validate(&spread).is_ok());
+        let mut warm = WarmPlacer::new(WarmConfig::default_eval());
+        warm.adopt(&spread);
+        for epoch in 0..3 {
+            let (p, _, _) = warm.epoch(&inst);
+            let used = inst.servers_used(&p);
+            assert!(
+                used <= WarmPlacer::gap_bound(cold),
+                "epoch {epoch}: warm {used} vs cold {cold}"
+            );
+        }
+    }
+
+    /// Stopping the backstop's cold solve once its decision is known
+    /// changes no epoch: over random demand walks on plain and half-
+    /// accelerated pools, with collapses that make the backstop adopt and
+    /// surges that spread the placement, a placer whose cold solves run
+    /// to the end returns the same placement, plan and stats and ends
+    /// each epoch in the same state.
+    #[test]
+    fn bounded_backstop_changes_no_epoch() {
+        use crate::placement::Accelerator;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(39);
+        let (mut kept, mut adopted) = (0, 0);
+        for walk in 0..400 {
+            let n = rng.gen_range(2..=40usize);
+            let mut inst = uniform(&vec![0.0; n], n, 200.0);
+            if walk % 2 == 1 {
+                for server in inst.servers.iter_mut().filter(|_| rng.gen_bool(0.5)) {
+                    server.accelerator = Some(Accelerator {
+                        decode_capacity_gops: 120.0,
+                        decode_speedup: 4.0,
+                    });
+                }
+            }
+            let share = rng.gen_range(0.0..0.7);
+            let mut demand: Vec<f64> = (0..n).map(|_| rng.gen_range(5.0..120.0)).collect();
+            let mut bounded = WarmPlacer::new(WarmConfig {
+                band: rng.gen_range(0.05..0.3),
+            });
+            let mut full = bounded.clone();
+            for epoch in 0..12 {
+                for (cell, &d) in inst.cells.iter_mut().zip(&demand) {
+                    cell.gops = d;
+                    cell.decode_gops = d * share;
+                }
+                let got = bounded.epoch(&inst);
+                let want = full.advance(&inst, false);
+                assert_eq!(got, want, "walk {walk}, epoch {epoch}: {inst:?}");
+                assert_eq!(bounded, full, "walk {walk}, epoch {epoch}");
+
+                // An adoption re-books at actual demand; a warm count
+                // still past the floor's bound had its cold solve kept.
+                if epoch > 0
+                    && inst
+                        .cells
+                        .iter()
+                        .zip(&bounded.booked)
+                        .all(|(c, &b)| c.gops == b)
+                {
+                    adopted += 1;
+                } else if inst.servers_used(&got.0) > WarmPlacer::gap_bound(cold_floor(&inst)) {
+                    kept += 1;
+                }
+
+                let factor = match rng.gen_range(0..6u32) {
+                    0 => 0.3,
+                    1 => 2.0,
+                    _ => rng.gen_range(0.8..1.2),
+                };
+                for d in demand.iter_mut() {
+                    *d = (*d * factor * rng.gen_range(0.9..1.1f64)).clamp(1.0, 150.0);
+                }
+            }
+        }
+        assert!(adopted > 100, "the backstop barely adopts: {adopted}");
+        assert!(kept > 100, "the backstop barely keeps: {kept}");
     }
 }

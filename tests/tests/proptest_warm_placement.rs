@@ -8,20 +8,40 @@
 //!     best-fit-decreasing solve of the same actual demands, and
 //! (c) on small instances, stay within the combined documented gap of the
 //!     `pran-ilp` optimum (warm ≤ gap(cold) and cold ≤ 11/9·OPT + 1).
+//!
+//! (a) and (b) are held on plain pools and on pools where every other
+//! server carries a decode accelerator, which takes each cell's decode
+//! share off its general cores.
 
 use proptest::prelude::*;
 
 use pran_sched::placement::heuristics::{place, Heuristic};
 use pran_sched::placement::ilp::solve_default;
-use pran_sched::placement::{PlacementInstance, WarmConfig, WarmPlacer, WARM_GAP_FACTOR};
+use pran_sched::placement::{
+    Accelerator, Placement, PlacementInstance, WarmConfig, WarmPlacer, WARM_GAP_FACTOR,
+};
 
-/// Every placed cell's server must fit its *actual* aggregate load.
-fn assert_actual_feasible(inst: &PlacementInstance, p: &pran_sched::placement::Placement) {
-    for (server, load) in inst.server_loads(p).iter().enumerate() {
+/// Every placed cell's server must fit its *actual* aggregate load, on
+/// both resources.
+fn assert_actual_feasible(inst: &PlacementInstance, p: &Placement) {
+    for (server, load) in inst.server_loads_split(p).iter().enumerate() {
         assert!(
-            inst.servers[server].fits(*load),
-            "server {server} overloaded on actual demand: {load} GOPS"
+            inst.servers[server].fits_load(*load),
+            "server {server} overloaded on actual demand: {load:?} GOPS"
         );
+    }
+}
+
+/// The next epoch's demands: a deterministic pseudo-random drift of
+/// ±30 %, clamped to 10..100 GOPS.
+fn drift(current: &mut [f64], drift_seed: u64, epoch: usize) {
+    let n = current.len();
+    for (i, d) in current.iter_mut().enumerate() {
+        let mix = drift_seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((epoch * n + i) as u64);
+        let r = ((mix >> 33) % 1000) as f64 / 1000.0; // [0, 1)
+        *d = (*d * (0.7 + 0.6 * r)).clamp(10.0, 100.0);
     }
 }
 
@@ -59,14 +79,52 @@ proptest! {
                 epoch, warm_used, cold_used, WarmPlacer::gap_bound(cold_used)
             );
 
-            // Deterministic pseudo-random drift for the next epoch.
-            for (i, d) in current.iter_mut().enumerate() {
-                let mix = drift_seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add((epoch * n + i) as u64);
-                let r = ((mix >> 33) % 1000) as f64 / 1000.0; // [0, 1)
-                *d = (*d * (0.7 + 0.6 * r)).clamp(10.0, 100.0);
+            drift(&mut current, drift_seed, epoch);
+        }
+    }
+
+    /// The same walks on a pool where every other server carries a
+    /// decode accelerator and each cell has a decode share. The warm
+    /// placer's consolidation floor must count each cell at its general
+    /// load there, or the gap goes unenforced.
+    #[test]
+    fn accelerated_warm_placement_feasible_and_within_gap_of_cold(
+        demands in proptest::collection::vec(10.0f64..100.0, 1..24),
+        shares in proptest::collection::vec(0.0f64..0.6, 24),
+        band in 0.0f64..0.30,
+        epochs in 1usize..6,
+        drift_seed in 0u64..1_000,
+    ) {
+        let n = demands.len();
+        // A booked cell needs at most 130 general and 78 decode GOPS, so
+        // it fits any empty server and every cell is always placeable.
+        let mut warm = WarmPlacer::new(WarmConfig { band });
+        let mut current = demands.clone();
+        for epoch in 0..epochs {
+            let mut inst = PlacementInstance::uniform(&current, n, 200.0);
+            for server in inst.servers.iter_mut().step_by(2) {
+                server.accelerator = Some(Accelerator {
+                    decode_capacity_gops: 100.0,
+                    decode_speedup: 4.0,
+                });
             }
+            for (cell, share) in inst.cells.iter_mut().zip(&shares) {
+                cell.decode_gops = cell.gops * share;
+            }
+            let (p, _plan, _stats) = warm.epoch(&inst);
+            prop_assert_eq!(p.placed(), n, "epoch {}: all cells placeable", epoch);
+            assert_actual_feasible(&inst, &p);
+
+            let cold = place(&inst, Heuristic::BestFitDecreasing);
+            let warm_used = inst.servers_used(&p);
+            let cold_used = inst.servers_used(&cold.placement);
+            prop_assert!(
+                warm_used <= WarmPlacer::gap_bound(cold_used),
+                "epoch {}: warm {} vs cold {} exceeds documented gap {}",
+                epoch, warm_used, cold_used, WarmPlacer::gap_bound(cold_used)
+            );
+
+            drift(&mut current, drift_seed, epoch);
         }
     }
 
