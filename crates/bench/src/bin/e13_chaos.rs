@@ -29,13 +29,16 @@ fn main() -> ExitCode {
     let seed = 42u64;
 
     println!("E13: chaos exploration and failing-schedule shrinking\n");
-    let cfg = ExploreConfig::default_eval(schedules, seed);
-    let sys = SystemConfig::default_eval(cfg.servers);
+    let cfg = ExploreConfig { schedules, seed };
+    let sys = SystemConfig::default_eval(ExploreConfig::SERVERS);
 
     // --- phase 1: the envelope holds at stock bounds ---
     println!(
         "== phase 1: {} schedules, {} cells / {} servers, horizon {:?} ==",
-        cfg.schedules, cfg.cells, cfg.servers, cfg.horizon
+        cfg.schedules,
+        ExploreConfig::CELLS,
+        ExploreConfig::SERVERS,
+        ExploreConfig::HORIZON
     );
     let sweep = explore(&cfg, &sys).expect("sampled schedules validate");
     println!(
@@ -107,9 +110,12 @@ fn main() -> ExitCode {
     Report::new("e13_chaos")
         .meta("schedules", serde_json::json!(schedules))
         .meta("seed", serde_json::json!(seed))
-        .meta("cells", serde_json::json!(cfg.cells))
-        .meta("servers", serde_json::json!(cfg.servers))
-        .meta("horizon_s", serde_json::json!(cfg.horizon.as_secs()))
+        .meta("cells", serde_json::json!(ExploreConfig::CELLS))
+        .meta("servers", serde_json::json!(ExploreConfig::SERVERS))
+        .meta(
+            "horizon_s",
+            serde_json::json!(ExploreConfig::HORIZON.as_secs()),
+        )
         .section(
             "exploration",
             serde_json::json!({

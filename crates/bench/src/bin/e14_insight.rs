@@ -41,8 +41,11 @@ fn main() -> ExitCode {
     let seed = 0xE14u64;
 
     println!("E14: online SLO alerts vs chaos ground truth ({scenarios} scenarios)\n");
-    let cfg = ExploreConfig::default_eval(scenarios, seed);
-    let mut sys = SystemConfig::default_eval(cfg.servers);
+    let cfg = ExploreConfig {
+        schedules: scenarios,
+        seed,
+    };
+    let mut sys = SystemConfig::default_eval(ExploreConfig::SERVERS);
     // Chaos schedules inject fronthaul transport loss by design; lost
     // reports are the fault being studied, not an SLO incident, so that
     // objective is waived for this experiment.
@@ -226,9 +229,12 @@ fn main() -> ExitCode {
     Report::new("e14_insight")
         .meta("scenarios", serde_json::json!(scenarios))
         .meta("seed", serde_json::json!(seed))
-        .meta("cells", serde_json::json!(cfg.cells))
-        .meta("servers", serde_json::json!(cfg.servers))
-        .meta("horizon_s", serde_json::json!(cfg.horizon.as_secs()))
+        .meta("cells", serde_json::json!(ExploreConfig::CELLS))
+        .meta("servers", serde_json::json!(ExploreConfig::SERVERS))
+        .meta(
+            "horizon_s",
+            serde_json::json!(ExploreConfig::HORIZON.as_secs()),
+        )
         .section(
             "clean",
             serde_json::json!({

@@ -7,7 +7,7 @@
 //! further reduction.
 
 use bench::Report;
-use pran_fronthaul::{CpriConfig, FunctionalSplit};
+use pran_fronthaul::{cpri, FunctionalSplit};
 use pran_phy::frame::{AntennaConfig, Bandwidth};
 use pran_phy::mcs::Mcs;
 
@@ -64,11 +64,10 @@ fn main() {
     }
 
     // CPRI option requirement per antenna count (context row).
-    let cpri = CpriConfig::standard();
     println!(
         "context: 4-antenna CPRI needs {:?}; the frequency-domain split fits the\n\
          same cell into ~1/4 of a 10 GbE at full load and scales down with load.",
-        cpri.required_option(bw, 4).expect("within options")
+        cpri::required_option(bw, 4).expect("within options")
     );
 
     Report::new("e7_fronthaul")

@@ -7,7 +7,6 @@
 //! watermarks prevents flapping.
 
 use crate::api::{Action, ControlApp, PoolView};
-use pran_sched::realtime::ParallelConfig;
 
 /// Drain/reactivate servers based on pool-wide utilization.
 #[derive(Debug, Clone)]
@@ -16,9 +15,6 @@ pub struct ConsolidationApp {
     pub low_watermark: f64,
     /// Mean used-server utilization above which one server reactivates.
     pub high_watermark: f64,
-    /// Subframe-execution model of the servers, when known. Bounds how
-    /// hot a drain may run the survivors (see [`Self::realtime_ceiling`]).
-    parallel: Option<ParallelConfig>,
     /// Servers this app has drained (reactivation candidates).
     drained: Vec<usize>,
 }
@@ -33,41 +29,7 @@ impl ConsolidationApp {
         ConsolidationApp {
             low_watermark,
             high_watermark,
-            parallel: None,
             drained: Vec::new(),
-        }
-    }
-
-    /// Create with watermarks and the servers' subframe-execution model
-    /// (what `pran_sim::PoolConfig::parallel` runs them with):
-    /// consolidation then refuses drains that would push survivors past
-    /// what the executor can schedule within deadlines, not just past raw
-    /// GOPS capacity.
-    pub fn with_parallel(
-        low_watermark: f64,
-        high_watermark: f64,
-        parallel: ParallelConfig,
-    ) -> Self {
-        parallel.validate();
-        let mut app = Self::new(low_watermark, high_watermark);
-        app.parallel = Some(parallel);
-        app
-    }
-
-    /// Highest post-drain utilization the survivors' executors can
-    /// sustain without missing subframe deadlines.
-    ///
-    /// With work stealing, a greedy N-core schedule wastes at most about
-    /// half a batch per core of balancing slack, so the ceiling
-    /// approaches 1 as cores grow (`1 − 0.5/cores`). Without stealing,
-    /// cells are pinned to `cell % cores`, a single hot cell saturates
-    /// one core while others idle, and only ~half the nominal capacity is
-    /// dependable. Unknown model → GOPS capacity is the only limit.
-    pub fn realtime_ceiling(&self) -> f64 {
-        match self.parallel {
-            None => 1.0,
-            Some(p) if p.steal => 1.0 - 0.5 / p.cores as f64,
-            Some(_) => 0.5,
         }
     }
 
@@ -114,8 +76,7 @@ impl ControlApp for ConsolidationApp {
                     .map(|s| (s.capacity_gops - s.load_gops).max(0.0))
                     .sum();
                 // Post-drain utilization of the survivors: total live load
-                // squeezed into their capacity. Must stay schedulable per
-                // the executor model, not just below 100 % GOPS.
+                // squeezed into their capacity, which must not exceed it.
                 let survivor_capacity: f64 = survivors.iter().map(|s| s.capacity_gops).sum();
                 let total_load: f64 = view
                     .servers
@@ -128,7 +89,7 @@ impl ControlApp for ConsolidationApp {
                 } else {
                     f64::INFINITY
                 };
-                if residual_elsewhere >= victim.load_gops && post_drain <= self.realtime_ceiling() {
+                if residual_elsewhere >= victim.load_gops && post_drain <= 1.0 {
                     self.drained.push(victim.id);
                     return vec![Action::Drain { server: victim.id }];
                 }
@@ -244,84 +205,29 @@ mod tests {
     }
 
     #[test]
-    fn realtime_ceiling_reflects_executor_model() {
-        assert_eq!(ConsolidationApp::new(0.3, 0.7).realtime_ceiling(), 1.0);
-        let steal = ConsolidationApp::with_parallel(
-            0.3,
-            0.7,
-            ParallelConfig {
-                cores: 4,
-                batch: 4,
-                steal: true,
-            },
-        );
-        assert!((steal.realtime_ceiling() - 0.875).abs() < 1e-12);
-        let pinned = ConsolidationApp::with_parallel(
-            0.3,
-            0.7,
-            ParallelConfig {
-                cores: 4,
-                batch: 4,
-                steal: false,
-            },
-        );
-        assert_eq!(pinned.realtime_ceiling(), 0.5);
-    }
-
-    #[test]
     fn drain_refused_when_executor_cannot_schedule_it() {
-        // 3 servers at 45/100 GOPS: mean utilization 0.45 (cold) and the
-        // survivors' residual (2 × 55) absorbs the drained 45 — so the
-        // pure-GOPS check passes. Post-drain utilization 135/200 = 0.675
-        // sits between the pinned ceiling (0.5) and the stealing one
-        // (0.875): only the work-stealing executor may consolidate here.
-        let v = || {
-            view(vec![
-                server(0, 45.0, 2),
-                server(1, 45.0, 2),
-                server(2, 45.0, 2),
-            ])
-        };
-        let mut pinned = ConsolidationApp::with_parallel(
-            0.5,
-            0.9,
-            ParallelConfig {
-                cores: 4,
-                batch: 4,
-                steal: false,
-            },
-        );
+        // Server 0 runs over its capacity (190/100), so its residual
+        // counts as 0 and server 1's 90 alone absorbs the lightest
+        // server's 5 GOPS: the residual check passes. But all live load
+        // (205) on the two survivors (200) is past their capacity, which
+        // no executor schedules within deadlines.
+        let mut app = ConsolidationApp::new(0.7, 0.9);
+        let v = view(vec![
+            server(0, 190.0, 3),
+            server(1, 10.0, 1),
+            server(2, 5.0, 1),
+        ]);
+        assert!(v.mean_used_utilization() < 0.7, "setup must read as cold");
         assert!(
-            pinned.on_epoch(&v()).is_empty(),
-            "pinned executor cannot absorb per-cell skew at 0.675"
+            app.on_epoch(&v).is_empty(),
+            "post-drain utilization 1.025 must be refused"
         );
-        let mut stealing = ConsolidationApp::with_parallel(
-            0.5,
-            0.9,
-            ParallelConfig {
-                cores: 4,
-                batch: 4,
-                steal: true,
-            },
-        );
-        assert_eq!(
-            stealing.on_epoch(&v()).len(),
-            1,
-            "stealing executor can run hotter"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one core")]
-    fn parallel_config_validated() {
-        ConsolidationApp::with_parallel(
-            0.3,
-            0.7,
-            ParallelConfig {
-                cores: 0,
-                batch: 1,
-                steal: true,
-            },
-        );
+        // At 180 the survivors carry 195/200: the drain goes ahead.
+        let v = view(vec![
+            server(0, 180.0, 3),
+            server(1, 10.0, 1),
+            server(2, 5.0, 1),
+        ]);
+        assert_eq!(app.on_epoch(&v), vec![Action::Drain { server: 2 }]);
     }
 }

@@ -61,41 +61,32 @@ impl std::error::Error for ExploreError {
 /// independent but individually re-derivable.
 const PHI: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Exploration shape: how many schedules, over what deployment.
+/// Exploration shape: how many schedules, from what seed. Every schedule
+/// runs over the same deployment, [`ExploreConfig::CELLS`] cells on
+/// [`ExploreConfig::SERVERS`] servers for [`ExploreConfig::HORIZON`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreConfig {
     /// Number of schedules to sample and run.
     pub schedules: usize,
     /// Master seed; every schedule derives its own stream from it.
     pub seed: u64,
-    /// Cells in the sampled deployments.
-    pub cells: usize,
-    /// Servers in the sampled deployments.
-    pub servers: usize,
-    /// Simulated horizon per schedule.
-    pub horizon: Duration,
-    /// Ceiling on primary events per schedule (paired recoveries and
-    /// link restores ride along on top).
-    pub max_events: usize,
 }
 
 impl ExploreConfig {
-    /// Evaluation defaults: 6 cells on 8 servers for 600 s.
+    /// Cells in the sampled deployments.
     ///
     /// The shape is chosen so the envelope is *meant* to hold: at the
     /// 0.9 utilization cap a cell can demand most of one 400-GOPS
     /// server, and the sampler injects at most two concurrent crashes,
     /// leaving ≥ 6 live servers for 6 cells.
-    pub fn default_eval(schedules: usize, seed: u64) -> Self {
-        ExploreConfig {
-            schedules,
-            seed,
-            cells: 6,
-            servers: 8,
-            horizon: Duration::from_secs(600),
-            max_events: 6,
-        }
-    }
+    pub const CELLS: usize = 6;
+    /// Servers in the sampled deployments.
+    pub const SERVERS: usize = 8;
+    /// Simulated horizon per schedule (the sampler needs ≥ 120 s).
+    pub const HORIZON: Duration = Duration::from_secs(600);
+    /// Ceiling on primary events per schedule (paired recoveries and
+    /// link restores ride along on top).
+    pub const MAX_EVENTS: usize = 6;
 }
 
 /// One schedule that violated the envelope.
@@ -150,24 +141,22 @@ impl ExploreReport {
 /// solvable; link degradation, flash crowds and snapshot drills fill the
 /// rest. Two calls with equal `(cfg, index)` return identical scenarios.
 pub fn sample_scenario(cfg: &ExploreConfig, index: usize) -> Scenario {
-    assert!(
-        cfg.horizon >= Duration::from_secs(120),
-        "sampler needs ≥ 120 s of horizon"
-    );
     let mut rng =
         ChaCha20Rng::seed_from_u64(cfg.seed.wrapping_add(PHI.wrapping_mul(index as u64 + 1)));
-    let horizon_s = cfg.horizon.as_secs();
+    let horizon = ExploreConfig::HORIZON;
+    let horizon_s = horizon.as_secs();
+    let servers = ExploreConfig::SERVERS;
     let mut events = Vec::new();
     let mut crashes = 0usize;
     let mut last_crashed = usize::MAX;
-    let n = rng.gen_range(2..=cfg.max_events.max(2));
+    let n = rng.gen_range(2..=ExploreConfig::MAX_EVENTS);
     for _ in 0..n {
         let at = Duration::from_secs(rng.gen_range(30..horizon_s - 60));
         let roll: f64 = rng.gen();
         if roll < 0.35 && crashes < 2 {
-            let mut server = rng.gen_range(0..cfg.servers);
+            let mut server = rng.gen_range(0..servers);
             if server == last_crashed {
-                server = (server + 1) % cfg.servers;
+                server = (server + 1) % servers;
             }
             last_crashed = server;
             crashes += 1;
@@ -176,7 +165,7 @@ pub fn sample_scenario(cfg: &ExploreConfig, index: usize) -> Scenario {
                 event: ChaosEvent::ServerCrash { server },
             });
             if rng.gen_bool(0.6) {
-                let back = (at + Duration::from_secs(rng.gen_range(60..180))).min(cfg.horizon);
+                let back = (at + Duration::from_secs(rng.gen_range(60..180))).min(horizon);
                 events.push(TimedEvent {
                     at: back,
                     event: ChaosEvent::ServerRecover { server },
@@ -200,7 +189,7 @@ pub fn sample_scenario(cfg: &ExploreConfig, index: usize) -> Scenario {
                 },
             });
             if rng.gen_bool(0.5) {
-                let back = (at + Duration::from_secs(rng.gen_range(60..180))).min(cfg.horizon);
+                let back = (at + Duration::from_secs(rng.gen_range(60..180))).min(horizon);
                 events.push(TimedEvent {
                     at: back,
                     event: ChaosEvent::LinkRestore,
@@ -229,9 +218,9 @@ pub fn sample_scenario(cfg: &ExploreConfig, index: usize) -> Scenario {
     Scenario {
         name: format!("explore-{index}"),
         seed: rng.gen(),
-        cells: cfg.cells,
-        servers: cfg.servers,
-        horizon: cfg.horizon,
+        cells: ExploreConfig::CELLS,
+        servers,
+        horizon,
         events,
     }
 }
@@ -322,7 +311,10 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_and_index_dependent() {
-        let cfg = ExploreConfig::default_eval(10, 42);
+        let cfg = ExploreConfig {
+            schedules: 10,
+            seed: 42,
+        };
         let a = sample_scenario(&cfg, 3);
         let b = sample_scenario(&cfg, 3);
         assert_eq!(a, b);
@@ -332,7 +324,10 @@ mod tests {
 
     #[test]
     fn sampled_scenarios_validate() {
-        let cfg = ExploreConfig::default_eval(10, 7);
+        let cfg = ExploreConfig {
+            schedules: 10,
+            seed: 7,
+        };
         for i in 0..20 {
             let s = sample_scenario(&cfg, i);
             s.validate().unwrap_or_else(|e| panic!("schedule {i}: {e}"));
@@ -356,8 +351,11 @@ mod tests {
 
     #[test]
     fn exploration_at_sane_bounds_stays_clean() {
-        let cfg = ExploreConfig::default_eval(4, 11);
-        let sys = SystemConfig::default_eval(cfg.servers);
+        let cfg = ExploreConfig {
+            schedules: 4,
+            seed: 11,
+        };
+        let sys = SystemConfig::default_eval(ExploreConfig::SERVERS);
         let report = explore(&cfg, &sys).unwrap();
         assert_eq!(report.runs, 4);
         assert!(

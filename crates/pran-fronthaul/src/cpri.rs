@@ -4,74 +4,36 @@
 //! load-independent — every TTI costs the same whether the cell is idle or
 //! saturated — and scales with antennas × sample rate. That scaling is the
 //! problem PRAN's partial centralization addresses, so this module computes
-//! it exactly: `R = f_s · 2 · bits · antennas · control · linecode`.
+//! it exactly: `R = f_s · 2 · 15 · antennas · 16/15 · 10/8` (15-bit
+//! samples, 16/15 control words, 8b/10b line coding).
 
 use pran_phy::frame::Bandwidth;
 use serde::{Deserialize, Serialize};
 
-/// Line-coding overhead options used by CPRI links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LineCoding {
-    /// 8b/10b (CPRI options 1–7): ×10/8.
-    Code8b10b,
-    /// 64b/66b (CPRI options 8+): ×66/64.
-    Code64b66b,
+/// Bits per I or Q sample.
+const SAMPLE_BITS: f64 = 15.0;
+
+/// Control-word overhead factor.
+const CONTROL_OVERHEAD: f64 = 16.0 / 15.0;
+
+/// 8b/10b line-coding overhead factor (CPRI options 1–7).
+const LINE_CODING: f64 = 10.0 / 8.0;
+
+/// Required line rate in bit/s for one cell.
+pub fn line_rate_bps(bw: Bandwidth, antennas: u32) -> f64 {
+    bw.sample_rate()
+        * 2.0 // I and Q
+        * SAMPLE_BITS
+        * f64::from(antennas)
+        * CONTROL_OVERHEAD
+        * LINE_CODING
 }
 
-impl LineCoding {
-    /// Multiplicative overhead factor.
-    pub fn factor(self) -> f64 {
-        match self {
-            LineCoding::Code8b10b => 10.0 / 8.0,
-            LineCoding::Code64b66b => 66.0 / 64.0,
-        }
-    }
-}
-
-/// CPRI link parameterization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CpriConfig {
-    /// Bits per I or Q sample.
-    pub sample_bits: u32,
-    /// Control-word overhead factor (CPRI uses 16/15).
-    pub control_overhead: f64,
-    /// Line-coding scheme.
-    pub line_coding: LineCoding,
-}
-
-impl CpriConfig {
-    /// The standard CPRI parameterization (15-bit samples, 16/15 control,
-    /// 8b/10b).
-    pub fn standard() -> Self {
-        CpriConfig {
-            sample_bits: 15,
-            control_overhead: 16.0 / 15.0,
-            line_coding: LineCoding::Code8b10b,
-        }
-    }
-
-    /// Required line rate in bit/s for one cell.
-    pub fn line_rate_bps(&self, bw: Bandwidth, antennas: u32) -> f64 {
-        bw.sample_rate()
-            * 2.0 // I and Q
-            * f64::from(self.sample_bits)
-            * f64::from(antennas)
-            * self.control_overhead
-            * self.line_coding.factor()
-    }
-
-    /// The smallest standard CPRI option rate that carries the requirement,
-    /// or `None` if it exceeds option 10 (24.33 Gb/s).
-    pub fn required_option(&self, bw: Bandwidth, antennas: u32) -> Option<CpriOption> {
-        let need = self.line_rate_bps(bw, antennas);
-        CpriOption::all().into_iter().find(|o| o.rate_bps() >= need)
-    }
-}
-
-impl Default for CpriConfig {
-    fn default() -> Self {
-        Self::standard()
-    }
+/// The smallest standard CPRI option rate that carries the requirement,
+/// or `None` if it exceeds option 10 (24.33 Gb/s).
+pub fn required_option(bw: Bandwidth, antennas: u32) -> Option<CpriOption> {
+    let need = line_rate_bps(bw, antennas);
+    CpriOption::all().into_iter().find(|o| o.rate_bps() >= need)
 }
 
 /// Standard CPRI line-rate options.
@@ -131,39 +93,36 @@ mod tests {
     #[test]
     fn famous_20mhz_single_antenna_rate() {
         // 30.72 Msps × 2 × 15 b × 16/15 × 10/8 = 1.2288 Gb/s.
-        let rate = CpriConfig::standard().line_rate_bps(Bandwidth::Mhz20, 1);
+        let rate = line_rate_bps(Bandwidth::Mhz20, 1);
         assert!((rate - 1.2288e9).abs() < 1.0, "rate {rate}");
     }
 
     #[test]
     fn rate_linear_in_antennas() {
-        let c = CpriConfig::standard();
-        let one = c.line_rate_bps(Bandwidth::Mhz20, 1);
-        let four = c.line_rate_bps(Bandwidth::Mhz20, 4);
+        let one = line_rate_bps(Bandwidth::Mhz20, 1);
+        let four = line_rate_bps(Bandwidth::Mhz20, 4);
         assert!((four - 4.0 * one).abs() < 1.0);
     }
 
     #[test]
     fn rate_scales_with_bandwidth() {
-        let c = CpriConfig::standard();
-        assert!(c.line_rate_bps(Bandwidth::Mhz20, 2) > c.line_rate_bps(Bandwidth::Mhz10, 2));
+        assert!(line_rate_bps(Bandwidth::Mhz20, 2) > line_rate_bps(Bandwidth::Mhz10, 2));
     }
 
     #[test]
     fn option_selection() {
-        let c = CpriConfig::standard();
         // 20 MHz × 2 antennas = 2.4576 Gb/s → exactly option 3.
         assert_eq!(
-            c.required_option(Bandwidth::Mhz20, 2),
+            required_option(Bandwidth::Mhz20, 2),
             Some(CpriOption::Option3)
         );
         // 20 MHz × 8 antennas ≈ 9.83 Gb/s → option 7.
         assert_eq!(
-            c.required_option(Bandwidth::Mhz20, 8),
+            required_option(Bandwidth::Mhz20, 8),
             Some(CpriOption::Option7)
         );
         // Absurd antenna counts exceed every option.
-        assert_eq!(c.required_option(Bandwidth::Mhz20, 64), None);
+        assert_eq!(required_option(Bandwidth::Mhz20, 64), None);
     }
 
     #[test]
@@ -172,11 +131,5 @@ mod tests {
         for w in all.windows(2) {
             assert!(w[0].rate_bps() < w[1].rate_bps());
         }
-    }
-
-    #[test]
-    fn line_coding_factors() {
-        assert_eq!(LineCoding::Code8b10b.factor(), 1.25);
-        assert!((LineCoding::Code64b66b.factor() - 1.03125).abs() < 1e-12);
     }
 }

@@ -28,7 +28,7 @@ pub mod split;
 pub mod topology;
 
 pub use budget::{FronthaulPath, FIBER_SPEED_M_S};
-pub use cpri::{CpriConfig, CpriOption, LineCoding};
+pub use cpri::CpriOption;
 pub use fault::{FaultConfig, FaultInjector, FaultStats, Outcome};
 pub use split::FunctionalSplit;
 pub use topology::{edge_regional, FrontEnd, Reachability, Site, Topology};

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
-use crate::cpri::CpriConfig;
+use crate::cpri;
 
 /// Where the front-end / pool boundary sits in the receive pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -77,9 +77,7 @@ impl FunctionalSplit {
     ) -> f64 {
         let utilization = utilization.clamp(0.0, 1.0);
         match self {
-            FunctionalSplit::TimeDomainIq => {
-                CpriConfig::standard().line_rate_bps(bw, antennas.antennas)
-            }
+            FunctionalSplit::TimeDomainIq => cpri::line_rate_bps(bw, antennas.antennas),
             FunctionalSplit::FrequencyDomain => {
                 // Occupied subcarriers × symbols/s × 2 × bits, per antenna.
                 // Reference signals keep ~10 % of the grid busy even idle.
@@ -116,12 +114,6 @@ impl FunctionalSplit {
             FunctionalSplit::SoftBits => Duration::from_micros(500),
             FunctionalSplit::TransportBlocks => Duration::from_millis(6),
         }
-    }
-
-    /// Whether the split's bandwidth is load-dependent (the PRAN gain) or
-    /// constant (the CPRI pain).
-    pub fn load_dependent(self) -> bool {
-        !matches!(self, FunctionalSplit::TimeDomainIq)
     }
 }
 
@@ -164,7 +156,6 @@ mod tests {
             s.bandwidth_bps(bw, ant, 0.0, mcs),
             s.bandwidth_bps(bw, ant, 1.0, mcs)
         );
-        assert!(!s.load_dependent());
     }
 
     #[test]
@@ -178,7 +169,6 @@ mod tests {
             let idle = s.bandwidth_bps(bw, ant, 0.05, mcs);
             let busy = s.bandwidth_bps(bw, ant, 1.0, mcs);
             assert!(busy > 2.0 * idle, "{s}: idle {idle}, busy {busy}");
-            assert!(s.load_dependent());
         }
     }
 

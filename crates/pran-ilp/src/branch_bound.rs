@@ -24,10 +24,6 @@ pub struct BnbConfig {
     pub max_nodes: usize,
     /// Wall-clock budget.
     pub time_limit: Duration,
-    /// |x − round(x)| below this counts as integral.
-    pub int_tol: f64,
-    /// Terminate when the relative incumbent/bound gap falls below this.
-    pub gap_tol: f64,
     /// Optional warm-start assignment (full values vector). If feasible
     /// and integral, it seeds the incumbent so pruning starts immediately —
     /// the standard trick for bin-packing-shaped models whose LP bounds
@@ -40,17 +36,21 @@ impl Default for BnbConfig {
         BnbConfig {
             max_nodes: 200_000,
             time_limit: Duration::from_secs(120),
-            int_tol: 1e-6,
-            gap_tol: 1e-9,
             initial: None,
         }
     }
 }
 
+/// |x − round(x)| at or below this counts as integral.
+const INT_TOL: f64 = 1e-6;
+
+/// The search ends when the relative incumbent/bound gap falls to this.
+const GAP_TOL: f64 = 1e-9;
+
 /// Terminal status of an integer solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IlpStatus {
-    /// Incumbent proved optimal (within `gap_tol`).
+    /// Incumbent proved optimal (within the relative gap `GAP_TOL`, 1e-9).
     Optimal,
     /// A feasible incumbent exists but limits stopped the proof of
     /// optimality; see [`BnbStats::gap`].
@@ -197,7 +197,7 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
             let integral = model
                 .integral_vars()
                 .iter()
-                .all(|v| (values[v.index()] - values[v.index()].round()).abs() <= config.int_tol);
+                .all(|v| (values[v.index()] - values[v.index()].round()).abs() <= INT_TOL);
             if integral {
                 let objective = model.eval_objective(values);
                 incumbent_norm = sign * objective;
@@ -215,7 +215,7 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
     let integral_objective = objective_is_integral(model);
     let tighten = |norm: f64| {
         if integral_objective {
-            (norm - config.int_tol).ceil()
+            (norm - INT_TOL).ceil()
         } else {
             norm
         }
@@ -245,7 +245,7 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
             break;
         }
         // Prune against incumbent.
-        if node.bound >= incumbent_norm - config.gap_tol * incumbent_norm.abs().max(1.0) {
+        if node.bound >= incumbent_norm - GAP_TOL * incumbent_norm.abs().max(1.0) {
             continue;
         }
         if node.bounds.iter().any(|&(_, lo, hi)| lo > hi) {
@@ -288,7 +288,7 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
         }
         let sol = solved.solution.expect("optimal LP carries a solution");
         let node_norm = tighten(sign * sol.objective);
-        if node_norm >= incumbent_norm - config.gap_tol * incumbent_norm.abs().max(1.0) {
+        if node_norm >= incumbent_norm - GAP_TOL * incumbent_norm.abs().max(1.0) {
             continue; // bound no better than incumbent
         }
 
@@ -298,7 +298,7 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
         let branch_var = integral
             .iter()
             .map(|&v| (v, sol.values[v.index()]))
-            .filter(|&(_, x)| (x - x.round()).abs() > config.int_tol)
+            .filter(|&(_, x)| (x - x.round()).abs() > INT_TOL)
             .min_by(|a, b| half_dist(a.1).total_cmp(&half_dist(b.1)));
 
         match branch_var {
@@ -311,7 +311,7 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
                 }
                 let objective = model.eval_objective(&values);
                 // Re-validate after snapping (snap can't violate bounds by
-                // more than int_tol, but constraints deserve a check).
+                // more than INT_TOL, but constraints deserve a check).
                 if model.is_feasible(&values, 1e-6) {
                     let norm = sign * objective;
                     if norm < incumbent_norm {
@@ -376,7 +376,7 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
         (Some(_), true) => IlpStatus::Optimal,
         (Some(_), false) => {
             let gap = stats.gap().unwrap_or(f64::INFINITY);
-            if gap <= config.gap_tol {
+            if gap <= GAP_TOL {
                 IlpStatus::Optimal
             } else {
                 IlpStatus::Feasible

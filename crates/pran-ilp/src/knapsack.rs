@@ -50,43 +50,6 @@ pub fn knapsack_exact(items: &[Item], capacity: u64) -> (Vec<usize>, f64) {
     (chosen, best[n][cap])
 }
 
-/// Greedy value/weight-ratio heuristic for 0/1 knapsack.
-///
-/// Returns chosen indices and total value; the classic bound guarantees the
-/// better of (greedy, single best item) achieves ≥ 1/2 of optimal.
-pub fn knapsack_greedy(items: &[Item], capacity: u64) -> (Vec<usize>, f64) {
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by(|&a, &b| {
-        let ra = items[a].value / items[a].weight.max(1) as f64;
-        let rb = items[b].value / items[b].weight.max(1) as f64;
-        rb.partial_cmp(&ra).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut chosen = Vec::new();
-    let mut used = 0u64;
-    let mut total = 0.0;
-    for i in order {
-        if used + items[i].weight <= capacity {
-            used += items[i].weight;
-            total += items[i].value;
-            chosen.push(i);
-        }
-    }
-    // 1/2-approximation safeguard: compare with the single most valuable
-    // fitting item.
-    if let Some((bi, bit)) = items
-        .iter()
-        .enumerate()
-        .filter(|(_, it)| it.weight <= capacity)
-        .max_by(|a, b| a.1.value.partial_cmp(&b.1.value).unwrap())
-    {
-        if bit.value > total {
-            return (vec![bi], bit.value);
-        }
-    }
-    chosen.sort_unstable();
-    (chosen, total)
-}
-
 /// Continuous (L1) lower bound on the number of unit-capacity bins:
 /// `⌈Σ sizes / capacity⌉`.
 pub fn binpack_lower_bound_l1(sizes: &[f64], capacity: f64) -> usize {
@@ -171,52 +134,6 @@ mod tests {
         let (chosen, v) = knapsack_exact(&items, 0);
         assert!(chosen.is_empty());
         assert_eq!(v, 0.0);
-    }
-
-    #[test]
-    fn knapsack_greedy_respects_capacity_and_half_bound() {
-        let items = [
-            Item {
-                weight: 10,
-                value: 60.0,
-            },
-            Item {
-                weight: 20,
-                value: 100.0,
-            },
-            Item {
-                weight: 30,
-                value: 120.0,
-            },
-        ];
-        let cap = 50;
-        let (chosen, greedy_v) = knapsack_greedy(&items, cap);
-        let used: u64 = chosen.iter().map(|&i| items[i].weight).sum();
-        assert!(used <= cap);
-        let (_, opt) = knapsack_exact(&items, cap);
-        assert!(greedy_v >= opt / 2.0);
-    }
-
-    #[test]
-    fn greedy_single_item_fallback() {
-        // Ratio-greedy would pick many small items; one big item is better.
-        let items = [
-            Item {
-                weight: 1,
-                value: 1.1,
-            },
-            Item {
-                weight: 1,
-                value: 1.1,
-            },
-            Item {
-                weight: 10,
-                value: 100.0,
-            },
-        ];
-        let (chosen, v) = knapsack_greedy(&items, 10);
-        assert_eq!(chosen, vec![2]);
-        assert_eq!(v, 100.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   one warm simplex through the search;
 //! * [`mod@presolve`] — singleton-row folding, bound tightening, fixed-var
 //!   detection (fixed-point, optimum-preserving);
-//! * [`knapsack`] — exact & greedy knapsack plus bin-packing lower bounds
+//! * [`knapsack`] — exact knapsack plus bin-packing lower bounds
 //!   (the placement problem's combinatorial core).
 //!
 //! # Quick example

@@ -163,12 +163,6 @@ impl LinExpr {
         self
     }
 
-    /// Append a constant to this expression (builder style).
-    pub fn add_constant(&mut self, value: f64) -> &mut Self {
-        self.constant += value;
-        self
-    }
-
     /// The additive constant of the expression.
     pub fn constant(&self) -> f64 {
         self.constant
@@ -209,11 +203,6 @@ impl LinExpr {
     /// Evaluate the expression against a full assignment (indexed by `VarId`).
     pub fn eval(&self, values: &[f64]) -> f64 {
         self.constant + self.terms.iter().map(|(v, c)| c * values[v.0]).sum::<f64>()
-    }
-
-    /// True if the expression has no variable terms.
-    pub fn is_constant(&self) -> bool {
-        self.terms.iter().all(|(_, c)| *c == 0.0)
     }
 }
 
@@ -614,7 +603,6 @@ mod tests {
         let x = m.continuous("x", 0.0, 1.0);
         let e = (LinExpr::term(x, 1.5) + LinExpr::term(x, -1.5)).compact();
         assert!(e.terms().is_empty());
-        assert!(e.is_constant());
     }
 
     #[test]

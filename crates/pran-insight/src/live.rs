@@ -44,7 +44,6 @@ use pran_telemetry::trace::TraceEvent;
 use pran_telemetry::Subframe;
 use serde::{Deserialize, Serialize};
 
-use crate::slo::SloPolicy;
 use crate::spans::STAGE_NAMES;
 
 /// The mergeable quantile sketch behind the live per-cell and per-server
@@ -604,11 +603,8 @@ pub struct BurnAlert {
 #[derive(Debug, Clone)]
 pub struct BurnRateAlerter {
     objective: f64,
-    fast: usize,
-    slow: usize,
-    page_factor: f64,
-    ticket_factor: f64,
-    /// Ring of the last `slow` epoch error ratios (zero-filled).
+    /// Ring of the last [`Self::SLOW_EPOCHS`] epoch error ratios
+    /// (zero-filled).
     ring: Vec<f64>,
     head: usize,
     page_firing: bool,
@@ -616,39 +612,30 @@ pub struct BurnRateAlerter {
 }
 
 impl BurnRateAlerter {
-    /// New alerter over an explicit objective and windows.
-    pub fn new(
-        objective: f64,
-        fast_epochs: usize,
-        slow_epochs: usize,
-        page_factor: f64,
-        ticket_factor: f64,
-    ) -> Self {
-        let slow = slow_epochs.max(1);
-        let fast = fast_epochs.clamp(1, slow);
+    /// Fast window in epochs: confirms the budget is *currently* burning.
+    pub const FAST_EPOCHS: usize = 5;
+    /// Slow window in epochs: confirms the burn is sustained rather than
+    /// a one-epoch blip.
+    pub const SLOW_EPOCHS: usize = 60;
+    /// Page severity fires when both windows burn the error budget at
+    /// ≥ this multiple of the sustainable rate (the objective per epoch).
+    pub const PAGE_FACTOR: f64 = 10.0;
+    /// Ticket severity fires when both windows burn at ≥ this multiple.
+    /// Strictly above 1.0: with both windows required, any alert then
+    /// implies at least one epoch exceeded the objective, which is what
+    /// makes burn-rate alert precision structural.
+    pub const TICKET_FACTOR: f64 = 2.0;
+
+    /// New alerter over the per-epoch error objective (the `SloPolicy`'s
+    /// `miss_ratio_max`).
+    pub fn new(objective: f64) -> Self {
         BurnRateAlerter {
             objective: objective.max(f64::EPSILON),
-            fast,
-            slow,
-            page_factor,
-            ticket_factor,
-            ring: vec![0.0; slow],
+            ring: vec![0.0; Self::SLOW_EPOCHS],
             head: 0,
             page_firing: false,
             ticket_firing: false,
         }
-    }
-
-    /// New alerter wired to a policy's burn knobs (objective =
-    /// `miss_ratio_max`).
-    pub fn from_policy(policy: &SloPolicy) -> Self {
-        Self::new(
-            policy.miss_ratio_max,
-            policy.burn_fast_epochs as usize,
-            policy.burn_slow_epochs as usize,
-            policy.burn_page_factor,
-            policy.burn_ticket_factor,
-        )
     }
 
     fn window_mean(&self, len: usize) -> f64 {
@@ -673,10 +660,10 @@ impl BurnRateAlerter {
     ) -> (BurnState, Option<BurnAlert>) {
         self.ring[self.head] = error_ratio.max(0.0);
         self.head = (self.head + 1) % self.ring.len();
-        let burn_fast = self.window_mean(self.fast) / self.objective;
-        let burn_slow = self.window_mean(self.slow) / self.objective;
-        let page = burn_fast >= self.page_factor && burn_slow >= self.page_factor;
-        let ticket = burn_fast >= self.ticket_factor && burn_slow >= self.ticket_factor;
+        let burn_fast = self.window_mean(Self::FAST_EPOCHS) / self.objective;
+        let burn_slow = self.window_mean(Self::SLOW_EPOCHS) / self.objective;
+        let page = burn_fast >= Self::PAGE_FACTOR && burn_slow >= Self::PAGE_FACTOR;
+        let ticket = burn_fast >= Self::TICKET_FACTOR && burn_slow >= Self::TICKET_FACTOR;
         let mut alert = None;
         if page && !self.page_firing {
             alert = Some(BurnSeverity::Page);
@@ -693,8 +680,8 @@ impl BurnRateAlerter {
         };
         let alert = alert.map(|severity| {
             let factor = match severity {
-                BurnSeverity::Page => self.page_factor,
-                BurnSeverity::Ticket => self.ticket_factor,
+                BurnSeverity::Page => Self::PAGE_FACTOR,
+                BurnSeverity::Ticket => Self::TICKET_FACTOR,
             };
             if pran_telemetry::trace::enabled() {
                 pran_telemetry::trace::sim_event(
@@ -724,16 +711,6 @@ impl BurnRateAlerter {
     /// The per-epoch error objective.
     pub fn objective(&self) -> f64 {
         self.objective
-    }
-
-    /// `(fast, slow)` window lengths in epochs.
-    pub fn windows(&self) -> (usize, usize) {
-        (self.fast, self.slow)
-    }
-
-    /// `(page, ticket)` burn factors.
-    pub fn factors(&self) -> (f64, f64) {
-        (self.page_factor, self.ticket_factor)
     }
 }
 
@@ -1049,7 +1026,7 @@ mod tests {
     #[test]
     fn burn_rules_fire_on_sustained_breach_only() {
         // objective 0.01, fast 5, slow 60, page 10×, ticket 2×.
-        let mut b = BurnRateAlerter::new(0.01, 5, 60, 10.0, 2.0);
+        let mut b = BurnRateAlerter::new(0.01);
         // 40 healthy epochs: nothing fires.
         for e in 0..40 {
             let (state, alert) = b.observe(e, e * 1000, 0.0);
@@ -1090,18 +1067,19 @@ mod tests {
 
     #[test]
     fn burn_alerts_are_edge_triggered_and_precise() {
-        let mut b = BurnRateAlerter::new(0.01, 5, 10, 10.0, 2.0);
+        let mut b = BurnRateAlerter::new(0.01);
         let mut alerts = 0;
         for e in 0..20 {
             if b.observe(e, 0, 0.5).1.is_some() {
                 alerts += 1;
             }
         }
-        // One ticket edge + one page edge, not one per epoch.
+        // One ticket edge (epoch 2) + one page edge (epoch 11, once the
+        // slow window's mean reaches 10×), not one per epoch.
         assert_eq!(alerts, 2);
         // Precision structure: error ratios that never exceed the
         // objective can never alert (burn ≤ 1 < ticket factor).
-        let mut quiet = BurnRateAlerter::new(0.01, 5, 10, 10.0, 2.0);
+        let mut quiet = BurnRateAlerter::new(0.01);
         for e in 0..200 {
             let (state, alert) = quiet.observe(e, 0, 0.009);
             assert!(alert.is_none());
@@ -1111,10 +1089,8 @@ mod tests {
 
     #[test]
     fn policy_wiring_and_recovery_rearm() {
-        let policy = SloPolicy::default_eval();
-        let mut b = BurnRateAlerter::from_policy(&policy);
-        assert_eq!(b.windows(), (5, 60));
-        assert_eq!(b.factors(), (10.0, 2.0));
+        let policy = crate::slo::SloPolicy::default_eval();
+        let mut b = BurnRateAlerter::new(policy.miss_ratio_max);
         assert!((b.objective() - 0.01).abs() < 1e-12);
         // Breach → recover → breach again re-alerts (edge per incident).
         let mut edges = 0;

@@ -62,8 +62,9 @@ impl SloMetric {
     }
 }
 
-/// Per-metric alert thresholds, their hysteresis band, and the burn-rate
-/// windows.
+/// Per-metric alert thresholds and their hysteresis band. The burn-rate
+/// windows and factors are constants of
+/// [`BurnRateAlerter`](crate::live::BurnRateAlerter).
 ///
 /// This is the one safety envelope: `pran-chaos`'s invariant checker
 /// judges its outage and miss-ratio bounds too (`outage_p99_max`,
@@ -92,22 +93,6 @@ pub struct SloPolicy {
     /// `trigger_ratio` for hysteresis (fewer flapping re-alerts); 1.0
     /// (default) clears at the plain threshold.
     pub clear_ratio: f64,
-    /// Fast burn-rate window in epochs (see
-    /// [`BurnRateAlerter`](crate::live::BurnRateAlerter)): the short
-    /// window that confirms the budget is *currently* burning.
-    pub burn_fast_epochs: u64,
-    /// Slow burn-rate window in epochs: the long window that confirms
-    /// the burn is sustained rather than a one-epoch blip.
-    pub burn_slow_epochs: u64,
-    /// Page severity fires when both windows burn the error budget at
-    /// ≥ this multiple of the sustainable rate (`miss_ratio_max` per
-    /// epoch).
-    pub burn_page_factor: f64,
-    /// Ticket severity fires when both windows burn at ≥ this multiple.
-    /// Keep strictly above 1.0: with both windows required, any alert
-    /// then implies at least one epoch exceeded `miss_ratio_max`, which
-    /// is what makes burn-rate alert precision structural.
-    pub burn_ticket_factor: f64,
 }
 
 impl SloPolicy {
@@ -123,10 +108,6 @@ impl SloPolicy {
             unplaced_max: 0,
             trigger_ratio: 1.0,
             clear_ratio: 1.0,
-            burn_fast_epochs: 5,
-            burn_slow_epochs: 60,
-            burn_page_factor: 10.0,
-            burn_ticket_factor: 2.0,
         }
     }
 
@@ -150,9 +131,10 @@ impl Default for SloPolicy {
 }
 
 /// [`SloPolicy`] as it is read: configs serialized before the
-/// hysteresis ratios (or the burn-rate windows) existed still parse,
-/// absent fields being their [`SloPolicy::default_eval`] values, and the
-/// smoothing factor older versions wrote is skipped as an unknown key.
+/// hysteresis ratios existed still parse, absent ratios being their
+/// [`SloPolicy::default_eval`] values, and the keys older versions wrote
+/// (the smoothing factor, the four burn-rate knobs) are skipped as
+/// unknown keys.
 #[derive(Deserialize)]
 struct SloPolicyWire {
     miss_ratio_max: f64,
@@ -162,10 +144,6 @@ struct SloPolicyWire {
     unplaced_max: u64,
     trigger_ratio: Option<f64>,
     clear_ratio: Option<f64>,
-    burn_fast_epochs: Option<u64>,
-    burn_slow_epochs: Option<u64>,
-    burn_page_factor: Option<f64>,
-    burn_ticket_factor: Option<f64>,
 }
 
 impl Deserialize for SloPolicy {
@@ -180,12 +158,6 @@ impl Deserialize for SloPolicy {
             unplaced_max: wire.unplaced_max,
             trigger_ratio: wire.trigger_ratio.unwrap_or(default.trigger_ratio),
             clear_ratio: wire.clear_ratio.unwrap_or(default.clear_ratio),
-            burn_fast_epochs: wire.burn_fast_epochs.unwrap_or(default.burn_fast_epochs),
-            burn_slow_epochs: wire.burn_slow_epochs.unwrap_or(default.burn_slow_epochs),
-            burn_page_factor: wire.burn_page_factor.unwrap_or(default.burn_page_factor),
-            burn_ticket_factor: wire
-                .burn_ticket_factor
-                .unwrap_or(default.burn_ticket_factor),
         })
     }
 }
@@ -468,10 +440,6 @@ mod tests {
         let p: SloPolicy = serde_json::from_str(json).unwrap();
         assert_eq!(p.trigger_ratio, 1.0);
         assert_eq!(p.clear_ratio, 1.0);
-        assert_eq!(p.burn_fast_epochs, 5);
-        assert_eq!(p.burn_slow_epochs, 60);
-        assert_eq!(p.burn_page_factor, 10.0);
-        assert_eq!(p.burn_ticket_factor, 2.0);
         assert!((p.miss_ratio_max - 0.02).abs() < 1e-12);
     }
 

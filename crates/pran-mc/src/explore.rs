@@ -453,7 +453,6 @@ mod tests {
             semantics,
             depth,
             mix: OpMix::default(),
-            max_down: 1,
             churn_extra: 0,
             conformance: Conformance::Every,
         })
@@ -512,7 +511,6 @@ mod tests {
             semantics: ViewSemantics::Linearizable,
             depth: 6,
             mix: OpMix::default(),
-            max_down: 1,
             churn_extra: 0,
             conformance: Conformance::Off,
         });
@@ -682,7 +680,6 @@ mod tests {
             semantics: ViewSemantics::Linearizable,
             depth: 3,
             mix: OpMix::default(),
-            max_down: 1,
             churn_extra: 0,
             conformance: Conformance::Off,
         };

@@ -171,10 +171,6 @@ pub struct McConfig {
     pub depth: usize,
     /// Which operations the explorer generates.
     pub mix: OpMix,
-    /// Ceiling on *physically* down servers at any instant — the solvable
-    /// envelope under which invariants are expected to hold (mirrors the
-    /// chaos sampler's "at most two unrecovered crashes" rule).
-    pub max_down: usize,
     /// Extra cells `Register` may add beyond the initial `cells` (churn
     /// configurations only).
     pub churn_extra: usize,
@@ -183,6 +179,11 @@ pub struct McConfig {
 }
 
 impl McConfig {
+    /// Ceiling on *physically* down servers at any instant — the solvable
+    /// envelope under which invariants are expected to hold (mirrors the
+    /// chaos sampler's "at most two unrecovered crashes" rule).
+    pub const MAX_DOWN: usize = 1;
+
     /// The E17 headline instance: 4 cells on 3 servers, two report
     /// levels, depth 6, at most one server down, full conformance.
     ///
@@ -199,7 +200,6 @@ impl McConfig {
             semantics: ViewSemantics::Linearizable,
             depth: 6,
             mix: OpMix::default(),
-            max_down: 1,
             churn_extra: 0,
             conformance: Conformance::Every,
         }
@@ -226,7 +226,6 @@ impl McConfig {
                 churn: true,
                 ..OpMix::default()
             },
-            max_down: 1,
             churn_extra: 2,
             conformance: Conformance::Every,
         }
@@ -585,11 +584,11 @@ mod tests {
     fn headline_envelope_is_solvable() {
         // The linearizable headline claim needs the instance to be
         // feasible in the worst case the op mix can reach: every cell at
-        // the top level, `max_down` servers dead.
+        // the top level, `MAX_DOWN` servers dead.
         let model = Model::new(McConfig::headline());
         let cfg = model.config();
         let top = *model.demand_table().last().unwrap();
-        let live = cfg.servers - cfg.max_down;
+        let live = cfg.servers - McConfig::MAX_DOWN;
         assert!(
             top * 2.0 <= model.capacity,
             "two top-level cells per server must fit: {} × 2 > {}",

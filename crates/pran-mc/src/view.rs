@@ -9,7 +9,7 @@
 //! interleaving the semantics allows, so any schedule in which staleness
 //! breaks an invariant is found, not sampled.
 
-use crate::model::{Model, Operation, StateView};
+use crate::model::{McConfig, Model, Operation, StateView};
 
 /// How the controller's liveness view relates to physical truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,7 +68,7 @@ impl Model {
     /// * `Report` skips the cell's current level (a same-level report
     ///   changes neither `last` nor `peak` — a provable no-op on the
     ///   abstract state, so enumerating it only burns depth).
-    /// * `Fail` respects [`McConfig::max_down`](crate::McConfig): the
+    /// * `Fail` respects [`McConfig::MAX_DOWN`]: the
     ///   envelope is only claimed inside the solvable regime.
     /// * `Migrate` targets believed-alive servers other than the cell's
     ///   current host (the only requests the controller could accept).
@@ -97,7 +97,7 @@ impl Model {
         let down = state.truth.iter().filter(|&&alive| !alive).count();
         for server in 0..state.truth.len() {
             if state.truth[server] {
-                if down < cfg.max_down {
+                if down < McConfig::MAX_DOWN {
                     ops.push(Operation::Fail { server });
                 }
             } else {
@@ -139,7 +139,6 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::McConfig;
 
     #[test]
     fn overdue_notice_forces_delivery() {
@@ -170,7 +169,7 @@ mod tests {
 
     #[test]
     fn fail_is_gated_by_max_down() {
-        let model = Model::new(McConfig::headline()); // max_down = 1
+        let model = Model::new(McConfig::headline()); // MAX_DOWN = 1
         let mut state = model.initial_state();
         assert!(model
             .enabled_ops(&state)

@@ -6,7 +6,7 @@
 //! same derive. Each type's `Default` is the empty value every route
 //! serves before the first epoch: the same keys, zeroed.
 
-use pran_insight::live::MetroFold;
+use pran_insight::live::{BurnRateAlerter, MetroFold};
 use pran_insight::slo::SloPolicy;
 use pran_sim::service::EpochRecord;
 use serde::{Deserialize, Serialize};
@@ -20,7 +20,7 @@ pub const SLO_SCHEMA: &str = "pran-slo/1";
 pub const TOPK_SCHEMA: &str = "pran-topk/1";
 
 /// `/slo` (`pran-slo/1`): the most recent epoch's error-budget burn
-/// state beside the policy knobs it was judged against.
+/// state beside the objective, windows and factors it was judged against.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SloDoc {
     /// [`SLO_SCHEMA`].
@@ -54,18 +54,18 @@ pub struct SloDoc {
 /// [`SloDoc::windows`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SloWindows {
-    /// [`SloPolicy::burn_fast_epochs`].
+    /// [`BurnRateAlerter::FAST_EPOCHS`].
     pub fast_epochs: u64,
-    /// [`SloPolicy::burn_slow_epochs`].
+    /// [`BurnRateAlerter::SLOW_EPOCHS`].
     pub slow_epochs: u64,
 }
 
 /// [`SloDoc::factors`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SloFactors {
-    /// [`SloPolicy::burn_page_factor`].
+    /// [`BurnRateAlerter::PAGE_FACTOR`].
     pub page: f64,
-    /// [`SloPolicy::burn_ticket_factor`].
+    /// [`BurnRateAlerter::TICKET_FACTOR`].
     pub ticket: f64,
 }
 
@@ -82,12 +82,12 @@ impl SloDoc {
             epoch: rec.epoch,
             objective: policy.miss_ratio_max,
             windows: SloWindows {
-                fast_epochs: policy.burn_fast_epochs,
-                slow_epochs: policy.burn_slow_epochs,
+                fast_epochs: BurnRateAlerter::FAST_EPOCHS as u64,
+                slow_epochs: BurnRateAlerter::SLOW_EPOCHS as u64,
             },
             factors: SloFactors {
-                page: policy.burn_page_factor,
-                ticket: policy.burn_ticket_factor,
+                page: BurnRateAlerter::PAGE_FACTOR,
+                ticket: BurnRateAlerter::TICKET_FACTOR,
             },
             burn_fast: rec.burn_fast,
             burn_slow: rec.burn_slow,

@@ -11,7 +11,7 @@
 //!   (`pran-topk/1`) documents;
 //! - [`phases`] — self-profiling of the epoch loop
 //!   (ingest / dispatch / execute / merge / telemetry wall-clock
-//!   histograms and the measured telemetry share);
+//!   histograms);
 //! - [`http`] — a dependency-free scrape endpoint over `std::net`:
 //!   `GET /metrics` (OpenMetrics, `# EOF`-terminated), `/healthz`,
 //!   `/recorder`, `/slo` and `/topk`, answering from immutable per-epoch

@@ -93,17 +93,6 @@ impl PhaseProfiler {
     pub fn total_us(&self) -> u64 {
         self.hist.iter().map(|h| h.sum().as_micros() as u64).sum()
     }
-
-    /// Fraction of total epoch wall time spent in the telemetry phase,
-    /// in percent (0 when nothing is recorded yet).
-    pub fn telemetry_share_pct(&self) -> f64 {
-        let total = self.total_us();
-        if total == 0 {
-            return 0.0;
-        }
-        let telem = self.histogram(Phase::Telemetry).sum().as_micros() as u64;
-        100.0 * telem as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -121,7 +110,6 @@ mod tests {
         assert_eq!(p.histogram(Phase::Execute).count(), 2);
         assert_eq!(p.histogram(Phase::Dispatch).count(), 0);
         assert_eq!(p.total_us(), 3 + 40 + 50 + 7);
-        assert!((p.telemetry_share_pct() - 7.0).abs() < 1e-9);
     }
 
     #[test]

@@ -56,9 +56,10 @@ pub struct SoakConfig {
     /// records (alerts, violations), drained every epoch, and counts a
     /// drop for each one past this bound.
     pub live_ring_capacity: usize,
-    /// How many worst cells / links / servers `/topk` reports.
-    pub topk: usize,
 }
+
+/// How many worst cells / links / servers `/topk` reports.
+const TOPK: usize = 10;
 
 impl Default for SoakConfig {
     fn default() -> Self {
@@ -68,7 +69,6 @@ impl Default for SoakConfig {
             dump_prefix: "soak".to_string(),
             live_insight: false,
             live_ring_capacity: 1 << 16,
-            topk: 10,
         }
     }
 }
@@ -312,7 +312,7 @@ impl SoakRunner {
                     *ring_events,
                     pran_telemetry::live::dropped(),
                     rec.epoch,
-                    self.cfg.topk,
+                    TOPK,
                 ),
                 // Live insight off: serve the empty document rather than
                 // dropping the route.

@@ -24,9 +24,6 @@ pub const SUBCARRIERS_PER_PRB: u32 = 12;
 /// Subcarrier spacing in Hz (LTE numerology).
 const SUBCARRIER_SPACING_HZ: f64 = 15_000.0;
 
-/// Resource elements per PRB per subframe (before control/RS overhead).
-pub const RE_PER_PRB: u32 = SYMBOLS_PER_SUBFRAME * SUBCARRIERS_PER_PRB;
-
 /// The LTE HARQ processing budget: ACK/NACK is due 4 subframes after
 /// reception, of which ~1 ms is propagation/transmission, leaving roughly
 /// 3 ms and, once fronthaul transport is accounted, ~2 ms of compute budget.
@@ -71,23 +68,6 @@ impl Bandwidth {
     #[inline]
     pub fn prbs_at(self, utilization: f64) -> u32 {
         (f64::from(self.prbs()) * utilization.clamp(0.0, 1.0)).round() as u32
-    }
-
-    /// Nominal channel bandwidth in Hz.
-    pub fn hz(self) -> f64 {
-        match self {
-            Bandwidth::Mhz1_4 => 1.4e6,
-            Bandwidth::Mhz3 => 3e6,
-            Bandwidth::Mhz5 => 5e6,
-            Bandwidth::Mhz10 => 10e6,
-            Bandwidth::Mhz15 => 15e6,
-            Bandwidth::Mhz20 => 20e6,
-        }
-    }
-
-    /// Occupied (transmission) bandwidth: PRBs × 12 × 15 kHz.
-    pub fn occupied_hz(self) -> f64 {
-        f64::from(self.prbs() * SUBCARRIERS_PER_PRB) * SUBCARRIER_SPACING_HZ
     }
 
     /// FFT size used for OFDM processing at this bandwidth.
@@ -160,11 +140,6 @@ impl Tti {
     pub fn start_time(self) -> Duration {
         TTI * self.0 as u32
     }
-
-    /// Absolute deadline for HARQ-constrained processing of this TTI.
-    pub fn harq_deadline(self) -> Duration {
-        self.start_time() + TTI + HARQ_DEADLINE
-    }
 }
 
 impl fmt::Display for Tti {
@@ -216,11 +191,6 @@ impl PrbAllocation {
     /// One PRB past the end.
     pub fn end(self) -> u32 {
         self.start + self.count
-    }
-
-    /// Whether two allocations share any PRB.
-    pub fn overlaps(self, other: PrbAllocation) -> bool {
-        self.start < other.end() && other.start < self.end()
     }
 
     /// Whether the allocation fits within a bandwidth's grid.
@@ -279,15 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn occupied_bandwidth_below_nominal() {
-        for bw in Bandwidth::all() {
-            assert!(bw.occupied_hz() <= bw.hz(), "{bw}");
-            // ...but uses most of it (>75%).
-            assert!(bw.occupied_hz() > 0.75 * bw.hz(), "{bw}");
-        }
-    }
-
-    #[test]
     fn sample_rate_matches_lte_numerology() {
         // 20 MHz LTE is famously 30.72 Msps.
         assert_eq!(Bandwidth::Mhz20.sample_rate(), 30_720_000.0);
@@ -304,18 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn harq_deadline_is_tti_plus_budget() {
-        let t = Tti(10);
-        assert_eq!(t.harq_deadline(), Duration::from_millis(10 + 1 + 3));
-    }
-
-    #[test]
     fn prb_allocation_overlap() {
         let a = PrbAllocation::new(0, 10);
-        let b = PrbAllocation::new(9, 5);
-        let c = PrbAllocation::new(10, 5);
-        assert!(a.overlaps(b));
-        assert!(!a.overlaps(c));
         assert!(a.fits(Bandwidth::Mhz5));
         assert!(!PrbAllocation::new(95, 10).fits(Bandwidth::Mhz20));
     }

@@ -101,7 +101,6 @@ pub fn admit_exact(
         max_nodes: 30_000,
         time_limit: budget,
         initial: Some(initial),
-        ..BnbConfig::default()
     };
     let result = solve_ilp(&m, &config);
     match &result.solution {

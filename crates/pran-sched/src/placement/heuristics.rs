@@ -3,8 +3,7 @@
 //! Classic decreasing-order packing with fronthaul filtering. Best fit
 //! finds each cell's server through an index of the open servers,
 //! O(cells log cells + servers log servers + cells · log servers) for a
-//! whole solve on a shared mask; first and worst fit scan,
-//! O(cells × servers). Either way a solve is polynomial where the ILP is
+//! whole solve on a shared mask; first fit scans, O(cells × servers). Either way a solve is polynomial where the ILP is
 //! exponential — the trade PRAN's control plane makes at the fast
 //! timescale — at the cost of occasionally opening an extra server (E5
 //! measures how often).
@@ -19,19 +18,12 @@ pub enum Heuristic {
     FirstFitDecreasing,
     /// Best-fit decreasing: open server leaving the least residual room.
     BestFitDecreasing,
-    /// Worst-fit decreasing: open server leaving the most residual room
-    /// (spreads load; useful before expected growth).
-    WorstFitDecreasing,
 }
 
 impl Heuristic {
     /// All heuristics.
-    pub fn all() -> [Heuristic; 3] {
-        [
-            Heuristic::FirstFitDecreasing,
-            Heuristic::BestFitDecreasing,
-            Heuristic::WorstFitDecreasing,
-        ]
+    pub fn all() -> [Heuristic; 2] {
+        [Heuristic::FirstFitDecreasing, Heuristic::BestFitDecreasing]
     }
 
     /// Short label for tables.
@@ -39,7 +31,6 @@ impl Heuristic {
         match self {
             Heuristic::FirstFitDecreasing => "FFD",
             Heuristic::BestFitDecreasing => "BFD",
-            Heuristic::WorstFitDecreasing => "WFD",
         }
     }
 }
@@ -97,8 +88,8 @@ pub(crate) fn decreasing_order(instance: &PlacementInstance) -> Vec<usize> {
 /// servers by residual room per class of identical specs
 /// (`migration::FitIndex`): O(cells log cells + servers log servers) to
 /// sort, then O(log servers) per cell and class, plus the walk past
-/// servers a per-cell mask or a decode share rules out. First and worst
-/// fit scan every server for every cell, O(cells × servers).
+/// servers a per-cell mask or a decode share rules out. First fit scans
+/// every server for every cell, O(cells × servers).
 pub fn place(instance: &PlacementInstance, heuristic: Heuristic) -> HeuristicResult {
     let span = pran_telemetry::trace::span("sched.place");
     let (result, _) = match heuristic {
@@ -265,7 +256,7 @@ fn best_fit_decreasing(instance: &PlacementInstance, stop_at: usize) -> (Heurist
     (result, stopped)
 }
 
-/// First, best or worst fit by scanning every server in [`open_order`]
+/// First or best fit by scanning every server in [`open_order`]
 /// for every cell. Production best fit goes through
 /// [`best_fit_decreasing`]; this scan's best fit is the oracle its tests
 /// hold it to.
@@ -317,18 +308,6 @@ fn scan(instance: &PlacementInstance, heuristic: Heuristic) -> HeuristicResult {
                         let need_b = instance.servers[b].load_of(&demand).general;
                         (residual[a] - need_a)
                             .partial_cmp(&(residual[b] - need_b))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    }),
-                // Worst-fit considers the whole pool (an untouched server
-                // has maximal residual), so it spreads load rather than
-                // packing.
-                Heuristic::WorstFitDecreasing => open_order
-                    .iter()
-                    .copied()
-                    .filter(|&s| admit(s))
-                    .max_by(|&a, &b| {
-                        residual[a]
-                            .partial_cmp(&residual[b])
                             .unwrap_or(std::cmp::Ordering::Equal)
                     }),
             }
@@ -397,11 +376,7 @@ mod tests {
             let r = place(&inst, h);
             assert!(r.complete(), "{} left cells unplaced", h.label());
             assert!(inst.validate(&r.placement).is_ok(), "{} invalid", h.label());
-        }
-        // FFD/BFD guarantee: ≤ 11/9·OPT + 1; check against the L1 bound.
-        // (WFD spreads deliberately, so no such bound applies.)
-        for h in [Heuristic::FirstFitDecreasing, Heuristic::BestFitDecreasing] {
-            let r = place(&inst, h);
+            // FFD/BFD guarantee: ≤ 11/9·OPT + 1; check against the L1 bound.
             let used = inst.servers_used(&r.placement);
             let lb = inst.lower_bound_servers();
             assert!(
@@ -410,15 +385,6 @@ mod tests {
                 h.label()
             );
         }
-    }
-
-    #[test]
-    fn worst_fit_spreads_load() {
-        let inst = PlacementInstance::uniform(&[30.0, 30.0], 2, 100.0);
-        let wfd = place(&inst, Heuristic::WorstFitDecreasing);
-        assert_eq!(inst.servers_used(&wfd.placement), 2, "WFD should spread");
-        let ffd = place(&inst, Heuristic::FirstFitDecreasing);
-        assert_eq!(inst.servers_used(&ffd.placement), 1, "FFD should pack");
     }
 
     #[test]

@@ -1080,7 +1080,7 @@ mod tests {
                     .filter(|&c| assignment[c] == Some(s))
                     .map(|c| spec.load_of(&cells[c]).general)
                     .sum();
-                let room = spec.capacity_gops * (1.0 + 1e-9) - held;
+                let room = spec.capacity_gops * (1.0 + ServerSpec::FIT_TOLERANCE) - held;
                 let mut gops = room.max(0.0);
                 for _ in 0..rng.gen_range(0..4u32) {
                     gops = if rng.gen_bool(0.5) {

@@ -119,6 +119,10 @@ pub struct ServerLoad {
 }
 
 impl ServerSpec {
+    /// The relative tolerance of every capacity test: a load fits up to
+    /// `capacity · (1 + FIT_TOLERANCE)`.
+    pub const FIT_TOLERANCE: f64 = 1e-9;
+
     /// A plain (unaccelerated) server.
     pub fn plain(id: usize, capacity_gops: f64, cost: f64) -> Self {
         ServerSpec {
@@ -140,7 +144,7 @@ impl ServerSpec {
     /// — the repack layer then migrates cells off servers that validate
     /// fine, churning on float dust.
     pub fn fits(&self, load: f64) -> bool {
-        load <= self.capacity_gops * (1.0 + 1e-9)
+        load <= self.capacity_gops * (1.0 + Self::FIT_TOLERANCE)
     }
 
     /// Whether a decode load fits the accelerator, with the same relative
@@ -149,7 +153,7 @@ impl ServerSpec {
     /// (see [`ServerSpec::load_of`]), so this holds trivially for them.
     pub fn fits_decode(&self, decode_load: f64) -> bool {
         let cap = self.accelerator.map_or(0.0, |a| a.decode_capacity_gops);
-        decode_load <= cap * (1.0 + 1e-9)
+        decode_load <= cap * (1.0 + Self::FIT_TOLERANCE)
     }
 
     /// Whether a two-resource load fits both capacities.

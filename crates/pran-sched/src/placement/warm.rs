@@ -64,7 +64,7 @@ use serde::{Deserialize, Serialize};
 
 use super::heuristics::{place, place_bfd_below, Heuristic};
 use super::migration::{diff, repack, MigrationPlan};
-use super::{Placement, PlacementInstance};
+use super::{Placement, PlacementInstance, ServerSpec};
 
 /// Multiplicative server-count gap the warm placer is documented (and
 /// property-tested) to stay within, relative to a cold-start
@@ -349,10 +349,11 @@ impl WarmPlacer {
 }
 
 /// A lower bound on the servers any placement of `instance` loads,
-/// `⌈Σ general load / max capacity⌉`, each cell counted at the least
-/// general load a server of the pool takes from it: its whole demand on
-/// a plain pool, its demand less its decode share once any server is
-/// accelerated.
+/// `⌈Σ general load / (max capacity · (1 + FIT_TOLERANCE))⌉` — the most a
+/// server admits is [`ServerSpec::fits`]'s bound, not its raw capacity —
+/// each cell counted at the least general load a server of the pool
+/// takes from it: its whole demand on a plain pool, its demand less its
+/// decode share once any server is accelerated.
 fn cold_floor(instance: &PlacementInstance) -> usize {
     let max_capacity = instance
         .servers
@@ -372,7 +373,7 @@ fn cold_floor(instance: &PlacementInstance) -> usize {
         })
         .sum();
     if max_capacity > 0.0 {
-        (total_general / max_capacity).ceil() as usize
+        (total_general / (max_capacity * (1.0 + ServerSpec::FIT_TOLERANCE))).ceil() as usize
     } else {
         0
     }
@@ -385,6 +386,20 @@ mod tests {
 
     fn uniform(demands: &[f64], servers: usize, capacity: f64) -> PlacementInstance {
         PlacementInstance::uniform(demands, servers, capacity)
+    }
+
+    #[test]
+    fn floor_counts_the_tolerance_fits_admits() {
+        // Each cell sits just past the capacity but inside `fits`'s
+        // tolerance, so best fit gives each its own server: 3. Dividing
+        // the total by the raw capacity would floor it at 4.
+        let cap = 100.0;
+        let inst = uniform(&[cap * (1.0 + 5e-10); 3], 4, cap);
+        let cold = place(&inst, Heuristic::BestFitDecreasing);
+        assert!(cold.complete());
+        let cold = inst.servers_used(&cold.placement);
+        assert_eq!(cold, 3);
+        assert!(cold_floor(&inst) <= cold, "floor {}", cold_floor(&inst));
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl ResidentMetro {
                 ResidentShard::new(s as u64, pool_cfg, &trace_cfg)
             })
             .collect();
-        let burn = BurnRateAlerter::from_policy(&policy);
+        let burn = BurnRateAlerter::new(policy.miss_ratio_max);
         Ok(ResidentMetro {
             config,
             epoch: 0,

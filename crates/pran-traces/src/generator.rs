@@ -89,13 +89,13 @@ impl ClassMix {
     }
 }
 
-/// Generator configuration.
+/// Generator configuration. Cells sit uniformly on a 10 km square, and
+/// the per-cell noise is fixed (σ 0.05, AR(1) coefficient 0.9; see
+/// [`TraceStream`](crate::TraceStream)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceConfig {
     /// Number of cells.
     pub num_cells: usize,
-    /// Side of the square deployment area, meters.
-    pub area_side_m: f64,
     /// Sampling step, seconds.
     pub step_seconds: f64,
     /// Trace duration, seconds.
@@ -106,16 +106,8 @@ pub struct TraceConfig {
     pub peak_utilization: (f64, f64),
     /// Std-dev of the shared regional factor (multiplicative, around 1).
     pub regional_sigma: f64,
-    /// Std-dev of per-cell idiosyncratic noise (additive utilization).
-    pub cell_noise_sigma: f64,
-    /// AR(1) smoothing coefficient for both noise processes, `[0, 1)`.
-    pub noise_smoothing: f64,
     /// Flash-crowd events to inject.
     pub flash_crowds: Vec<FlashCrowd>,
-    /// Weekend damping: multiplier applied to office/transport cells (and
-    /// its complement boost to residential/entertainment) on days 5 and 6
-    /// of each week. 1.0 disables weekly seasonality.
-    pub weekend_factor: f64,
     /// RNG seed — traces are fully reproducible.
     pub seed: u64,
 }
@@ -125,16 +117,12 @@ impl TraceConfig {
     pub fn default_day(num_cells: usize, seed: u64) -> Self {
         TraceConfig {
             num_cells,
-            area_side_m: 10_000.0,
             step_seconds: 60.0,
             duration_seconds: 24.0 * 3600.0,
             class_mix: ClassMix::urban(),
             peak_utilization: (0.5, 1.0),
             regional_sigma: 0.08,
-            cell_noise_sigma: 0.05,
-            noise_smoothing: 0.9,
             flash_crowds: Vec::new(),
-            weekend_factor: 1.0,
             seed,
         }
     }
@@ -292,7 +280,6 @@ mod tests {
             transport: 0.0,
             entertainment: 0.0,
         };
-        cfg.cell_noise_sigma = 0.0;
         cfg.regional_sigma = 0.0;
         let t = generate(&cfg);
         let agg = t.aggregate_series();
@@ -302,55 +289,22 @@ mod tests {
     }
 
     #[test]
-    fn weekend_empties_offices_and_boosts_homes() {
-        let mut cfg = TraceConfig::default_day(8, 31);
-        cfg.duration_seconds = 7.0 * 86_400.0; // a full week
-        cfg.step_seconds = 3600.0;
-        cfg.weekend_factor = 0.3;
-        cfg.cell_noise_sigma = 0.0;
-        cfg.regional_sigma = 0.0;
-        cfg.class_mix = ClassMix {
-            residential: 0.5,
-            office: 0.5,
-            transport: 0.0,
-            entertainment: 0.0,
-        };
-        let t = generate(&cfg);
-        // Compare Wednesday (day 2) noon vs Saturday (day 5) noon.
-        let wed = (2 * 24 + 12) as usize;
-        let sat = (5 * 24 + 12) as usize;
-        let office_cells: Vec<usize> = t
-            .cells
-            .iter()
-            .filter(|c| c.class == CellClass::Office)
-            .map(|c| c.id)
-            .collect();
-        let res_cells: Vec<usize> = t
-            .cells
-            .iter()
-            .filter(|c| c.class == CellClass::Residential)
-            .map(|c| c.id)
-            .collect();
-        assert!(!office_cells.is_empty() && !res_cells.is_empty());
-        let avg = |step: usize, ids: &[usize]| {
-            ids.iter().map(|&c| t.samples[step][c]).sum::<f64>() / ids.len() as f64
-        };
-        assert!(
-            avg(sat, &office_cells) < 0.5 * avg(wed, &office_cells),
-            "offices must empty out on Saturday"
+    fn config_with_retired_keys_generates_the_default_day() {
+        // Written while the area, the cell noise and weekly seasonality
+        // were settable: their keys are skipped, and the rows are the
+        // default day's to the bit.
+        let day = TraceConfig::default_day(5, 77);
+        let text = serde_json::to_string(&day).unwrap();
+        let retired = format!(
+            r#"{},"area_side_m":10000.0,"cell_noise_sigma":0.05,"noise_smoothing":0.9,"weekend_factor":1.0}}"#,
+            &text[..text.len() - 1]
         );
-        assert!(
-            avg(sat, &res_cells) > avg(wed, &res_cells),
-            "homes must pick up weekend load"
-        );
-    }
-
-    #[test]
-    fn weekly_seasonality_off_by_default() {
-        let a = generate(&TraceConfig::default_day(5, 77));
-        let mut cfg = TraceConfig::default_day(5, 77);
-        cfg.weekend_factor = 1.0;
-        let b = generate(&cfg);
+        let read: TraceConfig = serde_json::from_str(&retired).unwrap();
+        assert_eq!(read, day);
+        let (a, b) = (generate(&read), generate(&day));
+        for (x, y) in a.samples.iter().flatten().zip(b.samples.iter().flatten()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
         assert_eq!(a, b);
     }
 
@@ -364,7 +318,6 @@ mod tests {
             entertainment: 0.0,
         };
         cfg.regional_sigma = 0.25;
-        cfg.cell_noise_sigma = 0.02;
         let t = generate(&cfg);
         assert!(t.correlation(0, 1) > 0.5, "corr {}", t.correlation(0, 1));
     }

@@ -7,8 +7,8 @@
 //! front. `generate` itself is a thin wrapper over this type, which is what
 //! keeps the two paths from drifting.
 //!
-//! The diurnal/weekly envelopes depend only on wall-clock time, so a stream
-//! can run arbitrarily far past `cfg.duration_seconds`; the duration only
+//! The diurnal envelope depends only on wall-clock time, so a stream can
+//! run arbitrarily far past `cfg.duration_seconds`; the duration only
 //! matters to the batch wrapper.
 
 use rand::rngs::SmallRng;
@@ -17,6 +17,15 @@ use rand::{Rng, SeedableRng};
 use crate::diurnal::{CellClass, DiurnalProfile};
 use crate::generator::TraceConfig;
 use crate::trace::{CellMeta, Point};
+
+/// Side of the square deployment area, meters.
+const AREA_SIDE_M: f64 = 10_000.0;
+
+/// Std-dev of per-cell idiosyncratic noise (additive utilization).
+const CELL_NOISE_SIGMA: f64 = 0.05;
+
+/// AR(1) smoothing coefficient for both noise processes, `[0, 1)`.
+const NOISE_SMOOTHING: f64 = 0.9;
 
 const CLASSES: [CellClass; 4] = [
     CellClass::Residential,
@@ -61,8 +70,8 @@ impl TraceStream {
             .map(|id| {
                 let class = cfg.class_mix.pick(rng.gen::<f64>());
                 let position = Point {
-                    x: rng.gen_range(0.0..cfg.area_side_m),
-                    y: rng.gen_range(0.0..cfg.area_side_m),
+                    x: rng.gen_range(0.0..AREA_SIDE_M),
+                    y: rng.gen_range(0.0..AREA_SIDE_M),
                 };
                 let peak_utilization =
                     rng.gen_range(cfg.peak_utilization.0..=cfg.peak_utilization.1);
@@ -121,42 +130,26 @@ impl TraceStream {
     /// Allocation-free once `row` has capacity for `num_cells` values.
     pub fn next_step_into(&mut self, row: &mut Vec<f64>) {
         let cfg = &self.cfg;
-        let a = cfg.noise_smoothing;
+        let a = NOISE_SMOOTHING;
         let innov_scale = (1.0 - a * a).sqrt();
 
         let t_s = self.step as f64 * cfg.step_seconds;
         let hour = (t_s / 3600.0) % 24.0;
-        let day = ((t_s / 86_400.0) as u64) % 7;
-        let weekend = day >= 5;
         self.regional =
             a * self.regional + innov_scale * cfg.regional_sigma * standard_normal(&mut self.rng);
         let regional_factor = (1.0 + self.regional).max(0.0);
 
         let mut envelope_at: [f64; 4] = [0.0; 4];
-        let mut weekly_of: [f64; 4] = [1.0; 4];
-        for (k, &class) in CLASSES.iter().enumerate() {
-            envelope_at[k] = self.class_profiles[k].at(hour);
-            // Weekly seasonality: offices/commutes empty out on weekends,
-            // homes and venues pick up part of the slack.
-            weekly_of[k] = if weekend && cfg.weekend_factor != 1.0 {
-                match class {
-                    CellClass::Office | CellClass::Transport => cfg.weekend_factor,
-                    CellClass::Residential | CellClass::Entertainment => {
-                        1.0 + (1.0 - cfg.weekend_factor) * 0.5
-                    }
-                }
-            } else {
-                1.0
-            };
+        for (k, profile) in self.class_profiles.iter().enumerate() {
+            envelope_at[k] = profile.at(hour);
         }
 
         row.clear();
         row.reserve(self.cells.len());
         for (c, meta) in self.cells.iter().enumerate() {
             self.cell_noise[c] = a * self.cell_noise[c]
-                + innov_scale * cfg.cell_noise_sigma * standard_normal(&mut self.rng);
-            let k = self.class_of[c];
-            let envelope = envelope_at[k] * meta.peak_utilization * weekly_of[k];
+                + innov_scale * CELL_NOISE_SIGMA * standard_normal(&mut self.rng);
+            let envelope = envelope_at[self.class_of[c]] * meta.peak_utilization;
             let crowd: f64 = cfg
                 .flash_crowds
                 .iter()
@@ -177,7 +170,6 @@ mod tests {
     #[test]
     fn stream_matches_batch_generator_bit_exactly() {
         let mut cfg = TraceConfig::default_day(24, 91);
-        cfg.weekend_factor = 0.4;
         cfg.duration_seconds = 2.0 * 86_400.0;
         cfg.flash_crowds.push(crate::FlashCrowd {
             epicenter: Point {

@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use pran::fronthaul::{CpriConfig, FronthaulPath, FunctionalSplit};
+use pran::fronthaul::{cpri, FronthaulPath, FunctionalSplit};
 use pran::phy::frame::{AntennaConfig, Bandwidth};
 use pran::phy::mcs::Mcs;
 
@@ -28,13 +28,11 @@ fn main() {
     println!("carrier: {bw}, MCS {} ({})", mcs.index(), mcs.modulation());
 
     // CPRI reference rates per option.
-    let cpri = CpriConfig::standard();
     println!("\n== CPRI line rates (load-independent) ==");
     println!("{:>9} | {:>12} | option", "antennas", "rate");
     for antennas in [1u32, 2, 4, 8] {
-        let rate = cpri.line_rate_bps(bw, antennas);
-        let opt = cpri
-            .required_option(bw, antennas)
+        let rate = cpri::line_rate_bps(bw, antennas);
+        let opt = cpri::required_option(bw, antennas)
             .map(|o| format!("{o:?}"))
             .unwrap_or_else(|| "beyond option 10".into());
         println!("{antennas:>9} | {:>9.3} Gb/s | {opt}", rate / 1e9);

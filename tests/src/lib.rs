@@ -2,8 +2,9 @@
 
 /// `fixtures/controller_snapshot_v1.json` as the controller writes it
 /// back today: its config carries five sections `SystemConfig` no longer
-/// has (`pool.cores`, `scheduler`, `parallel`, `telemetry`, `metro`), one
-/// `SloPolicy` field (`slo.ewma_alpha`) and the two bounds the `chaos`
+/// has (`pool.cores`, `scheduler`, `parallel`, `telemetry`, `metro`), five
+/// `SloPolicy` fields (`slo.ewma_alpha` and the four burn-rate knobs, now
+/// constants of `BurnRateAlerter`) and the two bounds the `chaos`
 /// section held before `slo` became their one home (`outage_bound`,
 /// `miss_ratio_bound`), all read by nothing, which the reader steps over
 /// and the writer leaves out. Everything else is the fixture's bytes.
@@ -17,6 +18,7 @@ pub fn v1_snapshot_written_back() -> String {
         r#""telemetry":{"enabled":false,"clock":"SimOnly","buffer_events":8192},"#,
         r#""metro":null,"#,
         r#""ewma_alpha":0.3,"#,
+        r#","burn_fast_epochs":5,"burn_slow_epochs":60,"burn_page_factor":10.0,"burn_ticket_factor":2.0"#,
         r#""outage_bound":{"secs":0,"nanos":200000000},"#,
         r#""miss_ratio_bound":0.01,"#,
     ] {

@@ -118,8 +118,11 @@ fn chaos_harness_surfaces_slo_alerts_alongside_violations() {
     // One stressed scenario: zero outage tolerance, the one bound the
     // chaos invariant and the SLO monitor both read, so a crash that
     // charges any outage is a violation the monitor must also alert on.
-    let cfg = pran_chaos::ExploreConfig::default_eval(24, 0xE14);
-    let mut sys = pran::SystemConfig::default_eval(cfg.servers);
+    let cfg = pran_chaos::ExploreConfig {
+        schedules: 24,
+        seed: 0xE14,
+    };
+    let mut sys = pran::SystemConfig::default_eval(pran_chaos::ExploreConfig::SERVERS);
     sys.slo.reports_lost_max = u64::MAX;
     sys.slo.outage_p99_max = Duration::ZERO;
     let reports: Vec<_> = (0..cfg.schedules)

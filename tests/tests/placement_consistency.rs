@@ -57,7 +57,11 @@ fn ilp_never_worse_than_any_heuristic() {
 fn migration_diff_reconstructs_target() {
     let inst = random_instance(12, 77);
     let a = place(&inst, Heuristic::FirstFitDecreasing).placement;
-    let b = place(&inst, Heuristic::WorstFitDecreasing).placement;
+    // Every placed cell one server along: each is a move.
+    let mut b = a.clone();
+    for s in b.assignment.iter_mut().flatten() {
+        *s = (*s + 1) % inst.servers.len();
+    }
     let plan = diff(&a, &b);
     // Applying the plan to `a` yields `b` (for cells the plan covers).
     let mut rebuilt = a.clone();
