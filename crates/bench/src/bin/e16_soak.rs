@@ -143,10 +143,6 @@ fn main() -> ExitCode {
     }
     let scrape_mean_us = scrape_us.iter().sum::<f64>() / scrapes as f64;
     let scrape_max_us = scrape_us.iter().fold(0.0f64, |a, &b| a.max(b));
-    println!(
-        "{scrapes} scrapes: mean {scrape_mean_us:.0} µs, max {scrape_max_us:.0} µs, \
-         {metrics_bytes} bytes, EOF ok: {eof_ok}"
-    );
 
     // --- phase 3: self-profiled epoch phases (where an epoch's wall
     // time goes; saved as the `phases` host section) ---

@@ -101,10 +101,7 @@ fn main() -> ExitCode {
     let mut gains_ok = true;
     for (mi, mix) in MIXES.iter().enumerate() {
         for (fi, &fraction) in fractions.iter().enumerate() {
-            let accel = (fraction > 0.0).then(|| PoolAccel {
-                fraction,
-                ..PoolAccel::default_eval()
-            });
+            let accel = (fraction > 0.0).then_some(PoolAccel { fraction });
             let report = run_metro(cells, shards, seed, mix_plan(mix, cells), accel, true);
             let m = &report.metrics;
             let gain = report.sharding_gain();
@@ -164,10 +161,6 @@ fn main() -> ExitCode {
     let default_json = serde_json::to_string(&default_report).unwrap();
     let differential_ok = explicit_json == default_json;
 
-    println!(
-        "\nchecks: bytes_monotone={bytes_monotone} bytes_accel_invariant={bytes_accel_invariant} \
-         demand_monotone={demand_monotone} gains_ok={gains_ok} full_split_differential={differential_ok}"
-    );
     println!(
         "\nshape check: each step up the split ladder divides the fronthaul\n\
          bytes (~32 B/TTI at Full down to ~3 B/TTI at SplitIII) and shaves\n\

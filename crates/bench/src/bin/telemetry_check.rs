@@ -7,7 +7,8 @@
 //! Two artifact families, dispatched by extension:
 //!
 //! * `*.jsonl` — exporter traces: every line must conform to the event
-//!   schema (all kinds, including `chaos.violation` and `insight.alert`);
+//!   schema (all kinds, including `chaos.violation`, `insight.alert` and
+//!   `insight.burn_alert`);
 //!   with `--require-subframes`, at least one validated trace must carry
 //!   `subframe` events to reconstruct a latency breakdown from.
 //! * `*.json` — structured documents: a first read of the `schema` tag
@@ -24,7 +25,7 @@
 //!
 //! Exits non-zero when any file is missing or violates its schema. CI's
 //! `results` job runs this over the three committed traces and the E16
-//! recorder dump, and the three hostile fixtures (which must fail); the
+//! recorder dump, and the four hostile fixtures (which must fail); the
 //! `soak-smoke` job over a live `/slo`, `/topk` and triggered dump.
 
 use bench::{Envelope, REPORT_SCHEMA};

@@ -137,11 +137,7 @@ mod tests {
             FunctionalSplit::SplitII,
             FunctionalSplit::SplitIII,
         ]);
-        c.accel = Some(PoolAccel {
-            fraction: 0.25,
-            decode_capacity_gops: 60.0,
-            decode_speedup: 3.0,
-        });
+        c.accel = Some(PoolAccel { fraction: 0.25 });
         let json = serde_json::to_string(&c).unwrap();
         let back: SystemConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, c);
@@ -152,6 +148,31 @@ mod tests {
         assert_eq!(v["split"].as_str(), Some("SplitII"));
         let back: SystemConfig = serde_json::from_str(&v.to_json_string()).unwrap();
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn config_with_retired_keys_parses() {
+        // Configs written while the failover's replan and migration
+        // prices and the accelerator profile were settable carry four
+        // keys nothing reads now; they must decode, the keys skipped, to
+        // the one outage and the one profile.
+        let mut c = SystemConfig::default_eval(4);
+        c.accel = Some(PoolAccel::default_eval());
+        let json = serde_json::to_string(&c).unwrap();
+        let old = json
+            .replace(
+                r#""detection_delay":{"secs":0,"nanos":20000000}"#,
+                r#""detection_delay":{"secs":0,"nanos":20000000},"replan_overhead":{"secs":0,"nanos":5000000},"migration_time_per_cell":{"secs":0,"nanos":25000000}"#,
+            )
+            .replace(
+                r#""fraction":0.5"#,
+                r#""fraction":0.5,"decode_capacity_gops":60.0,"decode_speedup":3.0"#,
+            );
+        assert!(old.contains("migration_time_per_cell") && old.contains("decode_speedup"));
+        let back: SystemConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(back.chaos.outage(), Duration::from_millis(50));
+        assert_eq!(back, c);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

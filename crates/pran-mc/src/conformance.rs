@@ -33,7 +33,7 @@ use std::thread;
 use std::time::Duration;
 
 use pran::apps::FailoverApp;
-use pran::{Action, Controller};
+use pran::Controller;
 use pran_chaos::restore_drill;
 
 use crate::explore::Tree;
@@ -54,8 +54,6 @@ pub enum Conformance {
 /// Returns a description of the first divergence, if any.
 ///
 /// Step-level checks:
-/// * `Migrate` — accept/reject verdicts must match
-///   ([`Model::mirror_migrate`] vs `Controller::apply_action`);
 /// * `Drill` — a [`restore_drill`]: the restored view must equal the
 ///   pre-snapshot view, and the replay *continues on the restored
 ///   controller* so any restore drift would surface in the final
@@ -145,19 +143,6 @@ fn step(
             } else {
                 ctl.server_failed(notice.server, now)
                     .map_err(|e| format!("step {i} deliver-fail: {e}"))?;
-            }
-        }
-        Operation::Migrate { cell, to } => {
-            let concrete = ctl.apply_action(Action::Migrate { cell, to }).is_ok();
-            let abstract_ok = {
-                let mut probe = state.clone();
-                model.mirror_migrate(&mut probe, cell, to)
-            };
-            if concrete != abstract_ok {
-                return Err(format!(
-                    "step {i} migrate(c{cell}→s{to}): controller said {concrete}, \
-                     model said {abstract_ok}"
-                ));
             }
         }
         Operation::Drill => {
@@ -409,11 +394,14 @@ mod tests {
     }
 
     /// Two top-level cells filling a server to `capacity·(1 + 5e-10)` are
-    /// within `ServerSpec::fits`' relative tolerance, which the
-    /// controller's `Migrate` admits by, though far past an absolute
-    /// `1e-9` slack: the model must admit the move back onto `s0` too.
+    /// within `ServerSpec::fits`' relative tolerance, though far past an
+    /// absolute `1e-9` slack. The epoch's repack packs them onto one
+    /// server, and its failover must conform. The failover app admits a
+    /// move only under `capacity` itself, so no enumerated operation takes
+    /// [`Model::mirror_migrate`] past it: the moves that do are held to
+    /// `Controller::apply_action`'s verdict here, off a packed state.
     #[test]
-    fn migrate_at_the_fit_boundary_conforms() {
+    fn failover_and_moves_at_the_fit_boundary_conform() {
         let top = *Model::new(McConfig::headline())
             .demand_table()
             .last()
@@ -422,13 +410,28 @@ mod tests {
         cfg.sys.pool.capacity_gops = 2.0 * top / (1.0 + 5e-10);
         assert!(2.0 * top > cfg.sys.pool.capacity_gops + 1e-9);
         let model = Model::new(cfg);
-        let path = vec![
+        let packed = [
             Operation::Report { cell: 0, level: 1 },
             Operation::Report { cell: 1, level: 1 },
             Operation::Epoch,
-            Operation::Migrate { cell: 1, to: 1 },
-            Operation::Migrate { cell: 1, to: 0 },
         ];
-        replay_path(&model, &path).expect("the model must admit what the controller admits");
+        let (mut ctl, mut state) = reach(&model, &packed).unwrap();
+        let host = state.placement[0].expect("cell 0 placed");
+        assert_eq!(state.placement[1], Some(host), "packed to the boundary");
+        let failover = [&packed[..], &[Operation::Fail { server: host }]].concat();
+        replay_path(&model, &failover).expect("the failover off the packed server must conform");
+
+        let other = (host + 1) % model.config().servers;
+        for to in [other, host] {
+            let concrete = ctl
+                .apply_action(pran::Action::Migrate { cell: 1, to })
+                .is_ok();
+            assert!(concrete, "the controller admits c1→s{to}");
+            assert!(
+                model.mirror_migrate(&mut state, 1, to),
+                "the model must admit c1→s{to} as the controller does"
+            );
+            compare_views(&model, &ctl, &state, &packed).unwrap();
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! bit-for-bit the artifact the reproduction ran.
 //!
 //! One abstraction gap is unavoidable: `run_scenario` feeds cell load
-//! from its seeded trace, so `Report` operations (and the churn/migrate
+//! from its seeded trace, so `Report` operations (and the churn
 //! operations the harness has no events for) are dropped — demand comes
 //! from the trace instead, and the harness's placement may pack cells
 //! onto different servers than the abstract path did. To absorb that,
@@ -79,10 +79,7 @@ pub fn to_scenario(model: &Model, path: &[Operation], name: &str) -> Scenario {
             Operation::Drill => Some(ChaosEvent::SnapshotRestore { corrupt: false }),
             // Demand and membership come from the harness's trace; these
             // have no scenario-level representation.
-            Operation::Report { .. }
-            | Operation::Migrate { .. }
-            | Operation::Register
-            | Operation::Deregister { .. } => None,
+            Operation::Report { .. } | Operation::Register | Operation::Deregister { .. } => None,
         };
         if let Some(event) = event {
             events.push(TimedEvent { at, event });

@@ -407,7 +407,7 @@ mod tests {
     use super::*;
     use crate::conformance::replay_path;
     use crate::model::{McCell, McConfig};
-    use crate::view::{OpMix, ViewSemantics};
+    use crate::view::ViewSemantics;
     use pran::SystemConfig;
 
     /// The key oracle: `state`'s encoding under `perm`, into a fresh
@@ -452,7 +452,6 @@ mod tests {
             levels: vec![0.5],
             semantics,
             depth,
-            mix: OpMix::default(),
             churn_extra: 0,
             conformance: Conformance::Every,
         })
@@ -510,7 +509,6 @@ mod tests {
             levels: vec![0.5],
             semantics: ViewSemantics::Linearizable,
             depth: 6,
-            mix: OpMix::default(),
             churn_extra: 0,
             conformance: Conformance::Off,
         });
@@ -679,7 +677,6 @@ mod tests {
             levels: vec![0.5],
             semantics: ViewSemantics::Linearizable,
             depth: 3,
-            mix: OpMix::default(),
             churn_extra: 0,
             conformance: Conformance::Off,
         };

@@ -54,4 +54,4 @@ pub use conformance::{replay_path, Conformance};
 pub use counterexample::{emit_reproducing, to_scenario, Reproduction};
 pub use explore::{explore, McReport, McViolation};
 pub use model::{McCell, McConfig, Model, Notice, Operation, StateView, StepOutcome};
-pub use view::{OpMix, ViewSemantics};
+pub use view::ViewSemantics;

@@ -5,8 +5,9 @@
 //! projection of it. Wherever the concrete controller makes a decision
 //! that affects observable state, the model either calls the same code
 //! (`incremental_repack` for epochs, [`FailoverApp`] for crash response)
-//! or mirrors the implementation line for line (the `Migrate` validation
-//! in [`Model::mirror_migrate`]). Demands are precomputed through the
+//! or mirrors the implementation line for line (the validation of the
+//! failover app's `Migrate` actions in [`Model::mirror_migrate`]).
+//! Demands are precomputed through the
 //! `ComputeModel::cell_gops_bidirectional` call the controller's
 //! prediction makes, so every `f64` the model compares is *bitwise* equal
 //! to the controller's and the conformance layer can use exact equality.
@@ -29,7 +30,7 @@ use pran_sched::placement::{
 };
 
 use crate::conformance::Conformance;
-use crate::view::{OpMix, ViewSemantics};
+use crate::view::ViewSemantics;
 
 /// One abstract controller action. Each variant maps onto exactly one
 /// concrete entry point of `pran::Controller` (or, for [`Operation::Fail`]
@@ -62,13 +63,6 @@ pub enum Operation {
     /// only): the point where the controller's belief catches up with one
     /// unit of physical truth.
     Deliver,
-    /// An operator/app migration request: `Controller::apply_action`.
-    Migrate {
-        /// The cell to move.
-        cell: usize,
-        /// Destination server.
-        to: usize,
-    },
     /// A snapshot/restore drill: abstractly the identity, concretely the
     /// chaos harness's `pran_chaos::restore_drill`, which the conformance
     /// layer runs (the restore-fidelity invariant).
@@ -90,7 +84,6 @@ impl std::fmt::Display for Operation {
             Operation::Fail { server } => write!(f, "fail(s{server})"),
             Operation::Recover { server } => write!(f, "recover(s{server})"),
             Operation::Deliver => write!(f, "deliver"),
-            Operation::Migrate { cell, to } => write!(f, "migrate(c{cell}→s{to})"),
             Operation::Drill => write!(f, "drill"),
             Operation::Register => write!(f, "register"),
             Operation::Deregister { cell } => write!(f, "deregister(c{cell})"),
@@ -150,7 +143,7 @@ pub struct StepOutcome {
 }
 
 /// Shape of one model-checking run: deployment, demand alphabet, view
-/// semantics, exploration depth and operation mix.
+/// semantics, exploration depth and churn.
 #[derive(Debug, Clone)]
 pub struct McConfig {
     /// The system configuration the concrete controller runs with. Must
@@ -169,10 +162,8 @@ pub struct McConfig {
     /// [`pran::PREDICT_WINDOW`] so the `(last, peak)` history summary
     /// stays exact.
     pub depth: usize,
-    /// Which operations the explorer generates.
-    pub mix: OpMix,
-    /// Extra cells `Register` may add beyond the initial `cells` (churn
-    /// configurations only).
+    /// Extra cells `Register` may add beyond the initial `cells`. Churn
+    /// (`Register` / `Deregister`) is enumerated iff this is non-zero.
     pub churn_extra: usize,
     /// Whether the conformance layer checks the discovered states.
     pub conformance: Conformance,
@@ -199,7 +190,6 @@ impl McConfig {
             levels: vec![0.25, 0.5],
             semantics: ViewSemantics::Linearizable,
             depth: 6,
-            mix: OpMix::default(),
             churn_extra: 0,
             conformance: Conformance::Every,
         }
@@ -222,10 +212,6 @@ impl McConfig {
             levels: vec![0.5],
             semantics: ViewSemantics::Linearizable,
             depth: 5,
-            mix: OpMix {
-                churn: true,
-                ..OpMix::default()
-            },
             churn_extra: 2,
             conformance: Conformance::Every,
         }
@@ -553,9 +539,6 @@ impl Model {
                     outages = self.deliver_fail(&mut next, notice.server);
                 }
             }
-            Operation::Migrate { cell, to } => {
-                self.mirror_migrate(&mut next, cell, to);
-            }
             // Abstractly the identity; the conformance layer performs the
             // concrete snapshot → serialize → restore round-trip.
             Operation::Drill => {}
@@ -583,8 +566,8 @@ mod tests {
     #[test]
     fn headline_envelope_is_solvable() {
         // The linearizable headline claim needs the instance to be
-        // feasible in the worst case the op mix can reach: every cell at
-        // the top level, `MAX_DOWN` servers dead.
+        // feasible in the worst case the enumerated operations reach:
+        // every cell at the top level, `MAX_DOWN` servers dead.
         let model = Model::new(McConfig::headline());
         let cfg = model.config();
         let top = *model.demand_table().last().unwrap();

@@ -36,29 +36,6 @@ impl ViewSemantics {
     }
 }
 
-/// Which operation families the explorer generates. Reports, epochs,
-/// failures/recoveries and (under stale semantics) deliveries are always
-/// on; the optional families widen the space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpMix {
-    /// Explicit operator `Migrate` requests (beyond the failover app's).
-    pub migrations: bool,
-    /// Snapshot/restore drills (concrete work happens in conformance).
-    pub drills: bool,
-    /// Cell register/deregister churn.
-    pub churn: bool,
-}
-
-impl Default for OpMix {
-    fn default() -> Self {
-        OpMix {
-            migrations: false,
-            drills: true,
-            churn: false,
-        }
-    }
-}
-
 impl Model {
     /// Every operation enabled in `state` under the configured semantics.
     ///
@@ -70,8 +47,8 @@ impl Model {
     ///   abstract state, so enumerating it only burns depth).
     /// * `Fail` respects [`McConfig::MAX_DOWN`]: the
     ///   envelope is only claimed inside the solvable regime.
-    /// * `Migrate` targets believed-alive servers other than the cell's
-    ///   current host (the only requests the controller could accept).
+    /// * `Drill` is always enabled; `Register` / `Deregister` churn only
+    ///   when [`McConfig::churn_extra`] lets cells register.
     pub fn enabled_ops(&self, state: &StateView) -> Vec<Operation> {
         let cfg = self.config();
         if let ViewSemantics::Stale { k } = cfg.semantics {
@@ -107,22 +84,8 @@ impl Model {
         if matches!(cfg.semantics, ViewSemantics::Stale { .. }) && !state.pending.is_empty() {
             ops.push(Operation::Deliver);
         }
-        if cfg.mix.migrations {
-            for (cell, c) in state.cells.iter().enumerate() {
-                if !c.active {
-                    continue;
-                }
-                for to in 0..state.believed.len() {
-                    if state.believed[to] && state.placement[cell] != Some(to) {
-                        ops.push(Operation::Migrate { cell, to });
-                    }
-                }
-            }
-        }
-        if cfg.mix.drills {
-            ops.push(Operation::Drill);
-        }
-        if cfg.mix.churn {
+        ops.push(Operation::Drill);
+        if cfg.churn_extra > 0 {
             if state.cells.len() < cfg.cells + cfg.churn_extra {
                 ops.push(Operation::Register);
             }

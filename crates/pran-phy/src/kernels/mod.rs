@@ -17,7 +17,7 @@ pub mod turbo;
 pub use crc::{Crc, CrcSpec, CRC16, CRC24A, CRC24B};
 pub use fft::{ofdm_demodulate, Complex, Fft, FftDirection};
 pub use modulation::{demodulate_llr, hard_decide, modulate};
-pub use rate_match::{effective_rate, rate_match, rate_recover};
+pub use rate_match::{rate_match, rate_recover};
 pub use scrambler::{scramble, GoldSequence};
 pub use turbo::{
     turbo_decode, turbo_decode_with_scale, turbo_encode, turbo_encode_with, Codeword, DecodeResult,

@@ -44,22 +44,6 @@ fn subblock_permutation(len: usize) -> Vec<usize> {
 /// Select `e` bits from the codeword's circular buffer (redundancy
 /// version 0 — selection starts at the buffer head, systematic-first).
 pub fn rate_match(cw: &Codeword, e: usize) -> Vec<u8> {
-    rate_match_rv(cw, e, 0)
-}
-
-/// Redundancy-version starting offset into the circular buffer, as a
-/// fraction of the buffer (LTE uses 4 RVs spaced a quarter apart).
-fn rv_offset(buffer_len: usize, rv: u8) -> usize {
-    (buffer_len * (rv as usize % 4)) / 4
-}
-
-/// Select `e` bits starting at redundancy version `rv`'s offset.
-///
-/// Different RVs expose different windows of the mother code, so HARQ
-/// retransmissions deliver *new* parity instead of repeating the first
-/// transmission — the incremental-redundancy gain measured in
-/// [`crate::harq`]'s tests.
-pub fn rate_match_rv(cw: &Codeword, e: usize, rv: u8) -> Vec<u8> {
     let section = cw.systematic.len();
     let perm = subblock_permutation(section);
     let mut buffer = Vec::with_capacity(3 * section + TAIL_BITS);
@@ -69,27 +53,18 @@ pub fn rate_match_rv(cw: &Codeword, e: usize, rv: u8) -> Vec<u8> {
         buffer.push(cw.parity2[i]);
     }
     buffer.extend_from_slice(&cw.systematic2_tail);
-    let start = rv_offset(buffer.len(), rv);
-    (0..e).map(|i| buffer[(start + i) % buffer.len()]).collect()
+    (0..e).map(|i| buffer[i % buffer.len()]).collect()
 }
 
 /// Receiver dual of [`rate_match`]: scatter `e` received LLRs back into a
 /// full-size soft codeword, accumulating repeats (soft combining) and
 /// leaving punctured positions at 0 (erasure).
 pub fn rate_recover(llrs: &[f64], k: usize) -> SoftCodeword {
-    rate_recover_rv(llrs, k, 0)
-}
-
-/// Receiver dual of [`rate_match_rv`]. For HARQ soft combining, call
-/// [`combine`] on the per-transmission recoveries instead of re-decoding
-/// each alone.
-pub fn rate_recover_rv(llrs: &[f64], k: usize, rv: u8) -> SoftCodeword {
     let section = k + TAIL_BITS;
     let buffer_len = 3 * section + TAIL_BITS;
-    let start = rv_offset(buffer_len, rv);
     let mut acc = vec![0.0f64; buffer_len];
     for (i, &l) in llrs.iter().enumerate() {
-        acc[(start + i) % buffer_len] += l;
+        acc[i % buffer_len] += l;
     }
     let perm = subblock_permutation(section);
     let systematic = acc[..section].to_vec();
@@ -106,36 +81,6 @@ pub fn rate_recover_rv(llrs: &[f64], k: usize, rv: u8) -> SoftCodeword {
         parity2,
         systematic2_tail: [t[0], t[1], t[2]],
     }
-}
-
-/// Soft-combine two recovered codewords (LLR addition — chase/IR
-/// combining at the mother-code level).
-///
-/// # Panics
-/// Panics if the shapes disagree (different `K`).
-pub fn combine(a: &SoftCodeword, b: &SoftCodeword) -> SoftCodeword {
-    assert_eq!(
-        a.systematic.len(),
-        b.systematic.len(),
-        "codeword size mismatch"
-    );
-    let add = |x: &[f64], y: &[f64]| -> Vec<f64> { x.iter().zip(y).map(|(p, q)| p + q).collect() };
-    SoftCodeword {
-        systematic: add(&a.systematic, &b.systematic),
-        parity1: add(&a.parity1, &b.parity1),
-        parity2: add(&a.parity2, &b.parity2),
-        systematic2_tail: [
-            a.systematic2_tail[0] + b.systematic2_tail[0],
-            a.systematic2_tail[1] + b.systematic2_tail[1],
-            a.systematic2_tail[2] + b.systematic2_tail[2],
-        ],
-    }
-}
-
-/// Effective code rate after matching `k` information bits into `e` coded
-/// bits.
-pub fn effective_rate(k: usize, e: usize) -> f64 {
-    k as f64 / e as f64
 }
 
 #[cfg(test)]
@@ -259,11 +204,5 @@ mod tests {
         let il = QppInterleaver::for_block_size(k).unwrap();
         let out = turbo_decode(&soft, &il, 6);
         assert_eq!(out.bits, msg);
-    }
-
-    #[test]
-    fn effective_rate_math() {
-        assert_eq!(effective_rate(100, 300), 1.0 / 3.0);
-        assert!(effective_rate(100, 120) > 0.8);
     }
 }

@@ -11,9 +11,7 @@
 //! * [`kernels`] — real DSP implementations (turbo codec, FFT, QAM, CRC,
 //!   rate matching, scrambling) used by the processing-time benchmarks;
 //! * [`pipeline`] — an executable uplink subframe chaining the kernels
-//!   end-to-end with per-stage timing;
-//! * [`harq`] — the retransmission protocol (redundancy versions, soft
-//!   combining) whose turnaround budget defines the real-time deadline.
+//!   end-to-end with per-stage timing.
 //!
 //! The analytic model and the executable kernels deliberately describe the
 //! same pipeline: experiments use the model for scale (hundreds of cells ×
@@ -24,7 +22,6 @@
 
 pub mod compute;
 pub mod frame;
-pub mod harq;
 pub mod kernels;
 pub mod mcs;
 pub mod pipeline;

@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use pran_phy::kernels::crc::{Crc, CRC24A, CRC24B};
 use pran_phy::kernels::fft::{Complex, Fft};
 use pran_phy::kernels::modulation::{demodulate_llr, hard_decide, modulate};
-use pran_phy::kernels::rate_match::{combine, rate_match_rv, rate_recover_rv};
 use pran_phy::kernels::scrambler::scramble;
 use pran_phy::kernels::turbo::{turbo_decode, turbo_encode, QppInterleaver, SoftCodeword};
 use pran_phy::mcs::Modulation;
@@ -98,61 +97,5 @@ proptest! {
         let soft = SoftCodeword::from_codeword(&cw, 4.0);
         let out = turbo_decode(&soft, &il, 6);
         prop_assert_eq!(out.bits, msg);
-    }
-
-    /// Any (e, rv) rate-match/recover pair reproduces exactly the selected
-    /// window positions and leaves the rest at zero.
-    #[test]
-    fn rate_match_rv_window_consistency(
-        e_frac in 0.2f64..2.0,
-        rv in 0u8..4,
-    ) {
-        let k = 64;
-        let msg: Vec<u8> = (0..k).map(|i| (i % 2) as u8).collect();
-        let cw = turbo_encode(&msg);
-        let total = cw.total_bits();
-        let e = ((total as f64 * e_frac) as usize).max(1);
-        let coded = rate_match_rv(&cw, e, rv);
-        prop_assert_eq!(coded.len(), e);
-        let llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
-        let soft = rate_recover_rv(&llrs, k, rv);
-        // Total accumulated magnitude equals the number of received bits.
-        let mass: f64 = soft.systematic.iter().map(|l| l.abs()).sum::<f64>()
-            + soft.parity1.iter().map(|l| l.abs()).sum::<f64>()
-            + soft.parity2.iter().map(|l| l.abs()).sum::<f64>()
-            + soft.systematic2_tail.iter().map(|l| l.abs()).sum::<f64>();
-        prop_assert!((mass - e as f64).abs() < 1e-9, "mass {mass} vs e {e}");
-        // And every nonzero position agrees in sign with the true bit.
-        let check = |bits: &[u8], llrs: &[f64]| -> bool {
-            bits.iter().zip(llrs).all(|(&b, &l)| l == 0.0 || (l > 0.0) == (b == 0))
-        };
-        prop_assert!(check(&cw.systematic, &soft.systematic));
-        prop_assert!(check(&cw.parity1, &soft.parity1));
-        prop_assert!(check(&cw.parity2, &soft.parity2));
-    }
-
-    /// Combining two disjoint-RV recoveries covers at least as much of the
-    /// buffer as either alone, and never contradicts the codeword.
-    #[test]
-    fn combining_is_monotone(e_frac in 0.3f64..0.9) {
-        let k = 64;
-        let msg: Vec<u8> = (0..k).map(|i| ((i * 5) % 2) as u8).collect();
-        let cw = turbo_encode(&msg);
-        let e = (cw.total_bits() as f64 * e_frac) as usize;
-        let mk = |rv: u8| {
-            let coded = rate_match_rv(&cw, e, rv);
-            let llrs: Vec<f64> =
-                coded.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
-            rate_recover_rv(&llrs, k, rv)
-        };
-        let a = mk(0);
-        let b = mk(2);
-        let both = combine(&a, &b);
-        let coverage = |s: &SoftCodeword| {
-            s.systematic.iter().filter(|&&l| l != 0.0).count()
-                + s.parity1.iter().filter(|&&l| l != 0.0).count()
-                + s.parity2.iter().filter(|&&l| l != 0.0).count()
-        };
-        prop_assert!(coverage(&both) >= coverage(&a).max(coverage(&b)));
     }
 }

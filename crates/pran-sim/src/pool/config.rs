@@ -91,31 +91,23 @@ impl Deserialize for SplitPlan {
 }
 
 /// Accelerated-server provisioning for a pool: the leading
-/// `round(servers × fraction)` servers carry a turbo-decode accelerator
-/// ([`Accelerator`]) whose capacity is accounted separately from general
-/// GOPS by the placement stack, and whose speedup shortens the decode
-/// share of service times on those servers.
+/// `round(servers × fraction)` servers carry the one turbo-decode
+/// accelerator profile, [`Accelerator::default_eval`], whose capacity is
+/// accounted separately from general GOPS by the placement stack, and
+/// whose speedup shortens the decode share of service times on those
+/// servers. Configs that still carry the profile's two old keys
+/// (`decode_capacity_gops`, `decode_speedup`) read, the keys skipped.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PoolAccel {
     /// Fraction of the pool's servers fitted with accelerators, in
     /// `[0, 1]`; servers `0..round(servers × fraction)` are accelerated.
     pub fraction: f64,
-    /// Turbo-decode capacity of each accelerator, GOPS.
-    pub decode_capacity_gops: f64,
-    /// How much faster decode work runs on the accelerator than on a
-    /// general core (≥ 1).
-    pub decode_speedup: f64,
 }
 
 impl PoolAccel {
-    /// Evaluation defaults: half the pool accelerated, matching the
-    /// placement stack's [`Accelerator::default_eval`] profile.
+    /// Evaluation defaults: half the pool accelerated.
     pub fn default_eval() -> Self {
-        PoolAccel {
-            fraction: 0.5,
-            decode_capacity_gops: 80.0,
-            decode_speedup: 4.0,
-        }
+        PoolAccel { fraction: 0.5 }
     }
 }
 
@@ -123,15 +115,21 @@ impl PoolAccel {
 /// is charged as its outage. The pool ([`PoolShard::fail_server`]), the
 /// chaos harness's control plane and `pran-mc`'s model all charge
 /// [`outage`](Self::outage).
+///
+/// Configs that still carry the two old keys `replan_overhead` and
+/// `migration_time_per_cell` read, the keys skipped: those prices are
+/// now the constants below.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FailoverTiming {
     /// Failure detection delay (heartbeat timeout).
     pub detection_delay: Duration,
-    /// Controller replanning overhead per failover.
-    pub replan_overhead: Duration,
-    /// State-transfer time per migrated cell.
-    pub migration_time_per_cell: Duration,
 }
+
+/// Controller replanning overhead per failover.
+const REPLAN_OVERHEAD: Duration = Duration::from_millis(5);
+
+/// State-transfer time per migrated cell.
+const MIGRATION_TIME_PER_CELL: Duration = Duration::from_millis(25);
 
 impl FailoverTiming {
     /// Evaluation defaults, the E8 timing model: 20 ms detection plus
@@ -139,15 +137,13 @@ impl FailoverTiming {
     pub fn default_eval() -> Self {
         FailoverTiming {
             detection_delay: Duration::from_millis(20),
-            replan_overhead: Duration::from_millis(5),
-            migration_time_per_cell: Duration::from_millis(25),
         }
     }
 
     /// Outage charged to one displaced cell the failover re-places:
     /// detection + replan + one migration.
     pub fn outage(&self) -> Duration {
-        self.detection_delay + self.replan_overhead + self.migration_time_per_cell
+        self.detection_delay + REPLAN_OVERHEAD + MIGRATION_TIME_PER_CELL
     }
 }
 
@@ -262,19 +258,15 @@ impl PoolConfig {
     }
 
     /// The placement-stack spec of server `id`: pool-wide capacity and
-    /// unit cost, plus the accelerator profile on accelerated servers.
+    /// unit cost, plus [`Accelerator::default_eval`] on accelerated servers.
     pub fn server_spec(&self, id: usize) -> ServerSpec {
         ServerSpec {
             id,
             capacity_gops: self.server_capacity_gops,
             cost: 1.0,
             accelerator: self
-                .accel
-                .filter(|_| self.server_is_accelerated(id))
-                .map(|a| Accelerator {
-                    decode_capacity_gops: a.decode_capacity_gops,
-                    decode_speedup: a.decode_speedup,
-                }),
+                .server_is_accelerated(id)
+                .then(Accelerator::default_eval),
         }
     }
 
@@ -319,12 +311,6 @@ impl PoolConfig {
         if let Some(a) = &self.accel {
             if !a.fraction.is_finite() || !(0.0..=1.0).contains(&a.fraction) {
                 return Err(PoolConfigError::BadAccelFraction(a.fraction));
-            }
-            if !a.decode_capacity_gops.is_finite() || a.decode_capacity_gops <= 0.0 {
-                return Err(PoolConfigError::BadAccelCapacity(a.decode_capacity_gops));
-            }
-            if !a.decode_speedup.is_finite() || a.decode_speedup < 1.0 {
-                return Err(PoolConfigError::BadAccelSpeedup(a.decode_speedup));
             }
         }
         Ok(())
@@ -376,10 +362,6 @@ pub enum PoolConfigError {
     BadWarmBand(f64),
     /// Accelerated-server fraction is outside `[0, 1]` or non-finite.
     BadAccelFraction(f64),
-    /// Accelerator decode capacity is non-finite or not positive.
-    BadAccelCapacity(f64),
-    /// Accelerator decode speedup is non-finite or below 1.
-    BadAccelSpeedup(f64),
     /// The trace's `step_seconds` is zero, negative, NaN or infinite, or
     /// too small or too large for an epoch to span a nonzero
     /// [`Duration`] and the run to fit in one.
@@ -415,15 +397,6 @@ impl std::fmt::Display for PoolConfigError {
             }
             PoolConfigError::BadAccelFraction(x) => {
                 write!(f, "accelerated-server fraction {x} must be within [0, 1]")
-            }
-            PoolConfigError::BadAccelCapacity(c) => {
-                write!(
-                    f,
-                    "accelerator decode capacity {c} GOPS must be finite and positive"
-                )
-            }
-            PoolConfigError::BadAccelSpeedup(s) => {
-                write!(f, "accelerator decode speedup {s} must be finite and ≥ 1")
             }
             PoolConfigError::BadStepSeconds(s) => {
                 write!(f, "trace step {s} s must be finite and positive")

@@ -64,7 +64,7 @@ impl PoolShard {
                     Duration::from_secs_f64(service_seconds(
                         &model,
                         &w,
-                        cfg.accel.filter(|_| cfg.server_is_accelerated(s)),
+                        cfg.server_is_accelerated(s),
                         core_gops,
                     ))
                 };

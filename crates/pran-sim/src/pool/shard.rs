@@ -20,33 +20,34 @@ use pran_phy::compute::{CellWorkload, ComputeModel, FunctionalSplit};
 use pran_phy::frame::{Direction, COMPUTE_DEADLINE, TTI};
 use pran_sched::placement::migration::incremental_repack;
 use pran_sched::placement::warm::WarmPlacer;
-use pran_sched::placement::{Allowed, CellDemand, Placement, PlacementInstance};
+use pran_sched::placement::{Accelerator, Allowed, CellDemand, Placement, PlacementInstance};
 use pran_sched::realtime::{
     dispatch_grid, simulate_into, BatchOutcome, GridOutcome, ParallelExecutor, ParallelOutcome,
     ParallelScratch, Policy, SimScratch, TaskBatch,
 };
 
-use super::config::{PoolAccel, PoolConfig, PoolConfigError, ANALYTIC_CORES};
+use super::config::{PoolConfig, PoolConfigError, ANALYTIC_CORES};
 use crate::metrics::PoolMetrics;
 
 /// Service seconds of one pooled cell-subframe on a server: every pooled
 /// GOP on general cores for plain servers, the turbo-decode share at
-/// `decode_speedup` on accelerated ones. With `accel == None` this is the
-/// exact pre-split expression (`gops × 1e-3 / core_gops`), which keeps
-/// homogeneous pools bit-identical.
+/// [`Accelerator::default_eval`]'s `decode_speedup` on accelerated ones.
+/// On a plain server this is the exact pre-split expression
+/// (`gops × 1e-3 / core_gops`), which keeps homogeneous pools
+/// bit-identical.
 pub(super) fn service_seconds(
     model: &ComputeModel,
     w: &CellWorkload,
-    accel: Option<PoolAccel>,
+    accelerated: bool,
     core_gops: f64,
 ) -> f64 {
-    match accel {
-        Some(a) => {
-            let pooled = model.pooled_gops(w);
-            let decode = model.pooled_decode_gops(w);
-            (pooled - decode) * 1e-3 / core_gops + decode * 1e-3 / (core_gops * a.decode_speedup)
-        }
-        None => model.pooled_gops(w) * 1e-3 / core_gops,
+    if accelerated {
+        let speedup = Accelerator::default_eval().decode_speedup;
+        let pooled = model.pooled_gops(w);
+        let decode = model.pooled_decode_gops(w);
+        (pooled - decode) * 1e-3 / core_gops + decode * 1e-3 / (core_gops * speedup)
+    } else {
+        model.pooled_gops(w) * 1e-3 / core_gops
     }
 }
 
@@ -133,10 +134,9 @@ impl HotBuffers {
         let classes = if accel_servers > 0 { 2 } else { 1 };
         let mut service_ns = Vec::with_capacity(classes * 3);
         for class in 0..classes {
-            let accel = (class == 1).then(|| cfg.accel.expect("class 1 implies accel"));
             service_ns.extend(by_split_and_prb(cfg, |split, prbs_used| {
                 let w = uplink_workload(cfg, prbs_used, split);
-                let secs = service_seconds(model, &w, accel, core_gops);
+                let secs = service_seconds(model, &w, class == 1, core_gops);
                 Duration::from_secs_f64(secs).as_nanos() as u64
             }));
         }

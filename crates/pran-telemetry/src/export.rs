@@ -302,6 +302,21 @@ fn check_event(event: &OwnedEvent) -> Result<(), String> {
             }
         }
     }
+    if event.name == "insight.burn_alert" {
+        let severity = event
+            .field_str("severity")
+            .ok_or("insight.burn_alert missing string `severity`")?;
+        if !["ticket", "page"].contains(&severity) {
+            return Err(format!(
+                "insight.burn_alert has unknown severity {severity:?}"
+            ));
+        }
+        for required in ["epoch", "burn_fast", "burn_slow", "factor"] {
+            if event.field_f64(required).is_none() {
+                return Err(format!("insight.burn_alert missing numeric {required:?}"));
+            }
+        }
+    }
     Ok(())
 }
 
@@ -315,7 +330,9 @@ fn check_event(event: &OwnedEvent) -> Result<(), String> {
 /// and `deadline_us`, finishing no earlier than their release);
 /// `chaos.violation` events carry a string `kind` naming one of the five
 /// chaos invariants; `insight.alert` events carry a string `metric` plus
-/// numeric `value` and `threshold`.
+/// numeric `value` and `threshold`; `insight.burn_alert` events carry a
+/// `severity` of `"ticket"` or `"page"` plus numeric `epoch`, `burn_fast`,
+/// `burn_slow` and `factor`.
 pub fn validate_jsonl(text: &str) -> Result<usize, String> {
     let mut count = 0usize;
     for_each_event(text, |event| {

@@ -4,10 +4,13 @@
 /// back today: its config carries five sections `SystemConfig` no longer
 /// has (`pool.cores`, `scheduler`, `parallel`, `telemetry`, `metro`), five
 /// `SloPolicy` fields (`slo.ewma_alpha` and the four burn-rate knobs, now
-/// constants of `BurnRateAlerter`) and the two bounds the `chaos`
-/// section held before `slo` became their one home (`outage_bound`,
-/// `miss_ratio_bound`), all read by nothing, which the reader steps over
-/// and the writer leaves out. Everything else is the fixture's bytes.
+/// constants of `BurnRateAlerter`), the two bounds the `chaos` section
+/// held before `slo` became their one home (`outage_bound`,
+/// `miss_ratio_bound`) and the two failover prices that are now constants
+/// beside `FailoverTiming::outage` (`replan_overhead`,
+/// `migration_time_per_cell`), all read by nothing, which the reader
+/// steps over and the writer leaves out. Everything else is the fixture's
+/// bytes.
 pub fn v1_snapshot_written_back() -> String {
     let mut text = include_str!("../fixtures/controller_snapshot_v1.json")
         .trim_end()
@@ -21,6 +24,7 @@ pub fn v1_snapshot_written_back() -> String {
         r#","burn_fast_epochs":5,"burn_slow_epochs":60,"burn_page_factor":10.0,"burn_ticket_factor":2.0"#,
         r#""outage_bound":{"secs":0,"nanos":200000000},"#,
         r#""miss_ratio_bound":0.01,"#,
+        r#","replan_overhead":{"secs":0,"nanos":5000000},"migration_time_per_cell":{"secs":0,"nanos":25000000}"#,
     ] {
         assert!(text.contains(unread), "the fixture moved: {unread}");
         text = text.replacen(unread, "", 1);

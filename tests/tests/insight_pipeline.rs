@@ -111,6 +111,41 @@ fn hostile_subframe_is_rejected_and_never_attributed() {
     assert!(attribution_table(&paths).contains("no deadline misses"));
 }
 
+/// A real burn-rate alerter's event validates; a line whose severity is
+/// neither `ticket` nor `page`, or that lost its `factor`, fails, naming
+/// the line. CI runs `telemetry_check` on the committed
+/// `hostile_burn_alert.jsonl` expecting a failure too.
+#[test]
+fn burn_alerts_are_validated_by_their_own_rule() {
+    let real = {
+        let _guard = TRACER.lock().unwrap();
+        pran_telemetry::configure(TelemetryConfig::sim());
+        let mut alerter = pran_insight::BurnRateAlerter::new(0.01);
+        let alert = (0..3).find_map(|e| alerter.observe(e, e * 1000, 0.5).1);
+        let events = pran_telemetry::trace::drain();
+        pran_telemetry::disable();
+        assert!(alert.is_some(), "a sustained breach must ticket");
+        export::to_jsonl(&events)
+    };
+    assert_eq!(export::validate_jsonl(&real), Ok(1), "{real}");
+    let good = real.trim_end();
+    assert!(good.contains(r#""name":"insight.burn_alert""#), "{good}");
+    let warn = good.replace(r#""severity":"ticket""#, r#""severity":"warn""#);
+    let factor_at = good
+        .find(r#","factor":"#)
+        .expect("the alert carries a factor");
+    let no_factor = format!("{}}}}}", &good[..factor_at]);
+    for bad in [warn, no_factor] {
+        assert_ne!(bad, good);
+        let err = export::validate_jsonl(&format!("{good}\n{bad}\n"))
+            .expect_err("the malformed burn alert must not validate");
+        assert!(err.starts_with("line 2: insight.burn_alert"), "{err}");
+    }
+    let hostile = include_str!("../fixtures/hostile_burn_alert.jsonl");
+    let err = export::validate_jsonl(hostile).expect_err("the hostile line must not validate");
+    assert!(err.starts_with("line 1: insight.burn_alert"), "{err}");
+}
+
 #[test]
 fn chaos_harness_surfaces_slo_alerts_alongside_violations() {
     let _guard = TRACER.lock().unwrap();
