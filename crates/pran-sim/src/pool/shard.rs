@@ -25,6 +25,7 @@ use pran_sched::realtime::{
     dispatch_grid, simulate_into, BatchOutcome, GridOutcome, ParallelExecutor, ParallelOutcome,
     ParallelScratch, Policy, SimScratch, TaskBatch,
 };
+use pran_telemetry::LogTally;
 
 use super::config::{PoolConfig, PoolConfigError, ANALYTIC_CORES};
 use crate::metrics::PoolMetrics;
@@ -430,9 +431,14 @@ impl PoolShard {
     ///   TTI that replays TTI 0 is folded with TTI 0's records, once, with
     ///   their multiplicity;
     /// * **batch** — jittered or lossy links (releases leave the grid):
-    ///   one row per delivered task through [`simulate_into`];
+    ///   one row per delivered task through [`simulate_into`], released
+    ///   at its TTI plus the whole nanoseconds of jitter `deliver` drew;
     /// * **executor** — `parallel` set: the rows go through the shard's
     ///   [`ParallelExecutor`].
+    ///
+    /// Every path folds its response and slack samples and its misses
+    /// into stack [`LogTally`]s and a counter, merged into `metrics` once
+    /// at the end: the state per-sample records would leave.
     ///
     /// While `pran_telemetry::live` is armed, every executed task is also
     /// recorded into [`live_fold`](Self::live_fold) — cell, server and
@@ -484,10 +490,17 @@ impl PoolShard {
             None
         };
         let on_grid = links.is_empty() && executor.is_none();
+        // A link whose bucket refills on the clock; on any other,
+        // `advance_to` does nothing.
+        let clocked = cfg
+            .fronthaul
+            .is_some_and(|lf| !lf.config.refill_interval.is_zero());
         let traced = pran_telemetry::enabled();
         let tasks_per_row = if on_grid { ttis as u64 } else { 1 };
         let cores = cfg.server_cores();
         let mut peak_depth = 0u64;
+        // Every arm folds its samples here, merged into `metrics` once.
+        let (mut response, mut slack, mut misses) = (LogTally::new(), LogTally::new(), 0u64);
         for (offset, row) in rows.iter().enumerate() {
             let step = first_step + offset;
             for b in batches.iter_mut() {
@@ -530,16 +543,18 @@ impl PoolShard {
                 // first; its bucket refills on absolute simulated time.
                 let frame_len = bytes_by_prb[split][prb];
                 let link = &mut links[cell];
+                metrics.fronthaul_bytes += (frame_len * ttis) as u64;
                 for tti in 0..ttis {
-                    link.advance_to(step_start + TTI * tti as u32);
-                    metrics.fronthaul_bytes += frame_len as u64;
+                    if clocked {
+                        link.advance_to(step_start + TTI * tti as u32);
+                    }
                     match link.deliver(frame_len) {
                         // Jitter delays arrival but the HARQ deadline
                         // stays pinned to the TTI, so jitter eats
                         // compute slack.
-                        Some(extra_delay) => batch.push(
+                        Some(extra_ns) => batch.push(
                             cell as u32,
-                            tti_release_ns[tti] + extra_delay.as_nanos() as u64,
+                            tti_release_ns[tti] + extra_ns,
                             tti_deadline_ns[tti],
                             service_ns,
                         ),
@@ -558,17 +573,15 @@ impl PoolShard {
                 match executor.as_ref() {
                     Some(ex) => {
                         ex.execute_batch_into(batch, par_scratch, par_out);
-                        metrics.deadline_misses += par_out.misses() as u64;
                         metrics.steals += par_out.steals;
                         for (r, &release_ns) in par_out.tasks.iter().zip(&batch.release_ns) {
                             // Both ends in the executor's whole-µs
                             // domain, where a task never finishes before
                             // its (truncated) release.
-                            metrics
-                                .response_times
-                                .record_us(r.finish.as_micros() as u64 - release_ns / 1_000);
+                            response.record_us(r.finish.as_micros() as u64 - release_ns / 1_000);
+                            misses += u64::from(r.missed);
                             if r.slack_us >= 0 {
-                                metrics.deadline_slack.record_us(r.slack_us as u64);
+                                slack.record_us(r.slack_us as u64);
                             }
                         }
                         if let Some(fold) = live.as_deref_mut() {
@@ -593,13 +606,12 @@ impl PoolShard {
                         );
                         let budget = grid.budget_ns();
                         for (responses, n) in grid.blocks() {
-                            for &response in responses {
-                                metrics.response_times.record_us_n(response / 1_000, n);
-                                if response > budget {
-                                    metrics.deadline_misses += n;
+                            for &response_ns in responses {
+                                response.record_us_n(response_ns / 1_000, n);
+                                if response_ns > budget {
+                                    misses += n;
                                 } else {
-                                    let slack_us = (budget - response) / 1_000;
-                                    metrics.deadline_slack.record_us_n(slack_us, n);
+                                    slack.record_us_n((budget - response_ns) / 1_000, n);
                                 }
                             }
                         }
@@ -620,16 +632,13 @@ impl PoolShard {
                     }
                     None => {
                         simulate_into(batch, cores, Policy::GlobalEdf, scratch, outcome);
-                        metrics.deadline_misses += outcome.misses() as u64;
                         for i in 0..batch.len() {
                             let finish_ns = outcome.finish_ns[i];
-                            metrics
-                                .response_times
-                                .record_us((finish_ns - batch.release_ns[i]) / 1_000);
-                            if !outcome.missed[i] {
-                                metrics
-                                    .deadline_slack
-                                    .record_us((batch.deadline_ns[i] - finish_ns) / 1_000);
+                            response.record_us((finish_ns - batch.release_ns[i]) / 1_000);
+                            if outcome.missed[i] {
+                                misses += 1;
+                            } else {
+                                slack.record_us((batch.deadline_ns[i] - finish_ns) / 1_000);
                             }
                         }
                         if let Some(fold) = live.as_deref_mut() {
@@ -642,6 +651,9 @@ impl PoolShard {
                 }
             }
         }
+        metrics.response_times.merge_tally(&response);
+        metrics.deadline_slack.merge_tally(&slack);
+        metrics.deadline_misses += misses;
         if let Some(fold) = live {
             // One `execute` is one shard-epoch of records.
             fold.settle();

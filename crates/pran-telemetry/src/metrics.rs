@@ -1,5 +1,6 @@
 //! Metrics: the one log-bucket histogram ([`LogBuckets`], at the two
-//! resolutions the workspace uses) and a registry of named, labeled
+//! resolutions the workspace uses), a [`LogHistogram`]'s counters held by
+//! value for hot loops ([`LogTally`]) and a registry of named, labeled
 //! instruments.
 //!
 //! The registry is a process-wide, lock-protected map from
@@ -240,24 +241,99 @@ impl<const SUB_SHIFT: usize> LogBuckets<SUB_SHIFT> {
 
     /// Merge another histogram into this one (exact: see the type docs).
     pub fn merge(&mut self, other: &Self) {
-        if other.count == 0 {
+        self.add(
+            &other.buckets,
+            other.count,
+            other.sum_us,
+            other.min_us,
+            other.max_us,
+        );
+    }
+
+    /// Add `count` samples, given as their bucket counts, sum and bounds:
+    /// the state recording them one by one leaves. No samples, no change.
+    fn add(&mut self, buckets: &[u64], count: u64, sum_us: u64, min_us: u64, max_us: u64) {
+        if count == 0 {
             return;
         }
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+        for (a, b) in self.buckets.iter_mut().zip(buckets) {
             *a += b;
         }
         self.min_us = if self.count == 0 {
-            other.min_us
+            min_us
         } else {
-            self.min_us.min(other.min_us)
+            self.min_us.min(min_us)
         };
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        self.max_us = self.max_us.max(other.max_us);
+        self.count += count;
+        self.sum_us += sum_us;
+        self.max_us = self.max_us.max(max_us);
+    }
+}
+
+impl LogHistogram {
+    /// Merge a [`LogTally`] into this histogram: the state, serialized
+    /// bytes included, that recording its samples one by one leaves. An
+    /// empty tally changes nothing.
+    pub fn merge_tally(&mut self, t: &LogTally) {
+        self.add(&t.buckets, t.count, t.sum_us, t.min_us, t.max_us);
     }
 }
 
 impl<const SUB_SHIFT: usize> Default for LogBuckets<SUB_SHIFT> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// A [`LogHistogram`]'s counters held by value, for a hot loop to fold
+/// samples into on its own stack and merge once
+/// ([`LogHistogram::merge_tally`]) instead of recording each one into a
+/// heap-backed histogram. It buckets by [`LogHistogram`]'s own index, and
+/// its bounds start at the identities of `min`/`max`, so recording needs
+/// no branch on the count. Allocation-free.
+#[derive(Debug, Clone)]
+pub struct LogTally {
+    buckets: [u64; EXPS],
+    count: u64,
+    sum_us: u64,
+    max_us: u64,
+    min_us: u64,
+}
+
+impl LogTally {
+    /// Empty tally.
+    pub fn new() -> Self {
+        LogTally {
+            buckets: [0; EXPS],
+            count: 0,
+            sum_us: 0,
+            max_us: 0,
+            min_us: u64::MAX,
+        }
+    }
+
+    /// Fold one whole-µs sample, as [`LogBuckets::record_us`] records it.
+    #[inline]
+    pub fn record_us(&mut self, us: u64) {
+        self.record_us_n(us, 1);
+    }
+
+    /// Fold `n` samples of one whole-µs value, as
+    /// [`LogBuckets::record_us_n`] records them; `n == 0` folds nothing.
+    #[inline]
+    pub fn record_us_n(&mut self, us: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[LogHistogram::index(us)] += n;
+        self.count += n;
+        self.sum_us += us * n;
+        self.max_us = self.max_us.max(us);
+        self.min_us = self.min_us.min(us);
+    }
+}
+
+impl Default for LogTally {
     fn default() -> Self {
         Self::new()
     }
@@ -529,6 +605,76 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A tally merged once equals the same samples recorded one by one,
+    /// serialized bytes included: onto an empty and a populated
+    /// histogram, at 0 µs and past the top bucket's edge, with `n > 1`
+    /// and with `n == 0`, split across two tallies or in one.
+    #[test]
+    fn merged_tally_equals_per_sample_records() {
+        let all = [
+            (0u64, 1u64),
+            (0, 3),
+            (1, 1),
+            (7, 2),
+            (512, 1),
+            (999, 0),
+            (1023, 5),
+            (1 << 20, 1),
+            (1 << 39, 2),
+            (1 << 45, 1),
+            (u64::MAX >> 8, 4),
+        ];
+        // With and without the 0 µs samples, so the merged minimum is
+        // the tally's own and not a zero either side starts from.
+        for samples in [&all[..], &all[2..]] {
+            for base in [&[][..], &[3u64, 700, 1 << 41][..]] {
+                let mut one_by_one = LogHistogram::new();
+                for &v in base {
+                    one_by_one.record_us(v);
+                }
+                let (mut once, mut twice) = (one_by_one.clone(), one_by_one.clone());
+                let (mut tally, mut left, mut right) =
+                    (LogTally::new(), LogTally::new(), LogTally::new());
+                for (i, &(us, n)) in samples.iter().enumerate() {
+                    one_by_one.record_us_n(us, n);
+                    tally.record_us_n(us, n);
+                    let half = if i % 2 == 0 { &mut left } else { &mut right };
+                    if n == 1 {
+                        half.record_us(us);
+                    } else {
+                        half.record_us_n(us, n);
+                    }
+                }
+                once.merge_tally(&tally);
+                twice.merge_tally(&left);
+                twice.merge_tally(&right);
+                let bytes = serde_json::to_string(&one_by_one).unwrap();
+                let case = format!("{samples:?} onto {base:?}");
+                assert_eq!(serde_json::to_string(&once).unwrap(), bytes, "{case}");
+                assert_eq!(serde_json::to_string(&twice).unwrap(), bytes, "{case}");
+                assert_eq!(once, one_by_one, "{case}");
+            }
+        }
+        // An empty tally — and one fed only zero counts — leaves the count
+        // and both bounds alone, on an empty histogram and a populated one.
+        let mut idle = LogTally::new();
+        idle.record_us_n(5, 0);
+        for base in [&[][..], &[900u64, 1000][..]] {
+            let mut h = LogHistogram::new();
+            for &v in base {
+                h.record_us(v);
+            }
+            let before = h.clone();
+            h.merge_tally(&LogTally::new());
+            h.merge_tally(&idle);
+            assert_eq!(h, before);
+            assert_eq!(
+                (h.min(), h.max(), h.count()),
+                (before.min(), before.max(), before.count())
+            );
         }
     }
 
