@@ -49,7 +49,7 @@ use crate::spans::STAGE_NAMES;
 /// The mergeable quantile sketch behind the live per-cell and per-server
 /// latencies: [`LogBuckets`] at 8 sub-buckets per power of two (12.5 %
 /// worst-case relative error for values ≥ 8 µs).
-pub type LogSketch = LogBuckets<3>;
+pub type LogSketch = LogBuckets<320>;
 
 // ---------------------------------------------------------------------
 // LiveFold: the streaming attribution engine

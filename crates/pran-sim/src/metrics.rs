@@ -124,10 +124,10 @@ impl PoolMetrics {
     // without a rest pattern, so a new field fails to compile until every
     // one of them says what it does with it.
 
-    /// Reset every counter, series and histogram in place, keeping all
-    /// allocations (histogram buckets, epoch-series capacity) — the
-    /// resident service reuses one instance per epoch without touching
-    /// the heap.
+    /// Reset every counter, series and histogram in place, keeping the
+    /// epoch series' capacity (histograms hold their counters inline) —
+    /// the resident service reuses one instance per epoch without
+    /// touching the heap.
     pub fn reset(&mut self) {
         let PoolMetrics {
             tasks_total,

@@ -255,48 +255,19 @@ impl MetroSimulator {
     /// Step every shard through the whole trace and merge: each worker
     /// claims a shard, builds it, steps it epoch by epoch to the horizon
     /// (the last epoch takes whatever rows are left) and appends every
-    /// epoch into the shard's total.
+    /// epoch into the shard's total; the totals merge in shard-index
+    /// order.
     pub fn run(&self) -> MetroReport {
+        let config = &self.config;
         let steps = self.trace.num_steps();
-        self.run_shards(|s, pool, trace| {
+        let mut totals = vec![PoolMetrics::default(); config.shards];
+        for_each_shard(&mut totals, config.workers, |s, total| {
+            let (pool, trace) = shard_configs(config, &self.pool, &self.trace, s);
             let mut shard = ResidentShard::new(s as u64, pool, &trace);
-            let mut total = PoolMetrics::default();
             while shard.stream.step_index() < steps {
                 shard.step_epoch(steps - shard.stream.step_index());
                 total.append_epoch(&shard.scratch);
             }
-            total
-        })
-    }
-
-    /// Run every shard through
-    /// [`PoolSimulator::run_reference`](crate::PoolSimulator::run_reference)
-    /// over a materialized trace — the seed-faithful allocating epoch path
-    /// — and merge. The differential oracle for [`MetroSimulator::run`]:
-    /// merged reports must be byte-identical across the two paths and any
-    /// worker count.
-    pub fn run_reference(&self) -> MetroReport {
-        self.run_shards(|s, pool, trace| {
-            pran_telemetry::trace::set_shard(Some(s as u64));
-            let metrics = crate::PoolSimulator::new(pran_traces::generate(&trace), pool)
-                .run_reference()
-                .metrics;
-            pran_telemetry::trace::set_shard(None);
-            metrics
-        })
-    }
-
-    /// Run `shard` (index, pool and trace configuration → metrics) for
-    /// every shard on the worker crew, then merge in shard-index order.
-    fn run_shards(
-        &self,
-        shard: impl Fn(usize, PoolConfig, TraceConfig) -> PoolMetrics + Sync,
-    ) -> MetroReport {
-        let config = &self.config;
-        let mut totals = vec![PoolMetrics::default(); config.shards];
-        for_each_shard(&mut totals, config.workers, |s, total| {
-            let (pool, trace) = shard_configs(config, &self.pool, &self.trace, s);
-            *total = shard(s, pool, trace);
         });
 
         // One canonical event order regardless of worker count: sort

@@ -6,17 +6,18 @@
 //! trace step, generates per-cell uplink tasks from the PHY compute model
 //! and runs each server's tasks by global EDF, or through the configured
 //! parallel executor; a server failure displaces cells and failover is
-//! measured as the per-cell outage between failure and re-placement. `config.rs` says what a pool
-//! is made of; `reference.rs` keeps the seed's allocating executor as the
-//! differential oracle.
+//! measured as the per-cell outage between failure and re-placement.
+//! `config.rs` says what a pool is made of.
 //!
 //! [`PoolSimulator`] is the single-pool driver: it walks a materialized
 //! [`Trace`] on a discrete-event [`Engine`], turning epoch boundaries and
 //! scheduled [`FailureSpec`]s into shard transitions, and adds telemetry
-//! events, health gauges and the cumulative SLO monitor. Metro shards are
-//! driven by [`crate::metro`]'s one shard driver instead, which streams
-//! its rows; only the metro's reference oracle runs a [`PoolSimulator`]
-//! per shard.
+//! events, health gauges and the cumulative SLO monitor. Its one test
+//! seam, [`PoolSimulator::run_with`], takes the execute transition as an
+//! argument: the differential tests pass the seed's allocating executor,
+//! which lives in the tests crate (`tests/src/reference.rs`). Metro
+//! shards are driven by [`crate::metro`]'s one shard driver instead,
+//! which streams its rows.
 
 use std::time::Duration;
 
@@ -27,7 +28,6 @@ use crate::engine::{Engine, SimTime};
 use crate::metrics::PoolMetrics;
 
 mod config;
-mod reference;
 mod shard;
 
 pub use config::{FailoverTiming, LinkFault, PoolAccel, PoolConfig, PoolConfigError, SplitPlan};
@@ -116,21 +116,21 @@ impl PoolSimulator {
 
     /// Run to completion (zero-allocation epoch hot path).
     pub fn run(&mut self) -> SimReport {
-        self.run_impl(false)
+        self.run_with(|shard, rows, first_step, step_seconds, metrics| {
+            shard.execute(rows, first_step, step_seconds, metrics);
+        })
     }
 
-    /// Run to completion with every epoch executed by the seed-faithful
-    /// allocating oracle (`reference.rs`) instead of
-    /// [`PoolShard::execute`].
-    ///
-    /// Same event loop, same placement, same outputs: the two must
-    /// produce byte-identical [`SimReport`]s on any configuration whose
-    /// executor is deterministic (everything except `steal: true`).
-    pub fn run_reference(&mut self) -> SimReport {
-        self.run_impl(true)
-    }
-
-    fn run_impl(&mut self, reference: bool) -> SimReport {
+    /// Run to completion with `execute` as every epoch's execute
+    /// transition, called with [`PoolShard::execute`]'s arguments after
+    /// the epoch's [`place`](PoolShard::place): the same event loop,
+    /// placement, failover and telemetry around it. [`run`](Self::run)
+    /// is this over `PoolShard::execute`; the differential tests pass an
+    /// independent executor and compare the reports' bytes.
+    pub fn run_with(
+        &mut self,
+        mut execute: impl FnMut(&mut PoolShard, &[Vec<f64>], usize, f64, &mut PoolMetrics),
+    ) -> SimReport {
         let cfg = &self.config;
         let step_seconds = self.trace.step_seconds;
         let total_steps = self.trace.num_steps();
@@ -177,11 +177,7 @@ impl PoolSimulator {
                     );
 
                     // Simulate sampled TTIs of every step in the epoch.
-                    if reference {
-                        shard.execute_reference(rows, first, step_seconds, &mut metrics);
-                    } else {
-                        shard.execute(rows, first, step_seconds, &mut metrics);
-                    }
+                    execute(&mut shard, rows, first, step_seconds, &mut metrics);
 
                     // Per-epoch health observation: publish gauges for
                     // scrapers and feed the online SLO monitor. Miss
@@ -193,26 +189,13 @@ impl PoolSimulator {
                     let outage_p99 = metrics.outages.try_quantile(0.99);
                     if pran_telemetry::enabled() {
                         let registry = pran_telemetry::metrics::global();
-                        // Under a metro run each shard publishes its own
-                        // gauge series; without the label concurrent
-                        // shards would race on one last-writer-wins slot.
-                        let shard_id =
-                            pran_telemetry::trace::current_shard().map(|s| s.to_string());
-                        let shard_labels;
-                        let labels: &[(&str, &str)] = match &shard_id {
-                            Some(s) => {
-                                shard_labels = [("shard", s.as_str())];
-                                &shard_labels
-                            }
-                            None => &[],
-                        };
-                        registry.gauge("pool.miss_ratio", labels, metrics.miss_ratio());
+                        registry.gauge("pool.miss_ratio", &[], metrics.miss_ratio());
                         if let Some(u) = utilization {
-                            registry.gauge("pool.utilization", labels, u);
+                            registry.gauge("pool.utilization", &[], u);
                         }
-                        registry.gauge("pool.reports_lost", labels, metrics.reports_lost as f64);
+                        registry.gauge("pool.reports_lost", &[], metrics.reports_lost as f64);
                         if let Some(p99) = outage_p99 {
-                            registry.gauge("pool.outage_p99_us", labels, p99.as_micros() as f64);
+                            registry.gauge("pool.outage_p99_us", &[], p99.as_micros() as f64);
                         }
                     }
                     if let Some(monitor) = slo_monitor.as_mut() {

@@ -25,7 +25,7 @@ use pran_sched::realtime::{
     dispatch_grid, simulate_into, BatchOutcome, GridOutcome, ParallelExecutor, ParallelOutcome,
     ParallelScratch, Policy, SimScratch, TaskBatch,
 };
-use pran_telemetry::LogTally;
+use pran_telemetry::LogHistogram;
 
 use super::config::{PoolConfig, PoolConfigError, ANALYTIC_CORES};
 use crate::metrics::PoolMetrics;
@@ -36,7 +36,7 @@ use crate::metrics::PoolMetrics;
 /// On a plain server this is the exact pre-split expression
 /// (`gops × 1e-3 / core_gops`), which keeps homogeneous pools
 /// bit-identical.
-pub(super) fn service_seconds(
+fn service_seconds(
     model: &ComputeModel,
     w: &CellWorkload,
     accelerated: bool,
@@ -54,11 +54,7 @@ pub(super) fn service_seconds(
 
 /// The uplink workload of a cell using `prbs_used` PRBs under `split`,
 /// on the pool's radio configuration.
-pub(super) fn uplink_workload(
-    cfg: &PoolConfig,
-    prbs_used: u32,
-    split: FunctionalSplit,
-) -> CellWorkload {
+fn uplink_workload(cfg: &PoolConfig, prbs_used: u32, split: FunctionalSplit) -> CellWorkload {
     CellWorkload {
         bandwidth: cfg.bandwidth,
         antennas: cfg.antennas,
@@ -232,17 +228,16 @@ pub struct Placed {
 
 /// The state of one pool across epochs (see the module docs).
 pub struct PoolShard {
-    // `pub(super)`: the reference oracle executes against the same state.
-    pub(super) cfg: PoolConfig,
+    cfg: PoolConfig,
     hot: HotBuffers,
     tables: DemandTables,
-    pub(super) placement: Placement,
+    placement: Placement,
     /// `Some` when the config asks for warm-start placement.
     warm: Option<WarmPlacer>,
-    pub(super) alive: Vec<bool>,
+    alive: Vec<bool>,
     /// One injector per cell, seeded `seed + cell`; empty under an ideal
     /// fronthaul.
-    pub(super) links: Vec<FaultInjector>,
+    links: Vec<FaultInjector>,
     /// This shard's part of the live insight plane, over its own cell
     /// and server ids: built by the first [`execute`](Self::execute) that
     /// finds `pran_telemetry::live` armed, fed by every armed one since.
@@ -419,8 +414,10 @@ impl PoolShard {
     /// ([`FaultInjector::deliver`]) rather than built, so the steady
     /// state allocates nothing
     /// (`tests/tests/zero_alloc.rs`); arithmetic is `u64` nanoseconds,
-    /// isomorphic to the reference oracle's `Duration` math
-    /// (`tests/tests/pool_differential.rs`).
+    /// isomorphic to the `Duration` math of the tests crate's oracle
+    /// (`tests/src/reference.rs`, which shares no code with this one;
+    /// `tests/tests/pool_differential.rs` holds the two to equal bytes
+    /// through [`PoolSimulator::run_with`](super::PoolSimulator::run_with)).
     ///
     /// Each server-step takes one of three paths, picked by the links and
     /// the executor alone:
@@ -437,8 +434,9 @@ impl PoolShard {
     ///   [`ParallelExecutor`].
     ///
     /// Every path folds its response and slack samples and its misses
-    /// into stack [`LogTally`]s and a counter, merged into `metrics` once
-    /// at the end: the state per-sample records would leave.
+    /// into a stack [`LogHistogram`] each and a counter, merged into
+    /// `metrics` once at the end: the state per-sample records would
+    /// leave.
     ///
     /// While `pran_telemetry::live` is armed, every executed task is also
     /// recorded into [`live_fold`](Self::live_fold) — cell, server and
@@ -500,7 +498,8 @@ impl PoolShard {
         let cores = cfg.server_cores();
         let mut peak_depth = 0u64;
         // Every arm folds its samples here, merged into `metrics` once.
-        let (mut response, mut slack, mut misses) = (LogTally::new(), LogTally::new(), 0u64);
+        let (mut response, mut slack) = (LogHistogram::new(), LogHistogram::new());
+        let mut misses = 0u64;
         for (offset, row) in rows.iter().enumerate() {
             let step = first_step + offset;
             for b in batches.iter_mut() {
@@ -651,8 +650,8 @@ impl PoolShard {
                 }
             }
         }
-        metrics.response_times.merge_tally(&response);
-        metrics.deadline_slack.merge_tally(&slack);
+        metrics.response_times.merge(&response);
+        metrics.deadline_slack.merge(&slack);
         metrics.deadline_misses += misses;
         if let Some(fold) = live {
             // One `execute` is one shard-epoch of records.

@@ -15,9 +15,9 @@
 //!   it, [`Subframe::decode`] reads it from raw or parsed-back events;
 //! * [`metrics`] — the one log-bucket histogram ([`metrics::LogBuckets`],
 //!   instantiated as [`LogHistogram`] and as `pran-insight`'s finer
-//!   `LogSketch`), its by-value tally for hot loops
-//!   ([`metrics::LogTally`]) and a registry of named, labeled counters,
-//!   gauges and histograms;
+//!   `LogSketch`, its counters held by value so a hot loop folds into
+//!   one on its stack) and a registry of named, labeled counters, gauges
+//!   and histograms;
 //! * [`export`] — the JSONL trace format both ways (canonical dump, one
 //!   line parser, schema validation), human-readable summary tables and
 //!   the per-subframe latency breakdown (queue wait → kernel compute →
@@ -38,7 +38,7 @@ pub mod trace;
 
 use serde::{Deserialize, Serialize};
 
-pub use metrics::{LogHistogram, LogTally, Registry, RegistrySnapshot};
+pub use metrics::{LogHistogram, Registry, RegistrySnapshot};
 pub use subframe::{Subframe, SubframeError};
 pub use trace::{Domain, EventView, FieldValue, TraceClock, TraceEvent};
 

@@ -1,7 +1,7 @@
 //! Metrics: the one log-bucket histogram ([`LogBuckets`], at the two
-//! resolutions the workspace uses), a [`LogHistogram`]'s counters held by
-//! value for hot loops ([`LogTally`]) and a registry of named, labeled
-//! instruments.
+//! resolutions the workspace uses; its counters held by value, so a hot
+//! loop can fold samples into one on its own stack and merge once) and a
+//! registry of named, labeled instruments.
 //!
 //! The registry is a process-wide, lock-protected map from
 //! `(name, sorted labels)` to an instrument (counter, gauge or
@@ -19,51 +19,67 @@ use serde::{Deserialize, Serialize};
 /// Base-2 buckets: 40 reach ~12.7 days in microseconds.
 const EXPS: usize = 40;
 
-/// A mergeable base-2 logarithmic histogram over microsecond values,
-/// each power-of-two bucket split into `2^SUB_SHIFT` equal sub-buckets.
+/// A mergeable base-2 logarithmic histogram over microsecond values in
+/// `LEN` counters: each of the 40 power-of-two buckets split into
+/// [`SUBS`](Self::SUBS)` = LEN / 40` equal sub-buckets, a power of two
+/// (the count is the parameter because stable Rust cannot size an array
+/// by an expression of another const parameter).
 ///
 /// Bucket `e` covers `[2^e, 2^(e+1))` µs (bucket 0 also absorbs
 /// sub-microsecond samples, the top bucket everything past its edge);
 /// buckets narrower than the sub-bucket count stay whole. Quantiles
 /// interpolate inside the rank's sub-bucket, so their error is bounded
-/// by one sub-bucket width — a relative `2^-SUB_SHIFT` — and the tracked
+/// by one sub-bucket width — a relative `1 / SUBS` — and the tracked
 /// min/max tighten the edge buckets, so single-valued histograms report
 /// the true value rather than a bucket edge. [`LogBuckets::merge`] is an
 /// element-wise sum: the merged histogram is identical, serialized bytes
 /// included, to one built from the concatenated samples, for any split
 /// or merge order.
 ///
-/// The workspace uses exactly two resolutions: [`LogHistogram`]
-/// (`SUB_SHIFT = 0`, 40 counters — metrics, registries, reports) and
-/// `pran_insight::live::LogSketch` (`SUB_SHIFT = 3`, 320 counters, 12.5 %
-/// — per-cell and per-server live quantiles).
+/// The counters are held by value, so a histogram allocates nothing and
+/// a hot loop can fold samples into one on its own stack and
+/// [`merge`](Self::merge) it once. The workspace uses exactly two
+/// resolutions: [`LogHistogram`] (40 counters — metrics, registries,
+/// reports) and `pran_insight::live::LogSketch` (320 counters, 12.5 % —
+/// per-cell and per-server live quantiles).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogBuckets<const SUB_SHIFT: usize> {
-    buckets: Vec<u64>,
+pub struct LogBuckets<const LEN: usize> {
+    buckets: [u64; LEN],
     count: u64,
     /// Sum in microseconds (for the mean).
     sum_us: u64,
     max_us: u64,
+    /// `u64::MAX` while empty — the identity of `min`, as 0 is `max`'s —
+    /// so recording and merging need no branch on the count; read and
+    /// written as 0 then.
     min_us: u64,
 }
 
 /// The workspace's standard histogram: one counter per power of two.
-pub type LogHistogram = LogBuckets<0>;
+pub type LogHistogram = LogBuckets<EXPS>;
 
-impl<const SUB_SHIFT: usize> LogBuckets<SUB_SHIFT> {
+impl<const LEN: usize> LogBuckets<LEN> {
     /// Sub-buckets per power-of-two bucket; quantile estimates of values
     /// ≥ `SUBS` µs carry at most `1 / SUBS` relative error.
-    pub const SUBS: usize = 1 << SUB_SHIFT;
-    const LEN: usize = EXPS << SUB_SHIFT;
+    pub const SUBS: usize = LEN / EXPS;
+    const SUB_SHIFT: usize = {
+        assert!(
+            LEN.is_multiple_of(EXPS) && (LEN / EXPS).is_power_of_two(),
+            "LogBuckets holds 40 × a power of two counters"
+        );
+        (LEN / EXPS).trailing_zeros() as usize
+    };
 
-    /// Empty histogram (one upfront allocation; recording never grows it).
+    /// Empty histogram.
     pub fn new() -> Self {
+        // Evaluating the shift rejects a count that is not 40 × 2^k.
+        let _ = Self::SUB_SHIFT;
         LogBuckets {
-            buckets: vec![0; Self::LEN],
+            buckets: [0; LEN],
             count: 0,
             sum_us: 0,
             max_us: 0,
-            min_us: 0,
+            min_us: u64::MAX,
         }
     }
 
@@ -73,27 +89,27 @@ impl<const SUB_SHIFT: usize> LogBuckets<SUB_SHIFT> {
             return 0;
         }
         let exp = (63 - us.leading_zeros() as usize).min(EXPS - 1);
-        let sub = if exp >= SUB_SHIFT {
-            (((us - (1u64 << exp)) >> (exp - SUB_SHIFT)) as usize).min(Self::SUBS - 1)
+        let sub = if exp >= Self::SUB_SHIFT {
+            (((us - (1u64 << exp)) >> (exp - Self::SUB_SHIFT)) as usize).min(Self::SUBS - 1)
         } else {
             0
         };
-        (exp << SUB_SHIFT) + sub
+        (exp << Self::SUB_SHIFT) + sub
     }
 
     /// `[lo, hi)` of a populated bucket. The top bucket is open-ended.
     fn edges(idx: usize) -> (u64, u64) {
-        let (exp, sub) = (idx >> SUB_SHIFT, (idx & (Self::SUBS - 1)) as u64);
+        let (exp, sub) = (idx >> Self::SUB_SHIFT, (idx & (Self::SUBS - 1)) as u64);
         let base = 1u64 << exp;
-        let (lo, hi) = if exp >= SUB_SHIFT {
-            let width = base >> SUB_SHIFT;
+        let (lo, hi) = if exp >= Self::SUB_SHIFT {
+            let width = base >> Self::SUB_SHIFT;
             (base + sub * width, base + (sub + 1) * width)
         } else {
             (base, base << 1)
         };
         (
             if idx == 0 { 0 } else { lo },
-            if idx == Self::LEN - 1 { u64::MAX } else { hi },
+            if idx == LEN - 1 { u64::MAX } else { hi },
         )
     }
 
@@ -122,14 +138,10 @@ impl<const SUB_SHIFT: usize> LogBuckets<SUB_SHIFT> {
             return;
         }
         self.buckets[Self::index(us)] += n;
-        self.min_us = if self.count == 0 {
-            us
-        } else {
-            self.min_us.min(us)
-        };
         self.count += n;
         self.sum_us += us * n;
         self.max_us = self.max_us.max(us);
+        self.min_us = self.min_us.min(us);
     }
 
     /// Number of samples.
@@ -152,7 +164,16 @@ impl<const SUB_SHIFT: usize> LogBuckets<SUB_SHIFT> {
 
     /// Minimum recorded duration ([`Duration::ZERO`] when empty).
     pub fn min(&self) -> Duration {
-        Duration::from_micros(self.min_us)
+        Duration::from_micros(self.min_us())
+    }
+
+    /// The minimum in µs as it reads and is written: 0 when empty.
+    fn min_us(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min_us
+        }
     }
 
     /// Sum of all recorded durations.
@@ -228,112 +249,25 @@ impl<const SUB_SHIFT: usize> LogBuckets<SUB_SHIFT> {
         self.max_us
     }
 
-    /// Reset to empty while keeping the bucket allocation, so epoch-scoped
-    /// histograms on resident-service hot paths can be reused without
-    /// touching the heap (`tests/zero_alloc.rs` relies on this).
+    /// Reset to empty.
     pub fn reset(&mut self) {
-        self.buckets.fill(0);
-        self.count = 0;
-        self.sum_us = 0;
-        self.max_us = 0;
-        self.min_us = 0;
+        *self = Self::new();
     }
 
     /// Merge another histogram into this one (exact: see the type docs).
+    /// An empty one changes nothing.
     pub fn merge(&mut self, other: &Self) {
-        self.add(
-            &other.buckets,
-            other.count,
-            other.sum_us,
-            other.min_us,
-            other.max_us,
-        );
-    }
-
-    /// Add `count` samples, given as their bucket counts, sum and bounds:
-    /// the state recording them one by one leaves. No samples, no change.
-    fn add(&mut self, buckets: &[u64], count: u64, sum_us: u64, min_us: u64, max_us: u64) {
-        if count == 0 {
-            return;
-        }
-        for (a, b) in self.buckets.iter_mut().zip(buckets) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
-        self.min_us = if self.count == 0 {
-            min_us
-        } else {
-            self.min_us.min(min_us)
-        };
-        self.count += count;
-        self.sum_us += sum_us;
-        self.max_us = self.max_us.max(max_us);
+        self.count += other.count;
+        self.sum_us += other.sum_us;
+        self.max_us = self.max_us.max(other.max_us);
+        self.min_us = self.min_us.min(other.min_us);
     }
 }
 
-impl LogHistogram {
-    /// Merge a [`LogTally`] into this histogram: the state, serialized
-    /// bytes included, that recording its samples one by one leaves. An
-    /// empty tally changes nothing.
-    pub fn merge_tally(&mut self, t: &LogTally) {
-        self.add(&t.buckets, t.count, t.sum_us, t.min_us, t.max_us);
-    }
-}
-
-impl<const SUB_SHIFT: usize> Default for LogBuckets<SUB_SHIFT> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A [`LogHistogram`]'s counters held by value, for a hot loop to fold
-/// samples into on its own stack and merge once
-/// ([`LogHistogram::merge_tally`]) instead of recording each one into a
-/// heap-backed histogram. It buckets by [`LogHistogram`]'s own index, and
-/// its bounds start at the identities of `min`/`max`, so recording needs
-/// no branch on the count. Allocation-free.
-#[derive(Debug, Clone)]
-pub struct LogTally {
-    buckets: [u64; EXPS],
-    count: u64,
-    sum_us: u64,
-    max_us: u64,
-    min_us: u64,
-}
-
-impl LogTally {
-    /// Empty tally.
-    pub fn new() -> Self {
-        LogTally {
-            buckets: [0; EXPS],
-            count: 0,
-            sum_us: 0,
-            max_us: 0,
-            min_us: u64::MAX,
-        }
-    }
-
-    /// Fold one whole-µs sample, as [`LogBuckets::record_us`] records it.
-    #[inline]
-    pub fn record_us(&mut self, us: u64) {
-        self.record_us_n(us, 1);
-    }
-
-    /// Fold `n` samples of one whole-µs value, as
-    /// [`LogBuckets::record_us_n`] records them; `n == 0` folds nothing.
-    #[inline]
-    pub fn record_us_n(&mut self, us: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[LogHistogram::index(us)] += n;
-        self.count += n;
-        self.sum_us += us * n;
-        self.max_us = self.max_us.max(us);
-        self.min_us = self.min_us.min(us);
-    }
-}
-
-impl Default for LogTally {
+impl<const LEN: usize> Default for LogBuckets<LEN> {
     fn default() -> Self {
         Self::new()
     }
@@ -341,14 +275,14 @@ impl Default for LogTally {
 
 // Hand-written serde: the vendored derive does not take generics. Key
 // order is the wire form `PoolMetrics` and registry snapshots commit to.
-impl<const SUB_SHIFT: usize> Serialize for LogBuckets<SUB_SHIFT> {
+impl<const LEN: usize> Serialize for LogBuckets<LEN> {
     fn serialize<S: serde::Sink>(&self, sink: &mut S) {
         sink.begin_object(5);
         sink.field("buckets", &self.buckets);
         sink.field("count", &self.count);
         sink.field("sum_us", &self.sum_us);
         sink.field("max_us", &self.max_us);
-        sink.field("min_us", &self.min_us);
+        sink.field("min_us", &self.min_us());
         sink.end_object();
     }
 }
@@ -364,22 +298,22 @@ struct LogBucketsWire {
     min_us: u64,
 }
 
-impl<const SUB_SHIFT: usize> Deserialize for LogBuckets<SUB_SHIFT> {
+impl<const LEN: usize> Deserialize for LogBuckets<LEN> {
     fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
         let wire = LogBucketsWire::read(r)?;
-        if wire.buckets.len() != Self::LEN {
-            return Err(serde::Error::new(format!(
-                "expected {} buckets, got {}",
-                Self::LEN,
-                wire.buckets.len()
-            )));
-        }
+        let got = wire.buckets.len();
+        let buckets = <[u64; LEN]>::try_from(wire.buckets)
+            .map_err(|_| serde::Error::new(format!("expected {LEN} buckets, got {got}")))?;
         Ok(LogBuckets {
-            buckets: wire.buckets,
+            buckets,
             count: wire.count,
             sum_us: wire.sum_us,
             max_us: wire.max_us,
-            min_us: wire.min_us,
+            min_us: if wire.count == 0 {
+                u64::MAX
+            } else {
+                wire.min_us
+            },
         })
     }
 }
@@ -393,7 +327,7 @@ impl<const SUB_SHIFT: usize> Deserialize for LogBuckets<SUB_SHIFT> {
 enum Instrument {
     Counter(u64),
     Gauge(f64),
-    Histogram(LogHistogram),
+    Histogram(Box<LogHistogram>),
 }
 
 type Key = (String, Vec<(String, String)>);
@@ -449,11 +383,11 @@ impl Registry {
         let mut map = self.instruments.lock();
         match map
             .entry(key(name, labels))
-            .or_insert_with(|| Instrument::Histogram(LogHistogram::new()))
+            .or_insert_with(|| Instrument::Histogram(Box::default()))
         {
             Instrument::Histogram(h) => h.record(d),
             other => {
-                let mut h = LogHistogram::new();
+                let mut h = Box::<LogHistogram>::default();
                 h.record(d);
                 *other = Instrument::Histogram(h);
             }
@@ -465,10 +399,10 @@ impl Registry {
         let mut map = self.instruments.lock();
         match map
             .entry(key(name, labels))
-            .or_insert_with(|| Instrument::Histogram(LogHistogram::new()))
+            .or_insert_with(|| Instrument::Histogram(Box::default()))
         {
             Instrument::Histogram(existing) => existing.merge(h),
-            other => *other = Instrument::Histogram(h.clone()),
+            other => *other = Instrument::Histogram(Box::new(h.clone())),
         }
     }
 
@@ -526,7 +460,7 @@ pub enum InstrumentValue {
     /// Latest-value gauge.
     Gauge(f64),
     /// Duration distribution.
-    Histogram(LogHistogram),
+    Histogram(Box<LogHistogram>),
 }
 
 /// One instrument captured by [`Registry::snapshot`].
@@ -552,7 +486,7 @@ mod tests {
     use super::*;
 
     /// The finer resolution, as `pran_insight::live::LogSketch` names it.
-    type LogSketch = LogBuckets<3>;
+    type LogSketch = LogBuckets<320>;
 
     fn us(x: u64) -> Duration {
         Duration::from_micros(x)
@@ -564,8 +498,8 @@ mod tests {
         ($($name:ident => $check:ident;)*) => {$(
             #[test]
             fn $name() {
-                $check::<0>();
-                $check::<3>();
+                $check::<40>();
+                $check::<320>();
             }
         )*};
     }
@@ -608,12 +542,13 @@ mod tests {
         }
     }
 
-    /// A tally merged once equals the same samples recorded one by one,
-    /// serialized bytes included: onto an empty and a populated
+    /// A stack histogram merged once — how `PoolShard::execute` folds its
+    /// samples — equals the same samples recorded one by one into the
+    /// target, serialized bytes included: onto an empty and a populated
     /// histogram, at 0 µs and past the top bucket's edge, with `n > 1`
-    /// and with `n == 0`, split across two tallies or in one.
+    /// and with `n == 0`, split across two histograms or in one.
     #[test]
-    fn merged_tally_equals_per_sample_records() {
+    fn stack_histogram_merged_once_equals_per_sample_records() {
         let all = [
             (0u64, 1u64),
             (0, 3),
@@ -628,7 +563,8 @@ mod tests {
             (u64::MAX >> 8, 4),
         ];
         // With and without the 0 µs samples, so the merged minimum is
-        // the tally's own and not a zero either side starts from.
+        // the stack histogram's own and not a zero either side starts
+        // from.
         for samples in [&all[..], &all[2..]] {
             for base in [&[][..], &[3u64, 700, 1 << 41][..]] {
                 let mut one_by_one = LogHistogram::new();
@@ -636,11 +572,14 @@ mod tests {
                     one_by_one.record_us(v);
                 }
                 let (mut once, mut twice) = (one_by_one.clone(), one_by_one.clone());
-                let (mut tally, mut left, mut right) =
-                    (LogTally::new(), LogTally::new(), LogTally::new());
+                let (mut folded, mut left, mut right) = (
+                    LogHistogram::new(),
+                    LogHistogram::new(),
+                    LogHistogram::new(),
+                );
                 for (i, &(us, n)) in samples.iter().enumerate() {
                     one_by_one.record_us_n(us, n);
-                    tally.record_us_n(us, n);
+                    folded.record_us_n(us, n);
                     let half = if i % 2 == 0 { &mut left } else { &mut right };
                     if n == 1 {
                         half.record_us(us);
@@ -648,9 +587,9 @@ mod tests {
                         half.record_us_n(us, n);
                     }
                 }
-                once.merge_tally(&tally);
-                twice.merge_tally(&left);
-                twice.merge_tally(&right);
+                once.merge(&folded);
+                twice.merge(&left);
+                twice.merge(&right);
                 let bytes = serde_json::to_string(&one_by_one).unwrap();
                 let case = format!("{samples:?} onto {base:?}");
                 assert_eq!(serde_json::to_string(&once).unwrap(), bytes, "{case}");
@@ -658,9 +597,10 @@ mod tests {
                 assert_eq!(once, one_by_one, "{case}");
             }
         }
-        // An empty tally — and one fed only zero counts — leaves the count
-        // and both bounds alone, on an empty histogram and a populated one.
-        let mut idle = LogTally::new();
+        // An empty histogram — and one fed only zero counts — leaves the
+        // count and both bounds alone, on an empty histogram and a
+        // populated one; empty, it reads and writes a 0 µs minimum.
+        let mut idle = LogHistogram::new();
         idle.record_us_n(5, 0);
         for base in [&[][..], &[900u64, 1000][..]] {
             let mut h = LogHistogram::new();
@@ -668,14 +608,18 @@ mod tests {
                 h.record_us(v);
             }
             let before = h.clone();
-            h.merge_tally(&LogTally::new());
-            h.merge_tally(&idle);
+            h.merge(&LogHistogram::new());
+            h.merge(&idle);
             assert_eq!(h, before);
             assert_eq!(
                 (h.min(), h.max(), h.count()),
                 (before.min(), before.max(), before.count())
             );
         }
+        let empty = serde_json::to_string(&idle).unwrap();
+        assert!(empty.ends_with("\"max_us\":0,\"min_us\":0}"), "{empty}");
+        assert_eq!(idle.min(), Duration::ZERO);
+        assert_eq!(serde_json::from_str::<LogHistogram>(&empty).unwrap(), idle);
     }
 
     fn record_zero_is_a_no_op<const S: usize>() {
@@ -886,8 +830,9 @@ mod tests {
         if v < 2 {
             return 2; // bucket 0 is [0, 2)
         }
+        let shift = (S / 40).trailing_zeros() as usize;
         let exp = 63 - v.leading_zeros() as usize;
-        1u64 << if exp >= S { exp - S } else { exp }
+        1u64 << if exp >= shift { exp - shift } else { exp }
     }
 
     fn within_one_bucket<const S: usize>() {

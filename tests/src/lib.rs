@@ -1,5 +1,7 @@
 //! Integration test support crate (tests live in `tests/tests/`).
 
+pub mod reference;
+
 /// `fixtures/controller_snapshot_v1.json` as the controller writes it
 /// back today: its config carries five sections `SystemConfig` no longer
 /// has (`pool.cores`, `scheduler`, `parallel`, `telemetry`, `metro`), five

@@ -1,15 +1,20 @@
-//! Differential layer for the zero-allocation epoch hot path (ISSUE 6).
+//! Differential layer for the zero-allocation epoch hot path.
 //!
-//! `PoolSimulator::run` executes epochs through the reusable
-//! [`HotBuffers`] scratch (flat `TaskBatch` SoA queues, `simulate_into`,
-//! `execute_into`); `run_reference` keeps the original allocate-per-step
-//! path. The two must be *byte-identical* after serde serialization —
-//! every finish time, histogram bucket, failover record and alert — for
-//! every feature that reaches the per-step loop: global-EDF dispatch,
-//! warm placement, fronthaul faults, server failures and the parallel
-//! executor, pinned or stealing, on the default four cores or more.
-//! (The pool dispatches by EDF only; `pran-sched`'s own tests and
-//! `proptest_cross` cover the other policies.)
+//! `PoolSimulator::run` executes epochs through `PoolShard::execute`
+//! (the reusable `HotBuffers` scratch: flat `TaskBatch` SoA queues,
+//! `simulate_into`, `dispatch_grid`, the shard's parallel executor);
+//! `pran_integration_tests::reference` keeps the seed's allocate-per-step
+//! executor, written against `pran-sim`'s public API and sharing no code
+//! with the hot loop, and runs it through the same event loop with
+//! `PoolSimulator::run_with`. The two must be *byte-identical* after
+//! serde serialization — every finish time, histogram bucket, failover
+//! record and alert — for every feature that reaches the per-step loop:
+//! global-EDF dispatch, warm placement, fronthaul faults, server failures
+//! and the parallel executor, pinned or stealing, on the default four
+//! cores or more. (The pool dispatches by EDF only; `pran-sched`'s own
+//! tests and `proptest_cross` cover the other policies.) The metro cases
+//! hold `MetroSimulator::run` to the oracle's shards merged in shard
+//! order (`reference::run_metro`).
 //!
 //! An ideal fronthaul with analytic dispatch takes the grid path
 //! (`realtime::dispatch_grid`: one row per cell, TTI by TTI, a TTI that
@@ -32,12 +37,13 @@
 use std::time::Duration;
 
 use pran_fronthaul::fault::FaultConfig;
+use pran_integration_tests::reference;
 use pran_phy::FunctionalSplit;
 use pran_sched::placement::WarmConfig;
 use pran_sched::realtime::ParallelConfig;
 use pran_sim::{
-    FailureSpec, LinkFault, MetroConfig, MetroSimulator, PoolAccel, PoolConfig, PoolMetrics,
-    PoolShard, PoolSimulator, SimReport, SplitPlan,
+    FailureSpec, LinkFault, MetroConfig, MetroReport, MetroSimulator, PoolAccel, PoolConfig,
+    PoolMetrics, PoolShard, PoolSimulator, SimReport, SplitPlan,
 };
 use pran_traces::{generate, Trace, TraceConfig};
 
@@ -64,8 +70,8 @@ fn assert_paths_identical(
     }
     let report = hot.run();
     let hot_json = serde_json::to_string_pretty(&report).expect("hot report serializes");
-    let ref_json =
-        serde_json::to_string_pretty(&reference.run_reference()).expect("reference serializes");
+    let ref_json = serde_json::to_string_pretty(&reference::run(&mut reference))
+        .expect("reference serializes");
     assert_eq!(
         hot_json, ref_json,
         "{label}: hot path diverged from reference"
@@ -289,8 +295,7 @@ fn stealing_parallel_executor_is_identical() {
 
         let mut pool = PoolConfig::default_eval(4);
         pool.parallel = cfg.parallel;
-        let reference =
-            serde_json::to_string_pretty(&metro(1, pool.clone()).run_reference()).unwrap();
+        let reference = serde_json::to_string_pretty(&metro_reference(&pool)).unwrap();
         for workers in [1usize, 2, 8] {
             let hot = serde_json::to_string_pretty(&metro(workers, pool.clone()).run()).unwrap();
             assert_eq!(
@@ -406,8 +411,9 @@ fn splits_with_warm_placement_and_failures_are_identical() {
     );
 }
 
-/// A 48-cell, 6-shard, two-hour metro over `pool` on `workers` threads.
-fn metro(workers: usize, pool: PoolConfig) -> MetroSimulator {
+/// The shape and trace template of a 48-cell, 6-shard, two-hour metro
+/// on `workers` threads.
+fn metro_shape(workers: usize) -> (MetroConfig, TraceConfig) {
     let config = MetroConfig {
         cells: 48,
         shards: 6,
@@ -418,21 +424,30 @@ fn metro(workers: usize, pool: PoolConfig) -> MetroSimulator {
     let mut tc = TraceConfig::default_day(config.cells, config.seed);
     tc.duration_seconds = 2.0 * 3600.0;
     tc.step_seconds = 120.0;
+    (config, tc)
+}
+
+/// That metro over `pool` on `workers` threads.
+fn metro(workers: usize, pool: PoolConfig) -> MetroSimulator {
+    let (config, tc) = metro_shape(workers);
     MetroSimulator::with_pool(config, pool, tc).unwrap()
+}
+
+/// That metro over `pool`, every shard run through the oracle.
+fn metro_reference(pool: &PoolConfig) -> MetroReport {
+    let (config, tc) = metro_shape(1);
+    reference::run_metro(config, pool, &tc)
 }
 
 /// Metro layer: the sharded driver must inherit byte-identity, and the
 /// hot path must stay independent of the worker crew size.
 #[test]
 fn metro_hot_path_matches_reference_across_worker_counts() {
-    let build = |workers: usize| {
-        let mut pool = PoolConfig::default_eval(4);
-        pool.warm = Some(WarmConfig::default_eval());
-        metro(workers, pool)
-    };
-    let reference = serde_json::to_string_pretty(&build(1).run_reference()).unwrap();
+    let mut pool = PoolConfig::default_eval(4);
+    pool.warm = Some(WarmConfig::default_eval());
+    let reference = serde_json::to_string_pretty(&metro_reference(&pool)).unwrap();
     for workers in [1usize, 2, 8] {
-        let hot = serde_json::to_string_pretty(&build(workers).run()).unwrap();
+        let hot = serde_json::to_string_pretty(&metro(workers, pool.clone()).run()).unwrap();
         assert_eq!(
             hot, reference,
             "metro hot path with {workers} workers diverged from reference"
@@ -445,14 +460,12 @@ fn metro_hot_path_matches_reference_across_worker_counts() {
 /// heterogeneous tables must not leak scheduling nondeterminism.
 #[test]
 fn metro_split_plan_matches_reference_across_worker_counts() {
-    let build = |workers: usize| {
-        let mut pool = PoolConfig::default_eval(4);
-        pool.warm = Some(WarmConfig::default_eval());
-        metro(workers, heterogeneous(pool, 48))
-    };
-    let reference = serde_json::to_string_pretty(&build(1).run_reference()).unwrap();
+    let mut pool = PoolConfig::default_eval(4);
+    pool.warm = Some(WarmConfig::default_eval());
+    let pool = heterogeneous(pool, 48);
+    let reference = serde_json::to_string_pretty(&metro_reference(&pool)).unwrap();
     for workers in [1usize, 2, 8] {
-        let hot = serde_json::to_string_pretty(&build(workers).run()).unwrap();
+        let hot = serde_json::to_string_pretty(&metro(workers, pool.clone()).run()).unwrap();
         assert_eq!(
             hot, reference,
             "split-plan metro with {workers} workers diverged from reference"
@@ -465,17 +478,14 @@ fn metro_split_plan_matches_reference_across_worker_counts() {
 /// streamed shard must stop where the oracle's materialized trace ends.
 #[test]
 fn metro_partial_last_epoch_matches_reference_across_worker_counts() {
-    let build = |workers: usize| {
-        let mut pool = PoolConfig::default_eval(4);
-        pool.warm = Some(WarmConfig::default_eval());
-        pool.epoch_steps = 7;
-        metro(workers, pool)
-    };
-    let reference = build(1).run_reference();
+    let mut pool = PoolConfig::default_eval(4);
+    pool.warm = Some(WarmConfig::default_eval());
+    pool.epoch_steps = 7;
+    let reference = metro_reference(&pool);
     assert_eq!(reference.metrics.epochs, 60u64.div_ceil(7));
     let reference = serde_json::to_string_pretty(&reference).unwrap();
     for workers in [1usize, 2, 8] {
-        let hot = serde_json::to_string_pretty(&build(workers).run()).unwrap();
+        let hot = serde_json::to_string_pretty(&metro(workers, pool.clone()).run()).unwrap();
         assert_eq!(
             hot, reference,
             "partial-epoch metro with {workers} workers diverged from reference"

@@ -51,8 +51,8 @@ fn task(cell: u64, release_us: u64, sojourn_us: u64, stolen: bool) -> Subframe {
 
 #[test]
 fn log_buckets() {
-    let mut fine = LogBuckets::<2>::new();
-    let mut coarse = LogBuckets::<0>::new();
+    let mut fine = LogBuckets::<160>::new();
+    let mut coarse = LogBuckets::<40>::new();
     for us in [0, 1, 7, 999, 1_000, 123_456, u64::from(u32::MAX)] {
         fine.record_us(us);
         coarse.record(Duration::from_micros(us));
@@ -61,10 +61,10 @@ fn log_buckets() {
     let keys: Vec<&String> = tree.as_object().unwrap().keys().collect();
     assert_eq!(keys, ["buckets", "count", "sum_us", "max_us", "min_us"]);
     assert_eq!(tree["count"].as_u64(), Some(7));
-    let back: LogBuckets<2> = serde_json::from_value(tree).unwrap();
+    let back: LogBuckets<160> = serde_json::from_value(tree).unwrap();
     assert_eq!(back, fine);
     three_sinks_agree(&coarse);
-    three_sinks_agree(&LogBuckets::<3>::new());
+    three_sinks_agree(&LogBuckets::<320>::new());
 }
 
 #[test]
@@ -298,17 +298,17 @@ fn pool_metrics_and_log_buckets_read() {
         "at outages: expected object with field `buckets`, got null"
     );
 
-    let mut fine = LogBuckets::<2>::new();
+    let mut fine = LogBuckets::<160>::new();
     fine.record_us(77);
     let coarse_tree = reads_every_way(&x.response_times, &x.deadline_slack);
-    reads_every_way(&fine, &LogBuckets::<2>::new());
+    reads_every_way(&fine, &LogBuckets::<160>::new());
     // The resolution is not on the wire; the bucket count gives it away.
-    let err = serde_json::from_value::<LogBuckets<2>>(coarse_tree.clone()).unwrap_err();
+    let err = serde_json::from_value::<LogBuckets<160>>(coarse_tree.clone()).unwrap_err();
     assert!(
         err.to_string().starts_with("expected ") && err.to_string().contains(" buckets, got "),
         "{err}"
     );
-    let err = from_str::<LogBuckets<0>>(&without(&coarse_tree, "count")).unwrap_err();
+    let err = from_str::<LogBuckets<40>>(&without(&coarse_tree, "count")).unwrap_err();
     assert_eq!(
         err.to_string(),
         "at count: expected unsigned integer, got null"

@@ -3,14 +3,16 @@
 //! An ideal fronthaul with no executor takes the grid path
 //! (`realtime::dispatch_grid`) whether or not the tracer is on; traced,
 //! the grid emits each task's `subframe` event itself, in the order
-//! `simulate_into` emits the expanded batch's. `PoolSimulator::run_reference`
-//! expands every task and dispatches through `simulate`, so the two must
-//! drain the same event sequence and report the same metrics — on a
-//! healthy pool and on an overloaded one whose TTIs carry core clocks
-//! over, replay TTI 0 and miss.
+//! `simulate_into` emits the expanded batch's. The tests crate's oracle
+//! (`pran_integration_tests::reference`, run through
+//! `PoolSimulator::run_with`) expands every task and dispatches through
+//! `simulate`, so the two must drain the same event sequence and report
+//! the same metrics — on a healthy pool and on an overloaded one whose
+//! TTIs carry core clocks over, replay TTI 0 and miss.
 //!
 //! The tracer is process-global, so this binary holds one test.
 
+use pran_integration_tests::reference;
 use pran_sim::{PoolConfig, PoolSimulator, SimReport};
 use pran_telemetry::{Subframe, TelemetryConfig, TraceEvent};
 use pran_traces::{generate, Trace, TraceConfig};
@@ -28,7 +30,7 @@ fn traced(cfg: &PoolConfig, reference: bool) -> (SimReport, Vec<TraceEvent>) {
     pran_telemetry::configure(TelemetryConfig::sim());
     let mut sim = PoolSimulator::new(trace(40, 42), cfg.clone());
     let report = if reference {
-        sim.run_reference()
+        reference::run(&mut sim)
     } else {
         sim.run()
     };
