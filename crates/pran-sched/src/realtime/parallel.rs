@@ -19,6 +19,14 @@
 //! schedules, then runs each simulated core's tasks (e.g. actual turbo
 //! decodes) on one scoped thread per core, in schedule order.
 //!
+//! A call does only the work its rows leave open. Rows already in cell
+//! order — every batch the pool simulator builds — skip the row sort
+//! that groups them into per-cell batches; with stealing off, a core
+//! whose queue starts empty or drains retires at once, since its later
+//! turns could only retire it. The unit tests hold both shortcuts to the
+//! sorting schedule they replaced, stealing on and off, in both row
+//! orders.
+//!
 //! Per task the executor records finish time, signed deadline slack and a
 //! miss flag; per run it reports per-core busy time, makespan and steal
 //! count — the inputs to E6's miss-fraction-vs-cores curves.
@@ -324,10 +332,13 @@ impl ParallelExecutor {
         steals.clear();
 
         // Batch per cell (input order kept within a cell, at most
-        // `batch` tasks each), homed on `cell % cores`.
+        // `batch` tasks each), homed on `cell % cores`. Rows already in
+        // cell order — every batch the pool builds — need no sort.
         rows.clear();
         rows.extend(0..n);
-        rows.sort_unstable_by_key(|&id| (tasks.cell[id], id));
+        if !tasks.cell.is_sorted() {
+            rows.sort_unstable_by_key(|&id| (tasks.cell[id], id));
+        }
         batches.clear();
         let mut start = 0;
         while start < n {
@@ -362,6 +373,9 @@ impl ParallelExecutor {
                 .take_while(|b| b.home == home)
                 .count();
             core.end = next;
+            // Without stealing a core only ever runs its own queue: an
+            // empty one has nothing to do but retire.
+            core.retired = !cfg.steal && core.queued() == 0;
         }
 
         out.tasks.clear();
@@ -395,13 +409,17 @@ impl ParallelExecutor {
             } else {
                 None
             };
-            let mut grabbed = [own, stolen];
-            if grabbed == [None, None] {
-                // No reachable work left: retire this core.
-                cores[c].retired = true;
-                continue;
-            }
-            grabbed.sort_unstable_by_key(|b| b.map(|b| (batches[b].release_ns, batches[b].id)));
+            // Both grabbed batches run here, in (release, id) order.
+            let key = |b: usize| (batches[b].release_ns, batches[b].id);
+            let grabbed = match (own, stolen) {
+                (None, None) => {
+                    // No reachable work left: retire this core.
+                    cores[c].retired = true;
+                    continue;
+                }
+                (Some(o), Some(s)) if key(s) < key(o) => [stolen, own],
+                _ => [own, stolen],
+            };
 
             let core = &mut cores[c];
             for batch in grabbed.into_iter().flatten().map(|b| batches[b]) {
@@ -442,6 +460,11 @@ impl ParallelExecutor {
                     }
                     ran(c, id);
                 }
+            }
+            // Without stealing, a drained queue's later turns could only
+            // retire the core: retire it now.
+            if !cfg.steal && core.queued() == 0 {
+                core.retired = true;
             }
         }
 
@@ -652,22 +675,176 @@ mod tests {
             .collect()
     }
 
+    /// `tasks` with its rows stably sorted by cell and renumbered — the
+    /// shape every batch the pool builds has, which skips the row sort.
+    fn in_cell_order(tasks: &[RtTask]) -> Vec<RtTask> {
+        let mut sorted = tasks.to_vec();
+        sorted.sort_by_key(|t| t.cell);
+        for (id, t) in sorted.iter_mut().enumerate() {
+            t.id = id;
+        }
+        sorted
+    }
+
     #[test]
     fn pinned_schedule_matches_oracle_on_random_task_sets() {
         let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
         for round in 0..300 {
-            let tasks = jittered_tasks(&mut rng);
+            let drawn = jittered_tasks(&mut rng);
             let (cores, batch) = (1 + rng.below(8) as usize, 1 + rng.below(8) as usize);
-            let got = exec(cores, batch, false).execute(&tasks);
-            let want = pinned_oracle(&tasks, cores, batch);
-            assert_eq!(
-                got.tasks, want.tasks,
-                "round {round}: {cores} cores, batch {batch}"
-            );
-            assert_eq!(got.core_busy, want.core_busy, "round {round}");
-            assert_eq!(got.makespan, want.makespan, "round {round}");
-            assert_eq!(got.steals, 0);
+            for tasks in [in_cell_order(&drawn), drawn] {
+                let got = exec(cores, batch, false).execute(&tasks);
+                let want = pinned_oracle(&tasks, cores, batch);
+                assert_eq!(
+                    got.tasks, want.tasks,
+                    "round {round}: {cores} cores, batch {batch}"
+                );
+                assert_eq!(got.core_busy, want.core_busy, "round {round}");
+                assert_eq!(got.makespan, want.makespan, "round {round}");
+                assert_eq!(got.steals, 0);
+            }
         }
+    }
+
+    /// The scheduler without its shortcuts: every row set sorted, the
+    /// grabbed pair sorted by `Option` key, a core retired only on a turn
+    /// that finds nothing. The oracle for stealing, which no simpler
+    /// model covers.
+    fn sorting_schedule(
+        cfg: ParallelConfig,
+        tasks: &TaskBatch,
+        scratch: &mut ParallelScratch,
+        out: &mut ParallelOutcome,
+    ) {
+        let n = tasks.len();
+        let ParallelScratch {
+            rows,
+            batches,
+            cores,
+            steals,
+        } = scratch;
+        steals.clear();
+
+        rows.clear();
+        rows.extend(0..n);
+        rows.sort_unstable_by_key(|&id| (tasks.cell[id], id));
+        batches.clear();
+        let mut start = 0;
+        while start < n {
+            let first = rows[start];
+            let len = rows[start..]
+                .iter()
+                .take(cfg.batch)
+                .take_while(|&&id| tasks.cell[id] == tasks.cell[first])
+                .count();
+            batches.push(Batch {
+                home: tasks.cell[first] as usize % cfg.cores,
+                release_ns: tasks.release_ns[first],
+                id: first,
+                start,
+                len,
+            });
+            start += len;
+        }
+        batches.sort_unstable_by_key(|b| (b.home, b.release_ns, b.id));
+        cores.clear();
+        cores.resize(cfg.cores, Core::default());
+        let mut next = 0;
+        for (home, core) in cores.iter_mut().enumerate() {
+            core.head = next;
+            next += batches[next..]
+                .iter()
+                .take_while(|b| b.home == home)
+                .count();
+            core.end = next;
+        }
+
+        out.tasks.clear();
+        out.tasks.resize(n, TaskOutcome::default());
+        out.steals = 0;
+        while let Some(c) = (0..cfg.cores)
+            .filter(|&c| !cores[c].retired)
+            .min_by_key(|&c| cores[c].clock)
+        {
+            let own = cores[c].pop();
+            let idle = own.is_none_or(|b| batches[b].release_ns / 1_000 > cores[c].clock);
+            let stolen = if cfg.steal && idle {
+                let queued = cores[c].queued();
+                steal_from_peers(cores, c, queued)
+            } else {
+                None
+            };
+            let mut grabbed = [own, stolen];
+            if grabbed == [None, None] {
+                cores[c].retired = true;
+                continue;
+            }
+            grabbed.sort_unstable_by_key(|b| b.map(|b| (batches[b].release_ns, batches[b].id)));
+
+            let core = &mut cores[c];
+            for batch in grabbed.into_iter().flatten().map(|b| batches[b]) {
+                let stolen = batch.home != c;
+                if stolen {
+                    out.steals += 1;
+                    steals.push((c as u64, core.clock));
+                }
+                for &id in &rows[batch.start..batch.start + batch.len] {
+                    let release = tasks.release_ns[id] / 1_000;
+                    let service = tasks.service_ns[id] / 1_000;
+                    let deadline = tasks.deadline_ns[id] / 1_000;
+                    let start = core.clock.max(release);
+                    let finish = start + service;
+                    core.busy += service;
+                    core.clock = finish;
+                    out.tasks[id] = TaskOutcome {
+                        id,
+                        finish: Duration::from_micros(finish),
+                        slack_us: deadline as i64 - finish as i64,
+                        missed: finish > deadline,
+                        core: c,
+                        stolen,
+                    };
+                }
+            }
+        }
+
+        out.makespan = Duration::from_micros(cores.iter().map(|c| c.clock).max().unwrap_or(0));
+        out.core_busy.clear();
+        out.core_busy
+            .extend(cores.iter().map(|c| Duration::from_micros(c.busy)));
+    }
+
+    #[test]
+    fn schedule_matches_the_sorting_schedule_in_both_row_orders() {
+        let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+        let (mut scratch, mut want_scratch) =
+            (ParallelScratch::default(), ParallelScratch::default());
+        let (mut got, mut want) = (ParallelOutcome::default(), ParallelOutcome::default());
+        let mut total_steals = 0;
+        for round in 0..500 {
+            let drawn = jittered_tasks(&mut rng);
+            let (cores, batch) = (1 + rng.below(8) as usize, 1 + rng.below(8) as usize);
+            for steal in [true, false] {
+                let cfg = ParallelConfig {
+                    cores,
+                    batch,
+                    steal,
+                };
+                for tasks in [in_cell_order(&drawn), drawn.clone()] {
+                    let tasks = TaskBatch::from_tasks(&tasks);
+                    ParallelExecutor::new(cfg).execute_batch_into(&tasks, &mut scratch, &mut got);
+                    sorting_schedule(cfg, &tasks, &mut want_scratch, &mut want);
+                    let at = format!("round {round}: {cfg:?}");
+                    assert_eq!(got.tasks, want.tasks, "{at}");
+                    assert_eq!(got.core_busy, want.core_busy, "{at}");
+                    assert_eq!(got.makespan, want.makespan, "{at}");
+                    assert_eq!(got.steals, want.steals, "{at}");
+                    assert_eq!(scratch.steals(), want_scratch.steals(), "{at}");
+                    total_steals += got.steals;
+                }
+            }
+        }
+        assert!(total_steals > 0, "sweep never exercised a steal");
     }
 
     #[test]

@@ -239,7 +239,7 @@ impl MetroSimulator {
         pool: PoolConfig,
         trace: TraceConfig,
     ) -> Result<Self, MetroError> {
-        validate(&config, &pool)?;
+        validate(&config, &pool, &trace)?;
         Ok(MetroSimulator {
             config,
             pool,
@@ -404,11 +404,26 @@ impl ResidentShard {
 }
 
 /// The gate in front of every metro, batch or resident: a sound shape,
-/// and a pool template that can serve it. A per-cell split plan is
-/// metro-global (each shard gets its slice), so it must cover every cell.
-pub(crate) fn validate(config: &MetroConfig, pool: &PoolConfig) -> Result<(), MetroError> {
+/// a pool template that can serve it, and a trace template every shard's
+/// [`TraceStream`] and pool can run — a finite, positive duration and the
+/// step [`PoolSimulator::try_new`](crate::PoolSimulator::try_new) admits.
+/// A per-cell split plan is metro-global (each shard gets its slice), so
+/// it must cover every cell.
+pub(crate) fn validate(
+    config: &MetroConfig,
+    pool: &PoolConfig,
+    trace: &TraceConfig,
+) -> Result<(), MetroError> {
     config.validate().map_err(MetroError::Metro)?;
-    pool.validate_for(config.cells).map_err(MetroError::Pool)
+    pool.validate_for(config.cells).map_err(MetroError::Pool)?;
+    let duration = trace.duration_seconds;
+    if !duration.is_finite() || duration <= 0.0 {
+        return Err(MetroError::Pool(PoolConfigError::BadDurationSeconds(
+            duration,
+        )));
+    }
+    pool.validate_steps(trace.step_seconds, trace.num_steps())
+        .map_err(MetroError::Pool)
 }
 
 /// Shard `shard`'s pool and trace configuration, for every driver: the
@@ -512,6 +527,48 @@ mod tests {
             c.validate(),
             Err(MetroConfigError::MoreShardsThanCells { .. })
         ));
+    }
+
+    #[test]
+    fn both_drivers_reject_a_trace_no_shard_could_run() {
+        // Past the gate, each of these panics in a shard's stream, in a
+        // worker or at the first epoch, or (an infinite or 1e300 s step)
+        // runs zero tasks.
+        let config = MetroConfig::default_eval(8, 2);
+        let pool = PoolConfig::default_eval(4);
+        let build = |trace: &TraceConfig| {
+            let batch = MetroSimulator::with_pool(config, pool.clone(), trace.clone()).err();
+            let resident =
+                crate::ResidentMetro::with_pool(config, pool.clone(), trace.clone()).err();
+            (batch, resident)
+        };
+        let bits = |e: Option<MetroError>| match e {
+            Some(MetroError::Pool(PoolConfigError::BadStepSeconds(s))) => {
+                Some(("step", s.to_bits()))
+            }
+            Some(MetroError::Pool(PoolConfigError::BadDurationSeconds(d))) => {
+                Some(("duration", d.to_bits()))
+            }
+            _ => None,
+        };
+        for step in [f64::NAN, 0.0, -60.0, f64::INFINITY, 1e300] {
+            let mut trace = TraceConfig::default_day(8, 1);
+            trace.step_seconds = step;
+            let (batch, resident) = build(&trace);
+            let want = Some(("step", step.to_bits()));
+            assert_eq!(bits(batch), want, "batch, step {step}");
+            assert_eq!(bits(resident), want, "resident, step {step}");
+        }
+        for duration in [f64::NAN, 0.0, -3600.0, f64::INFINITY] {
+            let mut trace = TraceConfig::default_day(8, 1);
+            trace.duration_seconds = duration;
+            let (batch, resident) = build(&trace);
+            let want = Some(("duration", duration.to_bits()));
+            assert_eq!(bits(batch), want, "batch, duration {duration}");
+            assert_eq!(bits(resident), want, "resident, duration {duration}");
+        }
+        let (batch, resident) = build(&TraceConfig::default_day(8, 1));
+        assert!(batch.is_none() && resident.is_none());
     }
 
     #[test]

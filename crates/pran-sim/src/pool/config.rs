@@ -335,6 +335,28 @@ impl PoolConfig {
         }
         Ok(())
     }
+
+    /// The trace-step rule every pool driver is gated by, for a trace of
+    /// `steps` steps `step_seconds` apart. The event clock runs on
+    /// `Duration`s: an epoch must span a nonzero one (a failure divides
+    /// by it), and every epoch start must convert (negative, NaN and
+    /// infinite steps do not). Needs a nonzero `epoch_steps`, which
+    /// [`validate`](Self::validate) checks first.
+    pub(crate) fn validate_steps(
+        &self,
+        step_seconds: f64,
+        steps: usize,
+    ) -> Result<(), PoolConfigError> {
+        let epochs = steps.div_ceil(self.epoch_steps);
+        let epoch = Duration::try_from_secs_f64(self.epoch_steps as f64 * step_seconds);
+        let run = Duration::try_from_secs_f64(
+            epochs.saturating_mul(self.epoch_steps) as f64 * step_seconds,
+        );
+        if !epoch.is_ok_and(|e| !e.is_zero()) || run.is_err() {
+            return Err(PoolConfigError::BadStepSeconds(step_seconds));
+        }
+        Ok(())
+    }
 }
 
 /// Why a [`PoolConfig`] (or the trace paired with it) cannot drive a
@@ -366,6 +388,9 @@ pub enum PoolConfigError {
     /// too small or too large for an epoch to span a nonzero
     /// [`Duration`] and the run to fit in one.
     BadStepSeconds(f64),
+    /// A trace template's `duration_seconds` is zero, negative, NaN or
+    /// infinite.
+    BadDurationSeconds(f64),
     /// A per-cell split plan does not cover exactly the trace's cells.
     SplitPlanLength {
         /// Cells the plan covers.
@@ -400,6 +425,9 @@ impl std::fmt::Display for PoolConfigError {
             }
             PoolConfigError::BadStepSeconds(s) => {
                 write!(f, "trace step {s} s must be finite and positive")
+            }
+            PoolConfigError::BadDurationSeconds(d) => {
+                write!(f, "trace duration {d} s must be finite and positive")
             }
             PoolConfigError::SplitPlanLength { plan, cells } => {
                 write!(

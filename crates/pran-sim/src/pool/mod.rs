@@ -79,16 +79,7 @@ impl PoolSimulator {
     /// [`PoolConfigError`].
     pub fn try_new(trace: Trace, config: PoolConfig) -> Result<Self, PoolConfigError> {
         config.validate_for(trace.num_cells())?;
-        // The event clock runs on `Duration`s: an epoch must span a
-        // nonzero one (a failure divides by it), and every epoch start
-        // must convert (negative, NaN and infinite steps do not).
-        let step = trace.step_seconds;
-        let epochs = trace.num_steps().div_ceil(config.epoch_steps);
-        let epoch = Duration::try_from_secs_f64(config.epoch_steps as f64 * step);
-        let run = Duration::try_from_secs_f64((epochs * config.epoch_steps) as f64 * step);
-        if !epoch.is_ok_and(|e| !e.is_zero()) || run.is_err() {
-            return Err(PoolConfigError::BadStepSeconds(step));
-        }
+        config.validate_steps(trace.step_seconds, trace.num_steps())?;
         Ok(PoolSimulator {
             trace,
             config,

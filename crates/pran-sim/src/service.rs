@@ -153,7 +153,7 @@ impl ResidentMetro {
         pool: PoolConfig,
         trace: TraceConfig,
     ) -> Result<Self, MetroError> {
-        metro::validate(&config, &pool)?;
+        metro::validate(&config, &pool, &trace)?;
         let monitor = pool.slo.map(SloMonitor::new);
         let policy = pool.slo.unwrap_or_else(SloPolicy::default_eval);
         let shards = (0..config.shards)

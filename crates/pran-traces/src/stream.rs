@@ -11,6 +11,8 @@
 //! run arbitrarily far past `cfg.duration_seconds`; the duration only
 //! matters to the batch wrapper.
 
+use std::sync::LazyLock;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,12 +29,10 @@ const CELL_NOISE_SIGMA: f64 = 0.05;
 /// AR(1) smoothing coefficient for both noise processes, `[0, 1)`.
 const NOISE_SMOOTHING: f64 = 0.9;
 
-const CLASSES: [CellClass; 4] = [
-    CellClass::Residential,
-    CellClass::Office,
-    CellClass::Transport,
-    CellClass::Entertainment,
-];
+/// The profile of each class of [`CellClass::all`], in that order: built
+/// once per process and borrowed by every stream.
+static CLASS_PROFILES: LazyLock<[DiurnalProfile; 4]> =
+    LazyLock::new(|| CellClass::all().map(DiurnalProfile::for_class));
 
 /// One standard normal variate (Box–Muller).
 fn standard_normal(rng: &mut SmallRng) -> f64 {
@@ -47,7 +47,7 @@ fn standard_normal(rng: &mut SmallRng) -> f64 {
 pub struct TraceStream {
     cfg: TraceConfig,
     cells: Vec<CellMeta>,
-    class_profiles: Vec<DiurnalProfile>,
+    class_profiles: &'static [DiurnalProfile; 4],
     class_of: Vec<usize>,
     rng: SmallRng,
     regional: f64,
@@ -84,19 +84,15 @@ impl TraceStream {
             })
             .collect();
 
-        // Memoized per-class profiles (shared by every cell of a class).
-        let class_profiles: Vec<DiurnalProfile> = CLASSES
-            .iter()
-            .map(|&class| DiurnalProfile::for_class(class))
-            .collect();
+        let classes = CellClass::all();
         let class_of: Vec<usize> = cells
             .iter()
-            .map(|meta| CLASSES.iter().position(|&k| k == meta.class).unwrap())
+            .map(|meta| classes.iter().position(|&k| k == meta.class).unwrap())
             .collect();
 
         TraceStream {
             cfg: cfg.clone(),
-            class_profiles,
+            class_profiles: &CLASS_PROFILES,
             class_of,
             rng,
             regional: 0.0,
@@ -189,6 +185,16 @@ mod tests {
             assert_eq!(stream.step_index(), t);
             stream.next_step_into(&mut row);
             assert_eq!(&row, want, "row {t} diverged");
+        }
+    }
+
+    #[test]
+    fn streams_borrow_one_profile_table() {
+        let a = TraceStream::new(&TraceConfig::default_day(4, 1));
+        let b = TraceStream::new(&TraceConfig::default_day(9, 2));
+        assert!(std::ptr::eq(a.class_profiles, b.class_profiles));
+        for (class, profile) in CellClass::all().into_iter().zip(a.class_profiles) {
+            assert_eq!(*profile, DiurnalProfile::for_class(class), "{class}");
         }
     }
 

@@ -218,8 +218,10 @@ fn server_failures_are_identical() {
 
 #[test]
 fn pinned_parallel_executor_is_identical() {
-    // steal = false keeps the executor deterministic (statically
-    // partitioned cores), so the byte contract extends to it.
+    // The executor's timeline is a virtual-time schedule on the calling
+    // thread, deterministic with or without stealing, so the byte
+    // contract extends to it: here statically partitioned (steal =
+    // false), stolen from in `stealing_parallel_executor_is_identical`.
     let mut cfg = PoolConfig::default_eval(5);
     cfg.epoch_steps = 10;
     cfg.parallel = Some(ParallelConfig {
