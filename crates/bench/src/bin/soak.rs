@@ -69,7 +69,12 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => a.workers = Some(val()?.parse().map_err(|e| format!("--workers: {e}"))?),
             "--epochs" => a.epochs = val()?.parse().map_err(|e| format!("--epochs: {e}"))?,
             "--pace-ms" => a.pace_ms = val()?.parse().map_err(|e| format!("--pace-ms: {e}"))?,
-            "--recorder" => a.recorder = val()?.parse().map_err(|e| format!("--recorder: {e}"))?,
+            "--recorder" => {
+                a.recorder = val()?.parse().map_err(|e| format!("--recorder: {e}"))?;
+                if a.recorder == 0 {
+                    return Err("--recorder: must keep at least 1 epoch".to_string());
+                }
+            }
             "--fail-epoch" => {
                 a.fail_epoch = Some(val()?.parse().map_err(|e| format!("--fail-epoch: {e}"))?)
             }

@@ -63,8 +63,8 @@ pub fn failure_specs(scenario: &Scenario) -> Vec<FailureSpec> {
 /// The control plane's per-cell fronthaul links.
 ///
 /// `None` links model ideal fronthaul; a `LinkDegrade` event swaps in one
-/// seeded [`FaultInjector`] per cell (seed `base + cell`, so loss streams
-/// are independent but reproducible), and `LinkRestore` swaps them out.
+/// seeded link per cell ([`FaultInjector::for_cell`], so loss streams are
+/// independent but reproducible), and `LinkRestore` swaps them out.
 /// Injector clocks advance on simulated time via
 /// [`FaultInjector::advance_to`] — the shared tick that keeps fronthaul
 /// queues in lockstep with engine-scheduled failures.
@@ -87,10 +87,9 @@ impl LinkBank {
 
     /// Swap in one fresh seeded injector per cell running `config`.
     fn degrade(&mut self, config: FaultConfig) {
-        let seed = self.seed;
         self.links = Some(
             (0..self.cells)
-                .map(|c| FaultInjector::new(config, seed.wrapping_add(c as u64)))
+                .map(|c| FaultInjector::for_cell(config, self.seed, c))
                 .collect(),
         );
     }
@@ -108,8 +107,7 @@ impl LinkBank {
             Some(links) => {
                 let link = &mut links[cell];
                 link.advance_to(at);
-                // A 16-byte report, drawn rather than built.
-                link.deliver(16).is_some()
+                link.deliver().is_some()
             }
         }
     }

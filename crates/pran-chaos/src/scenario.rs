@@ -131,10 +131,9 @@ impl ChaosEvent {
                 refill_interval,
             } => Some(FaultConfig {
                 drop_prob,
-                corrupt_prob: 0.0,
                 max_jitter,
                 bucket_capacity,
-                refill_per_tick: refill_per_interval,
+                refill_per_interval,
                 refill_interval,
             }),
             _ => None,
@@ -628,7 +627,6 @@ mod tests {
         let s = sample();
         let cfg = s.events[2].event.fault_config().unwrap();
         assert_eq!(cfg.drop_prob, 0.1);
-        assert_eq!(cfg.corrupt_prob, 0.0);
         assert_eq!(cfg.max_jitter, Duration::from_micros(80));
         assert!(s.events[0].event.fault_config().is_none());
     }

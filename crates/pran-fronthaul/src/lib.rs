@@ -14,9 +14,9 @@
 //!   budgets for the placement problem;
 //! * [`topology`] — front-ends, sites and the reachability matrix the
 //!   budgets induce;
-//! * [`fault`] — deterministic loss/corruption/jitter/rate-limit injection
-//!   on the frames the pool simulator and the chaos harness offer each
-//!   link.
+//! * [`fault`] — one seeded link per cell, drawing each uplink frame's
+//!   fate (rate-limited, dropped, or delivered after a jitter) for the
+//!   pool simulator and the chaos harness; no frame is built.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,6 +29,6 @@ pub mod topology;
 
 pub use budget::{FronthaulPath, FIBER_SPEED_M_S};
 pub use cpri::CpriOption;
-pub use fault::{FaultConfig, FaultInjector, FaultStats, Outcome};
+pub use fault::{FaultConfig, FaultInjector};
 pub use split::FunctionalSplit;
 pub use topology::{edge_regional, FrontEnd, Reachability, Site, Topology};

@@ -201,12 +201,13 @@ pub struct PoolConfig {
 
 /// Per-cell fronthaul degradation for a pool run.
 ///
-/// Each cell gets its own [`FaultInjector`] seeded `seed + cell`, so loss
-/// streams are independent across cells yet fully reproducible. Injector
-/// token buckets advance on the simulation clock ([`FaultInjector::advance_to`]
-/// at each task's absolute release instant), not on call counts, keeping
-/// fronthaul queues in lockstep with the engine-scheduled failure and
-/// recovery events when scenarios compose both.
+/// Each cell gets its own link, [`FaultInjector::for_cell`] (stream
+/// `seed + cell`), so loss streams are independent across cells yet fully
+/// reproducible. Injector token buckets advance on the simulation clock
+/// ([`FaultInjector::advance_to`] at each task's absolute release
+/// instant), not on call counts, keeping fronthaul queues in lockstep
+/// with the engine-scheduled failure and recovery events when scenarios
+/// compose both.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFault {
     /// Fault parameters shared by every cell's link.
@@ -278,7 +279,8 @@ impl PoolConfig {
     /// Structural validation of the knobs that would otherwise surface as
     /// divide-by-zero, empty-histogram or deep-in-the-run panics:
     /// zero counts, non-finite or non-positive capacities and headroom,
-    /// and nonsensical parallel-executor shapes.
+    /// nonsensical parallel-executor shapes, and a fronthaul drop
+    /// probability that is no probability.
     pub fn validate(&self) -> Result<(), PoolConfigError> {
         if self.servers == 0 {
             return Err(PoolConfigError::NoServers);
@@ -311,6 +313,11 @@ impl PoolConfig {
         if let Some(a) = &self.accel {
             if !a.fraction.is_finite() || !(0.0..=1.0).contains(&a.fraction) {
                 return Err(PoolConfigError::BadAccelFraction(a.fraction));
+            }
+        }
+        if let Some(lf) = &self.fronthaul {
+            if !(0.0..=1.0).contains(&lf.config.drop_prob) {
+                return Err(PoolConfigError::BadDropProb(lf.config.drop_prob));
             }
         }
         Ok(())
@@ -384,6 +391,8 @@ pub enum PoolConfigError {
     BadWarmBand(f64),
     /// Accelerated-server fraction is outside `[0, 1]` or non-finite.
     BadAccelFraction(f64),
+    /// The fronthaul link's drop probability is outside `[0, 1]` or NaN.
+    BadDropProb(f64),
     /// The trace's `step_seconds` is zero, negative, NaN or infinite, or
     /// too small or too large for an epoch to span a nonzero
     /// [`Duration`] and the run to fit in one.
@@ -422,6 +431,9 @@ impl std::fmt::Display for PoolConfigError {
             }
             PoolConfigError::BadAccelFraction(x) => {
                 write!(f, "accelerated-server fraction {x} must be within [0, 1]")
+            }
+            PoolConfigError::BadDropProb(p) => {
+                write!(f, "fronthaul drop probability {p} must be within [0, 1]")
             }
             PoolConfigError::BadStepSeconds(s) => {
                 write!(f, "trace step {s} s must be finite and positive")

@@ -565,7 +565,7 @@ mod tests {
         cfg.fronthaul = Some(LinkFault {
             config: FaultConfig {
                 bucket_capacity: 1,
-                refill_per_tick: 1,
+                refill_per_interval: 1,
                 refill_interval: TTI * 2,
                 ..FaultConfig::clean()
             },

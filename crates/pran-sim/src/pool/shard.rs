@@ -235,8 +235,8 @@ pub struct PoolShard {
     /// `Some` when the config asks for warm-start placement.
     warm: Option<WarmPlacer>,
     alive: Vec<bool>,
-    /// One injector per cell, seeded `seed + cell`; empty under an ideal
-    /// fronthaul.
+    /// One link per cell ([`FaultInjector::for_cell`]); empty under an
+    /// ideal fronthaul.
     links: Vec<FaultInjector>,
     /// This shard's part of the live insight plane, over its own cell
     /// and server ids: built by the first [`execute`](Self::execute) that
@@ -260,7 +260,7 @@ impl PoolShard {
             alive: vec![true; cfg.servers],
             links: match &cfg.fronthaul {
                 Some(lf) => (0..cells)
-                    .map(|c| FaultInjector::new(lf.config, lf.seed.wrapping_add(c as u64)))
+                    .map(|c| FaultInjector::for_cell(lf.config, lf.seed, c))
                     .collect(),
                 None => Vec::new(),
             },
@@ -547,7 +547,7 @@ impl PoolShard {
                     if clocked {
                         link.advance_to(step_start + TTI * tti as u32);
                     }
-                    match link.deliver(frame_len) {
+                    match link.deliver() {
                         // Jitter delays arrival but the HARQ deadline
                         // stays pinned to the TTI, so jitter eats
                         // compute slack.

@@ -7,9 +7,10 @@
 //! loop against: the two must produce byte-identical reports. It is
 //! written against `pran-sim`'s public API alone and shares no code with
 //! the hot loop: service times come from the compute model and
-//! [`Accelerator::default_eval`] here, fronthaul offers are whole frames
-//! through this oracle's own [`FaultInjector::offer`]s (where the hot loop
-//! draws its links' fates with `deliver`), and per-server grouping and
+//! [`Accelerator::default_eval`] here, each report's fate is drawn from
+//! this oracle's own [`FaultInjector`]s and applied as a [`Duration`],
+//! its clock advanced before every report (where the hot loop skips
+//! `advance_to` on a link that never refills), and per-server grouping and
 //! the response and slack arithmetic are its own; dispatch goes through
 //! the same schedulers as the hot loop, on fresh buffers. Placement and
 //! failover are not duplicated — the oracle executes against the shard
@@ -19,8 +20,7 @@
 
 use std::time::Duration;
 
-use bytes::Bytes;
-use pran_fronthaul::fault::{FaultInjector, Outcome};
+use pran_fronthaul::fault::FaultInjector;
 use pran_phy::compute::{CellWorkload, ComputeModel};
 use pran_phy::frame::{Direction, COMPUTE_DEADLINE, TTI};
 use pran_sched::placement::Accelerator;
@@ -31,12 +31,6 @@ use pran_sim::{
     SplitPlan,
 };
 use pran_traces::{generate, TraceConfig};
-
-/// Uplink subframe report one cell pushes per TTI over its fronthaul
-/// link. Splits ship a *prefix* of this static frame
-/// (`FunctionalSplit::fronthaul_bytes_per_tti` bytes); under `Full` the
-/// prefix is the whole 32-byte frame — exactly the pre-split payload.
-static UPLINK_FRAME: [u8; 32] = [0u8; 32];
 
 /// `sim` run to completion with every epoch executed by the oracle.
 pub fn run(sim: &mut PoolSimulator) -> SimReport {
@@ -84,9 +78,9 @@ pub fn run_metro(config: MetroConfig, pool: &PoolConfig, trace: &TraceConfig) ->
 
 /// The oracle's state across one run: its own fault injector per cell.
 struct Reference {
-    /// One injector per cell, seeded `seed + cell` as the shard seeds its
-    /// own; empty under an ideal fronthaul. A run through the oracle never
-    /// draws the shard's links, so the two streams stay in step.
+    /// One link per cell, [`FaultInjector::for_cell`] as the shard builds
+    /// its own; empty under an ideal fronthaul. A run through the oracle
+    /// never draws the shard's links, so the two streams stay in step.
     links: Vec<FaultInjector>,
 }
 
@@ -96,7 +90,7 @@ impl Reference {
         Reference {
             links: match &shard.config().fronthaul {
                 Some(lf) => (0..cells)
-                    .map(|c| FaultInjector::new(lf.config, lf.seed.wrapping_add(c as u64)))
+                    .map(|c| FaultInjector::for_cell(lf.config, lf.seed, c))
                     .collect(),
                 None => Vec::new(),
             },
@@ -152,14 +146,14 @@ impl Reference {
                                 let link = &mut self.links[cell];
                                 link.advance_to(step_start + base);
                                 metrics.fronthaul_bytes += frame_len as u64;
-                                match link.offer(Bytes::from_static(&UPLINK_FRAME[..frame_len])) {
-                                    Outcome::Delivered { extra_delay, .. } => {
+                                match link.deliver() {
+                                    Some(extra_ns) => {
                                         // Jitter delays arrival but the HARQ
                                         // deadline stays pinned to the TTI,
                                         // so jitter eats compute slack.
-                                        release += extra_delay;
+                                        release += Duration::from_nanos(extra_ns);
                                     }
-                                    Outcome::Dropped | Outcome::RateLimited => {
+                                    None => {
                                         metrics.tasks_lost += 1;
                                         metrics.reports_lost += 1;
                                         continue;

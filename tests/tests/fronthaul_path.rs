@@ -3,11 +3,16 @@
 
 use std::time::Duration;
 
-use pran_fronthaul::{FronthaulPath, FunctionalSplit};
+use pran_fronthaul::{FaultConfig, FronthaulPath, FunctionalSplit};
 use pran_phy::frame::{AntennaConfig, Bandwidth};
 use pran_phy::mcs::Mcs;
 use pran_sched::placement::heuristics::{place, Heuristic};
 use pran_sched::placement::PlacementInstance;
+use pran_sim::{
+    LinkFault, MetroConfig, MetroError, MetroSimulator, PoolConfig, PoolConfigError, PoolSimulator,
+    ResidentMetro,
+};
+use pran_traces::{generate, TraceConfig};
 
 #[test]
 fn latency_budget_builds_the_reachability_matrix() {
@@ -72,4 +77,43 @@ fn split_choice_changes_reach() {
         tb > iq,
         "higher split must reach further: IQ {iq} vs TB {tb}"
     );
+}
+
+/// A link drop probability outside `[0, 1]`, or NaN, is a typed config
+/// error at every pool gate — the single pool, the batch metro and the
+/// resident metro — instead of a run that drops every frame or none.
+#[test]
+fn an_out_of_range_drop_probability_is_a_typed_config_error() {
+    for drop_prob in [1.5, -0.1, f64::NAN] {
+        let mut pool = PoolConfig::default_eval(4);
+        pool.fronthaul = Some(LinkFault {
+            config: FaultConfig {
+                drop_prob,
+                ..FaultConfig::clean()
+            },
+            seed: 1,
+        });
+        let is_bad_drop = |e: &PoolConfigError| match e {
+            PoolConfigError::BadDropProb(p) => p.to_bits() == drop_prob.to_bits(),
+            _ => false,
+        };
+        let mut trace = TraceConfig::default_day(8, 3);
+        trace.duration_seconds = 3_600.0;
+        trace.step_seconds = 600.0;
+        let single = PoolSimulator::try_new(generate(&trace), pool.clone());
+        assert!(
+            single.as_ref().err().is_some_and(is_bad_drop),
+            "pool, drop_prob {drop_prob}: {:?}",
+            single.err()
+        );
+        let metro = MetroConfig::default_eval(8, 2);
+        let bad_metro = |r: Result<(), MetroError>| {
+            r.err()
+                .is_some_and(|e| matches!(e, MetroError::Pool(ref p) if is_bad_drop(p)))
+        };
+        let batch = MetroSimulator::with_pool(metro, pool.clone(), trace.clone()).map(drop);
+        assert!(bad_metro(batch), "metro, drop_prob {drop_prob}");
+        let resident = ResidentMetro::with_pool(metro, pool, trace).map(drop);
+        assert!(bad_metro(resident), "resident, drop_prob {drop_prob}");
+    }
 }

@@ -180,7 +180,7 @@ fn warm_placement_is_identical() {
 #[test]
 fn fronthaul_faults_are_identical() {
     // Drops, jitter and a tight token bucket all at once: exercises the
-    // per-TTI link advance/offer ordering in the hot path.
+    // per-TTI link advance/draw ordering in the hot path.
     let mut cfg = PoolConfig::default_eval(6);
     cfg.epoch_steps = 10;
     cfg.fronthaul = Some(LinkFault {
@@ -188,9 +188,8 @@ fn fronthaul_faults_are_identical() {
             drop_prob: 0.08,
             max_jitter: Duration::from_micros(400),
             bucket_capacity: 3,
-            refill_per_tick: 2,
+            refill_per_interval: 2,
             refill_interval: Duration::from_millis(1),
-            ..pran_fronthaul::fault::FaultConfig::clean()
         },
         seed: 7,
     });
@@ -370,8 +369,8 @@ fn splits_and_accel_are_identical() {
 
 #[test]
 fn splits_with_fronthaul_faults_are_identical() {
-    // Split-sized frames hit the same drop/jitter/token-bucket ordering;
-    // the byte contract must survive variable frame lengths.
+    // Split-sized frames cross the same drop/jitter/token-bucket ordering;
+    // the byte meter must survive variable frame lengths.
     let mut cfg = PoolConfig::default_eval(6);
     cfg.epoch_steps = 10;
     cfg.fronthaul = Some(LinkFault {
@@ -379,9 +378,8 @@ fn splits_with_fronthaul_faults_are_identical() {
             drop_prob: 0.08,
             max_jitter: Duration::from_micros(400),
             bucket_capacity: 3,
-            refill_per_tick: 2,
+            refill_per_interval: 2,
             refill_interval: Duration::from_millis(1),
-            ..pran_fronthaul::fault::FaultConfig::clean()
         },
         seed: 7,
     });

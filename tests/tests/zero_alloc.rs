@@ -5,9 +5,9 @@
 //! warm-up grows every reusable buffer to capacity, repeating the real
 //! `execute` transition must perform *zero* further heap allocations.
 //! The shard is the heterogeneous, degraded shape: a round-robin
-//! per-cell split plan, a half-accelerated pool, and lossy, corrupting,
-//! jittery fronthaul links — so the per-(server class, split) service
-//! tables, the fault injectors (a corrupted frame included), the live
+//! per-cell split plan, a half-accelerated pool, and lossy, jittery
+//! fronthaul links — so the per-(server class, split) service tables,
+//! the fault injectors' per-frame draws, the live
 //! fronthaul byte meter and the packed-key dispatch through the ready
 //! queue (jitter breaks the uniform deadline offset the FIFO fast path
 //! needs) all run inside the counting window. So do the planes a
@@ -224,7 +224,6 @@ fn hot_kernel_allocates_nothing_at_steady_state() {
     cfg.fronthaul = Some(LinkFault {
         config: FaultConfig {
             drop_prob: 0.01,
-            corrupt_prob: 0.05,
             max_jitter: Duration::from_micros(800),
             ..FaultConfig::clean()
         },
