@@ -52,13 +52,46 @@ impl FaultConfig {
 const MAX_JITTER: Duration = Duration::from_secs(u64::MAX / 1_000_000_000);
 
 /// `Duration::from_secs_f64(secs).as_nanos()` for a `secs` in
-/// `[0, MAX_JITTER]`, in integer arithmetic: `secs · 10⁹` rounded to the
-/// nearest nanosecond, ties to even, exactly as `Duration`'s float
-/// constructor rounds it. `secs` is `mant · 2^(exp − 52)`, so the scaled
+/// `[0, MAX_JITTER]`: `secs · 10⁹` rounded to the nearest nanosecond,
+/// ties to even, exactly as `Duration`'s float constructor rounds it.
+///
+/// The float product decides almost every value
+/// ([`nanos_from_product`]); the rest go to [`secs_to_nanos_exact`].
+#[inline]
+fn secs_to_nanos(secs: f64) -> u64 {
+    nanos_from_product(secs).unwrap_or_else(|| secs_to_nanos_exact(secs))
+}
+
+/// [`secs_to_nanos`] from the float product, where it decides the value.
+///
+/// `y = fl(secs · 10⁹)` is within half an ulp of the exact product, and
+/// below `2^40` an ulp is at most `2^-13`, so `y` is within `2^-14` ns of
+/// it. Adding and taking away `2^52` rounds `y` to the integer `r`
+/// nearest it, ties to even, and the bits of `y + 2^52` less those of
+/// `2^52` are `r` itself. When `|y − r|` is below `½ − 2^-10`, the exact
+/// product is within `½ − 2^-10 + 2^-14 < ½` of `r` too, so both round to
+/// `r`. `None` for the rest: a `y` of `2^40` or more (over 18 minutes), or
+/// one within `2^-10` of a half nanosecond.
+#[inline]
+fn nanos_from_product(secs: f64) -> Option<u64> {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    const TWO_40: f64 = 1_099_511_627_776.0;
+    let y = secs * 1e9;
+    let shifted = y + TWO_52;
+    // `shifted − 2^52` and `y − r` are exact: each is a difference of
+    // two floats within a factor of two of each other (Sterbenz), or
+    // `y − 0`.
+    let decided = y < TWO_40 && (y - (shifted - TWO_52)).abs() < 0.5 - 1.0 / 1024.0;
+    decided.then_some(shifted.to_bits().wrapping_sub(TWO_52.to_bits()))
+}
+
+/// [`secs_to_nanos`] in integer arithmetic, for any `secs` in
+/// `[0, MAX_JITTER]`. `secs` is `mant · 2^(exp − 52)`, so the scaled
 /// mantissa (below `2^83`) shifted right by `52 − exp` is the whole part
 /// and the bits shifted out are the remainder; a `secs` below `2^-31`
 /// (under half a nanosecond) shifts everything out and rounds to 0.
-fn secs_to_nanos(secs: f64) -> u64 {
+#[cold]
+fn secs_to_nanos_exact(secs: f64) -> u64 {
     const MANT_BITS: u32 = 52;
     let bits = secs.to_bits();
     let exp = ((bits >> MANT_BITS) & 0x7ff) as i32 - 1023;
@@ -509,6 +542,80 @@ mod tests {
         for _ in 0..1_000 {
             let ns = inj.deliver().unwrap();
             assert!(u128::from(ns) <= MAX_JITTER.as_nanos());
+        }
+    }
+
+    /// The float product, where it decides the nanoseconds, gives what
+    /// the integer routine gives: on 10⁷ seeded products of a uniform
+    /// draw and a bound from 1 ns to 2^42 ns, on products built within a
+    /// few ulps of either edge of the `2^-10` band around each half
+    /// nanosecond, and either side of `2^40` ns, where the product must
+    /// step aside.
+    #[test]
+    fn product_fast_path_equals_the_integer_routine() {
+        // Whether the product decided `secs`, after checking its value.
+        let check = |secs: f64| {
+            let exact = secs_to_nanos_exact(secs);
+            let fast = nanos_from_product(secs);
+            let label = format!("{secs:e} s ({:#x})", secs.to_bits());
+            assert!(fast.is_none_or(|ns| ns == exact), "{label}");
+            assert_eq!(secs_to_nanos(secs), exact, "{label}");
+            fast.is_some()
+        };
+        let mut rng = SmallRng::seed_from_u64(49);
+        let draws = 10_000_000;
+        let mut decided = 0;
+        for _ in 0..draws {
+            let bound = 2f64.powf(rng.gen::<f64>() * 42.0) * 1e-9;
+            decided += usize::from(check(rng.gen::<f64>() * bound));
+        }
+        assert!(
+            (draws * 9 / 10..draws).contains(&decided),
+            "{decided} of {draws} decided by the product"
+        );
+        // `y = n + ½ ± d` ns for `d` 2^-12 inside and outside the band
+        // edge, and the band edge itself, each 4 ulps of `secs` either way.
+        // Below 2^30 ns those ulps move `y` by under 2^-20, so the product
+        // must defer inside the band and decide outside it; above, where
+        // 4 ulps are a good part of 2^-12, only the values are checked.
+        let ulps = |secs: f64| {
+            let (mut down, mut up) = ([secs; 5], [secs; 5]);
+            for i in 1..5 {
+                down[i] = down[i - 1].next_down();
+                up[i] = up[i - 1].next_up();
+            }
+            down.into_iter().chain(up)
+        };
+        let band = 1.0 / 1024.0;
+        let wholes = (0..2_000u64)
+            .chain((20..40).flat_map(|k| (0..50).map(move |j| (1u64 << k) - 25 + j)))
+            .filter(|&n| n < (1 << 40) - 1);
+        let (mut inside, mut outside) = (0, 0);
+        for n in wholes {
+            for side in [-1.0, 1.0] {
+                for (d, decides) in [
+                    (band - band / 4.0, Some(false)),
+                    (band, None),
+                    (band + band / 4.0, Some(true)),
+                ] {
+                    let secs = (n as f64 + 0.5 + side * d) / 1e9;
+                    for s in ulps(secs) {
+                        let decided = check(s);
+                        if n < 1 << 30 && decides.is_some_and(|want| want != decided) {
+                            panic!("{s:e} s (n = {n}, ½ {side:+} × {d}): decided {decided}");
+                        }
+                        inside += usize::from(!decided);
+                        outside += usize::from(decided);
+                    }
+                }
+            }
+        }
+        assert!(inside > 0 && outside > 0);
+        // At and past `2^40` ns the product defers, whatever the fraction.
+        let edge = (1u64 << 40) as f64 / 1e9;
+        for secs in ulps(edge).chain([edge * 1.5, 1e4, MAX_JITTER.as_secs_f64()]) {
+            let decided = check(secs);
+            assert_eq!(decided, secs * 1e9 < (1u64 << 40) as f64, "{secs:e} s");
         }
     }
 

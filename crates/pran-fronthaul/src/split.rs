@@ -97,8 +97,7 @@ impl FunctionalSplit {
             }
             FunctionalSplit::TransportBlocks => {
                 // Decoded throughput plus ~10 % MAC overhead.
-                let prbs = (f64::from(bw.prbs()) * utilization).round() as u32;
-                mcs.rate_bps(prbs, antennas.layers) * 1.1
+                mcs.rate_bps(bw.prbs_at(utilization), antennas.layers) * 1.1
             }
         }
     }

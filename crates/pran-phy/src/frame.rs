@@ -64,10 +64,19 @@ impl Bandwidth {
     }
 
     /// PRBs in use at a utilization in `[0, 1]` (clamped), rounded to the
-    /// nearest whole PRB — the one place a load fraction becomes a grant.
+    /// nearest whole PRB, halves up — the one place a load fraction
+    /// becomes a grant. A NaN utilization is 0 PRBs.
+    ///
+    /// This is `f64::round` without calling it: on the baseline x86-64
+    /// target (no SSE4.1) that is a software routine, and every cell of
+    /// every step rounds here. For `0 ≤ x < 2^52`, `x − trunc(x)` is
+    /// exact, so comparing it with ½ rounds exactly as `round` does, and
+    /// a NaN truncates to 0 and compares false.
     #[inline]
     pub fn prbs_at(self, utilization: f64) -> u32 {
-        (f64::from(self.prbs()) * utilization.clamp(0.0, 1.0)).round() as u32
+        let x = f64::from(self.prbs()) * utilization.clamp(0.0, 1.0);
+        let whole = x as u32;
+        whole + u32::from(x - f64::from(whole) >= 0.5)
     }
 
     /// FFT size used for OFDM processing at this bandwidth.
@@ -246,6 +255,67 @@ mod tests {
         for w in all.windows(2) {
             assert!(w[0].prbs() < w[1].prbs());
         }
+    }
+
+    /// `prbs_at` is `(prbs × clamp(u, 0, 1)).round()` on every
+    /// bandwidth: at each half-PRB boundary `k/2` and 4 ulps either side
+    /// (of the utilization), on a fine sweep of `[0, 1]`, and on NaN, ±0,
+    /// negative, above-one, infinite and subnormal utilizations.
+    #[test]
+    fn prbs_at_rounds_as_f64_round() {
+        let reference =
+            |bw: Bandwidth, u: f64| (f64::from(bw.prbs()) * u.clamp(0.0, 1.0)).round() as u32;
+        let check = |bw: Bandwidth, u: f64| {
+            assert_eq!(
+                bw.prbs_at(u),
+                reference(bw, u),
+                "{bw}, utilization {u:e} ({:#x})",
+                u.to_bits()
+            );
+        };
+        let around = |u: f64| {
+            let (mut down, mut up) = ([u; 5], [u; 5]);
+            for i in 1..5 {
+                down[i] = down[i - 1].next_down();
+                up[i] = up[i - 1].next_up();
+            }
+            down.into_iter().chain(up)
+        };
+        let specials = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            -1e-300,
+            -0.5,
+            -1.0,
+            f64::NEG_INFINITY,
+            1.0,
+            1.0 + f64::EPSILON,
+            1.5,
+            1e300,
+            f64::INFINITY,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE.next_down(),
+        ];
+        let mut at_half = 0;
+        for bw in Bandwidth::all() {
+            let prbs = f64::from(bw.prbs());
+            for k in 0..=2 * bw.prbs() {
+                let u = f64::from(k) / 2.0 / prbs;
+                around(u).for_each(|u| check(bw, u));
+                // The boundary itself lands on an exact half-PRB when the
+                // product comes back exact: the case `round` takes up.
+                at_half += usize::from(k % 2 == 1 && prbs * u == f64::from(k) / 2.0);
+            }
+            for i in 0..=100_000 {
+                check(bw, f64::from(i) / 100_000.0);
+            }
+            specials.into_iter().for_each(|u| check(bw, u));
+            assert_eq!(bw.prbs_at(f64::NAN), 0);
+            assert_eq!(bw.prbs_at(2.0), bw.prbs());
+        }
+        assert!(at_half > 0, "no exact half-PRB product was checked");
     }
 
     #[test]

@@ -15,10 +15,14 @@
 //! Both paths put each task on the first core to free (ties to the
 //! lowest id), read from one flat clock per core:
 //!
-//! * **ready queue** (`run_queue`) — every policy on any batch: a
+//! * **ready queue** (`run_queue`) — every policy on any batch. It is a
 //!   min-heap of the released tasks keyed by deadline (EDF), laxity
 //!   (LLF) or release (FIFO, and each partitioned core as a one-core
-//!   queue of its own cells);
+//!   queue of its own cells), except under EDF on a batch whose deadline
+//!   column never decreases (checked in O(n); the pool's jittered steps
+//!   are pushed TTI-major to be one): there `(deadline, row)` order is
+//!   row order, so the ready set is a bitset of rows and the lowest set
+//!   bit is the task to run;
 //! * **grid** ([`dispatch_grid`]) — EDF when every cell releases one
 //!   task on each TTI of one grid under one budget (an ideal fronthaul):
 //!   the queue then pops TTI-major with the cells ascending, so the
@@ -33,10 +37,10 @@
 //! (absolute times of hours on very large batches) runs the same code on
 //! `u128` words.
 //!
-//! `tests` below hold both paths to a dispatcher on `(key, row)` tuple
-//! heaps and a `(free_at, core)` core heap (`heap_only`) on randomized
-//! batches, and `realtime`'s hand-worked cases pin the dispatcher's
-//! answers.
+//! `tests` below hold both paths, and both ready sets, to a dispatcher
+//! on `(key, row)` tuple heaps and a `(free_at, core)` core heap
+//! (`heap_only`) on randomized batches, and `realtime`'s hand-worked
+//! cases pin the dispatcher's answers.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -147,6 +151,9 @@ pub struct SimScratch {
     narrow: Words<u64>,
     /// Words of the rest.
     wide: Words<u128>,
+    /// The EDF ready set as a row bitset, on batches whose deadlines
+    /// never decrease.
+    ready_rows: Vec<u64>,
 }
 
 impl SimScratch {
@@ -400,11 +407,30 @@ pub fn simulate_into(
         core_free_flat,
         narrow,
         wide,
+        ready_rows,
     } = scratch;
     if packs_in_u64(batch, bits) {
-        dispatch(batch, policy, bits, order, core_free_flat, narrow, out);
+        dispatch(
+            batch,
+            policy,
+            bits,
+            order,
+            core_free_flat,
+            narrow,
+            ready_rows,
+            out,
+        );
     } else {
-        dispatch(batch, policy, bits, order, core_free_flat, wide, out);
+        dispatch(
+            batch,
+            policy,
+            bits,
+            order,
+            core_free_flat,
+            wide,
+            ready_rows,
+            out,
+        );
     }
 
     if pran_telemetry::enabled() {
@@ -416,6 +442,7 @@ pub fn simulate_into(
 
 /// [`simulate_into`]'s dispatch on `W` words, `bits` of them the row,
 /// into `out`'s reset columns.
+#[allow(clippy::too_many_arguments)] // split borrows of scratch and outcome
 fn dispatch<W: Word>(
     batch: &TaskBatch,
     policy: Policy,
@@ -423,10 +450,30 @@ fn dispatch<W: Word>(
     order: &mut Vec<u32>,
     core_free: &mut Vec<u64>,
     words: &mut Words<W>,
+    ready_rows: &mut Vec<u64>,
     out: &mut BatchOutcome,
 ) {
     let n = batch.len() as u32;
     let cores = out.core_busy_ns.len();
+    if policy == Policy::GlobalEdf && batch.deadline_ns.is_sorted() {
+        // Rows in deadline order: `(deadline, row)` order is row order,
+        // so the best ready task is the lowest ready row.
+        sort_order(batch, 0..n, bits, &mut words.sort, order);
+        out.makespan_ns = run_queue(
+            batch,
+            order,
+            &mut RowBits {
+                words: ready_rows,
+                low: 0,
+                len: 0,
+            },
+            core_free,
+            &mut out.finish_ns,
+            &mut out.missed,
+            &mut out.core_busy_ns,
+        );
+        return;
+    }
     let select = match policy {
         Policy::GlobalEdf => SelectBy::Deadline,
         Policy::GlobalLlf => SelectBy::Slack,
@@ -444,13 +491,17 @@ fn dispatch<W: Word>(
         let rows =
             (0..n).filter(|&i| !partitioned || batch.cell[i as usize] as usize % cores == part);
         sort_order(batch, rows, bits, &mut words.sort, order);
+        let mut ready = KeyHeap {
+            heap: &mut words.ready,
+            batch,
+            select,
+            bits,
+        };
         let makespan = run_queue(
             batch,
             order,
-            select,
-            bits,
+            &mut ready,
             core_free,
-            &mut words.ready,
             &mut out.finish_ns,
             &mut out.missed,
             &mut out.core_busy_ns[slots],
@@ -574,18 +625,109 @@ pub fn dispatch_grid<const CORES: usize>(
     }
 }
 
-/// Greedy non-preemptive dispatch of `order`'s tasks by `select` over the
-/// `core_busy_ns.len()` cores, writing finish/missed at the tasks' rows.
-/// The ready queue holds `(key, row)` words with `bits` row bits. Returns
-/// the makespan.
-#[allow(clippy::too_many_arguments)] // split borrows of scratch and outcome
-fn run_queue<W: Word>(
-    batch: &TaskBatch,
-    order: &[u32],
+/// The ready set of `run_queue`: rows go in as they are released and
+/// come out best first.
+trait Ready {
+    /// Empty the set for a batch of as many rows as the run admits.
+    fn reset(&mut self, rows: usize);
+    fn push(&mut self, row: u32);
+    /// The best ready row, removed. The set is not empty.
+    fn pop(&mut self) -> u32;
+    fn is_empty(&self) -> bool;
+}
+
+/// Any policy's ready set: a min-heap of `(policy key, row)` words with
+/// `bits` row bits.
+struct KeyHeap<'a, W: Word> {
+    heap: &'a mut BinaryHeap<Reverse<W>>,
+    batch: &'a TaskBatch,
     select: SelectBy,
     bits: u32,
+}
+
+impl<W: Word> Ready for KeyHeap<'_, W> {
+    fn reset(&mut self, rows: usize) {
+        self.heap.clear();
+        // The ready set never exceeds the batch: size it once per batch
+        // size rather than whenever a release order builds a deeper
+        // backlog.
+        self.heap.reserve(rows);
+    }
+
+    #[inline]
+    fn push(&mut self, row: u32) {
+        let (batch, r) = (self.batch, row as usize);
+        let key = match self.select {
+            SelectBy::Deadline => batch.deadline_ns[r],
+            SelectBy::Slack => batch.deadline_ns[r].saturating_sub(batch.service_ns[r]),
+            SelectBy::Release => batch.release_ns[r],
+        };
+        self.heap.push(Reverse(W::pack(key, row, self.bits)));
+    }
+
+    #[inline]
+    fn pop(&mut self) -> u32 {
+        let Reverse(w) = self.heap.pop().expect("a task is ready");
+        w.row(self.bits)
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
+
+/// EDF's ready set on rows whose deadlines never decrease: one bit per
+/// row, the lowest set bit the best. `low` is the first word that may
+/// hold one: a push below it moves it down, a pop walks it up past
+/// empty words.
+struct RowBits<'a> {
+    words: &'a mut Vec<u64>,
+    low: usize,
+    len: usize,
+}
+
+impl Ready for RowBits<'_> {
+    fn reset(&mut self, rows: usize) {
+        self.words.clear();
+        self.words.resize(rows.div_ceil(64), 0);
+        self.low = self.words.len();
+        self.len = 0;
+    }
+
+    #[inline]
+    fn push(&mut self, row: u32) {
+        let word = row as usize / 64;
+        self.words[word] |= 1 << (row % 64);
+        self.low = self.low.min(word);
+        self.len += 1;
+    }
+
+    #[inline]
+    fn pop(&mut self) -> u32 {
+        while self.words[self.low] == 0 {
+            self.low += 1;
+        }
+        let word = self.words[self.low];
+        self.words[self.low] = word & (word - 1);
+        self.len -= 1;
+        (self.low * 64) as u32 + word.trailing_zeros()
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// Greedy non-preemptive dispatch of `order`'s tasks, best ready first
+/// by `ready`, over the `core_busy_ns.len()` cores, writing
+/// finish/missed at the tasks' rows. Returns the makespan.
+fn run_queue(
+    batch: &TaskBatch,
+    order: &[u32],
+    ready: &mut impl Ready,
     core_free: &mut Vec<u64>,
-    ready: &mut BinaryHeap<Reverse<W>>,
     finish_ns: &mut [u64],
     missed: &mut [bool],
     core_busy_ns: &mut [u64],
@@ -593,19 +735,7 @@ fn run_queue<W: Word>(
     let n = order.len();
     core_free.clear();
     core_free.resize(core_busy_ns.len(), 0);
-    ready.clear();
-    // The ready set never exceeds the batch: size it once per batch size
-    // rather than whenever a release order builds a deeper backlog.
-    ready.reserve(n);
-    let word = |i: u32| {
-        let r = i as usize;
-        let key = match select {
-            SelectBy::Deadline => batch.deadline_ns[r],
-            SelectBy::Slack => batch.deadline_ns[r].saturating_sub(batch.service_ns[r]),
-            SelectBy::Release => batch.release_ns[r],
-        };
-        Reverse(W::pack(key, i, bits))
-    };
+    ready.reset(n);
 
     let mut makespan = 0u64;
     let mut next = 0usize;
@@ -621,11 +751,10 @@ fn run_queue<W: Word>(
             start
         };
         while next < n && batch.release_ns[order[next] as usize] <= admit_by {
-            ready.push(word(order[next]));
+            ready.push(order[next]);
             next += 1;
         }
-        let Reverse(w) = ready.pop().expect("a task is ready");
-        let i = w.row(bits) as usize;
+        let i = ready.pop() as usize;
         let begin = start.max(batch.release_ns[i]);
         let end = begin + batch.service_ns[i];
         finish_ns[i] = end;
@@ -871,6 +1000,122 @@ mod tests {
             wide > rounds / 6 && queued > rounds / 2,
             "{wide} wide and {queued} queued batches of {rounds}"
         );
+    }
+
+    /// EDF on rows whose deadlines never decrease runs on the row bitset;
+    /// it must match the tuple heaps, every column, on 1–300 rows (across
+    /// the 64-, 128- and 256-row word edges), with releases and deadlines
+    /// on a coarse grid so that both often tie, over 1/2/3/4/8 cores, on
+    /// `u64` words and on batches moved past the packing limit (`u128`).
+    #[test]
+    fn row_bitset_matches_the_tuple_heaps() {
+        let mut rng = Rng(0xB175_E7ED_F0F0_2026);
+        let mut scratch = SimScratch::new();
+        let mut out = BatchOutcome::new();
+        let (mut wide, mut edges) = (0, 0);
+        for round in 0..600 {
+            let n = match round % 4 {
+                // Every size at and either side of a word edge.
+                0 => [1, 63, 64, 65, 127, 128, 129, 255, 256, 257][round / 4 % 10],
+                _ => 1 + (rng.next() % 300) as usize,
+            };
+            let mut tasks: Vec<(u64, u64, u64, u32)> = (0..n)
+                .map(|_| {
+                    let release = (rng.next() % 40) * 100_000;
+                    let deadline = release + (rng.next() % 30) * 100_000;
+                    let service = 50_000 + rng.next() % 700_001;
+                    (deadline, release, service, (rng.next() % 9) as u32)
+                })
+                .collect();
+            tasks.sort_by_key(|&(deadline, ..)| deadline);
+            let mut batch = TaskBatch::new();
+            for (deadline, release, service, cell) in tasks {
+                batch.push(cell, release, deadline, service);
+            }
+            if round % 2 == 1 {
+                let base = (1u64 << (64 - row_bits(n))) - rng.next() % 3_000_000;
+                let times = batch.release_ns.iter_mut().chain(&mut batch.deadline_ns);
+                times.for_each(|t| *t += base);
+            }
+            assert!(batch.deadline_ns.is_sorted());
+            wide += usize::from(!packs_in_u64(&batch, row_bits(n)));
+            edges += usize::from(n > 64);
+            for cores in [1, 2, 3, 4, 8] {
+                simulate_into(&batch, cores, Policy::GlobalEdf, &mut scratch, &mut out);
+                assert_eq!(
+                    columns(&out),
+                    columns(&heap_only(&batch, cores, Policy::GlobalEdf)),
+                    "round {round}, {cores} cores, {n} rows"
+                );
+            }
+        }
+        assert!(
+            wide > 100 && edges > 300,
+            "{wide} wide, {edges} past one word"
+        );
+    }
+
+    /// One jittered task set as the pool builds it, cell-major (the heap:
+    /// deadlines fall at each new cell) and TTI-major (the row bitset):
+    /// every task finishes at the same time and misses alike either way.
+    #[test]
+    fn cell_and_tti_major_rows_give_each_task_one_answer() {
+        let mut rng = Rng(0x7171_CE11_2026_0049);
+        let mut scratch = SimScratch::new();
+        let (mut by_cell, mut by_tti) = (BatchOutcome::new(), BatchOutcome::new());
+        let mut missed = 0;
+        for round in 0..400 {
+            let cells = 1 + (rng.next() % 40) as u32;
+            let ttis = 1 + rng.next() % 6;
+            // `(cell, tti) → (release, deadline, service)`, one in ten lost.
+            let mut tasks = Vec::new();
+            for cell in 0..cells {
+                let service = 100_000 + rng.next() % 900_001;
+                for tti in 0..ttis {
+                    if !rng.next().is_multiple_of(10) {
+                        let jitter = (rng.next() % 9) * 100_000;
+                        let at = tti * 1_000_000;
+                        tasks.push((cell, tti, at + jitter, at + 2_000_000, service));
+                    }
+                }
+            }
+            let batch_of = |tasks: &[(u32, u64, u64, u64, u64)]| {
+                let mut batch = TaskBatch::new();
+                for &(cell, _, release, deadline, service) in tasks {
+                    batch.push(cell, release, deadline, service);
+                }
+                batch
+            };
+            let cell_major = batch_of(&tasks);
+            let mut tti_tasks = tasks.clone();
+            tti_tasks.sort_by_key(|&(cell, tti, ..)| (tti, cell));
+            let tti_major = batch_of(&tti_tasks);
+            assert!(tti_major.deadline_ns.is_sorted());
+            for cores in [1, 2, 4] {
+                let edf = Policy::GlobalEdf;
+                simulate_into(&cell_major, cores, edf, &mut scratch, &mut by_cell);
+                simulate_into(&tti_major, cores, edf, &mut scratch, &mut by_tti);
+                let answers = |tasks: &[(u32, u64, u64, u64, u64)], out: &BatchOutcome| {
+                    let mut answers: Vec<_> = (tasks.iter().zip(&out.finish_ns))
+                        .zip(&out.missed)
+                        .map(|((&(cell, tti, ..), &finish), &missed)| (cell, tti, finish, missed))
+                        .collect();
+                    answers.sort_unstable();
+                    answers
+                };
+                assert_eq!(
+                    answers(&tasks, &by_cell),
+                    answers(&tti_tasks, &by_tti),
+                    "round {round}, {cores} cores"
+                );
+                assert_eq!(
+                    (&by_cell.core_busy_ns, by_cell.makespan_ns),
+                    (&by_tti.core_busy_ns, by_tti.makespan_ns)
+                );
+                missed += by_tti.misses();
+            }
+        }
+        assert!(missed > 0, "the sweep must miss deadlines");
     }
 
     /// The width switch at its edge, for `n = 2` (`b = 1`: keys below

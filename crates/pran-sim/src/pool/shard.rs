@@ -120,8 +120,9 @@ struct HotBuffers {
     bytes_by_prb: Vec<Vec<usize>>,
     /// Servers `0..accel_servers` use the accelerated service rows.
     accel_servers: usize,
-    /// `f64::from(bandwidth.prbs())`, the `at_utilization` scale factor.
-    prbs_f: f64,
+    /// The step's `(cell, server, service ns)` of every placed cell behind
+    /// a link, in cell order: what its TTIs' frames are drawn for.
+    linked: Vec<(u32, u32, u64)>,
 }
 
 impl HotBuffers {
@@ -156,7 +157,7 @@ impl HotBuffers {
                 split.fronthaul_bytes_per_tti(p, cfg.bandwidth.prbs())
             }),
             accel_servers,
-            prbs_f: f64::from(cfg.bandwidth.prbs()),
+            linked: Vec::new(),
         }
     }
 }
@@ -306,7 +307,7 @@ impl PoolShard {
         let (cfg, tables) = (&self.cfg, &self.tables);
         (0..self.placement.assignment.len())
             .map(|cell| {
-                let prb = (self.hot.prbs_f * util_of(cell).clamp(0.0, 1.0)).round() as usize;
+                let prb = cfg.bandwidth.prbs_at(util_of(cell)) as usize;
                 let split = cfg.split_plan.split_for(cell).index();
                 CellDemand {
                     id: cell,
@@ -429,9 +430,14 @@ impl PoolShard {
     ///   their multiplicity;
     /// * **batch** — jittered or lossy links (releases leave the grid):
     ///   one row per delivered task through [`simulate_into`], released
-    ///   at its TTI plus the whole nanoseconds of jitter `deliver` drew;
-    /// * **executor** — `parallel` set: the rows go through the shard's
-    ///   [`ParallelExecutor`].
+    ///   at its TTI plus the whole nanoseconds of jitter `deliver` drew.
+    ///   The rows are TTI-major (each TTI's cells in cell order, then the
+    ///   next TTI's), so every server's deadlines never decrease and EDF's
+    ///   ready queue is `simulate_into`'s row bitset. Each link still
+    ///   draws its own TTIs in order, so every seeded stream is unchanged,
+    ///   and EDF gives each task the answer the cell-major rows gave it;
+    /// * **executor** — `parallel` set: the rows, cell-major, go through
+    ///   the shard's [`ParallelExecutor`].
     ///
     /// Every path folds its response and slack samples and its misses
     /// into a stack [`LogHistogram`] each and a counter, merged into
@@ -446,7 +452,7 @@ impl PoolShard {
     /// tracer picks no path either: with it on, the grid emits each task's
     /// `subframe` event from the loop that feeds the fold, in the order
     /// [`simulate_into`] emits the expanded batch's (cells in row order,
-    /// TTIs inner).
+    /// TTIs inner). The batch path's events, like its rows, are TTI-major.
     ///
     /// Returns the peak per-server task backlog observed (the most tasks
     /// any step gave one server) — the resident service's flight recorder
@@ -474,9 +480,8 @@ impl PoolShard {
             service_ns,
             bytes_by_prb,
             accel_servers,
-            prbs_f,
+            linked,
         } = &mut self.hot;
-        let prbs_f = *prbs_f;
         let accel_servers = *accel_servers;
         let mut live = if pran_telemetry::live::armed() {
             Some(&mut **self.live.get_or_insert_with(|| {
@@ -516,7 +521,7 @@ impl PoolShard {
                     }
                 };
                 // One table lookup replaces the compute-model walk.
-                let prb = (prbs_f * util.clamp(0.0, 1.0)).round() as usize;
+                let prb = cfg.bandwidth.prbs_at(util) as usize;
                 let class = usize::from(s < accel_servers);
                 let split = cfg.split_plan.split_for(cell).index();
                 let service_ns = service_ns[class * 3 + split][prb];
@@ -538,21 +543,37 @@ impl PoolShard {
                     batch.push_run(cell as u32, tti_release_ns, tti_deadline_ns, service_ns);
                     continue;
                 }
-                // The subframe report crosses the cell's fronthaul link
-                // first; its bucket refills on absolute simulated time.
+                // The subframe reports cross the cell's fronthaul link
+                // first, drawn once every placed cell is known.
                 let frame_len = bytes_by_prb[split][prb];
-                let link = &mut links[cell];
                 metrics.fronthaul_bytes += (frame_len * ttis) as u64;
-                for tti in 0..ttis {
+                linked.push((cell as u32, s as u32, service_ns));
+            }
+            // Cell-major under the executor, the order its batches follow;
+            // TTI-major otherwise, so that each server's deadlines never
+            // decrease and `simulate_into`'s EDF queue is a row bitset.
+            // Either way each link draws its TTIs in order, and its bucket
+            // refills on absolute simulated time.
+            let cell_major = executor.is_some();
+            let (outer, inner) = if cell_major {
+                (linked.len(), ttis)
+            } else {
+                (ttis, linked.len())
+            };
+            for a in 0..outer {
+                for b in 0..inner {
+                    let (tti, k) = if cell_major { (b, a) } else { (a, b) };
+                    let (cell, s, service_ns) = linked[k];
+                    let link = &mut links[cell as usize];
                     if clocked {
                         link.advance_to(step_start + TTI * tti as u32);
                     }
                     match link.deliver() {
                         // Jitter delays arrival but the HARQ deadline
-                        // stays pinned to the TTI, so jitter eats
-                        // compute slack.
-                        Some(extra_ns) => batch.push(
-                            cell as u32,
+                        // stays pinned to the TTI, so jitter eats compute
+                        // slack.
+                        Some(extra_ns) => batches[s as usize].push(
+                            cell,
                             tti_release_ns[tti] + extra_ns,
                             tti_deadline_ns[tti],
                             service_ns,
@@ -564,6 +585,7 @@ impl PoolShard {
                     }
                 }
             }
+            linked.clear();
             for (s, batch) in batches.iter().enumerate() {
                 peak_depth = peak_depth.max(batch.len() as u64 * tasks_per_row);
                 if batch.is_empty() || !alive[s] {
@@ -630,6 +652,10 @@ impl PoolShard {
                         }
                     }
                     None => {
+                        debug_assert!(
+                            batch.deadline_ns.is_sorted(),
+                            "a jittered step's rows are TTI-major"
+                        );
                         simulate_into(batch, cores, Policy::GlobalEdf, scratch, outcome);
                         for i in 0..batch.len() {
                             let finish_ns = outcome.finish_ns[i];
@@ -658,5 +684,103 @@ impl PoolShard {
             fold.settle();
         }
         peak_depth
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pool::LinkFault;
+    use pran_fronthaul::fault::FaultConfig;
+    use pran_traces::{generate, TraceConfig};
+
+    /// A 40-cell shard on 3 servers behind `metro_degraded`'s links (1 %
+    /// loss, 800 µs jitter), placed for ten busy-hour steps at half their
+    /// demand, so that servers overload and tasks miss; returns the steps
+    /// with their length.
+    fn jittered_shard() -> (PoolShard, Vec<Vec<f64>>, f64) {
+        let mut trace_cfg = TraceConfig::default_day(40, 11);
+        trace_cfg.duration_seconds = 20.0 * 3600.0;
+        trace_cfg.step_seconds = 600.0;
+        let trace = generate(&trace_cfg);
+        let mut cfg = PoolConfig::default_eval(3);
+        cfg.headroom = 0.5;
+        cfg.fronthaul = Some(LinkFault {
+            config: FaultConfig {
+                drop_prob: 0.01,
+                max_jitter: Duration::from_micros(800),
+                ..FaultConfig::clean()
+            },
+            seed: 2026,
+        });
+        let mut shard = PoolShard::try_new(cfg, trace.num_cells()).expect("valid pool");
+        let rows = trace.samples[110..120].to_vec();
+        shard.place(&rows, &mut PoolMetrics::default());
+        (shard, rows, trace.step_seconds)
+    }
+
+    /// Every server batch a jittered step hands `simulate_into` is
+    /// TTI-major, so its deadlines never decrease and EDF's ready queue
+    /// is the row bitset: a row order that reached the heap again would
+    /// still give the same answers, only slower, and fail here.
+    #[test]
+    fn jittered_steps_hand_edf_deadline_ordered_rows() {
+        let (mut shard, rows, step_seconds) = jittered_shard();
+        let mut metrics = PoolMetrics::default();
+        let mut mixed = 0;
+        for step in 0..10 {
+            shard.execute(&rows[step..step + 1], step, step_seconds, &mut metrics);
+            for batch in &shard.hot.batches {
+                assert!(batch.deadline_ns.is_sorted(), "step {step}");
+                let cells = batch.cell.iter().filter(|&&c| c != batch.cell[0]).count();
+                mixed += usize::from(
+                    cells > 0 && batch.deadline_ns[0] < batch.deadline_ns[batch.len() - 1],
+                );
+            }
+        }
+        assert!(mixed > 10, "{mixed} batches with several cells and TTIs");
+        assert!(metrics.reports_lost > 0 && metrics.tasks_total > 0);
+    }
+
+    /// `execute` records a jittered step TTI-major. The live fold does not
+    /// depend on that: one shard-epoch's records folded in that order and
+    /// in cell order give equal folds and equal serialized bytes.
+    #[test]
+    fn live_fold_is_the_same_in_either_record_order() {
+        let (mut shard, rows, step_seconds) = jittered_shard();
+        let mut metrics = PoolMetrics::default();
+        shard.execute(&rows[..1], 0, step_seconds, &mut metrics);
+        let (mut scratch, mut outcome) = (SimScratch::new(), BatchOutcome::new());
+        let mut records = Vec::new();
+        for (s, batch) in shard.hot.batches.iter().enumerate() {
+            simulate_into(
+                batch,
+                ANALYTIC_CORES,
+                Policy::GlobalEdf,
+                &mut scratch,
+                &mut outcome,
+            );
+            for i in 0..batch.len() {
+                records.push((batch.cell[i] as usize, s, outcome.subframe(batch, i)));
+            }
+        }
+        let fold = |records: &[(usize, usize, pran_telemetry::Subframe)]| {
+            let budget_us = COMPUTE_DEADLINE.as_micros() as u64;
+            let mut fold = LiveFold::new(rows[0].len(), shard.cfg.servers, budget_us);
+            for (cell, server, task) in records {
+                fold.record(*cell, Some(*server), task);
+            }
+            fold.settle();
+            fold
+        };
+        let tti_major = fold(&records);
+        records.sort_by_key(|&(cell, ..)| cell);
+        let cell_major = fold(&records);
+        assert!(tti_major.misses() > 0, "the step must miss deadlines");
+        assert_eq!(tti_major, cell_major);
+        assert_eq!(
+            serde_json::to_string(&tti_major).unwrap(),
+            serde_json::to_string(&cell_major).unwrap()
+        );
     }
 }
