@@ -171,23 +171,6 @@ fn read_reachability(r: &mut serde::Reader<'_>) -> Result<Reachability, serde::E
     bad.map_or(Ok(reach), Err)
 }
 
-/// One audit-log entry: when, what happened, how many app actions were
-/// applied/rejected in response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AuditEntry {
-    /// Controller clock when the event fired.
-    pub at: Duration,
-    /// The event.
-    pub event: PoolEvent,
-    /// App actions applied in direct response.
-    pub actions_applied: usize,
-    /// App actions rejected in direct response.
-    pub actions_rejected: usize,
-}
-
-/// Ring-buffer capacity of the audit log.
-const AUDIT_CAPACITY: usize = 1024;
-
 /// The logically centralized PRAN control plane.
 ///
 /// `clone` forks it: the copy shares nothing with the original, and each
@@ -202,7 +185,6 @@ pub struct Controller {
     apps: Vec<Box<dyn ControlApp>>,
     stats: ControllerStats,
     now: Duration,
-    audit: VecDeque<AuditEntry>,
     slo_monitor: SloMonitor,
     warm: Option<WarmPlacer>,
     /// The placement problem, kept across epochs instead of rebuilt each
@@ -279,7 +261,6 @@ impl Controller {
             apps: Vec::new(),
             stats: ControllerStats::default(),
             now: Duration::ZERO,
-            audit: VecDeque::new(),
             slo_monitor,
             warm,
             instance,
@@ -622,23 +603,7 @@ impl Controller {
     }
 
     fn dispatch_event(&mut self, event: PoolEvent) {
-        let (applied, rejected) = self.run_apps(|app, view| app.on_event(&event, view));
-        if self.audit.len() == AUDIT_CAPACITY {
-            self.audit.pop_front();
-        }
-        self.audit.push_back(AuditEntry {
-            at: self.now,
-            event,
-            actions_applied: applied,
-            actions_rejected: rejected,
-        });
-    }
-
-    /// The audit log: the most recent [`PoolEvent`]s (bounded ring buffer)
-    /// with the app responses they triggered — the operator's answer to
-    /// "what did the control plane do and when".
-    pub fn audit_log(&self) -> impl Iterator<Item = &AuditEntry> {
-        self.audit.iter()
+        self.run_apps(|app, view| app.on_event(&event, view));
     }
 
     fn apply_actions(&mut self, actions: &[Action]) -> (usize, usize) {
@@ -1410,51 +1375,5 @@ mod snapshot_tests {
         let mut snap = c.snapshot();
         snap.config.pool.servers = 99;
         Controller::restore(snap);
-    }
-}
-
-#[cfg(test)]
-mod audit_tests {
-    use super::*;
-    use crate::apps::FailoverApp;
-
-    #[test]
-    fn audit_records_events_in_order() {
-        let mut c = Controller::new(SystemConfig::default_eval(3));
-        c.install_app(Box::new(FailoverApp::new()));
-        let a = c.register_cell();
-        c.report_load(a, 0.5).unwrap();
-        c.run_epoch(Duration::from_secs(60));
-        c.server_failed(
-            c.placement().assignment[a].unwrap(),
-            Duration::from_secs(61),
-        )
-        .unwrap();
-        let log: Vec<&AuditEntry> = c.audit_log().collect();
-        assert!(log.len() >= 3, "register + epoch + failure");
-        assert!(matches!(log[0].event, PoolEvent::CellRegistered(0)));
-        assert!(log
-            .iter()
-            .any(|e| matches!(e.event, PoolEvent::ServerFailed(_))));
-        // The failover app's response is visible on the failure entry.
-        let failure = log
-            .iter()
-            .find(|e| matches!(e.event, PoolEvent::ServerFailed(_)))
-            .unwrap();
-        assert_eq!(failure.actions_applied, 1, "one migrate from the app");
-        // Times are monotone.
-        for w in log.windows(2) {
-            assert!(w[0].at <= w[1].at);
-        }
-    }
-
-    #[test]
-    fn audit_is_bounded() {
-        let mut c = Controller::new(SystemConfig::default_eval(2));
-        for _ in 0..1100 {
-            let id = c.register_cell();
-            c.deregister_cell(id).unwrap();
-        }
-        assert_eq!(c.audit_log().count(), AUDIT_CAPACITY);
     }
 }

@@ -61,7 +61,7 @@ pub use api::{
 };
 pub use config::{PoolSpec, SystemConfig};
 pub use controller::{
-    AuditEntry, Controller, ControllerStats, EpochReport, FailureReport, Snapshot, SnapshotError,
+    Controller, ControllerStats, EpochReport, FailureReport, Snapshot, SnapshotError,
     PREDICT_WINDOW,
 };
 

@@ -63,9 +63,7 @@ pub type LogSketch = LogBuckets<320>;
 /// [`LiveFold::steal`] and [`LiveFold::settle`] are allocation-free in
 /// steady state, which is what lets the zero-alloc harness run with the
 /// live plane armed. Aggregates are sums and sketch-bucket increments,
-/// so the state is independent of the order records arrive in, and
-/// [`LiveFold::merge_from`] is exact for the same reason
-/// [`LogSketch::merge`] is.
+/// so the state is independent of the order records arrive in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LiveFold {
     budget_us: u64,
@@ -256,37 +254,6 @@ impl LiveFold {
             }
         }
         self.settle();
-    }
-
-    /// Exact merge of another fold over the same cell/server space (the
-    /// dimensions and budget must match).
-    pub fn merge_from(&mut self, other: &LiveFold) {
-        assert_eq!(self.budget_us, other.budget_us, "budget mismatch");
-        assert_eq!(self.cell_blame.len(), other.cell_blame.len());
-        assert_eq!(self.server_latency.len(), other.server_latency.len());
-        for (a, b) in self.cell_blame.iter_mut().zip(&other.cell_blame) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        }
-        for (a, b) in self.cell_misses.iter_mut().zip(&other.cell_misses) {
-            *a += b;
-        }
-        for (a, b) in self.cell_latency.iter_mut().zip(&other.cell_latency) {
-            a.merge(b);
-        }
-        for (a, b) in self.server_latency.iter_mut().zip(&other.server_latency) {
-            a.merge(b);
-        }
-        for (a, b) in self.server_tasks.iter_mut().zip(&other.server_tasks) {
-            *a += b;
-        }
-        for (a, b) in self.totals.iter_mut().zip(&other.totals) {
-            *a += b;
-        }
-        self.tasks += other.tasks;
-        self.misses += other.misses;
-        self.events += other.events;
     }
 
     /// Total attributed microseconds per stage, [`STAGE_NAMES`] order —
@@ -803,22 +770,6 @@ mod tests {
         assert_eq!(fold.misses(), 1);
         assert_eq!(fold.cell_latency(0).unwrap().count(), 0);
         assert_fold_equals_reference(&fold, &events);
-    }
-
-    #[test]
-    fn fold_merge_equals_single_fold() {
-        let all: Vec<TraceEvent> = (0..20u64)
-            .map(|i| subframe(i % 4, 100 + i, 1500, 3000 + i * 10, 2100 + i))
-            .collect();
-        let assignment = [Some(0), Some(1), Some(0), None];
-        let mut whole = LiveFold::new(4, 2, 2000);
-        whole.fold_shard(&all, 0, 0, &assignment);
-        let mut a = LiveFold::new(4, 2, 2000);
-        let mut b = LiveFold::new(4, 2, 2000);
-        a.fold_shard(&all[..9], 0, 0, &assignment);
-        b.fold_shard(&all[9..], 0, 0, &assignment);
-        a.merge_from(&b);
-        assert_eq!(a, whole);
     }
 
     /// Two shards' worth of records — on-time, late, stolen and late,

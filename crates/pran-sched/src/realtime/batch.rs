@@ -6,8 +6,8 @@
 //! * [`TaskBatch`] keeps release/deadline/service as flat `u64`
 //!   nanosecond columns (task id = row index), so batched cost
 //!   evaluation walks each column cache-linearly;
-//! * [`SimScratch`] owns the admission order, the packed words and the
-//!   core clocks, reused across calls;
+//! * [`SimScratch`] owns the admission and priority orders, the packed
+//!   words, the core clocks and the ready bitset, reused across calls;
 //! * [`simulate_into`] writes finish/missed columns into a caller-owned
 //!   [`BatchOutcome`], [`dispatch_grid`] its responses into a
 //!   [`GridOutcome`].
@@ -15,21 +15,23 @@
 //! Both paths put each task on the first core to free (ties to the
 //! lowest id), read from one flat clock per core:
 //!
-//! * **ready queue** (`run_queue`) — every policy on any batch. It is a
-//!   min-heap of the released tasks keyed by deadline (EDF), laxity
-//!   (LLF) or release (FIFO, and each partitioned core as a one-core
-//!   queue of its own cells), except under EDF on a batch whose deadline
-//!   column never decreases (checked in O(n); the pool's jittered steps
-//!   are pushed TTI-major to be one): there `(deadline, row)` order is
-//!   row order, so the ready set is a bitset of rows and the lowest set
-//!   bit is the task to run;
+//! * **ready queue** (`run_queue`) — every policy on any batch. The
+//!   ready set is one bitset over *priority positions*, and the lowest
+//!   set bit is the task to run: the released task with the least
+//!   `(key, row)`, the key the deadline (EDF), the laxity (LLF) or the
+//!   release (FIFO, and each partitioned core as a one-core queue of its
+//!   own cells). Under a release key a task's position is its admission
+//!   index; under EDF on a batch whose deadline column never decreases
+//!   (checked in O(n); the pool's jittered steps are pushed TTI-major to
+//!   be one) it is the row; any other batch sorts its rows once by
+//!   `(key, row)` and a task's position is its rank there;
 //! * **grid** ([`dispatch_grid`]) — EDF when every cell releases one
 //!   task on each TTI of one grid under one budget (an ideal fronthaul):
 //!   the queue then pops TTI-major with the cells ascending, so the
 //!   assignment is made TTI by TTI with no task rows, sort or queue at
 //!   all, and a TTI that finds every core free replays TTI 0.
 //!
-//! The admission sort and the ready queue compare one packed word per
+//! The admission sort and the priority sort compare one packed word per
 //! row: the key (release, deadline or laxity, in ns) above the low `b`
 //! bits and the row in them, `b` the bit width of `n − 1` (at least 1).
 //! While every key is below `2^(64 − b)` a `u64` word orders exactly as
@@ -37,13 +39,10 @@
 //! (absolute times of hours on very large batches) runs the same code on
 //! `u128` words.
 //!
-//! `tests` below hold both paths, and both ready sets, to a dispatcher
-//! on `(key, row)` tuple heaps and a `(free_at, core)` core heap
-//! (`heap_only`) on randomized batches, and `realtime`'s hand-worked
+//! `tests` below hold both paths, under every source of positions, to a
+//! dispatcher on `(key, row)` tuple heaps and a `(free_at, core)` core
+//! heap (`heap_only`) on randomized batches, and `realtime`'s hand-worked
 //! cases pin the dispatcher's answers.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use super::{Policy, RtTask};
 
@@ -139,21 +138,15 @@ impl TaskBatch {
     }
 }
 
-/// Reusable scheduler scratch: admission order, packed words of both
-/// widths and per-core clocks.
+/// Reusable scheduler scratch: packed sort words of both widths and the
+/// per-row buffers, reused across calls.
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// Task rows in admission order.
-    order: Vec<u32>,
-    /// Per-core free times, ns.
-    core_free_flat: Vec<u64>,
-    /// Words of batches whose keys pack into `u64`.
-    narrow: Words<u64>,
-    /// Words of the rest.
-    wide: Words<u128>,
-    /// The EDF ready set as a row bitset, on batches whose deadlines
-    /// never decrease.
-    ready_rows: Vec<u64>,
+    /// Sort words of batches whose keys pack into `u64`.
+    narrow: Vec<u64>,
+    /// Sort words of the rest.
+    wide: Vec<u128>,
+    rows: Rows,
 }
 
 impl SimScratch {
@@ -161,6 +154,22 @@ impl SimScratch {
     pub fn new() -> Self {
         SimScratch::default()
     }
+}
+
+/// The per-row buffers of [`SimScratch`]: all of it but the sort words.
+#[derive(Debug, Default)]
+struct Rows {
+    /// Task rows in admission order.
+    order: Vec<u32>,
+    /// Task rows in `(key, row)` order, built only when neither the
+    /// admission order nor the row order is the priority order.
+    by_key: Vec<u32>,
+    /// Each row's position in `by_key`.
+    rank: Vec<u32>,
+    /// Per-core free times, ns.
+    core_free: Vec<u64>,
+    /// The ready set's words: one bit per priority position.
+    ready: Vec<u64>,
 }
 
 /// A `(key, row)` pair packed into one integer: the key above the low
@@ -192,15 +201,6 @@ impl Word for u128 {
     fn row(self, bits: u32) -> u32 {
         self as u32 & u32::MAX >> (32 - bits)
     }
-}
-
-/// Packed-word buffers of one width.
-#[derive(Debug, Default)]
-struct Words<W: Ord> {
-    /// Admission-sort words, `(release, row)`.
-    sort: Vec<W>,
-    /// Min-heap of the ready tasks' `(policy key, row)` words.
-    ready: BinaryHeap<Reverse<W>>,
 }
 
 /// Low bits a packed word gives its row in an `n`-row batch: the bit
@@ -366,16 +366,6 @@ impl GridOutcome {
     }
 }
 
-/// Ready-queue ordering key of `run_queue`.
-#[derive(Clone, Copy)]
-enum SelectBy {
-    Deadline,
-    /// `deadline − service` (static laxity).
-    Slack,
-    /// Admission order: the queue pops each task as it was released.
-    Release,
-}
-
 /// Simulate a batch on `cores` identical cores under `policy`, writing
 /// results into `out`. Non-preemptive and work-conserving: whenever a
 /// core is free and tasks are ready, the policy's best ready task starts
@@ -402,35 +392,11 @@ pub fn simulate_into(
     out.makespan_ns = 0;
 
     let bits = row_bits(n);
-    let SimScratch {
-        order,
-        core_free_flat,
-        narrow,
-        wide,
-        ready_rows,
-    } = scratch;
+    let SimScratch { narrow, wide, rows } = scratch;
     if packs_in_u64(batch, bits) {
-        dispatch(
-            batch,
-            policy,
-            bits,
-            order,
-            core_free_flat,
-            narrow,
-            ready_rows,
-            out,
-        );
+        dispatch(batch, policy, bits, narrow, rows, out);
     } else {
-        dispatch(
-            batch,
-            policy,
-            bits,
-            order,
-            core_free_flat,
-            wide,
-            ready_rows,
-            out,
-        );
+        dispatch(batch, policy, bits, wide, rows, out);
     }
 
     if pran_telemetry::enabled() {
@@ -441,44 +407,26 @@ pub fn simulate_into(
 }
 
 /// [`simulate_into`]'s dispatch on `W` words, `bits` of them the row,
-/// into `out`'s reset columns.
-#[allow(clippy::too_many_arguments)] // split borrows of scratch and outcome
+/// into `out`'s reset columns. Every policy runs on one ready set, a
+/// bitset over priority positions, and only where a position comes from
+/// differs.
 fn dispatch<W: Word>(
     batch: &TaskBatch,
     policy: Policy,
     bits: u32,
-    order: &mut Vec<u32>,
-    core_free: &mut Vec<u64>,
-    words: &mut Words<W>,
-    ready_rows: &mut Vec<u64>,
+    words: &mut Vec<W>,
+    rows: &mut Rows,
     out: &mut BatchOutcome,
 ) {
+    let Rows {
+        order,
+        by_key,
+        rank,
+        core_free,
+        ready,
+    } = rows;
     let n = batch.len() as u32;
     let cores = out.core_busy_ns.len();
-    if policy == Policy::GlobalEdf && batch.deadline_ns.is_sorted() {
-        // Rows in deadline order: `(deadline, row)` order is row order,
-        // so the best ready task is the lowest ready row.
-        sort_order(batch, 0..n, bits, &mut words.sort, order);
-        out.makespan_ns = run_queue(
-            batch,
-            order,
-            &mut RowBits {
-                words: ready_rows,
-                low: 0,
-                len: 0,
-            },
-            core_free,
-            &mut out.finish_ns,
-            &mut out.missed,
-            &mut out.core_busy_ns,
-        );
-        return;
-    }
-    let select = match policy {
-        Policy::GlobalEdf => SelectBy::Deadline,
-        Policy::GlobalLlf => SelectBy::Slack,
-        Policy::GlobalFifo | Policy::Partitioned => SelectBy::Release,
-    };
     // Partitioned: cell % cores binds each row to one core, and each
     // core's rows run as a one-core queue of their own.
     let partitioned = policy == Policy::Partitioned;
@@ -488,24 +436,57 @@ fn dispatch<W: Word>(
         } else {
             0..cores
         };
-        let rows =
-            (0..n).filter(|&i| !partitioned || batch.cell[i as usize] as usize % cores == part);
-        sort_order(batch, rows, bits, &mut words.sort, order);
-        let mut ready = KeyHeap {
-            heap: &mut words.ready,
-            batch,
-            select,
-            bits,
+        if partitioned {
+            let mine = (0..n).filter(|&i| batch.cell[i as usize] as usize % cores == part);
+            sort_order(batch, mine, bits, words, order);
+        } else {
+            sort_order(batch, 0..n, bits, words, order);
+        }
+        let (finish_ns, missed) = (&mut out.finish_ns[..], &mut out.missed[..]);
+        let busy = &mut out.core_busy_ns[slots];
+        let makespan = match policy {
+            // Release key: `(release, row)` order is admission order.
+            Policy::GlobalFifo | Policy::Partitioned => run_queue(
+                batch,
+                order,
+                ready,
+                |next, _| next,
+                |pos| order[pos],
+                core_free,
+                finish_ns,
+                missed,
+                busy,
+            ),
+            // Deadlines that never decrease (checked in O(n)): `(deadline,
+            // row)` order is row order.
+            Policy::GlobalEdf if batch.deadline_ns.is_sorted() => run_queue(
+                batch,
+                order,
+                ready,
+                |_, row| row as usize,
+                |pos| pos as u32,
+                core_free,
+                finish_ns,
+                missed,
+                busy,
+            ),
+            // Any other batch: each row's rank in one `(key, row)` sort.
+            Policy::GlobalEdf | Policy::GlobalLlf => {
+                let slack = policy == Policy::GlobalLlf;
+                rank_rows(batch, slack, bits, words, by_key, rank);
+                run_queue(
+                    batch,
+                    order,
+                    ready,
+                    |_, row| rank[row as usize] as usize,
+                    |pos| by_key[pos],
+                    core_free,
+                    finish_ns,
+                    missed,
+                    busy,
+                )
+            }
         };
-        let makespan = run_queue(
-            batch,
-            order,
-            &mut ready,
-            core_free,
-            &mut out.finish_ns,
-            &mut out.missed,
-            &mut out.core_busy_ns[slots],
-        );
         out.makespan_ns = out.makespan_ns.max(makespan);
     }
 }
@@ -525,6 +506,36 @@ fn sort_order<W: Word>(
     words.sort_unstable();
     order.clear();
     order.extend(words.iter().map(|w| w.row(bits)));
+}
+
+/// Write every row into `by_key` in `(key, row)` order, the key the
+/// deadline or, with `slack`, the laxity `deadline − service`, and each
+/// row's position there into `rank`.
+fn rank_rows<W: Word>(
+    batch: &TaskBatch,
+    slack: bool,
+    bits: u32,
+    words: &mut Vec<W>,
+    by_key: &mut Vec<u32>,
+    rank: &mut Vec<u32>,
+) {
+    let (deadline, service) = (&batch.deadline_ns, &batch.service_ns);
+    words.clear();
+    words.extend((0..batch.len()).map(|r| {
+        let key = if slack {
+            deadline[r].saturating_sub(service[r])
+        } else {
+            deadline[r]
+        };
+        W::pack(key, r as u32, bits)
+    }));
+    words.sort_unstable();
+    by_key.clear();
+    by_key.extend(words.iter().map(|w| w.row(bits)));
+    rank.resize(by_key.len(), 0);
+    for (pos, &row) in by_key.iter().enumerate() {
+        rank[row as usize] = pos as u32;
+    }
 }
 
 /// The core that frees first, ties to the lowest id — the core a
@@ -625,93 +636,42 @@ pub fn dispatch_grid<const CORES: usize>(
     }
 }
 
-/// The ready set of `run_queue`: rows go in as they are released and
-/// come out best first.
-trait Ready {
-    /// Empty the set for a batch of as many rows as the run admits.
-    fn reset(&mut self, rows: usize);
-    fn push(&mut self, row: u32);
-    /// The best ready row, removed. The set is not empty.
-    fn pop(&mut self) -> u32;
-    fn is_empty(&self) -> bool;
-}
-
-/// Any policy's ready set: a min-heap of `(policy key, row)` words with
-/// `bits` row bits.
-struct KeyHeap<'a, W: Word> {
-    heap: &'a mut BinaryHeap<Reverse<W>>,
-    batch: &'a TaskBatch,
-    select: SelectBy,
-    bits: u32,
-}
-
-impl<W: Word> Ready for KeyHeap<'_, W> {
-    fn reset(&mut self, rows: usize) {
-        self.heap.clear();
-        // The ready set never exceeds the batch: size it once per batch
-        // size rather than whenever a release order builds a deeper
-        // backlog.
-        self.heap.reserve(rows);
-    }
-
-    #[inline]
-    fn push(&mut self, row: u32) {
-        let (batch, r) = (self.batch, row as usize);
-        let key = match self.select {
-            SelectBy::Deadline => batch.deadline_ns[r],
-            SelectBy::Slack => batch.deadline_ns[r].saturating_sub(batch.service_ns[r]),
-            SelectBy::Release => batch.release_ns[r],
-        };
-        self.heap.push(Reverse(W::pack(key, row, self.bits)));
-    }
-
-    #[inline]
-    fn pop(&mut self) -> u32 {
-        let Reverse(w) = self.heap.pop().expect("a task is ready");
-        w.row(self.bits)
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-/// EDF's ready set on rows whose deadlines never decrease: one bit per
-/// row, the lowest set bit the best. `low` is the first word that may
-/// hold one: a push below it moves it down, a pop walks it up past
-/// empty words.
-struct RowBits<'a> {
-    words: &'a mut Vec<u64>,
+/// The ready set: one bit per priority position, the lowest set bit the
+/// best. `low` is the first word that may hold one: a push below it moves
+/// it down, a pop walks it up past empty words.
+struct ReadyBits<'a> {
+    words: &'a mut [u64],
     low: usize,
     len: usize,
 }
 
-impl Ready for RowBits<'_> {
-    fn reset(&mut self, rows: usize) {
-        self.words.clear();
-        self.words.resize(rows.div_ceil(64), 0);
-        self.low = self.words.len();
-        self.len = 0;
+impl<'a> ReadyBits<'a> {
+    /// An empty set of positions below `positions`, on `words`.
+    fn new(words: &'a mut Vec<u64>, positions: usize) -> Self {
+        words.clear();
+        words.resize(positions.div_ceil(64), 0);
+        let low = words.len();
+        ReadyBits { words, low, len: 0 }
     }
 
     #[inline]
-    fn push(&mut self, row: u32) {
-        let word = row as usize / 64;
-        self.words[word] |= 1 << (row % 64);
+    fn push(&mut self, pos: usize) {
+        let word = pos / 64;
+        self.words[word] |= 1 << (pos % 64);
         self.low = self.low.min(word);
         self.len += 1;
     }
 
+    /// The lowest position in the set, removed. The set is not empty.
     #[inline]
-    fn pop(&mut self) -> u32 {
+    fn pop(&mut self) -> usize {
         while self.words[self.low] == 0 {
             self.low += 1;
         }
         let word = self.words[self.low];
         self.words[self.low] = word & (word - 1);
         self.len -= 1;
-        (self.low * 64) as u32 + word.trailing_zeros()
+        self.low * 64 + word.trailing_zeros() as usize
     }
 
     #[inline]
@@ -720,13 +680,18 @@ impl Ready for RowBits<'_> {
     }
 }
 
-/// Greedy non-preemptive dispatch of `order`'s tasks, best ready first
-/// by `ready`, over the `core_busy_ns.len()` cores, writing
-/// finish/missed at the tasks' rows. Returns the makespan.
+/// Greedy non-preemptive dispatch of `order`'s tasks over the
+/// `core_busy_ns.len()` cores, writing finish/missed at the tasks' rows:
+/// the task admitted `next`-th is ready at position `pos_of(next, row)`,
+/// and the lowest ready position, `row_at` its row, runs first. Returns
+/// the makespan.
+#[allow(clippy::too_many_arguments)] // split borrows of scratch and outcome
 fn run_queue(
     batch: &TaskBatch,
     order: &[u32],
-    ready: &mut impl Ready,
+    ready: &mut Vec<u64>,
+    pos_of: impl Fn(usize, u32) -> usize,
+    row_at: impl Fn(usize) -> u32,
     core_free: &mut Vec<u64>,
     finish_ns: &mut [u64],
     missed: &mut [bool],
@@ -735,7 +700,7 @@ fn run_queue(
     let n = order.len();
     core_free.clear();
     core_free.resize(core_busy_ns.len(), 0);
-    ready.reset(n);
+    let mut ready = ReadyBits::new(ready, n);
 
     let mut makespan = 0u64;
     let mut next = 0usize;
@@ -751,10 +716,10 @@ fn run_queue(
             start
         };
         while next < n && batch.release_ns[order[next] as usize] <= admit_by {
-            ready.push(order[next]);
+            ready.push(pos_of(next, order[next]));
             next += 1;
         }
-        let i = ready.pop() as usize;
+        let i = row_at(ready.pop()) as usize;
         let begin = start.max(batch.release_ns[i]);
         let end = begin + batch.service_ns[i];
         finish_ns[i] = end;
@@ -768,6 +733,9 @@ fn run_queue(
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
 
     /// Deterministic xorshift so the differential sweep needs no RNG dep.
@@ -955,10 +923,39 @@ mod tests {
         unreachable!("cells never run out")
     }
 
-    /// The packed dispatcher against the tuple heaps, every column, on
-    /// EDF, LLF and FIFO over 1/2/3/4/8 cores and 1–150 rows, one scratch
-    /// reused throughout: random batches, jittered grids (the pool's
-    /// non-uniform EDF path) and random batches moved to just under and
+    /// Move every release and deadline of `batch` by one amount, so that
+    /// its times reach to just under or past the `u64` packing limit.
+    fn to_the_packing_limit(rng: &mut Rng, batch: &mut TaskBatch) {
+        let base = (1u64 << (64 - row_bits(batch.len()))) - rng.next() % 3_000_000;
+        let times = batch.release_ns.iter_mut().chain(&mut batch.deadline_ns);
+        times.for_each(|t| *t += base);
+    }
+
+    /// [`simulate_into`] against the tuple heaps, every column, under every
+    /// policy on 1/2/3/4/8 cores, one scratch reused throughout.
+    fn assert_every_policy_matches(
+        batch: &TaskBatch,
+        scratch: &mut SimScratch,
+        out: &mut BatchOutcome,
+        label: &str,
+    ) {
+        for policy in Policy::all() {
+            for cores in [1, 2, 3, 4, 8] {
+                simulate_into(batch, cores, policy, scratch, out);
+                let heap = heap_only(batch, cores, policy);
+                assert_eq!(
+                    columns(out),
+                    columns(&heap),
+                    "{label}, {policy:?}, {cores} cores"
+                );
+            }
+        }
+    }
+
+    /// The packed dispatcher against the tuple heaps, every column, under
+    /// every policy over 1/2/3/4/8 cores and 1–150 rows, one scratch
+    /// reused throughout: random batches, jittered grids (cell-major, so
+    /// EDF ranks their rows) and random batches moved to just under and
     /// past the `u64` packing limit, so both word widths run.
     #[test]
     fn packed_dispatch_matches_the_tuple_heaps() {
@@ -974,9 +971,7 @@ mod tests {
                 1 => jittered_grid(&mut rng, n),
                 _ => {
                     let mut batch = random_batch(&mut rng, n, 5);
-                    let base = (1u64 << (64 - row_bits(n))) - rng.next() % 3_000_000;
-                    let times = batch.release_ns.iter_mut().chain(&mut batch.deadline_ns);
-                    times.for_each(|t| *t += base);
+                    to_the_packing_limit(&mut rng, &mut batch);
                     batch
                 }
             };
@@ -985,16 +980,8 @@ mod tests {
             // `deadline − release` budget.
             let budget = |i: usize| batch.deadline_ns[i] - batch.release_ns[i];
             queued += usize::from((1..n).any(|i| budget(i) != budget(0)));
-            for policy in [Policy::GlobalEdf, Policy::GlobalLlf, Policy::GlobalFifo] {
-                for cores in [1, 2, 3, 4, 8] {
-                    simulate_into(&batch, cores, policy, &mut scratch, &mut out);
-                    assert_eq!(
-                        columns(&out),
-                        columns(&heap_only(&batch, cores, policy)),
-                        "round {round}, {policy:?}, {cores} cores, {n} rows"
-                    );
-                }
-            }
+            let label = format!("round {round}, {n} rows");
+            assert_every_policy_matches(&batch, &mut scratch, &mut out, &label);
         }
         assert!(
             wide > rounds / 6 && queued > rounds / 2,
@@ -1002,8 +989,8 @@ mod tests {
         );
     }
 
-    /// EDF on rows whose deadlines never decrease runs on the row bitset;
-    /// it must match the tuple heaps, every column, on 1–300 rows (across
+    /// EDF on rows whose deadlines never decrease takes the row as its
+    /// priority position; it must match the tuple heaps, every column, on 1–300 rows (across
     /// the 64-, 128- and 256-row word edges), with releases and deadlines
     /// on a coarse grid so that both often tie, over 1/2/3/4/8 cores, on
     /// `u64` words and on batches moved past the packing limit (`u128`).
@@ -1033,9 +1020,7 @@ mod tests {
                 batch.push(cell, release, deadline, service);
             }
             if round % 2 == 1 {
-                let base = (1u64 << (64 - row_bits(n))) - rng.next() % 3_000_000;
-                let times = batch.release_ns.iter_mut().chain(&mut batch.deadline_ns);
-                times.for_each(|t| *t += base);
+                to_the_packing_limit(&mut rng, &mut batch);
             }
             assert!(batch.deadline_ns.is_sorted());
             wide += usize::from(!packs_in_u64(&batch, row_bits(n)));
@@ -1055,8 +1040,118 @@ mod tests {
         );
     }
 
-    /// One jittered task set as the pool builds it, cell-major (the heap:
-    /// deadlines fall at each new cell) and TTI-major (the row bitset):
+    /// `n` rows in `(key, row)` order by one key, ties on a 100 µs grid, the
+    /// other key left to fall where the random services put it: with
+    /// `by_laxity` the laxity `deadline − service` never decreases (and the
+    /// deadlines mostly do somewhere), without it the deadline never does.
+    fn sorted_by_one_key(rng: &mut Rng, n: usize, by_laxity: bool) -> TaskBatch {
+        let mut keys: Vec<u64> = (0..n).map(|_| (rng.next() % 40) * 100_000).collect();
+        keys.sort_unstable();
+        let mut batch = TaskBatch::new();
+        for key in keys {
+            let service = 50_000 + rng.next() % 2_000_001;
+            let deadline = if by_laxity { key + service } else { key };
+            let release = deadline.saturating_sub(rng.next() % 4_000_000);
+            batch.push((rng.next() % 9) as u32, release, deadline, service);
+        }
+        batch
+    }
+
+    /// The one ready set at its edges, all four policies against the tuple
+    /// heaps: every size at and beside the bitset's 64-, 128- and 256-row
+    /// word edges, on random batches, on batches whose laxities are sorted
+    /// and whose deadlines are not, and on the reverse, each on `u64` words
+    /// and moved past the packing limit (`u128`); then partitioned batches
+    /// whose parts are empty or hold a single row.
+    #[test]
+    fn one_ready_set_matches_the_tuple_heaps_at_its_edges() {
+        let mut rng = Rng(0x0BE5_E7ED_6E55_2026);
+        let mut scratch = SimScratch::new();
+        let mut out = BatchOutcome::new();
+        let laxity_ns = |b: &TaskBatch, i: usize| b.deadline_ns[i].saturating_sub(b.service_ns[i]);
+        let (mut wide, mut laxity_only, mut deadline_only) = (0, 0, 0);
+        for n in [1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257] {
+            for shape in 0..6 {
+                let mut batch = match shape / 2 {
+                    0 => random_batch(&mut rng, n, 9),
+                    1 => sorted_by_one_key(&mut rng, n, true),
+                    _ => sorted_by_one_key(&mut rng, n, false),
+                };
+                if shape % 2 == 1 {
+                    to_the_packing_limit(&mut rng, &mut batch);
+                }
+                wide += usize::from(!packs_in_u64(&batch, row_bits(n)));
+                let laxity_sorted =
+                    (1..n).all(|i| laxity_ns(&batch, i - 1) <= laxity_ns(&batch, i));
+                let deadline_sorted = batch.deadline_ns.is_sorted();
+                laxity_only += usize::from(laxity_sorted && !deadline_sorted);
+                deadline_only += usize::from(deadline_sorted && !laxity_sorted);
+                let label = format!("{n} rows, shape {shape}");
+                assert_every_policy_matches(&batch, &mut scratch, &mut out, &label);
+            }
+        }
+        assert!(
+            wide >= 30 && laxity_only >= 18 && deadline_only >= 18,
+            "{wide} wide, {laxity_only} sorted by laxity alone, {deadline_only} by deadline alone"
+        );
+        // Every row in one cell (every part but one empty), or each in a
+        // cell of its own (parts of one row up to `n = cores`).
+        for cores in [1, 2, 3, 4, 8] {
+            for n in 1..=cores + 1 {
+                for one_cell in [true, false] {
+                    let mut batch = random_batch(&mut rng, n, 1);
+                    if !one_cell {
+                        batch.cell = (0..n as u32).collect();
+                    }
+                    simulate_into(&batch, cores, Policy::Partitioned, &mut scratch, &mut out);
+                    let heap = heap_only(&batch, cores, Policy::Partitioned);
+                    assert_eq!(
+                        columns(&out),
+                        columns(&heap),
+                        "{n} rows on {cores} cores, one cell: {one_cell}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The pool's jittered steps push rows TTI-major so that EDF takes the
+    /// row as its priority position (`pran-sim`'s
+    /// `jittered_steps_hand_edf_deadline_ordered_rows` holds that half).
+    /// This half: EDF on such a batch builds no priority order and gives
+    /// the tuple heaps' answer, while LLF on the same batch ranks every row.
+    #[test]
+    fn edf_on_sorted_deadlines_builds_no_priority_order() {
+        let mut rng = Rng(0x50F7_ED0F_2026_0050);
+        for round in 0..100 {
+            let cells = 1 + (rng.next() % 40) as u32;
+            let service: Vec<u64> = (0..cells).map(|_| 100_000 + rng.next() % 900_001).collect();
+            let mut batch = TaskBatch::new();
+            for at in [0, 1_000_000, 2_000_000, 3_000_000] {
+                for cell in 0..cells {
+                    if !rng.next().is_multiple_of(10) {
+                        let release = at + (rng.next() % 9) * 100_000;
+                        batch.push(cell, release, at + 2_000_000, service[cell as usize]);
+                    }
+                }
+            }
+            assert!(batch.deadline_ns.is_sorted());
+            for cores in [1, 2, 4] {
+                let (mut scratch, mut out) = (SimScratch::new(), BatchOutcome::new());
+                simulate_into(&batch, cores, Policy::GlobalEdf, &mut scratch, &mut out);
+                let label = format!("round {round}, {cores} cores");
+                assert!(scratch.rows.by_key.is_empty(), "{label}");
+                let heap = heap_only(&batch, cores, Policy::GlobalEdf);
+                assert_eq!(columns(&out), columns(&heap), "{label}");
+                simulate_into(&batch, cores, Policy::GlobalLlf, &mut scratch, &mut out);
+                assert_eq!(scratch.rows.by_key.len(), batch.len(), "{label}");
+            }
+        }
+    }
+
+    /// One jittered task set as the pool builds it, cell-major (ranked by
+    /// deadline: they fall at each new cell) and TTI-major (positions are
+    /// rows):
     /// every task finishes at the same time and misses alike either way.
     #[test]
     fn cell_and_tti_major_rows_give_each_task_one_answer() {

@@ -8,10 +8,13 @@
 //! and statically partitioned cores (the distributed-RAN baseline, one
 //! cell bound to one core) — and reports per-task finish times and
 //! deadline misses, the metric experiment E6 sweeps against utilization.
-//! Every policy runs through one ready queue on packed keys — the
-//! admission sort and the queue compare one `(key, row)` integer per
-//! task, the key a deadline, a laxity or a release — and each task goes
-//! to the first core to free, read from one flat clock per core.
+//! Every policy runs on one ready set, a bitset over priority
+//! positions whose lowest set bit is the released task with the least
+//! `(key, row)`, the key a deadline, a laxity or a release: a position
+//! is the task's admission index (release key), its row (EDF on
+//! deadlines in row order) or its rank in one sort of packed `(key,
+//! row)` integers (any other batch). Each task goes to the first core to
+//! free, read from one flat clock per core.
 //! [`simulate`] runs it once on a slice of [`RtTask`]s; the pool calls it
 //! per server per step on reused buffers, or — when every release sits
 //! on the TTI grid — [`dispatch_grid`], EDF's only specialisation: the

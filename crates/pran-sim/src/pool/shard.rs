@@ -433,7 +433,7 @@ impl PoolShard {
     ///   at its TTI plus the whole nanoseconds of jitter `deliver` drew.
     ///   The rows are TTI-major (each TTI's cells in cell order, then the
     ///   next TTI's), so every server's deadlines never decrease and EDF's
-    ///   ready queue is `simulate_into`'s row bitset. Each link still
+    ///   priority positions in `simulate_into` are the rows. Each link still
     ///   draws its own TTIs in order, so every seeded stream is unchanged,
     ///   and EDF gives each task the answer the cell-major rows gave it;
     /// * **executor** — `parallel` set: the rows, cell-major, go through
@@ -551,7 +551,7 @@ impl PoolShard {
             }
             // Cell-major under the executor, the order its batches follow;
             // TTI-major otherwise, so that each server's deadlines never
-            // decrease and `simulate_into`'s EDF queue is a row bitset.
+            // decrease and `simulate_into`'s EDF ranks no rows.
             // Either way each link draws its TTIs in order, and its bucket
             // refills on absolute simulated time.
             let cell_major = executor.is_some();
@@ -720,9 +720,9 @@ mod tests {
     }
 
     /// Every server batch a jittered step hands `simulate_into` is
-    /// TTI-major, so its deadlines never decrease and EDF's ready queue
-    /// is the row bitset: a row order that reached the heap again would
-    /// still give the same answers, only slower, and fail here.
+    /// TTI-major, so its deadlines never decrease and EDF's priority
+    /// positions are the rows: a row order that had to be ranked again
+    /// would still give the same answers, only slower, and fail here.
     #[test]
     fn jittered_steps_hand_edf_deadline_ordered_rows() {
         let (mut shard, rows, step_seconds) = jittered_shard();
