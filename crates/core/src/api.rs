@@ -100,7 +100,7 @@ impl PoolView {
 }
 
 /// Things that happen to the pool; apps may react via `on_event`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PoolEvent {
     /// A server stopped responding.
     ServerFailed(usize),

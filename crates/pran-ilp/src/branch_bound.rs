@@ -9,6 +9,13 @@
 //! [`Simplex`] lives through the search: a node is its bound changes
 //! applied to the tableau the previous node ended on, re-optimised by
 //! dual pivots from that basis.
+//!
+//! A node pays only for its LP. It is one `Change`, a variable's new
+//! bounds linked to the change above it, so a child copies no path. Before
+//! its LP, only the variables the previous node overrode go back to their
+//! model bounds, and its own path is applied root first. The LP's point
+//! is read in place. Open nodes are keyed and pushed as always (bound,
+//! then depth), so equal nodes pop in the same order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -105,10 +112,21 @@ pub struct IlpResult {
     pub stats: BnbStats,
 }
 
-/// One open node: bound overrides for the integral variables only.
+/// One branching decision: `var` held to `[lower, upper]` below the
+/// decision `parent` (`None` at the root's children).
+struct Change {
+    parent: Option<usize>,
+    var: VarId,
+    lower: f64,
+    upper: f64,
+}
+
+/// One open node.
 struct Node {
-    /// `(var, lower, upper)` overrides accumulated along the branch path.
-    bounds: Vec<(VarId, f64, f64)>,
+    /// The decision that made it, an index into the search's changes; the
+    /// chain of parents from there holds every bound override of the
+    /// branch path, deepest first. `None` for the root.
+    change: Option<usize>,
     /// LP bound of the parent (minimization-normalized); used as priority.
     bound: f64,
     depth: usize,
@@ -222,10 +240,15 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
     };
     let mut open = BinaryHeap::new();
     open.push(Prioritized(Node {
-        bounds: Vec::new(),
+        change: None,
         bound: f64::NEG_INFINITY,
         depth: 0,
     }));
+    let mut changes: Vec<Change> = Vec::new();
+    // The changes of the node being solved, deepest first, and the
+    // variables the LP holds off their model bounds.
+    let mut path: Vec<usize> = Vec::new();
+    let mut overridden: Vec<VarId> = Vec::new();
 
     let mut lp = Simplex::new(model);
     let integral = model.integral_vars();
@@ -248,25 +271,36 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
         if node.bound >= incumbent_norm - GAP_TOL * incumbent_norm.abs().max(1.0) {
             continue;
         }
-        if node.bounds.iter().any(|&(_, lo, hi)| lo > hi) {
+        // Every decision above this node was its ancestors' own, checked
+        // before they were solved: only the newest can be empty.
+        if node
+            .change
+            .is_some_and(|c| changes[c].lower > changes[c].upper)
+        {
             continue; // empty domain: infeasible branch
         }
 
-        // Swap the previous node's bound overrides (branching only ever
-        // moves integral variables) for this node's.
-        for &v in &integral {
+        // Swap the previous node's bound overrides for this node's,
+        // applied root first so the deepest one of a variable wins.
+        for v in overridden.drain(..) {
             let var = model.var(v);
             lp.set_bounds(v, var.lower, var.upper);
         }
-        for &(v, lo, hi) in &node.bounds {
-            lp.set_bounds(v, lo, hi);
+        path.clear();
+        path.extend(std::iter::successors(node.change, |&c| changes[c].parent));
+        for &c in path.iter().rev() {
+            let Change {
+                var, lower, upper, ..
+            } = changes[c];
+            lp.set_bounds(var, lower, upper);
+            overridden.push(var);
         }
 
-        let solved = lp.solve();
+        let (status, iterations) = lp.optimise();
         stats.nodes += 1;
-        stats.lp_iterations += solved.iterations;
+        stats.lp_iterations += iterations;
 
-        match solved.status {
+        match status {
             LpStatus::Infeasible => {
                 if stats.nodes == 1 {
                     root_status = Some(IlpStatus::Infeasible);
@@ -286,8 +320,8 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
             }
             LpStatus::Optimal => {}
         }
-        let sol = solved.solution.expect("optimal LP carries a solution");
-        let node_norm = tighten(sign * sol.objective);
+        let (values, lp_objective) = lp.point();
+        let node_norm = tighten(sign * lp_objective);
         if node_norm >= incumbent_norm - GAP_TOL * incumbent_norm.abs().max(1.0) {
             continue; // bound no better than incumbent
         }
@@ -297,57 +331,73 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
         let half_dist = |x: f64| (0.5 - (x - x.floor())).abs();
         let branch_var = integral
             .iter()
-            .map(|&v| (v, sol.values[v.index()]))
+            .map(|&v| (v, values[v.index()]))
             .filter(|&(_, x)| (x - x.round()).abs() > INT_TOL)
             .min_by(|a, b| half_dist(a.1).total_cmp(&half_dist(b.1)));
 
         match branch_var {
             None => {
                 // Integral: new incumbent.
-                let mut values = sol.values.clone();
+                let mut snapped = values.to_vec();
                 // Snap integral variables exactly.
                 for &v in &integral {
-                    values[v.index()] = values[v.index()].round();
+                    snapped[v.index()] = snapped[v.index()].round();
                 }
-                let objective = model.eval_objective(&values);
+                let objective = model.eval_objective(&snapped);
                 // Re-validate after snapping (snap can't violate bounds by
                 // more than INT_TOL, but constraints deserve a check).
-                if model.is_feasible(&values, 1e-6) {
+                if model.is_feasible(&snapped, 1e-6) {
                     let norm = sign * objective;
                     if norm < incumbent_norm {
                         incumbent_norm = norm;
-                        incumbent = Some(Solution { values, objective });
+                        incumbent = Some(Solution {
+                            values: snapped,
+                            objective,
+                        });
                         stats.incumbent = Some(objective);
                     }
                 } else {
                     // Rounding broke feasibility: keep the unsnapped LP point.
-                    let norm = sign * sol.objective;
+                    let norm = sign * lp_objective;
                     if norm < incumbent_norm {
                         incumbent_norm = norm;
-                        stats.incumbent = Some(sol.objective);
-                        incumbent = Some(sol.clone());
+                        stats.incumbent = Some(lp_objective);
+                        incumbent = Some(Solution {
+                            values: values.to_vec(),
+                            objective: lp_objective,
+                        });
                     }
                 }
             }
             Some((v, x)) => {
                 let floor = x.floor();
-                let (cur_lo, cur_hi) = effective_bounds(model, &node.bounds, v);
-                // Down child: x ≤ floor.
-                let mut down = node.bounds.clone();
-                down.push((v, cur_lo, floor.min(cur_hi)));
-                open.push(Prioritized(Node {
-                    bounds: down,
-                    bound: node_norm,
-                    depth: node.depth + 1,
-                }));
-                // Up child: x ≥ floor + 1.
-                let mut up = node.bounds.clone();
-                up.push((v, (floor + 1.0).max(cur_lo), cur_hi));
-                open.push(Prioritized(Node {
-                    bounds: up,
-                    bound: node_norm,
-                    depth: node.depth + 1,
-                }));
+                // The deepest override of `v` on this node's path, else
+                // its model bounds.
+                let (cur_lo, cur_hi) = path
+                    .iter()
+                    .map(|&c| &changes[c])
+                    .find(|c| c.var == v)
+                    .map_or_else(
+                        || (model.var(v).lower, model.var(v).upper),
+                        |c| (c.lower, c.upper),
+                    );
+                // Down child: x ≤ floor; up child: x ≥ floor + 1.
+                for (lower, upper) in [
+                    (cur_lo, floor.min(cur_hi)),
+                    ((floor + 1.0).max(cur_lo), cur_hi),
+                ] {
+                    changes.push(Change {
+                        parent: node.change,
+                        var: v,
+                        lower,
+                        upper,
+                    });
+                    open.push(Prioritized(Node {
+                        change: Some(changes.len() - 1),
+                        bound: node_norm,
+                        depth: node.depth + 1,
+                    }));
+                }
             }
         }
     }
@@ -409,18 +459,6 @@ fn objective_is_integral(model: &Model) -> bool {
             .all(|&(v, c)| c == 0.0 || (c.fract() == 0.0 && model.var(v).kind.is_integral()))
 }
 
-fn effective_bounds(model: &Model, overrides: &[(VarId, f64, f64)], v: VarId) -> (f64, f64) {
-    overrides
-        .iter()
-        .rev()
-        .find(|&&(ov, _, _)| ov == v)
-        .map(|&(_, lo, hi)| (lo, hi))
-        .unwrap_or_else(|| {
-            let var = model.var(v);
-            (var.lower, var.upper)
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,12 +472,11 @@ mod tests {
     fn knapsack_small_exact() {
         // max 10a + 13b + 7c s.t. 3a + 4b + 2c <= 6 → a+c (w=5, v=17)?
         // options: a+b w7 no; b+c w6 v20 ✓ best.
-        let mut m = Model::new("ks");
-        let a = m.binary("a");
-        let b = m.binary("b");
-        let c = m.binary("c");
+        let mut m = Model::new();
+        let a = m.binary();
+        let b = m.binary();
+        let c = m.binary();
         m.add_constraint(
-            "w",
             LinExpr::weighted_sum([(a, 3.0), (b, 4.0), (c, 2.0)]),
             Cmp::Le,
             6.0,
@@ -458,15 +495,10 @@ mod tests {
     #[test]
     fn integer_rounding_differs_from_lp() {
         // max x + y s.t. 2x + 2y <= 5, integers → LP gives 2.5, ILP 2.
-        let mut m = Model::new("t");
-        let x = m.integer("x", 0.0, 10.0);
-        let y = m.integer("y", 0.0, 10.0);
-        m.add_constraint(
-            "c",
-            LinExpr::term(x, 2.0) + LinExpr::term(y, 2.0),
-            Cmp::Le,
-            5.0,
-        );
+        let mut m = Model::new();
+        let x = m.integer(0.0, 10.0);
+        let y = m.integer(0.0, 10.0);
+        m.add_constraint(LinExpr::term(x, 2.0) + LinExpr::term(y, 2.0), Cmp::Le, 5.0);
         m.set_objective(Sense::Maximize, LinExpr::from(x) + y);
         let r = solve_ilp(&m, &cfg());
         assert_eq!(r.status, IlpStatus::Optimal);
@@ -476,10 +508,10 @@ mod tests {
     #[test]
     fn infeasible_integer_program() {
         // 0.4 <= x <= 0.6, x integer → infeasible.
-        let mut m = Model::new("t");
-        let x = m.add_var("x", VarKind::Integer, 0.0, 1.0);
-        m.add_constraint("lo", LinExpr::from(x), Cmp::Ge, 0.4);
-        m.add_constraint("hi", LinExpr::from(x), Cmp::Le, 0.6);
+        let mut m = Model::new();
+        let x = m.add_var(VarKind::Integer, 0.0, 1.0);
+        m.add_constraint(LinExpr::from(x), Cmp::Ge, 0.4);
+        m.add_constraint(LinExpr::from(x), Cmp::Le, 0.6);
         m.set_objective(Sense::Maximize, LinExpr::from(x));
         let r = solve_ilp(&m, &cfg());
         assert_eq!(r.status, IlpStatus::Infeasible);
@@ -487,8 +519,8 @@ mod tests {
 
     #[test]
     fn unbounded_detected_at_root() {
-        let mut m = Model::new("t");
-        let x = m.integer("x", 0.0, f64::INFINITY);
+        let mut m = Model::new();
+        let x = m.integer(0.0, f64::INFINITY);
         m.set_objective(Sense::Maximize, LinExpr::from(x));
         let r = solve_ilp(&m, &cfg());
         assert_eq!(r.status, IlpStatus::Unbounded);
@@ -497,10 +529,10 @@ mod tests {
     #[test]
     fn minimization_sense() {
         // min 3x + 2y s.t. x + y >= 3, integers in [0,5] → (0,3) cost 6.
-        let mut m = Model::new("t");
-        let x = m.integer("x", 0.0, 5.0);
-        let y = m.integer("y", 0.0, 5.0);
-        m.add_constraint("c", LinExpr::from(x) + y, Cmp::Ge, 3.0);
+        let mut m = Model::new();
+        let x = m.integer(0.0, 5.0);
+        let y = m.integer(0.0, 5.0);
+        m.add_constraint(LinExpr::from(x) + y, Cmp::Ge, 3.0);
         m.set_objective(
             Sense::Minimize,
             LinExpr::term(x, 3.0) + LinExpr::term(y, 2.0),
@@ -517,10 +549,10 @@ mod tests {
         // max 5b + y s.t. y <= 4.3, y <= 10(1-b)+4.3... simpler:
         // max 5b + y, y + 3b <= 6, y in [0, 4.3] cont, b binary.
         // b=1 → y<=3 → 8; b=0 → y<=4.3 → 4.3. Optimum 8.
-        let mut m = Model::new("t");
-        let b = m.binary("b");
-        let y = m.continuous("y", 0.0, 4.3);
-        m.add_constraint("c", LinExpr::from(y) + LinExpr::term(b, 3.0), Cmp::Le, 6.0);
+        let mut m = Model::new();
+        let b = m.binary();
+        let y = m.continuous(0.0, 4.3);
+        m.add_constraint(LinExpr::from(y) + LinExpr::term(b, 3.0), Cmp::Le, 6.0);
         m.set_objective(Sense::Maximize, LinExpr::term(b, 5.0) + y);
         let r = solve_ilp(&m, &cfg());
         let s = r.solution.unwrap();
@@ -532,12 +564,11 @@ mod tests {
     #[test]
     fn gap_reported_on_node_limit() {
         // A knapsack big enough to need >1 node, with max_nodes=1.
-        let mut m = Model::new("t");
-        let vars: Vec<_> = (0..12).map(|i| m.binary(format!("b{i}"))).collect();
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..12).map(|_| m.binary()).collect();
         let weights: Vec<f64> = (0..12).map(|i| 3.0 + (i as f64 * 1.7) % 5.0).collect();
         let values: Vec<f64> = (0..12).map(|i| 4.0 + (i as f64 * 2.3) % 7.0).collect();
         m.add_constraint(
-            "w",
             LinExpr::weighted_sum(vars.iter().copied().zip(weights.iter().copied())),
             Cmp::Le,
             20.0,
@@ -569,12 +600,11 @@ mod tests {
         // max 10x + y1 + y2, 2y1 + 2y2 − 2x ≤ 1.2, x integer in [0, 1.5].
         // The root sits on its bounds (x = 1.5, no pivot); the x ≤ 1
         // child needs one, and x ≥ 2 is empty. Optimum: x = 1, one y: 11.
-        let mut m = Model::new("t");
-        let x = m.integer("x", 0.0, 1.5);
-        let y1 = m.binary("y1");
-        let y2 = m.binary("y2");
+        let mut m = Model::new();
+        let x = m.integer(0.0, 1.5);
+        let y1 = m.binary();
+        let y2 = m.binary();
         m.add_constraint(
-            "c",
             LinExpr::weighted_sum([(y1, 2.0), (y2, 2.0), (x, -2.0)]),
             Cmp::Le,
             1.2,
@@ -604,8 +634,8 @@ mod tests {
 
     #[test]
     fn solution_feasibility_always_holds() {
-        let mut m = Model::new("t");
-        let vars: Vec<_> = (0..8).map(|i| m.binary(format!("b{i}"))).collect();
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..8).map(|_| m.binary()).collect();
         for k in 0..4 {
             let e = LinExpr::weighted_sum(
                 vars.iter()
@@ -613,7 +643,7 @@ mod tests {
                     .enumerate()
                     .map(|(i, v)| (v, ((i + k) % 3 + 1) as f64)),
             );
-            m.add_constraint(format!("c{k}"), e, Cmp::Le, 5.0);
+            m.add_constraint(e, Cmp::Le, 5.0);
         }
         m.set_objective(Sense::Maximize, LinExpr::sum(vars.iter().copied()));
         let r = solve_ilp(&m, &cfg());
@@ -625,25 +655,15 @@ mod tests {
     #[test]
     fn equality_coupled_binaries() {
         // exactly-one constraints (assignment flavour).
-        let mut m = Model::new("assign");
+        let mut m = Model::new();
         let n = 4;
         let x: Vec<Vec<_>> = (0..n)
-            .map(|i| (0..n).map(|j| m.binary(format!("x{i}{j}"))).collect())
+            .map(|_| (0..n).map(|_| m.binary()).collect())
             .collect();
-        #[allow(clippy::needless_range_loop)] // `i` indexes rows *and* names columns
+        #[allow(clippy::needless_range_loop)] // `i` picks a row of `x` *and* a column
         for i in 0..n {
-            m.add_constraint(
-                format!("row{i}"),
-                LinExpr::sum(x[i].iter().copied()),
-                Cmp::Eq,
-                1.0,
-            );
-            m.add_constraint(
-                format!("col{i}"),
-                LinExpr::sum((0..n).map(|r| x[r][i])),
-                Cmp::Eq,
-                1.0,
-            );
+            m.add_constraint(LinExpr::sum(x[i].iter().copied()), Cmp::Eq, 1.0);
+            m.add_constraint(LinExpr::sum((0..n).map(|r| x[r][i])), Cmp::Eq, 1.0);
         }
         // Cost matrix with known optimal assignment (diagonal cheap).
         let mut obj = LinExpr::new();

@@ -21,11 +21,11 @@
 //! use pran_ilp::{Model, LinExpr, Cmp, Sense, solve_ilp_default, IlpStatus};
 //!
 //! // max 10a + 13b + 7c  s.t.  3a + 4b + 2c ≤ 6,  a,b,c ∈ {0,1}
-//! let mut m = Model::new("knapsack");
-//! let a = m.binary("a");
-//! let b = m.binary("b");
-//! let c = m.binary("c");
-//! m.add_constraint("w", LinExpr::weighted_sum([(a, 3.0), (b, 4.0), (c, 2.0)]), Cmp::Le, 6.0);
+//! let mut m = Model::new();
+//! let a = m.binary();
+//! let b = m.binary();
+//! let c = m.binary();
+//! m.add_constraint(LinExpr::weighted_sum([(a, 3.0), (b, 4.0), (c, 2.0)]), Cmp::Le, 6.0);
 //! m.set_objective(Sense::Maximize, LinExpr::weighted_sum([(a, 10.0), (b, 13.0), (c, 7.0)]));
 //! let r = solve_ilp_default(&m);
 //! assert_eq!(r.status, IlpStatus::Optimal);

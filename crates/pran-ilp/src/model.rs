@@ -54,11 +54,10 @@ impl VarKind {
     }
 }
 
-/// A decision variable: kind, bounds and a diagnostic name.
-#[derive(Debug, Clone)]
+/// A decision variable: kind and bounds. Variables and constraints carry
+/// no names; violations and solutions address them by id.
+#[derive(Debug, Clone, Copy)]
 pub struct Variable {
-    /// Diagnostic name.
-    pub name: String,
     /// Integrality class.
     pub kind: VarKind,
     /// Lower bound; `f64::NEG_INFINITY` when unbounded below.
@@ -89,9 +88,10 @@ impl fmt::Display for Cmp {
 }
 
 /// Optimization direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Sense {
     /// Minimize the objective.
+    #[default]
     Minimize,
     /// Maximize the objective.
     Maximize,
@@ -100,15 +100,16 @@ pub enum Sense {
 /// A linear expression `Σ coefᵢ·xᵢ + constant`.
 ///
 /// Terms are kept unsorted and may contain duplicate variables; they are
-/// merged lazily by [`LinExpr::compact`] (the solvers call it once when the
-/// model is frozen). Expressions compose with `+`, `-` and scalar `*`, and
+/// merged by [`LinExpr::compact`], which [`Model::add_constraint`] and
+/// [`Model::set_objective`] call, so a model's rows and objective are
+/// always compact. Expressions compose with `+`, `-` and scalar `*`, and
 /// a bare [`VarId`] converts into an expression:
 ///
 /// ```
 /// use pran_ilp::{Model, LinExpr, VarKind};
-/// let mut m = Model::new("doc");
-/// let x = m.add_var("x", VarKind::Continuous, 0.0, 10.0);
-/// let y = m.add_var("y", VarKind::Continuous, 0.0, 10.0);
+/// let mut m = Model::new();
+/// let x = m.add_var(VarKind::Continuous, 0.0, 10.0);
+/// let y = m.add_var(VarKind::Continuous, 0.0, 10.0);
 /// let e: LinExpr = LinExpr::from(x) * 2.0 + y - 1.0;
 /// assert_eq!(e.coefficient(x), 2.0);
 /// assert_eq!(e.constant(), -1.0);
@@ -182,22 +183,19 @@ impl LinExpr {
         &self.terms
     }
 
-    /// Merge duplicate variables and drop zero coefficients.
-    pub fn compact(&self) -> LinExpr {
-        let mut merged: Vec<(VarId, f64)> = Vec::with_capacity(self.terms.len());
-        let mut sorted = self.terms.clone();
-        sorted.sort_by_key(|(v, _)| *v);
-        for (v, c) in sorted {
-            match merged.last_mut() {
-                Some((lv, lc)) if *lv == v => *lc += c,
-                _ => merged.push((v, c)),
+    /// Sort the terms by variable, merge duplicates (summed in the order
+    /// they were added) and drop zero coefficients.
+    pub fn compact(mut self) -> LinExpr {
+        self.terms.sort_by_key(|(v, _)| *v);
+        self.terms.dedup_by(|(v, c), (kept, sum)| {
+            let same = v == kept;
+            if same {
+                *sum += *c;
             }
-        }
-        merged.retain(|(_, c)| *c != 0.0);
-        LinExpr {
-            terms: merged,
-            constant: self.constant,
-        }
+            same
+        });
+        self.terms.retain(|(_, c)| *c != 0.0);
+        self
     }
 
     /// Evaluate the expression against a full assignment (indexed by `VarId`).
@@ -290,12 +288,11 @@ impl Neg for LinExpr {
 
 /// A linear constraint `expr (cmp) rhs`.
 ///
-/// The expression's constant is folded into `rhs` at construction, so
-/// `expr.constant() == 0` always holds for stored constraints.
+/// The expression is compacted and its constant folded into `rhs` at
+/// construction, so `expr.constant() == 0` always holds for stored
+/// constraints.
 #[derive(Debug, Clone)]
 pub struct Constraint {
-    /// Diagnostic name.
-    pub name: String,
     /// Left-hand side (constant always folded out).
     pub expr: LinExpr,
     /// Comparison operator.
@@ -381,26 +378,18 @@ impl Solution {
 }
 
 /// A mixed-integer linear program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Model {
-    /// Diagnostic name.
-    pub name: String,
-    vars: Vec<Variable>,
-    constraints: Vec<Constraint>,
-    objective: LinExpr,
-    sense: Sense,
+    pub(crate) vars: Vec<Variable>,
+    pub(crate) constraints: Vec<Constraint>,
+    pub(crate) objective: LinExpr,
+    pub(crate) sense: Sense,
 }
 
 impl Model {
     /// Create an empty model with a minimization objective of `0`.
-    pub fn new(name: impl Into<String>) -> Self {
-        Model {
-            name: name.into(),
-            vars: Vec::new(),
-            constraints: Vec::new(),
-            objective: LinExpr::new(),
-            sense: Sense::Minimize,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Add a variable with explicit kind and bounds.
@@ -408,13 +397,7 @@ impl Model {
     /// # Panics
     /// Panics if `lower > upper` or either bound is NaN — that is a modeling
     /// bug, not a runtime condition.
-    pub fn add_var(
-        &mut self,
-        name: impl Into<String>,
-        kind: VarKind,
-        lower: f64,
-        upper: f64,
-    ) -> VarId {
+    pub fn add_var(&mut self, kind: VarKind, lower: f64, upper: f64) -> VarId {
         assert!(
             !lower.is_nan() && !upper.is_nan(),
             "variable bounds must not be NaN"
@@ -424,50 +407,33 @@ impl Model {
             VarKind::Binary => (0.0, 1.0),
             _ => (lower, upper),
         };
-        self.vars.push(Variable {
-            name: name.into(),
-            kind,
-            lower,
-            upper,
-        });
+        self.vars.push(Variable { kind, lower, upper });
         VarId(self.vars.len() - 1)
     }
 
     /// Add a binary (0/1) variable.
-    pub fn binary(&mut self, name: impl Into<String>) -> VarId {
-        self.add_var(name, VarKind::Binary, 0.0, 1.0)
+    pub fn binary(&mut self) -> VarId {
+        self.add_var(VarKind::Binary, 0.0, 1.0)
     }
 
     /// Add a bounded integer variable.
-    pub fn integer(&mut self, name: impl Into<String>, lower: f64, upper: f64) -> VarId {
-        self.add_var(name, VarKind::Integer, lower, upper)
+    pub fn integer(&mut self, lower: f64, upper: f64) -> VarId {
+        self.add_var(VarKind::Integer, lower, upper)
     }
 
     /// Add a bounded continuous variable.
-    pub fn continuous(&mut self, name: impl Into<String>, lower: f64, upper: f64) -> VarId {
-        self.add_var(name, VarKind::Continuous, lower, upper)
+    pub fn continuous(&mut self, lower: f64, upper: f64) -> VarId {
+        self.add_var(VarKind::Continuous, lower, upper)
     }
 
     /// Add the constraint `expr (cmp) rhs`.
     ///
     /// The expression's constant is folded into the right-hand side.
-    pub fn add_constraint(
-        &mut self,
-        name: impl Into<String>,
-        expr: LinExpr,
-        cmp: Cmp,
-        rhs: f64,
-    ) -> ConstraintId {
-        let compacted = expr.compact();
-        let folded_rhs = rhs - compacted.constant();
-        let mut expr = compacted;
+    pub fn add_constraint(&mut self, expr: LinExpr, cmp: Cmp, rhs: f64) -> ConstraintId {
+        let mut expr = expr.compact();
+        let rhs = rhs - expr.constant;
         expr.constant = 0.0;
-        self.constraints.push(Constraint {
-            name: name.into(),
-            expr,
-            cmp,
-            rhs: folded_rhs,
-        });
+        self.constraints.push(Constraint { expr, cmp, rhs });
         ConstraintId(self.constraints.len() - 1)
     }
 
@@ -587,9 +553,9 @@ mod tests {
 
     #[test]
     fn expr_ops_compose() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 1.0);
-        let y = m.continuous("y", 0.0, 1.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 1.0);
+        let y = m.continuous(0.0, 1.0);
         let e = (LinExpr::from(x) * 3.0 + y - 2.0) + LinExpr::term(x, -1.0);
         let e = e.compact();
         assert_eq!(e.coefficient(x), 2.0);
@@ -599,17 +565,17 @@ mod tests {
 
     #[test]
     fn compact_merges_and_drops_zeros() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 1.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 1.0);
         let e = (LinExpr::term(x, 1.5) + LinExpr::term(x, -1.5)).compact();
         assert!(e.terms().is_empty());
     }
 
     #[test]
     fn constraint_folds_constant_into_rhs() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 10.0);
-        let c = m.add_constraint("c", LinExpr::from(x) + 3.0, Cmp::Le, 5.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 10.0);
+        let c = m.add_constraint(LinExpr::from(x) + 3.0, Cmp::Le, 5.0);
         let stored = &m.constraints()[c.index()];
         assert_eq!(stored.rhs, 2.0);
         assert_eq!(stored.expr.constant(), 0.0);
@@ -617,18 +583,18 @@ mod tests {
 
     #[test]
     fn binary_forces_unit_bounds() {
-        let mut m = Model::new("t");
-        let b = m.add_var("b", VarKind::Binary, -5.0, 5.0);
+        let mut m = Model::new();
+        let b = m.add_var(VarKind::Binary, -5.0, 5.0);
         assert_eq!(m.var(b).lower, 0.0);
         assert_eq!(m.var(b).upper, 1.0);
     }
 
     #[test]
     fn check_detects_all_violation_kinds() {
-        let mut m = Model::new("t");
-        let x = m.integer("x", 0.0, 2.0);
-        let y = m.continuous("y", 0.0, 1.0);
-        m.add_constraint("c", LinExpr::from(x) + y, Cmp::Le, 1.0);
+        let mut m = Model::new();
+        let x = m.integer(0.0, 2.0);
+        let y = m.continuous(0.0, 1.0);
+        m.add_constraint(LinExpr::from(x) + y, Cmp::Le, 1.0);
         // x fractional and constraint violated and y out of bounds.
         let viols = m.check(&[1.5, 2.0], 1e-9);
         assert_eq!(viols.len(), 3);
@@ -637,9 +603,9 @@ mod tests {
 
     #[test]
     fn sum_and_weighted_sum() {
-        let mut m = Model::new("t");
-        let a = m.binary("a");
-        let b = m.binary("b");
+        let mut m = Model::new();
+        let a = m.binary();
+        let b = m.binary();
         let s = LinExpr::sum([a, b]);
         assert_eq!(s.eval(&[1.0, 1.0]), 2.0);
         let w = LinExpr::weighted_sum([(a, 2.0), (b, -1.0)]);
@@ -649,14 +615,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "lower bound exceeds")]
     fn bad_bounds_panic() {
-        let mut m = Model::new("t");
-        m.continuous("x", 1.0, 0.0);
+        let mut m = Model::new();
+        m.continuous(1.0, 0.0);
     }
 
     #[test]
     fn eval_objective_respects_constant() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 10.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 10.0);
         m.set_objective(Sense::Maximize, LinExpr::from(x) * 2.0 + 5.0);
         assert_eq!(m.eval_objective(&[3.0]), 11.0);
     }

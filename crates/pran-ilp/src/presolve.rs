@@ -63,8 +63,19 @@ fn int_floor(x: f64) -> f64 {
 }
 
 /// Run presolve on a model.
+///
+/// The reduced model keeps every variable under its id and the surviving
+/// rows in their order. A model's rows are compact (see
+/// [`Model::add_constraint`]), so presolve reads their terms as stored; the
+/// first pass copies only the rows it keeps, and later passes drop rows in
+/// place.
 pub fn presolve(model: &Model) -> Presolved {
-    let mut m = model.clone();
+    let mut m = Model {
+        vars: model.vars.clone(),
+        constraints: Vec::new(),
+        objective: model.objective.clone(),
+        sense: model.sense,
+    };
     let mut stats = PresolveStats::default();
 
     loop {
@@ -73,11 +84,16 @@ pub fn presolve(model: &Model) -> Presolved {
 
         // Pass 1: fold singleton rows into variable bounds. Updates are
         // collected first (the constraint iteration borrows the model).
-        let mut keep = Vec::new();
+        let first = stats.iterations == 1;
+        let rows = if first {
+            &model.constraints
+        } else {
+            &m.constraints
+        };
+        let mut keep = Vec::with_capacity(rows.len());
         let mut singleton_updates: Vec<(VarId, f64, f64)> = Vec::new();
-        for c in m.constraints() {
-            let compacted = c.expr.compact();
-            match compacted.terms() {
+        for c in rows {
+            match *c.expr.terms() {
                 [] => {
                     // Constant row: either trivially true or infeasible.
                     let ok = match c.cmp {
@@ -90,9 +106,9 @@ pub fn presolve(model: &Model) -> Presolved {
                     }
                     stats.rows_removed += 1;
                     changed = true;
+                    keep.push(false);
                 }
                 [(v, a)] => {
-                    let (v, a) = (*v, *a);
                     let var = m.var(v);
                     let (mut lo, mut hi) = (var.lower, var.upper);
                     let bound = c.rhs / a;
@@ -117,8 +133,9 @@ pub fn presolve(model: &Model) -> Presolved {
                     singleton_updates.push((v, lo, hi.max(lo)));
                     stats.rows_removed += 1;
                     changed = true;
+                    keep.push(false);
                 }
-                _ => keep.push((c.name.clone(), compacted, c.cmp, c.rhs)),
+                _ => keep.push(true),
             }
         }
         for (v, lo, hi) in singleton_updates {
@@ -131,22 +148,16 @@ pub fn presolve(model: &Model) -> Presolved {
             }
             m.set_bounds(v, lo, hi.max(lo));
         }
-        if changed {
-            let mut next = Model::new(m.name.clone());
-            // Rebuild with the same variables, keeping tightened bounds.
-            // (`add_var` clamps binary bounds to [0,1], so tightened
-            // bounds must be re-applied explicitly.)
-            for i in 0..m.num_vars() {
-                let v = m.var(VarId(i));
-                let (lower, upper) = (v.lower, v.upper);
-                let id = next.add_var(v.name.clone(), v.kind, lower, upper);
-                next.set_bounds(id, lower, upper);
-            }
-            for (name, expr, cmp, rhs) in keep {
-                next.add_constraint(name, expr, cmp, rhs);
-            }
-            next.set_objective(m.sense(), m.objective().clone());
-            m = next;
+        let mut kept = keep.into_iter();
+        if first {
+            m.constraints = model
+                .constraints
+                .iter()
+                .filter(|_| kept.next() == Some(true))
+                .cloned()
+                .collect();
+        } else if changed {
+            m.constraints.retain(|_| kept.next() == Some(true));
         }
 
         // Pass 2: bound tightening from ≤-rows.
@@ -242,10 +253,10 @@ mod tests {
 
     #[test]
     fn singleton_rows_become_bounds() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 100.0);
-        m.add_constraint("hi", LinExpr::from(x), Cmp::Le, 7.0);
-        m.add_constraint("lo", LinExpr::term(x, 2.0), Cmp::Ge, 4.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 100.0);
+        m.add_constraint(LinExpr::from(x), Cmp::Le, 7.0);
+        m.add_constraint(LinExpr::term(x, 2.0), Cmp::Ge, 4.0);
         m.set_objective(Sense::Maximize, LinExpr::from(x));
         match presolve(&m) {
             Presolved::Reduced { model, stats } => {
@@ -261,27 +272,27 @@ mod tests {
 
     #[test]
     fn conflicting_singletons_prove_infeasibility() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 100.0);
-        m.add_constraint("hi", LinExpr::from(x), Cmp::Le, 3.0);
-        m.add_constraint("lo", LinExpr::from(x), Cmp::Ge, 5.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 100.0);
+        m.add_constraint(LinExpr::from(x), Cmp::Le, 3.0);
+        m.add_constraint(LinExpr::from(x), Cmp::Ge, 5.0);
         assert!(matches!(presolve(&m), Presolved::Infeasible));
     }
 
     #[test]
     fn constant_rows_checked() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 1.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 1.0);
         // x - x <= -1 → 0 <= -1: infeasible.
-        m.add_constraint("bad", LinExpr::from(x) - x, Cmp::Le, -1.0);
+        m.add_constraint(LinExpr::from(x) - x, Cmp::Le, -1.0);
         assert!(matches!(presolve(&m), Presolved::Infeasible));
     }
 
     #[test]
     fn integer_singletons_round_inward() {
-        let mut m = Model::new("t");
-        let n = m.integer("n", 0.0, 50.0);
-        m.add_constraint("hi", LinExpr::term(n, 2.0), Cmp::Le, 9.0); // n ≤ 4.5 → 4
+        let mut m = Model::new();
+        let n = m.integer(0.0, 50.0);
+        m.add_constraint(LinExpr::term(n, 2.0), Cmp::Le, 9.0); // n ≤ 4.5 → 4
         match presolve(&m) {
             Presolved::Reduced { model, .. } => {
                 assert_eq!(model.var(n).upper, 4.0);
@@ -293,15 +304,10 @@ mod tests {
     #[test]
     fn bound_tightening_from_multi_var_rows() {
         // 2x + 3y ≤ 12 with x,y ∈ [0,10] implies x ≤ 6, y ≤ 4.
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 10.0);
-        let y = m.continuous("y", 0.0, 10.0);
-        m.add_constraint(
-            "c",
-            LinExpr::weighted_sum([(x, 2.0), (y, 3.0)]),
-            Cmp::Le,
-            12.0,
-        );
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 10.0);
+        let y = m.continuous(0.0, 10.0);
+        m.add_constraint(LinExpr::weighted_sum([(x, 2.0), (y, 3.0)]), Cmp::Le, 12.0);
         match presolve(&m) {
             Presolved::Reduced { model, stats } => {
                 assert_eq!(model.var(x).upper, 6.0);
@@ -315,17 +321,16 @@ mod tests {
     #[test]
     fn presolve_preserves_the_optimum() {
         // Knapsack with a redundant singleton and a tightenable row.
-        let mut m = Model::new("t");
-        let a = m.binary("a");
-        let b = m.binary("b");
-        let c = m.integer("c", 0.0, 100.0);
+        let mut m = Model::new();
+        let a = m.binary();
+        let b = m.binary();
+        let c = m.integer(0.0, 100.0);
         m.add_constraint(
-            "cap",
             LinExpr::weighted_sum([(a, 3.0), (b, 4.0), (c, 2.0)]),
             Cmp::Le,
             9.0,
         );
-        m.add_constraint("single", LinExpr::from(c), Cmp::Le, 2.0);
+        m.add_constraint(LinExpr::from(c), Cmp::Le, 2.0);
         m.set_objective(
             Sense::Maximize,
             LinExpr::weighted_sum([(a, 5.0), (b, 4.0), (c, 3.0)]),
@@ -348,10 +353,10 @@ mod tests {
 
     #[test]
     fn fixed_variables_counted() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 10.0);
-        let _y = m.continuous("y", 0.0, 10.0);
-        m.add_constraint("pin", LinExpr::from(x), Cmp::Eq, 3.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 10.0);
+        let _y = m.continuous(0.0, 10.0);
+        m.add_constraint(LinExpr::from(x), Cmp::Eq, 3.0);
         match presolve(&m) {
             Presolved::Reduced { model, stats } => {
                 assert_eq!(stats.vars_fixed, 1);
@@ -365,23 +370,13 @@ mod tests {
     #[test]
     fn fixed_point_terminates() {
         // A chain of couplings that needs multiple iterations.
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 100.0);
-        let y = m.continuous("y", 0.0, 100.0);
-        let z = m.continuous("z", 0.0, 100.0);
-        m.add_constraint("a", LinExpr::from(x), Cmp::Le, 10.0);
-        m.add_constraint(
-            "b",
-            LinExpr::weighted_sum([(y, 1.0), (x, -1.0)]),
-            Cmp::Le,
-            0.0,
-        );
-        m.add_constraint(
-            "c",
-            LinExpr::weighted_sum([(z, 1.0), (y, -1.0)]),
-            Cmp::Le,
-            0.0,
-        );
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 100.0);
+        let y = m.continuous(0.0, 100.0);
+        let z = m.continuous(0.0, 100.0);
+        m.add_constraint(LinExpr::from(x), Cmp::Le, 10.0);
+        m.add_constraint(LinExpr::weighted_sum([(y, 1.0), (x, -1.0)]), Cmp::Le, 0.0);
+        m.add_constraint(LinExpr::weighted_sum([(z, 1.0), (y, -1.0)]), Cmp::Le, 0.0);
         match presolve(&m) {
             Presolved::Reduced { model, stats } => {
                 assert!(stats.iterations <= 10);

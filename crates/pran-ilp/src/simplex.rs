@@ -16,6 +16,18 @@
 //! feasible, otherwise a dual pass with the costs ignored to reach a
 //! feasible basis and primal simplex from there. Pricing is Dantzig /
 //! largest infeasibility with a Bland's-rule fallback against cycling.
+//!
+//! A re-solve pays for its pivots and little else. The pass that seats
+//! the nonbasic columns also lists them with their values, and every
+//! row's basic value is summed over that list, in column order from the
+//! `-0.0` that `Iterator::sum` starts at. The dual ratio test walks the
+//! leaving row as a slice, and its movability test has no branch. A
+//! pivot carries the basic values along in its elimination pass. Branch
+//! and bound reads the optimal point where it lies; only
+//! [`Simplex::solve`] copies it out. Each of these keeps the arithmetic
+//! and the tie rules of the plain loops, so every pivot and every bit
+//! of every value is what those loops give (`tests/ilp_exact.rs` pins
+//! them on the benchmark's instance library).
 
 use crate::model::{Cmp, LinExpr, Model, Sense, Solution, VarId};
 
@@ -66,17 +78,23 @@ pub(crate) fn with_iteration_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Where a column currently is.
+/// Where a column currently is. The discriminant holds the directions a
+/// nonbasic column may move from there (bit 0 up, bit 1 down; see
+/// [`Simplex::moves`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 enum Seat {
-    Basic,
+    Basic = 0,
     /// Nonbasic at its lower bound.
-    Lower,
+    Lower = UP,
     /// Nonbasic at its upper bound.
-    Upper,
+    Upper = DOWN,
     /// Nonbasic at 0, with neither bound finite.
-    Free,
+    Free = UP | DOWN,
 }
+
+const UP: u8 = 1;
+const DOWN: u8 = 2;
 
 /// Solve the LP relaxation of `model` (integrality is ignored).
 pub fn solve_lp(model: &Model) -> LpResult {
@@ -113,6 +131,13 @@ pub struct Simplex {
     /// Iterations of the solve in progress.
     iterations: usize,
     pivot_row: Vec<f64>,
+    /// The nonbasic columns and the values they sit at, in column order,
+    /// as the last solve started.
+    nonbasic: Vec<(usize, f64)>,
+    /// The last optimal point, one value per model variable, and its
+    /// objective in the model's sense.
+    values: Vec<f64>,
+    objective_value: f64,
 }
 
 impl Simplex {
@@ -165,6 +190,9 @@ impl Simplex {
             pivots_since_refresh: 0,
             iterations: 0,
             pivot_row: vec![0.0; stride],
+            nonbasic: Vec::with_capacity(cols),
+            values: vec![0.0; structural],
+            objective_value: 0.0,
         };
         simplex.refresh();
         simplex
@@ -189,17 +217,33 @@ impl Simplex {
 
     /// Optimise under the current bounds.
     pub fn solve(&mut self) -> LpResult {
+        let (status, iterations) = self.optimise();
+        LpResult {
+            status,
+            solution: (status == LpStatus::Optimal).then(|| Solution {
+                values: self.values.clone(),
+                objective: self.objective_value,
+            }),
+            iterations,
+        }
+    }
+
+    /// [`Simplex::solve`] without copying the point out: the status and
+    /// the iterations taken; an optimal point stays in [`Simplex::point`].
+    pub(crate) fn optimise(&mut self) -> (LpStatus, usize) {
         self.iterations = 0;
         if self.lower.iter().zip(&self.upper).any(|(lo, hi)| lo > hi) {
-            return self.terminal(LpStatus::Infeasible);
+            return (LpStatus::Infeasible, 0);
         }
         if self.pivots_since_refresh > REFRESH_PIVOTS {
             self.refresh();
         }
         // Seat every nonbasic column on a bound it has: a boxed one on
         // the bound its reduced cost asks for, where it is if that is
-        // either.
+        // either. The nonbasic columns and their values are listed on the
+        // way, in column order, for `recompute_beta`.
         let mut dual_feasible = true;
+        self.nonbasic.clear();
         for j in 0..self.cols {
             if self.seat[j] == Seat::Basic {
                 continue;
@@ -218,6 +262,7 @@ impl Simplex {
                     Seat::Upper => d <= FEAS_TOL,
                     _ => d.abs() <= FEAS_TOL,
                 };
+            self.nonbasic.push((j, self.value(j)));
         }
         self.recompute_beta();
 
@@ -229,29 +274,24 @@ impl Simplex {
                 other => other,
             }
         };
-        if status != LpStatus::Optimal {
-            return self.terminal(status);
-        }
-        let mut values: Vec<f64> = (0..self.structural).map(|j| self.value(j)).collect();
-        for (row, &b) in self.basis.iter().enumerate() {
-            if b < self.structural {
-                values[b] = self.beta[row];
+        if status == LpStatus::Optimal {
+            for j in 0..self.structural {
+                self.values[j] = self.value(j);
             }
+            for (row, &b) in self.basis.iter().enumerate() {
+                if b < self.structural {
+                    self.values[b] = self.beta[row];
+                }
+            }
+            self.objective_value = self.objective.eval(&self.values);
         }
-        let objective = self.objective.eval(&values);
-        LpResult {
-            status,
-            solution: Some(Solution { values, objective }),
-            iterations: self.iterations,
-        }
+        (status, self.iterations)
     }
 
-    fn terminal(&self, status: LpStatus) -> LpResult {
-        LpResult {
-            status,
-            solution: None,
-            iterations: self.iterations,
-        }
+    /// The point the last optimal solve ended on, indexed by variable,
+    /// and its objective in the model's sense.
+    pub(crate) fn point(&self) -> (&[f64], f64) {
+        (&self.values, self.objective_value)
     }
 
     /// The value a nonbasic column sits at.
@@ -267,28 +307,31 @@ impl Simplex {
         self.tab[row * (self.cols + 1) + col]
     }
 
-    /// `beta = B⁻¹b − Σ_nonbasic B⁻¹a_j · value_j`.
+    /// `beta = B⁻¹b − Σ_nonbasic B⁻¹a_j · value_j`, each row's sum taken
+    /// over `nonbasic` (column order), not over every column filtered by
+    /// its seat again for every row.
     fn recompute_beta(&mut self) {
+        // Column by column, so that the rows' sums, each in the order and
+        // from the `-0.0` start of `Iterator::sum`, advance side by side
+        // instead of each addition waiting on the one before.
         let stride = self.cols + 1;
-        for row in 0..self.rows {
-            let tab_row = &self.tab[row * stride..(row + 1) * stride];
-            let moved: f64 = (0..self.cols)
-                .filter(|&col| self.seat[col] != Seat::Basic)
-                .map(|col| tab_row[col] * self.value(col))
-                .sum();
-            self.beta[row] = tab_row[self.cols] - moved;
+        self.beta.fill(-0.0);
+        for &(col, x) in &self.nonbasic {
+            for (moved, tab_row) in self.beta.iter_mut().zip(self.tab.chunks_exact(stride)) {
+                *moved += tab_row[col] * x;
+            }
+        }
+        for (beta, tab_row) in self.beta.iter_mut().zip(self.tab.chunks_exact(stride)) {
+            *beta = tab_row[self.cols] - *beta;
         }
     }
 
-    /// Whether a nonbasic column may move up / down from where it sits.
-    fn movable(&self, col: usize) -> (bool, bool) {
-        let fixed = self.lower[col] == self.upper[col];
-        match self.seat[col] {
-            Seat::Basic => (false, false),
-            Seat::Lower => (!fixed, false),
-            Seat::Upper => (false, !fixed),
-            Seat::Free => (true, true),
-        }
+    /// The directions (`UP`, `DOWN`) a column may move from where it
+    /// sits: none for a basic or a fixed one. A seat on a bound has that
+    /// bound finite, so only a free column has no finite bound to compare.
+    fn moves(&self, col: usize) -> u8 {
+        let fixed = self.lower[col] == self.upper[col] && self.lower[col].is_finite();
+        self.seat[col] as u8 & if fixed { 0 } else { UP | DOWN }
     }
 
     /// Iterations one phase may take before Bland's rule, and before
@@ -342,13 +385,17 @@ impl Simplex {
 
             // Entering column: among those that move the row toward its
             // bound, the smallest |d_j / a_rj|; ties to the larger pivot
-            // (Bland: to the smallest index).
+            // (Bland: to the smallest index). The row is walked as a slice
+            // and the test has no branch of its own: most entries fail it,
+            // in no order a branch predictor could learn.
             let mut enter: Option<(usize, f64, f64)> = None;
-            for col in 0..self.cols {
-                let (up, down) = self.movable(col);
-                let a = self.at(row, col);
+            let stride = self.cols + 1;
+            for (col, &a) in self.tab[row * stride..][..self.cols].iter().enumerate() {
                 let toward = if below { -a } else { a };
-                if !((up && toward > PIVOT_EPS) || (down && toward < -PIVOT_EPS)) {
+                let moves = self.moves(col);
+                if !((moves & UP != 0) & (toward > PIVOT_EPS)
+                    | (moves & DOWN != 0) & (toward < -PIVOT_EPS))
+                {
                     continue;
                 }
                 let ratio = if priced {
@@ -392,9 +439,9 @@ impl Simplex {
             // (Bland: the first).
             let mut enter: Option<(usize, f64)> = None;
             for col in 0..self.cols {
-                let (up, down) = self.movable(col);
+                let moves = self.moves(col);
                 let d = self.reduced[col];
-                if ((up && d < -FEAS_TOL) || (down && d > FEAS_TOL))
+                if ((moves & UP != 0 && d < -FEAS_TOL) || (moves & DOWN != 0 && d > FEAS_TOL))
                     && enter.is_none_or(|(_, best)| !bland && d.abs() > best)
                 {
                     enter = Some((col, d.abs()));
@@ -454,28 +501,32 @@ impl Simplex {
     /// column that leaves).
     fn advance(&mut self, col: usize, step: f64, row: Option<usize>) {
         let stride = self.cols + 1;
-        for (r, beta) in self.beta.iter_mut().enumerate() {
-            *beta -= self.tab[r * stride + col] * step;
-        }
         self.iterations += 1;
         let Some(row) = row else {
+            for (tab_row, beta) in self.tab.chunks_exact(stride).zip(&mut self.beta) {
+                *beta -= tab_row[col] * step;
+            }
             return;
         };
-        self.beta[row] = self.value(col) + step;
 
         let inv = 1.0 / self.tab[row * stride + col];
         debug_assert!(inv.is_finite(), "pivot on a zero element");
-        self.pivot_row
-            .copy_from_slice(&self.tab[row * stride..(row + 1) * stride]);
-        for v in &mut self.pivot_row {
-            *v *= inv;
+        for (p, v) in self.pivot_row.iter_mut().zip(&self.tab[row * stride..]) {
+            *p = v * inv;
         }
-        for (r, tab_row) in self.tab.chunks_exact_mut(stride).enumerate() {
+        // One pass carries each other row's basic value along and
+        // eliminates the column from it; the pivot row's value is the
+        // entering column's.
+        let entering = self.value(col) + step;
+        let rows = self.tab.chunks_exact_mut(stride).zip(&mut self.beta);
+        for (r, (tab_row, beta)) in rows.enumerate() {
             if r == row {
                 tab_row.copy_from_slice(&self.pivot_row);
+                *beta = entering;
                 continue;
             }
             let factor = tab_row[col];
+            *beta -= factor * step;
             if factor != 0.0 {
                 for (v, p) in tab_row.iter_mut().zip(&self.pivot_row) {
                     *v -= factor * p;
@@ -508,17 +559,12 @@ mod tests {
     #[test]
     fn textbook_max_problem() {
         // max 3x + 5y s.t. x<=4, 2y<=12, 3x+2y<=18 → x=2, y=6, obj=36.
-        let mut m = Model::new("wyndor");
-        let x = m.continuous("x", 0.0, f64::INFINITY);
-        let y = m.continuous("y", 0.0, f64::INFINITY);
-        m.add_constraint("c1", LinExpr::from(x), Cmp::Le, 4.0);
-        m.add_constraint("c2", LinExpr::term(y, 2.0), Cmp::Le, 12.0);
-        m.add_constraint(
-            "c3",
-            LinExpr::term(x, 3.0) + LinExpr::term(y, 2.0),
-            Cmp::Le,
-            18.0,
-        );
+        let mut m = Model::new();
+        let x = m.continuous(0.0, f64::INFINITY);
+        let y = m.continuous(0.0, f64::INFINITY);
+        m.add_constraint(LinExpr::from(x), Cmp::Le, 4.0);
+        m.add_constraint(LinExpr::term(y, 2.0), Cmp::Le, 12.0);
+        m.add_constraint(LinExpr::term(x, 3.0) + LinExpr::term(y, 2.0), Cmp::Le, 18.0);
         m.set_objective(
             Sense::Maximize,
             LinExpr::term(x, 3.0) + LinExpr::term(y, 5.0),
@@ -535,11 +581,11 @@ mod tests {
     fn minimization_with_ge_rows_needs_phase1() {
         // min 2x + 3y s.t. x + y >= 10, x >= 2 → x=10? No: y free to 0,
         // cheaper to use x? cost x =2 < 3 → x=10,y=0? but x>=2 ok. obj=20.
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, f64::INFINITY);
-        let y = m.continuous("y", 0.0, f64::INFINITY);
-        m.add_constraint("sum", LinExpr::from(x) + y, Cmp::Ge, 10.0);
-        m.add_constraint("xmin", LinExpr::from(x), Cmp::Ge, 2.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, f64::INFINITY);
+        let y = m.continuous(0.0, f64::INFINITY);
+        m.add_constraint(LinExpr::from(x) + y, Cmp::Ge, 10.0);
+        m.add_constraint(LinExpr::from(x), Cmp::Ge, 2.0);
         m.set_objective(
             Sense::Minimize,
             LinExpr::term(x, 2.0) + LinExpr::term(y, 3.0),
@@ -552,11 +598,11 @@ mod tests {
     #[test]
     fn equality_constraints() {
         // min x + y s.t. x + 2y == 4, x - y == 1 → x=2, y=1, obj=3.
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, f64::INFINITY);
-        let y = m.continuous("y", 0.0, f64::INFINITY);
-        m.add_constraint("a", LinExpr::from(x) + LinExpr::term(y, 2.0), Cmp::Eq, 4.0);
-        m.add_constraint("b", LinExpr::from(x) - y, Cmp::Eq, 1.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, f64::INFINITY);
+        let y = m.continuous(0.0, f64::INFINITY);
+        m.add_constraint(LinExpr::from(x) + LinExpr::term(y, 2.0), Cmp::Eq, 4.0);
+        m.add_constraint(LinExpr::from(x) - y, Cmp::Eq, 1.0);
         m.set_objective(Sense::Minimize, LinExpr::from(x) + y);
         let r = solve_lp(&m);
         let s = r.solution.unwrap();
@@ -566,24 +612,24 @@ mod tests {
 
     #[test]
     fn detects_infeasible() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 1.0);
-        m.add_constraint("c", LinExpr::from(x), Cmp::Ge, 2.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 1.0);
+        m.add_constraint(LinExpr::from(x), Cmp::Ge, 2.0);
         assert_eq!(solve_lp(&m).status, LpStatus::Infeasible);
     }
 
     #[test]
     fn detects_unbounded() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, f64::INFINITY);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, f64::INFINITY);
         m.set_objective(Sense::Maximize, LinExpr::from(x));
         assert_eq!(solve_lp(&m).status, LpStatus::Unbounded);
     }
 
     #[test]
     fn respects_variable_upper_bounds() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 3.5);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 3.5);
         m.set_objective(Sense::Maximize, LinExpr::from(x));
         let r = solve_lp(&m);
         assert_close(r.solution.unwrap().objective, 3.5);
@@ -594,10 +640,10 @@ mod tests {
         // min x+y with x in [2,10], y in [-3, 5], x+y >= 1 → x=2, y=-3? sum
         // -1 < 1 violates; so optimum x=2,y=-1 (sum 1) obj=1... cheaper to
         // raise y (cost equal) → any point on x+y=1 with x>=2, y>=-3; obj 1.
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 2.0, 10.0);
-        let y = m.continuous("y", -3.0, 5.0);
-        m.add_constraint("c", LinExpr::from(x) + y, Cmp::Ge, 1.0);
+        let mut m = Model::new();
+        let x = m.continuous(2.0, 10.0);
+        let y = m.continuous(-3.0, 5.0);
+        m.add_constraint(LinExpr::from(x) + y, Cmp::Ge, 1.0);
         m.set_objective(Sense::Minimize, LinExpr::from(x) + y);
         let r = solve_lp(&m);
         assert_eq!(r.status, LpStatus::Optimal);
@@ -606,8 +652,8 @@ mod tests {
 
     #[test]
     fn negative_lower_bound_reached() {
-        let mut m = Model::new("t");
-        let y = m.continuous("y", -3.0, 5.0);
+        let mut m = Model::new();
+        let y = m.continuous(-3.0, 5.0);
         m.set_objective(Sense::Minimize, LinExpr::from(y));
         let r = solve_lp(&m);
         assert_close(r.solution.unwrap().objective, -3.0);
@@ -616,9 +662,9 @@ mod tests {
     #[test]
     fn free_variable_split() {
         // min |no| — just: min x s.t. x >= -7.5 with x free via constraint.
-        let mut m = Model::new("t");
-        let x = m.continuous("x", f64::NEG_INFINITY, f64::INFINITY);
-        m.add_constraint("c", LinExpr::from(x), Cmp::Ge, -7.5);
+        let mut m = Model::new();
+        let x = m.continuous(f64::NEG_INFINITY, f64::INFINITY);
+        m.add_constraint(LinExpr::from(x), Cmp::Ge, -7.5);
         m.set_objective(Sense::Minimize, LinExpr::from(x));
         let r = solve_lp(&m);
         assert_close(r.solution.unwrap().value(x), -7.5);
@@ -626,8 +672,8 @@ mod tests {
 
     #[test]
     fn upper_bound_only_variable() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", f64::NEG_INFINITY, 4.0);
+        let mut m = Model::new();
+        let x = m.continuous(f64::NEG_INFINITY, 4.0);
         m.set_objective(Sense::Maximize, LinExpr::from(x));
         let r = solve_lp(&m);
         assert_close(r.solution.unwrap().value(x), 4.0);
@@ -636,18 +682,16 @@ mod tests {
     #[test]
     fn degenerate_problem_terminates() {
         // Klee-Minty-flavoured degenerate system; mostly checks no cycling.
-        let mut m = Model::new("degen");
+        let mut m = Model::new();
         let n = 6;
-        let xs: Vec<_> = (0..n)
-            .map(|i| m.continuous(format!("x{i}"), 0.0, f64::INFINITY))
-            .collect();
+        let xs: Vec<_> = (0..n).map(|_| m.continuous(0.0, f64::INFINITY)).collect();
         for i in 0..n {
             let mut e = LinExpr::new();
             for (j, &xj) in xs.iter().enumerate().take(i) {
                 e.add_term(xj, 2.0f64.powi((i - j) as i32 + 1));
             }
             e.add_term(xs[i], 1.0);
-            m.add_constraint(format!("c{i}"), e, Cmp::Le, 5.0f64.powi(i as i32 + 1));
+            m.add_constraint(e, Cmp::Le, 5.0f64.powi(i as i32 + 1));
         }
         let mut obj = LinExpr::new();
         for (j, &xj) in xs.iter().enumerate() {
@@ -663,11 +707,11 @@ mod tests {
     #[test]
     fn redundant_equality_rows_are_dropped() {
         // x + y == 2 stated twice; still solvable.
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, f64::INFINITY);
-        let y = m.continuous("y", 0.0, f64::INFINITY);
-        m.add_constraint("a", LinExpr::from(x) + y, Cmp::Eq, 2.0);
-        m.add_constraint("b", LinExpr::from(x) + y, Cmp::Eq, 2.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, f64::INFINITY);
+        let y = m.continuous(0.0, f64::INFINITY);
+        m.add_constraint(LinExpr::from(x) + y, Cmp::Eq, 2.0);
+        m.add_constraint(LinExpr::from(x) + y, Cmp::Eq, 2.0);
         m.set_objective(Sense::Maximize, LinExpr::from(x));
         let r = solve_lp(&m);
         assert_eq!(r.status, LpStatus::Optimal);
@@ -676,16 +720,11 @@ mod tests {
 
     #[test]
     fn solution_is_feasible_for_model() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 10.0);
-        let y = m.continuous("y", 0.0, 10.0);
-        m.add_constraint(
-            "c1",
-            LinExpr::from(x) + LinExpr::term(y, 3.0),
-            Cmp::Le,
-            12.0,
-        );
-        m.add_constraint("c2", LinExpr::term(x, 2.0) + y, Cmp::Ge, 3.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 10.0);
+        let y = m.continuous(0.0, 10.0);
+        m.add_constraint(LinExpr::from(x) + LinExpr::term(y, 3.0), Cmp::Le, 12.0);
+        m.add_constraint(LinExpr::term(x, 2.0) + y, Cmp::Ge, 3.0);
         m.set_objective(Sense::Maximize, LinExpr::from(x) + y);
         let r = solve_lp(&m);
         let s = r.solution.unwrap();
@@ -695,9 +734,9 @@ mod tests {
     #[test]
     fn negative_rhs_rows_normalized() {
         // -x <= -3  ⇔  x >= 3.
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 10.0);
-        m.add_constraint("c", LinExpr::term(x, -1.0), Cmp::Le, -3.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 10.0);
+        m.add_constraint(LinExpr::term(x, -1.0), Cmp::Le, -3.0);
         m.set_objective(Sense::Minimize, LinExpr::from(x));
         let r = solve_lp(&m);
         assert_close(r.solution.unwrap().value(x), 3.0);
@@ -705,8 +744,8 @@ mod tests {
 
     #[test]
     fn objective_constant_carried_through() {
-        let mut m = Model::new("t");
-        let x = m.continuous("x", 0.0, 2.0);
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 2.0);
         m.set_objective(Sense::Maximize, LinExpr::from(x) + 100.0);
         let r = solve_lp(&m);
         assert_close(r.solution.unwrap().objective, 102.0);
@@ -714,17 +753,16 @@ mod tests {
 
     /// max 5a + 4b + 3c over the unit box, 2a + 3b + c ≤ 3.5, a + b ≥ 0.5.
     fn boxed() -> (Model, [crate::model::VarId; 3]) {
-        let mut m = Model::new("t");
-        let a = m.continuous("a", 0.0, 1.0);
-        let b = m.continuous("b", 0.0, 1.0);
-        let c = m.continuous("c", 0.0, 1.0);
+        let mut m = Model::new();
+        let a = m.continuous(0.0, 1.0);
+        let b = m.continuous(0.0, 1.0);
+        let c = m.continuous(0.0, 1.0);
         m.add_constraint(
-            "cap",
             LinExpr::weighted_sum([(a, 2.0), (b, 3.0), (c, 1.0)]),
             Cmp::Le,
             3.5,
         );
-        m.add_constraint("floor", LinExpr::from(a) + b, Cmp::Ge, 0.5);
+        m.add_constraint(LinExpr::from(a) + b, Cmp::Ge, 0.5);
         m.set_objective(
             Sense::Maximize,
             LinExpr::weighted_sum([(a, 5.0), (b, 4.0), (c, 3.0)]),

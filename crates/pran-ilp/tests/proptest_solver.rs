@@ -25,16 +25,14 @@ fn box_lp_strategy() -> impl Strategy<Value = (Model, usize)> {
         let obj = proptest::collection::vec(-3.0f64..3.0, nvars);
         (Just(nvars), Just(ncons), coefs, slack, obj).prop_map(
             |(nvars, ncons, coefs, slack, obj)| {
-                let mut m = Model::new("prop-lp");
-                let vars: Vec<_> = (0..nvars)
-                    .map(|i| m.continuous(format!("x{i}"), 0.0, 4.0))
-                    .collect();
+                let mut m = Model::new();
+                let vars: Vec<_> = (0..nvars).map(|_| m.continuous(0.0, 4.0)).collect();
                 for k in 0..ncons {
                     let row = &coefs[k * nvars..(k + 1) * nvars];
                     let expr = LinExpr::weighted_sum(vars.iter().copied().zip(row.iter().copied()));
                     // Corner activity at x = 0 is 0; make rhs ≥ slack so the
                     // origin is feasible.
-                    m.add_constraint(format!("c{k}"), expr, Cmp::Le, slack[k]);
+                    m.add_constraint(expr, Cmp::Le, slack[k]);
                 }
                 m.set_objective(
                     Sense::Maximize,
@@ -65,13 +63,12 @@ proptest! {
         weights in proptest::collection::vec(0.5f64..4.0, 4),
         cap_frac in 0.2f64..0.9,
     ) {
-        let mut m = Model::new("prop-bin");
-        let vars: Vec<_> = (0..nvars).map(|i| m.binary(format!("b{i}"))).collect();
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..nvars).map(|_| m.binary()).collect();
         let w = &weights[..nvars];
         let c = &coefs[..nvars];
         let cap = w.iter().sum::<f64>() * cap_frac;
         m.add_constraint(
-            "w",
             LinExpr::weighted_sum(vars.iter().copied().zip(w.iter().copied())),
             Cmp::Le,
             cap,
@@ -111,10 +108,9 @@ proptest! {
             .collect();
         let (_, dp_best) = knapsack_exact(&items, cap);
 
-        let mut m = Model::new("prop-ks");
-        let vars: Vec<_> = (0..n).map(|i| m.binary(format!("b{i}"))).collect();
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..n).map(|_| m.binary()).collect();
         m.add_constraint(
-            "w",
             LinExpr::weighted_sum(
                 vars.iter().copied().zip(items.iter().map(|it| it.weight as f64)),
             ),
@@ -138,11 +134,10 @@ proptest! {
         weights in proptest::collection::vec(1.0f64..5.0, 6),
         values in proptest::collection::vec(1.0f64..10.0, 6),
     ) {
-        let mut m = Model::new("prop-relax");
-        let vars: Vec<_> = (0..n).map(|i| m.binary(format!("b{i}"))).collect();
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..n).map(|_| m.binary()).collect();
         let cap = weights[..n].iter().sum::<f64>() * 0.5;
         m.add_constraint(
-            "w",
             LinExpr::weighted_sum(vars.iter().copied().zip(weights.iter().copied())),
             Cmp::Le,
             cap,
@@ -167,8 +162,8 @@ proptest! {
         constant in -5.0f64..5.0,
         point in proptest::collection::vec(-3.0f64..3.0, 5),
     ) {
-        let mut m = Model::new("prop-expr");
-        let vars: Vec<_> = (0..5).map(|i| m.continuous(format!("x{i}"), -10.0, 10.0)).collect();
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..5).map(|_| m.continuous(-10.0, 10.0)).collect();
         let mut e = LinExpr::constant_expr(constant);
         for (vi, c) in terms {
             e.add_term(vars[vi], c);
@@ -192,12 +187,11 @@ proptest! {
         cx in -2.0f64..2.0,
         cy in -2.0f64..2.0,
     ) {
-        let mut m = Model::new("poly");
-        let x = m.continuous("x", 0.0, 10.0);
-        let y = m.continuous("y", 0.0, 10.0);
-        for (k, &(a, b, c)) in rows.iter().enumerate() {
+        let mut m = Model::new();
+        let x = m.continuous(0.0, 10.0);
+        let y = m.continuous(0.0, 10.0);
+        for &(a, b, c) in &rows {
             m.add_constraint(
-                format!("r{k}"),
                 LinExpr::weighted_sum([(x, a), (y, b)]),
                 Cmp::Le,
                 c,
@@ -250,11 +244,10 @@ proptest! {
         values in proptest::collection::vec(1.0f64..10.0, 5),
         cap_frac in 0.3f64..0.8,
     ) {
-        let mut m = Model::new("ks");
-        let vars: Vec<_> = (0..5).map(|i| m.binary(format!("b{i}"))).collect();
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..5).map(|_| m.binary()).collect();
         let cap = weights.iter().sum::<f64>() * cap_frac;
         m.add_constraint(
-            "w",
             LinExpr::weighted_sum(vars.iter().copied().zip(weights.iter().copied())),
             Cmp::Le,
             cap,
@@ -281,13 +274,10 @@ proptest! {
 /// with the given objective coefficients, plus an optional continuous
 /// `z ∈ [0, 0.7]` entering the objective with coefficient `1`.
 fn packing(sense: Sense, weights: &[f64], costs: &[f64], continuous: bool) -> Model {
-    let mut m = Model::new("prop-round");
-    let vars: Vec<_> = (0..weights.len())
-        .map(|i| m.binary(format!("b{i}")))
-        .collect();
+    let mut m = Model::new();
+    let vars: Vec<_> = (0..weights.len()).map(|_| m.binary()).collect();
     let total: f64 = weights.iter().sum();
     m.add_constraint(
-        "w",
         LinExpr::weighted_sum(vars.iter().copied().zip(weights.iter().copied())),
         if sense == Sense::Maximize {
             Cmp::Le
@@ -298,7 +288,7 @@ fn packing(sense: Sense, weights: &[f64], costs: &[f64], continuous: bool) -> Mo
     );
     let mut objective = LinExpr::weighted_sum(vars.iter().copied().zip(costs.iter().copied()));
     if continuous {
-        let z = m.continuous("z", 0.0, 0.7);
+        let z = m.continuous(0.0, 0.7);
         // Worth having in either sense: z = 0.7 when maximizing, and a
         // cover must pay 0.7 − z for it when minimizing.
         objective = if sense == Sense::Maximize {

@@ -56,22 +56,13 @@ pub fn admit_exact(
     capacity_gops: f64,
     budget: Duration,
 ) -> AdmissionOutcome {
-    let mut m = Model::new("admission");
+    let mut m = Model::new();
     let x: Vec<Vec<VarId>> = requests
         .iter()
-        .map(|r| {
-            (0..servers)
-                .map(|s| m.binary(format!("x{}_{}", r.id, s)))
-                .collect()
-        })
+        .map(|_| (0..servers).map(|_| m.binary()).collect())
         .collect();
-    for (c, row) in x.iter().enumerate() {
-        m.add_constraint(
-            format!("admit{c}"),
-            LinExpr::sum(row.iter().copied()),
-            Cmp::Le,
-            1.0,
-        );
+    for row in &x {
+        m.add_constraint(LinExpr::sum(row.iter().copied()), Cmp::Le, 1.0);
     }
     for s in 0..servers {
         let expr = LinExpr::weighted_sum(
@@ -79,7 +70,7 @@ pub fn admit_exact(
                 .enumerate()
                 .map(|(c, row)| (row[s], requests[c].gops)),
         );
-        m.add_constraint(format!("cap{s}"), expr, Cmp::Le, capacity_gops);
+        m.add_constraint(expr, Cmp::Le, capacity_gops);
     }
     let mut obj = LinExpr::new();
     for (c, row) in x.iter().enumerate() {

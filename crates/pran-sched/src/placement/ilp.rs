@@ -90,13 +90,9 @@ pub fn build_model_with(
     instance: &PlacementInstance,
     options: SolveOptions,
 ) -> (Model, Vec<Vec<Option<VarId>>>, Vec<VarId>) {
-    let mut m = Model::new("placement");
+    let mut m = Model::new();
     let servers = instance.servers.len();
-    let y: Vec<VarId> = instance
-        .servers
-        .iter()
-        .map(|s| m.binary(format!("y{}", s.id)))
-        .collect();
+    let y: Vec<VarId> = instance.servers.iter().map(|_| m.binary()).collect();
 
     // `run_start[s]`: first server of the run of interchangeable servers
     // `s` belongs to (itself when symmetry breaking is off).
@@ -119,16 +115,14 @@ pub fn build_model_with(
                 ranked[g] += 1;
             }
             if s - g < ranked[g] {
-                let name = format!("x{}_{}", instance.cells[c].id, instance.servers[s].id);
-                x[c][s] = Some(m.binary(name));
+                x[c][s] = Some(m.binary());
             }
         }
     }
 
     // Each cell on exactly one (allowed) server.
-    for (c, row) in x.iter().enumerate() {
-        let vars: Vec<VarId> = row.iter().flatten().copied().collect();
-        m.add_constraint(format!("assign{c}"), LinExpr::sum(vars), Cmp::Eq, 1.0);
+    for row in &x {
+        m.add_constraint(LinExpr::sum(row.iter().flatten().copied()), Cmp::Eq, 1.0);
     }
 
     // Capacity coupling. The per-(cell, server) coefficient is the
@@ -144,7 +138,7 @@ pub fn build_model_with(
             }
         }
         expr.add_term(y[s], -server.capacity_gops);
-        m.add_constraint(format!("cap{s}"), expr, Cmp::Le, 0.0);
+        m.add_constraint(expr, Cmp::Le, 0.0);
     }
 
     // Decode-capacity coupling for accelerated servers: the decode shares
@@ -166,7 +160,7 @@ pub fn build_model_with(
         }
         if any {
             expr.add_term(y[s], -acc.decode_capacity_gops);
-            m.add_constraint(format!("dec{s}"), expr, Cmp::Le, 0.0);
+            m.add_constraint(expr, Cmp::Le, 0.0);
         }
     }
 
@@ -174,12 +168,7 @@ pub fn build_model_with(
     // first-appearance relabelling above leaves a run's unused servers at
     // its end, so the rows hold beside the dropped variables.
     for s in (0..servers).filter(|&s| run_start[s] != s) {
-        m.add_constraint(
-            format!("sym{s}"),
-            LinExpr::from(y[s]) - y[s - 1],
-            Cmp::Le,
-            0.0,
-        );
+        m.add_constraint(LinExpr::from(y[s]) - y[s - 1], Cmp::Le, 0.0);
     }
 
     // Objective: weighted server count.

@@ -1,9 +1,11 @@
 //! Proof layer of the exact placer: a brute-force oracle, the warm
-//! start's expressibility, warm-versus-cold node LPs, and the node-count
-//! ratchet on the benchmark's instance library.
+//! start's expressibility, warm-versus-cold node LPs, the node-count
+//! ratchet on the benchmark's instance library, and that library's
+//! search pinned bit for bit.
 
 use pran_ilp::{
-    presolve, solve_ilp, solve_lp, BnbConfig, IlpStatus, Model, Presolved, Simplex, Violation,
+    presolve, solve_ilp, solve_lp, BnbConfig, IlpStatus, LpStatus, Model, Presolved, Simplex,
+    VarId, Violation,
 };
 use pran_sched::placement::dimensioning::GopsConverter;
 use pran_sched::placement::heuristics::{place, Heuristic};
@@ -138,14 +140,11 @@ proptest! {
         let seed = place(&inst, Heuristic::FirstFitDecreasing);
         prop_assume!(seed.complete());
         let (model, x, y) = ilp::build_model(&inst);
-        let mut initial = vec![0.0; model.num_vars()];
         for (cell, assigned) in seed.placement.assignment.iter().enumerate() {
             let s = assigned.expect("complete");
-            let v = x[cell][s];
-            prop_assert!(v.is_some(), "cell {cell} on server {s}: variable dropped");
-            initial[v.expect("checked").index()] = 1.0;
-            initial[y[s].index()] = 1.0;
+            prop_assert!(x[cell][s].is_some(), "cell {cell} on server {s}: variable dropped");
         }
+        let initial = ffd_start(&inst, &model, &x, &y);
         let stopped = solve_ilp(
             &model,
             &BnbConfig { max_nodes: 0, initial: Some(initial), ..BnbConfig::default() },
@@ -154,6 +153,27 @@ proptest! {
         prop_assert_eq!(stopped.stats.nodes, 0);
         prop_assert_eq!(stopped.stats.incumbent, Some(inst.cost(&seed.placement)));
     }
+}
+
+/// The first-fit-decreasing placement of `inst` as a start for `model`,
+/// set as `ilp::solve` sets it.
+fn ffd_start(
+    inst: &PlacementInstance,
+    model: &Model,
+    x: &[Vec<Option<VarId>>],
+    y: &[VarId],
+) -> Vec<f64> {
+    let seed = place(inst, Heuristic::FirstFitDecreasing);
+    let mut initial = vec![0.0; model.num_vars()];
+    for (cell, assigned) in seed.placement.assignment.iter().enumerate() {
+        if let Some(s) = *assigned {
+            if let Some(v) = x[cell][s] {
+                initial[v.index()] = 1.0;
+            }
+            initial[y[s].index()] = 1.0;
+        }
+    }
+    initial
 }
 
 /// Instance `i` of the benchmark's `placement_exact` library, built as
@@ -285,6 +305,143 @@ fn warm_node_lps_equal_cold_solves_on_the_library() {
     // Instance 13 alone needs several hundred nodes: the check is not
     // forty root LPs.
     assert!(nodes > 400, "only {nodes} node LPs compared");
+}
+
+/// FNV-1a, one 64-bit word at a time.
+fn fnv(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The depth-first search of [`warm_equals_cold_along_a_search`] on one
+/// warm [`Simplex`], folding every node LP's status, pivot count,
+/// objective bits and value bits into one hash.
+fn node_lp_hash(model: &Model, cutoff: f64, max_nodes: usize) -> u64 {
+    let integral = model.integral_vars();
+    let mut lp = Simplex::new(model);
+    let mut stack = vec![Vec::new()];
+    let (mut nodes, mut hash) = (0, 0xcbf2_9ce4_8422_2325);
+    while let Some(bounds) = stack.pop() {
+        if nodes == max_nodes {
+            break;
+        }
+        nodes += 1;
+        for &v in &integral {
+            let var = model.var(v);
+            lp.set_bounds(v, var.lower, var.upper);
+        }
+        for &(v, lo, hi) in &bounds {
+            lp.set_bounds(v, lo, hi);
+        }
+        let solved = lp.solve();
+        let status = match solved.status {
+            LpStatus::Optimal => 0,
+            LpStatus::Infeasible => 1,
+            LpStatus::Unbounded => 2,
+            LpStatus::IterationLimit => 3,
+        };
+        hash = fnv(fnv(hash, status), solved.iterations as u64);
+        let Some(sol) = solved.solution else {
+            continue;
+        };
+        hash = fnv(hash, sol.objective.to_bits());
+        hash = sol.values.iter().fold(hash, |h, x| fnv(h, x.to_bits()));
+        if (sol.objective - 1e-6).ceil() >= cutoff {
+            continue;
+        }
+        let half_dist = |x: f64| (0.5 - (x - x.floor())).abs();
+        let branch = integral
+            .iter()
+            .map(|&v| (v, sol.values[v.index()]))
+            .filter(|&(_, x)| (x - x.round()).abs() > 1e-6)
+            .min_by(|a, b| half_dist(a.1).total_cmp(&half_dist(b.1)));
+        if let Some((v, x)) = branch {
+            let mut down = bounds.clone();
+            down.push((v, 0.0, x.floor()));
+            let mut up = bounds;
+            up.push((v, x.floor() + 1.0, 1.0));
+            stack.push(down);
+            stack.push(up);
+        }
+    }
+    hash
+}
+
+/// `(nodes, lp_iterations, node LP hash)` of each library instance,
+/// recorded before the solver's per-node work was cut down. Every pivot,
+/// branch and value bit of the search must stay as it was: a snapped
+/// incumbent would hide LP-level drift, the hash does not.
+const PINNED_SEARCH: [(usize, usize, u64); LIBRARY_SIZE] = [
+    (1, 34, 0x64c754a54114ccc6),
+    (1, 36, 0xdb579373959d6518),
+    (1, 30, 0x21c2c889d9fb2d3a),
+    (1, 36, 0x09def51cacaf1f3a),
+    (1, 29, 0x08da76682971324e),
+    (1, 35, 0x6376c7a9f23bf071),
+    (1, 32, 0xa64e8ac7d9e40df9),
+    (1, 30, 0xa46629cdf3eb4d43),
+    (1, 37, 0xc9377a9d29dd0b20),
+    (1, 32, 0xd6e44dd591e19e17),
+    (1, 32, 0x60b9cd5ac32b633e),
+    (1, 35, 0x228ffec5a30f8c95),
+    (1, 31, 0x66e9dd4e83fce1e0),
+    (547, 3385, 0x247fccffd87bc30a),
+    (1, 35, 0x00c0796ecb674e93),
+    (1, 34, 0x60241bc9c83f9357),
+    (63, 241, 0xc4bb0d009cc65a43),
+    (1, 29, 0x7b13763900ef690d),
+    (1, 34, 0x52ea53c42ef8d8eb),
+    (1, 30, 0xd21eac89da312e18),
+    (1, 37, 0x8a00c7782d7fc135),
+    (1, 26, 0xebfcb6e4abb3e5f0),
+    (1, 31, 0x10256a459c70824f),
+    (1, 27, 0xe63cb0d26881625e),
+    (1, 32, 0x08900165443ebd05),
+    (1, 30, 0x522cbc0557890d26),
+    (1, 32, 0xebac8c4c8cd3160b),
+    (1, 29, 0x162883be450007a8),
+    (1, 32, 0x5cada5511b3dac18),
+    (1, 28, 0x5e41cfc8a934ac52),
+    (1, 31, 0x5525fff728a151b2),
+    (1, 30, 0xd52ca5f2140c866c),
+    (1, 31, 0x68e6f6c9eb5b34a0),
+    (1, 27, 0x158c23794c598cf8),
+    (1, 33, 0x5e93526aafedda7c),
+    (1, 33, 0xcd4c9a9f4453d3fc),
+    (1, 33, 0x64864bce87c4d598),
+    (1, 33, 0x4fa5f9fda955c632),
+    (1, 29, 0xb551df400b4baf2c),
+    (1, 37, 0xf71b5548938caa89),
+];
+
+#[test]
+fn library_search_is_pinned_bit_for_bit() {
+    let mut found = Vec::new();
+    for i in 0..LIBRARY_SIZE {
+        let inst = library_instance(i);
+        let (model, x, y) = ilp::build_model(&inst);
+        let config = BnbConfig {
+            initial: Some(ffd_start(&inst, &model, &x, &y)),
+            ..library_limits()
+        };
+        let solved = solve_ilp(&model, &config);
+        assert_eq!(
+            solved.stats.nodes,
+            ilp::solve(&inst, &library_limits()).nodes,
+            "instance {i}: the decomposed solve is not ilp::solve"
+        );
+        let Presolved::Reduced { model, .. } = presolve(&model) else {
+            panic!("instance {i}: presolve calls it infeasible");
+        };
+        let ffd = inst.servers_used(&place(&inst, Heuristic::FirstFitDecreasing).placement);
+        found.push((
+            solved.stats.nodes,
+            solved.stats.lp_iterations,
+            node_lp_hash(&model, ffd as f64, 1_500),
+        ));
+    }
+    assert_eq!(found, PINNED_SEARCH);
 }
 
 #[test]
