@@ -1,11 +1,11 @@
 //! The northbound API: what control applications see and say.
 //!
-//! PRAN's programmability contract: the controller exposes a read-only
-//! [`PoolView`] of global state, emits [`PoolEvent`]s when the world
-//! changes, and accepts [`Action`]s — the only way anything changes. Apps
-//! compose because actions are data: the controller validates and applies
-//! them, so a buggy app can be rejected, rate-limited or unloaded without
-//! touching the data plane.
+//! PRAN's programmability contract: the controller shows apps a read-only
+//! [`PoolView`] of global state at the two moments they act on — the end
+//! of a placement epoch and a server failure — and accepts [`Action`]s,
+//! the only way anything changes. Apps compose because actions are data:
+//! the controller validates and applies them, so a buggy app can be
+//! rejected, rate-limited or unloaded without touching the data plane.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -99,26 +99,6 @@ impl PoolView {
     }
 }
 
-/// Things that happen to the pool; apps may react via `on_event`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PoolEvent {
-    /// A server stopped responding.
-    ServerFailed(usize),
-    /// A server came back.
-    ServerRecovered(usize),
-    /// A cell was registered.
-    CellRegistered(usize),
-    /// A cell was removed.
-    CellDeregistered(usize),
-    /// A placement epoch completed.
-    EpochCompleted {
-        /// Epoch sequence number.
-        epoch: u64,
-        /// Cells migrated during the epoch.
-        migrations: usize,
-    },
-}
-
 /// Actions apps may request. The controller validates before applying.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Action {
@@ -192,26 +172,24 @@ impl std::error::Error for ActionError {}
 
 /// A control application.
 ///
-/// Apps are synchronous and deterministic: the controller calls
-/// [`ControlApp::on_epoch`] once per placement epoch with a fresh
-/// [`PoolView`] and [`ControlApp::on_event`] for every [`PoolEvent`]; both
-/// return the actions the app wants executed.
+/// Apps are synchronous and deterministic, and are asked in installation
+/// order: the controller calls [`ControlApp::on_epoch`] once per placement
+/// epoch and [`ControlApp::on_server_failed`] once per server failure,
+/// each with a fresh [`PoolView`]; both return the actions the app wants
+/// executed, and both default to none.
 ///
 /// Every app is `Clone` (through [`CloneApp`]'s blanket impl), so a
 /// [`Controller`](crate::Controller) forks with its apps' hidden state.
 pub trait ControlApp: CloneApp {
-    /// Stable app name (diagnostics, ordering is registration order).
-    fn name(&self) -> &'static str;
-
     /// Called once per epoch with the post-placement state.
     fn on_epoch(&mut self, view: &PoolView) -> Vec<Action> {
         let _ = view;
         Vec::new()
     }
 
-    /// Called on every pool event.
-    fn on_event(&mut self, event: &PoolEvent, view: &PoolView) -> Vec<Action> {
-        let _ = (event, view);
+    /// Called once `server` has been marked dead and its cells unplaced.
+    fn on_server_failed(&mut self, server: usize, view: &PoolView) -> Vec<Action> {
+        let _ = (server, view);
         Vec::new()
     }
 }

@@ -6,19 +6,16 @@
 //! waiting for the next placement epoch. (The paper's fast-failover claim
 //! is that centralizing state makes this a pure control-plane operation.)
 
-use crate::api::{Action, ControlApp, PoolEvent, PoolView};
+use crate::api::{Action, ControlApp, PoolView};
 
 /// Best-fit immediate re-placement of displaced cells.
 #[derive(Debug, Clone, Default)]
-pub struct FailoverApp {
-    /// Failovers handled so far.
-    pub handled: u64,
-}
+pub struct FailoverApp;
 
 impl FailoverApp {
     /// New app.
     pub fn new() -> Self {
-        Self::default()
+        FailoverApp
     }
 
     fn replace_unplaced(view: &PoolView) -> Vec<Action> {
@@ -69,18 +66,8 @@ impl FailoverApp {
 }
 
 impl ControlApp for FailoverApp {
-    fn name(&self) -> &'static str {
-        "failover"
-    }
-
-    fn on_event(&mut self, event: &PoolEvent, view: &PoolView) -> Vec<Action> {
-        match event {
-            PoolEvent::ServerFailed(_) => {
-                self.handled += 1;
-                Self::replace_unplaced(view)
-            }
-            _ => Vec::new(),
-        }
+    fn on_server_failed(&mut self, _server: usize, view: &PoolView) -> Vec<Action> {
+        Self::replace_unplaced(view)
     }
 }
 
@@ -135,13 +122,12 @@ mod tests {
             ],
         );
         let mut app = FailoverApp::new();
-        let actions = app.on_event(&PoolEvent::ServerFailed(0), &v);
+        let actions = app.on_server_failed(0, &v);
         // Heaviest (60) placed first → exact fit on server 1 (residual
         // 60 beats server 2's 100), then the 30 lands on server 2.
         assert_eq!(actions.len(), 2);
         assert!(actions.contains(&Action::Migrate { cell: 1, to: 1 }));
         assert!(actions.contains(&Action::Migrate { cell: 0, to: 2 }));
-        assert_eq!(app.handled, 1);
     }
 
     #[test]
@@ -151,7 +137,7 @@ mod tests {
             vec![server(0, false, 0.0), server(1, true, 95.0)],
         );
         let mut app = FailoverApp::new();
-        let actions = app.on_event(&PoolEvent::ServerFailed(0), &v);
+        let actions = app.on_server_failed(0, &v);
         assert!(actions.is_empty(), "no live server has room: {actions:?}");
     }
 
@@ -179,12 +165,10 @@ mod tests {
         assert_eq!(c.placement().assignment[2], None);
     }
 
+    /// An epoch is not a failure: displaced cells wait for the placer.
     #[test]
     fn ignores_other_events() {
         let v = view(vec![cell(0, None, 10.0)], vec![server(1, true, 0.0)]);
-        let mut app = FailoverApp::new();
-        assert!(app.on_event(&PoolEvent::CellRegistered(0), &v).is_empty());
-        assert!(app.on_epoch(&v).is_empty());
-        assert_eq!(app.handled, 0);
+        assert!(FailoverApp::new().on_epoch(&v).is_empty());
     }
 }

@@ -29,10 +29,6 @@ impl LoadBalancerApp {
 }
 
 impl ControlApp for LoadBalancerApp {
-    fn name(&self) -> &'static str {
-        "load-balancer"
-    }
-
     fn on_epoch(&mut self, view: &PoolView) -> Vec<Action> {
         let Some(hottest) = view.hottest_server() else {
             return Vec::new();

@@ -40,10 +40,6 @@ impl ConsolidationApp {
 }
 
 impl ControlApp for ConsolidationApp {
-    fn name(&self) -> &'static str {
-        "consolidation"
-    }
-
     fn on_epoch(&mut self, view: &PoolView) -> Vec<Action> {
         let mean = view.mean_used_utilization();
         if mean > self.high_watermark {

@@ -37,10 +37,6 @@ impl SpectrumApp {
 }
 
 impl ControlApp for SpectrumApp {
-    fn name(&self) -> &'static str {
-        "spectrum"
-    }
-
     fn on_epoch(&mut self, view: &PoolView) -> Vec<Action> {
         let mut actions = Vec::new();
         // Cap any unplaced cell that we have not capped yet.

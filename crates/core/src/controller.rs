@@ -3,11 +3,15 @@
 //! The controller owns the authoritative view of cells, servers and the
 //! current placement. Telemetry flows in via [`Controller::report_load`];
 //! once per epoch [`Controller::run_epoch`] refreshes predictions, repacks
-//! cells incrementally onto live servers and then gives every installed
-//! [`ControlApp`] a chance to act. Failures do **not** trigger automatic
-//! re-placement — recovering displaced cells is itself a control app
-//! ([`crate::apps::FailoverApp`]), which is the paper's programmability
-//! point: policy lives above the API, not inside the controller.
+//! cells incrementally onto live servers and then asks every installed
+//! [`ControlApp`]'s `on_epoch`; [`Controller::server_failed`] asks their
+//! `on_server_failed`. Apps hear of nothing else (registration, recovery
+//! and drains reach them through the next epoch's view), so the view is
+//! built once per epoch and once per failure. Failures do **not** trigger
+//! automatic re-placement — recovering displaced cells is itself a
+//! control app ([`crate::apps::FailoverApp`]), which is the paper's
+//! programmability point: policy lives above the API, not inside the
+//! controller.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -22,7 +26,7 @@ use pran_sched::placement::{
 use pran_fronthaul::topology::{Reachability, Topology};
 use serde::{Deserialize, Serialize};
 
-use crate::api::{Action, ActionError, CellView, ControlApp, PoolEvent, PoolView, ServerView};
+use crate::api::{Action, ActionError, CellView, ControlApp, PoolView, ServerView};
 use crate::config::SystemConfig;
 
 /// Sliding window length (reports) for per-cell demand prediction.
@@ -353,7 +357,6 @@ impl Controller {
         self.mask_mut().cells.push(true);
         self.window_peak.push(0.0);
         self.refresh_prediction(id);
-        self.dispatch_event(PoolEvent::CellRegistered(id));
         id
     }
 
@@ -367,7 +370,6 @@ impl Controller {
         self.mask_mut().cells[cell] = false;
         self.refresh_prediction(cell);
         self.placement.assignment[cell] = None;
-        self.dispatch_event(PoolEvent::CellDeregistered(cell));
         Ok(())
     }
 
@@ -565,11 +567,6 @@ impl Controller {
             ..EpochSample::default()
         });
 
-        self.dispatch_event(PoolEvent::EpochCompleted {
-            epoch,
-            migrations: plan.len(),
-        });
-
         EpochReport {
             epoch,
             migrations: plan.len(),
@@ -582,7 +579,7 @@ impl Controller {
     }
 
     /// Show every installed app the current view and apply what they ask
-    /// for. No apps, no view.
+    /// for: once per epoch and once per failure. No apps, no view.
     fn run_apps(
         &mut self,
         mut ask: impl FnMut(&mut dyn ControlApp, &PoolView) -> Vec<Action>,
@@ -600,10 +597,6 @@ impl Controller {
         }
         self.view = view;
         self.apply_actions(&actions)
-    }
-
-    fn dispatch_event(&mut self, event: PoolEvent) {
-        self.run_apps(|app, view| app.on_event(&event, view));
     }
 
     fn apply_actions(&mut self, actions: &[Action]) -> (usize, usize) {
@@ -697,9 +690,10 @@ impl Controller {
 
     /// Report a server failure at time `now`.
     ///
-    /// The controller marks state and notifies apps; *re-placement is app
-    /// policy* (install [`crate::apps::FailoverApp`] for the standard
-    /// behaviour).
+    /// The controller marks the server dead, unplaces its cells and shows
+    /// the result to every app's [`ControlApp::on_server_failed`];
+    /// *re-placement is app policy* (install [`crate::apps::FailoverApp`]
+    /// for the standard behaviour).
     pub fn server_failed(
         &mut self,
         server: usize,
@@ -717,7 +711,7 @@ impl Controller {
             self.placement.assignment[c] = None;
         }
         self.stats.failovers += 1;
-        self.dispatch_event(PoolEvent::ServerFailed(server));
+        self.run_apps(|app, view| app.on_server_failed(server, view));
         let replaced = displaced
             .iter()
             .filter(|&&c| self.placement.assignment[c].is_some())
@@ -736,7 +730,6 @@ impl Controller {
         }
         self.now = now;
         self.set_server(server, |s| s.alive = true);
-        self.dispatch_event(PoolEvent::ServerRecovered(server));
         Ok(())
     }
 

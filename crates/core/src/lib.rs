@@ -56,9 +56,7 @@ pub mod apps;
 pub mod config;
 pub mod controller;
 
-pub use api::{
-    Action, ActionError, CellView, CloneApp, ControlApp, PoolEvent, PoolView, ServerView,
-};
+pub use api::{Action, ActionError, CellView, CloneApp, ControlApp, PoolView, ServerView};
 pub use config::{PoolSpec, SystemConfig};
 pub use controller::{
     Controller, ControllerStats, EpochReport, FailureReport, Snapshot, SnapshotError,

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use pran::apps::FailoverApp;
-use pran::{Action, CellView, ControlApp, PoolEvent, PoolView, ServerView, SystemConfig};
+use pran::{Action, CellView, ControlApp, PoolView, ServerView, SystemConfig};
 use pran_phy::compute::ComputeModel;
 use pran_sched::placement::migration::incremental_repack;
 use pran_sched::placement::{
@@ -446,9 +446,9 @@ impl Model {
     /// Deliver a crash to the controller's belief: mark the server dead,
     /// displace its cells, and run the *real* [`FailoverApp`] over the
     /// post-displacement view (mirroring `Controller::server_failed`'s
-    /// dispatch). Returns per-cell outages, charged as the chaos harness
-    /// does: the failover price for re-placed cells, plus a pessimistic
-    /// full-epoch wait for cells left unplaced.
+    /// `on_server_failed` call). Returns per-cell outages, charged as the
+    /// chaos harness does: the failover price for re-placed cells, plus a
+    /// pessimistic full-epoch wait for cells left unplaced.
     fn deliver_fail(&self, state: &mut StateView, server: usize) -> Vec<(usize, Duration)> {
         state.believed[server] = false;
         let displaced: Vec<usize> = (0..state.cells.len())
@@ -458,8 +458,7 @@ impl Model {
             state.placement[c] = None;
         }
         let view = self.view(state);
-        let mut app = FailoverApp::new();
-        for action in app.on_event(&PoolEvent::ServerFailed(server), &view) {
+        for action in FailoverApp::new().on_server_failed(server, &view) {
             if let Action::Migrate { cell, to } = action {
                 self.mirror_migrate(state, cell, to);
             }

@@ -1,6 +1,8 @@
 //! End-to-end controller scenarios: a day of telemetry, consolidation at
 //! night, failures at noon — the whole control loop across crates.
 
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use pran::apps::{ConsolidationApp, FailoverApp, LoadBalancerApp, SpectrumApp};
@@ -192,19 +194,14 @@ struct FailureTally {
 }
 
 impl pran::ControlApp for FailureTally {
-    fn name(&self) -> &'static str {
-        "tally"
-    }
     fn on_epoch(&mut self, _view: &pran::PoolView) -> Vec<pran::Action> {
         vec![pran::Action::CapPrbs {
             cell: 0,
             prbs: 1 + self.failures,
         }]
     }
-    fn on_event(&mut self, event: &pran::PoolEvent, _view: &pran::PoolView) -> Vec<pran::Action> {
-        if matches!(event, pran::PoolEvent::ServerFailed(_)) {
-            self.failures += 1;
-        }
+    fn on_server_failed(&mut self, _server: usize, _view: &pran::PoolView) -> Vec<pran::Action> {
+        self.failures += 1;
         Vec::new()
     }
 }
@@ -261,14 +258,84 @@ fn a_cloned_controller_is_a_deep_fork() {
     assert_eq!(fork.view().cells[0].prb_cap, Some(1 + 5));
 }
 
+/// Counts how often the controller asks it, and asks for nothing.
+#[derive(Clone, Default)]
+struct HookCounter {
+    epochs: Arc<AtomicU32>,
+    failures: Arc<AtomicU32>,
+}
+
+impl pran::ControlApp for HookCounter {
+    fn on_epoch(&mut self, _view: &pran::PoolView) -> Vec<pran::Action> {
+        self.epochs.fetch_add(1, Ordering::Relaxed);
+        Vec::new()
+    }
+    fn on_server_failed(&mut self, _server: usize, _view: &pran::PoolView) -> Vec<pran::Action> {
+        self.failures.fetch_add(1, Ordering::Relaxed);
+        Vec::new()
+    }
+}
+
+/// Registers 50 cells and deregisters one, runs three epochs around a
+/// failure, a recovery, a drain and an activation. Apps are installed
+/// before registration when `early`, after it otherwise.
+fn hook_walk(counter: &HookCounter, early: bool) -> Controller {
+    let mut ctl = Controller::new(SystemConfig::default_eval(12));
+    let install = |ctl: &mut Controller| {
+        ctl.install_app(Box::new(counter.clone()));
+        ctl.install_app(Box::new(FailoverApp::new()));
+        ctl.install_app(Box::new(LoadBalancerApp::new(0.85)));
+    };
+    if early {
+        install(&mut ctl);
+    }
+    for c in 0..50 {
+        let id = ctl.register_cell();
+        ctl.report_load(id, 0.1 + 0.8 * ((c * 7) % 10) as f64 / 10.0)
+            .unwrap();
+    }
+    ctl.deregister_cell(17).unwrap();
+    if !early {
+        install(&mut ctl);
+    }
+    ctl.run_epoch(Duration::from_secs(60));
+    let victim = ctl.placement().assignment[0].expect("cell 0 placed");
+    ctl.server_failed(victim, Duration::from_secs(61)).unwrap();
+    ctl.run_epoch(Duration::from_secs(120));
+    ctl.server_recovered(victim, Duration::from_secs(121))
+        .unwrap();
+    let drained = ctl.placement().assignment[1].expect("cell 1 placed");
+    ctl.apply_action(pran::Action::Drain { server: drained })
+        .unwrap();
+    ctl.apply_action(pran::Action::Activate { server: drained })
+        .unwrap();
+    ctl.run_epoch(Duration::from_secs(180));
+    ctl
+}
+
+/// Apps are asked once per epoch and once per failure, and never on
+/// registration, deregistration, recovery, drain or activation: apps
+/// installed before the cells registered see the same calls and leave
+/// the same controller as apps installed after.
+#[test]
+fn apps_are_asked_once_per_epoch_and_once_per_failure() {
+    let early = HookCounter::default();
+    let ctl = hook_walk(&early, true);
+    assert_eq!(early.epochs.load(Ordering::Relaxed), 3);
+    assert_eq!(early.failures.load(Ordering::Relaxed), 1);
+
+    let late = HookCounter::default();
+    let twin = hook_walk(&late, false);
+    assert_eq!(late.epochs.load(Ordering::Relaxed), 3);
+    assert_eq!(late.failures.load(Ordering::Relaxed), 1);
+    assert_eq!(snapshot_json(&ctl), snapshot_json(&twin));
+}
+
 #[test]
 fn actions_are_validated_not_trusted() {
     #[derive(Clone)]
     struct RogueApp;
     impl pran::ControlApp for RogueApp {
-        fn name(&self) -> &'static str {
-            "rogue"
-        }
         fn on_epoch(&mut self, _view: &pran::PoolView) -> Vec<pran::Action> {
             vec![
                 pran::Action::Migrate { cell: 999, to: 0 },
