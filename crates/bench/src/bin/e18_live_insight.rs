@@ -141,8 +141,8 @@ fn main() -> ExitCode {
             if let Some(alert) = &status.burn_alert {
                 first_alert.get_or_insert(status.record.epoch);
                 match alert.severity {
-                    pran_insight::live::BurnSeverity::Page => pages += 1,
-                    pran_insight::live::BurnSeverity::Ticket => tickets += 1,
+                    pran_insight::BurnSeverity::Page => pages += 1,
+                    pran_insight::BurnSeverity::Ticket => tickets += 1,
                 }
             }
         }

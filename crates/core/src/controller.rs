@@ -546,9 +546,10 @@ impl Controller {
                 ],
             );
         }
-        // Feed the online SLO monitor: placed demand over alive,
-        // undrained capacity, plus the unplaced-cell count. Breaches
-        // surface via `slo_alerts` and as `insight.alert` events.
+        // Feed the online SLO monitor, stamped with the 0-based epoch
+        // index: placed demand over alive, undrained capacity, plus the
+        // unplaced-cell count. Breaches surface via `slo_alerts` and as
+        // `insight.alert` events.
         let mut placed_gops = 0.0;
         for c in 0..self.cells.len() {
             if self.placement.assignment[c].is_some() {
@@ -560,7 +561,7 @@ impl Controller {
             .map(|s| self.server_capacity(s))
             .sum();
         self.slo_monitor.observe_epoch(&EpochSample {
-            epoch,
+            epoch: epoch - 1,
             at_us: now.as_micros() as u64,
             utilization: (capacity_gops > 0.0).then(|| placed_gops / capacity_gops),
             unplaced: Some(unplaced as u64),
@@ -1258,7 +1259,7 @@ mod tests {
         let alerts = c.slo_alerts();
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].metric, SloMetric::Unplaced);
-        assert_eq!(alerts[0].epoch, 1);
+        assert_eq!(alerts[0].epoch, 0, "the first epoch's index");
         assert!(c.slo_monitor().in_breach(SloMetric::Unplaced));
         // Still unplaced next epoch: edge-triggered, no second alert.
         c.run_epoch(Duration::from_secs(120));

@@ -10,12 +10,13 @@
 //!   subframes — where a pool shard finishes them, or decoded from
 //!   events — into mergeable quantile sketches (`pran-telemetry`'s one
 //!   histogram at 8 sub-buckets) and per-cell critical-path blame (no
-//!   JSONL round trip, zero allocation in steady state), plus
-//!   multi-window multi-burn-rate SLO alerting over the error budget.
-//! - [`slo`] — an online SLO monitor the pool simulator and controller
-//!   feed per epoch: edge-triggered threshold alerts on miss ratio,
-//!   utilization, outage, lost reports and unplaced cells, emitted as
-//!   `insight.alert` telemetry events.
+//!   JSONL round trip, zero allocation in steady state).
+//! - [`slo`] — the one online SLO monitor, which both pool drivers and
+//!   the controller feed per epoch: edge-triggered threshold alerts on
+//!   miss ratio, utilization, outage, lost reports and unplaced cells,
+//!   multi-window multi-burn-rate alerting over the miss-ratio error
+//!   budget, and the epoch's safety-envelope violation, its alerts
+//!   emitted as `insight.alert` / `insight.burn_alert` telemetry events.
 //! - [`openmetrics`] — render any metrics registry snapshot in
 //!   OpenMetrics text exposition format for external scrapers.
 
@@ -27,8 +28,9 @@ pub mod openmetrics;
 pub mod slo;
 pub mod spans;
 
-pub use live::{
-    BurnAlert, BurnRateAlerter, BurnSeverity, BurnState, LiveFold, LogSketch, MetroFold,
+pub use live::{LiveFold, LogSketch, MetroFold};
+pub use slo::{
+    Alert, BurnAlert, BurnSeverity, BurnState, EpochSample, EpochVerdict, SloMetric, SloMonitor,
+    SloPolicy,
 };
-pub use slo::{Alert, EpochSample, SloMetric, SloMonitor, SloPolicy};
 pub use spans::{critical_paths, CriticalPath, DEFAULT_BUDGET_US};

@@ -1,5 +1,5 @@
-//! Live, in-process insight: streaming attribution, mergeable sketches
-//! and multi-window burn-rate alerting.
+//! Live, in-process insight: streaming attribution and mergeable
+//! sketches.
 //!
 //! [`spans`](crate::spans) answers "where did the budget go" *after* a
 //! run. This module answers it *during* one. A [`LiveFold`] is one
@@ -25,24 +25,16 @@
 //! holds the view equal to the post-hoc reference, cell by cell, over
 //! resident soaks exported to JSONL and parsed back.
 //!
-//! Two alerters run side by side and judge different things. The
-//! threshold monitor ([`SloMonitor`](crate::slo::SloMonitor)) judges
-//! every metric, one epoch's value at a time, against its threshold. A
-//! [`BurnRateAlerter`] judges only the miss-ratio error budget implied
-//! by `SloPolicy::miss_ratio_max`, SRE-style, over multiple windows and
-//! burn rates: a fast window confirms the budget is
-//! burning *now*, a slow window confirms the burn is sustained, and the
-//! two factors map to [`BurnSeverity::Page`] / [`BurnSeverity::Ticket`].
-//! Because both windows must exceed a factor > 1, any alert implies at
-//! least one epoch breached the objective — burn alerts are
-//! structurally precise against per-epoch violation ground truth.
+//! Nothing here judges an objective: the fold explains misses, and
+//! [`SloMonitor`](crate::slo::SloMonitor) judges each epoch's values,
+//! burn rates included.
 
 use std::cmp::Reverse;
 
 use pran_telemetry::metrics::LogBuckets;
 use pran_telemetry::trace::TraceEvent;
 use pran_telemetry::Subframe;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::spans::STAGE_NAMES;
 
@@ -481,206 +473,6 @@ impl<'a> MetroFold<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Multi-window multi-burn-rate SLO alerting
-// ---------------------------------------------------------------------
-
-/// Alert severity of a burn-rate rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BurnSeverity {
-    /// Sustained burn above the ticket factor: open a ticket.
-    Ticket,
-    /// Burn fast enough to exhaust the budget imminently: page.
-    Page,
-}
-
-impl BurnSeverity {
-    /// Stable label for events and endpoints.
-    pub fn label(self) -> &'static str {
-        match self {
-            BurnSeverity::Ticket => "ticket",
-            BurnSeverity::Page => "page",
-        }
-    }
-
-    /// Numeric code for compact records (0 = none, 1 = ticket,
-    /// 2 = page).
-    pub fn code(self) -> u32 {
-        match self {
-            BurnSeverity::Ticket => 1,
-            BurnSeverity::Page => 2,
-        }
-    }
-}
-
-/// The burn-rate state after one observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BurnState {
-    /// Error-budget burn rate over the fast window (1.0 = burning at
-    /// exactly the sustainable rate).
-    pub burn_fast: f64,
-    /// Burn rate over the slow window.
-    pub burn_slow: f64,
-    /// Whether the page rule is currently firing.
-    pub page: bool,
-    /// Whether the ticket rule is currently firing.
-    pub ticket: bool,
-}
-
-impl BurnState {
-    /// Highest firing severity as a compact code (0 / 1 / 2).
-    pub fn severity_code(&self) -> u32 {
-        if self.page {
-            BurnSeverity::Page.code()
-        } else if self.ticket {
-            BurnSeverity::Ticket.code()
-        } else {
-            0
-        }
-    }
-}
-
-/// One edge-triggered burn-rate alert.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BurnAlert {
-    /// Severity of the rule that fired.
-    pub severity: BurnSeverity,
-    /// Epoch of the firing observation.
-    pub epoch: u64,
-    /// Sim-clock timestamp of the firing observation.
-    pub at_us: u64,
-    /// Fast-window burn at the firing instant.
-    pub burn_fast: f64,
-    /// Slow-window burn at the firing instant.
-    pub burn_slow: f64,
-    /// The factor both windows exceeded.
-    pub factor: f64,
-}
-
-/// Multi-window, multi-burn-rate alerter over the per-epoch error ratio.
-///
-/// The error budget is `objective` errors per epoch (the `SloPolicy`
-/// miss-ratio bound); the *burn rate* of a window is its mean error
-/// ratio divided by the objective. A rule fires when **both** the fast
-/// and the slow window burn at or above its factor — the fast window
-/// keeps alerts from firing long after the incident ended, the slow
-/// window keeps one-epoch blips from paging. Windows are fixed-length
-/// and zero-filled before enough epochs have been observed. Alerts are
-/// edge-triggered per severity.
-#[derive(Debug, Clone)]
-pub struct BurnRateAlerter {
-    objective: f64,
-    /// Ring of the last [`Self::SLOW_EPOCHS`] epoch error ratios
-    /// (zero-filled).
-    ring: Vec<f64>,
-    head: usize,
-    page_firing: bool,
-    ticket_firing: bool,
-}
-
-impl BurnRateAlerter {
-    /// Fast window in epochs: confirms the budget is *currently* burning.
-    pub const FAST_EPOCHS: usize = 5;
-    /// Slow window in epochs: confirms the burn is sustained rather than
-    /// a one-epoch blip.
-    pub const SLOW_EPOCHS: usize = 60;
-    /// Page severity fires when both windows burn the error budget at
-    /// ≥ this multiple of the sustainable rate (the objective per epoch).
-    pub const PAGE_FACTOR: f64 = 10.0;
-    /// Ticket severity fires when both windows burn at ≥ this multiple.
-    /// Strictly above 1.0: with both windows required, any alert then
-    /// implies at least one epoch exceeded the objective, which is what
-    /// makes burn-rate alert precision structural.
-    pub const TICKET_FACTOR: f64 = 2.0;
-
-    /// New alerter over the per-epoch error objective (the `SloPolicy`'s
-    /// `miss_ratio_max`).
-    pub fn new(objective: f64) -> Self {
-        BurnRateAlerter {
-            objective: objective.max(f64::EPSILON),
-            ring: vec![0.0; Self::SLOW_EPOCHS],
-            head: 0,
-            page_firing: false,
-            ticket_firing: false,
-        }
-    }
-
-    fn window_mean(&self, len: usize) -> f64 {
-        let mut sum = 0.0;
-        for i in 0..len {
-            let idx = (self.head + self.ring.len() - 1 - i) % self.ring.len();
-            sum += self.ring[idx];
-        }
-        sum / len as f64
-    }
-
-    /// Fold one epoch's error ratio; returns the new state plus an
-    /// edge-triggered alert if a rule started firing this epoch (the
-    /// highest newly-firing severity). Also emitted as an
-    /// `insight.burn_alert` telemetry event when tracing is enabled.
-    /// Allocation-free.
-    pub fn observe(
-        &mut self,
-        epoch: u64,
-        at_us: u64,
-        error_ratio: f64,
-    ) -> (BurnState, Option<BurnAlert>) {
-        self.ring[self.head] = error_ratio.max(0.0);
-        self.head = (self.head + 1) % self.ring.len();
-        let burn_fast = self.window_mean(Self::FAST_EPOCHS) / self.objective;
-        let burn_slow = self.window_mean(Self::SLOW_EPOCHS) / self.objective;
-        let page = burn_fast >= Self::PAGE_FACTOR && burn_slow >= Self::PAGE_FACTOR;
-        let ticket = burn_fast >= Self::TICKET_FACTOR && burn_slow >= Self::TICKET_FACTOR;
-        let mut alert = None;
-        if page && !self.page_firing {
-            alert = Some(BurnSeverity::Page);
-        } else if ticket && !self.ticket_firing {
-            alert = Some(BurnSeverity::Ticket);
-        }
-        self.page_firing = page;
-        self.ticket_firing = ticket;
-        let state = BurnState {
-            burn_fast,
-            burn_slow,
-            page,
-            ticket,
-        };
-        let alert = alert.map(|severity| {
-            let factor = match severity {
-                BurnSeverity::Page => Self::PAGE_FACTOR,
-                BurnSeverity::Ticket => Self::TICKET_FACTOR,
-            };
-            if pran_telemetry::trace::enabled() {
-                pran_telemetry::trace::sim_event(
-                    "insight.burn_alert",
-                    at_us,
-                    &[
-                        ("severity", severity.label().into()),
-                        ("epoch", epoch.into()),
-                        ("burn_fast", burn_fast.into()),
-                        ("burn_slow", burn_slow.into()),
-                        ("factor", factor.into()),
-                    ],
-                );
-            }
-            BurnAlert {
-                severity,
-                epoch,
-                at_us,
-                burn_fast,
-                burn_slow,
-                factor,
-            }
-        });
-        (state, alert)
-    }
-
-    /// The per-epoch error objective.
-    pub fn objective(&self) -> f64 {
-        self.objective
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -972,92 +764,5 @@ mod tests {
         fold.fold_shard(&events, 0, 0, &[None, None, Some(0), None]);
         assert_eq!(fold.cell_blame(2), [100, 400, 100, 1800]);
         assert_fold_equals_reference(&fold, &events);
-    }
-
-    #[test]
-    fn burn_rules_fire_on_sustained_breach_only() {
-        // objective 0.01, fast 5, slow 60, page 10×, ticket 2×.
-        let mut b = BurnRateAlerter::new(0.01);
-        // 40 healthy epochs: nothing fires.
-        for e in 0..40 {
-            let (state, alert) = b.observe(e, e * 1000, 0.0);
-            assert!(alert.is_none());
-            assert_eq!(state.severity_code(), 0);
-        }
-        // A one-epoch blip at 3%: violates the objective but neither
-        // window sustains it — no alert (that's the point of the slow
-        // window).
-        let (state, alert) = b.observe(40, 40_000, 0.03);
-        assert!(alert.is_none(), "single blip must not page: {state:?}");
-        for e in 41..46 {
-            assert!(b.observe(e, e * 1000, 0.0).1.is_none());
-        }
-        // A sustained 40% miss ratio (a killed shard): ticket within a
-        // few epochs, page as the slow window accumulates.
-        let mut ticket_at = None;
-        let mut page_at = None;
-        for e in 46..80 {
-            let (_, alert) = b.observe(e, e * 1000, 0.4);
-            match alert.map(|a| a.severity) {
-                Some(BurnSeverity::Ticket) => ticket_at.get_or_insert(e),
-                Some(BurnSeverity::Page) => page_at.get_or_insert(e),
-                None => continue,
-            };
-        }
-        let ticket_at = ticket_at.expect("sustained breach must ticket");
-        let page_at = page_at.expect("sustained breach must page");
-        assert!(
-            ticket_at < page_at,
-            "ticket ({ticket_at}) precedes page ({page_at})"
-        );
-        assert!(
-            ticket_at <= 49,
-            "ticket within a few epochs, got {ticket_at}"
-        );
-    }
-
-    #[test]
-    fn burn_alerts_are_edge_triggered_and_precise() {
-        let mut b = BurnRateAlerter::new(0.01);
-        let mut alerts = 0;
-        for e in 0..20 {
-            if b.observe(e, 0, 0.5).1.is_some() {
-                alerts += 1;
-            }
-        }
-        // One ticket edge (epoch 2) + one page edge (epoch 11, once the
-        // slow window's mean reaches 10×), not one per epoch.
-        assert_eq!(alerts, 2);
-        // Precision structure: error ratios that never exceed the
-        // objective can never alert (burn ≤ 1 < ticket factor).
-        let mut quiet = BurnRateAlerter::new(0.01);
-        for e in 0..200 {
-            let (state, alert) = quiet.observe(e, 0, 0.009);
-            assert!(alert.is_none());
-            assert!(state.burn_fast <= 1.0 + 1e-9);
-        }
-    }
-
-    #[test]
-    fn policy_wiring_and_recovery_rearm() {
-        let policy = crate::slo::SloPolicy::default_eval();
-        let mut b = BurnRateAlerter::new(policy.miss_ratio_max);
-        assert!((b.objective() - 0.01).abs() < 1e-12);
-        // Breach → recover → breach again re-alerts (edge per incident).
-        let mut edges = 0;
-        for e in 0..10 {
-            if b.observe(e, 0, 0.5).1.is_some() {
-                edges += 1;
-            }
-        }
-        for e in 10..80 {
-            assert!(b.observe(e, 0, 0.0).1.is_none());
-        }
-        for e in 80..90 {
-            if b.observe(e, 0, 0.5).1.is_some() {
-                edges += 1;
-            }
-        }
-        assert!(edges >= 2, "recovered incident must re-alert, got {edges}");
     }
 }

@@ -1,12 +1,25 @@
 //! Online SLO monitoring over the per-epoch metrics stream.
 //!
-//! A [`SloMonitor`] consumes one [`EpochSample`] per placement epoch —
-//! fed directly by `pran-sim::pool` and the controller — and raises
-//! edge-triggered [`Alert`]s when an observed value crosses its
-//! [`SloPolicy`] threshold. Every alert is also emitted as a structured
-//! `insight.alert` telemetry event, so SLO breaches flow through the same
-//! substrate as `chaos.violation` invariants and land in the same JSONL
-//! artifacts.
+//! A [`SloMonitor`] is the one judge of the [`SloPolicy`]: every driver
+//! (`pran-sim`'s `PoolSimulator` and `ResidentMetro`, and the
+//! controller) feeds it one [`EpochSample`] per placement epoch, and
+//! [`SloMonitor::observe_epoch`] hands back the epoch's [`EpochVerdict`]:
+//!
+//! - edge-triggered threshold [`Alert`]s, one when a metric crosses its
+//!   threshold, each emitted as an `insight.alert` telemetry event;
+//! - the miss-ratio error budget's burn state, SRE-style, over multiple
+//!   windows and burn rates: a fast window confirms the budget is
+//!   burning *now*, a slow window confirms the burn is sustained, and the
+//!   two factors map to [`BurnSeverity::Page`] / [`BurnSeverity::Ticket`]
+//!   (each [`BurnAlert`] is emitted as an `insight.burn_alert` event).
+//!   Because both windows must exceed a factor > 1, any burn alert
+//!   implies at least one epoch breached the objective: burn alerts are
+//!   structurally precise against the per-epoch `violation` flag;
+//! - the level `violation` flag: the epoch's miss ratio or unplaced
+//!   cells past their bounds, whatever the alert state.
+//!
+//! SLO breaches so flow through the same telemetry substrate as
+//! `chaos.violation` invariants and land in the same JSONL artifacts.
 
 use std::time::Duration;
 
@@ -22,7 +35,7 @@ pub enum SloMetric {
     PoolUtilization,
     /// 99th-percentile per-cell outage after failovers.
     OutageP99,
-    /// Uplink reports lost to fronthaul faults (cumulative).
+    /// Uplink reports lost to fronthaul faults in one epoch.
     ReportsLost,
     /// Cells the placement left unserved.
     Unplaced,
@@ -51,7 +64,8 @@ impl SloMetric {
         ]
     }
 
-    fn index(self) -> usize {
+    /// Position in [`SloMetric::all`]: the metric's bit in an alert mask.
+    pub fn index(self) -> usize {
         match self {
             SloMetric::MissRatio => 0,
             SloMetric::PoolUtilization => 1,
@@ -63,8 +77,8 @@ impl SloMetric {
 }
 
 /// Per-metric alert thresholds and their hysteresis band. The burn-rate
-/// windows and factors are constants of
-/// [`BurnRateAlerter`](crate::live::BurnRateAlerter).
+/// windows and factors are [`SloMonitor`]'s constants
+/// ([`SloMonitor::FAST_EPOCHS`] and the three after it).
 ///
 /// This is the one safety envelope: `pran-chaos`'s invariant checker
 /// judges its outage and miss-ratio bounds too (`outage_p99_max`,
@@ -79,7 +93,7 @@ pub struct SloPolicy {
     pub utilization_max: f64,
     /// Maximum tolerated p99 failover outage.
     pub outage_p99_max: Duration,
-    /// Maximum tolerated lost uplink reports over a run.
+    /// Maximum tolerated lost uplink reports per epoch.
     pub reports_lost_max: u64,
     /// Maximum tolerated unplaced cells per epoch.
     pub unplaced_max: u64,
@@ -162,23 +176,25 @@ impl Deserialize for SloPolicy {
     }
 }
 
-/// One epoch's worth of observations; `None` fields are skipped (their
-/// breach state carries over unchanged).
+/// One epoch's observations: the epoch's own values, except the outage
+/// p99, which covers the run so far. `None` fields are skipped (their
+/// breach state carries over unchanged; no miss ratio, no burn fold).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochSample {
-    /// Epoch index.
+    /// Epoch index, 0-based: a driver's first epoch is epoch 0.
     pub epoch: u64,
     /// Sim-clock timestamp of the observation.
     pub at_us: u64,
-    /// Cumulative deadline-miss ratio.
+    /// The epoch's deadline-miss ratio (missed + lost over its tasks).
     pub miss_ratio: Option<f64>,
-    /// Pool utilization in `[0, 1+]`.
+    /// Pool utilization in `[0, 1+]` after the epoch's placement.
     pub utilization: Option<f64>,
-    /// p99 failover outage so far (absent until a failover happened).
+    /// p99 failover outage over the run so far (absent until a failover
+    /// happened).
     pub outage_p99: Option<Duration>,
-    /// Cumulative lost uplink reports.
+    /// Uplink reports lost this epoch.
     pub reports_lost: Option<u64>,
-    /// Unplaced cells this epoch.
+    /// Cells the epoch's placement left unserved.
     pub unplaced: Option<u64>,
 }
 
@@ -198,22 +214,148 @@ pub struct Alert {
     pub threshold: f64,
 }
 
-/// Online SLO monitor: edge-triggered threshold alerts over
-/// [`EpochSample`] streams.
+/// Alert severity of a burn-rate rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum BurnSeverity {
+    /// Sustained burn above the ticket factor: open a ticket.
+    Ticket,
+    /// Burn fast enough to exhaust the budget imminently: page.
+    Page,
+}
+
+impl BurnSeverity {
+    /// Stable label for events and endpoints.
+    pub fn label(self) -> &'static str {
+        match self {
+            BurnSeverity::Ticket => "ticket",
+            BurnSeverity::Page => "page",
+        }
+    }
+
+    /// Numeric code for compact records (0 = none, 1 = ticket,
+    /// 2 = page).
+    pub fn code(self) -> u32 {
+        match self {
+            BurnSeverity::Ticket => 1,
+            BurnSeverity::Page => 2,
+        }
+    }
+
+    /// The severity a [`code`](Self::code) names (`None` for 0).
+    pub fn from_code(code: u32) -> Option<Self> {
+        [BurnSeverity::Ticket, BurnSeverity::Page]
+            .into_iter()
+            .find(|s| s.code() == code)
+    }
+}
+
+/// The burn-rate state after one observation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct BurnState {
+    /// Error-budget burn rate over the fast window (1.0 = burning at
+    /// exactly the sustainable rate).
+    pub burn_fast: f64,
+    /// Burn rate over the slow window.
+    pub burn_slow: f64,
+    /// Whether the page rule is currently firing.
+    pub page: bool,
+    /// Whether the ticket rule is currently firing.
+    pub ticket: bool,
+}
+
+impl BurnState {
+    /// Highest firing severity as a compact code (0 / 1 / 2).
+    pub fn severity_code(&self) -> u32 {
+        if self.page {
+            BurnSeverity::Page.code()
+        } else if self.ticket {
+            BurnSeverity::Ticket.code()
+        } else {
+            0
+        }
+    }
+}
+
+/// One edge-triggered burn-rate alert.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct BurnAlert {
+    /// Severity of the rule that fired.
+    pub severity: BurnSeverity,
+    /// Epoch of the firing observation.
+    pub epoch: u64,
+    /// Sim-clock timestamp of the firing observation.
+    pub at_us: u64,
+    /// Fast-window burn at the firing instant.
+    pub burn_fast: f64,
+    /// Slow-window burn at the firing instant.
+    pub burn_slow: f64,
+    /// The factor both windows exceeded.
+    pub factor: f64,
+}
+
+/// What [`SloMonitor::observe_epoch`] judged of one epoch.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct EpochVerdict {
+    /// Threshold alerts the epoch raised: the last `alerts` entries of
+    /// [`SloMonitor::alerts`].
+    pub alerts: usize,
+    /// The burn state after the epoch (`None` when the sample carried no
+    /// miss ratio).
+    pub burn: Option<BurnState>,
+    /// The burn alert the epoch raised, if a rule started firing (the
+    /// highest newly firing severity).
+    pub burn_alert: Option<BurnAlert>,
+    /// The epoch's miss ratio or unplaced cells are past their policy
+    /// bounds: a level, unlike the edge-triggered alerts.
+    pub violation: bool,
+}
+
+/// The online SLO monitor: the threshold rule, the burn-rate rule and the
+/// violation check over one [`EpochSample`] stream (see the module docs).
 ///
-/// Alerts are edge-triggered — one alert when a metric crosses its
-/// threshold, nothing while it stays in breach, and the trigger re-arms
-/// once the metric recovers — so a run's alert list has one entry per
-/// distinct incident, not one per epoch.
+/// Threshold alerts are edge-triggered — one alert when a metric crosses
+/// its threshold, nothing while it stays in breach, and the trigger
+/// re-arms once the metric recovers — so a run's alert list has one
+/// entry per distinct incident, not one per epoch.
+///
+/// The burn-rate rule's error budget is the policy's `miss_ratio_max`
+/// per epoch; the *burn rate* of a window is its mean miss ratio divided
+/// by that objective. A rule fires when **both** the fast and the slow
+/// window burn at or above its factor — the fast window keeps alerts from
+/// firing long after the incident ended, the slow window keeps one-epoch
+/// blips from paging. Windows are fixed-length and zero-filled before
+/// enough epochs have been observed. Burn alerts are edge-triggered per
+/// severity.
 #[derive(Debug, Clone)]
 pub struct SloMonitor {
     policy: SloPolicy,
     breached: [bool; 5],
     alerts: Vec<Alert>,
     epochs: u64,
+    /// Ring of the last [`Self::SLOW_EPOCHS`] epoch miss ratios
+    /// (zero-filled), allocated on the first miss ratio fed: a monitor
+    /// that is never fed one (the controller's) clones without it.
+    ring: Vec<f64>,
+    head: usize,
+    page_firing: bool,
+    ticket_firing: bool,
 }
 
 impl SloMonitor {
+    /// Fast window in epochs: confirms the budget is *currently* burning.
+    pub const FAST_EPOCHS: usize = 5;
+    /// Slow window in epochs: confirms the burn is sustained rather than
+    /// a one-epoch blip.
+    pub const SLOW_EPOCHS: usize = 60;
+    /// Page severity fires when both windows burn the error budget at
+    /// ≥ this multiple of the sustainable rate (the objective per epoch).
+    pub const PAGE_FACTOR: f64 = 10.0;
+    /// Ticket severity fires when both windows burn at ≥ this multiple.
+    /// Strictly above 1.0: with both windows required, any alert then
+    /// implies at least one epoch exceeded the objective, which is what
+    /// makes burn-rate alert precision structural.
+    pub const TICKET_FACTOR: f64 = 2.0;
+
     /// New monitor enforcing `policy`.
     pub fn new(policy: SloPolicy) -> Self {
         SloMonitor {
@@ -221,6 +363,10 @@ impl SloMonitor {
             breached: [false; 5],
             alerts: Vec::new(),
             epochs: 0,
+            ring: Vec::new(),
+            head: 0,
+            page_firing: false,
+            ticket_firing: false,
         }
     }
 
@@ -249,11 +395,13 @@ impl SloMonitor {
         self.breached[metric.index()]
     }
 
-    /// Fold in one epoch of observations; returns how many new alerts
-    /// it raised. Each alert is also emitted as an `insight.alert`
-    /// telemetry event (sim domain, stamped `sample.at_us`) when
-    /// tracing is enabled.
-    pub fn observe_epoch(&mut self, sample: &EpochSample) -> usize {
+    /// Judge one epoch: fold its observations into the threshold rule,
+    /// its miss ratio (if any) into the burn-rate rule, and check it
+    /// against the safety bounds. Each alert is also emitted as an
+    /// `insight.alert` / `insight.burn_alert` telemetry event (sim
+    /// domain, stamped `sample.at_us`) when tracing is enabled.
+    /// Allocation-free once the burn ring exists, while no alert fires.
+    pub fn observe_epoch(&mut self, sample: &EpochSample) -> EpochVerdict {
         self.epochs += 1;
         let before = self.alerts.len();
         let observations = [
@@ -273,7 +421,15 @@ impl SloMonitor {
             let Some(value) = value else { continue };
             self.observe_value(metric, sample.epoch, sample.at_us, value);
         }
-        self.alerts.len() - before
+        let burn = self.burn(sample);
+        let p = &self.policy;
+        EpochVerdict {
+            alerts: self.alerts.len() - before,
+            burn: burn.map(|(state, _)| state),
+            burn_alert: burn.and_then(|(_, alert)| alert),
+            violation: sample.miss_ratio.is_some_and(|r| r > p.miss_ratio_max)
+                || sample.unplaced.is_some_and(|n| n > p.unplaced_max),
+        }
     }
 
     fn observe_value(&mut self, metric: SloMetric, epoch: u64, at_us: u64, value: f64) {
@@ -312,6 +468,71 @@ impl SloMonitor {
         }
         self.breached[slot] = breach;
     }
+
+    fn window_mean(&self, len: usize) -> f64 {
+        let mut sum = 0.0;
+        for i in 0..len {
+            let idx = (self.head + self.ring.len() - 1 - i) % self.ring.len();
+            sum += self.ring[idx];
+        }
+        sum / len as f64
+    }
+
+    /// Fold the sample's miss ratio, if any, into the burn windows;
+    /// returns the new state plus an edge-triggered alert if a rule
+    /// started firing.
+    fn burn(&mut self, sample: &EpochSample) -> Option<(BurnState, Option<BurnAlert>)> {
+        let (ratio, epoch, at_us) = (sample.miss_ratio?, sample.epoch, sample.at_us);
+        if self.ring.is_empty() {
+            self.ring = vec![0.0; Self::SLOW_EPOCHS];
+        }
+        self.ring[self.head] = ratio.max(0.0);
+        self.head = (self.head + 1) % self.ring.len();
+        let objective = self.policy.miss_ratio_max.max(f64::EPSILON);
+        let burn_fast = self.window_mean(Self::FAST_EPOCHS) / objective;
+        let burn_slow = self.window_mean(Self::SLOW_EPOCHS) / objective;
+        let page = burn_fast >= Self::PAGE_FACTOR && burn_slow >= Self::PAGE_FACTOR;
+        let ticket = burn_fast >= Self::TICKET_FACTOR && burn_slow >= Self::TICKET_FACTOR;
+        let fired = if page && !self.page_firing {
+            Some((BurnSeverity::Page, Self::PAGE_FACTOR))
+        } else if ticket && !self.ticket_firing {
+            Some((BurnSeverity::Ticket, Self::TICKET_FACTOR))
+        } else {
+            None
+        };
+        self.page_firing = page;
+        self.ticket_firing = ticket;
+        let state = BurnState {
+            burn_fast,
+            burn_slow,
+            page,
+            ticket,
+        };
+        let alert = fired.map(|(severity, factor)| {
+            if trace::enabled() {
+                trace::sim_event(
+                    "insight.burn_alert",
+                    at_us,
+                    &[
+                        ("severity", severity.label().into()),
+                        ("epoch", epoch.into()),
+                        ("burn_fast", burn_fast.into()),
+                        ("burn_slow", burn_slow.into()),
+                        ("factor", factor.into()),
+                    ],
+                );
+            }
+            BurnAlert {
+                severity,
+                epoch,
+                at_us,
+                burn_fast,
+                burn_slow,
+                factor,
+            }
+        });
+        Some((state, alert))
+    }
 }
 
 #[cfg(test)]
@@ -334,7 +555,7 @@ mod tests {
     fn quiet_stream_raises_nothing() {
         let mut m = SloMonitor::new(SloPolicy::default_eval());
         for e in 0..20 {
-            assert_eq!(m.observe_epoch(&quiet(e)), 0);
+            assert_eq!(m.observe_epoch(&quiet(e)).alerts, 0);
         }
         assert!(m.alerts().is_empty());
         assert_eq!(m.epochs(), 20);
@@ -347,16 +568,16 @@ mod tests {
         m.observe_epoch(&quiet(0));
         let mut bad = quiet(1);
         bad.miss_ratio = Some(0.05);
-        assert_eq!(m.observe_epoch(&bad), 1);
+        assert_eq!(m.observe_epoch(&bad).alerts, 1);
         assert!(m.in_breach(SloMetric::MissRatio));
         // Still in breach: no duplicate alert.
         bad.epoch = 2;
-        assert_eq!(m.observe_epoch(&bad), 0);
+        assert_eq!(m.observe_epoch(&bad).alerts, 0);
         // Recovers, then breaches again: a second alert.
         m.observe_epoch(&quiet(3));
         assert!(!m.in_breach(SloMetric::MissRatio));
         bad.epoch = 4;
-        assert_eq!(m.observe_epoch(&bad), 1);
+        assert_eq!(m.observe_epoch(&bad).alerts, 1);
         let alerts = m.alerts();
         assert_eq!(alerts.len(), 2);
         assert_eq!(alerts[0].metric, SloMetric::MissRatio);
@@ -375,13 +596,13 @@ mod tests {
             miss_ratio: Some(0.05),
             ..EpochSample::default()
         };
-        assert_eq!(m.observe_epoch(&breach), 1);
+        assert_eq!(m.observe_epoch(&breach).alerts, 1);
         let empty = EpochSample {
             epoch: 1,
             at_us: 1000,
             ..EpochSample::default()
         };
-        assert_eq!(m.observe_epoch(&empty), 0);
+        assert_eq!(m.observe_epoch(&empty).alerts, 0);
         assert!(
             m.in_breach(SloMetric::MissRatio),
             "an absent value leaves its breach state alone"
@@ -400,7 +621,7 @@ mod tests {
             unplaced: Some(1),
             ..EpochSample::default()
         };
-        assert_eq!(m.observe_epoch(&sample), 3);
+        assert_eq!(m.observe_epoch(&sample).alerts, 3);
         let metrics: Vec<SloMetric> = m.alerts().iter().map(|a| a.metric).collect();
         assert!(metrics.contains(&SloMetric::OutageP99));
         assert!(metrics.contains(&SloMetric::ReportsLost));
@@ -457,20 +678,164 @@ mod tests {
             ..quiet(epoch)
         };
         // Above base threshold but below the trigger: no breach.
-        assert_eq!(m.observe_epoch(&with_miss(0, 0.015)), 0);
+        assert_eq!(m.observe_epoch(&with_miss(0, 0.015)).alerts, 0);
         assert!(!m.in_breach(SloMetric::MissRatio));
         // Past the trigger: one alert, reporting the effective trigger.
-        assert_eq!(m.observe_epoch(&with_miss(1, 0.03)), 1);
+        assert_eq!(m.observe_epoch(&with_miss(1, 0.03)).alerts, 1);
         assert!((m.alerts()[0].threshold - 0.02).abs() < 1e-12);
         // Dips below base threshold but above clear: still in breach,
         // so the rebound to 0.03 does not re-alert.
-        assert_eq!(m.observe_epoch(&with_miss(2, 0.008)), 0);
+        assert_eq!(m.observe_epoch(&with_miss(2, 0.008)).alerts, 0);
         assert!(m.in_breach(SloMetric::MissRatio));
-        assert_eq!(m.observe_epoch(&with_miss(3, 0.03)), 0);
+        assert_eq!(m.observe_epoch(&with_miss(3, 0.03)).alerts, 0);
         // Drops to the clear line: re-arms, next excursion re-alerts.
-        assert_eq!(m.observe_epoch(&with_miss(4, 0.005)), 0);
+        assert_eq!(m.observe_epoch(&with_miss(4, 0.005)).alerts, 0);
         assert!(!m.in_breach(SloMetric::MissRatio));
-        assert_eq!(m.observe_epoch(&with_miss(5, 0.03)), 1);
+        assert_eq!(m.observe_epoch(&with_miss(5, 0.03)).alerts, 1);
         assert_eq!(m.alerts().len(), 2);
+    }
+
+    /// The burn tests' feed: one epoch carrying only a miss ratio.
+    trait Burn {
+        fn observe(&mut self, epoch: u64, at_us: u64, miss: f64) -> (BurnState, Option<BurnAlert>);
+        fn objective(&self) -> f64;
+    }
+
+    impl Burn for SloMonitor {
+        fn observe(&mut self, epoch: u64, at_us: u64, miss: f64) -> (BurnState, Option<BurnAlert>) {
+            let verdict = self.observe_epoch(&EpochSample {
+                epoch,
+                at_us,
+                miss_ratio: Some(miss),
+                ..EpochSample::default()
+            });
+            (
+                verdict.burn.expect("a miss ratio was fed"),
+                verdict.burn_alert,
+            )
+        }
+
+        fn objective(&self) -> f64 {
+            self.policy().miss_ratio_max
+        }
+    }
+
+    #[test]
+    fn burn_rules_fire_on_sustained_breach_only() {
+        // objective 0.01, fast 5, slow 60, page 10×, ticket 2×.
+        let mut b = SloMonitor::new(SloPolicy::default_eval());
+        // 40 healthy epochs: nothing fires.
+        for e in 0..40 {
+            let (state, alert) = b.observe(e, e * 1000, 0.0);
+            assert!(alert.is_none());
+            assert_eq!(state.severity_code(), 0);
+        }
+        // A one-epoch blip at 3%: violates the objective but neither
+        // window sustains it — no alert (that's the point of the slow
+        // window).
+        let (state, alert) = b.observe(40, 40_000, 0.03);
+        assert!(alert.is_none(), "single blip must not page: {state:?}");
+        for e in 41..46 {
+            assert!(b.observe(e, e * 1000, 0.0).1.is_none());
+        }
+        // A sustained 40% miss ratio (a killed shard): ticket within a
+        // few epochs, page as the slow window accumulates.
+        let mut ticket_at = None;
+        let mut page_at = None;
+        for e in 46..80 {
+            let (_, alert) = b.observe(e, e * 1000, 0.4);
+            match alert.map(|a| a.severity) {
+                Some(BurnSeverity::Ticket) => ticket_at.get_or_insert(e),
+                Some(BurnSeverity::Page) => page_at.get_or_insert(e),
+                None => continue,
+            };
+        }
+        let ticket_at = ticket_at.expect("sustained breach must ticket");
+        let page_at = page_at.expect("sustained breach must page");
+        assert!(
+            ticket_at < page_at,
+            "ticket ({ticket_at}) precedes page ({page_at})"
+        );
+        assert!(
+            ticket_at <= 49,
+            "ticket within a few epochs, got {ticket_at}"
+        );
+    }
+
+    #[test]
+    fn burn_alerts_are_edge_triggered_and_precise() {
+        let mut b = SloMonitor::new(SloPolicy::default_eval());
+        let mut alerts = 0;
+        for e in 0..20 {
+            if b.observe(e, 0, 0.5).1.is_some() {
+                alerts += 1;
+            }
+        }
+        // One ticket edge (epoch 2) + one page edge (epoch 11, once the
+        // slow window's mean reaches 10×), not one per epoch.
+        assert_eq!(alerts, 2);
+        // Precision structure: error ratios that never exceed the
+        // objective can never alert (burn ≤ 1 < ticket factor).
+        let mut quiet = SloMonitor::new(SloPolicy::default_eval());
+        for e in 0..200 {
+            let (state, alert) = quiet.observe(e, 0, 0.009);
+            assert!(alert.is_none());
+            assert!(state.burn_fast <= 1.0 + 1e-9);
+        }
+    }
+
+    #[test]
+    fn policy_wiring_and_recovery_rearm() {
+        let policy = SloPolicy::default_eval();
+        let mut b = SloMonitor::new(policy);
+        assert!((b.objective() - 0.01).abs() < 1e-12);
+        // Breach → recover → breach again re-alerts (edge per incident).
+        let mut edges = 0;
+        for e in 0..10 {
+            if b.observe(e, 0, 0.5).1.is_some() {
+                edges += 1;
+            }
+        }
+        for e in 10..80 {
+            assert!(b.observe(e, 0, 0.0).1.is_none());
+        }
+        for e in 80..90 {
+            if b.observe(e, 0, 0.5).1.is_some() {
+                edges += 1;
+            }
+        }
+        assert!(edges >= 2, "recovered incident must re-alert, got {edges}");
+    }
+
+    #[test]
+    fn violation_is_a_level_and_burn_needs_a_miss_ratio() {
+        let mut m = SloMonitor::new(SloPolicy::default_eval());
+        let mut bad = quiet(0);
+        bad.miss_ratio = Some(0.05);
+        // Alerts are edges, the violation a level: the second epoch in
+        // breach alerts nothing but still violates.
+        for (epoch, alerts) in [(0, 1), (1, 0)] {
+            bad.epoch = epoch;
+            let verdict = m.observe_epoch(&bad);
+            assert_eq!(verdict.alerts, alerts);
+            assert!(verdict.violation);
+            assert!(verdict.burn.is_some());
+        }
+        assert!(!m.observe_epoch(&quiet(2)).violation);
+        let unplaced = EpochSample {
+            unplaced: Some(1),
+            ..quiet(3)
+        };
+        assert!(m.observe_epoch(&unplaced).violation);
+        // The controller's feed carries no miss ratio: no burn state,
+        // and no ring is allocated for it.
+        let mut ctl = SloMonitor::new(SloPolicy::default_eval());
+        let verdict = ctl.observe_epoch(&EpochSample {
+            utilization: Some(0.5),
+            unplaced: Some(0),
+            ..EpochSample::default()
+        });
+        assert_eq!(verdict, EpochVerdict::default());
+        assert_eq!(ctl.ring.capacity(), 0);
     }
 }

@@ -6,8 +6,8 @@
 //! same derive. Each type's `Default` is the empty value every route
 //! serves before the first epoch: the same keys, zeroed.
 
-use pran_insight::live::{BurnRateAlerter, MetroFold};
-use pran_insight::slo::SloPolicy;
+use pran_insight::live::MetroFold;
+use pran_insight::slo::{BurnSeverity, SloMonitor, SloPolicy};
 use pran_sim::service::EpochRecord;
 use serde::{Deserialize, Serialize};
 
@@ -54,46 +54,42 @@ pub struct SloDoc {
 /// [`SloDoc::windows`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SloWindows {
-    /// [`BurnRateAlerter::FAST_EPOCHS`].
+    /// [`SloMonitor::FAST_EPOCHS`].
     pub fast_epochs: u64,
-    /// [`BurnRateAlerter::SLOW_EPOCHS`].
+    /// [`SloMonitor::SLOW_EPOCHS`].
     pub slow_epochs: u64,
 }
 
 /// [`SloDoc::factors`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SloFactors {
-    /// [`BurnRateAlerter::PAGE_FACTOR`].
+    /// [`SloMonitor::PAGE_FACTOR`].
     pub page: f64,
-    /// [`BurnRateAlerter::TICKET_FACTOR`].
+    /// [`SloMonitor::TICKET_FACTOR`].
     pub ticket: f64,
 }
 
 impl SloDoc {
     /// `rec`'s burn state under `policy`.
     pub fn new(rec: &EpochRecord, policy: &SloPolicy) -> Self {
-        let severity = match rec.burn_severity {
-            2 => "page",
-            1 => "ticket",
-            _ => "none",
-        };
+        let severity = BurnSeverity::from_code(rec.burn_severity);
         SloDoc {
             schema: SLO_SCHEMA.to_string(),
             epoch: rec.epoch,
             objective: policy.miss_ratio_max,
             windows: SloWindows {
-                fast_epochs: BurnRateAlerter::FAST_EPOCHS as u64,
-                slow_epochs: BurnRateAlerter::SLOW_EPOCHS as u64,
+                fast_epochs: SloMonitor::FAST_EPOCHS as u64,
+                slow_epochs: SloMonitor::SLOW_EPOCHS as u64,
             },
             factors: SloFactors {
-                page: BurnRateAlerter::PAGE_FACTOR,
-                ticket: BurnRateAlerter::TICKET_FACTOR,
+                page: SloMonitor::PAGE_FACTOR,
+                ticket: SloMonitor::TICKET_FACTOR,
             },
             burn_fast: rec.burn_fast,
             burn_slow: rec.burn_slow,
-            severity: severity.to_string(),
-            page: rec.burn_severity == 2,
-            ticket: rec.burn_severity >= 1,
+            severity: severity.map_or("none", BurnSeverity::label).to_string(),
+            page: severity == Some(BurnSeverity::Page),
+            ticket: severity.is_some(),
             miss_ratio: rec.miss_ratio,
             cum_miss_ratio: rec.cum_miss_ratio,
             violation: rec.violation,

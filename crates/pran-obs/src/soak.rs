@@ -322,7 +322,12 @@ impl SoakRunner {
                 epoch: rec.epoch + 1,
                 snapshot: Arc::new(r.snapshot()),
                 recorder: Arc::new(RecorderDump::new(&self.recorder, "scrape", rec.epoch)),
-                slo: Arc::new(SloDoc::new(&rec, self.metro.policy())),
+                // No policy, nothing judged: serve the empty document,
+                // as `/topk` does with live insight off.
+                slo: Arc::new(match self.metro.policy() {
+                    Some(policy) => SloDoc::new(&rec, policy),
+                    None => SloDoc::default(),
+                }),
                 topk: Arc::new(topk),
             });
         }
@@ -518,6 +523,12 @@ mod tests {
         assert!(!doc.servers.is_empty(), "folded tasks must rank servers");
         // Jitter is fronthaul-stage blame.
         assert!(doc.totals.fronthaul > 0);
+        // This pool sets no SLO policy: `/slo` serves the empty document.
+        let (_, body) = http_get(addr, "/slo").unwrap();
+        assert_eq!(
+            serde_json::from_str::<SloDoc>(&body).unwrap(),
+            SloDoc::default()
+        );
     }
 
     #[test]

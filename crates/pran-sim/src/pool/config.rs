@@ -177,11 +177,13 @@ pub struct PoolConfig {
     /// Optional per-cell fronthaul fault model applied to uplink subframe
     /// transport (`None` = ideal fronthaul, the pre-existing behaviour).
     pub fronthaul: Option<LinkFault>,
-    /// When set, an online [`SloMonitor`] observes the pool once per
-    /// epoch (cumulative miss ratio, demand/capacity utilization, outage
-    /// p99, lost reports) and its alerts land in
-    /// [`SimReport::alerts`] — plus `insight.alert` trace events when
-    /// telemetry is on.
+    /// When set, one [`SloMonitor`] judges every epoch against this
+    /// policy, in both pool drivers: it is fed the epoch's miss ratio,
+    /// utilization, lost reports and unplaced cells, and the outage p99
+    /// so far. Its threshold alerts land in [`SimReport::alerts`] or
+    /// each `EpochStatus`, plus `insight.alert` / `insight.burn_alert`
+    /// trace events when telemetry is on. `None`: nothing is judged (no
+    /// alerts, no burn state, no violation).
     pub slo: Option<SloPolicy>,
     /// When set, epoch placement runs through the warm-start
     /// [`WarmPlacer`] (hysteresis-banded bookings, repack work

@@ -12,8 +12,8 @@
 //! [`PoolSimulator`] is the single-pool driver: it walks a materialized
 //! [`Trace`] on a discrete-event [`Engine`], turning epoch boundaries and
 //! scheduled [`FailureSpec`]s into shard transitions, and adds telemetry
-//! events, health gauges and the cumulative SLO monitor. Its one test
-//! seam, [`PoolSimulator::run_with`], takes the execute transition as an
+//! events, health gauges and the SLO monitor. Its one test seam,
+//! [`PoolSimulator::run_with`], takes the execute transition as an
 //! argument: the differential tests pass the seed's allocating executor,
 //! which lives in the tests crate (`tests/src/reference.rs`). Metro
 //! shards are driven by [`crate::metro`]'s one shard driver instead,
@@ -153,6 +153,11 @@ impl PoolSimulator {
                     let first = e * cfg.epoch_steps;
                     let last = ((e + 1) * cfg.epoch_steps).min(total_steps);
                     let rows = &self.trace.samples[first..last];
+                    let (tasks, missed, reports_lost) = (
+                        metrics.tasks_total,
+                        metrics.deadline_misses + metrics.tasks_lost,
+                        metrics.reports_lost,
+                    );
 
                     let placed = shard.place(rows, &mut metrics);
                     pran_telemetry::trace::sim_event(
@@ -171,8 +176,8 @@ impl PoolSimulator {
                     execute(&mut shard, rows, first, step_seconds, &mut metrics);
 
                     // Per-epoch health observation: publish gauges for
-                    // scrapers and feed the online SLO monitor. Miss
-                    // ratio and lost reports are cumulative over the run.
+                    // scrapers (miss ratio and lost reports over the run)
+                    // and feed the SLO monitor the epoch's own values.
                     let alive_capacity = shard.alive().iter().filter(|a| **a).count() as f64
                         * cfg.server_capacity_gops;
                     let utilization =
@@ -190,14 +195,16 @@ impl PoolSimulator {
                         }
                     }
                     if let Some(monitor) = slo_monitor.as_mut() {
+                        let tasks = metrics.tasks_total - tasks;
+                        let missed = metrics.deadline_misses + metrics.tasks_lost - missed;
                         monitor.observe_epoch(&EpochSample {
                             epoch: e as u64,
                             at_us: now_us,
-                            miss_ratio: Some(metrics.miss_ratio()),
+                            miss_ratio: Some(missed as f64 / tasks.max(1) as f64),
                             utilization,
                             outage_p99,
-                            reports_lost: Some(metrics.reports_lost),
-                            unplaced: None,
+                            reports_lost: Some(metrics.reports_lost - reports_lost),
+                            unplaced: Some(placed.unplaced as u64),
                         });
                     }
                 }
@@ -631,8 +638,8 @@ mod tests {
     fn starved_pool_raises_miss_ratio_alert() {
         use pran_insight::SloMetric;
         // The capacity-loss scenario: kill one of two servers so tasks
-        // are lost; the cumulative miss ratio crosses 1 % and the
-        // monitor alerts exactly once (edge-triggered).
+        // are lost; the epochs' miss ratios cross 1 % and stay past it,
+        // so the monitor alerts exactly once (edge-triggered).
         let trace = small_trace(16, 4);
         let mut cfg = PoolConfig::default_eval(2);
         cfg.server_capacity_gops = 600.0;
@@ -653,6 +660,37 @@ mod tests {
         assert_eq!(miss_alerts.len(), 1, "alerts: {:?}", report.alerts);
         assert!(miss_alerts[0].value > 0.01);
         assert!((miss_alerts[0].threshold - 0.01).abs() < 1e-12);
+    }
+
+    #[test]
+    fn separate_miss_ratio_incidents_alert_separately() {
+        use pran_insight::SloMetric;
+        // Server 1 of 2 is down when epochs 2 and 12 (240 s each) are
+        // placed, and up for the clean epochs between. The first incident
+        // loses enough tasks that the run's cumulative miss ratio stays
+        // past 1 % until the second: only the epochs' own ratios re-arm
+        // the monitor in between.
+        let trace = small_trace(24, 4);
+        let mut cfg = PoolConfig::default_eval(2);
+        cfg.server_capacity_gops = 600.0;
+        cfg.epoch_steps = 2;
+        cfg.slo = Some(SloPolicy::default_eval());
+        let mut s = PoolSimulator::new(trace, cfg);
+        for at in [300, 2700] {
+            s.inject_failure(FailureSpec {
+                server: 1,
+                at: Duration::from_secs(at),
+                recover_after: Some(Duration::from_secs(400)),
+            });
+        }
+        let report = s.run();
+        let miss_alerts: Vec<u64> = report
+            .alerts
+            .iter()
+            .filter(|a| a.metric == SloMetric::MissRatio)
+            .map(|a| a.epoch)
+            .collect();
+        assert_eq!(miss_alerts, [2, 12], "alerts: {:?}", report.alerts);
     }
 
     #[test]

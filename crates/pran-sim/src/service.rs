@@ -21,8 +21,8 @@
 
 use std::time::{Duration, Instant};
 
-use pran_insight::live::{BurnAlert, BurnRateAlerter, MetroFold};
-use pran_insight::slo::{Alert, EpochSample, SloMetric, SloMonitor, SloPolicy};
+use pran_insight::live::MetroFold;
+use pran_insight::slo::{Alert, BurnAlert, EpochSample, SloMonitor, SloPolicy};
 use pran_traces::TraceConfig;
 use serde::{Deserialize, Serialize};
 
@@ -75,7 +75,8 @@ pub struct EpochRecord {
     pub alert_mask: u32,
     /// Whether this epoch breached the chaos-aligned safety envelope
     /// (epoch-local miss ratio or unplaced cells past the SLO policy
-    /// bounds), independent of the monitor's edge-trigger state.
+    /// bounds), independent of the monitor's edge-trigger state; false
+    /// when no policy is set.
     pub violation: bool,
     /// Error-budget burn rate over the fast window after this epoch
     /// (1.0 = burning at exactly the sustainable rate).
@@ -84,6 +85,7 @@ pub struct EpochRecord {
     pub burn_slow: f64,
     /// Burn-rate severity currently firing (0 = none, 1 = ticket,
     /// 2 = page) — level-style state, unlike the edge-triggered alert.
+    /// The three burn fields are 0 when no policy is set.
     pub burn_severity: u32,
 }
 
@@ -123,12 +125,9 @@ pub struct ResidentMetro {
     cum: PoolMetrics,
     /// Reused epoch-merge scratch.
     em: PoolMetrics,
+    /// Judges every epoch against [`PoolConfig::slo`] (`None`: nothing
+    /// is judged).
     monitor: Option<SloMonitor>,
-    /// Safety bounds for the `violation` flag (chaos-aligned).
-    policy: SloPolicy,
-    /// Multi-window burn-rate alerting over the epoch miss-ratio error
-    /// budget, beside the per-metric threshold `monitor`.
-    burn: BurnRateAlerter,
 }
 
 impl ResidentMetro {
@@ -155,14 +154,12 @@ impl ResidentMetro {
     ) -> Result<Self, MetroError> {
         metro::validate(&config, &pool, &trace)?;
         let monitor = pool.slo.map(SloMonitor::new);
-        let policy = pool.slo.unwrap_or_else(SloPolicy::default_eval);
         let shards = (0..config.shards)
             .map(|s| {
                 let (pool_cfg, trace_cfg) = metro::shard_configs(&config, &pool, &trace, s);
                 ResidentShard::new(s as u64, pool_cfg, &trace_cfg)
             })
             .collect();
-        let burn = BurnRateAlerter::new(policy.miss_ratio_max);
         Ok(ResidentMetro {
             config,
             epoch: 0,
@@ -172,8 +169,6 @@ impl ResidentMetro {
             cum: PoolMetrics::default(),
             em: PoolMetrics::default(),
             monitor,
-            policy,
-            burn,
         })
     }
 
@@ -193,9 +188,10 @@ impl ResidentMetro {
         &self.cum
     }
 
-    /// The SLO policy in force (burn windows, safety bounds).
-    pub fn policy(&self) -> &SloPolicy {
-        &self.policy
+    /// The SLO policy every epoch is judged against (thresholds, burn
+    /// objective, safety bounds); `None` when nothing is judged.
+    pub fn policy(&self) -> Option<&SloPolicy> {
+        self.monitor.as_ref().map(SloMonitor::policy)
     }
 
     /// Number of shards.
@@ -328,14 +324,36 @@ impl ResidentMetro {
             .try_quantile(0.99)
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0);
-        let record_base = EpochRecord {
+        let miss_ratio = em.miss_ratio();
+        let merge_ns = m0.elapsed().as_nanos() as u64;
+
+        // Telemetry / SLO phase: the monitor judges the epoch's own
+        // values, so a resident soak alerts on what just happened, not on
+        // the diluted lifetime average.
+        let (alerts, verdict) = match self.monitor.as_mut() {
+            Some(monitor) => {
+                let verdict = monitor.observe_epoch(&EpochSample {
+                    epoch,
+                    at_us,
+                    miss_ratio: Some(miss_ratio),
+                    utilization: Some(utilization),
+                    outage_p99: self.cum.outages.try_quantile(0.99),
+                    reports_lost: Some(em.reports_lost),
+                    unplaced: Some(unplaced),
+                });
+                (monitor.take_alerts(), verdict)
+            }
+            None => Default::default(),
+        };
+        let burn = verdict.burn.unwrap_or_default();
+        let record = EpochRecord {
             epoch,
             at_us,
             tasks: em.tasks_total,
             misses: em.deadline_misses,
             lost: em.tasks_lost,
             reports_lost: em.reports_lost,
-            miss_ratio: em.miss_ratio(),
+            miss_ratio,
             cum_miss_ratio: self.cum.miss_ratio(),
             slack_p99_us,
             peak_queue_depth,
@@ -344,54 +362,19 @@ impl ResidentMetro {
             alive_mask,
             utilization,
             unplaced,
-            alert_mask: 0,
-            violation: false,
-            burn_fast: 0.0,
-            burn_slow: 0.0,
-            burn_severity: 0,
-        };
-        let merge_ns = m0.elapsed().as_nanos() as u64;
-
-        // Telemetry / SLO phase: feed the monitor an *epoch-local* sample
-        // so a resident soak alerts on what just happened, not on the
-        // diluted lifetime average.
-        let mut alerts = Vec::new();
-        if let Some(monitor) = self.monitor.as_mut() {
-            monitor.observe_epoch(&EpochSample {
-                epoch,
-                at_us,
-                miss_ratio: Some(record_base.miss_ratio),
-                utilization: Some(utilization),
-                outage_p99: em.outages.try_quantile(0.99),
-                reports_lost: Some(em.reports_lost),
-                unplaced: Some(unplaced),
-            });
-            alerts = monitor.take_alerts();
-        }
-        let mut alert_mask = 0u32;
-        for a in &alerts {
-            if let Some(i) = SloMetric::all().iter().position(|m| *m == a.metric) {
-                alert_mask |= 1 << i;
-            }
-        }
-        let violation = record_base.miss_ratio > self.policy.miss_ratio_max
-            || unplaced > self.policy.unplaced_max;
-        // Burn-rate fold: a pure function of the epoch miss-ratio
-        // series, so the record stays deterministic across workers.
-        let (burn_state, burn_alert) = self.burn.observe(epoch, at_us, record_base.miss_ratio);
-        let record = EpochRecord {
-            alert_mask,
-            violation,
-            burn_fast: burn_state.burn_fast,
-            burn_slow: burn_state.burn_slow,
-            burn_severity: burn_state.severity_code(),
-            ..record_base
+            alert_mask: alerts
+                .iter()
+                .fold(0, |mask, a| mask | 1 << a.metric.index()),
+            violation: verdict.violation,
+            burn_fast: burn.burn_fast,
+            burn_slow: burn.burn_slow,
+            burn_severity: burn.severity_code(),
         };
 
         EpochStatus {
             record,
             alerts,
-            burn_alert,
+            burn_alert: verdict.burn_alert,
             ingest_ns,
             dispatch_ns,
             execute_ns,
@@ -405,11 +388,15 @@ mod tests {
     use super::*;
 
     fn small_resident(cells: usize, shards: usize) -> ResidentMetro {
+        judged_by(cells, shards, Some(SloPolicy::default_eval()))
+    }
+
+    fn judged_by(cells: usize, shards: usize, slo: Option<SloPolicy>) -> ResidentMetro {
         let mut cfg = MetroConfig::default_eval(cells, shards);
         cfg.seed = 42;
         let mut pool = PoolConfig::default_eval(cfg.servers_per_shard.max(1));
         pool.warm = Some(pran_sched::placement::WarmConfig::default_eval());
-        pool.slo = Some(SloPolicy::default_eval());
+        pool.slo = slo;
         let mut trace = TraceConfig::default_day(cells, cfg.seed);
         trace.duration_seconds = 2.0 * 3600.0;
         trace.step_seconds = 120.0;
@@ -495,7 +482,7 @@ mod tests {
             }
             saw_state = saw_state.max(s.record.burn_severity);
         }
-        use pran_insight::live::BurnSeverity;
+        use pran_insight::slo::BurnSeverity;
         assert!(
             severities.contains(&BurnSeverity::Ticket),
             "sustained outage must at least ticket: {severities:?}"
@@ -504,6 +491,27 @@ mod tests {
             saw_state,
             severities.iter().map(|s| s.code()).max().unwrap()
         );
+    }
+
+    #[test]
+    fn without_a_policy_nothing_is_judged() {
+        // The outage that alerts, violates and burns under the default
+        // policy above: with no policy, every epoch passes unjudged.
+        let mut m = judged_by(24, 2, None);
+        assert_eq!(m.policy(), None);
+        m.step_epoch();
+        let servers = m.shards[0].pool.config().servers;
+        m.kill_servers(0, servers);
+        m.kill_servers(1, servers);
+        for _ in 0..30 {
+            let s = m.step_epoch();
+            assert!(s.record.lost > 0, "a dead metro loses tasks");
+            assert!(s.alerts.is_empty() && s.burn_alert.is_none());
+            let r = s.record;
+            assert_eq!((r.alert_mask, r.burn_severity), (0, 0));
+            assert_eq!((r.burn_fast, r.burn_slow), (0.0, 0.0));
+            assert!(!r.violation);
+        }
     }
 
     #[test]

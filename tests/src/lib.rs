@@ -6,7 +6,7 @@ pub mod reference;
 /// back today: its config carries five sections `SystemConfig` no longer
 /// has (`pool.cores`, `scheduler`, `parallel`, `telemetry`, `metro`), five
 /// `SloPolicy` fields (`slo.ewma_alpha` and the four burn-rate knobs, now
-/// constants of `BurnRateAlerter`), the two bounds the `chaos` section
+/// constants of `SloMonitor`), the two bounds the `chaos` section
 /// held before `slo` became their one home (`outage_bound`,
 /// `miss_ratio_bound`) and the two failover prices that are now constants
 /// beside `FailoverTiming::outage` (`replan_overhead`,

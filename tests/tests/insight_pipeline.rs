@@ -111,7 +111,7 @@ fn hostile_subframe_is_rejected_and_never_attributed() {
     assert!(attribution_table(&paths).contains("no deadline misses"));
 }
 
-/// A real burn-rate alerter's event validates; a line whose severity is
+/// A real burn-rate alert's event validates; a line whose severity is
 /// neither `ticket` nor `page`, or that lost its `factor`, fails, naming
 /// the line. CI runs `telemetry_check` on the committed
 /// `hostile_burn_alert.jsonl` expecting a failure too.
@@ -120,9 +120,19 @@ fn burn_alerts_are_validated_by_their_own_rule() {
     let real = {
         let _guard = TRACER.lock().unwrap();
         pran_telemetry::configure(TelemetryConfig::sim());
-        let mut alerter = pran_insight::BurnRateAlerter::new(0.01);
-        let alert = (0..3).find_map(|e| alerter.observe(e, e * 1000, 0.5).1);
-        let events = pran_telemetry::trace::drain();
+        let mut monitor = pran_insight::SloMonitor::new(pran_insight::SloPolicy::default_eval());
+        let alert = (0..3).find_map(|epoch| {
+            let sample = pran_insight::EpochSample {
+                epoch,
+                at_us: epoch * 1000,
+                miss_ratio: Some(0.5),
+                ..Default::default()
+            };
+            monitor.observe_epoch(&sample).burn_alert
+        });
+        // The same epochs raise a threshold alert too; keep the burn one.
+        let mut events = pran_telemetry::trace::drain();
+        events.retain(|e| e.name == "insight.burn_alert");
         pran_telemetry::disable();
         assert!(alert.is_some(), "a sustained breach must ticket");
         export::to_jsonl(&events)
