@@ -77,7 +77,9 @@ pub struct ControllerStats {
 /// Per-epoch summary returned by [`Controller::run_epoch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochReport {
-    /// Epoch sequence number (1-based).
+    /// Epoch sequence number, 1-based: the count of epochs run so far.
+    /// The `ctrl.epoch` trace event and the SLO monitor's samples carry
+    /// the 0-based index, one less.
     pub epoch: u64,
     /// Cells moved by the placement pass.
     pub migrations: usize,
@@ -111,7 +113,8 @@ pub struct FailureReport {
 ///
 /// On the wire `allowed` is one server row per topology cell, the form
 /// snapshots have always had; in memory identical rows are one class, so
-/// neither direction builds a cells × servers matrix.
+/// neither direction builds a cells × servers matrix. Neither direction
+/// is derived, because the wire shape is not the struct's.
 #[derive(Debug, Clone)]
 struct TopologyBinding {
     reach: Reachability,
@@ -530,13 +533,16 @@ impl Controller {
         let apps_span = pran_telemetry::trace::span("ctrl.apps");
         let (applied, rejected) = self.run_apps(|app, view| app.on_epoch(view));
         apps_span.finish_with(&[("applied", applied.into()), ("rejected", rejected.into())]);
+        // Traces and SLO samples carry the epoch's 0-based index, as
+        // every driver numbers them; `EpochReport::epoch` is the count.
         let epoch = self.stats.epochs;
+        let index = epoch - 1;
         if pran_telemetry::enabled() {
             pran_telemetry::trace::sim_event(
                 "ctrl.epoch",
                 now.as_micros() as u64,
                 &[
-                    ("epoch", epoch.into()),
+                    ("epoch", index.into()),
                     ("migrations", plan.len().into()),
                     ("dirty", dirty.into()),
                     ("servers_used", servers_used.into()),
@@ -546,8 +552,8 @@ impl Controller {
                 ],
             );
         }
-        // Feed the online SLO monitor, stamped with the 0-based epoch
-        // index: placed demand over alive, undrained capacity, plus the
+        // Feed the online SLO monitor, stamped with the same index:
+        // placed demand over alive, undrained capacity, plus the
         // unplaced-cell count. Breaches surface via `slo_alerts` and as
         // `insight.alert` events.
         let mut placed_gops = 0.0;
@@ -561,7 +567,7 @@ impl Controller {
             .map(|s| self.server_capacity(s))
             .sum();
         self.slo_monitor.observe_epoch(&EpochSample {
-            epoch: epoch - 1,
+            epoch: index,
             at_us: now.as_micros() as u64,
             utilization: (capacity_gops > 0.0).then(|| placed_gops / capacity_gops),
             unplaced: Some(unplaced as u64),

@@ -85,7 +85,11 @@ impl SloMetric {
 /// `miss_ratio_max`), so the online monitor and the post-hoc chaos
 /// invariants agree about what "unhealthy" means. A new bound belongs
 /// here.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+///
+/// Configs serialized before the hysteresis ratios existed still read,
+/// absent ratios being 1.0; the keys older versions wrote (the smoothing
+/// factor, the four burn-rate knobs) are skipped as unknown keys.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SloPolicy {
     /// Maximum tolerated deadline-miss ratio.
     pub miss_ratio_max: f64,
@@ -101,12 +105,19 @@ pub struct SloPolicy {
     /// exceeds `threshold × trigger_ratio`. 1.0 (the default, and what
     /// older serialized configs decode to) keeps the pre-hysteresis
     /// behavior.
+    #[serde(default = "unit_ratio")]
     pub trigger_ratio: f64,
     /// Clear sensitivity: a breached metric re-arms only once its value
     /// drops to `threshold × clear_ratio` or below. Set below
     /// `trigger_ratio` for hysteresis (fewer flapping re-alerts); 1.0
     /// (default) clears at the plain threshold.
+    #[serde(default = "unit_ratio")]
     pub clear_ratio: f64,
+}
+
+/// The default trigger and clear ratio: the plain threshold.
+fn unit_ratio() -> f64 {
+    1.0
 }
 
 impl SloPolicy {
@@ -120,8 +131,8 @@ impl SloPolicy {
             outage_p99_max: Duration::from_millis(200),
             reports_lost_max: 0,
             unplaced_max: 0,
-            trigger_ratio: 1.0,
-            clear_ratio: 1.0,
+            trigger_ratio: unit_ratio(),
+            clear_ratio: unit_ratio(),
         }
     }
 
@@ -141,38 +152,6 @@ impl SloPolicy {
 impl Default for SloPolicy {
     fn default() -> Self {
         Self::default_eval()
-    }
-}
-
-/// [`SloPolicy`] as it is read: configs serialized before the
-/// hysteresis ratios existed still parse, absent ratios being their
-/// [`SloPolicy::default_eval`] values, and the keys older versions wrote
-/// (the smoothing factor, the four burn-rate knobs) are skipped as
-/// unknown keys.
-#[derive(Deserialize)]
-struct SloPolicyWire {
-    miss_ratio_max: f64,
-    utilization_max: f64,
-    outage_p99_max: Duration,
-    reports_lost_max: u64,
-    unplaced_max: u64,
-    trigger_ratio: Option<f64>,
-    clear_ratio: Option<f64>,
-}
-
-impl Deserialize for SloPolicy {
-    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let wire = SloPolicyWire::read(r)?;
-        let default = SloPolicy::default_eval();
-        Ok(SloPolicy {
-            miss_ratio_max: wire.miss_ratio_max,
-            utilization_max: wire.utilization_max,
-            outage_p99_max: wire.outage_p99_max,
-            reports_lost_max: wire.reports_lost_max,
-            unplaced_max: wire.unplaced_max,
-            trigger_ratio: wire.trigger_ratio.unwrap_or(default.trigger_ratio),
-            clear_ratio: wire.clear_ratio.unwrap_or(default.clear_ratio),
-        })
     }
 }
 

@@ -212,7 +212,7 @@ impl fmt::Display for FunctionalSplit {
 }
 
 /// Workload of one cell in one TTI, as seen by the compute model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CellWorkload {
     /// Carrier bandwidth of the cell.
     pub bandwidth: Bandwidth,
@@ -224,35 +224,11 @@ pub struct CellWorkload {
     pub mcs: Mcs,
     /// Uplink or downlink.
     pub direction: Direction,
-    /// Which stages run in the pool (vs the cell site).
+    /// Which stages run in the pool (vs the cell site). Workloads
+    /// serialized before functional splits existed read as `Full`, the
+    /// pre-split behavior.
+    #[serde(default)]
     pub split: FunctionalSplit,
-}
-
-/// [`CellWorkload`] as it is read: workloads serialized before
-/// functional splits existed still parse, a missing `split` being
-/// `Full`, the pre-split behavior.
-#[derive(Deserialize)]
-struct CellWorkloadWire {
-    bandwidth: Bandwidth,
-    antennas: AntennaConfig,
-    prbs_used: u32,
-    mcs: Mcs,
-    direction: Direction,
-    split: Option<FunctionalSplit>,
-}
-
-impl Deserialize for CellWorkload {
-    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let wire = CellWorkloadWire::read(r)?;
-        Ok(CellWorkload {
-            bandwidth: wire.bandwidth,
-            antennas: wire.antennas,
-            prbs_used: wire.prbs_used,
-            mcs: wire.mcs,
-            direction: wire.direction,
-            split: wire.split.unwrap_or_default(),
-        })
-    }
 }
 
 impl CellWorkload {

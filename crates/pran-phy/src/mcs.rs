@@ -67,7 +67,7 @@ const CODE_RATE_X1024: [u32; 29] = [
 pub struct Mcs(u8);
 
 /// Refuses an index past the table from untrusted text: `Mcs` looks its
-/// table up unchecked.
+/// table up unchecked. Not derived, because a derive does not validate.
 impl Deserialize for Mcs {
     fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
         let index = u8::read(r)?;

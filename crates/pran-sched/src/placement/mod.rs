@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Compute demand of one cell for the next placement epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CellDemand {
     /// Dense cell id (index into the instance).
     pub id: usize,
@@ -31,7 +31,9 @@ pub struct CellDemand {
     pub gops: f64,
     /// Turbo-decode share of `gops` that a server-side hardware
     /// accelerator can absorb (`0 ≤ decode_gops ≤ gops`; 0.0 for
-    /// split/direction combinations that pool no decode).
+    /// split/direction combinations that pool no decode, and for
+    /// demands serialized before accelerator offload existed).
+    #[serde(default)]
     pub decode_gops: f64,
 }
 
@@ -43,27 +45,6 @@ impl CellDemand {
             gops,
             decode_gops: 0.0,
         }
-    }
-}
-
-/// [`CellDemand`] as it is read: demands serialized before accelerator
-/// offload existed still parse, a missing `decode_gops` being 0.0 —
-/// nothing to offload.
-#[derive(Deserialize)]
-struct CellDemandWire {
-    id: usize,
-    gops: f64,
-    decode_gops: Option<f64>,
-}
-
-impl Deserialize for CellDemand {
-    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let wire = CellDemandWire::read(r)?;
-        Ok(CellDemand {
-            id: wire.id,
-            gops: wire.gops,
-            decode_gops: wire.decode_gops.unwrap_or(0.0),
-        })
     }
 }
 

@@ -150,7 +150,8 @@ pub struct WarmPlacer {
 
 /// [`WarmPlacer`] as it is read: placers serialized before accelerator
 /// offload existed still parse, a missing `booked_decode` being all-zero
-/// bookings of `booked`'s length.
+/// bookings of `booked`'s length. Not derived, because that default
+/// depends on a sibling field.
 #[derive(Deserialize)]
 struct WarmPlacerWire {
     config: WarmConfig,

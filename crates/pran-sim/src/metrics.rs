@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 pub use pran_telemetry::metrics::LogHistogram;
 
 /// Top-level metrics a pool simulation produces.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PoolMetrics {
     /// Subframe tasks generated.
     pub tasks_total: u64,
@@ -31,7 +31,9 @@ pub struct PoolMetrics {
     /// Fronthaul payload bytes offered to cell links (delivered or not);
     /// zero when no [`LinkFault`](crate::pool::LinkFault) is configured.
     /// Scales with each cell's functional split
-    /// ([`pran_phy::FunctionalSplit::fronthaul_bytes_per_tti`]).
+    /// ([`pran_phy::FunctionalSplit::fronthaul_bytes_per_tti`]). Reports
+    /// serialized before this counter existed read it as 0.
+    #[serde(default)]
     pub fronthaul_bytes: u64,
     /// Placement epochs executed.
     pub epochs: u64,
@@ -48,47 +50,6 @@ pub struct PoolMetrics {
     /// model and the parallel executor alike. Missed tasks are counted in
     /// `deadline_misses`, not here.
     pub deadline_slack: LogHistogram,
-}
-
-/// [`PoolMetrics`] as it is read: reports serialized before the
-/// fronthaul byte counter existed still parse, a missing
-/// `fronthaul_bytes` being 0.
-#[derive(Deserialize)]
-struct PoolMetricsWire {
-    tasks_total: u64,
-    deadline_misses: u64,
-    tasks_lost: u64,
-    reports_lost: u64,
-    migrations: u64,
-    steals: u64,
-    fronthaul_bytes: Option<u64>,
-    epochs: u64,
-    servers_used: Vec<usize>,
-    demand_gops: Vec<f64>,
-    outages: LogHistogram,
-    response_times: LogHistogram,
-    deadline_slack: LogHistogram,
-}
-
-impl Deserialize for PoolMetrics {
-    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let wire = PoolMetricsWire::read(r)?;
-        Ok(PoolMetrics {
-            tasks_total: wire.tasks_total,
-            deadline_misses: wire.deadline_misses,
-            tasks_lost: wire.tasks_lost,
-            reports_lost: wire.reports_lost,
-            migrations: wire.migrations,
-            steals: wire.steals,
-            fronthaul_bytes: wire.fronthaul_bytes.unwrap_or(0),
-            epochs: wire.epochs,
-            servers_used: wire.servers_used,
-            demand_gops: wire.demand_gops,
-            outages: wire.outages,
-            response_times: wire.response_times,
-            deadline_slack: wire.deadline_slack,
-        })
-    }
 }
 
 impl PoolMetrics {

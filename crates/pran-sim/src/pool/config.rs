@@ -70,6 +70,7 @@ impl SplitPlan {
 // a per-cell plan as an array of tags; `null`/missing reads as the
 // pre-split default so configs written before splits existed still
 // parse. Unknown tags are rejected by `FunctionalSplit`'s own decoder.
+// Neither direction is derived: that wire shape is not the enum's.
 impl Serialize for SplitPlan {
     fn serialize<S: serde::Sink>(&self, sink: &mut S) {
         match self {

@@ -175,35 +175,37 @@ impl PoolSimulator {
                     // Simulate sampled TTIs of every step in the epoch.
                     execute(&mut shard, rows, first, step_seconds, &mut metrics);
 
-                    // Per-epoch health observation: publish gauges for
-                    // scrapers (miss ratio and lost reports over the run)
-                    // and feed the SLO monitor the epoch's own values.
+                    // Per-epoch health observation: the epoch's own
+                    // values (the outage p99 covers the run so far), as
+                    // gauges for scrapers and as the SLO monitor's sample.
                     let alive_capacity = shard.alive().iter().filter(|a| **a).count() as f64
                         * cfg.server_capacity_gops;
                     let utilization =
                         (alive_capacity > 0.0).then(|| placed.demand_gops / alive_capacity);
                     let outage_p99 = metrics.outages.try_quantile(0.99);
+                    let tasks = metrics.tasks_total - tasks;
+                    let missed = metrics.deadline_misses + metrics.tasks_lost - missed;
+                    let miss_ratio = missed as f64 / tasks.max(1) as f64;
+                    let reports_lost = metrics.reports_lost - reports_lost;
                     if pran_telemetry::enabled() {
                         let registry = pran_telemetry::metrics::global();
-                        registry.gauge("pool.miss_ratio", &[], metrics.miss_ratio());
+                        registry.gauge("pool.miss_ratio", &[], miss_ratio);
                         if let Some(u) = utilization {
                             registry.gauge("pool.utilization", &[], u);
                         }
-                        registry.gauge("pool.reports_lost", &[], metrics.reports_lost as f64);
+                        registry.gauge("pool.reports_lost", &[], reports_lost as f64);
                         if let Some(p99) = outage_p99 {
                             registry.gauge("pool.outage_p99_us", &[], p99.as_micros() as f64);
                         }
                     }
                     if let Some(monitor) = slo_monitor.as_mut() {
-                        let tasks = metrics.tasks_total - tasks;
-                        let missed = metrics.deadline_misses + metrics.tasks_lost - missed;
                         monitor.observe_epoch(&EpochSample {
                             epoch: e as u64,
                             at_us: now_us,
-                            miss_ratio: Some(missed as f64 / tasks.max(1) as f64),
+                            miss_ratio: Some(miss_ratio),
                             utilization,
                             outage_p99,
-                            reports_lost: Some(metrics.reports_lost - reports_lost),
+                            reports_lost: Some(reports_lost),
                             unplaced: Some(placed.unplaced as u64),
                         });
                     }

@@ -70,8 +70,9 @@ pub struct EpochRecord {
     pub utilization: f64,
     /// Cells the placement left unserved this epoch.
     pub unplaced: u64,
-    /// Bitmask of [`SloMetric`]s that raised an alert this epoch
-    /// (bit = position in [`SloMetric::all`]).
+    /// Bitmask of [`SloMetric`](pran_insight::SloMetric)s that raised an
+    /// alert this epoch (bit = position in
+    /// [`SloMetric::all`](pran_insight::SloMetric::all)).
     pub alert_mask: u32,
     /// Whether this epoch breached the chaos-aligned safety envelope
     /// (epoch-local miss ratio or unplaced cells past the SLO policy

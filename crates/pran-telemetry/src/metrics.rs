@@ -288,7 +288,8 @@ impl<const LEN: usize> Serialize for LogBuckets<LEN> {
 }
 
 /// [`LogBuckets`] of any resolution as it is read; which one the
-/// buckets are for shows in their number alone.
+/// buckets are for shows in their number alone. Not derived, because a
+/// derive does not validate that number against `LEN`.
 #[derive(Deserialize)]
 struct LogBucketsWire {
     buckets: Vec<u64>,

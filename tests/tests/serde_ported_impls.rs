@@ -1,6 +1,6 @@
 //! The five hand-written `Serialize` impls say the same thing to every
-//! sink, and the eight hand-written `Deserialize` impls read every way
-//! their text may be written.
+//! sink, and the eight readers of types whose text has changed read
+//! every way it may be written.
 //!
 //! `vendor/serde_json/tests/differential.rs` holds the derive and the
 //! std impls to the three-sink contract and pins the format itself; the
@@ -8,10 +8,10 @@
 //! lifetime, working state kept off the wire, a run-length class table,
 //! an untagged enum) get the same contract here, on non-trivial values.
 //! `vendor/serde_json/tests/read_differential.rs` is the same for
-//! reading; the eight types with a `read` of their own (six convert from
-//! a derived wire struct whose defaulted fields are `Option`s, two keep
-//! a loop) are held to it here, together with what each of them makes
-//! of a text written before its newest field existed.
+//! reading; eight types are held to it here (four derive their reader
+//! with `#[serde(default)]` fields, two convert from a derived wire
+//! struct, two keep a loop), together with what each of them makes of a
+//! text written before its newest field existed.
 
 use std::time::Duration;
 

@@ -1,12 +1,15 @@
 //! Cross-crate telemetry integration: a pooled simulation traced under the
 //! simulated clock must export deterministically, and the export must
-//! reconstruct the per-subframe latency breakdown.
+//! reconstruct the per-subframe latency breakdown. Gauges and traces
+//! carry the epoch's own values and its 0-based index.
 
 use std::sync::Mutex;
 use std::time::Duration;
 
+use pran::{Controller, SystemConfig};
 use pran_sched::realtime::ParallelConfig;
-use pran_sim::{PoolConfig, PoolSimulator};
+use pran_sim::{FailureSpec, PoolConfig, PoolSimulator};
+use pran_telemetry::metrics::InstrumentValue;
 use pran_telemetry::{export, TelemetryConfig, TraceEvent};
 use pran_traces::{generate, TraceConfig};
 
@@ -86,4 +89,63 @@ fn disabled_telemetry_captures_nothing_from_a_pool_run() {
     let mut sim = PoolSimulator::new(generate(&tcfg), PoolConfig::default_eval(4));
     let _ = sim.run();
     assert!(pran_telemetry::trace::drain().is_empty());
+}
+
+#[test]
+fn pool_gauges_carry_the_last_epochs_own_values() {
+    let _guard = TRACER.lock().unwrap();
+    pran_telemetry::configure(TelemetryConfig::sim());
+    let registry = pran_telemetry::metrics::global();
+    registry.clear();
+    let mut tcfg = TraceConfig::default_day(24, 4);
+    tcfg.duration_seconds = 2.0 * 3600.0;
+    tcfg.step_seconds = 120.0;
+    let mut cfg = PoolConfig::default_eval(2);
+    cfg.server_capacity_gops = 600.0;
+    cfg.epoch_steps = 2;
+    let mut sim = PoolSimulator::new(generate(&tcfg), cfg);
+    // Server 1 of 2 is down when epoch 2 is placed: a lossy epoch, then
+    // clean ones to the end of the run.
+    sim.inject_failure(FailureSpec {
+        server: 1,
+        at: Duration::from_secs(300),
+        recover_after: Some(Duration::from_secs(400)),
+    });
+    let report = sim.run();
+    pran_telemetry::disable();
+    pran_telemetry::trace::drain();
+    assert!(report.metrics.tasks_lost > 0, "the failure must lose tasks");
+    let gauge = |name: &str| {
+        let snapshot = registry.snapshot();
+        match snapshot.instruments.iter().find(|i| i.name == name) {
+            Some(i) => match i.value {
+                InstrumentValue::Gauge(g) => g,
+                _ => panic!("{name} is not a gauge"),
+            },
+            None => panic!("no {name} gauge"),
+        }
+    };
+    assert_eq!(gauge("pool.miss_ratio"), 0.0, "the last epoch's ratio");
+    assert_eq!(gauge("pool.reports_lost"), 0.0);
+    registry.clear();
+}
+
+#[test]
+fn controller_traces_the_epoch_index() {
+    let _guard = TRACER.lock().unwrap();
+    pran_telemetry::configure(TelemetryConfig::sim());
+    let mut ctl = Controller::new(SystemConfig::default_eval(2));
+    let cell = ctl.register_cell();
+    ctl.report_load(cell, 0.5).expect("registered");
+    let reports: Vec<u64> = (0..2)
+        .map(|t| ctl.run_epoch(Duration::from_secs(60 * t)).epoch)
+        .collect();
+    pran_telemetry::disable();
+    let traced: Vec<u64> = pran_telemetry::trace::drain()
+        .iter()
+        .filter(|e| e.name == "ctrl.epoch")
+        .filter_map(|e| e.field_u64("epoch"))
+        .collect();
+    assert_eq!(traced, [0, 1], "the 0-based index");
+    assert_eq!(reports, [1, 2], "the count");
 }
