@@ -3,6 +3,7 @@
 use std::time::Duration;
 
 use pran_insight::SloPolicy;
+use pran_phy::compute::ComputeModel;
 use pran_phy::frame::{AntennaConfig, Bandwidth};
 use pran_phy::mcs::Mcs;
 use pran_sched::placement::WarmConfig;
@@ -62,6 +63,18 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
+    /// The demand the controller predicts for a cell at `utilization`:
+    /// its UL+DL GOPS times `headroom`. The one place that expression is
+    /// written; the model checker's demand table calls it too.
+    pub fn predicted_gops(&self, utilization: f64) -> f64 {
+        ComputeModel::calibrated().cell_gops_bidirectional(
+            self.bandwidth,
+            self.antennas,
+            utilization,
+            self.mcs,
+        ) * self.headroom
+    }
+
     /// Evaluation defaults: 20 MHz / 4×2 cells, 400-GOPS servers,
     /// 1-minute epochs, 10 % headroom.
     pub fn default_eval(servers: usize) -> Self {

@@ -17,10 +17,10 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use pran_insight::slo::{Alert, EpochSample, SloMonitor};
-use pran_phy::compute::ComputeModel;
 use pran_sched::placement::migration::incremental_repack;
 use pran_sched::placement::{
-    Allowed, CellDemand, Placement, PlacementInstance, ProductMask, ServerSpec, WarmPlacer,
+    Allowed, CellDemand, Placement, PlacementError, PlacementInstance, ProductMask, ServerSpec,
+    WarmPlacer,
 };
 
 use pran_fronthaul::topology::{Reachability, Topology};
@@ -185,7 +185,6 @@ fn read_reachability(r: &mut serde::Reader<'_>) -> Result<Reachability, serde::E
 #[derive(Clone)]
 pub struct Controller {
     config: SystemConfig,
-    model: ComputeModel,
     cells: Vec<CellState>,
     servers: Vec<ServerState>,
     placement: Placement,
@@ -201,7 +200,7 @@ pub struct Controller {
     /// factors follow `cells[c].active`, [`ServerState::usable`] and the
     /// bound topology, one entry per state change.
     instance: PlacementInstance,
-    /// UL+DL GOPS by PRB count, each entry computed when first asked for
+    /// Predicted demand by PRB count, each entry computed when first asked for
     /// (a load fraction rounds to a whole PRB grant, so no other demand
     /// values exist). Empty until the first prediction.
     gops_by_prbs: Vec<Option<f64>>,
@@ -261,7 +260,6 @@ impl Controller {
         let cells_len = cells.len();
         let mut controller = Controller {
             config,
-            model: ComputeModel::calibrated(),
             cells,
             servers,
             placement,
@@ -333,12 +331,6 @@ impl Controller {
     /// Capacity of one server in GOPS (topology-aware).
     fn server_capacity(&self, server: usize) -> f64 {
         self.instance.servers[server].capacity_gops
-    }
-
-    /// Fronthaul reachability of a (cell, server) pair.
-    fn reachable(&self, cell: usize, server: usize) -> bool {
-        let reach = self.mask().reach.as_ref();
-        reach.is_none_or(|r| r.allows(cell, server))
     }
 
     /// Install a control application (runs in installation order).
@@ -427,15 +419,8 @@ impl Controller {
             // UL+DL GOPS depend on `u` only through the PRB grant it
             // rounds to, so the first utilization seen for a grant stands
             // for all of them.
-            let gops = *self.gops_by_prbs[bandwidth.prbs_at(u) as usize].get_or_insert_with(|| {
-                self.model.cell_gops_bidirectional(
-                    bandwidth,
-                    self.config.antennas,
-                    u,
-                    self.config.mcs,
-                )
-            });
-            gops * self.config.headroom
+            *self.gops_by_prbs[bandwidth.prbs_at(u) as usize]
+                .get_or_insert_with(|| self.config.predicted_gops(u))
         } else {
             0.0
         };
@@ -630,23 +615,14 @@ impl Controller {
                 if to >= self.servers.len() {
                     return Err(ActionError::NoSuchServer(to));
                 }
-                if !self.servers[to].usable() {
-                    return Err(ActionError::ServerDown(to));
-                }
-                if !self.reachable(cell, to) {
-                    return Err(ActionError::ServerDown(to)); // out of fronthaul reach
-                }
-                // Capacity check at predicted demand, with the tolerance
-                // every placer and `validate` use.
-                let mut load = 0.0;
-                for c in 0..self.cells.len() {
-                    if c != cell && self.placement.assignment[c] == Some(to) {
-                        load += self.predicted_gops(c);
-                    }
-                }
-                if !self.instance.servers[to].fits(load + self.predicted_gops(cell)) {
-                    return Err(ActionError::WouldOverload { server: to });
-                }
+                // Down, drained or out of fronthaul reach fails the mask;
+                // the capacity test is `validate`'s, at predicted demand.
+                self.instance
+                    .validate_move(&self.placement.assignment, cell, to)
+                    .map_err(|e| match e {
+                        PlacementError::NotAllowed { .. } => ActionError::ServerDown(to),
+                        _ => ActionError::WouldOverload { server: to },
+                    })?;
                 if self.placement.assignment[cell] != Some(to) {
                     self.placement.assignment[cell] = Some(to);
                     self.stats.migrations += 1;

@@ -398,8 +398,10 @@ mod tests {
     /// absolute `1e-9` slack. The epoch's repack packs them onto one
     /// server, and its failover must conform. The failover app admits a
     /// move only under `capacity` itself, so no enumerated operation takes
-    /// [`Model::mirror_migrate`] past it: the moves that do are held to
-    /// `Controller::apply_action`'s verdict here, off a packed state.
+    /// the model's admission past it: the moves that do are held to
+    /// `Controller::apply_action`'s verdict here, off a packed state,
+    /// through [`Model::migrate`], the path the model's crash delivery
+    /// takes.
     #[test]
     fn failover_and_moves_at_the_fit_boundary_conform() {
         let top = *Model::new(McConfig::headline())
@@ -427,8 +429,9 @@ mod tests {
                 .apply_action(pran::Action::Migrate { cell: 1, to })
                 .is_ok();
             assert!(concrete, "the controller admits c1→s{to}");
+            let instance = model.placement_instance(&state);
             assert!(
-                model.mirror_migrate(&mut state, 1, to),
+                Model::migrate(&instance, &mut state, 1, to),
                 "the model must admit c1→s{to} as the controller does"
             );
             compare_views(&model, &ctl, &state, &packed).unwrap();

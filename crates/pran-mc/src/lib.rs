@@ -23,10 +23,12 @@
 //! Three properties keep the enumeration honest:
 //!
 //! * **Exactness** — the model is a bitwise-faithful projection of
-//!   [`pran::Controller`]: epochs call the real `incremental_repack`,
-//!   crash delivery runs the real [`pran::apps::FailoverApp`], and the
-//!   demand table is computed through the controller's own
-//!   compute-model path. The [`conformance`] layer *checks* this by
+//!   [`pran::Controller`] that re-writes none of its rules: epochs call
+//!   the real `incremental_repack`, crash delivery runs the real
+//!   [`pran::apps::FailoverApp`] and admits its moves through the
+//!   controller's own `PlacementInstance::validate_move`, and the demand
+//!   table comes from `SystemConfig::predicted_gops`, the expression the
+//!   controller's prediction evaluates. The [`conformance`] layer *checks* this by
 //!   carrying a concrete controller down the discovery tree and
 //!   comparing views with `==` on every field at every state.
 //! * **Soundness** — deduplication hashes exact canonical state

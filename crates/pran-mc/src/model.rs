@@ -1,15 +1,13 @@
 //! The abstract control-plane model: compact state, operations, and
-//! transition semantics that mirror `pran::Controller` *exactly*.
+//! transition semantics that follow `pran::Controller` *exactly*.
 //!
 //! The model is not a re-idealization of the controller — it is a
 //! projection of it. Wherever the concrete controller makes a decision
-//! that affects observable state, the model either calls the same code
-//! (`incremental_repack` for epochs, [`FailoverApp`] for crash response)
-//! or mirrors the implementation line for line (the validation of the
-//! failover app's `Migrate` actions in [`Model::mirror_migrate`]).
-//! Demands are precomputed through the
-//! `ComputeModel::cell_gops_bidirectional` call the controller's
-//! prediction makes, so every `f64` the model compares is *bitwise* equal
+//! that affects observable state, the model calls the same code:
+//! `incremental_repack` for epochs, [`FailoverApp`] for crash response,
+//! `PlacementInstance::validate_move` for the app's `Migrate` actions,
+//! and `SystemConfig::predicted_gops` for the demand table. No rule is
+//! written twice, so every `f64` the model compares is *bitwise* equal
 //! to the controller's and the conformance layer can use exact equality.
 //!
 //! The compression that makes exhaustive search feasible: a cell's report
@@ -23,7 +21,6 @@ use std::time::Duration;
 
 use pran::apps::FailoverApp;
 use pran::{Action, CellView, ControlApp, PoolView, ServerView, SystemConfig};
-use pran_phy::compute::ComputeModel;
 use pran_sched::placement::migration::incremental_repack;
 use pran_sched::placement::{
     Allowed, CellDemand, Placement, PlacementInstance, ProductMask, ServerSpec,
@@ -218,7 +215,8 @@ impl McConfig {
     }
 }
 
-/// The transition system: precomputed demand table + mirrored semantics.
+/// The transition system: precomputed demand table + the controller's
+/// transitions on abstract state.
 #[derive(Debug, Clone)]
 pub struct Model {
     cfg: McConfig,
@@ -275,19 +273,14 @@ impl Model {
         for &l in &cfg.levels {
             assert!((0.0..=1.0).contains(&l), "levels must be in [0, 1]");
         }
-        // The expression the controller's prediction evaluates, so the
-        // table is bitwise identical to it (a test below holds it there).
-        let predicted = |u: f64| {
-            let sys = &cfg.sys;
-            ComputeModel::calibrated().cell_gops_bidirectional(
-                sys.bandwidth,
-                sys.antennas,
-                u,
-                sys.mcs,
-            ) * sys.headroom
-        };
-        let demand: Vec<f64> = cfg.levels.iter().map(|&u| predicted(u)).collect();
-        let demand_unreported = predicted(0.0);
+        // The controller's own prediction, so the table is bitwise
+        // identical to it (a test below holds it there).
+        let demand = cfg
+            .levels
+            .iter()
+            .map(|&u| cfg.sys.predicted_gops(u))
+            .collect();
+        let demand_unreported = cfg.sys.predicted_gops(0.0);
         let capacity = cfg.sys.pool.capacity_gops;
         Model {
             cfg,
@@ -412,35 +405,23 @@ impl Model {
         }
     }
 
-    /// Mirror of `Controller::apply_action` for `Migrate` — the only
-    /// action the failover app emits. Validation order, liveness source
-    /// (belief, not truth) and the cell-order load sum are identical to
-    /// the implementation, so accept/reject verdicts match exactly.
-    /// Returns `true` when the migration was accepted (and applied).
-    pub fn mirror_migrate(&self, state: &mut StateView, cell: usize, to: usize) -> bool {
-        if cell >= state.cells.len() || !state.cells[cell].active {
-            return false;
-        }
-        if to >= state.believed.len() {
-            return false;
-        }
-        if !state.believed[to] {
-            return false;
-        }
-        let mut load = 0.0;
-        for c in 0..state.cells.len() {
-            if c != cell && state.placement[c] == Some(to) {
-                load += self.predicted(state, c);
-            }
-        }
-        let server = ServerSpec::plain(to, self.capacity, self.cfg.sys.pool.server_cost);
-        if !server.fits(load + self.predicted(state, cell)) {
-            return false;
-        }
-        if state.placement[cell] != Some(to) {
+    /// Apply `Migrate { cell, to }` where `Controller::apply_action`
+    /// would: both ids in range, then the controller's own admission
+    /// rule, [`PlacementInstance::validate_move`], on `instance` (this
+    /// state's [`Model::placement_instance`]). Returns whether it applied.
+    pub(crate) fn migrate(
+        instance: &PlacementInstance,
+        state: &mut StateView,
+        cell: usize,
+        to: usize,
+    ) -> bool {
+        let admitted = cell < state.cells.len()
+            && to < state.believed.len()
+            && instance.validate_move(&state.placement, cell, to).is_ok();
+        if admitted {
             state.placement[cell] = Some(to);
         }
-        true
+        admitted
     }
 
     /// Deliver a crash to the controller's belief: mark the server dead,
@@ -457,10 +438,13 @@ impl Model {
         for &c in &displaced {
             state.placement[c] = None;
         }
+        // A move changes no demand or mask, so one instance serves every
+        // move the app asks for.
         let view = self.view(state);
+        let instance = self.placement_instance(state);
         for action in FailoverApp::new().on_server_failed(server, &view) {
             if let Action::Migrate { cell, to } = action {
-                self.mirror_migrate(state, cell, to);
+                Self::migrate(&instance, state, cell, to);
             }
         }
         let price = self.cfg.sys.chaos.outage();

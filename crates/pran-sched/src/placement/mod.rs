@@ -412,24 +412,57 @@ impl PlacementInstance {
             }
         }
         for (server, &l) in load.iter().enumerate() {
-            if !self.servers[server].fits(l.general) {
-                let capacity = self.servers[server].capacity_gops;
-                return Err(PlacementError::OverCapacity {
-                    server,
-                    load: l.general,
-                    capacity,
-                });
+            self.check_load(server, l)?;
+        }
+        Ok(())
+    }
+
+    /// Check moving `cell` onto `server` under `assignment`: the one
+    /// admission rule for a single move. The pair must pass the mask
+    /// (`NotAllowed`), and the server must fit the cell-order sum of its
+    /// other residents' loads plus the cell's (`OverCapacity`, or
+    /// `DecodeOverCapacity` on an accelerator). Both ids must be in range.
+    pub fn validate_move(
+        &self,
+        assignment: &[Option<usize>],
+        cell: usize,
+        server: usize,
+    ) -> Result<(), PlacementError> {
+        if !self.is_allowed(cell, server) {
+            return Err(PlacementError::NotAllowed { cell, server });
+        }
+        let spec = &self.servers[server];
+        let mut load = ServerLoad::default();
+        for (c, assigned) in assignment.iter().enumerate() {
+            if c != cell && *assigned == Some(server) {
+                let l = spec.load_of(&self.cells[c]);
+                load.general += l.general;
+                load.decode += l.decode;
             }
-            if !self.servers[server].fits_decode(l.decode) {
-                let capacity = self.servers[server]
-                    .accelerator
-                    .map_or(0.0, |a| a.decode_capacity_gops);
-                return Err(PlacementError::DecodeOverCapacity {
-                    server,
-                    load: l.decode,
-                    capacity,
-                });
-            }
+        }
+        let own = spec.load_of(&self.cells[cell]);
+        load.general += own.general;
+        load.decode += own.decode;
+        self.check_load(server, load)
+    }
+
+    /// Whether `server` carries `load`, as the error `validate` reports.
+    fn check_load(&self, server: usize, load: ServerLoad) -> Result<(), PlacementError> {
+        let spec = &self.servers[server];
+        if !spec.fits(load.general) {
+            return Err(PlacementError::OverCapacity {
+                server,
+                load: load.general,
+                capacity: spec.capacity_gops,
+            });
+        }
+        if !spec.fits_decode(load.decode) {
+            let capacity = spec.accelerator.map_or(0.0, |a| a.decode_capacity_gops);
+            return Err(PlacementError::DecodeOverCapacity {
+                server,
+                load: load.decode,
+                capacity,
+            });
         }
         Ok(())
     }
@@ -724,6 +757,75 @@ mod tests {
             general: 100.0,
             decode: 30.1
         }));
+    }
+
+    #[test]
+    fn validate_move_admits_to_the_tolerance_and_no_further() {
+        let cap = 100.0;
+        let limit = cap * (1.0 + ServerSpec::FIT_TOLERANCE);
+        let resident = 50.0;
+        let at_edge = cap * (1.0 + 5e-10) - resident;
+        let mut past = limit - resident;
+        while resident + past <= limit {
+            past = past.next_up();
+        }
+        let mut inst = PlacementInstance::uniform(&[resident, at_edge, past], 2, cap);
+        let on_0 = [Some(0), None, None];
+        assert!(resident + at_edge > cap + 1e-9, "past an absolute slack");
+        assert_eq!(inst.validate_move(&on_0, 1, 0), Ok(()));
+        assert_eq!(
+            inst.validate_move(&on_0, 2, 0),
+            Err(PlacementError::OverCapacity {
+                server: 0,
+                load: resident + past,
+                capacity: cap,
+            })
+        );
+        // A cell already on the server is not counted twice.
+        assert_eq!(inst.validate_move(&[Some(0), Some(0), None], 1, 0), Ok(()));
+
+        // A masked server and an out-of-reach one refuse before capacity.
+        inst.allowed = Allowed::Product(Box::new(ProductMask {
+            cells: vec![true; 3],
+            servers: vec![true, false],
+            reach: None,
+        }));
+        let refused = |server| Err(PlacementError::NotAllowed { cell: 0, server });
+        assert_eq!(inst.validate_move(&[None; 3], 0, 1), refused(1));
+        inst.allowed = Allowed::Product(Box::new(ProductMask {
+            cells: vec![true; 3],
+            servers: vec![true, true],
+            reach: Some(Reachability {
+                class_of: vec![0, 0, 0],
+                rows: vec![vec![false, true]],
+            }),
+        }));
+        assert_eq!(inst.validate_move(&[None; 3], 0, 0), refused(0));
+        assert_eq!(inst.validate_move(&[None; 3], 0, 1), Ok(()));
+    }
+
+    #[test]
+    fn validate_move_sums_the_other_residents_in_cell_order_then_the_cell() {
+        // Moving cell 0: its residents first, (0.2 + 0.3) + 0.1 = 0.6,
+        // where index order gives (0.1 + 0.2) + 0.3 = 0.6000000000000001.
+        // Moving cell 3: its residents in cell order give the latter,
+        // where the reverse order gives 0.6.
+        let inst = PlacementInstance::uniform(&[0.1, 0.2, 0.3, 0.0], 1, 0.5);
+        let load = |cell| match inst.validate_move(&[Some(0); 4], cell, 0) {
+            Err(PlacementError::OverCapacity { load, .. }) => load,
+            other => panic!("expected an overload, got {other:?}"),
+        };
+        assert_eq!(load(0).to_bits(), 0.6f64.to_bits());
+        assert_eq!(load(3).to_bits(), ((0.1f64 + 0.2) + 0.3).to_bits());
+        assert_ne!(0.6f64.to_bits(), ((0.1f64 + 0.2) + 0.3).to_bits());
+
+        // The decode share is checked on an accelerator as `validate` does.
+        let accel = accel_instance();
+        assert!(matches!(
+            accel.validate_move(&[Some(0), None], 1, 0),
+            Err(PlacementError::DecodeOverCapacity { server: 0, .. })
+        ));
+        assert_eq!(accel.validate_move(&[Some(0), None], 1, 1), Ok(()));
     }
 
     #[test]

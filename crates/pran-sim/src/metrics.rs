@@ -81,9 +81,9 @@ impl PoolMetrics {
         serde_json::to_string_pretty(self).expect("metrics serialize")
     }
 
-    // `reset`, `merge` and `append_epoch` each destructure `PoolMetrics`
-    // without a rest pattern, so a new field fails to compile until every
-    // one of them says what it does with it.
+    // `reset` and `fold` each destructure `PoolMetrics` without a rest
+    // pattern, so a new field fails to compile until both say what they
+    // do with it.
 
     /// Reset every counter, series and histogram in place, keeping the
     /// epoch series' capacity (histograms hold their counters inline) —
@@ -129,6 +129,23 @@ impl PoolMetrics {
     /// tail is kept as-is. The operation is commutative and associative,
     /// so the merged result is independent of merge order.
     pub fn merge(&mut self, other: &PoolMetrics) {
+        self.fold(other, false);
+    }
+
+    /// Append the metrics of the epochs that *follow* this one's (the
+    /// resident service's across-epochs fold): counters add and
+    /// histograms merge as in [`merge`](Self::merge), but `epochs` adds
+    /// and the per-epoch series concatenate, where the cross-pool merge
+    /// takes the maximum and adds element-wise.
+    pub fn append_epoch(&mut self, epoch: &PoolMetrics) {
+        self.fold(epoch, true);
+    }
+
+    /// The body of [`merge`](Self::merge) (`follows` false: one epoch
+    /// grid) and [`append_epoch`](Self::append_epoch) (`follows` true:
+    /// `other`'s epochs come after this one's). Only `epochs` and the two
+    /// series depend on it.
+    fn fold(&mut self, other: &PoolMetrics, follows: bool) {
         let PoolMetrics {
             tasks_total,
             deadline_misses,
@@ -151,48 +168,18 @@ impl PoolMetrics {
         self.migrations += migrations;
         self.steals += steals;
         self.fronthaul_bytes += fronthaul_bytes;
-        self.epochs = self.epochs.max(*epochs);
-        add_elementwise(&mut self.servers_used, servers_used);
-        add_elementwise(&mut self.demand_gops, demand_gops);
         self.outages.merge(outages);
         self.response_times.merge(response_times);
         self.deadline_slack.merge(deadline_slack);
-    }
-
-    /// Append the metrics of the epochs that *follow* this one's (the
-    /// resident service's across-epochs fold): counters add and
-    /// histograms merge as in [`merge`](Self::merge), but `epochs` adds
-    /// and the per-epoch series concatenate, where the cross-pool merge
-    /// takes the maximum and adds element-wise.
-    pub fn append_epoch(&mut self, epoch: &PoolMetrics) {
-        let PoolMetrics {
-            tasks_total,
-            deadline_misses,
-            tasks_lost,
-            reports_lost,
-            migrations,
-            steals,
-            fronthaul_bytes,
-            epochs,
-            servers_used,
-            demand_gops,
-            outages,
-            response_times,
-            deadline_slack,
-        } = epoch;
-        self.tasks_total += tasks_total;
-        self.deadline_misses += deadline_misses;
-        self.tasks_lost += tasks_lost;
-        self.reports_lost += reports_lost;
-        self.migrations += migrations;
-        self.steals += steals;
-        self.fronthaul_bytes += fronthaul_bytes;
-        self.epochs += epochs;
-        self.servers_used.extend_from_slice(servers_used);
-        self.demand_gops.extend_from_slice(demand_gops);
-        self.outages.merge(outages);
-        self.response_times.merge(response_times);
-        self.deadline_slack.merge(deadline_slack);
+        if follows {
+            self.epochs += epochs;
+            self.servers_used.extend_from_slice(servers_used);
+            self.demand_gops.extend_from_slice(demand_gops);
+        } else {
+            self.epochs = self.epochs.max(*epochs);
+            add_elementwise(&mut self.servers_used, servers_used);
+            add_elementwise(&mut self.demand_gops, demand_gops);
+        }
     }
 }
 

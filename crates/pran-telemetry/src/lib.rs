@@ -24,8 +24,8 @@
 //!   HARQ deadline slack) reconstructed from a trace.
 //!
 //! The crate is dependency-free within the workspace (only the vendored
-//! `serde`/`parking_lot` stand-ins), so every layer can emit into it
-//! without cycles.
+//! `serde` stand-in; its locks are `std::sync`'s), so every layer can
+//! emit into it without cycles.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,6 +35,8 @@ pub mod live;
 pub mod metrics;
 pub mod subframe;
 pub mod trace;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -107,6 +109,15 @@ pub fn disable() {
 #[inline]
 pub fn enabled() -> bool {
     trace::enabled()
+}
+
+/// Lock one of the crate's mutexes, recovering it if a panicking holder
+/// poisoned it: a thread that panics while recording must not stop every
+/// other thread's tracing and metrics. Each guarded value (an event
+/// buffer, a ring, the instrument map) is changed by single calls that
+/// leave it whole.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -23,10 +23,9 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
+use crate::lock;
 use crate::trace::{self, TraceEvent};
 
 struct LiveRing {
@@ -44,10 +43,8 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 /// Bumped on every arm/disarm so per-thread cached handles refresh.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
 
-fn slot() -> &'static Mutex<Option<Arc<Inner>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<Inner>>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
+/// The armed sink, `None` while disarmed.
+static SLOT: Mutex<Option<Arc<Inner>>> = Mutex::new(None);
 
 thread_local! {
     /// Cached `(generation, inner)` so the record path touches the global
@@ -74,7 +71,7 @@ pub fn arm(shards: usize, capacity: usize) {
             .collect(),
         capacity,
     });
-    *slot().lock() = Some(inner);
+    *lock(&SLOT) = Some(inner);
     GENERATION.fetch_add(1, Ordering::Release);
     ARMED.store(true, Ordering::Release);
 }
@@ -82,7 +79,7 @@ pub fn arm(shards: usize, capacity: usize) {
 /// Disarm the live sink and drop its rings.
 pub fn disarm() {
     ARMED.store(false, Ordering::Release);
-    *slot().lock() = None;
+    *lock(&SLOT) = None;
     GENERATION.fetch_add(1, Ordering::Release);
 }
 
@@ -101,7 +98,7 @@ fn with_inner<R>(f: impl FnOnce(&Inner) -> R) -> Option<R> {
             None => true,
         };
         if refresh {
-            *cached = Some((generation, slot().lock().clone()));
+            *cached = Some((generation, lock(&SLOT).clone()));
         }
         match cached.as_ref() {
             Some((_, Some(inner))) => Some(f(inner)),
@@ -118,7 +115,7 @@ fn with_inner<R>(f: impl FnOnce(&Inner) -> R) -> Option<R> {
 pub(crate) fn record(event: &TraceEvent) {
     with_inner(|inner| {
         let shard = trace::current_shard().unwrap_or(0) as usize % inner.shards.len();
-        let mut ring = inner.shards[shard].lock();
+        let mut ring = lock(&inner.shards[shard]);
         if ring.events.len() < inner.capacity {
             ring.events.push(*event);
         } else {
@@ -136,7 +133,7 @@ pub fn drain_shard_into(shard: usize, out: &mut Vec<TraceEvent>) -> usize {
         let Some(ring) = inner.shards.get(shard) else {
             return 0;
         };
-        let mut ring = ring.lock();
+        let mut ring = lock(ring);
         let n = ring.events.len();
         out.extend_from_slice(&ring.events);
         ring.events.clear();
@@ -147,7 +144,7 @@ pub fn drain_shard_into(shard: usize, out: &mut Vec<TraceEvent>) -> usize {
 
 /// Total events dropped (rings full) since the sink was armed.
 pub fn dropped() -> u64 {
-    with_inner(|inner| inner.shards.iter().map(|s| s.lock().dropped).sum()).unwrap_or(0)
+    with_inner(|inner| inner.shards.iter().map(|s| lock(s).dropped).sum()).unwrap_or(0)
 }
 
 /// Number of rings the armed sink routes into (0 when disarmed).

@@ -10,11 +10,12 @@
 //! binaries can stamp them into result files.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::Mutex;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+
+use crate::lock;
 
 /// Base-2 buckets: 40 reach ~12.7 days in microseconds.
 const EXPS: usize = 40;
@@ -354,7 +355,7 @@ pub struct Registry {
 
 impl Registry {
     /// Empty registry.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Registry {
             instruments: Mutex::new(BTreeMap::new()),
         }
@@ -362,7 +363,7 @@ impl Registry {
 
     /// Add `by` to a counter, creating it at zero.
     pub fn inc(&self, name: &str, labels: &[(&str, &str)], by: u64) {
-        let mut map = self.instruments.lock();
+        let mut map = lock(&self.instruments);
         match map
             .entry(key(name, labels))
             .or_insert(Instrument::Counter(0))
@@ -374,14 +375,12 @@ impl Registry {
 
     /// Set a gauge to its latest value.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.instruments
-            .lock()
-            .insert(key(name, labels), Instrument::Gauge(value));
+        lock(&self.instruments).insert(key(name, labels), Instrument::Gauge(value));
     }
 
     /// Record a duration into a histogram instrument.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], d: Duration) {
-        let mut map = self.instruments.lock();
+        let mut map = lock(&self.instruments);
         match map
             .entry(key(name, labels))
             .or_insert_with(|| Instrument::Histogram(Box::default()))
@@ -397,7 +396,7 @@ impl Registry {
 
     /// Merge a locally-aggregated histogram into a histogram instrument.
     pub fn merge_histogram(&self, name: &str, labels: &[(&str, &str)], h: &LogHistogram) {
-        let mut map = self.instruments.lock();
+        let mut map = lock(&self.instruments);
         match map
             .entry(key(name, labels))
             .or_insert_with(|| Instrument::Histogram(Box::default()))
@@ -409,7 +408,7 @@ impl Registry {
 
     /// Deterministic snapshot: instruments sorted by name, then labels.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let map = self.instruments.lock();
+        let map = lock(&self.instruments);
         RegistrySnapshot {
             instruments: map
                 .iter()
@@ -434,14 +433,14 @@ impl Registry {
 
     /// Remove every instrument.
     pub fn clear(&self) {
-        self.instruments.lock().clear();
+        lock(&self.instruments).clear();
     }
 }
 
 /// The process-wide registry instrumented code records into.
 pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
+    static GLOBAL: Registry = Registry::new();
+    &GLOBAL
 }
 
 /// One label key/value pair in a snapshot.
@@ -965,6 +964,30 @@ mod tests {
         let back: RegistrySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
 
+        r.clear();
+        assert!(r.snapshot().instruments.is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_registry_still_records_and_snapshots() {
+        let r = Registry::new();
+        r.inc("before", &[], 1);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _map = lock(&r.instruments);
+                panic!("a holder of the registry's lock panics");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(r.instruments.is_poisoned());
+        r.inc("before", &[], 1);
+        r.gauge("level", &[], 0.5);
+        r.observe("time", &[], us(1500));
+        r.merge_histogram("time", &[], &LogHistogram::new());
+        let snap = r.snapshot();
+        let names: Vec<&str> = snap.instruments.iter().map(|i| i.name.as_str()).collect();
+        assert_eq!(names, ["before", "level", "time"]);
+        assert_eq!(snap.instruments[0].value, InstrumentValue::Counter(2));
         r.clear();
         assert!(r.snapshot().instruments.is_empty());
     }

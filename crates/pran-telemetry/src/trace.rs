@@ -20,13 +20,12 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::TelemetryConfig;
+use crate::{lock, TelemetryConfig};
 
 /// Which clock stamped an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -228,19 +227,14 @@ const FLUSH_AT: usize = 8192;
 
 type SharedBuffer = Arc<Mutex<Vec<TraceEvent>>>;
 
-fn sink() -> &'static Mutex<Vec<TraceEvent>> {
-    static SINK: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(Vec::new()))
-}
+/// Events spilled or flushed from thread buffers.
+static SINK: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
 
 /// Every live thread buffer, so [`drain`] and [`configure`] can reach
 /// buffers of threads that have not exited yet. `thread::scope` may
 /// return to the spawner before a worker's thread-local destructors have
 /// run, so exit-time flushing alone would race with a post-run drain.
-fn buffers() -> &'static Mutex<Vec<SharedBuffer>> {
-    static BUFFERS: OnceLock<Mutex<Vec<SharedBuffer>>> = OnceLock::new();
-    BUFFERS.get_or_init(|| Mutex::new(Vec::new()))
-}
+static BUFFERS: Mutex<Vec<SharedBuffer>> = Mutex::new(Vec::new());
 
 fn mono_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -260,10 +254,10 @@ impl Drop for ThreadSlot {
     fn drop(&mut self) {
         // Move under the sink lock: a concurrent [`drain`] sweeps sink
         // and buffers under it, so the events are never in between.
-        let mut sink_guard = sink().lock();
-        sink_guard.append(&mut self.buffer.lock());
+        let mut sink_guard = lock(&SINK);
+        sink_guard.append(&mut lock(&self.buffer));
         drop(sink_guard);
-        buffers().lock().retain(|b| !Arc::ptr_eq(b, &self.buffer));
+        lock(&BUFFERS).retain(|b| !Arc::ptr_eq(b, &self.buffer));
     }
 }
 
@@ -310,10 +304,10 @@ pub fn canonicalize_by_shard() {
     // The straggler either flushes before (we take it, via sink or its
     // still-registered buffer) or blocks and appends after the
     // canonical block — late, but never lost.
-    let mut sink_guard = sink().lock();
+    let mut sink_guard = lock(&SINK);
     let mut events = std::mem::take(&mut *sink_guard);
-    for buffer in buffers().lock().iter() {
-        events.append(&mut buffer.lock());
+    for buffer in lock(&BUFFERS).iter() {
+        events.append(&mut lock(buffer));
     }
     events.sort_by_key(|e| e.field_u64("shard").map_or((0u8, 0u64), |s| (1, s)));
     *sink_guard = events;
@@ -322,10 +316,10 @@ pub fn canonicalize_by_shard() {
 /// Apply a configuration: clears the sink and every live thread buffer,
 /// then flips the recording switches.
 pub fn configure(config: TelemetryConfig) {
-    for buffer in buffers().lock().iter() {
-        buffer.lock().clear();
+    for buffer in lock(&BUFFERS).iter() {
+        lock(buffer).clear();
     }
-    sink().lock().clear();
+    lock(&SINK).clear();
     RECORD_MONO.store(matches!(config.clock, TraceClock::Full), Ordering::Relaxed);
     ENABLED.store(config.enabled, Ordering::Release);
 }
@@ -366,10 +360,10 @@ fn push_stamped(event: TraceEvent) {
         let mut slot = slot.borrow_mut();
         let slot = slot.get_or_insert_with(|| {
             let buffer: SharedBuffer = Arc::new(Mutex::new(Vec::new()));
-            buffers().lock().push(Arc::clone(&buffer));
+            lock(&BUFFERS).push(Arc::clone(&buffer));
             ThreadSlot { buffer }
         });
-        let mut events = slot.buffer.lock();
+        let mut events = lock(&slot.buffer);
         if events.capacity() == 0 {
             events.reserve(FLUSH_AT);
         }
@@ -377,7 +371,7 @@ fn push_stamped(event: TraceEvent) {
         if events.len() >= FLUSH_AT {
             let mut spilled = std::mem::take(&mut *events);
             drop(events);
-            sink().lock().append(&mut spilled);
+            lock(&SINK).append(&mut spilled);
         }
     });
 }
@@ -489,9 +483,9 @@ impl Drop for Span {
 pub fn flush() {
     LOCAL.with(|slot| {
         if let Some(slot) = slot.borrow().as_ref() {
-            let mut events = std::mem::take(&mut *slot.buffer.lock());
+            let mut events = std::mem::take(&mut *lock(&slot.buffer));
             if !events.is_empty() {
-                sink().lock().append(&mut events);
+                lock(&SINK).append(&mut events);
             }
         }
     });
@@ -503,10 +497,10 @@ pub fn drain() -> Vec<TraceEvent> {
     // Hold the sink lock across the sweep: `thread::scope` returns before
     // its workers' thread-local destructors run, and an exit-time flush
     // landing between the two steps would be left for the next drain.
-    let mut sink_guard = sink().lock();
+    let mut sink_guard = lock(&SINK);
     let mut out = std::mem::take(&mut *sink_guard);
-    for buffer in buffers().lock().iter() {
-        out.append(&mut buffer.lock());
+    for buffer in lock(&BUFFERS).iter() {
+        out.append(&mut lock(buffer));
     }
     out
 }
@@ -516,9 +510,10 @@ pub(crate) mod tests {
     use super::*;
 
     /// Global tracer state is shared; serialize the tests that touch it.
-    pub(crate) fn lock_tracer() -> parking_lot::MutexGuard<'static, ()> {
-        static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-        GUARD.get_or_init(|| Mutex::new(())).lock()
+    /// A failing test poisons the guard without failing the next.
+    pub(crate) fn lock_tracer() -> std::sync::MutexGuard<'static, ()> {
+        static GUARD: Mutex<()> = Mutex::new(());
+        lock(&GUARD)
     }
 
     #[test]
@@ -528,6 +523,30 @@ pub(crate) mod tests {
         sim_event("x", 1, &[]);
         mono_event("y", &[]);
         assert!(drain().is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_sink_still_records_and_drains() {
+        let _g = lock_tracer();
+        configure(TelemetryConfig::sim());
+        sim_event("before", 1, &[]);
+        let holder = std::thread::spawn(|| {
+            let _sink = lock(&SINK);
+            let _buffers = lock(&BUFFERS);
+            panic!("a holder of the sink's locks panics");
+        });
+        assert!(holder.join().is_err());
+        assert!(SINK.is_poisoned() && BUFFERS.is_poisoned());
+        sim_event("after", 2, &[]);
+        flush();
+        let n = FLUSH_AT as u64 + 1;
+        for i in 0..n {
+            sim_event("spilled", 3 + i, &[]);
+        }
+        let events = drain();
+        disable();
+        assert_eq!(events.len() as u64, 2 + n);
+        assert_eq!((events[0].name, events[1].name), ("before", "after"));
     }
 
     #[test]
@@ -603,7 +622,7 @@ pub(crate) mod tests {
         }
         // 2 × FLUSH_AT events spilled by threshold crossings; 4 still
         // local until the explicit flush inside drain().
-        assert!(sink().lock().len() >= 2 * FLUSH_AT);
+        assert!(lock(&SINK).len() >= 2 * FLUSH_AT);
         let events = drain();
         disable();
         assert_eq!(events.len() as u64, n);

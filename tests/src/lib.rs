@@ -2,6 +2,17 @@
 
 pub mod reference;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serialize the tests of one binary that configure, arm or drain the
+/// process-global tracer and live sinks. A test that fails while holding
+/// the lock poisons it; the next one takes it anyway, so one failure
+/// shows as one failure, not as every later test's `PoisonError`.
+pub fn lock_tracer() -> MutexGuard<'static, ()> {
+    static TRACER: Mutex<()> = Mutex::new(());
+    TRACER.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// `fixtures/controller_snapshot_v1.json` as the controller writes it
 /// back today: its config carries five sections `SystemConfig` no longer
 /// has (`pool.cores`, `scheduler`, `parallel`, `telemetry`, `metro`), five

@@ -4,8 +4,9 @@
 //! Critical-path attribution of every missed deadline in a seeded E6 run
 //! must sum to the measured subframe latency within 1 µs.
 
-use std::sync::Mutex;
 use std::time::Duration;
+
+use pran_integration_tests::lock_tracer;
 
 use pran_insight::slo::SloMetric;
 use pran_insight::spans::{attribution_table, critical_paths, DEFAULT_BUDGET_US};
@@ -14,16 +15,12 @@ use pran_sched::realtime::{ParallelConfig, ParallelExecutor};
 use pran_telemetry::export::{self, parse_jsonl};
 use pran_telemetry::{Subframe, TelemetryConfig};
 
-/// The tracer is process-global; tests that reconfigure it must not
-/// interleave.
-static TRACER: Mutex<()> = Mutex::new(());
-
 /// Trace the workload of `e6_deadlines --sample` (same generator, same
 /// seed) through `executor`, check every missed subframe's critical path
 /// partitions its measured latency exactly, and return the per-stage
 /// totals in `STAGE_NAMES` order.
 fn exact_attribution_totals(executor: ParallelConfig) -> [(&'static str, u64); 4] {
-    let _guard = TRACER.lock().unwrap();
+    let _guard = lock_tracer();
     pran_telemetry::configure(TelemetryConfig::sim());
     let mut cfg = TaskSetConfig::default_eval(8, 100, 4, 0.9);
     cfg.seed = 0xE6;
@@ -118,7 +115,7 @@ fn hostile_subframe_is_rejected_and_never_attributed() {
 #[test]
 fn burn_alerts_are_validated_by_their_own_rule() {
     let real = {
-        let _guard = TRACER.lock().unwrap();
+        let _guard = lock_tracer();
         pran_telemetry::configure(TelemetryConfig::sim());
         let mut monitor = pran_insight::SloMonitor::new(pran_insight::SloPolicy::default_eval());
         let alert = (0..3).find_map(|epoch| {
@@ -158,7 +155,7 @@ fn burn_alerts_are_validated_by_their_own_rule() {
 
 #[test]
 fn chaos_harness_surfaces_slo_alerts_alongside_violations() {
-    let _guard = TRACER.lock().unwrap();
+    let _guard = lock_tracer();
     pran_telemetry::disable();
     // One stressed scenario: zero outage tolerance, the one bound the
     // chaos invariant and the SLO monitor both read, so a crash that

@@ -31,8 +31,9 @@
 //! [`LiveFold::fold_shard`]: pran_insight::live::LiveFold::fold_shard
 //! [`MetroFold`]: pran_insight::live::MetroFold
 
-use std::sync::Mutex;
 use std::time::Duration;
+
+use pran_integration_tests::lock_tracer;
 
 use pran_fronthaul::fault::FaultConfig;
 use pran_insight::live::LiveFold;
@@ -44,8 +45,6 @@ use pran_sim::{LinkFault, MetroConfig, PoolAccel, PoolConfig, ResidentMetro, Spl
 use pran_telemetry::export::{parse_jsonl, to_jsonl};
 use pran_telemetry::trace::TraceEvent;
 use pran_traces::TraceConfig;
-
-static GLOBAL_SINKS: Mutex<()> = Mutex::new(());
 
 /// A metro whose fronthaul jitter eats the 2 ms compute budget on a
 /// fraction of tasks — deadline misses from *executed* tasks, which is
@@ -93,7 +92,7 @@ fn soak_and_compare(
     mut before_epoch: impl FnMut(u64, &mut ResidentMetro),
     posthoc: bool,
 ) -> [u64; 4] {
-    let _g = GLOBAL_SINKS.lock().unwrap_or_else(|e| e.into_inner());
+    let _g = lock_tracer();
     pran_telemetry::configure(pran_telemetry::TelemetryConfig::sim());
     let shards = metro.shard_count();
     let mut oracles: Vec<LiveFold> = (0..shards)
@@ -241,7 +240,7 @@ fn stolen_tasks_fold_in_shard_as_their_events_decode() {
 
 #[test]
 fn fold_state_is_worker_count_invariant() {
-    let _g = GLOBAL_SINKS.lock().unwrap_or_else(|e| e.into_inner());
+    let _g = lock_tracer();
     // Same metro shape, same seeds, different worker crews: the shards
     // compute identical epochs in different interleavings, and each
     // folds only what it executed, so the view cannot tell.

@@ -2,23 +2,12 @@
 //! are pure functions of the root seed — independent of how many worker
 //! threads ran the shards, including a crew that splits them unevenly.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
+use pran_integration_tests::lock_tracer;
 use pran_sched::placement::WarmConfig;
 use pran_sim::{MetroConfig, MetroSimulator, PoolConfig};
 use pran_telemetry::export::to_jsonl;
 use pran_telemetry::TelemetryConfig;
 use pran_traces::TraceConfig;
-
-/// The tracer is process-global; tests in this binary run on parallel
-/// threads, so everything that configures/drains it takes this lock.
-fn lock_tracer() -> MutexGuard<'static, ()> {
-    static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-    GUARD
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 /// A small-but-real metro: 72 cells in 8 shards, 2 simulated hours.
 fn metro(workers: usize) -> MetroSimulator {

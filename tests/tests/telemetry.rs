@@ -3,8 +3,9 @@
 //! reconstruct the per-subframe latency breakdown. Gauges and traces
 //! carry the epoch's own values and its 0-based index.
 
-use std::sync::Mutex;
 use std::time::Duration;
+
+use pran_integration_tests::lock_tracer;
 
 use pran::{Controller, SystemConfig};
 use pran_sched::realtime::ParallelConfig;
@@ -12,10 +13,6 @@ use pran_sim::{FailureSpec, PoolConfig, PoolSimulator};
 use pran_telemetry::metrics::InstrumentValue;
 use pran_telemetry::{export, TelemetryConfig, TraceEvent};
 use pran_traces::{generate, TraceConfig};
-
-/// The tracer is process-global; tests that reconfigure it must not
-/// interleave.
-static TRACER: Mutex<()> = Mutex::new(());
 
 /// Run a small pooled simulation with sim-clock tracing on and return the
 /// captured events. The parallel executor emits its `rt.steal` and
@@ -42,7 +39,7 @@ fn traced_pool_run(steal: bool) -> Vec<TraceEvent> {
 
 #[test]
 fn identical_runs_export_byte_identical_traces() {
-    let _guard = TRACER.lock().unwrap();
+    let _guard = lock_tracer();
     for steal in [false, true] {
         let a = export::to_jsonl(&traced_pool_run(steal));
         let b = export::to_jsonl(&traced_pool_run(steal));
@@ -55,7 +52,7 @@ fn identical_runs_export_byte_identical_traces() {
 
 #[test]
 fn trace_round_trips_through_jsonl_and_reconstructs_breakdown() {
-    let _guard = TRACER.lock().unwrap();
+    let _guard = lock_tracer();
     let events = traced_pool_run(false);
     pran_telemetry::disable();
     let jsonl = export::to_jsonl(&events);
@@ -81,7 +78,7 @@ fn trace_round_trips_through_jsonl_and_reconstructs_breakdown() {
 
 #[test]
 fn disabled_telemetry_captures_nothing_from_a_pool_run() {
-    let _guard = TRACER.lock().unwrap();
+    let _guard = lock_tracer();
     pran_telemetry::configure(TelemetryConfig::disabled());
     let mut tcfg = TraceConfig::default_day(5, 7);
     tcfg.duration_seconds = 3600.0;
@@ -93,7 +90,7 @@ fn disabled_telemetry_captures_nothing_from_a_pool_run() {
 
 #[test]
 fn pool_gauges_carry_the_last_epochs_own_values() {
-    let _guard = TRACER.lock().unwrap();
+    let _guard = lock_tracer();
     pran_telemetry::configure(TelemetryConfig::sim());
     let registry = pran_telemetry::metrics::global();
     registry.clear();
@@ -132,7 +129,7 @@ fn pool_gauges_carry_the_last_epochs_own_values() {
 
 #[test]
 fn controller_traces_the_epoch_index() {
-    let _guard = TRACER.lock().unwrap();
+    let _guard = lock_tracer();
     pran_telemetry::configure(TelemetryConfig::sim());
     let mut ctl = Controller::new(SystemConfig::default_eval(2));
     let cell = ctl.register_cell();
