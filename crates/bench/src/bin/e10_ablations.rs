@@ -38,7 +38,9 @@ fn main() {
     // Two ten-cell peak instances: a typical one, where the FFD start is
     // proven at the root and the switches only show without it, and the
     // tight one of the benchmark library (Σg/G = 2.994 against FFD's 4),
-    // where nothing but a search can say no three-server packing exists.
+    // where the model's pattern row says at the root that no three-server
+    // packing exists, so the switches only show in how fast a search
+    // without the start finds a four-server one.
     let cfg = BnbConfig {
         max_nodes: 10_000,
         // Far beyond any arm here: the node cap is the only cut.

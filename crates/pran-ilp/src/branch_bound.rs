@@ -54,6 +54,10 @@ const INT_TOL: f64 = 1e-6;
 /// The search ends when the relative incumbent/bound gap falls to this.
 const GAP_TOL: f64 = 1e-9;
 
+/// Absolute slack of the check ([`Model::is_feasible`]) every incumbent
+/// passes, the warm start included: a row may be violated by this much.
+pub const INCUMBENT_TOL: f64 = 1e-6;
+
 /// Terminal status of an integer solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IlpStatus {
@@ -211,7 +215,7 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
     let mut incumbent_norm = f64::INFINITY;
     // Warm start: accept the caller's solution if it checks out.
     if let Some(values) = &config.initial {
-        if values.len() == model.num_vars() && model.is_feasible(values, 1e-6) {
+        if values.len() == model.num_vars() && model.is_feasible(values, INCUMBENT_TOL) {
             let integral = model
                 .integral_vars()
                 .iter()
@@ -326,79 +330,81 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
             continue; // bound no better than incumbent
         }
 
+        // The deepest override of `v` on this node's path, else its model
+        // bounds.
+        let domain = |v: VarId| {
+            path.iter()
+                .map(|&c| &changes[c])
+                .find(|c| c.var == v)
+                .map_or_else(
+                    || (model.var(v).lower, model.var(v).upper),
+                    |c| (c.lower, c.upper),
+                )
+        };
         // The integral variable closest to half-way between integers
         // (the first of them on a tie).
         let half_dist = |x: f64| (0.5 - (x - x.floor())).abs();
-        let branch_var = integral
+        let mut branch_var = integral
             .iter()
             .map(|&v| (v, values[v.index()]))
             .filter(|&(_, x)| (x - x.round()).abs() > INT_TOL)
             .min_by(|a, b| half_dist(a.1).total_cmp(&half_dist(b.1)));
 
-        match branch_var {
-            None => {
-                // Integral: new incumbent.
-                let mut snapped = values.to_vec();
-                // Snap integral variables exactly.
-                for &v in &integral {
-                    snapped[v.index()] = snapped[v.index()].round();
-                }
+        if branch_var.is_none() {
+            // Integral: snap the integral variables exactly and re-check
+            // the rows before taking it as an incumbent.
+            let mut snapped = values.to_vec();
+            for &v in &integral {
+                snapped[v.index()] = snapped[v.index()].round();
+            }
+            if model.is_feasible(&snapped, INCUMBENT_TOL) {
                 let objective = model.eval_objective(&snapped);
-                // Re-validate after snapping (snap can't violate bounds by
-                // more than INT_TOL, but constraints deserve a check).
-                if model.is_feasible(&snapped, 1e-6) {
-                    let norm = sign * objective;
-                    if norm < incumbent_norm {
-                        incumbent_norm = norm;
-                        incumbent = Some(Solution {
-                            values: snapped,
-                            objective,
-                        });
-                        stats.incumbent = Some(objective);
-                    }
-                } else {
-                    // Rounding broke feasibility: keep the unsnapped LP point.
-                    let norm = sign * lp_objective;
-                    if norm < incumbent_norm {
-                        incumbent_norm = norm;
-                        stats.incumbent = Some(lp_objective);
-                        incumbent = Some(Solution {
-                            values: values.to_vec(),
-                            objective: lp_objective,
-                        });
-                    }
-                }
-            }
-            Some((v, x)) => {
-                let floor = x.floor();
-                // The deepest override of `v` on this node's path, else
-                // its model bounds.
-                let (cur_lo, cur_hi) = path
-                    .iter()
-                    .map(|&c| &changes[c])
-                    .find(|c| c.var == v)
-                    .map_or_else(
-                        || (model.var(v).lower, model.var(v).upper),
-                        |c| (c.lower, c.upper),
-                    );
-                // Down child: x ≤ floor; up child: x ≥ floor + 1.
-                for (lower, upper) in [
-                    (cur_lo, floor.min(cur_hi)),
-                    ((floor + 1.0).max(cur_lo), cur_hi),
-                ] {
-                    changes.push(Change {
-                        parent: node.change,
-                        var: v,
-                        lower,
-                        upper,
+                let norm = sign * objective;
+                if norm < incumbent_norm {
+                    incumbent_norm = norm;
+                    incumbent = Some(Solution {
+                        values: snapped,
+                        objective,
                     });
-                    open.push(Prioritized(Node {
-                        change: Some(changes.len() - 1),
-                        bound: node_norm,
-                        depth: node.depth + 1,
-                    }));
+                    stats.incumbent = Some(objective);
                 }
+                continue;
             }
+            // Snapping broke a row, so the point is no integer solution:
+            // branch on the variable farthest from its rounding among
+            // those strictly inside their domain (each child's domain is
+            // then smaller). With none, the node is dropped.
+            let off = |x: f64| (x - x.round()).abs();
+            branch_var = integral
+                .iter()
+                .map(|&v| (v, values[v.index()]))
+                .filter(|&(v, x)| {
+                    let (lo, hi) = domain(v);
+                    off(x) > 0.0 && lo < x && x < hi
+                })
+                .max_by(|a, b| off(a.1).total_cmp(&off(b.1)));
+        }
+        let Some((v, x)) = branch_var else {
+            continue;
+        };
+        let floor = x.floor();
+        let (cur_lo, cur_hi) = domain(v);
+        // Down child: x ≤ floor; up child: x ≥ floor + 1.
+        for (lower, upper) in [
+            (cur_lo, floor.min(cur_hi)),
+            ((floor + 1.0).max(cur_lo), cur_hi),
+        ] {
+            changes.push(Change {
+                parent: node.change,
+                var: v,
+                lower,
+                upper,
+            });
+            open.push(Prioritized(Node {
+                change: Some(changes.len() - 1),
+                bound: node_norm,
+                depth: node.depth + 1,
+            }));
         }
     }
 

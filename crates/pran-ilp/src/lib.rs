@@ -12,8 +12,9 @@
 //!   one warm simplex through the search;
 //! * [`mod@presolve`] — singleton-row folding, bound tightening, fixed-var
 //!   detection (fixed-point, optimum-preserving);
-//! * [`knapsack`] — exact knapsack plus bin-packing lower bounds
-//!   (the placement problem's combinatorial core).
+//! * [`knapsack`] — an exact real-weight knapsack and bin-packing lower
+//!   bounds, the pattern bound priced by that knapsack (the placement
+//!   problem's combinatorial core).
 //!
 //! # Quick example
 //!
@@ -41,7 +42,9 @@ pub mod model;
 pub mod presolve;
 pub mod simplex;
 
-pub use branch_bound::{solve_ilp, solve_ilp_default, BnbConfig, BnbStats, IlpResult, IlpStatus};
+pub use branch_bound::{
+    solve_ilp, solve_ilp_default, BnbConfig, BnbStats, IlpResult, IlpStatus, INCUMBENT_TOL,
+};
 pub use model::{
     Cmp, Constraint, ConstraintId, LinExpr, Model, Sense, Solution, VarId, VarKind, Variable,
     Violation,

@@ -9,9 +9,12 @@
 //! 3. **Fixed-variable detection** — `lower == upper` (after integrality
 //!    rounding) pins the variable.
 //!
-//! Reductions preserve the feasible set exactly, so `presolve` never
-//! changes the optimum — only the search effort. Infeasibility discovered
-//! here short-circuits the solver entirely.
+//! Reductions keep every feasible point, so `presolve` never changes the
+//! optimum — only the search effort. An integral bound implied by a row
+//! also keeps the points that overfill the row by up to `1e-9` of its
+//! largest coefficient, the relative tolerance a placement's fit test
+//! admits. Infeasibility discovered here short-circuits the solver
+//! entirely.
 
 use crate::model::{Cmp, Model, VarId};
 
@@ -183,6 +186,11 @@ pub fn presolve(model: &Model) -> Presolved {
             if !min_activity.is_finite() {
                 continue;
             }
+            let scale = c
+                .expr
+                .terms()
+                .iter()
+                .fold(0.0f64, |m, &(_, a)| m.max(a.abs()));
             for &(v, a) in c.expr.terms() {
                 if a.abs() < TOL {
                     continue;
@@ -194,6 +202,15 @@ pub fn presolve(model: &Model) -> Presolved {
                     a * var.upper
                 };
                 let slack = c.rhs - (min_activity - own_min);
+                // An integral bound keeps every point that holds the row
+                // within `TOL` of its largest coefficient: rounded at the
+                // exact row, it would drop a packing that fills a server
+                // to the relative tolerance its fit test admits.
+                let slack = if var.kind.is_integral() {
+                    slack + TOL * scale
+                } else {
+                    slack
+                };
                 if a > 0.0 {
                     let implied_hi = slack / a;
                     let implied_hi = if var.kind.is_integral() {
@@ -250,6 +267,26 @@ mod tests {
     use super::*;
     use crate::branch_bound::{solve_ilp_default, IlpStatus};
     use crate::model::{LinExpr, Sense};
+
+    #[test]
+    fn integral_bounds_keep_a_row_filled_to_its_tolerance() {
+        // 250 + b ≤ 400 with the 250 already placed: a `b` that overfills
+        // the row by 1e-9 of its largest coefficient stays allowed, one
+        // that overfills it by 2e-6 is fixed out.
+        for (b, kept) in [(150.0 + 400e-9, true), (150.0 + 2e-6, false)] {
+            let mut m = Model::new();
+            let (x, y, z) = (m.integer(1.0, 1.0), m.binary(), m.binary());
+            m.add_constraint(
+                LinExpr::term(x, 250.0) + LinExpr::term(y, b) + LinExpr::term(z, -400.0),
+                Cmp::Le,
+                0.0,
+            );
+            let Presolved::Reduced { model, .. } = presolve(&m) else {
+                panic!("b = {b}: feasible");
+            };
+            assert_eq!(model.var(y).upper == 1.0, kept, "b = {b}");
+        }
+    }
 
     #[test]
     fn singleton_rows_become_bounds() {

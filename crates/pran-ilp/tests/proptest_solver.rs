@@ -4,11 +4,12 @@
 //! checkable ground truth —
 //! * random-coefficient LPs over a box are compared against their own
 //!   feasibility report and (for pure-binary programs) brute force;
-//! * knapsack ILPs are compared against the exact DP oracle.
+//! * knapsack ILPs and the real-weight knapsack are compared against an
+//!   exact DP oracle over integer weights.
 
 use proptest::prelude::*;
 
-use pran_ilp::knapsack::{knapsack_exact, Item};
+use pran_ilp::knapsack::knapsack_max;
 use pran_ilp::{
     presolve, solve_ilp, solve_lp, BnbConfig, Cmp, IlpStatus, LinExpr, LpStatus, Model, Presolved,
     Sense,
@@ -44,8 +45,106 @@ fn box_lp_strategy() -> impl Strategy<Value = (Model, usize)> {
     })
 }
 
+/// An item with an integral weight and a real value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Item {
+    /// Integral weight (capacity units).
+    weight: u64,
+    /// Value gained by including the item.
+    value: f64,
+}
+
+/// Exact 0/1 knapsack via dynamic programming over capacity.
+///
+/// Returns the chosen item indices and the total value. Runs in
+/// `O(items · capacity)` time and memory: an oracle at modest capacities.
+fn knapsack_exact(items: &[Item], capacity: u64) -> (Vec<usize>, f64) {
+    let cap = capacity as usize;
+    let n = items.len();
+    // best[i][w]: max value using items[..i] with weight budget w.
+    let mut best = vec![vec![0.0f64; cap + 1]; n + 1];
+    for (i, it) in items.iter().enumerate() {
+        let w_it = it.weight as usize;
+        for w in 0..=cap {
+            let skip = best[i][w];
+            let take = if w_it <= w {
+                best[i][w - w_it] + it.value
+            } else {
+                f64::NEG_INFINITY
+            };
+            best[i + 1][w] = skip.max(take);
+        }
+    }
+    // Backtrack.
+    let mut chosen = Vec::new();
+    let mut w = cap;
+    for i in (0..n).rev() {
+        if (best[i + 1][w] - best[i][w]).abs() > 1e-12 {
+            chosen.push(i);
+            w -= items[i].weight as usize;
+        }
+    }
+    chosen.reverse();
+    (chosen, best[n][cap])
+}
+
+#[test]
+fn knapsack_exact_matches_hand_solution() {
+    let items = [
+        Item {
+            weight: 3,
+            value: 10.0,
+        },
+        Item {
+            weight: 4,
+            value: 13.0,
+        },
+        Item {
+            weight: 2,
+            value: 7.0,
+        },
+    ];
+    let (chosen, v) = knapsack_exact(&items, 6);
+    assert_eq!(v, 20.0);
+    assert_eq!(chosen, vec![1, 2]);
+}
+
+#[test]
+fn knapsack_exact_zero_capacity() {
+    let items = [Item {
+        weight: 1,
+        value: 5.0,
+    }];
+    let (chosen, v) = knapsack_exact(&items, 0);
+    assert!(chosen.is_empty());
+    assert_eq!(v, 0.0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The real-weight branch and bound finds the DP's optimum on integer
+    /// weights (zero weights and values included), and its set fits and
+    /// is worth what it reports.
+    #[test]
+    fn knapsack_max_matches_dp_oracle(
+        n in 0usize..14,
+        weights in proptest::collection::vec(0u64..12, 14),
+        values in proptest::collection::vec(0.0f64..20.0, 14),
+        cap in 0u64..40,
+    ) {
+        let items: Vec<Item> = (0..n)
+            .map(|i| Item { weight: weights[i], value: values[i] })
+            .collect();
+        let (_, dp_best) = knapsack_exact(&items, cap);
+        let w: Vec<f64> = weights[..n].iter().map(|&w| w as f64).collect();
+        let (chosen, got) = knapsack_max(&w, &values[..n], cap as f64);
+        prop_assert!((got - dp_best).abs() < 1e-9, "branch and bound {got}, dp {dp_best}");
+        prop_assert!(chosen.windows(2).all(|p| p[0] < p[1]));
+        prop_assert!(chosen.iter().map(|&i| weights[i]).sum::<u64>() <= cap);
+        let worth: f64 = chosen.iter().map(|&i| values[i]).sum();
+        prop_assert_eq!(worth, got);
+    }
 
     #[test]
     fn lp_solutions_are_feasible_and_optimal_status((m, _n) in box_lp_strategy()) {

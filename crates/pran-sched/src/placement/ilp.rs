@@ -11,13 +11,44 @@
 //!
 //! The capacity row already couples `x` and `y` linearly, so the model has
 //! no bilinear term.
+//!
+//! Its LP bound is the continuous one, `Σg/G`, which rounds up to
+//! `⌈Σg/G⌉` while the answer is often one server more; only a search
+//! could close that gap. On a uniform pool (servers of one capacity and
+//! cost, none accelerated, no mask) the model closes it at the root where
+//! the Gilmore–Gomory pattern bound does, with one more row:
+//!
+//! ```text
+//!      Σ_s y_s ≥ k                          k = pattern bound
+//! ```
+//!
+//! - **Gate.** The bound is computed only when first-fit decreasing uses
+//!   more servers than Martello–Toth L2, and the row is added only when
+//!   `k > ⌈Σg/G⌉`, so every other model is the one without it. L2 is a
+//!   gate and never the row's `k`: its compares take `G` as exact, so
+//!   under the fit tolerance it can exceed the servers a packing needs.
+//! - **Certificate.** `k` is [`pattern_bound`]: row generation on the
+//!   pattern LP's dual, priced by an exact knapsack whose fit is never
+//!   stricter than this model's capacity row — it admits a server load
+//!   up to `G · (1 + FIT_TOLERANCE) + INCUMBENT_TOL`, past both
+//!   [`ServerSpec::fits`] and the absolute slack branch and bound accepts
+//!   a row with. Each round's duals `π` give `k = ⌈Σπ / max_p π·p −
+//!   1e-9⌉` with the knapsack's exact `max_p`, so any `π`, one cut short
+//!   by the round cap included, gives a valid `k`
+//!   ([`pran_ilp::knapsack::binpack_lower_bound_patterns`]).
 
 use std::time::Duration;
 
-use pran_ilp::{solve_ilp, BnbConfig, Cmp, IlpStatus, LinExpr, Model, PresolveStats, Sense, VarId};
+use pran_ilp::knapsack::{
+    binpack_lower_bound_l1, binpack_lower_bound_l2, binpack_lower_bound_patterns,
+};
+use pran_ilp::{
+    solve_ilp, BnbConfig, Cmp, IlpStatus, LinExpr, Model, PresolveStats, Sense, VarId,
+    INCUMBENT_TOL,
+};
 
-use super::heuristics::decreasing_order;
-use super::{Placement, PlacementInstance};
+use super::heuristics::{decreasing_order, place, Heuristic};
+use super::{Allowed, Placement, PlacementInstance, ServerSpec};
 
 /// Outcome of an exact placement solve.
 #[derive(Debug, Clone)]
@@ -83,6 +114,44 @@ fn interchangeable(instance: &PlacementInstance, a: usize, b: usize) -> bool {
         && sa.cost == sb.cost
         && sa.accelerator == sb.accelerator
         && (0..instance.cells.len()).all(|c| instance.is_allowed(c, a) == instance.is_allowed(c, b))
+}
+
+/// The servers' one capacity when the pool is uniform: one capacity and
+/// cost, no accelerator, no mask.
+fn uniform_capacity(instance: &PlacementInstance) -> Option<f64> {
+    let server = instance.servers.first()?;
+    let uniform = matches!(instance.allowed, Allowed::All)
+        && server.accelerator.is_none()
+        && (1..instance.servers.len()).all(|s| interchangeable(instance, 0, s));
+    uniform.then_some(server.capacity_gops)
+}
+
+/// The pattern bound on the servers any placement of `instance` uses, on
+/// a uniform pool; `None` on any other (see the module docs). A server's
+/// pattern fits when its cells' demands sum to at most `G · (1 +
+/// FIT_TOLERANCE) + INCUMBENT_TOL`, no stricter than
+/// [`ServerSpec::fits`] or the model's capacity row.
+pub fn pattern_bound(instance: &PlacementInstance) -> Option<usize> {
+    let capacity = uniform_capacity(instance)?;
+    let limit = capacity * (1.0 + ServerSpec::FIT_TOLERANCE) + INCUMBENT_TOL;
+    Some(binpack_lower_bound_patterns(&demands(instance), limit))
+}
+
+/// The cells' demands, as a plain server carries them.
+fn demands(instance: &PlacementInstance) -> Vec<f64> {
+    instance.cells.iter().map(|c| c.gops).collect()
+}
+
+/// The pattern row's `k`, where the module docs' gate lets it in.
+fn pattern_cut(instance: &PlacementInstance) -> Option<usize> {
+    let capacity = uniform_capacity(instance)?;
+    let sizes = demands(instance);
+    let ffd = place(instance, Heuristic::FirstFitDecreasing);
+    let gap = ffd.complete()
+        && instance.servers_used(&ffd.placement) > binpack_lower_bound_l2(&sizes, capacity);
+    gap.then(|| pattern_bound(instance))
+        .flatten()
+        .filter(|&k| k > binpack_lower_bound_l1(&sizes, capacity))
 }
 
 /// [`build_model`] with explicit options.
@@ -171,6 +240,11 @@ pub fn build_model_with(
         m.add_constraint(LinExpr::from(y[s]) - y[s - 1], Cmp::Le, 0.0);
     }
 
+    // The pattern bound, where it beats the LP's own (module docs).
+    if let Some(k) = pattern_cut(instance) {
+        m.add_constraint(LinExpr::sum(y.iter().copied()), Cmp::Ge, k as f64);
+    }
+
     // Objective: weighted server count.
     m.set_objective(
         Sense::Minimize,
@@ -212,10 +286,7 @@ pub fn solve_with(
     let (model, x, y) = build_model_with(instance, options);
     let mut config = config.clone();
     if config.initial.is_none() && options.warm_start {
-        let seed = crate::placement::heuristics::place(
-            instance,
-            crate::placement::heuristics::Heuristic::FirstFitDecreasing,
-        );
+        let seed = place(instance, Heuristic::FirstFitDecreasing);
         if seed.complete() {
             let mut values = vec![0.0; model.num_vars()];
             for (cell, assigned) in seed.placement.assignment.iter().enumerate() {

@@ -5,40 +5,79 @@
 
 use pran_ilp::{
     presolve, solve_ilp, solve_lp, BnbConfig, IlpStatus, LpStatus, Model, Presolved, Simplex,
-    VarId, Violation,
+    VarId, Violation, INCUMBENT_TOL,
 };
 use pran_sched::placement::dimensioning::GopsConverter;
 use pran_sched::placement::heuristics::{place, Heuristic};
 use pran_sched::placement::ilp::{self, SolveOptions};
-use pran_sched::placement::{Accelerator, CellDemand, Placement, PlacementInstance};
+use pran_sched::placement::{
+    Accelerator, Allowed, CellDemand, Placement, PlacementInstance, ServerSpec,
+};
 use pran_traces::{generate, TraceConfig};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Cheapest valid placement by enumeration of every cell → server map.
+/// On a pool of identical servers with no mask a relabelling of servers
+/// changes neither a placement's cost nor its validity, so there only the
+/// first-appearance labellings are visited (a cell takes at most one
+/// server past those its predecessors opened).
 fn enumerated_optimum(inst: &PlacementInstance) -> Option<f64> {
-    let (cells, servers) = (inst.cells.len(), inst.servers.len());
-    let mut best: Option<f64> = None;
-    let mut digits = vec![0usize; cells];
-    loop {
+    let spec = |s: &ServerSpec| ServerSpec { id: 0, ..*s };
+    let identical = matches!(inst.allowed, Allowed::All)
+        && inst
+            .servers
+            .iter()
+            .all(|s| spec(s) == spec(&inst.servers[0]));
+    let mut best = None;
+    let mut assignment = vec![None; inst.cells.len()];
+    enumerate_from(inst, identical, 0, &mut assignment, &mut best);
+    best
+}
+
+/// Place cells `c..` every way [`enumerated_optimum`] visits, below the
+/// servers in `assignment[..c]`.
+fn enumerate_from(
+    inst: &PlacementInstance,
+    identical: bool,
+    c: usize,
+    assignment: &mut Vec<Option<usize>>,
+    best: &mut Option<f64>,
+) {
+    if c == assignment.len() {
         let p = Placement {
-            assignment: digits.iter().map(|&s| Some(s)).collect(),
+            assignment: assignment.clone(),
         };
         if inst.validate(&p).is_ok() {
             let cost = inst.cost(&p);
-            best = Some(best.map_or(cost, |b: f64| b.min(cost)));
+            *best = Some(best.map_or(cost, |b: f64| b.min(cost)));
         }
-        let Some(c) = (0..cells).find(|&c| digits[c] + 1 < servers) else {
-            return best;
-        };
-        digits[..c].fill(0);
-        digits[c] += 1;
+        return;
+    }
+    let servers = if identical {
+        let opened = assignment[..c].iter().flatten().max().map_or(0, |&s| s + 1);
+        (opened + 1).min(inst.servers.len())
+    } else {
+        inst.servers.len()
+    };
+    for s in 0..servers {
+        assignment[c] = Some(s);
+        enumerate_from(inst, identical, c + 1, assignment, best);
     }
 }
 
 /// `ilp::solve_with` proves the enumerated optimum with the symmetry
-/// restriction on and off.
+/// restriction on and off, and on a uniform pool the pattern bound does
+/// not exceed it.
 fn assert_matches_oracle(inst: &PlacementInstance) -> Result<(), TestCaseError> {
     let oracle = enumerated_optimum(inst);
+    if let (Some(bound), Some(cost)) = (ilp::pattern_bound(inst), oracle) {
+        prop_assert!(
+            bound as f64 <= cost,
+            "pattern bound {bound} over the optimum {cost}"
+        );
+    }
     for symmetry_breaking in [true, false] {
         let solved = ilp::solve_with(
             inst,
@@ -155,6 +194,96 @@ proptest! {
     }
 }
 
+/// The tight family: `cells` demands drawn at 15–45 % of a 400-GOPS
+/// server, scaled so Σg/G = k − 0.02 (`k` the unscaled Σg/G rounded), on
+/// k + 3 servers. The continuous bound says k; packings mostly need
+/// k + 1.
+fn tight_instance(cells: usize, seed: u64) -> PlacementInstance {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let raw: Vec<f64> = (0..cells)
+        .map(|_| rng.gen_range(0.15..0.45) * 400.0)
+        .collect();
+    let load = raw.iter().sum::<f64>() / 400.0;
+    let k = load.round().max(1.0);
+    let demands: Vec<f64> = raw.iter().map(|g| g * (k - 0.02) / load).collect();
+    PlacementInstance::uniform(&demands, k as usize + 3, 400.0)
+}
+
+/// Two 250-GOPS cells, each beside one of two cells that bring their
+/// server to exactly `400 + excess`, on four 400-GOPS servers: two
+/// servers hold them only if a server takes that load, three otherwise.
+fn boundary_instance(excess: f64) -> PlacementInstance {
+    let beside = (400.0 + excess) - 250.0;
+    assert_eq!(250.0 + beside, 400.0 + excess, "the pair sums exactly");
+    PlacementInstance::uniform(&[250.0, beside, 250.0, beside], 4, 400.0)
+}
+
+/// The oracle on seeded uniform instances of 4–10 cells, tight and loose
+/// (on several tight ones the model carries the pattern row), and on two at
+/// the fit boundary: a pair that sums to exactly `capacity · (1 +
+/// FIT_TOLERANCE)` (it fits, so two servers do), and one just past the
+/// absolute slack the model's capacity row is accepted with (it fits
+/// neither, so three servers are needed).
+#[test]
+fn oracle_seeded_uniform_and_fit_boundary() {
+    let mut rng = SmallRng::seed_from_u64(0x9a77);
+    let mut instances = Vec::new();
+    for cells in 4..=10 {
+        for seed in 0..3 {
+            instances.push(tight_instance(cells, seed));
+        }
+        let loose: Vec<f64> = (0..cells).map(|_| rng.gen_range(30.0..240.0)).collect();
+        instances.push(PlacementInstance::uniform(&loose, cells, 400.0));
+    }
+    let at_tolerance = 400.0 * ServerSpec::FIT_TOLERANCE;
+    let past_the_row = 1.01 * INCUMBENT_TOL;
+    instances.push(boundary_instance(at_tolerance));
+    instances.push(boundary_instance(past_the_row));
+    for (i, inst) in instances.iter().enumerate() {
+        assert_matches_oracle(inst).unwrap_or_else(|e| panic!("instance {i}: {e:?}"));
+    }
+    let boundary = |excess| enumerated_optimum(&boundary_instance(excess));
+    assert_eq!(
+        (boundary(at_tolerance), boundary(past_the_row)),
+        (Some(2.0), Some(3.0))
+    );
+    let cut = instances
+        .iter()
+        .filter(|inst| ilp::pattern_bound(inst) > Some(inst.lower_bound_servers()))
+        .count();
+    assert!(cut >= 5, "only {cut} instances beat the continuous bound");
+}
+
+/// Tight instances past ten cells whose pattern bound meets best-fit
+/// decreasing's count are proven at the root. Without the pattern row
+/// none of these is proven within 20,000 nodes.
+#[test]
+fn tight_instances_past_ten_cells_are_proven_at_the_root() {
+    for (cells, seed) in [(20, 9), (20, 12), (30, 4)] {
+        let inst = tight_instance(cells, seed);
+        let bfd = inst.servers_used(&place(&inst, Heuristic::BestFitDecreasing).placement);
+        assert_eq!(
+            ilp::pattern_bound(&inst),
+            Some(bfd),
+            "{cells} cells, seed {seed}"
+        );
+        assert_eq!(bfd, inst.lower_bound_servers() + 1);
+        let solved = ilp::solve(
+            &inst,
+            &BnbConfig {
+                max_nodes: 20_000,
+                ..BnbConfig::default()
+            },
+        );
+        let used = solved.placement.as_ref().map(|p| inst.servers_used(p));
+        assert_eq!(
+            (solved.optimal, solved.nodes, used),
+            (true, 1, Some(bfd)),
+            "{cells} cells, seed {seed}"
+        );
+    }
+}
+
 /// The first-fit-decreasing placement of `inst` as a start for `model`,
 /// set as `ilp::solve` sets it.
 fn ffd_start(
@@ -214,15 +343,36 @@ fn library_is_proven_within_the_node_limit() {
         let used = inst.servers_used(solved.placement.as_ref().expect("proven"));
         let ffd = inst.servers_used(&place(&inst, Heuristic::FirstFitDecreasing).placement);
         match i {
-            // Σg/G = 2.994: no three-server packing exists, and only a
-            // search shows it.
-            13 => assert_eq!((used, ffd), (4, 4)),
+            // Σg/G = 2.994 and L2 = 3, but no three-server packing
+            // exists: the pattern bound says so at the root.
+            13 => assert_eq!((used, ffd, solved.nodes), (4, 4, 1)),
             // The one instance where the search beats the heuristic.
             16 => assert_eq!((used, ffd), (3, 4)),
             _ => assert!(used <= ffd),
         }
     }
-    assert!(nodes <= 1_000, "library took {nodes} nodes");
+    assert!(nodes <= 102, "library took {nodes} nodes");
+}
+
+/// An FNV hash over every library instance's answer from `ilp::solve`
+/// under the benchmark's limits: each cell's server (`u64::MAX` when
+/// unplaced), then the cost's bits. Recorded before the pattern row
+/// existed: a bound may shorten a proof, never change an answer.
+const PINNED_ANSWERS: u64 = 0x4360_e88c_7d8b_e22c;
+
+#[test]
+fn library_answers_are_pinned() {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for i in 0..LIBRARY_SIZE {
+        let solved = ilp::solve(&library_instance(i), &library_limits());
+        let placement = solved.placement.expect("every library instance is placed");
+        hash = placement
+            .assignment
+            .iter()
+            .fold(hash, |h, s| fnv(h, s.map_or(u64::MAX, |s| s as u64)));
+        hash = fnv(hash, solved.cost.expect("placed means priced").to_bits());
+    }
+    assert_eq!(hash, PINNED_ANSWERS, "{hash:#018x}");
 }
 
 /// Depth-first most-fractional search over `model` on one warm
@@ -302,8 +452,8 @@ fn warm_node_lps_equal_cold_solves_on_the_library() {
         let ffd = inst.servers_used(&place(&inst, Heuristic::FirstFitDecreasing).placement);
         nodes += warm_equals_cold_along_a_search(&model, ffd as f64, 1_500);
     }
-    // Instance 13 alone needs several hundred nodes: the check is not
-    // forty root LPs.
+    // Instance 16 alone needs several hundred nodes (its cutoff stays at
+    // FFD's 4 while the optimum is 3): the check is not forty root LPs.
     assert!(nodes > 400, "only {nodes} node LPs compared");
 }
 
@@ -369,9 +519,10 @@ fn node_lp_hash(model: &Model, cutoff: f64, max_nodes: usize) -> u64 {
 }
 
 /// `(nodes, lp_iterations, node LP hash)` of each library instance,
-/// recorded before the solver's per-node work was cut down. Every pivot,
-/// branch and value bit of the search must stay as it was: a snapped
-/// incumbent would hide LP-level drift, the hash does not.
+/// recorded before the solver's per-node work was cut down (instance 13
+/// since the pattern row proves it at the root). Every pivot, branch and
+/// value bit of the search must stay as it was: a snapped incumbent would
+/// hide LP-level drift, the hash does not.
 const PINNED_SEARCH: [(usize, usize, u64); LIBRARY_SIZE] = [
     (1, 34, 0x64c754a54114ccc6),
     (1, 36, 0xdb579373959d6518),
@@ -386,7 +537,7 @@ const PINNED_SEARCH: [(usize, usize, u64); LIBRARY_SIZE] = [
     (1, 32, 0x60b9cd5ac32b633e),
     (1, 35, 0x228ffec5a30f8c95),
     (1, 31, 0x66e9dd4e83fce1e0),
-    (547, 3385, 0x247fccffd87bc30a),
+    (1, 22, 0x25fe985325d91e00),
     (1, 35, 0x00c0796ecb674e93),
     (1, 34, 0x60241bc9c83f9357),
     (63, 241, 0xc4bb0d009cc65a43),
