@@ -51,7 +51,8 @@ pub struct SystemConfig {
     /// repack work scales with demand churn, not cell count (see
     /// `pran_sched::placement::warm`).
     pub warm: Option<WarmConfig>,
-    /// Functional split each cell runs (ROADMAP item 4). Serializes as a
+    /// Functional split each cell runs: how much of its baseband chain
+    /// the pool hosts, traded against fronthaul bytes. Serializes as a
     /// bare split tag (`"Full"`) or an array of per-cell tags; configs
     /// written before splits existed decode to the pre-split
     /// `Uniform(Full)` default.

@@ -507,6 +507,16 @@ impl Model {
     ///
     /// Returns every violation found (empty means feasible within `tol`).
     pub fn check(&self, values: &[f64], tol: f64) -> Vec<Violation> {
+        self.check_rows_within(values, tol, |_| tol)
+    }
+
+    /// [`check`](Self::check), with each row held to `row_tol` of it.
+    fn check_rows_within(
+        &self,
+        values: &[f64],
+        tol: f64,
+        row_tol: impl Fn(&Constraint) -> f64,
+    ) -> Vec<Violation> {
         let mut out = Vec::new();
         for (i, v) in self.vars.iter().enumerate() {
             let x = values[i];
@@ -524,6 +534,7 @@ impl Model {
             }
         }
         for (i, c) in self.constraints.iter().enumerate() {
+            let tol = row_tol(c);
             let activity = c.expr.eval(values);
             let ok = match c.cmp {
                 Cmp::Le => activity <= c.rhs + tol,
@@ -544,6 +555,20 @@ impl Model {
     /// True if the assignment satisfies everything within `tol`.
     pub fn is_feasible(&self, values: &[f64], tol: f64) -> bool {
         self.check(values, tol).is_empty()
+    }
+
+    /// [`is_feasible`](Self::is_feasible), with each row also held to
+    /// `rel` of its largest coefficient where that is less than `tol`.
+    pub fn is_feasible_relative(&self, values: &[f64], tol: f64, rel: f64) -> bool {
+        let row_tol = |c: &Constraint| {
+            let scale = c
+                .expr
+                .terms()
+                .iter()
+                .fold(0.0f64, |m, &(_, a)| m.max(a.abs()));
+            tol.min(rel * scale)
+        };
+        self.check_rows_within(values, tol, row_tol).is_empty()
     }
 }
 

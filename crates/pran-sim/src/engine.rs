@@ -48,7 +48,6 @@ pub struct Engine<E> {
     queue: BinaryHeap<Reverse<(SimTime, u64, EventBox<E>)>>,
     now: SimTime,
     seq: u64,
-    processed: u64,
 }
 
 /// Wrapper making the payload inert for ordering purposes.
@@ -79,18 +78,7 @@ impl<E> Engine<E> {
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
-            processed: 0,
         }
-    }
-
-    /// Current simulation time (time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     /// Schedule an event at an absolute time.
@@ -113,19 +101,15 @@ impl<E> Engine<E> {
     pub fn next(&mut self) -> Option<(SimTime, E)> {
         self.queue.pop().map(|Reverse((t, _, EventBox(e)))| {
             self.now = t;
-            self.processed += 1;
             (t, e)
         })
     }
 
-    /// Peek at the next event time without advancing.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse((t, _, _))| *t)
-    }
-
-    /// Whether anything remains scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+    /// Pop the next event if `due` accepts its time, advancing the clock;
+    /// `None` leaves the queue as it was.
+    pub fn next_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
+        let Reverse((t, ..)) = self.queue.peek()?;
+        due(*t).then(|| self.next()).flatten()
     }
 }
 
@@ -147,8 +131,7 @@ mod tests {
         e.schedule(SimTime(20), "b");
         let order: Vec<&str> = std::iter::from_fn(|| e.next().map(|(_, ev)| ev)).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
-        assert_eq!(e.now(), SimTime(30));
-        assert_eq!(e.processed(), 3);
+        assert!(e.next().is_none());
     }
 
     #[test]
@@ -182,11 +165,16 @@ mod tests {
 
     #[test]
     fn peek_does_not_advance() {
+        // A peek `next_if` refuses pops nothing and leaves the clock: an
+        // event before 42 can still be scheduled.
         let mut e = Engine::new();
-        e.schedule(SimTime(42), ());
-        assert_eq!(e.peek_time(), Some(SimTime(42)));
-        assert_eq!(e.now(), SimTime::ZERO);
-        assert!(!e.is_empty());
+        e.schedule(SimTime(42), "late");
+        assert_eq!(e.next_if(|t| t < SimTime(42)), None);
+        e.schedule(SimTime(41), "early");
+        assert_eq!(e.next_if(|t| t < SimTime(42)), Some((SimTime(41), "early")));
+        assert_eq!(e.next_if(|t| t < SimTime(42)), None);
+        assert_eq!(e.next_if(|_| true), Some((SimTime(42), "late")));
+        assert_eq!(e.next_if(|_| true), None);
     }
 
     #[test]
@@ -230,7 +218,7 @@ mod tests {
         e.schedule(SimTime(u64::MAX - 1), "almost-end");
         e.next();
         e.schedule_in(Duration::from_secs(u64::MAX), "never");
-        assert_eq!(e.peek_time(), Some(SimTime::MAX));
+        assert_eq!(e.next(), Some((SimTime::MAX, "never")));
     }
 
     #[test]

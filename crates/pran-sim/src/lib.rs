@@ -9,16 +9,17 @@
 //! One pool's behaviour is one state machine, [`PoolShard`], and
 //! everything that simulates pools is a driver of it:
 //!
-//! * [`engine`] — deterministic event queue and simulated clock;
+//! * [`engine`] — deterministic event queue and simulated clock (a
+//!   shard's crash schedule, the chaos harness's control clock);
 //! * [`metrics`] — counters and log-scale latency histograms, JSON-able;
 //! * [`pool`] — the pool configuration, the [`PoolShard`] state machine
-//!   (`place` / `execute` / `fail_server`) and its single-pool driver
-//!   [`PoolSimulator`]: an event loop over a materialized trace with
-//!   scheduled failure injection and failover measurement;
+//!   (`place` / `execute` / `handle_crashes`, which fails and revives
+//!   servers on the shard's schedule) and its single-pool driver
+//!   [`PoolSimulator`]: an epoch loop over a materialized trace;
 //! * [`metro`] — metro-scale sharded runs: 10,000+ cells partitioned into
 //!   per-pool shards and merged deterministically. There is one shard
 //!   driver — a [`PoolShard`] fed by a streamed trace, stepped one epoch
-//!   at a time on a shared worker crew — and a batch
+//!   at a time, crashes included, on a shared worker crew — and a batch
 //!   [`MetroSimulator::run`] steps it to the trace horizon;
 //! * [`service`] — the **resident** metro: the same shards stepped one
 //!   epoch per call, for long-lived soak services that publish per-epoch

@@ -8,11 +8,15 @@
 //!
 //! There is one shard driver, `ResidentShard`: a [`PoolShard`] fed by a
 //! [`TraceStream`], stepped one epoch at a time ("stream `epoch_steps`
-//! rows, `place`, `execute`"), so a shard holds one epoch of rows, never
-//! its whole day. A batch [`MetroSimulator::run`] steps each shard to the
-//! trace horizon; the resident [`ResidentMetro`](crate::ResidentMetro)
-//! steps every shard one epoch per call. Both hand shards to the same
-//! worker crew.
+//! rows, `place`, `execute`, `handle_crashes`" — the epoch
+//! [`PoolSimulator`](crate::PoolSimulator) steps over a materialized
+//! trace), so a shard holds one epoch of rows, never its whole day. A
+//! shard's crash schedule is its pool's: empty unless a failure is put on
+//! it, since [`MetroConfig`] schedules none yet, and a crash past the
+//! last epoch's end is never due. A batch [`MetroSimulator::run`] steps
+//! each shard to the trace horizon; the resident
+//! [`ResidentMetro`](crate::ResidentMetro) steps every shard one epoch
+//! per call. Both hand shards to the same worker crew.
 //!
 //! # Determinism
 //!
@@ -370,7 +374,8 @@ impl ResidentShard {
     }
 
     /// Step one epoch of at most `max_steps` rows (`epoch_steps` unless
-    /// the horizon is nearer): stream them, (re)place, execute. Runs
+    /// the horizon is nearer): stream them, (re)place, execute, then
+    /// handle the pool's crashes due before the next epoch starts. Runs
     /// under this shard's telemetry context, so both the buffered trace
     /// and the live ring see shard-stamped, shard-routed events.
     pub(crate) fn step_epoch(&mut self, max_steps: usize) {
@@ -380,20 +385,19 @@ impl ResidentShard {
         let rows = &mut self.rows[..steps];
 
         let t0 = Instant::now();
-        let first_step = self.stream.step_index();
+        let (first_step, step_seconds) = (self.stream.step_index(), self.stream.step_seconds());
         for row in rows.iter_mut() {
             self.stream.next_step_into(row);
         }
         let t1 = Instant::now();
         let placed = self.pool.place(rows, &mut self.scratch);
         let t2 = Instant::now();
-        self.delta.peak_queue_depth = self.pool.execute(
-            rows,
-            first_step,
-            self.stream.step_seconds(),
-            &mut self.scratch,
-        );
+        let pool = &mut self.pool;
+        self.delta.peak_queue_depth =
+            pool.execute(rows, first_step, step_seconds, &mut self.scratch);
         let t3 = Instant::now();
+        let until = Some(first_step + steps);
+        pool.handle_crashes(until, rows, first_step, step_seconds, &mut self.scratch);
 
         self.delta.unplaced = placed.unplaced as u64;
         self.delta.ingest_ns = (t1 - t0).as_nanos() as u64;
@@ -588,6 +592,39 @@ mod tests {
             .map(|s| s.metrics.servers_used[0])
             .sum();
         assert_eq!(report.metrics.servers_used[0], used0);
+    }
+
+    #[test]
+    fn a_metro_shard_fails_over_as_the_pool_simulator_does() {
+        // One crash path: the same schedule on a streamed shard and on a
+        // `PoolSimulator` over the same rows gives the same failovers and
+        // metrics. Server 0 fails at epoch 1's exact start and returns;
+        // server 1 fails mid-epoch for good.
+        let mut trace = TraceConfig::default_day(16, 7);
+        trace.duration_seconds = 2.0 * 3600.0;
+        trace.step_seconds = 120.0;
+        let pool = PoolConfig::default_eval(8);
+        let mut sim = crate::PoolSimulator::new(pran_traces::generate(&trace), pool.clone());
+        let mut shard = ResidentShard::new(0, pool, &trace);
+        for (server, at, back) in [(0, 1200.0, Some(1000)), (1, 3000.5, None)] {
+            let spec = crate::FailureSpec {
+                server,
+                at: std::time::Duration::from_secs_f64(at),
+                recover_after: back.map(std::time::Duration::from_secs),
+            };
+            sim.inject_failure(spec);
+            shard.pool.schedule_failure(spec);
+        }
+        let report = sim.run();
+        let (steps, mut total) = (trace.num_steps(), PoolMetrics::default());
+        while shard.stream.step_index() < steps {
+            shard.step_epoch(steps - shard.stream.step_index());
+            total.append_epoch(&shard.scratch);
+        }
+        assert_eq!(report.failovers.len(), 2);
+        assert!(report.failovers.iter().all(|f| f.displaced > 0));
+        assert_eq!(shard.pool.failovers(), report.failovers);
+        assert_eq!(total, report.metrics);
     }
 
     #[test]

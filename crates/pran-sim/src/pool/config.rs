@@ -31,7 +31,7 @@ use {
 /// within the 2 ms budget — cores must be ≥ 80 GOPS.
 pub(super) const ANALYTIC_CORES: usize = 4;
 
-/// Which functional split each cell of a pool runs (ROADMAP item 4).
+/// Which functional split each cell of a pool runs.
 ///
 /// The split decides how much of the baseband chain is centralized:
 /// [`FunctionalSplit::Full`] pools everything (maximum statistical
@@ -209,7 +209,7 @@ pub struct PoolConfig {
 /// reproducible. Injector token buckets advance on the simulation clock
 /// ([`FaultInjector::advance_to`] at each task's absolute release
 /// instant), not on call counts, keeping fronthaul queues in lockstep
-/// with the engine-scheduled failure and recovery events when scenarios
+/// with the shard's scheduled failures and recoveries when scenarios
 /// compose both.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFault {

@@ -6,7 +6,10 @@
 //! driver, a [`PoolShard`](crate::PoolShard) fed by a
 //! [`TraceStream`](pran_traces::TraceStream) — one epoch per call, on the
 //! same worker crew, with per-epoch metrics published to scrapers while
-//! the simulation keeps running indefinitely.
+//! the simulation keeps running indefinitely. The SLO monitor judges each
+//! epoch on the sample [`PoolSimulator`](crate::PoolSimulator) builds
+//! too: a metro with no server alive has no utilization, so it cannot
+//! clear a utilization breach.
 //!
 //! Per-epoch metrics are merged across shards and appended into a
 //! cumulative [`PoolMetrics`] that is **byte-identical** to what a batch
@@ -19,16 +22,16 @@
 //! [`Alert`]s raised, and wall-clock phase timings
 //! (ingest / dispatch / execute / merge) for self-profiling.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pran_insight::live::MetroFold;
-use pran_insight::slo::{Alert, BurnAlert, EpochSample, SloMonitor, SloPolicy};
+use pran_insight::slo::{Alert, BurnAlert, SloMonitor, SloPolicy};
 use pran_traces::TraceConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::PoolMetrics;
 use crate::metro::{self, MetroConfig, MetroError, ResidentShard};
-use crate::pool::PoolConfig;
+use crate::pool::{epoch_sample, step_start, PoolConfig};
 
 /// One epoch's deterministic summary — the flight recorder's ring element.
 ///
@@ -305,21 +308,13 @@ impl ResidentMetro {
 
         let epoch = self.epoch;
         self.epoch += 1;
-        let at_us =
-            Duration::from_secs_f64(epoch as f64 * self.epoch_steps as f64 * self.step_seconds)
-                .as_micros() as u64;
-        let demand_gops = em.demand_gops.first().copied().unwrap_or(0.0);
+        let at_us = step_start(epoch as usize * self.epoch_steps, self.step_seconds).0;
         let alive_capacity = self
             .shards
             .first()
             .map(|sh| sh.pool.config().server_capacity_gops)
             .unwrap_or(0.0)
             * alive_servers as f64;
-        let utilization = if alive_capacity > 0.0 {
-            demand_gops / alive_capacity
-        } else {
-            0.0
-        };
         let slack_p99_us = em
             .deadline_slack
             .try_quantile(0.99)
@@ -331,17 +326,11 @@ impl ResidentMetro {
         // Telemetry / SLO phase: the monitor judges the epoch's own
         // values, so a resident soak alerts on what just happened, not on
         // the diluted lifetime average.
+        let outage_p99 = self.cum.outages.try_quantile(0.99);
+        let sample = epoch_sample(epoch, at_us, em, alive_capacity, outage_p99, unplaced);
         let (alerts, verdict) = match self.monitor.as_mut() {
             Some(monitor) => {
-                let verdict = monitor.observe_epoch(&EpochSample {
-                    epoch,
-                    at_us,
-                    miss_ratio: Some(miss_ratio),
-                    utilization: Some(utilization),
-                    outage_p99: self.cum.outages.try_quantile(0.99),
-                    reports_lost: Some(em.reports_lost),
-                    unplaced: Some(unplaced),
-                });
+                let verdict = monitor.observe_epoch(&sample);
                 (monitor.take_alerts(), verdict)
             }
             None => Default::default(),
@@ -361,7 +350,7 @@ impl ResidentMetro {
             servers_used: em.servers_used.first().copied().unwrap_or(0) as u64,
             alive_servers,
             alive_mask,
-            utilization,
+            utilization: sample.utilization.unwrap_or(0.0),
             unplaced,
             alert_mask: alerts
                 .iter()
@@ -455,6 +444,36 @@ mod tests {
         m.revive_all();
         let recovered = m.step_epoch();
         assert_eq!(recovered.record.alive_servers, healthy.record.alive_servers);
+    }
+
+    #[test]
+    fn a_dead_metro_does_not_clear_a_utilization_breach() {
+        use pran_insight::SloMetric;
+        let utilization_alerts = |s: &EpochStatus| {
+            let alerts = s.alerts.iter();
+            alerts
+                .filter(|a| a.metric == SloMetric::PoolUtilization)
+                .count()
+        };
+        let mut m = small_resident(24, 2);
+        let servers = m.shards[0].pool.config().servers;
+        let one_left = |m: &mut ResidentMetro| {
+            m.kill_servers(0, servers);
+            m.kill_servers(1, servers - 1);
+        };
+        m.step_epoch();
+        one_left(&mut m);
+        let breached = m.step_epoch();
+        assert_eq!(utilization_alerts(&breached), 1, "{:?}", breached.record);
+        m.kill_servers(1, 1);
+        let dead = m.step_epoch();
+        assert_eq!(dead.record.alive_servers, 0);
+        assert_eq!(dead.record.utilization, 0.0, "the record keeps its 0");
+        m.revive_all();
+        one_left(&mut m);
+        let again = m.step_epoch();
+        assert!(again.record.utilization > 0.95, "{:?}", again.record);
+        assert_eq!(utilization_alerts(&again), 0, "the breach never cleared");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `simulate_into`, `dispatch_grid`, the shard's parallel executor);
 //! `pran_integration_tests::reference` keeps the seed's allocate-per-step
 //! executor, written against `pran-sim`'s public API and sharing no code
-//! with the hot loop, and runs it through the same event loop with
+//! with the hot loop, and runs it through the same epoch loop with
 //! `PoolSimulator::run_with`. The two must be *byte-identical* after
 //! serde serialization — every finish time, histogram bucket, failover
 //! record and alert — for every feature that reaches the per-step loop:
@@ -333,7 +333,8 @@ fn serial_path_records_deadline_slack() {
 
 /// A round-robin per-cell split plan over all three splits, plus half
 /// the pool carrying turbo-decode accelerators — the fully
-/// heterogeneous shape ROADMAP item 4 adds to the hot path.
+/// heterogeneous shape per-cell splits and accelerators add to the hot
+/// path.
 fn heterogeneous(mut cfg: PoolConfig, cells: usize) -> PoolConfig {
     cfg.split_plan =
         SplitPlan::PerCell((0..cells).map(|c| FunctionalSplit::all()[c % 3]).collect());

@@ -1,7 +1,8 @@
-//! The two file decoders ROADMAP item 6 names — the flight-recorder dump
-//! and the bench envelope — read through the types their emitters
-//! write: a hostile document is refused at the field that is wrong, and
-//! every committed document reads back and re-renders to its bytes.
+//! The two decoders that read documents back from files — the
+//! flight-recorder dump and the bench envelope — read through the types
+//! their emitters write: a hostile document is refused at the field that
+//! is wrong, and every committed document reads back and re-renders to
+//! its bytes.
 
 // The envelope module has no dependency but serde; this crate builds it
 // the way `bench` does rather than depending on the harness.
