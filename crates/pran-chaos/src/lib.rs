@@ -22,8 +22,8 @@
 //!   JSON-round-trippable reproducers.
 //!
 //! Everything is deterministic by construction: scenarios carry their
-//! seed, RNG streams are ChaCha, and the simulation clock is
-//! `pran-sim`'s event engine — so any violation found by exploration
+//! seed, RNG streams are ChaCha, and the harness is one loop over epoch
+//! starts on whole microseconds — so any violation found by exploration
 //! replays bit-for-bit from its JSON artifact (see experiment E13,
 //! `bench/src/bin/e13_chaos.rs`).
 

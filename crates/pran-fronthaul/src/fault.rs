@@ -152,8 +152,8 @@ impl FaultInjector {
     /// state at any simulated time is a pure function of that time — not
     /// of how many times or in what step pattern callers advanced the
     /// clock. This is the shared-clock contract that keeps fronthaul
-    /// queues in lockstep with `pran-sim`'s `SimTime`-scheduled failure
-    /// and recovery events when scenarios compose both. No-op when
+    /// queues in lockstep with the failures and recoveries a chaos
+    /// scenario schedules beside them, on the same simulated time. No-op when
     /// `refill_interval` is zero (the bucket never refills) or `now` is
     /// not past the next refill instant; time never moves backwards.
     pub fn advance_to(&mut self, now: Duration) {

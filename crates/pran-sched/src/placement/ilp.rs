@@ -37,6 +37,7 @@
 //!   by the round cap included, gives a valid `k`
 //!   ([`pran_ilp::knapsack::binpack_lower_bound_patterns`]).
 
+use std::cell::OnceCell;
 use std::time::Duration;
 
 use pran_ilp::knapsack::{
@@ -47,7 +48,7 @@ use pran_ilp::{
     INCUMBENT_TOL,
 };
 
-use super::heuristics::{decreasing_order, place, Heuristic};
+use super::heuristics::{decreasing_order, place, Heuristic, HeuristicResult};
 use super::{Allowed, Placement, PlacementInstance, ServerSpec};
 
 /// Outcome of an exact placement solve.
@@ -142,11 +143,20 @@ fn demands(instance: &PlacementInstance) -> Vec<f64> {
     instance.cells.iter().map(|c| c.gops).collect()
 }
 
+/// First-fit decreasing's placement of `instance`, run the first time a
+/// solve asks: the pattern gate and the warm start share it.
+fn first_fit<'a>(
+    instance: &PlacementInstance,
+    ffd: &'a OnceCell<HeuristicResult>,
+) -> &'a HeuristicResult {
+    ffd.get_or_init(|| place(instance, Heuristic::FirstFitDecreasing))
+}
+
 /// The pattern row's `k`, where the module docs' gate lets it in.
-fn pattern_cut(instance: &PlacementInstance) -> Option<usize> {
+fn pattern_cut(instance: &PlacementInstance, ffd: &OnceCell<HeuristicResult>) -> Option<usize> {
     let capacity = uniform_capacity(instance)?;
     let sizes = demands(instance);
-    let ffd = place(instance, Heuristic::FirstFitDecreasing);
+    let ffd = first_fit(instance, ffd);
     let gap = ffd.complete()
         && instance.servers_used(&ffd.placement) > binpack_lower_bound_l2(&sizes, capacity);
     gap.then(|| pattern_bound(instance))
@@ -158,6 +168,16 @@ fn pattern_cut(instance: &PlacementInstance) -> Option<usize> {
 pub fn build_model_with(
     instance: &PlacementInstance,
     options: SolveOptions,
+) -> (Model, Vec<Vec<Option<VarId>>>, Vec<VarId>) {
+    build(instance, options, &OnceCell::new())
+}
+
+/// [`build_model_with`], taking first-fit decreasing's placement from
+/// `ffd` ([`first_fit`]).
+fn build(
+    instance: &PlacementInstance,
+    options: SolveOptions,
+    ffd: &OnceCell<HeuristicResult>,
 ) -> (Model, Vec<Vec<Option<VarId>>>, Vec<VarId>) {
     let mut m = Model::new();
     let servers = instance.servers.len();
@@ -241,7 +261,7 @@ pub fn build_model_with(
     }
 
     // The pattern bound, where it beats the LP's own (module docs).
-    if let Some(k) = pattern_cut(instance) {
+    if let Some(k) = pattern_cut(instance, ffd) {
         m.add_constraint(LinExpr::sum(y.iter().copied()), Cmp::Ge, k as f64);
     }
 
@@ -283,10 +303,11 @@ pub fn solve_with(
         };
     }
     let solve_span = pran_telemetry::trace::span("sched.ilp");
-    let (model, x, y) = build_model_with(instance, options);
+    let ffd = OnceCell::new();
+    let (model, x, y) = build(instance, options, &ffd);
     let mut config = config.clone();
     if config.initial.is_none() && options.warm_start {
-        let seed = place(instance, Heuristic::FirstFitDecreasing);
+        let seed = first_fit(instance, &ffd);
         if seed.complete() {
             let mut values = vec![0.0; model.num_vars()];
             for (cell, assigned) in seed.placement.assignment.iter().enumerate() {

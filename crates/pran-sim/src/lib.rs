@@ -1,4 +1,4 @@
-//! `pran-sim` — discrete-event simulation of a PRAN deployment.
+//! `pran-sim` — epoch-stepped simulation of a PRAN deployment.
 //!
 //! Ties the substrates together: load traces (`pran-traces`) become
 //! per-cell compute demand (`pran-phy`), the controller's placement and
@@ -9,12 +9,11 @@
 //! One pool's behaviour is one state machine, [`PoolShard`], and
 //! everything that simulates pools is a driver of it:
 //!
-//! * [`engine`] — deterministic event queue and simulated clock (a
-//!   shard's crash schedule, the chaos harness's control clock);
 //! * [`metrics`] — counters and log-scale latency histograms, JSON-able;
 //! * [`pool`] — the pool configuration, the [`PoolShard`] state machine
 //!   (`place` / `execute` / `handle_crashes`, which fails and revives
-//!   servers on the shard's schedule) and its single-pool driver
+//!   servers on the shard's schedule, a list sorted by whole
+//!   microseconds) and its single-pool driver
 //!   [`PoolSimulator`]: an epoch loop over a materialized trace;
 //! * [`metro`] — metro-scale sharded runs: 10,000+ cells partitioned into
 //!   per-pool shards and merged deterministically. There is one shard
@@ -28,13 +27,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod engine;
 pub mod metrics;
 pub mod metro;
 pub mod pool;
 pub mod service;
 
-pub use engine::{Engine, SimTime};
 pub use metrics::{LogHistogram, PoolMetrics};
 pub use metro::{MetroConfig, MetroConfigError, MetroError, MetroReport, MetroSimulator};
 pub use pool::{

@@ -347,8 +347,8 @@ impl PoolConfig {
     }
 
     /// The trace-step rule every pool driver is gated by, for a trace of
-    /// `steps` steps `step_seconds` apart. The event clock runs on
-    /// `Duration`s: an epoch must span a nonzero one (a failure divides
+    /// `steps` steps `step_seconds` apart. Epoch starts and crash
+    /// times are `Duration`s: an epoch must span a nonzero one (a failure divides
     /// by it), and every epoch start must convert (negative, NaN and
     /// infinite steps do not). Needs a nonzero `epoch_steps`, which
     /// [`validate`](Self::validate) checks first.

@@ -31,7 +31,7 @@ mod shard;
 
 pub use config::{FailoverTiming, LinkFault, PoolAccel, PoolConfig, PoolConfigError, SplitPlan};
 pub(crate) use shard::step_start;
-pub use shard::{FailoverRecord, Placed, PoolShard};
+pub use shard::{next_epoch_after, whole_micros, FailoverRecord, Placed, PoolShard};
 
 /// A scheduled server failure (and optional recovery).
 ///
@@ -163,7 +163,7 @@ impl PoolSimulator {
 
         for (e, rows) in self.trace.samples.chunks(cfg.epoch_steps).enumerate() {
             let first = e * cfg.epoch_steps;
-            let at_us = step_start(first, step_seconds).0;
+            let at_us = step_start(first, step_seconds);
             em.reset();
             let placed = shard.place(rows, &mut em);
             pran_telemetry::trace::sim_event(
@@ -381,13 +381,46 @@ mod tests {
     #[test]
     fn double_failure_of_same_server_ignored() {
         // The second failure finds server 1 dead: no failover, and no
-        // recovery scheduled either.
+        // recovery scheduled either. The first one's recovery saturates at
+        // the end of time, which no epoch reaches.
         let mut s = sim(8, 6, 5);
-        s.inject_failure(crash(1, 60.0, None));
+        s.inject_failure(FailureSpec {
+            recover_after: Some(Duration::MAX),
+            ..crash(1, 60.0, None)
+        });
         s.inject_failure(crash(1, 120.0, Some(60)));
         let (report, seen) = alive_at_execute(&mut s);
         assert_eq!(report.failovers.len(), 1);
         assert!(seen[1..].iter().all(|alive| !alive[1]), "{seen:?}");
+    }
+
+    /// A shard over one 1,200 s epoch with server 0's failure at 1,300 s
+    /// scheduled, and the crashes due before step `until` handled.
+    fn shard_crashing_at_1300_s(until: Option<usize>) -> (PoolShard, Vec<Vec<f64>>) {
+        let rows = small_trace(12, 3).samples[..10].to_vec();
+        let mut shard = PoolShard::try_new(PoolConfig::default_eval(10), 12).unwrap();
+        shard.schedule_failure(crash(0, 1300.0, None));
+        shard.handle_crashes(until, &rows, 0, 120.0, &mut PoolMetrics::default());
+        (shard, rows)
+    }
+
+    #[test]
+    fn a_crash_not_yet_due_leaves_the_time_before_it_open() {
+        // Not due before step 10 (1,200 s), the crash moves no clock: an
+        // earlier failure may still go on the schedule.
+        let (mut shard, rows) = shard_crashing_at_1300_s(Some(10));
+        assert!(shard.failovers().is_empty());
+        shard.schedule_failure(crash(1, 1250.0, None));
+        shard.handle_crashes(None, &rows, 0, 120.0, &mut PoolMetrics::default());
+        let servers: Vec<usize> = shard.failovers().iter().map(|f| f.server).collect();
+        assert_eq!(servers, [1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn a_failure_before_a_handled_crash_cannot_be_scheduled() {
+        let (mut shard, _) = shard_crashing_at_1300_s(None);
+        shard.schedule_failure(crash(1, 1299.0, None));
     }
 
     #[test]
@@ -403,34 +436,61 @@ mod tests {
         assert!(!seen[2][0]);
         let (_, seen) = crashed_at(1200.0 - 1e-6);
         assert!(!seen[1][0], "a crash 1 µs earlier comes before epoch 1");
+        // A recovery is due its delay after the crash's whole microsecond:
+        // 500 ns before epoch 1, back 600 ns later, is back by epoch 1.
+        let mut s = sim(12, 10, 3);
+        s.inject_failure(FailureSpec {
+            server: 0,
+            at: Duration::from_secs(1200) - Duration::from_nanos(500),
+            recover_after: Some(Duration::from_nanos(600)),
+        });
+        let (report, seen) = alive_at_execute(&mut s);
+        assert_eq!(report.failovers.len(), 1);
+        assert!(seen[1][0], "{seen:?}");
     }
 
     #[test]
     fn a_crash_and_a_recovery_at_one_microsecond_apply_the_crash_first() {
         // Server 0 fails at 1,500 s and is back at 1,800 s, when its second
-        // failure is due. Crash first: the server is still dead, so the
-        // crash does nothing and the recovery holds. Recovery first would
-        // fail the server again, for good.
-        let mut s = sim(12, 10, 3);
-        s.inject_failure(crash(0, 1500.0, Some(300)));
-        s.inject_failure(crash(0, 1800.0, None));
-        let (report, seen) = alive_at_execute(&mut s);
-        assert_eq!(report.failovers.len(), 1);
-        assert!(seen[2][0] && seen[5][0], "server 0 is back from epoch 2");
+        // failure is due (or 400 ns later, in the same microsecond). Crash
+        // first: the server is still dead, so the crash does nothing and
+        // the recovery holds. Recovery first would fail the server again,
+        // for good.
+        for second in [1800.0, 1800.0 + 400e-9] {
+            let mut s = sim(12, 10, 3);
+            s.inject_failure(crash(0, 1500.0, Some(300)));
+            s.inject_failure(crash(0, second, None));
+            let (report, seen) = alive_at_execute(&mut s);
+            assert_eq!(report.failovers.len(), 1);
+            assert!(seen[2][0] && seen[5][0], "server 0 is back from epoch 2");
+        }
     }
 
     #[test]
     fn a_crash_after_the_last_epoch_start_still_fails_over() {
-        // The 2 h trace's last epoch starts at 6,000 s: one crash falls in
-        // it, one past the horizon.
+        // The 2 h trace's last epoch starts at 6,000 s: two crashes fall in
+        // it, at one instant, and three past the horizon, the last two at
+        // times past what a `u64` of microseconds holds, which saturate.
+        // Scheduled out of order, they are handled by time, then in the
+        // order scheduled.
         let mut s = sim(12, 10, 3);
-        s.inject_failure(crash(0, 7000.0, None));
+        let past_u64 = Duration::from_micros(u64::MAX) + Duration::from_micros(1);
+        for (server, at) in [(2, Duration::MAX), (4, past_u64)] {
+            s.inject_failure(FailureSpec {
+                at,
+                ..crash(server, 0.0, None)
+            });
+        }
         s.inject_failure(crash(1, 9000.0, None));
-        let report = s.run();
+        s.inject_failure(crash(3, 7000.0, None));
+        s.inject_failure(crash(0, 7000.0, None));
+        let (report, seen) = alive_at_execute(&mut s);
         let servers: Vec<usize> = report.failovers.iter().map(|f| f.server).collect();
-        assert_eq!(servers, [0, 1]);
+        assert_eq!(servers, [3, 0, 1, 2, 4]);
+        let drained = |alive: &Vec<bool>| alive[2] && alive[4];
+        assert!(seen.iter().all(drained), "only the drain is due");
         let displaced: usize = report.failovers.iter().map(|f| f.displaced).sum();
-        assert!(report.failovers[0].displaced > 0);
+        assert!(displaced > 0);
         assert_eq!(report.metrics.outages.count(), displaced as u64);
     }
 

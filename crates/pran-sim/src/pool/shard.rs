@@ -31,13 +31,25 @@ use pran_telemetry::LogHistogram;
 
 use super::config::{PoolConfig, PoolConfigError, ANALYTIC_CORES};
 use super::FailureSpec;
-use crate::engine::{Engine, SimTime};
 use crate::metrics::PoolMetrics;
 
-/// When trace step `step` starts, truncated to whole microseconds: the
+/// `d` in whole microseconds, truncated and saturating at `u64::MAX`: the
 /// clock epochs, crashes and SLO samples are compared on.
-pub(crate) fn step_start(step: usize, step_seconds: f64) -> SimTime {
-    SimTime::from_duration(Duration::from_secs_f64(step as f64 * step_seconds))
+pub fn whole_micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// When trace step `step` starts, in [`whole_micros`].
+pub(crate) fn step_start(step: usize, step_seconds: f64) -> u64 {
+    whole_micros(Duration::from_secs_f64(step as f64 * step_seconds))
+}
+
+/// The first epoch boundary strictly after `now`, epochs `epoch` long
+/// from time zero: when a cell a failure strands is placed again. Holds
+/// while `now` is fewer than `u32::MAX` epochs in.
+pub fn next_epoch_after(now: Duration, epoch: Duration) -> Duration {
+    let k = (now.as_nanos() / epoch.as_nanos() + 1) as u32;
+    epoch.saturating_mul(k)
 }
 
 /// An entry of a shard's crash schedule.
@@ -255,9 +267,11 @@ pub struct PoolShard {
     /// `Some` when the config asks for warm-start placement.
     warm: Option<WarmPlacer>,
     alive: Vec<bool>,
-    /// Failures and recoveries not yet handled, by due time, then in the
-    /// order they were scheduled.
-    crashes: Engine<Crash>,
+    /// Failures and recoveries not yet handled, in [`whole_micros`]: by
+    /// due time, then in the order they were scheduled.
+    crashes: Vec<(u64, Crash)>,
+    /// When the last handled crash was due; no failure goes before it.
+    crash_clock: u64,
     /// One record per handled server failure, in order.
     failovers: Vec<FailoverRecord>,
     /// One link per cell ([`FaultInjector::for_cell`]); empty under an
@@ -283,7 +297,8 @@ impl PoolShard {
             placement: Placement::empty(cells),
             warm: cfg.warm.map(WarmPlacer::new),
             alive: vec![true; cfg.servers],
-            crashes: Engine::new(),
+            crashes: Vec::new(),
+            crash_clock: 0,
             failovers: Vec::new(),
             links: match &cfg.fronthaul {
                 Some(lf) => (0..cells)
@@ -447,9 +462,16 @@ impl PoolShard {
     /// handled came after `spec.at`.
     pub fn schedule_failure(&mut self, spec: FailureSpec) {
         assert!(spec.server < self.cfg.servers, "no such server");
-        let crash = Crash::Fail(spec.server, spec.recover_after);
-        let at = SimTime::from_duration(spec.at);
-        self.crashes.schedule(at, crash);
+        let at = whole_micros(spec.at);
+        assert!(at >= self.crash_clock, "cannot schedule into the past");
+        self.schedule(at, Crash::Fail(spec.server, spec.recover_after));
+    }
+
+    /// Put `crash` on the schedule at `at`, after every entry due then or
+    /// earlier.
+    fn schedule(&mut self, at: u64, crash: Crash) {
+        let i = self.crashes.partition_point(|&(t, _)| t <= at);
+        self.crashes.insert(i, (at, crash));
     }
 
     /// Crash transition: handle every scheduled failure and recovery due
@@ -476,19 +498,21 @@ impl PoolShard {
         step_seconds: f64,
         metrics: &mut PoolMetrics,
     ) {
-        let due = |t: SimTime| until.is_none_or(|step| t < step_start(step, step_seconds));
-        while let Some((now, crash)) = self.crashes.next_if(due) {
+        let due = |t: u64| until.is_none_or(|step| t < step_start(step, step_seconds));
+        while self.crashes.first().is_some_and(|&(t, _)| due(t)) {
+            let (now, crash) = self.crashes.remove(0);
+            self.crash_clock = now;
             let (server, recover_after) = match crash {
                 Crash::Fail(server, recover_after) => (server, recover_after),
                 Crash::Recover(server) => {
                     self.alive[server] = true;
                     let fields = [("server", server.into())];
-                    pran_telemetry::trace::sim_event("pool.recover", now.0, &fields);
+                    pran_telemetry::trace::sim_event("pool.recover", now, &fields);
                     continue;
                 }
             };
             // Re-place at the loads of the step the crash falls in.
-            let now_d = now.to_duration();
+            let now_d = Duration::from_micros(now);
             let step = (now_d.as_secs_f64() / step_seconds) as usize;
             let row = &rows[step.clamp(first_step, first_step + rows.len() - 1) - first_step];
             let Some(record) = self.fail_server(server, row, metrics) else {
@@ -500,15 +524,14 @@ impl PoolShard {
             // outage histogram — and the online SLO monitor reading it — is
             // blind to exactly the failures that hurt most.
             let epoch_len = Duration::from_secs_f64(self.cfg.epoch_steps as f64 * step_seconds);
-            let k = (now_d.as_nanos() / epoch_len.as_nanos() + 1) as u32;
-            let wait = epoch_len.saturating_mul(k).saturating_sub(now_d);
+            let wait = next_epoch_after(now_d, epoch_len).saturating_sub(now_d);
             let stranded = (record.displaced - record.replaced) as u64;
             let outage_us = (record.outage + wait).as_micros() as u64;
             metrics.outages.record_us_n(outage_us, stranded);
             self.failovers.push(record);
             pran_telemetry::trace::sim_event(
                 "pool.fail",
-                now.0,
+                now,
                 &[
                     ("server", server.into()),
                     ("displaced", record.displaced.into()),
@@ -517,7 +540,8 @@ impl PoolShard {
                 ],
             );
             if let Some(delay) = recover_after {
-                self.crashes.schedule_in(delay, Crash::Recover(server));
+                let back = now.saturating_add(whole_micros(delay));
+                self.schedule(back, Crash::Recover(server));
             }
         }
     }

@@ -308,7 +308,7 @@ impl ResidentMetro {
 
         let epoch = self.epoch;
         self.epoch += 1;
-        let at_us = step_start(epoch as usize * self.epoch_steps, self.step_seconds).0;
+        let at_us = step_start(epoch as usize * self.epoch_steps, self.step_seconds);
         let alive_capacity = self
             .shards
             .first()

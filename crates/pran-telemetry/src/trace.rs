@@ -11,8 +11,8 @@
 //! Two clock domains keep determinism and profiling from fighting:
 //!
 //! * **Sim** events carry caller-supplied timestamps in simulated
-//!   microseconds (`SimTime` / virtual core clocks), so a deterministic
-//!   simulation produces a deterministic trace;
+//!   microseconds (epoch and crash times, virtual core clocks), so a
+//!   deterministic simulation produces a deterministic trace;
 //! * **Mono** events are stamped from a process-wide monotonic epoch and
 //!   carry real wall-clock timings. Under [`TraceClock::SimOnly`] they are
 //!   dropped at the recording site, which is what makes two same-seed
