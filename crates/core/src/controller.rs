@@ -445,14 +445,14 @@ impl Controller {
     /// Snapshot for apps and operators.
     pub fn view(&self) -> PoolView {
         let mut view = PoolView::default();
-        self.fill_view(&mut view);
+        self.view_into(&mut view);
         view
     }
 
-    /// Overwrite `view` with the current state, reusing its buffers.
-    /// Server loads are summed in cell order, so a given state always
-    /// yields the same bits.
-    fn fill_view(&self, view: &mut PoolView) {
+    /// [`Controller::view`], written over `view`'s buffers. Server loads
+    /// are summed in cell order, so a given state always yields the same
+    /// bits.
+    pub fn view_into(&self, view: &mut PoolView) {
         view.now = self.now;
         view.cells.clear();
         view.cells
@@ -579,10 +579,10 @@ impl Controller {
         if self.apps.is_empty() {
             return (0, 0);
         }
-        // `fill_view` reads all of `self`, so the buffer steps outside it
+        // `view_into` reads all of `self`, so the buffer steps outside it
         // while it is written and shown.
         let mut view = std::mem::take(&mut self.view);
-        self.fill_view(&mut view);
+        self.view_into(&mut view);
         let mut actions = Vec::new();
         for app in &mut self.apps {
             actions.extend(ask(app.as_mut(), &view));

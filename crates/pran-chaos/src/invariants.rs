@@ -26,6 +26,7 @@
 //!    pre-snapshot view exactly ([`restore_drill`]), and a corrupted
 //!    snapshot is rejected.
 
+use std::cell::RefCell;
 use std::time::Duration;
 
 use pran::apps::FailoverApp;
@@ -201,18 +202,30 @@ impl InvariantChecker {
 /// controller with [`FailoverApp`] reinstalled (apps are code, not
 /// state), so a run can continue on it. The error names the step that
 /// broke restore fidelity.
+///
+/// The text and the two views are written over buffers the calling
+/// thread keeps from one drill to the next; the snapshot, the parse, the
+/// restore and the comparison are the same either way.
 pub fn restore_drill(ctl: &Controller) -> Result<Controller, String> {
-    let json = serde_json::to_string(&ctl.snapshot())
-        .map_err(|e| format!("snapshot failed to serialize: {e}"))?;
-    let parsed =
-        serde_json::from_str(&json).map_err(|e| format!("snapshot failed to re-parse: {e}"))?;
-    let mut restored =
-        Controller::try_restore(parsed).map_err(|e| format!("intact snapshot rejected: {e}"))?;
-    if restored.view() != ctl.view() {
-        return Err("restored view diverges from pre-snapshot view".to_string());
+    thread_local! {
+        /// The JSON text, and the restored and the original views.
+        static BUFFERS: RefCell<(String, PoolView, PoolView)> = RefCell::default();
     }
-    restored.install_app(Box::new(FailoverApp::new()));
-    Ok(restored)
+    BUFFERS.with_borrow_mut(|(json, restored_view, view)| {
+        serde_json::to_string_into(&ctl.snapshot(), json)
+            .map_err(|e| format!("snapshot failed to serialize: {e}"))?;
+        let parsed =
+            serde_json::from_str(json).map_err(|e| format!("snapshot failed to re-parse: {e}"))?;
+        let mut restored = Controller::try_restore(parsed)
+            .map_err(|e| format!("intact snapshot rejected: {e}"))?;
+        restored.view_into(restored_view);
+        ctl.view_into(view);
+        if restored_view != view {
+            return Err("restored view diverges from pre-snapshot view".to_string());
+        }
+        restored.install_app(Box::new(FailoverApp::new()));
+        Ok(restored)
+    })
 }
 
 #[cfg(test)]

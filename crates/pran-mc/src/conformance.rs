@@ -26,6 +26,13 @@
 //! merge in discovery order. [`replay_path`] is the same step folded
 //! over one path from a fresh controller — the one-path oracle the walk
 //! is tested against.
+//!
+//! A worker walks its subtrees on reused buffers: one model state per
+//! depth, the child's written over the one below its parent's by
+//! [`Model::apply_into`], and one pair of views that each comparison
+//! fills, the controller's through [`Controller::view_into`] and the
+//! model's through [`Model::view_into`]. The drill keeps its own
+//! buffers ([`restore_drill`]).
 
 use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -33,7 +40,7 @@ use std::thread;
 use std::time::Duration;
 
 use pran::apps::FailoverApp;
-use pran::Controller;
+use pran::{Controller, PoolView};
 use pran_chaos::restore_drill;
 
 use crate::explore::Tree;
@@ -68,7 +75,7 @@ pub enum Conformance {
 /// drill must reproduce it.
 pub fn replay_path(model: &Model, path: &[Operation]) -> Result<(), String> {
     let (ctl, state) = reach(model, path)?;
-    compare_views(model, &ctl, &state, path)?;
+    compare_views(model, &ctl, &state, path, &mut Default::default())?;
     restore_drill(&ctl)
         .map(drop)
         .map_err(|e| drill_failed(path.len(), &e))
@@ -82,9 +89,10 @@ fn drives(model: &Model, op: Operation) -> bool {
     !(stale && matches!(op, Operation::Fail { .. } | Operation::Recover { .. }))
 }
 
-/// [`step`] a fresh controller — the model's config, the real
-/// [`FailoverApp`], its cells registered — through `path` from the
-/// initial state.
+/// Step a fresh controller — the model's config, the real
+/// [`FailoverApp`], its cells registered — and the model through `path`
+/// from the initial state: [`drive`], then [`Model::apply`], per
+/// operation.
 fn reach(model: &Model, path: &[Operation]) -> Result<(Controller, StateView), String> {
     let cfg = model.config();
     let mut ctl = Controller::new(cfg.sys.clone());
@@ -93,24 +101,27 @@ fn reach(model: &Model, path: &[Operation]) -> Result<(Controller, StateView), S
         ctl.register_cell();
     }
     let mut state = model.initial_state();
+    let (mut next, mut outages) = (StateView::default(), Vec::new());
     for (i, &op) in path.iter().enumerate() {
-        state = step(model, &mut ctl, &state, i, op)?;
+        drive(model, &mut ctl, &state, i, op)?;
+        model.apply_into(&state, op, &mut next, &mut outages);
+        std::mem::swap(&mut state, &mut next);
     }
     Ok((ctl, state))
 }
 
-/// Drive operation `i` of a path, `op`, into `ctl` and return the
-/// model's successor of `state`, or the step-level divergence (see
-/// [`replay_path`]).
-fn step(
+/// Drive operation `i` of a path, `op`, into `ctl`, from the model's
+/// `state` before it, or return the step-level divergence (see
+/// [`replay_path`]). An operation that [`drives`] nothing is `Ok`.
+fn drive(
     model: &Model,
     ctl: &mut Controller,
     state: &StateView,
     i: usize,
     op: Operation,
-) -> Result<StateView, String> {
+) -> Result<(), String> {
     if !drives(model, op) {
-        return Ok(model.apply(state, op).next);
+        return Ok(());
     }
     let cfg = model.config();
     // Synthetic monotone clock: the controller never branches on time,
@@ -156,20 +167,22 @@ fn step(
                 .map_err(|e| format!("step {i} deregister({cell}): {e}"))?;
         }
     }
-    Ok(model.apply(state, op).next)
+    Ok(())
 }
 
 /// The first state-level check at `state`, reached by `path`: the
-/// concrete view must equal the abstract one. The second is a restore
-/// drill of `ctl` ([`restore_drill`]).
+/// concrete view must equal the abstract one. Both are written over
+/// `views`, the controller's first. The second check is a restore drill
+/// of `ctl` ([`restore_drill`]).
 fn compare_views(
     model: &Model,
     ctl: &Controller,
     state: &StateView,
     path: &[Operation],
+    [concrete, abstracted]: &mut [PoolView; 2],
 ) -> Result<(), String> {
-    let concrete = ctl.view();
-    let abstracted = model.view(state);
+    ctl.view_into(concrete);
+    model.view_into(state, abstracted);
     if concrete.cells != abstracted.cells {
         return Err(format!(
             "cell views diverge after {path:?}: concrete {:?} vs model {:?}",
@@ -218,6 +231,9 @@ pub(crate) fn check_tree(model: &Model, tree: &Tree, workers: usize) -> (Vec<Str
             tree,
             failures: Vec::new(),
             round_trips: 0,
+            states: Vec::new(),
+            outages: Vec::new(),
+            views: Default::default(),
         };
         loop {
             let id = cursor.fetch_add(1, Ordering::Relaxed);
@@ -245,12 +261,20 @@ pub(crate) fn check_tree(model: &Model, tree: &Tree, workers: usize) -> (Vec<Str
 type Drilled = OnceCell<Result<(), String>>;
 
 /// One worker's share of [`check_tree`]: the divergences it found, by
-/// state id, and the round trips it ran.
+/// state id, and the round trips it ran, with the buffers its states and
+/// views are written in.
 struct Walk<'a> {
     model: &'a Model,
     tree: &'a Tree,
     failures: Vec<(u32, String)>,
     round_trips: usize,
+    /// The model's state at each depth of the path being walked: a
+    /// child's is written over the buffer one below its parent's.
+    states: Vec<StateView>,
+    /// [`Model::apply_into`]'s outages, which the walk does not read.
+    outages: Vec<(usize, Duration)>,
+    /// [`compare_views`]'s two views.
+    views: [PoolView; 2],
 }
 
 impl Walk<'_> {
@@ -260,57 +284,64 @@ impl Walk<'_> {
         match reach(self.model, &path) {
             Err(e) if descend => self.poison(id, &e),
             Err(e) => self.failures.push((id, e)),
-            Ok((ctl, state)) if descend => {
-                self.visit(id, &ctl, &Drilled::new(), state, &mut path);
+            Ok((ctl, state)) => {
+                let depth = path.len();
+                if self.states.len() <= depth {
+                    self.states.resize_with(depth + 1, StateView::default);
+                }
+                self.states[depth] = state;
+                if descend {
+                    self.visit(id, &ctl, &Drilled::new(), &mut path);
+                } else {
+                    self.verdict(id, &ctl, &Drilled::new(), &path);
+                }
             }
-            Ok((ctl, state)) => self.verdict(id, &ctl, &Drilled::new(), &state, &path),
         }
     }
 
-    /// Check state `id`, whose controller is `ctl` with verdict
+    /// Check state `id`, reached by `path`, whose model state is
+    /// `states[path.len()]` and whose controller is `ctl` with verdict
     /// `drilled`, then each child, depth first. A child whose operation
     /// drives the controller gets a fork of `ctl` advanced by it; any
     /// other child's controller *is* `ctl`, so it shares `ctl` and
     /// `drilled` as they are.
-    fn visit(
-        &mut self,
-        id: u32,
-        ctl: &Controller,
-        drilled: &Drilled,
-        state: StateView,
-        path: &mut Vec<Operation>,
-    ) {
-        self.verdict(id, ctl, drilled, &state, path);
+    fn visit(&mut self, id: u32, ctl: &Controller, drilled: &Drilled, path: &mut Vec<Operation>) {
+        self.verdict(id, ctl, drilled, path);
+        let depth = path.len();
+        if self.states.len() == depth + 1 {
+            self.states.push(StateView::default());
+        }
         for kid in self.tree.children(id) {
             let op = self.tree.op(kid);
-            let i = path.len();
-            path.push(op);
-            if drives(self.model, op) {
+            let (done, below) = self.states.split_at_mut(depth + 1);
+            let (state, next) = (&done[depth], &mut below[0]);
+            let fork = if drives(self.model, op) {
                 let mut fork = ctl.clone();
-                match step(self.model, &mut fork, &state, i, op) {
-                    Ok(next) => self.visit(kid, &fork, &Drilled::new(), next, path),
-                    Err(e) => self.poison(kid, &e),
+                if let Err(e) = drive(self.model, &mut fork, state, depth, op) {
+                    self.poison(kid, &e);
+                    continue;
                 }
+                Some(fork)
             } else {
-                let next = self.model.apply(&state, op).next;
-                self.visit(kid, ctl, drilled, next, path);
+                None
+            };
+            self.model.apply_into(state, op, next, &mut self.outages);
+            path.push(op);
+            match &fork {
+                Some(fork) => self.visit(kid, fork, &Drilled::new(), path),
+                None => self.visit(kid, ctl, drilled, path),
             }
             path.pop();
         }
     }
 
-    /// Record the state-level verdict for `id`: its own view comparison,
-    /// then `ctl`'s round trip, run here only if no state sharing `ctl`
-    /// has run it yet, and stamped with this state's step.
-    fn verdict(
-        &mut self,
-        id: u32,
-        ctl: &Controller,
-        drilled: &Drilled,
-        state: &StateView,
-        path: &[Operation],
-    ) {
-        if let Err(e) = compare_views(self.model, ctl, state, path) {
+    /// Record the state-level verdict for state `id`, reached by `path`:
+    /// its own view comparison, then `ctl`'s round trip, run here only if
+    /// no state sharing `ctl` has run it yet, and stamped with this
+    /// state's step.
+    fn verdict(&mut self, id: u32, ctl: &Controller, drilled: &Drilled, path: &[Operation]) {
+        let state = &self.states[path.len()];
+        if let Err(e) = compare_views(self.model, ctl, state, path, &mut self.views) {
             self.failures.push((id, e));
             return;
         }
@@ -434,7 +465,7 @@ mod tests {
                 Model::migrate(&instance, &mut state, 1, to),
                 "the model must admit c1→s{to} as the controller does"
             );
-            compare_views(&model, &ctl, &state, &packed).unwrap();
+            compare_views(&model, &ctl, &state, &packed, &mut Default::default()).unwrap();
         }
     }
 }

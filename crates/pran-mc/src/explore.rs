@@ -23,9 +23,20 @@
 //! orbit count under server permutations is computed on the side and
 //! reported as [`McReport::orbit_states`] — a measure of how much
 //! smaller the space *looks* modulo relabelling, and of how much of the
-//! state count is tie-breaking echo. Both keys are encoded into reused
-//! buffers, so a transition allocates a key only when it discovers a
-//! state.
+//! state count is tie-breaking echo.
+//!
+//! ## Allocation
+//!
+//! Each set of keys is one exact arena set (`KeySet`): every key's bytes
+//! are appended to one buffer, and a table maps a fixed, seedless hash
+//! of a key to its index. A probe compares the full key bytes, so a hash
+//! collision can never merge two states; this is not the lossy hash
+//! compaction of a bitstate search. Both keys are encoded into reused
+//! buffers ([`Visited`]), and every transition is applied into one
+//! scratch successor ([`Model::apply_into`]) over one reused list of
+//! enabled operations, so a transition to a state already seen
+//! allocates nothing unless it repacks an epoch or delivers a crash. A
+//! new state is queued in the buffers of one already expanded.
 //!
 //! ## The discovery tree
 //!
@@ -39,7 +50,7 @@
 //! The verdicts merge in discovery order, so the report does not depend
 //! on the core count.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::thread;
@@ -248,6 +259,158 @@ fn orbit_key_into(
     }
 }
 
+/// An exact set of byte strings, kept in one arena: every key's bytes
+/// are appended to `bytes`, and an open-addressed table maps a fixed,
+/// seedless hash of a key to its index. A probe compares the full key
+/// bytes, so two keys whose hashes collide stay two entries: the set is
+/// exact, not a hash compaction, and adding a key allocates only when an
+/// arena or the table grows.
+#[derive(Debug)]
+struct KeySet {
+    /// Every key's bytes, in insertion order.
+    bytes: Vec<u8>,
+    /// `ends[i]` is one past key `i`'s last byte in `bytes`.
+    ends: Vec<usize>,
+    /// Key `i`'s hash: a probe skips other keys on it, and growth
+    /// re-slots from it.
+    hashes: Vec<u64>,
+    /// Linear-probed slots holding a key's index plus one; 0 is empty.
+    /// A power of two long, and at least twice the keys.
+    slots: Vec<u32>,
+    /// [`key_hash`], or a test's colliding stand-in.
+    hash: fn(&[u8]) -> u64,
+}
+
+impl KeySet {
+    fn new() -> Self {
+        Self::with_hash(key_hash)
+    }
+
+    fn with_hash(hash: fn(&[u8]) -> u64) -> Self {
+        KeySet {
+            bytes: Vec::new(),
+            ends: Vec::new(),
+            hashes: Vec::new(),
+            slots: vec![0; 16],
+            hash,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn key(&self, index: usize) -> &[u8] {
+        let start = index.checked_sub(1).map_or(0, |i| self.ends[i]);
+        &self.bytes[start..self.ends[index]]
+    }
+
+    /// Add `key`; false if it was in the set already.
+    fn insert(&mut self, key: &[u8]) -> bool {
+        let hash = (self.hash)(key);
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        while let Some(index) = self.slots[at].checked_sub(1) {
+            let index = index as usize;
+            if self.hashes[index] == hash && self.key(index) == key {
+                return false;
+            }
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = u32::try_from(self.len() + 1).expect("fewer than 2^32 keys");
+        self.bytes.extend_from_slice(key);
+        self.ends.push(self.bytes.len());
+        self.hashes.push(hash);
+        if 2 * self.len() > self.slots.len() {
+            let mask = 2 * self.slots.len() - 1;
+            self.slots = vec![0; mask + 1];
+            for (index, &hash) in self.hashes.iter().enumerate() {
+                let mut at = hash as usize & mask;
+                while self.slots[at] != 0 {
+                    at = (at + 1) & mask;
+                }
+                self.slots[at] = index as u32 + 1;
+            }
+        }
+        true
+    }
+}
+
+/// [`KeySet`]'s hash: fixed and seedless, so a run's table layout, like
+/// its answers, repeats. Eight bytes at a time are folded in by a
+/// multiply and a rotate, then a finalizer spreads every byte into the
+/// low bits the table indexes by.
+fn key_hash(key: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = key.len() as u64;
+    let mut words = key.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        h = (h ^ word).wrapping_mul(K).rotate_left(29);
+    }
+    let mut tail = [0; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(K);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// The states an exploration has discovered: each state's exact key
+/// and, beside it, its orbit key under server permutations, each set an
+/// exact arena set (see the module docs). Both keys are encoded into
+/// reused buffers, so discovering a state already seen allocates
+/// nothing.
+#[derive(Debug)]
+pub struct Visited {
+    seen: KeySet,
+    orbits: KeySet,
+    identity: Vec<usize>,
+    perms: Vec<Vec<usize>>,
+    key: Vec<u8>,
+    orbit: Vec<u8>,
+    probe: Vec<u8>,
+}
+
+impl Visited {
+    /// No state discovered yet, for `model`'s servers.
+    pub fn new(model: &Model) -> Self {
+        let servers = model.config().servers;
+        Visited {
+            seen: KeySet::new(),
+            orbits: KeySet::new(),
+            identity: (0..servers).collect(),
+            perms: permutations(servers),
+            key: Vec::new(),
+            orbit: Vec::new(),
+            probe: Vec::new(),
+        }
+    }
+
+    /// Record `state` and its orbit; false if `state` was seen before.
+    pub fn discover(&mut self, state: &StateView) -> bool {
+        encode_into(state, &self.identity, &mut self.key);
+        if !self.seen.insert(&self.key) {
+            return false;
+        }
+        orbit_key_into(state, &self.perms, &mut self.orbit, &mut self.probe);
+        self.orbits.insert(&self.orbit);
+        true
+    }
+
+    /// Distinct states discovered.
+    pub fn states(&self) -> usize {
+        self.seen.len()
+    }
+
+    /// Distinct orbits of the discovered states.
+    pub fn orbit_states(&self) -> usize {
+        self.orbits.len()
+    }
+}
+
 /// Invariant checks on one transition's outcome, judged against
 /// *physical truth* (not the controller's belief — that gap is the whole
 /// point of the stale-view experiment). The checks are the chaos
@@ -323,10 +486,11 @@ fn explore_on(model: &Model, workers: usize) -> McReport {
 }
 
 /// The exploration without its conformance checks, and the discovery
-/// tree they walk.
+/// tree they walk. Each state is expanded into one scratch successor;
+/// only a newly discovered one is queued, in the buffers of a state
+/// already expanded.
 fn explore_tree(model: &Model) -> (McReport, Tree) {
     let cfg = model.config();
-    let perms = permutations(cfg.servers);
     let mut report = McReport {
         semantics: cfg.semantics.label(),
         depth: cfg.depth,
@@ -343,29 +507,19 @@ fn explore_tree(model: &Model) -> (McReport, Tree) {
         report.violation_counts.insert(kind.label(), 0);
     }
 
-    let mut seen: HashSet<Vec<u8>> = HashSet::new();
-    let mut orbits: HashSet<Vec<u8>> = HashSet::new();
-    let identity: Vec<usize> = (0..cfg.servers).collect();
-    let (mut key, mut orbit, mut probe) = (Vec::new(), Vec::new(), Vec::new());
-    // Record `state` and its orbit; false if it was seen before. The keys
-    // are encoded into reused buffers, so only a new key allocates.
-    let mut discover = |state: &StateView| {
-        encode_into(state, &identity, &mut key);
-        if seen.contains(key.as_slice()) {
-            return false;
-        }
-        seen.insert(key.clone());
-        orbit_key_into(state, &perms, &mut orbit, &mut probe);
-        if !orbits.contains(orbit.as_slice()) {
-            orbits.insert(orbit.clone());
-        }
-        true
-    };
+    let mut visited = Visited::new(model);
     let initial = model.initial_state();
-    discover(&initial);
+    visited.discover(&initial);
     let mut tree = Tree::default();
     let mut checker = InvariantChecker::new(cfg.sys.slo);
     let mut view = PoolView::default();
+    let mut ops = Vec::new();
+    let mut outcome = StepOutcome {
+        next: StateView::default(),
+        outages: Vec::new(),
+    };
+    // Expanded states whose buffers the next discoveries are queued in.
+    let mut spare: Vec<StateView> = Vec::new();
     // (state, its id in `tree`, its depth)
     let mut queue: VecDeque<(StateView, u32, usize)> = VecDeque::new();
     if cfg.depth > 0 {
@@ -375,8 +529,9 @@ fn explore_tree(model: &Model) -> (McReport, Tree) {
     // Every queued state is expanded: one found at the depth bound is
     // counted and checked, never queued.
     while let Some((state, node, depth)) = queue.pop_front() {
-        for op in model.enabled_ops(&state) {
-            let outcome = model.apply(&state, op);
+        model.enabled_ops_into(&state, &mut ops);
+        for &op in &ops {
+            model.apply_into(&state, op, &mut outcome.next, &mut outcome.outages);
             report.transitions += 1;
             check_transition(model, op, &outcome, &mut checker, &mut view);
             for Violation { kind, detail, .. } in checker.take_violations() {
@@ -387,23 +542,31 @@ fn explore_tree(model: &Model) -> (McReport, Tree) {
                     report.violations.push(McViolation { kind, path, detail });
                 }
             }
-            if !discover(&outcome.next) {
+            if !visited.discover(&outcome.next) {
                 report.dedup_hits += 1;
                 continue;
             }
             let child = tree.push(node, op);
             if depth + 1 < cfg.depth {
-                queue.push_back((outcome.next, child, depth + 1));
+                let scratch = spare.pop().unwrap_or_default();
+                let next = std::mem::replace(&mut outcome.next, scratch);
+                queue.push_back((next, child, depth + 1));
             }
         }
+        // The last queued depth queues no child to reuse it.
+        if depth + 1 < cfg.depth {
+            spare.push(state);
+        }
     }
-    report.states = seen.len();
-    report.orbit_states = orbits.len();
+    report.states = visited.states();
+    report.orbit_states = visited.orbit_states();
     (report, tree)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::conformance::replay_path;
     use crate::model::{McCell, McConfig};
@@ -663,6 +826,43 @@ mod tests {
         let one = format!("{:?}", explore_on(&model, 1));
         for workers in [2, 3, 7] {
             assert_eq!(format!("{:?}", explore_on(&model, workers)), one);
+        }
+    }
+
+    /// The arena set agrees with a `HashSet<Vec<u8>>` on every insert and
+    /// on its size: with the real hash, and with one that sends every key
+    /// to one slot, where only the full-key compare tells keys apart.
+    /// Short keys over three byte values repeat, and many are prefixes of
+    /// others, so keys that run together in the arena are probed too.
+    #[test]
+    fn the_arena_set_is_exact_even_when_every_hash_collides() {
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = move |bound: u64| {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let keys: Vec<Vec<u8>> = (0..3_000)
+            .map(|_| {
+                let len = draw(20);
+                (0..len).map(|_| draw(3) as u8).collect()
+            })
+            .collect();
+        let one_slot: fn(&[u8]) -> u64 = |_| 7;
+        for hash in [key_hash, one_slot] {
+            let mut set = KeySet::with_hash(hash);
+            let mut oracle: HashSet<Vec<u8>> = HashSet::new();
+            for key in &keys {
+                assert_eq!(set.insert(key), oracle.insert(key.clone()), "{key:?}");
+            }
+            assert_eq!(set.len(), oracle.len());
+            assert!(
+                (1_000..2_900).contains(&set.len()),
+                "both verdicts must be exercised: {} distinct keys",
+                set.len()
+            );
         }
     }
 

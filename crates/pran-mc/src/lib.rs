@@ -54,6 +54,6 @@ pub mod view;
 
 pub use conformance::{replay_path, Conformance};
 pub use counterexample::{emit_reproducing, to_scenario, Reproduction};
-pub use explore::{explore, McReport, McViolation};
+pub use explore::{explore, McReport, McViolation, Visited};
 pub use model::{McCell, McConfig, Model, Notice, Operation, StateView, StepOutcome};
 pub use view::ViewSemantics;

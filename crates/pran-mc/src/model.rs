@@ -114,7 +114,7 @@ pub struct McCell {
 /// The compact state the explorer enumerates. `now` is deliberately
 /// absent: controller behaviour never branches on the clock, so folding
 /// time out of the state collapses otherwise-identical schedules.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 pub struct StateView {
     /// Per-cell state (index = cell id).
     pub cells: Vec<McCell>,
@@ -126,6 +126,30 @@ pub struct StateView {
     pub truth: Vec<bool>,
     /// Undelivered liveness notifications, FIFO (stale semantics only).
     pub pending: VecDeque<Notice>,
+}
+
+impl Clone for StateView {
+    fn clone(&self) -> Self {
+        let mut copy = StateView::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Field by field, so `self`'s buffers are reused.
+    fn clone_from(&mut self, source: &Self) {
+        let StateView {
+            cells,
+            placement,
+            believed,
+            truth,
+            pending,
+        } = source;
+        self.cells.clone_from(cells);
+        self.placement.clone_from(placement);
+        self.believed.clone_from(believed);
+        self.truth.clone_from(truth);
+        self.pending.clone_from(pending);
+    }
 }
 
 /// What one transition did, beyond producing the next state.
@@ -427,16 +451,22 @@ impl Model {
     /// Deliver a crash to the controller's belief: mark the server dead,
     /// displace its cells, and run the *real* [`FailoverApp`] over the
     /// post-displacement view (mirroring `Controller::server_failed`'s
-    /// `on_server_failed` call). Returns per-cell outages, charged as the
-    /// chaos harness does: the failover price for re-placed cells, plus a
-    /// pessimistic full-epoch wait for cells left unplaced.
-    fn deliver_fail(&self, state: &mut StateView, server: usize) -> Vec<(usize, Duration)> {
+    /// `on_server_failed` call). Pushes each displaced cell's outage onto
+    /// `outages`, in cell order, charged as the chaos harness does: the
+    /// failover price for re-placed cells, plus a pessimistic full-epoch
+    /// wait for cells left unplaced.
+    fn deliver_fail(
+        &self,
+        state: &mut StateView,
+        server: usize,
+        outages: &mut Vec<(usize, Duration)>,
+    ) {
         state.believed[server] = false;
-        let displaced: Vec<usize> = (0..state.cells.len())
-            .filter(|&c| state.placement[c] == Some(server))
-            .collect();
-        for &c in &displaced {
-            state.placement[c] = None;
+        for (c, placed) in state.placement.iter_mut().enumerate() {
+            if *placed == Some(server) {
+                *placed = None;
+                outages.push((c, Duration::ZERO));
+            }
         }
         // A move changes no demand or mask, so one instance serves every
         // move the app asks for.
@@ -448,30 +478,45 @@ impl Model {
             }
         }
         let price = self.cfg.sys.chaos.outage();
-        displaced
-            .iter()
-            .map(|&c| {
-                let outage = if state.placement[c].is_some() {
-                    price
-                } else {
-                    price + self.cfg.sys.epoch
-                };
-                (c, outage)
-            })
-            .collect()
+        for (c, outage) in outages.iter_mut() {
+            *outage = if state.placement[*c].is_some() {
+                price
+            } else {
+                price + self.cfg.sys.epoch
+            };
+        }
     }
 
     /// Apply one operation. The caller is responsible for only applying
     /// operations that [`Model::enabled_ops`](crate::view) generated for
     /// this state.
     pub fn apply(&self, state: &StateView, op: Operation) -> StepOutcome {
-        let mut next = state.clone();
+        let mut out = StepOutcome {
+            next: StateView::default(),
+            outages: Vec::new(),
+        };
+        self.apply_into(state, op, &mut out.next, &mut out.outages);
+        out
+    }
+
+    /// [`Model::apply`], written over `next` and `outages` (a
+    /// [`StepOutcome`]'s two fields) with their buffers reused. Once they
+    /// have grown, a transition allocates only to repack an epoch or to
+    /// deliver a crash.
+    pub fn apply_into(
+        &self,
+        state: &StateView,
+        op: Operation,
+        next: &mut StateView,
+        outages: &mut Vec<(usize, Duration)>,
+    ) {
+        next.clone_from(state);
+        outages.clear();
         // Every transition ages the backlog first, so a notice's age
         // counts the transitions *since* the one that enqueued it.
         for notice in next.pending.iter_mut() {
             notice.age += 1;
         }
-        let mut outages = Vec::new();
         match op {
             Operation::Report { cell, level } => {
                 let c = &mut next.cells[cell];
@@ -480,9 +525,9 @@ impl Model {
                 c.peak = Some(c.peak.map_or(l, |p| p.max(l)));
             }
             Operation::Epoch => {
-                let instance = self.placement_instance(&next);
+                let instance = self.placement_instance(next);
                 let current = Placement {
-                    assignment: next.placement.clone(),
+                    assignment: std::mem::take(&mut next.placement),
                 };
                 let (placement, _plan) = incremental_repack(&instance, &current);
                 next.placement = placement.assignment;
@@ -490,9 +535,7 @@ impl Model {
             Operation::Fail { server } => {
                 next.truth[server] = false;
                 match self.cfg.semantics {
-                    ViewSemantics::Linearizable => {
-                        outages = self.deliver_fail(&mut next, server);
-                    }
+                    ViewSemantics::Linearizable => self.deliver_fail(next, server, outages),
                     ViewSemantics::Stale { .. } => next.pending.push_back(Notice {
                         server,
                         up: false,
@@ -519,7 +562,7 @@ impl Model {
                 if notice.up {
                     next.believed[notice.server] = true;
                 } else {
-                    outages = self.deliver_fail(&mut next, notice.server);
+                    self.deliver_fail(next, notice.server, outages);
                 }
             }
             // Abstractly the identity; the conformance layer performs the
@@ -538,13 +581,46 @@ impl Model {
                 next.placement[cell] = None;
             }
         }
-        StepOutcome { next, outages }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A successor written over buffers that held another state — longer
+    /// or shorter in cells and backlog — is the fresh one, outages too.
+    /// The stale churn model reaches every operation: registrations grow
+    /// the cells, notices queue and deliver, crashes displace cells.
+    #[test]
+    fn apply_into_over_used_buffers_is_apply() {
+        let model = Model::new(McConfig {
+            semantics: ViewSemantics::Stale { k: 2 },
+            ..McConfig::churn()
+        });
+        let (mut next, mut outages) = (StateView::default(), Vec::new());
+        let mut level = vec![model.initial_state()];
+        let (mut steps, mut displacing) = (0, 0);
+        for _ in 0..4 {
+            let mut below = Vec::new();
+            for state in &level {
+                for op in model.enabled_ops(state) {
+                    model.apply_into(state, op, &mut next, &mut outages);
+                    let fresh = model.apply(state, op);
+                    assert_eq!(next, fresh.next, "{op} from {state:?}");
+                    assert_eq!(outages, fresh.outages, "{op} from {state:?}");
+                    steps += 1;
+                    displacing += usize::from(!outages.is_empty());
+                    below.push(fresh.next);
+                }
+            }
+            level = below;
+        }
+        assert!(
+            steps > 1_000 && displacing > 0,
+            "{steps} steps, {displacing} displacing"
+        );
+    }
 
     #[test]
     fn headline_envelope_is_solvable() {

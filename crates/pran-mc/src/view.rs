@@ -50,15 +50,23 @@ impl Model {
     /// * `Drill` is always enabled; `Register` / `Deregister` churn only
     ///   when [`McConfig::churn_extra`] lets cells register.
     pub fn enabled_ops(&self, state: &StateView) -> Vec<Operation> {
+        let mut ops = Vec::new();
+        self.enabled_ops_into(state, &mut ops);
+        ops
+    }
+
+    /// [`Model::enabled_ops`], written over `ops`'s buffer.
+    pub fn enabled_ops_into(&self, state: &StateView, ops: &mut Vec<Operation>) {
         let cfg = self.config();
+        ops.clear();
         if let ViewSemantics::Stale { k } = cfg.semantics {
             if let Some(front) = state.pending.front() {
                 if front.age >= k {
-                    return vec![Operation::Deliver];
+                    ops.push(Operation::Deliver);
+                    return;
                 }
             }
         }
-        let mut ops = Vec::new();
         for (cell, c) in state.cells.iter().enumerate() {
             if !c.active {
                 continue;
@@ -95,7 +103,6 @@ impl Model {
                 }
             }
         }
-        ops
     }
 }
 

@@ -354,17 +354,23 @@ mod tests {
         let addr = server.addr();
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let served = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        // Each scraper stops at its first failed check and names it: the
+        // path, then a refused or reset connection, the status, or the
+        // torn body.
         let scrapers: Vec<_> = (0..4)
             .map(|i| {
                 let stop = Arc::clone(&stop);
                 let served = Arc::clone(&served);
-                std::thread::spawn(move || {
+                std::thread::spawn(move || -> Result<(), String> {
                     let paths = ["/metrics", "/healthz", "/recorder", "/slo", "/topk"];
                     let mut n = 0usize;
                     while !stop.load(Ordering::Acquire) {
                         let path = paths[(i + n) % paths.len()];
-                        let (code, body) = http_get(addr, path).expect("scrape mid-swap");
-                        assert_eq!(code, 200, "{path}");
+                        let (code, body) = http_get(addr, path)
+                            .map_err(|e| format!("GET {path} #{n} failed: {e:?}"))?;
+                        if code != 200 {
+                            return Err(format!("GET {path} #{n} answered {code}: {body:?}"));
+                        }
                         // Every JSON body must read whole as its type: a
                         // swap mid-scrape must never tear a document.
                         let whole = match path {
@@ -376,22 +382,25 @@ mod tests {
                             "/slo" => serde_json::from_str::<SloDoc>(&body).map(|_| true),
                             _ => serde_json::from_str::<TopkDoc>(&body).map(|_| true),
                         };
-                        assert!(
-                            whole.unwrap_or_else(|e| panic!("{path} tore: {e}")),
-                            "{path}"
-                        );
+                        match whole {
+                            Ok(true) => {}
+                            Ok(false) => return Err(format!("GET {path} #{n} tore: {body:?}")),
+                            Err(e) => return Err(format!("GET {path} #{n} tore: {e}: {body:?}")),
+                        }
                         n += 1;
                         served.fetch_add(1, Ordering::Release);
                     }
+                    Ok(())
                 })
             })
             .collect();
         // Swap snapshots as fast as the publisher side can, until the
         // scrapers have demonstrably overlapped at least 40 requests with
         // the swap storm (bare publishes are far faster than a scrape, so
-        // a fixed swap count can finish before the first GET lands).
+        // a fixed swap count can finish before the first GET lands), or a
+        // scraper has stopped on a failure.
         let mut epoch = 0u64;
-        while served.load(Ordering::Acquire) < 40 {
+        while served.load(Ordering::Acquire) < 40 && !scrapers.iter().any(|h| h.is_finished()) {
             epoch += 1;
             let r = Registry::new();
             r.inc("soak.epochs", &[], epoch);
@@ -402,9 +411,11 @@ mod tests {
             });
         }
         stop.store(true, Ordering::Release);
-        for h in scrapers {
-            h.join().unwrap();
-        }
+        let failures: Vec<String> = scrapers
+            .into_iter()
+            .filter_map(|h| h.join().expect("a scraper panicked").err())
+            .collect();
+        assert!(failures.is_empty(), "{failures:#?}");
         assert!(epoch >= 1, "the publisher must have swapped snapshots");
         server.shutdown();
     }

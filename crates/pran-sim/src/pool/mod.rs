@@ -469,13 +469,15 @@ mod tests {
     #[test]
     fn a_crash_after_the_last_epoch_start_still_fails_over() {
         // The 2 h trace's last epoch starts at 6,000 s: two crashes fall in
-        // it, at one instant, and three past the horizon, the last two at
-        // times past what a `u64` of microseconds holds, which saturate.
-        // Scheduled out of order, they are handled by time, then in the
-        // order scheduled.
+        // it, at one instant, and eight past the horizon, at times past
+        // what a `u64` of microseconds holds, which saturate. Scheduled out
+        // of order, they are handled by time, then in the order scheduled.
         let mut s = sim(12, 10, 3);
         let past_u64 = Duration::from_micros(u64::MAX) + Duration::from_micros(1);
-        for (server, at) in [(2, Duration::MAX), (4, past_u64)] {
+        let late = [(2, Duration::MAX), (4, past_u64)]
+            .into_iter()
+            .chain((5..10).map(|server| (server, Duration::MAX)));
+        for (server, at) in late {
             s.inject_failure(FailureSpec {
                 at,
                 ..crash(server, 0.0, None)
@@ -486,12 +488,22 @@ mod tests {
         s.inject_failure(crash(0, 7000.0, None));
         let (report, seen) = alive_at_execute(&mut s);
         let servers: Vec<usize> = report.failovers.iter().map(|f| f.server).collect();
-        assert_eq!(servers, [3, 0, 1, 2, 4]);
-        let drained = |alive: &Vec<bool>| alive[2] && alive[4];
+        assert_eq!(servers, [3, 0, 1, 2, 4, 5, 6, 7, 8, 9]);
+        let drained = |alive: &Vec<bool>| (2..10).all(|server| alive[server]);
         assert!(seen.iter().all(drained), "only the drain is due");
         let displaced: usize = report.failovers.iter().map(|f| f.displaced).sum();
         assert!(displaced > 0);
         assert_eq!(report.metrics.outages.count(), displaced as u64);
+        // The last crashes leave no room: their stranded cells are charged
+        // the failover price plus the wait for the next epoch boundary,
+        // which lies after the crash even at the end of the clock.
+        let price = report.failovers[0].outage;
+        assert!(report.failovers.iter().any(|f| f.replaced < f.displaced));
+        assert!(
+            report.metrics.outages.max() > price,
+            "a stranded cell at the end of time waited {:?}",
+            report.metrics.outages.max()
+        );
     }
 
     #[test]

@@ -45,11 +45,15 @@ pub(crate) fn step_start(step: usize, step_seconds: f64) -> u64 {
 }
 
 /// The first epoch boundary strictly after `now`, epochs `epoch` long
-/// from time zero: when a cell a failure strands is placed again. Holds
-/// while `now` is fewer than `u32::MAX` epochs in.
+/// from time zero: when a cell a failure strands is placed again. A
+/// boundary past the end of `Duration` saturates to `Duration::MAX`.
 pub fn next_epoch_after(now: Duration, epoch: Duration) -> Duration {
-    let k = (now.as_nanos() / epoch.as_nanos() + 1) as u32;
-    epoch.saturating_mul(k)
+    const NANOS: u128 = 1_000_000_000;
+    // At most `Duration::MAX` plus one epoch: far inside a `u128`.
+    let next = (now.as_nanos() / epoch.as_nanos() + 1) * epoch.as_nanos();
+    u64::try_from(next / NANOS).map_or(Duration::MAX, |secs| {
+        Duration::new(secs, (next % NANOS) as u32)
+    })
 }
 
 /// An entry of a shard's crash schedule.
@@ -832,6 +836,35 @@ mod tests {
     use crate::pool::LinkFault;
     use pran_fronthaul::fault::FaultConfig;
     use pran_traces::{generate, TraceConfig};
+
+    /// The boundary is strictly after `now`, or `Duration::MAX`, however
+    /// far in `now` is: the epoch index is not cut to 32 bits.
+    #[test]
+    fn the_next_epoch_boundary_never_wraps() {
+        let epoch = Duration::from_secs(1_200);
+        assert_eq!(next_epoch_after(Duration::ZERO, epoch), epoch);
+        assert_eq!(next_epoch_after(epoch, epoch), 2 * epoch);
+        assert_eq!(
+            next_epoch_after(epoch - Duration::from_nanos(1), epoch),
+            epoch
+        );
+        // 32-bit index arithmetic gave 0 here.
+        let past_u32 = epoch * u32::MAX + Duration::from_secs(5);
+        assert_eq!(
+            next_epoch_after(past_u32, epoch),
+            Duration::from_secs(1_200 * (u64::from(u32::MAX) + 1))
+        );
+        // And 2,984,861,809,200 s here, long before `now`.
+        let end_of_micros = Duration::from_micros(u64::MAX);
+        let next = next_epoch_after(end_of_micros, epoch);
+        assert!(
+            next > end_of_micros && next - end_of_micros <= epoch,
+            "{next:?}"
+        );
+        assert_eq!(next.as_nanos() % epoch.as_nanos(), 0);
+        // No boundary after this one fits in a `Duration`.
+        assert_eq!(next_epoch_after(Duration::MAX, epoch), Duration::MAX);
+    }
 
     /// A 40-cell shard on 3 servers behind `metro_degraded`'s links (1 %
     /// loss, 800 µs jitter), placed for ten busy-hour steps at half their

@@ -35,6 +35,15 @@
 //! growth, because no `Value` tree is built on the way in either
 //! direction.
 //!
+//! And four about the model checker. On warm buffers,
+//! `Model::apply_into` allocates nothing for a transition that neither
+//! repacks an epoch nor delivers a crash, and a discovery that hits a
+//! known state allocates nothing. One depth-6 exploration of the
+//! headline stale model stays under a pinned number of allocations per
+//! transition. A warm `restore_drill` allocates exactly what its
+//! snapshot, its parse, the restored controller and its reinstalled app
+//! need, nothing for its text or its two views.
+//!
 //! Every counter is thread-local, so the tests of this file can run side
 //! by side: each sees only what its own thread allocated while armed.
 
@@ -45,7 +54,9 @@ use std::time::Duration;
 
 use pran::apps::{FailoverApp, LoadBalancerApp};
 use pran::{Controller, Snapshot, SystemConfig};
+use pran_chaos::restore_drill;
 use pran_fronthaul::fault::FaultConfig;
+use pran_mc::{McConfig, Model, Operation, StateView, Visited};
 use pran_obs::FlightRecorder;
 use pran_phy::FunctionalSplit;
 use pran_sched::placement::WarmConfig;
@@ -442,4 +453,123 @@ fn a_snapshot_is_read_from_text_without_a_tree() {
     );
     assert_eq!(serde_json::to_string(&copy).unwrap(), text);
     assert_eq!(serde_json::to_string(&tree).unwrap(), text);
+}
+
+/// The headline stale model and, from its initial state, the states the
+/// transition proofs below start from: one with cells placed, one with
+/// server 0 down and believed down, and one with its recovery pending.
+fn stale_states() -> (Model, [StateView; 3]) {
+    let model = Model::new(McConfig::headline_stale(2));
+    let run = |state: &StateView, ops: &[Operation]| {
+        ops.iter()
+            .fold(state.clone(), |s, &op| model.apply(&s, op).next)
+    };
+    let placed = run(
+        &model.initial_state(),
+        &[
+            Operation::Report { cell: 0, level: 1 },
+            Operation::Report { cell: 1, level: 0 },
+            Operation::Epoch,
+        ],
+    );
+    let down = run(
+        &placed,
+        &[Operation::Fail { server: 0 }, Operation::Deliver],
+    );
+    let returning = run(&down, &[Operation::Recover { server: 0 }]);
+    assert!(!down.truth[0] && !down.believed[0] && down.pending.is_empty());
+    assert!(returning.pending.front().is_some_and(|n| n.up));
+    (model, [placed, down, returning])
+}
+
+#[test]
+fn warm_model_transitions_allocate_nothing() {
+    let (model, [placed, down, returning]) = stale_states();
+    let steps = [
+        (&placed, Operation::Report { cell: 2, level: 1 }),
+        (&placed, Operation::Fail { server: 1 }),
+        (&down, Operation::Recover { server: 0 }),
+        (&returning, Operation::Deliver),
+        (&returning, Operation::Drill),
+        (&placed, Operation::Register),
+        (&placed, Operation::Deregister { cell: 0 }),
+    ];
+    let mut next = StateView::default();
+    let mut outages = Vec::new();
+    // The warm-up: each buffer grows to what the largest step needs.
+    for &(state, op) in &steps {
+        model.apply_into(state, op, &mut next, &mut outages);
+    }
+    for &(state, op) in &steps {
+        let ((), t) = counted(|| model.apply_into(state, op, &mut next, &mut outages));
+        assert_eq!(t.allocations, 0, "{op} allocated on warm buffers");
+        let fresh = model.apply(state, op);
+        assert_eq!((&next, &outages), (&fresh.next, &fresh.outages), "{op}");
+    }
+}
+
+#[test]
+fn rediscovering_a_known_state_allocates_nothing() {
+    let (model, states) = stale_states();
+    let mut visited = Visited::new(&model);
+    for state in &states {
+        assert!(visited.discover(state));
+    }
+    let (again, t) = counted(|| states.iter().filter(|&s| visited.discover(s)).count());
+    assert_eq!(again, 0, "every state was known");
+    assert_eq!(t.allocations, 0, "a known state's discovery allocated");
+    assert_eq!(visited.states(), states.len());
+}
+
+/// Allocations per transition of one depth-6 exploration of the headline
+/// stale model on the calling thread, which runs the whole exploration;
+/// the conformance walk's workers are threads of their own, and
+/// [`a_warm_restore_drill_allocates_only_for_its_snapshot_and_controller`]
+/// holds their largest cost.
+const EXPLORE_ALLOCATIONS_PER_TRANSITION: f64 = 2.65;
+
+#[test]
+fn an_exploration_allocates_under_its_per_transition_budget() {
+    let model = Model::new(McConfig {
+        depth: 6,
+        ..McConfig::headline_stale(2)
+    });
+    let (report, t) = counted(|| pran_mc::explore(&model));
+    assert!(report.conformance_failures.is_empty());
+    let per_transition = t.allocations as f64 / report.transitions as f64;
+    assert!(
+        per_transition <= EXPLORE_ALLOCATIONS_PER_TRANSITION,
+        "{} allocations over {} transitions: {per_transition:.3} each",
+        t.allocations,
+        report.transitions
+    );
+}
+
+#[test]
+fn a_warm_restore_drill_allocates_only_for_its_snapshot_and_controller() {
+    let mut ctl = Controller::new(McConfig::headline().sys);
+    ctl.install_app(Box::new(FailoverApp::new()));
+    for cell in 0..4 {
+        ctl.register_cell();
+        ctl.report_load(cell, 0.5).unwrap();
+    }
+    ctl.run_epoch(Duration::from_secs(60));
+    restore_drill(&ctl).unwrap();
+    let (_, drill) = counted(|| restore_drill(&ctl).unwrap());
+    // What the drill must make: the snapshot, the one it reads back, the
+    // restored controller and its reinstalled app. Its text and the two
+    // views it compares are written over the thread's buffers.
+    let (snapshot, taking) = counted(|| ctl.snapshot());
+    let text = serde_json::to_string(&snapshot).unwrap();
+    let (parsed, reading) = counted(|| serde_json::from_str::<Snapshot>(&text).unwrap());
+    let (_, restoring) = counted(|| Controller::try_restore(parsed).unwrap());
+    let app = 1;
+    assert_eq!(
+        drill.allocations,
+        taking.allocations + reading.allocations + restoring.allocations + app,
+        "snapshot {}, read {}, restore {}",
+        taking.allocations,
+        reading.allocations,
+        restoring.allocations
+    );
 }
