@@ -36,6 +36,20 @@
 //!   1e-9⌉` with the knapsack's exact `max_p`, so any `π`, one cut short
 //!   by the round cap included, gives a valid `k`
 //!   ([`pran_ilp::knapsack::binpack_lower_bound_patterns`]).
+//! - **Proof before the LP.** On a uniform pool the solve hands branch and
+//!   bound a lower bound on the cost, `cost · max(L1, k)`, with L1
+//!   [`PlacementInstance::lower_bound_servers`] and `k` the pattern bound
+//!   where the gate computed it ([`solve_ilp_bounded`]). When first fit
+//!   decreasing's start meets it, the root is closed without an LP: one
+//!   node, no pivots, the start's placement and cost. Elsewhere the LP
+//!   decides, and the answer is the same either way. The
+//!   bound holds for every placement the search accepts because each
+//!   cell sits on an open server, loaded to at most `G · (1 +
+//!   FIT_TOLERANCE)`; a cell of at most [`INCUMBENT_TOL`] GOPS could sit
+//!   on a closed one within a capacity row's slack, so an instance with
+//!   one gets no bound. On `placement_exact`'s forty-instance library
+//!   the bound closes every root but instance 16's, whose optimum (3)
+//!   is one server below first fit's.
 
 use std::cell::OnceCell;
 use std::time::Duration;
@@ -44,7 +58,7 @@ use pran_ilp::knapsack::{
     binpack_lower_bound_l1, binpack_lower_bound_l2, binpack_lower_bound_patterns,
 };
 use pran_ilp::{
-    solve_ilp, BnbConfig, Cmp, IlpStatus, LinExpr, Model, PresolveStats, Sense, VarId,
+    solve_ilp_bounded, BnbConfig, Cmp, IlpStatus, LinExpr, Model, PresolveStats, Sense, VarId,
     INCUMBENT_TOL,
 };
 
@@ -60,7 +74,9 @@ pub struct IlpPlacement {
     pub optimal: bool,
     /// Objective value (total cost of used servers).
     pub cost: Option<f64>,
-    /// Branch-and-bound nodes explored.
+    /// Branch-and-bound nodes explored. A root closed by the cost bound
+    /// before any LP (module docs, "Proof before the LP") counts as one,
+    /// as a root its LP closes does.
     pub nodes: usize,
     /// Wall-clock solve time.
     pub elapsed: Duration,
@@ -152,16 +168,31 @@ fn first_fit<'a>(
     ffd.get_or_init(|| place(instance, Heuristic::FirstFitDecreasing))
 }
 
-/// The pattern row's `k`, where the module docs' gate lets it in.
-fn pattern_cut(instance: &PlacementInstance, ffd: &OnceCell<HeuristicResult>) -> Option<usize> {
+/// The pattern bound where the module docs' gate computes it.
+fn pattern_gate(instance: &PlacementInstance, ffd: &OnceCell<HeuristicResult>) -> Option<usize> {
     let capacity = uniform_capacity(instance)?;
-    let sizes = demands(instance);
     let ffd = first_fit(instance, ffd);
     let gap = ffd.complete()
-        && instance.servers_used(&ffd.placement) > binpack_lower_bound_l2(&sizes, capacity);
-    gap.then(|| pattern_bound(instance))
-        .flatten()
-        .filter(|&k| k > binpack_lower_bound_l1(&sizes, capacity))
+        && instance.servers_used(&ffd.placement)
+            > binpack_lower_bound_l2(&demands(instance), capacity);
+    gap.then(|| pattern_bound(instance)).flatten()
+}
+
+/// A lower bound on the cost of every placement the search accepts, for
+/// [`solve_ilp_bounded`] (module docs, "Proof before the LP"): `cost ·
+/// max(L1, k)` on a uniform pool of non-negative cost whose every cell
+/// needs more than [`INCUMBENT_TOL`] GOPS, −∞ on any other.
+fn root_bound(instance: &PlacementInstance, k: Option<usize>) -> f64 {
+    let Some(server) = instance.servers.first() else {
+        return f64::NEG_INFINITY;
+    };
+    let bounded = uniform_capacity(instance).is_some()
+        && server.cost >= 0.0
+        && instance.cells.iter().all(|c| c.gops > INCUMBENT_TOL);
+    if !bounded {
+        return f64::NEG_INFINITY;
+    }
+    server.cost * instance.lower_bound_servers().max(k.unwrap_or(0)) as f64
 }
 
 /// [`build_model`] with explicit options.
@@ -169,15 +200,15 @@ pub fn build_model_with(
     instance: &PlacementInstance,
     options: SolveOptions,
 ) -> (Model, Vec<Vec<Option<VarId>>>, Vec<VarId>) {
-    build(instance, options, &OnceCell::new())
+    build(instance, options, pattern_gate(instance, &OnceCell::new()))
 }
 
-/// [`build_model_with`], taking first-fit decreasing's placement from
-/// `ffd` ([`first_fit`]).
+/// [`build_model_with`], given the gate's pattern bound `k`
+/// ([`pattern_gate`]).
 fn build(
     instance: &PlacementInstance,
     options: SolveOptions,
-    ffd: &OnceCell<HeuristicResult>,
+    k: Option<usize>,
 ) -> (Model, Vec<Vec<Option<VarId>>>, Vec<VarId>) {
     let mut m = Model::new();
     let servers = instance.servers.len();
@@ -260,8 +291,10 @@ fn build(
         m.add_constraint(LinExpr::from(y[s]) - y[s - 1], Cmp::Le, 0.0);
     }
 
-    // The pattern bound, where it beats the LP's own (module docs).
-    if let Some(k) = pattern_cut(instance, ffd) {
+    // The pattern bound, where it beats the LP's own (module docs). Only
+    // a uniform pool has one, so server 0's capacity is every server's.
+    let lp_bound = || binpack_lower_bound_l1(&demands(instance), instance.servers[0].capacity_gops);
+    if let Some(k) = k.filter(|&k| k > lp_bound()) {
         m.add_constraint(LinExpr::sum(y.iter().copied()), Cmp::Ge, k as f64);
     }
 
@@ -304,7 +337,8 @@ pub fn solve_with(
     }
     let solve_span = pran_telemetry::trace::span("sched.ilp");
     let ffd = OnceCell::new();
-    let (model, x, y) = build(instance, options, &ffd);
+    let k = pattern_gate(instance, &ffd);
+    let (model, x, y) = build(instance, options, k);
     let mut config = config.clone();
     if config.initial.is_none() && options.warm_start {
         let seed = first_fit(instance, &ffd);
@@ -321,7 +355,7 @@ pub fn solve_with(
             config.initial = Some(values);
         }
     }
-    let result = solve_ilp(&model, &config);
+    let result = solve_ilp_bounded(&model, &config, root_bound(instance, k));
     let placement = result.solution.as_ref().map(|sol| {
         let assignment = x
             .iter()

@@ -515,6 +515,13 @@ impl PlacementInstance {
 
     /// A lower bound on servers used (uniform-capacity L1 bound; uses the
     /// largest capacity, so it is valid for heterogeneous pools too).
+    ///
+    /// The demand is divided by the load a server admits,
+    /// `capacity · (1 + FIT_TOLERANCE)` ([`ServerSpec::fits`]), and the
+    /// quotient is lowered by the most that float summation can have
+    /// raised it (a relative `(cells + 2) · ε`) before it is rounded up:
+    /// a packing whose every server [`PlacementInstance::validate`]
+    /// accepts never uses fewer.
     pub fn lower_bound_servers(&self) -> usize {
         let max_cap = self
             .servers
@@ -524,7 +531,9 @@ impl PlacementInstance {
         if max_cap == 0.0 {
             return if self.cells.is_empty() { 0 } else { usize::MAX };
         }
-        (self.total_gops() / max_cap).ceil() as usize
+        let servers = self.total_gops() / (max_cap * (1.0 + ServerSpec::FIT_TOLERANCE));
+        let summation = (self.cells.len() + 2) as f64 * f64::EPSILON;
+        (servers - servers * summation).ceil() as usize
     }
 }
 
@@ -651,6 +660,23 @@ mod tests {
         assert_eq!(inst.lower_bound_servers(), 2); // 180 GOPS / 100
         let empty = PlacementInstance::uniform(&[], 2, 100.0);
         assert_eq!(empty.lower_bound_servers(), 0);
+    }
+
+    /// Four cells of `100 + ε` GOPS on 400-GOPS servers: up to
+    /// ε = 1e-7 their sum is inside the fit tolerance, so one server
+    /// holds them and the bound says one; past it, two.
+    #[test]
+    fn lower_bound_admits_the_fit_tolerance() {
+        use crate::placement::heuristics::{place, Heuristic};
+        let sums = [1e-8, 5e-8, 9e-8, 1e-7, 1.5e-7, 1e-6].map(|eps| {
+            let inst = PlacementInstance::uniform(&[100.0 + eps; 4], 4, 400.0);
+            let ffd = place(&inst, Heuristic::FirstFitDecreasing).placement;
+            assert!(inst.validate(&ffd).is_ok(), "ε = {eps}");
+            let used = inst.servers_used(&ffd);
+            assert_eq!(inst.lower_bound_servers(), used, "ε = {eps}");
+            used
+        });
+        assert_eq!(sums, [1, 1, 1, 1, 2, 2]);
     }
 
     /// One accelerated server (id 0) and one plain server (id 1), with

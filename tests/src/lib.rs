@@ -4,6 +4,11 @@ pub mod reference;
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use pran_ilp::BnbConfig;
+use pran_sched::placement::dimensioning::GopsConverter;
+use pran_sched::placement::PlacementInstance;
+use pran_traces::{generate, TraceConfig};
+
 /// Serialize the tests of one binary that configure, arm or drain the
 /// process-global tracer and live sinks. A test that fails while holding
 /// the lock poisons it; the next one takes it anyway, so one failure
@@ -43,4 +48,28 @@ pub fn v1_snapshot_written_back() -> String {
         text = text.replacen(unread, "", 1);
     }
     text
+}
+
+/// Instance `i` of the benchmark's `placement_exact` library, built as
+/// `benchmark/src/inputs.rs` builds it: ten cells of trace seed
+/// `2_026_000 + i` at hour 20 on ten 400-GOPS servers.
+pub fn library_instance(i: usize) -> PlacementInstance {
+    let mut cfg = TraceConfig::default_day(10, 2_026_000 + i as u64);
+    cfg.step_seconds = 3600.0;
+    let trace = generate(&cfg);
+    let conv = GopsConverter::default_eval();
+    let demands: Vec<f64> = trace.samples[20].iter().map(|&u| conv.gops(u)).collect();
+    PlacementInstance::uniform(&demands, demands.len(), 400.0)
+}
+
+/// Instances in [`library_instance`]'s library.
+pub const LIBRARY_SIZE: usize = 40;
+
+/// The benchmark's node limit.
+pub fn library_limits() -> BnbConfig {
+    BnbConfig {
+        max_nodes: 3_000,
+        time_limit: std::time::Duration::from_secs(3600),
+        ..BnbConfig::default()
+    }
 }

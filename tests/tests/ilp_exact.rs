@@ -1,12 +1,14 @@
 //! Proof layer of the exact placer: a brute-force oracle, the warm
 //! start's expressibility, warm-versus-cold node LPs, the node-count
-//! ratchet on the benchmark's instance library, and that library's
-//! search pinned bit for bit.
+//! ratchet on the benchmark's instance library, that library's search
+//! pinned bit for bit, and `ilp::solve`'s answers held to that search
+//! where its cost bound closes the root first.
 
 use pran_ilp::{
     presolve, solve_ilp, solve_lp, BnbConfig, IlpStatus, LpStatus, Model, Presolved, Simplex,
     VarId, Violation, INCUMBENT_TOL,
 };
+use pran_integration_tests::{library_instance, library_limits, LIBRARY_SIZE};
 use pran_sched::placement::dimensioning::GopsConverter;
 use pran_sched::placement::heuristics::{place, Heuristic};
 use pran_sched::placement::ilp::{self, SolveOptions};
@@ -100,7 +102,53 @@ fn assert_matches_oracle(inst: &PlacementInstance) -> Result<(), TestCaseError> 
             }
         }
     }
+    assert_decomposes(inst, &BnbConfig::default(), "oracle");
     Ok(())
+}
+
+/// `ilp::solve` beside the search it may skip, taken apart as the
+/// benchmark's traced pass takes it: `build_model`, the FFD start,
+/// `solve_ilp`. Placement, cost bits, proof and presolve stats agree; so
+/// do the node counts, unless `ilp::solve` closed the root with its cost
+/// bound where the LP would have searched, which is what this returns.
+fn assert_decomposes(inst: &PlacementInstance, limits: &BnbConfig, label: &str) -> bool {
+    let solved = ilp::solve(inst, limits);
+    let (model, x, y) = ilp::build_model(inst);
+    let complete = place(inst, Heuristic::FirstFitDecreasing).complete();
+    let config = BnbConfig {
+        initial: complete.then(|| ffd_start(inst, &model, &x, &y)),
+        ..limits.clone()
+    };
+    let searched = solve_ilp(&model, &config);
+    let placement = searched.solution.as_ref().map(|sol| {
+        x.iter()
+            .map(|row| row.iter().position(|v| v.is_some_and(|v| sol.is_set(v))))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(
+        solved.placement.map(|p| p.assignment),
+        placement,
+        "{label}: placement"
+    );
+    assert_eq!(
+        solved.cost.map(f64::to_bits),
+        searched.solution.map(|s| s.objective.to_bits()),
+        "{label}: cost"
+    );
+    let proven = searched.status == IlpStatus::Optimal;
+    assert_eq!(solved.optimal, proven, "{label}: proof");
+    assert_eq!(
+        solved.presolve, searched.stats.presolve,
+        "{label}: presolve"
+    );
+    let skipped = solved.nodes != searched.stats.nodes;
+    assert!(
+        !skipped || solved.nodes == 1,
+        "{label}: {} nodes, the LP search {}",
+        solved.nodes,
+        searched.stats.nodes
+    );
+    skipped
 }
 
 /// Two runs of interchangeable servers: the first half big, the second
@@ -282,6 +330,98 @@ fn tight_instances_past_ten_cells_are_proven_at_the_root() {
     }
 }
 
+/// `e5_ilp_vs_heuristic`'s ten instances, built as it builds them.
+fn e5_instances() -> Vec<PlacementInstance> {
+    let rows = [
+        (6, 4),
+        (6, 20),
+        (10, 4),
+        (10, 20),
+        (14, 12),
+        (14, 20),
+        (18, 20),
+        (22, 20),
+        (26, 20),
+        (30, 20),
+    ];
+    let conv = GopsConverter::default_eval();
+    rows.map(|(cells, hour)| {
+        let mut cfg = TraceConfig::default_day(cells, 1000 + cells as u64);
+        cfg.step_seconds = 3600.0;
+        let trace = generate(&cfg);
+        let step = hour.min(trace.num_steps() - 1);
+        let demands: Vec<f64> = trace.samples[step].iter().map(|&u| conv.gops(u)).collect();
+        PlacementInstance::uniform(&demands, cells, 400.0)
+    })
+    .into()
+}
+
+/// The exact placer answers as the LP search does on the benchmark's
+/// library and E5's rows, where every root the bound closes the LP
+/// closes too; the oracle tests hold it on their instances as well
+/// ([`assert_matches_oracle`]).
+#[test]
+fn exact_placer_answers_as_the_lp_search_does() {
+    for i in 0..LIBRARY_SIZE {
+        let label = format!("library {i}");
+        assert!(!assert_decomposes(
+            &library_instance(i),
+            &library_limits(),
+            &label
+        ));
+    }
+    let e5 = BnbConfig {
+        max_nodes: 20_000,
+        ..library_limits()
+    };
+    for (row, inst) in e5_instances().iter().enumerate() {
+        assert!(!assert_decomposes(inst, &e5, &format!("E5 row {row}")));
+    }
+}
+
+/// [`exact_placer_answers_as_the_lp_search_does`] on the tight family,
+/// with the searches cut short at a few nodes: past ten cells most of
+/// them are not proven within thousands, and a cut search is compared
+/// all the same. Most of the time here is the pattern bound at 50 and 60
+/// cells, computed once by each side.
+#[test]
+fn exact_placer_answers_as_the_lp_search_does_on_tight_instances() {
+    let short = BnbConfig {
+        max_nodes: 6,
+        ..library_limits()
+    };
+    for cells in (10..=60).step_by(10) {
+        for seed in 1..=12 {
+            let label = format!("tight {cells} cells, seed {seed}");
+            assert!(!assert_decomposes(
+                &tight_instance(cells, seed),
+                &short,
+                &label
+            ));
+        }
+    }
+}
+
+/// Nine equal cells with Σg/G = 2 + 5e-7: the LP's bound, 2.0000005,
+/// rounds to 2 under the integrality slack, so the LP search branches
+/// (some 250 nodes) to prove the three servers first fit uses; L1,
+/// three, proves them before any LP.
+#[test]
+fn the_cost_bound_closes_a_root_the_lp_rounds_down() {
+    let inst = PlacementInstance::uniform(&[800.0002 / 9.0; 9], 3, 400.0);
+    let load = inst.total_gops() / 400.0;
+    assert!(load > 2.0 && load <= 2.0 + 1e-6, "Σg/G = {load}");
+    assert_eq!(inst.lower_bound_servers(), 3);
+    assert!(assert_decomposes(
+        &inst,
+        &BnbConfig::default(),
+        "constructed"
+    ));
+    let solved = ilp::solve_default(&inst);
+    assert_eq!((solved.optimal, solved.nodes), (true, 1));
+    assert_eq!(solved.cost, Some(3.0));
+}
+
 /// The first-fit-decreasing placement of `inst` as a start for `model`,
 /// set as `ilp::solve` sets it.
 fn ffd_start(
@@ -301,29 +441,6 @@ fn ffd_start(
         }
     }
     initial
-}
-
-/// Instance `i` of the benchmark's `placement_exact` library, built as
-/// `benchmark/src/inputs.rs` builds it: ten cells of trace seed
-/// `2_026_000 + i` at hour 20 on ten 400-GOPS servers.
-fn library_instance(i: usize) -> PlacementInstance {
-    let mut cfg = TraceConfig::default_day(10, 2_026_000 + i as u64);
-    cfg.step_seconds = 3600.0;
-    let trace = generate(&cfg);
-    let conv = GopsConverter::default_eval();
-    let demands: Vec<f64> = trace.samples[20].iter().map(|&u| conv.gops(u)).collect();
-    PlacementInstance::uniform(&demands, demands.len(), 400.0)
-}
-
-const LIBRARY_SIZE: usize = 40;
-
-/// The benchmark's node limit.
-fn library_limits() -> BnbConfig {
-    BnbConfig {
-        max_nodes: 3_000,
-        time_limit: std::time::Duration::from_secs(3600),
-        ..BnbConfig::default()
-    }
 }
 
 #[test]
