@@ -86,7 +86,7 @@ fn main() {
             "bfd_servers": bfd_srv,
             "gap": gap,
             "ilp_nodes": exact.nodes,
-            "presolve_vars_fixed": exact.presolve.vars_fixed,
+            "presolve_vars_fixed": exact.presolve.map(|p| p.vars_fixed),
         }));
         host_rows.push(serde_json::json!({
             "cells": cells,

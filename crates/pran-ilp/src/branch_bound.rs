@@ -12,10 +12,12 @@
 //!
 //! A caller that has proven a bound on the objective
 //! ([`solve_ilp_bounded`]) hands it to the root. When the warm start
-//! meets it under the test every node is pruned by, the root is closed
-//! before any LP: the start comes back `Optimal`, one node, no pivots, and
-//! no [`Simplex`] is built. Bin packing is the case in point, where first
-//! fit often uses exactly the servers a counting bound asks for.
+//! meets it under the test every node is pruned by ([`prunes`]), the root
+//! is closed before any LP: the start comes back `Optimal`, one node, no
+//! pivots, and no [`Simplex`] is built. Bin packing is the case in point,
+//! where first fit often uses exactly the servers a counting bound asks
+//! for; the exact placer asks [`prunes`] itself before it builds a model
+//! at all.
 //!
 //! A node pays only for its LP. It is one `Change`, a variable's new
 //! bounds linked to the change above it, so a child copies no path. Before
@@ -204,6 +206,11 @@ pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
 /// [`Simplex`] built; otherwise the search runs as [`solve_ilp`]'s, pivot
 /// for pivot. A bound that is not valid proves a start that is not
 /// optimal.
+///
+/// A caller that can price its start without a model may ask [`prunes`]
+/// first and skip the model where the root would close: the exact placer
+/// does, and hands this function the same bound for every solve that
+/// still builds one.
 pub fn solve_ilp_bounded(model: &Model, config: &BnbConfig, root_bound: f64) -> IlpResult {
     let start = Instant::now();
     let reduced;
@@ -272,17 +279,10 @@ pub fn solve_ilp_bounded(model: &Model, config: &BnbConfig, root_bound: f64) -> 
     // An objective that is an integer on every integer point lets each LP
     // bound move up to the next integer before it is compared or queued.
     let integral_objective = objective_is_integral(model);
-    let tighten = |norm: f64| {
-        if integral_objective {
-            (norm - INT_TOL).ceil()
-        } else {
-            norm
-        }
-    };
     let mut open = BinaryHeap::new();
     open.push(Prioritized(Node {
         change: None,
-        bound: tighten(sign * root_bound),
+        bound: tighten(sign * root_bound, integral_objective),
         depth: 0,
     }));
     let mut changes: Vec<Change> = Vec::new();
@@ -310,8 +310,9 @@ pub fn solve_ilp_bounded(model: &Model, config: &BnbConfig, root_bound: f64) -> 
             break;
         }
         // Prune against incumbent. A root closed by the caller's bound
-        // counts as one node, as a root its LP closes does.
-        if no_better(node.bound, incumbent_norm) {
+        // counts as one node, as a root its LP closes does. A queued
+        // bound is tightened already, and tightening it again is a no-op.
+        if prunes(node.bound, incumbent_norm, integral_objective) {
             stats.nodes += usize::from(node.change.is_none());
             continue;
         }
@@ -366,10 +367,10 @@ pub fn solve_ilp_bounded(model: &Model, config: &BnbConfig, root_bound: f64) -> 
             LpStatus::Optimal => {}
         }
         let (values, lp_objective) = lp.point();
-        let node_norm = tighten(sign * lp_objective);
-        if no_better(node_norm, incumbent_norm) {
+        if prunes(sign * lp_objective, incumbent_norm, integral_objective) {
             continue;
         }
+        let node_norm = tighten(sign * lp_objective, integral_objective);
 
         // The deepest override of `v` on this node's path, else its model
         // bounds.
@@ -495,10 +496,30 @@ pub fn solve_ilp_default(model: &Model) -> IlpResult {
     solve_ilp(model, &BnbConfig::default())
 }
 
-/// Whether a node bounded by `bound` (minimization-normalized) can hold
-/// nothing better than the incumbent: the search's one prune test.
-fn no_better(bound: f64, incumbent_norm: f64) -> bool {
-    bound >= incumbent_norm - GAP_TOL * incumbent_norm.abs().max(1.0)
+/// Whether a node whose relaxation is bounded by `bound` can hold nothing
+/// better than an incumbent of objective `incumbent`, both
+/// minimization-normalized: the search's one prune test, for the root
+/// under the caller's bound as for every node under its LP's. Where the
+/// objective is an integer at every integer point (`integral_objective`)
+/// the bound first moves up to the next integer, within `1e-6`; the
+/// bound then prunes when it is within the relative gap `GAP_TOL` (1e-9)
+/// of the incumbent.
+///
+/// A caller that proves the root closed without a model (the exact
+/// placer does, with first fit decreasing's cost) asks this test, so it
+/// closes exactly the roots the search would.
+pub fn prunes(bound: f64, incumbent: f64, integral_objective: bool) -> bool {
+    tighten(bound, integral_objective) >= incumbent - GAP_TOL * incumbent.abs().max(1.0)
+}
+
+/// A bound moved up to the next integer where the objective is integral
+/// (see [`prunes`]). Idempotent: a tightened bound tightens to itself.
+fn tighten(bound: f64, integral_objective: bool) -> f64 {
+    if integral_objective {
+        (bound - INT_TOL).ceil()
+    } else {
+        bound
+    }
 }
 
 /// Whether the objective is an integer at every integer-feasible point:

@@ -113,26 +113,26 @@ pub fn binpack_lower_bound_l2(sizes: &[f64], capacity: f64) -> usize {
     assert!(capacity > 0.0);
     let l1 = binpack_lower_bound_l1(sizes, capacity);
     let mut best = l1;
-    let mut thresholds: Vec<f64> = sizes
+    let thresholds = sizes
         .iter()
         .copied()
         .filter(|&s| s > 0.0 && s <= capacity / 2.0)
-        .collect();
-    thresholds.push(capacity / 2.0);
-    for &k in &thresholds {
+        .chain(std::iter::once(capacity / 2.0));
+    for k in thresholds {
         let n1 = sizes.iter().filter(|&&s| s > capacity - k).count();
-        let medium: Vec<f64> = sizes
-            .iter()
-            .copied()
-            .filter(|&s| s > capacity / 2.0 && s <= capacity - k)
-            .collect();
-        let n2 = medium.len();
+        let medium = || {
+            sizes
+                .iter()
+                .copied()
+                .filter(move |&s| s > capacity / 2.0 && s <= capacity - k)
+        };
+        let n2 = medium().count();
         let small_sum: f64 = sizes
             .iter()
             .copied()
             .filter(|&s| s >= k && s <= capacity / 2.0)
             .sum();
-        let free_in_medium: f64 = medium.iter().map(|&s| capacity - s).sum();
+        let free_in_medium: f64 = medium().map(|s| capacity - s).sum();
         let overflow = small_sum - free_in_medium;
         let extra = if overflow > 0.0 {
             (overflow / capacity).ceil() as usize

@@ -44,8 +44,8 @@ pub mod presolve;
 pub mod simplex;
 
 pub use branch_bound::{
-    solve_ilp, solve_ilp_bounded, solve_ilp_default, BnbConfig, BnbStats, IlpResult, IlpStatus,
-    INCUMBENT_REL_TOL, INCUMBENT_TOL,
+    prunes, solve_ilp, solve_ilp_bounded, solve_ilp_default, BnbConfig, BnbStats, IlpResult,
+    IlpStatus, INCUMBENT_REL_TOL, INCUMBENT_TOL,
 };
 pub use model::{
     Cmp, Constraint, ConstraintId, LinExpr, Model, Sense, Solution, VarId, VarKind, Variable,

@@ -36,30 +36,36 @@
 //!   1e-9⌉` with the knapsack's exact `max_p`, so any `π`, one cut short
 //!   by the round cap included, gives a valid `k`
 //!   ([`pran_ilp::knapsack::binpack_lower_bound_patterns`]).
-//! - **Proof before the LP.** On a uniform pool the solve hands branch and
-//!   bound a lower bound on the cost, `cost · max(L1, k)`, with L1
+//! - **Proof before the model.** On a uniform pool the solve has a lower
+//!   bound on the cost, `cost · max(L1, k)`, with L1
 //!   [`PlacementInstance::lower_bound_servers`] and `k` the pattern bound
-//!   where the gate computed it ([`solve_ilp_bounded`]). When first fit
-//!   decreasing's start meets it, the root is closed without an LP: one
-//!   node, no pivots, the start's placement and cost. Elsewhere the LP
-//!   decides, and the answer is the same either way. The
-//!   bound holds for every placement the search accepts because each
-//!   cell sits on an open server, loaded to at most `G · (1 +
-//!   FIT_TOLERANCE)`; a cell of at most [`INCUMBENT_TOL`] GOPS could sit
-//!   on a closed one within a capacity row's slack, so an instance with
-//!   one gets no bound. On `placement_exact`'s forty-instance library
-//!   the bound closes every root but instance 16's, whose optimum (3)
-//!   is one server below first fit's.
+//!   where the gate computed it. The bound holds for every placement the
+//!   search accepts because each cell sits on an open server, loaded to
+//!   at most `G · (1 + FIT_TOLERANCE)`; a cell of at most
+//!   [`INCUMBENT_TOL`] GOPS could sit on a closed one within a capacity
+//!   row's slack, so an instance with one gets no bound. Where first fit
+//!   decreasing's start meets it under branch and bound's own prune test
+//!   ([`pran_ilp::prunes`]), and the start is one branch and bound
+//!   certainly accepts (no server loaded past `G`), the solve returns
+//!   that start as branch and bound would: optimal, one node, no pivots,
+//!   the model's objective at the start. No model, presolve or simplex is
+//!   built. Every other solve builds the model and hands the bound to
+//!   [`solve_ilp_bounded`], whose root it closes without an LP where the
+//!   start meets it after all; elsewhere the LP decides, and the answer
+//!   is the same either way. On `placement_exact`'s forty-instance
+//!   library the bound closes every root but instance 16's, whose
+//!   optimum (3) is one server below first fit's, and none of the 39
+//!   builds a model.
 
 use std::cell::OnceCell;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pran_ilp::knapsack::{
     binpack_lower_bound_l1, binpack_lower_bound_l2, binpack_lower_bound_patterns,
 };
 use pran_ilp::{
-    solve_ilp_bounded, BnbConfig, Cmp, IlpStatus, LinExpr, Model, PresolveStats, Sense, VarId,
-    INCUMBENT_TOL,
+    prunes, solve_ilp_bounded, BnbConfig, Cmp, IlpStatus, LinExpr, Model, PresolveStats, Sense,
+    VarId, INCUMBENT_TOL,
 };
 
 use super::heuristics::{decreasing_order, place, Heuristic, HeuristicResult};
@@ -75,13 +81,20 @@ pub struct IlpPlacement {
     /// Objective value (total cost of used servers).
     pub cost: Option<f64>,
     /// Branch-and-bound nodes explored. A root closed by the cost bound
-    /// before any LP (module docs, "Proof before the LP") counts as one,
-    /// as a root its LP closes does.
+    /// before any model (module docs, "Proof before the model") counts as
+    /// one, as a root its LP closes does.
     pub nodes: usize,
-    /// Wall-clock solve time.
+    /// Simplex pivots over the search's node LPs: 0 where the cost bound
+    /// closed the root.
+    pub lp_iterations: usize,
+    /// Wall-clock time of the whole call: the pattern gate, first fit
+    /// decreasing and, where one is built, the model, its presolve and
+    /// the search.
     pub elapsed: Duration,
-    /// Presolve reductions performed before the search.
-    pub presolve: PresolveStats,
+    /// Presolve reductions performed before the search; `None` where no
+    /// presolve ran: first fit decreasing's placement was proven optimal
+    /// before a model was built, or there was no cell to place.
+    pub presolve: Option<PresolveStats>,
 }
 
 /// Solver switches, exposed so the ablation experiment can isolate the
@@ -178,11 +191,17 @@ fn pattern_gate(instance: &PlacementInstance, ffd: &OnceCell<HeuristicResult>) -
     gap.then(|| pattern_bound(instance)).flatten()
 }
 
-/// A lower bound on the cost of every placement the search accepts, for
-/// [`solve_ilp_bounded`] (module docs, "Proof before the LP"): `cost ·
-/// max(L1, k)` on a uniform pool of non-negative cost whose every cell
-/// needs more than [`INCUMBENT_TOL`] GOPS, −∞ on any other.
-fn root_bound(instance: &PlacementInstance, k: Option<usize>) -> f64 {
+/// The lower bound [`solve`] proves the root with: on the cost of every
+/// placement the search accepts (module docs, "Proof before the model"),
+/// `cost · max(L1, k)` on a uniform pool of non-negative cost whose every
+/// cell needs more than [`INCUMBENT_TOL`] GOPS, −∞ on any other. `k` is
+/// the pattern bound where the gate computes it.
+pub fn root_bound(instance: &PlacementInstance) -> f64 {
+    cost_bound(instance, pattern_gate(instance, &OnceCell::new()))
+}
+
+/// [`root_bound`], given the gate's pattern bound `k`.
+fn cost_bound(instance: &PlacementInstance, k: Option<usize>) -> f64 {
     let Some(server) = instance.servers.first() else {
         return f64::NEG_INFINITY;
     };
@@ -319,29 +338,173 @@ pub fn solve(instance: &PlacementInstance, config: &BnbConfig) -> IlpPlacement {
     solve_with(instance, config, SolveOptions::default())
 }
 
+/// What one solve found, by branch and bound or by the proof before the
+/// model: what [`IlpPlacement`] and the `sched.ilp` span report.
+struct Outcome {
+    placement: Option<Placement>,
+    optimal: bool,
+    cost: Option<f64>,
+    nodes: usize,
+    lp_iterations: usize,
+    warm_start_accepted: bool,
+    best_bound: f64,
+    gap: Option<f64>,
+    presolve: Option<PresolveStats>,
+}
+
 /// [`solve`] with explicit ablation options.
 pub fn solve_with(
     instance: &PlacementInstance,
     config: &BnbConfig,
     options: SolveOptions,
 ) -> IlpPlacement {
+    let start = Instant::now();
     if instance.cells.is_empty() {
         return IlpPlacement {
             placement: Some(Placement::empty(0)),
             optimal: true,
             cost: Some(0.0),
             nodes: 0,
-            elapsed: Duration::ZERO,
-            presolve: PresolveStats::default(),
+            lp_iterations: 0,
+            elapsed: start.elapsed(),
+            presolve: None,
         };
     }
     let solve_span = pran_telemetry::trace::span("sched.ilp");
     let ffd = OnceCell::new();
     let k = pattern_gate(instance, &ffd);
+    let bound = cost_bound(instance, k);
+    let outcome = match proven_first_fit(instance, config, options, &ffd, bound) {
+        Some(cost) => Outcome {
+            placement: ffd.into_inner().map(|seed| seed.placement),
+            optimal: true,
+            cost: Some(cost),
+            nodes: 1,
+            lp_iterations: 0,
+            warm_start_accepted: true,
+            best_bound: cost,
+            gap: Some(0.0),
+            presolve: None,
+        },
+        None => search(instance, config, options, &ffd, k, bound),
+    };
+    let elapsed = start.elapsed();
+    if pran_telemetry::enabled() {
+        let registry = pran_telemetry::metrics::global();
+        registry.inc("sched.ilp.solves", &[], 1);
+        registry.inc("sched.ilp.nodes", &[], outcome.nodes as u64);
+        registry.inc("sched.ilp.lp_iterations", &[], outcome.lp_iterations as u64);
+        registry.observe("sched.ilp.solve_time", &[], elapsed);
+        let root_proved = outcome.optimal && outcome.nodes == 1;
+        registry.inc("sched.ilp.root_proved", &[], u64::from(root_proved));
+        registry.inc(
+            "sched.ilp.warm_start_accepted",
+            &[],
+            u64::from(outcome.warm_start_accepted),
+        );
+        let mut fields = vec![
+            ("cells", instance.cells.len().into()),
+            ("nodes", outcome.nodes.into()),
+            ("lp_iterations", outcome.lp_iterations.into()),
+            ("optimal", outcome.optimal.into()),
+            ("root_proved", root_proved.into()),
+            ("warm_start_accepted", outcome.warm_start_accepted.into()),
+        ];
+        // Presolve counts exist only where a model was presolved, as bound
+        // and gap only beside an incumbent (the bound is NaN without
+        // one); the gauges then keep the last solve that had one.
+        if let Some(presolve) = outcome.presolve {
+            fields.extend([
+                ("presolve_rows_removed", presolve.rows_removed.into()),
+                (
+                    "presolve_bounds_tightened",
+                    presolve.bounds_tightened.into(),
+                ),
+                ("presolve_vars_fixed", presolve.vars_fixed.into()),
+            ]);
+        }
+        if let Some(gap) = outcome.gap {
+            registry.gauge("sched.ilp.best_bound", &[], outcome.best_bound);
+            registry.gauge("sched.ilp.gap", &[], gap);
+            fields.push(("best_bound", outcome.best_bound.into()));
+            fields.push(("gap", gap.into()));
+        }
+        solve_span.finish_with(&fields);
+    }
+    IlpPlacement {
+        placement: outcome.placement,
+        optimal: outcome.optimal,
+        cost: outcome.cost,
+        nodes: outcome.nodes,
+        lp_iterations: outcome.lp_iterations,
+        elapsed,
+        presolve: outcome.presolve,
+    }
+}
+
+/// First fit decreasing's cost, where branch and bound would close the
+/// root on that start (module docs, "Proof before the model"); `None`
+/// elsewhere. The caller left the warm start on and gave no start of its
+/// own, and the node budget admits the root. The pool is uniform and
+/// first fit places every cell with no server loaded past `G`, so the
+/// start passes the model's feasibility check, whose capacity rows admit
+/// `min(INCUMBENT_TOL, INCUMBENT_REL_TOL · G)` past `G` where
+/// [`ServerSpec::fits`] admits `G · FIT_TOLERANCE`: a server within that
+/// tolerance is left to the model. The cost is the model's objective at
+/// the start, `Σ_s cost_s · y_s` summed in server order as
+/// [`Model::eval_objective`] sums it, and `bound` must prune it under
+/// branch and bound's own test, [`prunes`].
+fn proven_first_fit(
+    instance: &PlacementInstance,
+    config: &BnbConfig,
+    options: SolveOptions,
+    ffd: &OnceCell<HeuristicResult>,
+    bound: f64,
+) -> Option<f64> {
+    if config.initial.is_some() || !options.warm_start || config.max_nodes == 0 {
+        return None;
+    }
+    let capacity = uniform_capacity(instance)?;
+    let seed = first_fit(instance, ffd);
+    if !seed.complete() {
+        return None;
+    }
+    // Per server: its load and its `y` in the start.
+    let mut servers = vec![(0.0, 0.0); instance.servers.len()];
+    for (cell, assigned) in seed.placement.assignment.iter().enumerate() {
+        let (load, open) = &mut servers[assigned.expect("complete")];
+        *load += instance.cells[cell].gops;
+        *open = 1.0;
+    }
+    if servers.iter().any(|&(load, _)| load > capacity) {
+        return None;
+    }
+    let cost = 0.0
+        + servers
+            .iter()
+            .zip(&instance.servers)
+            .map(|(&(_, open), server)| server.cost * open)
+            .sum::<f64>();
+    // `Σ cost · y` over binaries is an integer at every integer point
+    // where the one cost is an integer.
+    let integral_objective = instance.servers[0].cost.fract() == 0.0;
+    prunes(bound, cost, integral_objective).then_some(cost)
+}
+
+/// The solve on the model: build it, seed first fit decreasing's start
+/// unless told otherwise, and search with `bound` at the root.
+fn search(
+    instance: &PlacementInstance,
+    config: &BnbConfig,
+    options: SolveOptions,
+    ffd: &OnceCell<HeuristicResult>,
+    k: Option<usize>,
+    bound: f64,
+) -> Outcome {
     let (model, x, y) = build(instance, options, k);
     let mut config = config.clone();
     if config.initial.is_none() && options.warm_start {
-        let seed = first_fit(instance, &ffd);
+        let seed = first_fit(instance, ffd);
         if seed.complete() {
             let mut values = vec![0.0; model.num_vars()];
             for (cell, assigned) in seed.placement.assignment.iter().enumerate() {
@@ -355,7 +518,7 @@ pub fn solve_with(
             config.initial = Some(values);
         }
     }
-    let result = solve_ilp_bounded(&model, &config, root_bound(instance, k));
+    let result = solve_ilp_bounded(&model, &config, bound);
     let placement = result.solution.as_ref().map(|sol| {
         let assignment = x
             .iter()
@@ -367,62 +530,16 @@ pub fn solve_with(
             .collect();
         Placement { assignment }
     });
-    if pran_telemetry::enabled() {
-        let registry = pran_telemetry::metrics::global();
-        registry.inc("sched.ilp.solves", &[], 1);
-        registry.inc("sched.ilp.nodes", &[], result.stats.nodes as u64);
-        registry.inc(
-            "sched.ilp.lp_iterations",
-            &[],
-            result.stats.lp_iterations as u64,
-        );
-        registry.observe("sched.ilp.solve_time", &[], result.stats.elapsed);
-        // Bound and gap exist only beside an incumbent (the bound is NaN
-        // without one); the gauges then keep the last solve that had one.
-        let gap = result.stats.gap();
-        let root_proved = result.status == IlpStatus::Optimal && result.stats.nodes == 1;
-        let warm_start_accepted = result.stats.warm_start_accepted;
-        registry.inc("sched.ilp.root_proved", &[], u64::from(root_proved));
-        registry.inc(
-            "sched.ilp.warm_start_accepted",
-            &[],
-            u64::from(warm_start_accepted),
-        );
-        let mut fields = vec![
-            ("cells", instance.cells.len().into()),
-            ("nodes", result.stats.nodes.into()),
-            ("lp_iterations", result.stats.lp_iterations.into()),
-            ("optimal", (result.status == IlpStatus::Optimal).into()),
-            ("root_proved", root_proved.into()),
-            ("warm_start_accepted", warm_start_accepted.into()),
-            (
-                "presolve_rows_removed",
-                result.stats.presolve.rows_removed.into(),
-            ),
-            (
-                "presolve_bounds_tightened",
-                result.stats.presolve.bounds_tightened.into(),
-            ),
-            (
-                "presolve_vars_fixed",
-                result.stats.presolve.vars_fixed.into(),
-            ),
-        ];
-        if let Some(gap) = gap {
-            registry.gauge("sched.ilp.best_bound", &[], result.stats.best_bound);
-            registry.gauge("sched.ilp.gap", &[], gap);
-            fields.push(("best_bound", result.stats.best_bound.into()));
-            fields.push(("gap", gap.into()));
-        }
-        solve_span.finish_with(&fields);
-    }
-    IlpPlacement {
+    Outcome {
         placement,
         optimal: result.status == IlpStatus::Optimal,
         cost: result.solution.as_ref().map(|s| s.objective),
         nodes: result.stats.nodes,
-        elapsed: result.stats.elapsed,
-        presolve: result.stats.presolve,
+        lp_iterations: result.stats.lp_iterations,
+        warm_start_accepted: result.stats.warm_start_accepted,
+        best_bound: result.stats.best_bound,
+        gap: result.stats.gap(),
+        presolve: Some(result.stats.presolve),
     }
 }
 
@@ -566,6 +683,8 @@ mod tests {
             decode_capacity_gops: 80.0,
             decode_speedup: 4.0,
         });
+        // Core load 2 × 40 fits one server's 100 GOPS: the bound says so.
+        assert_eq!(inst.lower_bound_servers(), 1);
         let r = solve_default(&inst);
         assert!(r.optimal);
         let p = r.placement.unwrap();

@@ -522,19 +522,44 @@ impl PlacementInstance {
     /// raised it (a relative `(cells + 2) · ε`) before it is rounded up:
     /// a packing whose every server [`PlacementInstance::validate`]
     /// accepts never uses fewer.
+    ///
+    /// Where a server is accelerated, a cell's decode share may leave its
+    /// cores, so the bound is the larger of two counts. Core load counts
+    /// each cell at the least it puts on any server's cores, `gops −
+    /// decode_gops` (what an accelerated server carries), against the
+    /// largest core capacity. Core and decode load together, the whole
+    /// demand, count against the most one server carries on its cores and
+    /// its accelerator, with one more `ε` for the split `gops −
+    /// decode_gops`. A pool with no accelerator reads as the one count it
+    /// always was.
     pub fn lower_bound_servers(&self) -> usize {
-        let max_cap = self
-            .servers
-            .iter()
-            .map(|s| s.capacity_gops)
-            .fold(0.0f64, f64::max);
-        if max_cap == 0.0 {
-            return if self.cells.is_empty() { 0 } else { usize::MAX };
+        let most = |per_server: fn(&ServerSpec) -> f64| {
+            self.servers.iter().map(per_server).fold(0.0f64, f64::max)
+        };
+        let max_cap = most(|s| s.capacity_gops);
+        let terms = self.cells.len() + 2;
+        if !self.has_accelerators() {
+            if max_cap == 0.0 {
+                return if self.cells.is_empty() { 0 } else { usize::MAX };
+            }
+            return servers_for(self.total_gops(), max_cap, terms);
         }
-        let servers = self.total_gops() / (max_cap * (1.0 + ServerSpec::FIT_TOLERANCE));
-        let summation = (self.cells.len() + 2) as f64 * f64::EPSILON;
-        (servers - servers * summation).ceil() as usize
+        let core = self.cells.iter().map(|c| c.gops - c.decode_gops).sum();
+        let whole =
+            most(|s| s.capacity_gops + s.accelerator.map_or(0.0, |a| a.decode_capacity_gops));
+        servers_for(core, max_cap, terms).max(servers_for(self.total_gops(), whole, terms + 1))
     }
+}
+
+/// The fewest servers that carry `load` GOPS when each admits
+/// `per_server · (1 + FIT_TOLERANCE)`, the quotient first lowered by a
+/// relative `terms · ε` for the float sums that made `load` (see
+/// [`PlacementInstance::lower_bound_servers`]). A load no server can take
+/// asks for `usize::MAX`.
+fn servers_for(load: f64, per_server: f64, terms: usize) -> usize {
+    let servers = load / (per_server * (1.0 + ServerSpec::FIT_TOLERANCE));
+    let summation = terms as f64 * f64::EPSILON;
+    (servers - servers * summation).ceil() as usize
 }
 
 impl Placement {
@@ -690,6 +715,22 @@ mod tests {
         inst.cells[0].decode_gops = 40.0;
         inst.cells[1].decode_gops = 40.0;
         inst
+    }
+
+    /// Two 80-GOPS cells, 40 of each decode: their cores fit one
+    /// 100-GOPS server, but no server carries 160 GOPS on cores and
+    /// accelerator together (100 + 50 at most).
+    #[test]
+    fn lower_bound_counts_core_and_whole_demand_apart() {
+        let inst = accel_instance();
+        assert_eq!(inst.lower_bound_servers(), 2);
+        let mut roomy = accel_instance();
+        roomy.servers[0].accelerator = Some(Accelerator::default_eval());
+        assert_eq!(roomy.lower_bound_servers(), 1);
+        let p = Placement {
+            assignment: vec![Some(0), Some(0)],
+        };
+        assert!(roomy.validate(&p).is_ok());
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! start's expressibility, warm-versus-cold node LPs, the node-count
 //! ratchet on the benchmark's instance library, that library's search
 //! pinned bit for bit, and `ilp::solve`'s answers held to that search
-//! where its cost bound closes the root first.
+//! where its cost bound closes the root first, with or without a model.
 
 use pran_ilp::{
-    presolve, solve_ilp, solve_lp, BnbConfig, IlpStatus, LpStatus, Model, Presolved, Simplex,
-    VarId, Violation, INCUMBENT_TOL,
+    presolve, solve_ilp, solve_ilp_bounded, solve_lp, BnbConfig, IlpStatus, LpStatus, Model,
+    Presolved, Simplex, VarId, Violation, INCUMBENT_TOL,
 };
 use pran_integration_tests::{library_instance, library_limits, LIBRARY_SIZE};
 use pran_sched::placement::dimensioning::GopsConverter;
@@ -108,9 +108,11 @@ fn assert_matches_oracle(inst: &PlacementInstance) -> Result<(), TestCaseError> 
 
 /// `ilp::solve` beside the search it may skip, taken apart as the
 /// benchmark's traced pass takes it: `build_model`, the FFD start,
-/// `solve_ilp`. Placement, cost bits, proof and presolve stats agree; so
-/// do the node counts, unless `ilp::solve` closed the root with its cost
-/// bound where the LP would have searched, which is what this returns.
+/// `solve_ilp`. Placement, cost bits and proof agree, and so do the
+/// presolve stats where `ilp::solve` built a model (where it proved the
+/// start first it ran no presolve and reports none); so do the node
+/// counts, unless `ilp::solve` closed the root with its cost bound where
+/// the LP would have searched, which is what this returns.
 fn assert_decomposes(inst: &PlacementInstance, limits: &BnbConfig, label: &str) -> bool {
     let solved = ilp::solve(inst, limits);
     let (model, x, y) = ilp::build_model(inst);
@@ -137,10 +139,9 @@ fn assert_decomposes(inst: &PlacementInstance, limits: &BnbConfig, label: &str) 
     );
     let proven = searched.status == IlpStatus::Optimal;
     assert_eq!(solved.optimal, proven, "{label}: proof");
-    assert_eq!(
-        solved.presolve, searched.stats.presolve,
-        "{label}: presolve"
-    );
+    if let Some(presolve) = solved.presolve {
+        assert_eq!(presolve, searched.stats.presolve, "{label}: presolve");
+    }
     let skipped = solved.nodes != searched.stats.nodes;
     assert!(
         !skipped || solved.nodes == 1,
@@ -208,6 +209,34 @@ proptest! {
             .collect();
         inst.allowed = mask.into();
         assert_matches_oracle(&inst)?;
+    }
+
+    /// The server bound counts core and whole demand apart on a pool with
+    /// accelerators, and never asks for more servers than the
+    /// enumerated optimum uses (every server costs 1).
+    #[test]
+    fn lower_bound_holds_on_accelerated_pools(
+        d in demands(2..7),
+        shares in proptest::collection::vec(0.0f64..=1.0, 6),
+        accelerated in proptest::collection::vec(any::<bool>(), 6),
+        decode_capacity in 20.0f64..300.0,
+    ) {
+        let mut inst = PlacementInstance::uniform(&d, d.len(), 300.0);
+        for (c, cell) in inst.cells.iter_mut().enumerate() {
+            *cell = CellDemand { id: c, gops: d[c], decode_gops: d[c] * shares[c] };
+        }
+        for (s, server) in inst.servers.iter_mut().enumerate() {
+            if accelerated[s] {
+                server.accelerator = Some(Accelerator { decode_capacity_gops: decode_capacity, decode_speedup: 4.0 });
+            }
+        }
+        if let Some(optimum) = enumerated_optimum(&inst) {
+            prop_assert!(
+                inst.lower_bound_servers() as f64 <= optimum,
+                "bound {} over the optimum {optimum}",
+                inst.lower_bound_servers()
+            );
+        }
     }
 
     /// First-fit decreasing always lands on variables the restricted
@@ -420,6 +449,152 @@ fn the_cost_bound_closes_a_root_the_lp_rounds_down() {
     let solved = ilp::solve_default(&inst);
     assert_eq!((solved.optimal, solved.nodes), (true, 1));
     assert_eq!(solved.cost, Some(3.0));
+}
+
+/// `pairs` copies of two cells that load one server to exactly `load`
+/// (the larger, `0.6 · capacity`, alone fills more than half a server),
+/// on one server per cell.
+fn paired_instance(capacity: f64, load: f64, pairs: usize) -> PlacementInstance {
+    let big = 0.6 * capacity;
+    let small = load - big;
+    assert_eq!(big + small, load, "the pair sums exactly");
+    let demands: Vec<f64> = [big, small].repeat(pairs);
+    PlacementInstance::uniform(&demands, demands.len(), capacity)
+}
+
+/// Uniform instances around the proof before the model: seeded demands
+/// on 4–30 cells at capacities from 1 to 10⁴ GOPS (a capacity row's
+/// slack is `1e-9 · G` below 1,000 GOPS and `1e-6` above), pairs of
+/// cells that load servers to exactly `G`, to `G · (1 + FIT_TOLERANCE)`
+/// and one ulp either side of it; some seeded pools and every paired one
+/// also at a non-integral cost.
+fn proof_instances() -> Vec<PlacementInstance> {
+    let mut rng = SmallRng::seed_from_u64(0x61_b0d);
+    let seeded = |rng: &mut SmallRng| {
+        let cells = rng.gen_range(4..=30);
+        let capacity = 10f64.powf(rng.gen_range(0.0..=4.0));
+        let demands: Vec<f64> = (0..cells)
+            .map(|_| rng.gen_range(0.05..0.6) * capacity)
+            .collect();
+        PlacementInstance::uniform(&demands, cells, capacity)
+    };
+    // The same pool at a cost that switches bound rounding off.
+    let fractional = |mut inst: PlacementInstance| {
+        for server in &mut inst.servers {
+            server.cost = 0.6;
+        }
+        inst
+    };
+    let mut instances: Vec<PlacementInstance> = (0..48).map(|_| seeded(&mut rng)).collect();
+    instances.extend((0..8).map(|_| fractional(seeded(&mut rng))));
+    for capacity in [1.0, 7.0, 400.0, 999.0, 1_001.0, 2_500.0, 10_000.0] {
+        let at = capacity * (1.0 + ServerSpec::FIT_TOLERANCE);
+        for load in [capacity, at.next_down(), at, at.next_up()] {
+            for pairs in [2, 15] {
+                let paired = paired_instance(capacity, load, pairs);
+                instances.push(fractional(paired.clone()));
+                instances.push(paired);
+            }
+        }
+    }
+    instances
+}
+
+/// The proof before the model answers as the model does: on each of
+/// [`proof_instances`], `ilp::solve` equals `build_model`, the FFD start
+/// and `solve_ilp_bounded` under [`ilp::root_bound`] in placement, cost
+/// bits, proof, nodes and pivots. It builds no model (and reports no
+/// presolve) exactly where that search closed its root on the accepted
+/// start and first fit loads no server past `G`: a server loaded within
+/// the fit tolerance past `G` is left to the model, which may close the
+/// root all the same. Searches are cut at a few nodes, as on the tight
+/// family; each instance is solved again under a budget of none, and
+/// with the warm start off.
+#[test]
+fn the_proof_before_the_model_is_the_bounded_search() {
+    let short = BnbConfig {
+        max_nodes: 6,
+        ..library_limits()
+    };
+    // A node budget of zero explores nothing, the root included.
+    let none = BnbConfig {
+        max_nodes: 0,
+        ..library_limits()
+    };
+    let cold = SolveOptions {
+        warm_start: false,
+        ..SolveOptions::default()
+    };
+    let (mut skipped, mut fractional_skipped, mut left_to_the_model) = (0, 0, 0);
+    let instances = proof_instances();
+    let runs = instances.iter().enumerate().flat_map(|(i, inst)| {
+        [
+            (i, inst, &short, SolveOptions::default()),
+            (i, inst, &none, SolveOptions::default()),
+            (i, inst, &short, cold),
+        ]
+    });
+    for (i, inst, limits, options) in runs {
+        let solved = ilp::solve_with(inst, limits, options);
+        let (model, x, y) = ilp::build_model(inst);
+        let seed = place(inst, Heuristic::FirstFitDecreasing);
+        let config = BnbConfig {
+            initial: (options.warm_start && seed.complete())
+                .then(|| ffd_start(inst, &model, &x, &y)),
+            ..limits.clone()
+        };
+        let searched = solve_ilp_bounded(&model, &config, ilp::root_bound(inst));
+        let placement = searched.solution.as_ref().map(|sol| {
+            x.iter()
+                .map(|row| row.iter().position(|v| v.is_some_and(|v| sol.is_set(v))))
+                .collect::<Vec<_>>()
+        });
+        let label = format!("instance {i}, {} nodes, {options:?}", limits.max_nodes);
+        assert_eq!(
+            solved.placement.map(|p| p.assignment),
+            placement,
+            "{label}: placement"
+        );
+        assert_eq!(
+            solved.cost.map(f64::to_bits),
+            searched.solution.map(|s| s.objective.to_bits()),
+            "{label}: cost"
+        );
+        let optimal = searched.status == IlpStatus::Optimal;
+        assert_eq!(solved.optimal, optimal, "{label}: proof");
+        assert_eq!(
+            (solved.nodes, solved.lp_iterations),
+            (searched.stats.nodes, searched.stats.lp_iterations),
+            "{label}: nodes and pivots"
+        );
+        let closed = optimal
+            && searched.stats.warm_start_accepted
+            && (searched.stats.nodes, searched.stats.lp_iterations) == (1, 0);
+        let capacity = inst.servers[0].capacity_gops;
+        let within = seed.complete()
+            && inst
+                .server_loads(&seed.placement)
+                .iter()
+                .all(|&load| load <= capacity);
+        let no_model = solved.presolve.is_none();
+        assert_eq!(
+            no_model,
+            closed && within,
+            "{label}: closed {closed}, within G {within}"
+        );
+        if let Some(presolve) = solved.presolve {
+            assert_eq!(presolve, searched.stats.presolve, "{label}: presolve");
+        }
+        skipped += usize::from(no_model);
+        fractional_skipped += usize::from(no_model && inst.servers[0].cost.fract() != 0.0);
+        left_to_the_model += usize::from(closed && !within);
+    }
+    // Every pair loaded to exactly `G` skips the model; past `G` the model
+    // closes a root the proof leaves it only below 1,000 GOPS.
+    assert_eq!(
+        (skipped, fractional_skipped, left_to_the_model),
+        (81, 22, 12)
+    );
 }
 
 /// The first-fit-decreasing placement of `inst` as a start for `model`,

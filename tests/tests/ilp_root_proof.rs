@@ -1,16 +1,18 @@
-//! How far the exact placer's proof before the LP reaches, read from the
-//! `sched.ilp` span each `ilp::solve` emits. A bound that silently stops
-//! closing roots leaves every answer as it was, so only the span's pivot
-//! count shows it. This binary holds one test: no other solve may land in
-//! the tracer while it records.
+//! How far the exact placer's proof before the model reaches, read from
+//! the `sched.ilp` span each `ilp::solve` emits. A bound that silently
+//! stops closing roots, or a proof that starts building the model again,
+//! leaves every answer as it was, so only the span's pivot count and its
+//! presolve fields (present only where a model was presolved) show it.
+//! This binary holds one test: no other solve may land in the tracer while
+//! it records.
 
 use pran_integration_tests::{library_instance, library_limits, lock_tracer, LIBRARY_SIZE};
 use pran_sched::placement::ilp;
 use pran_telemetry::TelemetryConfig;
 
-/// Every library root but instance 16's is closed without a pivot;
-/// instance 16's optimum is one server below first fit's, so its search
-/// runs on LPs.
+/// Every library root but instance 16's is closed without a pivot and
+/// without a model; instance 16's optimum is one server below first
+/// fit's, so its search builds the model and runs on LPs.
 #[test]
 fn the_bound_closes_every_library_root_first_fit_meets() {
     let _guard = lock_tracer();
@@ -20,17 +22,22 @@ fn the_bound_closes_every_library_root_first_fit_meets() {
     }
     let events = pran_telemetry::trace::drain();
     pran_telemetry::disable();
-    let pivots: Vec<u64> = events
+    let solves: Vec<(u64, bool)> = events
         .iter()
         .filter(|e| e.name == "sched.ilp")
-        .map(|e| e.field_u64("lp_iterations").expect("pivot count"))
+        .map(|e| {
+            let pivots = e.field_u64("lp_iterations").expect("pivot count");
+            (pivots, e.field_u64("presolve_vars_fixed").is_some())
+        })
         .collect();
-    assert_eq!(pivots.len(), LIBRARY_SIZE);
-    let closed: Vec<usize> = (0..LIBRARY_SIZE).filter(|&i| pivots[i] == 0).collect();
+    assert_eq!(solves.len(), LIBRARY_SIZE);
+    let closed: Vec<usize> = (0..LIBRARY_SIZE).filter(|&i| solves[i].0 == 0).collect();
     assert_eq!(
         closed.len(),
         LIBRARY_SIZE - 1,
         "closed before the LP: {closed:?}"
     );
-    assert!(pivots[16] > 0, "instance 16: {} pivots", pivots[16]);
+    let modelled: Vec<usize> = (0..LIBRARY_SIZE).filter(|&i| solves[i].1).collect();
+    assert_eq!(modelled, [16], "solves that built a model");
+    assert!(solves[16].0 > 0, "instance 16: {} pivots", solves[16].0);
 }

@@ -44,6 +44,10 @@
 //! snapshot, its parse, the restored controller and its reinstalled app
 //! need, nothing for its text or its two views.
 //!
+//! And one about the exact placer: a warm `ilp::solve` whose root the
+//! cost bound closes makes a pinned handful of allocations, a tenth of
+//! what one `build_model` makes, because it builds no model.
+//!
 //! Every counter is thread-local, so the tests of this file can run side
 //! by side: each sees only what its own thread allocated while armed.
 
@@ -59,7 +63,7 @@ use pran_fronthaul::fault::FaultConfig;
 use pran_mc::{McConfig, Model, Operation, StateView, Visited};
 use pran_obs::FlightRecorder;
 use pran_phy::FunctionalSplit;
-use pran_sched::placement::WarmConfig;
+use pran_sched::placement::{ilp, WarmConfig};
 use pran_sched::realtime::ParallelConfig;
 use pran_sim::{EpochRecord, LinkFault, PoolAccel, PoolConfig, PoolMetrics, PoolShard, SplitPlan};
 
@@ -571,5 +575,32 @@ fn a_warm_restore_drill_allocates_only_for_its_snapshot_and_controller() {
         taking.allocations,
         reading.allocations,
         restoring.allocations
+    );
+}
+
+/// Allocations of one warm `ilp::solve` that the cost bound closes before
+/// any model: first fit decreasing's order, scan and placement, the
+/// gate's demand list and server count, and the start's per-server loads.
+/// One `build_model` of the same instance makes ten times as many.
+const PROVEN_SOLVE_ALLOCATIONS: u64 = 9;
+
+#[test]
+fn a_bound_closed_exact_solve_builds_no_model() {
+    let inst = pran_integration_tests::library_instance(0);
+    let limits = pran_integration_tests::library_limits();
+    let warm = ilp::solve(&inst, &limits);
+    assert_eq!(
+        (warm.presolve, warm.nodes),
+        (None, 1),
+        "instance 0 is bound-closed"
+    );
+    let (solved, t) = counted(|| ilp::solve(&inst, &limits));
+    assert_eq!(solved.placement, warm.placement);
+    let (_, model) = counted(|| ilp::build_model(&inst));
+    assert!(
+        t.allocations <= PROVEN_SOLVE_ALLOCATIONS && model.allocations >= 10 * t.allocations,
+        "{} allocations; one build_model makes {}",
+        t.allocations,
+        model.allocations
     );
 }
