@@ -9,8 +9,8 @@
 //! * [`SimScratch`] owns the admission and priority orders, the packed
 //!   words, the core clocks and the ready bitset, reused across calls;
 //! * [`simulate_into`] writes finish/missed columns into a caller-owned
-//!   [`BatchOutcome`], [`dispatch_grid`] its responses into a
-//!   [`GridOutcome`].
+//!   [`BatchOutcome`], [`dispatch_grid`] its responses on a [`TtiGrid`]
+//!   checked once into a [`GridOutcome`].
 //!
 //! Both paths put each task on the first core to free (ties to the
 //! lowest id), read from one flat clock per core:
@@ -287,6 +287,64 @@ fn subframe_record(
     }
 }
 
+/// A TTI grid, checked once: every cell releases one task at each
+/// `release_ns[t]`, strictly increasing, due one budget later. Build it
+/// once per pool and hand it to every [`dispatch_grid`] call.
+#[derive(Debug, Clone)]
+pub struct TtiGrid {
+    /// Release of each TTI, ns.
+    release_ns: Vec<u64>,
+    /// Deadline of each TTI, ns: its release plus `budget_ns`.
+    deadline_ns: Vec<u64>,
+    /// The grid's one `deadline − release`, ns.
+    budget_ns: u64,
+}
+
+impl TtiGrid {
+    /// The grid of TTIs released at `release_ns` and due at `deadline_ns`.
+    ///
+    /// # Panics
+    /// Panics if the grid is empty, its slices differ in length, its
+    /// releases do not strictly increase or its `deadline − release` is not
+    /// one non-negative value.
+    pub fn new(release_ns: &[u64], deadline_ns: &[u64]) -> Self {
+        assert_eq!(
+            release_ns.len(),
+            deadline_ns.len(),
+            "grid slices must match"
+        );
+        let first = *release_ns.first().expect("a grid has a TTI");
+        let budget_ns = deadline_ns[0].wrapping_sub(first);
+        assert!(
+            release_ns.windows(2).all(|w| w[0] < w[1])
+                && (release_ns.iter().zip(deadline_ns))
+                    .all(|(&r, &d)| d.checked_sub(r) == Some(budget_ns)),
+            "a grid's releases strictly increase under one deadline budget"
+        );
+        TtiGrid {
+            release_ns: release_ns.to_vec(),
+            deadline_ns: deadline_ns.to_vec(),
+            budget_ns,
+        }
+    }
+
+    /// Release of each TTI, ns.
+    pub fn release_ns(&self) -> &[u64] {
+        &self.release_ns
+    }
+
+    /// Deadline of each TTI, ns.
+    pub fn deadline_ns(&self) -> &[u64] {
+        &self.deadline_ns
+    }
+
+    /// The grid's one `deadline − release` budget, ns: a task misses its
+    /// deadline exactly when its response exceeds this.
+    pub fn budget_ns(&self) -> u64 {
+        self.budget_ns
+    }
+}
+
 /// Caller-owned output of [`dispatch_grid`]: the response
 /// (`finish − release`) of every (TTI, cell) task, stored once per
 /// distinct schedule — a TTI that replays TTI 0 shares TTI 0's block.
@@ -294,10 +352,6 @@ fn subframe_record(
 pub struct GridOutcome {
     /// Cells per TTI (rows per block).
     cells: usize,
-    /// The grid's one `deadline − release`, ns.
-    budget_ns: u64,
-    /// Release of each TTI, ns.
-    release_ns: Vec<u64>,
     /// Per TTI, the block holding its responses: 0 for TTI 0 and every
     /// TTI that replays it.
     block: Vec<u32>,
@@ -311,12 +365,6 @@ impl GridOutcome {
     /// Empty outcome.
     pub fn new() -> Self {
         GridOutcome::default()
-    }
-
-    /// The grid's one `deadline − release` budget, ns: a task misses its
-    /// deadline exactly when its response exceeds this.
-    pub fn budget_ns(&self) -> u64 {
-        self.budget_ns
     }
 
     /// Responses of TTI `t`'s tasks, ns, one per cell in cell order.
@@ -338,30 +386,26 @@ impl GridOutcome {
         })
     }
 
-    /// Finish time of cell `c`'s task of TTI `t`, ns.
-    #[inline]
-    fn finish_ns(&self, t: usize, c: usize) -> u64 {
-        self.release_ns[t] + self.responses(t)[c]
-    }
-
     /// Cell `c`'s task of TTI `t` as the `subframe` record
     /// [`simulate_into`] emits for the same task of the expanded batch;
-    /// `cell` and `service_ns` are that cell's id and service time.
+    /// `grid` is the one this outcome was dispatched on, `cell` and
+    /// `service_ns` that cell's id and service time.
     #[inline]
     pub fn subframe(
         &self,
+        grid: &TtiGrid,
         t: usize,
         c: usize,
         cell: u32,
         service_ns: u64,
     ) -> pran_telemetry::Subframe {
-        let release = self.release_ns[t];
+        let release = grid.release_ns[t];
         subframe_record(
             cell,
             release,
-            release + self.budget_ns,
+            release + grid.budget_ns,
             service_ns,
-            self.finish_ns(t, c),
+            release + self.responses(t)[c],
         )
     }
 }
@@ -553,9 +597,9 @@ fn first_free(core_free: &[u64]) -> usize {
     c
 }
 
-/// Dispatch a TTI grid on `CORES` identical cores: each of the cells
-/// releases one task at every `release_ns[t]`, due at `deadline_ns[t]`,
-/// that needs `service_ns[cell]` on one core. Responses go to `out`.
+/// Dispatch `grid` on `CORES` identical cores: each of the cells
+/// releases one task on every TTI of the grid that needs
+/// `service_ns[cell]` on one core. Responses go to `out`.
 ///
 /// This is [`simulate_into`] under `GlobalEdf` (or `GlobalFifo`) on the
 /// expanded batch — one row per (cell, TTI), cell-major, as
@@ -575,42 +619,23 @@ fn first_free(core_free: &[u64]) -> usize {
 /// [`simulate_into`]'s choice (and with it the per-core busy time, which
 /// `out` does not carry); no finish time can.
 ///
-/// # Panics
-/// Panics if the grid is empty, its slices differ in length, its
-/// releases do not strictly increase or its `deadline − release` is not
-/// one non-negative value. `CORES == 0` does not compile.
+/// The grid was checked when it was built ([`TtiGrid::new`]), so a call
+/// checks nothing. `CORES == 0` does not compile.
 pub fn dispatch_grid<const CORES: usize>(
     service_ns: &[u64],
-    release_ns: &[u64],
-    deadline_ns: &[u64],
+    grid: &TtiGrid,
     out: &mut GridOutcome,
 ) {
     const { assert!(CORES >= 1, "need at least one core") };
-    assert_eq!(
-        release_ns.len(),
-        deadline_ns.len(),
-        "grid slices must match"
-    );
-    let first = *release_ns.first().expect("a grid has a TTI");
-    let budget = deadline_ns[0].wrapping_sub(first);
-    assert!(
-        release_ns.windows(2).all(|w| w[0] < w[1])
-            && (release_ns.iter().zip(deadline_ns))
-                .all(|(&r, &d)| d.checked_sub(r) == Some(budget)),
-        "a grid's releases strictly increase under one deadline budget"
-    );
-    let cells = service_ns.len();
-    out.cells = cells;
-    out.budget_ns = budget;
-    out.release_ns.clear();
-    out.release_ns.extend_from_slice(release_ns);
+    let first = grid.release_ns[0];
+    out.cells = service_ns.len();
     out.block.clear();
     out.replays = 0;
     out.response_ns.clear();
     let mut core_free = [0u64; CORES];
     let mut first_tti_end = core_free;
     let mut blocks = 0u32;
-    for (t, &release) in release_ns.iter().enumerate() {
+    for (t, &release) in grid.release_ns.iter().enumerate() {
         if t > 0 && core_free.iter().all(|&f| f <= release) {
             let shift = release - first;
             core_free = first_tti_end.map(|end| end + shift);
@@ -1283,7 +1308,8 @@ mod tests {
         deadlines: &[u64],
         out: &mut GridOutcome,
     ) {
-        dispatch_grid::<CORES>(service, releases, deadlines, out);
+        let grid = TtiGrid::new(releases, deadlines);
+        dispatch_grid::<CORES>(service, &grid, out);
         let mut batch = TaskBatch::new();
         for (cell, &s) in service.iter().enumerate() {
             batch.push_run(cell as u32, releases, deadlines, s);
@@ -1293,14 +1319,14 @@ mod tests {
         for (cell, &s) in service.iter().enumerate() {
             for (t, &deadline) in deadlines.iter().enumerate() {
                 let row = cell * ttis + t;
-                let finish = out.finish_ns(t, cell);
+                let finish = releases[t] + out.responses(t)[cell];
                 assert_eq!(
                     (finish, finish > deadline),
                     (edf.finish_ns[row], edf.missed[row]),
                     "cell {cell}, TTI {t}, {CORES} cores, services {service:?}"
                 );
                 assert_eq!(
-                    out.subframe(t, cell, cell as u32, s),
+                    out.subframe(&grid, t, cell, cell as u32, s),
                     edf.subframe(&batch, row)
                 );
             }
@@ -1315,6 +1341,7 @@ mod tests {
     /// 1–3 ms gaps, where a TTI can carry over from one that replayed.
     #[test]
     fn grid_dispatch_is_edf_on_the_expanded_batch() {
+        const BUDGET: u64 = 2_000_000;
         let mut rng = Rng(0x6B1D_5EED_0F0F_2026);
         let mut out = GridOutcome::new();
         let (mut carried, mut replayed, mut missed, mut after_replay) = (0, 0, 0, 0);
@@ -1329,7 +1356,7 @@ mod tests {
                 };
                 releases.push(releases.last().unwrap() + gap);
             }
-            let deadlines: Vec<u64> = releases.iter().map(|r| r + 2_000_000).collect();
+            let deadlines: Vec<u64> = releases.iter().map(|r| r + BUDGET).collect();
             let service: Vec<u64> = (0..cells).map(|_| rng.next() % 3_000_001).collect();
             let (s, r, d) = (&service[..], &releases[..], &deadlines[..]);
             match round % 4 {
@@ -1348,7 +1375,7 @@ mod tests {
                 .count();
             missed += (0..ttis)
                 .flat_map(|t| out.responses(t))
-                .filter(|&&r| r > out.budget_ns())
+                .filter(|&&r| r > BUDGET)
                 .count();
         }
         assert!(
@@ -1383,13 +1410,13 @@ mod tests {
         assert_eq!(out.block, [0, 1, 0, 2]);
         let blocks: Vec<(&[u64], u64)> = out.blocks().collect();
         assert_eq!(blocks, [(&tti0[..], 2), (&carried, 1), (&carried, 1)]);
-        assert_eq!(out.finish_ns(2, 4), 4_200 * us);
+        assert_eq!(releases[2] + out.responses(2)[4], 4_200 * us);
     }
 
     #[test]
     #[should_panic(expected = "one deadline budget")]
     fn grid_rejects_a_second_budget() {
-        dispatch_grid::<1>(&[1], &[0, 1_000], &[2_000, 2_500], &mut GridOutcome::new());
+        TtiGrid::new(&[0, 1_000], &[2_000, 2_500]);
     }
 
     #[test]

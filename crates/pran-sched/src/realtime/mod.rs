@@ -19,7 +19,7 @@
 //! per server per step on reused buffers, or — when every release sits
 //! on the TTI grid — [`dispatch_grid`], EDF's only specialisation: the
 //! same assignment made TTI by TTI without expanding the grid into
-//! tasks. [`parallel`] is the
+//! tasks, on a [`TtiGrid`] checked once per pool. [`parallel`] is the
 //! pool server's executor, a different machine model (batched,
 //! cell-affine, work-stealing, whole-µs clocks).
 
@@ -27,7 +27,9 @@ pub mod batch;
 pub mod parallel;
 pub mod workload;
 
-pub use batch::{dispatch_grid, simulate_into, BatchOutcome, GridOutcome, SimScratch, TaskBatch};
+pub use batch::{
+    dispatch_grid, simulate_into, BatchOutcome, GridOutcome, SimScratch, TaskBatch, TtiGrid,
+};
 pub use parallel::{ParallelConfig, ParallelExecutor, ParallelOutcome, ParallelScratch};
 
 use serde::{Deserialize, Serialize};

@@ -25,7 +25,7 @@ use pran_sched::placement::warm::WarmPlacer;
 use pran_sched::placement::{Accelerator, Allowed, CellDemand, Placement, PlacementInstance};
 use pran_sched::realtime::{
     dispatch_grid, simulate_into, BatchOutcome, GridOutcome, ParallelExecutor, ParallelOutcome,
-    ParallelScratch, Policy, SimScratch, TaskBatch,
+    ParallelScratch, Policy, SimScratch, TaskBatch, TtiGrid,
 };
 use pran_telemetry::LogHistogram;
 
@@ -109,18 +109,171 @@ fn by_split_and_prb<T>(cfg: &PoolConfig, f: impl Fn(FunctionalSplit, u32) -> T) 
         .collect()
 }
 
+/// Which cells each server runs in one [`PoolShard::execute`] call: a
+/// server → cells index (compressed rows) over the placement and
+/// liveness as they are when the call starts, rebuilt in place every
+/// call.
+struct ServerCells {
+    /// Server `s`'s entries are `start[s]..start[s + 1]`.
+    start: Vec<u32>,
+    /// Every placed cell on a live server, grouped by server, each group
+    /// in cell order.
+    cell: Vec<u32>,
+    /// Servers with at least one entry, ascending.
+    busy: Vec<u32>,
+}
+
+impl ServerCells {
+    /// An empty index sized for `cells` cells on `servers` servers, so
+    /// that no rebuild allocates.
+    fn new(cells: usize, servers: usize) -> Self {
+        ServerCells {
+            start: Vec::with_capacity(servers + 1),
+            cell: Vec::with_capacity(cells),
+            busy: Vec::with_capacity(servers),
+        }
+    }
+
+    /// Index `assignment` over the servers `alive` marks; returns how many
+    /// cells it leaves out, unplaced or on a dead server.
+    fn rebuild(&mut self, assignment: &[Option<usize>], alive: &[bool]) -> usize {
+        let on_live = |c: usize| assignment[c].filter(|&s| alive[s]);
+        // Count each server's cells at `start[s]`, turn the counts into
+        // group ends, then fill from the last cell back, moving each
+        // server's end down to its start: groups in cell order.
+        self.start.clear();
+        self.start.resize(alive.len() + 1, 0);
+        let mut lost = 0;
+        for c in 0..assignment.len() {
+            match on_live(c) {
+                Some(s) => self.start[s] += 1,
+                None => lost += 1,
+            }
+        }
+        let mut end = 0;
+        for n in &mut self.start {
+            end += *n;
+            *n = end;
+        }
+        self.cell.clear();
+        self.cell.resize(end as usize, 0);
+        for c in (0..assignment.len()).rev() {
+            if let Some(s) = on_live(c) {
+                self.start[s] -= 1;
+                self.cell[self.start[s] as usize] = c as u32;
+            }
+        }
+        self.busy.clear();
+        let servers = 0..alive.len() as u32;
+        let start = &self.start;
+        self.busy
+            .extend(servers.filter(|&s| start[s as usize] < start[s as usize + 1]));
+        lost
+    }
+
+    /// Server `s`'s cells, in cell order.
+    fn of(&self, s: u32) -> &[u32] {
+        &self.cell[self.start[s as usize] as usize..self.start[s as usize + 1] as usize]
+    }
+}
+
+/// Per-µs sample counts of one metric below [`DenseFold::LEN`] µs, and
+/// the values they were counted for: the storage a [`Tally`] counts into,
+/// all zero between [`PoolShard::execute`] calls. Only a grid-path shard
+/// builds it: there a call repeats each value many times, and replayed
+/// TTIs come with a multiplicity. The batch and executor paths record
+/// one sample at a time, spread by jitter, and counting them measured
+/// slower than recording them (`execute` 15 % slower on a 63-cell link
+/// shard), so they record straight into the tally's histogram.
+#[derive(Default)]
+struct DenseFold {
+    /// `counts[us]`: samples of `us` µs in the open tally.
+    counts: Vec<u64>,
+    /// Every `us` whose count is not zero, in the order first counted.
+    touched: Vec<u32>,
+}
+
+impl DenseFold {
+    /// One past the HARQ compute budget in µs: every slack and every
+    /// response that meets its deadline falls below it.
+    const LEN: usize = COMPUTE_DEADLINE.as_micros() as usize + 1;
+
+    /// A zeroed table.
+    fn new() -> Self {
+        DenseFold {
+            counts: vec![0; Self::LEN],
+            touched: Vec::with_capacity(Self::LEN),
+        }
+    }
+
+    /// Start one call's tally.
+    fn tally(&mut self) -> Tally<'_> {
+        Tally {
+            fold: self,
+            direct: LogHistogram::new(),
+        }
+    }
+}
+
+/// One [`PoolShard::execute`] call's samples of one metric, counted per
+/// whole µs into a [`DenseFold`] and flushed into a [`LogHistogram`] once
+/// at the end of the call, with one [`LogHistogram::record_us_n`] per
+/// value the call touched. Every field of a histogram is a sum, a
+/// minimum or a maximum over its samples, so the flushed state,
+/// serialized bytes included, is the one per-sample records leave.
+struct Tally<'a> {
+    fold: &'a mut DenseFold,
+    /// Samples past the table: those of [`DenseFold::LEN`] µs or more,
+    /// and every sample of the batch and executor paths.
+    direct: LogHistogram,
+}
+
+impl Tally<'_> {
+    /// Count `n ≥ 1` samples of `us` µs.
+    #[inline]
+    fn record_n(&mut self, us: u64, n: u64) {
+        debug_assert!(n > 0, "a value is touched by a sample");
+        match self.fold.counts.get_mut(us as usize) {
+            Some(count) => {
+                if *count == 0 {
+                    self.fold.touched.push(us as u32);
+                }
+                *count += n;
+            }
+            None => self.direct.record_us_n(us, n),
+        }
+    }
+
+    /// Record every sample of the call into `hist`, leaving the fold's
+    /// counts all zero.
+    fn flush(self, hist: &mut LogHistogram) {
+        let DenseFold { counts, touched } = self.fold;
+        for &us in touched.iter() {
+            hist.record_us_n(us.into(), std::mem::take(&mut counts[us as usize]));
+        }
+        touched.clear();
+        hist.merge(&self.direct);
+    }
+}
+
 /// Reusable scratch of [`PoolShard::execute`].
 ///
-/// One instance lives as long as its shard; every trace step reuses its
-/// buffers instead of reallocating per-server task vectors and scheduler
-/// state (the seed path's dominant cost at metro scale). Task times live
-/// as flat `u64` nanosecond columns ([`TaskBatch`]), so the per-task
-/// steady state performs zero heap allocations.
+/// The scratch of a server-major walk over a per-call server → cells
+/// index, one reused batch, dense fold. One instance lives as long as its
+/// shard, and every call reuses its buffers: the index ([`ServerCells`])
+/// rebuilt per call, one task batch refilled for each server that holds
+/// cells, the schedulers' scratch and a [`DenseFold`] per sample
+/// histogram. Task times
+/// live as flat `u64` nanosecond columns ([`TaskBatch`]), so the
+/// per-task steady state performs zero heap allocations.
 struct HotBuffers {
-    /// Per-server SoA task queues, cleared (capacity kept) every step:
-    /// one row per task, or on the grid path one row per cell (its TTI-0
-    /// task).
-    batches: Vec<TaskBatch>,
+    /// Which cells each server runs this call.
+    index: ServerCells,
+    /// Service time of each of the current server's cells, ns, in cell
+    /// order: the grid path's one row per cell.
+    service: Vec<u64>,
+    /// The current server's SoA task queue, one row per task.
+    batch: TaskBatch,
     /// Analytic-scheduler scratch: admission order, packed dispatch words
     /// and core clocks.
     scratch: SimScratch,
@@ -134,10 +287,9 @@ struct HotBuffers {
     par_scratch: ParallelScratch,
     /// Reusable parallel outcome (records + busy columns).
     par_out: ParallelOutcome,
-    /// Release offset of TTI `t` within a step, nanoseconds.
-    tti_release_ns: Vec<u64>,
-    /// Deadline offset of TTI `t` within a step, nanoseconds.
-    tti_deadline_ns: Vec<u64>,
+    /// Release and deadline of TTI `t` within a step, nanoseconds,
+    /// checked once.
+    tti: TtiGrid,
     /// Service time by (server class, split, PRB count), flattened as
     /// `class × 3 + split` rows of `prbs + 1` entries. `cell_gops` depends
     /// on utilization only through `round(prbs × util)`
@@ -155,13 +307,17 @@ struct HotBuffers {
     bytes_by_prb: Vec<Vec<usize>>,
     /// Servers `0..accel_servers` use the accelerated service rows.
     accel_servers: usize,
-    /// The step's `(cell, server, service ns)` of every placed cell behind
-    /// a link, in cell order: what its TTIs' frames are drawn for.
-    linked: Vec<(u32, u32, u64)>,
+    /// Response and slack samples, flushed into `PoolMetrics` per call.
+    response: DenseFold,
+    slack: DenseFold,
+    /// Every `(server, batch)` the last call handed to `simulate_into`,
+    /// in order.
+    #[cfg(test)]
+    handed: Vec<(usize, TaskBatch)>,
 }
 
 impl HotBuffers {
-    fn new(cfg: &PoolConfig, model: &ComputeModel) -> Self {
+    fn new(cfg: &PoolConfig, model: &ComputeModel, cells: usize) -> Self {
         let core_gops = cfg.server_capacity_gops / cfg.server_cores() as f64;
         let accel_servers = cfg.accel_servers();
         let classes = if accel_servers > 0 { 2 } else { 1 };
@@ -173,26 +329,39 @@ impl HotBuffers {
                 Duration::from_secs_f64(secs).as_nanos() as u64
             }));
         }
+        let ttis = 0..cfg.ttis_per_step as u32;
+        let release: Vec<u64> = ttis.clone().map(|t| (TTI * t).as_nanos() as u64).collect();
+        let deadline: Vec<u64> = ttis
+            .map(|t| (TTI * t + COMPUTE_DEADLINE).as_nanos() as u64)
+            .collect();
+        let on_grid = cfg.fronthaul.is_none() && cfg.parallel.is_none();
+        let fold = || {
+            if on_grid {
+                DenseFold::new()
+            } else {
+                DenseFold::default()
+            }
+        };
         HotBuffers {
-            batches: (0..cfg.servers).map(|_| TaskBatch::new()).collect(),
+            index: ServerCells::new(cells, cfg.servers),
+            service: Vec::with_capacity(cells),
+            batch: TaskBatch::new(),
             scratch: SimScratch::new(),
             outcome: BatchOutcome::new(),
             grid: GridOutcome::new(),
             executor: cfg.parallel.map(ParallelExecutor::new),
             par_scratch: ParallelScratch::default(),
             par_out: ParallelOutcome::default(),
-            tti_release_ns: (0..cfg.ttis_per_step)
-                .map(|t| (TTI * t as u32).as_nanos() as u64)
-                .collect(),
-            tti_deadline_ns: (0..cfg.ttis_per_step)
-                .map(|t| (TTI * t as u32 + COMPUTE_DEADLINE).as_nanos() as u64)
-                .collect(),
+            tti: TtiGrid::new(&release, &deadline),
             service_ns,
             bytes_by_prb: by_split_and_prb(cfg, |split, p| {
                 split.fronthaul_bytes_per_tti(p, cfg.bandwidth.prbs())
             }),
             accel_servers,
-            linked: Vec::new(),
+            response: fold(),
+            slack: fold(),
+            #[cfg(test)]
+            handed: Vec::new(),
         }
     }
 }
@@ -296,7 +465,7 @@ impl PoolShard {
         cfg.validate_for(cells)?;
         let model = ComputeModel::calibrated();
         Ok(PoolShard {
-            hot: HotBuffers::new(&cfg, &model),
+            hot: HotBuffers::new(&cfg, &model, cells),
             tables: DemandTables::new(&cfg, &model),
             placement: Placement::empty(cells),
             warm: cfg.warm.map(WarmPlacer::new),
@@ -553,8 +722,8 @@ impl PoolShard {
     /// Execute transition: simulate the sampled TTIs of `rows`
     /// (consecutive trace steps from absolute index `first_step`,
     /// `step_seconds` apart) under the current placement, accumulating
-    /// into `metrics`. Task queues, scheduler scratch and the parallel
-    /// executor are all reused, and a link's frames are drawn
+    /// into `metrics`. The index, the batch, scheduler scratch and the
+    /// parallel executor are all reused, and a link's frames are drawn
     /// ([`FaultInjector::deliver`]) rather than built, so the steady
     /// state allocates nothing
     /// (`tests/tests/zero_alloc.rs`); arithmetic is `u64` nanoseconds,
@@ -563,29 +732,36 @@ impl PoolShard {
     /// `tests/tests/pool_differential.rs` holds the two to equal bytes
     /// through [`PoolSimulator::run_with`](super::PoolSimulator::run_with)).
     ///
-    /// Each server-step takes one of three paths, picked by the links and
-    /// the executor alone:
+    /// The sweep is a server-major walk over a per-call server → cells
+    /// index, one reused batch and a dense fold. The call first indexes
+    /// each server's cells from the placement and liveness as they are now
+    /// (`ServerCells`); a cell that is unplaced or on a dead server loses
+    /// its tasks every step. Each step then visits only the servers that
+    /// hold cells, in ascending order, and for each builds one reused
+    /// batch from its cells in cell order, down one of three paths picked
+    /// by the links and the executor alone:
     ///
     /// * **grid** — ideal fronthaul and no executor: every release sits on
-    ///   the step's TTI grid, so each server's batch holds one row per
-    ///   cell and [`dispatch_grid`] makes EDF's assignment TTI by TTI; a
+    ///   the step's TTI grid, so the server's cells give one service time
+    ///   each and [`dispatch_grid`] makes EDF's assignment TTI by TTI; a
     ///   TTI that replays TTI 0 is folded with TTI 0's records, once, with
     ///   their multiplicity;
     /// * **batch** — jittered or lossy links (releases leave the grid):
     ///   one row per delivered task through [`simulate_into`], released
     ///   at its TTI plus the whole nanoseconds of jitter `deliver` drew.
     ///   The rows are TTI-major (each TTI's cells in cell order, then the
-    ///   next TTI's), so every server's deadlines never decrease and EDF's
+    ///   next TTI's), so the server's deadlines never decrease and EDF's
     ///   priority positions in `simulate_into` are the rows. Each link still
     ///   draws its own TTIs in order, so every seeded stream is unchanged,
     ///   and EDF gives each task the answer the cell-major rows gave it;
     /// * **executor** — `parallel` set: the rows, cell-major, go through
     ///   the shard's [`ParallelExecutor`].
     ///
-    /// Every path folds its response and slack samples and its misses
-    /// into a stack [`LogHistogram`] each and a counter, merged into
-    /// `metrics` once at the end: the state per-sample records would
-    /// leave.
+    /// The grid path counts its response and slack samples per whole µs
+    /// in a dense table each (a `Tally` over a `DenseFold`), the batch
+    /// and executor paths record theirs into the tallies' histograms, and
+    /// every path counts its misses, all flushed into `metrics` once at
+    /// the end: the state per-sample records would leave.
     ///
     /// While `pran_telemetry::live` is armed, every executed task is also
     /// recorded into [`live_fold`](Self::live_fold) — cell, server and
@@ -598,8 +774,8 @@ impl PoolShard {
     /// TTIs inner). The batch path's events, like its rows, are TTI-major.
     ///
     /// Returns the peak per-server task backlog observed (the most tasks
-    /// any step gave one server) — the resident service's flight recorder
-    /// exposes it as `peak_queue_depth`.
+    /// any step gave one live server) — the resident service's flight
+    /// recorder exposes it as `peak_queue_depth`.
     pub fn execute(
         &mut self,
         rows: &[Vec<f64>],
@@ -611,21 +787,27 @@ impl PoolShard {
         let links = &mut self.links[..];
         let ttis = cfg.ttis_per_step;
         let HotBuffers {
-            batches,
+            index,
+            service,
+            batch,
             scratch,
             outcome,
             grid,
             executor,
             par_scratch,
             par_out,
-            tti_release_ns,
-            tti_deadline_ns,
+            tti,
             service_ns,
             bytes_by_prb,
             accel_servers,
-            linked,
+            response,
+            slack,
+            #[cfg(test)]
+            handed,
         } = &mut self.hot;
         let accel_servers = *accel_servers;
+        #[cfg(test)]
+        handed.clear();
         let mut live = if pran_telemetry::live::armed() {
             Some(&mut **self.live.get_or_insert_with(|| {
                 let budget_us = COMPUTE_DEADLINE.as_micros() as u64;
@@ -635,117 +817,124 @@ impl PoolShard {
         } else {
             None
         };
-        let on_grid = links.is_empty() && executor.is_none();
+        let lost_cells = index.rebuild(&placement.assignment, alive);
+        let linked = !links.is_empty();
+        let on_grid = !linked && executor.is_none();
+        let (mut response, mut slack) = (response.tally(), slack.tally());
         // A link whose bucket refills on the clock; on any other,
         // `advance_to` does nothing.
         let clocked = cfg
             .fronthaul
             .is_some_and(|lf| !lf.config.refill_interval.is_zero());
         let traced = pran_telemetry::enabled();
-        let tasks_per_row = if on_grid { ttis as u64 } else { 1 };
+        let (release_ns, deadline_ns) = (tti.release_ns(), tti.deadline_ns());
         let cores = cfg.server_cores();
         let mut peak_depth = 0u64;
-        // Every arm folds its samples here, merged into `metrics` once.
-        let (mut response, mut slack) = (LogHistogram::new(), LogHistogram::new());
         let mut misses = 0u64;
         for (offset, row) in rows.iter().enumerate() {
             let step = first_step + offset;
-            for b in batches.iter_mut() {
-                b.clear();
-            }
             metrics.tasks_total += (row.len() * ttis) as u64;
+            metrics.tasks_lost += (lost_cells * ttis) as u64;
             let step_start = Duration::from_secs_f64(step as f64 * step_seconds);
-            for (cell, &util) in row.iter().enumerate() {
-                let s = match placement.assignment[cell] {
-                    Some(s) if alive[s] => s,
-                    _ => {
-                        metrics.tasks_lost += ttis as u64;
-                        continue;
-                    }
-                };
-                // One table lookup replaces the compute-model walk.
-                let prb = cfg.bandwidth.prbs_at(util) as usize;
+            for &s in &index.busy {
+                let cells = index.of(s);
+                let s = s as usize;
                 let class = usize::from(s < accel_servers);
-                let split = cfg.split_plan.split_for(cell).index();
-                let service_ns = service_ns[class * 3 + split][prb];
-                let batch = &mut batches[s];
+                // One table lookup per cell replaces the compute-model walk.
+                service.clear();
+                for &cell in cells {
+                    let prb = cfg.bandwidth.prbs_at(row[cell as usize]) as usize;
+                    let split = cfg.split_plan.split_for(cell as usize).index();
+                    service.push(service_ns[class * 3 + split][prb]);
+                    if linked {
+                        let frame_len = bytes_by_prb[split][prb];
+                        metrics.fronthaul_bytes += (frame_len * ttis) as u64;
+                    }
+                }
                 if on_grid {
-                    // One row per cell, its TTI-0 task: `dispatch_grid`
-                    // walks the rest of the grid.
-                    batch.push(
-                        cell as u32,
-                        tti_release_ns[0],
-                        tti_deadline_ns[0],
-                        service_ns,
-                    );
+                    peak_depth = peak_depth.max((cells.len() * ttis) as u64);
+                    // No executor, so the server has the analytic core
+                    // count.
+                    dispatch_grid::<ANALYTIC_CORES>(service, tti, grid);
+                    let budget = tti.budget_ns();
+                    for (responses, n) in grid.blocks() {
+                        for &response_ns in responses {
+                            response.record_n(response_ns / 1_000, n);
+                            if response_ns > budget {
+                                misses += n;
+                            } else {
+                                slack.record_n((budget - response_ns) / 1_000, n);
+                            }
+                        }
+                    }
+                    if traced || live.is_some() {
+                        for (c, (&cell, &service)) in cells.iter().zip(&*service).enumerate() {
+                            for t in 0..ttis {
+                                let task = grid.subframe(tti, t, c, cell, service);
+                                if traced {
+                                    task.emit(Some(Policy::GlobalEdf.label()));
+                                }
+                                if let Some(fold) = live.as_deref_mut() {
+                                    fold.record(cell as usize, Some(s), &task);
+                                }
+                            }
+                        }
+                    }
                     continue;
                 }
-                if links.is_empty() {
-                    // Ideal fronthaul under an executor: releases are the
-                    // fixed TTI grid, pushed as one run of four columns.
-                    batch.push_run(cell as u32, tti_release_ns, tti_deadline_ns, service_ns);
-                    continue;
-                }
-                // The subframe reports cross the cell's fronthaul link
-                // first, drawn once every placed cell is known.
-                let frame_len = bytes_by_prb[split][prb];
-                metrics.fronthaul_bytes += (frame_len * ttis) as u64;
-                linked.push((cell as u32, s as u32, service_ns));
-            }
-            // Cell-major under the executor, the order its batches follow;
-            // TTI-major otherwise, so that each server's deadlines never
-            // decrease and `simulate_into`'s EDF ranks no rows.
-            // Either way each link draws its TTIs in order, and its bucket
-            // refills on absolute simulated time.
-            let cell_major = executor.is_some();
-            let (outer, inner) = if cell_major {
-                (linked.len(), ttis)
-            } else {
-                (ttis, linked.len())
-            };
-            for a in 0..outer {
-                for b in 0..inner {
-                    let (tti, k) = if cell_major { (b, a) } else { (a, b) };
-                    let (cell, s, service_ns) = linked[k];
+                // The subframe reports cross each cell's fronthaul link
+                // first. Cell-major under the executor, the order its
+                // batches follow; TTI-major otherwise, so that the
+                // server's deadlines never decrease and `simulate_into`'s
+                // EDF ranks no rows. Either way each link draws its TTIs
+                // in order, and its bucket refills on absolute simulated
+                // time.
+                batch.clear();
+                let mut deliver = |batch: &mut TaskBatch, t: usize, k: usize| {
+                    let cell = cells[k];
                     let link = &mut links[cell as usize];
                     if clocked {
-                        link.advance_to(step_start + TTI * tti as u32);
+                        link.advance_to(step_start + TTI * t as u32);
                     }
                     match link.deliver() {
                         // Jitter delays arrival but the HARQ deadline
                         // stays pinned to the TTI, so jitter eats compute
                         // slack.
-                        Some(extra_ns) => batches[s as usize].push(
-                            cell,
-                            tti_release_ns[tti] + extra_ns,
-                            tti_deadline_ns[tti],
-                            service_ns,
-                        ),
+                        Some(extra_ns) => {
+                            batch.push(cell, release_ns[t] + extra_ns, deadline_ns[t], service[k])
+                        }
                         None => {
                             metrics.tasks_lost += 1;
                             metrics.reports_lost += 1;
                         }
                     }
-                }
-            }
-            linked.clear();
-            for (s, batch) in batches.iter().enumerate() {
-                peak_depth = peak_depth.max(batch.len() as u64 * tasks_per_row);
-                if batch.is_empty() || !alive[s] {
-                    continue;
-                }
+                };
                 match executor.as_ref() {
                     Some(ex) => {
+                        for (k, &cell) in cells.iter().enumerate() {
+                            if linked {
+                                (0..ttis).for_each(|t| deliver(batch, t, k));
+                            } else {
+                                // Ideal fronthaul: releases are the fixed
+                                // TTI grid, pushed as one run of columns.
+                                batch.push_run(cell, release_ns, deadline_ns, service[k]);
+                            }
+                        }
+                        peak_depth = peak_depth.max(batch.len() as u64);
+                        if batch.is_empty() {
+                            continue;
+                        }
                         ex.execute_batch_into(batch, par_scratch, par_out);
                         metrics.steals += par_out.steals;
                         for (r, &release_ns) in par_out.tasks.iter().zip(&batch.release_ns) {
                             // Both ends in the executor's whole-µs
                             // domain, where a task never finishes before
                             // its (truncated) release.
-                            response.record_us(r.finish.as_micros() as u64 - release_ns / 1_000);
+                            let finish_us = r.finish.as_micros() as u64;
+                            response.direct.record_us(finish_us - release_ns / 1_000);
                             misses += u64::from(r.missed);
                             if r.slack_us >= 0 {
-                                slack.record_us(r.slack_us as u64);
+                                slack.direct.record_us(r.slack_us as u64);
                             }
                         }
                         if let Some(fold) = live.as_deref_mut() {
@@ -758,55 +947,30 @@ impl PoolShard {
                             }
                         }
                     }
-                    None if on_grid => {
-                        // No executor, so the server has the analytic core
-                        // count.
-                        let service = &batch.service_ns;
-                        dispatch_grid::<ANALYTIC_CORES>(
-                            service,
-                            tti_release_ns,
-                            tti_deadline_ns,
-                            grid,
-                        );
-                        let budget = grid.budget_ns();
-                        for (responses, n) in grid.blocks() {
-                            for &response_ns in responses {
-                                response.record_us_n(response_ns / 1_000, n);
-                                if response_ns > budget {
-                                    misses += n;
-                                } else {
-                                    slack.record_us_n((budget - response_ns) / 1_000, n);
-                                }
-                            }
-                        }
-                        if traced || live.is_some() {
-                            let cells = batch.cell.iter().zip(service);
-                            for (c, (&cell, &service)) in cells.enumerate() {
-                                for t in 0..ttis {
-                                    let task = grid.subframe(t, c, cell, service);
-                                    if traced {
-                                        task.emit(Some(Policy::GlobalEdf.label()));
-                                    }
-                                    if let Some(fold) = live.as_deref_mut() {
-                                        fold.record(cell as usize, Some(s), &task);
-                                    }
-                                }
-                            }
-                        }
-                    }
                     None => {
+                        for t in 0..ttis {
+                            (0..cells.len()).for_each(|k| deliver(batch, t, k));
+                        }
+                        peak_depth = peak_depth.max(batch.len() as u64);
+                        if batch.is_empty() {
+                            continue;
+                        }
                         debug_assert!(
                             batch.deadline_ns.is_sorted(),
                             "a jittered step's rows are TTI-major"
                         );
+                        #[cfg(test)]
+                        handed.push((s, batch.clone()));
                         simulate_into(batch, cores, Policy::GlobalEdf, scratch, outcome);
                         for i in 0..batch.len() {
                             let finish_ns = outcome.finish_ns[i];
-                            response.record_us((finish_ns - batch.release_ns[i]) / 1_000);
+                            let response_ns = finish_ns - batch.release_ns[i];
+                            response.direct.record_us(response_ns / 1_000);
                             if outcome.missed[i] {
                                 misses += 1;
                             } else {
-                                slack.record_us((batch.deadline_ns[i] - finish_ns) / 1_000);
+                                let slack_ns = batch.deadline_ns[i] - finish_ns;
+                                slack.direct.record_us(slack_ns / 1_000);
                             }
                         }
                         if let Some(fold) = live.as_deref_mut() {
@@ -819,8 +983,8 @@ impl PoolShard {
                 }
             }
         }
-        metrics.response_times.merge(&response);
-        metrics.deadline_slack.merge(&slack);
+        response.flush(&mut metrics.response_times);
+        slack.flush(&mut metrics.deadline_slack);
         metrics.deadline_misses += misses;
         if let Some(fold) = live {
             // One `execute` is one shard-epoch of records.
@@ -866,25 +1030,44 @@ mod tests {
         assert_eq!(next_epoch_after(Duration::MAX, epoch), Duration::MAX);
     }
 
-    /// A 40-cell shard on 3 servers behind `metro_degraded`'s links (1 %
-    /// loss, 800 µs jitter), placed for ten busy-hour steps at half their
-    /// demand, so that servers overload and tasks miss; returns the steps
-    /// with their length.
-    fn jittered_shard() -> (PoolShard, Vec<Vec<f64>>, f64) {
+    /// The three ways a server-step runs.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Path {
+        /// Ideal fronthaul, no executor.
+        Grid,
+        /// `metro_degraded`'s links, no executor.
+        Link,
+        /// `metro_degraded`'s links under a four-core executor.
+        Executor,
+    }
+
+    /// A 40-cell shard on 3 servers, placed for ten busy-hour steps at
+    /// half their demand, so that servers overload and tasks miss, run
+    /// down `path`; returns the steps with their length.
+    fn shard_on(path: Path) -> (PoolShard, Vec<Vec<f64>>, f64) {
         let mut trace_cfg = TraceConfig::default_day(40, 11);
         trace_cfg.duration_seconds = 20.0 * 3600.0;
         trace_cfg.step_seconds = 600.0;
         let trace = generate(&trace_cfg);
         let mut cfg = PoolConfig::default_eval(3);
         cfg.headroom = 0.5;
-        cfg.fronthaul = Some(LinkFault {
-            config: FaultConfig {
-                drop_prob: 0.01,
-                max_jitter: Duration::from_micros(800),
-                ..FaultConfig::clean()
-            },
-            seed: 2026,
-        });
+        if path != Path::Grid {
+            cfg.fronthaul = Some(LinkFault {
+                config: FaultConfig {
+                    drop_prob: 0.01,
+                    max_jitter: Duration::from_micros(800),
+                    ..FaultConfig::clean()
+                },
+                seed: 2026,
+            });
+        }
+        if path == Path::Executor {
+            cfg.parallel = Some(pran_sched::realtime::ParallelConfig {
+                cores: 4,
+                batch: 4,
+                steal: false,
+            });
+        }
         let mut shard = PoolShard::try_new(cfg, trace.num_cells()).expect("valid pool");
         let rows = trace.samples[110..120].to_vec();
         shard.place(&rows, &mut PoolMetrics::default());
@@ -897,12 +1080,13 @@ mod tests {
     /// would still give the same answers, only slower, and fail here.
     #[test]
     fn jittered_steps_hand_edf_deadline_ordered_rows() {
-        let (mut shard, rows, step_seconds) = jittered_shard();
+        let (mut shard, rows, step_seconds) = shard_on(Path::Link);
         let mut metrics = PoolMetrics::default();
         let mut mixed = 0;
         for step in 0..10 {
             shard.execute(&rows[step..step + 1], step, step_seconds, &mut metrics);
-            for batch in &shard.hot.batches {
+            assert!(!shard.hot.handed.is_empty(), "step {step}");
+            for (_, batch) in &shard.hot.handed {
                 assert!(batch.deadline_ns.is_sorted(), "step {step}");
                 let cells = batch.cell.iter().filter(|&&c| c != batch.cell[0]).count();
                 mixed += usize::from(
@@ -919,12 +1103,12 @@ mod tests {
     /// in cell order give equal folds and equal serialized bytes.
     #[test]
     fn live_fold_is_the_same_in_either_record_order() {
-        let (mut shard, rows, step_seconds) = jittered_shard();
+        let (mut shard, rows, step_seconds) = shard_on(Path::Link);
         let mut metrics = PoolMetrics::default();
         shard.execute(&rows[..1], 0, step_seconds, &mut metrics);
         let (mut scratch, mut outcome) = (SimScratch::new(), BatchOutcome::new());
         let mut records = Vec::new();
-        for (s, batch) in shard.hot.batches.iter().enumerate() {
+        for (s, batch) in &shard.hot.handed {
             simulate_into(
                 batch,
                 ANALYTIC_CORES,
@@ -933,7 +1117,7 @@ mod tests {
                 &mut outcome,
             );
             for i in 0..batch.len() {
-                records.push((batch.cell[i] as usize, s, outcome.subframe(batch, i)));
+                records.push((batch.cell[i] as usize, *s, outcome.subframe(batch, i)));
             }
         }
         let fold = |records: &[(usize, usize, pran_telemetry::Subframe)]| {
@@ -954,5 +1138,173 @@ mod tests {
             serde_json::to_string(&tti_major).unwrap(),
             serde_json::to_string(&cell_major).unwrap()
         );
+    }
+
+    /// A server killed through `alive_mut` between `place` and `execute`
+    /// keeps its cells in the placement; `execute` must count their tasks
+    /// lost every step without drawing their links (so no report of
+    /// theirs is lost), and leave the server out of the peak depth. Each
+    /// live cell's draws are replayed on a fresh link to know the drops.
+    #[test]
+    fn a_server_killed_before_execute_loses_its_cells_without_drawing_them() {
+        for path in [Path::Grid, Path::Link, Path::Executor] {
+            let (mut shard, rows, step_seconds) = shard_on(path);
+            let servers = shard.cfg.servers;
+            let ttis = shard.cfg.ttis_per_step;
+            let assignment = shard.assignment().to_vec();
+            let holds = |s| assignment.iter().filter(|&&a| a == Some(s)).count();
+            let dead = (0..servers)
+                .max_by_key(|&s| (holds(s), servers - s))
+                .unwrap();
+            let busiest_live = (0..servers).filter(|&s| s != dead).map(holds).max();
+            assert!(
+                holds(dead) > busiest_live.unwrap(),
+                "{path:?}: {assignment:?}"
+            );
+            shard.alive_mut()[dead] = false;
+
+            let links = shard.cfg.fronthaul;
+            let fresh = |c: usize| {
+                let lf = links.expect("a linked path");
+                FaultInjector::for_cell(lf.config, lf.seed, c)
+            };
+            let mut replay: Vec<_> = (0..assignment.len())
+                .map(|c| (path != Path::Grid).then(|| fresh(c)))
+                .collect();
+            let (mut drops, mut peak) = (0u64, 0u64);
+            for _ in &rows {
+                let mut depth = vec![0u64; servers];
+                for (c, &a) in assignment.iter().enumerate() {
+                    let Some(s) = a.filter(|&s| s != dead) else {
+                        continue;
+                    };
+                    for _ in 0..ttis {
+                        match replay[c].as_mut().map(FaultInjector::deliver) {
+                            Some(None) => drops += 1,
+                            _ => depth[s] += 1,
+                        }
+                    }
+                }
+                peak = peak.max(depth.into_iter().max().unwrap());
+            }
+
+            let mut metrics = PoolMetrics::default();
+            let depth = shard.execute(&rows, 0, step_seconds, &mut metrics);
+            let steps = rows.len() as u64;
+            let dark = assignment.iter().filter(|a| a.is_none_or(|s| s == dead));
+            let dark = dark.count() as u64;
+            assert_eq!(metrics.tasks_total, steps * (40 * ttis) as u64, "{path:?}");
+            assert_eq!(
+                metrics.tasks_lost,
+                steps * dark * ttis as u64 + drops,
+                "{path:?}"
+            );
+            assert_eq!(metrics.reports_lost, drops, "{path:?}");
+            assert_eq!(depth, peak, "{path:?}");
+            assert!(depth < (holds(dead) * ttis) as u64, "{path:?}");
+            if path != Path::Grid {
+                assert!(drops > 0, "{path:?}: the links must drop reports");
+                for c in (0..assignment.len()).filter(|&c| assignment[c] == Some(dead)) {
+                    let mut untouched = fresh(c);
+                    for _ in 0..64 {
+                        let drawn = shard.links[c].deliver();
+                        assert_eq!(drawn, untouched.deliver(), "{path:?}, cell {c}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Calls reuse the index, the batch and the tables: after one call no
+    /// buffer moves or grows, on any path, whether later calls are one
+    /// step long (as in `tests/tests/zero_alloc.rs`) or many.
+    #[test]
+    fn calls_reuse_the_index_the_batch_and_the_tables() {
+        fn buffers(hot: &HotBuffers) -> Vec<(usize, usize)> {
+            let at = |p: *const u8, capacity| (p as usize, capacity);
+            let (index, batch) = (&hot.index, &hot.batch);
+            let mut all = vec![
+                at(index.start.as_ptr().cast(), index.start.capacity()),
+                at(index.cell.as_ptr().cast(), index.cell.capacity()),
+                at(index.busy.as_ptr().cast(), index.busy.capacity()),
+                at(hot.service.as_ptr().cast(), hot.service.capacity()),
+                at(batch.cell.as_ptr().cast(), batch.cell.capacity()),
+                at(
+                    batch.release_ns.as_ptr().cast(),
+                    batch.release_ns.capacity(),
+                ),
+                at(
+                    batch.deadline_ns.as_ptr().cast(),
+                    batch.deadline_ns.capacity(),
+                ),
+                at(
+                    batch.service_ns.as_ptr().cast(),
+                    batch.service_ns.capacity(),
+                ),
+            ];
+            for fold in [&hot.response, &hot.slack] {
+                all.push(at(fold.counts.as_ptr().cast(), fold.counts.capacity()));
+                all.push(at(fold.touched.as_ptr().cast(), fold.touched.capacity()));
+            }
+            all
+        }
+        for path in [Path::Grid, Path::Link, Path::Executor] {
+            let (mut shard, rows, step_seconds) = shard_on(path);
+            let epoch: Vec<Vec<f64>> = rows.iter().cycle().take(60).cloned().collect();
+            let mut metrics = PoolMetrics::default();
+            shard.execute(&epoch, 0, step_seconds, &mut metrics);
+            // Only the grid path counts into tables.
+            let tables = [&shard.hot.response, &shard.hot.slack].map(|f| f.counts.len());
+            let expected = if path == Path::Grid {
+                DenseFold::LEN
+            } else {
+                0
+            };
+            assert_eq!(tables, [expected; 2], "{path:?}");
+            let warm = buffers(&shard.hot);
+            for call in 1..20 {
+                let steps = if call % 2 == 0 {
+                    &epoch[..1]
+                } else {
+                    &epoch[..]
+                };
+                shard.execute(steps, call * epoch.len(), step_seconds, &mut metrics);
+                assert_eq!(buffers(&shard.hot), warm, "{path:?}, call {call}");
+            }
+            assert!(metrics.response_times.count() > 0, "{path:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Samples counted in a [`DenseFold`] and flushed — over several
+        /// calls, with multiplicities above 1 and values on both sides of
+        /// the table — leave the state and the bytes per-sample records
+        /// leave.
+        #[test]
+        fn a_flushed_dense_fold_equals_per_sample_records(
+            calls in proptest::collection::vec(
+                proptest::collection::vec((0..2 * DenseFold::LEN as u64, 1..5u64), 0..200),
+                1..5,
+            ),
+            far in proptest::collection::vec((DenseFold::LEN as u64..1 << 40, 1..5u64), 0..4),
+        ) {
+            let (mut fold, mut flushed, mut direct) =
+                (DenseFold::new(), LogHistogram::new(), LogHistogram::new());
+            for samples in &calls {
+                let mut tally = fold.tally();
+                for &(us, n) in samples.iter().chain(&far) {
+                    tally.record_n(us, n);
+                    direct.record_us_n(us, n);
+                }
+                tally.flush(&mut flushed);
+                proptest::prop_assert_eq!(&flushed, &direct);
+                proptest::prop_assert_eq!(
+                    serde_json::to_string(&flushed).unwrap(),
+                    serde_json::to_string(&direct).unwrap()
+                );
+                proptest::prop_assert!(fold.touched.is_empty());
+                proptest::prop_assert!(fold.counts.iter().all(|&n| n == 0));
+            }
+        }
     }
 }

@@ -542,9 +542,10 @@ mod tests {
         }
     }
 
-    /// A stack histogram merged once — how `PoolShard::execute` folds its
-    /// samples — equals the same samples recorded one by one into the
-    /// target, serialized bytes included: onto an empty and a populated
+    /// A histogram merged once — how `PoolShard::execute` folds the
+    /// samples it does not count into its dense per-µs tables — equals
+    /// the same samples recorded one by one into the target, serialized
+    /// bytes included: onto an empty and a populated
     /// histogram, at 0 µs and past the top bucket's edge, with `n > 1`
     /// and with `n == 0`, split across two histograms or in one.
     #[test]

@@ -55,7 +55,8 @@ pub enum TraceClock {
     Full,
 }
 
-/// Maximum fields per event; excess fields are truncated.
+/// Maximum fields per event. Passing more is a bug: debug builds panic,
+/// release builds keep the first `MAX_FIELDS`.
 pub const MAX_FIELDS: usize = 12;
 
 /// A field value. Strings are `&'static str` so recording never allocates.
@@ -132,13 +133,19 @@ pub struct TraceEvent {
 const _: () = assert!(std::mem::size_of::<TraceEvent>() == 512);
 
 impl TraceEvent {
-    /// Build an event, truncating fields beyond [`MAX_FIELDS`].
+    /// Build an event, truncating fields beyond [`MAX_FIELDS`] (a debug
+    /// build panics on them instead).
     pub fn new(
         ts_us: u64,
         domain: Domain,
         name: &'static str,
         fields: &[(&'static str, FieldValue)],
     ) -> Self {
+        debug_assert!(
+            fields.len() <= MAX_FIELDS,
+            "`{name}` carries {} fields, more than MAX_FIELDS",
+            fields.len()
+        );
         let mut stored = [("", FieldValue::U64(0)); MAX_FIELDS];
         let len = fields.len().min(MAX_FIELDS);
         stored[..len].copy_from_slice(&fields[..len]);
@@ -443,6 +450,14 @@ pub fn span(name: &'static str) -> Span {
 
 impl Span {
     fn emit(&mut self, extra: &[(&'static str, FieldValue)]) {
+        // Checked whether or not the span records, so that a debug test
+        // finds an overflow with the tracer off.
+        debug_assert!(
+            extra.len() < MAX_FIELDS,
+            "span `{}` carries {} fields beside `dur_us`, more than MAX_FIELDS − 1",
+            self.name,
+            extra.len()
+        );
         if !self.active {
             return;
         }
@@ -695,12 +710,31 @@ pub(crate) mod tests {
         }
     }
 
+    /// Too many fields panic a debug build, so that a caller learns of
+    /// the overflow; a release build keeps the first `MAX_FIELDS`.
     #[test]
     fn field_truncation_is_bounded() {
         let fields: Vec<(&'static str, FieldValue)> = (0..MAX_FIELDS + 3)
             .map(|_| ("k", FieldValue::U64(1)))
             .collect();
-        let ev = TraceEvent::new(0, Domain::Sim, "t", &fields);
-        assert_eq!(ev.fields().len(), MAX_FIELDS);
+        let built = std::panic::catch_unwind(|| TraceEvent::new(0, Domain::Sim, "t", &fields));
+        if cfg!(debug_assertions) {
+            assert!(built.is_err(), "an overflowing event must not be built");
+        } else {
+            assert_eq!(built.expect("release truncates").fields().len(), MAX_FIELDS);
+        }
+        let full = TraceEvent::new(0, Domain::Sim, "t", &fields[..MAX_FIELDS]);
+        assert_eq!(full.fields().len(), MAX_FIELDS);
+    }
+
+    /// A span finished with more fields than fit beside `dur_us` panics a
+    /// debug build whether or not it records; one that fits does not.
+    #[test]
+    fn span_field_overflow_panics_in_debug() {
+        let _g = lock_tracer();
+        let fields = vec![("k", FieldValue::U64(1)); MAX_FIELDS];
+        let finished = std::panic::catch_unwind(|| span("t").finish_with(&fields));
+        assert_eq!(finished.is_err(), cfg!(debug_assertions));
+        span("t").finish_with(&fields[1..]);
     }
 }

@@ -2,6 +2,7 @@
 //! dimensioning, on shared instances.
 
 use pran_ilp::BnbConfig;
+use pran_integration_tests::library_instance;
 use pran_sched::placement::dimensioning::{dedicated_servers, pooled_servers, GopsConverter};
 use pran_sched::placement::heuristics::{place, Heuristic};
 use pran_sched::placement::ilp;
@@ -125,8 +126,12 @@ fn dimensioning_consistent_with_placement() {
 #[test]
 fn ilp_matches_heuristic_time_ordering() {
     // The decomposition claim: heuristics are orders of magnitude faster.
-    // (Asserted loosely — CI boxes vary — but the gap must be real.)
-    let inst = random_instance(12, 11);
+    // (Asserted loosely — CI boxes vary — but the gap must be real.) It is
+    // timed on a solve that searches: where the cost bound proves first
+    // fit optimal before any model, the exact call is first fit itself.
+    // The benchmark library's instance 16 has its optimum one server below
+    // first fit's, so its solve searches.
+    let inst = library_instance(16);
     let t0 = std::time::Instant::now();
     for _ in 0..50 {
         let r = place(&inst, Heuristic::FirstFitDecreasing);
@@ -142,6 +147,11 @@ fn ilp_matches_heuristic_time_ordering() {
         },
     );
     assert!(exact.placement.is_some());
+    assert!(
+        exact.nodes > 1,
+        "the solve must search: {} nodes",
+        exact.nodes
+    );
     assert!(
         exact.elapsed > heuristic_time * 5,
         "ILP {:?} should dwarf heuristic {:?}",
