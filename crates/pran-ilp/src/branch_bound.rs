@@ -10,15 +10,6 @@
 //! applied to the tableau the previous node ended on, re-optimised by
 //! dual pivots from that basis.
 //!
-//! A caller that has proven a bound on the objective
-//! ([`solve_ilp_bounded`]) hands it to the root. When the warm start
-//! meets it under the test every node is pruned by ([`prunes`]), the root
-//! is closed before any LP: the start comes back `Optimal`, one node, no
-//! pivots, and no [`Simplex`] is built. Bin packing is the case in point,
-//! where first fit often uses exactly the servers a counting bound asks
-//! for; the exact placer asks [`prunes`] itself before it builds a model
-//! at all.
-//!
 //! A node pays only for its LP. It is one `Change`, a variable's new
 //! bounds linked to the change above it, so a child copies no path. Before
 //! its LP, only the variables the previous node overrode go back to their
@@ -95,8 +86,7 @@ pub enum IlpStatus {
 /// Search statistics for one [`solve_ilp`] call.
 #[derive(Debug, Clone)]
 pub struct BnbStats {
-    /// Nodes whose LP relaxation was solved, plus a root closed by the
-    /// caller's bound ([`solve_ilp_bounded`]), which counts as one.
+    /// Nodes whose LP relaxation was solved.
     pub nodes: usize,
     /// Total simplex pivots across all node LPs.
     pub lp_iterations: usize,
@@ -188,30 +178,6 @@ impl Ord for Prioritized {
 /// are preserved 1:1, so solutions come back in the original model's
 /// indexing and are re-validated against the original constraints.
 pub fn solve_ilp(model: &Model, config: &BnbConfig) -> IlpResult {
-    let unknown = match model.sense() {
-        Sense::Minimize => f64::NEG_INFINITY,
-        Sense::Maximize => f64::INFINITY,
-    };
-    solve_ilp_bounded(model, config, unknown)
-}
-
-/// [`solve_ilp`], given `root_bound`: no point the incumbent check
-/// accepts has an objective better than it (below it when minimising,
-/// above it when maximising). An infinite bound that says nothing is
-/// [`solve_ilp`] itself.
-///
-/// The bound is the root's: the root is pruned by it as any node is by
-/// its parent's. So when the warm start is accepted and meets the bound,
-/// the start is returned `Optimal` with one node, no pivots and no
-/// [`Simplex`] built; otherwise the search runs as [`solve_ilp`]'s, pivot
-/// for pivot. A bound that is not valid proves a start that is not
-/// optimal.
-///
-/// A caller that can price its start without a model may ask [`prunes`]
-/// first and skip the model where the root would close: the exact placer
-/// does, and hands this function the same bound for every solve that
-/// still builds one.
-pub fn solve_ilp_bounded(model: &Model, config: &BnbConfig, root_bound: f64) -> IlpResult {
     let start = Instant::now();
     let reduced;
     let presolve_stats;
@@ -282,7 +248,7 @@ pub fn solve_ilp_bounded(model: &Model, config: &BnbConfig, root_bound: f64) -> 
     let mut open = BinaryHeap::new();
     open.push(Prioritized(Node {
         change: None,
-        bound: tighten(sign * root_bound, integral_objective),
+        bound: f64::NEG_INFINITY,
         depth: 0,
     }));
     let mut changes: Vec<Change> = Vec::new();
@@ -291,8 +257,7 @@ pub fn solve_ilp_bounded(model: &Model, config: &BnbConfig, root_bound: f64) -> 
     let mut path: Vec<usize> = Vec::new();
     let mut overridden: Vec<VarId> = Vec::new();
 
-    // Built by the first node that needs an LP.
-    let mut lp: Option<Simplex> = None;
+    let mut lp = Simplex::new(model);
     let integral = model.integral_vars();
     let mut root_status: Option<IlpStatus> = None;
     // The search is a proof only if every node was resolved: a node the
@@ -309,11 +274,9 @@ pub fn solve_ilp_bounded(model: &Model, config: &BnbConfig, root_bound: f64) -> 
             open.push(Prioritized(node));
             break;
         }
-        // Prune against incumbent. A root closed by the caller's bound
-        // counts as one node, as a root its LP closes does. A queued
-        // bound is tightened already, and tightening it again is a no-op.
+        // Prune against incumbent. A queued bound is tightened already,
+        // and tightening it again is a no-op.
         if prunes(node.bound, incumbent_norm, integral_objective) {
-            stats.nodes += usize::from(node.change.is_none());
             continue;
         }
         // Every decision above this node was its ancestors' own, checked
@@ -327,7 +290,6 @@ pub fn solve_ilp_bounded(model: &Model, config: &BnbConfig, root_bound: f64) -> 
 
         // Swap the previous node's bound overrides for this node's,
         // applied root first so the deepest one of a variable wins.
-        let lp = lp.get_or_insert_with(|| Simplex::new(model));
         for v in overridden.drain(..) {
             let var = model.var(v);
             lp.set_bounds(v, var.lower, var.upper);
@@ -498,16 +460,16 @@ pub fn solve_ilp_default(model: &Model) -> IlpResult {
 
 /// Whether a node whose relaxation is bounded by `bound` can hold nothing
 /// better than an incumbent of objective `incumbent`, both
-/// minimization-normalized: the search's one prune test, for the root
-/// under the caller's bound as for every node under its LP's. Where the
+/// minimization-normalized: the search's one prune test, for every node
+/// under its parent's LP bound and under its own. Where the
 /// objective is an integer at every integer point (`integral_objective`)
 /// the bound first moves up to the next integer, within `1e-6`; the
 /// bound then prunes when it is within the relative gap `GAP_TOL` (1e-9)
 /// of the incumbent.
 ///
-/// A caller that proves the root closed without a model (the exact
-/// placer does, with first fit decreasing's cost) asks this test, so it
-/// closes exactly the roots the search would.
+/// A caller that proves its start optimal without a model (the exact
+/// placer does, with first fit decreasing's cost against a counting
+/// bound) asks this test, so it proves by the rule the search prunes by.
 pub fn prunes(bound: f64, incumbent: f64, integral_objective: bool) -> bool {
     tighten(bound, integral_objective) >= incumbent - GAP_TOL * incumbent.abs().max(1.0)
 }
@@ -724,113 +686,6 @@ mod tests {
         assert_eq!(r.status, IlpStatus::Optimal);
         let s = r.solution.unwrap();
         assert!(m.is_feasible(&s.values, 1e-6));
-    }
-
-    /// Three items of 0.6 into unit bins: `min Σ y` over an assignment,
-    /// and a start that opens one bin per item.
-    fn three_bins() -> (Model, Vec<f64>) {
-        let mut m = Model::new();
-        let y: Vec<_> = (0..3).map(|_| m.binary()).collect();
-        let x: Vec<Vec<_>> = (0..3)
-            .map(|_| (0..3).map(|_| m.binary()).collect())
-            .collect();
-        for row in &x {
-            m.add_constraint(LinExpr::sum(row.iter().copied()), Cmp::Eq, 1.0);
-        }
-        for (s, &ys) in y.iter().enumerate() {
-            let load = LinExpr::weighted_sum(x.iter().map(|row| (row[s], 0.6)));
-            m.add_constraint(load - LinExpr::term(ys, 1.0), Cmp::Le, 0.0);
-        }
-        m.set_objective(Sense::Minimize, LinExpr::sum(y.iter().copied()));
-        let mut start = vec![0.0; m.num_vars()];
-        for (i, row) in x.iter().enumerate() {
-            start[y[i].index()] = 1.0;
-            start[row[i].index()] = 1.0;
-        }
-        (m, start)
-    }
-
-    #[test]
-    fn a_bound_the_start_meets_closes_the_root_without_an_lp() {
-        let (m, start) = three_bins();
-        let config = BnbConfig {
-            initial: Some(start.clone()),
-            ..cfg()
-        };
-        // The LP says 1.8 bins, so it must search to prove the start's 3.
-        let searched = solve_ilp(&m, &config);
-        assert_eq!(searched.status, IlpStatus::Optimal);
-        assert!(searched.stats.nodes > 1);
-        // No two items share a bin: 3 is a bound, and the start meets it.
-        let closed = solve_ilp_bounded(&m, &config, 3.0);
-        assert_eq!(closed.status, IlpStatus::Optimal);
-        assert_eq!((closed.stats.nodes, closed.stats.lp_iterations), (1, 0));
-        assert_eq!(closed.stats.best_bound, 3.0);
-        assert_eq!(closed.stats.gap(), Some(0.0));
-        let solution = closed.solution.expect("the start");
-        assert_eq!(solution.values, start);
-        assert_eq!(
-            solution.objective.to_bits(),
-            searched.solution.expect("solved").objective.to_bits()
-        );
-        // A node limit of zero explores nothing, the root included, but
-        // the root's bound is still what is proven.
-        let stopped = solve_ilp_bounded(
-            &m,
-            &BnbConfig {
-                max_nodes: 0,
-                ..config
-            },
-            3.0,
-        );
-        assert_eq!(stopped.stats.nodes, 0);
-        assert_eq!(stopped.stats.best_bound, 3.0);
-        assert_eq!(stopped.status, IlpStatus::Optimal);
-    }
-
-    #[test]
-    fn a_bound_short_of_the_start_leaves_the_search_as_it_was() {
-        let (m, start) = three_bins();
-        let config = BnbConfig {
-            initial: Some(start),
-            ..cfg()
-        };
-        // A bound below the start's 3, and one with no start to meet,
-        // change no pivot.
-        for (bound, initial) in [(2.0, config.initial.clone()), (3.0, None)] {
-            let config = BnbConfig { initial, ..cfg() };
-            let searched = solve_ilp(&m, &config);
-            let r = solve_ilp_bounded(&m, &config, bound);
-            assert_eq!(r.status, IlpStatus::Optimal);
-            assert_eq!(r.stats.nodes, searched.stats.nodes, "bound {bound}");
-            assert_eq!(r.stats.lp_iterations, searched.stats.lp_iterations);
-            assert_eq!(
-                r.solution.expect("solved").values,
-                searched.solution.unwrap().values
-            );
-        }
-    }
-
-    #[test]
-    fn a_maximisation_bound_is_an_upper_bound() {
-        // max x + y s.t. 2x + 2y <= 5: the start (2, 0) meets the bound 2.
-        let mut m = Model::new();
-        let x = m.integer(0.0, 10.0);
-        let y = m.integer(0.0, 10.0);
-        m.add_constraint(LinExpr::term(x, 2.0) + LinExpr::term(y, 2.0), Cmp::Le, 5.0);
-        m.set_objective(Sense::Maximize, LinExpr::from(x) + y);
-        let config = BnbConfig {
-            initial: Some(vec![2.0, 0.0]),
-            ..cfg()
-        };
-        let closed = solve_ilp_bounded(&m, &config, 2.0);
-        assert_eq!((closed.stats.nodes, closed.stats.lp_iterations), (1, 0));
-        assert_eq!(closed.status, IlpStatus::Optimal);
-        assert_eq!(closed.stats.best_bound, 2.0);
-        // An upper bound of 3 does not meet the start's 2: the LP decides.
-        let open = solve_ilp_bounded(&m, &config, 3.0);
-        assert!(open.stats.lp_iterations > 0);
-        assert_eq!(open.solution.expect("solved").objective, 2.0);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! * [`simplex`] — dense bounded-variable simplex (dual and primal) for LP
 //!   relaxations, re-solvable from its last basis;
 //! * [`branch_bound`] — best-bound branch & bound for the integer problem,
-//!   one warm simplex through the search, and none when a bound the
-//!   caller proved closes the root;
+//!   one warm simplex through the search;
 //! * [`mod@presolve`] — singleton-row folding, bound tightening, fixed-var
 //!   detection (fixed-point, optimum-preserving);
 //! * [`knapsack`] — an exact real-weight knapsack and bin-packing lower
@@ -44,8 +43,8 @@ pub mod presolve;
 pub mod simplex;
 
 pub use branch_bound::{
-    prunes, solve_ilp, solve_ilp_bounded, solve_ilp_default, BnbConfig, BnbStats, IlpResult,
-    IlpStatus, INCUMBENT_REL_TOL, INCUMBENT_TOL,
+    prunes, solve_ilp, solve_ilp_default, BnbConfig, BnbStats, IlpResult, IlpStatus,
+    INCUMBENT_REL_TOL, INCUMBENT_TOL,
 };
 pub use model::{
     Cmp, Constraint, ConstraintId, LinExpr, Model, Sense, Solution, VarId, VarKind, Variable,

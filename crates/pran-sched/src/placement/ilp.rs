@@ -49,13 +49,12 @@
 //!   certainly accepts (no server loaded past `G`), the solve returns
 //!   that start as branch and bound would: optimal, one node, no pivots,
 //!   the model's objective at the start. No model, presolve or simplex is
-//!   built. Every other solve builds the model and hands the bound to
-//!   [`solve_ilp_bounded`], whose root it closes without an LP where the
-//!   start meets it after all; elsewhere the LP decides, and the answer
-//!   is the same either way. On `placement_exact`'s forty-instance
-//!   library the bound closes every root but instance 16's, whose
-//!   optimum (3) is one server below first fit's, and none of the 39
-//!   builds a model.
+//!   built. Every other solve builds the model and searches it with
+//!   [`solve_ilp`] from the same start; a start the bound meets but that
+//!   loads a server within the fit tolerance past `G` is left to the
+//!   root LP. On `placement_exact`'s forty-instance library the bound
+//!   proves every instance but 16, whose optimum (3) is one server below
+//!   first fit's, and none of the 39 builds a model.
 
 use std::cell::OnceCell;
 use std::time::{Duration, Instant};
@@ -64,8 +63,8 @@ use pran_ilp::knapsack::{
     binpack_lower_bound_l1, binpack_lower_bound_l2, binpack_lower_bound_patterns,
 };
 use pran_ilp::{
-    prunes, solve_ilp_bounded, BnbConfig, Cmp, IlpStatus, LinExpr, Model, PresolveStats, Sense,
-    VarId, INCUMBENT_TOL,
+    prunes, solve_ilp, BnbConfig, Cmp, IlpStatus, LinExpr, Model, PresolveStats, Sense, VarId,
+    INCUMBENT_TOL,
 };
 
 use super::heuristics::{decreasing_order, place, Heuristic, HeuristicResult};
@@ -85,7 +84,7 @@ pub struct IlpPlacement {
     /// one, as a root its LP closes does.
     pub nodes: usize,
     /// Simplex pivots over the search's node LPs: 0 where the cost bound
-    /// closed the root.
+    /// proved first fit before any model.
     pub lp_iterations: usize,
     /// Wall-clock time of the whole call: the pattern gate, first fit
     /// decreasing and, where one is built, the model, its presolve and
@@ -191,11 +190,12 @@ fn pattern_gate(instance: &PlacementInstance, ffd: &OnceCell<HeuristicResult>) -
     gap.then(|| pattern_bound(instance)).flatten()
 }
 
-/// The lower bound [`solve`] proves the root with: on the cost of every
-/// placement the search accepts (module docs, "Proof before the model"),
-/// `cost · max(L1, k)` on a uniform pool of non-negative cost whose every
-/// cell needs more than [`INCUMBENT_TOL`] GOPS, −∞ on any other. `k` is
-/// the pattern bound where the gate computes it.
+/// The lower bound [`solve`] proves first fit decreasing optimal with: on
+/// the cost of every placement the search accepts (module docs, "Proof
+/// before the model"), `cost · max(L1, k)` on a uniform pool of
+/// non-negative cost whose every cell needs more than [`INCUMBENT_TOL`]
+/// GOPS, −∞ on any other. `k` is the pattern bound where the gate
+/// computes it.
 pub fn root_bound(instance: &PlacementInstance) -> f64 {
     cost_bound(instance, pattern_gate(instance, &OnceCell::new()))
 }
@@ -386,7 +386,7 @@ pub fn solve_with(
             gap: Some(0.0),
             presolve: None,
         },
-        None => search(instance, config, options, &ffd, k, bound),
+        None => search(instance, config, options, &ffd, k),
     };
     let elapsed = start.elapsed();
     if pran_telemetry::enabled() {
@@ -492,14 +492,13 @@ fn proven_first_fit(
 }
 
 /// The solve on the model: build it, seed first fit decreasing's start
-/// unless told otherwise, and search with `bound` at the root.
+/// unless told otherwise, and search.
 fn search(
     instance: &PlacementInstance,
     config: &BnbConfig,
     options: SolveOptions,
     ffd: &OnceCell<HeuristicResult>,
     k: Option<usize>,
-    bound: f64,
 ) -> Outcome {
     let (model, x, y) = build(instance, options, k);
     let mut config = config.clone();
@@ -518,7 +517,7 @@ fn search(
             config.initial = Some(values);
         }
     }
-    let result = solve_ilp_bounded(&model, &config, bound);
+    let result = solve_ilp(&model, &config);
     let placement = result.solution.as_ref().map(|sol| {
         let assignment = x
             .iter()

@@ -36,20 +36,23 @@
 //! drift unboundedly under a long demand decline (clean cells are never
 //! re-optimized, so the placement stays at its historical spread while a
 //! cold solve of today's demands keeps shrinking). Each epoch ends with a
-//! consolidation backstop. An `O(n)` floor, `⌈Σ general load / max
-//! capacity⌉` with each cell at the least general load any server takes
-//! from it (less its decode share once a server is accelerated), bounds
-//! every cold solve from below; a warm count within the bound of the floor
-//! is within the bound of the cold solve, and the epoch ends there. Past
-//! it, a cold BFD solve runs, and if the warm count breaks the bound
-//! against it (and it places at least as many cells) the placer adopts
-//! the cold placement wholesale and re-books at actual demand, restoring
-//! the bound by construction.
+//! consolidation backstop. Where the warm placement places every cell,
+//! the instance's `O(n)` server floor,
+//! [`PlacementInstance::lower_bound_servers`], bounds from below every
+//! cold solve that places them all, and one that places fewer is never
+//! adopted; a warm count within the bound of the floor is within the
+//! bound of any cold solve the backstop could adopt, and the epoch ends
+//! there. Where a cell is left unplaced, the floor counts demand no cold
+//! solve need carry, so the backstop takes 0 as its floor. Past the
+//! floor's bound, a cold BFD solve runs, and if the warm count breaks the
+//! bound against it (and it places at least as many cells) the placer
+//! adopts the cold placement wholesale and re-books at actual demand,
+//! restoring the bound by construction.
 //!
-//! On an accelerated pool the floor counts every decode share as
-//! offloaded, though an accelerator holds only a few, so it sits far
-//! below the cold count and the cold solve starts in most epochs; it is
-//! stopped as soon as its answer is known. BFD never unloads a server
+//! On an accelerated pool the floor counts decode shares as offloaded,
+//! though an accelerator holds only a few, so it sits below the cold
+//! count and the cold solve starts in most epochs; it is stopped as soon
+//! as its answer is known. BFD never unloads a server
 //! it has loaded, so once it loads `k` servers with `gap_bound(k)` ≥ the
 //! warm count, the cold count can only be at least `k` and the decision
 //! is "keep": the solve stops there (`heuristics::place_bfd_below`) and
@@ -64,7 +67,7 @@ use serde::{Deserialize, Serialize};
 
 use super::heuristics::{place, place_bfd_below, Heuristic};
 use super::migration::{diff, repack, MigrationPlan};
-use super::{Placement, PlacementInstance, ServerSpec};
+use super::{Placement, PlacementInstance};
 
 /// Multiplicative server-count gap the warm placer is documented (and
 /// property-tested) to stay within, relative to a cold-start
@@ -202,9 +205,10 @@ impl WarmPlacer {
     }
 
     /// The documented server-count bound relative to a cold-start solve
-    /// using `cold` servers: `⌈WARM_GAP_FACTOR × cold⌉ + 1`.
+    /// using `cold` servers: `⌈WARM_GAP_FACTOR × cold⌉ + 1`, saturating at
+    /// `usize::MAX` (the floor of a pool no server can load).
     pub fn gap_bound(cold_servers: usize) -> usize {
-        (WARM_GAP_FACTOR * cold_servers as f64).ceil() as usize + 1
+        ((WARM_GAP_FACTOR * cold_servers as f64).ceil() as usize).saturating_add(1)
     }
 
     /// Adopt an externally-mutated placement as the warm starting point.
@@ -306,13 +310,19 @@ impl WarmPlacer {
             &self.placement,
         );
 
-        // Consolidation backstop (see module docs). The floor bounds any
-        // cold solve from below, so a warm count inside `gap_bound(floor)`
-        // is inside `gap_bound(cold)` too and the epoch stays O(n). Past
-        // it, the cold solve runs only until it loads `keep_at` servers,
-        // the fewest whose bound already holds the warm count.
+        // Consolidation backstop (see module docs). With every cell placed,
+        // the floor bounds any cold solve the backstop could adopt, so a
+        // warm count inside `gap_bound(floor)` is inside `gap_bound(cold)`
+        // too and the epoch stays O(n). Past it, the cold solve runs only
+        // until it loads `keep_at` servers, the fewest whose bound already
+        // holds the warm count.
         let used = instance.servers_used(&new_placement);
-        if used > Self::gap_bound(cold_floor(instance)) {
+        let floor = if new_placement.placed() == n {
+            instance.lower_bound_servers()
+        } else {
+            0
+        };
+        if used > Self::gap_bound(floor) {
             let keep_at = (0..=used)
                 .find(|&k| Self::gap_bound(k) >= used)
                 .expect("gap_bound(used) ≥ used");
@@ -349,37 +359,6 @@ impl WarmPlacer {
     }
 }
 
-/// A lower bound on the servers any placement of `instance` loads,
-/// `⌈Σ general load / (max capacity · (1 + FIT_TOLERANCE))⌉` — the most a
-/// server admits is [`ServerSpec::fits`]'s bound, not its raw capacity —
-/// each cell counted at the least general load a server of the pool
-/// takes from it: its whole demand on a plain pool, its demand less its
-/// decode share once any server is accelerated.
-fn cold_floor(instance: &PlacementInstance) -> usize {
-    let max_capacity = instance
-        .servers
-        .iter()
-        .map(|s| s.capacity_gops)
-        .fold(0.0f64, f64::max);
-    let has_accel = instance.has_accelerators();
-    let total_general: f64 = instance
-        .cells
-        .iter()
-        .map(|c| {
-            if has_accel {
-                c.gops - c.decode_gops
-            } else {
-                c.gops
-            }
-        })
-        .sum();
-    if max_capacity > 0.0 {
-        (total_general / (max_capacity * (1.0 + ServerSpec::FIT_TOLERANCE))).ceil() as usize
-    } else {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,7 +379,8 @@ mod tests {
         assert!(cold.complete());
         let cold = inst.servers_used(&cold.placement);
         assert_eq!(cold, 3);
-        assert!(cold_floor(&inst) <= cold, "floor {}", cold_floor(&inst));
+        let floor = inst.lower_bound_servers();
+        assert!(floor <= cold, "floor {floor}");
     }
 
     #[test]
@@ -610,6 +590,45 @@ mod tests {
         }
     }
 
+    /// A cell no server can take adds its demand to the floor but not to
+    /// any cold solve, so the floor bounds the cold count only where every
+    /// cell is placed. Four 90-GOPS cells each keep a server while they
+    /// shrink to 10; the 1,000-GOPS cell fits nowhere. Cold best fit packs
+    /// the four on one server, and a four-server spread breaks
+    /// `gap_bound(1) = 3`, though the floor reads 11.
+    #[test]
+    fn an_unplaced_cell_does_not_lift_the_floor() {
+        let mut warm = WarmPlacer::new(WarmConfig::default_eval());
+        let (p, _, _) = warm.epoch(&uniform(&[90.0, 90.0, 90.0, 90.0, 1_000.0], 5, 100.0));
+        assert_eq!((p.placed(), p.assignment[4]), (4, None));
+        let inst = uniform(&[10.0, 10.0, 10.0, 10.0, 1_000.0], 5, 100.0);
+        assert_eq!(inst.lower_bound_servers(), 11);
+        let cold = inst.servers_used(&place(&inst, Heuristic::BestFitDecreasing).placement);
+        assert_eq!(cold, 1);
+        let (p, _, stats) = warm.epoch(&inst);
+        let used = inst.servers_used(&p);
+        assert!(
+            used <= WarmPlacer::gap_bound(cold),
+            "warm {used} vs cold {cold}"
+        );
+        assert_eq!((p.placed(), stats.dirty), (4, 5), "the cold solve adopted");
+    }
+
+    /// A pool whose servers all have zero capacity: a zero-demand cell
+    /// fits there and the floor is `usize::MAX`, whose bound saturates; a
+    /// cell with demand fits nowhere. Neither epoch overflows.
+    #[test]
+    fn a_zero_capacity_pool_saturates_the_bound() {
+        assert_eq!(WarmPlacer::gap_bound(usize::MAX), usize::MAX);
+        for demands in [&[0.0][..], &[0.0, 0.0], &[0.0, 10.0]] {
+            let inst = uniform(demands, 2, 0.0);
+            let (p, _, _) = WarmPlacer::new(WarmConfig::default_eval()).epoch(&inst);
+            assert_eq!(inst.servers_used(&p), 0, "{demands:?}");
+            assert_eq!(p.placed(), demands.iter().filter(|&&d| d == 0.0).count());
+        }
+        assert_eq!(uniform(&[0.0], 2, 0.0).lower_bound_servers(), usize::MAX);
+    }
+
     /// Stopping the backstop's cold solve once its decision is known
     /// changes no epoch: over random demand walks on plain and half-
     /// accelerated pools, with collapses that make the backstop adopt and
@@ -661,7 +680,9 @@ mod tests {
                         .all(|(c, &b)| c.gops == b)
                 {
                     adopted += 1;
-                } else if inst.servers_used(&got.0) > WarmPlacer::gap_bound(cold_floor(&inst)) {
+                } else if inst.servers_used(&got.0)
+                    > WarmPlacer::gap_bound(inst.lower_bound_servers())
+                {
                     kept += 1;
                 }
 

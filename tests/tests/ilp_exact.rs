@@ -1,12 +1,12 @@
 //! Proof layer of the exact placer: a brute-force oracle, the warm
 //! start's expressibility, warm-versus-cold node LPs, the node-count
 //! ratchet on the benchmark's instance library, that library's search
-//! pinned bit for bit, and `ilp::solve`'s answers held to that search
-//! where its cost bound closes the root first, with or without a model.
+//! pinned bit for bit, and `ilp::solve`'s answers held to that search,
+//! or to first fit's where its cost bound proves it before any model.
 
 use pran_ilp::{
-    presolve, solve_ilp, solve_ilp_bounded, solve_lp, BnbConfig, IlpStatus, LpStatus, Model,
-    Presolved, Simplex, VarId, Violation, INCUMBENT_TOL,
+    presolve, prunes, solve_ilp, solve_lp, BnbConfig, IlpStatus, LpStatus, Model, Presolved,
+    Simplex, VarId, Violation, INCUMBENT_TOL,
 };
 use pran_integration_tests::{library_instance, library_limits, LIBRARY_SIZE};
 use pran_sched::placement::dimensioning::GopsConverter;
@@ -500,18 +500,22 @@ fn proof_instances() -> Vec<PlacementInstance> {
     instances
 }
 
-/// The proof before the model answers as the model does: on each of
-/// [`proof_instances`], `ilp::solve` equals `build_model`, the FFD start
-/// and `solve_ilp_bounded` under [`ilp::root_bound`] in placement, cost
-/// bits, proof, nodes and pivots. It builds no model (and reports no
-/// presolve) exactly where that search closed its root on the accepted
-/// start and first fit loads no server past `G`: a server loaded within
-/// the fit tolerance past `G` is left to the model, which may close the
-/// root all the same. Searches are cut at a few nodes, as on the tight
-/// family; each instance is solved again under a budget of none, and
-/// with the warm start off.
+/// The proof before the model is first fit's, and the search decides
+/// the rest: on each of [`proof_instances`], where `ilp::solve` builds
+/// no model it returns first fit decreasing's placement, optimal, at one
+/// node and no pivot, its cost the model's objective at the FFD start bit
+/// for bit and pruned by [`ilp::root_bound`] under `prunes`. That is
+/// exactly where the warm start is on, the node budget admits the root,
+/// first fit places every cell with no server past `G`, and the bound
+/// meets its cost. Everywhere else `ilp::solve` equals `build_model`, the
+/// FFD start and `solve_ilp` in placement, cost bits, proof, nodes, pivots
+/// and presolve. Where the bound meets a start that loads a server within
+/// the fit tolerance past `G`, the root LP closes it. Searches are cut at
+/// a few nodes, as on the tight family; each instance is solved again
+/// under a budget of none, which proves nothing, and with the warm start
+/// off.
 #[test]
-fn the_proof_before_the_model_is_the_bounded_search() {
+fn the_proof_before_the_model_is_first_fits_and_the_search_decides_the_rest() {
     let short = BnbConfig {
         max_nodes: 6,
         ..library_limits()
@@ -535,21 +539,51 @@ fn the_proof_before_the_model_is_the_bounded_search() {
         ]
     });
     for (i, inst, limits, options) in runs {
+        let label = format!("instance {i}, {} nodes, {options:?}", limits.max_nodes);
         let solved = ilp::solve_with(inst, limits, options);
         let (model, x, y) = ilp::build_model(inst);
         let seed = place(inst, Heuristic::FirstFitDecreasing);
+        let start = seed.complete().then(|| ffd_start(inst, &model, &x, &y));
+        let capacity = inst.servers[0].capacity_gops;
+        let within = seed.complete()
+            && inst
+                .server_loads(&seed.placement)
+                .iter()
+                .all(|&load| load <= capacity);
+        let integral = inst.servers[0].cost.fract() == 0.0;
+        let met = start.as_ref().is_some_and(|start| {
+            prunes(ilp::root_bound(inst), model.eval_objective(start), integral)
+        });
+        let proven = options.warm_start && limits.max_nodes > 0 && met;
+        let no_model = solved.presolve.is_none();
+        assert_eq!(
+            no_model,
+            proven && within,
+            "{label}: bound met {met}, within G {within}"
+        );
+        if limits.max_nodes == 0 {
+            assert_eq!((solved.optimal, solved.nodes), (false, 0), "{label}");
+        }
+        if no_model {
+            assert_eq!(solved.placement, Some(seed.placement), "{label}: placement");
+            let cost = start.map(|start| model.eval_objective(&start).to_bits());
+            assert_eq!(solved.cost.map(f64::to_bits), cost, "{label}: cost");
+            assert!(solved.optimal, "{label}: proof");
+            assert_eq!((solved.nodes, solved.lp_iterations), (1, 0), "{label}");
+            skipped += 1;
+            fractional_skipped += usize::from(!integral);
+            continue;
+        }
         let config = BnbConfig {
-            initial: (options.warm_start && seed.complete())
-                .then(|| ffd_start(inst, &model, &x, &y)),
+            initial: start.filter(|_| options.warm_start),
             ..limits.clone()
         };
-        let searched = solve_ilp_bounded(&model, &config, ilp::root_bound(inst));
+        let searched = solve_ilp(&model, &config);
         let placement = searched.solution.as_ref().map(|sol| {
             x.iter()
                 .map(|row| row.iter().position(|v| v.is_some_and(|v| sol.is_set(v))))
                 .collect::<Vec<_>>()
         });
-        let label = format!("instance {i}, {} nodes, {options:?}", limits.max_nodes);
         assert_eq!(
             solved.placement.map(|p| p.assignment),
             placement,
@@ -567,30 +601,14 @@ fn the_proof_before_the_model_is_the_bounded_search() {
             (searched.stats.nodes, searched.stats.lp_iterations),
             "{label}: nodes and pivots"
         );
-        let closed = optimal
-            && searched.stats.warm_start_accepted
-            && (searched.stats.nodes, searched.stats.lp_iterations) == (1, 0);
-        let capacity = inst.servers[0].capacity_gops;
-        let within = seed.complete()
-            && inst
-                .server_loads(&seed.placement)
-                .iter()
-                .all(|&load| load <= capacity);
-        let no_model = solved.presolve.is_none();
-        assert_eq!(
-            no_model,
-            closed && within,
-            "{label}: closed {closed}, within G {within}"
-        );
-        if let Some(presolve) = solved.presolve {
-            assert_eq!(presolve, searched.stats.presolve, "{label}: presolve");
+        assert_eq!(solved.presolve, Some(searched.stats.presolve), "{label}");
+        if proven && searched.stats.warm_start_accepted {
+            assert_eq!((solved.optimal, solved.nodes), (true, 1), "{label}: root");
+            left_to_the_model += 1;
         }
-        skipped += usize::from(no_model);
-        fractional_skipped += usize::from(no_model && inst.servers[0].cost.fract() != 0.0);
-        left_to_the_model += usize::from(closed && !within);
     }
     // Every pair loaded to exactly `G` skips the model; past `G` the model
-    // closes a root the proof leaves it only below 1,000 GOPS.
+    // takes a start the bound meets only below 1,000 GOPS.
     assert_eq!(
         (skipped, fractional_skipped, left_to_the_model),
         (81, 22, 12)
