@@ -17,8 +17,11 @@
 //! * re-exported substrates: [`phy`] (LTE model + DSP kernels),
 //!   [`fronthaul`] (CPRI/splits/framing/latency budgets), [`traces`]
 //!   (synthetic load), [`sched`] (placement ILP + heuristics, real-time
-//!   scheduling), [`sim`] (discrete-event pool simulation), [`ilp`]
-//!   (the LP/ILP solver).
+//!   scheduling), [`ilp`] (the LP/ILP solver).
+//!
+//! The pool simulator the controller is evaluated against is a crate of
+//! its own, `pran-sim`, with its own configuration; this one's
+//! [`SystemConfig`] describes the controller alone.
 //!
 //! ## Quickstart
 //!
@@ -67,5 +70,4 @@ pub use pran_fronthaul as fronthaul;
 pub use pran_ilp as ilp;
 pub use pran_phy as phy;
 pub use pran_sched as sched;
-pub use pran_sim as sim;
 pub use pran_traces as traces;

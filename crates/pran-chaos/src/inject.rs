@@ -18,7 +18,8 @@ use pran::{Controller, Snapshot, SystemConfig};
 use pran_fronthaul::fault::{FaultConfig, FaultInjector};
 use pran_insight::slo::Alert;
 use pran_sim::pool::{
-    next_epoch_after, whole_micros, FailureSpec, LinkFault, PoolConfig, PoolSimulator,
+    next_epoch_after, whole_micros, FailoverTiming, FailureSpec, LinkFault, PoolConfig,
+    PoolSimulator,
 };
 use pran_sim::PoolMetrics;
 use pran_traces::{generate, TraceConfig};
@@ -29,6 +30,13 @@ use crate::scenario::{ChaosEvent, Scenario, ScenarioError, TimedEvent};
 
 /// Salt separating the fronthaul RNG stream from the trace stream.
 const LINK_SEED_SALT: u64 = 0x6c69_6e6b_7365_6564;
+
+/// The outage a failover charges each cell it re-places: the control
+/// plane here, the data plane (`PoolConfig::failover`) and `pran-mc`'s
+/// model all charge this one price.
+pub fn failover_price() -> Duration {
+    FailoverTiming::default_eval().outage()
+}
 
 /// Compile a scenario's crash/recover pairs into data-plane
 /// [`FailureSpec`]s (each crash matched with the next recovery of the
@@ -229,7 +237,7 @@ pub fn run_scenario(
     // Control plane.
     let mut sys = sys.clone();
     sys.pool.servers = scenario.servers;
-    let failover_price = sys.chaos.outage();
+    let price = failover_price();
     let epoch_len = sys.epoch;
     let horizon = scenario.horizon;
     let mut ctl = Controller::new(sys.clone());
@@ -277,9 +285,9 @@ pub fn run_scenario(
                         let repair_at = next_epoch_after(now, epoch_len).min(horizon);
                         for &cell in &report.displaced {
                             let outage = if ctl.placement().assignment[cell].is_some() {
-                                failover_price
+                                price
                             } else {
-                                failover_price + repair_at.saturating_sub(now)
+                                price + repair_at.saturating_sub(now)
                             };
                             max_outage = max_outage.max(outage);
                             checker.check_outage(now, cell, outage);
@@ -339,14 +347,11 @@ pub fn run_scenario(
     let mut pool_cfg = PoolConfig::default_eval(scenario.servers);
     pool_cfg.server_capacity_gops = sys.pool.capacity_gops;
     pool_cfg.headroom = sys.headroom;
-    pool_cfg.failover = sys.chaos;
     pool_cfg.bandwidth = sys.bandwidth;
     pool_cfg.antennas = sys.antennas;
     pool_cfg.mcs = sys.mcs;
     pool_cfg.epoch_steps = ((epoch_len.as_secs_f64() / trace.step_seconds).round() as usize).max(1);
     pool_cfg.slo = Some(sys.slo);
-    pool_cfg.split_plan = sys.split.clone();
-    pool_cfg.accel = sys.accel;
     pool_cfg.fronthaul = scenario
         .events
         .iter()
@@ -399,6 +404,12 @@ fn corrupt_drill(ctl: &Controller, now: Duration, checker: &mut InvariantChecker
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_failover_price_is_50_ms_within_the_outage_bound() {
+        assert_eq!(failover_price(), Duration::from_millis(50));
+        assert!(failover_price() <= pran_insight::SloPolicy::default_eval().outage_p99_max);
+    }
 
     fn base_scenario() -> Scenario {
         Scenario {
@@ -631,7 +642,7 @@ mod tests {
         assert!(report.displaced_cells > 0);
         assert_eq!(
             report.max_outage,
-            sys.chaos.outage() + Duration::from_secs(15)
+            failover_price() + Duration::from_secs(15)
         );
     }
 

@@ -231,8 +231,8 @@ pub fn restore_drill(ctl: &Controller) -> Result<Controller, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inject::failover_price;
     use pran::SystemConfig;
-    use pran_sim::FailoverTiming;
 
     fn live_view(servers: usize) -> (Controller, PoolView) {
         let mut c = Controller::new(SystemConfig::default_eval(servers));
@@ -334,7 +334,7 @@ mod tests {
     fn outage_bound_zero_flags_any_failover() {
         let mut bounds = SloPolicy::default_eval();
         bounds.outage_p99_max = Duration::ZERO;
-        let outage = FailoverTiming::default_eval().outage();
+        let outage = failover_price();
         let mut chk = InvariantChecker::new(bounds);
         chk.check_outage(Duration::from_secs(1), 3, outage);
         assert_eq!(chk.violations()[0].kind, InvariantKind::OutageExceeded);

@@ -38,6 +38,6 @@ pub mod scenario;
 pub use explore::{
     explore, replay, sample_scenario, shrink, ExploreConfig, ExploreError, ExploreReport, Failure,
 };
-pub use inject::{failure_specs, run_scenario, HarnessReport};
+pub use inject::{failover_price, failure_specs, run_scenario, HarnessReport};
 pub use invariants::{restore_drill, InvariantChecker, InvariantKind, Violation};
 pub use scenario::{ChaosEvent, Scenario, ScenarioError, TimedEvent};

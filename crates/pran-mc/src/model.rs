@@ -477,7 +477,7 @@ impl Model {
                 Self::migrate(&instance, state, cell, to);
             }
         }
-        let price = self.cfg.sys.chaos.outage();
+        let price = pran_chaos::failover_price();
         for (c, outage) in outages.iter_mut() {
             *outage = if state.placement[*c].is_some() {
                 price
@@ -678,7 +678,7 @@ mod tests {
         assert!(!out.outages.is_empty(), "victim hosted cells");
         // Headline levels guarantee room on the survivors: every
         // displaced cell is re-placed at the failover price.
-        let price = model.config().sys.chaos.outage();
+        let price = pran_chaos::failover_price();
         for (c, outage) in &out.outages {
             assert_eq!(
                 *outage, price,

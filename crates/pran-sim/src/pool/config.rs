@@ -13,7 +13,6 @@ use pran_phy::mcs::Mcs;
 use pran_sched::placement::warm::WarmConfig;
 use pran_sched::placement::{Accelerator, ServerSpec};
 use pran_sched::realtime::ParallelConfig;
-use serde::{Deserialize, Serialize};
 
 #[cfg(doc)]
 use {
@@ -66,39 +65,13 @@ impl SplitPlan {
     }
 }
 
-// Configs serialize a uniform plan as the bare split tag (`"Full"`) and
-// a per-cell plan as an array of tags; `null`/missing reads as the
-// pre-split default so configs written before splits existed still
-// parse. Unknown tags are rejected by `FunctionalSplit`'s own decoder.
-// Neither direction is derived: that wire shape is not the enum's.
-impl Serialize for SplitPlan {
-    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
-        match self {
-            SplitPlan::Uniform(s) => s.serialize(sink),
-            SplitPlan::PerCell(v) => v.serialize(sink),
-        }
-    }
-}
-
-impl Deserialize for SplitPlan {
-    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        match r.kind()? {
-            "null" => r.null().map(|_| SplitPlan::default()),
-            "string" => Deserialize::read(r).map(SplitPlan::Uniform),
-            "array" => Deserialize::read(r).map(SplitPlan::PerCell),
-            _ => Err(r.expected("a split tag or an array of split tags")),
-        }
-    }
-}
-
 /// Accelerated-server provisioning for a pool: the leading
 /// `round(servers × fraction)` servers carry the one turbo-decode
 /// accelerator profile, [`Accelerator::default_eval`], whose capacity is
 /// accounted separately from general GOPS by the placement stack, and
 /// whose speedup shortens the decode share of service times on those
-/// servers. Configs that still carry the profile's two old keys
-/// (`decode_capacity_gops`, `decode_speedup`) read, the keys skipped.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// servers.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolAccel {
     /// Fraction of the pool's servers fitted with accelerators, in
     /// `[0, 1]`; servers `0..round(servers × fraction)` are accelerated.
@@ -116,11 +89,7 @@ impl PoolAccel {
 /// is charged as its outage. The pool ([`PoolShard::fail_server`]), the
 /// chaos harness's control plane and `pran-mc`'s model all charge
 /// [`outage`](Self::outage).
-///
-/// Configs that still carry the two old keys `replan_overhead` and
-/// `migration_time_per_cell` read, the keys skipped: those prices are
-/// now the constants below.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailoverTiming {
     /// Failure detection delay (heartbeat timeout).
     pub detection_delay: Duration,

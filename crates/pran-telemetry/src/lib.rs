@@ -42,7 +42,9 @@ use serde::{Deserialize, Serialize};
 
 pub use metrics::{LogHistogram, Registry, RegistrySnapshot};
 pub use subframe::{Subframe, SubframeError};
-pub use trace::{Domain, EventView, FieldValue, TraceClock, TraceEvent};
+pub use trace::{
+    configure, disable, enabled, Domain, EventView, FieldValue, TraceClock, TraceEvent,
+};
 
 /// Telemetry knobs: what [`configure`] applies — the bench binaries pick
 /// one from `PRAN_TELEMETRY`, tests set it directly.
@@ -86,29 +88,6 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         Self::disabled()
     }
-}
-
-/// Apply a configuration to the global tracer: resets the event sink,
-/// invalidates per-thread buffers from earlier runs and flips the enable
-/// switch. See [`trace::configure`].
-pub fn configure(config: TelemetryConfig) {
-    trace::configure(config);
-}
-
-/// Disable tracing (buffered events stay drainable).
-pub fn disable() {
-    trace::disable();
-}
-
-/// Whether tracing is currently enabled (the fast-path check).
-///
-/// One relaxed atomic load. Hot loops should hoist this once per
-/// epoch/worker and skip building event field arrays entirely when it is
-/// false — the arrays (not the guarded [`trace::sim_event`] call) are the
-/// off-mode cost.
-#[inline]
-pub fn enabled() -> bool {
-    trace::enabled()
 }
 
 /// Lock one of the crate's mutexes, recovering it if a panicking holder

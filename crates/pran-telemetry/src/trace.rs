@@ -320,8 +320,8 @@ pub fn canonicalize_by_shard() {
     *sink_guard = events;
 }
 
-/// Apply a configuration: clears the sink and every live thread buffer,
-/// then flips the recording switches.
+/// Apply a configuration to the global tracer: clears the sink and every
+/// live thread buffer, then flips the recording switches.
 pub fn configure(config: TelemetryConfig) {
     for buffer in lock(&BUFFERS).iter() {
         lock(buffer).clear();
@@ -331,12 +331,18 @@ pub fn configure(config: TelemetryConfig) {
     ENABLED.store(config.enabled, Ordering::Release);
 }
 
-/// Stop recording. Buffered events remain drainable via [`drain`].
+/// Stop recording (disable tracing). Buffered events remain drainable
+/// via [`drain`].
 pub fn disable() {
     ENABLED.store(false, Ordering::Release);
 }
 
-/// The fast-path check: one relaxed atomic load.
+/// Whether tracing is currently enabled: the fast-path check, one
+/// relaxed atomic load.
+///
+/// Hot loops should hoist this once per epoch/worker and skip building
+/// event field arrays entirely when it is false — the arrays (not the
+/// guarded [`sim_event`] call) are the off-mode cost.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)

@@ -15,8 +15,8 @@ use std::time::{Duration, Instant};
 
 use pran::phy::kernels::{turbo_decode, turbo_encode, QppInterleaver, SoftCodeword};
 use pran::sched::realtime::{ParallelConfig, ParallelExecutor, RtTask};
-use pran::sim::{FailureSpec, PoolConfig, PoolSimulator};
 use pran::traces::{generate, TraceConfig};
+use pran_sim::{FailureSpec, PoolConfig, PoolSimulator};
 
 fn main() {
     // ---- Part 1: simulated pool with injected failures ----

@@ -16,8 +16,8 @@ use std::time::Duration;
 use pran::sched::placement::dimensioning::{
     dedicated_servers, pooled_servers, pooling_saving, GopsConverter,
 };
-use pran::sim::{PoolConfig, PoolSimulator};
 use pran::traces::{generate, FlashCrowd, Point, TraceConfig};
+use pran_sim::{PoolConfig, PoolSimulator};
 
 fn main() {
     let mut args = std::env::args().skip(1);

@@ -7,7 +7,7 @@
 //! cell, a deregistered cell, a failed and a drained server. None of the
 //! kept state is on the wire, so the file must restore today, place the
 //! next epoch exactly as its author did, and serialize back to the same
-//! bytes — less the five config sections `SystemConfig` has since shed
+//! bytes — less the eight config sections `SystemConfig` has since shed
 //! ([`v1_snapshot_written_back`]). The hostile variants must come back as
 //! typed errors.
 

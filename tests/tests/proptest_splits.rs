@@ -19,7 +19,7 @@ use pran_sched::placement::heuristics::{place, Heuristic};
 use pran_sched::placement::{
     Accelerator, Allowed, CellDemand, PlacementInstance, ServerSpec, WarmConfig, WarmPlacer,
 };
-use pran_sim::{PoolAccel, PoolConfig, PoolConfigError, SplitPlan};
+use pran_sim::{PoolAccel, PoolConfig, PoolConfigError};
 
 /// A heterogeneous instance: `demands[i] × decode_fracs[i]` GOPS of each
 /// cell's demand is turbo decode; the first `servers/4` servers carry an
@@ -170,30 +170,6 @@ proptest! {
         }
     }
 
-    /// Arbitrary valid split/accel configs round-trip through
-    /// `pran::SystemConfig` JSON bit-for-bit (chaos-DSL style: the wire
-    /// format is part of the contract).
-    #[test]
-    fn split_config_round_trips(
-        tags in proptest::collection::vec(0u8..3, 1..32),
-        uniform in any::<bool>(),
-        fraction in 0.0f64..1.0,
-        with_accel in any::<bool>(),
-    ) {
-        let mut c = SystemConfig::default_eval(4);
-        c.split = if uniform {
-            SplitPlan::Uniform(FunctionalSplit::all()[tags[0] as usize % 3])
-        } else {
-            SplitPlan::PerCell(
-                tags.iter().map(|&t| FunctionalSplit::all()[t as usize % 3]).collect(),
-            )
-        };
-        c.accel = with_accel.then_some(PoolAccel { fraction });
-        let json = serde_json::to_string(&c).unwrap();
-        let back: SystemConfig = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(back, c);
-    }
-
     /// An out-of-range accelerated-server fraction comes back as the
     /// typed [`PoolConfigError::BadAccelFraction`] — never a panic, never
     /// silent acceptance.
@@ -220,40 +196,12 @@ proptest! {
         ));
     }
 
-    /// Arbitrary bytes never panic the `SystemConfig` parser, and
-    /// mutating the `split` tag to garbage is a typed rejection that
-    /// names the unknown tag.
+    /// Arbitrary bytes never panic the `SystemConfig` parser.
     #[test]
     fn arbitrary_config_input_never_panics(
         bytes in proptest::collection::vec(any::<u8>(), 0..256),
-        tag_seed in 0u64..u64::MAX,
-        tag_len in 1usize..12,
     ) {
         let junk = String::from_utf8_lossy(&bytes);
-        // The vendored proptest has no string strategies; derive an
-        // ASCII-alpha tag from a seed instead.
-        let tag: String = (0..tag_len)
-            .map(|i| {
-                let x = tag_seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(i as u64)
-                    .rotate_left(17);
-                char::from(b'A' + (x % 52) as u8 % 26)
-            })
-            .collect();
         let _ = serde_json::from_str::<SystemConfig>(&junk); // Ok or Err, never panic
-
-        let known = FunctionalSplit::all().iter().any(|s| format!("{s:?}") == tag);
-        let mut v = serde_json::to_value(SystemConfig::default_eval(4)).unwrap();
-        if let serde_json::Value::Object(root) = &mut v {
-            root.insert("split".into(), serde_json::Value::String(tag.clone()));
-        }
-        match serde_json::from_str::<SystemConfig>(&v.to_json_string()) {
-            Ok(_) => prop_assert!(known, "unknown tag {} must not parse", tag),
-            Err(e) => {
-                prop_assert!(!known, "known tag {} must parse: {}", tag, e);
-                prop_assert!(e.to_string().contains(&tag), "error must name the tag: {}", e);
-            }
-        }
     }
 }

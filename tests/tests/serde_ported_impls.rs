@@ -1,16 +1,16 @@
-//! The five hand-written `Serialize` impls say the same thing to every
-//! sink, and the eight readers of types whose text has changed read
+//! The four hand-written `Serialize` impls say the same thing to every
+//! sink, and the seven readers of types whose text has changed read
 //! every way it may be written.
 //!
 //! `vendor/serde_json/tests/differential.rs` holds the derive and the
 //! std impls to the three-sink contract and pins the format itself; the
-//! five types that write their own events (no derive: a const generic, a
-//! lifetime, working state kept off the wire, a run-length class table,
-//! an untagged enum) get the same contract here, on non-trivial values.
+//! four types that write their own events (no derive: a const generic, a
+//! lifetime, working state kept off the wire, a run-length class table)
+//! get the same contract here, on non-trivial values.
 //! `vendor/serde_json/tests/read_differential.rs` is the same for
-//! reading; eight types are held to it here (four derive their reader
+//! reading; seven types are held to it here (four derive their reader
 //! with `#[serde(default)]` fields, two convert from a derived wire
-//! struct, two keep a loop), together with what each of them makes of a
+//! struct, one keeps a loop), together with what each of them makes of a
 //! text written before its newest field existed.
 
 use std::time::Duration;
@@ -19,7 +19,7 @@ use pran::{Controller, Snapshot};
 use pran_insight::{LiveFold, MetroFold, SloPolicy};
 use pran_phy::{CellWorkload, Direction, FunctionalSplit};
 use pran_sched::placement::{CellDemand, WarmPlacer};
-use pran_sim::{PoolMetrics, SplitPlan};
+use pran_sim::PoolMetrics;
 use pran_telemetry::metrics::LogBuckets;
 use pran_telemetry::Subframe;
 use serde_json::{from_str, to_string, to_string_pretty, Value};
@@ -112,18 +112,6 @@ fn live_fold_and_metro_fold() {
     assert_eq!(metro.as_array().unwrap().len(), 2);
     assert_eq!(metro[0], tree);
     assert_eq!(metro[1], three_sinks_agree(&b));
-}
-
-#[test]
-fn split_plan() {
-    use pran_phy::FunctionalSplit::{Full, SplitII};
-    assert_eq!(
-        three_sinks_agree(&SplitPlan::Uniform(Full)).as_str(),
-        Some("Full")
-    );
-    let per_cell = three_sinks_agree(&SplitPlan::PerCell(vec![Full, SplitII, Full]));
-    assert_eq!(per_cell.to_json_string(), r#"["Full","SplitII","Full"]"#);
-    three_sinks_agree(&SplitPlan::PerCell(Vec::new()));
 }
 
 #[test]
@@ -313,41 +301,6 @@ fn pool_metrics_and_log_buckets_read() {
         err.to_string(),
         "at count: expected unsigned integer, got null"
     );
-}
-
-#[test]
-fn split_plan_reads() {
-    use FunctionalSplit::{Full, SplitIII};
-    for (text, plan) in [
-        ("null", SplitPlan::default()),
-        (r#""SplitIII""#, SplitPlan::Uniform(SplitIII)),
-        (
-            r#" [ "Full" , "SplitIII" ] "#,
-            SplitPlan::PerCell(vec![Full, SplitIII]),
-        ),
-        ("[]", SplitPlan::PerCell(vec![])),
-    ] {
-        assert_eq!(from_str::<SplitPlan>(text).unwrap(), plan, "{text}");
-    }
-    for (text, message) in [
-        (
-            "7",
-            "expected a split tag or an array of split tags, got number",
-        ),
-        (
-            "{}",
-            "expected a split tag or an array of split tags, got object",
-        ),
-        (r#""Half""#, r#"unknown FunctionalSplit variant "Half""#),
-        (
-            r#"["Full",1]"#,
-            "at [1]: expected FunctionalSplit variant, got number",
-        ),
-        ("nil", "bad literal at byte 0"),
-    ] {
-        let err = from_str::<SplitPlan>(text).unwrap_err();
-        assert_eq!(err.to_string(), message, "{text}");
-    }
 }
 
 #[test]
