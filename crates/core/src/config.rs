@@ -156,4 +156,74 @@ mod tests {
             assert_eq!(serde_json::to_string(&back).unwrap(), written, "{split}");
         }
     }
+
+    #[test]
+    fn split_and_accel_round_trip() {
+        // A split plan, per-cell or a bare uniform tag, and an
+        // accelerator profile go in; the config comes back without them,
+        // and writes as it did before they were added.
+        let c = SystemConfig::default_eval(4);
+        let written = serde_json::to_string(&c).unwrap();
+        for split in [
+            serde_json::json!(["Full", "SplitII", "SplitIII"]),
+            serde_json::json!("SplitII"),
+        ] {
+            let mut v = serde_json::to_value(&c).unwrap();
+            if let serde_json::Value::Object(root) = &mut v {
+                root.insert("split".into(), split.clone());
+                root.insert("accel".into(), serde_json::json!({ "fraction": 0.25 }));
+            }
+            let back: SystemConfig = serde_json::from_str(&v.to_json_string()).unwrap();
+            assert_eq!(back, c, "{split}");
+            assert_eq!(serde_json::to_string(&back).unwrap(), written, "{split}");
+        }
+    }
+
+    #[test]
+    fn config_without_split_fields_parses() {
+        // The config writes neither `split` nor `accel` (nor `chaos`),
+        // and reads back from that form; so does a config written before
+        // splits existed, which carried `chaos` alone.
+        let c = SystemConfig::default_eval(4);
+        let mut v = serde_json::to_value(&c).unwrap();
+        for key in ["split", "accel", "chaos"] {
+            assert!(v.get(key).is_none(), "{key} is written");
+        }
+        let back: SystemConfig = serde_json::from_str(&v.to_json_string()).unwrap();
+        assert_eq!(back, c);
+
+        if let serde_json::Value::Object(root) = &mut v {
+            root.insert(
+                "chaos".into(),
+                serde_json::json!({ "detection_delay": { "secs": 0, "nanos": 20_000_000 } }),
+            );
+        }
+        let back: SystemConfig = serde_json::from_str(&v.to_json_string()).unwrap();
+        assert_eq!(back, c);
+    }
+
+    #[test]
+    fn unknown_split_tag_is_rejected() {
+        // The config skips its retired `split` key whatever it holds
+        // (`config_with_retired_keys_parses`); where a split is still
+        // read, as a `FunctionalSplit`, a tag no split has is an error
+        // that names it, alone or inside a per-cell list.
+        use pran_phy::compute::FunctionalSplit;
+        let err = serde_json::from_str::<FunctionalSplit>(r#""SplitIV""#).unwrap_err();
+        assert!(
+            err.to_string().contains("SplitIV"),
+            "error must name the bad tag: {err}"
+        );
+        let err =
+            serde_json::from_str::<Vec<FunctionalSplit>>(r#"["Full","Fronthaul"]"#).unwrap_err();
+        assert!(
+            err.to_string().contains("Fronthaul"),
+            "error must name the bad tag: {err}"
+        );
+        assert_eq!(
+            serde_json::from_str::<Vec<FunctionalSplit>>(r#"["Full","SplitII","SplitIII"]"#)
+                .unwrap(),
+            FunctionalSplit::all()
+        );
+    }
 }
